@@ -113,11 +113,6 @@ func main() {
 	maxShapes := flag.Int("max-shapes", 512, "distinct query shapes tracked by the fingerprint registry (LRU beyond)")
 	flag.Parse()
 
-	triples, err := loadTriples(*dataPath, *dataset, *scale)
-	if err != nil {
-		fail(err.Error())
-	}
-
 	cfg := server.Config{
 		MaxConcurrent:        *maxConcurrent,
 		DefaultTimeout:       *timeout,
@@ -181,40 +176,90 @@ func main() {
 		}
 	}
 
+	// Each backend is built by a function that returns only the store:
+	// main blocks in serve for the life of the process, and the parsed
+	// []rdf.Triple must not stay reachable from its frame.
+	bootStart := time.Now()
 	var srv *server.Server
-	if *shards > 0 {
+	switch {
+	case *shards > 0:
 		if *engineName != "reference" {
 			fail("-shards requires the reference engine")
 		}
-		sg, err := shard.BuildReplicatedByName(triples, *partitionName, *shards, *replicas)
+		sg, err := buildSharded(*dataPath, *dataset, *scale, *partitionName, *shards, *replicas)
 		if err != nil {
 			fail(err.Error())
 		}
 		srv = server.NewSharded(sg, cfg)
-		log.Printf("rdfserve: %d triples sharded %d-way by %s (replicas %d, sizes %v, subject-colocated %v), serving on %s",
-			sg.Len(), sg.NumShards(), sg.Strategy(), sg.Replicas(), sg.ShardSizes(), sg.SubjectColocated(), *addr)
-		serve(*addr, srv.Handler(), cfg.DefaultTimeout, *maxTimeout)
-		return
-	}
-	if *replicas != 1 {
+		log.Printf("rdfserve: %d triples, %d dictionary terms, built in %v, sharded %d-way by %s (replicas %d, sizes %v, subject-colocated %v), serving on %s",
+			sg.Len(), sg.Dict().Len(), time.Since(bootStart).Round(time.Millisecond),
+			sg.NumShards(), sg.Strategy(), sg.Replicas(), sg.ShardSizes(), sg.SubjectColocated(), *addr)
+	case *replicas != 1:
 		fail("-replicas needs -shards > 0")
-	}
-	g := rdf.NewGraph(triples)
-	if *engineName == "reference" {
-		srv = server.New(g, cfg)
-	} else {
-		eng := findEngine(*engineName)
+	default:
+		var eng core.Engine
+		if *engineName != "reference" {
+			if eng = findEngine(*engineName); eng == nil {
+				fail("unknown engine " + *engineName + " (see rdfquery -engines)")
+			}
+		}
+		g, err := buildGraph(*dataPath, *dataset, *scale, eng)
+		if err != nil {
+			fail(err.Error())
+		}
 		if eng == nil {
-			fail("unknown engine " + *engineName + " (see rdfquery -engines)")
+			srv = server.New(g, cfg)
+		} else {
+			srv = server.NewWithEngine(g, eng, cfg)
 		}
-		if err := eng.Load(g.Triples()); err != nil {
-			fail("loading engine: " + err.Error())
-		}
-		srv = server.NewWithEngine(g, eng, cfg)
+		log.Printf("rdfserve: %d triples, %d dictionary terms, built in %v, engine=%s, serving on %s",
+			g.Len(), g.Encoded().Dict().Len(), time.Since(bootStart).Round(time.Millisecond), *engineName, *addr)
 	}
-
-	log.Printf("rdfserve: %d triples loaded, engine=%s, serving on %s", g.Len(), *engineName, *addr)
 	serve(*addr, srv.Handler(), cfg.DefaultTimeout, *maxTimeout)
+}
+
+// buildSharded loads the dataset and splits it into the sharded store.
+func buildSharded(dataPath, dataset, scale, partitionName string, shards, replicas int) (*shard.ShardedGraph, error) {
+	triples, err := loadTriples(dataPath, dataset, scale)
+	if err != nil {
+		return nil, err
+	}
+	return shard.BuildReplicatedByName(triples, partitionName, shards, replicas)
+}
+
+// buildGraph loads the dataset into a graph. An N-Triples file streams
+// from the parser straight into the store, so the document never
+// exists as a []rdf.Triple; the other sources (and a surveyed engine,
+// which loads from a slice) produce one that dies with this call.
+func buildGraph(dataPath, dataset, scale string, eng core.Engine) (*rdf.Graph, error) {
+	g := rdf.NewGraph(nil)
+	add := func(t rdf.Triple) error {
+		_, err := g.TryAdd(t)
+		return err
+	}
+	if eng == nil && dataPath != "" && !strings.HasSuffix(dataPath, ".ttl") {
+		f, err := os.Open(dataPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return g, rdf.ReadNTriples(f, add)
+	}
+	triples, err := loadTriples(dataPath, dataset, scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range triples {
+		if err := add(t); err != nil {
+			return nil, err
+		}
+	}
+	if eng != nil {
+		if err := eng.Load(triples); err != nil {
+			return nil, fmt.Errorf("loading engine: %w", err)
+		}
+	}
+	return g, nil
 }
 
 // serve runs the HTTP server until SIGTERM/SIGINT, then drains

@@ -101,11 +101,11 @@
 //
 // internal/shard turns the partitioning strategies of
 // internal/partition into a live execution substrate. A ShardedGraph
-// splits one dataset into N rdf.Graph shards under any
-// partition.Strategy — selected by name through the partition.ByName
-// registry — while every shard encodes through one shared
-// rdf.Dictionary, so TermIDs are globally consistent and all
-// cross-shard work stays in id space. The distributed executor
+// splits one dataset into N shards under any partition.Strategy —
+// selected by name through the partition.ByName registry — each shard
+// (and each replica) an rdf.EncodedView built straight from its bucket
+// of ids around one shared rdf.Dictionary, so TermIDs are globally
+// consistent and all cross-shard work stays in id space. The distributed executor
 // (sparql.RunSharded) routes each prepared query by placement: a
 // single-BGP subject star pushes down whole to each shard when the
 // placement co-located subjects (verified at build time, not assumed),
@@ -122,9 +122,34 @@
 // detector. rdfserve -shards N -partition <name> serves it;
 // rdfbench -shards compares strategies by end-to-end query latency.
 //
-// The server itself holds one read-only rdf.Graph (single-writer/
-// many-reader: Encoded and Stats fill lazily under a lock, all other
-// read paths are lock-free), an LRU plan cache keyed by exact query
+// Storage and concurrency. There is one store, and it is in id space.
+// An rdf.Graph owns a dictionary, its distinct triples as 12-byte
+// EncodedTriples in insertion order, and a set of them; Add builds
+// nothing else, and rdfserve streams an N-Triples file from the parser
+// straight into it (rdf.ReadNTriples), the dictionary cloning each
+// term's strings once so no entry pins its input line. Everything else
+// is derived on first use and cached under one mutex (encMu): the flat
+// EncodedView every query runs on — per position one contiguous copy of
+// the triples grouped by id with a stable counting sort (insertion
+// order within a key, which every byte-identical contract rides on)
+// plus a dense uint32 offset table, so a lookup is two array reads, the
+// view holds no Go map and no pointer, and the collector never scans it
+// — the statistics, and the term-space face (Triples, WithSubject, …)
+// that only the RDFS closure, the surveyed engines' harness, and tests
+// read; nothing on the serving path, DESCRIBE included, touches it. A
+// Graph is single-writer/many-reader: any number of goroutines may race
+// into a cold Encoded, Stats, or term-space accessor; after an Add the
+// next Encoded or Stats rebuilds from the encoded list in O(n), while
+// the term-space face only decodes what was added since it was last
+// read. Sharded stores skip rdf.Graph altogether (rdf.NewEncodedView
+// per replica). The layout's fixed widths — uint32 ids below the
+// evaluator's unbound sentinel, int32 positions, uint32 offsets — fail
+// with a typed *rdf.CapacityError at build time, never wrap. The live
+// footprint is ≈ 150 B/triple (dictionary included), pinned at ≤ 256 by
+// TestStoreFootprintPin and BenchmarkStoreBuild in CI.
+//
+// The server itself holds one such read-only rdf.Graph (or one
+// shard.ShardedGraph), an LRU plan cache keyed by exact query
 // text (a hit returns the shared Prepared and skips parse + compile
 // entirely — BenchmarkServeCachedQuery measures the gap), a bounded
 // worker pool whose admission queue charges waiting time against the

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// Many goroutines hitting a cold graph's lazy caches at once must be
-// safe (run with -race) and must all see the same encoded view and the
-// same statistics — the single-writer/many-reader contract the query
-// service builds on.
+// Many goroutines hitting a cold graph's derived state at once must be
+// safe (run with -race) and must all see the same encoded view, the
+// same statistics, and the same term-space face — the
+// single-writer/many-reader contract the query service builds on. Each
+// goroutine enters through a different cold accessor first, so every
+// pair of lazy fills races at least once.
 func TestGraphConcurrentLazyInit(t *testing.T) {
 	var ts []Triple
 	for i := 0; i < 200; i++ {
@@ -24,13 +26,23 @@ func TestGraphConcurrentLazyInit(t *testing.T) {
 	const goroutines = 16
 	views := make([]*EncodedView, goroutines)
 	stats := make([]Stats, goroutines)
+	lists := make([][]Triple, goroutines)
+	bySubject := make([][]Triple, goroutines)
+	subject := NewIRI("http://ex/s7")
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			views[i] = g.Encoded()
-			stats[i] = g.Stats()
+			fills := []func(){
+				func() { views[i] = g.Encoded() },
+				func() { stats[i] = g.Stats() },
+				func() { lists[i] = g.Triples() },
+				func() { bySubject[i] = g.WithSubject(subject) },
+			}
+			for k := range fills {
+				fills[(i+k)%len(fills)]()
+			}
 			// Exercise the read paths that share the lazily built
 			// structures: index lookups, dictionary decoding.
 			for _, e := range views[i].WithPredicate(views[i].Dict().Encode(NewIRI("http://ex/p0"))) {
@@ -49,6 +61,19 @@ func TestGraphConcurrentLazyInit(t *testing.T) {
 		}
 		if stats[i].Triples != stats[0].Triples || stats[i].DistinctPredicates != stats[0].DistinctPredicates {
 			t.Fatalf("goroutine %d saw different stats: %+v vs %+v", i, stats[i], stats[0])
+		}
+	}
+	for i := 0; i < goroutines; i++ {
+		if len(lists[i]) != g.Len() || &lists[i][0] != &lists[0][0] {
+			t.Fatalf("goroutine %d saw a different Triples() list", i)
+		}
+		if len(bySubject[i]) != 4 || &bySubject[i][0] != &bySubject[0][0] {
+			t.Fatalf("goroutine %d saw a different WithSubject view (%d triples)", i, len(bySubject[i]))
+		}
+		for _, tr := range bySubject[i] {
+			if tr.S != subject {
+				t.Fatalf("WithSubject returned %v", tr)
+			}
 		}
 	}
 	if views[0].Len() != g.Len() {

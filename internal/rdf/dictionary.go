@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 )
 
@@ -15,37 +17,74 @@ type EncodedTriple struct {
 	S, P, O TermID
 }
 
+// CapacityError reports that a store build ran into one of the fixed
+// widths of the id-space layout: TermIDs are uint32 with the top value
+// reserved (the evaluator's unbound-slot sentinel), and triple
+// positions and index offsets are 32-bit. Builds fail with this error
+// instead of wrapping.
+type CapacityError struct {
+	What  string // "terms" or "triples"
+	Limit int64  // the most the store can hold
+}
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("rdf: store is full: cannot hold more than %d %s", e.Limit, e.What)
+}
+
 // Dictionary maps terms to dense ids and back. It is safe for
 // concurrent encoding (engines load partitions in parallel).
+//
+// The dictionary owns its strings: a term's Value, Datatype, and Lang
+// are cloned when the term is first assigned an id, so an entry never
+// pins the buffer it was parsed from (N-Triples terms are substrings of
+// their input line).
 type Dictionary struct {
 	mu    sync.RWMutex
 	ids   map[Term]TermID
 	terms []Term
+	limit int64 // ids are < limit; lowered only by tests
 }
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	return &Dictionary{ids: make(map[Term]TermID)}
+	return &Dictionary{ids: make(map[Term]TermID), limit: math.MaxUint32}
 }
 
 // Encode returns the id for t, assigning the next dense id on first
-// sight.
+// sight. It panics with a *CapacityError once every id is taken;
+// loaders of outside data use TryEncode.
 func (d *Dictionary) Encode(t Term) TermID {
+	id, err := d.TryEncode(t)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// TryEncode is Encode returning a *CapacityError instead of panicking
+// when the dictionary is full.
+func (d *Dictionary) TryEncode(t Term) (TermID, error) {
 	d.mu.RLock()
 	id, ok := d.ids[t]
 	d.mu.RUnlock()
 	if ok {
-		return id
+		return id, nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.ids[t]; ok {
-		return id
+		return id, nil
 	}
+	if int64(len(d.terms)) >= d.limit {
+		return 0, &CapacityError{What: "terms", Limit: d.limit}
+	}
+	t.Value = strings.Clone(t.Value)
+	t.Datatype = strings.Clone(t.Datatype)
+	t.Lang = strings.Clone(t.Lang)
 	id = TermID(len(d.terms))
 	d.ids[t] = id
 	d.terms = append(d.terms, t)
-	return id
+	return id, nil
 }
 
 // Lookup returns the id of t without assigning one.
@@ -93,9 +132,28 @@ func (d *Dictionary) Len() int {
 	return len(d.terms)
 }
 
-// EncodeTriple encodes all three positions.
+// EncodeTriple encodes all three positions (panicking like Encode when
+// the dictionary is full).
 func (d *Dictionary) EncodeTriple(t Triple) EncodedTriple {
 	return EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
+}
+
+// TryEncodeTriple is EncodeTriple returning a *CapacityError instead of
+// panicking.
+func (d *Dictionary) TryEncodeTriple(t Triple) (EncodedTriple, error) {
+	s, err := d.TryEncode(t.S)
+	if err != nil {
+		return EncodedTriple{}, err
+	}
+	p, err := d.TryEncode(t.P)
+	if err != nil {
+		return EncodedTriple{}, err
+	}
+	o, err := d.TryEncode(t.O)
+	if err != nil {
+		return EncodedTriple{}, err
+	}
+	return EncodedTriple{S: s, P: p, O: o}, nil
 }
 
 // DecodeTriple reverses EncodeTriple.

@@ -1,48 +1,128 @@
 package rdf
 
-// EncodedView is the dictionary-encoded face of a Graph: the same
-// triples in TermID space, with positional indexes keyed by id. The
-// slot-compiled reference evaluator runs entirely on this view —
+import "math"
+
+// maxTriples is the most triples one store holds: global positions are
+// int32 (the sharded gather key) and permutation offsets are uint32.
+// A variable only so a test can lower it to reach the boundary.
+var maxTriples = math.MaxInt32
+
+// EncodedView is a set of triples in TermID space with positional
+// indexes keyed by id — the store every query runs on. The
+// slot-compiled reference evaluator works entirely on this view —
 // candidate scans, join-variable comparisons, and selectivity
 // estimates all happen on 12-byte EncodedTriples instead of
 // string-bearing Terms — and decodes ids back to Terms only when
 // materializing final solutions.
 //
-// Obtain a view with Graph.Encoded(). All returned slices are views
-// into the index and must be treated as read-only.
+// Layout: the triples once in insertion order, plus one permutation per
+// position (subject, predicate, object) — a contiguous copy of the
+// triples grouped by that position's id by a stable counting sort, so
+// triples within a key keep insertion order, with a dense offset table
+// indexed by TermID. A lookup is two array reads and a reslice; there
+// is no Go map and no pointer anywhere in the view, so the collector
+// never scans it. The offset tables cost 4 bytes per id up to the
+// largest id the view uses in that position; an id beyond it (one the
+// view has never seen, or one a shared dictionary assigned later)
+// reads as empty.
+//
+// A view is immutable. Obtain one with Graph.Encoded(), or build one
+// directly from encoded triples with NewEncodedView. All returned
+// slices are views into the index and must be treated as read-only.
 type EncodedView struct {
 	dict    *Dictionary
 	triples []EncodedTriple
-	byS     map[TermID][]EncodedTriple
-	byP     map[TermID][]EncodedTriple
-	byO     map[TermID][]EncodedTriple
+	byS     permutation
+	byP     permutation
+	byO     permutation
 }
 
-func newEncodedView() *EncodedView { return newEncodedViewSharing(NewDictionary()) }
+// permutation holds the triples grouped by one position's id: the
+// triples with id k in that position are data[off[k]:off[k+1]].
+type permutation struct {
+	data []EncodedTriple
+	off  []uint32
+}
 
-// newEncodedViewSharing builds an empty view that encodes through an
-// existing dictionary instead of a private one. Shard graphs use this:
-// every shard of one dataset encodes through the same dictionary, so a
-// TermID means the same term on every shard and cross-shard merging
-// stays in id space.
-func newEncodedViewSharing(dict *Dictionary) *EncodedView {
+// Positions of an EncodedTriple, for keyAt.
+const (
+	posS = iota
+	posP
+	posO
+)
+
+func (e EncodedTriple) keyAt(pos int) TermID {
+	switch pos {
+	case posS:
+		return e.S
+	case posP:
+		return e.P
+	}
+	return e.O
+}
+
+// newPermutation groups ts by the id at pos with a stable counting
+// sort. len(ts) must not exceed maxTriples (offsets are uint32).
+func newPermutation(ts []EncodedTriple, pos int) permutation {
+	if len(ts) == 0 {
+		return permutation{}
+	}
+	maxKey := TermID(0)
+	for _, e := range ts {
+		if k := e.keyAt(pos); k > maxKey {
+			maxKey = k
+		}
+	}
+	off := make([]uint32, int(maxKey)+2)
+	for _, e := range ts {
+		off[int(e.keyAt(pos))+1]++
+	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	next := make([]uint32, maxKey+1)
+	copy(next, off)
+	data := make([]EncodedTriple, len(ts))
+	for _, e := range ts {
+		k := e.keyAt(pos)
+		data[next[k]] = e
+		next[k]++
+	}
+	return permutation{data: data, off: off}
+}
+
+func (p *permutation) get(id TermID) []EncodedTriple {
+	k := int(id)
+	if k+1 >= len(p.off) || p.off[k] == p.off[k+1] {
+		return nil
+	}
+	return p.data[p.off[k]:p.off[k+1]]
+}
+
+// newEncodedView indexes ts, which the view keeps (no copy) and which
+// must never change afterwards.
+func newEncodedView(dict *Dictionary, ts []EncodedTriple) *EncodedView {
 	return &EncodedView{
-		dict: dict,
-		byS:  make(map[TermID][]EncodedTriple),
-		byP:  make(map[TermID][]EncodedTriple),
-		byO:  make(map[TermID][]EncodedTriple),
+		dict:    dict,
+		triples: ts,
+		byS:     newPermutation(ts, posS),
+		byP:     newPermutation(ts, posP),
+		byO:     newPermutation(ts, posO),
 	}
 }
 
-// extend encodes and indexes additional triples.
-func (v *EncodedView) extend(ts []Triple) {
-	for _, t := range ts {
-		e := v.dict.EncodeTriple(t)
-		v.triples = append(v.triples, e)
-		v.byS[e.S] = append(v.byS[e.S], e)
-		v.byP[e.P] = append(v.byP[e.P], e)
-		v.byO[e.O] = append(v.byO[e.O], e)
+// NewEncodedView builds a view over a copy of triples, which must be
+// distinct and already encoded through dict. Shards of one dataset are
+// built this way straight from their encoded buckets around one shared
+// dictionary: a TermID means the same term on every shard, so
+// cross-shard merging, joining, and deduplication stay in id space,
+// and no term-space graph is ever materialized. It fails with a
+// *CapacityError beyond the store's triple limit.
+func NewEncodedView(dict *Dictionary, triples []EncodedTriple) (*EncodedView, error) {
+	if len(triples) > maxTriples {
+		return nil, &CapacityError{What: "triples", Limit: int64(maxTriples)}
 	}
+	return newEncodedView(dict, append([]EncodedTriple(nil), triples...)), nil
 }
 
 // Dict returns the dictionary that maps ids to terms and back.
@@ -51,20 +131,20 @@ func (v *EncodedView) Dict() *Dictionary { return v.dict }
 // Len returns the number of encoded triples.
 func (v *EncodedView) Len() int { return len(v.triples) }
 
-// Triples returns all encoded triples (read-only).
+// Triples returns all encoded triples in insertion order (read-only).
 func (v *EncodedView) Triples() []EncodedTriple { return v.triples }
 
-// WithSubject returns the encoded triples whose subject is id
-// (read-only, no copy).
-func (v *EncodedView) WithSubject(id TermID) []EncodedTriple { return v.byS[id] }
+// WithSubject returns the encoded triples whose subject is id, in
+// insertion order (read-only, no copy).
+func (v *EncodedView) WithSubject(id TermID) []EncodedTriple { return v.byS.get(id) }
 
-// WithPredicate returns the encoded triples whose predicate is id
-// (read-only, no copy).
-func (v *EncodedView) WithPredicate(id TermID) []EncodedTriple { return v.byP[id] }
+// WithPredicate returns the encoded triples whose predicate is id, in
+// insertion order (read-only, no copy).
+func (v *EncodedView) WithPredicate(id TermID) []EncodedTriple { return v.byP.get(id) }
 
-// WithObject returns the encoded triples whose object is id
-// (read-only, no copy).
-func (v *EncodedView) WithObject(id TermID) []EncodedTriple { return v.byO[id] }
+// WithObject returns the encoded triples whose object is id, in
+// insertion order (read-only, no copy).
+func (v *EncodedView) WithObject(id TermID) []EncodedTriple { return v.byO.get(id) }
 
 // Morsel-able views: every slice returned by Triples, WithSubject,
 // WithPredicate, and WithObject is immutable once the view is built

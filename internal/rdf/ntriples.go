@@ -7,12 +7,16 @@ import (
 	"strings"
 )
 
-// ParseNTriples reads an N-Triples document: one triple per line,
-// "#"-comments and blank lines ignored. It implements the subset used
-// by the benchmark generators (full IRI/literal/blank syntax with
-// \-escapes, language tags, and datatypes).
-func ParseNTriples(r io.Reader) ([]Triple, error) {
-	var out []Triple
+// ReadNTriples reads an N-Triples document — one triple per line,
+// "#"-comments and blank lines ignored — and hands each triple to fn as
+// it is parsed, so a loader can stream a file into a store without the
+// whole document ever existing as a slice. It implements the subset
+// used by the benchmark generators (full IRI/literal/blank syntax with
+// \-escapes, language tags, and datatypes). A non-nil error from fn
+// stops the read and is returned as is. The strings of a triple handed
+// to fn may share memory with its input line; a consumer that keeps
+// terms beyond the call should own them (Dictionary does).
+func ReadNTriples(r io.Reader, fn func(Triple) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -24,11 +28,23 @@ func ParseNTriples(r io.Reader) ([]Triple, error) {
 		}
 		t, err := ParseTripleLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		out = append(out, t)
+		if err := fn(t); err != nil {
+			return err
+		}
 	}
-	if err := sc.Err(); err != nil {
+	return sc.Err()
+}
+
+// ParseNTriples is ReadNTriples collecting the document into a slice.
+func ParseNTriples(r io.Reader) ([]Triple, error) {
+	var out []Triple
+	err := ReadNTriples(r, func(t Triple) error {
+		out = append(out, t)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

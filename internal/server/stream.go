@@ -42,29 +42,47 @@ func checkStream(ctx context.Context, bw *bufio.Writer, under io.Writer, row int
 	return nil
 }
 
+// jsonClean[c] reports that byte c passes through a JSON string literal
+// unescaped: everything but the control bytes, '"' and '\\'.
+var jsonClean = func() (t [256]bool) {
+	for c := 0x20; c < 256; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // appendJSONString appends s as a JSON string literal (quoted and
 // escaped) to buf. UTF-8 passes through unescaped, which JSON allows.
+// Runs of bytes that need no escaping are appended whole: term values
+// are almost entirely such runs, and this is the hottest function of
+// result streaming.
 func appendJSONString(buf []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	buf = append(buf, '"')
+	start := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
+		c := s[i]
+		if jsonClean[c] {
+			continue
+		}
+		buf = append(buf, s[start:i]...)
+		start = i + 1
+		switch c {
+		case '"':
 			buf = append(buf, '\\', '"')
-		case c == '\\':
+		case '\\':
 			buf = append(buf, '\\', '\\')
-		case c == '\n':
+		case '\n':
 			buf = append(buf, '\\', 'n')
-		case c == '\r':
+		case '\r':
 			buf = append(buf, '\\', 'r')
-		case c == '\t':
+		case '\t':
 			buf = append(buf, '\\', 't')
-		case c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		default:
-			buf = append(buf, c)
+			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		}
 	}
+	buf = append(buf, s[start:]...)
 	return append(buf, '"')
 }
 
@@ -164,22 +182,26 @@ func appendNTriplesTerm(buf []byte, t rdf.Term) []byte {
 		return append(buf, t.Value...)
 	}
 	buf = append(buf, '"')
-	for i := 0; i < len(t.Value); i++ {
-		switch c := t.Value[i]; c {
-		case '\\':
-			buf = append(buf, '\\', '\\')
-		case '"':
-			buf = append(buf, '\\', '"')
+	v, start := t.Value, 0
+	for i := 0; i < len(v); i++ {
+		var esc byte
+		switch v[i] {
+		case '\\', '"':
+			esc = v[i]
 		case '\n':
-			buf = append(buf, '\\', 'n')
+			esc = 'n'
 		case '\r':
-			buf = append(buf, '\\', 'r')
+			esc = 'r'
 		case '\t':
-			buf = append(buf, '\\', 't')
+			esc = 't'
 		default:
-			buf = append(buf, c)
+			continue
 		}
+		buf = append(buf, v[start:i]...)
+		buf = append(buf, '\\', esc)
+		start = i + 1
 	}
+	buf = append(buf, v[start:]...)
 	buf = append(buf, '"')
 	switch {
 	case t.Lang != "":

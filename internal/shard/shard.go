@@ -1,15 +1,15 @@
 // Package shard turns the partitioning strategies of internal/partition
 // from an offline scoring harness into a live execution substrate: a
-// ShardedGraph splits one dataset into N rdf.Graph shards under any
-// partition.Strategy while sharing a single global dictionary, and
-// prepared queries fan out over the shards through the distributed
-// executor in internal/sparql (RunSharded) — the survey's central
-// claim, that placement decides whether a query runs shard-local or
-// pays cross-partition joins, made operational.
+// ShardedGraph splits one dataset into N id-space shards
+// (rdf.EncodedViews) under any partition.Strategy around a single
+// global dictionary, and prepared queries fan out over the shards
+// through the distributed executor in internal/sparql (RunSharded) —
+// the survey's central claim, that placement decides whether a query
+// runs shard-local or pays cross-partition joins, made operational.
 //
 // The sharding contract:
 //
-//   - Shared dictionary: every shard encodes through one
+//   - Shared dictionary: the dataset is encoded once through one
 //     rdf.Dictionary, so rdf.TermIDs are globally consistent and all
 //     cross-shard merging, joining, and deduplication stays in id
 //     space.
@@ -33,23 +33,31 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/partition"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
-// ShardedGraph is one dataset split into N shard graphs around a shared
-// dictionary, ready for distributed query execution. Build it once,
-// then serve any number of concurrent queries.
+// ShardedGraph is one dataset split into N shards around a shared
+// dictionary, ready for distributed query execution. It lives entirely
+// in id space: each shard (and each replica of it) is an
+// rdf.EncodedView built straight from its bucket of encoded triples —
+// no term-space graph is built or kept. Build it once, then serve any
+// number of concurrent queries.
 type ShardedGraph struct {
 	strategy string
-	shards   []*rdf.Graph
 	dict     *rdf.Dictionary
 	set      *sparql.ShardSet
 	sizes    []int
 	replicas int
 }
+
+// maxTriples is the most triples a sharded dataset holds: a triple's
+// global position is an int32 (sparql.ShardSet.Pos). A variable only
+// so a test can lower it to reach the boundary.
+var maxTriples = math.MaxInt32
 
 // Build splits triples into n shards by the strategy's placement. The
 // dataset is deduplicated first (RDF graphs are sets); each shard keeps
@@ -57,24 +65,21 @@ type ShardedGraph struct {
 // dictionary, and the whole-dataset statistics are computed so the
 // distributed planner reproduces the single-graph plan. Subject
 // co-location — the pushdown soundness condition — is verified from
-// the actual placement, not assumed from the strategy.
+// the actual placement, not assumed from the strategy. A dataset beyond
+// the store's fixed widths fails with an *rdf.CapacityError.
 func Build(triples []rdf.Triple, strat partition.Strategy, n int) (*ShardedGraph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
-	}
-	deduped := rdf.Dedupe(triples)
-	return buildPlaced(deduped, strat.Place(deduped, n), n, 1, strat.Name())
+	return BuildReplicated(triples, strat, n, 1)
 }
 
 // BuildReplicated is Build with replicas copies of every shard: each
-// shard's triples are materialized R times — in-process stand-ins for
-// the copies a distributed deployment would place on R nodes — all
-// encoding through the one shared dictionary in the same dataset
-// order, so any replica of a shard yields byte-identical scans and
-// replica failover can never change one row of query output. The
-// distributed executor routes each per-shard op to a healthy replica
-// (circuit breakers, retry with capped backoff; see internal/sparql);
-// a query fails only when every replica of a needed shard is down.
+// shard's encoded view is materialized R times — in-process stand-ins
+// for the copies a distributed deployment would place on R nodes — all
+// from the same bucket of ids in the same dataset order, so any
+// replica of a shard yields byte-identical scans and replica failover
+// can never change one row of query output. The distributed executor
+// routes each per-shard op to a healthy replica (circuit breakers,
+// retry with capped backoff; see internal/sparql); a query fails only
+// when every replica of a needed shard is down.
 func BuildReplicated(triples []rdf.Triple, strat partition.Strategy, n, replicas int) (*ShardedGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
@@ -82,8 +87,11 @@ func BuildReplicated(triples []rdf.Triple, strat partition.Strategy, n, replicas
 	if replicas < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 replica, got %d", replicas)
 	}
-	deduped := rdf.Dedupe(triples)
-	return buildPlaced(deduped, strat.Place(deduped, n), n, replicas, strat.Name())
+	ds, err := encodeDistinct(triples)
+	if err != nil {
+		return nil, err
+	}
+	return buildPlaced(ds, strat.Place(ds.distinct, n), n, replicas, strat.Name())
 }
 
 // BuildReplicatedByName is BuildReplicated with the strategy resolved
@@ -101,82 +109,135 @@ func BuildReplicatedByName(triples []rdf.Triple, name string, n, replicas int, o
 // Callers that also score the placement (partition.EvaluatePlacement)
 // use this to run the strategy once.
 func BuildPlaced(deduped []rdf.Triple, place []int, n int, strategyName string) (*ShardedGraph, error) {
-	return buildPlaced(deduped, place, n, 1, strategyName)
+	ds, err := encodeDistinct(deduped)
+	if err != nil {
+		return nil, err
+	}
+	if len(ds.enc) != len(deduped) {
+		return nil, fmt.Errorf("shard: BuildPlaced needs a deduplicated dataset, got %d repeats", len(deduped)-len(ds.enc))
+	}
+	return buildPlaced(ds, place, n, 1, strategyName)
+}
+
+// encodedDataset is a deduplicated dataset in id space: the distinct triples
+// in first-occurrence order, encoded through dict, with each one's
+// global position. distinct is the same sequence in term space, for
+// the placement strategy; nothing built from a dataset keeps it.
+type encodedDataset struct {
+	dict     *rdf.Dictionary
+	enc      []rdf.EncodedTriple
+	pos      map[rdf.EncodedTriple]int32
+	distinct []rdf.Triple
+}
+
+// encodeDistinct encodes triples through a fresh dictionary and drops
+// repeats in the same pass: the global-position map is the dedupe set.
+func encodeDistinct(triples []rdf.Triple) (*encodedDataset, error) {
+	ds := &encodedDataset{
+		dict:     rdf.NewDictionary(),
+		enc:      make([]rdf.EncodedTriple, 0, len(triples)),
+		pos:      make(map[rdf.EncodedTriple]int32, len(triples)),
+		distinct: triples,
+	}
+	// distinct aliases the caller's slice until the first repeat, so a
+	// dataset without repeats (the usual case) is never copied.
+	shared := true
+	for i, t := range triples {
+		e, err := ds.dict.TryEncodeTriple(t)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := ds.pos[e]; dup {
+			if shared {
+				ds.distinct = append(make([]rdf.Triple, 0, len(triples)-1), triples[:i]...)
+				shared = false
+			}
+			continue
+		}
+		if len(ds.enc) >= maxTriples {
+			return nil, &rdf.CapacityError{What: "triples", Limit: int64(maxTriples)}
+		}
+		ds.pos[e] = int32(len(ds.enc))
+		ds.enc = append(ds.enc, e)
+		if !shared {
+			ds.distinct = append(ds.distinct, t)
+		}
+	}
+	return ds, nil
 }
 
 // buildPlaced is the shared build body; replicas >= 1 is the number of
 // copies of each shard to materialize.
-func buildPlaced(deduped []rdf.Triple, place []int, n, replicas int, strategyName string) (*ShardedGraph, error) {
+func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName string) (*ShardedGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
-	if len(place) != len(deduped) {
-		return nil, fmt.Errorf("shard: strategy %s placed %d of %d triples", strategyName, len(place), len(deduped))
-	}
-	dict := rdf.NewDictionary()
-	enc := dict.EncodeAll(deduped)
-	pos := make(map[rdf.EncodedTriple]int32, len(enc))
-	for i, e := range enc {
-		pos[e] = int32(i)
+	if len(place) != len(ds.enc) {
+		return nil, fmt.Errorf("shard: strategy %s placed %d of %d triples", strategyName, len(place), len(ds.enc))
 	}
 
 	// Verify subject co-location from the placement itself.
-	subjShard := make([]int32, dict.Len())
+	subjShard := make([]int32, ds.dict.Len())
 	for i := range subjShard {
 		subjShard[i] = -1
 	}
 	coloc := true
-	buckets := make([][]rdf.Triple, n)
-	for i, t := range deduped {
+	sizes := make([]int, n)
+	for i, e := range ds.enc {
 		p := place[i]
 		if p < 0 || p >= n {
 			return nil, fmt.Errorf("shard: strategy %s placed triple %d on partition %d of %d", strategyName, i, p, n)
 		}
-		if s := subjShard[enc[i].S]; s < 0 {
-			subjShard[enc[i].S] = int32(p)
+		if s := subjShard[e.S]; s < 0 {
+			subjShard[e.S] = int32(p)
 		} else if int(s) != p {
 			coloc = false
 		}
-		buckets[p] = append(buckets[p], t)
+		sizes[p]++
+	}
+	buckets := make([][]rdf.EncodedTriple, n)
+	for s := range buckets {
+		buckets[s] = make([]rdf.EncodedTriple, 0, sizes[s])
+	}
+	for i, e := range ds.enc {
+		buckets[place[i]] = append(buckets[place[i]], e)
 	}
 
-	sg := &ShardedGraph{
-		strategy: strategyName,
-		shards:   make([]*rdf.Graph, n),
-		dict:     dict,
-		sizes:    make([]int, n),
-		replicas: replicas,
-	}
 	views := make([]*rdf.EncodedView, n)
 	var reps [][]*rdf.EncodedView
 	if replicas > 1 {
 		reps = make([][]*rdf.EncodedView, n)
 	}
 	for s, bucket := range buckets {
-		// Each replica re-encodes the same bucket through the shared
-		// dictionary (same ids, same order), so every replica's view is
+		// Every replica is built from the same bucket (same ids, same
+		// order) into storage of its own, so replicas are
 		// content-identical — the failover-invisibility invariant.
 		rv := make([]*rdf.EncodedView, replicas)
-		for r := 0; r < replicas; r++ {
-			g := rdf.NewGraphWithDictionary(bucket, dict)
-			rv[r] = g.Encoded() // warm: shards are immutable from here on
-			if r == 0 {
-				sg.shards[s] = g
+		for r := range rv {
+			v, err := rdf.NewEncodedView(ds.dict, bucket)
+			if err != nil {
+				return nil, err
 			}
+			rv[r] = v
 		}
 		views[s] = rv[0]
 		if reps != nil {
 			reps[s] = rv
 		}
-		sg.sizes[s] = len(bucket)
 	}
-	sg.set = &sparql.ShardSet{
-		Dict:             dict,
-		Views:            views,
-		Stats:            rdf.ComputeStats(deduped),
-		Pos:              pos,
-		SubjectColocated: coloc,
-		Replicas:         reps,
+	sg := &ShardedGraph{
+		strategy: strategyName,
+		dict:     ds.dict,
+		sizes:    sizes,
+		replicas: replicas,
+		set: &sparql.ShardSet{
+			Dict:             ds.dict,
+			Views:            views,
+			Stats:            rdf.ComputeEncodedStats(ds.dict, ds.enc),
+			Pos:              ds.pos,
+			SubjectColocated: coloc,
+			Replicas:         reps,
+		},
 	}
 	if replicas > 1 {
 		sg.set.Health = sparql.NewReplicaHealth(n, replicas)
@@ -195,7 +256,7 @@ func BuildByName(triples []rdf.Triple, name string, n int, opts ...partition.Opt
 }
 
 // NumShards returns the shard count.
-func (sg *ShardedGraph) NumShards() int { return len(sg.shards) }
+func (sg *ShardedGraph) NumShards() int { return len(sg.sizes) }
 
 // Replicas returns the number of copies of each shard (1 when built
 // without replication).
@@ -215,10 +276,6 @@ func (sg *ShardedGraph) Len() int {
 
 // ShardSizes returns the per-shard triple counts (read-only).
 func (sg *ShardedGraph) ShardSizes() []int { return sg.sizes }
-
-// Shards returns the shard graphs (read-only: mutating a shard breaks
-// the sharding contract).
-func (sg *ShardedGraph) Shards() []*rdf.Graph { return sg.shards }
 
 // Dict returns the shared dictionary.
 func (sg *ShardedGraph) Dict() *rdf.Dictionary { return sg.dict }

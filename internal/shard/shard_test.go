@@ -2,7 +2,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/partition"
@@ -382,5 +385,122 @@ func TestShardedLimitPushdown(t *testing.T) {
 			}
 			mustEqualResults(t, want, got)
 		}
+	}
+}
+
+// Every replica of a shard is built from the same encoded bucket into
+// storage of its own: content-identical (failover can never change a
+// row) yet sharing no backing array (each stands in for a node).
+func TestReplicaViewsContentIdentical(t *testing.T) {
+	triples := workload.GenerateUniversity(workload.SmallUniversity())
+	sg, err := BuildReplicatedByName(triples, "hash-subject", 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := sg.Set()
+	total := 0
+	for s, reps := range set.Replicas {
+		if len(reps) != 3 || reps[0] != set.Views[s] {
+			t.Fatalf("shard %d: %d replicas, primary is Views[s]: %v", s, len(reps), reps[0] == set.Views[s])
+		}
+		base := reps[0]
+		total += base.Len()
+		if base.Len() != sg.ShardSizes()[s] {
+			t.Fatalf("shard %d holds %d triples, ShardSizes says %d", s, base.Len(), sg.ShardSizes()[s])
+		}
+		for r, v := range reps[1:] {
+			if v == base || (v.Len() > 0 && &v.Triples()[0] == &base.Triples()[0]) {
+				t.Fatalf("shard %d replica %d shares storage with the primary", s, r+1)
+			}
+			if !slices.Equal(v.Triples(), base.Triples()) {
+				t.Fatalf("shard %d replica %d: Triples differ", s, r+1)
+			}
+			for id := rdf.TermID(0); int(id) < sg.Dict().Len(); id++ {
+				if !slices.Equal(v.WithSubject(id), base.WithSubject(id)) ||
+					!slices.Equal(v.WithPredicate(id), base.WithPredicate(id)) ||
+					!slices.Equal(v.WithObject(id), base.WithObject(id)) {
+					t.Fatalf("shard %d replica %d: index of id %d differs", s, r+1, id)
+				}
+			}
+		}
+	}
+	if total != sg.Len() {
+		t.Fatalf("shards hold %d triples, Len %d", total, sg.Len())
+	}
+}
+
+// Repeated statements are dropped in id space during the build: the
+// sharded graph of a dataset with duplicates is the sharded graph of
+// the distinct triples — same sizes, same placement verdict, same
+// statistics, same global positions.
+func TestBuildDedupesInIDSpace(t *testing.T) {
+	distinct := rdf.Dedupe(workload.GenerateUniversity(workload.SmallUniversity()))
+	var noisy []rdf.Triple
+	for i, tr := range distinct {
+		noisy = append(noisy, tr)
+		if i%3 == 0 {
+			noisy = append(noisy, distinct[i/2]) // an earlier triple again
+		}
+	}
+	for _, strategy := range []string{"hash-subject", "vertical"} {
+		clean, err := BuildByName(distinct, strategy, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := BuildByName(noisy, strategy, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != len(distinct) || got.Len() != clean.Len() {
+			t.Fatalf("%s: Len %d with duplicates, %d distinct", strategy, got.Len(), len(distinct))
+		}
+		if got.SubjectColocated() != clean.SubjectColocated() {
+			t.Fatalf("%s: SubjectColocated %v with duplicates, %v without", strategy, got.SubjectColocated(), clean.SubjectColocated())
+		}
+		if !reflect.DeepEqual(got.ShardSizes(), clean.ShardSizes()) {
+			t.Fatalf("%s: shard sizes %v with duplicates, %v without", strategy, got.ShardSizes(), clean.ShardSizes())
+		}
+		if want := rdf.ComputeStats(distinct); !reflect.DeepEqual(got.Set().Stats, want) {
+			t.Fatalf("%s: stats %+v, want %+v", strategy, got.Set().Stats, want)
+		}
+		for i, tr := range distinct {
+			e, err := got.Dict().TryEncodeTriple(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pos, ok := got.Set().Pos[e]; !ok || int(pos) != i {
+				t.Fatalf("%s: triple %d has global position %d (present %v)", strategy, i, pos, ok)
+			}
+		}
+	}
+	if _, err := BuildPlaced(noisy, make([]int, len(noisy)), 1, "test"); err == nil {
+		t.Fatal("BuildPlaced must reject a dataset with repeats: its placement indexes distinct triples")
+	}
+}
+
+// A dataset past the int32 position space fails typed instead of
+// wrapping; the limit is lowered here to reach the boundary.
+func TestBuildCapacityError(t *testing.T) {
+	old := maxTriples
+	maxTriples = 5
+	defer func() { maxTriples = old }()
+
+	var triples []rdf.Triple
+	for i := 0; i < 6; i++ {
+		triples = append(triples, rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i)),
+			P: rdf.NewIRI("http://ex/p"),
+			O: rdf.NewLiteral("o"),
+		})
+	}
+	atLimit := append(append([]rdf.Triple(nil), triples[:5]...), triples[0], triples[4])
+	sg, err := BuildReplicatedByName(atLimit, "hash-subject", 2, 2)
+	if err != nil || sg.Len() != 5 {
+		t.Fatalf("5 distinct triples (plus repeats) at a limit of 5: err %v", err)
+	}
+	_, err = BuildReplicatedByName(triples, "hash-subject", 2, 2)
+	var ce *rdf.CapacityError
+	if !errors.As(err, &ce) || ce.What != "triples" || ce.Limit != 5 {
+		t.Fatalf("6 distinct triples at a limit of 5: err = %v, want a triples CapacityError", err)
 	}
 }

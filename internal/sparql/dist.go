@@ -13,8 +13,8 @@ import (
 	"repro/internal/rdf"
 )
 
-// Distributed (sharded) evaluation. A dataset split into N shard graphs
-// around one shared dictionary (rdf.NewGraphWithDictionary) executes
+// Distributed (sharded) evaluation. A dataset split into N shard views
+// around one shared dictionary (rdf.NewEncodedView) executes
 // prepared queries through (*Prepared).RunSharded exactly as a single
 // graph would — byte-identical rows and order — because every merge
 // happens in id space under two invariants:
@@ -59,7 +59,7 @@ import (
 type ShardSet struct {
 	// Dict is the dictionary every shard encodes through.
 	Dict *rdf.Dictionary
-	// Views are the per-shard encoded views (warmed Graph.Encoded()).
+	// Views are the per-shard encoded views.
 	Views []*rdf.EncodedView
 	// Stats are the whole dataset's statistics: with them the
 	// distributed planner reproduces the single-graph plan exactly

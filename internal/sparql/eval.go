@@ -65,7 +65,7 @@ func evaluate(env *evalEnv, q *Query) (*Results, error) {
 		if env.describe != nil {
 			return env.describe(q, decoded), nil
 		}
-		return describeResources(q, decoded, env.g), nil
+		return env.describeResources(q, decoded), nil
 	}
 	return ApplySolutionModifiers(q, decoded), nil
 }
@@ -579,8 +579,10 @@ func (env *evalEnv) decodeRows(rows []slotRow) []Binding {
 // describeResources returns the description graph of a DESCRIBE query:
 // for every target resource (constant, or each binding of a target
 // variable), all triples with that resource as subject — a simplified
-// concise bounded description.
-func describeResources(q *Query, rows []Binding, g *rdf.Graph) *Results {
+// concise bounded description. The lookup stays in id space (dictionary
+// → encoded view → decode), so describing a resource of a served graph
+// never materializes the graph's term-space indexes.
+func (env *evalEnv) describeResources(q *Query, rows []Binding) *Results {
 	targets := map[rdf.Term]bool{}
 	var order []rdf.Term
 	add := func(t rdf.Term) {
@@ -603,8 +605,14 @@ func describeResources(q *Query, rows []Binding, g *rdf.Graph) *Results {
 	}
 	res := &Results{IsGraph: true}
 	seen := map[rdf.Triple]bool{}
+	dict := env.view.Dict()
 	for _, t := range order {
-		for _, tr := range g.WithSubject(t) {
+		id, ok := dict.Lookup(t)
+		if !ok {
+			continue
+		}
+		for _, e := range env.view.WithSubject(id) {
+			tr := rdf.Triple{S: env.terms[e.S], P: env.terms[e.P], O: env.terms[e.O]}
 			if !seen[tr] {
 				seen[tr] = true
 				res.Triples = append(res.Triples, tr)
