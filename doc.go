@@ -153,11 +153,19 @@
 // text (a hit returns the shared Prepared and skips parse + compile
 // entirely — BenchmarkServeCachedQuery measures the gap), a bounded
 // worker pool whose admission queue charges waiting time against the
-// query's deadline, and streaming SPARQL JSON / TSV writers that
-// decode each surviving row straight into the response buffer, never
-// materializing []Binding. /healthz and /stats (plan-cache counters,
-// in-flight gauge, latency histogram, morsel-execution counters)
-// expose the service's state.
+// query's deadline, and streaming SPARQL JSON / TSV / N-Triples writers
+// that decode each surviving row straight into a response window, never
+// materializing []Binding. The window is a pooled 64 KiB []byte
+// (internal/server/stream.go): rows are appended to it in place and
+// each full window is handed to the http.ResponseWriter in one Write,
+// which net/http passes through as one chunk — one user-space copy per
+// byte and about one write(2) per window. What a disconnected client
+// can still cost is bounded by the context poll every streamFlushEvery
+// (512) rows and by at most one window in flight; a failure after the
+// first window (cancellation, a failed Write) truncates the response,
+// because written rows cannot be unwritten. /healthz and /stats
+// (plan-cache counters, in-flight gauge, latency histogram,
+// morsel-execution counters) expose the service's state.
 //
 // # Fault model
 //

@@ -1,45 +1,82 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"io"
-	"net/http"
+	"sync"
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
 // The streaming writers serialize a Solutions row by row: each
-// surviving id-space row is decoded term by term (Solutions.Term)
-// straight into the response buffer, so a million-row result never
-// exists as []Binding — the only per-query allocations are the reused
-// scratch buffer and the bufio window. Rows already written cannot be
-// unwritten, so mid-stream cancellation truncates the response; the
-// periodic context check bounds how much work a disconnected client
-// can still cost.
+// surviving id-space row is decoded term by term (Solutions.Term) and
+// appended straight into a pooled response window, and each full window
+// reaches the ResponseWriter in one Write — a million-row result never
+// exists as []Binding, every byte is copied once on its way to net/http,
+// and no request allocates a buffer. A disconnected client costs at most
+// one window in flight and streamFlushEvery rows of rendering before the
+// context poll ends the stream; a mid-stream failure (cancellation, a
+// failed Write) truncates the response, since written rows stay written.
 
-// streamFlushEvery is how many rows are written between explicit
-// flushes (and context checks) while streaming.
+// windowSize is the response window: rows accumulate until it is
+// reached, then go out whole. net/http passes a write of 4 KiB or more
+// straight through its buffers, so a window is one chunk and about one
+// write(2), and at 64 KiB (loopback MSS: 65,483 B) about one segment.
+// Measured (ROADMAP, PR 14); constant because nobody has a second value.
+const windowSize = 64 << 10
+
+// streamFlushEvery is how many rows are rendered between context
+// polls, so an abandoned query stops consuming its worker slot.
 const streamFlushEvery = 512
 
-// checkStream polls the context and flushes the buffered window every
-// streamFlushEvery rows, so long results reach slow readers
-// incrementally and abandoned queries stop consuming the worker slot.
-func checkStream(ctx context.Context, bw *bufio.Writer, under io.Writer, row int) error {
-	if row%streamFlushEvery != 0 || row == 0 {
-		return nil
+// windowPool recycles response windows across requests. A row is never
+// split, so a window overshoots windowSize by its last row; the spare
+// sixteenth lets ordinary rows do that without regrowing the slice.
+var windowPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, windowSize+windowSize/16)
+	return &b
+}}
+
+// streamRows writes head, the n rows that row(buf, i) appends, and tail
+// through one pooled window, which it alone owns: each full window and
+// the final partial one reach w in a single checked Write, and the window
+// returns to the pool on every path — unless a giant row grew it past
+// twice its size, so one 10 MB literal cannot pin 10 MB per pool slot.
+func streamRows(ctx context.Context, w io.Writer, head []byte, n int, row func(buf []byte, i int) []byte, tail string) error {
+	p := windowPool.Get().(*[]byte)
+	buf := append((*p)[:0], head...)
+	defer func() {
+		if cap(buf) <= 2*windowSize {
+			*p = buf[:0]
+			windowPool.Put(p)
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if i%streamFlushEvery == 0 && i > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if buf = row(buf, i); len(buf) >= windowSize {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	buf = append(buf, tail...)
+	_, err := w.Write(buf)
+	return err
+}
+
+// writeAsk answers an ASK query: one short write, no window.
+func writeAsk(w io.Writer, ask bool, yes, no string) error {
+	if !ask {
+		yes = no
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if f, ok := under.(http.Flusher); ok {
-		f.Flush()
-	}
-	return nil
+	_, err := io.WriteString(w, yes)
+	return err
 }
 
 // jsonClean[c] reports that byte c passes through a JSON string literal
@@ -114,56 +151,43 @@ func appendJSONTerm(buf []byte, t rdf.Term) []byte {
 // writeJSONResults streams sol as a SPARQL 1.1 Query Results JSON
 // document (application/sparql-results+json).
 func writeJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
-	bw := bufio.NewWriter(w)
 	if sol.IsAsk() {
-		if sol.Ask() {
-			bw.WriteString(`{"head":{},"boolean":true}` + "\n")
-		} else {
-			bw.WriteString(`{"head":{},"boolean":false}` + "\n")
-		}
-		return bw.Flush()
+		return writeAsk(w, sol.Ask(), `{"head":{},"boolean":true}`+"\n", `{"head":{},"boolean":false}`+"\n")
 	}
+	// keys[i] is column i's member key `"name":`, rendered once per
+	// response. Each is appended to the empty tail of the one before, so
+	// they share one array while they fit and none moves once rendered.
 	vars := sol.Vars()
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"head":{"vars":[`...)
+	last, keys := make([]byte, 0, 64), make([][]byte, len(vars))
+	head := append(make([]byte, 0, 128), `{"head":{"vars":[`...)
 	for i, v := range vars {
+		last = append(appendJSONString(last[len(last):], string(v)), ':')
+		keys[i] = last
 		if i > 0 {
-			buf = append(buf, ',')
+			head = append(head, ',')
 		}
-		buf = appendJSONString(buf, string(v))
+		head = append(head, last[:len(last)-1]...)
 	}
-	buf = append(buf, `]},"results":{"bindings":[`...)
-	bw.Write(buf)
-	for row := 0; row < sol.Len(); row++ {
-		if err := checkStream(ctx, bw, w, row); err != nil {
-			return err
-		}
-		buf = buf[:0]
+	head = append(head, `]},"results":{"bindings":[`...)
+	return streamRows(ctx, w, head, sol.Len(), func(buf []byte, row int) []byte {
 		if row > 0 {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, '{')
-		first := true
-		for col, v := range vars {
+		open := len(buf)
+		for col, key := range keys {
 			t, bound := sol.Term(row, col)
 			if !bound {
 				continue
 			}
-			if !first {
+			if len(buf) > open {
 				buf = append(buf, ',')
 			}
-			first = false
-			buf = appendJSONString(buf, string(v))
-			buf = append(buf, ':')
+			buf = append(buf, key...)
 			buf = appendJSONTerm(buf, t)
 		}
-		buf = append(buf, '}')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	bw.WriteString("]}}\n")
-	return bw.Flush()
+		return append(buf, '}')
+	}, "]}}\n")
 }
 
 // appendNTriplesTerm appends t in N-Triples syntax (the SPARQL TSV
@@ -220,31 +244,19 @@ func appendNTriplesTerm(buf []byte, t rdf.Term) []byte {
 // solution with terms in N-Triples syntax and unbound positions empty.
 // ASK answers render as a single true/false line.
 func writeTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
-	bw := bufio.NewWriter(w)
 	if sol.IsAsk() {
-		if sol.Ask() {
-			bw.WriteString("true\n")
-		} else {
-			bw.WriteString("false\n")
-		}
-		return bw.Flush()
+		return writeAsk(w, sol.Ask(), "true\n", "false\n")
 	}
 	vars := sol.Vars()
-	buf := make([]byte, 0, 256)
+	head := make([]byte, 0, 128)
 	for i, v := range vars {
 		if i > 0 {
-			buf = append(buf, '\t')
+			head = append(head, '\t')
 		}
-		buf = append(buf, '?')
-		buf = append(buf, v...)
+		head = append(append(head, '?'), v...)
 	}
-	buf = append(buf, '\n')
-	bw.Write(buf)
-	for row := 0; row < sol.Len(); row++ {
-		if err := checkStream(ctx, bw, w, row); err != nil {
-			return err
-		}
-		buf = buf[:0]
+	head = append(head, '\n')
+	return streamRows(ctx, w, head, sol.Len(), func(buf []byte, row int) []byte {
 		for col := range vars {
 			if col > 0 {
 				buf = append(buf, '\t')
@@ -253,32 +265,20 @@ func writeTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) er
 				buf = appendNTriplesTerm(buf, t)
 			}
 		}
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+		return append(buf, '\n')
+	}, "")
 }
 
 // writeGraphResults streams a CONSTRUCT/DESCRIBE graph result as
 // N-Triples.
 func writeGraphResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 256)
-	for i, t := range sol.Graph() {
-		if err := checkStream(ctx, bw, w, i); err != nil {
-			return err
-		}
-		buf = appendNTriplesTerm(buf[:0], t.S)
+	triples := sol.Graph()
+	return streamRows(ctx, w, nil, len(triples), func(buf []byte, i int) []byte {
+		buf = appendNTriplesTerm(buf, triples[i].S)
 		buf = append(buf, ' ')
-		buf = appendNTriplesTerm(buf, t.P)
+		buf = appendNTriplesTerm(buf, triples[i].P)
 		buf = append(buf, ' ')
-		buf = appendNTriplesTerm(buf, t.O)
-		buf = append(buf, ' ', '.', '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+		buf = appendNTriplesTerm(buf, triples[i].O)
+		return append(buf, ' ', '.', '\n')
+	}, "")
 }

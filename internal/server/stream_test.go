@@ -1,18 +1,25 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
 
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/workload"
 )
 
@@ -203,5 +210,441 @@ func TestServeDescribeStaysInIDSpace(t *testing.T) {
 	if requestBytes*20 > indexBytes {
 		t.Fatalf("cold DESCRIBE allocated %d B; a term-space index build is %d B — the request must stay far below it",
 			requestBytes, indexBytes)
+	}
+}
+
+// refCheckStream, refWriteJSONResults, refWriteTSVResults and
+// refWriteGraphResults are the bufio writers the pooled-window writers
+// replaced (4 KiB bufio window, scratch slice per row, explicit flush
+// every streamFlushEvery rows), kept as the reference whose bytes the
+// new writers must reproduce exactly.
+func refCheckStream(ctx context.Context, bw *bufio.Writer, under io.Writer, row int) error {
+	if row%streamFlushEvery != 0 || row == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if f, ok := under.(http.Flusher); ok {
+		f.Flush()
+	}
+	return nil
+}
+
+func refWriteJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
+	bw := bufio.NewWriter(w)
+	if sol.IsAsk() {
+		if sol.Ask() {
+			bw.WriteString(`{"head":{},"boolean":true}` + "\n")
+		} else {
+			bw.WriteString(`{"head":{},"boolean":false}` + "\n")
+		}
+		return bw.Flush()
+	}
+	vars := sol.Vars()
+	buf := make([]byte, 0, 256)
+	buf = append(buf, `{"head":{"vars":[`...)
+	for i, v := range vars {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONString(buf, string(v))
+	}
+	buf = append(buf, `]},"results":{"bindings":[`...)
+	bw.Write(buf)
+	for row := 0; row < sol.Len(); row++ {
+		if err := refCheckStream(ctx, bw, w, row); err != nil {
+			return err
+		}
+		buf = buf[:0]
+		if row > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '{')
+		first := true
+		for col, v := range vars {
+			t, bound := sol.Term(row, col)
+			if !bound {
+				continue
+			}
+			if !first {
+				buf = append(buf, ',')
+			}
+			first = false
+			buf = appendJSONString(buf, string(v))
+			buf = append(buf, ':')
+			buf = appendJSONTerm(buf, t)
+		}
+		buf = append(buf, '}')
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+	}
+	bw.WriteString("]}}\n")
+	return bw.Flush()
+}
+
+func refWriteTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
+	bw := bufio.NewWriter(w)
+	if sol.IsAsk() {
+		if sol.Ask() {
+			bw.WriteString("true\n")
+		} else {
+			bw.WriteString("false\n")
+		}
+		return bw.Flush()
+	}
+	vars := sol.Vars()
+	buf := make([]byte, 0, 256)
+	for i, v := range vars {
+		if i > 0 {
+			buf = append(buf, '\t')
+		}
+		buf = append(buf, '?')
+		buf = append(buf, v...)
+	}
+	buf = append(buf, '\n')
+	bw.Write(buf)
+	for row := 0; row < sol.Len(); row++ {
+		if err := refCheckStream(ctx, bw, w, row); err != nil {
+			return err
+		}
+		buf = buf[:0]
+		for col := range vars {
+			if col > 0 {
+				buf = append(buf, '\t')
+			}
+			if t, bound := sol.Term(row, col); bound {
+				buf = appendNTriplesTerm(buf, t)
+			}
+		}
+		buf = append(buf, '\n')
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func refWriteGraphResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
+	bw := bufio.NewWriter(w)
+	buf := make([]byte, 0, 256)
+	for i, t := range sol.Graph() {
+		if err := refCheckStream(ctx, bw, w, i); err != nil {
+			return err
+		}
+		buf = appendNTriplesTerm(buf[:0], t.S)
+		buf = append(buf, ' ')
+		buf = appendNTriplesTerm(buf, t.P)
+		buf = append(buf, ' ')
+		buf = appendNTriplesTerm(buf, t.O)
+		buf = append(buf, ' ', '.', '\n')
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+type resultWriter func(context.Context, io.Writer, *sparql.Solutions) error
+
+// streamFormats pairs each writer with the one it replaced. The graph
+// writer only serves graph results and the other two only bindings/ASK,
+// as in the handler.
+var streamFormats = []struct {
+	name      string
+	got, want resultWriter
+	graph     bool
+}{
+	{"json", writeJSONResults, refWriteJSONResults, false},
+	{"tsv", writeTSVResults, refWriteTSVResults, false},
+	{"ntriples", writeGraphResults, refWriteGraphResults, true},
+}
+
+// writeLog records the size of every Write it receives.
+type writeLog struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (l *writeLog) Write(p []byte) (int, error) {
+	l.sizes = append(l.sizes, len(p))
+	return l.Buffer.Write(p)
+}
+
+// socketStreamer serves whatever (writer, solutions) pair is currently
+// set over a real listener, so a response crosses net/http's chunked
+// framing and a real client re-assembles it.
+type socketStreamer struct {
+	ts    *httptest.Server
+	mu    sync.Mutex
+	write resultWriter
+	sol   *sparql.Solutions
+}
+
+func newSocketStreamer(t *testing.T) *socketStreamer {
+	ss := &socketStreamer{}
+	ss.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ss.mu.Lock()
+		write, sol := ss.write, ss.sol
+		ss.mu.Unlock()
+		if err := write(r.Context(), w, sol); err != nil {
+			t.Errorf("streaming over the socket: %v", err)
+		}
+	}))
+	t.Cleanup(ss.ts.Close)
+	return ss
+}
+
+func (ss *socketStreamer) fetch(t *testing.T, write resultWriter, sol *sparql.Solutions) []byte {
+	t.Helper()
+	ss.mu.Lock()
+	ss.write, ss.sol = write, sol
+	ss.mu.Unlock()
+	return []byte(httpGet(t, ss.ts.URL).body)
+}
+
+// sameBytes renders sol with every applicable writer and its reference
+// and reports whether the bytes agree, both into a plain io.Writer and
+// across the socket.
+func sameBytes(t *testing.T, ss *socketStreamer, sol *sparql.Solutions) bool {
+	t.Helper()
+	ok := true
+	for _, f := range streamFormats {
+		if f.graph != sol.IsGraph() {
+			continue
+		}
+		var want, got bytes.Buffer
+		if err := f.want(context.Background(), &want, sol); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.got(context.Background(), &got, sol); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Logf("%s into a buffer: %d bytes, reference %d, first difference at %d",
+				f.name, got.Len(), want.Len(), firstDiff(got.Bytes(), want.Bytes()))
+			ok = false
+		}
+		if body := ss.fetch(t, f.got, sol); !bytes.Equal(body, want.Bytes()) {
+			t.Logf("%s over the socket: %d bytes, reference %d, first difference at %d",
+				f.name, len(body), want.Len(), firstDiff(body, want.Bytes()))
+			ok = false
+		}
+	}
+	return ok
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// randomTerm draws every term kind the writers distinguish: IRIs, blank
+// nodes, and plain, language-tagged and typed literals with escape-heavy
+// values.
+func randomTerm(r *rand.Rand) rdf.Term {
+	switch r.Intn(6) {
+	case 0:
+		return rdf.NewIRI(fmt.Sprintf("http://ex/r%d", r.Intn(50)))
+	case 1:
+		return rdf.NewBlank(fmt.Sprintf("b%d", r.Intn(50)))
+	case 2:
+		return rdf.NewLangLiteral(escapeHeavy(r), []string{"en", "fr-CA", "ja"}[r.Intn(3)])
+	case 3:
+		return rdf.NewTypedLiteral(fmt.Sprint(r.Intn(1000)), rdf.XSDInteger)
+	case 4:
+		return rdf.NewTypedLiteral(escapeHeavy(r), rdf.XSDString)
+	}
+	return rdf.NewLiteral(escapeHeavy(r))
+}
+
+// randomRowCount favours the edges: empty and single-row results, a few
+// rows, and now and then enough rows to span several windows.
+func randomRowCount(r *rand.Rand) int {
+	switch r.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return 3000 + r.Intn(3000)
+	}
+	return 2 + r.Intn(40)
+}
+
+// randomResults draws a term-space result: a bindings table whose last
+// projected variable is never bound, whose rows leave columns unbound at
+// random (now and then all of them: the row renders as {}), and whose
+// variable names include ones a JSON key must escape; or an ASK answer;
+// or a graph.
+func randomResults(r *rand.Rand) *sparql.Results {
+	switch r.Intn(8) {
+	case 0:
+		return &sparql.Results{IsAsk: true, Ask: r.Intn(2) == 0}
+	case 1:
+		res := &sparql.Results{IsGraph: true}
+		for n := randomRowCount(r); n > 0; n-- {
+			s := randomTerm(r)
+			for !s.IsIRI() && !s.IsBlank() {
+				s = randomTerm(r)
+			}
+			res.Triples = append(res.Triples, rdf.Triple{S: s, P: rdf.NewIRI("http://ex/p"), O: randomTerm(r)})
+		}
+		return res
+	}
+	names := []sparql.Var{"s", "name", "ünï", `q"uo\te`, "tab\there", "x1"}
+	r.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	res := &sparql.Results{Vars: append(names[:1+r.Intn(4)], "never")}
+	bound := res.Vars[:len(res.Vars)-1]
+	for n := randomRowCount(r); n > 0; n-- {
+		row := sparql.Binding{}
+		if r.Intn(8) > 0 {
+			for _, v := range bound {
+				if r.Intn(4) > 0 {
+					row[v] = randomTerm(r)
+				}
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
+}
+
+// idSpaceSolutions evaluates queries over a random graph so that the
+// Solutions under test decode id-space rows: a plain scan, OPTIONAL
+// columns that stay unbound, a projection of only the optional column
+// (all-unbound rows), a projected variable no pattern mentions, LIMIT 0
+// and 1, both ASK answers, and a CONSTRUCT.
+func idSpaceSolutions(t *testing.T, r *rand.Rand) []*sparql.Solutions {
+	t.Helper()
+	var ts []rdf.Triple
+	for i, n := 0, 1+r.Intn(60); i < n; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i))
+		if r.Intn(4) == 0 {
+			s = rdf.NewBlank(fmt.Sprintf("n%d", i))
+		}
+		ts = append(ts, rdf.Triple{S: s, P: rdf.NewIRI("http://ex/p"), O: randomTerm(r)})
+		if r.Intn(2) == 0 {
+			ts = append(ts, rdf.Triple{S: s, P: rdf.NewIRI("http://ex/q"), O: randomTerm(r)})
+		}
+	}
+	g := rdf.NewGraph(ts)
+	var sols []*sparql.Solutions
+	for _, q := range []string{
+		`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,
+		`SELECT ?s ?o ?z WHERE { ?s <http://ex/p> ?o OPTIONAL { ?s <http://ex/q> ?z } }`,
+		`SELECT ?z WHERE { ?s <http://ex/p> ?o OPTIONAL { ?s <http://ex/q> ?z } }`,
+		`SELECT ?s ?never WHERE { ?s <http://ex/p> ?o }`,
+		`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o } LIMIT 0`,
+		`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o } LIMIT 1`,
+		`ASK WHERE { ?s <http://ex/p> ?o }`,
+		`ASK WHERE { ?s <http://ex/absent> ?o }`,
+		`CONSTRUCT { ?s <http://ex/made> ?o } WHERE { ?s <http://ex/p> ?o }`,
+	} {
+		prep, err := sparql.Prepare(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		sol, err := prep.RunSolutions(context.Background(), g)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		sols = append(sols, sol)
+	}
+	return sols
+}
+
+// The pooled-window writers reproduce the bufio writers byte for byte,
+// over term-space and id-space solutions, into a buffer and across a
+// real socket.
+func TestStreamWritersMatchReference(t *testing.T) {
+	ss := newSocketStreamer(t)
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ok := sameBytes(t, ss, sparql.ResultsSolutions(randomResults(r)))
+		for _, sol := range idSpaceSolutions(t, r) {
+			ok = sameBytes(t, ss, sol) && ok
+		}
+		return ok
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A row boundary that lands one byte short of, exactly on, and one byte
+// past the window size: the window is handed over only once it holds
+// windowSize bytes, rows are never split, and the bytes stay those of the
+// reference on either side of the boundary, through at least three
+// windows.
+func TestStreamWindowBoundary(t *testing.T) {
+	ss := newSocketStreamer(t)
+	vars := []sparql.Var{"s", "v"}
+	rows := make([]sparql.Binding, 0, 4096)
+	for i := 0; i < cap(rows); i++ {
+		rows = append(rows, sparql.Binding{
+			"s": rdf.NewIRI(fmt.Sprintf("http://ex/subject/%d", i)),
+			"v": rdf.NewLiteral(fmt.Sprintf("value %d", i)),
+		})
+	}
+	for _, f := range streamFormats[:2] {
+		// prefix(k) is how many bytes the head and the first k rows
+		// render to: the window's length when row k-1 has been appended.
+		tail := 0
+		if f.name == "json" {
+			tail = len("]}}\n")
+		}
+		prefix := func(k int) int {
+			var buf bytes.Buffer
+			if err := f.want(context.Background(), &buf, sparql.ResultsSolutions(&sparql.Results{Vars: vars, Rows: rows[:k]})); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Len() - tail
+		}
+		// The most rows that still end short of windowSize-1.
+		k := sort.Search(len(rows), func(k int) bool { return prefix(k+1) >= windowSize-1 })
+		for _, d := range []int{-1, 0, 1} {
+			t.Run(fmt.Sprintf("%s/%+d", f.name, d), func(t *testing.T) {
+				// Stretch row k-1 so the first k rows end at windowSize+d.
+				saved := rows[k-1]["v"]
+				defer func() { rows[k-1]["v"] = saved }()
+				rows[k-1]["v"] = rdf.NewLiteral("")
+				rows[k-1]["v"] = rdf.NewLiteral(strings.Repeat("x", windowSize+d-prefix(k))) // prefix(k) of the emptied row
+				if got := prefix(k); got != windowSize+d {
+					t.Fatalf("row %d ends at byte %d, want %d", k-1, got, windowSize+d)
+				}
+				sol := sparql.ResultsSolutions(&sparql.Results{Vars: vars, Rows: rows})
+				var log writeLog
+				if err := f.got(context.Background(), &log, sol); err != nil {
+					t.Fatal(err)
+				}
+				first := windowSize + d
+				if d < 0 { // not full yet: the next row joins the first window
+					first = prefix(k + 1)
+				}
+				if log.sizes[0] != first {
+					t.Fatalf("first write is %d bytes, want %d", log.sizes[0], first)
+				}
+				if len(log.sizes) < 3 {
+					t.Fatalf("%d bytes went out in %d writes; the result should span at least three windows", log.Len(), len(log.sizes))
+				}
+				for i, n := range log.sizes[:len(log.sizes)-1] {
+					if n < windowSize {
+						t.Fatalf("write %d of %d is %d bytes: only the last may be short of a window", i, len(log.sizes), n)
+					}
+				}
+				if !sameBytes(t, ss, sol) {
+					t.Fatal("bytes differ from the reference")
+				}
+			})
+		}
 	}
 }

@@ -994,7 +994,7 @@ func (d *distEnv) scatterPattern(cp cPattern, max int) []slotRow {
 func scanShard(w *evalEnv, cp cPattern, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int32) {
 	empty := w.emptyRow()
 	scratch := w.emptyRow()
-	ps := w.preparePatternScan(cp, empty)
+	ps := w.preparePatternScan(&cp, empty)
 	if ps.miss {
 		return nil, nil
 	}
@@ -1007,7 +1007,7 @@ func scanShard(w *evalEnv, cp cPattern, pos map[rdf.EncodedTriple]int32, max int
 		if !ps.matches(t) {
 			continue
 		}
-		if row, ok := bindTriple(w, cp, t, empty, scratch); ok {
+		if row, ok := bindTriple(w, &cp, t, empty, scratch); ok {
 			rows = append(rows, row)
 			tags = append(tags, pos[t])
 			if max > 0 && len(rows) >= max {
@@ -1021,7 +1021,7 @@ func scanShard(w *evalEnv, cp cPattern, pos map[rdf.EncodedTriple]int32, max int
 // bindTriple extends base by binding cp's variable positions to t's
 // ids, enforcing consistency for variables repeated within the pattern.
 // scratch is clobbered.
-func bindTriple(w *evalEnv, cp cPattern, t rdf.EncodedTriple, base, scratch slotRow) (slotRow, bool) {
+func bindTriple(w *evalEnv, cp *cPattern, t rdf.EncodedTriple, base, scratch slotRow) (slotRow, bool) {
 	copy(scratch, base)
 	for _, bind := range [3]struct {
 		e  cElem
@@ -1095,7 +1095,7 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int32) {
 	empty := w.emptyRow()
 	scratch := w.emptyRow()
-	ps := w.preparePatternScan(cps[0], empty)
+	ps := w.preparePatternScan(&cps[0], empty)
 	if ps.miss {
 		return nil, nil
 	}
@@ -1109,15 +1109,15 @@ func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, 
 		if !ps.matches(t) {
 			continue
 		}
-		seed, ok := bindTriple(w, cps[0], t, empty, scratch)
+		seed, ok := bindTriple(w, &cps[0], t, empty, scratch)
 		if !ok {
 			continue
 		}
 		cur = append(cur[:0], seed)
-		for _, cp := range cps[1:] {
+		for i := 1; i < len(cps); i++ {
 			next = next[:0]
 			for _, r := range cur {
-				next = w.matchPattern(cp, r, scratch, next)
+				next = w.matchPattern(&cps[i], r, scratch, next)
 				if w.err != nil {
 					return nil, nil
 				}

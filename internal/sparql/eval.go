@@ -1388,7 +1388,8 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 	}
 	rows := []slotRow{env.emptyRow()}
 	scratch := env.emptyRow()
-	for i, cp := range cps {
+	for i := range cps {
+		cp := &cps[i]
 		max := 0
 		if i == len(cps)-1 {
 			// limitHint is only set when this BGP is the whole WHERE
@@ -1440,7 +1441,7 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 // and the scan is large enough to amortize dispatch. max > 0 bounds
 // how many rows are needed (LIMIT pushdown); a small bound keeps the
 // scan serial so it can stop exactly at max rows.
-func (env *evalEnv) seedScan(cp cPattern, row, scratch slotRow, max int) []slotRow {
+func (env *evalEnv) seedScan(cp *cPattern, row, scratch slotRow, max int) []slotRow {
 	ps := env.preparePatternScan(cp, row)
 	if ps.miss {
 		return nil
@@ -1490,9 +1491,11 @@ func elemID(e cElem, row slotRow) (id rdf.TermID, bound, miss bool) {
 // patternScan is one pattern's resolved scan: the ids each position
 // must match under the current row, and the smallest applicable index
 // view to scan. It is immutable once prepared, so parallel morsels of
-// one scan share it read-only.
+// one scan share it read-only. cp points into the plan's []cPattern
+// (plans are immutable after publication), so preparing a scan per
+// input row copies no pattern.
 type patternScan struct {
-	cp                     cPattern
+	cp                     *cPattern
 	sID, pID, oID          rdf.TermID
 	sBound, pBound, oBound bool
 	miss                   bool
@@ -1517,7 +1520,7 @@ func (ps *patternScan) matches(t rdf.EncodedTriple) bool {
 
 // preparePatternScan resolves cp's positions under row and picks the
 // smallest applicable index as the candidate view.
-func (env *evalEnv) preparePatternScan(cp cPattern, row slotRow) patternScan {
+func (env *evalEnv) preparePatternScan(cp *cPattern, row slotRow) patternScan {
 	ps := patternScan{cp: cp}
 	var sMiss, pMiss, oMiss bool
 	ps.sID, ps.sBound, sMiss = elemID(cp.s, row)
@@ -1548,7 +1551,7 @@ func (env *evalEnv) preparePatternScan(cp cPattern, row slotRow) patternScan {
 
 // matchPattern appends to out every extension of row by a triple
 // matching cp. scratch must be a row-sized buffer; it is clobbered.
-func (env *evalEnv) matchPattern(cp cPattern, row slotRow, scratch slotRow, out []slotRow) []slotRow {
+func (env *evalEnv) matchPattern(cp *cPattern, row slotRow, scratch slotRow, out []slotRow) []slotRow {
 	ps := env.preparePatternScan(cp, row)
 	if ps.miss {
 		return out
