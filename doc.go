@@ -115,11 +115,14 @@
 // unscanned (the vertical/semantic payoff), reported through
 // ExplainShards and the /stats sharding block. Determinism contract:
 // shards preserve dataset insertion order, every triple's global
-// position keys the k-way gather merge, and the plan compiles from the
-// summed global statistics — so sharded output is byte-identical (rows
-// and order) to a single-graph run at any shard count and parallelism,
-// pinned by the cross-strategy determinism suite under the race
-// detector. rdfserve -shards N -partition <name> serves it;
+// position keys the k-way gather merge — an int32 column each shard
+// view stores beside its triples in every order it keeps them, so a
+// scan reads a match's key from the array it is walking (no per-triple
+// hash, map or dictionary lookup; sparql/dist.go has the invariant) —
+// and the plan compiles from the summed global statistics — so sharded
+// output is byte-identical (rows and order) to a single-graph run at
+// any shard count and parallelism, pinned by the cross-strategy
+// determinism suite under the race detector. rdfserve -shards N -partition <name> serves it;
 // rdfbench -shards compares strategies by end-to-end query latency.
 //
 // Storage and concurrency. There is one store, and it is in id space.
@@ -141,7 +144,7 @@
 // into a cold Encoded, Stats, or term-space accessor; after an Add the
 // next Encoded or Stats rebuilds from the encoded list in O(n), while
 // the term-space face only decodes what was added since it was last
-// read. Sharded stores skip rdf.Graph altogether (rdf.NewEncodedView
+// read. Sharded stores skip rdf.Graph altogether (rdf.NewPositionedView
 // per replica). The layout's fixed widths — uint32 ids below the
 // evaluator's unbound sentinel, int32 positions, uint32 offsets — fail
 // with a typed *rdf.CapacityError at build time, never wrap. The live

@@ -1,10 +1,14 @@
 package rdf
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// maxTriples is the most triples one store holds: global positions are
-// int32 (the sharded gather key) and permutation offsets are uint32.
-// A variable only so a test can lower it to reach the boundary.
+// maxTriples is the most triples one store holds: a position column
+// entry (the sharded gather key, see NewPositionedView) is an int32 and
+// permutation offsets are uint32. A variable only so a test can lower
+// it to reach the boundary.
 var maxTriples = math.MaxInt32
 
 // EncodedView is a set of triples in TermID space with positional
@@ -26,21 +30,32 @@ var maxTriples = math.MaxInt32
 // view has never seen, or one a shared dictionary assigned later)
 // reads as empty.
 //
+// A shard of a larger dataset (NewPositionedView) also carries, beside
+// the insertion-order list and beside each permutation, an int32 column
+// aligned with it: entry i is the position triple i holds in the whole
+// dataset. The same counting sort lays both out, so every lookup hands
+// back the triples and their positions as two reslices of one range,
+// and a scan reads a match's global position from the array it is
+// already walking. A single-graph view has no columns (they read nil).
+//
 // A view is immutable. Obtain one with Graph.Encoded(), or build one
 // directly from encoded triples with NewEncodedView. All returned
 // slices are views into the index and must be treated as read-only.
 type EncodedView struct {
 	dict    *Dictionary
 	triples []EncodedTriple
+	pos     []int32 // aligned with triples; nil on a single-graph view
 	byS     permutation
 	byP     permutation
 	byO     permutation
 }
 
 // permutation holds the triples grouped by one position's id: the
-// triples with id k in that position are data[off[k]:off[k+1]].
+// triples with id k in that position are data[off[k]:off[k+1]], and
+// their dataset positions (when the view carries them) pos[off[k]:off[k+1]].
 type permutation struct {
 	data []EncodedTriple
+	pos  []int32
 	off  []uint32
 }
 
@@ -62,8 +77,9 @@ func (e EncodedTriple) keyAt(pos int) TermID {
 }
 
 // newPermutation groups ts by the id at pos with a stable counting
-// sort. len(ts) must not exceed maxTriples (offsets are uint32).
-func newPermutation(ts []EncodedTriple, pos int) permutation {
+// sort, permuting positions (nil, or aligned with ts) the same way.
+// len(ts) must not exceed maxTriples (offsets are uint32).
+func newPermutation(ts []EncodedTriple, positions []int32, pos int) permutation {
 	if len(ts) == 0 {
 		return permutation{}
 	}
@@ -82,47 +98,74 @@ func newPermutation(ts []EncodedTriple, pos int) permutation {
 	}
 	next := make([]uint32, maxKey+1)
 	copy(next, off)
-	data := make([]EncodedTriple, len(ts))
-	for _, e := range ts {
+	p := permutation{data: make([]EncodedTriple, len(ts)), off: off}
+	if positions != nil {
+		p.pos = make([]int32, len(ts))
+	}
+	for i, e := range ts {
 		k := e.keyAt(pos)
-		data[next[k]] = e
+		p.data[next[k]] = e
+		if p.pos != nil {
+			p.pos[next[k]] = positions[i]
+		}
 		next[k]++
 	}
-	return permutation{data: data, off: off}
+	return p
 }
 
-func (p *permutation) get(id TermID) []EncodedTriple {
+func (p *permutation) get(id TermID) ([]EncodedTriple, []int32) {
 	k := int(id)
 	if k+1 >= len(p.off) || p.off[k] == p.off[k+1] {
-		return nil
+		return nil, nil
 	}
-	return p.data[p.off[k]:p.off[k+1]]
+	lo, hi := p.off[k], p.off[k+1]
+	if p.pos == nil {
+		return p.data[lo:hi], nil
+	}
+	return p.data[lo:hi], p.pos[lo:hi]
 }
 
-// newEncodedView indexes ts, which the view keeps (no copy) and which
-// must never change afterwards.
-func newEncodedView(dict *Dictionary, ts []EncodedTriple) *EncodedView {
+// newEncodedView indexes ts and positions (nil, or aligned with ts),
+// which the view keeps (no copy) and which must never change
+// afterwards.
+func newEncodedView(dict *Dictionary, ts []EncodedTriple, positions []int32) *EncodedView {
 	return &EncodedView{
 		dict:    dict,
 		triples: ts,
-		byS:     newPermutation(ts, posS),
-		byP:     newPermutation(ts, posP),
-		byO:     newPermutation(ts, posO),
+		pos:     positions,
+		byS:     newPermutation(ts, positions, posS),
+		byP:     newPermutation(ts, positions, posP),
+		byO:     newPermutation(ts, positions, posO),
 	}
 }
 
 // NewEncodedView builds a view over a copy of triples, which must be
-// distinct and already encoded through dict. Shards of one dataset are
-// built this way straight from their encoded buckets around one shared
-// dictionary: a TermID means the same term on every shard, so
-// cross-shard merging, joining, and deduplication stay in id space,
-// and no term-space graph is ever materialized. It fails with a
+// distinct and already encoded through dict. It fails with a
 // *CapacityError beyond the store's triple limit.
 func NewEncodedView(dict *Dictionary, triples []EncodedTriple) (*EncodedView, error) {
+	return NewPositionedView(dict, triples, nil)
+}
+
+// NewPositionedView is NewEncodedView for one shard of a larger
+// dataset: positions[i] is the place triples[i] holds in the whole
+// dataset's insertion order, ascending, and the view keeps a copy of it
+// aligned with every order it stores the triples in (the Scan*
+// accessors). Shards are built this way straight from their encoded
+// buckets around one shared dictionary: a TermID means the same term on
+// every shard, so cross-shard merging, joining, and deduplication stay
+// in id space, and no term-space graph is ever materialized. Nil
+// positions build a plain view without columns.
+func NewPositionedView(dict *Dictionary, triples []EncodedTriple, positions []int32) (*EncodedView, error) {
 	if len(triples) > maxTriples {
 		return nil, &CapacityError{What: "triples", Limit: int64(maxTriples)}
 	}
-	return newEncodedView(dict, append([]EncodedTriple(nil), triples...)), nil
+	if positions != nil {
+		if len(positions) != len(triples) {
+			return nil, fmt.Errorf("rdf: %d positions for %d triples", len(positions), len(triples))
+		}
+		positions = append([]int32(nil), positions...)
+	}
+	return newEncodedView(dict, append([]EncodedTriple(nil), triples...), positions), nil
 }
 
 // Dict returns the dictionary that maps ids to terms and back.
@@ -136,15 +179,27 @@ func (v *EncodedView) Triples() []EncodedTriple { return v.triples }
 
 // WithSubject returns the encoded triples whose subject is id, in
 // insertion order (read-only, no copy).
-func (v *EncodedView) WithSubject(id TermID) []EncodedTriple { return v.byS.get(id) }
+func (v *EncodedView) WithSubject(id TermID) []EncodedTriple { ts, _ := v.byS.get(id); return ts }
 
 // WithPredicate returns the encoded triples whose predicate is id, in
 // insertion order (read-only, no copy).
-func (v *EncodedView) WithPredicate(id TermID) []EncodedTriple { return v.byP.get(id) }
+func (v *EncodedView) WithPredicate(id TermID) []EncodedTriple { ts, _ := v.byP.get(id); return ts }
 
 // WithObject returns the encoded triples whose object is id, in
 // insertion order (read-only, no copy).
-func (v *EncodedView) WithObject(id TermID) []EncodedTriple { return v.byO.get(id) }
+func (v *EncodedView) WithObject(id TermID) []EncodedTriple { ts, _ := v.byO.get(id); return ts }
+
+// ScanAll, ScanSubject, ScanPredicate and ScanObject are Triples and
+// the With* lookups handing back the position column beside the
+// triples: positions[i] is triples[i]'s place in the whole dataset,
+// ascending. The column is nil on a view built without positions.
+func (v *EncodedView) ScanAll() ([]EncodedTriple, []int32) { return v.triples, v.pos }
+
+func (v *EncodedView) ScanSubject(id TermID) ([]EncodedTriple, []int32) { return v.byS.get(id) }
+
+func (v *EncodedView) ScanPredicate(id TermID) ([]EncodedTriple, []int32) { return v.byP.get(id) }
+
+func (v *EncodedView) ScanObject(id TermID) ([]EncodedTriple, []int32) { return v.byO.get(id) }
 
 // Morsel-able views: every slice returned by Triples, WithSubject,
 // WithPredicate, and WithObject is immutable once the view is built

@@ -245,7 +245,7 @@ func (g *Graph) Encoded() *EncodedView {
 	g.encMu.Lock()
 	defer g.encMu.Unlock()
 	if g.view == nil {
-		g.view = newEncodedView(g.dict, g.enc[:len(g.enc):len(g.enc)])
+		g.view = newEncodedView(g.dict, g.enc[:len(g.enc):len(g.enc)], nil)
 	}
 	return g.view
 }

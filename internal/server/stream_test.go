@@ -19,6 +19,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/rdf"
+	"repro/internal/shard"
 	"repro/internal/sparql"
 	"repro/internal/workload"
 )
@@ -210,6 +211,35 @@ func TestServeDescribeStaysInIDSpace(t *testing.T) {
 	if requestBytes*20 > indexBytes {
 		t.Fatalf("cold DESCRIBE allocated %d B; a term-space index build is %d B — the request must stay far below it",
 			requestBytes, indexBytes)
+	}
+}
+
+// A served DESCRIBE over a sharded, replicated store whose placement
+// spreads the subject's triples over several shards (vertical) answers
+// the bytes of the single-graph server: the description is gathered by
+// the global positions stored beside each shard's triples.
+func TestServeShardedDescribeMatchesSingleGraph(t *testing.T) {
+	triples := workload.GenerateUniversity(workload.SmallUniversity())
+	sg, err := shard.BuildReplicatedByName(triples, "vertical", 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, sharded := New(rdf.NewGraph(triples), Config{}), NewSharded(sg, Config{})
+	const ns = "http://repro.dev/lubm/"
+	for _, query := range []string{
+		"DESCRIBE <" + ns + "univ0.dept0.stud0>",
+		"DESCRIBE ?st WHERE { ?st <" + ns + "advisor> <" + ns + "univ0.dept0.prof0> }",
+	} {
+		want, got := getQuery(t, single, query, "", nil), getQuery(t, sharded, query, "", nil)
+		if want.Code != http.StatusOK || got.Code != http.StatusOK {
+			t.Fatalf("%s: status %d single, %d sharded: %s", query, want.Code, got.Code, got.Body.String())
+		}
+		if strings.Count(want.Body.String(), "\n") < 3 {
+			t.Fatalf("%s: single graph describes too little:\n%s", query, want.Body.String())
+		}
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("%s: sharded body:\n%s\nwant:\n%s", query, got.Body.String(), want.Body.String())
+		}
 	}
 }
 

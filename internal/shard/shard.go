@@ -14,9 +14,9 @@
 //     cross-shard merging, joining, and deduplication stays in id
 //     space.
 //   - Determinism: shards preserve the dataset's insertion order and
-//     every triple's global position is recorded, so scatter-gather
-//     merges are deterministic and (*Prepared).Run output is
-//     byte-identical — rows and order — to a single-graph
+//     every shard view stores each triple's global position beside it,
+//     so scatter-gather merges are deterministic and (*Prepared).Run
+//     output is byte-identical — rows and order — to a single-graph
 //     sparql.Prepared.Run over the same data, at any shard count and
 //     any parallelism.
 //   - Pushdown soundness: a single-BGP query whose patterns all share
@@ -24,10 +24,10 @@
 //     when the placement co-located every subject's triples
 //     (SubjectColocated, verified at build time rather than assumed
 //     from the strategy's name).
-//   - Immutability: a built ShardedGraph is read-only; the shards, the
-//     dictionary, and the position index must not be mutated. This is
-//     what makes the ShardSet plan memo and unlimited concurrent runs
-//     safe.
+//   - Immutability: a built ShardedGraph is read-only; the shards
+//     (their position columns included) and the dictionary must not be
+//     mutated. This is what makes the ShardSet plan memo and unlimited
+//     concurrent runs safe.
 package shard
 
 import (
@@ -55,8 +55,9 @@ type ShardedGraph struct {
 }
 
 // maxTriples is the most triples a sharded dataset holds: a triple's
-// global position is an int32 (sparql.ShardSet.Pos). A variable only
-// so a test can lower it to reach the boundary.
+// global position is an int32 in its shard view's position column
+// (rdf.NewPositionedView). A variable only so a test can lower it to
+// reach the boundary.
 var maxTriples = math.MaxInt32
 
 // Build splits triples into n shards by the strategy's placement. The
@@ -120,25 +121,26 @@ func BuildPlaced(deduped []rdf.Triple, place []int, n int, strategyName string) 
 }
 
 // encodedDataset is a deduplicated dataset in id space: the distinct triples
-// in first-occurrence order, encoded through dict, with each one's
-// global position. distinct is the same sequence in term space, for
-// the placement strategy; nothing built from a dataset keeps it.
+// in first-occurrence order, encoded through dict, so a triple's global
+// position is its index in enc. distinct is the same sequence in term
+// space, for the placement strategy; nothing built from a dataset
+// keeps it.
 type encodedDataset struct {
 	dict     *rdf.Dictionary
 	enc      []rdf.EncodedTriple
-	pos      map[rdf.EncodedTriple]int32
 	distinct []rdf.Triple
 }
 
 // encodeDistinct encodes triples through a fresh dictionary and drops
-// repeats in the same pass: the global-position map is the dedupe set.
+// repeats in the same pass. The dedupe set is local to the pass, so it
+// is garbage before buildPlaced allocates the first view.
 func encodeDistinct(triples []rdf.Triple) (*encodedDataset, error) {
 	ds := &encodedDataset{
 		dict:     rdf.NewDictionary(),
 		enc:      make([]rdf.EncodedTriple, 0, len(triples)),
-		pos:      make(map[rdf.EncodedTriple]int32, len(triples)),
 		distinct: triples,
 	}
+	seen := make(map[rdf.EncodedTriple]struct{}, len(triples))
 	// distinct aliases the caller's slice until the first repeat, so a
 	// dataset without repeats (the usual case) is never copied.
 	shared := true
@@ -147,7 +149,7 @@ func encodeDistinct(triples []rdf.Triple) (*encodedDataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := ds.pos[e]; dup {
+		if _, dup := seen[e]; dup {
 			if shared {
 				ds.distinct = append(make([]rdf.Triple, 0, len(triples)-1), triples[:i]...)
 				shared = false
@@ -157,7 +159,7 @@ func encodeDistinct(triples []rdf.Triple) (*encodedDataset, error) {
 		if len(ds.enc) >= maxTriples {
 			return nil, &rdf.CapacityError{What: "triples", Limit: int64(maxTriples)}
 		}
-		ds.pos[e] = int32(len(ds.enc))
+		seen[e] = struct{}{}
 		ds.enc = append(ds.enc, e)
 		if !shared {
 			ds.distinct = append(ds.distinct, t)
@@ -195,12 +197,16 @@ func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName 
 		}
 		sizes[p]++
 	}
+	// Each bucket keeps dataset order, so its global positions ascend.
 	buckets := make([][]rdf.EncodedTriple, n)
+	positions := make([][]int32, n)
 	for s := range buckets {
 		buckets[s] = make([]rdf.EncodedTriple, 0, sizes[s])
+		positions[s] = make([]int32, 0, sizes[s])
 	}
 	for i, e := range ds.enc {
 		buckets[place[i]] = append(buckets[place[i]], e)
+		positions[place[i]] = append(positions[place[i]], int32(i))
 	}
 
 	views := make([]*rdf.EncodedView, n)
@@ -210,11 +216,11 @@ func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName 
 	}
 	for s, bucket := range buckets {
 		// Every replica is built from the same bucket (same ids, same
-		// order) into storage of its own, so replicas are
-		// content-identical — the failover-invisibility invariant.
+		// order, same positions) into storage of its own, so replicas
+		// are content-identical — the failover-invisibility invariant.
 		rv := make([]*rdf.EncodedView, replicas)
 		for r := range rv {
-			v, err := rdf.NewEncodedView(ds.dict, bucket)
+			v, err := rdf.NewPositionedView(ds.dict, bucket, positions[s])
 			if err != nil {
 				return nil, err
 			}
@@ -234,7 +240,6 @@ func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName 
 			Dict:             ds.dict,
 			Views:            views,
 			Stats:            rdf.ComputeEncodedStats(ds.dict, ds.enc),
-			Pos:              ds.pos,
 			SubjectColocated: coloc,
 			Replicas:         reps,
 		},

@@ -14,7 +14,7 @@ import (
 )
 
 // Distributed (sharded) evaluation. A dataset split into N shard views
-// around one shared dictionary (rdf.NewEncodedView) executes
+// around one shared dictionary (rdf.NewPositionedView) executes
 // prepared queries through (*Prepared).RunSharded exactly as a single
 // graph would — byte-identical rows and order — because every merge
 // happens in id space under two invariants:
@@ -23,12 +23,20 @@ import (
 //     so rows from different shards join, deduplicate, and sort with
 //     the single-graph code paths (joinRows, distinctRows, sortRows)
 //     untouched.
-//   - Global-position merge: each shard preserves the original relative
-//     order of its triples, and ShardSet.Pos records every triple's
-//     position in the full dataset's insertion order. Per-shard match
-//     lists are therefore already sorted by global position, and a
-//     deterministic k-way merge on that key reproduces the exact
-//     candidate order a single-graph index scan would visit.
+//   - Global-position merge: the gather key of a match is the matched
+//     triple's position in the full dataset's insertion order. It lives
+//     in the shard view, as an int32 column aligned with every order
+//     the view stores its triples in (rdf.NewPositionedView), so a scan
+//     reads candidate i's key as positions[i] of the range it is
+//     already walking — an array read beside the scanned storage; no
+//     per-triple hash, map or dictionary lookup on the scan path. Each
+//     shard preserves the original relative order of its triples, so
+//     per-shard match lists are already sorted by that key, and a
+//     deterministic k-way merge on it reproduces the exact candidate
+//     order a single-graph index scan would visit. A replica holds its
+//     own copy of the columns, like the triples they sit beside (a
+//     replica stands in for a copy on another node): 4 B × 4 orders × R
+//     per triple.
 //
 // Two routes exploit placement the way the survey says real systems
 // should:
@@ -59,15 +67,14 @@ import (
 type ShardSet struct {
 	// Dict is the dictionary every shard encodes through.
 	Dict *rdf.Dictionary
-	// Views are the per-shard encoded views.
+	// Views are the per-shard encoded views. Each carries its triples'
+	// global positions (rdf.NewPositionedView) — the merge key for
+	// deterministic gathers, read beside the triples a scan walks.
 	Views []*rdf.EncodedView
 	// Stats are the whole dataset's statistics: with them the
 	// distributed planner reproduces the single-graph plan exactly
 	// (same selectivity estimates, same join order).
 	Stats rdf.Stats
-	// Pos maps every triple to its position in the full dataset's
-	// insertion order — the merge key for deterministic gathers.
-	Pos map[rdf.EncodedTriple]int32
 	// SubjectColocated reports that the placement maps each subject's
 	// triples to a single shard (the pushdown soundness condition).
 	SubjectColocated bool
@@ -75,9 +82,10 @@ type ShardSet struct {
 	// Replicas, when non-nil, holds every shard's replica views:
 	// Replicas[s][r] is replica r of shard s, with Replicas[s][0] ==
 	// Views[s]. All replicas of a shard encode the same triples in the
-	// same order through the shared dictionary, so any replica yields
-	// byte-identical scans — which is what makes failover invisible in
-	// query results. Nil means one replica per shard (Views).
+	// same order, with the same positions, through the shared
+	// dictionary, so any replica yields byte-identical scans and tags —
+	// which is what makes failover invisible in query results. Nil
+	// means one replica per shard (Views).
 	Replicas [][]*rdf.EncodedView
 	// Health carries the per-replica circuit breakers steering replica
 	// selection. Nil disables breaker steering (replicas are tried in
@@ -208,8 +216,8 @@ func (p *Prepared) ExplainSharded(ss *ShardSet) ShardExplain {
 					}
 					continue
 				}
-				for _, cp := range cps {
-					if viewCandidateCount(view, cp) > 0 {
+				for i := range cps {
+					if viewCandidateCount(view, &cps[i]) > 0 {
 						touched[s] = true
 						break
 					}
@@ -377,7 +385,7 @@ func (d *distEnv) evalBGP(b BGP) []slotRow {
 	}
 	env := d.env
 	rows := []slotRow{env.emptyRow()}
-	for _, cp := range cps {
+	for i := range cps {
 		// The hint is only sound on the gather that directly emits the
 		// final row sequence — a single-pattern BGP. Joins above a
 		// truncated gather could need the dropped matches.
@@ -385,7 +393,7 @@ func (d *distEnv) evalBGP(b BGP) []slotRow {
 		if len(cps) == 1 {
 			scanMax = max
 		}
-		matches := d.scatterPattern(cp, scanMax)
+		matches := d.scatterPattern(&cps[i], scanMax)
 		if env.err != nil {
 			return nil
 		}
@@ -472,7 +480,7 @@ func (d *distEnv) compilePattern(tp TriplePattern) cPattern {
 // viewCandidateCount returns the size of the smallest index view a
 // pattern's constants select on one shard — the executor's pruning
 // peek: zero means the shard cannot contribute a single candidate.
-func viewCandidateCount(view *rdf.EncodedView, cp cPattern) int {
+func viewCandidateCount(view *rdf.EncodedView, cp *cPattern) int {
 	if (!cp.s.isVar && !cp.s.ok) || (!cp.p.isVar && !cp.p.ok) || (!cp.o.isVar && !cp.o.ok) {
 		return 0
 	}
@@ -498,7 +506,7 @@ func viewCandidateCount(view *rdf.EncodedView, cp cPattern) int {
 // conjunction, so one empty pattern empties the shard's contribution.
 func shardCovers(view *rdf.EncodedView, cps []cPattern) bool {
 	for i := range cps {
-		if viewCandidateCount(view, cps[i]) == 0 {
+		if viewCandidateCount(view, &cps[i]) == 0 {
 			return false
 		}
 	}
@@ -932,7 +940,7 @@ func (d *distEnv) backoff(cycle int) error {
 // produce. The gathered rows feed the global id-space hash joins.
 // max > 0 caps each shard's scan (LIMIT pushdown): the merged leading
 // max rows draw only from per-shard prefixes of at most max rows.
-func (d *distEnv) scatterPattern(cp cPattern, max int) []slotRow {
+func (d *distEnv) scatterPattern(cp *cPattern, max int) []slotRow {
 	d.scatter++
 	env := d.env
 	sp := env.span("scatter")
@@ -962,7 +970,7 @@ func (d *distEnv) scatterPattern(cp cPattern, max int) []slotRow {
 		},
 		func(s int, w *evalEnv) {
 			outs[s], tags[s] = d.runShardOp(s, opClassScan, w, func(w *evalEnv) ([]slotRow, []int32) {
-				return scanShard(w, cp, d.ss.Pos, max)
+				return scanShard(w, cp, max)
 			})
 		})
 	if d.env.err != nil {
@@ -988,34 +996,73 @@ func (d *distEnv) scatterPattern(cp cPattern, max int) []slotRow {
 }
 
 // scanShard scans one shard for a pattern's matches from the empty row,
-// returning each match row with its global triple position. The shard
-// preserves dataset insertion order, so the returned tags ascend.
-// max > 0 stops the scan once that many rows exist.
-func scanShard(w *evalEnv, cp cPattern, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int32) {
+// returning each match row with its global triple position, read from
+// the view's position column beside the candidate. The shard preserves
+// dataset insertion order, so the returned tags ascend. max > 0 stops
+// the scan once that many rows exist. The tags are read-only: they may
+// be the column itself.
+func scanShard(w *evalEnv, cp *cPattern, max int) ([]slotRow, []int32) {
 	empty := w.emptyRow()
 	scratch := w.emptyRow()
-	ps := w.preparePatternScan(&cp, empty)
+	ps := w.preparePatternScan(cp, empty)
 	if ps.miss {
 		return nil, nil
 	}
-	var rows []slotRow
+	n := outputCap(len(ps.candidates), max)
+	rows := make([]slotRow, 0, n)
 	var tags []int32
-	for _, t := range ps.candidates {
+	for i, t := range ps.candidates {
 		if w.interrupted() {
 			return nil, nil
 		}
-		if !ps.matches(t) {
-			continue
-		}
-		if row, ok := bindTriple(w, &cp, t, empty, scratch); ok {
-			rows = append(rows, row)
-			tags = append(tags, pos[t])
-			if max > 0 && len(rows) >= max {
-				break
+		k := 0
+		if ps.matches(t) {
+			if row, ok := bindTriple(w, cp, t, empty, scratch); ok {
+				rows = append(rows, row)
+				k = 1
 			}
 		}
+		tags = appendTags(tags, ps.positions, i, k, n)
+		if max > 0 && len(rows) >= max {
+			break
+		}
 	}
-	return rows, tags
+	return rows, finishTags(tags, ps.positions, len(rows))
+}
+
+// outputCap sizes a shard op's output from its candidate count: one
+// row per candidate, or max when LIMIT pushdown stops the op sooner.
+func outputCap(candidates, max int) int {
+	if max > 0 && max < candidates {
+		return max
+	}
+	return candidates
+}
+
+// appendTags records that candidate i of a shard op yielded k rows,
+// tagging each with positions[i]. While every candidate so far yielded
+// exactly one row the tag list is a prefix of the position column, so
+// tags stays nil and nothing is copied; the first candidate that yields
+// none or several materializes it (capacity n). finishTags closes the
+// list once the op has produced rows rows.
+func appendTags(tags, positions []int32, i, k, n int) []int32 {
+	if tags == nil {
+		if k == 1 {
+			return nil
+		}
+		tags = append(make([]int32, 0, n), positions[:i]...)
+	}
+	for ; k > 0; k-- {
+		tags = append(tags, positions[i])
+	}
+	return tags
+}
+
+func finishTags(tags, positions []int32, rows int) []int32 {
+	if tags == nil {
+		return positions[:rows]
+	}
+	return tags
 }
 
 // bindTriple extends base by binding cp's variable positions to t's
@@ -1066,7 +1113,7 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 		},
 		func(s int, w *evalEnv) {
 			outs[s], tags[s] = d.runShardOp(s, opClassPushdown, w, func(w *evalEnv) ([]slotRow, []int32) {
-				return pushdownShard(w, cps, d.ss.Pos, max)
+				return pushdownShard(w, cps, max)
 			})
 		})
 	if d.env.err != nil {
@@ -1087,59 +1134,50 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 
 // pushdownShard runs the full pattern-at-a-time BGP loop against one
 // shard's view, tagging every result row with the global position of
-// its seed candidate. Within one seed the extension order is the
-// shard's insertion order — the same relative order the single graph's
-// indexes hold — so rows within a tag are already in single-graph
-// order, and tags ascend across the list. max > 0 stops the loop once
-// that many rows exist (the last seed may overshoot; callers truncate).
-func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int32) {
+// its seed candidate (the view's position column, as in scanShard).
+// Within one seed the extension order is the shard's insertion order —
+// the same relative order the single graph's indexes hold — so rows
+// within a tag are already in single-graph order, and tags ascend
+// across the list. max > 0 stops the loop once that many rows exist
+// (the last seed may overshoot; callers truncate).
+func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []int32) {
 	empty := w.emptyRow()
 	scratch := w.emptyRow()
 	ps := w.preparePatternScan(&cps[0], empty)
 	if ps.miss {
 		return nil, nil
 	}
-	var rows []slotRow
+	n := outputCap(len(ps.candidates), max)
+	rows := make([]slotRow, 0, n)
 	var tags []int32
 	var cur, next []slotRow
-	for _, t := range ps.candidates {
+	for i, t := range ps.candidates {
 		if w.interrupted() {
 			return nil, nil
 		}
-		if !ps.matches(t) {
-			continue
+		cur = cur[:0]
+		if ps.matches(t) {
+			if seed, ok := bindTriple(w, &cps[0], t, empty, scratch); ok {
+				cur = append(cur, seed)
+			}
 		}
-		seed, ok := bindTriple(w, &cps[0], t, empty, scratch)
-		if !ok {
-			continue
-		}
-		cur = append(cur[:0], seed)
-		for i := 1; i < len(cps); i++ {
+		for j := 1; j < len(cps) && len(cur) > 0; j++ {
 			next = next[:0]
 			for _, r := range cur {
-				next = w.matchPattern(&cps[i], r, scratch, next)
+				next = w.matchPattern(&cps[j], r, scratch, next)
 				if w.err != nil {
 					return nil, nil
 				}
 			}
 			cur, next = next, cur
-			if len(cur) == 0 {
-				break
-			}
 		}
-		if len(cur) == 0 {
-			continue
-		}
-		tag := pos[t]
-		for _, r := range cur {
-			rows = append(rows, r)
-			tags = append(tags, tag)
-		}
+		rows = append(rows, cur...)
+		tags = appendTags(tags, ps.positions, i, len(cur), n)
 		if max > 0 && len(rows) >= max {
 			break
 		}
 	}
-	return rows, tags
+	return rows, finishTags(tags, ps.positions, len(rows))
 }
 
 // mergeTagged k-way merges per-shard row lists by their ascending
@@ -1229,12 +1267,13 @@ func (d *distEnv) describeSharded(q *Query, rows []Binding) *Results {
 		}
 		var found []posTriple
 		for _, view := range d.ss.Views {
-			for _, e := range view.WithSubject(id) {
+			ts, positions := view.ScanSubject(id)
+			for i, e := range ts {
 				tr, err := d.ss.Dict.DecodeTriple(e)
 				if err != nil {
 					continue
 				}
-				found = append(found, posTriple{pos: d.ss.Pos[e], tr: tr})
+				found = append(found, posTriple{pos: positions[i], tr: tr})
 			}
 		}
 		// Insertion-sort by global position (descriptions are small).

@@ -1493,13 +1493,17 @@ func elemID(e cElem, row slotRow) (id rdf.TermID, bound, miss bool) {
 // view to scan. It is immutable once prepared, so parallel morsels of
 // one scan share it read-only. cp points into the plan's []cPattern
 // (plans are immutable after publication), so preparing a scan per
-// input row copies no pattern.
+// input row copies no pattern. positions is the view's position column
+// over the same range as candidates (positions[i] is candidates[i]'s
+// place in the whole dataset — the sharded gather key); it is nil on a
+// single-graph view.
 type patternScan struct {
 	cp                     *cPattern
 	sID, pID, oID          rdf.TermID
 	sBound, pBound, oBound bool
 	miss                   bool
 	candidates             []rdf.EncodedTriple
+	positions              []int32
 }
 
 // matches reports whether a candidate triple satisfies the scan's
@@ -1531,21 +1535,20 @@ func (env *evalEnv) preparePatternScan(cp *cPattern, row slotRow) patternScan {
 		return ps
 	}
 	// Scan the smallest applicable index.
-	candidates := env.view.Triples()
+	ps.candidates, ps.positions = env.view.ScanAll()
 	if ps.sBound {
-		candidates = env.view.WithSubject(ps.sID)
+		ps.candidates, ps.positions = env.view.ScanSubject(ps.sID)
 	}
 	if ps.oBound {
-		if byO := env.view.WithObject(ps.oID); len(byO) < len(candidates) {
-			candidates = byO
+		if byO, pos := env.view.ScanObject(ps.oID); len(byO) < len(ps.candidates) {
+			ps.candidates, ps.positions = byO, pos
 		}
 	}
 	if ps.pBound {
-		if byP := env.view.WithPredicate(ps.pID); len(byP) < len(candidates) {
-			candidates = byP
+		if byP, pos := env.view.ScanPredicate(ps.pID); len(byP) < len(ps.candidates) {
+			ps.candidates, ps.positions = byP, pos
 		}
 	}
-	ps.candidates = candidates
 	return ps
 }
 
