@@ -41,7 +41,13 @@
 //     (projection, DISTINCT, ORDER BY, LIMIT, ASK) run in id space so
 //     only surviving rows are decoded back to terms. Graph lookups
 //     (WithSubject/WithPredicate/WithObject) return zero-copy index
-//     views. Joins (Group folds, OPTIONAL) run as id-space hash joins:
+//     views. A pattern scan writes each output row once: the candidate
+//     filter (patternScan.matches) compares every position the input
+//     row binds and every variable the pattern repeats, so the row is
+//     a copy of its input with the unbound positions stored straight
+//     from the candidate, in an output sized from the candidate count;
+//     cancellation is polled per run of candidates, the runs still
+//     adding up to one poll per 1024 candidates visited. Joins (Group folds, OPTIONAL) run as id-space hash joins:
 //     the join key is the slots bound in every row of both sides, the
 //     smaller side is hashed on it, candidates are verified with the
 //     full compatibility check, and a counting pass pre-sizes the
@@ -169,6 +175,26 @@
 // because written rows cannot be unwritten. /healthz and /stats
 // (plan-cache counters, in-flight gauge, latency histogram,
 // morsel-execution counters) expose the service's state.
+//
+// Rendered terms. Solutions stay in id space until the writer and the
+// dictionary does not change while the server runs, so the bytes a
+// term renders to are a function of (dictionary, id, format) and the
+// server keeps them: one table per result format (SPARQL-JSON objects;
+// N-Triples terms for TSV), beside its one dictionary, allocated by the
+// first response in that format (internal/server/terms.go). A cell
+// whose id has an entry is one atomic load and one copy of the finished
+// bytes into the window; any other cell is rendered in place as before
+// and, if it has an id, published — once, under a fill mutex, the index
+// word stored only after the bytes it points at, into chunks that never
+// move, so readers never lock and never see a change. Decoded solutions
+// (aggregates, -engine results) and graph results carry no ids and are
+// rendered per cell. The footprint is bounded by three constants, not
+// configured: a term is stored at most once, a rendering over 4 KiB is
+// not stored, and filling stops for good at 32 B per dataset triple.
+// Full, oversized or late means render-per-cell, never an error and
+// never different bytes. /stats (rendered_terms, rendered_bytes) and
+// /metrics (rdf_rendered_terms, rdf_rendered_bytes, by format) read
+// the tables' own counters.
 //
 // # Fault model
 //

@@ -89,10 +89,13 @@ func (t Term) String() string {
 	}
 }
 
-func escapeLiteral(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
-	return r.Replace(s)
-}
+// literalEscaper rewrites the bytes N-Triples escapes inside a literal.
+// A Replacer builds its table once, is safe for concurrent use, and
+// returns a string with nothing to escape as it is, so one serves every
+// Term.String.
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+
+func escapeLiteral(s string) string { return literalEscaper.Replace(s) }
 
 // Well-known vocabulary IRIs.
 const (

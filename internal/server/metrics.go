@@ -79,6 +79,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeShapeMetrics(mw)
 
+	byFormat := func(json, tsv int64) []obs.Sample {
+		return []obs.Sample{
+			{Labels: []obs.Label{{Name: "format", Value: "json"}}, Value: float64(json)},
+			{Labels: []obs.Label{{Name: "format", Value: "tsv"}}, Value: float64(tsv)},
+		}
+	}
+	mw.GaugeVec("rdf_rendered_terms", "Dictionary terms whose rendered bytes the format's table holds.",
+		byFormat(s.jsonTerms.stored.Load(), s.tsvTerms.stored.Load()))
+	mw.GaugeVec("rdf_rendered_bytes", "Bytes of rendered terms the format's table holds.",
+		byFormat(s.jsonTerms.bytes.Load(), s.tsvTerms.bytes.Load()))
+
 	mw.Gauge("rdf_uptime_seconds", "Seconds since the server started.", time.Since(s.started).Seconds())
 	mw.GaugeL("rdf_build_info", "Build information; constant 1.",
 		[]obs.Label{{Name: "go_version", Value: runtime.Version()}}, 1)

@@ -229,6 +229,11 @@ type Server struct {
 	ring     *obs.TraceRing
 	reqCount atomic.Uint64
 
+	// jsonTerms and tsvTerms hold the bytes each dictionary term renders
+	// to in that response format (terms.go), sized to the backend's one
+	// dictionary and filled as responses first render a term.
+	jsonTerms, tsvTerms *termTable
+
 	started time.Time
 }
 
@@ -298,6 +303,7 @@ func New(g *rdf.Graph, cfg Config) *Server {
 	s := newServer(cfg)
 	s.graph = g
 	s.resolveCostThreshold()
+	s.newTermTables(g.Encoded().Dict().Len(), g.Len())
 	return s
 }
 
@@ -319,6 +325,7 @@ func NewSharded(sg *shard.ShardedGraph, cfg Config) *Server {
 		}
 	}
 	s.resolveCostThreshold()
+	s.newTermTables(sg.Dict().Len(), sg.Len())
 	return s
 }
 
@@ -692,10 +699,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		werr = writeGraphResults(ctx, w, sol)
 	case responseFormat(r) == "tsv":
 		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-		werr = writeTSVResults(ctx, w, sol)
+		werr = writeTSVResults(ctx, w, sol, s.tsvTerms)
 	default:
 		w.Header().Set("Content-Type", "application/sparql-results+json")
-		werr = writeJSONResults(ctx, w, sol)
+		werr = writeJSONResults(ctx, w, sol, s.jsonTerms)
 	}
 	serDur := time.Since(serStart)
 	if tr != nil {
@@ -968,6 +975,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body["faults"] = faults
+	// The rendered-term tables' own counters, per result format.
+	body["rendered_terms"] = map[string]any{"json": s.jsonTerms.stored.Load(), "tsv": s.tsvTerms.stored.Load()}
+	body["rendered_bytes"] = map[string]any{"json": s.jsonTerms.bytes.Load(), "tsv": s.tsvTerms.bytes.Load()}
 	body["workload"] = map[string]any{
 		"shapes_tracked":    s.shapes.Len(),
 		"shape_capacity":    s.shapes.Capacity(),

@@ -9,15 +9,17 @@ import (
 	"repro/internal/sparql"
 )
 
-// The streaming writers serialize a Solutions row by row: each
-// surviving id-space row is decoded term by term (Solutions.Term) and
-// appended straight into a pooled response window, and each full window
-// reaches the ResponseWriter in one Write — a million-row result never
-// exists as []Binding, every byte is copied once on its way to net/http,
-// and no request allocates a buffer. A disconnected client costs at most
-// one window in flight and streamFlushEvery rows of rendering before the
-// context poll ends the stream; a mid-stream failure (cancellation, a
-// failed Write) truncates the response, since written rows stay written.
+// The streaming writers serialize a Solutions row by row: each cell of a
+// surviving row is appended straight into a pooled response window —
+// its finished bytes copied from the format's rendered-term table
+// (terms.go) when its id is there, rendered in place otherwise — and
+// each full window reaches the ResponseWriter in one Write: a
+// million-row result never exists as []Binding, every byte is copied
+// once on its way to net/http, and no request allocates a buffer. A
+// disconnected client costs at most one window in flight and
+// streamFlushEvery rows of rendering before the context poll ends the
+// stream; a mid-stream failure (cancellation, a failed Write) truncates
+// the response, since written rows stay written.
 
 // windowSize is the response window: rows accumulate until it is
 // reached, then go out whole. net/http passes a write of 4 KiB or more
@@ -149,42 +151,42 @@ func appendJSONTerm(buf []byte, t rdf.Term) []byte {
 }
 
 // writeJSONResults streams sol as a SPARQL 1.1 Query Results JSON
-// document (application/sparql-results+json).
-func writeJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
+// document (application/sparql-results+json), copying cells from terms.
+func writeJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions, terms *termTable) error {
 	if sol.IsAsk() {
 		return writeAsk(w, sol.Ask(), `{"head":{},"boolean":true}`+"\n", `{"head":{},"boolean":false}`+"\n")
 	}
-	// keys[i] is column i's member key `"name":`, rendered once per
+	// keys[i] is column i's member key `,"name":`, rendered once per
 	// response. Each is appended to the empty tail of the one before, so
 	// they share one array while they fit and none moves once rendered.
 	vars := sol.Vars()
 	last, keys := make([]byte, 0, 64), make([][]byte, len(vars))
 	head := append(make([]byte, 0, 128), `{"head":{"vars":[`...)
 	for i, v := range vars {
-		last = append(appendJSONString(last[len(last):], string(v)), ':')
+		last = append(appendJSONString(append(last[len(last):], ','), string(v)), ':')
 		keys[i] = last
-		if i > 0 {
-			head = append(head, ',')
+		name := last[:len(last)-1] // `,"name"`: the vars list has no comma before its first
+		if i == 0 {
+			name = name[1:]
 		}
-		head = append(head, last[:len(last)-1]...)
+		head = append(head, name...)
 	}
 	head = append(head, `]},"results":{"bindings":[`...)
+	terms.ready()
 	return streamRows(ctx, w, head, sol.Len(), func(buf []byte, row int) []byte {
 		if row > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, '{')
 		open := len(buf)
 		for col, key := range keys {
-			t, bound := sol.Term(row, col)
-			if !bound {
-				continue
-			}
-			if len(buf) > open {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, key...)
-			buf = appendJSONTerm(buf, t)
+			buf = terms.appendCell(buf, key, sol, row, col)
+		}
+		// Every member came with a leading comma: the row's brace takes
+		// the place of the first, or stands alone in a row with no member.
+		if len(buf) == open {
+			buf = append(buf, '{')
+		} else {
+			buf[open] = '{'
 		}
 		return append(buf, '}')
 	}, "]}}\n")
@@ -192,9 +194,7 @@ func writeJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) e
 
 // appendNTriplesTerm appends t in N-Triples syntax (the SPARQL TSV
 // term encoding). It mirrors rdf.Term.String exactly but builds no
-// intermediate strings — Term.String constructs a strings.Replacer per
-// call, which at ~10 allocations per streamed row would dominate the
-// serving hot path.
+// intermediate strings.
 func appendNTriplesTerm(buf []byte, t rdf.Term) []byte {
 	switch {
 	case t.IsIRI():
@@ -242,8 +242,9 @@ func appendNTriplesTerm(buf []byte, t rdf.Term) []byte {
 // writeTSVResults streams sol as SPARQL 1.1 Query Results TSV
 // (text/tab-separated-values): a ?var header line, then one line per
 // solution with terms in N-Triples syntax and unbound positions empty.
-// ASK answers render as a single true/false line.
-func writeTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
+// ASK answers render as a single true/false line. Cells are copied from
+// terms.
+func writeTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions, terms *termTable) error {
 	if sol.IsAsk() {
 		return writeAsk(w, sol.Ask(), "true\n", "false\n")
 	}
@@ -256,14 +257,13 @@ func writeTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) er
 		head = append(append(head, '?'), v...)
 	}
 	head = append(head, '\n')
+	terms.ready()
 	return streamRows(ctx, w, head, sol.Len(), func(buf []byte, row int) []byte {
 		for col := range vars {
 			if col > 0 {
 				buf = append(buf, '\t')
 			}
-			if t, bound := sol.Term(row, col); bound {
-				buf = appendNTriplesTerm(buf, t)
-			}
+			buf = terms.appendCell(buf, nil, sol, row, col)
 		}
 		return append(buf, '\n')
 	}, "")

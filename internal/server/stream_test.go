@@ -381,16 +381,26 @@ func refWriteGraphResults(ctx context.Context, w io.Writer, sol *sparql.Solution
 
 type resultWriter func(context.Context, io.Writer, *sparql.Solutions) error
 
+// through binds a bindings writer to the rendered-term table it copies
+// cells from.
+func through(write func(context.Context, io.Writer, *sparql.Solutions, *termTable) error, terms *termTable) resultWriter {
+	return func(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
+		return write(ctx, w, sol, terms)
+	}
+}
+
 // streamFormats pairs each writer with the one it replaced. The graph
 // writer only serves graph results and the other two only bindings/ASK,
-// as in the handler.
+// as in the handler. The solutions streamed through these come from many
+// dictionaries, so the tables are the zero ones, which store nothing:
+// every cell is a first render (terms_test.go streams through real ones).
 var streamFormats = []struct {
 	name      string
 	got, want resultWriter
 	graph     bool
 }{
-	{"json", writeJSONResults, refWriteJSONResults, false},
-	{"tsv", writeTSVResults, refWriteTSVResults, false},
+	{"json", through(writeJSONResults, &termTable{}), refWriteJSONResults, false},
+	{"tsv", through(writeTSVResults, &termTable{ntriples: true}), refWriteTSVResults, false},
 	{"ntriples", writeGraphResults, refWriteGraphResults, true},
 }
 
@@ -555,6 +565,11 @@ func randomResults(r *rand.Rand) *sparql.Results {
 // and 1, both ASK answers, and a CONSTRUCT.
 func idSpaceSolutions(t *testing.T, r *rand.Rand) []*sparql.Solutions {
 	t.Helper()
+	return solutionsOver(t, idSpaceGraph(r))
+}
+
+// idSpaceGraph draws the random graph idSpaceSolutions queries.
+func idSpaceGraph(r *rand.Rand) *rdf.Graph {
 	var ts []rdf.Triple
 	for i, n := 0, 1+r.Intn(60); i < n; i++ {
 		s := rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i))
@@ -566,7 +581,12 @@ func idSpaceSolutions(t *testing.T, r *rand.Rand) []*sparql.Solutions {
 			ts = append(ts, rdf.Triple{S: s, P: rdf.NewIRI("http://ex/q"), O: randomTerm(r)})
 		}
 	}
-	g := rdf.NewGraph(ts)
+	return rdf.NewGraph(ts)
+}
+
+// solutionsOver evaluates idSpaceSolutions' queries over g.
+func solutionsOver(t *testing.T, g *rdf.Graph) []*sparql.Solutions {
+	t.Helper()
 	var sols []*sparql.Solutions
 	for _, q := range []string{
 		`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,

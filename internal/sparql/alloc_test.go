@@ -34,15 +34,14 @@ func TestMatchPatternAllocs(t *testing.T) {
 	}
 	cp := env.compilePattern(bgp.Patterns[0])
 	row := env.emptyRow()
-	scratch := env.emptyRow()
 	out := make([]slotRow, 0, 128)
 
-	matches := env.matchPattern(&cp, row, scratch, out[:0])
+	matches := env.matchPattern(&cp, row, out[:0])
 	if len(matches) != 64 {
 		t.Fatalf("matchPattern returned %d rows, want 64", len(matches))
 	}
 	n := testing.AllocsPerRun(100, func() {
-		out = env.matchPattern(&cp, row, scratch, out[:0])
+		out = env.matchPattern(&cp, row, out[:0])
 	})
 	if n >= 1 {
 		t.Fatalf("single-pattern matchPattern allocates %.2f times per evaluation, want amortized < 1", n)

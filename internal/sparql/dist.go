@@ -1003,7 +1003,6 @@ func (d *distEnv) scatterPattern(cp *cPattern, max int) []slotRow {
 // be the column itself.
 func scanShard(w *evalEnv, cp *cPattern, max int) ([]slotRow, []int32) {
 	empty := w.emptyRow()
-	scratch := w.emptyRow()
 	ps := w.preparePatternScan(cp, empty)
 	if ps.miss {
 		return nil, nil
@@ -1017,10 +1016,8 @@ func scanShard(w *evalEnv, cp *cPattern, max int) ([]slotRow, []int32) {
 		}
 		k := 0
 		if ps.matches(t) {
-			if row, ok := bindTriple(w, cp, t, empty, scratch); ok {
-				rows = append(rows, row)
-				k = 1
-			}
+			rows = append(rows, ps.extend(w, empty, t))
+			k = 1
 		}
 		tags = appendTags(tags, ps.positions, i, k, n)
 		if max > 0 && len(rows) >= max {
@@ -1030,8 +1027,10 @@ func scanShard(w *evalEnv, cp *cPattern, max int) ([]slotRow, []int32) {
 	return rows, finishTags(tags, ps.positions, len(rows))
 }
 
-// outputCap sizes a shard op's output from its candidate count: one
-// row per candidate, or max when LIMIT pushdown stops the op sooner.
+// outputCap sizes a scan's output from its candidate count: one row per
+// candidate — exact whenever the chosen index applied the scan's only
+// bound position, an upper bound otherwise — or max when LIMIT pushdown
+// stops the scan sooner.
 func outputCap(candidates, max int) int {
 	if max > 0 && max < candidates {
 		return max
@@ -1063,27 +1062,6 @@ func finishTags(tags, positions []int32, rows int) []int32 {
 		return positions[:rows]
 	}
 	return tags
-}
-
-// bindTriple extends base by binding cp's variable positions to t's
-// ids, enforcing consistency for variables repeated within the pattern.
-// scratch is clobbered.
-func bindTriple(w *evalEnv, cp *cPattern, t rdf.EncodedTriple, base, scratch slotRow) (slotRow, bool) {
-	copy(scratch, base)
-	for _, bind := range [3]struct {
-		e  cElem
-		id rdf.TermID
-	}{{cp.s, t.S}, {cp.p, t.P}, {cp.o, t.O}} {
-		if !bind.e.isVar {
-			continue
-		}
-		if cur := scratch[bind.e.slot]; cur == unboundID {
-			scratch[bind.e.slot] = bind.id
-		} else if cur != bind.id {
-			return nil, false
-		}
-	}
-	return w.newRow(scratch), true
 }
 
 // pushdownBGP evaluates the whole (subject-star) BGP on each covering
@@ -1142,7 +1120,6 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 // (the last seed may overshoot; callers truncate).
 func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []int32) {
 	empty := w.emptyRow()
-	scratch := w.emptyRow()
 	ps := w.preparePatternScan(&cps[0], empty)
 	if ps.miss {
 		return nil, nil
@@ -1157,14 +1134,12 @@ func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []int32) {
 		}
 		cur = cur[:0]
 		if ps.matches(t) {
-			if seed, ok := bindTriple(w, &cps[0], t, empty, scratch); ok {
-				cur = append(cur, seed)
-			}
+			cur = append(cur, ps.extend(w, empty, t))
 		}
 		for j := 1; j < len(cps) && len(cur) > 0; j++ {
 			next = next[:0]
 			for _, r := range cur {
-				next = w.matchPattern(&cps[j], r, scratch, next)
+				next = w.matchPattern(&cps[j], r, next)
 				if w.err != nil {
 					return nil, nil
 				}
@@ -1293,8 +1268,8 @@ func (d *distEnv) describeSharded(q *Query, rows []Binding) *Results {
 }
 
 // collectPatternSlots fills cp.slots with the distinct variable slots
-// of the compiled pattern (shared by the single-graph and sharded
-// compilers).
+// of the compiled pattern and masks the position pairs that share one
+// (shared by the single-graph and sharded compilers).
 func collectPatternSlots(cp *cPattern) {
 	for _, e := range [3]cElem{cp.s, cp.p, cp.o} {
 		if !e.isVar {
@@ -1311,4 +1286,11 @@ func collectPatternSlots(cp *cPattern) {
 			cp.slots = append(cp.slots, e.slot)
 		}
 	}
+	same := func(a, b cElem) rdf.TermID {
+		if a.isVar && b.isVar && a.slot == b.slot {
+			return ^rdf.TermID(0)
+		}
+		return 0
+	}
+	cp.eqSP, cp.eqSO, cp.eqPO = same(cp.s, cp.p), same(cp.s, cp.o), same(cp.p, cp.o)
 }

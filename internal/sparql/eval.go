@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -417,16 +418,33 @@ const cancelCheckEvery = 1024
 // or worker — to observe ctx.Done() raises the shared parRun.stop
 // flag, and every other environment picks it up at its own next poll,
 // so one poll every 1024 rows per worker still stops the whole Run.
-func (env *evalEnv) interrupted() bool {
+func (env *evalEnv) interrupted() bool { return env.block(1) == 0 }
+
+// block is interrupted for a loop that visits its items in runs: of the
+// next n items it returns how many (at least 1) may be visited before a
+// poll falls due, having counted them on the tick, or 0 once the
+// evaluation is interrupted. A poll still falls every cancelCheckEvery
+// items, however short the runs that add up to them, and is taken
+// before the run that reaches it.
+func (env *evalEnv) block(n int) int {
 	if env.err != nil {
-		return true
+		return 0
 	}
 	if env.ctx == nil && env.taskStop == nil {
-		return false
+		return n
 	}
-	if env.tick++; env.tick&(cancelCheckEvery-1) != 0 {
-		return false
+	if left := cancelCheckEvery - int(env.tick&(cancelCheckEvery-1)); n > left {
+		n = left
 	}
+	if env.tick += uint(n); env.tick&(cancelCheckEvery-1) == 0 && env.poll() {
+		return 0
+	}
+	return n
+}
+
+// poll is the slow half of block: the actual look at the race claim,
+// the cross-worker latch and the context.
+func (env *evalEnv) poll() bool {
 	if env.taskStop != nil && env.taskStop.Load() {
 		// This copy of the task lost its race (hedge or speculation):
 		// stop computing, but latch no error — the winner's result is
@@ -1277,6 +1295,12 @@ type cPattern struct {
 	est     int
 	src     int   // position of the pattern as written (trace/EXPLAIN)
 	slots   []int // distinct variable slots, for join-ordering
+
+	// eqSP, eqSO and eqPO are all ones where one variable fills both
+	// positions (?x ?p ?x sets eqSO) and zero otherwise — in nearly every
+	// pattern, all three. A candidate gives each repeated variable one
+	// value iff its ids differ in no masked bit.
+	eqSP, eqSO, eqPO rdf.TermID
 }
 
 func (env *evalEnv) compileElem(e TPElem) cElem {
@@ -1387,7 +1411,6 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 		bsp.SetStr("join_order", planOrder(cps))
 	}
 	rows := []slotRow{env.emptyRow()}
-	scratch := env.emptyRow()
 	for i := range cps {
 		cp := &cps[i]
 		max := 0
@@ -1408,16 +1431,28 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 			psp.SetInt("est", int64(cp.est))
 		}
 		if i == 0 {
-			rows = env.seedScan(cp, rows[0], scratch, max)
+			rows = env.seedScan(cp, rows[0], max)
 		} else {
 			next := make([]slotRow, 0, len(rows))
-			for _, row := range rows {
-				next = env.matchPattern(cp, row, scratch, next)
+			for done, row := range rows {
+				next = env.matchPattern(cp, row, next)
 				if env.err != nil {
 					return nil
 				}
 				if max > 0 && len(next) >= max {
 					break
+				}
+				// A pattern that fans out outgrows one slot per input row.
+				// Once the output is half full, make room for what the rows
+				// still to come will add at the fan-out seen so far — at
+				// most fourfold a step, so a cartesian product still grows
+				// with its rows and not ahead of them — instead of leaving
+				// it to append's many small steps.
+				if len(next) > cap(next)/2 {
+					want := min(int64(len(next))*int64(len(rows))/int64(done+1), 4*int64(cap(next)))
+					if want > int64(cap(next)) {
+						next = slices.Grow(next, int(want)-len(next))
+					}
 				}
 			}
 			rows = next
@@ -1441,7 +1476,7 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 // and the scan is large enough to amortize dispatch. max > 0 bounds
 // how many rows are needed (LIMIT pushdown); a small bound keeps the
 // scan serial so it can stop exactly at max rows.
-func (env *evalEnv) seedScan(cp *cPattern, row, scratch slotRow, max int) []slotRow {
+func (env *evalEnv) seedScan(cp *cPattern, row slotRow, max int) []slotRow {
 	ps := env.preparePatternScan(cp, row)
 	if ps.miss {
 		return nil
@@ -1450,7 +1485,7 @@ func (env *evalEnv) seedScan(cp *cPattern, row, scratch slotRow, max int) []slot
 	if env.canParallel(len(ps.candidates)) && !(max > 0 && max <= morselSize) {
 		return env.seedScanPar(&ps, row, max)
 	}
-	return env.scanPattern(&ps, row, scratch, ps.candidates, max, make([]slotRow, 0, 1))
+	return env.scanPattern(&ps, row, ps.candidates, max, make([]slotRow, 0, outputCap(len(ps.candidates), max)))
 }
 
 // planFor returns the compiled, selectivity-ordered patterns of the
@@ -1507,8 +1542,9 @@ type patternScan struct {
 }
 
 // matches reports whether a candidate triple satisfies the scan's
-// resolved positions — the filter every candidate loop (serial scan,
-// morsel scan, per-shard scan) applies before binding variables.
+// resolved positions and gives a repeated variable one value — the
+// filter every candidate loop (serial scan, morsel scan, per-shard scan)
+// applies before extending the row.
 func (ps *patternScan) matches(t rdf.EncodedTriple) bool {
 	if ps.sBound && t.S != ps.sID {
 		return false
@@ -1519,7 +1555,27 @@ func (ps *patternScan) matches(t rdf.EncodedTriple) bool {
 	if ps.oBound && t.O != ps.oID {
 		return false
 	}
-	return true
+	cp := ps.cp
+	return (t.S^t.P)&cp.eqSP|(t.S^t.O)&cp.eqSO|(t.P^t.O)&cp.eqPO == 0
+}
+
+// extend returns a fresh copy of row, the row the scan was prepared
+// under, with the positions that row leaves unbound taking t's ids. t
+// must satisfy matches: that already compared every bound position and
+// every repeated variable, so there is nothing left to check and the row
+// is written once.
+func (ps *patternScan) extend(env *evalEnv, row slotRow, t rdf.EncodedTriple) slotRow {
+	r := env.newRow(row)
+	if !ps.sBound {
+		r[ps.cp.s.slot] = t.S
+	}
+	if !ps.pBound {
+		r[ps.cp.p.slot] = t.P
+	}
+	if !ps.oBound {
+		r[ps.cp.o.slot] = t.O
+	}
+	return r
 }
 
 // preparePatternScan resolves cp's positions under row and picks the
@@ -1553,54 +1609,38 @@ func (env *evalEnv) preparePatternScan(cp *cPattern, row slotRow) patternScan {
 }
 
 // matchPattern appends to out every extension of row by a triple
-// matching cp. scratch must be a row-sized buffer; it is clobbered.
-func (env *evalEnv) matchPattern(cp *cPattern, row slotRow, scratch slotRow, out []slotRow) []slotRow {
+// matching cp.
+func (env *evalEnv) matchPattern(cp *cPattern, row slotRow, out []slotRow) []slotRow {
 	ps := env.preparePatternScan(cp, row)
 	if ps.miss {
 		return out
 	}
-	return env.scanPattern(&ps, row, scratch, ps.candidates, 0, out)
+	return env.scanPattern(&ps, row, ps.candidates, 0, out)
 }
 
 // scanPattern appends to out every extension of row by a candidate
 // triple matching the prepared scan. cands is the (sub)range of
 // ps.candidates to visit — parallel seed scans pass one morsel each —
 // and max > 0 stops the scan once out holds max rows (LIMIT pushdown).
-// scratch is clobbered. ps is read-only, so concurrent morsels of the
-// same scan may share it.
-func (env *evalEnv) scanPattern(ps *patternScan, row, scratch slotRow, cands []rdf.EncodedTriple, max int, out []slotRow) []slotRow {
-	cp := ps.cp
-	for _, t := range cands {
-		if env.interrupted() {
+// Cancellation is polled per run of candidates (block), not per
+// candidate. ps is read-only, so concurrent morsels of the same scan
+// may share it.
+func (env *evalEnv) scanPattern(ps *patternScan, row slotRow, cands []rdf.EncodedTriple, max int, out []slotRow) []slotRow {
+	for len(cands) > 0 {
+		n := env.block(len(cands))
+		if n == 0 {
 			return out
 		}
-		if !ps.matches(t) {
-			continue
-		}
-		// Bind the variable positions, checking consistency for
-		// variables repeated within the pattern (e.g. ?x ?p ?x).
-		copy(scratch, row)
-		ok := true
-		for _, bind := range [3]struct {
-			e  cElem
-			id rdf.TermID
-		}{{cp.s, t.S}, {cp.p, t.P}, {cp.o, t.O}} {
-			if !bind.e.isVar {
+		for _, t := range cands[:n] {
+			if !ps.matches(t) {
 				continue
 			}
-			if cur := scratch[bind.e.slot]; cur == unboundID {
-				scratch[bind.e.slot] = bind.id
-			} else if cur != bind.id {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, env.newRow(scratch))
+			out = append(out, ps.extend(env, row, t))
 			if max > 0 && len(out) >= max {
 				return out
 			}
 		}
+		cands = cands[n:]
 	}
 	return out
 }

@@ -686,8 +686,7 @@ func (env *evalEnv) seedScanPar(ps *patternScan, row slotRow, max int) []slotRow
 	var produced atomic.Int64
 	dispatched := env.runMorselsOut(total, max, &produced, outs, func(m int, w *evalEnv) []slotRow {
 		start, end := rdf.MorselBounds(m, n, morselSize)
-		scratch := w.emptyRow()
-		return w.scanPattern(ps, row, scratch, ps.candidates[start:end], max, nil)
+		return w.scanPattern(ps, row, ps.candidates[start:end], max, make([]slotRow, 0, outputCap(end-start, max)))
 	})
 	if env.err != nil {
 		return nil

@@ -324,18 +324,30 @@ func (s *Solutions) Graph() []rdf.Triple { return s.triples }
 // allocates nothing and may be called from concurrent readers.
 func (s *Solutions) Term(row, col int) (rdf.Term, bool) {
 	if s.env != nil {
-		slot := s.cols[col]
-		if slot < 0 {
-			return rdf.Term{}, false
-		}
-		id := s.rows[row][slot]
-		if id == unboundID {
+		id, ok := s.TermID(row, col)
+		if !ok {
 			return rdf.Term{}, false
 		}
 		return s.env.terms[id], true
 	}
 	t, ok := s.decoded[row][s.vars[col]]
 	return t, ok
+}
+
+// TermID returns the dictionary id bound to column col of row while the
+// solutions are still in id space (a plain SELECT over the graph or
+// shard set that was evaluated); ok is false for an unbound position
+// and for decoded solutions, whose terms only Term returns.
+func (s *Solutions) TermID(row, col int) (rdf.TermID, bool) {
+	if s.env == nil {
+		return 0, false
+	}
+	slot := s.cols[col]
+	if slot < 0 {
+		return 0, false
+	}
+	id := s.rows[row][slot]
+	return id, id != unboundID
 }
 
 // Results materializes the solutions as a Results value (decoding every
