@@ -47,15 +47,20 @@
 //     a copy of its input with the unbound positions stored straight
 //     from the candidate, in an output sized from the candidate count;
 //     cancellation is polled per run of candidates, the runs still
-//     adding up to one poll per 1024 candidates visited. Joins (Group folds, OPTIONAL) run as id-space hash joins:
-//     the join key is the slots bound in every row of both sides, the
-//     smaller side is hashed on it, candidates are verified with the
-//     full compatibility check, and a counting pass pre-sizes the
-//     output and the arena so a join allocates O(1) beyond its result
-//     rows. Sides sharing no slots (cartesian) or only partially bound
-//     on the key fall back to the nested loop, which stays the
-//     semantic baseline. Allocation-regression tests pin all of these
-//     invariants.
+//     adding up to one poll per 1024 candidates visited. Joins (Group
+//     folds, OPTIONAL, the sharded gather fold) run as one id-space
+//     hash join (sparql/eval.go hashJoin): the join key is the slots
+//     bound in every row of both sides, the smaller side is hashed on
+//     it, and the other side probes it through one probe body — a pure
+//     function of the immutable table over a range of probe rows that
+//     verifies candidates with the full compatibility check, counts
+//     its matches to size a private buffer and the arena exactly (O(1)
+//     allocations beyond the result rows) and emits in left-major
+//     order. OPTIONAL is the same body keeping the left rows nothing
+//     matched; a serial join is the one-range case run in place. Sides
+//     sharing no slots (cartesian) or only partially bound on the key
+//     fall back to the nested loop, which stays the semantic baseline.
+//     Allocation-regression tests pin all of these invariants.
 //
 // # Query service
 //
@@ -73,8 +78,9 @@
 //     without costing the pinned allocations per operation. A context
 //     that can never be cancelled costs the hot loops one nil check.
 //   - Prepared memoizes, per BGP, the compiled patterns (constants
-//     resolved to dictionary ids, selectivity-ordered) for one graph
-//     snapshot, identified by (EncodedView pointer, triple count):
+//     resolved to dictionary ids, selectivity-ordered) for one
+//     snapshot, identified by (EncodedView pointer, triple count) or
+//     by the shard set:
 //     re-running on an unchanged graph skips constant encoding,
 //     estimation, and join ordering; an Add invalidates by changing
 //     the count. Published plans are immutable and shared lock-free by
@@ -89,9 +95,11 @@
 // fixed-size morsels — contiguous 1024-item subranges of the serial
 // iteration order (rdf.MorselBounds) — dispatched to a per-Run worker
 // pool. Each worker owns a private row arena and cancellation latch
-// and shares only immutable run state; results merge in morsel order
-// (build-left probes scatter through per-(morsel, build-row) cursors
-// computed by a counting pass), so output is byte-identical to the
+// and shares only immutable run state; a morsel computes into memory
+// of its own and the one runner (sparql/parallel.go runMorsels)
+// commits it, and results gather in morsel order (a probe against a
+// table over the left side interleaves the morsels' per-left-row
+// segments), so output is byte-identical to the
 // serial evaluator at every width — TestParallelRunDeterminism pins
 // rows and order across widths 1/4/16 under the race detector. The
 // first environment to observe ctx.Done() raises a shared stop flag
@@ -250,9 +258,9 @@
 // invisible in the output. A run armed with sparql.WithSpeculation
 // re-dispatches morsel tasks still running past k× the run's median
 // completed-task time, and a single atomic claim per morsel decides
-// which copy commits its private buffer — seed scans and build-right
-// probe passes are eligible, while build-left cursor-matrix passes
-// write shared state in place and always run exactly once. Retried
+// which copy commits its private buffer — every morsel computes into
+// private memory, so every morsel (seed scans, hash-join probes of
+// either build side) is eligible. Retried
 // and hedged passes each get a bounded slice of the remaining context
 // deadline, so one straggling replica cannot consume the whole budget
 // that later attempts would have used. The chaos suite extends the
@@ -270,8 +278,8 @@
 // reproduces that governance at query granularity. A run armed with
 // sparql.WithMemoryBudget charges one shared atomic byte counter at
 // every evaluator-owned allocation site — row-arena chunk growth,
-// hash-join tables and their output batches, the parallel probes'
-// cursor matrices, the sharded gather's merge buffers — and aborts
+// hash-join tables, probe cursors and output batches, the sharded
+// gather's merge buffers — and aborts
 // with a typed sparql.BudgetError the moment the charges exceed the
 // budget. The abort rides the same latched-error machinery as
 // cancellation, so a budgeted query either returns output

@@ -16,7 +16,13 @@ import (
 	"repro/internal/obs"
 )
 
-const benchJoinRows = 8192
+const (
+	benchJoinRows = 8192
+	// benchBuildLeftRows is the left side of the hash-build-left
+	// sub-benchmarks: small enough against benchJoinRows that the table
+	// is built over it.
+	benchBuildLeftRows = 1024
+)
 
 // benchParWidths returns the morsel-pool widths the parallel
 // benchmarks compare: serial, 4 (the acceptance bar), and GOMAXPROCS
@@ -33,8 +39,9 @@ func benchParWidths() []int {
 // (one match per row) with the hash join (serial, then morsel-parallel
 // probe at each pool width) and with the nested-loop baseline it
 // replaced. "hash" is the pinned serial path — its 6 allocs/op must
-// not move; "hash-p4" vs "hash" is the parallel-speedup acceptance
-// comparison on multi-core hardware.
+// not move, and CI pins "hash-build-left" and "hash-p4" beside it;
+// "hash-p4" vs "hash" is the parallel-speedup acceptance comparison on
+// multi-core hardware.
 func BenchmarkEvalJoin(b *testing.B) {
 	g := joinTestGraph(benchJoinRows)
 	env, names, ages := joinSides(b, g)
@@ -42,6 +49,16 @@ func BenchmarkEvalJoin(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if out := env.joinRows(names, ages); len(out) != benchJoinRows {
+				b.Fatalf("join produced %d rows", len(out))
+			}
+		}
+	})
+	// The table over a selective left side, probed by a whole pattern's
+	// rows: the shape a sharded scatter route's join fold runs.
+	b.Run("hash-build-left", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if out := env.joinRows(names[:benchBuildLeftRows], ages); len(out) != benchBuildLeftRows {
 				b.Fatalf("join produced %d rows", len(out))
 			}
 		}
@@ -82,6 +99,14 @@ func BenchmarkEvalOptional(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if out := env.optionalRows(names, ages); len(out) != benchJoinRows {
+				b.Fatalf("optional produced %d rows", len(out))
+			}
+		}
+	})
+	b.Run("hash-build-left", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if out := env.optionalRows(names[:benchBuildLeftRows], ages); len(out) != benchBuildLeftRows {
 				b.Fatalf("optional produced %d rows", len(out))
 			}
 		}

@@ -14,9 +14,9 @@ import (
 // cannot take a whole worker down. The native engine reproduces that
 // governance in-process: a run armed with WithMemoryBudget charges a
 // shared byte counter at every allocation site the evaluator owns —
-// arena chunk growth (newRow/reserveRows), hash-join tables and their
-// output batches, the parallel probes' cursor matrices, and the
-// sharded gather's merge buffer — and aborts with a typed BudgetError
+// arena chunk growth (newRow/reserveRows), hash-join tables, probe
+// cursors and output batches, and the sharded gather's merge buffer —
+// and aborts with a typed BudgetError
 // the moment the charges exceed the budget.
 //
 // The contract mirrors cancellation exactly: a budget abort rides the
@@ -169,39 +169,37 @@ func satMul(a, b int64) int64 {
 // produce, while a connected query scores as the sum of its scans.
 // Groups fold the same way: parts sharing no variables multiply.
 // The estimate is cached per graph snapshot alongside the plan memo.
-func (p *Prepared) EstimateCost(g *rdf.Graph) int64 {
-	view := g.Encoded()
-	p.mu.Lock()
-	if p.costView == view && p.costLen == view.Len() {
-		c := p.costVal
-		p.mu.Unlock()
-		return c
-	}
-	p.mu.Unlock()
-	env := &evalEnv{view: view, slots: p.slots, vars: p.vars, stats: g.Stats()}
-	c := costOfPattern(p.q.Where, len(p.vars), env.compilePattern)
-	p.mu.Lock()
-	p.costView, p.costLen, p.costVal = view, view.Len(), c
-	p.mu.Unlock()
-	return c
-}
+func (p *Prepared) EstimateCost(g *rdf.Graph) int64 { return p.estimateCost(g, nil) }
 
 // EstimateCostSharded is EstimateCost against a shard set: constants
 // resolve through the shared dictionary and cardinalities sum across
 // shards, so the estimate equals the single-graph estimate over the
 // equivalent unsharded dataset.
-func (p *Prepared) EstimateCostSharded(ss *ShardSet) int64 {
+func (p *Prepared) EstimateCostSharded(ss *ShardSet) int64 { return p.estimateCost(nil, ss) }
+
+// estimateCost estimates against g, or against ss when it is non-nil.
+func (p *Prepared) estimateCost(g *rdf.Graph, ss *ShardSet) int64 {
+	var view *rdf.EncodedView
+	if ss == nil {
+		view = g.Encoded()
+	}
+	snap := snapshotOf(view, ss)
 	p.mu.Lock()
-	if p.costSet == ss {
-		c := p.costSetVal
+	if p.costSnap == snap {
+		c := p.costVal
 		p.mu.Unlock()
 		return c
 	}
 	p.mu.Unlock()
-	d := &distEnv{env: &evalEnv{slots: p.slots, vars: p.vars, stats: ss.Stats}, ss: ss}
-	c := costOfPattern(p.q.Where, len(p.vars), d.compilePattern)
+	env := &evalEnv{view: view, ss: ss, slots: p.slots, vars: p.vars}
+	if ss != nil {
+		env.stats = ss.Stats
+	} else {
+		env.stats = g.Stats()
+	}
+	c := costOfPattern(p.q.Where, len(p.vars), env.compilePattern)
 	p.mu.Lock()
-	p.costSet, p.costSetVal = ss, c
+	p.costSnap, p.costVal = snap, c
 	p.mu.Unlock()
 	return c
 }

@@ -201,13 +201,11 @@ func (p *Prepared) ExplainSharded(ss *ShardSet) ShardExplain {
 	defer d.env.close()
 	ex := ShardExplain{Route: d.route, Shards: len(ss.Views)}
 	touched := make([]bool, len(ss.Views))
-	seq := 0
 	var walk func(GraphPattern)
 	walk = func(gp GraphPattern) {
 		switch n := gp.(type) {
 		case BGP:
-			cps := d.planFor(seq, n)
-			seq++
+			cps := d.env.planFor(n)
 			ex.Patterns += len(cps)
 			for s, view := range ss.Views {
 				if d.route == RoutePushdown {
@@ -257,7 +255,6 @@ type distEnv struct {
 	route   ShardRoute
 	touched []bool // shard s contributed at least one candidate scan
 	scatter int    // patterns scattered across shards
-	bgpSeq  int
 
 	// Fault handling (replica.go): the run's injection plan (nil
 	// outside chaos runs) and the shard-op retry policy.
@@ -276,6 +273,7 @@ type distEnv struct {
 // evaluate/solutions machinery run the single-graph code unchanged.
 func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *distEnv {
 	env := &evalEnv{
+		ss:        ss,
 		terms:     ss.Dict.Terms(),
 		slots:     p.slots,
 		vars:      p.vars,
@@ -372,9 +370,7 @@ func (o *runOpts) captureShard(d *distEnv) {
 // statistics, so pattern order — and with it row order — is exactly
 // the single-graph plan's.
 func (d *distEnv) evalBGP(b BGP) []slotRow {
-	seq := d.bgpSeq
-	d.bgpSeq++
-	cps := d.planFor(seq, b)
+	cps := d.env.planFor(b)
 	// limitHint is only set when this BGP is the whole WHERE clause and
 	// the modifiers keep exactly the leading rows. Each shard's output
 	// is a prefix of the merged order, so a shard never needs to
@@ -406,75 +402,6 @@ func (d *distEnv) evalBGP(b BGP) []slotRow {
 		}
 	}
 	return rows
-}
-
-// planFor compiles (or recalls) the selectivity-ordered plan of the
-// seq-th BGP against the shard set, caching on the Prepared exactly
-// like the single-graph plan memo. Keying by ShardSet pointer is sound
-// because shard sets are immutable once built.
-func (d *distEnv) planFor(seq int, b BGP) []cPattern {
-	if d.env.prep != nil {
-		if cps := d.env.prep.cachedDistPlan(d.ss, seq); cps != nil {
-			return cps
-		}
-	}
-	cps := make([]cPattern, len(b.Patterns))
-	for i, tp := range b.Patterns {
-		cps[i] = d.compilePattern(tp)
-		cps[i].src = i
-	}
-	cps = orderPatterns(cps, len(d.env.vars))
-	if d.env.prep != nil {
-		d.env.prep.storeDistPlan(d.ss, seq, cps)
-	}
-	return cps
-}
-
-// compilePattern mirrors evalEnv.compilePattern against the shard set:
-// constants resolve through the shared dictionary and cardinalities sum
-// across shards, so the estimate equals the single-graph estimate and
-// orderPatterns reproduces the single-graph join order.
-func (d *distEnv) compilePattern(tp TriplePattern) cPattern {
-	compile := func(e TPElem) cElem {
-		if e.IsVar {
-			return cElem{isVar: true, slot: d.env.slots[e.Var]}
-		}
-		id, ok := d.ss.Dict.Lookup(e.Term)
-		return cElem{id: id, ok: ok}
-	}
-	cp := cPattern{s: compile(tp.S), p: compile(tp.P), o: compile(tp.O)}
-	collectPatternSlots(&cp)
-	est := d.env.stats.Triples
-	switch {
-	case !cp.s.isVar && !cp.s.ok, !cp.p.isVar && !cp.p.ok, !cp.o.isVar && !cp.o.ok:
-		est = 0
-	default:
-		if !cp.s.isVar {
-			n := 0
-			for _, v := range d.ss.Views {
-				n += len(v.WithSubject(cp.s.id))
-			}
-			if n < est {
-				est = n
-			}
-		}
-		if !cp.o.isVar {
-			n := 0
-			for _, v := range d.ss.Views {
-				n += len(v.WithObject(cp.o.id))
-			}
-			if n < est {
-				est = n
-			}
-		}
-		if !cp.p.isVar {
-			if n := d.env.stats.PredicateCounts[tp.P.Term.Value]; n < est {
-				est = n
-			}
-		}
-	}
-	cp.est = est
-	return cp
 }
 
 // viewCandidateCount returns the size of the smallest index view a
@@ -558,17 +485,7 @@ func (d *distEnv) forEachShard(pick func(s int) bool, fn func(s int, w *evalEnv)
 	if merr := mergeShardErrors(workers); merr != nil && env.err == nil {
 		env.err = merr
 	}
-	if env.par != nil && env.err == nil {
-		// stop may have been raised by cancellation or by a morsel
-		// task's exhausted panic retries; surface whichever happened.
-		if ferr := env.par.failure(); ferr != nil {
-			env.err = ferr
-		} else if env.par.stop.Load() && env.ctx != nil {
-			if cerr := env.ctx.Err(); cerr != nil {
-				env.err = cerr
-			}
-		}
-	}
+	env.latchStop()
 }
 
 // replicaViews returns the replica views of shard s ([0] is the

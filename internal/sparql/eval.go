@@ -320,8 +320,11 @@ func (env *evalEnv) topKRows(rows []slotRow, ks []keySlot, k int) []slotRow {
 // ordering. Rows are bump-allocated from chunked arenas, so producing
 // a solution costs a copy, not a heap allocation.
 type evalEnv struct {
-	g     *rdf.Graph
-	view  *rdf.EncodedView
+	g    *rdf.Graph
+	view *rdf.EncodedView
+	// ss, on the driver of a sharded run (dist.go), is the shard set the
+	// run plans against in place of view; nil on a single graph.
+	ss    *ShardSet
 	terms []rdf.Term // id→term snapshot for lock-free decoding
 	slots map[Var]int
 	vars  []Var // slot→var
@@ -342,7 +345,7 @@ type evalEnv struct {
 	// see parallel.go): par carries the shared per-Run state (worker
 	// count, cross-worker cancellation latch, stats counters) and pool
 	// the lazily started per-Run worker pool. Both are nil for serial
-	// evaluation, which then takes exactly the PR 1–3 code paths.
+	// evaluation, where every scan and probe is one morsel run in place.
 	par  *parRun
 	pool *workerPool
 
@@ -356,7 +359,7 @@ type evalEnv struct {
 
 	// Plan reuse ((*Prepared).Run): prep, when non-nil, caches each
 	// BGP's compiled-and-ordered patterns across runs, keyed by the
-	// graph snapshot. bgpSeq numbers evalBGP calls in (deterministic)
+	// snapshot. bgpSeq numbers planFor calls in (deterministic)
 	// evaluation order to address the cache.
 	prep   *Prepared
 	bgpSeq int
@@ -754,14 +757,12 @@ func (env *evalEnv) mergeRows(a, b slotRow) slotRow {
 }
 
 // The join engine: joinRows, optionalRows, and the Group-part fold all
-// run as id-space hash joins. The join key is the set of slots bound in
-// every row of both sides (computed per join from the slot table); the
-// smaller side is hashed on that key into a chained array table and the
-// other side probes it. Candidate pairs are still verified with
-// compatibleRows, so hash collisions and shared-but-non-key slots are
-// handled exactly as the nested loop would. A counting pass sizes the
-// output slice and the row arena before any row is merged, so a hash
-// join performs O(1) allocations on top of the output rows themselves.
+// run as one id-space hash join (hashJoin). The join key is the set of
+// slots bound in every row of both sides (computed per join from the
+// slot table); the smaller side is hashed on that key into a chained
+// array table and the other side probes it (hashTable.probe). Candidate
+// pairs are still verified with compatibleRows, so hash collisions and
+// shared-but-non-key slots are handled exactly as the nested loop would.
 // The nested loop survives as the fallback for the two cases a hash key
 // cannot express: sides sharing no slots at all (a true cartesian
 // product) and sides whose bindings are partial on the would-be build
@@ -867,9 +868,8 @@ func allUnbound(row slotRow) bool {
 // joinRows computes the SPARQL join of two solution sequences with an
 // id-space hash join, falling back to the nested loop when the sides
 // share no all-bound slots. Output order is identical to the nested
-// loop's (a-major, b-suborder) on every path. On a traced run the join
-// records a span (input/output cardinalities and the dispatched
-// method); identity shortcuts stay span-free — they do no work.
+// loop's (a-major, b-suborder) on every path. Identity shortcuts stay
+// span-free — they do no work.
 func (env *evalEnv) joinRows(a, b []slotRow) []slotRow {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
@@ -882,47 +882,56 @@ func (env *evalEnv) joinRows(a, b []slotRow) []slotRow {
 	if len(b) == 1 && allUnbound(b[0]) {
 		return a
 	}
-	if env.trace == nil {
-		return env.joinRowsImpl(a, b)
-	}
-	sp := env.trace.t.Begin("join")
-	sp.SetInt("left", int64(len(a)))
-	sp.SetInt("right", int64(len(b)))
-	out := env.joinRowsImpl(a, b)
-	sp.SetInt("rows", int64(len(out)))
-	env.trace.t.End(sp)
-	return out
+	return env.join("join", a, b, false)
 }
 
-// joinRowsImpl dispatches the join to the hash variants or the nested
-// fallback. Split from joinRows so the traced wrapper costs the
-// disarmed path a single nil check.
-func (env *evalEnv) joinRowsImpl(a, b []slotRow) []slotRow {
-	key := env.sharedKeySlots(a, b)
-	if len(key) == 0 {
-		env.noteStr("method", "nested_loop")
-		return env.nestedJoinRows(a, b)
+// optionalRows computes the SPARQL left join (OPTIONAL): every left row
+// extended by each compatible right row, or passed through unchanged
+// when none matches. The fallback keeps the nested loop's exact
+// semantics for partial bindings on the join variables (an unbound slot
+// matches everything).
+func (env *evalEnv) optionalRows(left, right []slotRow) []slotRow {
+	if len(left) == 0 {
+		return nil
 	}
-	// The probe side of either hash variant splits into morsels under a
-	// parallel run (parallel.go); the build pass, the fallback nested
-	// loop, and small probes stay serial.
-	if len(b) <= len(a) {
-		env.noteStr("method", "hash_build_right")
-		if env.canParallel(len(a)) {
-			return env.hashJoinBuildRightPar(a, b, key)
+	if len(right) == 0 {
+		return left
+	}
+	return env.join("optional", left, right, true)
+}
+
+// join runs one (left) join: the hash kernel on the slots bound in
+// every row of both sides, the nested loop where no such slot exists.
+// On a traced run it records a span named name with the input and
+// output cardinalities and the method taken. An interrupted join
+// returns nil on every path — its error is latched in env.err.
+func (env *evalEnv) join(name string, left, right []slotRow, outer bool) []slotRow {
+	sp := env.span(name)
+	sp.SetInt("left", int64(len(left)))
+	sp.SetInt("right", int64(len(right)))
+	var out []slotRow
+	if key := env.sharedKeySlots(left, right); len(key) > 0 {
+		out = env.hashJoin(left, right, key, outer)
+	} else {
+		sp.SetStr("method", "nested_loop")
+		if outer {
+			out = env.nestedOptionalRows(left, right)
+		} else {
+			out = env.nestedJoinRows(left, right)
 		}
-		return env.hashJoinBuildRight(a, b, key)
 	}
-	env.noteStr("method", "hash_build_left")
-	if env.canParallel(len(b)) {
-		return env.hashJoinBuildLeftPar(a, b, key)
+	if env.err != nil {
+		out = nil
 	}
-	return env.hashJoinBuildLeft(a, b, key)
+	sp.SetInt("rows", int64(len(out)))
+	env.endSpan(sp)
+	return out
 }
 
 // nestedJoinRows is the O(n·m) fallback join, kept for cartesian joins
 // (no shared slots) and joins whose bindings are partial on the build
-// key. It is also the baseline the hash-join benchmarks measure against.
+// key. It is also the reference the hash join is tested and benchmarked
+// against.
 func (env *evalEnv) nestedJoinRows(a, b []slotRow) []slotRow {
 	var out []slotRow
 	for _, x := range a {
@@ -936,145 +945,6 @@ func (env *evalEnv) nestedJoinRows(a, b []slotRow) []slotRow {
 		}
 	}
 	return out
-}
-
-// hashJoinBuildRight builds the table on b (the smaller side) and
-// probes with a: one pass counts the matches to size the output and the
-// arena exactly, the second emits them in a-major order.
-func (env *evalEnv) hashJoinBuildRight(a, b []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(b, key)
-	env.chargeJoinTable(head, next)
-	total := 0
-	for _, x := range a {
-		if env.interrupted() {
-			return nil
-		}
-		h := rowKeyHash(x, key) & mask
-		for yi := head[h]; yi >= 0; yi = next[yi] {
-			if compatibleRows(x, b[yi]) {
-				total++
-			}
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	env.chargeRowBatch(total, stageJoin)
-	if env.err != nil { // over budget: skip the output allocation
-		return nil
-	}
-	out := make([]slotRow, 0, total)
-	env.reserveRows(total)
-	for _, x := range a {
-		if env.interrupted() {
-			return out
-		}
-		h := rowKeyHash(x, key) & mask
-		for yi := head[h]; yi >= 0; yi = next[yi] {
-			if y := b[yi]; compatibleRows(x, y) {
-				out = append(out, env.mergeRows(x, y))
-			}
-		}
-	}
-	return out
-}
-
-// hashJoinBuildLeft builds the table on a (the smaller side) and probes
-// with b, scattering matches through per-build-row cursors so the
-// output still comes out in a-major order with b-suborder.
-func (env *evalEnv) hashJoinBuildLeft(a, b []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(a, key)
-	env.chargeJoinTable(head, next)
-	counts := make([]int32, len(a))
-	total := 0
-	for _, y := range b {
-		if env.interrupted() {
-			return nil
-		}
-		h := rowKeyHash(y, key) & mask
-		for xi := head[h]; xi >= 0; xi = next[xi] {
-			if compatibleRows(a[xi], y) {
-				counts[xi]++
-				total++
-			}
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	// Prefix-sum the counts into write cursors.
-	sum := int32(0)
-	for i, c := range counts {
-		counts[i] = sum
-		sum += c
-	}
-	env.chargeRowBatch(total, stageJoin)
-	if env.err != nil { // over budget: skip the output allocation
-		return nil
-	}
-	out := make([]slotRow, total)
-	env.reserveRows(total)
-	for _, y := range b {
-		if env.interrupted() {
-			// The scatter is incomplete — out still has nil holes that
-			// would crash any consumer — so return nothing. The latched
-			// error stops the evaluation right above this frame.
-			return nil
-		}
-		h := rowKeyHash(y, key) & mask
-		for xi := head[h]; xi >= 0; xi = next[xi] {
-			if x := a[xi]; compatibleRows(x, y) {
-				out[counts[xi]] = env.mergeRows(x, y)
-				counts[xi]++
-			}
-		}
-	}
-	return out
-}
-
-// optionalRows computes the SPARQL left join (OPTIONAL): every left row
-// extended by each compatible right row, or passed through unchanged
-// when none matches. The hash path mirrors joinRows; the fallback keeps
-// the nested loop's exact semantics for partial bindings on the join
-// variables (an unbound slot matches everything).
-func (env *evalEnv) optionalRows(left, right []slotRow) []slotRow {
-	if len(left) == 0 {
-		return nil
-	}
-	if len(right) == 0 {
-		return left
-	}
-	if env.trace == nil {
-		return env.optionalRowsImpl(left, right)
-	}
-	sp := env.trace.t.Begin("optional")
-	sp.SetInt("left", int64(len(left)))
-	sp.SetInt("right", int64(len(right)))
-	out := env.optionalRowsImpl(left, right)
-	sp.SetInt("rows", int64(len(out)))
-	env.trace.t.End(sp)
-	return out
-}
-
-// optionalRowsImpl dispatches the left join like joinRowsImpl.
-func (env *evalEnv) optionalRowsImpl(left, right []slotRow) []slotRow {
-	key := env.sharedKeySlots(left, right)
-	if len(key) == 0 {
-		env.noteStr("method", "nested_loop")
-		return env.nestedOptionalRows(left, right)
-	}
-	if len(right) <= len(left) {
-		env.noteStr("method", "hash_build_right")
-		if env.canParallel(len(left)) {
-			return env.hashOptionalBuildRightPar(left, right, key)
-		}
-		return env.hashOptionalBuildRight(left, right, key)
-	}
-	env.noteStr("method", "hash_build_left")
-	if env.canParallel(len(right)) {
-		return env.hashOptionalBuildLeftPar(left, right, key)
-	}
-	return env.hashOptionalBuildLeft(left, right, key)
 }
 
 // nestedOptionalRows is the O(n·m) fallback left join.
@@ -1098,118 +968,183 @@ func (env *evalEnv) nestedOptionalRows(left, right []slotRow) []slotRow {
 	return out
 }
 
-// hashOptionalBuildRight builds the table on the right side and probes
-// with the left rows; unmatched left rows pass through without an arena
-// copy, exactly like the nested loop.
-func (env *evalEnv) hashOptionalBuildRight(left, right []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(right, key)
-	env.chargeJoinTable(head, next)
-	total, merged := 0, 0
-	for _, l := range left {
-		if env.interrupted() {
-			return nil
-		}
-		h := rowKeyHash(l, key) & mask
-		n := 0
-		for ri := head[h]; ri >= 0; ri = next[ri] {
-			if compatibleRows(l, right[ri]) {
-				n++
-			}
-		}
-		if n == 0 {
-			total++
-		} else {
-			total += n
-			merged += n
-		}
-	}
-	env.chargeRowBatch(total, stageJoin)
-	if env.err != nil { // over budget: skip the output allocation
-		return nil
-	}
-	out := make([]slotRow, 0, total)
-	env.reserveRows(merged)
-	for _, l := range left {
-		if env.interrupted() {
-			return out
-		}
-		h := rowKeyHash(l, key) & mask
-		matched := false
-		for ri := head[h]; ri >= 0; ri = next[ri] {
-			if r := right[ri]; compatibleRows(l, r) {
-				out = append(out, env.mergeRows(l, r))
-				matched = true
-			}
-		}
-		if !matched {
-			out = append(out, l)
-		}
-	}
-	return out
+// hashTable is one hash join's immutable state: the two sides, the key,
+// and the chained table over the smaller (build) side. Probes only read
+// it, so every morsel of a parallel probe shares it.
+type hashTable struct {
+	left, right []slotRow
+	key         []int
+	head, next  []int32
+	mask        uint64
+	outer       bool // left join: a left row nothing matches passes through
+	buildLeft   bool // the table is over left, and right probes it
 }
 
-// hashOptionalBuildLeft builds the table on the left side and probes
-// with the right rows, scattering merges through per-left-row cursors;
-// left rows with no match keep their single slot and pass through
-// uncopied. Output order matches the nested loop exactly.
-func (env *evalEnv) hashOptionalBuildLeft(left, right []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(left, key)
-	env.chargeJoinTable(head, next)
-	counts := make([]int32, len(left))
-	merged := 0
-	for _, r := range right {
-		if env.interrupted() {
-			return nil
+// hashJoin is the one hash join: it hashes the smaller side, probes it
+// with the other — in place on env, or in morsels on the pool when the
+// probe side is large enough (parallel.go) — and gathers the morsels'
+// private buffers in left-major order, the nested loop's.
+func (env *evalEnv) hashJoin(left, right []slotRow, key []int, outer bool) []slotRow {
+	j := hashTable{left: left, right: right, key: key, outer: outer, buildLeft: len(right) > len(left)}
+	build, n, method := right, len(left), "hash_build_right"
+	if j.buildLeft {
+		build, n, method = left, len(right), "hash_build_left"
+	}
+	env.noteStr("method", method)
+	j.head, j.next, j.mask = buildJoinTable(build, key)
+	env.chargeJoinTable(j.head, j.next)
+	var serial [1]morselOut
+	outs := serial[:]
+	if env.canParallel(n) {
+		size := morselSize
+		if j.buildLeft {
+			size = cursorMorselSize(n, env.par.n)
 		}
-		h := rowKeyHash(r, key) & mask
-		for li := head[h]; li >= 0; li = next[li] {
-			if compatibleRows(left[li], r) {
-				counts[li]++
-				merged++
+		jp := j // the closure's copy: j stays on the serial path's stack
+		outs = env.runMorsels(rdf.MorselCount(n, size), 0, func(m int, w *evalEnv) morselOut {
+			start, end := rdf.MorselBounds(m, n, size)
+			return jp.probe(w, start, end)
+		})
+	} else {
+		serial[0] = j.probe(env, 0, n)
+	}
+	if env.err != nil {
+		return nil
+	}
+	if j.buildLeft && (outer || len(outs) > 1) {
+		return j.interleave(env, outs)
+	}
+	return mergeMorsels(env, outs)
+}
+
+// probe joins the probe side's rows [start, end) against the table: the
+// one probe body, a pure function of the immutable table that writes
+// only memory it allocates. A counting pass sizes the buffer and w's
+// arena exactly, so a probe costs O(1) allocations on top of its rows;
+// the emit pass fills the buffer in left-major order. When left probes,
+// that is the order of the walk. When right probes a table over left,
+// per-left-row cursors place each match, and come back as ends: the
+// buffer's rows for left row i end at ends[i]. Interrupted (w.err, or
+// a lost race through w.taskStop), it returns nothing worth keeping.
+func (j hashTable) probe(w *evalEnv, start, end int) morselOut {
+	build, probe := j.right, j.left
+	var cur []int32
+	if j.buildLeft {
+		build, probe = j.left, j.right
+		w.charge(int64(len(build))*termIDBytes, stageJoin)
+		if w.err != nil {
+			return morselOut{}
+		}
+		cur = make([]int32, len(build))
+	}
+	probe = probe[start:end]
+	key, head, next, mask := j.key, j.head, j.next, j.mask
+	total, merged := 0, 0
+	for _, p := range probe {
+		if w.interrupted() {
+			return morselOut{}
+		}
+		n := 0
+		for bi := head[rowKeyHash(p, key)&mask]; bi >= 0; bi = next[bi] {
+			if compatibleRows(p, build[bi]) {
+				n++
+				if cur != nil {
+					cur[bi]++
+				}
 			}
 		}
-	}
-	// Prefix-sum into write cursors; unmatched left rows take one slot
-	// and are placed immediately.
-	total := 0
-	for _, c := range counts {
-		if c == 0 {
-			total++
-		} else {
-			total += int(c)
+		merged += n
+		if n == 0 && j.outer && cur == nil {
+			total++ // an unmatched left row passes through
 		}
+	}
+	if total += merged; total == 0 {
+		return morselOut{ends: cur}
+	}
+	// Prefix-sum the counts into write cursors.
+	pos := int32(0)
+	for i, c := range cur {
+		cur[i] = pos
+		pos += c
+	}
+	w.chargeRowBatch(total, stageJoin)
+	if w.err != nil { // over budget: skip the output allocation
+		return morselOut{}
+	}
+	out := make([]slotRow, total)
+	w.reserveRows(merged)
+	k := 0
+	for _, p := range probe {
+		if w.interrupted() {
+			return morselOut{}
+		}
+		matched := false
+		for bi := head[rowKeyHash(p, key)&mask]; bi >= 0; bi = next[bi] {
+			b := build[bi]
+			if !compatibleRows(p, b) {
+				continue
+			}
+			matched = true
+			if cur != nil {
+				out[cur[bi]] = w.mergeRows(b, p)
+				cur[bi]++
+			} else {
+				out[k] = w.mergeRows(p, b)
+				k++
+			}
+		}
+		if !matched && j.outer && cur == nil {
+			out[k] = p
+			k++
+		}
+	}
+	return morselOut{rows: out, ends: cur}
+}
+
+// segment returns the morsel's rows for left row li.
+func (o morselOut) segment(li int) []slotRow {
+	lo := int32(0)
+	if li > 0 {
+		lo = o.ends[li-1]
+	}
+	return o.rows[lo:o.ends[li]]
+}
+
+// interleave gathers the morsels of a probe against a table over left:
+// left row by left row it takes each morsel's segment, in morsel order
+// — left-major with right-suborder, since morsels are consecutive
+// ranges of right — and, on an outer join, places the left row itself
+// where no morsel matched it.
+func (j hashTable) interleave(env *evalEnv, outs []morselOut) []slotRow {
+	total := 0
+	for li := range j.left {
+		n := 0
+		for _, o := range outs {
+			n += len(o.segment(li))
+		}
+		if n == 0 && j.outer {
+			n = 1
+		}
+		total += n
+	}
+	if total == 0 {
+		return nil
 	}
 	env.chargeRowBatch(total, stageJoin)
 	if env.err != nil { // over budget: skip the output allocation
 		return nil
 	}
-	out := make([]slotRow, total)
-	env.reserveRows(merged)
-	pos := int32(0)
-	for i, c := range counts {
-		counts[i] = pos
-		if c == 0 {
-			out[pos] = left[i]
-			pos++
-		} else {
-			pos += c
+	merged := make([]slotRow, 0, total)
+	for li, l := range j.left {
+		n := len(merged)
+		for _, o := range outs {
+			merged = append(merged, o.segment(li)...)
+		}
+		if len(merged) == n && j.outer {
+			merged = append(merged, l)
 		}
 	}
-	for _, r := range right {
-		if env.interrupted() {
-			// Incomplete scatter: nil holes remain, return nothing (the
-			// latched error aborts the evaluation).
-			return nil
-		}
-		h := rowKeyHash(r, key) & mask
-		for li := head[h]; li >= 0; li = next[li] {
-			if l := left[li]; compatibleRows(l, r) {
-				out[counts[li]] = env.mergeRows(l, r)
-				counts[li]++
-			}
-		}
-	}
-	return out
+	return merged
 }
 
 // evalFilter computes the effective boolean value of a FILTER over an
@@ -1303,25 +1238,44 @@ type cPattern struct {
 	eqSP, eqSO, eqPO rdf.TermID
 }
 
-func (env *evalEnv) compileElem(e TPElem) cElem {
-	if e.IsVar {
-		return cElem{isVar: true, slot: env.slots[e.Var]}
+// snapshot identifies the data a plan was compiled against — what the
+// plan and cost memos of a Prepared are keyed by: a graph's encoded view
+// and its length (a graph grows), or a shard set (immutable once built).
+type snapshot struct {
+	src any // *rdf.EncodedView or *ShardSet
+	n   int
+}
+
+func snapshotOf(view *rdf.EncodedView, ss *ShardSet) snapshot {
+	if ss != nil {
+		return snapshot{src: ss}
 	}
-	id, ok := env.view.Dict().Lookup(e.Term)
-	return cElem{id: id, ok: ok}
+	return snapshot{src: view, n: view.Len()}
 }
 
 // compilePattern encodes the pattern's constants and estimates its
 // result cardinality from the dataset statistics: the tightest bound
 // among the per-subject, per-object, and per-predicate (SPARQLGX
 // PredicateCounts) index cardinalities, or the triple count when fully
-// unbound.
+// unbound. Against a shard set, constants resolve through the shared
+// dictionary and the index cardinalities sum across the shards, so the
+// estimate — and with it the join order — is the single graph's.
 func (env *evalEnv) compilePattern(tp TriplePattern) cPattern {
-	cp := cPattern{
-		s: env.compileElem(tp.S),
-		p: env.compileElem(tp.P),
-		o: env.compileElem(tp.O),
+	var dict *rdf.Dictionary
+	var views []*rdf.EncodedView
+	if env.ss != nil {
+		dict, views = env.ss.Dict, env.ss.Views
+	} else {
+		dict, views = env.view.Dict(), []*rdf.EncodedView{env.view}
 	}
+	compile := func(e TPElem) cElem {
+		if e.IsVar {
+			return cElem{isVar: true, slot: env.slots[e.Var]}
+		}
+		id, ok := dict.Lookup(e.Term)
+		return cElem{id: id, ok: ok}
+	}
+	cp := cPattern{s: compile(tp.S), p: compile(tp.P), o: compile(tp.O)}
 	collectPatternSlots(&cp)
 	est := env.stats.Triples
 	switch {
@@ -1329,19 +1283,21 @@ func (env *evalEnv) compilePattern(tp TriplePattern) cPattern {
 		est = 0
 	default:
 		if !cp.s.isVar {
-			if n := len(env.view.WithSubject(cp.s.id)); n < est {
-				est = n
+			n := 0
+			for _, v := range views {
+				n += len(v.WithSubject(cp.s.id))
 			}
+			est = min(est, n)
 		}
 		if !cp.o.isVar {
-			if n := len(env.view.WithObject(cp.o.id)); n < est {
-				est = n
+			n := 0
+			for _, v := range views {
+				n += len(v.WithObject(cp.o.id))
 			}
+			est = min(est, n)
 		}
 		if !cp.p.isVar {
-			if n := env.stats.PredicateCounts[tp.P.Term.Value]; n < est {
-				est = n
-			}
+			est = min(est, env.stats.PredicateCounts[tp.P.Term.Value])
 		}
 	}
 	cp.est = est
@@ -1399,9 +1355,7 @@ func orderPatterns(cps []cPattern, nslots int) []cPattern {
 // limitHint applies, the last pattern stops producing once enough
 // leading rows exist (LIMIT pushdown below the modifier pipeline).
 func (env *evalEnv) evalBGP(b BGP) []slotRow {
-	seq := env.bgpSeq
-	env.bgpSeq++
-	cps := env.planFor(seq, b)
+	cps := env.planFor(b)
 	bsp := env.span("bgp")
 	// endSpan also closes per-pattern spans left open by the error
 	// returns below; nil span (the disarmed default) is a no-op.
@@ -1489,14 +1443,19 @@ func (env *evalEnv) seedScan(cp *cPattern, row slotRow, max int) []slotRow {
 }
 
 // planFor returns the compiled, selectivity-ordered patterns of the
-// seq-th BGP of the query. Plain Evaluate compiles on every call; a
-// Prepared run consults the plan cache first, so re-running a plan on
-// an unchanged graph snapshot skips constant encoding, selectivity
+// run's next BGP (BGPs are numbered in evaluation order, which is
+// deterministic). Plain Evaluate compiles on every call; a Prepared run
+// consults the plan memo first, so re-running a plan on an unchanged
+// snapshot — graph or shard set — skips constant encoding, selectivity
 // estimation, and join ordering entirely. Cached plans are immutable
 // after publication and therefore safe to share across concurrent runs.
-func (env *evalEnv) planFor(seq int, b BGP) []cPattern {
+func (env *evalEnv) planFor(b BGP) []cPattern {
+	seq := env.bgpSeq
+	env.bgpSeq++
+	var snap snapshot
 	if env.prep != nil {
-		if cps := env.prep.cachedPlan(env.view, seq); cps != nil {
+		snap = snapshotOf(env.view, env.ss)
+		if cps := env.prep.cachedPlan(snap, seq); cps != nil {
 			return cps
 		}
 	}
@@ -1507,7 +1466,7 @@ func (env *evalEnv) planFor(seq int, b BGP) []cPattern {
 	}
 	cps = orderPatterns(cps, len(env.vars))
 	if env.prep != nil {
-		env.prep.storePlan(env.view, seq, cps)
+		env.prep.storePlan(snap, seq, cps)
 	}
 	return cps
 }

@@ -3,7 +3,11 @@ package sparql
 import (
 	"context"
 	"errors"
+	"os"
+	"runtime"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -100,4 +104,72 @@ func TestMorselFaultInjectedError(t *testing.T) {
 	if _, err := prep.Run(fault.With(context.Background(), always), g, WithParallelism(4)); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("error = %v, want fault.ErrInjected", err)
 	}
+}
+
+// TestMorselSpeculationEveryJoinShape races every morsel source: the
+// four queries of TestMorselPanicRetryDeterminism (a seed scan, a probe
+// by the left side, and the two probes against a table over the left
+// side, which wrote shared cursors in place and could be neither raced
+// nor simply re-run before they computed into private memory) under
+// injected morsel stragglers, one injected panic and an armed watchdog.
+// Output stays byte-identical to the clean serial run, in order; copies
+// are launched on every query; nothing outlives the runs. Fault plans
+// derive from CHAOS_SEED, so the chaos job sweeps the interleavings.
+func TestMorselSpeculationEveryJoinShape(t *testing.T) {
+	seed := int64(1)
+	if s := os.Getenv("CHAOS_SEED"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
+		}
+		seed = v
+	}
+	g := parTestGraph(8192)
+	queries := []string{
+		`SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }`,
+		`SELECT * WHERE { { ?s <http://ex/name> ?n } { ?s <http://ex/age> ?a } }`,
+		`SELECT * WHERE { { ?s <http://ex/knows> ?k } { ?s <http://ex/age> ?a } }`,
+		`SELECT * WHERE { { ?s <http://ex/knows> ?k } OPTIONAL { ?s <http://ex/age> ?a } }`,
+	}
+	before := runtime.NumGoroutine()
+	for qi, text := range queries {
+		prep := MustPrepare(t, text)
+		want, err := prep.Run(context.Background(), g, WithParallelism(1))
+		if err != nil {
+			t.Fatalf("query %d clean run: %v", qi, err)
+		}
+		// Whether a straggler outlives the watchdog's threshold is a
+		// matter of timing; a few runs make it a matter of course.
+		var specs int64
+		for run := 0; run < 8 && (run < 2 || specs == 0); run++ {
+			plan := fault.NewPlan(seed+int64(100*qi+run)).
+				DelayRate(fault.PointMorsel, 0.4, 2*time.Millisecond).
+				PanicNext(fault.PointMorsel, 1)
+			var fs FaultStats
+			got, err := prep.Run(fault.With(context.Background(), plan), g,
+				WithParallelism(4), WithSpeculation(2), WithFaultStats(&fs))
+			if err != nil {
+				t.Fatalf("query %d run %d: %v", qi, run, err)
+			}
+			a, b := want.OrderedCanonical(), got.OrderedCanonical()
+			if len(a) != len(b) {
+				t.Fatalf("query %d run %d: %d rows, want %d", qi, run, len(b), len(a))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("query %d run %d: row %d = %q, want %q", qi, run, i, b[i], a[i])
+				}
+			}
+			// The panic lands on whichever copy hits the fault point next:
+			// an original's is retried, a speculative copy's just drops it.
+			if c := plan.Counters(); c.Panics != 1 {
+				t.Fatalf("query %d run %d: plan injected %d panics, want 1", qi, run, c.Panics)
+			}
+			specs += fs.Speculations
+		}
+		if specs == 0 {
+			t.Fatalf("query %d: no speculative copy launched in 8 straggling runs", qi)
+		}
+	}
+	waitGoroutines(t, before)
 }

@@ -381,10 +381,9 @@ const defaultSpecFactor = 3.0
 // WithSpeculation arms speculative morsel re-execution: a watchdog
 // re-dispatches morsel tasks still running after k× the run's median
 // completed-task time, and the first copy to finish commits its
-// buffer. k <= 0 selects the default factor. Morsel tasks that build
-// private output buffers are eligible (seed scans, build-right probe
-// passes); the build-left cursor-matrix passes write shared state in
-// place and always run exactly once.
+// buffer. k <= 0 selects the default factor. Every morsel task computes
+// into private memory, so every one is eligible: seed scans and
+// hash-join probes of either build side.
 func WithSpeculation(k float64) RunOption {
 	return func(o *runOpts) {
 		if k <= 0 {

@@ -26,22 +26,26 @@ import (
 //   - Each worker owns a private evaluation environment — its own row
 //     arena, cancellation tick, and error latch — and shares only the
 //     immutable run state (slot table, encoded view, compiled scan,
-//     build-side hash table). Rows a worker produces stay valid after
-//     the pool is gone; arenas amortize across every morsel a worker
-//     runs.
-//   - Results merge in morsel order: seed scans and build-right
-//     probes concatenate per-morsel output buffers; build-left probes
-//     scatter through per-(morsel, build-row) write cursors computed
-//     from a counting pass, so the a-major/b-suborder of the serial
-//     scatter is reproduced exactly.
+//     hash table). Rows a worker produces stay valid after the pool is
+//     gone; arenas amortize across every morsel a worker runs.
+//   - A morsel task is a pure function of that immutable state: it
+//     computes into memory it allocates and hands the result back, and
+//     the one runner (runMorsels) commits it. So any task can be re-run
+//     after a panic or raced against a speculative copy of itself.
+//   - Results gather in morsel order: seed scans and probes by the left
+//     side concatenate the morsels' buffers (mergeMorsels); probes
+//     against a table over the left side interleave the morsels'
+//     per-left-row segments (hashTable.interleave). Either way the
+//     serial order is reproduced exactly.
 //   - Cancellation latches across workers: the first environment to
 //     observe ctx.Done() raises parRun.stop, every other worker sees
 //     it at its next amortized poll (1/1024 rows), and the dispatcher
 //     stops handing out morsels.
 //
 // The nested-loop fallback (cartesian joins, bindings partial on the
-// build key) and every probe below parMinWork stay serial, so the
-// serial path's allocation pins are untouched.
+// build key) and every probe below parMinWork stay serial: the serial
+// hash join is the same probe body run once, in place, on the driver's
+// environment — no pool, no closure — so its allocation pins hold.
 
 const (
 	// morselSize is the number of input items (candidate triples of a
@@ -163,7 +167,7 @@ func resolveRunOpts(opts []RunOption) runOpts {
 
 // configureParallel arms the environment for morsel dispatch and, when
 // requested, memory accounting and execution tracing. Width 1 leaves
-// env.par nil: the run takes exactly the serial code paths. No budget
+// env.par nil: every scan and probe runs in place on the driver. No budget
 // leaves env.mem nil, no trace leaves env.trace nil: every charge and
 // span site costs one nil check.
 func (env *evalEnv) configureParallel(o *runOpts) {
@@ -247,14 +251,34 @@ func (env *evalEnv) workerEnv() *evalEnv {
 	}
 }
 
-// poolTask is one morsel handed to the pool: the work and the
-// operation's completion group. A direct task manages its own retries
-// and completion (speculative execution, runMorselsSpec) — the pool
-// only lends it a worker environment.
+// morselOut is what one morsel task produces, in memory private to the
+// task until runMorsels commits it: the morsel's rows and, for a hash
+// join probing a table over its left side, where each left row's rows
+// end among them (hashTable.probe).
+type morselOut struct {
+	rows []slotRow
+	ends []int32
+}
+
+// morselOp is one runMorsels call: the task body, the committed
+// outputs, and the completion accounting its tasks share.
+type morselOp struct {
+	compute  func(m int, w *evalEnv) morselOut
+	outs     []morselOut
+	produced atomic.Int64   // rows committed so far (the LIMIT pushdown)
+	wg       sync.WaitGroup // one Done per dispatched morsel, when it settles
+
+	// Speculation (races is nil when it is off): per-morsel race state
+	// and the committed copies' durations, for the straggler median.
+	races []specTask
+	durMu sync.Mutex
+	durs  []int64
+}
+
+// poolTask is one morsel handed to the pool.
 type poolTask struct {
-	fn     func(w *evalEnv)
-	wg     *sync.WaitGroup
-	direct bool
+	op *morselOp
+	m  int
 }
 
 // workerPool is the per-Run pool: n goroutines, each bound to one
@@ -274,77 +298,11 @@ func newWorkerPool(parent *evalEnv, n int) *workerPool {
 		w.wid = i
 		go func() {
 			for t := range p.tasks {
-				runTask(w, t)
+				t.op.runTask(w, t.m)
 			}
 		}()
 	}
 	return p
-}
-
-// maxTaskAttempts bounds re-running a panicked morsel task — the
-// engine-side mirror of Spark's spark.task.maxFailures (lineage-based
-// task retry, the fault-tolerance contract the surveyed systems inherit
-// from the platform).
-const maxTaskAttempts = 3
-
-// runTask executes one morsel task, recovering panics (real ones and
-// injected ones, fault.PointMorsel) and re-running the task up to
-// maxTaskAttempts times. Morsel tasks are pure functions of immutable
-// run state that (re)initialize their private output slots, so a re-run
-// recomputes exactly what the crashed attempt would have produced —
-// byte-identical output survives the crash. When attempts exhaust, the
-// failure latches into the run (parRun.latchFailure), cancelling the
-// query; the process and the pool's other workers stay up.
-func runTask(w *evalEnv, t poolTask) {
-	if t.wg != nil {
-		defer t.wg.Done()
-	}
-	if w.trace != nil {
-		// Per-worker busy time. Registered after wg.Done so it runs
-		// before it (LIFO): the accumulator is complete once the
-		// dispatcher's wg.Wait returns.
-		start := time.Now()
-		defer func() { w.trace.busy[w.wid].Add(int64(time.Since(start))) }()
-	}
-	if t.direct {
-		t.fn(w)
-		return
-	}
-	for attempt := 1; ; attempt++ {
-		err := runTaskAttempt(w, t.fn)
-		if err == nil {
-			return
-		}
-		if _, ok := err.(*PanicError); ok && w.ftally != nil {
-			w.ftally.panics.Add(1)
-		}
-		if w.err != nil {
-			// The run is already cancelled; its error wins.
-			return
-		}
-		if attempt >= maxTaskAttempts {
-			w.par.latchFailure(err)
-			return
-		}
-		if w.ftally != nil {
-			w.ftally.retries.Add(1)
-		}
-	}
-}
-
-// runTaskAttempt runs the task body once behind a panic recovery and
-// the morsel fault point.
-func runTaskAttempt(w *evalEnv, fn func(*evalEnv)) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	if e := w.fplan.Hit(fault.PointMorsel); e != nil {
-		return e
-	}
-	fn(w)
-	return nil
 }
 
 // close releases the pool's goroutines. Safe to call on a serial
@@ -356,31 +314,145 @@ func (env *evalEnv) close() {
 	}
 }
 
-// runMorsels dispatches morsels [0, total) to the pool and waits for
-// the dispatched ones to finish. mk builds the m-th morsel's task;
-// tasks run concurrently and must write only morsel-private state.
-// When needed > 0 and produced is non-nil, dispatch short-circuits as
-// soon as produced (the tasks' shared output-row counter) reaches
-// needed — the LIMIT pushdown. Returns how many morsels were
-// dispatched and latches any cross-worker cancellation into env.err.
-func (env *evalEnv) runMorsels(total, needed int, produced *atomic.Int64, mk func(m int) func(w *evalEnv)) int {
+// maxTaskAttempts bounds re-running a failed morsel task — the
+// engine-side mirror of Spark's spark.task.maxFailures (lineage-based
+// task retry, the fault-tolerance contract the surveyed systems inherit
+// from the platform).
+const maxTaskAttempts = 3
+
+// runTask executes morsel m on pool worker w, recovering panics (real
+// ones and injected ones, fault.PointMorsel) and re-running the task up
+// to maxTaskAttempts times. A morsel task is a pure function of
+// immutable run state that writes only memory it allocates, so a re-run
+// recomputes exactly what the crashed attempt would have produced —
+// byte-identical output survives the crash. When attempts exhaust, the
+// failure latches into the run (parRun.latchFailure), cancelling the
+// query — unless a speculative copy already rescued the morsel; the
+// process and the pool's other workers stay up.
+func (op *morselOp) runTask(w *evalEnv, m int) {
+	start := time.Now()
+	if op.races != nil {
+		// Stamped before the first attempt: a task stalled ahead of its
+		// compute (an injected fault delay, a descheduled worker) is
+		// already straggling, and the watchdog must see it running.
+		op.races[m].started.CompareAndSwap(0, start.UnixNano())
+	}
+	settled := false
+	for attempt := 1; ; attempt++ {
+		var err error
+		if settled, err = op.attempt(w, m, false); err == nil {
+			break
+		}
+		if _, ok := err.(*PanicError); ok && w.ftally != nil {
+			w.ftally.panics.Add(1)
+		}
+		if w.err != nil {
+			// The run is already cancelled; its error wins.
+			settled = op.claim(m)
+			break
+		}
+		if attempt >= maxTaskAttempts {
+			if settled = op.claim(m); settled {
+				w.par.latchFailure(err)
+			}
+			break
+		}
+		if op.races != nil && op.races[m].claimed.Load() {
+			break // rescued while we were failing; nothing to retry for
+		}
+		if w.ftally != nil {
+			w.ftally.retries.Add(1)
+		}
+	}
+	if w.trace != nil {
+		// Per-worker busy time, added before the Done: the accumulator is
+		// complete once the dispatcher's wait returns.
+		w.trace.busy[w.wid].Add(int64(time.Since(start)))
+	}
+	if settled {
+		op.wg.Done()
+	}
+}
+
+// claim settles morsel m: true for the one copy of it that gets there
+// first, which then owes the operation's wait group its Done. Without
+// speculation a morsel has one copy, and it always wins.
+func (op *morselOp) claim(m int) bool {
+	return op.races == nil || op.races[m].claimed.CompareAndSwap(false, true)
+}
+
+// attempt runs one copy of morsel m once, behind a panic recovery and
+// the morsel fault point, and commits its output if it is the first
+// copy to finish — the only write a task makes that anything else can
+// see. settled reports that this copy claimed the morsel.
+func (op *morselOp) attempt(w *evalEnv, m int, spec bool) (settled bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			settled, err = false, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	if e := w.fplan.Hit(fault.PointMorsel); e != nil {
+		return false, e
+	}
+	start := time.Now()
+	if op.races != nil {
+		// The claim doubles as the loser's stop flag.
+		w.taskStop = &op.races[m].claimed
+		defer func() { w.taskStop = nil }()
+	}
+	out := op.compute(m, w)
+	if !op.claim(m) {
+		return false, nil // lost the race; the winner already committed
+	}
+	if w.err != nil {
+		return true, nil // a dying run: the morsel settles uncommitted
+	}
+	op.outs[m] = out
+	op.produced.Add(int64(len(out.rows)))
+	if op.races != nil {
+		if spec && w.ftally != nil {
+			w.ftally.specWins.Add(1)
+		}
+		op.durMu.Lock()
+		op.durs = append(op.durs, int64(time.Since(start)))
+		op.durMu.Unlock()
+	}
+	return true, nil
+}
+
+// runMorsels dispatches morsels [0, total) to the pool and returns the
+// outputs of the dispatched ones, in morsel order, once each has
+// settled. compute(m, w) runs on a worker, any number of times and
+// possibly as two racing copies, so it must be a pure function of
+// immutable state writing only memory it allocates; runMorsels commits
+// exactly one copy's output per morsel. When needed > 0, dispatch
+// short-circuits as soon as the committed morsels hold that many rows —
+// the LIMIT pushdown. Any cross-worker cancellation or task failure is
+// latched into env.err.
+func (env *evalEnv) runMorsels(total, needed int, compute func(m int, w *evalEnv) morselOut) []morselOut {
 	if env.pool == nil {
 		env.pool = newWorkerPool(env, env.par.n)
 	}
-	var wg sync.WaitGroup
+	op := &morselOp{compute: compute, outs: make([]morselOut, total)}
+	if env.par.specK > 0 {
+		op.races = make([]specTask, total)
+		defer op.watch(env)()
+	}
 	dispatched := 0
 	for m := 0; m < total; m++ {
 		if env.par.stop.Load() {
 			break
 		}
-		if needed > 0 && produced != nil && produced.Load() >= int64(needed) {
+		if needed > 0 && op.produced.Load() >= int64(needed) {
 			break
 		}
-		wg.Add(1)
-		env.pool.tasks <- poolTask{fn: mk(m), wg: &wg}
+		op.wg.Add(1)
+		env.pool.tasks <- poolTask{op: op, m: m}
 		dispatched++
 	}
-	wg.Wait()
+	// Morsels beyond dispatched never settle; their wait-group slots
+	// were never added, so waiting on the dispatched prefix is exact.
+	op.wg.Wait()
 	env.par.ops.Add(1)
 	env.par.morsels.Add(int64(dispatched))
 	if env.trace != nil {
@@ -390,46 +462,23 @@ func (env *evalEnv) runMorsels(total, needed int, produced *atomic.Int64, mk fun
 		cur.AddInt("morsels", int64(dispatched))
 		cur.SetInt("width", int64(env.par.n))
 	}
-	// A latched task failure (exhausted panic retries) outranks the
-	// cancellation latch: stop may be raised by either, and ctx.Err()
-	// is nil when the run died of a panic rather than cancellation.
-	if env.err == nil {
-		if ferr := env.par.failure(); ferr != nil {
-			env.err = ferr
-		} else if env.par.stop.Load() && env.ctx != nil {
-			if cerr := env.ctx.Err(); cerr != nil {
-				env.err = cerr
-			}
-		}
-	}
-	return dispatched
+	env.latchStop()
+	return op.outs[:dispatched]
 }
 
-// runMorselsOut dispatches morsels whose tasks each produce one
-// private output buffer: compute(m, w) returns morsel m's rows, and
-// the committed buffer lands in outs[m] (with len(out) added to the
-// shared produced counter when non-nil). This is the commit-side
-// variant of runMorsels that speculation needs: because the buffer is
-// returned rather than written in place, two racing copies of the same
-// morsel can run and exactly one result commits. Without speculation
-// armed it delegates to runMorsels with the commit inlined — same
-// dispatch, same cost.
-func (env *evalEnv) runMorselsOut(total, needed int, produced *atomic.Int64, outs [][]slotRow, compute func(m int, w *evalEnv) []slotRow) int {
-	if env.par.specK > 0 {
-		return env.runMorselsSpec(total, needed, produced, outs, compute)
+// latchStop surfaces into env.err whatever raised the run's stop latch.
+// A latched task failure (exhausted panic retries, a blown budget)
+// outranks cancellation: stop may be raised by either, and ctx.Err() is
+// nil when the run died of a failure rather than cancellation.
+func (env *evalEnv) latchStop() {
+	if env.par == nil || env.err != nil {
+		return
 	}
-	return env.runMorsels(total, needed, produced, func(m int) func(w *evalEnv) {
-		return func(w *evalEnv) {
-			out := compute(m, w)
-			if w.err != nil {
-				return
-			}
-			outs[m] = out
-			if produced != nil {
-				produced.Add(int64(len(out)))
-			}
-		}
-	})
+	if ferr := env.par.failure(); ferr != nil {
+		env.err = ferr
+	} else if env.par.stop.Load() && env.ctx != nil {
+		env.err = env.ctx.Err()
+	}
 }
 
 // Speculative morsel re-execution — the engine-side reproduction of
@@ -439,15 +488,15 @@ func (env *evalEnv) runMorselsOut(total, needed int, produced *atomic.Int64, out
 // claim protocol that keeps output byte-identical:
 //
 //   - Each morsel's copies compute into private buffers; a single
-//     atomic claim (specTask.claimed) decides which copy commits
-//     outs[m]. Tasks are pure functions of immutable run state, so
-//     both copies compute identical rows — the claim only picks whose
-//     allocation survives.
+//     atomic claim (specTask.claimed) decides which copy commits.
+//     Tasks are pure functions of immutable run state, so both copies
+//     compute identical rows — the claim only picks whose allocation
+//     survives.
 //   - The claim doubles as the loser's stop flag: evalEnv.taskStop
 //     points at it, so a straggling loser abandons its morsel at the
 //     next amortized poll without latching any error.
 //   - The operation's wait group counts claims, not task exits: each
-//     dispatched morsel resolves exactly once (commit, failure latch,
+//     dispatched morsel settles exactly once (commit, failure latch,
 //     or dying-run release).
 const (
 	// specMinSamples is how many completed tasks the watchdog needs
@@ -467,96 +516,13 @@ type specTask struct {
 	specd   atomic.Bool  // a speculative copy was launched
 }
 
-func (env *evalEnv) runMorselsSpec(total, needed int, produced *atomic.Int64, outs [][]slotRow, compute func(m int, w *evalEnv) []slotRow) int {
-	if env.pool == nil {
-		env.pool = newWorkerPool(env, env.par.n)
-	}
-	states := make([]specTask, total)
-	var wg sync.WaitGroup // one Done per dispatched morsel, at claim resolution
-	var durMu sync.Mutex
-	var durs []int64 // committed-copy durations, for the straggler median
-
-	// release resolves a morsel's claim without committing (dying run,
-	// exhausted failure): the first resolver still fires the wait group.
-	release := func(st *specTask) bool {
-		if st.claimed.CompareAndSwap(false, true) {
-			wg.Done()
-			return true
-		}
-		return false
-	}
-
-	// run executes one copy of morsel m and resolves its claim: the
-	// first copy to finish commits its private buffer, later copies
-	// discard theirs.
-	run := func(m int, st *specTask, w *evalEnv, spec bool) {
-		start := time.Now()
-		st.started.CompareAndSwap(0, start.UnixNano())
-		w.taskStop = &st.claimed
-		defer func() { w.taskStop = nil }()
-		out := compute(m, w)
-		if w.err != nil {
-			release(st)
-			return
-		}
-		if !st.claimed.CompareAndSwap(false, true) {
-			return // lost the race; the winner already committed
-		}
-		outs[m] = out
-		if produced != nil {
-			produced.Add(int64(len(out)))
-		}
-		if spec && w.ftally != nil {
-			w.ftally.specWins.Add(1)
-		}
-		durMu.Lock()
-		durs = append(durs, int64(time.Since(start)))
-		durMu.Unlock()
-		wg.Done()
-	}
-
-	// original builds morsel m's pool task: runTask's retry loop,
-	// inlined so an exhausted failure only kills the run if the morsel
-	// was not already rescued by its speculative copy.
-	original := func(m int, st *specTask) func(w *evalEnv) {
-		return func(w *evalEnv) {
-			// Stamp the start before the first attempt, not inside run():
-			// a task stalled ahead of its compute (an injected fault
-			// delay, a descheduled worker) is already straggling, and the
-			// watchdog must see it running.
-			st.started.CompareAndSwap(0, time.Now().UnixNano())
-			for attempt := 1; ; attempt++ {
-				err := runTaskAttempt(w, func(w *evalEnv) { run(m, st, w, false) })
-				if err == nil {
-					return
-				}
-				if _, ok := err.(*PanicError); ok && w.ftally != nil {
-					w.ftally.panics.Add(1)
-				}
-				if w.err != nil {
-					release(st)
-					return
-				}
-				if attempt >= maxTaskAttempts {
-					if release(st) {
-						w.par.latchFailure(err)
-					}
-					return
-				}
-				if st.claimed.Load() {
-					return // rescued while we were failing; nothing to retry for
-				}
-				if w.ftally != nil {
-					w.ftally.retries.Add(1)
-				}
-			}
-		}
-	}
-
-	// The watchdog: every tick, compute the straggler threshold from
-	// the committed-task median and launch one speculative copy (on a
-	// fresh goroutine with a private environment) for each unclaimed
-	// task over it.
+// watch starts the operation's straggler watchdog: every tick it
+// computes the straggler threshold from the committed-task median and
+// launches one speculative copy (on a fresh goroutine with a private
+// environment) for each unclaimed task over it. The returned stop waits
+// the watchdog and every speculative copy out, so losers are gone before
+// the operation returns.
+func (op *morselOp) watch(env *evalEnv) (stop func()) {
 	watchStop := make(chan struct{})
 	var aux sync.WaitGroup // the watchdog and every speculative copy
 	aux.Add(1)
@@ -570,14 +536,14 @@ func (env *evalEnv) runMorselsSpec(total, needed int, produced *atomic.Int64, ou
 				return
 			case <-tick.C:
 			}
-			durMu.Lock()
+			op.durMu.Lock()
 			var median int64
-			if len(durs) >= specMinSamples {
-				sorted := append([]int64(nil), durs...)
+			if len(op.durs) >= specMinSamples {
+				sorted := append([]int64(nil), op.durs...)
 				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 				median = sorted[len(sorted)/2]
 			}
-			durMu.Unlock()
+			op.durMu.Unlock()
 			if median == 0 {
 				continue
 			}
@@ -586,8 +552,8 @@ func (env *evalEnv) runMorselsSpec(total, needed int, produced *atomic.Int64, ou
 				threshold = specMinThreshold
 			}
 			now := time.Now().UnixNano()
-			for i := range states {
-				st := &states[i]
+			for m := range op.races {
+				st := &op.races[m]
 				if st.claimed.Load() || st.specd.Load() {
 					continue
 				}
@@ -600,62 +566,35 @@ func (env *evalEnv) runMorselsSpec(total, needed int, produced *atomic.Int64, ou
 					env.ftally.specs.Add(1)
 				}
 				aux.Add(1)
-				go func(m int, st *specTask) {
+				go func(m int) {
 					defer aux.Done()
 					// One best-effort attempt: a panicking or failing
 					// copy is simply dropped — the original still owns
 					// the retry budget.
-					w := env.workerEnv()
-					_ = runTaskAttempt(w, func(w *evalEnv) { run(m, st, w, true) })
-				}(i, st)
+					if settled, _ := op.attempt(env.workerEnv(), m, true); settled {
+						op.wg.Done()
+					}
+				}(m)
 			}
 		}
 	}()
-
-	dispatched := 0
-	for m := 0; m < total; m++ {
-		if env.par.stop.Load() {
-			break
-		}
-		if needed > 0 && produced != nil && produced.Load() >= int64(needed) {
-			break
-		}
-		wg.Add(1)
-		env.pool.tasks <- poolTask{fn: original(m, &states[m]), direct: true}
-		dispatched++
+	return func() {
+		close(watchStop)
+		aux.Wait()
 	}
-	// Morsels beyond dispatched never resolve a claim; their wait-group
-	// slots were never added, so waiting on claims of the dispatched
-	// prefix is exact.
-	wg.Wait()
-	close(watchStop)
-	aux.Wait() // losers and the watchdog are gone before the op returns
-	env.par.ops.Add(1)
-	env.par.morsels.Add(int64(dispatched))
-	if env.trace != nil {
-		cur := env.trace.t.Current()
-		cur.AddInt("morsels", int64(dispatched))
-		cur.SetInt("width", int64(env.par.n))
-	}
-	if env.err == nil {
-		if ferr := env.par.failure(); ferr != nil {
-			env.err = ferr
-		} else if env.par.stop.Load() && env.ctx != nil {
-			if cerr := env.ctx.Err(); cerr != nil {
-				env.err = cerr
-			}
-		}
-	}
-	return dispatched
 }
 
 // mergeMorsels concatenates per-morsel output buffers in morsel order
 // (= serial order), charging the merged batch against the run's
-// budget. Returns nil for an empty result, like the serial join paths.
-func mergeMorsels(env *evalEnv, outs [][]slotRow) []slotRow {
+// budget. A lone buffer is the result as it stands. Returns nil for an
+// empty result.
+func mergeMorsels(env *evalEnv, outs []morselOut) []slotRow {
+	if len(outs) == 1 {
+		return outs[0].rows
+	}
 	total := 0
 	for _, o := range outs {
-		total += len(o)
+		total += len(o.rows)
 	}
 	if total == 0 {
 		return nil
@@ -666,7 +605,7 @@ func mergeMorsels(env *evalEnv, outs [][]slotRow) []slotRow {
 	}
 	merged := make([]slotRow, 0, total)
 	for _, o := range outs {
-		merged = append(merged, o...)
+		merged = append(merged, o.rows...)
 	}
 	return merged
 }
@@ -681,17 +620,14 @@ func mergeMorsels(env *evalEnv, outs [][]slotRow) []slotRow {
 // exceed that).
 func (env *evalEnv) seedScanPar(ps *patternScan, row slotRow, max int) []slotRow {
 	n := len(ps.candidates)
-	total := rdf.MorselCount(n, morselSize)
-	outs := make([][]slotRow, total)
-	var produced atomic.Int64
-	dispatched := env.runMorselsOut(total, max, &produced, outs, func(m int, w *evalEnv) []slotRow {
+	outs := env.runMorsels(rdf.MorselCount(n, morselSize), max, func(m int, w *evalEnv) morselOut {
 		start, end := rdf.MorselBounds(m, n, morselSize)
-		return w.scanPattern(ps, row, ps.candidates[start:end], max, make([]slotRow, 0, outputCap(end-start, max)))
+		return morselOut{rows: w.scanPattern(ps, row, ps.candidates[start:end], max, make([]slotRow, 0, outputCap(end-start, max)))}
 	})
 	if env.err != nil {
 		return nil
 	}
-	merged := mergeMorsels(env, outs[:dispatched])
+	merged := mergeMorsels(env, outs)
 	if merged == nil {
 		// Serial seed scans yield an empty non-nil slice; callers only
 		// check len, but stay consistent.
@@ -700,263 +636,14 @@ func (env *evalEnv) seedScanPar(ps *patternScan, row slotRow, max int) []slotRow
 	return merged
 }
 
-// hashJoinBuildRightPar is hashJoinBuildRight with the probe side (a)
-// split into morsels: the build pass stays serial, each morsel counts
-// and emits its contiguous a-range into a private buffer, and buffers
-// concatenate in morsel order — a-major with b-suborder, exactly the
-// serial output.
-func (env *evalEnv) hashJoinBuildRightPar(a, b []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(b, key)
-	env.chargeJoinTable(head, next)
-	n := len(a)
-	total := rdf.MorselCount(n, morselSize)
-	outs := make([][]slotRow, total)
-	env.runMorselsOut(total, 0, nil, outs, func(m int, w *evalEnv) []slotRow {
-		start, end := rdf.MorselBounds(m, n, morselSize)
-		var out []slotRow
-		for _, x := range a[start:end] {
-			if w.interrupted() {
-				break
-			}
-			h := rowKeyHash(x, key) & mask
-			for yi := head[h]; yi >= 0; yi = next[yi] {
-				if y := b[yi]; compatibleRows(x, y) {
-					out = append(out, w.mergeRows(x, y))
-				}
-			}
-		}
-		return out
-	})
-	if env.err != nil {
-		return nil
+// cursorMorselSize picks the morsel size for a probe against a table
+// over the left side, each of whose morsels carries one int32 cursor
+// per left row until the gather: the standard morselSize, grown as
+// needed to cap the morsel count at 4 per worker, so the cursors stay
+// O(par · left side).
+func cursorMorselSize(n, par int) int {
+	if maxCount := 4 * par; rdf.MorselCount(n, morselSize) > maxCount {
+		return (n + maxCount - 1) / maxCount
 	}
-	return mergeMorsels(env, outs)
-}
-
-// hashOptionalBuildRightPar mirrors hashOptionalBuildRight: morsels
-// over the probe (left) side, unmatched left rows passing through
-// uncopied inside their morsel's buffer.
-func (env *evalEnv) hashOptionalBuildRightPar(left, right []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(right, key)
-	env.chargeJoinTable(head, next)
-	n := len(left)
-	total := rdf.MorselCount(n, morselSize)
-	outs := make([][]slotRow, total)
-	env.runMorselsOut(total, 0, nil, outs, func(m int, w *evalEnv) []slotRow {
-		start, end := rdf.MorselBounds(m, n, morselSize)
-		out := make([]slotRow, 0, end-start)
-		for _, l := range left[start:end] {
-			if w.interrupted() {
-				break
-			}
-			h := rowKeyHash(l, key) & mask
-			matched := false
-			for ri := head[h]; ri >= 0; ri = next[ri] {
-				if r := right[ri]; compatibleRows(l, r) {
-					out = append(out, w.mergeRows(l, r))
-					matched = true
-				}
-			}
-			if !matched {
-				out = append(out, l)
-			}
-		}
-		return out
-	})
-	if env.err != nil {
-		return nil
-	}
-	return mergeMorsels(env, outs)
-}
-
-// scatterMorselSpan picks the morsel size for the build-left scatter
-// probes, whose counting pass needs one int32 per (morsel, build row):
-// the standard morselSize, grown as needed to cap the morsel count at
-// 4 morsels per worker so the cursor matrix stays O(par · build side).
-func scatterMorselSpan(n, par int) (size, count int) {
-	size = morselSize
-	if maxCount := 4 * par; rdf.MorselCount(n, size) > maxCount {
-		size = (n + maxCount - 1) / maxCount
-	}
-	return size, rdf.MorselCount(n, size)
-}
-
-// hashJoinBuildLeftPar is hashJoinBuildLeft with the probe side (b)
-// split into morsels. The serial variant's counting pass generalizes
-// to a cursor matrix: morsel m counts its matches per build row,
-// cursors[m][xi] then becomes the exact output offset of morsel m's
-// first match for build row xi (a-major, morsels of b in order), and
-// the emit pass scatters through those cursors — every (m, xi) writes
-// a disjoint output range, and the order is byte-identical to serial.
-func (env *evalEnv) hashJoinBuildLeftPar(a, b []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(a, key)
-	env.chargeJoinTable(head, next)
-	la, n := len(a), len(b)
-	size, total := scatterMorselSpan(n, env.par.n)
-	// The cursor matrix and its starts snapshot both cost one int32 per
-	// (morsel, build row).
-	env.charge(2*int64(total*la)*termIDBytes, stageJoin)
-	if env.err != nil {
-		return nil
-	}
-	cursors := make([]int32, total*la)
-	// starts snapshots the write cursors before the emit pass, so a
-	// re-run task (panic recovery, parallel.go runTask) restores its
-	// cursor row instead of advancing it twice.
-	var starts []int32
-	probe := func(emit bool, out []slotRow) {
-		env.runMorsels(total, 0, nil, func(m int) func(w *evalEnv) {
-			start, end := rdf.MorselBounds(m, n, size)
-			cur := cursors[m*la : (m+1)*la]
-			return func(w *evalEnv) {
-				// (Re)initialize the task's private cursor row: zeros
-				// for the counting pass, the saved write offsets for
-				// the emit pass — the emit's out[] writes are then
-				// idempotent (same rows, same disjoint slots).
-				if emit {
-					copy(cur, starts[m*la:(m+1)*la])
-				} else {
-					for i := range cur {
-						cur[i] = 0
-					}
-				}
-				for _, y := range b[start:end] {
-					if w.interrupted() {
-						return
-					}
-					h := rowKeyHash(y, key) & mask
-					for xi := head[h]; xi >= 0; xi = next[xi] {
-						if x := a[xi]; compatibleRows(x, y) {
-							if emit {
-								out[cur[xi]] = w.mergeRows(x, y)
-							}
-							cur[xi]++
-						}
-					}
-				}
-			}
-		})
-	}
-	probe(false, nil)
-	if env.err != nil {
-		return nil
-	}
-	// Turn counts into write cursors: a-major, then morsel order.
-	pos := int32(0)
-	for xi := 0; xi < la; xi++ {
-		for m := 0; m < total; m++ {
-			c := cursors[m*la+xi]
-			cursors[m*la+xi] = pos
-			pos += c
-		}
-	}
-	if pos == 0 {
-		return nil
-	}
-	env.chargeRowBatch(int(pos), stageJoin)
-	if env.err != nil { // over budget: skip the output allocation
-		return nil
-	}
-	starts = append([]int32(nil), cursors...)
-	out := make([]slotRow, pos)
-	probe(true, out)
-	if env.err != nil {
-		// Incomplete scatter: nil holes remain, return nothing (the
-		// latched error aborts the evaluation).
-		return nil
-	}
-	return out
-}
-
-// hashOptionalBuildLeftPar is hashOptionalBuildLeft with the probe
-// (right) side split into morsels, using the same cursor matrix as
-// hashJoinBuildLeftPar; unmatched left rows take their single output
-// slot during the serial cursor walk, exactly where the serial scatter
-// places them.
-func (env *evalEnv) hashOptionalBuildLeftPar(left, right []slotRow, key []int) []slotRow {
-	head, next, mask := buildJoinTable(left, key)
-	env.chargeJoinTable(head, next)
-	ll, n := len(left), len(right)
-	size, total := scatterMorselSpan(n, env.par.n)
-	// Cursor matrix + starts snapshot: one int32 each per (morsel, row).
-	env.charge(2*int64(total*ll)*termIDBytes, stageJoin)
-	if env.err != nil {
-		return nil
-	}
-	cursors := make([]int32, total*ll)
-	// starts: see hashJoinBuildLeftPar — restores a re-run emit task's
-	// cursor row so retries stay idempotent.
-	var starts []int32
-	probe := func(emit bool, out []slotRow) {
-		env.runMorsels(total, 0, nil, func(m int) func(w *evalEnv) {
-			start, end := rdf.MorselBounds(m, n, size)
-			cur := cursors[m*ll : (m+1)*ll]
-			return func(w *evalEnv) {
-				if emit {
-					copy(cur, starts[m*ll:(m+1)*ll])
-				} else {
-					for i := range cur {
-						cur[i] = 0
-					}
-				}
-				for _, r := range right[start:end] {
-					if w.interrupted() {
-						return
-					}
-					h := rowKeyHash(r, key) & mask
-					for li := head[h]; li >= 0; li = next[li] {
-						if l := left[li]; compatibleRows(l, r) {
-							if emit {
-								out[cur[li]] = w.mergeRows(l, r)
-							}
-							cur[li]++
-						}
-					}
-				}
-			}
-		})
-	}
-	probe(false, nil)
-	if env.err != nil {
-		return nil
-	}
-	// Size the output (unmatched lefts pass through with one slot
-	// each), then turn counts into write cursors.
-	outLen := 0
-	for li := 0; li < ll; li++ {
-		matches := 0
-		for m := 0; m < total; m++ {
-			matches += int(cursors[m*ll+li])
-		}
-		if matches == 0 {
-			outLen++
-		} else {
-			outLen += matches
-		}
-	}
-	env.chargeRowBatch(outLen, stageJoin)
-	if env.err != nil { // over budget: skip the output allocation
-		return nil
-	}
-	out := make([]slotRow, outLen)
-	pos := int32(0)
-	for li := 0; li < ll; li++ {
-		colStart := pos
-		for m := 0; m < total; m++ {
-			c := cursors[m*ll+li]
-			cursors[m*ll+li] = pos
-			pos += c
-		}
-		if pos == colStart { // no matches: the left row passes through
-			out[pos] = left[li]
-			pos++
-		}
-	}
-	starts = append([]int32(nil), cursors...)
-	probe(true, out)
-	if env.err != nil {
-		// Incomplete scatter: nil holes remain (see above).
-		return nil
-	}
-	return out
+	return morselSize
 }

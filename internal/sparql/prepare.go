@@ -18,8 +18,9 @@ import (
 //
 // The plan cache memoizes, per BGP of the query, the compiled triple
 // patterns (constants resolved to dictionary ids) in selectivity order
-// for one graph snapshot, identified by the graph's EncodedView pointer
-// and its triple count. Re-running against the same snapshot skips
+// for one snapshot of the data: a graph's EncodedView pointer and its
+// triple count, or a ShardSet pointer (shard sets are immutable once
+// built). Re-running against the same snapshot skips
 // parsing, slot-table construction, constant encoding, selectivity
 // estimation, and join ordering; a run against a different graph — or
 // the same graph after an Add — recompiles and replaces the cache.
@@ -32,25 +33,17 @@ type Prepared struct {
 	limitHint   int
 	fingerprint string // normalized shape hash (fingerprint.go)
 
+	// Plan memo: the compiled plan of each BGP, in evaluation order, for
+	// one snapshot of the data (a graph's encoded view, or a shard set).
 	mu       sync.Mutex
-	planView *rdf.EncodedView
-	planLen  int
-	plans    [][]cPattern // indexed by BGP evaluation order
-
-	// Sharded plan memo (dist.go): the same per-BGP compiled plans,
-	// keyed by ShardSet pointer — sound because shard sets are
-	// immutable once built.
-	distSet   *ShardSet
-	distPlans [][]cPattern
+	planSnap snapshot
+	plans    [][]cPattern
 
 	// Cost-estimate memo (budget.go): the admission controller's work
-	// estimate, keyed like the plan caches (graph snapshot / shard-set
-	// pointer) so the per-request hot path is one mutex-guarded lookup.
-	costView   *rdf.EncodedView
-	costLen    int
-	costVal    int64
-	costSet    *ShardSet
-	costSetVal int64
+	// estimate, keyed like the plan memo so the per-request hot path is
+	// one mutex-guarded lookup.
+	costSnap snapshot
+	costVal  int64
 }
 
 // Prepare parses text and compiles it for repeated execution.
@@ -136,55 +129,29 @@ func (p *Prepared) runWith(ctx context.Context, g *rdf.Graph, ro *runOpts) (*Res
 }
 
 // cachedPlan returns the cached plan of the seq-th BGP for the given
-// graph snapshot, or nil when no matching plan is cached.
-func (p *Prepared) cachedPlan(view *rdf.EncodedView, seq int) []cPattern {
+// snapshot, or nil when no matching plan is cached.
+func (p *Prepared) cachedPlan(snap snapshot, seq int) []cPattern {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.planView != view || p.planLen != view.Len() || seq >= len(p.plans) {
+	if p.planSnap != snap || seq >= len(p.plans) {
 		return nil
 	}
 	return p.plans[seq]
 }
 
 // storePlan publishes the compiled plan of the seq-th BGP for the
-// given graph snapshot, discarding plans of any other snapshot.
-func (p *Prepared) storePlan(view *rdf.EncodedView, seq int, cps []cPattern) {
+// given snapshot, discarding plans of any other snapshot.
+func (p *Prepared) storePlan(snap snapshot, seq int, cps []cPattern) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.planView != view || p.planLen != view.Len() {
-		p.planView, p.planLen = view, view.Len()
+	if p.planSnap != snap {
+		p.planSnap = snap
 		p.plans = p.plans[:0]
 	}
 	for len(p.plans) <= seq {
 		p.plans = append(p.plans, nil)
 	}
 	p.plans[seq] = cps
-}
-
-// cachedDistPlan returns the cached sharded plan of the seq-th BGP for
-// the given shard set, or nil when no matching plan is cached.
-func (p *Prepared) cachedDistPlan(ss *ShardSet, seq int) []cPattern {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.distSet != ss || seq >= len(p.distPlans) {
-		return nil
-	}
-	return p.distPlans[seq]
-}
-
-// storeDistPlan publishes the compiled sharded plan of the seq-th BGP
-// for the given shard set, discarding plans of any other set.
-func (p *Prepared) storeDistPlan(ss *ShardSet, seq int, cps []cPattern) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.distSet != ss {
-		p.distSet = ss
-		p.distPlans = p.distPlans[:0]
-	}
-	for len(p.distPlans) <= seq {
-		p.distPlans = append(p.distPlans, nil)
-	}
-	p.distPlans[seq] = cps
 }
 
 // Solutions is a result sequence positioned for streaming: for plain
