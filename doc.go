@@ -316,9 +316,13 @@
 // site, leaving every allocation pin intact. Three surfaces consume
 // the trace: explain=analyze on /sparql (and rdfquery -explain)
 // answers with the span tree as JSON or indented text instead of
-// results; GET /metrics renders every /stats counter plus
-// end-to-end/exec/serialize latency histograms in the Prometheus text
-// exposition format (hand-rolled, zero dependencies); and the
+// results; GET /stats (JSON) and GET /metrics (Prometheus text
+// exposition format) are two renderings of one list — a server series
+// is one line of declareMetrics (internal/server/stats.go) carrying its
+// /metrics family, its dotted /stats path and its help text, and both
+// documents render from that obs.Registry; the counters and histogram
+// buckets are atomics the request path moves in place, so a scrape is
+// exact per series, not a snapshot across them; and the
 // slow-query log (Config.SlowQueryThreshold; rdfserve
 // -slow-query-threshold) emits one JSON line per slow query — request
 // id, query hash (never the text), route, shard fan-out, and the
@@ -363,7 +367,8 @@
 //
 // and the full assessment suite with go test -bench . -benchmem.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// per-table/figure reproduction record. The benchmarks in this package
-// (bench_test.go) regenerate every artifact of the paper.
+// See README.md for the system inventory and bench/README.md for the
+// acceptance benchmark that drives rdfserve over a socket. The
+// benchmarks in this package (bench_test.go) regenerate every artifact
+// of the paper.
 package repro

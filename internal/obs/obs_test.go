@@ -226,8 +226,8 @@ func validateExposition(t *testing.T, body []byte) map[string]string {
 func TestMetricsWriterExposition(t *testing.T) {
 	var w MetricsWriter
 	w.Counter("rdf_queries_served_total", "Queries answered successfully.", 42)
-	w.Gauge("rdf_in_flight_queries", "Queries evaluating right now.", 3)
-	w.GaugeL("rdf_build_info", "Build facts.", []Label{{"go_version", `go1.24 "x"`}}, 1)
+	w.GaugeVec("rdf_in_flight_queries", "Queries evaluating right now.", []Sample{{Value: 3}})
+	w.GaugeVec("rdf_build_info", "Build facts.", []Sample{{Labels: []Label{{"go_version", `go1.24 "x"`}}, Value: 1}})
 	w.Histogram("rdf_query_duration_ms", "Latency.",
 		[]float64{1, 2.5, 10}, []uint64{3, 0, 2, 1}, 37.5)
 	body := w.Bytes()

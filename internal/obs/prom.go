@@ -59,19 +59,6 @@ func (w *MetricsWriter) Counter(name, help string, v float64) {
 	w.sample(name, nil, v)
 }
 
-// Gauge emits one gauge family with a single unlabeled sample.
-func (w *MetricsWriter) Gauge(name, help string, v float64) {
-	w.header(name, help, "gauge")
-	w.sample(name, nil, v)
-}
-
-// GaugeL emits one gauge family with a single labeled sample (the
-// build-info idiom: constant 1 with the facts in labels).
-func (w *MetricsWriter) GaugeL(name, help string, labels []Label, v float64) {
-	w.header(name, help, "gauge")
-	w.sample(name, labels, v)
-}
-
 // Sample is one labeled observation of a multi-sample family.
 type Sample struct {
 	Labels []Label

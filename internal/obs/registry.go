@@ -2,6 +2,7 @@ package obs
 
 import (
 	"container/list"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -23,11 +24,10 @@ type ShapeRegistry struct {
 	capacity  int
 	entries   map[string]*shapeEntry
 	order     *list.List // front = most recently seen
-	evictions uint64
+	evictions Counter    // moved under mu, read without it
 
-	latencyBounds []float64
-	rowsBounds    []float64
-	bytesBounds   []float64
+	rowsBounds  []float64
+	bytesBounds []float64
 }
 
 // ShapeSample is one request's contribution to its shape entry.
@@ -48,20 +48,11 @@ type ShapeSample struct {
 	Sampled     bool // request carried a sampled trace
 }
 
+// shapeEntry is one shape's aggregates, counted in place in the
+// ShapeStat a snapshot copies; the quantiles and the mean are filled in
+// at snapshot time from the histograms beside it.
 type shapeEntry struct {
-	fp        string
-	class     string
-	example   string
-	firstSeen time.Time
-	lastSeen  time.Time
-
-	count, errors, cacheHits  uint64
-	sheds, degrades           uint64
-	hedges, speculations      uint64
-	sampled                   uint64
-	rowsTotal                 uint64
-	bytesTotal                uint64
-	routes                    map[string]uint64
+	ShapeStat
 	latency, rows, bytesUsage hist
 
 	elem *list.Element // position in the LRU order
@@ -114,12 +105,11 @@ func (h *hist) quantile(bounds []float64, q float64) float64 {
 	return h.max
 }
 
-// Default histogram bounds: latency mirrors the server's bucket
-// ladder, rows and bytes cover point lookups through full scans.
+// Default histogram bounds: latency is LatencyBoundsMs, rows and bytes
+// cover point lookups through full scans.
 var (
-	defaultLatencyBoundsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
-	defaultRowsBounds      = []float64{1, 10, 100, 1000, 10000, 100000, 1000000}
-	defaultBytesBounds     = []float64{1 << 10, 16 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20}
+	defaultRowsBounds  = []float64{1, 10, 100, 1000, 10000, 100000, 1000000}
+	defaultBytesBounds = []float64{1 << 10, 16 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20}
 )
 
 // NewShapeRegistry builds a registry bounded to capacity shapes
@@ -129,13 +119,23 @@ func NewShapeRegistry(capacity int) *ShapeRegistry {
 		capacity = 256
 	}
 	return &ShapeRegistry{
-		capacity:      capacity,
-		entries:       make(map[string]*shapeEntry, capacity),
-		order:         list.New(),
-		latencyBounds: defaultLatencyBoundsMs,
-		rowsBounds:    defaultRowsBounds,
-		bytesBounds:   defaultBytesBounds,
+		capacity:    capacity,
+		entries:     make(map[string]*shapeEntry, capacity),
+		order:       list.New(),
+		rowsBounds:  defaultRowsBounds,
+		bytesBounds: defaultBytesBounds,
 	}
+}
+
+// Declare adds the registry's own series — shapes tracked, the LRU
+// bound, evictions — to reg.
+func (r *ShapeRegistry) Declare(reg *Registry) {
+	reg.Gauge("rdf_shapes_tracked", "workload.shapes_tracked",
+		"Distinct query shapes currently retained in the fingerprint registry.",
+		func() float64 { return float64(r.Len()) })
+	reg.Gauge("", "workload.shape_capacity", "", func() float64 { return float64(r.capacity) })
+	reg.Counter("rdf_shape_evictions_total", "workload.shape_evictions",
+		"Query shapes evicted by the registry's LRU bound.", &r.evictions)
 }
 
 // Observe folds one request into its shape entry, creating (and if
@@ -154,50 +154,50 @@ func (r *ShapeRegistry) Observe(s ShapeSample) {
 			back := r.order.Back()
 			victim := back.Value.(*shapeEntry)
 			r.order.Remove(back)
-			delete(r.entries, victim.fp)
-			r.evictions++
+			delete(r.entries, victim.Fingerprint)
+			r.evictions.Add(1)
 		}
-		e = &shapeEntry{
-			fp:        s.Fingerprint,
-			class:     s.Class,
-			example:   truncate(s.Example, 400),
-			firstSeen: now,
-			routes:    make(map[string]uint64, 2),
-		}
+		e = &shapeEntry{ShapeStat: ShapeStat{
+			Fingerprint: s.Fingerprint,
+			Class:       s.Class,
+			Example:     truncate(s.Example, 400),
+			FirstSeen:   now,
+			Routes:      make(map[string]uint64, 2),
+		}}
 		e.elem = r.order.PushFront(e)
 		r.entries[s.Fingerprint] = e
 	} else {
 		r.order.MoveToFront(e.elem)
 	}
-	e.lastSeen = now
-	e.count++
+	e.LastSeen = now
+	e.Count++
 	if s.Err {
-		e.errors++
+		e.Errors++
 	}
 	if s.CacheHit {
-		e.cacheHits++
+		e.CacheHits++
 	}
 	if s.Shed {
-		e.sheds++
+		e.Sheds++
 	}
 	if s.Degraded {
-		e.degrades++
+		e.Degrades++
 	}
 	if s.Sampled {
-		e.sampled++
+		e.Sampled++
 	}
-	e.hedges += uint64(s.Hedges)
-	e.speculations += uint64(s.Speculation)
+	e.Hedges += uint64(s.Hedges)
+	e.Speculations += uint64(s.Speculation)
 	if s.Rows > 0 {
-		e.rowsTotal += uint64(s.Rows)
+		e.RowsTotal += uint64(s.Rows)
 	}
 	if s.Bytes > 0 {
-		e.bytesTotal += uint64(s.Bytes)
+		e.BytesTotal += uint64(s.Bytes)
 	}
 	if s.Route != "" {
-		e.routes[s.Route]++
+		e.Routes[s.Route]++
 	}
-	e.latency.observe(r.latencyBounds, s.DurationMs)
+	e.latency.observe(LatencyBoundsMs[:], s.DurationMs)
 	e.rows.observe(r.rowsBounds, float64(s.Rows))
 	e.bytesUsage.observe(r.bytesBounds, float64(s.Bytes))
 }
@@ -227,38 +227,19 @@ type ShapeStat struct {
 	LastSeen     time.Time         `json:"last_seen"`
 }
 
-func (r *ShapeRegistry) snapshotEntry(e *shapeEntry) ShapeStat {
-	routes := make(map[string]uint64, len(e.routes))
-	for k, v := range e.routes {
-		routes[k] = v
+// snapshotEntry copies e's aggregates and fills in what is derived
+// from them. Called with r.mu held.
+func snapshotEntry(e *shapeEntry) ShapeStat {
+	st := e.ShapeStat
+	st.Routes = maps.Clone(e.Routes)
+	st.LatencyP50Ms = e.latency.quantile(LatencyBoundsMs[:], 0.50)
+	st.LatencyP95Ms = e.latency.quantile(LatencyBoundsMs[:], 0.95)
+	st.LatencyP99Ms = e.latency.quantile(LatencyBoundsMs[:], 0.99)
+	st.LatencyMaxMs = e.latency.max
+	if e.Count > 0 {
+		st.MeanRows = float64(e.RowsTotal) / float64(e.Count)
 	}
-	var meanRows float64
-	if e.count > 0 {
-		meanRows = float64(e.rowsTotal) / float64(e.count)
-	}
-	return ShapeStat{
-		Fingerprint:  e.fp,
-		Class:        e.class,
-		Example:      e.example,
-		Count:        e.count,
-		Errors:       e.errors,
-		CacheHits:    e.cacheHits,
-		Sheds:        e.sheds,
-		Degrades:     e.degrades,
-		Hedges:       e.hedges,
-		Speculations: e.speculations,
-		Sampled:      e.sampled,
-		RowsTotal:    e.rowsTotal,
-		BytesTotal:   e.bytesTotal,
-		Routes:       routes,
-		LatencyP50Ms: e.latency.quantile(r.latencyBounds, 0.50),
-		LatencyP95Ms: e.latency.quantile(r.latencyBounds, 0.95),
-		LatencyP99Ms: e.latency.quantile(r.latencyBounds, 0.99),
-		LatencyMaxMs: e.latency.max,
-		MeanRows:     meanRows,
-		FirstSeen:    e.firstSeen,
-		LastSeen:     e.lastSeen,
-	}
+	return st
 }
 
 // TopK returns up to k shape entries ranked by request count
@@ -268,7 +249,7 @@ func (r *ShapeRegistry) TopK(k int) []ShapeStat {
 	r.mu.Lock()
 	stats := make([]ShapeStat, 0, len(r.entries))
 	for _, e := range r.entries {
-		stats = append(stats, r.snapshotEntry(e))
+		stats = append(stats, snapshotEntry(e))
 	}
 	r.mu.Unlock()
 	sort.Slice(stats, func(i, j int) bool {
@@ -294,11 +275,7 @@ func (r *ShapeRegistry) Len() int {
 func (r *ShapeRegistry) Capacity() int { return r.capacity }
 
 // Evictions returns the number of shapes dropped by the LRU bound.
-func (r *ShapeRegistry) Evictions() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.evictions
-}
+func (r *ShapeRegistry) Evictions() uint64 { return r.evictions.Load() }
 
 func truncate(s string, n int) string {
 	if len(s) <= n {

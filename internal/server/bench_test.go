@@ -42,6 +42,25 @@ func BenchmarkServeCachedQuery(b *testing.B) {
 			b.Fatalf("hits=%d misses=%d over %d requests: cache not exercised", hits, misses, b.N)
 		}
 	})
+	// The same hit from GOMAXPROCS goroutines at once: what the handler's
+	// shared state (plan cache, shape registry, counters) costs when
+	// requests overlap. Run with -cpu 1,2,... and -mutexprofile.
+	b.Run("cache-hit-parallel", func(b *testing.B) {
+		s := New(g, Config{})
+		rec := httptest.NewRecorder() // warm: the single miss
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+				if rec.Code != http.StatusOK {
+					b.Errorf("status %d", rec.Code)
+					return
+				}
+			}
+		})
+	})
 	b.Run("cache-off", func(b *testing.B) {
 		run(b, New(g, Config{PlanCacheSize: -1}))
 	})

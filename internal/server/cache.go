@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/sparql"
 )
 
@@ -22,8 +23,9 @@ type planCache struct {
 	cap    int
 	ll     *list.List // front = most recently used
 	byText map[string]*list.Element
-	hits   uint64
-	misses uint64
+	// hits and misses are moved under mu (so stats reads a consistent
+	// pair) and rendered, lock-free, through the server's registry.
+	hits, misses obs.Counter
 }
 
 type cacheEntry struct {
@@ -47,12 +49,12 @@ func (c *planCache) prepare(text string) (prep *sparql.Prepared, cached bool, er
 	c.mu.Lock()
 	if el, ok := c.byText[text]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
+		c.hits.Add(1)
 		prep = el.Value.(*cacheEntry).prep
 		c.mu.Unlock()
 		return prep, true, nil
 	}
-	c.misses++
+	c.misses.Add(1)
 	c.mu.Unlock()
 
 	// Parse outside the lock: a slow parse of one query must not block
@@ -84,5 +86,5 @@ func (c *planCache) prepare(text string) (prep *sparql.Prepared, cached bool, er
 func (c *planCache) stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	return c.hits.Load(), c.misses.Load(), c.ll.Len()
 }

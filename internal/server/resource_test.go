@@ -71,8 +71,8 @@ func TestOverloadShedImmediate(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "shed") {
 		t.Fatalf("body %q, want the shed message", rec.Body.String())
 	}
-	if res := s.m.resources(); res.shedQueries != 1 {
-		t.Fatalf("shed_queries = %d, want 1", res.shedQueries)
+	if n := s.m.shedQueries.Load(); n != 1 {
+		t.Fatalf("shed_queries = %d, want 1", n)
 	}
 
 	<-s.sem // free the pool; the queued pair must drain cleanly
@@ -111,7 +111,7 @@ func TestOverloadRacedServing(t *testing.T) {
 	// Steady state: 4 queued (depths 1-4), 12 shed (depth 5 each time,
 	// since a shed decrements the gauge right away).
 	waitFor(t, func() bool {
-		return s.admit.waiting.Load() == 4 && s.m.resources().shedQueries == 12
+		return s.admit.waiting.Load() == 4 && s.m.shedQueries.Load() == 12
 	})
 
 	// The control plane must answer while the data plane is saturated.
@@ -140,8 +140,8 @@ func TestOverloadRacedServing(t *testing.T) {
 		t.Fatalf("shed %d / ok %d, want 12 / 4", shed, ok)
 	}
 	// Depths 2-4 exceeded degradeAt (1): three queries ran degraded.
-	if res := s.m.resources(); res.degradedQueries != 3 {
-		t.Fatalf("degraded_queries = %d, want 3", res.degradedQueries)
+	if n := s.m.degradedQueries.Load(); n != 3 {
+		t.Fatalf("degraded_queries = %d, want 3", n)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestServeDegradedByteIdentical(t *testing.T) {
 	if got.Body.String() != want.Body.String() {
 		t.Fatal("degraded run diverged from the full-parallelism answer")
 	}
-	if res := s.m.resources(); res.degradedQueries != 1 {
-		t.Fatalf("degraded_queries = %d, want 1", res.degradedQueries)
+	if n := s.m.degradedQueries.Load(); n != 1 {
+		t.Fatalf("degraded_queries = %d, want 1", n)
 	}
 }
 
@@ -187,15 +187,15 @@ func TestServeMemoryBudget413(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("selective status %d: %s", rec.Code, rec.Body.String())
 	}
-	res := s.m.resources()
-	if res.budgetAborts != 1 {
-		t.Fatalf("budget_aborts = %d, want 1", res.budgetAborts)
+	if n := s.m.budgetAborts.Load(); n != 1 {
+		t.Fatalf("budget_aborts = %d, want 1", n)
 	}
-	if res.bytesCharged == 0 || res.peakQueryBytes == 0 {
-		t.Fatalf("bytes charged %d / peak %d, want both > 0", res.bytesCharged, res.peakQueryBytes)
+	charged, peak := s.m.bytesCharged.Load(), s.m.peakQueryBytes.Load()
+	if charged == 0 || peak == 0 {
+		t.Fatalf("bytes charged %d / peak %d, want both > 0", charged, peak)
 	}
-	if res.peakQueryBytes <= 32<<10 {
-		t.Fatalf("peak %d, want > the %d budget (the aborting charge)", res.peakQueryBytes, 32<<10)
+	if peak <= 32<<10 {
+		t.Fatalf("peak %d, want > the %d budget (the aborting charge)", peak, 32<<10)
 	}
 }
 
@@ -267,8 +267,8 @@ func TestCostShedExpensiveFirst(t *testing.T) {
 			t.Fatalf("cheap query: status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	if res := s.m.resources(); res.shedQueries != 1 {
-		t.Fatalf("shed_queries = %d, want 1", res.shedQueries)
+	if n := s.m.shedQueries.Load(); n != 1 {
+		t.Fatalf("shed_queries = %d, want 1", n)
 	}
 }
 

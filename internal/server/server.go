@@ -12,8 +12,9 @@
 // share (term-space indexes, dictionary-encoded view, cached stats,
 // cached plans) is then safe for unlimited concurrent readers. Each
 // request runs on its own goroutine with its own evaluation arena; the
-// only cross-request synchronization is the plan-cache mutex and the
-// admission semaphore.
+// only cross-request synchronization is the plan-cache mutex, the
+// admission semaphore and the shape registry's mutex (one fold per
+// request that compiled). The counters are atomics moved in place.
 package server
 
 import (
@@ -195,8 +196,13 @@ type Server struct {
 	cfg   Config
 	cache *planCache
 	sem   chan struct{}
-	m     *metrics
 	mux   *http.ServeMux
+
+	// m holds the series the request path moves; reg is the list they
+	// (and every other number /stats and /metrics render) are declared
+	// in, by declareMetrics, once the backend is known.
+	m   metrics
+	reg obs.Registry
 
 	// shards, when set, is the sharded backend: queries execute over
 	// the shard set through the distributed evaluator (pushdown or
@@ -243,7 +249,6 @@ func newServer(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newPlanCache(cfg.PlanCacheSize),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		m:       newMetrics(),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 	}
@@ -304,6 +309,7 @@ func New(g *rdf.Graph, cfg Config) *Server {
 	s.graph = g
 	s.resolveCostThreshold()
 	s.newTermTables(g.Encoded().Dict().Len(), g.Len())
+	s.declareMetrics()
 	return s
 }
 
@@ -326,6 +332,7 @@ func NewSharded(sg *shard.ShardedGraph, cfg Config) *Server {
 	}
 	s.resolveCostThreshold()
 	s.newTermTables(sg.Dict().Len(), sg.Len())
+	s.declareMetrics()
 	return s
 }
 
@@ -357,7 +364,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(requestIDHeader, id)
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.m.panicked()
+			s.m.recoveredPanics.Add(1)
+			s.m.failed.Add(1)
 			// Best effort: if the handler already streamed part of a
 			// body the status line is gone and this only ends the
 			// response.
@@ -484,7 +492,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// the server was busy reads as slow.
 	arrival := time.Now()
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		s.m.fail()
+		s.m.failed.Add(1)
 		s.httpError(w, r, fmt.Sprintf("sparql: method %s not allowed", r.Method), http.StatusMethodNotAllowed)
 		return
 	}
@@ -495,16 +503,16 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if err != nil { // unreadable body / malformed form
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.m.fail()
+			s.m.failed.Add(1)
 			s.httpError(w, r, "sparql: request body exceeds the server cap", http.StatusRequestEntityTooLarge)
 			return
 		}
-		s.m.fail()
+		s.m.failed.Add(1)
 		s.httpError(w, r, "sparql: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if strings.TrimSpace(text) == "" {
-		s.m.fail()
+		s.m.failed.Add(1)
 		s.httpError(w, r, "sparql: missing query", http.StatusBadRequest)
 		return
 	}
@@ -524,7 +532,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		tr = obs.New("query")
 	}
 	if sampled {
-		s.m.sampledTrace()
+		s.m.sampledTraces.Add(1)
 	}
 	var psp *obs.Span
 	if tr != nil {
@@ -540,7 +548,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		tr.End(psp)
 	}
 	if err != nil {
-		s.m.fail()
+		s.m.failed.Add(1)
 		s.httpError(w, r, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -548,13 +556,17 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// Workload accounting: every request that compiled folds into the
 	// shape registry on the way out, whatever its fate — shed, rejected,
 	// timed out, failed, or served — so the per-shape aggregates see the
-	// workload the server actually faced, not just its successes.
+	// workload the server actually faced, not just its successes. The
+	// sample is an error until an exit says otherwise (served, EXPLAIN
+	// answered, shed), so a panic unwinding through the fold, or an exit
+	// added later, cannot be counted as a success.
 	smp := obs.ShapeSample{
 		Fingerprint: prep.Fingerprint(),
 		Class:       sparql.ClassifyShape(prep.Query()).String(),
 		Example:     text,
 		CacheHit:    cached,
 		Sampled:     sampled,
+		Err:         true,
 	}
 	defer func() {
 		smp.DurationMs = float64(time.Since(arrival)) / float64(time.Millisecond)
@@ -571,7 +583,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		// The server fault point: a panic here exercises the recovery
 		// middleware, a delay holds the request in-flight (drain tests).
 		if err := p.Hit(fault.PointServer); err != nil {
-			s.m.fail()
+			s.m.failed.Add(1)
 			s.httpError(w, r, "sparql: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -589,14 +601,17 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		shed, newPar := s.admit.decide(depth, expensive, par)
 		if shed {
 			s.admit.waiting.Add(-1)
-			s.m.shed()
-			smp.Shed = true
+			// A shed also counts as rejected: the client saw a 503
+			// either way, shed marks the fast-fail path.
+			s.m.shedQueries.Add(1)
+			s.m.rejected.Add(1)
+			smp.Shed, smp.Err = true, false
 			s.httpError(w, r, "sparql: server overloaded, query shed", http.StatusServiceUnavailable)
 			return
 		}
 		if newPar < par {
 			par = newPar
-			s.m.degrade()
+			s.m.degradedQueries.Add(1)
 			smp.Degraded = true
 		}
 	}
@@ -612,8 +627,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		if s.admit != nil {
 			s.admit.waiting.Add(-1)
 		}
-		s.m.reject()
-		smp.Err = true
+		s.m.rejected.Add(1)
 		s.httpError(w, r, "sparql: server at capacity", http.StatusServiceUnavailable)
 		return
 	}
@@ -628,36 +642,38 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	smp.Hedges = int(info.hedges)
 	smp.Speculation = int(info.speculations)
 	if err != nil {
-		smp.Err = true
 		if errors.Is(err, context.DeadlineExceeded) {
-			s.m.timeout()
+			s.m.timeouts.Add(1)
 			s.httpError(w, r, "sparql: query deadline exceeded", http.StatusGatewayTimeout)
 			return
 		}
 		if errors.Is(err, context.Canceled) {
 			// Client went away; nobody is listening for a status.
-			s.m.timeout()
+			s.m.timeouts.Add(1)
 			return
 		}
 		var pf *sparql.PartialFailureError
 		if errors.As(err, &pf) {
-			s.m.partialFailure()
+			s.m.partialFailures.Add(1)
+			s.m.failed.Add(1)
 			s.httpError(w, r, "sparql: "+err.Error(), http.StatusBadGateway)
 			return
 		}
 		var be *sparql.BudgetError
 		if errors.As(err, &be) {
-			s.m.budgetAbort()
+			s.m.budgetAborts.Add(1)
+			s.m.failed.Add(1)
 			s.httpError(w, r, be.Error(), http.StatusRequestEntityTooLarge)
 			return
 		}
 		var oe *OverloadError
 		if errors.As(err, &oe) {
-			s.m.oversize()
+			s.m.oversizeAborts.Add(1)
+			s.m.failed.Add(1)
 			s.httpError(w, r, oe.Error(), http.StatusRequestEntityTooLarge)
 			return
 		}
-		s.m.fail()
+		s.m.failed.Add(1)
 		s.httpError(w, r, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -681,8 +697,8 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 			w.Write(append(tr.JSON(), '\n'))
 		}
 		total := time.Since(arrival)
-		s.m.observe(total)
-		s.m.observeStages(execDur, 0)
+		smp.Err = false
+		s.m.observeServed(total, execDur, 0)
 		s.retainTrace(r, text, prep, tr, info, total, explain, sampled)
 		return
 	}
@@ -711,13 +727,12 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 	if werr != nil {
 		// Headers are out; all we can do is stop streaming.
-		s.m.timeout()
-		smp.Err = true
+		s.m.timeouts.Add(1)
 		return
 	}
 	total := time.Since(arrival)
-	s.m.observe(total)
-	s.m.observeStages(execDur, serDur)
+	smp.Err = false
+	s.m.observeServed(total, execDur, serDur)
 	s.logSlowQuery(r, text, prep.Fingerprint(), tr, info, total)
 	s.retainTrace(r, text, prep, tr, info, total, explain, sampled)
 }
@@ -849,10 +864,7 @@ func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, par int, tr *o
 			sparql.WithRunStats(&rs), sparql.WithShardStats(&st),
 			sparql.WithFaultStats(&fs))
 		sol, err := prep.RunShardedSolutions(ctx, s.shards.Set(), opts...)
-		s.m.observeExec(rs)
-		s.m.observeShard(st)
-		s.m.observeFault(fs)
-		s.m.observeBytes(rs.BytesCharged)
+		s.m.observeRun(rs, st, fs)
 		return sol, runInfo{
 			route: string(st.Route), shards: st.Shards, touched: st.ShardsTouched,
 			hedges: fs.Hedges, speculations: fs.Speculations, bytes: rs.BytesCharged,
@@ -863,9 +875,7 @@ func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, par int, tr *o
 		var fs sparql.FaultStats
 		opts = append(opts, sparql.WithRunStats(&rs), sparql.WithFaultStats(&fs))
 		sol, err := prep.RunSolutions(ctx, s.graph, opts...)
-		s.m.observeExec(rs)
-		s.m.observeFault(fs)
-		s.m.observeBytes(rs.BytesCharged)
+		s.m.observeRun(rs, sparql.ShardStats{}, fs)
 		return sol, runInfo{route: "local", speculations: fs.Speculations, bytes: rs.BytesCharged}, err
 	}
 	s.engineMu.Lock()
@@ -896,100 +906,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleStats serves GET /stats: every series declareMetrics gave a
+// path, plus the parts of the document that are not numbers.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses, size := s.cache.stats()
-	served, failed, timeouts, rejected, hist, meanMs := s.m.snapshot()
-	parallelQueries, parallelOps, morsels := s.m.execSnapshot()
-	_, execHist, serHist := s.m.histograms()
-	body := map[string]any{
-		"plan_cache": map[string]any{
-			"hits":     hits,
-			"misses":   misses,
-			"size":     size,
-			"capacity": s.cfg.PlanCacheSize,
-		},
-		"execution": map[string]any{
-			"query_parallelism":  s.cfg.QueryParallelism,
-			"parallel_queries":   parallelQueries,
-			"parallel_ops":       parallelOps,
-			"morsels_dispatched": morsels,
-		},
-		"in_flight":      s.m.inFlight.Load(),
-		"max_concurrent": s.cfg.MaxConcurrent,
-		"served":         served,
-		"failed":         failed,
-		"timeouts":       timeouts,
-		"rejected":       rejected,
-		"latency": map[string]any{
-			"buckets": hist,
-			"mean_ms": meanMs,
-			// Stage breakdown over the same bounds: evaluation vs
-			// response serialization.
-			"exec_ms":      histStats(execHist),
-			"serialize_ms": histStats(serHist),
-		},
-	}
-	res := s.m.resources()
-	resources := map[string]any{
-		"max_query_bytes":  s.cfg.MaxQueryBytes,
-		"bytes_charged":    res.bytesCharged,
-		"peak_query_bytes": res.peakQueryBytes,
-		"budget_aborts":    res.budgetAborts,
-		"shed_queries":     res.shedQueries,
-		"degraded_queries": res.degradedQueries,
-	}
-	if s.admit != nil {
-		resources["queue_depth"] = s.admit.waiting.Load()
-		resources["queue_capacity"] = s.admit.maxQueue
-		resources["cost_shed_threshold"] = s.costThreshold
-	}
-	body["resources"] = resources
-	fa := s.m.faults()
-	faults := map[string]any{
-		"attempts":         fa.attempts,
-		"retries":          fa.retries,
-		"failovers":        fa.failovers,
-		"hedges":           fa.hedges,
-		"hedge_wins":       fa.hedgeWins,
-		"speculations":     fa.speculations,
-		"speculation_wins": fa.speculationWins,
-		"recovered_panics": fa.enginePanics + fa.handlerPanics,
-		"partial_failures": fa.partialFailures,
-		"oversize_results": fa.oversizeAborts,
-	}
-	if s.shards != nil {
-		if h := s.shards.Set().Health; h != nil {
-			faults["breaker_trips"] = h.Trips()
-			faults["breakers"] = h.Snapshot()
-		}
-		pushdown, scatter, touched, pruned := s.m.shardSnapshot()
-		body["sharding"] = map[string]any{
-			"shards":            s.shards.NumShards(),
-			"replicas":          s.shards.Replicas(),
-			"partition":         s.shards.Strategy(),
-			"subject_colocated": s.shards.SubjectColocated(),
-			"pushdown_queries":  pushdown,
-			"scatter_queries":   scatter,
-			"shards_touched":    touched,
-			"shards_pruned":     pruned,
+	body := s.reg.Stats()
+	if sg := s.shards; sg != nil {
+		obs.SetPath(body, "sharding.partition", sg.Strategy())
+		obs.SetPath(body, "sharding.subject_colocated", sg.SubjectColocated())
+		if h := sg.Set().Health; h != nil {
+			obs.SetPath(body, "faults.breaker_trips", h.Trips())
+			obs.SetPath(body, "faults.breakers", h.Snapshot())
 		}
 	}
-	body["faults"] = faults
-	// The rendered-term tables' own counters, per result format.
-	body["rendered_terms"] = map[string]any{"json": s.jsonTerms.stored.Load(), "tsv": s.tsvTerms.stored.Load()}
-	body["rendered_bytes"] = map[string]any{"json": s.jsonTerms.bytes.Load(), "tsv": s.tsvTerms.bytes.Load()}
-	body["workload"] = map[string]any{
-		"shapes_tracked":    s.shapes.Len(),
-		"shape_capacity":    s.shapes.Capacity(),
-		"shape_evictions":   s.shapes.Evictions(),
-		"trace_sample_rate": s.cfg.TraceSampleRate,
-		"sampled_traces":    s.m.sampledSnapshot(),
-		"trace_ring": map[string]any{
-			"size":     s.ring.Len(),
-			"capacity": s.ring.Cap(),
-		},
-		"top_shapes": s.shapes.TopK(10),
-	}
+	obs.SetPath(body, "workload.top_shapes", s.shapes.TopK(10))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(body)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/shard"
 )
@@ -216,8 +217,7 @@ func TestServeAdmissionReject(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	_, _, _, rejected, _, _ := s.m.snapshot()
-	if rejected != 1 {
+	if rejected := s.m.rejected.Load(); rejected != 1 {
 		t.Fatalf("rejected counter = %d, want 1", rejected)
 	}
 }
@@ -257,7 +257,7 @@ func TestHealthzAndStats(t *testing.T) {
 			MorselsDispatched uint64 `json:"morsels_dispatched"`
 		} `json:"execution"`
 		Latency struct {
-			Buckets []histogramBucket `json:"buckets"`
+			Buckets []obs.HistogramBucket `json:"buckets"`
 		} `json:"latency"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
@@ -299,7 +299,7 @@ func TestStatsCountMorsels(t *testing.T) {
 	if rec := getQuery(t, s, `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }`, "", nil); rec.Code != http.StatusOK {
 		t.Fatalf("query status %d", rec.Code)
 	}
-	pq, ops, morsels := s.m.execSnapshot()
+	pq, ops, morsels := s.m.parallelQueries.Load(), s.m.parallelOps.Load(), s.m.morsels.Load()
 	if pq != 1 || ops == 0 || morsels == 0 {
 		t.Fatalf("exec counters = (%d, %d, %d), want one parallel query with morsels", pq, ops, morsels)
 	}

@@ -1,359 +1,186 @@
 package server
 
 import (
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sparql"
 )
 
-// latencyBucketsMs are the upper bounds (inclusive, in milliseconds) of
-// the per-query latency histogram; the final implicit bucket is +Inf.
-var latencyBucketsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
-
-// metrics aggregates the server's operational counters: queries by
-// outcome, the in-flight gauge, and the latency histogram over
-// successfully served queries. The gauge is atomic (read on the hot
-// path by admission); the rest is mutex-guarded and only touched once
-// per request.
+// metrics holds the server's operational series. Every field is a
+// zero-value atomic that call sites move directly (s.m.failed.Add(1));
+// declareMetrics is the one place each is given its /metrics family,
+// its /stats path and its help text.
 type metrics struct {
-	inFlight atomic.Int64
+	inFlight atomic.Int64 // read on the hot path by admission
 
-	mu        sync.Mutex
-	served    uint64 // answered successfully
-	failed    uint64 // parse errors, evaluation errors
-	timeouts  uint64 // per-query deadline exceeded / client gone
-	rejected  uint64 // admission control turned the query away
-	buckets   []uint64
-	count     uint64
-	totalSecs float64
+	// Queries by outcome. failed also takes every refusal and abort
+	// that has a counter of its own below (budget, oversize, partial
+	// failure, recovered handler panic); rejected also takes sheds.
+	served, failed, timeouts, rejected obs.Counter
 
-	// Stage histograms over successfully served queries: engine
-	// evaluation time and response serialization time, on the same
-	// bucket bounds as the end-to-end histogram. Splitting the two
-	// surfaces queries that are cheap to evaluate but expensive to
-	// stream (large results, slow clients).
-	execBuckets   []uint64
-	execCount     uint64
-	execTotalSecs float64
-	serBuckets    []uint64
-	serCount      uint64
-	serTotalSecs  float64
+	// Latency of served queries: end to end (arrival to response write
+	// complete), and its evaluation and serialization stages — split so
+	// a query cheap to evaluate but expensive to stream shows.
+	latency, exec, serialize obs.Histogram
 
-	// Morsel execution counters (sparql.RunStats aggregated across
-	// reference-evaluator queries): how many queries actually split
-	// work into morsels, how many parallel scans/probes they ran, and
-	// how many morsels those dispatched.
-	parallelQueries uint64
-	parallelOps     uint64
-	morsels         uint64
+	// Morsel execution (sparql.RunStats): queries that split work into
+	// morsels, the parallel scans/probes they ran, morsels dispatched.
+	parallelQueries, parallelOps, morsels obs.Counter
 
-	// Sharded execution counters (sparql.ShardStats aggregated across
-	// queries on a sharded backend): queries by route, and cumulative
-	// shards scanned vs pruned.
-	pushdownQueries uint64
-	scatterQueries  uint64
-	shardsTouched   uint64
-	shardsPruned    uint64
+	// Sharded execution (sparql.ShardStats): queries by route, shards
+	// scanned and pruned.
+	pushdownQueries, scatterQueries, shardsTouched, shardsPruned obs.Counter
 
-	// Fault-handling counters (sparql.FaultStats aggregated across
-	// queries, plus the server-side recoveries): replica attempts,
-	// retried attempts, failovers, panics recovered in the engine and
-	// in the HTTP recovery middleware, queries lost to partial shard
-	// failure, and queries aborted by the result-size guard.
-	faultAttempts   uint64
-	faultRetries    uint64
-	faultFailovers  uint64
-	enginePanics    uint64
-	handlerPanics   uint64
-	partialFailures uint64
-	oversizeAborts  uint64
+	// Fault handling (sparql.FaultStats plus the server's own
+	// recoveries): replica attempts, retries, failovers, hedges and
+	// speculative re-executions with their wins, panics recovered in the
+	// engine and in the HTTP middleware, queries lost to total shard
+	// failure or to the result-size guard.
+	attempts, retries, failovers    obs.Counter
+	hedges, hedgeWins               obs.Counter
+	speculations, speculationWins   obs.Counter
+	recoveredPanics                 obs.Counter
+	partialFailures, oversizeAborts obs.Counter
 
-	// Tail-latency counters (hedged shard ops and speculative morsel
-	// re-execution, sparql.FaultStats): launches and wins of each.
-	hedges          uint64
-	hedgeWins       uint64
-	speculations    uint64
-	speculationWins uint64
+	// Resource governance: queries shed by admission control or
+	// admitted at degraded parallelism, queries aborted by their memory
+	// budget, cumulative bytes charged against budgets, and the largest
+	// single query's charge.
+	shedQueries, degradedQueries obs.Counter
+	budgetAborts, bytesCharged   obs.Counter
+	peakQueryBytes               atomic.Int64
 
-	// Resource-governance counters: queries shed by admission control,
-	// queries admitted at degraded parallelism, queries aborted by
-	// their memory budget, cumulative bytes charged against budgets,
-	// and the largest single query's charge.
-	shedQueries     uint64
-	degradedQueries uint64
-	budgetAborts    uint64
-	bytesCharged    uint64
-	peakQueryBytes  int64
-
-	// Workload-observatory counter: requests picked by the 1-in-N trace
-	// sampler (Config.TraceSampleRate).
-	sampledTraces uint64
+	// Requests picked by the 1-in-N trace sampler
+	// (Config.TraceSampleRate).
+	sampledTraces obs.Counter
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		buckets:     make([]uint64, len(latencyBucketsMs)+1),
-		execBuckets: make([]uint64, len(latencyBucketsMs)+1),
-		serBuckets:  make([]uint64, len(latencyBucketsMs)+1),
+// declareMetrics declares every series the server renders, one line
+// each, once the backend is known: the sharding block exists only on a
+// sharded server and the queue block only with admission control on.
+func (s *Server) declareMetrics() {
+	r, m := &s.reg, &s.m
+	num := func(v int64) func() float64 { return func() float64 { return float64(v) } }
+	load := func(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
+
+	r.Counter("rdf_queries_served_total", "served", "Queries answered successfully.", &m.served)
+	r.Counter("rdf_queries_failed_total", "failed", "Queries refused or failed: malformed or oversized requests (400, 405, 413), evaluation errors, budget and result-size aborts, partial shard failures, recovered panics.", &m.failed)
+	r.Counter("rdf_query_timeouts_total", "timeouts", "Queries lost to deadlines or departed clients.", &m.timeouts)
+	r.Counter("rdf_queries_rejected_total", "rejected", "Queries rejected by admission control.", &m.rejected)
+	r.Gauge("rdf_in_flight_queries", "in_flight", "Queries evaluating right now.", load(&m.inFlight))
+	r.Gauge("rdf_max_concurrent_queries", "max_concurrent", "Configured evaluation concurrency bound.", num(int64(s.cfg.MaxConcurrent)))
+	r.Histogram("rdf_query_duration_ms", "latency", "End-to-end latency of served queries (arrival to response complete), milliseconds.", &m.latency)
+	r.Histogram("rdf_query_exec_ms", "latency.exec_ms", "Evaluation time of served queries, milliseconds.", &m.exec)
+	r.Histogram("rdf_query_serialize_ms", "latency.serialize_ms", "Response serialization time of served queries, milliseconds.", &m.serialize)
+
+	r.Counter("rdf_plan_cache_hits_total", "plan_cache.hits", "Prepared-plan cache hits.", &s.cache.hits)
+	r.Counter("rdf_plan_cache_misses_total", "plan_cache.misses", "Prepared-plan cache misses.", &s.cache.misses)
+	r.Gauge("rdf_plan_cache_entries", "plan_cache.size", "Prepared plans cached right now.", func() float64 { _, _, size := s.cache.stats(); return float64(size) })
+	r.Gauge("", "plan_cache.capacity", "", num(int64(s.cfg.PlanCacheSize)))
+
+	r.Gauge("", "execution.query_parallelism", "", num(int64(s.cfg.QueryParallelism)))
+	r.Counter("rdf_parallel_queries_total", "execution.parallel_queries", "Queries that split work into morsels.", &m.parallelQueries)
+	r.Counter("rdf_parallel_ops_total", "execution.parallel_ops", "Parallel scans and probes executed.", &m.parallelOps)
+	r.Counter("rdf_morsels_dispatched_total", "execution.morsels_dispatched", "Morsels dispatched to worker pools.", &m.morsels)
+
+	r.Gauge("", "resources.max_query_bytes", "", num(s.cfg.MaxQueryBytes))
+	r.Counter("rdf_shed_queries_total", "resources.shed_queries", "Queries shed immediately by admission control.", &m.shedQueries)
+	r.Counter("rdf_degraded_queries_total", "resources.degraded_queries", "Queries admitted at reduced parallelism.", &m.degradedQueries)
+	r.Counter("rdf_budget_aborts_total", "resources.budget_aborts", "Queries aborted by their memory budget.", &m.budgetAborts)
+	r.Counter("rdf_bytes_charged_total", "resources.bytes_charged", "Bytes charged against per-query memory budgets.", &m.bytesCharged)
+	r.Gauge("rdf_peak_query_bytes", "resources.peak_query_bytes", "Largest single query's budget charge.", load(&m.peakQueryBytes))
+	if s.admit != nil {
+		r.Gauge("", "resources.queue_depth", "", load(&s.admit.waiting))
+		r.Gauge("", "resources.queue_capacity", "", num(int64(s.admit.maxQueue)))
+		r.Gauge("", "resources.cost_shed_threshold", "", num(s.costThreshold))
 	}
-}
 
-// latencyBucket returns the index of the histogram bucket d falls in.
-func latencyBucket(d time.Duration) int {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(latencyBucketsMs) && ms > latencyBucketsMs[i] {
-		i++
+	r.Counter("rdf_replica_attempts_total", "faults.attempts", "Shard replica execution attempts.", &m.attempts)
+	r.Counter("rdf_replica_retries_total", "faults.retries", "Retried replica attempts.", &m.retries)
+	r.Counter("rdf_replica_failovers_total", "faults.failovers", "Failovers to another replica.", &m.failovers)
+	r.Counter("rdf_hedges_total", "faults.hedges", "Hedged shard operations launched against a second replica.", &m.hedges)
+	r.Counter("rdf_hedge_wins_total", "faults.hedge_wins", "Hedged shard operations where the hedge finished first.", &m.hedgeWins)
+	r.Counter("rdf_speculations_total", "faults.speculations", "Speculative morsel re-executions launched.", &m.speculations)
+	r.Counter("rdf_speculation_wins_total", "faults.speculation_wins", "Speculative morsel re-executions that finished first.", &m.speculationWins)
+	r.Counter("rdf_recovered_panics_total", "faults.recovered_panics", "Panics recovered in the engine and HTTP middleware.", &m.recoveredPanics)
+	r.Counter("rdf_partial_failures_total", "faults.partial_failures", "Queries lost to total shard failure.", &m.partialFailures)
+	r.Counter("rdf_oversize_results_total", "faults.oversize_results", "Queries aborted by the result-size guard.", &m.oversizeAborts)
+
+	if sg := s.shards; sg != nil {
+		r.Gauge("rdf_shards", "sharding.shards", "Shards in the sharded backend.", num(int64(sg.NumShards())))
+		r.Gauge("rdf_shard_replicas", "sharding.replicas", "Replicas per shard.", num(int64(sg.Replicas())))
+		r.Counter("rdf_pushdown_queries_total", "sharding.pushdown_queries", "Queries routed whole to subject-co-located shards.", &m.pushdownQueries)
+		r.Counter("rdf_scatter_queries_total", "sharding.scatter_queries", "Queries routed scatter-gather.", &m.scatterQueries)
+		r.Counter("rdf_shards_touched_total", "sharding.shards_touched", "Shards scanned across all queries.", &m.shardsTouched)
+		r.Counter("rdf_shards_pruned_total", "sharding.shards_pruned", "Shard scans skipped by pruning.", &m.shardsPruned)
 	}
-	return i
-}
 
-// observe records one successfully served query and its end-to-end
-// latency (request arrival to response write complete).
-func (m *metrics) observe(d time.Duration) {
-	i := latencyBucket(d)
-	m.mu.Lock()
-	m.served++
-	m.buckets[i]++
-	m.count++
-	m.totalSecs += d.Seconds()
-	m.mu.Unlock()
-}
-
-// observeStages records one served query's evaluation and
-// serialization times into the per-stage histograms.
-func (m *metrics) observeStages(exec, serialize time.Duration) {
-	ei, si := latencyBucket(exec), latencyBucket(serialize)
-	m.mu.Lock()
-	m.execBuckets[ei]++
-	m.execCount++
-	m.execTotalSecs += exec.Seconds()
-	m.serBuckets[si]++
-	m.serCount++
-	m.serTotalSecs += serialize.Seconds()
-	m.mu.Unlock()
-}
-
-// observeExec folds one query's morsel-execution stats into the
-// aggregate counters.
-func (m *metrics) observeExec(rs sparql.RunStats) {
-	if rs.ParallelOps == 0 {
-		return
+	// The rendered-term tables' own counters, one sample per format.
+	byFormat := func(name, path, help string, json, tsv *atomic.Int64) {
+		r.Gauge(name, path+".json", help, load(json), obs.Label{Name: "format", Value: "json"})
+		r.Gauge(name, path+".tsv", help, load(tsv), obs.Label{Name: "format", Value: "tsv"})
 	}
-	m.mu.Lock()
-	m.parallelQueries++
-	m.parallelOps += uint64(rs.ParallelOps)
-	m.morsels += uint64(rs.Morsels)
-	m.mu.Unlock()
+	byFormat("rdf_rendered_terms", "rendered_terms", "Dictionary terms whose rendered bytes the format's table holds.", &s.jsonTerms.stored, &s.tsvTerms.stored)
+	byFormat("rdf_rendered_bytes", "rendered_bytes", "Bytes of rendered terms the format's table holds.", &s.jsonTerms.bytes, &s.tsvTerms.bytes)
+
+	s.shapes.Declare(r)
+	r.Gauge("", "workload.trace_sample_rate", "", num(int64(s.cfg.TraceSampleRate)))
+	r.Counter("rdf_sampled_traces_total", "workload.sampled_traces", "Requests picked by the 1-in-N trace sampler.", &m.sampledTraces)
+	r.Gauge("rdf_trace_ring_entries", "workload.trace_ring.size", "Completed traces retained for /debug/queries.", func() float64 { return float64(s.ring.Len()) })
+	r.Gauge("", "workload.trace_ring.capacity", "", num(int64(s.ring.Cap())))
+
+	r.Gauge("rdf_uptime_seconds", "", "Seconds since the server started.", func() float64 { return time.Since(s.started).Seconds() })
+	r.Gauge("rdf_build_info", "", "Build information; constant 1.", num(1), obs.Label{Name: "go_version", Value: runtime.Version()})
 }
 
-// execSnapshot renders the morsel-execution counters for /stats.
-func (m *metrics) execSnapshot() (parallelQueries, parallelOps, morsels uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.parallelQueries, m.parallelOps, m.morsels
+// observeServed records one successfully served query: its end-to-end
+// latency (request arrival to response write complete) and the
+// evaluation and serialization stages inside it.
+func (m *metrics) observeServed(total, exec, serialize time.Duration) {
+	m.served.Add(1)
+	m.latency.Observe(total)
+	m.exec.Observe(exec)
+	m.serialize.Observe(serialize)
 }
 
-// observeShard folds one sharded query's execution report into the
-// aggregate counters.
-func (m *metrics) observeShard(st sparql.ShardStats) {
-	if st.Shards == 0 {
-		return
+// observeRun folds one query's execution reports into the counters. A
+// report the run left at zero (no morsels, no budget armed, not a
+// sharded run, no fault activity) moves nothing.
+func (m *metrics) observeRun(rs sparql.RunStats, st sparql.ShardStats, fs sparql.FaultStats) {
+	if rs.ParallelOps > 0 {
+		m.parallelQueries.Add(1)
+		m.parallelOps.Add(uint64(rs.ParallelOps))
+		m.morsels.Add(uint64(rs.Morsels))
 	}
-	m.mu.Lock()
-	if st.Route == sparql.RoutePushdown {
-		m.pushdownQueries++
-	} else {
-		m.scatterQueries++
-	}
-	m.shardsTouched += uint64(st.ShardsTouched)
-	m.shardsPruned += uint64(st.ShardsPruned)
-	m.mu.Unlock()
-}
-
-// shardSnapshot renders the sharded-execution counters for /stats.
-func (m *metrics) shardSnapshot() (pushdown, scatter, touched, pruned uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pushdownQueries, m.scatterQueries, m.shardsTouched, m.shardsPruned
-}
-
-func (m *metrics) fail()    { m.mu.Lock(); m.failed++; m.mu.Unlock() }
-func (m *metrics) timeout() { m.mu.Lock(); m.timeouts++; m.mu.Unlock() }
-func (m *metrics) reject()  { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
-
-// panicked records one panic recovered by the HTTP middleware.
-func (m *metrics) panicked() { m.mu.Lock(); m.handlerPanics++; m.failed++; m.mu.Unlock() }
-
-// partialFailure records one query lost to total shard failure.
-func (m *metrics) partialFailure() { m.mu.Lock(); m.partialFailures++; m.failed++; m.mu.Unlock() }
-
-// oversize records one query aborted by the MaxResultRows guard.
-func (m *metrics) oversize() { m.mu.Lock(); m.oversizeAborts++; m.failed++; m.mu.Unlock() }
-
-// shed records one query turned away immediately by admission
-// control; it also counts as rejected (the client saw a 503 either
-// way — shed distinguishes the fast-fail path).
-func (m *metrics) shed() { m.mu.Lock(); m.shedQueries++; m.rejected++; m.mu.Unlock() }
-
-// degrade records one query admitted at reduced parallelism.
-func (m *metrics) degrade() { m.mu.Lock(); m.degradedQueries++; m.mu.Unlock() }
-
-// sampledTrace records one request armed by the trace sampler.
-func (m *metrics) sampledTrace() { m.mu.Lock(); m.sampledTraces++; m.mu.Unlock() }
-
-// sampledSnapshot reads the sampled-trace counter.
-func (m *metrics) sampledSnapshot() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sampledTraces
-}
-
-// budgetAbort records one query aborted by its memory budget.
-func (m *metrics) budgetAbort() { m.mu.Lock(); m.budgetAborts++; m.failed++; m.mu.Unlock() }
-
-// observeBytes folds one query's budget charges into the cumulative
-// and peak gauges (n is RunStats.BytesCharged; 0 when no budget was
-// armed).
-func (m *metrics) observeBytes(n int64) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.bytesCharged += uint64(n)
-	if n > m.peakQueryBytes {
-		m.peakQueryBytes = n
-	}
-	m.mu.Unlock()
-}
-
-// resourceSnapshot renders the governance counters for /stats.
-type resourceSnapshot struct {
-	shedQueries, degradedQueries, budgetAborts uint64
-	bytesCharged                               uint64
-	peakQueryBytes                             int64
-}
-
-func (m *metrics) resources() resourceSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return resourceSnapshot{
-		shedQueries:     m.shedQueries,
-		degradedQueries: m.degradedQueries,
-		budgetAborts:    m.budgetAborts,
-		bytesCharged:    m.bytesCharged,
-		peakQueryBytes:  m.peakQueryBytes,
-	}
-}
-
-// observeFault folds one query's fault counters into the aggregate.
-func (m *metrics) observeFault(fs sparql.FaultStats) {
-	if fs.Attempts == 0 && fs.Retries == 0 && fs.RecoveredPanics == 0 &&
-		fs.Hedges == 0 && fs.Speculations == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.faultAttempts += uint64(fs.Attempts)
-	m.faultRetries += uint64(fs.Retries)
-	m.faultFailovers += uint64(fs.Failovers)
-	m.enginePanics += uint64(fs.RecoveredPanics)
-	m.hedges += uint64(fs.Hedges)
-	m.hedgeWins += uint64(fs.HedgeWins)
-	m.speculations += uint64(fs.Speculations)
-	m.speculationWins += uint64(fs.SpeculationWins)
-	m.mu.Unlock()
-}
-
-// faultSnapshot renders the fault counters for /stats.
-type faultSnapshot struct {
-	attempts, retries, failovers    uint64
-	hedges, hedgeWins               uint64
-	speculations, speculationWins   uint64
-	enginePanics, handlerPanics     uint64
-	partialFailures, oversizeAborts uint64
-}
-
-func (m *metrics) faults() faultSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return faultSnapshot{
-		attempts:        m.faultAttempts,
-		retries:         m.faultRetries,
-		failovers:       m.faultFailovers,
-		hedges:          m.hedges,
-		hedgeWins:       m.hedgeWins,
-		speculations:    m.speculations,
-		speculationWins: m.speculationWins,
-		enginePanics:    m.enginePanics,
-		handlerPanics:   m.handlerPanics,
-		partialFailures: m.partialFailures,
-		oversizeAborts:  m.oversizeAborts,
-	}
-}
-
-// histSnapshot is a point-in-time copy of one latency histogram:
-// non-cumulative bucket counts (len(latencyBucketsMs)+1, last is
-// +Inf), total observation count, and the sum in seconds.
-type histSnapshot struct {
-	buckets   []uint64
-	count     uint64
-	totalSecs float64
-}
-
-// histograms copies the end-to-end, evaluation, and serialization
-// histograms for the /metrics and /stats renderers.
-func (m *metrics) histograms() (total, exec, serialize histSnapshot) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cp := func(b []uint64, c uint64, s float64) histSnapshot {
-		out := make([]uint64, len(b))
-		copy(out, b)
-		return histSnapshot{buckets: out, count: c, totalSecs: s}
-	}
-	return cp(m.buckets, m.count, m.totalSecs),
-		cp(m.execBuckets, m.execCount, m.execTotalSecs),
-		cp(m.serBuckets, m.serCount, m.serTotalSecs)
-}
-
-// histogramBucket is one row of the latency histogram in /stats.
-type histogramBucket struct {
-	LeMs  float64 `json:"le_ms"` // upper bound; 0 means +Inf
-	Count uint64  `json:"count"`
-}
-
-// histStats renders one histogram snapshot in the /stats JSON shape.
-func histStats(h histSnapshot) map[string]any {
-	buckets := make([]histogramBucket, 0, len(h.buckets))
-	for i, c := range h.buckets {
-		b := histogramBucket{Count: c}
-		if i < len(latencyBucketsMs) {
-			b.LeMs = latencyBucketsMs[i]
+	if n := rs.BytesCharged; n > 0 {
+		m.bytesCharged.Add(uint64(n))
+		for {
+			peak := m.peakQueryBytes.Load()
+			if n <= peak || m.peakQueryBytes.CompareAndSwap(peak, n) {
+				break
+			}
 		}
-		buckets = append(buckets, b)
 	}
-	meanMs := 0.0
-	if h.count > 0 {
-		meanMs = h.totalSecs / float64(h.count) * 1000
-	}
-	return map[string]any{"buckets": buckets, "mean_ms": meanMs}
-}
-
-// snapshot renders the counters for the /stats endpoint.
-func (m *metrics) snapshot() (served, failed, timeouts, rejected uint64, hist []histogramBucket, meanMs float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	hist = make([]histogramBucket, 0, len(m.buckets))
-	for i, c := range m.buckets {
-		b := histogramBucket{Count: c}
-		if i < len(latencyBucketsMs) {
-			b.LeMs = latencyBucketsMs[i]
+	if st.Shards > 0 {
+		if st.Route == sparql.RoutePushdown {
+			m.pushdownQueries.Add(1)
+		} else {
+			m.scatterQueries.Add(1)
 		}
-		hist = append(hist, b)
+		m.shardsTouched.Add(uint64(st.ShardsTouched))
+		m.shardsPruned.Add(uint64(st.ShardsPruned))
 	}
-	if m.count > 0 {
-		meanMs = m.totalSecs / float64(m.count) * 1000
+	if fs.Attempts != 0 || fs.Retries != 0 || fs.RecoveredPanics != 0 || fs.Hedges != 0 || fs.Speculations != 0 {
+		m.attempts.Add(uint64(fs.Attempts))
+		m.retries.Add(uint64(fs.Retries))
+		m.failovers.Add(uint64(fs.Failovers))
+		m.recoveredPanics.Add(uint64(fs.RecoveredPanics))
+		m.hedges.Add(uint64(fs.Hedges))
+		m.hedgeWins.Add(uint64(fs.HedgeWins))
+		m.speculations.Add(uint64(fs.Speculations))
+		m.speculationWins.Add(uint64(fs.SpeculationWins))
 	}
-	return m.served, m.failed, m.timeouts, m.rejected, hist, meanMs
 }
