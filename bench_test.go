@@ -75,8 +75,11 @@ func BenchmarkTableIICharacteristics(b *testing.B) {
 // benchShape runs all engines on the university workload restricted to
 // one shape, one sub-benchmark per (engine, query).
 func benchShape(b *testing.B, shape sparql.Shape) {
-	triples := workload.GenerateUniversity(workload.SmallUniversity())
-	queries := workload.QueriesByShape(workload.UniversityQueries(), shape)
+	benchQueries(b, workload.SmallUniversity(), workload.QueriesByShape(workload.UniversityQueries(), shape))
+}
+
+func benchQueries(b *testing.B, dataset workload.UniversityConfig, queries []workload.NamedQuery) {
+	triples := workload.GenerateUniversity(dataset)
 	engines := systems.AllEngines(benchConf())
 	for _, e := range engines {
 		if err := e.Load(triples); err != nil {
@@ -109,6 +112,21 @@ func BenchmarkAssessStar(b *testing.B)      { benchShape(b, sparql.ShapeStar) }
 func BenchmarkAssessLinear(b *testing.B)    { benchShape(b, sparql.ShapeLinear) }
 func BenchmarkAssessSnowflake(b *testing.B) { benchShape(b, sparql.ShapeSnowflake) }
 func BenchmarkAssessComplex(b *testing.B)   { benchShape(b, sparql.ShapeComplex) }
+
+// BenchmarkAssessOperators covers the operator cells the shape
+// benchmarks leave out: OPTIONAL and UNION on the engines of the BGP+
+// fragment, whose joins run at the driver over whole solution
+// sequences. It runs at the acceptance benchmark's scale, because that
+// cost is quadratic when it is wrong and the small dataset hides it.
+func BenchmarkAssessOperators(b *testing.B) {
+	var queries []workload.NamedQuery
+	for _, nq := range workload.UniversityQueries() {
+		if nq.Name == "U-optional-1" || nq.Name == "U-union-1" {
+			queries = append(queries, nq)
+		}
+	}
+	benchQueries(b, workload.MediumUniversity(), queries)
+}
 
 // --- Assess-B: join-strategy ablation of the hybrid study [21] ---
 

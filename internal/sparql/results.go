@@ -22,8 +22,12 @@ func (b Binding) Clone() Binding {
 }
 
 // Compatible reports whether two bindings agree on every shared
-// variable (the SPARQL join condition).
+// variable (the SPARQL join condition). It is symmetric, so the shorter
+// side is the one walked.
 func (b Binding) Compatible(other Binding) bool {
+	if len(other) < len(b) {
+		b, other = other, b
+	}
 	for k, v := range b {
 		if ov, ok := other[k]; ok && ov != v {
 			return false
@@ -34,7 +38,10 @@ func (b Binding) Compatible(other Binding) bool {
 
 // Merge returns the union of two compatible bindings.
 func (b Binding) Merge(other Binding) Binding {
-	out := b.Clone()
+	out := make(Binding, len(b)+len(other))
+	for k, v := range b {
+		out[k] = v
+	}
 	for k, v := range other {
 		out[k] = v
 	}

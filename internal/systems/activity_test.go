@@ -1,0 +1,72 @@
+package systems
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/spark"
+	"repro/internal/workload"
+)
+
+// TestAssessActivityPinned holds the assessment's *result* still while
+// its cost is worked on: for every (engine, query) cell of the
+// University workload on the benchmark-scale dataset, under the
+// bench's cluster, the integer cluster activity equals the table in
+// testdata/assess_activity.golden. That file was generated at commit
+// feec14b, before the driver-side joins were replaced; a perf change
+// to an engine must leave it byte-identical, and a change that means
+// to move a counter regenerates it from the failure output and says so.
+//
+// ShuffleBytes is pinned too — the join keys the engines shuffle on are
+// sized into it — except on GX-Subgraph, where it differs from run to
+// run on identical code: gxsubgraph.relocate shuffles mt.all(), which
+// walks the per-vertex table in Go map order, and
+// spark.estimateShuffleBytes sizes a shuffle from the three records at
+// the head of its first partition and the tail of its last. The record
+// count is exact; which records get sized is not (four cells, ±0.3 %).
+func TestAssessActivityPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("medium-scale integration test")
+	}
+	conf := spark.Config{Parallelism: 4, Executors: 2, BroadcastThreshold: 1000, MaxConcurrency: 8}
+	triples := workload.GenerateUniversity(workload.MediumUniversity())
+	engines := AllEngines(conf)
+	for _, e := range engines {
+		if err := e.Load(triples); err != nil {
+			t.Fatalf("%s: %v", e.Info().Name, err)
+		}
+	}
+	var got strings.Builder
+	for _, nq := range workload.UniversityQueries() {
+		for _, e := range engines {
+			m := core.RunQuery(e, nq.Name, nq.Query, nil)
+			cell := "unsupported"
+			if m.Err == nil {
+				a := m.Activity
+				cell = fmt.Sprintf("stages=%d tasks=%d shuffleRecords=%d broadcast=%d read=%d supersteps=%d msgs=%d",
+					a.Stages, a.Tasks, a.ShuffleRecords, a.BroadcastRecords, a.RecordsRead, a.Supersteps, a.MessagesSent)
+				if e.Info().Name != "GX-Subgraph" {
+					cell += fmt.Sprintf(" shuffleBytes=%d", a.ShuffleBytes)
+				}
+			}
+			fmt.Fprintf(&got, "%s %s %s\n", nq.Name, e.Info().Name, cell)
+		}
+	}
+	want, err := os.ReadFile("testdata/assess_activity.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d cells, golden has %d; full table:\n%s", len(gotLines)-1, len(wantLines)-1, got.String())
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("cell moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+		}
+	}
+}

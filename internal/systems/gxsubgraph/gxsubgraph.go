@@ -23,6 +23,7 @@ import (
 	"repro/internal/spark"
 	"repro/internal/spark/graphx"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // mtTable locates partial bindings at vertices: the binding's track
@@ -229,17 +230,12 @@ func (e *Engine) extend(mt *mtTable, matches *mtTable, tp sparql.TriplePattern, 
 	if !hasConnect || matches.locVar == "" {
 		// Global driver-side join (disconnected pattern or constant-only).
 		out := &mtTable{at: map[graphx.VertexID][]sparql.Binding{}, locVar: matches.locVar}
-		for _, l := range mt.all() {
-			for _, r := range matches.all() {
-				if l.Compatible(r) {
-					m := l.Merge(r)
-					if out.locVar != "" {
-						vid := e.ids[m[out.locVar]]
-						out.at[vid] = append(out.at[vid], m)
-					} else {
-						out.global = append(out.global, m)
-					}
-				}
+		for _, m := range solutions.Join(mt.all(), matches.all()) {
+			if out.locVar != "" {
+				vid := e.ids[m[out.locVar]]
+				out.at[vid] = append(out.at[vid], m)
+			} else {
+				out.global = append(out.global, m)
 			}
 		}
 		return out

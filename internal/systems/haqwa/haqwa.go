@@ -19,12 +19,12 @@ package haqwa
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/spark"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // Engine is the HAQWA system.
@@ -175,83 +175,11 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if e.parts == nil {
 		return nil, fmt.Errorf("haqwa: no dataset loaded")
 	}
-	rows, err := e.evalPattern(q.Where)
+	rows, err := solutions.EvalPattern(q.Where, "haqwa", e.evalBGP, nil)
 	if err != nil {
 		return nil, err
 	}
 	return sparql.ApplySolutionModifiers(q, rows), nil
-}
-
-func (e *Engine) evalPattern(p sparql.GraphPattern) ([]sparql.Binding, error) {
-	switch n := p.(type) {
-	case sparql.BGP:
-		return e.evalBGP(n)
-	case sparql.Group:
-		rows := []sparql.Binding{{}}
-		for _, part := range n.Parts {
-			sub, err := e.evalPattern(part)
-			if err != nil {
-				return nil, err
-			}
-			var next []sparql.Binding
-			for _, x := range rows {
-				for _, y := range sub {
-					if x.Compatible(y) {
-						next = append(next, x.Merge(y))
-					}
-				}
-			}
-			rows = next
-		}
-		return rows, nil
-	case sparql.Filter:
-		rows, err := e.evalPattern(n.Inner)
-		if err != nil {
-			return nil, err
-		}
-		var kept []sparql.Binding
-		for _, b := range rows {
-			if n.Cond.EvalFilter(b) {
-				kept = append(kept, b)
-			}
-		}
-		return kept, nil
-	case sparql.Optional:
-		left, err := e.evalPattern(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		var out []sparql.Binding
-		for _, l := range left {
-			matched := false
-			for _, r := range right {
-				if l.Compatible(r) {
-					out = append(out, l.Merge(r))
-					matched = true
-				}
-			}
-			if !matched {
-				out = append(out, l.Clone())
-			}
-		}
-		return out, nil
-	case sparql.Union:
-		left, err := e.evalPattern(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
-	default:
-		return nil, fmt.Errorf("haqwa: unsupported pattern %T", p)
-	}
 }
 
 // evalBGP decomposes the BGP into subject star groups. A pure star (one
@@ -300,8 +228,8 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 				return []sparql.Binding{t.A.Merge(t.B)}
 			})
 		} else {
-			ka := spark.KeyBy(cur, func(b sparql.Binding) string { return bindingKey(b, shared) })
-			kb := spark.KeyBy(next, func(b sparql.Binding) string { return bindingKey(b, shared) })
+			ka := spark.KeyBy(cur, func(b sparql.Binding) string { return solutions.Key(b, shared) })
+			kb := spark.KeyBy(next, func(b sparql.Binding) string { return solutions.Key(b, shared) })
 			joined := spark.Join(ka, kb)
 			cur = spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
 				if !p.Value.A.Compatible(p.Value.B) {
@@ -434,14 +362,4 @@ func varsOfPatterns(tps []sparql.TriplePattern) map[sparql.Var]bool {
 		}
 	}
 	return out
-}
-
-func bindingKey(b sparql.Binding, vars []sparql.Var) string {
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		if t, ok := b[v]; ok {
-			parts[i] = t.String()
-		}
-	}
-	return strings.Join(parts, "\x00")
 }

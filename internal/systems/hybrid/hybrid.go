@@ -23,12 +23,12 @@ package hybrid
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/spark"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // Strategy selects the join planning mode.
@@ -367,8 +367,8 @@ func joinPartitioned(left, right *spark.RDD[sparql.Binding], shared []sparql.Var
 			return []sparql.Binding{t.A.Merge(t.B)}
 		})
 	}
-	ka := spark.KeyBy(left, func(b sparql.Binding) string { return bindingKey(b, shared) })
-	kb := spark.KeyBy(right, func(b sparql.Binding) string { return bindingKey(b, shared) })
+	ka := spark.KeyBy(left, func(b sparql.Binding) string { return solutions.Key(b, shared) })
+	kb := spark.KeyBy(right, func(b sparql.Binding) string { return solutions.Key(b, shared) })
 	joined := spark.Join(ka, kb)
 	return spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
 		if !p.Value.A.Compatible(p.Value.B) {
@@ -379,8 +379,8 @@ func joinPartitioned(left, right *spark.RDD[sparql.Binding], shared []sparql.Var
 }
 
 func joinBroadcast(left, right *spark.RDD[sparql.Binding], shared []sparql.Var, leftEst, rightEst int) *spark.RDD[sparql.Binding] {
-	ka := spark.KeyBy(left, func(b sparql.Binding) string { return bindingKey(b, shared) })
-	kb := spark.KeyBy(right, func(b sparql.Binding) string { return bindingKey(b, shared) })
+	ka := spark.KeyBy(left, func(b sparql.Binding) string { return solutions.Key(b, shared) })
+	kb := spark.KeyBy(right, func(b sparql.Binding) string { return solutions.Key(b, shared) })
 	var joined *spark.RDD[spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]]
 	if rightEst <= leftEst {
 		joined = spark.BroadcastJoin(ka, kb)
@@ -463,14 +463,4 @@ func sharedVarsMap(a, b map[sparql.Var]bool) []sparql.Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func bindingKey(b sparql.Binding, vars []sparql.Var) string {
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		if t, ok := b[v]; ok {
-			parts[i] = t.String()
-		}
-	}
-	return strings.Join(parts, "\x00")
 }

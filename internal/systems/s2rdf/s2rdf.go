@@ -27,6 +27,7 @@ import (
 	"repro/internal/spark"
 	sparksql "repro/internal/spark/sql"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // DefaultSelectivityThreshold is the SF cut-off used when none is
@@ -227,83 +228,11 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if e.vpTables == nil {
 		return nil, fmt.Errorf("s2rdf: no dataset loaded")
 	}
-	rows, err := e.evalPattern(q.Where)
+	rows, err := solutions.EvalPattern(q.Where, "s2rdf", e.evalBGP, nil)
 	if err != nil {
 		return nil, err
 	}
 	return sparql.ApplySolutionModifiers(q, rows), nil
-}
-
-func (e *Engine) evalPattern(p sparql.GraphPattern) ([]sparql.Binding, error) {
-	switch n := p.(type) {
-	case sparql.BGP:
-		return e.evalBGP(n)
-	case sparql.Group:
-		rows := []sparql.Binding{{}}
-		for _, part := range n.Parts {
-			sub, err := e.evalPattern(part)
-			if err != nil {
-				return nil, err
-			}
-			var next []sparql.Binding
-			for _, x := range rows {
-				for _, y := range sub {
-					if x.Compatible(y) {
-						next = append(next, x.Merge(y))
-					}
-				}
-			}
-			rows = next
-		}
-		return rows, nil
-	case sparql.Filter:
-		rows, err := e.evalPattern(n.Inner)
-		if err != nil {
-			return nil, err
-		}
-		var kept []sparql.Binding
-		for _, b := range rows {
-			if n.Cond.EvalFilter(b) {
-				kept = append(kept, b)
-			}
-		}
-		return kept, nil
-	case sparql.Union:
-		left, err := e.evalPattern(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
-	case sparql.Optional:
-		left, err := e.evalPattern(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		var out []sparql.Binding
-		for _, l := range left {
-			matched := false
-			for _, r := range right {
-				if l.Compatible(r) {
-					out = append(out, l.Merge(r))
-					matched = true
-				}
-			}
-			if !matched {
-				out = append(out, l.Clone())
-			}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("s2rdf: unsupported pattern %T", p)
-	}
 }
 
 // evalBGP translates the BGP to SQL text over VP/ExtVP tables, runs it

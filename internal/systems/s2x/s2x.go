@@ -23,13 +23,13 @@ package s2x
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/spark"
 	"repro/internal/spark/graphx"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // vertexProp is the property of one graph vertex: its RDF term and the
@@ -100,82 +100,17 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if e.graph == nil {
 		return nil, fmt.Errorf("s2x: no dataset loaded")
 	}
-	rows, err := e.evalPattern(q.Where)
+	// BGPs use the graph-parallel matcher; the other operators use the
+	// data-parallel side — FILTER as a plain Spark op.
+	rows, err := solutions.EvalPattern(q.Where, "s2x", e.evalBGP, e.filter)
 	if err != nil {
 		return nil, err
 	}
 	return sparql.ApplySolutionModifiers(q, rows), nil
 }
 
-// evalPattern: BGPs use the graph-parallel matcher; the other
-// operators use the data-parallel side (plain Spark ops).
-func (e *Engine) evalPattern(p sparql.GraphPattern) ([]sparql.Binding, error) {
-	switch n := p.(type) {
-	case sparql.BGP:
-		return e.evalBGP(n)
-	case sparql.Group:
-		rows := []sparql.Binding{{}}
-		for _, part := range n.Parts {
-			sub, err := e.evalPattern(part)
-			if err != nil {
-				return nil, err
-			}
-			var next []sparql.Binding
-			for _, x := range rows {
-				for _, y := range sub {
-					if x.Compatible(y) {
-						next = append(next, x.Merge(y))
-					}
-				}
-			}
-			rows = next
-		}
-		return rows, nil
-	case sparql.Filter:
-		rows, err := e.evalPattern(n.Inner)
-		if err != nil {
-			return nil, err
-		}
-		rdd := spark.Parallelize(e.ctx, rows).Filter(func(b sparql.Binding) bool {
-			return n.Cond.EvalFilter(b)
-		})
-		return rdd.Collect(), nil
-	case sparql.Optional:
-		left, err := e.evalPattern(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		var out []sparql.Binding
-		for _, l := range left {
-			matched := false
-			for _, r := range right {
-				if l.Compatible(r) {
-					out = append(out, l.Merge(r))
-					matched = true
-				}
-			}
-			if !matched {
-				out = append(out, l.Clone())
-			}
-		}
-		return out, nil
-	case sparql.Union:
-		left, err := e.evalPattern(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalPattern(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
-	default:
-		return nil, fmt.Errorf("s2x: unsupported pattern %T", p)
-	}
+func (e *Engine) filter(rows []sparql.Binding, cond sparql.FilterExpr) []sparql.Binding {
+	return spark.Parallelize(e.ctx, rows).Filter(cond.EvalFilter).Collect()
 }
 
 // edgeCand is one candidate edge match for a triple pattern.
@@ -342,8 +277,8 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 				return []sparql.Binding{t.A.Merge(t.B)}
 			})
 		} else {
-			ka := spark.KeyBy(cur, func(b sparql.Binding) string { return bindingKey(b, shared) })
-			kb := spark.KeyBy(next, func(b sparql.Binding) string { return bindingKey(b, shared) })
+			ka := spark.KeyBy(cur, func(b sparql.Binding) string { return solutions.Key(b, shared) })
+			kb := spark.KeyBy(next, func(b sparql.Binding) string { return solutions.Key(b, shared) })
 			joined := spark.Join(ka, kb)
 			cur = spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
 				if !p.Value.A.Compatible(p.Value.B) {
@@ -418,14 +353,4 @@ func sharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func bindingKey(b sparql.Binding, vars []sparql.Var) string {
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		if t, ok := b[v]; ok {
-			parts[i] = t.String()
-		}
-	}
-	return strings.Join(parts, "\x00")
 }

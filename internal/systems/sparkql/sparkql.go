@@ -25,6 +25,7 @@ import (
 	"repro/internal/spark"
 	"repro/internal/spark/graphx"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // nodeProps is the property map of a vertex: predicate IRI -> values.
@@ -155,7 +156,7 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	usedNodes := map[nodeKey]bool{}
 	for _, root := range tree.roots {
 		table := e.evalSubtree(tree, root, nodeTPs, usedNodes)
-		rows = joinTables(rows, table)
+		rows = solutions.Join(rows, table)
 	}
 	// Node-only variables (no edges touch them).
 	for k, tps := range nodeTPs {
@@ -164,10 +165,10 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 		}
 		table := e.nodeTable(elemOfKey(k, tps), tps)
 		usedNodes[k] = true
-		rows = joinTables(rows, flatten(table))
+		rows = solutions.Join(rows, flatten(table))
 	}
 	for _, tp := range leftovers {
-		rows = joinTables(rows, e.matchAnywhere(tp))
+		rows = solutions.Join(rows, e.matchAnywhere(tp))
 	}
 	return rows, nil
 }
@@ -487,18 +488,6 @@ func flatten(m map[graphx.VertexID][]sparql.Binding) []sparql.Binding {
 	var out []sparql.Binding
 	for _, rows := range m {
 		out = append(out, rows...)
-	}
-	return out
-}
-
-func joinTables(a, b []sparql.Binding) []sparql.Binding {
-	var out []sparql.Binding
-	for _, x := range a {
-		for _, y := range b {
-			if x.Compatible(y) {
-				out = append(out, x.Merge(y))
-			}
-		}
 	}
 	return out
 }

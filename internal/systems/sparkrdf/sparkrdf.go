@@ -25,12 +25,12 @@ package sparkrdf
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/spark"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // IndexLevel selects how deep the MESG index is consulted, for the
@@ -241,10 +241,10 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 			// On-demand dynamic pre-partitioning: both sides are placed
 			// by the join variable before the local join.
 			ka := spark.PartitionBy(
-				spark.KeyBy(cur, func(b sparql.Binding) string { return bindingKey(b, shared) }),
+				spark.KeyBy(cur, func(b sparql.Binding) string { return solutions.Key(b, shared) }),
 				spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
 			kb := spark.PartitionBy(
-				spark.KeyBy(next.rdd, func(b sparql.Binding) string { return bindingKey(b, shared) }),
+				spark.KeyBy(next.rdd, func(b sparql.Binding) string { return solutions.Key(b, shared) }),
 				spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
 			joined := spark.Join(ka, kb)
 			cur = spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
@@ -397,14 +397,4 @@ func sharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func bindingKey(b sparql.Binding, vars []sparql.Var) string {
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		if t, ok := b[v]; ok {
-			parts[i] = t.String()
-		}
-	}
-	return strings.Join(parts, "\x00")
 }

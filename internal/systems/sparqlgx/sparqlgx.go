@@ -13,12 +13,12 @@ package sparqlgx
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/spark"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // SO is one row of a vertical-partition file: the subject and object of
@@ -256,22 +256,11 @@ func (e *Engine) scanPattern(tp sparql.TriplePattern) *spark.RDD[sparql.Binding]
 
 // --- binding RDD combinators (SPARQLGX's keyBy-based joins) ---
 
-// bindingKey renders the values of vars in b, for use as a join key.
-func bindingKey(b sparql.Binding, vars []sparql.Var) string {
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		if t, ok := b[v]; ok {
-			parts[i] = t.String()
-		}
-	}
-	return strings.Join(parts, "\x00")
-}
-
 // joinOn joins two binding RDDs on the given shared variables using the
 // partitioned keyBy join of the RDD API.
 func joinOn(ctx *spark.Context, a, b *spark.RDD[sparql.Binding], shared []sparql.Var) *spark.RDD[sparql.Binding] {
-	ka := spark.KeyBy(a, func(x sparql.Binding) string { return bindingKey(x, shared) })
-	kb := spark.KeyBy(b, func(x sparql.Binding) string { return bindingKey(x, shared) })
+	ka := spark.KeyBy(a, func(x sparql.Binding) string { return solutions.Key(x, shared) })
+	kb := spark.KeyBy(b, func(x sparql.Binding) string { return solutions.Key(x, shared) })
 	joined := spark.Join(ka, kb)
 	return spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
 		if !p.Value.A.Compatible(p.Value.B) {
@@ -333,21 +322,13 @@ func crossBindingRDDs(ctx *spark.Context, a, b *spark.RDD[sparql.Binding]) *spar
 }
 
 // leftOuterJoinBindingRDDs implements OPTIONAL: left rows survive even
-// without a compatible right row.
+// without a compatible right row. The right side is broadcast and
+// indexed once; every left row probes it inside its own task.
 func leftOuterJoinBindingRDDs(ctx *spark.Context, a, b *spark.RDD[sparql.Binding]) *spark.RDD[sparql.Binding] {
-	right := b.Collect()
-	bc := spark.NewBroadcast(ctx, right)
+	bc := spark.NewBroadcast(ctx, b.Collect())
+	table := solutions.NewTable(bc.Value(), a.Take(32))
 	return spark.FlatMap(a, func(l sparql.Binding) []sparql.Binding {
-		var out []sparql.Binding
-		for _, r := range bc.Value() {
-			if l.Compatible(r) {
-				out = append(out, l.Merge(r))
-			}
-		}
-		if len(out) == 0 {
-			out = append(out, l.Clone())
-		}
-		return out
+		return table.Probe(l, true, nil)
 	})
 }
 
