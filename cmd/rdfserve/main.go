@@ -17,7 +17,8 @@
 // shared dictionary (the -partition strategy decides placement) and
 // queries execute through the distributed evaluator: subject-star
 // queries push down whole to subject-co-located shards, everything
-// else runs scatter-gather with shard pruning. Results are
+// else runs scatter-gather — a per-pattern bind join with shard
+// pruning (the repo's doc.go, "Sharded execution"). Results are
 // byte-identical to unsharded serving; /stats gains a sharding block.
 //
 // With -replicas R each shard is materialized R times and per-shard

@@ -68,8 +68,8 @@
 //     from the candidate, in an output sized from the candidate count;
 //     cancellation is polled per run of candidates, the runs still
 //     adding up to one poll per 1024 candidates visited. Joins (Group
-//     folds, OPTIONAL, the sharded gather fold) run as one id-space
-//     hash join (sparql/eval.go hashJoin): the join key is the slots
+//     folds and OPTIONAL, on one graph or above sharded BGPs) run as
+//     one id-space hash join (sparql/eval.go hashJoin): the join key is the slots
 //     bound in every row of both sides, the smaller side is hashed on
 //     it, and the other side probes it through one probe body — a pure
 //     function of the immutable table over a range of probe rows that
@@ -140,23 +140,63 @@
 // (and each replica) an rdf.EncodedView built straight from its bucket
 // of ids around one shared rdf.Dictionary, so TermIDs are globally
 // consistent and all cross-shard work stays in id space. The distributed executor
-// (sparql.RunSharded) routes each prepared query by placement: a
-// single-BGP subject star pushes down whole to each shard when the
-// placement co-located subjects (verified at build time, not assumed),
-// with no cross-shard join; everything else scatters per pattern and
-// folds the gathered matches with the single-graph id-space hash
-// joins. Shards whose indexes cannot contribute a candidate are pruned
-// unscanned (the vertical/semantic payoff), reported through
+// (sparql.RunSharded) routes each prepared query by placement, and on
+// both routes moves bindings to the data, never relations to a join —
+// the survey's verdict on distributed BGP evaluation (S2RDF's ExtVP,
+// SPARQLGX's and the hybrid engine's broadcast-vs-partitioned choice,
+// HAQWA's star-local allocation).
+//
+// Pushdown: a WHERE clause that is one BGP whose patterns share one
+// subject — a variable, or a constant (a point lookup) — evaluates
+// whole on each shard when the placement co-located subjects (verified
+// at build time, not assumed), with no cross-shard step; only the
+// shards holding candidates for every pattern are asked, which for a
+// constant subject is the one shard that holds it.
+//
+// Bind join (the "scatter-gather" route of /stats and ShardStats):
+// every other BGP runs pattern by pattern in the global plan's order,
+// as on one graph, starting from the empty row. For each pattern the
+// whole batch of rows bound so far goes to each shard that can
+// contribute, in one shard operation — replica choice, breaker, hedge,
+// deadline slice, fault point and retry are per (pattern, shard), never
+// per row. The shard probes its own view once per input row (the
+// single-graph scan kernel; a row whose bound subject the shard does
+// not hold costs one offset read) and answers each extension keyed by
+// (input-row index, global position of the matched triple), packed in
+// one uint64, ascending. The driver k-way merges the shards' runs on
+// that key. A triple lives on exactly one shard and positions ascend
+// within any index range of a view, so the merged sequence is, row for
+// row, what the single-graph loop "for each row, match the pattern"
+// emits: determinism by construction. No pattern's match set is ever
+// materialized and no join runs inside a BGP; the id-space hash join
+// remains above it, for OPTIONAL, groups and UNION, with FILTER and
+// the modifier pipeline unchanged on top. LIMIT without ORDER BY (and
+// ASK) reaches the last pattern of a sole BGP as on one graph: each
+// shard's run is a subsequence of the merged order, so a shard stops
+// at its own max-th row. A batch past the key's 31-bit row index fails
+// with a typed *rdf.CapacityError. At WithParallelism > 1 the shards of
+// one operation run concurrently, the driver itself taking the last, so
+// an operation that pruning leaves one shard for starts no goroutine.
+// What this stage does not do: a shard still receives every row of the
+// batch, including rows whose subject lives elsewhere; routing rows by
+// the placement function is ROADMAP item 3's next stage.
+//
+// Shards whose indexes cannot contribute a candidate to a pattern are
+// pruned unscanned (the vertical/semantic payoff), reported through
 // ExplainShards and the /stats sharding block. Determinism contract:
 // shards preserve dataset insertion order, every triple's global
-// position keys the k-way gather merge — an int32 column each shard
-// view stores beside its triples in every order it keeps them, so a
-// scan reads a match's key from the array it is walking (no per-triple
-// hash, map or dictionary lookup; sparql/dist.go has the invariant) —
-// and the plan compiles from the summed global statistics — so sharded
-// output is byte-identical (rows and order) to a single-graph run at
-// any shard count and parallelism, pinned by the cross-strategy
-// determinism suite under the race detector. rdfserve -shards N -partition <name> serves it;
+// position is the low half of the merge key — an int32 column each
+// shard view stores beside its triples in every order it keeps them,
+// so a scan reads a match's key from the array it is walking (no
+// per-triple hash, map or dictionary lookup; sparql/dist.go has the
+// invariant) — and the plan compiles from the summed global statistics
+// — so sharded output is byte-identical (rows and order) to a
+// single-graph run at any shard count and parallelism, pinned by the
+// cross-strategy determinism suite under the race detector and by
+// TestShardedMatchesReferenceProperty (internal/shard), which holds
+// generated queries on generated graphs to the single graph as a
+// sequence and to a nested-loop reference as a multiset.
+// rdfserve -shards N -partition <name> serves it;
 // rdfbench -shards compares strategies by end-to-end query latency.
 //
 // Storage and concurrency. There is one store, and it is in id space.

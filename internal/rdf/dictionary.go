@@ -21,9 +21,11 @@ type EncodedTriple struct {
 // widths of the id-space layout: TermIDs are uint32 with the top value
 // reserved (the evaluator's unbound-slot sentinel), and triple
 // positions and index offsets are 32-bit. Builds fail with this error
-// instead of wrapping.
+// instead of wrapping. So does a sharded run whose bind-join batch
+// outgrows the 32-bit row index packed beside a position in its merge
+// key (sparql's bindKey).
 type CapacityError struct {
-	What  string // "terms" or "triples"
+	What  string // "terms", "triples" or "bind-join rows"
 	Limit int64  // the most the store can hold
 }
 

@@ -90,50 +90,81 @@ func BenchmarkShardedStar(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedLinear tracks the scatter-gather route on a linear
-// (cross-shard join) query against the single-graph evaluator — the
-// price of distribution when placement cannot make the query local.
+// BenchmarkShardedLinear tracks the per-pattern route — the bind join —
+// on cross-shard chains against the single-graph evaluator: the price
+// of distribution when placement cannot make the query local. Two
+// chains, each as a sharded sub-benchmark beside its single-graph one:
+// the unselective advisor → worksFor chain over 4 shards (every student
+// answers; the cost is rows moved), and the bench's selective 2-hop for
+// one department over the 4 × 2 layout rdfserve -shards 4 -replicas 2
+// boots (80 rows; the cost is the shard operations themselves, about
+// eight of them). Each sharded sub-benchmark then runs the same plan on
+// the single graph b.N times and reports sharded/single; CI fails when
+// the selective ratio passes 12. It read 291 while every pattern was
+// scanned from the empty row on every shard and the gathers hash-joined.
 func BenchmarkShardedLinear(b *testing.B) {
 	triples := workload.GenerateUniversity(workload.MediumUniversity())
-	text := fmt.Sprintf(`SELECT ?st ?prof ?dept WHERE { ?st <%sadvisor> ?prof . ?prof <%sworksFor> ?dept }`,
-		workload.UnivNS, workload.UnivNS)
 	ctx := context.Background()
-
-	sg, err := BuildByName(triples, "hash-subject", 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp, err := sg.Prepare(text)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if route := sp.ExplainShards().Route; route != sparql.RouteScatter {
-		b.Fatalf("linear query routed %s, want scatter-gather", route)
-	}
-	b.Run("scatter-4shards", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sp.Run(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
 	g := rdf.NewGraph(triples)
 	g.Encoded()
 	g.Stats()
-	prep, err := sparql.Prepare(text)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("single-graph", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := prep.Run(ctx, g); err != nil {
-				b.Fatal(err)
+
+	// solutions leaves the answer in id space (RunSolutions, what the
+	// server streams from): decoding 80 rows into term maps would cost
+	// several times the shard operations the selective pair is there to
+	// price. The unselective pair decodes, as it always has.
+	pair := func(shardedName, singleName, text string, replicas int, solutions bool) {
+		sg, err := BuildReplicatedByName(triples, "hash-subject", 4, replicas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp, err := sg.Prepare(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if route := sp.ExplainShards().Route; route != sparql.RouteScatter {
+			b.Fatalf("%s routed %s, want scatter-gather", text, route)
+		}
+		prep, err := sparql.Prepare(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := func(b *testing.B, sharded bool) {
+			for i := 0; i < b.N; i++ {
+				var err error
+				switch {
+				case sharded && solutions:
+					_, err = sp.RunSolutions(ctx)
+				case sharded:
+					_, err = sp.Run(ctx)
+				case solutions:
+					_, err = prep.RunSolutions(ctx, g)
+				default:
+					_, err = prep.Run(ctx, g)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+		b.Run(shardedName, func(b *testing.B) {
+			b.ReportAllocs()
+			run(b, true)
+			b.StopTimer()
+			sharded := b.Elapsed()
+			start := time.Now()
+			run(b, false)
+			b.ReportMetric(float64(sharded)/float64(time.Since(start)), "sharded/single")
+		})
+		b.Run(singleName, func(b *testing.B) {
+			b.ReportAllocs()
+			run(b, false)
+		})
+	}
+	pair("scatter-4shards", "single-graph",
+		fmt.Sprintf(`SELECT ?st ?prof ?dept WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?dept }`, workload.UnivNS), 1, false)
+	pair("selective-4x2", "selective-single-graph",
+		fmt.Sprintf(`SELECT ?st ?prof WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> <%[1]suniv0.dept0> }`, workload.UnivNS), 2, true)
 }
 
 // BenchmarkShardedTailLatency measures what hedged shard operations

@@ -174,6 +174,13 @@ func TestShardedDescribeMatchesSingleGraph(t *testing.T) {
 	}
 }
 
+// pointStar is a star on a constant subject — the bench's point lookup.
+// Under subject co-location it is a subject star like any other: the
+// whole BGP pushes down, and the covering prune leaves the one shard
+// holding the subject.
+var pointStar = fmt.Sprintf(`SELECT ?n ?a ?adv WHERE { <%[1]suniv0.dept0.stud0> <%[1]sname> ?n . <%[1]suniv0.dept0.stud0> <%[1]sage> ?a . <%[1]suniv0.dept0.stud0> <%[1]sadvisor> ?adv }`,
+	workload.UnivNS)
+
 // TestScatterOnlyMatchesPushdown pins that both routes compute the same
 // answer: forcing scatter-gather on pushdown-eligible queries changes
 // nothing but the route.
@@ -184,7 +191,8 @@ func TestScatterOnlyMatchesPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nq := range ds.queries {
+	queries := append(ds.queries[:len(ds.queries):len(ds.queries)], workload.NamedQuery{Name: "point-star", Text: pointStar})
+	for _, nq := range queries {
 		sp, err := sg.Prepare(nq.Text)
 		if err != nil {
 			t.Fatal(err)
@@ -202,6 +210,9 @@ func TestScatterOnlyMatchesPushdown(t *testing.T) {
 			t.Fatalf("%s: WithScatterOnly ran route %s", nq.Name, scatStats.Route)
 		}
 		mustEqualResults(t, push, scat)
+		if nq.Name == "point-star" && (pushStats.Route != sparql.RoutePushdown || push.Len() != 1) {
+			t.Fatalf("point-star: route %s with %d rows, want one row by pushdown", pushStats.Route, push.Len())
+		}
 	}
 }
 
@@ -237,8 +248,10 @@ func TestRoutes(t *testing.T) {
 		route sparql.ShardRoute
 	}{
 		{hash, star, sparql.RoutePushdown},
+		{hash, pointStar, sparql.RoutePushdown},
 		{hash, linear, sparql.RouteScatter},
 		{vert, star, sparql.RouteScatter},
+		{vert, pointStar, sparql.RouteScatter},
 		{vert, linear, sparql.RouteScatter},
 	}
 	for i, c := range cases {
@@ -260,6 +273,9 @@ func TestRoutes(t *testing.T) {
 		if st.ShardsTouched != ex.ShardsTouched || st.ShardsPruned != ex.ShardsPruned {
 			t.Fatalf("case %d: run touched/pruned %d/%d, explain predicted %d/%d",
 				i, st.ShardsTouched, st.ShardsPruned, ex.ShardsTouched, ex.ShardsPruned)
+		}
+		if c.sg == hash && c.text == pointStar && st.ShardsTouched != 1 {
+			t.Fatalf("case %d: a constant-subject star touched %d shards, want the subject's one", i, st.ShardsTouched)
 		}
 	}
 }
@@ -415,6 +431,14 @@ func TestShardedLimitPushdown(t *testing.T) {
 		fmt.Sprintf(`SELECT ?s ?n ?a WHERE { ?s <%sname> ?n . ?s <%sage> ?a } LIMIT 7 OFFSET 3`,
 			workload.UnivNS, workload.UnivNS),
 		fmt.Sprintf(`ASK { ?s <%sage> ?a }`, workload.UnivNS),
+		// Scatter route, several patterns: the hint reaches the last
+		// pattern of the bind join, each shard stopping at its own prefix.
+		fmt.Sprintf(`SELECT ?st ?prof ?d WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?d } LIMIT 5`, workload.UnivNS),
+		fmt.Sprintf(`SELECT ?st ?prof ?d WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?d } LIMIT 7 OFFSET 3`, workload.UnivNS),
+		fmt.Sprintf(`ASK { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?d }`, workload.UnivNS),
+		// The last pattern fans out past the hint inside one input row:
+		// a department has more members than LIMIT + OFFSET.
+		fmt.Sprintf(`SELECT ?d ?s WHERE { ?d <%[1]ssubOrganizationOf> <%[1]suniv0> . ?s <%[1]smemberOf> ?d } LIMIT 3 OFFSET 1`, workload.UnivNS),
 	}
 	for _, strat := range []string{"hash-subject", "vertical"} {
 		sg, err := BuildByName(triples, strat, 4)
@@ -429,6 +453,9 @@ func TestShardedLimitPushdown(t *testing.T) {
 			want, err := prep.Run(ctx, g, sparql.WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want.Len() == 0 && !want.Ask {
+				t.Fatalf("%s: the single graph answers nothing; the truncation is not exercised", text)
 			}
 			sp, err := sg.Prepare(text)
 			if err != nil {

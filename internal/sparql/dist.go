@@ -3,13 +3,16 @@ package sparql
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -20,46 +23,41 @@ import (
 // happens in id space under two invariants:
 //
 //   - Shared dictionary: a TermID means the same term on every shard,
-//     so rows from different shards join, deduplicate, and sort with
-//     the single-graph code paths (joinRows, distinctRows, sortRows)
-//     untouched.
-//   - Global-position merge: the gather key of a match is the matched
-//     triple's position in the full dataset's insertion order. It lives
-//     in the shard view, as an int32 column aligned with every order
-//     the view stores its triples in (rdf.NewPositionedView), so a scan
-//     reads candidate i's key as positions[i] of the range it is
+//     so rows from different shards merge, join, deduplicate, and sort
+//     with the single-graph code paths (joinRows, distinctRows,
+//     sortRows) untouched.
+//   - Global-position merge: the merge key of a match ends in the
+//     matched triple's position in the full dataset's insertion order.
+//     It lives in the shard view, as an int32 column aligned with every
+//     order the view stores its triples in (rdf.NewPositionedView), so
+//     a scan reads candidate i's key as positions[i] of the range it is
 //     already walking — an array read beside the scanned storage; no
 //     per-triple hash, map or dictionary lookup on the scan path. Each
 //     shard preserves the original relative order of its triples, so
-//     per-shard match lists are already sorted by that key, and a
-//     deterministic k-way merge on it reproduces the exact candidate
-//     order a single-graph index scan would visit. A replica holds its
-//     own copy of the columns, like the triples they sit beside (a
-//     replica stands in for a copy on another node): 4 B × 4 orders × R
-//     per triple.
+//     under one input row a shard's matches are already sorted by that
+//     key, and a deterministic k-way merge on (input row, position)
+//     reproduces the exact order in which a single-graph evaluation
+//     extends its rows. A replica holds its own copy of the columns,
+//     like the triples they sit beside (a replica stands in for a copy
+//     on another node): 4 B × 4 orders × R per triple.
 //
-// Two routes exploit placement the way the survey says real systems
-// should:
+// Two routes move bindings to the data, the way the survey says real
+// systems should (doc.go, "Sharded execution", has the prose):
 //
-//   - Pushdown: when the WHERE clause is one BGP whose patterns all
-//     share a single subject variable (a subject star) and the
-//     placement co-locates every subject's triples on one shard
-//     (ShardSet.SubjectColocated), the whole BGP evaluates on each
-//     shard independently — no cross-shard join — and shard results
-//     merge by the seed triple's global position. Soundness: every
-//     triple of a result star shares the star's subject, so the star's
-//     shard holds all of them and no other shard holds any.
-//   - Scatter-gather: general queries scatter each compiled pattern to
-//     the shards, gather the per-pattern matches in global order, and
-//     fold them with the single-graph id-space hash joins (the eval.go
-//     build/probe invariants), so OPTIONAL / UNION / FILTER and the
-//     whole modifier pipeline run unchanged above the scatter.
+//   - Pushdown (pushdownBGP): a WHERE clause that is one subject-star
+//     BGP, on a placement that co-locates every subject's triples
+//     (ShardSet.SubjectColocated), evaluates whole on each covering
+//     shard. Soundness: every triple of a result star shares the star's
+//     subject, so the star's shard holds all of them and no other any.
+//   - Bind join (evalBGP → bindPattern → bindShard → gather): any other
+//     BGP extends its batch of rows pattern by pattern, each shard
+//     probing its own view for the whole batch in one operation; no
+//     match set is gathered, nothing is joined inside a BGP, and
+//     OPTIONAL / UNION / FILTER and the modifiers run unchanged above.
 //
-// Both routes prune shards that cannot contribute: a shard whose
-// indexes hold no candidates for a pattern (its predicate or class
-// simply does not occur there — the vertical / semantic payoff) is
-// skipped without scanning, and the skip is reported through
-// ShardStats / ShardExplain.
+// Both prune shards that cannot contribute: a shard whose indexes hold
+// no candidates for a pattern (the vertical / semantic payoff) is
+// skipped unscanned and reported through ShardStats / ShardExplain.
 
 // ShardSet describes a sharded dataset to the distributed executor. It
 // is immutable once built (shard graphs must not be mutated), and safe
@@ -115,8 +113,8 @@ type ShardStats struct {
 	// ShardsPruned counts the shards skipped because their indexes
 	// could not contribute a candidate (Shards - ShardsTouched).
 	ShardsPruned int
-	// ScatterPatterns counts the triple patterns scattered across
-	// shards (0 on the pushdown route).
+	// ScatterPatterns counts the triple patterns whose row batches were
+	// shipped to the shards (0 on the pushdown route).
 	ScatterPatterns int
 }
 
@@ -137,9 +135,10 @@ func WithShardStats(st *ShardStats) RunOption {
 	return func(o *runOpts) { o.shardStats = st }
 }
 
-// WithScatterOnly forces the scatter-gather route even when the query
-// qualifies for pushdown — the benchmark baseline for measuring what
-// placement-aware routing buys. Results are identical on both routes.
+// WithScatterOnly forces the per-pattern route (the bind join) even
+// when the query qualifies for pushdown — the benchmark baseline for
+// measuring what placement-aware routing buys. Results are identical on
+// both routes.
 func WithScatterOnly() RunOption {
 	return func(o *runOpts) { o.forceScatter = true }
 }
@@ -305,38 +304,30 @@ func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *d
 
 // shardRoute picks the execution route: pushdown when the WHERE clause
 // is a single subject-star BGP and the placement co-locates subjects,
-// scatter-gather otherwise.
+// the per-pattern bind join (scatter-gather) otherwise.
 func (p *Prepared) shardRoute(ss *ShardSet, forceScatter bool) ShardRoute {
-	if forceScatter || !ss.SubjectColocated {
-		return RouteScatter
-	}
-	if _, ok := p.subjectStarBGP(); !ok {
+	if forceScatter || !ss.SubjectColocated || !p.subjectStar() {
 		return RouteScatter
 	}
 	return RoutePushdown
 }
 
-// subjectStarBGP returns the query's BGP when the WHERE clause is a
-// single BGP whose patterns all share one subject variable — the shape
-// whose evaluation pushes down whole to subject-co-located shards.
-func (p *Prepared) subjectStarBGP() (BGP, bool) {
+// subjectStar reports whether the WHERE clause is a single BGP whose
+// patterns all share one subject — one variable, or one constant (a
+// point lookup, which the covering prune then sends to the one shard
+// holding that subject) — the shape whose evaluation pushes down whole
+// to subject-co-located shards.
+func (p *Prepared) subjectStar() bool {
 	if !isSoleBGP(p.q.Where) {
-		return BGP{}, false
+		return false
 	}
 	bgp, _ := p.q.BGPOf() // a sole BGP always flattens
-	if len(bgp.Patterns) == 0 {
-		return BGP{}, false
-	}
-	first := bgp.Patterns[0].S
-	if !first.IsVar {
-		return BGP{}, false
-	}
-	for _, tp := range bgp.Patterns[1:] {
-		if !tp.S.IsVar || tp.S.Var != first.Var {
-			return BGP{}, false
+	for _, tp := range bgp.Patterns {
+		if tp.S != bgp.Patterns[0].S {
+			return false
 		}
 	}
-	return bgp, true
+	return len(bgp.Patterns) > 0
 }
 
 // captureShard fills the caller's ShardStats after a sharded run and,
@@ -365,39 +356,26 @@ func (o *runOpts) captureShard(d *distEnv) {
 }
 
 // evalBGP evaluates one BGP over the shards: the pushdown route when
-// the run qualified, otherwise per-pattern scatter folded with the
-// single-graph join engine. The plan is compiled from the global
-// statistics, so pattern order — and with it row order — is exactly
-// the single-graph plan's.
+// the run qualified, otherwise a bind join — pattern by pattern, the
+// whole batch of rows bound so far goes to the shards and comes back
+// extended (bindPattern), as evalEnv.evalBGP extends it on one graph.
+// The plan is compiled from the global statistics, so pattern order —
+// and with it row order — is exactly the single-graph plan's.
 func (d *distEnv) evalBGP(b BGP) []slotRow {
 	cps := d.env.planFor(b)
-	// limitHint is only set when this BGP is the whole WHERE clause and
-	// the modifiers keep exactly the leading rows. Each shard's output
-	// is a prefix of the merged order, so a shard never needs to
-	// produce more than the hint itself (LIMIT pushdown, per shard).
-	max := d.env.limitHint
 	if d.route == RoutePushdown && len(cps) > 0 {
-		return d.pushdownBGP(cps, max)
+		return d.pushdownBGP(cps, d.env.limitHint)
 	}
-	env := d.env
-	rows := []slotRow{env.emptyRow()}
+	rows := []slotRow{d.env.emptyRow()}
 	for i := range cps {
-		// The hint is only sound on the gather that directly emits the
-		// final row sequence — a single-pattern BGP. Joins above a
-		// truncated gather could need the dropped matches.
-		scanMax := 0
-		if len(cps) == 1 {
-			scanMax = max
+		max := 0
+		if i == len(cps)-1 {
+			// limitHint is only set when this BGP is the whole WHERE
+			// clause, so its last pattern emits the final row sequence.
+			max = d.env.limitHint
 		}
-		matches := d.scatterPattern(&cps[i], scanMax)
-		if env.err != nil {
-			return nil
-		}
-		rows = env.joinRows(rows, matches)
-		if env.err != nil {
-			return nil
-		}
-		if len(rows) == 0 {
+		rows = d.bindPattern(&cps[i], rows, max)
+		if len(rows) == 0 { // nothing left to extend, or the run failed
 			break
 		}
 	}
@@ -440,38 +418,40 @@ func shardCovers(view *rdf.EncodedView, cps []cPattern) bool {
 	return true
 }
 
-// forEachShard runs fn(s, w) for every shard where pick(s) reports
-// work, marking those shards touched — concurrently up to the run's
-// parallelism, serially at width 1. Each invocation gets a private
-// worker environment; fn routes itself to a replica view through
-// runShardOp. Worker errors latch into the global env, with
-// PartialFailureErrors from different shards merged into one naming
-// every lost shard.
-func (d *distEnv) forEachShard(pick func(s int) bool, fn func(s int, w *evalEnv)) {
+// forEachShard runs fn(s, w) for every picked shard, marking it touched.
+// Each invocation gets a private worker environment; fn routes itself
+// to a replica view through runShardOp. At width 1 the shards run one
+// after another on the driver. At a wider run the driver still runs the
+// last picked shard itself and counts as one of the width, so the op
+// that pruning leaves a single shard for — every constant-subject
+// pattern, most selective bind joins — starts no goroutine. Worker
+// errors latch into the global env, with PartialFailureErrors from
+// different shards merged into one naming every lost shard.
+func (d *distEnv) forEachShard(picked []int, fn func(s int, w *evalEnv)) {
 	env := d.env
 	width := 1
 	if env.par != nil {
 		width = env.par.n
 	}
-	sem := make(chan struct{}, width)
+	var sem chan struct{}
 	var wg sync.WaitGroup
-	workers := make([]*evalEnv, 0, len(d.ss.Views))
-	for s := range d.ss.Views {
+	workers := make([]*evalEnv, 0, len(picked))
+	for i, s := range picked {
 		if env.err != nil || (env.par != nil && env.par.stop.Load()) {
 			break
-		}
-		if !pick(s) {
-			continue
 		}
 		d.touched[s] = true
 		w := env.workerEnv()
 		workers = append(workers, w)
-		if width == 1 {
+		if width == 1 || i == len(picked)-1 {
 			fn(s, w)
 			if w.err != nil {
 				break
 			}
 			continue
+		}
+		if sem == nil {
+			sem = make(chan struct{}, width-1)
 		}
 		wg.Add(1)
 		sem <- struct{}{}
@@ -513,13 +493,14 @@ func pickReplica(h *ReplicaHealth, s int, tried []bool) int {
 	return -1
 }
 
-// shardOp is one per-shard operation body — a pattern scan or a
-// pushdown BGP — run against a worker environment whose view is
-// already pointed at the serving replica. Returning the output buffers
+// shardOp is one per-shard operation body — a bind join of one pattern
+// or a pushdown BGP — run against a worker environment whose view is
+// already pointed at the serving replica. It returns its rows with
+// their ascending merge keys (bindKey). Returning the output buffers
 // (instead of writing shared state) is what lets hedged attempts race:
 // racing copies compute into private buffers, and only the winning
 // attempt's return value is committed by runShardOp's caller.
-type shardOp func(w *evalEnv) ([]slotRow, []int32)
+type shardOp func(w *evalEnv) ([]slotRow, []uint64)
 
 // numTried counts the replicas already failed this pass.
 func numTried(tried []bool) int {
@@ -579,7 +560,7 @@ func (d *distEnv) fatalAttemptErr(err error) bool {
 	return false
 }
 
-// runShardOp executes one per-shard operation (a pattern scan or a
+// runShardOp executes one per-shard operation (a bind join or a
 // pushdown BGP) fault-tolerantly and returns its output: the op runs
 // against a replica of shard s chosen by the circuit breakers and
 // straggler scores, with injected or returned failures — and recovered
@@ -598,19 +579,19 @@ func (d *distEnv) fatalAttemptErr(err error) bool {
 // Failover and hedging are invisible in results because every replica
 // of a shard yields byte-identical scans (ShardSet.Replicas) and
 // exactly one attempt's returned buffers are committed.
-func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, []int32) {
+func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, []uint64) {
 	views := d.replicaViews(s)
 	if d.plan == nil && len(views) == 1 {
 		// Nothing to inject and nothing to fail over to — but panics
 		// are still isolated into the error latch: a crashing scan must
 		// kill the query, not the process serving it. This is the
 		// disarmed fast path; it allocates nothing beyond the op.
-		rows, tags, err := d.attemptShardOp(w, views[0], s, -1, op)
+		rows, keys, err := d.attemptShardOp(w, views[0], s, -1, op)
 		if err != nil {
 			w.err = err
 			return nil, nil
 		}
-		return rows, tags
+		return rows, keys
 	}
 	h := d.ss.Health
 	hedgeWait := time.Duration(-1) // < 0: hedging off
@@ -641,9 +622,9 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 		}
 		attemptsLeft := (d.retry.Cycles-cycle)*len(views) - numTried(tried)
 		if hedgeWait >= 0 {
-			rows, tags, done := d.racedAttempt(w, views, s, r, class, attemptsLeft, tried, &lastFailed, hedgeWait, op)
+			rows, keys, done := d.racedAttempt(w, views, s, r, class, attemptsLeft, tried, &lastFailed, hedgeWait, op)
 			if done {
-				return rows, tags
+				return rows, keys
 			}
 			continue
 		}
@@ -652,14 +633,14 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 			w.ftally.failovers.Add(1)
 		}
 		start := time.Now()
-		rows, tags, err := d.attemptSliced(w, views[r], s, r, attemptsLeft, op)
+		rows, keys, err := d.attemptSliced(w, views[r], s, r, attemptsLeft, op)
 		if err == nil {
 			if h != nil {
 				dur := time.Since(start)
 				h.ok(s, r, dur)
 				h.noteOp(class, dur)
 			}
-			return rows, tags
+			return rows, keys
 		}
 		if d.fatalAttemptErr(err) {
 			w.err = err
@@ -680,7 +661,7 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 // derived environment carrying the sliced context and no parRun — so a
 // slice expiring mid-scan stops only this attempt instead of raising
 // the run-wide stop latch.
-func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attemptsLeft int, op shardOp) ([]slotRow, []int32, error) {
+func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attemptsLeft int, op shardOp) ([]slotRow, []uint64, error) {
 	slice := d.attemptSlice(attemptsLeft)
 	if slice <= 0 {
 		return d.attemptShardOp(w, view, s, r, op)
@@ -702,11 +683,11 @@ func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attempt
 // (done=true, with w.err latched). When every racing attempt fails
 // non-fatally the pass reports done=false and the caller's retry loop
 // picks the next replica.
-func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary, class, attemptsLeft int, tried []bool, lastFailed *int, hedgeWait time.Duration, op shardOp) ([]slotRow, []int32, bool) {
+func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary, class, attemptsLeft int, tried []bool, lastFailed *int, hedgeWait time.Duration, op shardOp) ([]slotRow, []uint64, bool) {
 	h := d.ss.Health
 	type attemptRes struct {
 		rows []slotRow
-		tags []int32
+		keys []uint64
 		err  error
 		r    int
 		dur  time.Duration
@@ -732,8 +713,8 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 				defer cancel()
 			}
 			start := time.Now()
-			rows, tags, err := d.attemptShardOp(ae, views[r], s, r, op)
-			resCh <- attemptRes{rows: rows, tags: tags, err: err, r: r, dur: time.Since(start)}
+			rows, keys, err := d.attemptShardOp(ae, views[r], s, r, op)
+			resCh <- attemptRes{rows: rows, keys: keys, err: err, r: r, dur: time.Since(start)}
 		}()
 	}
 	racing := make([]bool, len(views))
@@ -772,7 +753,7 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 				for _, st := range stops {
 					st.Store(true)
 				}
-				return res.rows, res.tags, true
+				return res.rows, res.keys, true
 			}
 			if d.fatalAttemptErr(res.err) {
 				w.err = res.err
@@ -800,13 +781,13 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 // returned errors. A latched worker error (cancellation observed
 // mid-scan) surfaces as the attempt's error; successful attempts
 // return the op's private output buffers.
-func (d *distEnv) attemptShardOp(w *evalEnv, view *rdf.EncodedView, s, replica int, op shardOp) (rows []slotRow, tags []int32, err error) {
+func (d *distEnv) attemptShardOp(w *evalEnv, view *rdf.EncodedView, s, replica int, op shardOp) (rows []slotRow, keys []uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if w.ftally != nil {
 				w.ftally.panics.Add(1)
 			}
-			rows, tags = nil, nil
+			rows, keys = nil, nil
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
@@ -820,11 +801,11 @@ func (d *distEnv) attemptShardOp(w *evalEnv, view *rdf.EncodedView, s, replica i
 	}
 	w.err = nil
 	w.view = view
-	rows, tags = op(w)
+	rows, keys = op(w)
 	if w.err != nil {
 		return nil, nil, w.err
 	}
-	return rows, tags, nil
+	return rows, keys, nil
 }
 
 // backoff sleeps the capped exponential delay before retry pass
@@ -851,55 +832,50 @@ func (d *distEnv) backoff(cycle int) error {
 	}
 }
 
-// scatterPattern gathers one pattern's full match set from every shard
-// that can contribute, merged by global triple position — exactly the
-// rows, in exactly the order, a single-graph scan of the pattern would
-// produce. The gathered rows feed the global id-space hash joins.
-// max > 0 caps each shard's scan (LIMIT pushdown): the merged leading
-// max rows draw only from per-shard prefixes of at most max rows.
-func (d *distEnv) scatterPattern(cp *cPattern, max int) []slotRow {
+// maxBindRows is the largest batch bindPattern ships: a merge key holds
+// the input row's index in its upper half (bindKey), signed like the
+// position beside it. A variable so tests can lower it.
+var maxBindRows = math.MaxInt32
+
+// bindKey packs a shard op's merge key: the index of the input row an
+// output row extends, then the global position of the triple extending
+// it. Ascending keys are single-graph emission order: input rows in
+// sequence, and under each its matches in dataset order.
+func bindKey(i int, pos int32) uint64 { return uint64(i)<<32 | uint64(uint32(pos)) }
+
+// bindPattern is one step of the sharded bind join: it extends every
+// row of in by the triples matching cp, returning exactly the rows, in
+// exactly the order, evalEnv.evalBGP's pass over the same rows emits on
+// the single graph. Each shard that can contribute receives the whole
+// batch in one shard operation, probes its own view per input row
+// (bindShard) and answers a run ascending in bindKey; a triple lives on
+// exactly one shard and a view's positions ascend within any index
+// range, so the k-way merge of the runs is the single-graph order by
+// construction. The first pattern's batch is the empty row alone — a
+// plain scatter. max > 0 caps each shard's run (LIMIT pushdown): a run
+// is a subsequence of the merged order, so the merged leading max rows
+// draw only from per-shard prefixes of at most max rows.
+func (d *distEnv) bindPattern(cp *cPattern, in []slotRow, max int) []slotRow {
 	d.scatter++
 	env := d.env
 	sp := env.span("scatter")
 	defer env.endSpan(sp)
+	if len(in) > maxBindRows {
+		env.err = &rdf.CapacityError{What: "bind-join rows", Limit: int64(maxBindRows)}
+		return nil
+	}
 	var retries0, failovers0 int64
 	if sp != nil {
 		sp.SetInt("pattern", int64(cp.src))
 		sp.SetInt("est", int64(cp.est))
 		// Scatters run one at a time on the driver, so the run-tally
 		// deltas across this op are exactly its own retries/failovers.
-		retries0 = env.ftally.retries.Load()
-		failovers0 = env.ftally.failovers.Load()
+		retries0, failovers0 = env.ftally.retries.Load(), env.ftally.failovers.Load()
 	}
-	nsh := len(d.ss.Views)
-	outs := make([][]slotRow, nsh)
-	tags := make([][]int32, nsh)
-	scanned := 0
-	// Pruning peeks at the primary view; replicas hold identical
-	// triples, so the peek is valid for whichever replica serves.
-	d.forEachShard(
-		func(s int) bool {
-			if viewCandidateCount(d.ss.Views[s], cp) == 0 {
-				return false
-			}
-			scanned++
-			return true
-		},
-		func(s int, w *evalEnv) {
-			outs[s], tags[s] = d.runShardOp(s, opClassScan, w, func(w *evalEnv) ([]slotRow, []int32) {
-				return scanShard(w, cp, max)
-			})
-		})
-	if d.env.err != nil {
-		return nil
-	}
-	if sp != nil {
-		sp.SetInt("shards_scanned", int64(scanned))
-		for s := range outs {
-			if len(outs[s]) > 0 {
-				sp.SetInt("shard_"+strconv.Itoa(s)+"_rows", int64(len(outs[s])))
-			}
-		}
+	merged := d.fanOut(sp, "shards_scanned", opClassScan,
+		func(v *rdf.EncodedView) bool { return viewCandidateCount(v, cp) > 0 },
+		func(w *evalEnv) ([]slotRow, []uint64) { return bindShard(w, cp, in, max) })
+	if sp != nil && env.err == nil {
 		if n := env.ftally.retries.Load() - retries0; n > 0 {
 			sp.SetInt("retries", n)
 		}
@@ -907,41 +883,102 @@ func (d *distEnv) scatterPattern(cp *cPattern, max int) []slotRow {
 			sp.SetInt("failovers", n)
 		}
 	}
-	merged := mergeTagged(d.env, outs, tags)
+	return merged
+}
+
+// fanOut runs one shard operation on every shard pick selects — the
+// pruning peek, taken at the primary view: replicas hold identical
+// triples, so it holds for whichever replica serves — and merges the
+// shards' runs. sp, the operation's span on a traced run, gets how many
+// shards were picked (under pickedAttr), each contributing shard's row
+// count, and the merged count.
+func (d *distEnv) fanOut(sp *obs.Span, pickedAttr string, class int, pick func(*rdf.EncodedView) bool, op shardOp) []slotRow {
+	nsh := len(d.ss.Views)
+	picked := make([]int, 0, nsh)
+	for s, view := range d.ss.Views {
+		if pick(view) {
+			picked = append(picked, s)
+		}
+	}
+	outs := make([][]slotRow, nsh)
+	keys := make([][]uint64, nsh)
+	d.forEachShard(picked, func(s int, w *evalEnv) { outs[s], keys[s] = d.runShardOp(s, class, w, op) })
+	if d.env.err != nil {
+		return nil
+	}
+	if sp != nil {
+		sp.SetInt(pickedAttr, int64(len(picked)))
+		for s := range outs {
+			if len(outs[s]) > 0 {
+				sp.SetInt("shard_"+strconv.Itoa(s)+"_rows", int64(len(outs[s])))
+			}
+		}
+	}
+	merged := gather(d.env, outs, keys)
 	sp.SetInt("rows", int64(len(merged)))
 	return merged
 }
 
-// scanShard scans one shard for a pattern's matches from the empty row,
-// returning each match row with its global triple position, read from
-// the view's position column beside the candidate. The shard preserves
-// dataset insertion order, so the returned tags ascend. max > 0 stops
-// the scan once that many rows exist. The tags are read-only: they may
-// be the column itself.
-func scanShard(w *evalEnv, cp *cPattern, max int) ([]slotRow, []int32) {
-	empty := w.emptyRow()
-	ps := w.preparePatternScan(cp, empty)
-	if ps.miss {
-		return nil, nil
-	}
-	n := outputCap(len(ps.candidates), max)
-	rows := make([]slotRow, 0, n)
-	var tags []int32
-	for i, t := range ps.candidates {
-		if w.interrupted() {
+// bindShard is one shard's side of bindPattern: for each input row in
+// turn it resolves cp under the row, scans the smallest index range of
+// this shard's view and emits every extension keyed by (input index,
+// global position), the position read from the view's column beside the
+// candidate. max > 0 stops the op once that many rows exist.
+func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int) ([]slotRow, []uint64) {
+	var rows []slotRow
+	var keys []uint64
+	for i, row := range in {
+		// A row that binds the pattern's subject to a term this shard
+		// does not hold extends to nothing here — under subject placement,
+		// every row of a star arm on every shard but one — and one offset
+		// read says so before a scan is prepared.
+		if cp.s.isVar && row[cp.s.slot] != unboundID && len(w.view.WithSubject(row[cp.s.slot])) == 0 {
+			continue
+		}
+		ps := w.preparePatternScan(cp, row)
+		if ps.miss {
 			return nil, nil
 		}
-		k := 0
-		if ps.matches(t) {
-			rows = append(rows, ps.extend(w, empty, t))
-			k = 1
+		cands, positions := ps.candidates, ps.positions
+		for len(cands) > 0 {
+			n := w.block(len(cands))
+			if n == 0 {
+				return nil, nil
+			}
+			for j, t := range cands[:n] {
+				if !ps.matches(t) {
+					continue
+				}
+				if rows == nil {
+					// One row per candidate left under this input row and
+					// a start on the rows to come, which may each match on
+					// another shard; the rule below takes it from there.
+					c := outputCap(len(cands)-j+min(len(in)-i-1, 64), max)
+					rows, keys = make([]slotRow, 0, c), make([]uint64, 0, c)
+					if c < 256 { // a small op's arena is its rows, not newRow's chunk
+						w.reserveRows(c)
+					}
+				}
+				rows = append(rows, ps.extend(w, row, t))
+				keys = append(keys, bindKey(i, positions[j]))
+				if max > 0 && len(rows) >= max {
+					return rows, keys
+				}
+			}
+			cands, positions = cands[n:], positions[n:]
 		}
-		tags = appendTags(tags, ps.positions, i, k, n)
-		if max > 0 && len(rows) >= max {
-			break
+		// A pattern that fans out outgrows one slot per input row. Once
+		// the output is half full, make room for what the rows still to
+		// come will add at the fan-out seen so far, at most fourfold a
+		// step (evalEnv.evalBGP's rule), not append's many small steps.
+		if c := cap(rows); len(rows) > c/2 {
+			if want := outputCap(min(len(rows)*len(in)/(i+1), 4*c), max); want > c {
+				rows = slices.Grow(rows, want-len(rows))
+				keys = slices.Grow(keys, want-len(keys))
+			}
 		}
 	}
-	return rows, finishTags(tags, ps.positions, len(rows))
+	return rows, keys
 }
 
 // outputCap sizes a scan's output from its candidate count: one row per
@@ -955,87 +992,30 @@ func outputCap(candidates, max int) int {
 	return candidates
 }
 
-// appendTags records that candidate i of a shard op yielded k rows,
-// tagging each with positions[i]. While every candidate so far yielded
-// exactly one row the tag list is a prefix of the position column, so
-// tags stays nil and nothing is copied; the first candidate that yields
-// none or several materializes it (capacity n). finishTags closes the
-// list once the op has produced rows rows.
-func appendTags(tags, positions []int32, i, k, n int) []int32 {
-	if tags == nil {
-		if k == 1 {
-			return nil
-		}
-		tags = append(make([]int32, 0, n), positions[:i]...)
-	}
-	for ; k > 0; k-- {
-		tags = append(tags, positions[i])
-	}
-	return tags
-}
-
-func finishTags(tags, positions []int32, rows int) []int32 {
-	if tags == nil {
-		return positions[:rows]
-	}
-	return tags
-}
-
 // pushdownBGP evaluates the whole (subject-star) BGP on each covering
 // shard independently and merges shard results by the seed triple's
 // global position. Shards missing candidates for any pattern are
-// pruned without scanning. max > 0 caps each shard's output (LIMIT
-// pushdown, sound because merged leading rows draw from per-shard
-// prefixes).
+// pruned without scanning. max > 0 caps each shard's output, as in
+// bindPattern.
 func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
-	env := d.env
-	sp := env.span("pushdown")
-	defer env.endSpan(sp)
-	if sp != nil {
-		sp.SetInt("patterns", int64(len(cps)))
-	}
-	nsh := len(d.ss.Views)
-	outs := make([][]slotRow, nsh)
-	tags := make([][]int32, nsh)
-	covering := 0
-	d.forEachShard(
-		func(s int) bool {
-			if !shardCovers(d.ss.Views[s], cps) {
-				return false
-			}
-			covering++
-			return true
-		},
-		func(s int, w *evalEnv) {
-			outs[s], tags[s] = d.runShardOp(s, opClassPushdown, w, func(w *evalEnv) ([]slotRow, []int32) {
-				return pushdownShard(w, cps, max)
-			})
-		})
-	if d.env.err != nil {
-		return nil
-	}
-	if sp != nil {
-		sp.SetInt("shards_covering", int64(covering))
-		for s := range outs {
-			if len(outs[s]) > 0 {
-				sp.SetInt("shard_"+strconv.Itoa(s)+"_rows", int64(len(outs[s])))
-			}
-		}
-	}
-	merged := mergeTagged(d.env, outs, tags)
-	sp.SetInt("rows", int64(len(merged)))
-	return merged
+	sp := d.env.span("pushdown")
+	defer d.env.endSpan(sp)
+	sp.SetInt("patterns", int64(len(cps)))
+	return d.fanOut(sp, "shards_covering", opClassPushdown,
+		func(v *rdf.EncodedView) bool { return shardCovers(v, cps) },
+		func(w *evalEnv) ([]slotRow, []uint64) { return pushdownShard(w, cps, max) })
 }
 
 // pushdownShard runs the full pattern-at-a-time BGP loop against one
-// shard's view, tagging every result row with the global position of
-// its seed candidate (the view's position column, as in scanShard).
-// Within one seed the extension order is the shard's insertion order —
-// the same relative order the single graph's indexes hold — so rows
-// within a tag are already in single-graph order, and tags ascend
-// across the list. max > 0 stops the loop once that many rows exist
-// (the last seed may overshoot; callers truncate).
-func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []int32) {
+// shard's view, keying every result row by the global position of its
+// seed candidate (the view's position column, as in bindShard; the one
+// input row is the empty row, index 0). Within one seed the extension
+// order is the shard's insertion order — the same relative order the
+// single graph's indexes hold — so rows under one key are already in
+// single-graph order, and keys ascend across the list. max > 0 stops
+// the loop once that many rows exist (the last seed may overshoot;
+// callers truncate).
+func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []uint64) {
 	empty := w.emptyRow()
 	ps := w.preparePatternScan(&cps[0], empty)
 	if ps.miss {
@@ -1043,7 +1023,7 @@ func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []int32) {
 	}
 	n := outputCap(len(ps.candidates), max)
 	rows := make([]slotRow, 0, n)
-	var tags []int32
+	keys := make([]uint64, 0, n)
 	var cur, next []slotRow
 	for i, t := range ps.candidates {
 		if w.interrupted() {
@@ -1064,34 +1044,32 @@ func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []int32) {
 			cur, next = next, cur
 		}
 		rows = append(rows, cur...)
-		tags = appendTags(tags, ps.positions, i, len(cur), n)
+		for range cur {
+			keys = append(keys, bindKey(0, ps.positions[i]))
+		}
 		if max > 0 && len(rows) >= max {
 			break
 		}
 	}
-	return rows, finishTags(tags, ps.positions, len(rows))
+	return rows, keys
 }
 
-// mergeTagged k-way merges per-shard row lists by their ascending
-// global-position tags, charging the gather buffer against the run's
-// budget. A triple lives on exactly one shard, so tags never collide
-// across lists and the merge is total and deterministic.
-func mergeTagged(env *evalEnv, outs [][]slotRow, tags [][]int32) []slotRow {
-	total := 0
-	nonEmpty := -1
-	lists := 0
+// gather k-way merges per-shard runs by their ascending keys, charging
+// the merge buffer against the run's budget. A triple lives on exactly
+// one shard, so two runs never hold the same key and the merge is total
+// and deterministic.
+func gather(env *evalEnv, outs [][]slotRow, keys [][]uint64) []slotRow {
+	total, lists, last := 0, 0, -1
 	for s, o := range outs {
-		total += len(o)
 		if len(o) > 0 {
-			nonEmpty = s
-			lists++
+			total, lists, last = total+len(o), lists+1, s
 		}
 	}
-	if total == 0 {
+	if lists == 0 {
 		return nil
 	}
 	if lists == 1 {
-		return outs[nonEmpty]
+		return outs[last]
 	}
 	env.chargeRowBatch(total, stageGather)
 	if env.err != nil { // over budget: skip the gather allocation
@@ -1099,25 +1077,34 @@ func mergeTagged(env *evalEnv, outs [][]slotRow, tags [][]int32) []slotRow {
 	}
 	sp := env.span("gather")
 	defer env.endSpan(sp)
-	if sp != nil {
-		sp.SetInt("lists", int64(lists))
-		sp.SetInt("rows", int64(total))
-	}
+	sp.SetInt("lists", int64(lists))
+	sp.SetInt("rows", int64(total))
+	// heads[s] is run s's next key, or exhausted once the run is spent
+	// (no key reaches it: an input index stays below 1<<31).
+	const exhausted = math.MaxUint64
 	merged := make([]slotRow, 0, total)
 	idx := make([]int, len(outs))
+	heads := make([]uint64, len(outs))
+	for s := range heads {
+		heads[s] = exhausted
+		if len(keys[s]) > 0 {
+			heads[s] = keys[s][0]
+		}
+	}
 	for len(merged) < total {
-		best := -1
-		var bestTag int32
-		for s := range outs {
-			if idx[s] >= len(outs[s]) {
-				continue
-			}
-			if t := tags[s][idx[s]]; best < 0 || t < bestTag {
-				best, bestTag = s, t
+		best := 0
+		for s := 1; s < len(heads); s++ {
+			if heads[s] < heads[best] {
+				best = s
 			}
 		}
-		merged = append(merged, outs[best][idx[best]])
-		idx[best]++
+		i := idx[best]
+		merged = append(merged, outs[best][i])
+		idx[best] = i + 1
+		heads[best] = exhausted
+		if i+1 < len(keys[best]) {
+			heads[best] = keys[best][i+1]
+		}
 	}
 	return merged
 }

@@ -366,7 +366,7 @@ type evalEnv struct {
 
 	// Distributed evaluation hooks (dist.go). bgp, when non-nil,
 	// overrides BGP evaluation — the sharded executor routes BGPs
-	// through per-shard pushdown or per-pattern scatter-gather;
+	// through per-shard pushdown or the per-pattern bind join;
 	// describe, when non-nil, resolves DESCRIBE targets across shards
 	// instead of env.g. Everything else — joins, filters, UNION, the
 	// modifier pipeline — runs the exact single-graph code above the

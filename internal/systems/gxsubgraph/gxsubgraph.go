@@ -17,6 +17,8 @@ package gxsubgraph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -38,10 +40,19 @@ type mtTable struct {
 	global []sparql.Binding
 }
 
+// vertices lists the keys of a per-vertex table in vertex-id order.
+// Every walk that moves bindings between tables takes this order, not
+// the map's: relocate shuffles the sequence all() builds, and the meter
+// sizes a shuffle from the records at its two ends, so a walk that
+// differs from run to run is a ShuffleBytes that does.
+func vertices(at map[graphx.VertexID][]sparql.Binding) []graphx.VertexID {
+	return slices.Sorted(maps.Keys(at))
+}
+
 func (m *mtTable) all() []sparql.Binding {
 	out := append([]sparql.Binding{}, m.global...)
-	for _, bs := range m.at {
-		out = append(out, bs...)
+	for _, vid := range vertices(m.at) {
+		out = append(out, m.at[vid]...)
 	}
 	return out
 }
@@ -166,15 +177,15 @@ func (e *Engine) matchPattern(tp sparql.TriplePattern) *mtTable {
 	case tp.S.IsVar:
 		// Relocate to the subject vertex (the object is constant).
 		out.locVar = tp.S.Var
-		for _, bs := range msgs {
-			for _, b := range bs {
+		for _, dst := range vertices(msgs) {
+			for _, b := range msgs[dst] {
 				vid := e.ids[b[tp.S.Var]]
 				out.at[vid] = append(out.at[vid], b)
 			}
 		}
 	default:
-		for _, bs := range msgs {
-			out.global = append(out.global, bs...)
+		for _, dst := range vertices(msgs) {
+			out.global = append(out.global, msgs[dst]...)
 		}
 	}
 	return out
@@ -259,12 +270,12 @@ func (e *Engine) extend(mt *mtTable, matches *mtTable, tp sparql.TriplePattern, 
 		nextLoc = tp.S.Var
 	}
 	out.locVar = nextLoc
-	for vid, ls := range mt.at {
+	for _, vid := range vertices(mt.at) {
 		rs := matches.at[vid]
 		if len(rs) == 0 {
 			continue
 		}
-		for _, l := range ls {
+		for _, l := range mt.at[vid] {
 			for _, r := range rs {
 				if l.Compatible(r) {
 					m := l.Merge(r)
