@@ -2,8 +2,9 @@
 // dataset (from a file, or a generated benchmark dataset), warms the
 // evaluator's shared structures, and serves the SPARQL protocol over
 // HTTP with a prepared-plan cache, bounded concurrency, per-query
-// deadlines, morsel-driven intra-query parallelism (see
-// -query-parallelism), and streaming JSON/TSV results.
+// deadlines, and streaming JSON/TSV results. The contracts behind every
+// flag below — determinism, typed failure, the execution, straggler
+// and resource models — are written once, in the repo's doc.go.
 //
 // Usage:
 //
@@ -30,12 +31,11 @@
 //
 // Tail-latency flags: -hedge-delay launches each shard scan on a
 // second replica once the first runs past the delay (negative picks
-// an adaptive per-operation p95 delay), -speculation re-dispatches
-// morsel tasks running far past the run's median task time, and
-// -breaker-trip / -breaker-cooldown tune the replica circuit
-// breakers; -chaos-slow-replica delays one replica index of every
-// shard by -chaos-slow-delay, the live straggler demonstration
-// (watch the hedges counters in /stats and /metrics).
+// an adaptive per-operation p95 delay), and -breaker-trip /
+// -breaker-cooldown tune the replica circuit breakers;
+// -chaos-slow-replica delays one replica index of every shard by
+// -chaos-slow-delay, the live straggler demonstration (watch the hedges
+// counters in /stats and /metrics).
 //
 // The process drains gracefully: on SIGTERM/SIGINT it stops accepting
 // connections, lets in-flight queries finish within the default query
@@ -92,7 +92,6 @@ func main() {
 	replicas := flag.Int("replicas", 1, "copies of each shard (failover targets; needs -shards)")
 	partitionName := flag.String("partition", "hash-subject", "shard placement strategy (see internal/partition)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "queries evaluating at once")
-	queryParallelism := flag.Int("query-parallelism", 0, "morsel workers per query (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested timeouts")
 	cacheSize := flag.Int("plan-cache", 256, "prepared-plan LRU capacity (negative disables)")
@@ -103,7 +102,6 @@ func main() {
 	chaosSlowReplica := flag.Int("chaos-slow-replica", -1, "slow this replica index of every shard (chaos demo; needs -replicas > 1)")
 	chaosSlowDelay := flag.Duration("chaos-slow-delay", 50*time.Millisecond, "added latency for -chaos-slow-replica")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge shard operations after this delay (>0 fixed, <0 adaptive p95, 0 off; needs -replicas > 1)")
-	speculation := flag.Float64("speculation", 0, "re-dispatch morsel tasks running this many times the median task time (0 disables; e.g. 3 = 3x median)")
 	breakerTrip := flag.Int("breaker-trip", 0, "consecutive replica failures that trip its circuit breaker (0 = default)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped replica breaker stays open (0 = default)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof profiling endpoints on this separate address (empty disables)")
@@ -119,13 +117,11 @@ func main() {
 		DefaultTimeout:       *timeout,
 		MaxTimeout:           *maxTimeout,
 		PlanCacheSize:        *cacheSize,
-		QueryParallelism:     *queryParallelism,
 		MaxResultRows:        *maxResultRows,
 		MaxQueryBytes:        *maxQueryBytes,
 		MaxQueue:             *maxQueue,
 		SlowQueryThreshold:   *slowThreshold,
 		HedgeDelay:           *hedgeDelay,
-		SpeculationFactor:    *speculation,
 		BreakerTripThreshold: *breakerTrip,
 		BreakerCooldown:      *breakerCooldown,
 		TraceSampleRate:      *traceSample,

@@ -69,17 +69,17 @@
 //     cancellation is polled per run of candidates, the runs still
 //     adding up to one poll per 1024 candidates visited. Joins (Group
 //     folds and OPTIONAL, on one graph or above sharded BGPs) run as
-//     one id-space hash join (sparql/eval.go hashJoin): the join key is the slots
-//     bound in every row of both sides, the smaller side is hashed on
-//     it, and the other side probes it through one probe body — a pure
-//     function of the immutable table over a range of probe rows that
-//     verifies candidates with the full compatibility check, counts
-//     its matches to size a private buffer and the arena exactly (O(1)
-//     allocations beyond the result rows) and emits in left-major
-//     order. OPTIONAL is the same body keeping the left rows nothing
-//     matched; a serial join is the one-range case run in place. Sides
-//     sharing no slots (cartesian) or only partially bound on the key
-//     fall back to the nested loop, which stays the semantic baseline.
+//     one id-space hash join (sparql/eval.go hashJoin): the join key is
+//     the slots bound in every row of both sides, the smaller side is
+//     hashed on it, and the other side probes it — verifying candidates
+//     with the full compatibility check, counting its matches to size
+//     the output and the arena exactly (O(1) allocations beyond the
+//     result rows), then emitting in left-major order. OPTIONAL is the
+//     same body keeping the left rows nothing matched. The table's
+//     int32 links and cursors fail with a typed *rdf.CapacityError past
+//     2³¹−1 build or output rows instead of wrapping. Sides sharing no
+//     slots (cartesian) or only partially bound on the key fall back to
+//     the nested loop, which stays the semantic baseline.
 //     Allocation-regression tests pin all of these invariants.
 //
 // # Query service
@@ -107,29 +107,30 @@
 //     concurrent runs. (*Prepared).RunSolutions returns id-space rows
 //     whose terms decode on access, for streaming serializers.
 //
-// # Morsel-driven intra-query parallelism
+// # Parallelism
 //
-// A single Run additionally uses every core (sparql.WithParallelism,
-// default GOMAXPROCS; rdfserve -query-parallelism): each BGP's
-// most-selective seed scan and each hash join's probe side split into
-// fixed-size morsels — contiguous 1024-item subranges of the serial
-// iteration order (rdf.MorselBounds) — dispatched to a per-Run worker
-// pool. Each worker owns a private row arena and cancellation latch
-// and shares only immutable run state; a morsel computes into memory
-// of its own and the one runner (sparql/parallel.go runMorsels)
-// commits it, and results gather in morsel order (a probe against a
-// table over the left side interleaves the morsels' per-left-row
-// segments), so output is byte-identical to the
-// serial evaluator at every width — TestParallelRunDeterminism pins
-// rows and order across widths 1/4/16 under the race detector. The
-// first environment to observe ctx.Done() raises a shared stop flag
-// that every worker and the dispatcher pick up at their next amortized
-// poll. Below two morsels of input everything stays serial, so the
-// serial allocation pins are untouched. LIMIT pushes below the
-// modifier pipeline: ORDER BY + LIMIT selects its K rows with a
-// bounded heap (stable-sort-identical ties, BenchmarkEvalTopK) and
-// LIMIT without ORDER BY stops morsel dispatch — and the serial scan —
-// as soon as OFFSET+LIMIT leading rows exist.
+// A Run on one graph is serial: it evaluates on the calling goroutine,
+// and the server gets its concurrency from running queries side by
+// side. Parallelism inside a query means shard fan-out — the surveyed
+// systems get theirs from Spark's partitions — and that is all
+// sparql.WithParallelism (server.Config.QueryParallelism) sets: how
+// many shards one shard operation runs on at once (Sharded execution,
+// below). The morsel-driven pool the single-graph evaluator carried
+// until PR 25 (Leis et al., SIGMOD 2014) never measured a gain here: on
+// a 2-vCPU box a 65k-row seed scan took 1.04–1.22 ms serially against
+// 1.40–1.56 at width 2 and 1.33–1.46 at width 4, at 3.85 against 2.10
+// MB/op, and eight alternating bench pairs with the pool never
+// dispatched moved every `analytic`, `sharded` and `lookup` median
+// inside the parent's quartile spread or in the serial side's favour
+// (ROADMAP item 2 has the table). A 2-vCPU box cannot prove
+// intra-query parallelism useless at 16 cores; a revival starts from
+// item 2's Fix design — each worker writes its disjoint range of one
+// pre-sized output, no private buffers and no merge copy, engaged only
+// while in_flight < GOMAXPROCS. LIMIT pushes below the modifier
+// pipeline: ORDER BY + LIMIT selects its K rows with a bounded heap
+// (stable-sort-identical ties, BenchmarkEvalTopK) and LIMIT without
+// ORDER BY stops the last pattern's scan as soon as OFFSET+LIMIT
+// leading rows exist.
 //
 // # Sharded execution
 //
@@ -190,12 +191,15 @@
 // so a scan reads a match's key from the array it is walking (no
 // per-triple hash, map or dictionary lookup; sparql/dist.go has the
 // invariant) — and the plan compiles from the summed global statistics
-// — so sharded output is byte-identical (rows and order) to a
-// single-graph run at any shard count and parallelism, pinned by the
-// cross-strategy determinism suite under the race detector and by
+// — so sharded output is byte-identical (rows and order) to the serial
+// single-graph run at any shard count, replica count and fan-out width
+// (the WithParallelism axis: it exists on sharded runs only), pinned by
+// the cross-strategy determinism suite under the race detector and by
 // TestShardedMatchesReferenceProperty (internal/shard), which holds
 // generated queries on generated graphs to the single graph as a
-// sequence and to a nested-loop reference as a multiset.
+// sequence — also at two replicas with one down and a quarter of the
+// scatter attempts failing — and to a nested-loop reference as a
+// multiset.
 // rdfserve -shards N -partition <name> serves it;
 // rdfbench -shards compares strategies by end-to-end query latency.
 //
@@ -241,8 +245,8 @@
 // (512) rows and by at most one window in flight; a failure after the
 // first window (cancellation, a failed Write) truncates the response,
 // because written rows cannot be unwritten. /healthz and /stats
-// (plan-cache counters, in-flight gauge, latency histogram,
-// morsel-execution counters) expose the service's state.
+// (plan-cache counters, in-flight gauge, latency histogram) expose the
+// service's state.
 //
 // Rendered terms. Solutions stay in id space until the writer and the
 // dictionary does not change while the server runs, so the bytes a
@@ -269,12 +273,12 @@
 // The surveyed Spark systems inherit lineage-based fault tolerance
 // from the platform: a lost task re-runs from its lineage and the job's
 // answer never changes. The native engine reproduces that contract
-// in-process, at two granularities. Morsel tasks are pure and
-// idempotent over immutable run state (probe tasks re-initialize their
-// private cursor row on entry), so a panicking or fault-injected task
-// is recovered and re-run up to a fixed attempt budget before the
-// query — never the process — fails with a typed sparql.PanicError.
-// Per-shard ops run against replica views (shard.BuildReplicated):
+// in-process, per shard operation: a panicking or fault-injected op is
+// recovered and failed over to another replica, and only a lost shard
+// fails the query — never the process — with a typed
+// sparql.PartialFailureError (a panic on a shard with nowhere to fail
+// over surfaces as a sparql.PanicError). Per-shard ops run against
+// replica views (shard.BuildReplicated):
 // every replica encodes the same triples in the same order through the
 // shared dictionary, so scans are byte-identical from any replica and
 // failover is invisible in the output. Replica selection steers by
@@ -286,13 +290,14 @@
 // the query fail, with a sparql.PartialFailureError naming the lost
 // shards. Cancellation is never retried. Determinism under faults is
 // the pinned contract: the chaos suite runs every workload query with
-// one replica of each shard failed, latency injected on every scatter
-// attempt, and a morsel panic injected per query, and requires output
-// byte-identical to a clean single-graph serial run, under the race
-// detector, across seeds (internal/fault seeds all injected
-// randomness). The HTTP layer completes the fault boundary: a recovery
-// middleware turns any handler panic into a 500 while the process
-// keeps serving, PartialFailureError maps to 502, the
+// one replica of each shard failed and latency injected on every
+// scatter attempt, and requires output byte-identical to a clean
+// single-graph run, under the race detector, across seeds
+// (internal/fault seeds all injected randomness). The HTTP layer
+// completes the fault boundary: a recovery middleware turns any
+// handler panic — a panicking evaluation on one graph included — into
+// a 500 while the process keeps serving (TestEveryExit's panic rows),
+// PartialFailureError maps to 502, the
 // Config.MaxResultRows overload guard maps to 413, /stats exposes the
 // fault counters and breaker states, and rdfserve drains in-flight
 // queries gracefully on SIGTERM.
@@ -301,9 +306,9 @@
 //
 // Failures are not the only tail risk the surveyed platform defends
 // against: Spark's speculative execution re-runs tasks that merely run
-// slow. The native engine reproduces that straggler defense at the
-// same two granularities as the fault model, under the same
-// contract — recovery actions never change output. Replica selection
+// slow. The native engine reproduces that straggler defense per shard
+// operation, under the fault model's contract — recovery actions never
+// change output. Replica selection
 // steers by health: each replica carries an EWMA of its
 // successful-attempt latency and a decayed error rate
 // (sparql.ReplicaHealth), unsampled replicas are warmed round-robin,
@@ -315,20 +320,14 @@
 // separate windows) — launches on the next-best replica, the first
 // success wins, and the loser is stopped through its private
 // cancellation flag; byte-identical replica scans make the race
-// invisible in the output. A run armed with sparql.WithSpeculation
-// re-dispatches morsel tasks still running past k× the run's median
-// completed-task time, and a single atomic claim per morsel decides
-// which copy commits its private buffer — every morsel computes into
-// private memory, so every morsel (seed scans, hash-join probes of
-// either build side) is eligible. Retried
-// and hedged passes each get a bounded slice of the remaining context
-// deadline, so one straggling replica cannot consume the whole budget
-// that later attempts would have used. The chaos suite extends the
-// fault matrix with stragglers: one replica of every shard slowed
-// ~100×, hedging and speculation armed, output pinned byte-identical
-// to a clean serial single-graph run across placement strategies,
-// shard counts, replica counts, and parallelism, raced and
-// seed-swept; hedge and speculation launches/wins surface in
+// invisible in the output. Retried and hedged passes each get a
+// bounded slice of the remaining context deadline, so one straggling
+// replica cannot consume the whole budget that later attempts would
+// have used. The chaos suite extends the fault matrix with stragglers:
+// one replica of every shard slowed ~100×, hedging armed, output
+// pinned byte-identical to a clean single-graph run across placement
+// strategies, shard counts, replica counts, and fan-out width, raced
+// and seed-swept; hedge launches and wins surface in
 // sparql.FaultStats, /stats, /metrics, and the slow-query log.
 //
 // # Resource model
@@ -343,20 +342,19 @@
 // with a typed sparql.BudgetError the moment the charges exceed the
 // budget. The abort rides the same latched-error machinery as
 // cancellation, so a budgeted query either returns output
-// byte-identical to an unbudgeted serial run or fails typed — never
-// partial rows — and an unarmed run pays one nil check per charge
-// site, leaving the allocation pins intact. In front of the worker
-// pool, the server's admission controller watches the queue depth and
-// each query's planner cost estimate (Prepared.EstimateCost — connected
-// components sum, cartesian components multiply) and walks a
-// degradation ladder: under light backlog admitted queries lose
-// parallelism (byte-identical output, just slower), under heavy
-// backlog expensive queries are shed with an immediate 503 instead of
-// burning their deadline in a hopeless queue, and a full queue sheds
-// everything. Config.MaxQueryBytes maps budget aborts to 413,
-// http.MaxBytesReader caps request bodies, and the /stats resources
-// block reports bytes charged, the peak single-query charge, budget
-// aborts, and shed/degraded query counts.
+// byte-identical to an unbudgeted run or fails typed — never partial
+// rows — and an unarmed run pays one nil check per charge site,
+// leaving the allocation pins intact. In front of the worker pool, the
+// server's admission controller watches the queue depth and each
+// query's planner cost estimate (Prepared.EstimateCost — connected
+// components sum, cartesian components multiply) and sheds, before the
+// deadline is armed: past half the queue expensive queries get an
+// immediate 503 instead of burning their deadline in a hopeless queue,
+// and a full queue sheds everything; an admitted query runs exactly as
+// it would uncontended. Config.MaxQueryBytes maps budget aborts to
+// 413, http.MaxBytesReader caps request bodies, and the /stats
+// resources block reports bytes charged, the peak single-query charge,
+// budget aborts, and shed query counts.
 //
 // # Observability
 //
@@ -365,14 +363,14 @@
 // sparql.WithTrace records a span tree down the whole execution path —
 // parse (plan-cache hit/miss), each BGP with its join order and
 // per-pattern selectivity estimates next to actual row counts, each
-// hash join's build side and inputs/output, morsel dispatch counts and
-// per-worker busy time (accumulated in worker-owned atomics, merged
-// onto the root span only after the pool quiesces — the span tree
-// itself is driver-only), shard scatter/gather with per-shard row
-// counts and pruned/retried/failed-over shards, the modifier pipeline,
-// and response serialization. Traced output is byte-identical to an
-// untraced run (pinned across parallelism 1/4 and shards 1/3 under the
-// race detector), and a disarmed run pays one nil check per trace
+// hash join's build side and inputs/output, shard scatter/gather with
+// per-shard row counts and pruned/retried/failed-over shards, the
+// modifier pipeline, and response serialization; the span tree is
+// driver-only, and the run-wide counters (fan-out width, fault
+// counters, bytes charged) land on the root once the run quiesces.
+// Traced output is byte-identical to an untraced run (pinned across
+// fan-out widths 1/4 and shards 1/3 under the race detector), and a
+// disarmed run pays one nil check per trace
 // site, leaving every allocation pin intact. Three surfaces consume
 // the trace: explain=analyze on /sparql (and rdfquery -explain)
 // answers with the span tree as JSON or indented text instead of
@@ -402,7 +400,7 @@
 // instantiations of one template are one workload entry. The server
 // folds every request into a per-fingerprint aggregate
 // (obs.ShapeRegistry: count, latency/rows/bytes histograms, route
-// mix, cache hits, errors, sheds/degrades, hedges/speculations),
+// mix, cache hits, errors, sheds, hedges),
 // LRU-bounded at Config.MaxShapes distinct shapes and served at
 // GET /debug/shapes and in the /stats workload block.
 // Config.TraceSampleRate arms always-on sampled tracing — one in N

@@ -4,11 +4,11 @@
 // points (fail-next-N, fail-always, seeded fail-rate, panic injection,
 // latency injection) and rides a context into an evaluation
 // (With/From); the engine hits its points (Hit) at the boundaries where
-// a real distributed deployment fails — per-shard replica calls, morsel
-// tasks, the HTTP handler — and the fault-tolerance machinery
-// (replica failover, morsel re-execution, recovery middleware) is
-// exercised exactly as a lost executor or a crashed task would
-// exercise it, repeatably.
+// a real distributed deployment fails — per-shard replica calls, memory
+// charges, the HTTP handler — and the fault-tolerance machinery
+// (replica failover, budget aborts, recovery middleware) is exercised
+// exactly as a lost executor or a crashed task would exercise it,
+// repeatably.
 //
 // A nil *Plan is a valid no-fault plan: Hit on nil returns nil, so
 // un-instrumented runs pay one pointer check per point.
@@ -28,10 +28,6 @@ type Point string
 
 // The engine's fault points.
 const (
-	// PointMorsel fires at the start of every morsel task attempt in
-	// the parallel evaluator (sparql/parallel.go). An injected panic
-	// here simulates a crashed task; the pool recovers and re-runs it.
-	PointMorsel Point = "morsel"
 	// PointScatter fires once per per-shard op attempt on both the
 	// scatter-gather and pushdown routes (sparql/dist.go), before the
 	// replica-specific point. Delay here injects scatter latency.

@@ -9,7 +9,7 @@ import (
 
 func TestNilPlanIsNoFault(t *testing.T) {
 	var p *Plan
-	if err := p.Hit(PointMorsel); err != nil {
+	if err := p.Hit(PointServer); err != nil {
 		t.Fatalf("nil plan injected: %v", err)
 	}
 	if c := p.Counters(); c != (Counters{}) {
@@ -30,7 +30,7 @@ func TestFailNextConsumes(t *testing.T) {
 	if err := p.Hit(PointScatter); err != nil {
 		t.Fatalf("third hit: err = %v, want nil (injections consumed)", err)
 	}
-	if err := p.Hit(PointMorsel); err != nil {
+	if err := p.Hit(PointServer); err != nil {
 		t.Fatalf("unarmed point injected: %v", err)
 	}
 	if c := p.Counters(); c.Failures != 2 || c.Hits != 3 {
@@ -51,19 +51,19 @@ func TestFailAlways(t *testing.T) {
 }
 
 func TestPanicNextCarriesPoint(t *testing.T) {
-	p := NewPlan(1).PanicNext(PointMorsel, 1)
+	p := NewPlan(1).PanicNext(PointServer, 1)
 	func() {
 		defer func() {
 			r := recover()
 			ip, ok := r.(InjectedPanic)
-			if !ok || ip.Point != PointMorsel {
-				t.Fatalf("recovered %v, want InjectedPanic{morsel}", r)
+			if !ok || ip.Point != PointServer {
+				t.Fatalf("recovered %v, want InjectedPanic{server}", r)
 			}
 		}()
-		p.Hit(PointMorsel)
+		p.Hit(PointServer)
 		t.Fatal("armed panic did not fire")
 	}()
-	if err := p.Hit(PointMorsel); err != nil {
+	if err := p.Hit(PointServer); err != nil {
 		t.Fatalf("second hit after consumed panic: %v", err)
 	}
 	if c := p.Counters(); c.Panics != 1 {

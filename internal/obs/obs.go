@@ -12,9 +12,8 @@
 //     this package runs on an unarmed query.
 //   - Driver-only mutation: a Trace (and its span stack) is owned by
 //     the goroutine that runs the query's operator loop. Worker
-//     goroutines never touch the tree — per-worker measurements (busy
-//     time) accumulate in atomics merged into span attributes at run
-//     end, after the workers are quiesced.
+//     goroutines never touch the tree; run-wide counters land on the
+//     root at run end, after the workers are quiesced.
 //   - Determinism: recording a trace observes the run, it never steers
 //     it. Attribute order is insertion order, so two identical runs
 //     render identical trees.

@@ -42,9 +42,7 @@ type ShapeSample struct {
 	CacheHit    bool
 	Err         bool
 	Shed        bool
-	Degraded    bool
 	Hedges      int
-	Speculation int
 	Sampled     bool // request carried a sampled trace
 }
 
@@ -180,14 +178,10 @@ func (r *ShapeRegistry) Observe(s ShapeSample) {
 	if s.Shed {
 		e.Sheds++
 	}
-	if s.Degraded {
-		e.Degrades++
-	}
 	if s.Sampled {
 		e.Sampled++
 	}
 	e.Hedges += uint64(s.Hedges)
-	e.Speculations += uint64(s.Speculation)
 	if s.Rows > 0 {
 		e.RowsTotal += uint64(s.Rows)
 	}
@@ -211,9 +205,7 @@ type ShapeStat struct {
 	Errors       uint64            `json:"errors"`
 	CacheHits    uint64            `json:"cache_hits"`
 	Sheds        uint64            `json:"sheds"`
-	Degrades     uint64            `json:"degrades"`
 	Hedges       uint64            `json:"hedges"`
-	Speculations uint64            `json:"speculations"`
 	Sampled      uint64            `json:"sampled_traces"`
 	RowsTotal    uint64            `json:"rows_total"`
 	BytesTotal   uint64            `json:"bytes_total"`

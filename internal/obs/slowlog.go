@@ -24,13 +24,11 @@ type SlowQueryEntry struct {
 	Shards          int
 	ShardsTouched   int
 	DurationMs      float64
-	// Hedges and Speculations count tail-latency recovery actions
-	// (hedged shard operations launched and speculative morsel
-	// re-executions) taken while serving this query; a nonzero value
-	// flags a straggler as the likely cause of the slow entry.
-	Hedges       int64
-	Speculations int64
-	TopSpans     []SpanSelf
+	// Hedges counts the hedged shard operations launched while serving
+	// this query; a nonzero value flags a straggler replica as the
+	// likely cause of the slow entry.
+	Hedges   int64
+	TopSpans []SpanSelf
 }
 
 // SlowQueryLogger writes slow-query records as JSON lines to one
@@ -82,8 +80,6 @@ func (l *SlowQueryLogger) Log(e SlowQueryEntry) error {
 	buf = strconv.AppendFloat(buf, e.DurationMs, 'f', 3, 64)
 	buf = append(buf, `,"hedges":`...)
 	buf = strconv.AppendInt(buf, e.Hedges, 10)
-	buf = append(buf, `,"speculations":`...)
-	buf = strconv.AppendInt(buf, e.Speculations, 10)
 	buf = append(buf, `,"top_spans":[`...)
 	for i, sp := range e.TopSpans {
 		if i > 0 {

@@ -23,9 +23,10 @@ type EncodedTriple struct {
 // positions and index offsets are 32-bit. Builds fail with this error
 // instead of wrapping. So does a sharded run whose bind-join batch
 // outgrows the 32-bit row index packed beside a position in its merge
-// key (sparql's bindKey).
+// key (sparql's bindKey), and a hash join whose build side or output
+// outgrows its 32-bit table links and cursors.
 type CapacityError struct {
-	What  string // "terms", "triples" or "bind-join rows"
+	What  string // "terms", "triples", "bind-join rows" or "join rows"
 	Limit int64  // the most the store can hold
 }
 

@@ -200,32 +200,3 @@ func (v *EncodedView) ScanSubject(id TermID) ([]EncodedTriple, []int32) { return
 func (v *EncodedView) ScanPredicate(id TermID) ([]EncodedTriple, []int32) { return v.byP.get(id) }
 
 func (v *EncodedView) ScanObject(id TermID) ([]EncodedTriple, []int32) { return v.byO.get(id) }
-
-// Morsel-able views: every slice returned by Triples, WithSubject,
-// WithPredicate, and WithObject is immutable once the view is built
-// (the single-writer/many-reader Graph contract), so a parallel
-// evaluator may scan disjoint subranges — morsels — of one view
-// concurrently without synchronization. MorselCount and MorselBounds
-// define the canonical fixed-size split every such scan uses, which
-// keeps a morsel-order merge byte-identical to a serial left-to-right
-// scan of the whole view.
-
-// MorselCount returns the number of fixed-size morsels covering n
-// items (the last morsel may be short).
-func MorselCount(n, size int) int {
-	if n <= 0 || size <= 0 {
-		return 0
-	}
-	return (n + size - 1) / size
-}
-
-// MorselBounds returns the half-open [start, end) range of the m-th of
-// the morsels covering n items.
-func MorselBounds(m, n, size int) (start, end int) {
-	start = m * size
-	end = start + size
-	if end > n {
-		end = n
-	}
-	return start, end
-}

@@ -7,30 +7,23 @@ import "sync/atomic"
 // the queue in front of it. Instead of letting every excess query camp
 // on the semaphore until its deadline — burning the client's budget on
 // a wait that cannot succeed — the controller watches the queue depth
-// and walks a degradation ladder:
+// and sheds:
 //
-//  1. Lightly backed up (depth > degradeAt): admitted queries run at
-//     half parallelism, freeing morsel workers for the queue to drain.
-//     Expensive queries (planner cost estimate over the shed
-//     threshold) drop straight to serial.
-//  2. Heavily backed up (depth > floorAt): every admitted query runs
-//     serial, and expensive queries are shed outright — an immediate
-//     503, no deadline burn.
-//  3. Full (depth > maxQueue): everything is shed immediately.
+//  1. Heavily backed up (depth > floorAt): expensive queries (planner
+//     cost estimate over the shed threshold) are shed outright — an
+//     immediate 503, no deadline burn.
+//  2. Full (depth > maxQueue): everything is shed immediately.
 //
-// Degraded queries return byte-identical results (parallelism never
-// changes output); shed queries fail fast so the client can back off
-// or retry against a replica. The depth gauge counts queries between
-// arrival and semaphore acquisition, so it is zero whenever the worker
-// pool keeps up and the whole ladder costs one atomic add per request.
+// Every admitted query runs exactly as it would uncontended; shed
+// queries fail fast so the client can back off or retry against a
+// replica. The depth gauge counts queries between arrival and semaphore
+// acquisition, so it is zero whenever the worker pool keeps up and
+// admission costs one atomic add per request.
 type admission struct {
 	// maxQueue is the shed-everything bound on the waiting count.
 	maxQueue int
-	// degradeAt is where the ladder starts: above it, admitted queries
-	// lose half their parallelism and expensive ones go serial.
-	degradeAt int
-	// floorAt is the heavy-overload rung: above it every admitted
-	// query runs serial and expensive queries are shed.
+	// floorAt is the heavy-overload bound: above it expensive queries
+	// are shed.
 	floorAt int
 
 	// waiting counts queries that arrived but have not yet acquired
@@ -38,44 +31,15 @@ type admission struct {
 	waiting atomic.Int64
 }
 
-// newAdmission sizes the ladder from the queue bound: degradation
-// starts at a quarter of the queue, the serial floor at half.
+// newAdmission sizes the controller from the queue bound: expensive
+// queries shed from half the queue.
 func newAdmission(maxQueue int) *admission {
-	a := &admission{maxQueue: maxQueue}
-	a.degradeAt = maxQueue / 4
-	if a.degradeAt < 1 {
-		a.degradeAt = 1
-	}
-	a.floorAt = maxQueue / 2
-	if a.floorAt < 2 {
-		a.floorAt = 2
-	}
-	return a
+	return &admission{maxQueue: maxQueue, floorAt: max(maxQueue/2, 2)}
 }
 
-// decide maps one arriving query's position to an admission verdict:
-// shed it, or admit it at newPar ≤ par workers. depth is the waiting
-// count including this query; expensive marks a planner cost estimate
-// over the server's shed threshold.
-func (a *admission) decide(depth int, expensive bool, par int) (shed bool, newPar int) {
-	if depth > a.maxQueue {
-		return true, 0
-	}
-	if expensive && depth > a.floorAt {
-		return true, 0
-	}
-	switch {
-	case depth > a.floorAt:
-		return false, 1
-	case depth > a.degradeAt:
-		if expensive {
-			return false, 1
-		}
-		half := par / 2
-		if half < 1 {
-			half = 1
-		}
-		return false, half
-	}
-	return false, par
+// shed decides one arriving query's fate: true sheds it, false admits
+// it. depth is the waiting count including this query; expensive marks
+// a planner cost estimate over the server's shed threshold.
+func (a *admission) shed(depth int, expensive bool) bool {
+	return depth > a.maxQueue || expensive && depth > a.floorAt
 }

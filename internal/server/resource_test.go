@@ -10,34 +10,28 @@ import (
 	"time"
 )
 
-// TestAdmissionLadderDecide pins the degradation ladder's shape: full
-// parallelism while the queue is shallow, half above degradeAt, serial
-// above floorAt, shed above maxQueue — with expensive queries degraded
-// and shed one rung earlier.
+// TestAdmissionLadderDecide pins admission's two rungs: everything is
+// admitted while the queue is shallow, expensive queries are shed above
+// floorAt, and everything is shed above maxQueue.
 func TestAdmissionLadderDecide(t *testing.T) {
-	a := newAdmission(8) // degradeAt 2, floorAt 4
+	a := newAdmission(8) // floorAt 4
 	cases := []struct {
 		depth     int
 		expensive bool
 		wantShed  bool
-		wantPar   int
 	}{
-		{1, false, false, 8},
-		{2, false, false, 8},
-		{3, false, false, 4}, // above degradeAt: half
-		{3, true, false, 1},  // expensive degrades straight to serial
-		{5, false, false, 1}, // above floorAt: serial for everyone
-		{5, true, true, 0},   // expensive sheds above floorAt
-		{9, false, true, 0},  // above maxQueue: shed everything
-		{9, true, true, 0},
+		{1, false, false},
+		{1, true, false},
+		{4, true, false}, // at floorAt: still admitted
+		{5, false, false},
+		{5, true, true}, // expensive sheds above floorAt
+		{8, false, false},
+		{9, false, true}, // above maxQueue: shed everything
+		{9, true, true},
 	}
 	for i, c := range cases {
-		shed, par := a.decide(c.depth, c.expensive, 8)
-		if shed != c.wantShed {
+		if shed := a.shed(c.depth, c.expensive); shed != c.wantShed {
 			t.Fatalf("case %d (depth %d expensive %v): shed = %v, want %v", i, c.depth, c.expensive, shed, c.wantShed)
-		}
-		if !shed && par != c.wantPar {
-			t.Fatalf("case %d (depth %d expensive %v): par = %d, want %d", i, c.depth, c.expensive, par, c.wantPar)
 		}
 	}
 }
@@ -85,10 +79,10 @@ func TestOverloadShedImmediate(t *testing.T) {
 
 // TestOverloadRacedServing is the overload acceptance suite, run over
 // real HTTP under -race: with the pool wedged and 16 concurrent
-// queries arriving, exactly MaxQueue queries queue (some at degraded
-// parallelism) and the rest shed immediately; /healthz stays
-// responsive throughout; and once the pool frees, every admitted query
-// answers byte-identically to an uncontended run.
+// queries arriving, exactly MaxQueue queries queue and the rest shed
+// immediately; /healthz stays responsive throughout; and once the pool
+// frees, every admitted query answers byte-identically to an
+// uncontended run.
 func TestOverloadRacedServing(t *testing.T) {
 	s := New(testGraph(), Config{MaxConcurrent: 2, MaxQueue: 4, QueryParallelism: 4})
 	ts := httptest.NewServer(s.Handler())
@@ -139,18 +133,13 @@ func TestOverloadRacedServing(t *testing.T) {
 	if shed != 12 || ok != 4 {
 		t.Fatalf("shed %d / ok %d, want 12 / 4", shed, ok)
 	}
-	// Depths 2-4 exceeded degradeAt (1): three queries ran degraded.
-	if n := s.m.degradedQueries.Load(); n != 3 {
-		t.Fatalf("degraded_queries = %d, want 3", n)
-	}
 }
 
-// TestServeDegradedByteIdentical pins that the ladder's parallelism
-// cuts never change answers: a query admitted under synthetic backlog
-// (forced to the serial rung) returns the same bytes as an uncontended
-// run, and is counted as degraded.
+// TestServeDegradedByteIdentical pins that a query admitted under a
+// synthetic backlog past the expensive-query floor runs exactly as it
+// would uncontended: the same bytes, and nothing shed.
 func TestServeDegradedByteIdentical(t *testing.T) {
-	s := New(testGraph(), Config{MaxQueue: 4, QueryParallelism: 4})
+	s := New(testGraph(), Config{MaxQueue: 4})
 	query := `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n } ORDER BY ?n`
 	want := getQuery(t, s, query, "", nil)
 	if want.Code != http.StatusOK {
@@ -160,13 +149,13 @@ func TestServeDegradedByteIdentical(t *testing.T) {
 	defer s.admit.waiting.Add(-3)
 	got := getQuery(t, s, query, "", nil)
 	if got.Code != http.StatusOK {
-		t.Fatalf("degraded run: status %d: %s", got.Code, got.Body.String())
+		t.Fatalf("run under backlog: status %d: %s", got.Code, got.Body.String())
 	}
 	if got.Body.String() != want.Body.String() {
-		t.Fatal("degraded run diverged from the full-parallelism answer")
+		t.Fatal("run under backlog diverged from the uncontended answer")
 	}
-	if n := s.m.degradedQueries.Load(); n != 1 {
-		t.Fatalf("degraded_queries = %d, want 1", n)
+	if n := s.m.shedQueries.Load(); n != 0 {
+		t.Fatalf("shed_queries = %d, want 0 (a cheap query is admitted above the floor)", n)
 	}
 }
 
@@ -234,7 +223,7 @@ func TestServePostBodyCap413(t *testing.T) {
 }
 
 // TestCostShedExpensiveFirst pins cost-aware admission: under a
-// backlog past the serial floor, a cartesian-shaped query (estimate
+// backlog past the expensive-query floor, a cartesian-shaped query (estimate
 // over the default 4×triples threshold) is shed immediately while a
 // selective query arriving at the same depth is still admitted.
 func TestCostShedExpensiveFirst(t *testing.T) {
@@ -257,7 +246,7 @@ func TestCostShedExpensiveFirst(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("expensive at depth 3: status %d: %s", rec.Code, rec.Body.String())
 	}
-	// ...while a cheap query at the same depth is admitted (serial).
+	// ...while a cheap query at the same depth is admitted.
 	go func() { done <- getQuery(t, s, cheap, "&timeout=30s", nil) }()
 	waitFor(t, func() bool { return s.admit.waiting.Load() == 3 })
 
@@ -281,7 +270,7 @@ func TestStatsResourcesBlock(t *testing.T) {
 	body := rec.Body.String()
 	for _, want := range []string{
 		`"resources"`, `"max_query_bytes":1048576`, `"queue_capacity":8`,
-		`"budget_aborts":0`, `"shed_queries":0`, `"degraded_queries":0`,
+		`"budget_aborts":0`, `"shed_queries":0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("stats missing %s: %s", want, body)

@@ -103,7 +103,9 @@ func shapeTotals(s *Server) (n [3]uint64) {
 // moved and by how much (nothing else may move), and what the request
 // did to its shape's count / errors / sheds. The server-fault and
 // handler-panic rows are the ones that read errors 0 before the shape
-// sample defaulted to an error.
+// sample defaulted to an error; the handler-panic and evaluator-panic
+// rows hold the isolation the deleted morsel retry tests held: a
+// panicking evaluation answers 500 and the process keeps serving.
 func TestEveryExit(t *testing.T) {
 	const (
 		name      = `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }`
@@ -219,6 +221,11 @@ func TestEveryExit(t *testing.T) {
 		{name: "handler panic", do: sparqlGet(small, ""),
 			server: single(testGraph(), Config{FaultPlan: fault.NewPlan(1).PanicNext(fault.PointServer, 1)}),
 			status: 500, moved: with(compiled, moved{"failed": 1, "faults.recovered_panics": 1}), shape: [3]uint64{1, 1, 0}},
+		// A panic inside the single-graph evaluator (at its first budget
+		// charge) is isolated by the same middleware: 500, not a crash.
+		{name: "evaluator panic", do: sparqlGet(small, ""),
+			server: single(testGraph(), Config{MaxQueryBytes: 1 << 30, FaultPlan: fault.NewPlan(1).PanicNext(fault.PointMem, 1)}),
+			status: 500, moved: with(compiled, moved{"failed": 1, "faults.recovered_panics": 1}), shape: [3]uint64{1, 1, 0}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -280,12 +287,8 @@ var goldenSeries = []struct{ family, typ, path, only string }{
 	{"rdf_plan_cache_entries", "gauge", "plan_cache.size", ""},
 	{"", "", "plan_cache.capacity", ""},
 	{"", "", "execution.query_parallelism", ""},
-	{"rdf_parallel_queries_total", "counter", "execution.parallel_queries", ""},
-	{"rdf_parallel_ops_total", "counter", "execution.parallel_ops", ""},
-	{"rdf_morsels_dispatched_total", "counter", "execution.morsels_dispatched", ""},
 	{"", "", "resources.max_query_bytes", ""},
 	{"rdf_shed_queries_total", "counter", "resources.shed_queries", ""},
-	{"rdf_degraded_queries_total", "counter", "resources.degraded_queries", ""},
 	{"rdf_budget_aborts_total", "counter", "resources.budget_aborts", ""},
 	{"rdf_bytes_charged_total", "counter", "resources.bytes_charged", ""},
 	{"rdf_peak_query_bytes", "gauge", "resources.peak_query_bytes", ""},
@@ -297,8 +300,6 @@ var goldenSeries = []struct{ family, typ, path, only string }{
 	{"rdf_replica_failovers_total", "counter", "faults.failovers", ""},
 	{"rdf_hedges_total", "counter", "faults.hedges", ""},
 	{"rdf_hedge_wins_total", "counter", "faults.hedge_wins", ""},
-	{"rdf_speculations_total", "counter", "faults.speculations", ""},
-	{"rdf_speculation_wins_total", "counter", "faults.speculation_wins", ""},
 	{"rdf_recovered_panics_total", "counter", "faults.recovered_panics", ""},
 	{"rdf_partial_failures_total", "counter", "faults.partial_failures", ""},
 	{"rdf_oversize_results_total", "counter", "faults.oversize_results", ""},

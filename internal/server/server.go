@@ -67,11 +67,12 @@ type Config struct {
 	// PlanCacheSize is the capacity of the prepared-plan LRU; negative
 	// disables plan caching (every query re-parses). Default 256.
 	PlanCacheSize int
-	// QueryParallelism is the per-query morsel worker-pool width: one
-	// query's large seed scans and hash-join probes split across this
-	// many workers (sparql.WithParallelism). Default (0) is GOMAXPROCS;
-	// 1 serializes every query on its own goroutine. Results are
-	// byte-identical at every width.
+	// QueryParallelism is a sharded backend's per-op shard fan-out
+	// width: how many shards one shard operation of a query runs on at
+	// once (sparql.WithParallelism). Default (0) is GOMAXPROCS; 1 runs
+	// the shards one after another on the query's goroutine. A query on
+	// one graph is serial whatever the width. Results are byte-identical
+	// at every width.
 	QueryParallelism int
 	// MaxResultRows, when > 0, aborts any query whose result exceeds
 	// that many rows with a typed OverloadError (HTTP 413) instead of
@@ -91,17 +92,16 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxQueue bounds how many queries may wait for a worker slot
 	// before admission sheds new arrivals with an immediate 503 (no
-	// deadline burn), with a degradation ladder shrinking per-query
-	// parallelism as the queue fills (see admission). Default (0) is
-	// 4×MaxConcurrent; negative disables admission control entirely,
-	// restoring wait-until-deadline queueing.
+	// deadline burn); expensive queries are shed from half that depth
+	// (see admission). Default (0) is 4×MaxConcurrent; negative
+	// disables admission control entirely, restoring
+	// wait-until-deadline queueing.
 	MaxQueue int
 	// CostShedThreshold is the planner cost estimate
 	// (Prepared.EstimateCost) above which a query counts as expensive
-	// for the admission ladder: expensive queries degrade to serial
-	// earlier and are shed under heavy load. Default (0) is 4× the
-	// dataset's triple count; negative disables cost-aware decisions
-	// (only queue depth sheds).
+	// for admission: expensive queries are shed under heavy load.
+	// Default (0) is 4× the dataset's triple count; negative disables
+	// cost-aware decisions (only queue depth sheds).
 	CostShedThreshold int64
 	// HedgeDelay arms hedged shard operations on sharded backends with
 	// replicas: a per-shard op that outlives the delay races a second
@@ -109,11 +109,6 @@ type Config struct {
 	// delay; < 0 selects the adaptive delay (the observed p95 of the op
 	// class); 0 (default) disables hedging.
 	HedgeDelay time.Duration
-	// SpeculationFactor, when > 0, arms speculative morsel
-	// re-execution: a morsel task still running after this multiple of
-	// the run's median task time is re-dispatched, first completion
-	// wins. Default 0 (disabled).
-	SpeculationFactor float64
 	// BreakerTripThreshold overrides how many consecutive failures trip
 	// a replica's circuit breaker (sharded backends with replicas).
 	// Default (0) keeps the engine default of 3.
@@ -591,15 +586,12 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// Admission: decide this query's fate from the queue depth and its
 	// cost estimate BEFORE arming the deadline, so a shed query answers
 	// immediately instead of burning its timeout in a hopeless queue.
-	par := s.cfg.QueryParallelism
 	if s.admit != nil {
 		expensive := false
 		if s.costThreshold > 0 {
 			expensive = s.estimateCost(prep) >= s.costThreshold
 		}
-		depth := int(s.admit.waiting.Add(1))
-		shed, newPar := s.admit.decide(depth, expensive, par)
-		if shed {
+		if s.admit.shed(int(s.admit.waiting.Add(1)), expensive) {
 			s.admit.waiting.Add(-1)
 			// A shed also counts as rejected: the client saw a 503
 			// either way, shed marks the fast-fail path.
@@ -608,11 +600,6 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 			smp.Shed, smp.Err = true, false
 			s.httpError(w, r, "sparql: server overloaded, query shed", http.StatusServiceUnavailable)
 			return
-		}
-		if newPar < par {
-			par = newPar
-			s.m.degradedQueries.Add(1)
-			smp.Degraded = true
 		}
 	}
 	ctx, cancel := context.WithTimeout(rctx, s.queryTimeout(r))
@@ -635,12 +622,11 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	defer s.m.inFlight.Add(-1)
 
 	execStart := time.Now()
-	sol, info, err := s.run(ctx, prep, par, tr)
+	sol, info, err := s.run(ctx, prep, tr)
 	execDur := time.Since(execStart)
 	smp.Route = info.route
 	smp.Bytes = info.bytes
 	smp.Hedges = int(info.hedges)
-	smp.Speculation = int(info.speculations)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.m.timeouts.Add(1)
@@ -787,7 +773,6 @@ func (s *Server) logSlowQuery(r *http.Request, text, fingerprint string, tr *obs
 		Shards:          info.shards,
 		ShardsTouched:   info.touched,
 		Hedges:          info.hedges,
-		Speculations:    info.speculations,
 		DurationMs:      float64(total) / float64(time.Millisecond),
 		TopSpans:        tr.TopSelf(3),
 	})
@@ -796,16 +781,15 @@ func (s *Server) logSlowQuery(r *http.Request, text, fingerprint string, tr *obs
 // runInfo is the routing report eval hands back for the slow-query
 // log: which route the query took and its shard fan-out.
 type runInfo struct {
-	route                string
-	shards, touched      int
-	hedges, speculations int64
-	bytes                int64 // bytes charged against the memory budget
+	route           string
+	shards, touched int
+	hedges          int64
+	bytes           int64 // bytes charged against the memory budget
 }
 
-// run evaluates one admitted query at the parallelism admission
-// granted it.
-func (s *Server) run(ctx context.Context, prep *sparql.Prepared, par int, tr *obs.Trace) (*sparql.Solutions, runInfo, error) {
-	sol, info, err := s.eval(ctx, prep, par, tr)
+// run evaluates one admitted query.
+func (s *Server) run(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*sparql.Solutions, runInfo, error) {
+	sol, info, err := s.eval(ctx, prep, tr)
 	if err != nil {
 		return nil, info, err
 	}
@@ -835,19 +819,17 @@ func (s *Server) estimateCost(prep *sparql.Prepared) int64 {
 	return 0
 }
 
-// eval dispatches one query to the configured backend at the given
-// morsel parallelism, armed with the server's per-query memory budget
-// and, when tr is non-nil, execution tracing.
-func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, par int, tr *obs.Trace) (*sparql.Solutions, runInfo, error) {
-	opts := []sparql.RunOption{sparql.WithParallelism(par)}
+// eval dispatches one query to the configured backend, armed with the
+// server's per-query memory budget and, when tr is non-nil, execution
+// tracing; a sharded backend also gets its fan-out width and hedging.
+func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*sparql.Solutions, runInfo, error) {
+	var rs sparql.RunStats
+	opts := []sparql.RunOption{sparql.WithRunStats(&rs)}
 	if s.cfg.MaxQueryBytes != 0 {
 		opts = append(opts, sparql.WithMemoryBudget(s.cfg.MaxQueryBytes))
 	}
 	if tr != nil {
 		opts = append(opts, sparql.WithTrace(tr))
-	}
-	if s.cfg.SpeculationFactor > 0 {
-		opts = append(opts, sparql.WithSpeculation(s.cfg.SpeculationFactor))
 	}
 	if s.shards != nil {
 		if d := s.cfg.HedgeDelay; d != 0 {
@@ -857,26 +839,21 @@ func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, par int, tr *o
 			}
 			opts = append(opts, sparql.WithHedge(hp))
 		}
-		var rs sparql.RunStats
 		var st sparql.ShardStats
 		var fs sparql.FaultStats
-		opts = append(opts,
-			sparql.WithRunStats(&rs), sparql.WithShardStats(&st),
-			sparql.WithFaultStats(&fs))
+		opts = append(opts, sparql.WithParallelism(s.cfg.QueryParallelism),
+			sparql.WithShardStats(&st), sparql.WithFaultStats(&fs))
 		sol, err := prep.RunShardedSolutions(ctx, s.shards.Set(), opts...)
 		s.m.observeRun(rs, st, fs)
 		return sol, runInfo{
 			route: string(st.Route), shards: st.Shards, touched: st.ShardsTouched,
-			hedges: fs.Hedges, speculations: fs.Speculations, bytes: rs.BytesCharged,
+			hedges: fs.Hedges, bytes: rs.BytesCharged,
 		}, err
 	}
 	if s.engine == nil {
-		var rs sparql.RunStats
-		var fs sparql.FaultStats
-		opts = append(opts, sparql.WithRunStats(&rs), sparql.WithFaultStats(&fs))
 		sol, err := prep.RunSolutions(ctx, s.graph, opts...)
-		s.m.observeRun(rs, sparql.ShardStats{}, fs)
-		return sol, runInfo{route: "local", speculations: fs.Speculations, bytes: rs.BytesCharged}, err
+		s.m.observeRun(rs, sparql.ShardStats{}, sparql.FaultStats{})
+		return sol, runInfo{route: "local", bytes: rs.BytesCharged}, err
 	}
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()

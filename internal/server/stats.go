@@ -26,32 +26,26 @@ type metrics struct {
 	// a query cheap to evaluate but expensive to stream shows.
 	latency, exec, serialize obs.Histogram
 
-	// Morsel execution (sparql.RunStats): queries that split work into
-	// morsels, the parallel scans/probes they ran, morsels dispatched.
-	parallelQueries, parallelOps, morsels obs.Counter
-
 	// Sharded execution (sparql.ShardStats): queries by route, shards
 	// scanned and pruned.
 	pushdownQueries, scatterQueries, shardsTouched, shardsPruned obs.Counter
 
 	// Fault handling (sparql.FaultStats plus the server's own
-	// recoveries): replica attempts, retries, failovers, hedges and
-	// speculative re-executions with their wins, panics recovered in the
-	// engine and in the HTTP middleware, queries lost to total shard
-	// failure or to the result-size guard.
+	// recoveries): replica attempts, retries, failovers, hedges with
+	// their wins, panics recovered in the engine and in the HTTP
+	// middleware, queries lost to total shard failure or to the
+	// result-size guard.
 	attempts, retries, failovers    obs.Counter
 	hedges, hedgeWins               obs.Counter
-	speculations, speculationWins   obs.Counter
 	recoveredPanics                 obs.Counter
 	partialFailures, oversizeAborts obs.Counter
 
-	// Resource governance: queries shed by admission control or
-	// admitted at degraded parallelism, queries aborted by their memory
-	// budget, cumulative bytes charged against budgets, and the largest
-	// single query's charge.
-	shedQueries, degradedQueries obs.Counter
-	budgetAborts, bytesCharged   obs.Counter
-	peakQueryBytes               atomic.Int64
+	// Resource governance: queries shed by admission control, queries
+	// aborted by their memory budget, cumulative bytes charged against
+	// budgets, and the largest single query's charge.
+	shedQueries                obs.Counter
+	budgetAborts, bytesCharged obs.Counter
+	peakQueryBytes             atomic.Int64
 
 	// Requests picked by the 1-in-N trace sampler
 	// (Config.TraceSampleRate).
@@ -82,13 +76,9 @@ func (s *Server) declareMetrics() {
 	r.Gauge("", "plan_cache.capacity", "", num(int64(s.cfg.PlanCacheSize)))
 
 	r.Gauge("", "execution.query_parallelism", "", num(int64(s.cfg.QueryParallelism)))
-	r.Counter("rdf_parallel_queries_total", "execution.parallel_queries", "Queries that split work into morsels.", &m.parallelQueries)
-	r.Counter("rdf_parallel_ops_total", "execution.parallel_ops", "Parallel scans and probes executed.", &m.parallelOps)
-	r.Counter("rdf_morsels_dispatched_total", "execution.morsels_dispatched", "Morsels dispatched to worker pools.", &m.morsels)
 
 	r.Gauge("", "resources.max_query_bytes", "", num(s.cfg.MaxQueryBytes))
 	r.Counter("rdf_shed_queries_total", "resources.shed_queries", "Queries shed immediately by admission control.", &m.shedQueries)
-	r.Counter("rdf_degraded_queries_total", "resources.degraded_queries", "Queries admitted at reduced parallelism.", &m.degradedQueries)
 	r.Counter("rdf_budget_aborts_total", "resources.budget_aborts", "Queries aborted by their memory budget.", &m.budgetAborts)
 	r.Counter("rdf_bytes_charged_total", "resources.bytes_charged", "Bytes charged against per-query memory budgets.", &m.bytesCharged)
 	r.Gauge("rdf_peak_query_bytes", "resources.peak_query_bytes", "Largest single query's budget charge.", load(&m.peakQueryBytes))
@@ -103,8 +93,6 @@ func (s *Server) declareMetrics() {
 	r.Counter("rdf_replica_failovers_total", "faults.failovers", "Failovers to another replica.", &m.failovers)
 	r.Counter("rdf_hedges_total", "faults.hedges", "Hedged shard operations launched against a second replica.", &m.hedges)
 	r.Counter("rdf_hedge_wins_total", "faults.hedge_wins", "Hedged shard operations where the hedge finished first.", &m.hedgeWins)
-	r.Counter("rdf_speculations_total", "faults.speculations", "Speculative morsel re-executions launched.", &m.speculations)
-	r.Counter("rdf_speculation_wins_total", "faults.speculation_wins", "Speculative morsel re-executions that finished first.", &m.speculationWins)
 	r.Counter("rdf_recovered_panics_total", "faults.recovered_panics", "Panics recovered in the engine and HTTP middleware.", &m.recoveredPanics)
 	r.Counter("rdf_partial_failures_total", "faults.partial_failures", "Queries lost to total shard failure.", &m.partialFailures)
 	r.Counter("rdf_oversize_results_total", "faults.oversize_results", "Queries aborted by the result-size guard.", &m.oversizeAborts)
@@ -147,14 +135,9 @@ func (m *metrics) observeServed(total, exec, serialize time.Duration) {
 }
 
 // observeRun folds one query's execution reports into the counters. A
-// report the run left at zero (no morsels, no budget armed, not a
-// sharded run, no fault activity) moves nothing.
+// report the run left at zero (no budget armed, not a sharded run, no
+// fault activity) moves nothing.
 func (m *metrics) observeRun(rs sparql.RunStats, st sparql.ShardStats, fs sparql.FaultStats) {
-	if rs.ParallelOps > 0 {
-		m.parallelQueries.Add(1)
-		m.parallelOps.Add(uint64(rs.ParallelOps))
-		m.morsels.Add(uint64(rs.Morsels))
-	}
 	if n := rs.BytesCharged; n > 0 {
 		m.bytesCharged.Add(uint64(n))
 		for {
@@ -173,14 +156,12 @@ func (m *metrics) observeRun(rs sparql.RunStats, st sparql.ShardStats, fs sparql
 		m.shardsTouched.Add(uint64(st.ShardsTouched))
 		m.shardsPruned.Add(uint64(st.ShardsPruned))
 	}
-	if fs.Attempts != 0 || fs.Retries != 0 || fs.RecoveredPanics != 0 || fs.Hedges != 0 || fs.Speculations != 0 {
+	if fs.Attempts != 0 || fs.Retries != 0 || fs.RecoveredPanics != 0 || fs.Hedges != 0 {
 		m.attempts.Add(uint64(fs.Attempts))
 		m.retries.Add(uint64(fs.Retries))
 		m.failovers.Add(uint64(fs.Failovers))
 		m.recoveredPanics.Add(uint64(fs.RecoveredPanics))
 		m.hedges.Add(uint64(fs.Hedges))
 		m.hedgeWins.Add(uint64(fs.HedgeWins))
-		m.speculations.Add(uint64(fs.Speculations))
-		m.speculationWins.Add(uint64(fs.SpeculationWins))
 	}
 }

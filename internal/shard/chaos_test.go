@@ -17,11 +17,10 @@ import (
 
 // TestChaosDeterminism is the fault-tolerance acceptance suite: for
 // every workload query, across placement strategies, shard counts, and
-// replica counts, a run with one replica of every shard failed, latency
-// injected on every scatter attempt, and one morsel panic per query
-// must return byte-identical results to a clean single-graph serial
-// run. Failover must be invisible in the output and visible in the
-// fault counters.
+// replica counts, a run with one replica of every shard failed and
+// latency injected on every scatter attempt must return byte-identical
+// results to a clean single-graph run. Failover must be invisible in
+// the output and visible in the fault counters.
 func TestChaosDeterminism(t *testing.T) {
 	ctx := context.Background()
 	for _, ds := range datasets() {
@@ -46,16 +45,13 @@ func TestChaosDeterminism(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						var failovers, recovered int64
+						var failovers int64
 						for qi, nq := range ds.queries {
 							// Kill a different replica of every shard per
-							// query, slow every scatter attempt down, and
-							// panic the first morsel task (when the query
-							// is big enough to dispatch morsels at all).
+							// query and slow every scatter attempt down.
 							kill := qi % reps
 							plan := fault.NewPlan(int64(qi+1)).
-								Delay(fault.PointScatter, 100*time.Microsecond).
-								PanicNext(fault.PointMorsel, 1)
+								Delay(fault.PointScatter, 100*time.Microsecond)
 							for s := 0; s < nShards; s++ {
 								plan.FailAlways(fault.ReplicaPoint(s, kill))
 							}
@@ -71,12 +67,10 @@ func TestChaosDeterminism(t *testing.T) {
 							}
 							mustEqualResults(t, want[nq.Name], got)
 							failovers += fs.Failovers
-							recovered += fs.RecoveredPanics
 						}
 						if failovers == 0 {
 							t.Fatal("no failovers recorded with a replica down for every query")
 						}
-						_ = recovered // morsel dispatch depends on data size; counted, not required
 					})
 				}
 			}
@@ -147,12 +141,11 @@ func chaosSeed(t *testing.T) int64 {
 
 // TestChaosTailDeterminism is the straggler acceptance suite: with one
 // replica of every shard slowed ~100× (a 2ms stall against µs-scale
-// scans), hedged shard operations and speculative morsel re-execution
-// armed, every workload query must return byte-identical results to a
-// clean serial single-graph run — across placement strategies, shard
-// counts, replica counts, and parallelism. The slowed replica index
-// rotates per query, so health steering keeps getting surprised and
-// every cell records hedges.
+// scans) and hedged shard operations armed, every workload query must
+// return byte-identical results to a clean single-graph run — across
+// placement strategies, shard counts, replica counts, and fan-out
+// width. The slowed replica index rotates per query, so health
+// steering keeps getting surprised and every cell records hedges.
 func TestChaosTailDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 16-cell matrix with injected 2ms stragglers")
@@ -198,7 +191,6 @@ func TestChaosTailDeterminism(t *testing.T) {
 							got, err := sp.Run(fault.With(ctx, plan),
 								sparql.WithParallelism(par),
 								sparql.WithHedge(hedge),
-								sparql.WithSpeculation(3),
 								sparql.WithFaultStats(&fs))
 							if err != nil {
 								t.Fatalf("%s (replica %d slow): %v", nq.Name, slow, err)
@@ -215,58 +207,6 @@ func TestChaosTailDeterminism(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestChaosSpeculationDeterminism pins speculative morsel re-execution:
-// with seeded jittered delays injected into morsel tasks (stragglers)
-// and speculation armed, a large parallel join must return
-// byte-identical results to a clean serial run, and the straggler runs
-// must actually exercise the speculation path.
-func TestChaosSpeculationDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs an 8192-row join with injected morsel stragglers")
-	}
-	seed := chaosSeed(t)
-	ctx := context.Background()
-	n := 8192
-	ts := make([]rdf.Triple, 0, 2*n)
-	for i := 0; i < n; i++ {
-		s := rdf.NewIRI(fmt.Sprintf("http://ex/a%d", i))
-		ts = append(ts,
-			rdf.Triple{S: s, P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral(fmt.Sprintf("x%d", i))},
-			rdf.Triple{S: s, P: rdf.NewIRI("http://ex/q"), O: rdf.NewLiteral(fmt.Sprintf("y%d", i))},
-		)
-	}
-	g := rdf.NewGraph(ts)
-	prep, err := sparql.Prepare(`SELECT * WHERE { ?a <http://ex/p> ?x . ?a <http://ex/q> ?y }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := prep.Run(ctx, g, sparql.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var specs, wins int64
-	for i := int64(0); i < 4; i++ {
-		plan := fault.NewPlan(seed+i).DelayRate(fault.PointMorsel, 0.4, 2*time.Millisecond)
-		var fs sparql.FaultStats
-		got, err := prep.Run(fault.With(ctx, plan), g,
-			sparql.WithParallelism(4),
-			sparql.WithSpeculation(2),
-			sparql.WithFaultStats(&fs))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed+i, err)
-		}
-		mustEqualResults(t, want, got)
-		specs += fs.Speculations
-		wins += fs.SpeculationWins
-	}
-	if specs == 0 {
-		t.Fatal("no speculative re-executions across four seeded straggler runs")
-	}
-	if wins > specs {
-		t.Fatalf("speculation wins %d > launches %d", wins, specs)
 	}
 }
 
@@ -354,7 +294,7 @@ func TestScatterCancelNoGoroutineLeak(t *testing.T) {
 
 // waitGoroutines polls until the goroutine count returns to near the
 // baseline, failing after three seconds — shared by the leak tests,
-// since losers of hedge and speculation races unwind asynchronously.
+// since losers of hedge races unwind asynchronously.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -394,36 +334,6 @@ func TestChaosHedgeNoGoroutineLeak(t *testing.T) {
 			sparql.WithParallelism(4), sparql.WithHedge(hedge)); err != nil {
 			t.Fatalf("%s: %v", nq.Name, err)
 		}
-	}
-	waitGoroutines(t, before)
-}
-
-// TestChaosSpeculationNoGoroutineLeak pins speculation-loser hygiene:
-// a large parallel join with heavy injected morsel stragglers and
-// speculation armed must leave no goroutines behind after the run.
-func TestChaosSpeculationNoGoroutineLeak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a 4096-row join with injected morsel stragglers")
-	}
-	n := 4096
-	ts := make([]rdf.Triple, 0, 2*n)
-	for i := 0; i < n; i++ {
-		s := rdf.NewIRI(fmt.Sprintf("http://ex/a%d", i))
-		ts = append(ts,
-			rdf.Triple{S: s, P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral(fmt.Sprintf("x%d", i))},
-			rdf.Triple{S: s, P: rdf.NewIRI("http://ex/q"), O: rdf.NewLiteral(fmt.Sprintf("y%d", i))},
-		)
-	}
-	g := rdf.NewGraph(ts)
-	prep, err := sparql.Prepare(`SELECT * WHERE { ?a <http://ex/p> ?x . ?a <http://ex/q> ?y }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	plan := fault.NewPlan(1).DelayRate(fault.PointMorsel, 0.5, 5*time.Millisecond)
-	if _, err := prep.Run(fault.With(context.Background(), plan), g,
-		sparql.WithParallelism(4), sparql.WithSpeculation(1.5)); err != nil {
-		t.Fatal(err)
 	}
 	waitGoroutines(t, before)
 }

@@ -10,14 +10,16 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
 // The differential check of the sharded executor: seeded small graphs ×
-// generated queries, three oracles.
+// generated queries, five oracles.
 //
 //	(a) RunSharded at shards {1, 3, 4} × {hash-subject, vertical} ×
 //	    replicas {1, 2} × WithParallelism {1, 4} × WithScatterOnly on/off
@@ -26,9 +28,27 @@ import (
 //	    shares nothing with internal/sparql's evaluator — no dictionary,
 //	    no slots, no indexes — and a LIMIT/OFFSET answer is exactly that
 //	    slice of the unlimited one;
-//	(c) permuting a BGP's patterns keeps the multiset.
+//	(c) permuting a BGP's patterns keeps the multiset;
+//	(d) swapping a UNION's branches keeps the multiset, and without
+//	    DISTINCT or ORDER BY the answer begins with its left branch's
+//	    answer and the swapped answer ends with it;
+//	(e) at two replicas, the sharded run under a seeded fault plan — one
+//	    replica of every shard down, a quarter of all scatter attempts
+//	    failing — still equals the clean single-graph run as a sequence.
 //
-// Mutants this caught, each applied alone to internal/sparql/dist.go,
+// Mutants (d) and (e) caught, each applied alone, that the suite
+// without them passed:
+//
+//   - unionRows concatenates right then left (eval.go) — "the UNION
+//     does not begin with its left branch … row 0 differs" (d);
+//   - runShardOp returns a failed attempt's rows instead of failing
+//     over (dist.go) — "1 shards × 2 hash-subject, replica 1 down, 1 in
+//     4 scatter attempts failing: 0 rows, want 4" (e);
+//   - fatalAttemptErr takes an injected failure for a query-level
+//     verdict, so nothing fails over (dist.go) — "… 1 in 4 scatter
+//     attempts failing: fault: injected failure" (e).
+//
+// Mutants (a)–(c) caught, each applied alone to internal/sparql/dist.go,
 // with the first failure the suite printed (seeds differ run to run):
 //
 //   - bindKey keeps the position and drops the input index — "4 shards
@@ -427,7 +447,12 @@ func runSingle(g *rdf.Graph, text string) ([]string, error) {
 	return canonicalRows(res), nil
 }
 
-// checkQuery holds one generated query to the three oracles. skipped
+// diffRetry lets a shard op outlast the faulted runs of (e): the live
+// replica fails a pass with probability 1/4, so sixteen passes leave an
+// op failing about once in 4e9.
+var diffRetry = sparql.RetryPolicy{Cycles: 16, BaseBackoff: 50 * time.Microsecond, MaxBackoff: 500 * time.Microsecond}
+
+// checkQuery holds one generated query to the five oracles. skipped
 // reports that the reference gave up on an oversized intermediate.
 func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err error) {
 	ctx := context.Background()
@@ -469,7 +494,38 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 	if err := sameMultiset(full, permuted); err != nil {
 		return false, fmt.Errorf("%s\npermuted to %s: %v", q.text(false), perm.text(false), err)
 	}
-	// (a) Every sharded configuration, the single graph's sequence.
+	// (d) Swapping a UNION's branches keeps the multiset; without
+	// DISTINCT or ORDER BY the answer is the left branch's rows, then the
+	// right's, so the swapped answer ends where the original begins.
+	if q.union {
+		swapped := q
+		swapped.main, swapped.other = q.other, q.main
+		got, err := runSingle(st.g, swapped.text(false))
+		if err != nil {
+			return false, err
+		}
+		if err := sameMultiset(full, got); err != nil {
+			return false, fmt.Errorf("%s\nbranches swapped to %s: %v", q.text(false), swapped.text(false), err)
+		}
+		if !q.distinct && !q.orderBy {
+			left := q
+			left.other, left.union = nil, false
+			lrows, err := runSingle(st.g, left.text(false))
+			if err != nil {
+				return false, err
+			}
+			if err := sameSequence(lrows, full[:min(len(lrows), len(full))]); err != nil {
+				return false, fmt.Errorf("%s\nthe UNION does not begin with its left branch %s: %v", q.text(false), left.text(false), err)
+			}
+			if err := sameSequence(lrows, got[max(len(got)-len(lrows), 0):]); err != nil {
+				return false, fmt.Errorf("%s\nbranches swapped, the UNION does not end with the old left branch: %v", swapped.text(false), err)
+			}
+		}
+	}
+	// (a) Every sharded configuration, the single graph's sequence; (e)
+	// at two replicas, again under transient scatter faults with one
+	// replica of every shard down.
+	dead, planSeed := r.Intn(2), r.Int63()
 	absentInMain := false
 	for _, p := range q.main {
 		for _, e := range p {
@@ -502,6 +558,20 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 							text, sg.NumShards(), sg.Replicas(), sg.Strategy(), s, n, hint)
 					}
 				}
+			}
+		}
+		if sg.Replicas() == 2 {
+			plan := fault.NewPlan(planSeed).FailRate(fault.PointScatter, 0.25)
+			for s := 0; s < sg.NumShards(); s++ {
+				plan.FailAlways(fault.ReplicaPoint(s, dead))
+			}
+			got, err := sp.Run(fault.With(ctx, plan), sparql.WithParallelism(4), sparql.WithRetryPolicy(diffRetry))
+			where := fmt.Sprintf("%s\n%d shards × 2 %s, replica %d down, 1 in 4 scatter attempts failing", text, sg.NumShards(), sg.Strategy(), dead)
+			if err != nil {
+				return false, fmt.Errorf("%s: %v", where, err)
+			}
+			if err := sameSequence(want, canonicalRows(got)); err != nil {
+				return false, fmt.Errorf("%s: %v", where, err)
 			}
 		}
 		askPrep, err := sg.Prepare(ask)

@@ -9,8 +9,6 @@ package sparql
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -24,24 +22,10 @@ const (
 	benchBuildLeftRows = 1024
 )
 
-// benchParWidths returns the morsel-pool widths the parallel
-// benchmarks compare: serial, 4 (the acceptance bar), and GOMAXPROCS
-// when it differs.
-func benchParWidths() []int {
-	widths := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
-		widths = append(widths, n)
-	}
-	return widths
-}
-
 // BenchmarkEvalJoin joins two star branches of benchJoinRows rows each
-// (one match per row) with the hash join (serial, then morsel-parallel
-// probe at each pool width) and with the nested-loop baseline it
-// replaced. "hash" is the pinned serial path — its 6 allocs/op must
-// not move, and CI pins "hash-build-left" and "hash-p4" beside it;
-// "hash-p4" vs "hash" is the parallel-speedup acceptance comparison on
-// multi-core hardware.
+// (one match per row) with the hash join and with the nested-loop
+// baseline it replaced. "hash" is the pinned path — its 6 allocs/op
+// must not move, and CI pins "hash-build-left" beside it.
 func BenchmarkEvalJoin(b *testing.B) {
 	g := joinTestGraph(benchJoinRows)
 	env, names, ages := joinSides(b, g)
@@ -63,23 +47,6 @@ func BenchmarkEvalJoin(b *testing.B) {
 			}
 		}
 	})
-	for _, p := range benchParWidths() {
-		if p == 1 {
-			continue // "hash" is the parallelism-1 measurement
-		}
-		b.Run(fmt.Sprintf("hash-p%d", p), func(b *testing.B) {
-			penv, names, ages := joinSides(b, g)
-			penv.par = &parRun{n: p}
-			defer penv.close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if out := penv.joinRows(names, ages); len(out) != benchJoinRows {
-					b.Fatalf("join produced %d rows", len(out))
-				}
-			}
-		})
-	}
 	b.Run("nested", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -122,11 +89,11 @@ func BenchmarkEvalOptional(b *testing.B) {
 }
 
 // BenchmarkEvalBGPParallel measures a full prepared run whose work is
-// one big seed scan (65536 candidate triples, 64 morsels), the
-// cleanest morsel-parallel target: p1 must stay within noise of the
-// serial evaluator, and p4 is the >=2x acceptance comparison on
-// multi-core hardware. RunSolutions keeps rows in id space so the
-// benchmark measures evaluation, not decoding.
+// one big seed scan (65536 candidate triples). Its one sub-benchmark
+// keeps the name "p1" it had beside the deleted morsel-parallel widths,
+// so CI's alloc and bytes pin on it keeps its history. RunSolutions
+// keeps rows in id space so the benchmark measures evaluation, not
+// decoding.
 func BenchmarkEvalBGPParallel(b *testing.B) {
 	g := joinTestGraph(1 << 16)
 	g.Encoded()
@@ -136,20 +103,18 @@ func BenchmarkEvalBGPParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, p := range benchParWidths() {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sol, err := prep.RunSolutions(ctx, g, WithParallelism(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sol.Len() != 1<<16 {
-					b.Fatalf("scan produced %d rows", sol.Len())
-				}
+	b.Run("p1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sol, err := prep.RunSolutions(ctx, g)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if sol.Len() != 1<<16 {
+				b.Fatalf("scan produced %d rows", sol.Len())
+			}
+		}
+	})
 }
 
 // BenchmarkEvalSampledTracing measures what arming a trace costs a

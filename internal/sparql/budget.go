@@ -30,8 +30,8 @@ import (
 //
 // Accounting is deliberately a lower bound on the process's true
 // allocation: small fixed-size structures (pattern scans, per-shard
-// tag lists, modifier scratch) are not charged, and a task re-run
-// after an injected fault charges its arena chunks again. The budget
+// tag lists, modifier scratch) are not charged, and a shard attempt
+// re-run after a failover charges its arena chunks again. The budget
 // bounds the dominant, input-proportional allocations — result rows
 // and join state — which is what an overload guard needs.
 
@@ -71,8 +71,8 @@ func (e *BudgetError) Error() string {
 }
 
 // memBudget is the byte tracker one budgeted run shares across its
-// morsel workers and shard scans: a single atomic counter, so charges
-// from concurrent workers all draw down the same budget.
+// shard scans: a single atomic counter, so charges from concurrent
+// shard workers all draw down the same budget.
 type memBudget struct {
 	// limit is the configured bound; 0 means track-only (no abort).
 	limit int64
@@ -92,10 +92,10 @@ func WithMemoryBudget(bytes int64) RunOption {
 // charge records n bytes of evaluator-owned allocation against the
 // run's budget. Unbudgeted runs return after one nil check. Going
 // over the limit (or hitting an armed fault.PointMem) latches a
-// *BudgetError into the environment — and, under a parallel run, into
-// the shared failure latch, stopping every worker at its next
-// amortized poll — exactly like cancellation, which is what keeps a
-// budget abort free of partial rows.
+// *BudgetError into the environment — and, under a sharded fan-out,
+// into the shared failure latch, stopping every shard worker at its
+// next amortized poll — exactly like cancellation, which is what keeps
+// a budget abort free of partial rows.
 func (env *evalEnv) charge(n int64, stage string) {
 	mb := env.mem
 	if mb == nil || n <= 0 {

@@ -21,39 +21,36 @@ var budgetSweepQueries = []string{
 	`SELECT ?s ?a WHERE { ?s <http://ex/age> ?a } ORDER BY ?a DESC(?s) LIMIT 17`,
 }
 
-// TestBudgetOverloadDeterminism pins the budget contract at every
-// parallelism: a run armed with WithMemoryBudget either returns output
-// byte-identical to an unbudgeted serial run or fails with a typed
-// *BudgetError — never partial rows, never an untyped error. The sweep
-// crosses budgets small enough to abort mid-scan, mid-join budgets,
-// and one big enough to never fire, so both outcomes are exercised
-// (and asserted to occur).
+// TestBudgetOverloadDeterminism pins the budget contract: a run armed
+// with WithMemoryBudget either returns output byte-identical to an
+// unbudgeted run or fails with a typed *BudgetError — never partial
+// rows, never an untyped error. The sweep crosses budgets small enough
+// to abort mid-scan, mid-join budgets, and one big enough to never
+// fire, so both outcomes are exercised (and asserted to occur).
 func TestBudgetOverloadDeterminism(t *testing.T) {
 	g := parTestGraph(8192)
 	ctx := context.Background()
 	aborted, completed := 0, 0
 	for qi, text := range budgetSweepQueries {
 		prep := MustPrepare(t, text)
-		want, err := prep.Run(ctx, g, WithParallelism(1))
+		want, err := prep.Run(ctx, g)
 		if err != nil {
 			t.Fatalf("query %d clean run: %v", qi, err)
 		}
-		for _, par := range []int{1, 4} {
-			for _, budget := range []int64{16 << 10, 256 << 10, 1 << 30} {
-				got, err := prep.Run(ctx, g, WithParallelism(par), WithMemoryBudget(budget))
-				if err != nil {
-					var be *BudgetError
-					if !errors.As(err, &be) {
-						t.Fatalf("query %d par %d budget %d: error = %v, want *BudgetError", qi, par, budget, err)
-					}
-					aborted++
-					continue
+		for _, budget := range []int64{16 << 10, 256 << 10, 1 << 30} {
+			got, err := prep.Run(ctx, g, WithMemoryBudget(budget))
+			if err != nil {
+				var be *BudgetError
+				if !errors.As(err, &be) {
+					t.Fatalf("query %d budget %d: error = %v, want *BudgetError", qi, budget, err)
 				}
-				if !got.Equal(want) {
-					t.Fatalf("query %d par %d budget %d: output diverged from unbudgeted serial run", qi, par, budget)
-				}
-				completed++
+				aborted++
+				continue
 			}
+			if !got.Equal(want) {
+				t.Fatalf("query %d budget %d: output diverged from the unbudgeted run", qi, budget)
+			}
+			completed++
 		}
 	}
 	if aborted == 0 {

@@ -146,8 +146,8 @@ func WithScatterOnly() RunOption {
 // RunSharded evaluates the prepared query over a sharded dataset,
 // returning exactly what (*Prepared).Run over the equivalent single
 // graph returns — the same rows in the same order. Cancellation and
-// RunOptions behave as in Run; WithParallelism additionally bounds how
-// many shards are scanned concurrently.
+// RunOptions behave as in Run; WithParallelism bounds how many shards
+// one shard operation runs on concurrently.
 func (p *Prepared) RunSharded(ctx context.Context, ss *ShardSet, opts ...RunOption) (*Results, error) {
 	ro := resolveRunOpts(opts)
 	return p.runShardedWith(ctx, ss, &ro)
@@ -197,7 +197,6 @@ func (p *Prepared) RunShardedSolutions(ctx context.Context, ss *ShardSet, opts .
 // scattering and touches fewer.
 func (p *Prepared) ExplainSharded(ss *ShardSet) ShardExplain {
 	d := p.newDistEnv(nil, ss, &runOpts{parallelism: 1})
-	defer d.env.close()
 	ex := ShardExplain{Route: d.route, Shards: len(ss.Views)}
 	touched := make([]bool, len(ss.Views))
 	var walk func(GraphPattern)
@@ -287,7 +286,7 @@ func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *d
 	if ctx != nil && ctx.Done() != nil {
 		env.ctx = ctx
 	}
-	env.configureParallel(ro)
+	env.configure(ro)
 	d := &distEnv{
 		env:     env,
 		ss:      ss,
@@ -347,7 +346,7 @@ func (o *runOpts) captureShard(d *distEnv) {
 		*o.shardStats = st
 	}
 	if d.env.trace != nil {
-		root := d.env.trace.t.Root()
+		root := d.env.trace.Root()
 		root.SetStr("route", string(st.Route))
 		root.SetInt("shards", int64(st.Shards))
 		root.SetInt("shards_touched", int64(st.ShardsTouched))
@@ -418,6 +417,79 @@ func shardCovers(view *rdf.EncodedView, cps []cPattern) bool {
 	return true
 }
 
+// parRun is the state the shard goroutines of one sharded run at width
+// > 1 share: the fan-out width and the run-wide stop and failure latch.
+type parRun struct {
+	n    int         // shards one shard op runs on at once
+	stop atomic.Bool // latched: some environment observed ctx.Done()
+
+	// Failure latch: the first shard worker that fails the run (a blown
+	// budget) records its error here and raises stop, so every other
+	// worker stops at its next poll.
+	failMu  sync.Mutex
+	failErr error
+}
+
+// latchFailure records the run-cancelling error of one failed worker
+// (first writer wins) and raises the stop latch.
+func (p *parRun) latchFailure(err error) {
+	p.failMu.Lock()
+	if p.failErr == nil {
+		p.failErr = err
+	}
+	p.failMu.Unlock()
+	p.stop.Store(true)
+}
+
+// failure returns the latched worker failure, if any.
+func (p *parRun) failure() error {
+	p.failMu.Lock()
+	defer p.failMu.Unlock()
+	return p.failErr
+}
+
+// width is the run's shard fan-out width: 1 without a parRun.
+func (env *evalEnv) width() int {
+	if env.par == nil {
+		return 1
+	}
+	return env.par.n
+}
+
+// workerEnv derives a shard worker's private environment: fresh arena,
+// tick, and error latch over the shared immutable run state.
+func (env *evalEnv) workerEnv() *evalEnv {
+	return &evalEnv{
+		g:     env.g,
+		view:  env.view,
+		terms: env.terms,
+		slots: env.slots,
+		vars:  env.vars,
+		stats: env.stats,
+		ctx:   env.ctx,
+		par:   env.par,
+		mem:   env.mem, // one shared budget across every worker
+
+		fplan:  env.fplan,
+		ftally: env.ftally,
+	}
+}
+
+// latchStop surfaces into env.err whatever raised the run's stop latch.
+// A latched worker failure (a blown budget) outranks cancellation: stop
+// may be raised by either, and ctx.Err() is nil when the run died of a
+// failure rather than cancellation.
+func (env *evalEnv) latchStop() {
+	if env.par == nil || env.err != nil {
+		return
+	}
+	if ferr := env.par.failure(); ferr != nil {
+		env.err = ferr
+	} else if env.par.stop.Load() && env.ctx != nil {
+		env.err = env.ctx.Err()
+	}
+}
+
 // forEachShard runs fn(s, w) for every picked shard, marking it touched.
 // Each invocation gets a private worker environment; fn routes itself
 // to a replica view through runShardOp. At width 1 the shards run one
@@ -429,10 +501,7 @@ func shardCovers(view *rdf.EncodedView, cps []cPattern) bool {
 // different shards merged into one naming every lost shard.
 func (d *distEnv) forEachShard(picked []int, fn func(s int, w *evalEnv)) {
 	env := d.env
-	width := 1
-	if env.par != nil {
-		width = env.par.n
-	}
+	width := env.width()
 	var sem chan struct{}
 	var wg sync.WaitGroup
 	workers := make([]*evalEnv, 0, len(picked))

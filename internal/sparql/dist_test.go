@@ -9,6 +9,24 @@ import (
 	"repro/internal/rdf"
 )
 
+// oneShardSet holds the triples as a one-shard set: the smallest
+// sharded backend, for tests of the sharded executor inside this
+// package.
+func oneShardSet(t testing.TB, triples []rdf.Triple) *ShardSet {
+	t.Helper()
+	dict := rdf.NewDictionary()
+	enc := make([]rdf.EncodedTriple, len(triples))
+	positions := make([]int32, len(triples))
+	for i, tr := range triples {
+		enc[i], positions[i] = dict.EncodeTriple(tr), int32(i)
+	}
+	view, err := rdf.NewPositionedView(dict, enc, positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ShardSet{Dict: dict, Views: []*rdf.EncodedView{view}, Stats: rdf.ComputeEncodedStats(dict, enc)}
+}
+
 // A bind-join batch past the merge key's index range fails typed
 // instead of wrapping; the limit is lowered here to reach the boundary.
 func TestBindJoinCapacityError(t *testing.T) {
@@ -24,17 +42,7 @@ func TestBindJoinCapacityError(t *testing.T) {
 				rdf.Triple{S: s, P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral("o")},
 				rdf.Triple{S: s, P: rdf.NewIRI("http://ex/q"), O: s})
 		}
-		dict := rdf.NewDictionary()
-		enc := make([]rdf.EncodedTriple, len(triples))
-		positions := make([]int32, len(triples))
-		for i, tr := range triples {
-			enc[i], positions[i] = dict.EncodeTriple(tr), int32(i)
-		}
-		view, err := rdf.NewPositionedView(dict, enc, positions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &ShardSet{Dict: dict, Views: []*rdf.EncodedView{view}, Stats: rdf.ComputeEncodedStats(dict, enc)}, rdf.NewGraph(triples)
+		return oneShardSet(t, triples), rdf.NewGraph(triples)
 	}
 	prep, err := Prepare(`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o . ?s <http://ex/q> ?s }`)
 	if err != nil {
@@ -43,7 +51,7 @@ func TestBindJoinCapacityError(t *testing.T) {
 	ctx := context.Background()
 
 	atLimit, g := shardSet(3) // the second pattern's batch is 3 rows
-	want, err := prep.Run(ctx, g, WithParallelism(1))
+	want, err := prep.Run(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -42,7 +43,6 @@ func Evaluate(q *Query, g *rdf.Graph) (*Results, error) {
 
 // evaluate is the shared body of Evaluate and (*Prepared).Run.
 func evaluate(env *evalEnv, q *Query) (*Results, error) {
-	defer env.close()
 	rows, err := env.evalPattern(q.Where)
 	if err != nil {
 		return nil, err
@@ -341,20 +341,17 @@ type evalEnv struct {
 	tick uint
 	err  error
 
-	// Morsel-driven parallelism ((*Prepared).Run with parallelism > 1,
-	// see parallel.go): par carries the shared per-Run state (worker
-	// count, cross-worker cancellation latch, stats counters) and pool
-	// the lazily started per-Run worker pool. Both are nil for serial
-	// evaluation, where every scan and probe is one morsel run in place.
-	par  *parRun
-	pool *workerPool
+	// par is the shard fan-out state of a sharded run at width > 1
+	// (dist.go): the width and the run-wide stop and failure latch its
+	// shard goroutines share. Nil on a single graph, which evaluates
+	// serially on the calling goroutine.
+	par *parRun
 
 	// limitHint, when > 0, is the number of leading rows the modifier
 	// pipeline will keep (LIMIT + OFFSET, or 1 for ASK) for queries
 	// whose WHERE clause is a single BGP and whose modifiers only
-	// truncate (no DISTINCT, no ORDER BY): the BGP's last pattern — and
-	// the morsel dispatcher under it — may stop producing once that
-	// many rows exist.
+	// truncate (no DISTINCT, no ORDER BY): the BGP's last pattern may
+	// stop producing once that many rows exist.
 	limitHint int
 
 	// Plan reuse ((*Prepared).Run): prep, when non-nil, caches each
@@ -386,25 +383,22 @@ type evalEnv struct {
 
 	// Memory accounting (budget.go): mem, when non-nil, is the run's
 	// shared byte budget, charged at arena chunk growth, join-state
-	// builds, and gather merges. Workers share the root environment's
-	// tracker (workerEnv), so one budget spans the whole run. Nil — the
-	// default — costs each charge site one nil check.
+	// builds, and gather merges. Shard workers share the root
+	// environment's tracker (workerEnv), so one budget spans the whole
+	// run. Nil — the default — costs each charge site one nil check.
 	mem *memBudget
 
 	// Execution tracing (trace.go, internal/obs): trace, when non-nil,
 	// records the run's span tree. The tree is mutated only by the
-	// driver goroutine; workers touch only their busy-time accumulator,
-	// indexed by wid. Nil — the default — costs each span site one nil
+	// driver goroutine. Nil — the default — costs each span site one nil
 	// check.
-	trace *execTrace
-	wid   int
+	trace *obs.Trace
 
 	// taskStop, when non-nil, is the first-completion-wins claim of the
-	// racing copies of this environment's current task — hedged shard
-	// attempts (dist.go) and speculative morsel copies (parallel.go).
-	// Once another copy commits, interrupted() reports true WITHOUT
-	// latching an error, so the losing copy quietly abandons its
-	// private work. Nil everywhere outside a race.
+	// racing copies of a hedged shard attempt (dist.go). Once another
+	// copy commits, interrupted() reports true WITHOUT latching an
+	// error, so the losing copy quietly abandons its private work. Nil
+	// everywhere outside a race.
 	taskStop *atomic.Bool
 }
 
@@ -417,10 +411,9 @@ const cancelCheckEvery = 1024
 // interrupted reports whether the evaluation has been cancelled,
 // polling the context at most once per cancelCheckEvery calls. Once it
 // returns true it keeps returning true (the error is latched). Under a
-// parallel run the latch spans workers: the first environment — main
-// or worker — to observe ctx.Done() raises the shared parRun.stop
-// flag, and every other environment picks it up at its own next poll,
-// so one poll every 1024 rows per worker still stops the whole Run.
+// sharded fan-out the latch spans shard workers: the first environment
+// to observe ctx.Done() raises the shared parRun.stop flag, and every
+// other environment picks it up at its own next poll.
 func (env *evalEnv) interrupted() bool { return env.block(1) == 0 }
 
 // block is interrupted for a loop that visits its items in runs: of the
@@ -449,9 +442,9 @@ func (env *evalEnv) block(n int) int {
 // the cross-worker latch and the context.
 func (env *evalEnv) poll() bool {
 	if env.taskStop != nil && env.taskStop.Load() {
-		// This copy of the task lost its race (hedge or speculation):
-		// stop computing, but latch no error — the winner's result is
-		// already committed and the run is healthy.
+		// This copy of the shard attempt lost its hedge race: stop
+		// computing, but latch no error — the winner's result is already
+		// committed and the run is healthy.
 		return true
 	}
 	if env.ctx == nil {
@@ -760,7 +753,7 @@ func (env *evalEnv) mergeRows(a, b slotRow) slotRow {
 // run as one id-space hash join (hashJoin). The join key is the set of
 // slots bound in every row of both sides (computed per join from the
 // slot table); the smaller side is hashed on that key into a chained
-// array table and the other side probes it (hashTable.probe). Candidate
+// array table and the other side probes it. Candidate
 // pairs are still verified with compatibleRows, so hash collisions and
 // shared-but-non-key slots are handled exactly as the nested loop would.
 // The nested loop survives as the fallback for the two cases a hash key
@@ -968,81 +961,46 @@ func (env *evalEnv) nestedOptionalRows(left, right []slotRow) []slotRow {
 	return out
 }
 
-// hashTable is one hash join's immutable state: the two sides, the key,
-// and the chained table over the smaller (build) side. Probes only read
-// it, so every morsel of a parallel probe shares it.
-type hashTable struct {
-	left, right []slotRow
-	key         []int
-	head, next  []int32
-	mask        uint64
-	outer       bool // left join: a left row nothing matches passes through
-	buildLeft   bool // the table is over left, and right probes it
-}
+// maxJoinRows is the most rows either side of a hash join may hold, and
+// the most rows one join may emit: the chained table links build rows
+// and the build-left probe places its output through int32 indexes. A
+// variable so tests can lower it (maxBindRows' idiom).
+var maxJoinRows = math.MaxInt32
 
-// hashJoin is the one hash join: it hashes the smaller side, probes it
-// with the other — in place on env, or in morsels on the pool when the
-// probe side is large enough (parallel.go) — and gathers the morsels'
-// private buffers in left-major order, the nested loop's.
+// hashJoin is the one hash join: it hashes the smaller side on the key
+// into a chained table and probes it with the other side, emitting in
+// left-major order, the nested loop's. A counting pass sizes the output
+// and the arena exactly, so a join costs O(1) allocations on top of its
+// rows. When left probes a table over right, the emit pass walks left
+// in order. When right probes a table over left, per-left-row cursors
+// place each match in its left row's segment and an outer join's
+// unmatched left row fills the one slot its segment was given. A join
+// past maxJoinRows fails typed; interrupted, it returns nil.
 func (env *evalEnv) hashJoin(left, right []slotRow, key []int, outer bool) []slotRow {
-	j := hashTable{left: left, right: right, key: key, outer: outer, buildLeft: len(right) > len(left)}
-	build, n, method := right, len(left), "hash_build_right"
-	if j.buildLeft {
-		build, n, method = left, len(right), "hash_build_left"
+	build, probe, method := right, left, "hash_build_right"
+	buildLeft := len(right) > len(left)
+	if buildLeft {
+		build, probe, method = left, right, "hash_build_left"
 	}
 	env.noteStr("method", method)
-	j.head, j.next, j.mask = buildJoinTable(build, key)
-	env.chargeJoinTable(j.head, j.next)
-	var serial [1]morselOut
-	outs := serial[:]
-	if env.canParallel(n) {
-		size := morselSize
-		if j.buildLeft {
-			size = cursorMorselSize(n, env.par.n)
-		}
-		jp := j // the closure's copy: j stays on the serial path's stack
-		outs = env.runMorsels(rdf.MorselCount(n, size), 0, func(m int, w *evalEnv) morselOut {
-			start, end := rdf.MorselBounds(m, n, size)
-			return jp.probe(w, start, end)
-		})
-	} else {
-		serial[0] = j.probe(env, 0, n)
-	}
-	if env.err != nil {
+	if len(build) > maxJoinRows {
+		env.err = &rdf.CapacityError{What: "join rows", Limit: int64(maxJoinRows)}
 		return nil
 	}
-	if j.buildLeft && (outer || len(outs) > 1) {
-		return j.interleave(env, outs)
-	}
-	return mergeMorsels(env, outs)
-}
-
-// probe joins the probe side's rows [start, end) against the table: the
-// one probe body, a pure function of the immutable table that writes
-// only memory it allocates. A counting pass sizes the buffer and w's
-// arena exactly, so a probe costs O(1) allocations on top of its rows;
-// the emit pass fills the buffer in left-major order. When left probes,
-// that is the order of the walk. When right probes a table over left,
-// per-left-row cursors place each match, and come back as ends: the
-// buffer's rows for left row i end at ends[i]. Interrupted (w.err, or
-// a lost race through w.taskStop), it returns nothing worth keeping.
-func (j hashTable) probe(w *evalEnv, start, end int) morselOut {
-	build, probe := j.right, j.left
+	head, next, mask := buildJoinTable(build, key)
+	env.chargeJoinTable(head, next)
 	var cur []int32
-	if j.buildLeft {
-		build, probe = j.left, j.right
-		w.charge(int64(len(build))*termIDBytes, stageJoin)
-		if w.err != nil {
-			return morselOut{}
+	if buildLeft {
+		env.charge(int64(len(build))*termIDBytes, stageJoin)
+		if env.err != nil {
+			return nil
 		}
 		cur = make([]int32, len(build))
 	}
-	probe = probe[start:end]
-	key, head, next, mask := j.key, j.head, j.next, j.mask
 	total, merged := 0, 0
 	for _, p := range probe {
-		if w.interrupted() {
-			return morselOut{}
+		if env.interrupted() {
+			return nil
 		}
 		n := 0
 		for bi := head[rowKeyHash(p, key)&mask]; bi >= 0; bi = next[bi] {
@@ -1054,29 +1012,39 @@ func (j hashTable) probe(w *evalEnv, start, end int) morselOut {
 			}
 		}
 		merged += n
-		if n == 0 && j.outer && cur == nil {
+		if n == 0 && outer && cur == nil {
 			total++ // an unmatched left row passes through
 		}
 	}
-	if total += merged; total == 0 {
-		return morselOut{ends: cur}
-	}
-	// Prefix-sum the counts into write cursors.
-	pos := int32(0)
+	// Prefix-sum the counts into write cursors; an outer join keeps one
+	// slot for each left row nothing matched.
 	for i, c := range cur {
-		cur[i] = pos
-		pos += c
+		cur[i] = int32(total)
+		if c == 0 && outer {
+			c = 1
+		}
+		total += int(c)
 	}
-	w.chargeRowBatch(total, stageJoin)
-	if w.err != nil { // over budget: skip the output allocation
-		return morselOut{}
+	if cur == nil {
+		total += merged
+	}
+	if max(total, merged) > maxJoinRows { // merged also catches a count that wrapped
+		env.err = &rdf.CapacityError{What: "join rows", Limit: int64(maxJoinRows)}
+		return nil
+	}
+	if total == 0 {
+		return nil
+	}
+	env.chargeRowBatch(total, stageJoin)
+	if env.err != nil { // over budget: skip the output allocation
+		return nil
 	}
 	out := make([]slotRow, total)
-	w.reserveRows(merged)
+	env.reserveRows(merged)
 	k := 0
 	for _, p := range probe {
-		if w.interrupted() {
-			return morselOut{}
+		if env.interrupted() {
+			return nil
 		}
 		matched := false
 		for bi := head[rowKeyHash(p, key)&mask]; bi >= 0; bi = next[bi] {
@@ -1086,65 +1054,32 @@ func (j hashTable) probe(w *evalEnv, start, end int) morselOut {
 			}
 			matched = true
 			if cur != nil {
-				out[cur[bi]] = w.mergeRows(b, p)
+				out[cur[bi]] = env.mergeRows(b, p)
 				cur[bi]++
 			} else {
-				out[k] = w.mergeRows(p, b)
+				out[k] = env.mergeRows(p, b)
 				k++
 			}
 		}
-		if !matched && j.outer && cur == nil {
+		if !matched && outer && cur == nil {
 			out[k] = p
 			k++
 		}
 	}
-	return morselOut{rows: out, ends: cur}
-}
-
-// segment returns the morsel's rows for left row li.
-func (o morselOut) segment(li int) []slotRow {
-	lo := int32(0)
-	if li > 0 {
-		lo = o.ends[li-1]
-	}
-	return o.rows[lo:o.ends[li]]
-}
-
-// interleave gathers the morsels of a probe against a table over left:
-// left row by left row it takes each morsel's segment, in morsel order
-// — left-major with right-suborder, since morsels are consecutive
-// ranges of right — and, on an outer join, places the left row itself
-// where no morsel matched it.
-func (j hashTable) interleave(env *evalEnv, outs []morselOut) []slotRow {
-	total := 0
-	for li := range j.left {
-		n := 0
-		for _, o := range outs {
-			n += len(o.segment(li))
-		}
-		if n == 0 && j.outer {
-			n = 1
-		}
-		total += n
-	}
-	if total == 0 {
-		return nil
-	}
-	env.chargeRowBatch(total, stageJoin)
-	if env.err != nil { // over budget: skip the output allocation
-		return nil
-	}
-	merged := make([]slotRow, 0, total)
-	for li, l := range j.left {
-		n := len(merged)
-		for _, o := range outs {
-			merged = append(merged, o.segment(li)...)
-		}
-		if len(merged) == n && j.outer {
-			merged = append(merged, l)
+	if cur != nil && outer {
+		// A left row whose cursor never moved matched nothing: its
+		// segment's one slot is the row itself.
+		end := 0
+		for i, l := range left {
+			if int(cur[i]) == end {
+				out[end] = l
+				end++
+			} else {
+				end = int(cur[i])
+			}
 		}
 	}
-	return merged
+	return out
 }
 
 // evalFilter computes the effective boolean value of a FILTER over an
@@ -1350,10 +1285,10 @@ func orderPatterns(cps []cPattern, nslots int) []cPattern {
 // selection and join over the encoded indexes, visiting patterns in
 // selectivity order. Prepared runs reuse the compiled-and-ordered
 // pattern list across calls via planFor. The first (most selective)
-// pattern — the seed scan — runs over a single empty row and may be
-// split into candidate morsels under a parallel run; when the query's
-// limitHint applies, the last pattern stops producing once enough
-// leading rows exist (LIMIT pushdown below the modifier pipeline).
+// pattern — the seed scan — runs over a single empty row; when the
+// query's limitHint applies, the last pattern stops producing once
+// enough leading rows exist (LIMIT pushdown below the modifier
+// pipeline).
 func (env *evalEnv) evalBGP(b BGP) []slotRow {
 	cps := env.planFor(b)
 	bsp := env.span("bgp")
@@ -1376,9 +1311,9 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 		var psp *obs.Span
 		if env.trace != nil {
 			if i == 0 {
-				psp = env.trace.t.Begin("seed_scan")
+				psp = env.trace.Begin("seed_scan")
 			} else {
-				psp = env.trace.t.Begin("match")
+				psp = env.trace.Begin("match")
 				psp.SetInt("rows_in", int64(len(rows)))
 			}
 			psp.SetInt("pattern", int64(cp.src))
@@ -1416,7 +1351,7 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 		}
 		if psp != nil {
 			psp.SetInt("rows", int64(len(rows)))
-			env.trace.t.End(psp)
+			env.trace.End(psp)
 		}
 		if len(rows) == 0 {
 			break
@@ -1425,21 +1360,16 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 	return rows
 }
 
-// seedScan evaluates the BGP's first pattern against the empty row,
-// splitting the candidate view into morsels when the run is parallel
-// and the scan is large enough to amortize dispatch. max > 0 bounds
-// how many rows are needed (LIMIT pushdown); a small bound keeps the
-// scan serial so it can stop exactly at max rows.
+// seedScan evaluates the BGP's first pattern against the empty row into
+// an output sized from the candidate count. max > 0 bounds how many
+// rows are needed (LIMIT pushdown): the scan stops exactly at max rows.
 func (env *evalEnv) seedScan(cp *cPattern, row slotRow, max int) []slotRow {
 	ps := env.preparePatternScan(cp, row)
 	if ps.miss {
 		return nil
 	}
 	env.noteInt("candidates", int64(len(ps.candidates)))
-	if env.canParallel(len(ps.candidates)) && !(max > 0 && max <= morselSize) {
-		return env.seedScanPar(&ps, row, max)
-	}
-	return env.scanPattern(&ps, row, ps.candidates, max, make([]slotRow, 0, outputCap(len(ps.candidates), max)))
+	return env.scanPattern(&ps, row, max, make([]slotRow, 0, outputCap(len(ps.candidates), max)))
 }
 
 // planFor returns the compiled, selectivity-ordered patterns of the
@@ -1484,8 +1414,7 @@ func elemID(e cElem, row slotRow) (id rdf.TermID, bound, miss bool) {
 
 // patternScan is one pattern's resolved scan: the ids each position
 // must match under the current row, and the smallest applicable index
-// view to scan. It is immutable once prepared, so parallel morsels of
-// one scan share it read-only. cp points into the plan's []cPattern
+// view to scan. cp points into the plan's []cPattern
 // (plans are immutable after publication), so preparing a scan per
 // input row copies no pattern. positions is the view's position column
 // over the same range as candidates (positions[i] is candidates[i]'s
@@ -1502,8 +1431,8 @@ type patternScan struct {
 
 // matches reports whether a candidate triple satisfies the scan's
 // resolved positions and gives a repeated variable one value — the
-// filter every candidate loop (serial scan, morsel scan, per-shard scan)
-// applies before extending the row.
+// filter every candidate loop (the scan, the per-shard bind and
+// pushdown scans) applies before extending the row.
 func (ps *patternScan) matches(t rdf.EncodedTriple) bool {
 	if ps.sBound && t.S != ps.sID {
 		return false
@@ -1574,17 +1503,15 @@ func (env *evalEnv) matchPattern(cp *cPattern, row slotRow, out []slotRow) []slo
 	if ps.miss {
 		return out
 	}
-	return env.scanPattern(&ps, row, ps.candidates, 0, out)
+	return env.scanPattern(&ps, row, 0, out)
 }
 
 // scanPattern appends to out every extension of row by a candidate
-// triple matching the prepared scan. cands is the (sub)range of
-// ps.candidates to visit — parallel seed scans pass one morsel each —
-// and max > 0 stops the scan once out holds max rows (LIMIT pushdown).
-// Cancellation is polled per run of candidates (block), not per
-// candidate. ps is read-only, so concurrent morsels of the same scan
-// may share it.
-func (env *evalEnv) scanPattern(ps *patternScan, row slotRow, cands []rdf.EncodedTriple, max int, out []slotRow) []slotRow {
+// triple matching the prepared scan; max > 0 stops the scan once out
+// holds max rows (LIMIT pushdown). Cancellation is polled per run of
+// candidates (block), not per candidate.
+func (env *evalEnv) scanPattern(ps *patternScan, row slotRow, max int, out []slotRow) []slotRow {
+	cands := ps.candidates
 	for len(cands) > 0 {
 		n := env.block(len(cands))
 		if n == 0 {

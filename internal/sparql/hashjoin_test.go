@@ -2,23 +2,21 @@ package sparql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/rdf"
 )
 
-// The hash-join kernel (hashJoin, hashTable.probe, interleave) against
-// the nested loops it falls back to, which stay in the tree as its
-// reference: every shape the kernel has — either build side, inner or
-// outer, one morsel in place or several on the pool — must give the
-// nested loop's rows in the nested loop's order, and nothing at all once
+// The hash-join kernel (hashJoin) against the nested loops it falls
+// back to, which stay in the tree as its reference: every shape the
+// kernel has — either build side, inner or outer — must give the nested
+// loop's rows in the nested loop's order, and nothing at all once
 // interrupted.
 
 // joinShapes are the two build sides over joinSides' 8,192-row branches:
@@ -32,14 +30,9 @@ var joinShapes = []struct {
 }
 
 // freshJoinEnv returns an environment over base's slot table with its
-// own arena, error latch and (at width > 1) pool, so one pair of sides
-// serves many joins. Close it.
-func freshJoinEnv(base *evalEnv, ctx context.Context, width int) *evalEnv {
-	env := &evalEnv{slots: base.slots, vars: base.vars, ctx: ctx}
-	if width > 1 {
-		env.par = &parRun{n: width}
-	}
-	return env
+// own arena and error latch, so one pair of sides serves many joins.
+func freshJoinEnv(base *evalEnv, ctx context.Context) *evalEnv {
+	return &evalEnv{slots: base.slots, vars: base.vars, ctx: ctx}
 }
 
 func runJoin(env *evalEnv, left, right []slotRow, outer bool) []slotRow {
@@ -51,7 +44,7 @@ func runJoin(env *evalEnv, left, right []slotRow, outer bool) []slotRow {
 
 // tripContext reports itself cancelled from the (after+1)-th look at
 // Done on, counting the looks: cancellation that lands wherever in the
-// join the count puts it. Workers poll it concurrently.
+// join the count puts it.
 type tripContext struct {
 	context.Context
 	after int64
@@ -79,55 +72,86 @@ func (c *tripContext) Err() error {
 // poll (the counting pass) or the ninth (a serial probe of 8,192 rows
 // has then counted and is emitting; the serial build-right joins used
 // to hand back the rows emitted so far). Left alone, it polls at least
-// once per 1,024 probe rows. No pool goroutine survives.
+// once per 1,024 probe rows.
 func TestJoinInterruptedReturnsNil(t *testing.T) {
 	base, names, ages := joinSides(t, joinTestGraph(8192))
-	before := runtime.NumGoroutine()
 	for _, shape := range joinShapes {
 		left, right := names[:shape.left], ages
 		for _, outer := range []bool{false, true} {
-			for _, width := range []int{1, 4} {
-				name := fmt.Sprintf("%s outer=%v width=%d", shape.name, outer, width)
-				for _, after := range []int64{0, 8} {
-					ctx := &tripContext{Context: context.Background(), after: after}
-					env := freshJoinEnv(base, ctx, width)
-					out := runJoin(env, left, right, outer)
-					env.close()
-					if out != nil {
-						t.Fatalf("%s: cancelled at poll %d, the join still returned %d rows", name, after+1, len(out))
-					}
-					if env.err != context.Canceled {
-						t.Fatalf("%s: cancelled at poll %d, latched error %v, want context.Canceled", name, after+1, env.err)
-					}
+			name := fmt.Sprintf("%s outer=%v", shape.name, outer)
+			for _, after := range []int64{0, 8} {
+				ctx := &tripContext{Context: context.Background(), after: after}
+				env := freshJoinEnv(base, ctx)
+				if out := runJoin(env, left, right, outer); out != nil {
+					t.Fatalf("%s: cancelled at poll %d, the join still returned %d rows", name, after+1, len(out))
 				}
-				live := &tripContext{Context: context.Background(), after: 1 << 40}
-				env := freshJoinEnv(base, live, width)
-				out := runJoin(env, left, right, outer)
-				env.close()
-				if env.err != nil || len(out) != len(left) {
-					t.Fatalf("%s: live context: %d rows, error %v, want %d rows", name, len(out), env.err, len(left))
+				if env.err != context.Canceled {
+					t.Fatalf("%s: cancelled at poll %d, latched error %v, want context.Canceled", name, after+1, env.err)
 				}
-				// Either probe side is all 8,192 rows of its branch.
-				if polls, want := live.polls.Load(), int64(len(right)/cancelCheckEvery); polls < want {
-					t.Fatalf("%s: %d probe rows polled the context %d times, want at least %d", name, len(right), polls, want)
-				}
+			}
+			live := &tripContext{Context: context.Background(), after: 1 << 40}
+			env := freshJoinEnv(base, live)
+			out := runJoin(env, left, right, outer)
+			if env.err != nil || len(out) != len(left) {
+				t.Fatalf("%s: live context: %d rows, error %v, want %d rows", name, len(out), env.err, len(left))
+			}
+			// Either probe side is all 8,192 rows of its branch.
+			if polls, want := live.polls.Load(), int64(len(right)/cancelCheckEvery); polls < want {
+				t.Fatalf("%s: %d probe rows polled the context %d times, want at least %d", name, len(right), polls, want)
 			}
 		}
 	}
-	waitGoroutines(t, before)
 }
 
-// waitGoroutines fails the test unless the goroutine count falls back to
-// before within three seconds: pool workers, watchdogs and speculative
-// copies exit on their own once their run is over.
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d three seconds after the runs", before, runtime.NumGoroutine())
+// The kernel's int32 table links and output cursors fail typed instead
+// of wrapping. With maxJoinRows lowered: a build side at the limit
+// joins as before and one row past it latches a *rdf.CapacityError and
+// returns nil, on either build side; so does a build side within the
+// limit whose join would emit more rows than it — join and OPTIONAL
+// alike.
+func TestJoinCapacityError(t *testing.T) {
+	base, names, ages := joinSides(t, joinTestGraph(64))
+	defer func(old int) { maxJoinRows = old }(maxJoinRows)
+	full := func(env *evalEnv) bool {
+		var ce *rdf.CapacityError
+		return errors.As(env.err, &ce) && ce.What == "join rows" && ce.Limit == int64(maxJoinRows)
+	}
+	dup := append(slices.Clone(names[:32]), names[:32]...) // subjects 0-31, twice each
+	for _, outer := range []bool{false, true} {
+		for _, c := range []struct {
+			name        string
+			left, right []slotRow
+		}{
+			{"build-right", names[:40], ages[:40]}, // equal sides hash the right one
+			{"build-left", names[:40], ages},
+		} {
+			name := fmt.Sprintf("%s outer=%v", c.name, outer)
+			maxJoinRows = 40
+			env := freshJoinEnv(base, nil)
+			if out := runJoin(env, c.left, c.right, outer); env.err != nil || len(out) != 40 {
+				t.Fatalf("%s: a 40-row build side at a limit of 40: %d rows, error %v", name, len(out), env.err)
+			}
+			maxJoinRows = 39
+			env = freshJoinEnv(base, nil)
+			if out := runJoin(env, c.left, c.right, outer); out != nil || !full(env) {
+				t.Fatalf("%s: a 40-row build side at a limit of 39: %d rows, error %v, want a join rows CapacityError", name, len(out), env.err)
+			}
 		}
-		time.Sleep(5 * time.Millisecond)
+		// Ten build rows, each matched twice: 20 rows out (64 when the
+		// 44 unmatched probe rows of an OPTIONAL by dup pass through).
+		maxJoinRows = 15
+		for _, c := range []struct {
+			name        string
+			left, right []slotRow
+		}{
+			{"build-left", ages[:10], dup},
+			{"build-right", dup, ages[:10]},
+		} {
+			env := freshJoinEnv(base, nil)
+			if out := runJoin(env, c.left, c.right, outer); out != nil || !full(env) {
+				t.Fatalf("%s outer=%v: output past a limit of 15: %d rows, error %v, want a join rows CapacityError", c.name, outer, len(out), env.err)
+			}
+		}
 	}
 }
 
@@ -171,14 +195,14 @@ func cloneRows(rows []slotRow) []slotRow {
 }
 
 // Random sides over 3–5 slots — sizes either side of the build-side
-// flip and of parMinWork, duplicate keys, fan-out on both sides, slots
-// bound off the key, now and then rows unbound on it — × inner/outer ×
-// in place / on a pool of 4: joinRows and optionalRows give what
-// nestedJoinRows and nestedOptionalRows give, row for row and in order,
-// and leave their inputs as they found them.
+// flip, short and long probe sides, duplicate keys, fan-out on both
+// sides, slots bound off the key, now and then rows unbound on it — ×
+// inner/outer: joinRows and optionalRows give what nestedJoinRows and
+// nestedOptionalRows give, row for row and in order, and leave their
+// inputs as they found them.
 func TestHashJoinMatchesNestedLoopProperty(t *testing.T) {
 	sizes := []int{1, 2, 7, 40, 41}
-	bigSizes := []int{700, parMinWork - 1, parMinWork, parMinWork + 1, parMinWork + 1500}
+	bigSizes := []int{700, 2047, 2048, 2049, 3548}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		w := 3 + r.Intn(3)
@@ -208,29 +232,26 @@ func TestHashJoinMatchesNestedLoopProperty(t *testing.T) {
 			if outer {
 				want = ref.nestedOptionalRows(left, right)
 			}
-			for _, width := range []int{1, 4} {
-				env := freshJoinEnv(ref, nil, width)
-				got := runJoin(env, left, right, outer)
-				env.close()
-				if env.err != nil {
-					t.Logf("seed %d: %d × %d rows, outer %v, width %d: error %v", seed, nl, nr, outer, width, env.err)
+			env := freshJoinEnv(ref, nil)
+			got := runJoin(env, left, right, outer)
+			if env.err != nil {
+				t.Logf("seed %d: %d × %d rows, outer %v: error %v", seed, nl, nr, outer, env.err)
+				return false
+			}
+			if !sameRows(left, leftBefore) || !sameRows(right, rightBefore) {
+				t.Logf("seed %d: %d × %d rows, outer %v: the join wrote to its inputs", seed, nl, nr, outer)
+				return false
+			}
+			if len(got) != len(want) {
+				t.Logf("seed %d: %d × %d rows over %d slots, outer %v: %d rows, nested loop %d",
+					seed, nl, nr, w, outer, len(got), len(want))
+				return false
+			}
+			for i := range got {
+				if !slices.Equal(got[i], want[i]) {
+					t.Logf("seed %d: %d × %d rows over %d slots, outer %v: row %d is %v, nested loop %v",
+						seed, nl, nr, w, outer, i, got[i], want[i])
 					return false
-				}
-				if !sameRows(left, leftBefore) || !sameRows(right, rightBefore) {
-					t.Logf("seed %d: %d × %d rows, outer %v, width %d: the join wrote to its inputs", seed, nl, nr, outer, width)
-					return false
-				}
-				if len(got) != len(want) {
-					t.Logf("seed %d: %d × %d rows over %d slots, outer %v, width %d: %d rows, nested loop %d",
-						seed, nl, nr, w, outer, width, len(got), len(want))
-					return false
-				}
-				for i := range got {
-					if !slices.Equal(got[i], want[i]) {
-						t.Logf("seed %d: %d × %d rows over %d slots, outer %v, width %d: row %d is %v, nested loop %v",
-							seed, nl, nr, w, outer, width, i, got[i], want[i])
-						return false
-					}
 				}
 			}
 		}

@@ -372,23 +372,3 @@ func WithHedge(hp HedgePolicy) RunOption {
 		o.hedge = &p
 	}
 }
-
-// defaultSpecFactor is the straggler multiple WithSpeculation(k<=0)
-// falls back to: a task is re-dispatched once it runs 3× the run's
-// median task time.
-const defaultSpecFactor = 3.0
-
-// WithSpeculation arms speculative morsel re-execution: a watchdog
-// re-dispatches morsel tasks still running after k× the run's median
-// completed-task time, and the first copy to finish commits its
-// buffer. k <= 0 selects the default factor. Every morsel task computes
-// into private memory, so every one is eligible: seed scans and
-// hash-join probes of either build side.
-func WithSpeculation(k float64) RunOption {
-	return func(o *runOpts) {
-		if k <= 0 {
-			k = defaultSpecFactor
-		}
-		o.specFactor = k
-	}
-}

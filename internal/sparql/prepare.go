@@ -2,9 +2,11 @@ package sparql
 
 import (
 	"context"
+	"runtime"
 	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -75,6 +77,119 @@ func PrepareQuery(q *Query) *Prepared {
 // Query returns the parsed query. Callers must treat it as read-only.
 func (p *Prepared) Query() *Query { return p.q }
 
+// RunStats reports how one Run executed. Request it with WithRunStats.
+type RunStats struct {
+	// Parallelism is the resolved shard fan-out width of a sharded run,
+	// and 1 for a run on a single graph.
+	Parallelism int
+	// BytesCharged is the evaluator-owned memory the run charged
+	// against its budget (arena chunks, join state, gather buffers);
+	// 0 unless the run was armed with WithMemoryBudget.
+	BytesCharged int64
+}
+
+// runOpts collects the per-Run options.
+type runOpts struct {
+	parallelism int
+	stats       *RunStats
+
+	// Sharded-run options (dist.go): the execution report sink and the
+	// route override. Both are ignored by single-graph runs.
+	shardStats   *ShardStats
+	forceScatter bool
+
+	// Fault-handling options (replica.go): the fault counters sink and
+	// the shard-op retry policy (zero value = defaults).
+	faultStats *FaultStats
+	retry      RetryPolicy
+
+	// Tail-latency option (health.go): hedged shard operations.
+	hedge *HedgePolicy
+
+	// Memory-budget option (budget.go): > 0 bounds the run's charged
+	// bytes, < 0 arms tracking only, 0 disables accounting.
+	memBudget int64
+
+	// Execution-trace option (trace.go): non-nil arms the run to
+	// record a span tree under the trace's current span.
+	trace *obs.Trace
+}
+
+// RunOption tunes one (*Prepared).Run / RunSolutions call.
+type RunOption func(*runOpts)
+
+// WithParallelism sets a sharded run's fan-out width: how many shards
+// one shard operation (a pattern's bind join, a pushdown BGP) runs on
+// at once. n <= 0 means GOMAXPROCS (the default); 1 runs the shards one
+// after another on the calling goroutine. A run on a single graph is
+// serial whatever n is, and its output is byte-identical either way.
+func WithParallelism(n int) RunOption {
+	return func(o *runOpts) { o.parallelism = n }
+}
+
+// WithRunStats makes the run fill s with its execution counters just
+// before returning.
+func WithRunStats(s *RunStats) RunOption {
+	return func(o *runOpts) { o.stats = s }
+}
+
+func resolveRunOpts(opts []RunOption) runOpts {
+	var o runOpts
+	for _, f := range opts {
+		if f != nil {
+			f(&o)
+		}
+	}
+	if o.parallelism <= 0 {
+		o.parallelism = runtime.GOMAXPROCS(0)
+	}
+	return o
+}
+
+// configure arms the environment for the run's options: the fan-out
+// latch of a sharded run wider than one shard at a time, memory
+// accounting and execution tracing. A single graph gets no parRun, no
+// budget leaves env.mem nil and no trace leaves env.trace nil: every
+// charge and span site costs one nil check.
+func (env *evalEnv) configure(o *runOpts) {
+	if env.ss != nil && o.parallelism > 1 {
+		env.par = &parRun{n: o.parallelism}
+	}
+	if o.memBudget != 0 {
+		mb := &memBudget{}
+		if o.memBudget > 0 {
+			mb.limit = o.memBudget
+		}
+		env.mem = mb
+	}
+	env.trace = o.trace
+}
+
+// capture fills the caller's RunStats and FaultStats after the run.
+func (o *runOpts) capture(env *evalEnv) {
+	if env.trace != nil {
+		env.finishRoot()
+	}
+	if o.faultStats != nil && env.ftally != nil {
+		t := env.ftally
+		*o.faultStats = FaultStats{
+			Attempts:        t.attempts.Load(),
+			Retries:         t.retries.Load(),
+			Failovers:       t.failovers.Load(),
+			RecoveredPanics: t.panics.Load(),
+			Hedges:          t.hedges.Load(),
+			HedgeWins:       t.hedgeWins.Load(),
+		}
+	}
+	if o.stats == nil {
+		return
+	}
+	*o.stats = RunStats{Parallelism: env.width()}
+	if env.mem != nil {
+		o.stats.BytesCharged = env.mem.used.Load()
+	}
+}
+
 // newEnv builds a fresh evaluation environment for one run, reusing
 // the prepared slot table and wiring in the cancellation context. A
 // context that can never be cancelled (Done() == nil, e.g.
@@ -104,12 +219,8 @@ func (p *Prepared) newEnv(ctx context.Context, g *rdf.Graph) *evalEnv {
 // Run evaluates the prepared query over g, honoring ctx: when the
 // context is cancelled or its deadline passes, the evaluation aborts
 // promptly (the join and scan loops poll the context with an amortized
-// check every cancelCheckEvery rows) and Run returns ctx.Err().
-//
-// By default a run uses up to GOMAXPROCS workers for its large seed
-// scans and hash-join probes (morsel-driven parallelism, parallel.go);
-// the result is byte-identical at every width. Tune with
-// WithParallelism, observe with WithRunStats.
+// check every cancelCheckEvery rows) and Run returns ctx.Err(). A run
+// on one graph is serial: it evaluates on the calling goroutine.
 func (p *Prepared) Run(ctx context.Context, g *rdf.Graph, opts ...RunOption) (*Results, error) {
 	ro := resolveRunOpts(opts)
 	return p.runWith(ctx, g, &ro)
@@ -122,7 +233,7 @@ func (p *Prepared) runWith(ctx context.Context, g *rdf.Graph, ro *runOpts) (*Res
 		}
 	}
 	env := p.newEnv(ctx, g)
-	env.configureParallel(ro)
+	env.configure(ro)
 	res, err := evaluate(env, p.q)
 	ro.capture(env)
 	return res, err
@@ -185,8 +296,7 @@ type Solutions struct {
 // RunSolutions evaluates the prepared query over g like Run, but
 // returns the solutions positioned for streaming instead of a
 // materialized Results. Cancellation and the RunOptions behave exactly
-// as in Run; the worker pool of a parallel run is released before the
-// Solutions value is returned.
+// as in Run.
 func (p *Prepared) RunSolutions(ctx context.Context, g *rdf.Graph, opts ...RunOption) (*Solutions, error) {
 	ro := resolveRunOpts(opts)
 	if p.streamable() {
@@ -196,7 +306,7 @@ func (p *Prepared) RunSolutions(ctx context.Context, g *rdf.Graph, opts ...RunOp
 			}
 		}
 		env := p.newEnv(ctx, g)
-		env.configureParallel(&ro)
+		env.configure(&ro)
 		return p.solutionsFromEnv(env, &ro)
 	}
 	res, err := p.runWith(ctx, g, &ro)
@@ -220,7 +330,6 @@ func (p *Prepared) streamable() bool {
 // surviving rows for on-access term decoding.
 func (p *Prepared) solutionsFromEnv(env *evalEnv, ro *runOpts) (*Solutions, error) {
 	q := p.q
-	defer env.close()
 	defer ro.capture(env)
 	rows, err := env.evalPattern(q.Where)
 	if err != nil {

@@ -28,9 +28,9 @@ func (e *PartialFailureError) Error() string {
 	return fmt.Sprintf("sparql: all replicas failed for shard(s) %v", e.Shards)
 }
 
-// PanicError wraps a panic recovered inside the execution engine — a
-// morsel task or a per-shard op — after its retry budget was exhausted.
-// The panic cancels the query, never the process.
+// PanicError wraps a panic recovered inside a per-shard op after its
+// retry budget was exhausted. The panic cancels the query, never the
+// process.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -94,8 +94,7 @@ func WithRetryPolicy(rp RetryPolicy) RunOption {
 type FaultStats struct {
 	// Attempts counts per-shard-op replica attempts (sharded runs).
 	Attempts int64
-	// Retries counts failed attempts that were re-run — replica
-	// attempts and morsel task re-executions.
+	// Retries counts failed replica attempts that were re-run.
 	Retries int64
 	// Failovers counts attempts routed to a different replica after the
 	// previous replica failed.
@@ -108,12 +107,6 @@ type FaultStats struct {
 	// HedgeWins counts hedged attempts whose result was committed —
 	// the hedge beat the primary.
 	HedgeWins int64
-	// Speculations counts speculative morsel copies launched by the
-	// straggler watchdog (WithSpeculation).
-	Speculations int64
-	// SpeculationWins counts speculative copies that finished before
-	// their straggling original.
-	SpeculationWins int64
 }
 
 // WithFaultStats makes the run fill fs with its fault counters just
@@ -122,9 +115,9 @@ func WithFaultStats(fs *FaultStats) RunOption {
 	return func(o *runOpts) { o.faultStats = fs }
 }
 
-// faultTally accumulates one run's fault counters across workers. The
-// root environment embeds the value and every worker shares it through
-// the evalEnv.ftally pointer.
+// faultTally accumulates one run's fault counters across shard workers.
+// The root environment embeds the value and every worker shares it
+// through the evalEnv.ftally pointer.
 type faultTally struct {
 	attempts  atomic.Int64
 	retries   atomic.Int64
@@ -132,14 +125,12 @@ type faultTally struct {
 	panics    atomic.Int64
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
-	specs     atomic.Int64
-	specWins  atomic.Int64
 }
 
 // mergeShardErrors folds per-worker shard-op errors into the run error:
 // PartialFailureErrors from different shards merge into one naming all
-// lost shards; any other error (cancellation, exhausted panic retries)
-// wins outright.
+// lost shards; any other error (cancellation, a budget abort) wins
+// outright.
 func mergeShardErrors(workers []*evalEnv) error {
 	var firstErr error
 	var partial *PartialFailureError

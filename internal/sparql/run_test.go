@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
 // parTestGraph builds n subjects with a unique name, an 8-way tied
-// age, and (for every third subject) a knows edge — enough rows to
-// push seed scans and both hash-join build sides over the parallel
-// threshold, with sparse predicates to exercise OPTIONAL pass-through.
+// age, and (for every third subject) a knows edge — big seed scans,
+// both hash-join build sides, and sparse predicates to exercise
+// OPTIONAL pass-through.
 func parTestGraph(n int) *rdf.Graph {
 	ts := make([]rdf.Triple, 0, 3*n)
 	name := rdf.NewIRI("http://ex/name")
@@ -32,20 +33,19 @@ func parTestGraph(n int) *rdf.Graph {
 	return rdf.NewGraph(ts)
 }
 
-// TestParallelRunDeterminism pins the morsel contract: for every query
-// shape the evaluator parallelizes (seed scans, build-right and
-// build-left hash joins and OPTIONALs, UNION, top-K, LIMIT pushdown),
-// a Run at parallelism 1, 4, and 16 must return the same rows in the
-// same order. Run under -race this also exercises the worker pool's
-// sharing discipline.
+// TestParallelRunDeterminism pins that WithParallelism means nothing to
+// a run on one graph: for every operator shape (seed scans, build-right
+// and build-left hash joins and OPTIONALs, UNION, top-K, LIMIT
+// pushdown), a Run at parallelism 1, 4, and 16 returns the same rows in
+// the same order.
 func TestParallelRunDeterminism(t *testing.T) {
 	g := parTestGraph(8192)
 	queries := []string{
 		// Seed scan + serial extension.
 		`SELECT ?s ?n ?a WHERE { ?s <http://ex/name> ?n . ?s <http://ex/age> ?a }`,
-		// Group join, equal sides: build-right parallel probe.
+		// Group join, equal sides: build-right probe.
 		`SELECT * WHERE { { ?s <http://ex/name> ?n } { ?s <http://ex/age> ?a } }`,
-		// Group join, small left: build-left parallel scatter probe.
+		// Group join, small left: build-left cursor probe.
 		`SELECT * WHERE { { ?s <http://ex/knows> ?k } { ?s <http://ex/age> ?a } }`,
 		// OPTIONAL, big left: build-right probe with pass-through rows.
 		`SELECT * WHERE { { ?s <http://ex/name> ?n } OPTIONAL { ?s <http://ex/knows> ?k } }`,
@@ -55,7 +55,7 @@ func TestParallelRunDeterminism(t *testing.T) {
 		`SELECT ?s ?v WHERE { { { ?s <http://ex/name> ?v } UNION { ?s <http://ex/age> ?v } } FILTER(?v != "n00003") }`,
 		// ORDER BY + LIMIT: bounded top-K over tied keys.
 		`SELECT ?s ?a WHERE { ?s <http://ex/age> ?a } ORDER BY ?a DESC(?s) LIMIT 17 OFFSET 5`,
-		// LIMIT pushdown without ORDER BY: morsel short-circuit.
+		// LIMIT pushdown without ORDER BY: the scan stops early.
 		`SELECT ?s ?n WHERE { ?s <http://ex/name> ?n } LIMIT 3000 OFFSET 100`,
 		`ASK { ?s <http://ex/knows> ?k }`,
 	}
@@ -90,61 +90,65 @@ func TestParallelRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelRunReportsStats checks that a parallel run over morsel-
-// sized inputs actually dispatches morsels and reports them, and that
-// a serial run reports none.
+// TestParallelRunReportsStats pins WithParallelism's one meaning, the
+// sharded fan-out width: a run on one graph reports parallelism 1
+// whatever it asked for, and a sharded run reports the width it got.
 func TestParallelRunReportsStats(t *testing.T) {
-	g := parTestGraph(8192)
+	g := parTestGraph(512)
 	prep := MustPrepare(t, `SELECT * WHERE { { ?s <http://ex/name> ?n } { ?s <http://ex/age> ?a } }`)
 	var rs RunStats
 	if _, err := prep.Run(context.Background(), g, WithParallelism(4), WithRunStats(&rs)); err != nil {
 		t.Fatal(err)
 	}
-	if rs.Parallelism != 4 || rs.ParallelOps == 0 || rs.Morsels == 0 {
-		t.Fatalf("parallel run stats = %+v, want parallelism 4 and nonzero ops/morsels", rs)
+	if rs.Parallelism != 1 {
+		t.Fatalf("single-graph run stats = %+v, want parallelism 1", rs)
 	}
-	if _, err := prep.Run(context.Background(), g, WithParallelism(1), WithRunStats(&rs)); err != nil {
-		t.Fatal(err)
-	}
-	if rs.Parallelism != 1 || rs.ParallelOps != 0 || rs.Morsels != 0 {
-		t.Fatalf("serial run stats = %+v, want no morsel dispatch", rs)
-	}
-}
-
-// TestLimitPushdownShortCircuit checks that LIMIT without ORDER BY
-// stops morsel dispatch early: a big seed scan with a small-enough
-// LIMIT must dispatch well under the full morsel count, and still
-// return exactly the leading rows the serial evaluator would.
-func TestLimitPushdownShortCircuit(t *testing.T) {
-	g := parTestGraph(1 << 15)
-	limited := MustPrepare(t, `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n } LIMIT 2000`)
-	var rs RunStats
-	res, err := limited.Run(context.Background(), g, WithParallelism(4), WithRunStats(&rs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2000 {
-		t.Fatalf("limited run returned %d rows, want 2000", len(res.Rows))
-	}
-	fullMorsels := (1<<15 + morselSize - 1) / morselSize
-	if rs.Morsels == 0 || rs.Morsels >= int64(fullMorsels) {
-		t.Fatalf("limited run dispatched %d morsels, want 0 < n < %d (short-circuit)", rs.Morsels, fullMorsels)
-	}
-	full, err := limited.Run(context.Background(), g, WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := full.OrderedCanonical(), res.OrderedCanonical()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("short-circuited row %d diverged from serial", i)
+	ss := oneShardSet(t, g.Triples())
+	for _, par := range []int{1, 4} {
+		if _, err := prep.RunSharded(context.Background(), ss, WithParallelism(par), WithRunStats(&rs)); err != nil {
+			t.Fatal(err)
+		}
+		if rs.Parallelism != par {
+			t.Fatalf("sharded run at width %d: stats = %+v", par, rs)
 		}
 	}
 }
 
-// TestParallelRunCancelMidMorsel cancels a high-fanout parallel hash
-// join mid-probe: the first worker to observe the deadline must latch
-// the stop flag across the pool and Run must return the context error.
+// TestLimitPushdownShortCircuit checks that LIMIT without ORDER BY
+// stops the seed scan early: a 32,768-candidate scan under LIMIT 2000
+// emits 2000 rows, and they are exactly the leading rows of the
+// unlimited answer.
+func TestLimitPushdownShortCircuit(t *testing.T) {
+	g := parTestGraph(1 << 15)
+	limited := MustPrepare(t, `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n } LIMIT 2000`)
+	tr := obs.New("query")
+	res, err := limited.Run(context.Background(), g, WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if len(res.Rows) != 2000 {
+		t.Fatalf("limited run returned %d rows, want 2000", len(res.Rows))
+	}
+	seed := tr.Root().Find("seed_scan")
+	if rows, _ := seed.Int("rows"); rows != 2000 {
+		t.Fatalf("the limited seed scan emitted %d rows, want 2000 (short-circuit)", rows)
+	}
+	full, err := MustPrepare(t, `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }`).Run(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := full.OrderedCanonical(), res.OrderedCanonical()
+	for i := range b {
+		if a[i] != b[i] {
+			t.Fatalf("short-circuited row %d diverged from the unlimited answer", i)
+		}
+	}
+}
+
+// TestParallelRunCancelMidMorsel cancels a high-fanout hash join
+// mid-probe: Run must return the context error promptly, and the
+// Prepared stays reusable.
 func TestParallelRunCancelMidMorsel(t *testing.T) {
 	// 4096 subjects x 16 tags: the self-join produces 4096*256 ≈ 1M
 	// merged rows, far more work than the 1ms budget.
@@ -165,16 +169,16 @@ func TestParallelRunCancelMidMorsel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := prep.Run(ctx, g, WithParallelism(8))
+	res, err := prep.Run(ctx, g)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Run = (%v, %v), want deadline exceeded", res, err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	// The pool must shut down cleanly and the Prepared stay reusable.
-	// (RunSolutions keeps the 1M rows in id space — no decode.)
-	sol, err := prep.RunSolutions(context.Background(), g, WithParallelism(8))
+	// The Prepared stays reusable. (RunSolutions keeps the 1M rows in id
+	// space — no decode.)
+	sol, err := prep.RunSolutions(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,28 +286,5 @@ func TestUnionSharedBatchAllocs(t *testing.T) {
 	// would cost ~8 chunk allocations on top.
 	if n > 2 {
 		t.Fatalf("unionRows allocates %.1f/run, want <= 2 (shared batches)", n)
-	}
-}
-
-// TestParallelJoinArenaAmortized extends the allocation pins to the
-// parallel path: a morsel-parallel hash join must keep bump-allocating
-// its merged rows from per-worker arenas, so allocations stay far
-// below one per output row (regressing to per-row heap allocation
-// would show up as ~8192 here).
-func TestParallelJoinArenaAmortized(t *testing.T) {
-	g := joinTestGraph(8192)
-	env, names, ages := joinSides(t, g)
-	env.par = &parRun{n: 4}
-	defer env.close()
-	if out := env.joinRows(names, ages); len(out) != 8192 {
-		t.Fatalf("parallel join produced %d rows, want 8192", len(out))
-	}
-	n := testing.AllocsPerRun(2, func() {
-		if out := env.joinRows(names, ages); len(out) != 8192 {
-			t.Fatal("wrong row count")
-		}
-	})
-	if n >= 1024 {
-		t.Fatalf("parallel hash join allocates %.0f/run for 8192 rows, want amortized (< 1024)", n)
 	}
 }

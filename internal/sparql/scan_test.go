@@ -69,8 +69,7 @@ func scanVocab() []rdf.Term {
 // Random small graphs × patterns whose every position is a constant
 // (now and then one the graph lacks), a fresh variable, a variable the
 // input row binds, or a variable another position repeats (bound or not)
-// × max ∈ {0, 1, k} × the whole candidate range or a morsel of it:
-// scanPattern and the reference agree row for row.
+// × max ∈ {0, 1, k}: scanPattern and the reference agree row for row.
 func TestScanPatternMatchesReference(t *testing.T) {
 	vocab := scanVocab()
 	q := MustParse(`SELECT * WHERE { ?a ?b ?c . ?c ?a ?b }`)
@@ -110,13 +109,9 @@ func TestScanPatternMatchesReference(t *testing.T) {
 				continue
 			}
 			cands := ps.candidates
-			if len(cands) > 2 && r.Intn(3) == 0 {
-				lo := r.Intn(len(cands) / 2)
-				cands = cands[lo : lo+1+r.Intn(len(cands)-lo)]
-			}
 			max := []int{0, 1, 2 + r.Intn(4)}[r.Intn(3)]
 			before := slices.Clone(row)
-			got := env.scanPattern(&ps, row, cands, max, nil)
+			got := env.scanPattern(&ps, row, max, nil)
 			want := refScanPattern(&ps, row, cands, max)
 			if !slices.Equal(row, before) {
 				t.Logf("seed %d: pattern %v wrote to its input row", seed, tp)

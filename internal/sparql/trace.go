@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -14,25 +13,17 @@ import (
 // as children of the trace's current span. The integration contract:
 //
 //   - Disarmed runs pay one nil check per site: env.trace stays nil
-//     and every span helper returns immediately. The serial paths'
-//     allocation pins are untouched.
-//   - Spans are driver-only. Worker goroutines never touch the tree;
-//     their contribution is per-worker busy time accumulated in
-//     atomics (runTask) and merged into root-span attributes after the
-//     run quiesces (finishRoot).
+//     and every span helper returns immediately. The allocation pins
+//     are untouched.
+//   - Spans are driver-only. Shard worker goroutines never touch the
+//     tree; the driver stamps the run-wide counters onto the root after
+//     the run quiesces (finishRoot).
 //   - Tracing observes, never steers: armed and disarmed runs take
 //     identical code paths and produce byte-identical results.
 //
 // The run ends child spans it opened but never finishes the trace
 // itself — the caller owns the root (and may wrap serialization or
 // other stages around the run) and calls (*obs.Trace).Finish.
-
-// execTrace is one armed run's trace state: the driver-owned span tree
-// and the per-worker busy-time accumulators (nil for serial runs).
-type execTrace struct {
-	t    *obs.Trace
-	busy []atomic.Int64 // busy nanoseconds per worker slot
-}
 
 // WithTrace arms the run to record its execution into t: spans are
 // added under t's current span. The caller must not touch t until the
@@ -47,14 +38,14 @@ func (env *evalEnv) span(name string) *obs.Span {
 	if env.trace == nil {
 		return nil
 	}
-	return env.trace.t.Begin(name)
+	return env.trace.Begin(name)
 }
 
 // endSpan closes a span opened by env.span; a nil span (disarmed run)
 // is a no-op. Open descendants left by early-exit paths close with it.
 func (env *evalEnv) endSpan(sp *obs.Span) {
 	if sp != nil {
-		env.trace.t.End(sp)
+		env.trace.End(sp)
 	}
 }
 
@@ -62,7 +53,7 @@ func (env *evalEnv) endSpan(sp *obs.Span) {
 // Driver-goroutine only.
 func (env *evalEnv) noteInt(key string, v int64) {
 	if env.trace != nil {
-		env.trace.t.Current().SetInt(key, v)
+		env.trace.Current().SetInt(key, v)
 	}
 }
 
@@ -70,7 +61,7 @@ func (env *evalEnv) noteInt(key string, v int64) {
 // Driver-goroutine only.
 func (env *evalEnv) noteStr(key, v string) {
 	if env.trace != nil {
-		env.trace.t.Current().SetStr(key, v)
+		env.trace.Current().SetStr(key, v)
 	}
 }
 
@@ -89,20 +80,11 @@ func planOrder(cps []cPattern) string {
 }
 
 // finishRoot stamps the run-wide counters onto the trace's root span
-// after the run quiesced: resolved parallelism, morsel accounting,
-// per-worker busy time, fault-handling counters, and charged bytes.
-func (et *execTrace) finishRoot(env *evalEnv) {
-	root := et.t.Root()
-	par := 1
-	if env.par != nil {
-		par = env.par.n
-		root.SetInt("parallel_ops", env.par.ops.Load())
-		root.SetInt("morsels", env.par.morsels.Load())
-	}
-	root.SetInt("parallelism", int64(par))
-	for i := range et.busy {
-		root.SetInt("worker_"+strconv.Itoa(i)+"_busy_us", et.busy[i].Load()/1000)
-	}
+// after the run quiesced: the resolved fan-out width, fault-handling
+// counters, and charged bytes.
+func (env *evalEnv) finishRoot() {
+	root := env.trace.Root()
+	root.SetInt("parallelism", int64(env.width()))
 	if env.ftally != nil {
 		t := env.ftally
 		if n := t.attempts.Load(); n > 0 {

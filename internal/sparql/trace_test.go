@@ -2,17 +2,14 @@ package sparql
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/obs"
 )
 
 // TestTracedRunDeterminism pins the observe-don't-steer contract: for
-// every parallelizable query shape, a traced run at parallelism 1 and 4
-// must return byte-identical rows and order to the untraced serial run.
-// Under -race this also exercises the driver-only-mutation discipline
-// (workers write only their atomic busy accumulators).
+// every operator shape, a traced run at parallelism 1 and 4 must return
+// byte-identical rows and order to the untraced run.
 func TestTracedRunDeterminism(t *testing.T) {
 	g := parTestGraph(8192)
 	queries := []string{
@@ -140,44 +137,44 @@ func TestTraceSpanCardinalities(t *testing.T) {
 	}
 }
 
-// TestTraceParallelRootAttrs checks the worker-side accounting: a
-// parallel traced run stamps resolved parallelism, morsel counts, and
-// per-worker busy time onto the root span, and the dispatching span
-// carries its morsel count and width.
+// TestTraceParallelRootAttrs checks what a traced run stamps on its
+// root about parallelism: the resolved fan-out width — 1 on one graph
+// whatever the run asked for, the width on a sharded run — and nothing
+// per worker or per morsel, on the root or any span below it.
 func TestTraceParallelRootAttrs(t *testing.T) {
-	g := parTestGraph(8192)
+	g := parTestGraph(512)
 	prep := MustPrepare(t, `SELECT * WHERE { { ?s <http://ex/name> ?n } { ?s <http://ex/age> ?a } }`)
-	tr := obs.New("query")
-	var rs RunStats
-	if _, err := prep.Run(context.Background(), g,
-		WithParallelism(4), WithTrace(tr), WithRunStats(&rs)); err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
-	root := tr.Root()
-	if v, _ := root.Int("parallelism"); v != 4 {
-		t.Fatalf("root parallelism = %d, want 4", v)
-	}
-	if v, _ := root.Int("morsels"); v != rs.Morsels || v == 0 {
-		t.Fatalf("root morsels = %d, want %d (nonzero)", v, rs.Morsels)
-	}
-	if v, _ := root.Int("parallel_ops"); v != rs.ParallelOps {
-		t.Fatalf("root parallel_ops = %d, want %d", v, rs.ParallelOps)
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := root.Int(fmt.Sprintf("worker_%d_busy_us", i)); !ok {
-			t.Fatalf("root missing worker_%d_busy_us", i)
+	ss := oneShardSet(t, g.Triples())
+	for _, c := range []struct {
+		name string
+		run  func(*obs.Trace) error
+		want int64
+	}{
+		{"single graph", func(tr *obs.Trace) error {
+			_, err := prep.Run(context.Background(), g, WithParallelism(4), WithTrace(tr))
+			return err
+		}, 1},
+		{"sharded", func(tr *obs.Trace) error {
+			_, err := prep.RunSharded(context.Background(), ss, WithParallelism(4), WithTrace(tr))
+			return err
+		}, 4},
+	} {
+		tr := obs.New("query")
+		if err := c.run(tr); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Some traced span dispatched morsels.
-	found := false
-	root.Walk(func(sp *obs.Span, _ int) {
-		if v, ok := sp.Int("width"); ok && v == 4 && sp != root {
-			found = true
+		tr.Finish()
+		root := tr.Root()
+		if v, _ := root.Int("parallelism"); v != c.want {
+			t.Fatalf("%s: root parallelism = %d, want %d", c.name, v, c.want)
 		}
-	})
-	if !found {
-		t.Fatal("no span carries the morsel dispatch width")
+		root.Walk(func(sp *obs.Span, _ int) {
+			for _, key := range []string{"morsels", "parallel_ops", "width", "worker_0_busy_us"} {
+				if _, ok := sp.Int(key); ok {
+					t.Fatalf("%s: span %s carries %s", c.name, sp.Name, key)
+				}
+			}
+		})
 	}
 }
 
