@@ -7,7 +7,7 @@
 //
 //	shuffleRec/op   records crossing a shuffle boundary
 //	broadcast/op    records shipped to executors via broadcast
-//	supersteps/op   Pregel/validation rounds (graph engines)
+//	supersteps/op   vertex-program/validation rounds (graph engines)
 //	scanned/op      triples loaded from storage indexes (SparkRDF)
 //	storageRows     rows materialized at load time (S2RDF sweep)
 package repro_test

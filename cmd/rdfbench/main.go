@@ -9,42 +9,20 @@
 //	rdfbench -scale medium        # benchmark-scale dataset
 //	rdfbench -shape star          # only one query shape
 //	rdfbench -engine S2RDF        # only one system
-//	rdfbench -shards 4            # partition-strategy latency comparison
-//	rdfbench -shards 4 -trace     # + per-query span breakdown
-//	rdfbench -shards 4 -json out.json  # + machine-readable trajectory entry
 //
-// With -shards N the engine assessment is replaced by the
-// partition-strategy comparison: the dataset is sharded N-way under
-// every registered placement strategy and each workload query runs
-// end-to-end through the distributed executor, so the report pairs the
-// static placement scores (balance, edge cut, star locality) with the
-// measured query latency (p50/p95/p99 over -repeat runs, so tail
-// behavior is visible) and the route each query took (p = pushdown,
-// s = scatter-gather). Adding -trace runs each query once more under
-// execution tracing and reports where its time went — scan, join,
-// gather (shard fan-out and merge), and result serialization self
-// times — as extra columns in both the table and -csv outputs. Adding
-// -json FILE writes the same measurements (plus per-run allocation
-// counts and each query's plan fingerprint) as one self-describing
-// JSON document, the benchmark-trajectory entry committed PR-over-PR
-// as BENCH_*.json.
+// It prints the paper's assessment grid: one block per query, one row
+// per engine, with the answer check (ok / MISMATCH / unsup) and the
+// shuffle, broadcast and stage counts the engine's plan generated.
+// -csv emits the same grid as one CSV row per (query, engine) cell.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/rdf"
-	"repro/internal/shard"
 	"repro/internal/spark"
 	"repro/internal/sparql"
 	"repro/internal/systems"
@@ -59,10 +37,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of the text report")
 	parallelism := flag.Int("parallelism", 4, "simulated partitions")
 	executors := flag.Int("executors", 2, "simulated executors")
-	shards := flag.Int("shards", 0, "compare partition strategies end-to-end over N shards instead of assessing engines")
-	repeat := flag.Int("repeat", 3, "runs per query in -shards mode (p50/p95/p99 reported)")
-	trace := flag.Bool("trace", false, "in -shards mode, add a per-query span breakdown (scan/join/gather/serialize self times)")
-	jsonPath := flag.String("json", "", "in -shards mode, also write the measurements as one machine-readable JSON trajectory entry to this file")
 	flag.Parse()
 
 	conf := spark.Config{
@@ -101,19 +75,6 @@ func main() {
 		queries = workload.QueriesByShape(queries, s)
 	}
 
-	if *shards > 0 {
-		runShardBench(triples, queries, *dataset+"/"+*scale, *shards, *repeat, *csv, *trace, *jsonPath)
-		return
-	}
-	if *trace {
-		fmt.Fprintln(os.Stderr, "-trace needs -shards mode")
-		os.Exit(2)
-	}
-	if *jsonPath != "" {
-		fmt.Fprintln(os.Stderr, "-json needs -shards mode")
-		os.Exit(2)
-	}
-
 	engines := systems.AllEngines(conf)
 	if *engine != "" {
 		var kept []core.Engine
@@ -143,229 +104,6 @@ func main() {
 		return
 	}
 	fmt.Print(core.RenderAssessment(a))
-}
-
-// runShardBench is the -shards mode: for every registered partition
-// strategy, shard the dataset, score the placement, and run each
-// workload query end-to-end through the distributed executor —
-// latency per strategy, not just load-balance/edge-cut scores. Each
-// query runs repeat times and the report shows the p50/p95/p99 of the
-// sample, so tail behavior (stragglers, hedging) is visible, not just
-// the best case. With csvOut the same measurements stream as one CSV
-// row per (strategy, query) pair, ready for spreadsheet or pandas
-// post-processing.
-func runShardBench(triples []rdf.Triple, queries []workload.NamedQuery, datasetLabel string, nShards, repeat int, csvOut, traceOn bool, jsonPath string) {
-	if repeat < 1 {
-		repeat = 1
-	}
-	var entries []benchEntry
-	ctx := context.Background()
-	var parsed []*sparql.Query
-	for _, nq := range queries {
-		parsed = append(parsed, nq.Query)
-	}
-	deduped := rdf.Dedupe(triples)
-	if csvOut {
-		header := "strategy,subject_colocated,balance,edge_cut,star_locality,query,route,shards_touched,shards,p50_ms,p95_ms,p99_ms,rows"
-		if traceOn {
-			header += ",scan_ms,join_ms,gather_ms,serialize_ms"
-		}
-		fmt.Println(header)
-	} else {
-		fmt.Printf("partition-strategy comparison: %d triples, %d shards, percentiles over %d runs\n\n",
-			len(deduped), nShards, repeat)
-	}
-	for _, name := range partition.Names() {
-		strat, err := partition.ByName(name, partition.WithQueries(parsed...))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// One Place call feeds both the quality scores and the shards
-		// (label propagation is expensive enough to matter).
-		place := strat.Place(deduped, nShards)
-		quality := partition.EvaluatePlacement(deduped, place, nShards)
-		sg, err := shard.BuildPlaced(deduped, place, nShards, strat.Name())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if !csvOut {
-			fmt.Printf("%-26s %s  subject-colocated=%v\n", name, quality, sg.SubjectColocated())
-		}
-		var total time.Duration
-		for _, nq := range queries {
-			sp := sg.PrepareQuery(nq.Query)
-			var st sparql.ShardStats
-			samples := make([]time.Duration, 0, repeat)
-			rows := 0
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			for r := 0; r < repeat; r++ {
-				start := time.Now()
-				res, err := sp.Run(ctx, sparql.WithShardStats(&st))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "%s on %s: %v\n", nq.Name, name, err)
-					os.Exit(1)
-				}
-				samples = append(samples, time.Since(start))
-				rows = res.Len()
-			}
-			runtime.ReadMemStats(&ms1)
-			allocsPerRun := (ms1.Mallocs - ms0.Mallocs) / uint64(repeat)
-			allocBytesPerRun := (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(repeat)
-			p50 := percentileMs(samples, 50)
-			p95 := percentileMs(samples, 95)
-			p99 := percentileMs(samples, 99)
-			route := "s"
-			if st.Route == sparql.RoutePushdown {
-				route = "p"
-			}
-			total += time.Duration(p50 * float64(time.Millisecond))
-			var bd breakdown
-			if traceOn {
-				bd = traceQuery(ctx, sp)
-			}
-			if jsonPath != "" {
-				entries = append(entries, benchEntry{
-					Strategy:      name,
-					Query:         nq.Name,
-					Shape:         sparql.ClassifyShape(nq.Query).String(),
-					Fingerprint:   sparql.FingerprintQuery(nq.Query),
-					Route:         route,
-					ShardsTouched: st.ShardsTouched,
-					Shards:        st.Shards,
-					P50Ms:         p50,
-					P95Ms:         p95,
-					P99Ms:         p99,
-					Rows:          rows,
-					AllocsPerRun:  allocsPerRun,
-					AllocBytes:    allocBytesPerRun,
-				})
-			}
-			if csvOut {
-				fmt.Printf("%s,%v,%.4f,%.4f,%.4f,%s,%s,%d,%d,%.3f,%.3f,%.3f,%d",
-					name, sg.SubjectColocated(),
-					quality.Balance, quality.EdgeCut, quality.StarLocality,
-					nq.Name, route, st.ShardsTouched, st.Shards,
-					p50, p95, p99, rows)
-				if traceOn {
-					fmt.Printf(",%.3f,%.3f,%.3f,%.3f", bd.scan, bd.join, bd.gather, bd.serialize)
-				}
-				fmt.Println()
-				continue
-			}
-			fmt.Printf("  %-16s p50=%8.2fms p95=%8.2fms p99=%8.2fms  route=%s shards=%d/%d  rows=%d",
-				nq.Name, p50, p95, p99, route,
-				st.ShardsTouched, st.Shards, rows)
-			if traceOn {
-				fmt.Printf("  scan=%.2fms join=%.2fms gather=%.2fms serialize=%.2fms",
-					bd.scan, bd.join, bd.gather, bd.serialize)
-			}
-			fmt.Println()
-		}
-		if !csvOut {
-			fmt.Printf("  %-16s p50=%8.2fms\n\n", "TOTAL", float64(total.Microseconds())/1000)
-		}
-	}
-	if jsonPath != "" {
-		if err := writeBenchJSON(jsonPath, datasetLabel, nShards, repeat, entries); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-}
-
-// benchEntry is one (strategy, query) measurement in the -json output
-// — the benchmark-trajectory record accumulated across PRs as
-// BENCH_*.json files at the repository root.
-type benchEntry struct {
-	Strategy      string  `json:"strategy"`
-	Query         string  `json:"query"`
-	Shape         string  `json:"shape"`
-	Fingerprint   string  `json:"fingerprint"`
-	Route         string  `json:"route"` // p = pushdown, s = scatter-gather
-	ShardsTouched int     `json:"shards_touched"`
-	Shards        int     `json:"shards"`
-	P50Ms         float64 `json:"p50_ms"`
-	P95Ms         float64 `json:"p95_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	Rows          int     `json:"rows"`
-	AllocsPerRun  uint64  `json:"allocs_per_run"`
-	AllocBytes    uint64  `json:"alloc_bytes_per_run"`
-}
-
-// writeBenchJSON renders one self-describing trajectory entry: the
-// run's provenance (dataset, sharding, repeat count, Go version,
-// timestamp) plus every measurement.
-func writeBenchJSON(path, datasetLabel string, nShards, repeat int, entries []benchEntry) error {
-	doc := map[string]any{
-		"generated":  time.Now().UTC().Format(time.RFC3339),
-		"dataset":    datasetLabel,
-		"shards":     nShards,
-		"repeat":     repeat,
-		"go_version": runtime.Version(),
-		"results":    entries,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// percentileMs returns the nearest-rank p-th percentile of the
-// samples, in milliseconds. The samples slice is not modified.
-func percentileMs(samples []time.Duration, p int) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (p*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return float64(sorted[idx-1].Microseconds()) / 1000
-}
-
-// breakdown is one traced query's self-time split, in milliseconds.
-type breakdown struct {
-	scan, join, gather, serialize float64
-}
-
-// traceQuery runs one extra traced execution and buckets every span's
-// self time into the report's categories: scans (seed and extension
-// passes), joins (including OPTIONAL), gather (shard scatter/pushdown
-// fan-out and merge), plus the time to render the result table.
-func traceQuery(ctx context.Context, sp *shard.Prepared) breakdown {
-	tr := obs.New("query")
-	res, err := sp.Run(ctx, sparql.WithTrace(tr))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	serStart := time.Now()
-	_ = res.String()
-	var bd breakdown
-	bd.serialize = float64(time.Since(serStart).Microseconds()) / 1000
-	tr.Finish()
-	tr.Root().Walk(func(s *obs.Span, _ int) {
-		ms := float64(s.SelfTime().Microseconds()) / 1000
-		switch s.Name {
-		case "seed_scan", "match":
-			bd.scan += ms
-		case "join", "optional":
-			bd.join += ms
-		case "scatter", "pushdown", "gather":
-			bd.gather += ms
-		}
-	})
-	return bd
 }
 
 func buildDataset(dataset, scale string) []rdf.Triple {

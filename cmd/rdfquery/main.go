@@ -174,10 +174,10 @@ func main() {
 	fail("unknown engine " + *engineName + " (try -engines)")
 }
 
-// printTraceSummary renders the last run's trace the way rdfbench
-// -trace does for sharded runs: self time bucketed into scan / join /
-// other, then the top spans by self time, plus the query's plan
-// fingerprint (the key into a server's /debug/shapes registry).
+// printTraceSummary renders the last run's trace: self time bucketed
+// into scan / join / other, then the top spans by self time, plus the
+// query's plan fingerprint (the key into a server's /debug/shapes
+// registry).
 func printTraceSummary(tr *obs.Trace, fingerprint string) {
 	var scan, join, other float64
 	tr.Root().Walk(func(s *obs.Span, _ int) {

@@ -15,21 +15,23 @@
 //     per-destination buckets, merged deterministically in source
 //     order — and meters shuffle bytes by structurally sampling a few
 //     boundary records (internal/spark/sizer.go), never by collecting
-//     the dataset to the driver. Join and CoGroup skip the shuffle for
-//     sides that are already key-partitioned with the matching
-//     partition count, and SortBy performs a range-partitioned merge:
-//     sampled splits, one scatter shuffle, parallel per-range sorts.
-//     Aggregating shuffles go through CombineByKey's combiner-aware
-//     scatter: values fold into per-destination combiner maps while
-//     records are being placed, so exactly one combined record per
-//     (source partition, key) crosses the shuffle, combined records
-//     are materialized once at their destination, and destinations
-//     merge source buckets in source order (deterministic key order).
-//     ReduceByKey, CountByKey, Distinct, and the DataFrame aggregates
-//     all ride this path; GroupByKey deliberately keeps shuffling the
-//     raw dataset (the survey's reduceByKey-vs-groupByKey contrast)
-//     but folds scattered buckets straight into groups with no merged
-//     intermediate.
+//     the dataset to the driver. Join skips the shuffle for sides that
+//     are already hash-partitioned with the matching partition count,
+//     and BroadcastJoin ships the small side to every executor instead
+//     of shuffling the large one; the Spark SQL and GraphFrames
+//     DataFrame joins ride both, and Cartesian is the cross-product
+//     fallback. That, with the narrow transformations and broadcast
+//     variables, is all the nine engines run: the substrate holds
+//     nothing else but the survey's reduceByKey-vs-groupByKey
+//     contrast, which its own tests exercise (combine_test.go).
+//     ReduceByKey goes through CombineByKey's combiner-aware scatter —
+//     values fold into per-destination combiner maps while records are
+//     being placed, so exactly one combined record per (source
+//     partition, key) crosses the shuffle — while GroupByKey
+//     deliberately shuffles the raw dataset but folds scattered
+//     buckets straight into groups with no merged intermediate. CI
+//     fails on a substrate function no engine, CLI, example or bench
+//     test enters.
 //     What an engine does with whole term-space solution sequences at
 //     the driver is not part of that path and belongs to no surveyed
 //     design — the Group and OPTIONAL arms of the BGP+ walker HAQWA,
@@ -200,8 +202,8 @@
 // sequence — also at two replicas with one down and a quarter of the
 // scatter attempts failing — and to a nested-loop reference as a
 // multiset.
-// rdfserve -shards N -partition <name> serves it;
-// rdfbench -shards compares strategies by end-to-end query latency.
+// rdfserve -shards N -partition <name> serves it, and
+// go run ./bench -workload sharded measures it end to end.
 //
 // Storage and concurrency. There is one store, and it is in id space.
 // An rdf.Graph owns a dictionary, its distinct triples as 12-byte
@@ -416,8 +418,7 @@
 // slow-query log lines carry plan_fingerprint so a slow line joins
 // against its shape's history. GET /debug/dash serves a
 // self-contained HTML dashboard (no external assets) over these
-// endpoints, and rdfbench -json writes the same fingerprint-keyed
-// per-query results as a machine-readable benchmark document.
+// endpoints.
 //
 // Run the micro-benchmarks tracking these paths with
 //

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -165,6 +166,13 @@ type Measurement struct {
 // RunQuery executes q on e, metering activity and checking the result
 // against the reference answer (pass nil to skip the check).
 func RunQuery(e Engine, name string, q *sparql.Query, reference *sparql.Results) Measurement {
+	return runQuery(e, name, q, reference, nil)
+}
+
+// runQuery is RunQuery given full, the reference answer to q without
+// its LIMIT, for an ORDER BY + LIMIT query (nil otherwise); with it,
+// the check is topKMatches instead of multiset equality.
+func runQuery(e Engine, name string, q *sparql.Query, reference, full *sparql.Results) Measurement {
 	m := Measurement{System: e.Info().Name, Query: name, Shape: sparql.ClassifyShape(q)}
 	before := e.Context().Snapshot()
 	start := time.Now()
@@ -176,12 +184,75 @@ func RunQuery(e Engine, name string, q *sparql.Query, reference *sparql.Results)
 		return m
 	}
 	m.Rows = res.Len()
-	if reference != nil {
-		m.Correct = res.Equal(reference)
-	} else {
+	switch {
+	case reference == nil:
 		m.Correct = true
+	case full != nil:
+		m.Correct = topKMatches(q.OrderBy, res, reference, full)
+	default:
+		m.Correct = res.Equal(reference)
 	}
 	return m
+}
+
+// topKMatches checks an ORDER BY + LIMIT answer. A LIMIT that cuts
+// through a group of rows tied on every ORDER BY key may keep any of
+// them, so got is correct when its rows outside the reference's last
+// tie group are exactly the reference's (as a multiset), and its rows
+// inside it are drawn from that whole group in full. A cut that OFFSET
+// makes through the first group is still compared exactly.
+func topKMatches(keys []sparql.OrderKey, got, reference, full *sparql.Results) bool {
+	if got.IsAsk || got.IsGraph || len(got.Rows) != len(reference.Rows) {
+		return false
+	}
+	if len(reference.Rows) == 0 {
+		return true
+	}
+	last := reference.Rows[len(reference.Rows)-1]
+	split := func(rows []sparql.Binding) (before, group []string) {
+		var b, g []sparql.Binding
+		for _, row := range rows {
+			if tied(keys, row, last) {
+				g = append(g, row)
+			} else {
+				b = append(b, row)
+			}
+		}
+		canon := func(rows []sparql.Binding) []string {
+			return (&sparql.Results{Vars: reference.Vars, Rows: rows}).Canonical()
+		}
+		return canon(b), canon(g)
+	}
+	gotBefore, gotGroup := split(got.Rows)
+	refBefore, _ := split(reference.Rows)
+	_, fullGroup := split(full.Rows)
+	if !slices.Equal(gotBefore, refBefore) {
+		return false
+	}
+	avail := make(map[string]int, len(fullGroup))
+	for _, k := range fullGroup {
+		avail[k]++
+	}
+	for _, k := range gotGroup {
+		if avail[k] == 0 {
+			return false
+		}
+		avail[k]--
+	}
+	return true
+}
+
+// tied reports whether a and b compare equal on every ORDER BY key, in
+// the order sparql.Results.SortRows sorts by (two unbound values tie).
+func tied(keys []sparql.OrderKey, a, b sparql.Binding) bool {
+	for _, k := range keys {
+		ta, aok := a[k.Var]
+		tb, bok := b[k.Var]
+		if aok != bok || (aok && sparql.CompareTerms(ta, tb) != 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Assessment runs every registered engine over a workload and collects
@@ -225,8 +296,16 @@ func RunAssessment(engines []Engine, w Workload) (*Assessment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("reference %s: %w", nq.Name, err)
 		}
+		var full *sparql.Results
+		if len(nq.Query.OrderBy) > 0 && nq.Query.Limit >= 0 {
+			unlimited := *nq.Query
+			unlimited.Limit = -1
+			if full, err = sparql.Evaluate(&unlimited, ref); err != nil {
+				return nil, fmt.Errorf("reference %s without LIMIT: %w", nq.Name, err)
+			}
+		}
 		for _, e := range engines {
-			a.Measurements = append(a.Measurements, RunQuery(e, nq.Name, nq.Query, expected))
+			a.Measurements = append(a.Measurements, runQuery(e, nq.Name, nq.Query, expected, full))
 		}
 	}
 	return a, nil

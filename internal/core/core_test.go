@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -196,5 +197,72 @@ func TestRenderAssessmentCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "sample,3,q,star,One,ok,2,") {
 		t.Fatalf("csv row = %s", lines[1])
+	}
+}
+
+// cannedEngine answers every query with one fixed result.
+type cannedEngine struct {
+	*fakeEngine
+	answer *sparql.Results
+}
+
+func (c cannedEngine) Execute(*sparql.Query) (*sparql.Results, error) { return c.answer, nil }
+
+// TestRunAssessmentTopKTies runs an ORDER BY + LIMIT query whose LIMIT
+// cuts through a tie: s0 has age 1, s1..s4 tie on age 2, s5 has age 3,
+// and LIMIT 3 keeps s0 plus any two of s1..s4. Every such cut is
+// correct; an answer of the right length that misses s0, repeats a
+// tied row or reaches past the tie group is not.
+func TestRunAssessmentTopKTies(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://t/" + s) }
+	ages := []string{"1", "2", "2", "2", "2", "3"}
+	var triples []rdf.Triple
+	for i, a := range ages {
+		triples = append(triples, rdf.Triple{S: iri(fmt.Sprint("s", i)), P: iri("age"), O: rdf.NewLiteral(a)})
+	}
+	q := sparql.MustParse(`SELECT ?s ?a WHERE { ?s <http://t/age> ?a } ORDER BY ?a LIMIT 3`)
+	reference, err := sparql.Evaluate(q, rdf.NewGraph(triples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(ids ...int) *sparql.Results {
+		res := &sparql.Results{Vars: []sparql.Var{"s", "a"}}
+		for _, i := range ids {
+			res.Rows = append(res.Rows, sparql.Binding{"s": iri(fmt.Sprint("s", i)), "a": rdf.NewLiteral(ages[i])})
+		}
+		return res
+	}
+	cases := []struct {
+		name   string
+		answer *sparql.Results
+		want   bool
+	}{
+		{"cut-1-2", rows(0, 1, 2), true},
+		{"cut-3-4", rows(0, 3, 4), true},
+		{"cut-unordered", rows(4, 0, 1), true},
+		{"prefix-missing", rows(1, 2, 3), false},
+		{"past-the-group", rows(0, 1, 5), false},
+		{"repeated-tie-row", rows(0, 2, 2), false},
+		{"too-short", rows(0, 1), false},
+	}
+	differs := false
+	var engines []Engine
+	for _, c := range cases {
+		differs = differs || (c.want && !c.answer.Equal(reference))
+		engines = append(engines, cannedEngine{newFake(c.name, "[0]", TripleModel, nil), c.answer})
+	}
+	if !differs {
+		t.Fatal("no correct cut differs from the reference: the query does not cut a tie")
+	}
+	w := Workload{Name: "ties", Triples: triples}
+	w.AddQuery("top-3", q)
+	a, err := RunAssessment(engines, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range a.Measurements {
+		if m.Correct != cases[i].want {
+			t.Errorf("%s: Correct = %v, want %v", m.System, m.Correct, cases[i].want)
+		}
 	}
 }

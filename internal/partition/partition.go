@@ -53,9 +53,7 @@ func Evaluate(s Strategy, triples []rdf.Triple, n int) Quality {
 }
 
 // EvaluatePlacement scores an already-computed placement: place[i] is
-// the partition of the i-th triple of the deduplicated dataset.
-// Callers that also materialize the placement (shard building, the
-// rdfbench strategy comparison) use this to run Place once. Scoring
+// the partition of the i-th triple of the deduplicated dataset. Scoring
 // runs in id space over dictionary-encoded triples: (subject,
 // partition) membership is keyed by 4-byte TermIDs instead of
 // string-bearing Terms, so both the star-locality and the edge-cut

@@ -9,17 +9,23 @@ import (
 	"repro/internal/workload"
 )
 
-// allStrategies iterates the registry: every registered strategy,
-// configured with the workload the workload-aware placement needs.
+// allStrategies iterates the registry: every registered strategy, with
+// the workload-aware placement given the workload it co-locates for.
 func allStrategies() []Strategy {
 	linear := sparql.MustParse(fmt.Sprintf(
 		`SELECT ?st ?dept WHERE { ?st <%sadvisor> ?prof . ?prof <%sworksFor> ?dept }`,
 		workload.UnivNS, workload.UnivNS))
-	return All(WithQueries(linear), WithRounds(4))
+	all := All(WithRounds(4))
+	for i, s := range all {
+		if _, ok := s.(WorkloadAware); ok {
+			all[i] = WorkloadAware{Queries: []*sparql.Query{linear}}
+		}
+	}
+	return all
 }
 
 func TestRegistry(t *testing.T) {
-	names := Names()
+	names := registryOrder
 	if len(names) != 5 {
 		t.Fatalf("registry holds %d strategies: %v", len(names), names)
 	}
@@ -34,14 +40,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := ByName("no-such-strategy"); err == nil {
 		t.Fatal("unknown name must error")
-	}
-	q := sparql.MustParse(`SELECT ?s WHERE { ?s ?p ?o }`)
-	s, err := ByName(WorkloadAware{}.Name(), WithQueries(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wa, ok := s.(WorkloadAware); !ok || len(wa.Queries) != 1 {
-		t.Fatalf("options not threaded: %#v", s)
 	}
 	if lp, _ := ByName(LabelPropagation{}.Name(), WithRounds(7)); lp.(LabelPropagation).Rounds != 7 {
 		t.Fatalf("rounds not threaded: %#v", lp)
@@ -60,8 +58,7 @@ func TestRegistryCoverage(t *testing.T) {
 	if len(builders) != len(registryOrder) {
 		t.Fatalf("builders holds %d entries, registryOrder %d", len(builders), len(registryOrder))
 	}
-	q := sparql.MustParse(`SELECT ?s WHERE { ?s ?p ?o }`)
-	all := All(WithQueries(q))
+	all := All(WithRounds(3))
 	if len(all) != len(registryOrder) {
 		t.Fatalf("All returned %d strategies, want %d", len(all), len(registryOrder))
 	}
@@ -69,7 +66,7 @@ func TestRegistryCoverage(t *testing.T) {
 		if s.Name() != registryOrder[i] {
 			t.Fatalf("All[%d] = %q, want %q", i, s.Name(), registryOrder[i])
 		}
-		if wa, ok := s.(WorkloadAware); ok && len(wa.Queries) != 1 {
+		if lp, ok := s.(LabelPropagation); ok && lp.Rounds != 3 {
 			t.Fatalf("All did not thread options: %#v", s)
 		}
 	}

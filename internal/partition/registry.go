@@ -6,27 +6,18 @@ import (
 	"strings"
 
 	"repro/internal/spark"
-	"repro/internal/sparql"
 )
 
 // Options carries the strategy-specific inputs a registry lookup may
-// supply: the query workload (workload-aware placement), the
-// propagation rounds, and the GraphX substrate (label propagation).
-// Strategies that do not use a field ignore it.
+// supply: the propagation rounds and the GraphX substrate (label
+// propagation). Strategies that do not use a field ignore it.
 type Options struct {
-	Queries []*sparql.Query
-	Rounds  int
-	Ctx     *spark.Context
+	Rounds int
+	Ctx    *spark.Context
 }
 
 // Option customizes a registry lookup.
 type Option func(*Options)
-
-// WithQueries supplies the workload the workload-aware strategy
-// co-locates for.
-func WithQueries(qs ...*sparql.Query) Option {
-	return func(o *Options) { o.Queries = append(o.Queries, qs...) }
-}
 
 // WithRounds bounds the label-propagation iterations.
 func WithRounds(n int) Option {
@@ -50,20 +41,13 @@ var registryOrder = []string{
 
 // builders maps each registered name to its strategy constructor.
 var builders = map[string]func(Options) Strategy{
-	HashSubject{}.Name(): func(Options) Strategy { return HashSubject{} },
-	Vertical{}.Name():    func(Options) Strategy { return Vertical{} },
-	Semantic{}.Name():    func(Options) Strategy { return Semantic{} },
-	WorkloadAware{}.Name(): func(o Options) Strategy {
-		return WorkloadAware{Queries: o.Queries}
-	},
+	HashSubject{}.Name():   func(Options) Strategy { return HashSubject{} },
+	Vertical{}.Name():      func(Options) Strategy { return Vertical{} },
+	Semantic{}.Name():      func(Options) Strategy { return Semantic{} },
+	WorkloadAware{}.Name(): func(Options) Strategy { return WorkloadAware{} },
 	LabelPropagation{}.Name(): func(o Options) Strategy {
 		return LabelPropagation{Rounds: o.Rounds, Ctx: o.Ctx}
 	},
-}
-
-// Names returns every registered strategy name in registration order.
-func Names() []string {
-	return append([]string(nil), registryOrder...)
 }
 
 // resolveOptions folds opts into an Options value.
@@ -83,7 +67,7 @@ func ByName(name string, opts ...Option) (Strategy, error) {
 	if b, ok := builders[name]; ok {
 		return b(resolveOptions(opts)), nil
 	}
-	known := Names()
+	known := append([]string(nil), registryOrder...)
 	sort.Strings(known)
 	return nil, fmt.Errorf("partition: unknown strategy %q (have %s)", name, strings.Join(known, ", "))
 }

@@ -2,7 +2,11 @@ package rdf
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -67,4 +71,35 @@ func universityLikeTriples() []Triple {
 		{S: s, P: NewIRI(ns + "age"), O: NewTypedLiteral("21", XSDInteger)},
 		{S: NewBlank("addr0"), P: NewIRI(ns + "city"), O: NewLangLiteral("Héraklion", "el")},
 	}
+}
+
+// FuzzParseTurtle: ParseTurtle never panics, and every triple it
+// accepts has an IRI or blank subject and an IRI predicate. The corpus
+// is seeded with every string literal in turtle_test.go, so each
+// Turtle test input (valid and invalid) is a seed. CI runs it for 20 s
+// (go test -fuzz FuzzParseTurtle).
+func FuzzParseTurtle(f *testing.F) {
+	file, err := parser.ParseFile(token.NewFileSet(), "turtle_test.go", nil, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if doc, err := strconv.Unquote(lit.Value); err == nil {
+				f.Add(doc)
+			}
+		}
+		return true
+	})
+	f.Fuzz(func(t *testing.T, doc string) {
+		triples, err := ParseTurtle(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		for _, tr := range triples {
+			if tr.S.IsLiteral() || !tr.P.IsIRI() {
+				t.Fatalf("accepted a malformed triple %v from %q", tr, doc)
+			}
+		}
+	})
 }

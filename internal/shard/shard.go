@@ -105,21 +105,6 @@ func BuildReplicatedByName(triples []rdf.Triple, name string, n, replicas int, o
 	return BuildReplicated(triples, strat, n, replicas)
 }
 
-// BuildPlaced is Build from an already-computed placement: place[i] is
-// the shard of the i-th triple of the already-deduplicated dataset.
-// Callers that also score the placement (partition.EvaluatePlacement)
-// use this to run the strategy once.
-func BuildPlaced(deduped []rdf.Triple, place []int, n int, strategyName string) (*ShardedGraph, error) {
-	ds, err := encodeDistinct(deduped)
-	if err != nil {
-		return nil, err
-	}
-	if len(ds.enc) != len(deduped) {
-		return nil, fmt.Errorf("shard: BuildPlaced needs a deduplicated dataset, got %d repeats", len(deduped)-len(ds.enc))
-	}
-	return buildPlaced(ds, place, n, 1, strategyName)
-}
-
 // encodedDataset is a deduplicated dataset in id space: the distinct triples
 // in first-occurrence order, encoded through dict, so a triple's global
 // position is its index in enc. distinct is the same sequence in term

@@ -549,9 +549,6 @@ func TestBuildDedupesInIDSpace(t *testing.T) {
 			t.Fatalf("%s: %v", strategy, err)
 		}
 	}
-	if _, err := BuildPlaced(noisy, make([]int, len(noisy)), 1, "test"); err == nil {
-		t.Fatal("BuildPlaced must reject a dataset with repeats: its placement indexes distinct triples")
-	}
 }
 
 // A dataset past the int32 position space fails typed instead of

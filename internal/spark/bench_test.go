@@ -2,7 +2,7 @@ package spark
 
 // Micro-benchmarks for the shuffle hot path. The survey compares
 // engines by the shuffle work their plans generate, so PartitionBy /
-// Join / SortBy sit under every macro-benchmark in the repo root;
+// Join / ReduceByKey sit under every macro-benchmark in the repo root;
 // these track their cost (and allocation behavior) in isolation,
 // PR-over-PR. Run with
 //
@@ -44,18 +44,6 @@ func BenchmarkJoinCoPartitioned(b *testing.B) {
 	}
 }
 
-func BenchmarkCoGroupCoPartitioned(b *testing.B) {
-	ctx := NewContext(Config{Parallelism: 4, Executors: 2, MaxConcurrency: 8})
-	p := NewHashPartitioner[string](4)
-	left := PartitionBy(Parallelize(ctx, benchPairs(5000)), p)
-	right := PartitionBy(Parallelize(ctx, benchPairs(1000)), p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = CoGroup(left, right)
-	}
-}
-
 // BenchmarkReduceByKey tracks the combiner-aware scatter: values fold
 // into per-destination combiner maps while being placed, so the only
 // records crossing the shuffle are the combined ones (reported as
@@ -73,18 +61,4 @@ func BenchmarkReduceByKey(b *testing.B) {
 	}
 	d := ctx.Snapshot().Diff(before)
 	b.ReportMetric(float64(d.ShuffleRecords)/float64(b.N), "shuffleRec/op")
-}
-
-func BenchmarkSortBy(b *testing.B) {
-	ctx := NewContext(Config{Parallelism: 4, Executors: 2, MaxConcurrency: 8})
-	data := make([]int, 10000)
-	for i := range data {
-		data[i] = (i * 7919) % 10000
-	}
-	r := Parallelize(ctx, data)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = SortBy(r, func(v int) int { return v })
-	}
 }

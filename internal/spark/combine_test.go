@@ -26,7 +26,7 @@ func TestCombineByKeySemantics(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CombineByKey = %v, want %v", got, want)
 	}
-	if !IsKeyPartitioned(combined) {
+	if !combined.keyedHint {
 		t.Fatal("CombineByKey result must be key-partitioned")
 	}
 }
@@ -38,7 +38,7 @@ func TestCombineByKeySemantics(t *testing.T) {
 // destination in first-seen key order. The combiner-aware scatter must
 // reproduce its per-partition key order exactly.
 func twoPassReduceByKey(r *RDD[Pair[string, int]], f func(a, b int) int) [][]Pair[string, int] {
-	n := r.NumPartitions()
+	n := len(r.parts)
 	combined := make([][]Pair[string, int], n)
 	for i := 0; i < n; i++ {
 		m := map[string]int{}
@@ -93,8 +93,8 @@ func TestCombineByKeyKeyOrderMatchesTwoPass(t *testing.T) {
 	add := func(a, b int) int { return a + b }
 	got := ReduceByKey(r, add)
 	want := twoPassReduceByKey(r, add)
-	if got.NumPartitions() != len(want) {
-		t.Fatalf("partitions = %d, want %d", got.NumPartitions(), len(want))
+	if len(got.parts) != len(want) {
+		t.Fatalf("partitions = %d, want %d", len(got.parts), len(want))
 	}
 	for i := range want {
 		g := got.Partition(i)
@@ -121,7 +121,7 @@ func TestReduceByKeySpillFreeShuffle(t *testing.T) {
 	before := ctx.Snapshot()
 	sums := ReduceByKey(r, func(a, b int) int { return a + b })
 	d := ctx.Snapshot().Diff(before)
-	limit := int64(keys * r.NumPartitions())
+	limit := int64(keys * len(r.parts))
 	if d.ShuffleRecords == 0 || d.ShuffleRecords > limit {
 		t.Fatalf("shuffle records = %d, want in (0, %d] (distinct keys per source partition)", d.ShuffleRecords, limit)
 	}
@@ -164,7 +164,7 @@ func TestReduceByKeyCoPartitionedSkipsShuffle(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("co-partitioned reduceByKey = %v, want %v", got, want)
 	}
-	if !IsKeyPartitioned(sums) {
+	if !sums.keyedHint {
 		t.Fatal("result must stay key-partitioned")
 	}
 }

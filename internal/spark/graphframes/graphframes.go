@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/spark"
 	"repro/internal/spark/sql"
 )
 
@@ -39,39 +38,8 @@ func New(vertices, edges *sql.DataFrame) (*GraphFrame, error) {
 	return &GraphFrame{vertices: vertices, edges: edges}, nil
 }
 
-// Vertices returns the vertex DataFrame.
-func (g *GraphFrame) Vertices() *sql.DataFrame { return g.vertices }
-
 // Edges returns the edge DataFrame.
 func (g *GraphFrame) Edges() *sql.DataFrame { return g.edges }
-
-// Context returns the owning spark context.
-func (g *GraphFrame) Context() *spark.Context { return g.vertices.Context() }
-
-// Degrees returns a DataFrame (id, degree) of total degrees.
-func (g *GraphFrame) Degrees() (*sql.DataFrame, error) {
-	srcs, err := g.edges.Select(ColSrc + " AS id")
-	if err != nil {
-		return nil, err
-	}
-	dsts, err := g.edges.Select(ColDst + " AS id")
-	if err != nil {
-		return nil, err
-	}
-	all, err := srcs.Union(dsts)
-	if err != nil {
-		return nil, err
-	}
-	agg, err := all.Aggregate([]string{"id"}, sql.AggCount, "*")
-	if err != nil {
-		return nil, err
-	}
-	df, err := agg.Select("id", "COUNT(*) AS degree")
-	if err != nil {
-		return nil, err
-	}
-	return df, nil
-}
 
 // edgePattern is one "(a)-[e]->(b)" term of a motif.
 type edgePattern struct {

@@ -125,21 +125,6 @@ func TestFindWithEdgeFilter(t *testing.T) {
 	}
 }
 
-func TestDegrees(t *testing.T) {
-	g := testGraph(t)
-	df, err := g.Degrees()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg := map[string]int64{}
-	for _, r := range df.Collect() {
-		deg[r[0].(string)] = r[1].(int64)
-	}
-	if deg["a"] != 3 || deg["d"] != 1 {
-		t.Fatalf("degrees = %v", deg)
-	}
-}
-
 func TestFindDisconnectedPatternsCross(t *testing.T) {
 	g := testGraph(t)
 	df, err := g.Find("(x)-[]->(y); (p)-[]->(q)")

@@ -1,22 +1,16 @@
 // Package graphx simulates Spark GraphX: a property graph distributed
-// over the spark substrate, the aggregateMessages/Pregel vertex-program
-// APIs, and the stock graph algorithms the survey notes GraphX ships
-// with (PageRank, connected components, triangle counting, shortest
-// paths). The graph-model RDF engines (S2X [23], Kassaie [16],
+// over the spark substrate and the aggregateMessages vertex-program
+// API. The graph-model RDF engines (S2X [23], Kassaie [16],
 // Spar(k)ql [12]) are built on this package.
 //
-// Cost model: every Pregel superstep and every message sent between
-// vertices is metered on the owning spark.Context, because the survey's
-// assessment of the graph-processing engines is in terms of iteration
-// rounds and message traffic.
+// Cost model: every message sent between vertices is metered on the
+// owning spark.Context, and the engines meter each superstep of their
+// vertex programs there too, because the survey's assessment of the
+// graph-processing engines is in terms of iteration rounds and message
+// traffic.
 package graphx
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/spark"
-)
+import "repro/internal/spark"
 
 // VertexID identifies a vertex, like org.apache.spark.graphx.VertexId.
 type VertexID int64
@@ -44,9 +38,8 @@ type Triplet[VD, ED any] struct {
 }
 
 // Graph is an immutable property graph. Vertices and edges live in RDDs
-// so construction and bulk transforms are metered; message passing
-// materializes a vertex index per superstep, which mirrors GraphX's
-// replicated vertex views.
+// so construction is metered; message passing materializes a vertex
+// index per superstep, which mirrors GraphX's replicated vertex views.
 type Graph[VD, ED any] struct {
 	ctx      *spark.Context
 	vertices *spark.RDD[Vertex[VD]]
@@ -61,28 +54,6 @@ func New[VD, ED any](ctx *spark.Context, vertices []Vertex[VD], edges []Edge[ED]
 		edges:    spark.Parallelize(ctx, edges),
 	}
 }
-
-// FromEdges builds a graph from edges alone, giving every referenced
-// vertex the default property, like Graph.fromEdges.
-func FromEdges[VD, ED any](ctx *spark.Context, edges []Edge[ED], defaultAttr VD) *Graph[VD, ED] {
-	seen := make(map[VertexID]bool)
-	var vs []Vertex[VD]
-	for _, e := range edges {
-		if !seen[e.Src] {
-			seen[e.Src] = true
-			vs = append(vs, Vertex[VD]{e.Src, defaultAttr})
-		}
-		if !seen[e.Dst] {
-			seen[e.Dst] = true
-			vs = append(vs, Vertex[VD]{e.Dst, defaultAttr})
-		}
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i].ID < vs[j].ID })
-	return New(ctx, vs, edges)
-}
-
-// Context returns the owning spark context.
-func (g *Graph[VD, ED]) Context() *spark.Context { return g.ctx }
 
 // Vertices returns the vertex RDD.
 func (g *Graph[VD, ED]) Vertices() *spark.RDD[Vertex[VD]] { return g.vertices }
@@ -103,88 +74,6 @@ func (g *Graph[VD, ED]) vertexIndex() map[VertexID]VD {
 		idx[v.ID] = v.Attr
 	}
 	return idx
-}
-
-// Triplets returns the edge triplets (edge + endpoint attributes).
-func (g *Graph[VD, ED]) Triplets() []Triplet[VD, ED] {
-	idx := g.vertexIndex()
-	ts := make([]Triplet[VD, ED], 0, g.edges.Count())
-	for _, e := range g.edges.Collect() {
-		ts = append(ts, Triplet[VD, ED]{
-			Src: e.Src, Dst: e.Dst,
-			SrcAttr: idx[e.Src], DstAttr: idx[e.Dst],
-			Attr: e.Attr,
-		})
-	}
-	return ts
-}
-
-// MapVertices transforms vertex properties, preserving structure.
-func MapVertices[VD, ED, VD2 any](g *Graph[VD, ED], f func(VertexID, VD) VD2) *Graph[VD2, ED] {
-	vs := spark.Map(g.vertices, func(v Vertex[VD]) Vertex[VD2] {
-		return Vertex[VD2]{v.ID, f(v.ID, v.Attr)}
-	})
-	return &Graph[VD2, ED]{ctx: g.ctx, vertices: vs, edges: g.edges}
-}
-
-// MapEdges transforms edge properties, preserving structure.
-func MapEdges[VD, ED, ED2 any](g *Graph[VD, ED], f func(Edge[ED]) ED2) *Graph[VD, ED2] {
-	es := spark.Map(g.edges, func(e Edge[ED]) Edge[ED2] {
-		return Edge[ED2]{e.Src, e.Dst, f(e)}
-	})
-	return &Graph[VD, ED2]{ctx: g.ctx, vertices: g.vertices, edges: es}
-}
-
-// Subgraph keeps the edges whose triplet satisfies epred and the
-// vertices satisfying vpred, like Graph.subgraph. Pass nil to keep all.
-// Edges with a dropped endpoint are dropped too.
-func (g *Graph[VD, ED]) Subgraph(epred func(Triplet[VD, ED]) bool, vpred func(VertexID, VD) bool) *Graph[VD, ED] {
-	idx := g.vertexIndex()
-	keepV := g.vertices.Filter(func(v Vertex[VD]) bool {
-		return vpred == nil || vpred(v.ID, v.Attr)
-	})
-	kept := make(map[VertexID]bool, keepV.Count())
-	for _, v := range keepV.Collect() {
-		kept[v.ID] = true
-	}
-	keepE := g.edges.Filter(func(e Edge[ED]) bool {
-		if !kept[e.Src] || !kept[e.Dst] {
-			return false
-		}
-		if epred == nil {
-			return true
-		}
-		return epred(Triplet[VD, ED]{Src: e.Src, Dst: e.Dst, SrcAttr: idx[e.Src], DstAttr: idx[e.Dst], Attr: e.Attr})
-	})
-	return &Graph[VD, ED]{ctx: g.ctx, vertices: keepV, edges: keepE}
-}
-
-// Degrees returns total degree per vertex (isolated vertices absent).
-func (g *Graph[VD, ED]) Degrees() map[VertexID]int {
-	deg := make(map[VertexID]int)
-	for _, e := range g.edges.Collect() {
-		deg[e.Src]++
-		deg[e.Dst]++
-	}
-	return deg
-}
-
-// OutDegrees returns out-degree per vertex.
-func (g *Graph[VD, ED]) OutDegrees() map[VertexID]int {
-	deg := make(map[VertexID]int)
-	for _, e := range g.edges.Collect() {
-		deg[e.Src]++
-	}
-	return deg
-}
-
-// InDegrees returns in-degree per vertex.
-func (g *Graph[VD, ED]) InDegrees() map[VertexID]int {
-	deg := make(map[VertexID]int)
-	for _, e := range g.edges.Collect() {
-		deg[e.Dst]++
-	}
-	return deg
 }
 
 // EdgeContext is passed to the sendMsg function of AggregateMessages; it
@@ -237,105 +126,4 @@ func AggregateMessages[VD, ED, M any](g *Graph[VD, ED], sendMsg func(*EdgeContex
 		}
 	}
 	return merged
-}
-
-// JoinVertices returns a graph whose vertex attributes are updated by f
-// for every vertex with a message; others keep their attribute. Mirrors
-// Graph.joinVertices.
-func JoinVertices[VD, ED, M any](g *Graph[VD, ED], msgs map[VertexID]M, f func(VertexID, VD, M) VD) *Graph[VD, ED] {
-	vs := spark.Map(g.vertices, func(v Vertex[VD]) Vertex[VD] {
-		if m, ok := msgs[v.ID]; ok {
-			return Vertex[VD]{v.ID, f(v.ID, v.Attr, m)}
-		}
-		return v
-	})
-	return &Graph[VD, ED]{ctx: g.ctx, vertices: vs, edges: g.edges}
-}
-
-// Pregel runs the bulk-synchronous vertex-program loop of
-// GraphX's Pregel operator:
-//
-//  1. every vertex receives initialMsg and runs vprog;
-//  2. each superstep, sendMsg runs on triplets where either endpoint
-//     changed last round, messages merge per vertex with mergeMsg, and
-//     receiving vertices run vprog;
-//  3. the loop stops when no messages flow or maxIterations is reached.
-//
-// Supersteps and messages are metered on the spark context.
-func Pregel[VD comparable, ED, M any](
-	g *Graph[VD, ED],
-	initialMsg M,
-	maxIterations int,
-	vprog func(VertexID, VD, M) VD,
-	sendMsg func(Triplet[VD, ED]) []spark.Pair[VertexID, M],
-	mergeMsg func(M, M) M,
-) *Graph[VD, ED] {
-	if maxIterations <= 0 {
-		maxIterations = 1 << 30
-	}
-	// Superstep 0: deliver the initial message everywhere.
-	cur := MapVertices(g, func(id VertexID, attr VD) VD { return vprog(id, attr, initialMsg) })
-	g.ctx.AddSupersteps(1)
-
-	active := make(map[VertexID]bool)
-	for _, v := range cur.vertices.Collect() {
-		active[v.ID] = true
-	}
-
-	for iter := 0; iter < maxIterations; iter++ {
-		idx := cur.vertexIndex()
-		// Send phase: only triplets touching an active vertex fire.
-		type delivery = spark.Pair[VertexID, M]
-		deliveries := spark.FlatMap(cur.edges, func(e Edge[ED]) []delivery {
-			if !active[e.Src] && !active[e.Dst] {
-				return nil
-			}
-			return sendMsg(Triplet[VD, ED]{Src: e.Src, Dst: e.Dst, SrcAttr: idx[e.Src], DstAttr: idx[e.Dst], Attr: e.Attr})
-		})
-		all := deliveries.Collect()
-		if len(all) == 0 {
-			break
-		}
-		g.ctx.AddSupersteps(1)
-		g.ctx.AddMessages(len(all))
-
-		merged := make(map[VertexID]M)
-		has := make(map[VertexID]bool)
-		for _, d := range all {
-			if has[d.Key] {
-				merged[d.Key] = mergeMsg(merged[d.Key], d.Value)
-			} else {
-				merged[d.Key] = d.Value
-				has[d.Key] = true
-			}
-		}
-
-		nextActive := make(map[VertexID]bool)
-		next := spark.Map(cur.vertices, func(v Vertex[VD]) Vertex[VD] {
-			m, ok := merged[v.ID]
-			if !ok {
-				return v
-			}
-			updated := vprog(v.ID, v.Attr, m)
-			return Vertex[VD]{v.ID, updated}
-		})
-		// Determine which vertices changed (drives the next active set).
-		prevIdx := idx
-		for _, v := range next.Collect() {
-			if _, got := merged[v.ID]; got && v.Attr != prevIdx[v.ID] {
-				nextActive[v.ID] = true
-			}
-		}
-		cur = &Graph[VD, ED]{ctx: cur.ctx, vertices: next, edges: cur.edges}
-		active = nextActive
-		if len(active) == 0 {
-			break
-		}
-	}
-	return cur
-}
-
-// String renders a small graph for debugging.
-func (g *Graph[VD, ED]) String() string {
-	return fmt.Sprintf("graph(|V|=%d, |E|=%d)", g.NumVertices(), g.NumEdges())
 }

@@ -1,9 +1,7 @@
 package graphx
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/spark"
 )
@@ -12,86 +10,22 @@ func gctx() *spark.Context {
 	return spark.NewContext(spark.Config{Parallelism: 4, Executors: 2, MaxConcurrency: 4})
 }
 
-// chain builds 1 -> 2 -> ... -> n.
-func chain(n int) []Edge[string] {
+// chain builds 1 -> 2 -> ... -> n, every vertex carrying attr.
+func chain[VD any](ctx *spark.Context, n int, attr VD) *Graph[VD, string] {
+	var vs []Vertex[VD]
 	var es []Edge[string]
-	for i := 1; i < n; i++ {
-		es = append(es, Edge[string]{VertexID(i), VertexID(i + 1), "next"})
-	}
-	return es
-}
-
-func TestFromEdgesBuildsVertices(t *testing.T) {
-	g := FromEdges(gctx(), chain(5), "v")
-	if g.NumVertices() != 5 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	if g.NumEdges() != 4 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-}
-
-func TestTriplets(t *testing.T) {
-	ctx := gctx()
-	g := New(ctx,
-		[]Vertex[string]{{1, "a"}, {2, "b"}},
-		[]Edge[string]{{1, 2, "knows"}})
-	ts := g.Triplets()
-	if len(ts) != 1 {
-		t.Fatalf("triplets = %d", len(ts))
-	}
-	tr := ts[0]
-	if tr.SrcAttr != "a" || tr.DstAttr != "b" || tr.Attr != "knows" {
-		t.Fatalf("triplet = %+v", tr)
-	}
-}
-
-func TestMapVerticesAndEdges(t *testing.T) {
-	g := FromEdges(gctx(), chain(3), 0)
-	g2 := MapVertices(g, func(id VertexID, _ int) int { return int(id) * 10 })
-	for _, v := range g2.Vertices().Collect() {
-		if v.Attr != int(v.ID)*10 {
-			t.Fatalf("vertex %d attr = %d", v.ID, v.Attr)
+	for i := 1; i <= n; i++ {
+		vs = append(vs, Vertex[VD]{VertexID(i), attr})
+		if i < n {
+			es = append(es, Edge[string]{VertexID(i), VertexID(i + 1), "next"})
 		}
 	}
-	g3 := MapEdges(g2, func(e Edge[string]) int { return 7 })
-	for _, e := range g3.Edges().Collect() {
-		if e.Attr != 7 {
-			t.Fatalf("edge attr = %d", e.Attr)
-		}
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := FromEdges(gctx(), chain(6), "v")
-	sub := g.Subgraph(nil, func(id VertexID, _ string) bool { return id <= 3 })
-	if sub.NumVertices() != 3 {
-		t.Fatalf("vertices = %d", sub.NumVertices())
-	}
-	// Edge 3->4 must be dropped because 4 is gone.
-	if sub.NumEdges() != 2 {
-		t.Fatalf("edges = %d", sub.NumEdges())
-	}
-	sub2 := g.Subgraph(func(tr Triplet[string, string]) bool { return tr.Src != 1 }, nil)
-	if sub2.NumEdges() != 4 {
-		t.Fatalf("epred edges = %d", sub2.NumEdges())
-	}
-}
-
-func TestDegrees(t *testing.T) {
-	g := FromEdges(gctx(), chain(4), "v")
-	deg := g.Degrees()
-	if deg[1] != 1 || deg[2] != 2 || deg[4] != 1 {
-		t.Fatalf("degrees = %v", deg)
-	}
-	if g.OutDegrees()[4] != 0 || g.InDegrees()[1] != 0 {
-		t.Fatal("chain endpoints have wrong in/out degrees")
-	}
+	return New(ctx, vs, es)
 }
 
 func TestAggregateMessagesDegreeCount(t *testing.T) {
 	ctx := gctx()
-	g := FromEdges(ctx, chain(4), 0)
+	g := chain(ctx, 4, 0)
 	before := ctx.Snapshot()
 	inDeg := AggregateMessages(g, func(c *EdgeContext[int, string, int]) {
 		c.SendToDst(1)
@@ -105,160 +39,5 @@ func TestAggregateMessagesDegreeCount(t *testing.T) {
 	d := ctx.Snapshot().Diff(before)
 	if d.MessagesSent != 3 {
 		t.Fatalf("messages = %d, want 3", d.MessagesSent)
-	}
-}
-
-func TestJoinVertices(t *testing.T) {
-	g := FromEdges(gctx(), chain(3), 0)
-	msgs := map[VertexID]int{2: 5}
-	g2 := JoinVertices(g, msgs, func(_ VertexID, attr, m int) int { return attr + m })
-	for _, v := range g2.Vertices().Collect() {
-		want := 0
-		if v.ID == 2 {
-			want = 5
-		}
-		if v.Attr != want {
-			t.Fatalf("vertex %d = %d", v.ID, v.Attr)
-		}
-	}
-}
-
-func TestPregelPropagatesMinimum(t *testing.T) {
-	ctx := gctx()
-	g := FromEdges(ctx, chain(5), VertexID(0))
-	init := MapVertices(g, func(id VertexID, _ VertexID) VertexID { return id })
-	res := Pregel(init, VertexID(math.MaxInt64), 0,
-		func(_ VertexID, attr, msg VertexID) VertexID {
-			if msg < attr {
-				return msg
-			}
-			return attr
-		},
-		func(tr Triplet[VertexID, string]) []spark.Pair[VertexID, VertexID] {
-			if tr.SrcAttr < tr.DstAttr {
-				return []spark.Pair[VertexID, VertexID]{{Key: tr.Dst, Value: tr.SrcAttr}}
-			}
-			return nil
-		},
-		func(a, b VertexID) VertexID {
-			if a < b {
-				return a
-			}
-			return b
-		})
-	for _, v := range res.Vertices().Collect() {
-		if v.Attr != 1 {
-			t.Fatalf("vertex %d converged to %d, want 1", v.ID, v.Attr)
-		}
-	}
-	if ctx.Snapshot().Supersteps == 0 {
-		t.Fatal("supersteps not metered")
-	}
-}
-
-func TestPregelMaxIterations(t *testing.T) {
-	ctx := gctx()
-	g := FromEdges(ctx, chain(10), VertexID(0))
-	init := MapVertices(g, func(id VertexID, _ VertexID) VertexID { return id })
-	res := Pregel(init, VertexID(math.MaxInt64), 2,
-		func(_ VertexID, attr, msg VertexID) VertexID {
-			if msg < attr {
-				return msg
-			}
-			return attr
-		},
-		func(tr Triplet[VertexID, string]) []spark.Pair[VertexID, VertexID] {
-			if tr.SrcAttr < tr.DstAttr {
-				return []spark.Pair[VertexID, VertexID]{{Key: tr.Dst, Value: tr.SrcAttr}}
-			}
-			return nil
-		},
-		func(a, b VertexID) VertexID {
-			if a < b {
-				return a
-			}
-			return b
-		})
-	// After only 2 send rounds, vertex 10 cannot have heard from vertex 1.
-	for _, v := range res.Vertices().Collect() {
-		if v.ID == 10 && v.Attr == 1 {
-			t.Fatal("value propagated too far for 2 iterations")
-		}
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	edges := append(chain(3), Edge[string]{10, 11, "x"})
-	cc := ConnectedComponents(FromEdges(gctx(), edges, "v"))
-	if cc[1] != 1 || cc[2] != 1 || cc[3] != 1 {
-		t.Fatalf("component A = %v", cc)
-	}
-	if cc[10] != 10 || cc[11] != 10 {
-		t.Fatalf("component B = %v", cc)
-	}
-}
-
-func TestConnectedComponentsProperty(t *testing.T) {
-	// Property: two vertices in the same chain always share a label.
-	f := func(n uint8) bool {
-		size := int(n%20) + 2
-		cc := ConnectedComponents(FromEdges(gctx(), chain(size), "v"))
-		for i := 1; i <= size; i++ {
-			if cc[VertexID(i)] != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPageRank(t *testing.T) {
-	// Star: everyone points to vertex 1, so 1 must outrank the others.
-	edges := []Edge[string]{{2, 1, ""}, {3, 1, ""}, {4, 1, ""}}
-	pr := PageRank(FromEdges(gctx(), edges, "v"), 10, 0.85)
-	if pr[1] <= pr[2] {
-		t.Fatalf("hub rank %f not above leaf %f", pr[1], pr[2])
-	}
-	if pr[2] != pr[3] || pr[3] != pr[4] {
-		t.Fatalf("symmetric leaves differ: %v", pr)
-	}
-}
-
-func TestPageRankEmptyGraph(t *testing.T) {
-	g := New(gctx(), []Vertex[string]{}, []Edge[string]{})
-	if got := PageRank(g, 5, 0.85); len(got) != 0 {
-		t.Fatalf("empty graph ranks = %v", got)
-	}
-}
-
-func TestTriangleCount(t *testing.T) {
-	edges := []Edge[string]{{1, 2, ""}, {2, 3, ""}, {3, 1, ""}, {3, 4, ""}}
-	tc := TriangleCount(FromEdges(gctx(), edges, "v"))
-	if tc[1] != 1 || tc[2] != 1 || tc[3] != 1 {
-		t.Fatalf("triangle counts = %v", tc)
-	}
-	if tc[4] != 0 {
-		t.Fatalf("vertex 4 in %d triangles", tc[4])
-	}
-}
-
-func TestShortestPaths(t *testing.T) {
-	g := FromEdges(gctx(), chain(5), "v")
-	sp := ShortestPaths(g, []VertexID{1})
-	for i := 1; i <= 5; i++ {
-		if got := sp[VertexID(i)][1]; got != i-1 {
-			t.Fatalf("dist(%d,1) = %d, want %d", i, got, i-1)
-		}
-	}
-}
-
-func TestShortestPathsUnreachable(t *testing.T) {
-	edges := append(chain(2), Edge[string]{10, 11, "x"})
-	sp := ShortestPaths(FromEdges(gctx(), edges, "v"), []VertexID{1})
-	if _, ok := sp[10][1]; ok {
-		t.Fatal("vertex 10 should not reach landmark 1")
 	}
 }

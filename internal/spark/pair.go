@@ -13,11 +13,6 @@ func KeyBy[T any, K comparable](r *RDD[T], key func(T) K) *RDD[Pair[K, T]] {
 	return Map(r, func(v T) Pair[K, T] { return Pair[K, T]{key(v), v} })
 }
 
-// Keys projects the keys of a pair RDD.
-func Keys[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[K] {
-	return Map(r, func(p Pair[K, V]) K { return p.Key })
-}
-
 // Values projects the values of a pair RDD.
 func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
 	return Map(r, func(p Pair[K, V]) V { return p.Value })
@@ -28,7 +23,6 @@ func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
 func MapValues[K comparable, V, W any](r *RDD[Pair[K, V]], f func(V) W) *RDD[Pair[K, W]] {
 	out := Map(r, func(p Pair[K, V]) Pair[K, W] { return Pair[K, W]{p.Key, f(p.Value)} })
 	out.keyedHint = r.keyedHint
-	out.partDesc = r.partDesc
 	out.placedBy = r.placedBy
 	return out
 }
@@ -48,7 +42,7 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD
 	}
 	out, total := scatterMerge(r.ctx, r.parts, n, func(rec Pair[K, V]) int { return p.Partition(rec.Key) })
 	r.ctx.addShuffle(int64(total), estimateShuffleBytes(r.parts, total))
-	res := fromParts(r.ctx, out, p.Describe())
+	res := fromParts(r.ctx, out)
 	res.keyedHint = true
 	res.placedBy = p
 	return res
@@ -56,22 +50,16 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD
 
 // coPartitionedWith reports whether r is already laid out exactly as
 // hash partitioner p would place it, so a join-like operation can
-// skip r's shuffle. The keyed hint alone is not enough: a
-// range-partitioned side co-locates each key within itself but at
+// skip r's shuffle. The keyed hint alone is not enough: a side placed
+// by another Partitioner co-locates each key within itself but at
 // different indexes than a hash-partitioned peer. Hash placement is a
 // pure function of key and partition count, so r qualifies exactly
 // when the partitioner that placed it was a HashPartitioner with the
-// same count — checked against the recorded placer, not its Describe
-// string, which a custom partitioner could spoof.
+// same count.
 func coPartitionedWith[K comparable, V any](r *RDD[Pair[K, V]], p HashPartitioner[K]) bool {
 	placed, ok := r.placedBy.(HashPartitioner[K])
 	return ok && r.keyedHint && placed.N == p.N && len(r.parts) == p.N
 }
-
-// IsKeyPartitioned reports whether the pair RDD has already been placed
-// by a key partitioner, in which case co-partitioned joins skip the
-// shuffle for that side (Spark's "known partitioner" optimization).
-func IsKeyPartitioned[K comparable, V any](r *RDD[Pair[K, V]]) bool { return r.keyedHint }
 
 // combineBucket is one per-destination combiner map built during the
 // scatter of CombineByKey: the fold happens while records are being
@@ -103,7 +91,7 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]], createCombiner fun
 	p := NewHashPartitioner[K](n)
 	// A side already hash-placed like p has every key on its final
 	// partition: fold in place, no shuffle — Spark's "known partitioner"
-	// optimization, same as Join/CoGroup.
+	// optimization, same as Join.
 	if coPartitionedWith(r, p) {
 		out := make([][]Pair[K, C], len(r.parts))
 		r.ctx.runTasks(len(r.parts), func(i int) {
@@ -126,7 +114,7 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]], createCombiner fun
 			}
 			out[i] = part
 		})
-		res := fromParts(r.ctx, out, "hash")
+		res := fromParts(r.ctx, out)
 		res.keyedHint = true
 		res.placedBy = r.placedBy
 		return res
@@ -218,7 +206,7 @@ sampleLast:
 		}
 		out[dst] = part
 	})
-	res := fromParts(r.ctx, out, "hash")
+	res := fromParts(r.ctx, out)
 	res.keyedHint = true
 	res.placedBy = p
 	return res
@@ -250,7 +238,7 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
 			idx := make(map[K]int32, len(r.parts[i]))
 			out[i] = groupRecords(nil, idx, r.parts[i])
 		})
-		res := fromParts(r.ctx, out, "hash")
+		res := fromParts(r.ctx, out)
 		res.keyedHint = true
 		res.placedBy = r.placedBy
 		return res
@@ -278,7 +266,7 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
 		}
 		out[dst] = part
 	})
-	res := fromParts(r.ctx, out, "hash")
+	res := fromParts(r.ctx, out)
 	res.keyedHint = true
 	res.placedBy = p
 	return res
@@ -332,57 +320,10 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 		}
 		out[i] = joined
 	})
-	res := fromParts(a.ctx, out, "hash")
+	res := fromParts(a.ctx, out)
 	res.keyedHint = true
 	res.placedBy = p
 	return res
-}
-
-// LeftOuterJoin joins keeping every left record; unmatched rows carry
-// ok=false on the right value, like PairRDDFunctions.leftOuterJoin.
-func LeftOuterJoin[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[Pair[K, Tuple2[V, Opt[W]]]] {
-	n := len(a.parts)
-	if len(b.parts) > n {
-		n = len(b.parts)
-	}
-	p := NewHashPartitioner[K](n)
-	left := a
-	if !coPartitionedWith(a, p) {
-		left = PartitionBy(a, p)
-	}
-	right := b
-	if !coPartitionedWith(b, p) {
-		right = PartitionBy(b, p)
-	}
-	out := make([][]Pair[K, Tuple2[V, Opt[W]]], n)
-	a.ctx.runTasks(n, func(i int) {
-		probe := make(map[K][]W)
-		for _, rec := range right.parts[i] {
-			probe[rec.Key] = append(probe[rec.Key], rec.Value)
-		}
-		var joined []Pair[K, Tuple2[V, Opt[W]]]
-		for _, rec := range left.parts[i] {
-			matches := probe[rec.Key]
-			if len(matches) == 0 {
-				joined = append(joined, Pair[K, Tuple2[V, Opt[W]]]{rec.Key, Tuple2[V, Opt[W]]{rec.Value, Opt[W]{}}})
-				continue
-			}
-			for _, w := range matches {
-				joined = append(joined, Pair[K, Tuple2[V, Opt[W]]]{rec.Key, Tuple2[V, Opt[W]]{rec.Value, Opt[W]{Val: w, OK: true}}})
-			}
-		}
-		out[i] = joined
-	})
-	res := fromParts(a.ctx, out, "hash")
-	res.keyedHint = true
-	res.placedBy = p
-	return res
-}
-
-// Opt is an optional value, used by outer joins.
-type Opt[T any] struct {
-	Val T
-	OK  bool
 }
 
 // BroadcastJoin joins a large pair RDD against a small one by shipping
@@ -406,77 +347,10 @@ func BroadcastJoin[K comparable, V, W any](large *RDD[Pair[K, V]], small *RDD[Pa
 		}
 		out[i] = joined
 	})
-	res := fromParts(large.ctx, out, large.partDesc)
+	res := fromParts(large.ctx, out)
 	res.keyedHint = large.keyedHint
 	res.placedBy = large.placedBy
 	return res
-}
-
-// CoGroup groups both RDDs by key in one shuffle, like
-// PairRDDFunctions.cogroup: the result holds, per key, all left values
-// and all right values. Sides already hash-partitioned with the
-// matching partition count skip their shuffle, exactly as Join does.
-func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[Pair[K, Tuple2[[]V, []W]]] {
-	n := len(a.parts)
-	if len(b.parts) > n {
-		n = len(b.parts)
-	}
-	p := NewHashPartitioner[K](n)
-	left := a
-	if !coPartitionedWith(a, p) {
-		left = PartitionBy(a, p)
-	}
-	right := b
-	if !coPartitionedWith(b, p) {
-		right = PartitionBy(b, p)
-	}
-	out := make([][]Pair[K, Tuple2[[]V, []W]], n)
-	a.ctx.runTasks(n, func(i int) {
-		lm := make(map[K][]V)
-		rm := make(map[K][]W)
-		order := make([]K, 0)
-		seen := make(map[K]bool)
-		for _, rec := range left.parts[i] {
-			if !seen[rec.Key] {
-				seen[rec.Key] = true
-				order = append(order, rec.Key)
-			}
-			lm[rec.Key] = append(lm[rec.Key], rec.Value)
-		}
-		for _, rec := range right.parts[i] {
-			if !seen[rec.Key] {
-				seen[rec.Key] = true
-				order = append(order, rec.Key)
-			}
-			rm[rec.Key] = append(rm[rec.Key], rec.Value)
-		}
-		part := make([]Pair[K, Tuple2[[]V, []W]], 0, len(order))
-		for _, k := range order {
-			part = append(part, Pair[K, Tuple2[[]V, []W]]{k, Tuple2[[]V, []W]{lm[k], rm[k]}})
-		}
-		out[i] = part
-	})
-	res := fromParts(a.ctx, out, "hash")
-	res.keyedHint = true
-	res.placedBy = p
-	return res
-}
-
-// CountByKey returns a map from key to occurrence count, computed with
-// a combineByKey whose combiner is the running count (so it is metered
-// like a reduceByKey: one combined record per partition and key crosses
-// the shuffle, without the intermediate ones-RDD of the old
-// MapValues+ReduceByKey pipeline).
-func CountByKey[K comparable, V any](r *RDD[Pair[K, V]]) map[K]int {
-	counts := CombineByKey(r,
-		func(V) int { return 1 },
-		func(c int, _ V) int { return c + 1 },
-		func(a, b int) int { return a + b })
-	out := make(map[K]int)
-	for _, p := range counts.Collect() {
-		out[p.Key] = p.Value
-	}
-	return out
 }
 
 // Tuple2 is a plain value pair with no comparability requirement; join

@@ -1,9 +1,6 @@
 package spark
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partitioner decides which partition a key belongs to, mirroring
 // org.apache.spark.Partitioner. Engines supply custom partitioners to
@@ -13,8 +10,6 @@ type Partitioner[K comparable] interface {
 	NumPartitions() int
 	// Partition maps a key to a partition index in [0, NumPartitions).
 	Partition(key K) int
-	// Describe names the strategy for reports (e.g. "hash", "vertical").
-	Describe() string
 }
 
 // HashPartitioner is Spark's default: fnv-hash of the key modulo the
@@ -38,56 +33,17 @@ func (p HashPartitioner[K]) NumPartitions() int { return p.N }
 // Partition implements Partitioner.
 func (p HashPartitioner[K]) Partition(key K) int { return HashKey(key) % p.N }
 
-// Describe implements Partitioner.
-func (p HashPartitioner[K]) Describe() string { return "hash" }
-
-// FuncPartitioner adapts a plain function into a Partitioner, for
-// workload-aware or semantic placement strategies.
-type FuncPartitioner[K comparable] struct {
-	N    int
-	Name string
-	Fn   func(K) int
-}
-
-// NumPartitions implements Partitioner.
-func (p FuncPartitioner[K]) NumPartitions() int { return p.N }
-
-// Partition implements Partitioner; out-of-range results are clamped by
-// modulo so a buggy placement function cannot corrupt the shuffle.
-func (p FuncPartitioner[K]) Partition(key K) int {
-	i := p.Fn(key) % p.N
-	if i < 0 {
-		i += p.N
-	}
-	return i
-}
-
-// Describe implements Partitioner.
-func (p FuncPartitioner[K]) Describe() string { return p.Name }
-
 // HashKey returns a deterministic non-negative hash for any comparable
-// key. Common key types get a fast path; everything else hashes its
-// fmt.Sprint rendering, which is stable for value types. The type
-// switch inspects a pointer to the key rather than the key itself:
+// key. String keys get a fast path; everything else hashes its
+// fmt.Sprint rendering, which is stable for value types. The
+// assertion inspects a pointer to the key rather than the key itself:
 // boxing a stack pointer into an interface does not allocate, whereas
 // boxing a string key would heap-allocate on every shuffled record.
 func HashKey[K comparable](key K) int {
-	switch k := any(&key).(type) {
-	case *string:
+	if k, ok := any(&key).(*string); ok {
 		return hashString(*k)
-	case *int:
-		return hashUint64(uint64(*k))
-	case *int32:
-		return hashUint64(uint64(*k))
-	case *int64:
-		return hashUint64(uint64(*k))
-	case *uint32:
-		return hashUint64(uint64(*k))
-	case *uint64:
-		return hashUint64(*k)
-	default:
-		return hashKeySlow(key)
 	}
+	return hashKeySlow(key)
 }
 
 // hashKeySlow renders uncommon key types; kept out of HashKey so the
@@ -112,64 +68,3 @@ func hashString(s string) int {
 	}
 	return int(h & 0x7fffffff)
 }
-
-func hashUint64(v uint64) int {
-	// SplitMix64 finalizer: cheap, well-mixed, deterministic.
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return int(v & 0x7fffffff)
-}
-
-// RangePartitioner places keys by comparing against sorted split
-// points, like Spark's RangePartitioner: partition i holds the keys in
-// (splits[i-1], splits[i]]. It keeps ordered data contiguous, which
-// hash partitioning destroys.
-type RangePartitioner[K Ordered] struct {
-	// Splits are the ascending boundaries; len(Splits)+1 partitions.
-	Splits []K
-}
-
-// NewRangePartitioner samples the given keys to derive n-1 evenly
-// spaced split points for n partitions.
-func NewRangePartitioner[K Ordered](keys []K, n int) RangePartitioner[K] {
-	if n < 1 {
-		n = 1
-	}
-	sorted := append([]K(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var splits []K
-	for i := 1; i < n && len(sorted) > 0; i++ {
-		idx := i * len(sorted) / n
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		split := sorted[idx]
-		if len(splits) == 0 || splits[len(splits)-1] < split {
-			splits = append(splits, split)
-		}
-	}
-	return RangePartitioner[K]{Splits: splits}
-}
-
-// NumPartitions implements Partitioner.
-func (p RangePartitioner[K]) NumPartitions() int { return len(p.Splits) + 1 }
-
-// Partition implements Partitioner via binary search over the splits.
-func (p RangePartitioner[K]) Partition(key K) int {
-	lo, hi := 0, len(p.Splits)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key <= p.Splits[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Describe implements Partitioner.
-func (p RangePartitioner[K]) Describe() string { return "range" }

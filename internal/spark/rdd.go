@@ -1,9 +1,5 @@
 package spark
 
-import (
-	"sort"
-)
-
 // RDD is an immutable, partitioned collection of records — the simulated
 // counterpart of org.apache.spark.rdd.RDD. Transformations return new
 // RDDs; the input is never mutated. Execution is eager but parallel: each
@@ -13,12 +9,10 @@ import (
 type RDD[T any] struct {
 	ctx       *Context
 	parts     [][]T
-	partDesc  string // how the data is partitioned, for reports
-	keyedHint bool   // true when a pair RDD is already key-partitioned
+	keyedHint bool // true when a pair RDD is already key-partitioned
 	// placedBy records the Partitioner that produced the current key
 	// placement (nil when unknown). Join-like operations compare it to
-	// decide whether a side's shuffle can be skipped — the Describe()
-	// string alone could be spoofed by a custom partitioner.
+	// decide whether a side's shuffle can be skipped.
 	placedBy any
 }
 
@@ -50,22 +44,13 @@ func ParallelizeN[T any](ctx *Context, data []T, n int) *RDD[T] {
 		}
 	}
 	ctx.AddRead(len(data))
-	return &RDD[T]{ctx: ctx, parts: parts, partDesc: "roundrobin"}
+	return &RDD[T]{ctx: ctx, parts: parts}
 }
 
 // fromParts wraps already-partitioned data without copying.
-func fromParts[T any](ctx *Context, parts [][]T, desc string) *RDD[T] {
-	return &RDD[T]{ctx: ctx, parts: parts, partDesc: desc}
+func fromParts[T any](ctx *Context, parts [][]T) *RDD[T] {
+	return &RDD[T]{ctx: ctx, parts: parts}
 }
-
-// Context returns the owning Context.
-func (r *RDD[T]) Context() *Context { return r.ctx }
-
-// NumPartitions returns the partition count.
-func (r *RDD[T]) NumPartitions() int { return len(r.parts) }
-
-// PartitionDesc names the current partitioning strategy.
-func (r *RDD[T]) PartitionDesc() string { return r.partDesc }
 
 // Partition returns a read-only view of partition i.
 func (r *RDD[T]) Partition(i int) []T { return r.parts[i] }
@@ -114,7 +99,7 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 		}
 		out[i] = kept
 	})
-	nr := fromParts(r.ctx, out, r.partDesc)
+	nr := fromParts(r.ctx, out)
 	nr.keyedHint = r.keyedHint
 	nr.placedBy = r.placedBy
 	return nr
@@ -131,7 +116,7 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 		}
 		out[i] = mapped
 	})
-	return fromParts(r.ctx, out, r.partDesc)
+	return fromParts(r.ctx, out)
 }
 
 // FlatMap applies f and concatenates the results. Narrow transformation.
@@ -144,7 +129,7 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 		}
 		out[i] = exp
 	})
-	return fromParts(r.ctx, out, r.partDesc)
+	return fromParts(r.ctx, out)
 }
 
 // MapPartitions transforms each partition wholesale, like
@@ -154,7 +139,7 @@ func MapPartitions[T, U any](r *RDD[T], f func(part []T) []U) *RDD[U] {
 	r.ctx.runTasks(len(r.parts), func(i int) {
 		out[i] = f(r.parts[i])
 	})
-	return fromParts(r.ctx, out, r.partDesc)
+	return fromParts(r.ctx, out)
 }
 
 // Union concatenates two RDDs partition-wise (no shuffle), like
@@ -163,58 +148,7 @@ func (r *RDD[T]) Union(other *RDD[T]) *RDD[T] {
 	parts := make([][]T, 0, len(r.parts)+len(other.parts))
 	parts = append(parts, r.parts...)
 	parts = append(parts, other.parts...)
-	return fromParts(r.ctx, parts, "union")
-}
-
-// Distinct removes duplicates via a shuffle on the record value, like
-// RDD.distinct. Wide transformation.
-func Distinct[T comparable](r *RDD[T]) *RDD[T] {
-	keyed := Map(r, func(v T) Pair[T, struct{}] { return Pair[T, struct{}]{v, struct{}{}} })
-	reduced := ReduceByKey(keyed, func(a, _ struct{}) struct{} { return a })
-	return Map(reduced, func(p Pair[T, struct{}]) T { return p.Key })
-}
-
-// SortBy globally sorts the records by the given key with a
-// range-partitioned merge, like Spark's sortBy: keys are sampled to
-// derive range splits, records are scattered into their range (the one
-// shuffle every record crosses), and each range is sorted locally in
-// parallel. Concatenating the output partitions in order yields the
-// globally sorted sequence; equal keys keep their original relative
-// order (stable).
-func SortBy[T any, K Ordered](r *RDD[T], key func(T) K) *RDD[T] {
-	n := len(r.parts)
-	if n < 1 {
-		n = 1
-	}
-	// Sample up to ~20 keys per partition for the range splits.
-	samples := make([][]K, len(r.parts))
-	r.ctx.runTasks(len(r.parts), func(i int) {
-		part := r.parts[i]
-		if len(part) == 0 {
-			return
-		}
-		step := len(part)/20 + 1
-		keys := make([]K, 0, len(part)/step+1)
-		for j := 0; j < len(part); j += step {
-			keys = append(keys, key(part[j]))
-		}
-		samples[i] = keys
-	})
-	var sampled []K
-	for _, s := range samples {
-		sampled = append(sampled, s...)
-	}
-	p := NewRangePartitioner(sampled, n)
-
-	// Scatter into range buckets (the shuffle), then sort each range
-	// locally in parallel.
-	out, total := scatterMerge(r.ctx, r.parts, p.NumPartitions(), func(v T) int { return p.Partition(key(v)) })
-	r.ctx.addShuffle(int64(total), estimateShuffleBytes(r.parts, total))
-	r.ctx.runTasks(len(out), func(dst int) {
-		part := out[dst]
-		sort.SliceStable(part, func(a, b int) bool { return key(part[a]) < key(part[b]) })
-	})
-	return fromParts(r.ctx, out, "range")
+	return fromParts(r.ctx, parts)
 }
 
 // scatterBuckets is the map side of the shuffle: one task per source
@@ -243,11 +177,10 @@ func scatterBuckets[T any](ctx *Context, parts [][]T, m int, place func(T) int) 
 	return buckets, total
 }
 
-// scatterMerge is the shared shuffle mechanic under PartitionBy and
-// SortBy: scatterBuckets on the map side, then one task per destination
-// merges its buckets in source order (keeping placement deterministic
-// and merges stable). Returns the merged partitions and the record
-// count.
+// scatterMerge is PartitionBy's shuffle mechanic: scatterBuckets on
+// the map side, then one task per destination merges its buckets in
+// source order (keeping placement deterministic). Returns the merged
+// partitions and the record count.
 func scatterMerge[T any](ctx *Context, parts [][]T, m int, place func(T) int) ([][]T, int) {
 	buckets, total := scatterBuckets(ctx, parts, m, place)
 	out := make([][]T, m)
@@ -268,13 +201,6 @@ func scatterMerge[T any](ctx *Context, parts [][]T, m int, place func(T) int) ([
 	return out, total
 }
 
-// Ordered is the constraint for sortable keys.
-type Ordered interface {
-	~int | ~int8 | ~int16 | ~int32 | ~int64 |
-		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 |
-		~float32 | ~float64 | ~string
-}
-
 // Cartesian returns the cross product of two RDDs, like RDD.cartesian.
 // The right side is broadcast to every left partition, which is how the
 // survey's hybrid study models the (inefficient) Cartesian fallback.
@@ -291,5 +217,5 @@ func Cartesian[T, U any](a *RDD[T], b *RDD[U]) *RDD[Tuple2[T, U]] {
 		}
 		out[i] = prod
 	})
-	return fromParts(a.ctx, out, "cartesian")
+	return fromParts(a.ctx, out)
 }

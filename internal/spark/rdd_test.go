@@ -29,8 +29,8 @@ func TestParallelizeRoundTrip(t *testing.T) {
 	if r.Count() != 17 {
 		t.Fatalf("Count = %d, want 17", r.Count())
 	}
-	if r.NumPartitions() != 4 {
-		t.Fatalf("NumPartitions = %d, want 4", r.NumPartitions())
+	if len(r.parts) != 4 {
+		t.Fatalf("partitions = %d, want 4", len(r.parts))
 	}
 }
 
@@ -42,7 +42,7 @@ func TestParallelizeEmptyAndSingle(t *testing.T) {
 	if got := ParallelizeN(ctx, []int{42}, 8).Collect(); !reflect.DeepEqual(got, []int{42}) {
 		t.Fatalf("single = %v", got)
 	}
-	if got := ParallelizeN(ctx, ints(3), 0).NumPartitions(); got != 1 {
+	if got := len(ParallelizeN(ctx, ints(3), 0).parts); got != 1 {
 		t.Fatalf("n=0 partitions = %d, want 1", got)
 	}
 }
@@ -93,29 +93,6 @@ func TestUnionAndTake(t *testing.T) {
 	}
 	if got := u.Take(99); len(got) != 4 {
 		t.Fatalf("Take(99) = %v", got)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, []int{3, 1, 3, 2, 1, 3})
-	got := Distinct(r).Collect()
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("Distinct = %v", got)
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, []int{5, 3, 9, 1, 7})
-	got := SortBy(r, func(v int) int { return v }).Collect()
-	if !sort.IntsAreSorted(got) {
-		t.Fatalf("SortBy result not sorted: %v", got)
-	}
-	desc := SortBy(r, func(v int) int { return -v }).Collect()
-	if desc[0] != 9 {
-		t.Fatalf("descending sort head = %d", desc[0])
 	}
 }
 
@@ -173,33 +150,6 @@ func TestJoinEmptySides(t *testing.T) {
 	}
 }
 
-func TestLeftOuterJoin(t *testing.T) {
-	ctx := testCtx()
-	a := Parallelize(ctx, []Pair[int, string]{{1, "a"}, {2, "b"}})
-	b := Parallelize(ctx, []Pair[int, string]{{1, "x"}})
-	got := LeftOuterJoin(a, b).Collect()
-	if len(got) != 2 {
-		t.Fatalf("leftOuterJoin size = %d, want 2", len(got))
-	}
-	matched, unmatched := 0, 0
-	for _, rec := range got {
-		if rec.Value.B.OK {
-			matched++
-			if rec.Key != 1 || rec.Value.B.Val != "x" {
-				t.Fatalf("bad match: %v", rec)
-			}
-		} else {
-			unmatched++
-			if rec.Key != 2 {
-				t.Fatalf("bad unmatched: %v", rec)
-			}
-		}
-	}
-	if matched != 1 || unmatched != 1 {
-		t.Fatalf("matched=%d unmatched=%d", matched, unmatched)
-	}
-}
-
 func TestBroadcastJoinMatchesPartitionedJoin(t *testing.T) {
 	ctx := testCtx()
 	large := Parallelize(ctx, []Pair[int, int]{{1, 10}, {2, 20}, {1, 11}, {3, 30}})
@@ -220,23 +170,6 @@ func TestBroadcastJoinMatchesPartitionedJoin(t *testing.T) {
 	}
 }
 
-func TestReduceByKeyAndCountByKey(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, []Pair[string, int]{{"a", 1}, {"b", 2}, {"a", 3}, {"a", 5}})
-	sums := ReduceByKey(r, func(x, y int) int { return x + y }).Collect()
-	m := map[string]int{}
-	for _, p := range sums {
-		m[p.Key] = p.Value
-	}
-	if m["a"] != 9 || m["b"] != 2 {
-		t.Fatalf("ReduceByKey = %v", m)
-	}
-	counts := CountByKey(r)
-	if counts["a"] != 3 || counts["b"] != 1 {
-		t.Fatalf("CountByKey = %v", counts)
-	}
-}
-
 func TestGroupByKey(t *testing.T) {
 	ctx := testCtx()
 	r := Parallelize(ctx, []Pair[string, int]{{"a", 1}, {"a", 2}, {"b", 3}})
@@ -249,26 +182,6 @@ func TestGroupByKey(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m["a"], []int{1, 2}) || !reflect.DeepEqual(m["b"], []int{3}) {
 		t.Fatalf("GroupByKey = %v", m)
-	}
-}
-
-func TestCoGroup(t *testing.T) {
-	ctx := testCtx()
-	a := Parallelize(ctx, []Pair[int, string]{{1, "a"}, {2, "b"}})
-	b := Parallelize(ctx, []Pair[int, string]{{1, "x"}, {3, "y"}})
-	got := CoGroup(a, b).Collect()
-	byKey := map[int]Tuple2[[]string, []string]{}
-	for _, p := range got {
-		byKey[p.Key] = p.Value
-	}
-	if len(byKey) != 3 {
-		t.Fatalf("cogroup keys = %d, want 3", len(byKey))
-	}
-	if len(byKey[1].A) != 1 || len(byKey[1].B) != 1 {
-		t.Fatalf("cogroup key 1 = %v", byKey[1])
-	}
-	if len(byKey[3].A) != 0 || len(byKey[3].B) != 1 {
-		t.Fatalf("cogroup key 3 = %v", byKey[3])
 	}
 }
 
@@ -294,7 +207,7 @@ func TestPartitionByPlacesKeysDeterministically(t *testing.T) {
 			}
 		}
 	}
-	if !IsKeyPartitioned(r1) {
+	if !r1.keyedHint {
 		t.Fatal("PartitionBy must mark RDD as key-partitioned")
 	}
 }
@@ -368,18 +281,6 @@ func TestCoPartitionedJoinSkipsShuffle(t *testing.T) {
 	d := ctx.Snapshot().Diff(before)
 	if d.ShuffleRecords != 0 {
 		t.Fatalf("co-partitioned join shuffled %d records, want 0", d.ShuffleRecords)
-	}
-}
-
-func TestMetricsReset(t *testing.T) {
-	ctx := testCtx()
-	_ = Parallelize(ctx, ints(10))
-	if ctx.Snapshot().RecordsRead == 0 {
-		t.Fatal("expected reads")
-	}
-	ctx.ResetMetrics()
-	if ctx.Snapshot() != (Metrics{}) {
-		t.Fatalf("reset left %+v", ctx.Snapshot())
 	}
 }
 
@@ -461,19 +362,6 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-func TestFuncPartitionerClamping(t *testing.T) {
-	p := FuncPartitioner[int]{N: 4, Name: "mod", Fn: func(k int) int { return -k }}
-	for k := 0; k < 20; k++ {
-		i := p.Partition(k)
-		if i < 0 || i >= 4 {
-			t.Fatalf("partition out of range: %d", i)
-		}
-	}
-	if p.Describe() != "mod" {
-		t.Fatalf("Describe = %q", p.Describe())
-	}
-}
-
 func TestBroadcastVariable(t *testing.T) {
 	ctx := testCtx()
 	b := NewBroadcast(ctx, []int{1, 2, 3})
@@ -502,8 +390,8 @@ func TestMapPartitions(t *testing.T) {
 	if total != 45 {
 		t.Fatalf("partition sums total = %d, want 45", total)
 	}
-	if sums.NumPartitions() != 2 {
-		t.Fatalf("partitions = %d", sums.NumPartitions())
+	if len(sums.parts) != 2 {
+		t.Fatalf("partitions = %d", len(sums.parts))
 	}
 }
 
@@ -558,162 +446,6 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	}
 }
 
-func TestRangePartitioner(t *testing.T) {
-	keys := ints(100)
-	p := NewRangePartitioner(keys, 4)
-	if p.NumPartitions() != 4 {
-		t.Fatalf("partitions = %d", p.NumPartitions())
-	}
-	// Order-preserving: a larger key never lands on an earlier partition.
-	prev := 0
-	for k := 0; k < 100; k++ {
-		i := p.Partition(k)
-		if i < prev {
-			t.Fatalf("key %d on partition %d after partition %d", k, i, prev)
-		}
-		prev = i
-	}
-	if p.Describe() != "range" {
-		t.Fatal("describe")
-	}
-}
-
-func TestRangePartitionerBalance(t *testing.T) {
-	keys := ints(1000)
-	p := NewRangePartitioner(keys, 5)
-	counts := make([]int, p.NumPartitions())
-	for _, k := range keys {
-		counts[p.Partition(k)]++
-	}
-	for i, c := range counts {
-		if c < 100 || c > 300 {
-			t.Fatalf("partition %d holds %d of 1000 keys: %v", i, c, counts)
-		}
-	}
-}
-
-func TestRangePartitionerDegenerate(t *testing.T) {
-	p := NewRangePartitioner([]int{}, 4)
-	if p.NumPartitions() != 1 {
-		t.Fatalf("empty keys → %d partitions, want 1", p.NumPartitions())
-	}
-	same := NewRangePartitioner([]int{7, 7, 7, 7}, 3)
-	for _, k := range []int{1, 7, 9} {
-		i := same.Partition(k)
-		if i < 0 || i >= same.NumPartitions() {
-			t.Fatalf("partition %d out of range", i)
-		}
-	}
-	if NewRangePartitioner([]int{1, 2}, 0).NumPartitions() != 1 {
-		t.Fatal("n=0 should clamp to 1")
-	}
-}
-
-func TestPartitionByRangeKeepsOrderContiguous(t *testing.T) {
-	ctx := testCtx()
-	data := make([]Pair[int, string], 50)
-	for i := range data {
-		data[i] = Pair[int, string]{i, "v"}
-	}
-	p := NewRangePartitioner([]int{0, 10, 20, 30, 40, 49}, 4)
-	r := PartitionBy(Parallelize(ctx, data), p)
-	// Every partition's keys must be an interval below the next's.
-	prevMax := -1
-	for i := 0; i < r.NumPartitions(); i++ {
-		for _, rec := range r.Partition(i) {
-			if rec.Key <= prevMax {
-				t.Fatalf("range partitioning not contiguous at partition %d", i)
-			}
-		}
-		for _, rec := range r.Partition(i) {
-			if rec.Key > prevMax {
-				prevMax = rec.Key
-			}
-		}
-	}
-}
-
-func TestCoPartitionedCoGroupSkipsShuffle(t *testing.T) {
-	ctx := testCtx()
-	mk := func(n int) []Pair[int, int] {
-		out := make([]Pair[int, int], n)
-		for i := range out {
-			out[i] = Pair[int, int]{i % 9, i}
-		}
-		return out
-	}
-	p := NewHashPartitioner[int](4)
-	a := PartitionBy(ParallelizeN(ctx, mk(100), 4), p)
-	b := PartitionBy(ParallelizeN(ctx, mk(40), 4), p)
-	before := ctx.Snapshot()
-	grouped := CoGroup(a, b)
-	d := ctx.Snapshot().Diff(before)
-	if d.ShuffleRecords != 0 {
-		t.Fatalf("co-partitioned cogroup shuffled %d records, want 0", d.ShuffleRecords)
-	}
-	// The skipped shuffle must not change the answer.
-	byKey := map[int]Tuple2[[]int, []int]{}
-	for _, rec := range grouped.Collect() {
-		byKey[rec.Key] = rec.Value
-	}
-	if len(byKey) != 9 {
-		t.Fatalf("cogroup keys = %d, want 9", len(byKey))
-	}
-	for k, v := range byKey {
-		wantLeft, wantRight := 0, 0
-		for i := 0; i < 100; i++ {
-			if i%9 == k {
-				wantLeft++
-			}
-		}
-		for i := 0; i < 40; i++ {
-			if i%9 == k {
-				wantRight++
-			}
-		}
-		if len(v.A) != wantLeft || len(v.B) != wantRight {
-			t.Fatalf("key %d: got %d/%d values, want %d/%d", k, len(v.A), len(v.B), wantLeft, wantRight)
-		}
-	}
-}
-
-func TestSortByRangePartitioned(t *testing.T) {
-	ctx := testCtx()
-	data := make([]int, 500)
-	for i := range data {
-		data[i] = (i * 7919) % 500
-	}
-	before := ctx.Snapshot()
-	sorted := SortBy(Parallelize(ctx, data), func(v int) int { return v })
-	d := ctx.Snapshot().Diff(before)
-	if got := sorted.Collect(); !sort.IntsAreSorted(got) {
-		t.Fatalf("SortBy result not globally sorted")
-	}
-	// One shuffle, every record crossing it once — the same cost model
-	// as the old single-range sort, now with a range-partitioned merge.
-	if d.ShuffleRecords != 500 {
-		t.Fatalf("shuffle records = %d, want 500", d.ShuffleRecords)
-	}
-	if d.Stages != 1 {
-		t.Fatalf("stages = %d, want 1", d.Stages)
-	}
-	if sorted.PartitionDesc() != "range" {
-		t.Fatalf("partition desc = %q, want range", sorted.PartitionDesc())
-	}
-	// Partitions are contiguous ranges: concatenation order is sorted.
-	prevMax := -1
-	for i := 0; i < sorted.NumPartitions(); i++ {
-		for _, v := range sorted.Partition(i) {
-			if v < prevMax {
-				t.Fatalf("partition %d breaks range contiguity", i)
-			}
-			if v > prevMax {
-				prevMax = v
-			}
-		}
-	}
-}
-
 func TestPartitionByNoDriverMaterialization(t *testing.T) {
 	// PartitionBy must not re-read the dataset: RecordsRead stays flat
 	// across the shuffle (the old implementation collected the whole
@@ -731,10 +463,18 @@ func TestPartitionByNoDriverMaterialization(t *testing.T) {
 	}
 }
 
-func TestCoGroupMixedPartitionersStillCorrect(t *testing.T) {
-	// A range-partitioned side co-locates keys within itself but at
-	// different indexes than a hash-partitioned peer; the shuffle-skip
-	// must not fire, or keys split across output partitions.
+// modPartitioner places int keys by value modulo N: a placement
+// that co-locates each key but is not the HashPartitioner's.
+type modPartitioner struct{ N int }
+
+func (p modPartitioner) NumPartitions() int  { return p.N }
+func (p modPartitioner) Partition(k int) int { return k % p.N }
+
+func TestJoinMixedPartitionersStillCorrect(t *testing.T) {
+	// A side placed by another partitioner co-locates keys within
+	// itself but at different indexes than a hash-partitioned peer; the
+	// shuffle-skip must not fire, or matching keys meet on different
+	// partitions and the join drops them.
 	ctx := testCtx()
 	mk := func(n int) []Pair[int, int] {
 		out := make([]Pair[int, int], n)
@@ -743,21 +483,18 @@ func TestCoGroupMixedPartitionersStillCorrect(t *testing.T) {
 		}
 		return out
 	}
-	a := PartitionBy(ParallelizeN(ctx, mk(64), 4),
-		NewRangePartitioner([]int{1, 3, 5}, 4))
+	a := PartitionBy(ParallelizeN(ctx, mk(64), 4), modPartitioner{N: 4})
 	b := PartitionBy(ParallelizeN(ctx, mk(32), 4), NewHashPartitioner[int](4))
-	grouped := CoGroup(a, b).Collect()
-	seen := map[int]bool{}
-	for _, rec := range grouped {
-		if seen[rec.Key] {
-			t.Fatalf("key %d emitted more than once (sides not co-aligned)", rec.Key)
-		}
-		seen[rec.Key] = true
-		if len(rec.Value.A) != 8 || len(rec.Value.B) != 4 {
-			t.Fatalf("key %d grouped %d/%d values, want 8/4", rec.Key, len(rec.Value.A), len(rec.Value.B))
-		}
+	perKey := map[int]int{}
+	for _, rec := range Join(a, b).Collect() {
+		perKey[rec.Key]++
 	}
-	if len(seen) != 8 {
-		t.Fatalf("cogroup keys = %d, want 8", len(seen))
+	if len(perKey) != 8 {
+		t.Fatalf("join keys = %d, want 8", len(perKey))
+	}
+	for k, n := range perKey {
+		if n != 8*4 {
+			t.Fatalf("key %d joined %d pairs, want 32", k, n)
+		}
 	}
 }

@@ -7,10 +7,10 @@
 //
 //   - datasets are split into partitions and operated on in parallel;
 //   - narrow transformations (map, filter) stay within a partition while
-//     wide transformations (partitionBy, join, distinct, sortBy) move
-//     records across a shuffle boundary;
-//   - the partitioner is pluggable (hash, range, or custom), mirroring
-//     Spark's RDD-level control over data placement;
+//     wide transformations (partitionBy, join, reduceByKey, groupByKey)
+//     move records across a shuffle boundary;
+//   - the partitioner is pluggable (hash by default), mirroring Spark's
+//     RDD-level control over data placement;
 //   - broadcast variables ship a small dataset to every executor once;
 //   - every shuffle and broadcast is metered, so engines can be compared
 //     by the network traffic they would generate on a real cluster.
@@ -71,8 +71,8 @@ type Metrics struct {
 	ShuffleBytes     int64 // estimated bytes written across shuffles
 	BroadcastRecords int64 // records shipped via broadcast (per executor)
 	RecordsRead      int64 // records scanned from source datasets
-	Supersteps       int64 // Pregel supersteps executed (graphx)
-	MessagesSent     int64 // Pregel/aggregateMessages messages (graphx)
+	Supersteps       int64 // vertex-program supersteps (graph engines)
+	MessagesSent     int64 // vertex-program messages (graphx, graph engines)
 }
 
 // Diff returns m - prev, the activity between two snapshots.
@@ -139,22 +139,11 @@ func (c *Context) Snapshot() Metrics {
 	}
 }
 
-// ResetMetrics zeroes the ledger. Handy between benchmark iterations.
-func (c *Context) ResetMetrics() {
-	c.stages.Store(0)
-	c.tasks.Store(0)
-	c.shuffleRecords.Store(0)
-	c.shuffleBytes.Store(0)
-	c.broadcastRecords.Store(0)
-	c.recordsRead.Store(0)
-	c.supersteps.Store(0)
-	c.messagesSent.Store(0)
-}
-
-// AddSupersteps records Pregel supersteps (used by the graphx package).
+// AddSupersteps records vertex-program supersteps (the graph engines
+// meter their own).
 func (c *Context) AddSupersteps(n int) { c.supersteps.Add(int64(n)) }
 
-// AddMessages records vertex-program messages (used by the graphx package).
+// AddMessages records vertex-program messages (graphx and S2X).
 func (c *Context) AddMessages(n int) { c.messagesSent.Add(int64(n)) }
 
 // AddRead records source records scanned.

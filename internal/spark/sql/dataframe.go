@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/spark"
@@ -47,14 +46,8 @@ func fromRDD(ctx *spark.Context, schema Schema, rdd *spark.RDD[Row]) *DataFrame 
 	return &DataFrame{ctx: ctx, schema: schema, rdd: rdd}
 }
 
-// Context returns the owning spark context.
-func (d *DataFrame) Context() *spark.Context { return d.ctx }
-
 // Schema returns the column names.
 func (d *DataFrame) Schema() Schema { return d.schema.Clone() }
-
-// RDD exposes the underlying row RDD (read-only by convention).
-func (d *DataFrame) RDD() *spark.RDD[Row] { return d.rdd }
 
 // Count returns the number of rows.
 func (d *DataFrame) Count() int { return d.rdd.Count() }
@@ -66,7 +59,7 @@ func (d *DataFrame) Collect() []Row { return d.rdd.Collect() }
 func (d *DataFrame) Filter(pred Expr) (*DataFrame, error) {
 	for _, c := range pred.Columns() {
 		if !d.schema.Has(c) {
-			return nil, errColumn(c, d.schema)
+			return nil, fmt.Errorf("sql: unknown column %q", c)
 		}
 	}
 	schema := d.schema
@@ -90,7 +83,7 @@ func (d *DataFrame) Select(cols ...string) (*DataFrame, error) {
 		name, alias := splitAlias(c)
 		j := d.schema.Index(name)
 		if j < 0 {
-			return nil, errColumn(name, d.schema)
+			return nil, fmt.Errorf("sql: unknown column %q", name)
 		}
 		idx[i] = j
 		if alias != "" {
@@ -117,36 +110,6 @@ func splitAlias(c string) (name, alias string) {
 	return strings.TrimSpace(c), ""
 }
 
-// WithColumnRenamed renames one column.
-func (d *DataFrame) WithColumnRenamed(from, to string) (*DataFrame, error) {
-	i := d.schema.Index(from)
-	if i < 0 {
-		return nil, errColumn(from, d.schema)
-	}
-	schema := d.schema.Clone()
-	schema[i] = to
-	return fromRDD(d.ctx, schema, d.rdd), nil
-}
-
-// Distinct removes duplicate rows (whole-row comparison) via a shuffle.
-func (d *DataFrame) Distinct() *DataFrame {
-	keyed := spark.KeyBy(d.rdd, rowKeyAll)
-	reduced := spark.ReduceByKey(keyed, func(a, _ Row) Row { return a })
-	out := spark.Values(reduced)
-	return fromRDD(d.ctx, d.schema, out)
-}
-
-func rowKeyAll(r Row) string {
-	var b strings.Builder
-	for i, v := range r {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		fmt.Fprint(&b, v)
-	}
-	return b.String()
-}
-
 func rowKeyCols(r Row, idx []int) string {
 	var b strings.Builder
 	for i, j := range idx {
@@ -156,59 +119,6 @@ func rowKeyCols(r Row, idx []int) string {
 		fmt.Fprint(&b, r[j])
 	}
 	return b.String()
-}
-
-// Union appends another DataFrame with an identical schema.
-func (d *DataFrame) Union(other *DataFrame) (*DataFrame, error) {
-	if len(d.schema) != len(other.schema) {
-		return nil, fmt.Errorf("sql: union schema mismatch: %v vs %v", d.schema, other.schema)
-	}
-	return fromRDD(d.ctx, d.schema, d.rdd.Union(other.rdd)), nil
-}
-
-// OrderBy sorts rows by column; asc selects the direction. The sort key
-// uses Compare semantics (numeric when possible, else lexical).
-func (d *DataFrame) OrderBy(col string, asc bool) (*DataFrame, error) {
-	i := d.schema.Index(col)
-	if i < 0 {
-		return nil, errColumn(col, d.schema)
-	}
-	all := d.rdd.Collect()
-	d.ctx.AddRead(0) // sort is a wide op; meter the shuffle explicitly below
-	sorted := spark.SortBy(spark.ParallelizeN(d.ctx, all, d.rdd.NumPartitions()), func(r Row) string {
-		return sortKey(r[i])
-	})
-	rows := sorted.Collect()
-	if !asc {
-		for l, r := 0, len(rows)-1; l < r; l, r = l+1, r-1 {
-			rows[l], rows[r] = rows[r], rows[l]
-		}
-	}
-	return fromRDD(d.ctx, d.schema, spark.ParallelizeN(d.ctx, rows, d.rdd.NumPartitions())), nil
-}
-
-// sortKey renders a value so lexical order matches Compare order within
-// a column of homogeneous type: numbers are zero-padded.
-func sortKey(v any) string {
-	if f, ok := toFloat(v); ok {
-		return fmt.Sprintf("%032.6f", f+1e15)
-	}
-	return fmt.Sprint(v)
-}
-
-// Limit returns the first n rows (with optional offset applied first).
-func (d *DataFrame) Limit(n int) *DataFrame {
-	rows := d.rdd.Take(n)
-	return fromRDD(d.ctx, d.schema, spark.ParallelizeN(d.ctx, rows, 1))
-}
-
-// Offset skips the first n rows.
-func (d *DataFrame) Offset(n int) *DataFrame {
-	rows := d.rdd.Collect()
-	if n > len(rows) {
-		n = len(rows)
-	}
-	return fromRDD(d.ctx, d.schema, spark.ParallelizeN(d.ctx, rows[n:], d.rdd.NumPartitions()))
 }
 
 // JoinStrategy selects the physical join implementation.
@@ -225,17 +135,6 @@ const (
 	JoinBroadcast
 )
 
-func (s JoinStrategy) String() string {
-	switch s {
-	case JoinPartitioned:
-		return "partitioned"
-	case JoinBroadcast:
-		return "broadcast"
-	default:
-		return "auto"
-	}
-}
-
 // Join computes the natural inner join on the given shared columns using
 // the chosen strategy. The result schema is the left schema followed by
 // the right schema minus the join columns.
@@ -249,10 +148,10 @@ func (d *DataFrame) Join(other *DataFrame, on []string, strategy JoinStrategy) (
 		li[i] = d.schema.Index(c)
 		ri[i] = other.schema.Index(c)
 		if li[i] < 0 {
-			return nil, errColumn(c, d.schema)
+			return nil, fmt.Errorf("sql: unknown column %q", c)
 		}
 		if ri[i] < 0 {
-			return nil, errColumn(c, other.schema)
+			return nil, fmt.Errorf("sql: unknown column %q", c)
 		}
 	}
 	// Result schema and right-side kept columns.
@@ -299,47 +198,6 @@ func (d *DataFrame) Join(other *DataFrame, on []string, strategy JoinStrategy) (
 	return fromRDD(d.ctx, schema, out), nil
 }
 
-// LeftOuterJoin keeps all left rows; right columns are nil when
-// unmatched. Used by the SPARQL OPTIONAL translation.
-func (d *DataFrame) LeftOuterJoin(other *DataFrame, on []string) (*DataFrame, error) {
-	li := make([]int, len(on))
-	ri := make([]int, len(on))
-	for i, c := range on {
-		li[i] = d.schema.Index(c)
-		ri[i] = other.schema.Index(c)
-		if li[i] < 0 {
-			return nil, errColumn(c, d.schema)
-		}
-		if ri[i] < 0 {
-			return nil, errColumn(c, other.schema)
-		}
-	}
-	schema := d.schema.Clone()
-	var keep []int
-	for j, c := range other.schema {
-		if !contains(on, c) {
-			schema = append(schema, c)
-			keep = append(keep, j)
-		}
-	}
-	leftKeyed := spark.KeyBy(d.rdd, func(r Row) string { return rowKeyCols(r, li) })
-	rightKeyed := spark.KeyBy(other.rdd, func(r Row) string { return rowKeyCols(r, ri) })
-	joined := spark.LeftOuterJoin(leftKeyed, rightKeyed)
-	out := spark.Map(joined, func(p spark.Pair[string, spark.Tuple2[Row, spark.Opt[Row]]]) Row {
-		row := make(Row, 0, len(schema))
-		row = append(row, p.Value.A...)
-		for _, j := range keep {
-			if p.Value.B.OK {
-				row = append(row, p.Value.B.Val[j])
-			} else {
-				row = append(row, nil)
-			}
-		}
-		return row
-	})
-	return fromRDD(d.ctx, schema, out), nil
-}
-
 // CrossJoin computes the Cartesian product — the fallback Spark SQL used
 // for multi-pattern queries in the hybrid study [21], flagged there as a
 // significant drawback.
@@ -353,146 +211,6 @@ func (d *DataFrame) CrossJoin(other *DataFrame) *DataFrame {
 		return row
 	})
 	return fromRDD(d.ctx, schema, out)
-}
-
-// AggFunc names an aggregate.
-type AggFunc string
-
-// Supported aggregates (the survey's BGP+ includes AVG and COUNT).
-const (
-	AggCount AggFunc = "COUNT"
-	AggSum   AggFunc = "SUM"
-	AggAvg   AggFunc = "AVG"
-	AggMin   AggFunc = "MIN"
-	AggMax   AggFunc = "MAX"
-)
-
-// Aggregate groups by the given columns (possibly none, for a global
-// aggregate) and computes fn over column col ("*" with COUNT counts
-// rows). The result schema is groupCols + one column named e.g.
-// "COUNT(x)".
-func (d *DataFrame) Aggregate(groupCols []string, fn AggFunc, col string) (*DataFrame, error) {
-	gi := make([]int, len(groupCols))
-	for i, c := range groupCols {
-		gi[i] = d.schema.Index(c)
-		if gi[i] < 0 {
-			return nil, errColumn(c, d.schema)
-		}
-	}
-	vi := -1
-	if col != "*" {
-		vi = d.schema.Index(col)
-		if vi < 0 {
-			return nil, errColumn(col, d.schema)
-		}
-	} else if fn != AggCount {
-		return nil, fmt.Errorf("sql: %s(*) is not defined", fn)
-	}
-
-	type acc struct {
-		group      Row
-		count      int
-		sum        float64
-		numeric    bool
-		minV, maxV any
-	}
-	foldRow := func(a acc, r Row) acc {
-		if a.group == nil {
-			a.group = make(Row, len(gi))
-			for i, j := range gi {
-				a.group[i] = r[j]
-			}
-		}
-		if vi < 0 {
-			a.count++
-			return a
-		}
-		v := r[vi]
-		if v == nil {
-			return a
-		}
-		a.count++
-		if f, ok := toFloat(v); ok {
-			a.sum += f
-		} else {
-			a.numeric = false
-		}
-		if a.minV == nil {
-			a.minV, a.maxV = v, v
-		} else {
-			if c, ok := Compare(v, a.minV); ok && c < 0 {
-				a.minV = v
-			}
-			if c, ok := Compare(v, a.maxV); ok && c > 0 {
-				a.maxV = v
-			}
-		}
-		return a
-	}
-	mergeAcc := func(a, b acc) acc {
-		if a.group == nil {
-			a.group = b.group
-		}
-		a.count += b.count
-		a.sum += b.sum
-		a.numeric = a.numeric && b.numeric
-		if a.minV == nil {
-			a.minV = b.minV
-		} else if b.minV != nil {
-			if c, ok := Compare(b.minV, a.minV); ok && c < 0 {
-				a.minV = b.minV
-			}
-		}
-		if a.maxV == nil {
-			a.maxV = b.maxV
-		} else if b.maxV != nil {
-			if c, ok := Compare(b.maxV, a.maxV); ok && c > 0 {
-				a.maxV = b.maxV
-			}
-		}
-		return a
-	}
-	// Aggregation runs as a combineByKey: each group's accumulator is
-	// folded map-side during the combiner scatter, so only one combined
-	// record per (partition, group) crosses the shuffle — the grouped
-	// value lists of the old groupByKey pipeline are never materialized.
-	keyed := spark.KeyBy(d.rdd, func(r Row) string { return rowKeyCols(r, gi) })
-	combined := spark.CombineByKey(keyed,
-		func(r Row) acc { return foldRow(acc{numeric: true}, r) },
-		foldRow,
-		mergeAcc)
-	schema := append(Schema{}, groupCols...)
-	schema = append(schema, fmt.Sprintf("%s(%s)", fn, col))
-	out := spark.Map(combined, func(p spark.Pair[string, acc]) Row {
-		a := p.Value
-		row := append(Row{}, a.group...)
-		switch fn {
-		case AggCount:
-			row = append(row, int64(a.count))
-		case AggSum:
-			row = append(row, a.sum)
-		case AggAvg:
-			if a.count == 0 {
-				row = append(row, nil)
-			} else {
-				row = append(row, a.sum/float64(a.count))
-			}
-		case AggMin:
-			row = append(row, a.minV)
-		case AggMax:
-			row = append(row, a.maxV)
-		}
-		return row
-	})
-	return fromRDD(d.ctx, schema, out), nil
-}
-
-// Rows returns the rows sorted canonically — handy for tests that
-// compare result sets.
-func (d *DataFrame) Rows() []Row {
-	rows := d.Collect()
-	sort.Slice(rows, func(i, j int) bool { return rowKeyAll(rows[i]) < rowKeyAll(rows[j]) })
-	return rows
 }
 
 func contains(xs []string, s string) bool {

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -13,8 +12,6 @@ type Expr interface {
 	Eval(row Row, schema Schema) (any, error)
 	// Columns lists the column names the expression references.
 	Columns() []string
-	// String renders the expression in SQL syntax.
-	String() string
 }
 
 // Col references a column by name.
@@ -24,15 +21,13 @@ type Col struct{ Name string }
 func (c Col) Eval(row Row, schema Schema) (any, error) {
 	i := schema.Index(c.Name)
 	if i < 0 {
-		return nil, errColumn(c.Name, schema)
+		return nil, fmt.Errorf("sql: unknown column %q", c.Name)
 	}
 	return row[i], nil
 }
 
 // Columns implements Expr.
 func (c Col) Columns() []string { return []string{c.Name} }
-
-func (c Col) String() string { return c.Name }
 
 // Lit is a literal constant.
 type Lit struct{ Value any }
@@ -42,13 +37,6 @@ func (l Lit) Eval(Row, Schema) (any, error) { return l.Value, nil }
 
 // Columns implements Expr.
 func (l Lit) Columns() []string { return nil }
-
-func (l Lit) String() string {
-	if s, ok := l.Value.(string); ok {
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
-	}
-	return fmt.Sprint(l.Value)
-}
 
 // BinOp applies a binary operator. Supported ops: = != < <= > >= AND OR.
 type BinOp struct {
@@ -115,28 +103,6 @@ func (b BinOp) Eval(row Row, schema Schema) (any, error) {
 // Columns implements Expr.
 func (b BinOp) Columns() []string { return append(b.L.Columns(), b.R.Columns()...) }
 
-func (b BinOp) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
-}
-
-// Not negates a boolean expression.
-type Not struct{ E Expr }
-
-// Eval implements Expr.
-func (n Not) Eval(row Row, schema Schema) (any, error) {
-	v, err := n.E.Eval(row, schema)
-	if err != nil {
-		return nil, err
-	}
-	vb, _ := v.(bool)
-	return !vb, nil
-}
-
-// Columns implements Expr.
-func (n Not) Columns() []string { return n.E.Columns() }
-
-func (n Not) String() string { return "NOT " + n.E.String() }
-
 // Compare orders two scalar values. Numbers compare numerically (ints and
 // floats interoperate); strings lexically; bools false<true. The second
 // result is false when the values are not comparable.
@@ -199,36 +165,8 @@ func toFloat(v any) (float64, bool) {
 	}
 }
 
-// ParseNumber converts a SQL numeric token into int64 or float64.
-func ParseNumber(tok string) (any, error) {
-	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return i, nil
-	}
-	f, err := strconv.ParseFloat(tok, 64)
-	if err != nil {
-		return nil, fmt.Errorf("sql: bad number %q", tok)
-	}
-	return f, nil
-}
-
 // Eq builds the common column-equals-literal predicate.
 func Eq(col string, value any) Expr { return BinOp{Op: "=", L: Col{col}, R: Lit{value}} }
 
 // ColEq builds a column-equals-column predicate.
 func ColEq(a, b string) Expr { return BinOp{Op: "=", L: Col{a}, R: Col{b}} }
-
-// And conjoins expressions, returning nil for an empty list.
-func And(exprs ...Expr) Expr {
-	var out Expr
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if out == nil {
-			out = e
-		} else {
-			out = BinOp{Op: "AND", L: out, R: e}
-		}
-	}
-	return out
-}

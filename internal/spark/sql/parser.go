@@ -8,13 +8,11 @@ import (
 
 // ParseSQL parses a SQL subset into a logical plan:
 //
-//	SELECT [DISTINCT] list FROM source {JOIN source [ON a = b]}
-//	  [WHERE expr] [GROUP BY cols] [ORDER BY col [ASC|DESC]]
-//	  [LIMIT n] [OFFSET n]
+//	SELECT list FROM source {JOIN source [ON col]} [WHERE expr]
 //
-// where list is *, columns ("c" / "c AS x"), or one aggregate
-// (COUNT/SUM/AVG/MIN/MAX), and source is a table name or a
-// parenthesized subquery with an alias. Bare JOIN is a natural join on
+// where list is * or columns ("c" / "c AS x"), source is a table name
+// or a parenthesized subquery with an alias, and expr compares columns
+// and string literals under AND / OR. Bare JOIN is a natural join on
 // all shared columns — exactly the form S2RDF emits for SPARQL BGPs.
 func ParseSQL(text string) (Plan, error) {
 	toks, err := lexSQL(text)
@@ -33,7 +31,7 @@ func ParseSQL(text string) (Plan, error) {
 }
 
 type sqlToken struct {
-	kind string // "ident", "number", "string", "punct"
+	kind string // "ident", "string", "punct"
 	text string
 }
 
@@ -65,13 +63,6 @@ func lexSQL(text string) ([]sqlToken, error) {
 			}
 			toks = append(toks, sqlToken{"string", b.String()})
 			i = j + 1
-		case unicode.IsDigit(c) || (c == '-' && i+1 < len(text) && unicode.IsDigit(rune(text[i+1]))):
-			j := i + 1
-			for j < len(text) && (unicode.IsDigit(rune(text[j])) || text[j] == '.') {
-				j++
-			}
-			toks = append(toks, sqlToken{"number", text[i:j]})
-			i = j
 		case unicode.IsLetter(c) || c == '_':
 			j := i + 1
 			for j < len(text) && (unicode.IsLetter(rune(text[j])) || unicode.IsDigit(rune(text[j])) || text[j] == '_' || text[j] == '.') {
@@ -142,17 +133,14 @@ func (p *sqlParser) acceptPunct(s string) bool {
 }
 
 type selectItem struct {
-	col   string // column name or "*" (or aggregate argument)
+	col   string // column name or "*"
 	alias string
-	agg   AggFunc // empty when plain column
 }
 
 func (p *sqlParser) parseQuery() (Plan, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	distinct := p.acceptKeyword("DISTINCT")
-
 	items, err := p.parseSelectList()
 	if err != nil {
 		return nil, err
@@ -182,14 +170,10 @@ func (p *sqlParser) parseQuery() (Plan, error) {
 					return nil, fmt.Errorf("sql: expected column after =, got %q", b.text)
 				}
 				if a.text != b.text {
-					// Rename right side to the left's column name, then join.
-					right = &Project{Input: right, Cols: []string{"*"}} // placeholder, resolved below
 					return nil, fmt.Errorf("sql: ON %s = %s with different names is unsupported; alias the columns first", a.text, b.text)
 				}
-				on = []string{a.text}
-			} else {
-				on = []string{a.text}
 			}
+			on = []string{a.text}
 		}
 		plan = &JoinNode{Left: plan, Right: right, On: on, Strategy: JoinAuto}
 	}
@@ -202,43 +186,7 @@ func (p *sqlParser) parseQuery() (Plan, error) {
 		plan = &FilterNode{Input: plan, Pred: pred}
 	}
 
-	var groupCols []string
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			t := p.next()
-			if t.kind != "ident" {
-				return nil, fmt.Errorf("sql: expected column in GROUP BY, got %q", t.text)
-			}
-			groupCols = append(groupCols, t.text)
-			if !p.acceptPunct(",") {
-				break
-			}
-		}
-	}
-
-	// Apply select list: either one aggregate (+ group cols) or plain columns.
-	var aggItem *selectItem
-	for i := range items {
-		if items[i].agg != "" {
-			if aggItem != nil {
-				return nil, fmt.Errorf("sql: only one aggregate per query is supported")
-			}
-			aggItem = &items[i]
-		}
-	}
-	if aggItem != nil {
-		plan = &AggNode{Input: plan, GroupCols: groupCols, Fn: aggItem.agg, Col: aggItem.col}
-		if aggItem.alias != "" {
-			cols := append([]string{}, groupCols...)
-			cols = append(cols, fmt.Sprintf("%s(%s) AS %s", aggItem.agg, aggItem.col, aggItem.alias))
-			plan = &Project{Input: plan, Cols: cols}
-		}
-	} else if len(groupCols) > 0 {
-		return nil, fmt.Errorf("sql: GROUP BY requires an aggregate in the select list")
-	} else if !(len(items) == 1 && items[0].col == "*") {
+	if !(len(items) == 1 && items[0].col == "*") {
 		cols := make([]string, len(items))
 		for i, it := range items {
 			if it.alias != "" {
@@ -248,46 +196,6 @@ func (p *sqlParser) parseQuery() (Plan, error) {
 			}
 		}
 		plan = &Project{Input: plan, Cols: cols}
-	}
-
-	if distinct {
-		plan = &DistinctNode{Input: plan}
-	}
-
-	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		t := p.next()
-		if t.kind != "ident" {
-			return nil, fmt.Errorf("sql: expected column in ORDER BY, got %q", t.text)
-		}
-		asc := true
-		if p.acceptKeyword("DESC") {
-			asc = false
-		} else {
-			p.acceptKeyword("ASC")
-		}
-		plan = &SortNode{Input: plan, Col: t.text, Asc: asc}
-	}
-
-	limit, offset := -1, 0
-	if p.acceptKeyword("LIMIT") {
-		t := p.next()
-		if t.kind != "number" {
-			return nil, fmt.Errorf("sql: expected number after LIMIT, got %q", t.text)
-		}
-		fmt.Sscanf(t.text, "%d", &limit)
-	}
-	if p.acceptKeyword("OFFSET") {
-		t := p.next()
-		if t.kind != "number" {
-			return nil, fmt.Errorf("sql: expected number after OFFSET, got %q", t.text)
-		}
-		fmt.Sscanf(t.text, "%d", &offset)
-	}
-	if limit >= 0 || offset > 0 {
-		plan = &LimitNode{Input: plan, N: limit, Offset: offset}
 	}
 	return plan, nil
 }
@@ -302,31 +210,7 @@ func (p *sqlParser) parseSelectList() ([]selectItem, error) {
 		if t.kind != "ident" {
 			return nil, fmt.Errorf("sql: expected select item, got %q", t.text)
 		}
-		upper := strings.ToUpper(t.text)
-		var item selectItem
-		switch upper {
-		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-			if p.acceptPunct("(") {
-				var arg string
-				if p.acceptPunct("*") {
-					arg = "*"
-				} else {
-					at := p.next()
-					if at.kind != "ident" {
-						return nil, fmt.Errorf("sql: expected column in %s(), got %q", upper, at.text)
-					}
-					arg = at.text
-				}
-				if !p.acceptPunct(")") {
-					return nil, fmt.Errorf("sql: expected ) after aggregate")
-				}
-				item = selectItem{col: arg, agg: AggFunc(upper)}
-				break
-			}
-			item = selectItem{col: t.text}
-		default:
-			item = selectItem{col: t.text}
-		}
+		item := selectItem{col: t.text}
 		if p.acceptKeyword("AS") {
 			at := p.next()
 			if at.kind != "ident" {
@@ -369,7 +253,7 @@ func (p *sqlParser) parseSource() (Plan, error) {
 
 func isClauseKeyword(s string) bool {
 	switch strings.ToUpper(s) {
-	case "JOIN", "WHERE", "GROUP", "ORDER", "LIMIT", "OFFSET", "ON", "UNION":
+	case "JOIN", "WHERE", "ON":
 		return true
 	}
 	return false
@@ -407,13 +291,6 @@ func (p *sqlParser) parseAnd() (Expr, error) {
 }
 
 func (p *sqlParser) parseUnary() (Expr, error) {
-	if p.acceptKeyword("NOT") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return Not{E: e}, nil
-	}
 	if p.acceptPunct("(") {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -454,12 +331,6 @@ func (p *sqlParser) parseOperand() (Expr, error) {
 	switch t.kind {
 	case "ident":
 		return Col{Name: t.text}, nil
-	case "number":
-		v, err := ParseNumber(t.text)
-		if err != nil {
-			return nil, err
-		}
-		return Lit{Value: v}, nil
 	case "string":
 		return Lit{Value: t.text}, nil
 	default:

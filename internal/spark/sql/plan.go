@@ -2,26 +2,15 @@ package sql
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Plan is a node of the logical query plan, the representation the
-// Catalyst-style optimizer rewrites before execution.
-type Plan interface {
-	// Children returns the input plans.
-	Children() []Plan
-	// Explain renders the node (without children) for EXPLAIN output.
-	Explain() string
-}
+// Catalyst-style optimizer rewrites before execution. The node types
+// below are the only ones.
+type Plan interface{ plan() }
 
 // Scan reads a registered table.
 type Scan struct{ Table string }
-
-// Children implements Plan.
-func (s *Scan) Children() []Plan { return nil }
-
-// Explain implements Plan.
-func (s *Scan) Explain() string { return "Scan " + s.Table }
 
 // Project selects/renames columns; each entry is "col" or "col AS alias".
 type Project struct {
@@ -29,23 +18,11 @@ type Project struct {
 	Cols  []string
 }
 
-// Children implements Plan.
-func (p *Project) Children() []Plan { return []Plan{p.Input} }
-
-// Explain implements Plan.
-func (p *Project) Explain() string { return "Project " + strings.Join(p.Cols, ", ") }
-
 // FilterNode keeps rows matching Pred.
 type FilterNode struct {
 	Input Plan
 	Pred  Expr
 }
-
-// Children implements Plan.
-func (f *FilterNode) Children() []Plan { return []Plan{f.Input} }
-
-// Explain implements Plan.
-func (f *FilterNode) Explain() string { return "Filter " + f.Pred.String() }
 
 // JoinNode joins two plans on the named shared columns (natural join on
 // all shared columns when On is empty).
@@ -55,117 +32,17 @@ type JoinNode struct {
 	Strategy    JoinStrategy
 }
 
-// Children implements Plan.
-func (j *JoinNode) Children() []Plan { return []Plan{j.Left, j.Right} }
-
-// Explain implements Plan.
-func (j *JoinNode) Explain() string {
-	on := "natural"
-	if len(j.On) > 0 {
-		on = strings.Join(j.On, ", ")
-	}
-	return fmt.Sprintf("Join[%s] on %s", j.Strategy, on)
-}
-
-// UnionNode appends Right below Left.
-type UnionNode struct{ Left, Right Plan }
-
-// Children implements Plan.
-func (u *UnionNode) Children() []Plan { return []Plan{u.Left, u.Right} }
-
-// Explain implements Plan.
-func (u *UnionNode) Explain() string { return "Union" }
-
-// DistinctNode removes duplicate rows.
-type DistinctNode struct{ Input Plan }
-
-// Children implements Plan.
-func (d *DistinctNode) Children() []Plan { return []Plan{d.Input} }
-
-// Explain implements Plan.
-func (d *DistinctNode) Explain() string { return "Distinct" }
-
-// SortNode orders rows by one column.
-type SortNode struct {
-	Input Plan
-	Col   string
-	Asc   bool
-}
-
-// Children implements Plan.
-func (s *SortNode) Children() []Plan { return []Plan{s.Input} }
-
-// Explain implements Plan.
-func (s *SortNode) Explain() string {
-	dir := "ASC"
-	if !s.Asc {
-		dir = "DESC"
-	}
-	return "Sort " + s.Col + " " + dir
-}
-
-// LimitNode truncates to N rows after skipping Offset rows.
-type LimitNode struct {
-	Input  Plan
-	N      int
-	Offset int
-}
-
-// Children implements Plan.
-func (l *LimitNode) Children() []Plan { return []Plan{l.Input} }
-
-// Explain implements Plan.
-func (l *LimitNode) Explain() string { return fmt.Sprintf("Limit %d offset %d", l.N, l.Offset) }
-
-// AggNode groups by GroupCols and computes Fn(Col).
-type AggNode struct {
-	Input     Plan
-	GroupCols []string
-	Fn        AggFunc
-	Col       string
-}
-
-// Children implements Plan.
-func (a *AggNode) Children() []Plan { return []Plan{a.Input} }
-
-// Explain implements Plan.
-func (a *AggNode) Explain() string {
-	return fmt.Sprintf("Aggregate [%s] %s(%s)", strings.Join(a.GroupCols, ","), a.Fn, a.Col)
-}
-
-// InlineData embeds a pre-built DataFrame in the plan (used when engines
-// compose plans programmatically).
-type InlineData struct{ DF *DataFrame }
-
-// Children implements Plan.
-func (i *InlineData) Children() []Plan { return nil }
-
-// Explain implements Plan.
-func (i *InlineData) Explain() string { return fmt.Sprintf("InlineData %d rows", i.DF.Count()) }
-
-// ExplainPlan renders the whole plan tree, one node per line.
-func ExplainPlan(p Plan) string {
-	var b strings.Builder
-	var walk func(Plan, int)
-	walk = func(n Plan, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.Explain())
-		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(p, 0)
-	return b.String()
-}
+func (*Scan) plan()       {}
+func (*Project) plan()    {}
+func (*FilterNode) plan() {}
+func (*JoinNode) plan()   {}
 
 // --- Optimizer (Catalyst-style rule passes) ---
 
-// Optimize applies the rule passes in order: predicate pushdown, join
-// reordering by estimated cardinality, then physical join-strategy
-// selection against the broadcast threshold.
+// Optimize applies the rule passes in order: join reordering by
+// estimated cardinality, then physical join-strategy selection against
+// the broadcast threshold.
 func (s *Session) Optimize(p Plan) Plan {
-	p = pushDownFilters(p, s)
 	p = reorderJoins(p, s)
 	p = chooseJoinStrategies(p, s)
 	return p
@@ -180,8 +57,6 @@ func (s *Session) planSchema(p Plan) (Schema, error) {
 			return nil, fmt.Errorf("sql: unknown table %q", n.Table)
 		}
 		return df.Schema(), nil
-	case *InlineData:
-		return n.DF.Schema(), nil
 	case *Project:
 		out := make(Schema, len(n.Cols))
 		for i, c := range n.Cols {
@@ -215,17 +90,6 @@ func (s *Session) planSchema(p Plan) (Schema, error) {
 			}
 		}
 		return out, nil
-	case *UnionNode:
-		return s.planSchema(n.Left)
-	case *DistinctNode:
-		return s.planSchema(n.Input)
-	case *SortNode:
-		return s.planSchema(n.Input)
-	case *LimitNode:
-		return s.planSchema(n.Input)
-	case *AggNode:
-		out := append(Schema{}, n.GroupCols...)
-		return append(out, fmt.Sprintf("%s(%s)", n.Fn, n.Col)), nil
 	default:
 		return nil, fmt.Errorf("sql: unknown plan node %T", p)
 	}
@@ -244,8 +108,6 @@ func (s *Session) estimateRows(p Plan) int {
 			return df.Count()
 		}
 		return 0
-	case *InlineData:
-		return n.DF.Count()
 	case *Project:
 		return s.estimateRows(n.Input)
 	case *FilterNode:
@@ -261,85 +123,9 @@ func (s *Session) estimateRows(p Plan) int {
 			return l
 		}
 		return r
-	case *UnionNode:
-		return s.estimateRows(n.Left) + s.estimateRows(n.Right)
-	case *DistinctNode:
-		return s.estimateRows(n.Input)
-	case *SortNode:
-		return s.estimateRows(n.Input)
-	case *LimitNode:
-		e := s.estimateRows(n.Input)
-		if n.N < e {
-			return n.N
-		}
-		return e
-	case *AggNode:
-		if len(n.GroupCols) == 0 {
-			return 1
-		}
-		return s.estimateRows(n.Input)
 	default:
 		return 0
 	}
-}
-
-// pushDownFilters moves filter predicates below joins when every column
-// the predicate references comes from one side.
-func pushDownFilters(p Plan, s *Session) Plan {
-	switch n := p.(type) {
-	case *FilterNode:
-		n.Input = pushDownFilters(n.Input, s)
-		if j, ok := n.Input.(*JoinNode); ok {
-			ls, lerr := s.planSchema(j.Left)
-			rs, rerr := s.planSchema(j.Right)
-			if lerr == nil && rerr == nil {
-				cols := n.Pred.Columns()
-				if allIn(cols, ls) {
-					j.Left = &FilterNode{Input: j.Left, Pred: n.Pred}
-					return j
-				}
-				if allIn(cols, rs) {
-					j.Right = &FilterNode{Input: j.Right, Pred: n.Pred}
-					return j
-				}
-			}
-		}
-		return n
-	case *JoinNode:
-		n.Left = pushDownFilters(n.Left, s)
-		n.Right = pushDownFilters(n.Right, s)
-		return n
-	case *Project:
-		n.Input = pushDownFilters(n.Input, s)
-		return n
-	case *UnionNode:
-		n.Left = pushDownFilters(n.Left, s)
-		n.Right = pushDownFilters(n.Right, s)
-		return n
-	case *DistinctNode:
-		n.Input = pushDownFilters(n.Input, s)
-		return n
-	case *SortNode:
-		n.Input = pushDownFilters(n.Input, s)
-		return n
-	case *LimitNode:
-		n.Input = pushDownFilters(n.Input, s)
-		return n
-	case *AggNode:
-		n.Input = pushDownFilters(n.Input, s)
-		return n
-	default:
-		return p
-	}
-}
-
-func allIn(cols []string, schema Schema) bool {
-	for _, c := range cols {
-		if !schema.Has(c) {
-			return false
-		}
-	}
-	return true
 }
 
 // reorderJoins flattens chains of natural inner joins and greedily
@@ -368,22 +154,6 @@ func reorderJoins(p Plan, s *Session) Plan {
 		n.Input = reorderJoins(n.Input, s)
 		return n
 	case *Project:
-		n.Input = reorderJoins(n.Input, s)
-		return n
-	case *UnionNode:
-		n.Left = reorderJoins(n.Left, s)
-		n.Right = reorderJoins(n.Right, s)
-		return n
-	case *DistinctNode:
-		n.Input = reorderJoins(n.Input, s)
-		return n
-	case *SortNode:
-		n.Input = reorderJoins(n.Input, s)
-		return n
-	case *LimitNode:
-		n.Input = reorderJoins(n.Input, s)
-		return n
-	case *AggNode:
 		n.Input = reorderJoins(n.Input, s)
 		return n
 	default:
@@ -464,22 +234,6 @@ func chooseJoinStrategies(p Plan, s *Session) Plan {
 		n.Input = chooseJoinStrategies(n.Input, s)
 		return n
 	case *Project:
-		n.Input = chooseJoinStrategies(n.Input, s)
-		return n
-	case *UnionNode:
-		n.Left = chooseJoinStrategies(n.Left, s)
-		n.Right = chooseJoinStrategies(n.Right, s)
-		return n
-	case *DistinctNode:
-		n.Input = chooseJoinStrategies(n.Input, s)
-		return n
-	case *SortNode:
-		n.Input = chooseJoinStrategies(n.Input, s)
-		return n
-	case *LimitNode:
-		n.Input = chooseJoinStrategies(n.Input, s)
-		return n
-	case *AggNode:
 		n.Input = chooseJoinStrategies(n.Input, s)
 		return n
 	default:

@@ -1,24 +1,12 @@
 // Package sql simulates Spark SQL: DataFrames (schema'd, immutable,
 // partitioned tables built on the spark RDD substrate), a SQL subset
-// parser, and a Catalyst-style optimizer with predicate pushdown,
-// projection pruning, size-based broadcast-join selection, and join
-// reordering. S2RDF [24] and the hybrid study [21] are built on it.
+// parser, and a Catalyst-style optimizer with join reordering and
+// size-based broadcast-join selection. S2RDF [24] and the GraphFrames
+// engine are built on it.
 package sql
-
-import (
-	"fmt"
-	"strings"
-)
 
 // Row is one record of a DataFrame; values are aligned with the schema.
 type Row []any
-
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // Schema is the ordered list of column names of a DataFrame.
 type Schema []string
@@ -49,10 +37,3 @@ func (s Schema) Shared(other Schema) []string {
 
 // Clone returns a copy of the schema.
 func (s Schema) Clone() Schema { return append(Schema(nil), s...) }
-
-func (s Schema) String() string { return strings.Join(s, ", ") }
-
-// errColumn builds the canonical unknown-column error.
-func errColumn(name string, s Schema) error {
-	return fmt.Errorf("sql: unknown column %q (schema: %s)", name, s)
-}

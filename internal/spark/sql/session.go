@@ -18,30 +18,9 @@ func NewSession(ctx *spark.Context) *Session {
 	return &Session{ctx: ctx, tables: make(map[string]*DataFrame)}
 }
 
-// Context returns the owning spark context.
-func (s *Session) Context() *spark.Context { return s.ctx }
-
 // RegisterTable makes df queryable under name, replacing any previous
 // registration.
 func (s *Session) RegisterTable(name string, df *DataFrame) { s.tables[name] = df }
-
-// DropTable removes a registration.
-func (s *Session) DropTable(name string) { delete(s.tables, name) }
-
-// Table returns the registered DataFrame.
-func (s *Session) Table(name string) (*DataFrame, bool) {
-	df, ok := s.tables[name]
-	return df, ok
-}
-
-// TableNames lists registered tables (unsorted).
-func (s *Session) TableNames() []string {
-	out := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		out = append(out, n)
-	}
-	return out
-}
 
 // Query parses, optimizes, and executes a SQL statement.
 func (s *Session) Query(sqlText string) (*DataFrame, error) {
@@ -57,15 +36,6 @@ func (s *Session) Run(plan Plan) (*DataFrame, error) {
 	return s.Execute(s.Optimize(plan))
 }
 
-// Explain returns the optimized plan for a SQL statement as text.
-func (s *Session) Explain(sqlText string) (string, error) {
-	plan, err := ParseSQL(sqlText)
-	if err != nil {
-		return "", err
-	}
-	return ExplainPlan(s.Optimize(plan)), nil
-}
-
 // Execute runs a logical plan without further optimization.
 func (s *Session) Execute(p Plan) (*DataFrame, error) {
 	switch n := p.(type) {
@@ -75,8 +45,6 @@ func (s *Session) Execute(p Plan) (*DataFrame, error) {
 			return nil, fmt.Errorf("sql: unknown table %q", n.Table)
 		}
 		return df, nil
-	case *InlineData:
-		return n.DF, nil
 	case *Project:
 		in, err := s.Execute(n.Input)
 		if err != nil {
@@ -109,46 +77,6 @@ func (s *Session) Execute(p Plan) (*DataFrame, error) {
 			return l.CrossJoin(r), nil
 		}
 		return l.Join(r, on, n.Strategy)
-	case *UnionNode:
-		l, err := s.Execute(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.Execute(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return l.Union(r)
-	case *DistinctNode:
-		in, err := s.Execute(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		return in.Distinct(), nil
-	case *SortNode:
-		in, err := s.Execute(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		return in.OrderBy(n.Col, n.Asc)
-	case *LimitNode:
-		in, err := s.Execute(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		if n.Offset > 0 {
-			in = in.Offset(n.Offset)
-		}
-		if n.N >= 0 {
-			in = in.Limit(n.N)
-		}
-		return in, nil
-	case *AggNode:
-		in, err := s.Execute(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		return in.Aggregate(n.GroupCols, n.Fn, n.Col)
 	default:
 		return nil, fmt.Errorf("sql: cannot execute plan node %T", p)
 	}

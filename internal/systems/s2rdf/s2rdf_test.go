@@ -188,6 +188,29 @@ func TestVariablePredicateFallsBackToTriples(t *testing.T) {
 	}
 }
 
+// A BGP whose patterns share no variable compiles to a JOIN with no
+// shared column, which Spark SQL runs as a cross product.
+func TestDisconnectedBGPIsCrossProduct(t *testing.T) {
+	data := chainData()
+	e := newEngine()
+	if err := e.Load(data); err != nil {
+		t.Fatal(err)
+	}
+	q := sparql.MustParse(`SELECT ?st ?prof ?x ?dept WHERE {
+		?st <http://t/advisor> ?prof . ?x <http://t/worksFor> ?dept }`)
+	got, err := e.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sparql.Evaluate(q, rdf.NewGraph(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() < 2 || !got.Equal(want) {
+		t.Fatalf("got %d rows, want the %d-row cross product", got.Len(), want.Len())
+	}
+}
+
 func TestUnknownPredicateYieldsEmpty(t *testing.T) {
 	e := newEngine()
 	if err := e.Load(chainData()); err != nil {
