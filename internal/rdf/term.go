@@ -5,10 +5,7 @@
 // RDFS inference (the survey's Sec. II background).
 package rdf
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // TermKind discriminates the three disjoint sets of RDF resources:
 // URIs (U), literals (L) and blank nodes (B).
@@ -72,30 +69,57 @@ func (t Term) IsBlank() bool { return t.Kind == Blank }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
-	switch t.Kind {
-	case IRI:
-		return "<" + t.Value + ">"
-	case Blank:
-		return "_:" + t.Value
-	default:
-		s := `"` + escapeLiteral(t.Value) + `"`
-		if t.Lang != "" {
-			return s + "@" + t.Lang
-		}
-		if t.Datatype != "" {
-			return s + "^^<" + t.Datatype + ">"
-		}
-		return s
-	}
+	var buf [128]byte
+	return string(t.AppendTo(buf[:0]))
 }
 
-// literalEscaper rewrites the bytes N-Triples escapes inside a literal.
-// A Replacer builds its table once, is safe for concurrent use, and
-// returns a string with nothing to escape as it is, so one serves every
-// Term.String.
-var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
-
-func escapeLiteral(s string) string { return literalEscaper.Replace(s) }
+// AppendTo appends the term's N-Triples rendering, String's bytes, to
+// buf and returns the extended buffer. It is the one N-Triples
+// renderer: shuffle keys, result comparison and the server's TSV and
+// graph writers all build their bytes with it.
+func (t Term) AppendTo(buf []byte) []byte {
+	switch t.Kind {
+	case IRI:
+		buf = append(buf, '<')
+		buf = append(buf, t.Value...)
+		return append(buf, '>')
+	case Blank:
+		buf = append(buf, '_', ':')
+		return append(buf, t.Value...)
+	}
+	buf = append(buf, '"')
+	v, start := t.Value, 0
+	for i := 0; i < len(v); i++ {
+		var esc byte
+		switch v[i] {
+		case '\\', '"':
+			esc = v[i]
+		case '\n':
+			esc = 'n'
+		case '\r':
+			esc = 'r'
+		case '\t':
+			esc = 't'
+		default:
+			continue
+		}
+		buf = append(buf, v[start:i]...)
+		buf = append(buf, '\\', esc)
+		start = i + 1
+	}
+	buf = append(buf, v[start:]...)
+	buf = append(buf, '"')
+	switch {
+	case t.Lang != "":
+		buf = append(buf, '@')
+		buf = append(buf, t.Lang...)
+	case t.Datatype != "":
+		buf = append(buf, '^', '^', '<')
+		buf = append(buf, t.Datatype...)
+		buf = append(buf, '>')
+	}
+	return buf
+}
 
 // Well-known vocabulary IRIs.
 const (

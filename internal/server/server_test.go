@@ -380,21 +380,23 @@ func TestServeConcurrentClients(t *testing.T) {
 	}
 }
 
-// appendNTriplesTerm must stay byte-identical to rdf.Term.String (the
-// canonical N-Triples rendering) across every term kind and escape.
+// The TSV and graph writers' term encoding (rdf.Term.AppendTo) is
+// N-Triples across every term kind and escape, and equals Term.String.
 func TestAppendNTriplesTermParity(t *testing.T) {
-	terms := []rdf.Term{
-		rdf.NewIRI("http://ex/s"),
-		rdf.NewBlank("b0"),
-		rdf.NewLiteral("plain"),
-		rdf.NewLiteral("quo\"te back\\slash"),
-		rdf.NewLiteral("line\nbreak\ttab\rret"),
-		rdf.NewLangLiteral("hallo", "de"),
-		rdf.NewTypedLiteral("42", rdf.XSDInteger),
-	}
-	for _, term := range terms {
-		if got := string(appendNTriplesTerm(nil, term)); got != term.String() {
-			t.Fatalf("appendNTriplesTerm = %q, Term.String = %q", got, term.String())
+	for _, c := range []struct {
+		term rdf.Term
+		want string
+	}{
+		{rdf.NewIRI("http://ex/s"), `<http://ex/s>`},
+		{rdf.NewBlank("b0"), `_:b0`},
+		{rdf.NewLiteral("plain"), `"plain"`},
+		{rdf.NewLiteral("quo\"te back\\slash"), `"quo\"te back\\slash"`},
+		{rdf.NewLiteral("line\nbreak\ttab\rret"), `"line\nbreak\ttab\rret"`},
+		{rdf.NewLangLiteral("hallo", "de"), `"hallo"@de`},
+		{rdf.NewTypedLiteral("42", rdf.XSDInteger), `"42"^^<` + rdf.XSDInteger + `>`},
+	} {
+		if got := string(c.term.AppendTo(nil)); got != c.want || c.term.String() != c.want {
+			t.Fatalf("AppendTo = %q, Term.String = %q, want %q", got, c.term.String(), c.want)
 		}
 	}
 }

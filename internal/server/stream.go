@@ -192,53 +192,6 @@ func writeJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions, t
 	}, "]}}\n")
 }
 
-// appendNTriplesTerm appends t in N-Triples syntax (the SPARQL TSV
-// term encoding). It mirrors rdf.Term.String exactly but builds no
-// intermediate strings.
-func appendNTriplesTerm(buf []byte, t rdf.Term) []byte {
-	switch {
-	case t.IsIRI():
-		buf = append(buf, '<')
-		buf = append(buf, t.Value...)
-		return append(buf, '>')
-	case t.IsBlank():
-		buf = append(buf, '_', ':')
-		return append(buf, t.Value...)
-	}
-	buf = append(buf, '"')
-	v, start := t.Value, 0
-	for i := 0; i < len(v); i++ {
-		var esc byte
-		switch v[i] {
-		case '\\', '"':
-			esc = v[i]
-		case '\n':
-			esc = 'n'
-		case '\r':
-			esc = 'r'
-		case '\t':
-			esc = 't'
-		default:
-			continue
-		}
-		buf = append(buf, v[start:i]...)
-		buf = append(buf, '\\', esc)
-		start = i + 1
-	}
-	buf = append(buf, v[start:]...)
-	buf = append(buf, '"')
-	switch {
-	case t.Lang != "":
-		buf = append(buf, '@')
-		buf = append(buf, t.Lang...)
-	case t.Datatype != "":
-		buf = append(buf, '^', '^', '<')
-		buf = append(buf, t.Datatype...)
-		buf = append(buf, '>')
-	}
-	return buf
-}
-
 // writeTSVResults streams sol as SPARQL 1.1 Query Results TSV
 // (text/tab-separated-values): a ?var header line, then one line per
 // solution with terms in N-Triples syntax and unbound positions empty.
@@ -274,11 +227,11 @@ func writeTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions, te
 func writeGraphResults(ctx context.Context, w io.Writer, sol *sparql.Solutions) error {
 	triples := sol.Graph()
 	return streamRows(ctx, w, nil, len(triples), func(buf []byte, i int) []byte {
-		buf = appendNTriplesTerm(buf, triples[i].S)
+		buf = triples[i].S.AppendTo(buf)
 		buf = append(buf, ' ')
-		buf = appendNTriplesTerm(buf, triples[i].P)
+		buf = triples[i].P.AppendTo(buf)
 		buf = append(buf, ' ')
-		buf = appendNTriplesTerm(buf, triples[i].O)
+		buf = triples[i].O.AppendTo(buf)
 		return append(buf, ' ', '.', '\n')
 	}, "")
 }

@@ -51,7 +51,7 @@ func refAppendJSONString(buf []byte, s string) []byte {
 }
 
 // refAppendNTriplesLiteral is the byte-at-a-time form of the literal
-// branch of appendNTriplesTerm (value only, quotes included).
+// branch of rdf.Term.AppendTo (value only, quotes included).
 func refAppendNTriplesLiteral(buf []byte, v string) []byte {
 	buf = append(buf, '"')
 	for i := 0; i < len(v); i++ {
@@ -138,8 +138,8 @@ func TestAppendNTriplesLiteralMatchesReference(t *testing.T) {
 			case term.Datatype != "":
 				want = append(want, "^^<"+rdf.XSDString+">"...)
 			}
-			if got := appendNTriplesTerm([]byte("x\t"), term); !bytes.Equal(got, want) {
-				t.Logf("appendNTriplesTerm(%q) = %q, reference %q", v, got, want)
+			if got := term.AppendTo([]byte("x\t")); !bytes.Equal(got, want) {
+				t.Logf("AppendTo(%q) = %q, reference %q", v, got, want)
 				return false
 			}
 		}
@@ -348,7 +348,7 @@ func refWriteTSVResults(ctx context.Context, w io.Writer, sol *sparql.Solutions)
 				buf = append(buf, '\t')
 			}
 			if t, bound := sol.Term(row, col); bound {
-				buf = appendNTriplesTerm(buf, t)
+				buf = t.AppendTo(buf)
 			}
 		}
 		buf = append(buf, '\n')
@@ -366,11 +366,11 @@ func refWriteGraphResults(ctx context.Context, w io.Writer, sol *sparql.Solution
 		if err := refCheckStream(ctx, bw, w, i); err != nil {
 			return err
 		}
-		buf = appendNTriplesTerm(buf[:0], t.S)
+		buf = t.S.AppendTo(buf[:0])
 		buf = append(buf, ' ')
-		buf = appendNTriplesTerm(buf, t.P)
+		buf = t.P.AppendTo(buf)
 		buf = append(buf, ' ')
-		buf = appendNTriplesTerm(buf, t.O)
+		buf = t.O.AppendTo(buf)
 		buf = append(buf, ' ', '.', '\n')
 		if _, err := bw.Write(buf); err != nil {
 			return err

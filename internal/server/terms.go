@@ -96,7 +96,7 @@ func (tt *termTable) appendCell(buf, key []byte, sol *sparql.Solutions, row, col
 	buf = append(buf, key...)
 	start := len(buf)
 	if tt.ntriples {
-		buf = appendNTriplesTerm(buf, t)
+		buf = t.AppendTo(buf)
 	} else {
 		buf = appendJSONTerm(buf, t)
 	}

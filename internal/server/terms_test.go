@@ -86,7 +86,7 @@ func checkTable(t *testing.T, tt *termTable, terms map[rdf.TermID]rdf.Term) {
 		chunk, off, n := e>>32, e>>16&0xffff, e&0xffff
 		var want []byte
 		if tt.ntriples {
-			want = appendNTriplesTerm(nil, term)
+			want = term.AppendTo(nil)
 		} else {
 			want = appendJSONTerm(nil, term)
 		}

@@ -10,7 +10,11 @@
 // traffic.
 package graphx
 
-import "repro/internal/spark"
+import (
+	"sync"
+
+	"repro/internal/spark"
+)
 
 // VertexID identifies a vertex, like org.apache.spark.graphx.VertexId.
 type VertexID int64
@@ -38,12 +42,17 @@ type Triplet[VD, ED any] struct {
 }
 
 // Graph is an immutable property graph. Vertices and edges live in RDDs
-// so construction is metered; message passing materializes a vertex
-// index per superstep, which mirrors GraphX's replicated vertex views.
+// so construction is metered; message passing joins triplets against
+// one vertex index, built on the first superstep and kept for every
+// later one, as GraphX keeps its replicated vertex views materialized
+// across iterations.
 type Graph[VD, ED any] struct {
 	ctx      *spark.Context
 	vertices *spark.RDD[Vertex[VD]]
 	edges    *spark.RDD[Edge[ED]]
+
+	indexOnce sync.Once
+	index     map[VertexID]VD
 }
 
 // New builds a graph from explicit vertex and edge lists.
@@ -67,17 +76,22 @@ func (g *Graph[VD, ED]) NumVertices() int { return g.vertices.Count() }
 // NumEdges returns the edge count.
 func (g *Graph[VD, ED]) NumEdges() int { return g.edges.Count() }
 
-// vertexIndex materializes id → attr for local joins during supersteps.
+// vertexIndex returns id → attr for local joins during supersteps. It
+// is read-only once built, so concurrent supersteps share it.
 func (g *Graph[VD, ED]) vertexIndex() map[VertexID]VD {
-	idx := make(map[VertexID]VD, g.vertices.Count())
-	for _, v := range g.vertices.Collect() {
-		idx[v.ID] = v.Attr
-	}
-	return idx
+	g.indexOnce.Do(func() {
+		g.index = make(map[VertexID]VD, g.vertices.Count())
+		for _, v := range g.vertices.Collect() {
+			g.index[v.ID] = v.Attr
+		}
+	})
+	return g.index
 }
 
 // EdgeContext is passed to the sendMsg function of AggregateMessages; it
-// exposes the triplet and collects messages to either endpoint.
+// exposes the triplet and collects messages to either endpoint. A task
+// reuses one context for every edge of its partition, so it is valid
+// only during the sendMsg call it is passed to.
 type EdgeContext[VD, ED, M any] struct {
 	Triplet Triplet[VD, ED]
 	toSrc   []M
@@ -91,38 +105,39 @@ func (c *EdgeContext[VD, ED, M]) SendToSrc(m M) { c.toSrc = append(c.toSrc, m) }
 func (c *EdgeContext[VD, ED, M]) SendToDst(m M) { c.toDst = append(c.toDst, m) }
 
 // AggregateMessages runs sendMsg over every triplet and merges messages
-// per destination vertex with mergeMsg, like Graph.aggregateMessages.
-// Message traffic is metered on the context.
+// per destination vertex with mergeMsg, like Graph.aggregateMessages:
+// one task per edge partition, each walking its edges in order with one
+// EdgeContext. Message traffic is metered on the context.
 func AggregateMessages[VD, ED, M any](g *Graph[VD, ED], sendMsg func(*EdgeContext[VD, ED, M]), mergeMsg func(M, M) M) map[VertexID]M {
 	idx := g.vertexIndex()
 	type delivery struct {
 		to  VertexID
 		msg M
 	}
-	deliveries := spark.FlatMap(g.edges, func(e Edge[ED]) []delivery {
-		ctx := &EdgeContext[VD, ED, M]{Triplet: Triplet[VD, ED]{
-			Src: e.Src, Dst: e.Dst, SrcAttr: idx[e.Src], DstAttr: idx[e.Dst], Attr: e.Attr,
-		}}
-		sendMsg(ctx)
-		out := make([]delivery, 0, len(ctx.toSrc)+len(ctx.toDst))
-		for _, m := range ctx.toSrc {
-			out = append(out, delivery{e.Src, m})
-		}
-		for _, m := range ctx.toDst {
-			out = append(out, delivery{e.Dst, m})
+	deliveries := spark.MapPartitions(g.edges, func(part []Edge[ED]) []delivery {
+		var out []delivery
+		ec := &EdgeContext[VD, ED, M]{}
+		for _, e := range part {
+			ec.Triplet = Triplet[VD, ED]{Src: e.Src, Dst: e.Dst, SrcAttr: idx[e.Src], DstAttr: idx[e.Dst], Attr: e.Attr}
+			ec.toSrc, ec.toDst = ec.toSrc[:0], ec.toDst[:0]
+			sendMsg(ec)
+			for _, m := range ec.toSrc {
+				out = append(out, delivery{e.Src, m})
+			}
+			for _, m := range ec.toDst {
+				out = append(out, delivery{e.Dst, m})
+			}
 		}
 		return out
 	})
 	all := deliveries.Collect()
 	g.ctx.AddMessages(len(all))
 	merged := make(map[VertexID]M)
-	has := make(map[VertexID]bool)
 	for _, d := range all {
-		if has[d.to] {
-			merged[d.to] = mergeMsg(merged[d.to], d.msg)
+		if m, ok := merged[d.to]; ok {
+			merged[d.to] = mergeMsg(m, d.msg)
 		} else {
 			merged[d.to] = d.msg
-			has[d.to] = true
 		}
 	}
 	return merged

@@ -13,19 +13,14 @@ import (
 //
 // Per the survey (Sec. III), DataFrames differ from raw RDDs in two ways
 // that matter to the engines: the schema enables an optimizer, and the
-// columnar encoding is far more compact than Java serialization. The
-// compact encoding is modeled by CompressionFactor, which scales the
-// byte cost the SQL layer reports for DataFrame shuffles.
+// columnar encoding is far more compact than Java serialization. Only
+// the first is modeled: a DataFrame shuffle is metered like any RDD
+// shuffle, its bytes estimated from a sample of the rows it moves.
 type DataFrame struct {
 	ctx    *spark.Context
 	schema Schema
 	rdd    *spark.RDD[Row]
 }
-
-// CompressionFactor models the columnar in-memory compression of
-// DataFrames relative to RDD rows ("up to 10 times larger data sets than
-// RDD can be managed", survey Sec. IV.A.3).
-const CompressionFactor = 10
 
 // NewDataFrame builds a DataFrame from rows. Rows shorter than the
 // schema are padded with nils; longer rows are an error.
@@ -110,13 +105,22 @@ func splitAlias(c string) (name, alias string) {
 	return strings.TrimSpace(c), ""
 }
 
+// rowKeyCols renders the cells at idx as one join key, NUL-separated. A
+// lone string cell is its own key; other cells print through fmt.
 func rowKeyCols(r Row, idx []int) string {
+	if s, ok := r[idx[0]].(string); ok && len(idx) == 1 {
+		return s
+	}
 	var b strings.Builder
 	for i, j := range idx {
 		if i > 0 {
 			b.WriteByte(0)
 		}
-		fmt.Fprint(&b, r[j])
+		if s, ok := r[j].(string); ok {
+			b.WriteString(s)
+		} else {
+			fmt.Fprint(&b, r[j])
+		}
 	}
 	return b.String()
 }

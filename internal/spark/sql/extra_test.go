@@ -32,14 +32,6 @@ func TestSchemaHelpers(t *testing.T) {
 	}
 }
 
-func TestCompressionFactorDocumented(t *testing.T) {
-	// The survey's "up to 10 times larger data sets than RDD" claim is
-	// modeled by this constant; pin it so the docs stay honest.
-	if CompressionFactor != 10 {
-		t.Fatalf("CompressionFactor = %d", CompressionFactor)
-	}
-}
-
 func TestLexErrors(t *testing.T) {
 	for _, bad := range []string{
 		"SELECT x FROM t WHERE a = 'unterminated",

@@ -114,15 +114,24 @@ func (r *Results) Project(vars []Var) *Results {
 
 // rowKey renders one binding canonically over the result variables.
 func (r *Results) rowKey(b Binding) string {
-	parts := make([]string, len(r.Vars))
+	var buf [256]byte
+	return string(r.appendRowKey(buf[:0], b))
+}
+
+// appendRowKey appends b's canonical rendering to buf: its terms over
+// the result variables, tab-separated, UNBOUND where b binds none.
+func (r *Results) appendRowKey(buf []byte, b Binding) []byte {
 	for i, v := range r.Vars {
+		if i > 0 {
+			buf = append(buf, '\t')
+		}
 		if t, ok := b[v]; ok {
-			parts[i] = t.String()
+			buf = t.AppendTo(buf)
 		} else {
-			parts[i] = "UNBOUND"
+			buf = append(buf, "UNBOUND"...)
 		}
 	}
-	return strings.Join(parts, "\t")
+	return buf
 }
 
 // Canonical returns the solutions as sorted canonical strings — a
@@ -169,14 +178,33 @@ func (r *Results) Equal(other *Results) bool {
 		}
 		return true
 	}
-	a, b := r.Canonical(), other.Canonical()
-	if len(a) != len(b) {
+	// Counting r's row keys and taking other's off them compares the two
+	// multisets exactly in one pass each; the keys share one buffer, and
+	// a lookup by string(buf) copies nothing, so a row costs an
+	// allocation only as the first of its key in r.
+	if len(r.Rows) != len(other.Rows) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	index := make(map[string]int, len(r.Rows))
+	var counts []int
+	var buf []byte
+	for _, b := range r.Rows {
+		buf = r.appendRowKey(buf[:0], b)
+		i, ok := index[string(buf)]
+		if !ok {
+			i = len(counts)
+			index[string(buf)] = i
+			counts = append(counts, 0)
+		}
+		counts[i]++
+	}
+	for _, b := range other.Rows {
+		buf = other.appendRowKey(buf[:0], b)
+		i, ok := index[string(buf)]
+		if !ok || counts[i] == 0 {
 			return false
 		}
+		counts[i]--
 	}
 	return true
 }

@@ -22,7 +22,7 @@ func TestConformance(t *testing.T) {
 }
 
 func TestRandomized(t *testing.T) {
-	systemstest.RunRandomized(t, func() core.Engine { return newEngine() }, 4)
+	systemstest.RunRandomized(t, func() core.Engine { return newEngine() })
 }
 
 func TestInfo(t *testing.T) {

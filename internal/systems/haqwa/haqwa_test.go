@@ -21,7 +21,7 @@ func TestConformance(t *testing.T) {
 }
 
 func TestRandomized(t *testing.T) {
-	systemstest.RunRandomized(t, func() core.Engine { return newEngine() }, 6)
+	systemstest.RunRandomized(t, func() core.Engine { return newEngine() })
 }
 
 func TestInfo(t *testing.T) {

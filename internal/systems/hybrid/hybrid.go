@@ -249,11 +249,11 @@ func (e *Engine) evalSequence(tps []sparql.TriplePattern, join func(l, r *spark.
 		return []sparql.Binding{{}}, nil
 	}
 	cur := spark.Values(e.scan(tps[0]))
-	curVars := varSet(tps[0].Vars())
+	curVars := solutions.VarSet(tps[0].Vars())
 	curEst := e.estimate(tps[0])
 	for _, tp := range tps[1:] {
 		next := spark.Values(e.scan(tp))
-		shared := sharedVars(curVars, tp.Vars())
+		shared := solutions.SharedVars(curVars, tp.Vars())
 		cur = join(cur, next, shared, curEst, e.estimate(tp))
 		for _, v := range tp.Vars() {
 			curVars[v] = true
@@ -300,7 +300,7 @@ func (e *Engine) evalHybrid(bgp sparql.BGP) ([]sparql.Binding, error) {
 				est = te
 			}
 		}
-		evaluated[i] = evaluatedGroup{rdd: spark.Values(cur), vars: varSet(varsOfGroup(g)), est: est}
+		evaluated[i] = evaluatedGroup{rdd: spark.Values(cur), vars: solutions.VarSet(varsOfGroup(g)), est: est}
 	}
 	// Greedy: start from the smallest group; repeatedly join the
 	// smallest connected group, broadcast when cheap.
@@ -432,25 +432,6 @@ func varsOfGroup(g []sparql.TriplePattern) []sparql.Var {
 			}
 		}
 	}
-	return out
-}
-
-func varSet(vs []sparql.Var) map[sparql.Var]bool {
-	out := map[sparql.Var]bool{}
-	for _, v := range vs {
-		out[v] = true
-	}
-	return out
-}
-
-func sharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
-	var out []sparql.Var
-	for _, v := range vs {
-		if have[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

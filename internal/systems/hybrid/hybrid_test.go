@@ -36,7 +36,7 @@ func TestRandomizedAllStrategies(t *testing.T) {
 	for _, s := range []Strategy{StrategyHybrid, StrategyRDD, StrategyDataFrame, StrategySparkSQL} {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			systemstest.RunRandomized(t, func() core.Engine { return NewWithStrategy(ctx(), s) }, 3)
+			systemstest.RunRandomized(t, func() core.Engine { return NewWithStrategy(ctx(), s) })
 		})
 	}
 }

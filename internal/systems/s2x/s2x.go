@@ -22,7 +22,6 @@ package s2x
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -128,14 +127,16 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	cands := make([][]edgeCand, len(bgp.Patterns))
 	edges := e.graph.Edges().Collect()
 	for i, tp := range bgp.Patterns {
+		// A constant absent from the data looks up id 0, which no vertex has.
+		sid, oid := e.ids[tp.S.Term], e.ids[tp.O.Term]
 		for _, ed := range edges {
 			if !tp.P.IsVar && tp.P.Term.Value != ed.Attr {
 				continue
 			}
-			if !tp.S.IsVar && e.ids[tp.S.Term] != ed.Src {
+			if !tp.S.IsVar && sid != ed.Src {
 				continue
 			}
-			if !tp.O.IsVar && e.ids[tp.O.Term] != ed.Dst {
+			if !tp.O.IsVar && oid != ed.Dst {
 				continue
 			}
 			if tp.S.IsVar && tp.O.IsVar && tp.S.Var == tp.O.Var && ed.Src != ed.Dst {
@@ -264,10 +265,10 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 		next := spark.Parallelize(e.ctx, bindings)
 		if cur == nil {
 			cur = next
-			curVars = varSet(tp.Vars())
+			curVars = solutions.VarSet(tp.Vars())
 			continue
 		}
-		shared := sharedVars(curVars, tp.Vars())
+		shared := solutions.SharedVars(curVars, tp.Vars())
 		if len(shared) == 0 {
 			prod := spark.Cartesian(cur, next)
 			cur = spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
@@ -334,23 +335,4 @@ func composeOrder(bgp sparql.BGP) []int {
 		}
 	}
 	return order
-}
-
-func varSet(vs []sparql.Var) map[sparql.Var]bool {
-	out := map[sparql.Var]bool{}
-	for _, v := range vs {
-		out[v] = true
-	}
-	return out
-}
-
-func sharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
-	var out []sparql.Var
-	for _, v := range vs {
-		if have[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,15 +1,16 @@
 // Package solutions holds what the surveyed engines do with term-space
 // solution sequences at the driver, once: the SPARQL join and left join
 // of two sequences, the BGP+ algebra walked over an engine's own BGP
-// evaluator, and the shuffle key a binding is joined on. None of it is
-// part of any surveyed design — the engines' metered strategies (their
-// KeyBy / Cartesian / broadcast RDD joins) stay in their own packages —
-// so it is shared, and it costs what a hash join costs.
+// evaluator, and the shuffle key a binding is joined on, over the
+// variables two sequences share. None of it is part of any surveyed
+// design — the engines' metered strategies (their KeyBy / Cartesian /
+// broadcast RDD joins) stay in their own packages — so it is shared,
+// and it costs what a hash join costs.
 package solutions
 
 import (
 	"fmt"
-	"strings"
+	"sort"
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -200,13 +201,40 @@ func EvalPattern(p sparql.GraphPattern, engine string,
 }
 
 // Key renders the terms b binds vars to, for use as a shuffle join key
-// (an unbound variable renders empty).
+// (an unbound variable renders empty): the N-Triples terms joined by
+// NUL bytes, built in one buffer.
 func Key(b sparql.Binding, vars []sparql.Var) string {
-	parts := make([]string, len(vars))
+	var buf [256]byte
+	key := buf[:0]
 	for i, v := range vars {
+		if i > 0 {
+			key = append(key, 0)
+		}
 		if t, ok := b[v]; ok {
-			parts[i] = t.String()
+			key = t.AppendTo(key)
 		}
 	}
-	return strings.Join(parts, "\x00")
+	return string(key)
+}
+
+// VarSet returns vs as a set.
+func VarSet(vs []sparql.Var) map[sparql.Var]bool {
+	out := map[sparql.Var]bool{}
+	for _, v := range vs {
+		out[v] = true
+	}
+	return out
+}
+
+// SharedVars returns the variables of vs in have, sorted: the columns a
+// pattern's bindings join the solutions binding have on.
+func SharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
+	var out []sparql.Var
+	for _, v := range vs {
+		if have[v] {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

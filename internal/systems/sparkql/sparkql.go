@@ -38,6 +38,9 @@ type Engine struct {
 	props map[graphx.VertexID]nodeProps
 	ids   map[rdf.Term]graphx.VertexID
 	terms map[graphx.VertexID]rdf.Term
+	// propPreds and edgePreds are the predicates stored as a node
+	// property of at least one node, and as at least one edge.
+	propPreds, edgePreds map[string]bool
 }
 
 // New creates an unloaded engine on ctx.
@@ -68,6 +71,7 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 	e.ids = map[rdf.Term]graphx.VertexID{}
 	e.terms = map[graphx.VertexID]rdf.Term{}
 	e.props = map[graphx.VertexID]nodeProps{}
+	e.propPreds, e.edgePreds = map[string]bool{}, map[string]bool{}
 	var vertices []graphx.Vertex[rdf.Term]
 	idOf := func(t rdf.Term) graphx.VertexID {
 		if id, ok := e.ids[t]; ok {
@@ -87,9 +91,11 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 				e.props[sid] = nodeProps{}
 			}
 			e.props[sid][t.P.Value] = append(e.props[sid][t.P.Value], t.O)
+			e.propPreds[t.P.Value] = true
 			continue
 		}
 		edges = append(edges, graphx.Edge[string]{Src: sid, Dst: idOf(t.O), Attr: t.P.Value})
+		e.edgePreds[t.P.Value] = true
 	}
 	e.graph = graphx.New(e.ctx, vertices, edges)
 	return nil
@@ -129,14 +135,15 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	if len(bgp.Patterns) == 0 {
 		return []sparql.Binding{{}}, nil
 	}
-	// Split patterns: node-local (data property / rdf:type / variable
-	// predicate handled as leftovers), edge patterns (object
-	// properties).
+	// Split patterns: node-local (data property / rdf:type), edge
+	// patterns (object properties), and leftovers spanning both stores:
+	// a variable predicate, or one stored both ways because it has
+	// literal and IRI objects.
 	var edgeTPs, leftovers []sparql.TriplePattern
 	nodeTPs := map[nodeKey][]sparql.TriplePattern{}
 	for _, tp := range bgp.Patterns {
-		switch {
-		case tp.P.IsVar:
+		switch p := tp.P.Term.Value; {
+		case tp.P.IsVar, e.propPreds[p] && e.edgePreds[p]:
 			leftovers = append(leftovers, tp)
 		case e.isNodeProperty(tp):
 			k := keyOfElem(tp.S)
@@ -173,9 +180,9 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	return rows, nil
 }
 
-// isNodeProperty reports whether a constant-predicate pattern should
-// be answered from node properties: rdf:type always; otherwise when
-// the predicate occurs only as a data property (never as an edge).
+// isNodeProperty reports whether a constant-predicate pattern not
+// stored both ways should be answered from node properties: rdf:type
+// always; otherwise when the predicate is a data property.
 func (e *Engine) isNodeProperty(tp sparql.TriplePattern) bool {
 	if tp.P.Term.Value == rdf.RDFType {
 		return true
@@ -183,24 +190,7 @@ func (e *Engine) isNodeProperty(tp sparql.TriplePattern) bool {
 	if !tp.O.IsVar && !tp.O.Term.IsLiteral() {
 		return false
 	}
-	// A predicate stored as node property for at least one node and
-	// never as an edge is a data property.
-	isProp := false
-	for _, ps := range e.props {
-		if len(ps[tp.P.Term.Value]) > 0 {
-			isProp = true
-			break
-		}
-	}
-	if !isProp {
-		return false
-	}
-	for _, ed := range e.graph.Edges().Collect() {
-		if ed.Attr == tp.P.Term.Value {
-			return false
-		}
-	}
-	return true
+	return e.propPreds[tp.P.Term.Value]
 }
 
 // queryTree is the BFS plan: parent -> children over edge patterns.

@@ -211,12 +211,12 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	// staying connected.
 	sort.SliceStable(sets, func(i, j int) bool { return sets[i].n < sets[j].n })
 	cur := sets[0].rdd
-	curVars := varSet(sets[0].tp.Vars())
+	curVars := solutions.VarSet(sets[0].tp.Vars())
 	remaining := sets[1:]
 	for len(remaining) > 0 {
 		pick := -1
 		for i, s := range remaining {
-			if len(sharedVars(curVars, s.tp.Vars())) == 0 {
+			if len(solutions.SharedVars(curVars, s.tp.Vars())) == 0 {
 				continue
 			}
 			if pick < 0 || s.n < remaining[pick].n {
@@ -228,7 +228,7 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 		}
 		next := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		shared := sharedVars(curVars, next.tp.Vars())
+		shared := solutions.SharedVars(curVars, next.tp.Vars())
 		if len(shared) == 0 {
 			prod := spark.Cartesian(cur, next.rdd)
 			cur = spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
@@ -378,23 +378,4 @@ func hasClass(classes []string, c string) bool {
 		}
 	}
 	return false
-}
-
-func varSet(vs []sparql.Var) map[sparql.Var]bool {
-	out := map[sparql.Var]bool{}
-	for _, v := range vs {
-		out[v] = true
-	}
-	return out
-}
-
-func sharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
-	var out []sparql.Var
-	for _, v := range vs {
-		if have[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

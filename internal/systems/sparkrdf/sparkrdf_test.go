@@ -32,7 +32,7 @@ func TestConformanceAllLevels(t *testing.T) {
 }
 
 func TestRandomized(t *testing.T) {
-	systemstest.RunRandomized(t, func() core.Engine { return newEngine() }, 5)
+	systemstest.RunRandomized(t, func() core.Engine { return newEngine() })
 }
 
 func TestInfo(t *testing.T) {

@@ -121,51 +121,99 @@ func Run(t *testing.T, factory Factory) {
 	}
 }
 
-// RunRandomized fuzzes the engine against the reference on random
-// small datasets with random star/linear BGPs.
-func RunRandomized(t *testing.T, factory Factory, rounds int) {
+// randomSeeds is how many random datasets RunRandomized sweeps.
+const randomSeeds = 24
+
+// queriesPerSeed is how many random BGPs run on each dataset.
+const queriesPerSeed = 6
+
+// RunRandomized fuzzes the engine against the reference: for each of
+// randomSeeds seeds, a random small dataset — object properties between
+// a few nodes, literal-valued data properties (plain, typed, tagged and
+// escaped; one predicate takes both kinds of object) and rdf:type — and
+// random 2- and 3-pattern star, chain and snowflake BGPs over it. The
+// engine's answer must equal sparql.Evaluate's as a multiset, and at
+// least half the queries must have one.
+func RunRandomized(t *testing.T, factory Factory) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	preds := []string{"p0", "p1", "p2"}
-	for round := 0; round < rounds; round++ {
-		// Random dataset: 40 triples over a small constant pool so joins hit.
+	const ns = "http://r/"
+	objPreds := []string{"p0", "p1", "p2"}
+	dataPreds := []string{"d0", "p2"} // p2 takes IRI and literal objects
+	literals := []rdf.Term{
+		rdf.NewLiteral("v0"), rdf.NewLiteral("v1"), rdf.NewLiteral("q\"uo\tte"),
+		rdf.NewTypedLiteral("7", rdf.XSDInteger), rdf.NewLangLiteral("v0", "en"),
+	}
+	answered := 0
+	for seed := int64(1); seed <= randomSeeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		node := func() rdf.Term { return rdf.NewIRI(fmt.Sprintf("%sn%d", ns, rng.Intn(10))) }
+		class := func() string { return fmt.Sprintf("%sC%d", ns, rng.Intn(3)) }
 		var triples []rdf.Triple
 		for i := 0; i < 40; i++ {
-			s := rdf.NewIRI(fmt.Sprintf("http://r/n%d", rng.Intn(10)))
-			p := rdf.NewIRI("http://r/" + preds[rng.Intn(len(preds))])
-			o := rdf.NewIRI(fmt.Sprintf("http://r/n%d", rng.Intn(10)))
-			triples = append(triples, rdf.Triple{S: s, P: p, O: o})
+			triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(ns+objPreds[rng.Intn(len(objPreds))]), node()))
+		}
+		for i := 0; i < 20; i++ {
+			triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(ns+dataPreds[rng.Intn(len(dataPreds))]), literals[rng.Intn(len(literals))]))
+		}
+		for i := 0; i < 10; i++ {
+			triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(rdf.RDFType), rdf.NewIRI(class())))
 		}
 		ref := rdf.NewGraph(triples)
 
 		engine := factory()
 		if err := engine.Load(triples); err != nil {
-			t.Fatalf("round %d Load: %v", round, err)
+			t.Fatalf("seed %d Load: %v", seed, err)
 		}
 
-		for qi := 0; qi < 4; qi++ {
-			var text string
-			p1 := "http://r/" + preds[rng.Intn(len(preds))]
-			p2 := "http://r/" + preds[rng.Intn(len(preds))]
-			if rng.Intn(2) == 0 {
-				text = fmt.Sprintf(`SELECT ?x ?a ?b WHERE { ?x <%s> ?a . ?x <%s> ?b }`, p1, p2)
-			} else {
-				text = fmt.Sprintf(`SELECT ?x ?y ?z WHERE { ?x <%s> ?y . ?y <%s> ?z }`, p1, p2)
+		// link joins ?from to ?to along an object property; leaf hangs
+		// an arm of any kind off ?from: an object or data property to a
+		// fresh variable, or rdf:type to a variable or a constant class.
+		fresh := 0
+		link := func(from, to string) string {
+			return fmt.Sprintf("?%s <%s%s> ?%s . ", from, ns, objPreds[rng.Intn(len(objPreds))], to)
+		}
+		leaf := func(from string) string {
+			fresh++
+			switch k := rng.Intn(4); {
+			case k == 3 && rng.Intn(2) == 0:
+				return fmt.Sprintf("?%s <%s> <%s> . ", from, rdf.RDFType, class())
+			case k == 3:
+				return fmt.Sprintf("?%s <%s> ?v%d . ", from, rdf.RDFType, fresh)
+			case k == 2:
+				return fmt.Sprintf("?%s <%s%s> ?v%d . ", from, ns, dataPreds[rng.Intn(len(dataPreds))], fresh)
+			default:
+				return link(from, fmt.Sprintf("v%d", fresh))
 			}
+		}
+		shapes := []func() string{
+			func() string { return leaf("x") + leaf("x") },                       // star-2
+			func() string { return link("x", "y") + leaf("y") },                  // chain-2
+			func() string { return leaf("x") + leaf("x") + leaf("x") },           // star-3
+			func() string { return link("x", "y") + link("y", "z") + leaf("z") }, // chain-3
+			func() string { return link("x", "y") + leaf("x") + leaf("y") },      // snowflake-3
+		}
+		for qi := 0; qi < queriesPerSeed; qi++ {
+			text := "SELECT * WHERE { " + shapes[rng.Intn(len(shapes))]() + "}"
 			q := sparql.MustParse(text)
 			want, err := sparql.Evaluate(q, ref)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
+			if want.Len() > 0 {
+				answered++
+			}
 			got, err := engine.Execute(q)
 			if err != nil {
-				t.Fatalf("round %d engine(%s): %v", round, text, err)
+				t.Fatalf("seed %d engine(%s): %v", seed, text, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("round %d query %s:\nengine %d rows %v\nreference %d rows %v",
-					round, text, got.Len(), head(got.Canonical()), want.Len(), head(want.Canonical()))
+				t.Fatalf("seed %d query %s:\nengine %d rows %v\nreference %d rows %v",
+					seed, text, got.Len(), head(got.Canonical()), want.Len(), head(want.Canonical()))
 			}
 		}
+	}
+	if total := randomSeeds * queriesPerSeed; answered < total/2 {
+		t.Fatalf("only %d of %d random queries have an answer: the sweep checks too little", answered, total)
 	}
 }
 
