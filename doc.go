@@ -32,26 +32,36 @@
 //     buckets straight into groups with no merged intermediate. CI
 //     fails on a substrate function no engine, CLI, example or bench
 //     test enters.
+//     Every engine's one solution representation is solutions.Row: a
+//     query's variables get slots once per Execute (solutions.Schema,
+//     in sorted variable order), and a solution is one rdf.Term per
+//     slot, an unbound marker where it binds none — the engines' RDDs,
+//     GraphX messages and match tables all carry rows, and
+//     solutions.Merge is the one SPARQL merge. A row is decoded to a
+//     sparql.Binding once, for the answer (Schema.Results: a plain
+//     SELECT decodes only what it projects), or for a FILTER, of the
+//     variables its VarLister names.
 //     What an engine does with whole term-space solution sequences at
 //     the driver is not part of that path and belongs to no surveyed
 //     design — the Group and OPTIONAL arms of the BGP+ walker HAQWA,
-//     S2RDF and S2X share (solutions.EvalPattern over each engine's
-//     own evalBGP, S2X passing its RDD filter), SPARQLGX's OPTIONAL
+//     S2RDF and S2X share (Schema.EvalPattern over each engine's own
+//     evalBGP, S2X passing its RDD filter), SPARQLGX's OPTIONAL
 //     against its broadcast right side, Spar(k)ql's component joins,
 //     GX-Subgraph's disconnected-pattern join — so it goes through one
 //     helper (internal/systems/solutions: Join, LeftJoin and the Table
-//     both are made of). The build side is indexed on one variable
-//     bound in every build row (rdf.Term is the map key; nothing is
+//     both are made of). The build side is indexed on one slot bound
+//     in every build row (rdf.Term is the map key; nothing is
 //     rendered), a probe row that binds it visits its bucket and one
 //     that does not (possible below OPTIONAL) scans, every candidate is
-//     re-verified with Binding.Compatible, a build side under eight
-//     rows is scanned, and the output is row for row the nested loop's
-//     — left-major, right in slice order — which stays in the tree as
-//     the property test's reference. The metered joins (KeyBy + Join,
-//     Cartesian, broadcast) are each engine's own strategy and stay in
-//     its package, keyed by the one solutions.Key: the helper moves no
-//     Activity counter (TestAssessActivityPinned holds every cell of
-//     the assessment to a table generated before it existed).
+//     merged with Merge, a build side under eight rows is scanned, and
+//     the output is row for row the nested loop's — left-major, right
+//     in slice order — which stays in the tree as the property test's
+//     reference. The metered joins (KeyBy + Join, Cartesian, broadcast)
+//     are each engine's own strategy and stay in its package, keyed by
+//     the one solutions.Key, whose bytes are the ones a Binding-keyed
+//     shuffle rendered: the helper moves no integer Activity counter
+//     (TestAssessActivityPinned holds every cell of the assessment; its
+//     ShuffleBytes moved once, when rows replaced bindings).
 //
 //   - The reference evaluator (internal/sparql over internal/rdf).
 //     Queries are slot-compiled: a Var→slot table is built once per

@@ -26,7 +26,7 @@ func TestCombineByKeySemantics(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CombineByKey = %v, want %v", got, want)
 	}
-	if !combined.keyedHint {
+	if combined.placedBy == 0 {
 		t.Fatal("CombineByKey result must be key-partitioned")
 	}
 }
@@ -164,7 +164,7 @@ func TestReduceByKeyCoPartitionedSkipsShuffle(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("co-partitioned reduceByKey = %v, want %v", got, want)
 	}
-	if !sums.keyedHint {
+	if sums.placedBy == 0 {
 		t.Fatal("result must stay key-partitioned")
 	}
 }

@@ -22,7 +22,6 @@ func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
 // partitioning) intact.
 func MapValues[K comparable, V, W any](r *RDD[Pair[K, V]], f func(V) W) *RDD[Pair[K, W]] {
 	out := Map(r, func(p Pair[K, V]) Pair[K, W] { return Pair[K, W]{p.Key, f(p.Value)} })
-	out.keyedHint = r.keyedHint
 	out.placedBy = r.placedBy
 	return out
 }
@@ -35,30 +34,22 @@ func MapValues[K comparable, V, W any](r *RDD[Pair[K, V]], f func(V) W) *RDD[Pai
 // order, so the placement is deterministic) at the end; the byte
 // estimate samples boundary partitions instead of collecting the
 // dataset to the driver.
-func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD[Pair[K, V]] {
-	n := p.NumPartitions()
-	if n < 1 {
-		n = 1
-	}
-	out, total := scatterMerge(r.ctx, r.parts, n, func(rec Pair[K, V]) int { return p.Partition(rec.Key) })
+func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p HashPartitioner[K]) *RDD[Pair[K, V]] {
+	out, total := scatterMerge(r.ctx, r.parts, p.N, func(rec Pair[K, V]) int { return p.Partition(rec.Key) })
 	r.ctx.addShuffle(int64(total), estimateShuffleBytes(r.parts, total))
 	res := fromParts(r.ctx, out)
-	res.keyedHint = true
-	res.placedBy = p
+	res.placedBy = p.N
 	return res
 }
 
 // coPartitionedWith reports whether r is already laid out exactly as
-// hash partitioner p would place it, so a join-like operation can
-// skip r's shuffle. The keyed hint alone is not enough: a side placed
-// by another Partitioner co-locates each key within itself but at
-// different indexes than a hash-partitioned peer. Hash placement is a
-// pure function of key and partition count, so r qualifies exactly
-// when the partitioner that placed it was a HashPartitioner with the
-// same count.
+// hash partitioner p would place it, so a join-like operation can skip
+// r's shuffle. Hash placement is a pure function of key and partition
+// count, so r qualifies exactly when it was hash-placed at p's count;
+// a side placed at another count co-locates each key within itself but
+// at different indexes.
 func coPartitionedWith[K comparable, V any](r *RDD[Pair[K, V]], p HashPartitioner[K]) bool {
-	placed, ok := r.placedBy.(HashPartitioner[K])
-	return ok && r.keyedHint && placed.N == p.N && len(r.parts) == p.N
+	return r.placedBy == p.N
 }
 
 // combineBucket is one per-destination combiner map built during the
@@ -115,7 +106,6 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]], createCombiner fun
 			out[i] = part
 		})
 		res := fromParts(r.ctx, out)
-		res.keyedHint = true
 		res.placedBy = r.placedBy
 		return res
 	}
@@ -207,8 +197,7 @@ sampleLast:
 		out[dst] = part
 	})
 	res := fromParts(r.ctx, out)
-	res.keyedHint = true
-	res.placedBy = p
+	res.placedBy = p.N
 	return res
 }
 
@@ -229,7 +218,7 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V) *RDD[P
 // partitions; a side that is already key-partitioned skips the shuffle
 // entirely and groups in place.
 func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
-	if r.keyedHint {
+	if r.placedBy > 0 {
 		out := make([][]Pair[K, []V], len(r.parts))
 		r.ctx.runTasks(len(r.parts), func(i int) {
 			if len(r.parts[i]) == 0 {
@@ -239,7 +228,6 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
 			out[i] = groupRecords(nil, idx, r.parts[i])
 		})
 		res := fromParts(r.ctx, out)
-		res.keyedHint = true
 		res.placedBy = r.placedBy
 		return res
 	}
@@ -267,8 +255,7 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
 		out[dst] = part
 	})
 	res := fromParts(r.ctx, out)
-	res.keyedHint = true
-	res.placedBy = p
+	res.placedBy = p.N
 	return res
 }
 
@@ -321,8 +308,7 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 		out[i] = joined
 	})
 	res := fromParts(a.ctx, out)
-	res.keyedHint = true
-	res.placedBy = p
+	res.placedBy = p.N
 	return res
 }
 
@@ -348,7 +334,6 @@ func BroadcastJoin[K comparable, V, W any](large *RDD[Pair[K, V]], small *RDD[Pa
 		out[i] = joined
 	})
 	res := fromParts(large.ctx, out)
-	res.keyedHint = large.keyedHint
 	res.placedBy = large.placedBy
 	return res
 }

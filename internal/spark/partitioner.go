@@ -2,18 +2,11 @@ package spark
 
 import "fmt"
 
-// Partitioner decides which partition a key belongs to, mirroring
-// org.apache.spark.Partitioner. Engines supply custom partitioners to
-// control data locality (the survey's "Data Partitioning" dimension).
-type Partitioner[K comparable] interface {
-	// NumPartitions is the number of output partitions.
-	NumPartitions() int
-	// Partition maps a key to a partition index in [0, NumPartitions).
-	Partition(key K) int
-}
-
-// HashPartitioner is Spark's default: fnv-hash of the key modulo the
-// partition count. It is deterministic across runs.
+// HashPartitioner decides which partition a key belongs to, like
+// org.apache.spark.HashPartitioner: fnv-hash of the key modulo the
+// partition count. It is deterministic across runs, and it is the only
+// placement the engines use, so a placement is known by its partition
+// count alone.
 type HashPartitioner[K comparable] struct {
 	N int
 }
@@ -27,10 +20,7 @@ func NewHashPartitioner[K comparable](n int) HashPartitioner[K] {
 	return HashPartitioner[K]{N: n}
 }
 
-// NumPartitions implements Partitioner.
-func (p HashPartitioner[K]) NumPartitions() int { return p.N }
-
-// Partition implements Partitioner.
+// Partition maps a key to a partition index in [0, N).
 func (p HashPartitioner[K]) Partition(key K) int { return HashKey(key) % p.N }
 
 // HashKey returns a deterministic non-negative hash for any comparable

@@ -7,13 +7,13 @@ package spark
 // pool, which keeps the simulation deterministic while still exercising
 // concurrent code paths.
 type RDD[T any] struct {
-	ctx       *Context
-	parts     [][]T
-	keyedHint bool // true when a pair RDD is already key-partitioned
-	// placedBy records the Partitioner that produced the current key
-	// placement (nil when unknown). Join-like operations compare it to
-	// decide whether a side's shuffle can be skipped.
-	placedBy any
+	ctx   *Context
+	parts [][]T
+	// placedBy is the partition count of the HashPartitioner that
+	// placed a pair RDD by key, 0 when the placement is unknown.
+	// Join-like operations compare it to decide whether a side's
+	// shuffle can be skipped.
+	placedBy int
 }
 
 // Parallelize distributes data across the context's default parallelism,
@@ -100,7 +100,6 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 		out[i] = kept
 	})
 	nr := fromParts(r.ctx, out)
-	nr.keyedHint = r.keyedHint
 	nr.placedBy = r.placedBy
 	return nr
 }

@@ -207,7 +207,7 @@ func TestPartitionByPlacesKeysDeterministically(t *testing.T) {
 			}
 		}
 	}
-	if !r1.keyedHint {
+	if r1.placedBy == 0 {
 		t.Fatal("PartitionBy must mark RDD as key-partitioned")
 	}
 }
@@ -463,18 +463,12 @@ func TestPartitionByNoDriverMaterialization(t *testing.T) {
 	}
 }
 
-// modPartitioner places int keys by value modulo N: a placement
-// that co-locates each key but is not the HashPartitioner's.
-type modPartitioner struct{ N int }
-
-func (p modPartitioner) NumPartitions() int  { return p.N }
-func (p modPartitioner) Partition(k int) int { return k % p.N }
-
 func TestJoinMixedPartitionersStillCorrect(t *testing.T) {
-	// A side placed by another partitioner co-locates keys within
-	// itself but at different indexes than a hash-partitioned peer; the
-	// shuffle-skip must not fire, or matching keys meet on different
-	// partitions and the join drops them.
+	// A side hash-placed at another partition count co-locates keys
+	// within itself but at different indexes than the join's
+	// partitioner; the shuffle-skip must not fire for it, or matching
+	// keys meet on different partitions and the join drops them. The
+	// side placed at the join's count keeps its placement.
 	ctx := testCtx()
 	mk := func(n int) []Pair[int, int] {
 		out := make([]Pair[int, int], n)
@@ -483,10 +477,15 @@ func TestJoinMixedPartitionersStillCorrect(t *testing.T) {
 		}
 		return out
 	}
-	a := PartitionBy(ParallelizeN(ctx, mk(64), 4), modPartitioner{N: 4})
+	a := PartitionBy(ParallelizeN(ctx, mk(64), 3), NewHashPartitioner[int](3))
 	b := PartitionBy(ParallelizeN(ctx, mk(32), 4), NewHashPartitioner[int](4))
+	before := ctx.Snapshot()
+	joined := Join(a, b)
+	if d := ctx.Snapshot().Diff(before); d.ShuffleRecords != 64 {
+		t.Fatalf("the join shuffled %d records, want the 64 of the side placed at 3 partitions", d.ShuffleRecords)
+	}
 	perKey := map[int]int{}
-	for _, rec := range Join(a, b).Collect() {
+	for _, rec := range joined.Collect() {
 		perKey[rec.Key]++
 	}
 	if len(perKey) != 8 {

@@ -21,33 +21,6 @@ func (b Binding) Clone() Binding {
 	return out
 }
 
-// Compatible reports whether two bindings agree on every shared
-// variable (the SPARQL join condition). It is symmetric, so the shorter
-// side is the one walked.
-func (b Binding) Compatible(other Binding) bool {
-	if len(other) < len(b) {
-		b, other = other, b
-	}
-	for k, v := range b {
-		if ov, ok := other[k]; ok && ov != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge returns the union of two compatible bindings.
-func (b Binding) Merge(other Binding) Binding {
-	out := make(Binding, len(b)+len(other))
-	for k, v := range b {
-		out[k] = v
-	}
-	for k, v := range other {
-		out[k] = v
-	}
-	return out
-}
-
 // Results is a solution sequence: an ordered list of bindings projected
 // over Vars. All engines return this type, so results are directly
 // comparable across systems.

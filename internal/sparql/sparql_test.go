@@ -422,67 +422,6 @@ func TestCompareTermsNumericVsLexical(t *testing.T) {
 	}
 }
 
-func TestBindingCompatibleMerge(t *testing.T) {
-	a := Binding{"x": iri("a"), "y": iri("b")}
-	b := Binding{"y": iri("b"), "z": iri("c")}
-	if !a.Compatible(b) {
-		t.Fatal("compatible bindings rejected")
-	}
-	m := a.Merge(b)
-	if len(m) != 3 || m["z"] != iri("c") {
-		t.Fatalf("merge = %v", m)
-	}
-	c := Binding{"y": iri("zzz")}
-	if a.Compatible(c) {
-		t.Fatal("incompatible bindings accepted")
-	}
-}
-
-// Compatible walks the shorter side and Merge sizes its map once; both
-// are pinned against the bodies they replaced, in both argument orders:
-// a variable unbound on either side, disjoint, equal and conflicting
-// bindings, and a conflict Merge resolves for its argument.
-func TestBindingCompatibleMergeMatchReplacedBodies(t *testing.T) {
-	compatible := func(b, other Binding) bool {
-		for k, v := range b {
-			if ov, ok := other[k]; ok && ov != v {
-				return false
-			}
-		}
-		return true
-	}
-	merge := func(b, other Binding) Binding {
-		out := b.Clone()
-		for k, v := range other {
-			out[k] = v
-		}
-		return out
-	}
-	cases := []Binding{
-		{},
-		{"x": iri("a")},
-		{"x": iri("a"), "y": iri("b")},
-		{"y": iri("b"), "z": iri("c")},
-		{"y": iri("other")},
-		{"x": iri("a"), "y": iri("other"), "z": iri("c"), "w": iri("d")},
-		{"v": iri("e"), "w": iri("d")},
-	}
-	for _, a := range cases {
-		for _, b := range cases {
-			before := a.Clone()
-			if got, want := a.Compatible(b), compatible(a, b); got != want {
-				t.Errorf("%v.Compatible(%v) = %v, want %v", a, b, got, want)
-			}
-			if got, want := a.Merge(b), merge(a, b); !reflect.DeepEqual(got, want) {
-				t.Errorf("%v.Merge(%v) = %v, want %v", a, b, got, want)
-			}
-			if !reflect.DeepEqual(a, before) {
-				t.Errorf("%v changed to %v", before, a)
-			}
-		}
-	}
-}
-
 func TestProjectDropsVars(t *testing.T) {
 	r := &Results{Vars: []Var{"x", "y"}, Rows: []Binding{{"x": iri("a"), "y": iri("b")}}}
 	p := r.Project([]Var{"y"})

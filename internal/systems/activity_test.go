@@ -21,7 +21,9 @@ import (
 // to move a counter regenerates it from the failure output and says so.
 //
 // ShuffleBytes is pinned too — the join keys the engines shuffle on are
-// sized into it. GX-Subgraph's joined the table once its per-vertex
+// sized into it, and so are the solution records: its column was
+// regenerated once, when those records turned from sparql.Binding maps
+// into solutions.Row slot rows, every other column byte-identical. GX-Subgraph's joined the table once its per-vertex
 // tables were walked in vertex-id order (mtTable.all): spark's meter
 // sizes a shuffle from the three records at the head of its first
 // partition and the tail of its last, so a Go-map walk moved four of

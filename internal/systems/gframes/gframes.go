@@ -28,6 +28,7 @@ import (
 	"repro/internal/spark/graphframes"
 	sparksql "repro/internal/spark/sql"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 )
 
 // Engine is the GraphFrames system.
@@ -107,16 +108,17 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if !ok {
 		return nil, fmt.Errorf("gframes: only BGP queries are supported (fragment per Table II)")
 	}
-	rows, err := e.evalBGP(bgp)
+	s := solutions.NewSchema(q.Where)
+	rows, err := e.evalBGP(s, bgp)
 	if err != nil {
 		return nil, err
 	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	return s.Results(q, rows), nil
 }
 
-func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}, nil
 	}
 	// Optimization 1: sort patterns by predicate frequency,
 	// non-descending (unknown predicates sort first: frequency 0).
@@ -169,11 +171,11 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 			return nil, err
 		}
 	}
-	// Decode columns back into bindings.
+	// Decode columns back into rows.
 	schema := df.Schema()
-	var out []sparql.Binding
+	var out []solutions.Row
 	for _, row := range df.Collect() {
-		b := sparql.Binding{}
+		r := s.Row()
 		ok := true
 		for col, v := range varNames {
 			i := schema.Index(col)
@@ -187,14 +189,15 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 				// Predicate columns hold raw IRIs.
 				term = rdf.NewIRI(val)
 			}
-			if cur, exists := b[v]; exists && cur != term {
+			slot := s.Slot(v)
+			if solutions.Bound(r[slot]) && r[slot] != term {
 				ok = false
 				break
 			}
-			b[v] = term
+			r[slot] = term
 		}
 		if ok {
-			out = append(out, b)
+			out = append(out, r)
 		}
 	}
 	return out, nil

@@ -28,29 +28,33 @@ import (
 	"repro/internal/systems/solutions"
 )
 
-// mtTable locates partial bindings at vertices: the binding's track
-// variable is bound to the vertex term.
+// mtTable locates partial solutions at vertices: the row's track slot
+// holds the vertex term.
 type mtTable struct {
-	// locVar is the variable whose value places a binding at a vertex;
-	// empty when the table is global (not vertex-located).
-	locVar sparql.Var
-	// at maps vertex id -> bindings tracked there.
-	at map[graphx.VertexID][]sparql.Binding
-	// global holds bindings with no vertex location.
-	global []sparql.Binding
+	// loc is the slot whose term places a row at a vertex; -1 when the
+	// table is global (not vertex-located).
+	loc int
+	// at maps vertex id -> rows tracked there.
+	at map[graphx.VertexID][]solutions.Row
+	// global holds rows with no vertex location.
+	global []solutions.Row
+}
+
+func newMT(loc int) *mtTable {
+	return &mtTable{loc: loc, at: map[graphx.VertexID][]solutions.Row{}}
 }
 
 // vertices lists the keys of a per-vertex table in vertex-id order.
-// Every walk that moves bindings between tables takes this order, not
-// the map's: relocate shuffles the sequence all() builds, and the meter
+// Every walk that moves rows between tables takes this order, not the
+// map's: relocate shuffles the sequence all() builds, and the meter
 // sizes a shuffle from the records at its two ends, so a walk that
 // differs from run to run is a ShuffleBytes that does.
-func vertices(at map[graphx.VertexID][]sparql.Binding) []graphx.VertexID {
+func vertices(at map[graphx.VertexID][]solutions.Row) []graphx.VertexID {
 	return slices.Sorted(maps.Keys(at))
 }
 
-func (m *mtTable) all() []sparql.Binding {
-	out := append([]sparql.Binding{}, m.global...)
+func (m *mtTable) all() []solutions.Row {
+	out := append([]solutions.Row{}, m.global...)
 	for _, vid := range vertices(m.at) {
 		out = append(out, m.at[vid]...)
 	}
@@ -122,128 +126,91 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if !ok {
 		return nil, fmt.Errorf("gxsubgraph: only BGP queries are supported (fragment per Table II)")
 	}
-	rows, err := e.evalBGP(bgp)
-	if err != nil {
-		return nil, err
-	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	s := solutions.NewSchema(q.Where)
+	return s.Results(q, e.evalBGP(s, bgp)), nil
 }
 
-func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}
 	}
-	ordered := connectedOrder(bgp.Patterns)
-	mt := &mtTable{at: map[graphx.VertexID][]sparql.Binding{}}
-	first := true
+	var mt *mtTable
 	boundVars := map[sparql.Var]bool{}
-	for _, tp := range ordered {
-		matches := e.matchPattern(tp) // one aggregateMessages round
-		if first {
+	for i, tp := range connectedOrder(bgp.Patterns) {
+		matches := e.matchPattern(s, tp) // one aggregateMessages round
+		if i == 0 {
 			mt = matches
-			first = false
 		} else {
-			mt = e.extend(mt, matches, tp, boundVars)
+			mt = e.extend(s, mt, matches, tp, boundVars)
 		}
 		for _, v := range tp.Vars() {
 			boundVars[v] = true
 		}
 	}
-	return mt.all(), nil
+	return mt.all()
 }
 
 // matchPattern matches one triple pattern with aggregateMessages: the
-// send side emits a candidate binding to the destination vertex for
-// every matching edge; the merge side concatenates them into the MT
-// table of that vertex.
-func (e *Engine) matchPattern(tp sparql.TriplePattern) *mtTable {
+// send side emits a candidate row to the destination vertex for every
+// matching edge; the merge side concatenates them into the MT table of
+// that vertex.
+func (e *Engine) matchPattern(s *solutions.Schema, tp sparql.TriplePattern) *mtTable {
+	pat := s.Pattern(tp)
 	msgs := graphx.AggregateMessages(e.graph,
-		func(c *graphx.EdgeContext[rdf.Term, string, []sparql.Binding]) {
-			b, ok := e.matchEdge(tp, c.Triplet)
-			if !ok {
+		func(c *graphx.EdgeContext[rdf.Term, string, []solutions.Row]) {
+			t := c.Triplet
+			if !tp.P.IsVar && tp.P.Term.Value != t.Attr {
 				return
 			}
-			c.SendToDst([]sparql.Binding{b})
+			if r, ok := pat.Match(rdf.Triple{S: t.SrcAttr, P: rdf.NewIRI(t.Attr), O: t.DstAttr}); ok {
+				c.SendToDst([]solutions.Row{r})
+			}
 		},
-		func(a, b []sparql.Binding) []sparql.Binding { return append(a, b...) })
+		func(a, b []solutions.Row) []solutions.Row { return append(a, b...) })
 	e.ctx.AddSupersteps(1)
-	out := &mtTable{at: map[graphx.VertexID][]sparql.Binding{}}
 	switch {
 	case tp.O.IsVar:
-		out.locVar = tp.O.Var
-		for vid, bs := range msgs {
-			out.at[vid] = bs
-		}
+		out := newMT(s.Slot(tp.O.Var))
+		out.at = msgs
+		return out
 	case tp.S.IsVar:
 		// Relocate to the subject vertex (the object is constant).
-		out.locVar = tp.S.Var
+		out := newMT(s.Slot(tp.S.Var))
 		for _, dst := range vertices(msgs) {
-			for _, b := range msgs[dst] {
-				vid := e.ids[b[tp.S.Var]]
-				out.at[vid] = append(out.at[vid], b)
+			for _, r := range msgs[dst] {
+				vid := e.ids[r[out.loc]]
+				out.at[vid] = append(out.at[vid], r)
 			}
 		}
+		return out
 	default:
+		out := newMT(-1)
 		for _, dst := range vertices(msgs) {
 			out.global = append(out.global, msgs[dst]...)
 		}
+		return out
 	}
-	return out
-}
-
-// matchEdge matches an edge triplet against a pattern, producing the
-// pattern's binding.
-func (e *Engine) matchEdge(tp sparql.TriplePattern, t graphx.Triplet[rdf.Term, string]) (sparql.Binding, bool) {
-	if !tp.P.IsVar && tp.P.Term.Value != t.Attr {
-		return nil, false
-	}
-	if !tp.S.IsVar && tp.S.Term != t.SrcAttr {
-		return nil, false
-	}
-	if !tp.O.IsVar && tp.O.Term != t.DstAttr {
-		return nil, false
-	}
-	b := sparql.Binding{}
-	if tp.S.IsVar {
-		b[tp.S.Var] = t.SrcAttr
-	}
-	if tp.P.IsVar {
-		pt := rdf.NewIRI(t.Attr)
-		if cur, ok := b[tp.P.Var]; ok && cur != pt {
-			return nil, false
-		}
-		b[tp.P.Var] = pt
-	}
-	if tp.O.IsVar {
-		if cur, ok := b[tp.O.Var]; ok && cur != t.DstAttr {
-			return nil, false
-		}
-		b[tp.O.Var] = t.DstAttr
-	}
-	return b, true
 }
 
 // extend joins the accumulated MT table with a pattern's matches. When
 // the pattern connects through the table's location variable the join
 // is vertex-local (the GraphX way); otherwise the table is relocated
 // first, which costs a shuffle, or joined globally as a last resort.
-func (e *Engine) extend(mt *mtTable, matches *mtTable, tp sparql.TriplePattern, bound map[sparql.Var]bool) *mtTable {
+func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.TriplePattern, bound map[sparql.Var]bool) *mtTable {
 	// Find a shared vertex-position variable to connect through.
-	var connectVar sparql.Var
-	hasConnect := false
+	connect := -1
 	for _, cand := range []sparql.TPElem{tp.S, tp.O} {
 		if cand.IsVar && bound[cand.Var] {
-			connectVar = cand.Var
-			hasConnect = true
+			connect = s.Slot(cand.Var)
 			break
 		}
 	}
-	if !hasConnect || matches.locVar == "" {
+	if connect < 0 || matches.loc < 0 {
 		// Global driver-side join (disconnected pattern or constant-only).
-		out := &mtTable{at: map[graphx.VertexID][]sparql.Binding{}, locVar: matches.locVar}
+		out := newMT(matches.loc)
 		for _, m := range solutions.Join(mt.all(), matches.all()) {
-			if out.locVar != "" {
-				vid := e.ids[m[out.locVar]]
+			if out.loc >= 0 {
+				vid := e.ids[m[out.loc]]
 				out.at[vid] = append(out.at[vid], m)
 			} else {
 				out.global = append(out.global, m)
@@ -251,25 +218,24 @@ func (e *Engine) extend(mt *mtTable, matches *mtTable, tp sparql.TriplePattern, 
 		}
 		return out
 	}
-	if mt.locVar != connectVar {
-		mt = e.relocate(mt, connectVar)
+	if mt.loc != connect {
+		mt = e.relocate(mt, connect)
 	}
 	// Relocate matches to the connecting variable as well.
-	if matches.locVar != connectVar {
-		matches = e.relocate(matches, connectVar)
+	if matches.loc != connect {
+		matches = e.relocate(matches, connect)
 	}
 	// Vertex-local join: tables meet at the shared vertex (the
-	// joinVertices step of the paper).
-	out := &mtTable{at: map[graphx.VertexID][]sparql.Binding{}, locVar: matches.locVar}
-	// After the join the track naturally continues at the new pattern's
-	// object (or stays at the connect vertex).
-	nextLoc := connectVar
-	if tp.O.IsVar && tp.O.Var != connectVar {
-		nextLoc = tp.O.Var
-	} else if tp.S.IsVar && tp.S.Var != connectVar {
-		nextLoc = tp.S.Var
+	// joinVertices step of the paper). After the join the track
+	// naturally continues at the new pattern's object (or stays at the
+	// connect vertex).
+	next := connect
+	if tp.O.IsVar && s.Slot(tp.O.Var) != connect {
+		next = s.Slot(tp.O.Var)
+	} else if tp.S.IsVar && s.Slot(tp.S.Var) != connect {
+		next = s.Slot(tp.S.Var)
 	}
-	out.locVar = nextLoc
+	out := newMT(next)
 	for _, vid := range vertices(mt.at) {
 		rs := matches.at[vid]
 		if len(rs) == 0 {
@@ -277,9 +243,8 @@ func (e *Engine) extend(mt *mtTable, matches *mtTable, tp sparql.TriplePattern, 
 		}
 		for _, l := range mt.at[vid] {
 			for _, r := range rs {
-				if l.Compatible(r) {
-					m := l.Merge(r)
-					tv := e.ids[m[nextLoc]]
+				if m, ok := solutions.Merge(l, r); ok {
+					tv := e.ids[m[next]]
 					out.at[tv] = append(out.at[tv], m)
 				}
 			}
@@ -288,26 +253,21 @@ func (e *Engine) extend(mt *mtTable, matches *mtTable, tp sparql.TriplePattern, 
 	return out
 }
 
-// relocate moves an MT table to be keyed by a different bound
-// variable. On a cluster the bindings travel to their new home
-// vertices, so the move is metered as a shuffle of the table.
-func (e *Engine) relocate(mt *mtTable, to sparql.Var) *mtTable {
-	bindings := mt.all()
-	keyed := spark.KeyBy(spark.Parallelize(e.ctx, bindings), func(b sparql.Binding) string {
-		if t, ok := b[to]; ok {
-			return t.String()
-		}
-		return ""
-	})
+// relocate moves an MT table to be keyed by a different bound slot. On
+// a cluster the rows travel to their new home vertices, so the move is
+// metered as a shuffle of the table.
+func (e *Engine) relocate(mt *mtTable, to int) *mtTable {
+	rows := mt.all()
+	keyed := solutions.KeyBy(spark.Parallelize(e.ctx, rows), []int{to})
 	_ = spark.PartitionBy(keyed, spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
-	out := &mtTable{at: map[graphx.VertexID][]sparql.Binding{}, locVar: to}
-	for _, b := range bindings {
-		t, ok := b[to]
-		if !ok {
-			out.global = append(out.global, b)
+	out := newMT(to)
+	for _, r := range rows {
+		if !solutions.Bound(r[to]) {
+			out.global = append(out.global, r)
 			continue
 		}
-		out.at[e.ids[t]] = append(out.at[e.ids[t]], b)
+		vid := e.ids[r[to]]
+		out.at[vid] = append(out.at[vid], r)
 	}
 	return out
 }

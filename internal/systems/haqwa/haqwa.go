@@ -17,8 +17,10 @@
 package haqwa
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -175,11 +177,12 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if e.parts == nil {
 		return nil, fmt.Errorf("haqwa: no dataset loaded")
 	}
-	rows, err := solutions.EvalPattern(q.Where, "haqwa", e.evalBGP, nil)
+	s := solutions.NewSchema(q.Where)
+	rows, err := s.EvalPattern(q.Where, "haqwa", e.evalBGP, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	return s.Results(q, rows), nil
 }
 
 // evalBGP decomposes the BGP into subject star groups. A pure star (one
@@ -189,54 +192,33 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 // anchored at the seed subject to avoid duplicates. Anything else
 // evaluates each star locally and joins the stars with distributed
 // (shuffling) RDD joins.
-func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}, nil
 	}
 	groups := groupBySubject(bgp.Patterns)
 	if len(groups) == 1 {
-		return e.evalLocal(sparql.BGP{Patterns: bgp.Patterns}, true, seedOf(groups[0])), nil
+		return e.evalLocal(s, sparql.BGP{Patterns: bgp.Patterns}, true, seedOf(groups[0])), nil
 	}
 	if seed, ok := e.coveredSeed(groups); ok {
-		return e.evalLocal(bgp, false, seed), nil
+		return e.evalLocal(s, bgp, false, seed), nil
 	}
 	// Distributed fallback: per-star local evaluation + shuffled joins.
-	var cur *spark.RDD[sparql.Binding]
+	var cur *spark.RDD[solutions.Row]
 	var curVars map[sparql.Var]bool
 	for _, g := range groups {
-		local := e.evalLocal(sparql.BGP{Patterns: g}, true, seedOf(g))
-		next := spark.Parallelize(e.ctx, local)
+		next := spark.Parallelize(e.ctx, e.evalLocal(s, sparql.BGP{Patterns: g}, true, seedOf(g)))
+		gv := varsOfPatterns(g)
 		if cur == nil {
-			cur = next
-			curVars = varsOfPatterns(g)
+			cur, curVars = next, gv
 			continue
 		}
-		gv := varsOfPatterns(g)
-		var shared []sparql.Var
-		for v := range gv {
-			if curVars[v] {
-				shared = append(shared, v)
-			}
-		}
-		sort.Slice(shared, func(i, j int) bool { return shared[i] < shared[j] })
+		shared := solutions.SharedVars(curVars, slices.Collect(maps.Keys(gv)))
 		if len(shared) == 0 {
-			prod := spark.Cartesian(cur, next)
-			cur = spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
-				if !t.A.Compatible(t.B) {
-					return nil
-				}
-				return []sparql.Binding{t.A.Merge(t.B)}
-			})
+			cur = solutions.MergeCross(spark.Cartesian(cur, next))
 		} else {
-			ka := spark.KeyBy(cur, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-			kb := spark.KeyBy(next, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-			joined := spark.Join(ka, kb)
-			cur = spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
-				if !p.Value.A.Compatible(p.Value.B) {
-					return nil
-				}
-				return []sparql.Binding{p.Value.A.Merge(p.Value.B)}
-			})
+			slots := s.Slots(shared)
+			cur = solutions.MergeJoined(spark.Join(solutions.KeyBy(cur, slots), solutions.KeyBy(next, slots)))
 		}
 		for v := range gv {
 			curVars[v] = true
@@ -249,15 +231,16 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 // per partition, no shuffle). With nativeOnly the native fragment is
 // used (stars are complete there); otherwise the replicated fragment is
 // used and results are anchored: a solution counts only on the
-// partition that natively owns its seed subject.
-func (e *Engine) evalLocal(bgp sparql.BGP, nativeOnly bool, seed sparql.TPElem) []sparql.Binding {
+// partition that natively owns its seed subject. Each partition's
+// solutions fill rows straight from the evaluator's id-space answer.
+func (e *Engine) evalLocal(s *solutions.Schema, bgp sparql.BGP, nativeOnly bool, seed sparql.TPElem) []solutions.Row {
 	idx := make([]int, e.numParts)
 	for i := range idx {
 		idx[i] = i
 	}
 	idxRDD := spark.ParallelizeN(e.ctx, idx, e.numParts)
-	q := &sparql.Query{Form: sparql.FormSelect, Where: bgp, Limit: -1}
-	res := spark.MapPartitions(idxRDD, func(part []int) []sparql.Binding {
+	prep := sparql.PrepareQuery(&sparql.Query{Form: sparql.FormSelect, Where: bgp, Limit: -1})
+	res := spark.MapPartitions(idxRDD, func(part []int) []solutions.Row {
 		if len(part) == 0 {
 			return nil
 		}
@@ -266,25 +249,31 @@ func (e *Engine) evalLocal(bgp sparql.BGP, nativeOnly bool, seed sparql.TPElem) 
 		if nativeOnly {
 			g = e.native[i]
 		}
-		r, err := sparql.Evaluate(q, g)
+		sols, err := prep.RunSolutions(context.TODO(), g)
 		if err != nil {
 			return nil
 		}
-		var out []sparql.Binding
-		for _, b := range r.Rows {
+		slots := s.Slots(sols.Vars())
+		anchor := slices.Index(sols.Vars(), seed.Var)
+		var out []solutions.Row
+		for row := 0; row < sols.Len(); row++ {
 			if !nativeOnly {
 				// Anchor at the seed subject's home partition.
-				var s rdf.Term
+				subj := seed.Term
 				if seed.IsVar {
-					s = b[seed.Var]
-				} else {
-					s = seed.Term
+					subj, _ = sols.Term(row, anchor)
 				}
-				if e.subjectPartition(s) != i {
+				if e.subjectPartition(subj) != i {
 					continue
 				}
 			}
-			out = append(out, b)
+			r := s.Row()
+			for col, slot := range slots {
+				if t, ok := sols.Term(row, col); ok {
+					r[slot] = t
+				}
+			}
+			out = append(out, r)
 		}
 		return out
 	})

@@ -114,72 +114,31 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if !ok {
 		return nil, fmt.Errorf("hybrid: only BGP queries are supported (fragment per Table II)")
 	}
-	var rows []sparql.Binding
-	var err error
+	s := solutions.NewSchema(q.Where)
+	var rows []solutions.Row
 	switch e.Mode {
 	case StrategySparkSQL:
-		rows, err = e.evalCartesian(bgp)
+		rows = e.evalCartesian(s, bgp)
 	case StrategyRDD:
-		rows, err = e.evalPartitionedOrder(bgp)
+		rows = e.evalPartitionedOrder(s, bgp)
 	case StrategyDataFrame:
-		rows, err = e.evalSizeBased(bgp)
+		rows = e.evalSizeBased(s, bgp)
 	default:
-		rows, err = e.evalHybrid(bgp)
+		rows = e.evalHybrid(s, bgp)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	return s.Results(q, rows), nil
 }
 
 // scan matches one triple pattern over the partitioned dataset. The
 // result stays keyed (and partitioned) by subject, so subject-subject
 // joins can run without a shuffle. Every scan reads the full dataset
 // (there is no predicate index in this system).
-func (e *Engine) scan(tp sparql.TriplePattern) *spark.RDD[spark.Pair[string, sparql.Binding]] {
+func (e *Engine) scan(s *solutions.Schema, tp sparql.TriplePattern) *spark.RDD[spark.Pair[string, solutions.Row]] {
 	e.ctx.AddRead(e.stats.Triples)
+	pat := s.Pattern(tp)
 	return spark.MapValues(e.data.Filter(func(p spark.Pair[string, rdf.Triple]) bool {
-		return matches(tp, p.Value)
-	}), func(t rdf.Triple) sparql.Binding {
-		return bind(tp, t)
-	})
-}
-
-func matches(tp sparql.TriplePattern, t rdf.Triple) bool {
-	if !tp.S.IsVar && tp.S.Term != t.S {
-		return false
-	}
-	if !tp.P.IsVar && tp.P.Term != t.P {
-		return false
-	}
-	if !tp.O.IsVar && tp.O.Term != t.O {
-		return false
-	}
-	// Repeated-variable consistency within the pattern.
-	if tp.S.IsVar && tp.O.IsVar && tp.S.Var == tp.O.Var && t.S != t.O {
-		return false
-	}
-	if tp.S.IsVar && tp.P.IsVar && tp.S.Var == tp.P.Var && t.S != t.P {
-		return false
-	}
-	if tp.P.IsVar && tp.O.IsVar && tp.P.Var == tp.O.Var && t.P != t.O {
-		return false
-	}
-	return true
-}
-
-func bind(tp sparql.TriplePattern, t rdf.Triple) sparql.Binding {
-	b := sparql.Binding{}
-	if tp.S.IsVar {
-		b[tp.S.Var] = t.S
-	}
-	if tp.P.IsVar {
-		b[tp.P.Var] = t.P
-	}
-	if tp.O.IsVar {
-		b[tp.O.Var] = t.O
-	}
-	return b
+		return pat.Matches(p.Value)
+	}), pat.Bind)
 }
 
 // estimate returns the expected match count of a pattern from the
@@ -205,37 +164,30 @@ func (e *Engine) estimate(tp sparql.TriplePattern) int {
 // evalCartesian reproduces the naive Spark SQL behaviour the study
 // criticizes: multi-pattern queries combine via Cartesian products and
 // filter afterwards.
-func (e *Engine) evalCartesian(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalCartesian(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}
 	}
-	cur := spark.Values(e.scan(bgp.Patterns[0]))
+	cur := spark.Values(e.scan(s, bgp.Patterns[0]))
 	for _, tp := range bgp.Patterns[1:] {
-		next := spark.Values(e.scan(tp))
-		prod := spark.Cartesian(cur, next)
-		cur = spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
-			if !t.A.Compatible(t.B) {
-				return nil
-			}
-			return []sparql.Binding{t.A.Merge(t.B)}
-		})
+		cur = solutions.MergeCross(spark.Cartesian(cur, spark.Values(e.scan(s, tp))))
 	}
-	return cur.Collect(), nil
+	return cur.Collect()
 }
 
 // --- strategy: RDD partitioned joins in input order ---
 
-func (e *Engine) evalPartitionedOrder(bgp sparql.BGP) ([]sparql.Binding, error) {
-	return e.evalSequence(bgp.Patterns, func(left, right *spark.RDD[sparql.Binding], shared []sparql.Var, _, _ int) *spark.RDD[sparql.Binding] {
+func (e *Engine) evalPartitionedOrder(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
+	return e.evalSequence(s, bgp.Patterns, func(left, right *spark.RDD[solutions.Row], shared []int, _, _ int) *spark.RDD[solutions.Row] {
 		return joinPartitioned(left, right, shared)
 	})
 }
 
 // --- strategy: DataFrame size-based broadcast ---
 
-func (e *Engine) evalSizeBased(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalSizeBased(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	threshold := e.ctx.Conf().BroadcastThreshold
-	return e.evalSequence(bgp.Patterns, func(left, right *spark.RDD[sparql.Binding], shared []sparql.Var, leftEst, rightEst int) *spark.RDD[sparql.Binding] {
+	return e.evalSequence(s, bgp.Patterns, func(left, right *spark.RDD[solutions.Row], shared []int, leftEst, rightEst int) *spark.RDD[solutions.Row] {
 		if rightEst < threshold || leftEst < threshold {
 			return joinBroadcast(left, right, shared, leftEst, rightEst)
 		}
@@ -244,16 +196,16 @@ func (e *Engine) evalSizeBased(bgp sparql.BGP) ([]sparql.Binding, error) {
 }
 
 // evalSequence folds patterns in input order with the provided join.
-func (e *Engine) evalSequence(tps []sparql.TriplePattern, join func(l, r *spark.RDD[sparql.Binding], shared []sparql.Var, le, re int) *spark.RDD[sparql.Binding]) ([]sparql.Binding, error) {
+func (e *Engine) evalSequence(s *solutions.Schema, tps []sparql.TriplePattern, join func(l, r *spark.RDD[solutions.Row], shared []int, le, re int) *spark.RDD[solutions.Row]) []solutions.Row {
 	if len(tps) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}
 	}
-	cur := spark.Values(e.scan(tps[0]))
+	cur := spark.Values(e.scan(s, tps[0]))
 	curVars := solutions.VarSet(tps[0].Vars())
 	curEst := e.estimate(tps[0])
 	for _, tp := range tps[1:] {
-		next := spark.Values(e.scan(tp))
-		shared := solutions.SharedVars(curVars, tp.Vars())
+		next := spark.Values(e.scan(s, tp))
+		shared := s.Slots(solutions.SharedVars(curVars, tp.Vars()))
 		cur = join(cur, next, shared, curEst, e.estimate(tp))
 		for _, v := range tp.Vars() {
 			curVars[v] = true
@@ -262,7 +214,7 @@ func (e *Engine) evalSequence(tps []sparql.TriplePattern, join func(l, r *spark.
 			curEst = est
 		}
 	}
-	return cur.Collect(), nil
+	return cur.Collect()
 }
 
 // --- strategy: hybrid greedy planner ---
@@ -271,13 +223,13 @@ func (e *Engine) evalSequence(tps []sparql.TriplePattern, join func(l, r *spark.
 // patterns into subject stars first (their joins are co-partitioned,
 // costing nothing), order groups by estimated cardinality, and pick
 // broadcast vs partitioned per cross-group join based on statistics.
-func (e *Engine) evalHybrid(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalHybrid(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}
 	}
 	groups := groupBySubject(bgp.Patterns)
 	type evaluatedGroup struct {
-		rdd  *spark.RDD[sparql.Binding]
+		rdd  *spark.RDD[solutions.Row]
 		vars map[sparql.Var]bool
 		est  int
 	}
@@ -285,16 +237,18 @@ func (e *Engine) evalHybrid(bgp sparql.BGP) ([]sparql.Binding, error) {
 	for i, g := range groups {
 		// Within a star group, all joins share the subject key: keep the
 		// subject-keyed pair RDDs and join co-partitioned (no shuffle).
-		cur := e.scan(g[0])
+		cur := e.scan(s, g[0])
 		est := e.estimate(g[0])
 		for _, tp := range g[1:] {
-			next := e.scan(tp)
-			joined := spark.Join(cur, next)
-			cur = spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []spark.Pair[string, sparql.Binding] {
-				if !p.Value.A.Compatible(p.Value.B) {
-					return nil
+			joined := spark.Join(cur, e.scan(s, tp))
+			cur = spark.MapPartitions(joined, func(part []spark.Pair[string, spark.Tuple2[solutions.Row, solutions.Row]]) []spark.Pair[string, solutions.Row] {
+				var out []spark.Pair[string, solutions.Row]
+				for _, p := range part {
+					if m, ok := solutions.Merge(p.Value.A, p.Value.B); ok {
+						out = append(out, spark.Pair[string, solutions.Row]{Key: p.Key, Value: m})
+					}
 				}
-				return []spark.Pair[string, sparql.Binding]{{Key: p.Key, Value: p.Value.A.Merge(p.Value.B)}}
+				return out
 			})
 			if te := e.estimate(tp); te < est {
 				est = te
@@ -323,17 +277,11 @@ func (e *Engine) evalHybrid(bgp sparql.BGP) ([]sparql.Binding, error) {
 		}
 		next := rest[pick]
 		rest = append(rest[:pick], rest[pick+1:]...)
-		shared := sharedVarsMap(cur.vars, next.vars)
-		var joined *spark.RDD[sparql.Binding]
+		shared := s.Slots(sharedVarsMap(cur.vars, next.vars))
+		var joined *spark.RDD[solutions.Row]
 		switch {
 		case len(shared) == 0:
-			prod := spark.Cartesian(cur.rdd, next.rdd)
-			joined = spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
-				if !t.A.Compatible(t.B) {
-					return nil
-				}
-				return []sparql.Binding{t.A.Merge(t.B)}
-			})
+			joined = solutions.MergeCross(spark.Cartesian(cur.rdd, next.rdd))
 		case next.est < threshold || cur.est < threshold:
 			joined = joinBroadcast(cur.rdd, next.rdd, shared, cur.est, next.est)
 		default:
@@ -352,50 +300,30 @@ func (e *Engine) evalHybrid(bgp sparql.BGP) ([]sparql.Binding, error) {
 		}
 		cur = evaluatedGroup{rdd: joined, vars: merged, est: est}
 	}
-	return cur.rdd.Collect(), nil
+	return cur.rdd.Collect()
 }
 
 // --- shared join helpers ---
 
-func joinPartitioned(left, right *spark.RDD[sparql.Binding], shared []sparql.Var) *spark.RDD[sparql.Binding] {
+func joinPartitioned(left, right *spark.RDD[solutions.Row], shared []int) *spark.RDD[solutions.Row] {
 	if len(shared) == 0 {
-		prod := spark.Cartesian(left, right)
-		return spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
-			if !t.A.Compatible(t.B) {
-				return nil
-			}
-			return []sparql.Binding{t.A.Merge(t.B)}
-		})
+		return solutions.MergeCross(spark.Cartesian(left, right))
 	}
-	ka := spark.KeyBy(left, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-	kb := spark.KeyBy(right, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-	joined := spark.Join(ka, kb)
-	return spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
-		if !p.Value.A.Compatible(p.Value.B) {
-			return nil
-		}
-		return []sparql.Binding{p.Value.A.Merge(p.Value.B)}
-	})
+	return solutions.MergeJoined(spark.Join(solutions.KeyBy(left, shared), solutions.KeyBy(right, shared)))
 }
 
-func joinBroadcast(left, right *spark.RDD[sparql.Binding], shared []sparql.Var, leftEst, rightEst int) *spark.RDD[sparql.Binding] {
-	ka := spark.KeyBy(left, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-	kb := spark.KeyBy(right, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-	var joined *spark.RDD[spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]]
+func joinBroadcast(left, right *spark.RDD[solutions.Row], shared []int, leftEst, rightEst int) *spark.RDD[solutions.Row] {
+	ka, kb := solutions.KeyBy(left, shared), solutions.KeyBy(right, shared)
+	var joined *spark.RDD[spark.Pair[string, spark.Tuple2[solutions.Row, solutions.Row]]]
 	if rightEst <= leftEst {
 		joined = spark.BroadcastJoin(ka, kb)
 	} else {
 		swapped := spark.BroadcastJoin(kb, ka)
-		joined = spark.MapValues(swapped, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) spark.Tuple2[sparql.Binding, sparql.Binding] {
-			return spark.Tuple2[sparql.Binding, sparql.Binding]{A: t.B, B: t.A}
+		joined = spark.MapValues(swapped, func(t spark.Tuple2[solutions.Row, solutions.Row]) spark.Tuple2[solutions.Row, solutions.Row] {
+			return spark.Tuple2[solutions.Row, solutions.Row]{A: t.B, B: t.A}
 		})
 	}
-	return spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
-		if !p.Value.A.Compatible(p.Value.B) {
-			return nil
-		}
-		return []sparql.Binding{p.Value.A.Merge(p.Value.B)}
-	})
+	return solutions.MergeJoined(joined)
 }
 
 func groupBySubject(tps []sparql.TriplePattern) [][]sparql.TriplePattern {

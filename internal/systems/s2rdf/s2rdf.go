@@ -228,18 +228,19 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if e.vpTables == nil {
 		return nil, fmt.Errorf("s2rdf: no dataset loaded")
 	}
-	rows, err := solutions.EvalPattern(q.Where, "s2rdf", e.evalBGP, nil)
+	s := solutions.NewSchema(q.Where)
+	rows, err := s.EvalPattern(q.Where, "s2rdf", e.evalBGP, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	return s.Results(q, rows), nil
 }
 
 // evalBGP translates the BGP to SQL text over VP/ExtVP tables, runs it
 // through the Spark SQL session, and decodes the answer.
-func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}, nil
 	}
 	sqlText, vars, err := e.TranslateBGP(bgp)
 	if err != nil {
@@ -249,25 +250,31 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("s2rdf: executing %q: %w", sqlText, err)
 	}
-	schema := df.Schema()
-	colVar := make(map[string]sparql.Var, len(vars))
+	colSlot := make(map[string]int, len(vars))
 	for _, v := range vars {
-		colVar[varCol(v)] = v
+		colSlot[varCol(v)] = s.Slot(v)
 	}
-	var out []sparql.Binding
+	slots := make([]int, len(df.Schema()))
+	for i, col := range df.Schema() {
+		if slot, isVar := colSlot[col]; isVar {
+			slots[i] = slot
+		} else {
+			slots[i] = -1
+		}
+	}
+	var out []solutions.Row
 	for _, row := range df.Collect() {
-		b := sparql.Binding{}
-		for i, col := range schema {
-			v, isVar := colVar[col]
-			if !isVar {
+		r := s.Row()
+		for i, slot := range slots {
+			if slot < 0 {
 				continue
 			}
 			val, _ := row[i].(string)
 			if term, ok := e.terms[val]; ok {
-				b[v] = term
+				r[slot] = term
 			}
 		}
-		out = append(out, b)
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -101,15 +101,16 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	}
 	// BGPs use the graph-parallel matcher; the other operators use the
 	// data-parallel side — FILTER as a plain Spark op.
-	rows, err := solutions.EvalPattern(q.Where, "s2x", e.evalBGP, e.filter)
+	s := solutions.NewSchema(q.Where)
+	rows, err := s.EvalPattern(q.Where, "s2x", e.evalBGP, e.filter)
 	if err != nil {
 		return nil, err
 	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	return s.Results(q, rows), nil
 }
 
-func (e *Engine) filter(rows []sparql.Binding, cond sparql.FilterExpr) []sparql.Binding {
-	return spark.Parallelize(e.ctx, rows).Filter(cond.EvalFilter).Collect()
+func (e *Engine) filter(rows []solutions.Row, keep func(solutions.Row) bool) []solutions.Row {
+	return spark.Parallelize(e.ctx, rows).Filter(keep).Collect()
 }
 
 // edgeCand is one candidate edge match for a triple pattern.
@@ -119,9 +120,9 @@ type edgeCand struct {
 }
 
 // evalBGP runs match + iterative validation + composition.
-func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}, nil
 	}
 	// --- Phase 1: match every pattern against all edges. ---
 	cands := make([][]edgeCand, len(bgp.Patterns))
@@ -229,64 +230,31 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 		e.ctx.AddMessages(removed)
 	}
 
-	// --- Phase 3: compose the validated candidates into bindings with
+	// --- Phase 3: compose the validated candidates into rows with
 	// data-parallel joins (spark side). ---
-	var cur *spark.RDD[sparql.Binding]
+	var cur *spark.RDD[solutions.Row]
 	var curVars map[sparql.Var]bool
 	order := composeOrder(bgp)
 	for _, i := range order {
 		tp := bgp.Patterns[i]
-		bindings := make([]sparql.Binding, 0, len(cands[i]))
+		pat := s.Pattern(tp)
+		rows := make([]solutions.Row, 0, len(cands[i]))
 		for _, c := range cands[i] {
-			b := sparql.Binding{}
-			ok := true
-			if tp.S.IsVar {
-				b[tp.S.Var] = e.terms[c.s]
-			}
-			if tp.O.IsVar {
-				if prev, exists := b[tp.O.Var]; exists && prev != e.terms[c.o] {
-					ok = false
-				} else {
-					b[tp.O.Var] = e.terms[c.o]
-				}
-			}
-			if tp.P.IsVar {
-				pt := rdf.NewIRI(c.pred)
-				if prev, exists := b[tp.P.Var]; exists && prev != pt {
-					ok = false
-				} else {
-					b[tp.P.Var] = pt
-				}
-			}
-			if ok {
-				bindings = append(bindings, b)
+			if r, ok := pat.Match(rdf.Triple{S: e.terms[c.s], P: rdf.NewIRI(c.pred), O: e.terms[c.o]}); ok {
+				rows = append(rows, r)
 			}
 		}
-		next := spark.Parallelize(e.ctx, bindings)
+		next := spark.Parallelize(e.ctx, rows)
 		if cur == nil {
 			cur = next
 			curVars = solutions.VarSet(tp.Vars())
 			continue
 		}
-		shared := solutions.SharedVars(curVars, tp.Vars())
+		shared := s.Slots(solutions.SharedVars(curVars, tp.Vars()))
 		if len(shared) == 0 {
-			prod := spark.Cartesian(cur, next)
-			cur = spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
-				if !t.A.Compatible(t.B) {
-					return nil
-				}
-				return []sparql.Binding{t.A.Merge(t.B)}
-			})
+			cur = solutions.MergeCross(spark.Cartesian(cur, next))
 		} else {
-			ka := spark.KeyBy(cur, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-			kb := spark.KeyBy(next, func(b sparql.Binding) string { return solutions.Key(b, shared) })
-			joined := spark.Join(ka, kb)
-			cur = spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
-				if !p.Value.A.Compatible(p.Value.B) {
-					return nil
-				}
-				return []sparql.Binding{p.Value.A.Merge(p.Value.B)}
-			})
+			cur = solutions.MergeJoined(spark.Join(solutions.KeyBy(cur, shared), solutions.KeyBy(next, shared)))
 		}
 		for _, v := range tp.Vars() {
 			curVars[v] = true

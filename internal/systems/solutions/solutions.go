@@ -1,81 +1,300 @@
 // Package solutions holds what the surveyed engines do with term-space
-// solution sequences at the driver, once: the SPARQL join and left join
-// of two sequences, the BGP+ algebra walked over an engine's own BGP
-// evaluator, and the shuffle key a binding is joined on, over the
-// variables two sequences share. None of it is part of any surveyed
-// design — the engines' metered strategies (their KeyBy / Cartesian /
-// broadcast RDD joins) stay in their own packages — so it is shared,
-// and it costs what a hash join costs.
+// solution sequences at the driver, once: the row a solution is, over
+// one variable schema per query; the SPARQL join and left join of two
+// sequences; the BGP+ algebra walked over an engine's own BGP
+// evaluator; the shuffle key a row is joined on, over the variables two
+// sequences share; and the one decode to sparql.Binding, of the answer
+// rows. None of it is part of any surveyed design — the engines'
+// metered strategies (their KeyBy / Cartesian / broadcast RDD joins)
+// stay in their own packages — so it is shared, and it costs what a
+// hash join costs.
 package solutions
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rdf"
+	"repro/internal/spark"
 	"repro/internal/sparql"
 )
+
+// unbound fills the slots of a row its solution does not bind. Its kind
+// is none of rdf's, so no parser produces it; the zero Term could not
+// serve, because it is the IRI <>.
+var unbound = rdf.Term{Kind: ^rdf.TermKind(0)}
+
+// Bound reports whether t is a term, not unbound.
+func Bound(t rdf.Term) bool { return t.Kind != unbound.Kind }
+
+// Row is one solution: the term each slot of its query's Schema is
+// bound to, unbound where it is not. A row is not written once it is
+// built, so sequences and tasks share rows freely.
+type Row []rdf.Term
+
+// Schema maps the variables of one query to row slots. The slots follow
+// sorted variable order, so the ascending slots of a variable set are
+// that set's sorted variables — the order a shuffle key renders them
+// in.
+type Schema struct {
+	Vars  []sparql.Var
+	slot  map[sparql.Var]int
+	empty Row
+}
+
+// NewSchema returns the schema of the variables p mentions.
+func NewSchema(p sparql.GraphPattern) *Schema {
+	vars := p.PatternVars()
+	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+	s := &Schema{Vars: vars, slot: make(map[sparql.Var]int, len(vars)), empty: make(Row, len(vars))}
+	for i, v := range vars {
+		s.slot[v] = i
+		s.empty[i] = unbound
+	}
+	return s
+}
+
+// Slots returns the slot of each of vs, -1 for a variable the query
+// does not mention.
+func (s *Schema) Slots(vs []sparql.Var) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = s.Slot(v)
+	}
+	return out
+}
+
+// Slot returns v's slot, -1 when the query does not mention v.
+func (s *Schema) Slot(v sparql.Var) int {
+	if slot, ok := s.slot[v]; ok {
+		return slot
+	}
+	return -1
+}
+
+// Row returns a row that binds nothing.
+func (s *Schema) Row() Row { return slices.Clone(s.empty) }
+
+// decode materializes the slots of r named by vars as a Binding.
+func decode(r Row, vars []sparql.Var, slots []int) sparql.Binding {
+	b := make(sparql.Binding, len(vars))
+	for i, slot := range slots {
+		if slot >= 0 && Bound(r[slot]) {
+			b[vars[i]] = r[slot]
+		}
+	}
+	return b
+}
+
+// Results decodes the answer rows, once, and applies q's solution
+// modifiers. A plain SELECT or ASK decodes only the variables it
+// projects, so Project keeps each Binding as it is; an aggregate or a
+// CONSTRUCT decodes every variable.
+func (s *Schema) Results(q *sparql.Query, rows []Row) *sparql.Results {
+	vars := s.Vars
+	if (q.Form == sparql.FormSelect || q.Form == sparql.FormAsk) && q.Agg == nil {
+		vars = q.SelectedVars()
+	}
+	slots := s.Slots(vars)
+	out := make([]sparql.Binding, len(rows))
+	for i, r := range rows {
+		out[i] = decode(r, vars, slots)
+	}
+	return sparql.ApplySolutionModifiers(q, out)
+}
+
+// Keep returns cond as a test on rows. Each row is decoded into a
+// Binding of the variables cond's VarLister names, or of every variable
+// when cond does not list them.
+func (s *Schema) Keep(cond sparql.FilterExpr) func(Row) bool {
+	vars := s.Vars
+	if vl, ok := cond.(sparql.VarLister); ok {
+		vars = vl.FilterVars()
+	}
+	slots := s.Slots(vars)
+	return func(r Row) bool { return cond.EvalFilter(decode(r, vars, slots)) }
+}
+
+// Pattern is a triple pattern compiled against a schema: the slot each
+// of its positions binds, -1 at a constant.
+type Pattern struct {
+	elems  [3]sparql.TPElem
+	slots  [3]int
+	schema *Schema
+}
+
+// Pattern compiles tp, whose variables s must hold.
+func (s *Schema) Pattern(tp sparql.TriplePattern) *Pattern {
+	p := &Pattern{elems: [3]sparql.TPElem{tp.S, tp.P, tp.O}, schema: s}
+	for i, el := range p.elems {
+		p.slots[i] = -1
+		if el.IsVar {
+			p.slots[i] = s.slot[el.Var]
+		}
+	}
+	return p
+}
+
+// Matches reports whether t matches the pattern: its constants, and one
+// term wherever a variable repeats.
+func (p *Pattern) Matches(t rdf.Triple) bool {
+	terms := [3]rdf.Term{t.S, t.P, t.O}
+	for i, slot := range p.slots {
+		if slot < 0 {
+			if p.elems[i].Term != terms[i] {
+				return false
+			}
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if p.slots[j] == slot && terms[j] != terms[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Bind returns the row t binds the pattern's variables to; t must match.
+func (p *Pattern) Bind(t rdf.Triple) Row {
+	r := p.schema.Row()
+	for i, term := range [3]rdf.Term{t.S, t.P, t.O} {
+		if p.slots[i] >= 0 {
+			r[p.slots[i]] = term
+		}
+	}
+	return r
+}
+
+// Match is Bind for a t that Matches, and false for any other.
+func (p *Pattern) Match(t rdf.Triple) (Row, bool) {
+	if !p.Matches(t) {
+		return nil, false
+	}
+	return p.Bind(t), true
+}
+
+// Merge is the SPARQL merge of two rows of one schema: every slot
+// either binds. It is false when a slot is bound to a different term in
+// each — the rows are not compatible. A row that binds every slot the
+// other does is the merge itself, so it is returned rather than copied.
+func Merge(a, b Row) (Row, bool) {
+	aAdds, bAdds := false, false
+	for i, t := range b {
+		switch {
+		case !Bound(t):
+			aAdds = aAdds || Bound(a[i])
+		case !Bound(a[i]):
+			bAdds = true
+		case a[i] != t:
+			return nil, false
+		}
+	}
+	if !bAdds {
+		return a, true
+	}
+	if !aAdds {
+		return b, true
+	}
+	m := make(Row, len(a))
+	for i, t := range a {
+		if !Bound(t) {
+			t = b[i]
+		}
+		m[i] = t
+	}
+	return m, true
+}
+
+// MergeCross keeps the compatible pairs of a Cartesian product, merged.
+func MergeCross(prod *spark.RDD[spark.Tuple2[Row, Row]]) *spark.RDD[Row] {
+	return mergeEach(prod, func(t spark.Tuple2[Row, Row]) (Row, Row) { return t.A, t.B })
+}
+
+// MergeJoined keeps the compatible pairs of a keyed join, merged: the
+// key narrows the pairs, it does not decide the join.
+func MergeJoined(joined *spark.RDD[spark.Pair[string, spark.Tuple2[Row, Row]]]) *spark.RDD[Row] {
+	return mergeEach(joined, func(p spark.Pair[string, spark.Tuple2[Row, Row]]) (Row, Row) { return p.Value.A, p.Value.B })
+}
+
+// mergeEach merges the two rows of every record of r, dropping the
+// incompatible ones: one narrow transformation, one task per partition.
+func mergeEach[T any](r *spark.RDD[T], pair func(T) (Row, Row)) *spark.RDD[Row] {
+	return spark.MapPartitions(r, func(part []T) []Row {
+		var out []Row
+		for _, rec := range part {
+			if m, ok := Merge(pair(rec)); ok {
+				out = append(out, m)
+			}
+		}
+		return out
+	})
+}
 
 // scanBelow is the build-side length under which a map is not worth
 // building: every probe walks the few rows there are.
 const scanBelow = 8
 
-// Table is the build side of a join: an immutable sequence of solutions
-// indexed, when it pays, on one variable bound in every one of them.
-// Probes only read it, so tasks may share one.
+// Table is the build side of a join: an immutable sequence of rows
+// indexed, when it pays, on one slot bound in every one of them. Probes
+// only read it, so tasks may share one.
 type Table struct {
-	rows []sparql.Binding
-	// key is the indexed variable; head maps each term it takes to the
-	// first build row holding it and next chains the rest in slice
-	// order (-1 ends a chain). A nil head means every probe scans.
-	key  sparql.Var
+	rows []Row
+	// key is the indexed slot (-1: none); head maps each term it takes
+	// to the first build row holding it and next chains the rest in
+	// slice order (-1 ends a chain). A nil head means every probe scans.
+	key  int
 	head map[rdf.Term]int
 	next []int
 }
 
 // NewTable prepares build for probing by rows like those of probe (the
-// whole probe side, or a sample of it). The key is the variable, among
+// whole probe side, or a sample of it). The key is the slot, among
 // those bound in every build row, that the most probe rows bind; of
 // several bound equally often, the one taking the most distinct terms
-// in build. A short build side, or one no probe row can be keyed into,
-// gets no index.
-func NewTable(build, probe []sparql.Binding) *Table {
-	t := &Table{rows: build}
+// in build, then the lowest. A short build side, or one no probe row
+// can be keyed into, gets no index.
+func NewTable(build, probe []Row) *Table {
+	t := &Table{rows: build, key: -1}
 	if len(build) < scanBelow {
 		return t
 	}
 	best := 0
-	for v := range build[0] {
-		n := binding(probe, v)
-		if n == 0 || n < best || binding(build, v) < len(build) {
+	for slot, term := range build[0] {
+		if !Bound(term) {
 			continue
 		}
-		head, next := index(build, v)
-		if n > best || len(head) > len(t.head) || (len(head) == len(t.head) && v < t.key) {
-			best, t.key, t.head, t.next = n, v, head, next
+		n := binding(probe, slot)
+		if n == 0 || n < best || binding(build, slot) < len(build) {
+			continue
+		}
+		head, next := index(build, slot)
+		if n > best || len(head) > len(t.head) {
+			best, t.key, t.head, t.next = n, slot, head, next
 		}
 	}
 	return t
 }
 
-// binding counts the rows that bind v.
-func binding(rows []sparql.Binding, v sparql.Var) int {
+// binding counts the rows that bind slot.
+func binding(rows []Row, slot int) int {
 	n := 0
 	for _, r := range rows {
-		if _, ok := r[v]; ok {
+		if Bound(r[slot]) {
 			n++
 		}
 	}
 	return n
 }
 
-// index chains the rows by the term v takes in them. It walks the rows
-// backwards so each chain runs forwards.
-func index(rows []sparql.Binding, v sparql.Var) (head map[rdf.Term]int, next []int) {
+// index chains the rows by the term slot holds in them. It walks the
+// rows backwards so each chain runs forwards.
+func index(rows []Row, slot int) (head map[rdf.Term]int, next []int) {
 	head = make(map[rdf.Term]int, len(rows))
 	next = make([]int, len(rows))
 	for i := len(rows) - 1; i >= 0; i-- {
-		term := rows[i][v]
+		term := rows[i][slot]
 		if j, ok := head[term]; ok {
 			next[i] = j
 		} else {
@@ -90,47 +309,47 @@ func index(rows []sparql.Binding, v sparql.Var) (head map[rdf.Term]int, next []i
 // with it, in build order — and, when outer is set and there is none, l
 // itself (OPTIONAL). A row that binds the key visits its bucket; one
 // that does not (possible below OPTIONAL) is compatible with any key
-// and visits every row. Every candidate is verified with Compatible:
-// the key narrows the search, it does not decide the join.
-func (t *Table) Probe(l sparql.Binding, outer bool, out []sparql.Binding) []sparql.Binding {
+// and visits every row. Every candidate is merged with Merge: the key
+// narrows the search, it does not decide the join.
+func (t *Table) Probe(l Row, outer bool, out []Row) []Row {
 	start := len(out)
-	term, keyed := l[t.key]
-	if keyed && t.head != nil {
-		i, ok := t.head[term]
-		for ; ok && i >= 0; i = t.next[i] {
-			if l.Compatible(t.rows[i]) {
-				out = append(out, l.Merge(t.rows[i]))
-			}
-		}
-	} else {
-		for _, r := range t.rows {
-			if l.Compatible(r) {
-				out = append(out, l.Merge(r))
+	candidates := t.rows
+	if t.head != nil && Bound(l[t.key]) {
+		candidates = nil
+		i, found := t.head[l[t.key]]
+		for ; found && i >= 0; i = t.next[i] {
+			if m, ok := Merge(l, t.rows[i]); ok {
+				out = append(out, m)
 			}
 		}
 	}
+	for _, r := range candidates {
+		if m, ok := Merge(l, r); ok {
+			out = append(out, m)
+		}
+	}
 	if outer && len(out) == start {
-		out = append(out, l.Clone())
+		out = append(out, l)
 	}
 	return out
 }
 
-// Join is the SPARQL join of two solution sequences: every compatible
-// pair merged, left-major with the right side in slice order — row for
-// row what the nested loop over both emits.
-func Join(left, right []sparql.Binding) []sparql.Binding {
+// Join is the SPARQL join of two row sequences: every compatible pair
+// merged, left-major with the right side in slice order — row for row
+// what the nested loop over both emits.
+func Join(left, right []Row) []Row {
 	return join(left, right, false)
 }
 
 // LeftJoin is Join that keeps a left row with no compatible right row
 // (OPTIONAL), in its place.
-func LeftJoin(left, right []sparql.Binding) []sparql.Binding {
+func LeftJoin(left, right []Row) []Row {
 	return join(left, right, true)
 }
 
-func join(left, right []sparql.Binding, outer bool) []sparql.Binding {
+func join(left, right []Row, outer bool) []Row {
 	t := NewTable(right, left)
-	var out []sparql.Binding
+	var out []Row
 	for _, l := range left {
 		out = t.Probe(l, outer, out)
 	}
@@ -139,17 +358,17 @@ func join(left, right []sparql.Binding, outer bool) []sparql.Binding {
 
 // EvalPattern evaluates the BGP+ algebra at the driver for an engine
 // that answers BGPs itself: groups join, OPTIONAL left-joins, UNION
-// concatenates, and FILTER runs through filter when the engine has its
-// own (nil keeps it at the driver). engine names the engine in the
-// error for a pattern outside the fragment.
-func EvalPattern(p sparql.GraphPattern, engine string,
-	evalBGP func(sparql.BGP) ([]sparql.Binding, error),
-	filter func(rows []sparql.Binding, cond sparql.FilterExpr) []sparql.Binding,
-) ([]sparql.Binding, error) {
-	eval := func(p sparql.GraphPattern) ([]sparql.Binding, error) {
-		return EvalPattern(p, engine, evalBGP, filter)
+// concatenates, and FILTER keeps the rows Keep passes — through filter
+// when the engine runs the test itself (nil runs it here). engine names
+// the engine in the error for a pattern outside the fragment.
+func (s *Schema) EvalPattern(p sparql.GraphPattern, engine string,
+	evalBGP func(*Schema, sparql.BGP) ([]Row, error),
+	filter func(rows []Row, keep func(Row) bool) []Row,
+) ([]Row, error) {
+	eval := func(p sparql.GraphPattern) ([]Row, error) {
+		return s.EvalPattern(p, engine, evalBGP, filter)
 	}
-	both := func(l, r sparql.GraphPattern) (left, right []sparql.Binding, err error) {
+	both := func(l, r sparql.GraphPattern) (left, right []Row, err error) {
 		if left, err = eval(l); err == nil {
 			right, err = eval(r)
 		}
@@ -157,9 +376,9 @@ func EvalPattern(p sparql.GraphPattern, engine string,
 	}
 	switch n := p.(type) {
 	case sparql.BGP:
-		return evalBGP(n)
+		return evalBGP(s, n)
 	case sparql.Group:
-		rows := []sparql.Binding{{}}
+		rows := []Row{s.Row()}
 		for _, part := range n.Parts {
 			sub, err := eval(part)
 			if err != nil {
@@ -173,13 +392,14 @@ func EvalPattern(p sparql.GraphPattern, engine string,
 		if err != nil {
 			return nil, err
 		}
+		keep := s.Keep(n.Cond)
 		if filter != nil {
-			return filter(rows, n.Cond), nil
+			return filter(rows, keep), nil
 		}
-		var kept []sparql.Binding
-		for _, b := range rows {
-			if n.Cond.EvalFilter(b) {
-				kept = append(kept, b)
+		var kept []Row
+		for _, r := range rows {
+			if keep(r) {
+				kept = append(kept, r)
 			}
 		}
 		return kept, nil
@@ -200,21 +420,26 @@ func EvalPattern(p sparql.GraphPattern, engine string,
 	}
 }
 
-// Key renders the terms b binds vars to, for use as a shuffle join key
-// (an unbound variable renders empty): the N-Triples terms joined by
-// NUL bytes, built in one buffer.
-func Key(b sparql.Binding, vars []sparql.Var) string {
+// Key renders the terms r binds slots to, for use as a shuffle join key
+// (an unbound slot renders empty): the N-Triples terms joined by NUL
+// bytes, built in one buffer.
+func Key(r Row, slots []int) string {
 	var buf [256]byte
 	key := buf[:0]
-	for i, v := range vars {
+	for i, slot := range slots {
 		if i > 0 {
 			key = append(key, 0)
 		}
-		if t, ok := b[v]; ok {
-			key = t.AppendTo(key)
+		if Bound(r[slot]) {
+			key = r[slot].AppendTo(key)
 		}
 	}
 	return string(key)
+}
+
+// KeyBy keys every row of r by its Key over slots.
+func KeyBy(r *spark.RDD[Row], slots []int) *spark.RDD[spark.Pair[string, Row]] {
+	return spark.KeyBy(r, func(x Row) string { return Key(x, slots) })
 }
 
 // VarSet returns vs as a set.
@@ -227,7 +452,7 @@ func VarSet(vs []sparql.Var) map[sparql.Var]bool {
 }
 
 // SharedVars returns the variables of vs in have, sorted: the columns a
-// pattern's bindings join the solutions binding have on.
+// pattern's rows join the solutions binding have on.
 func SharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
 	var out []sparql.Var
 	for _, v := range vs {

@@ -1,3 +1,17 @@
+// The row operations are checked against the map semantics they
+// replaced: sparql.Binding's Compatible and Merge (refCompatible,
+// refMerge), the Binding-keyed shuffle key (refKey), the per-engine
+// triple binders (refMatch) and the nested join loop (nestedJoin). Each
+// property fails on these mutants of the code under test:
+//
+//   - Merge skips its compatibility check (a shared slot bound to two
+//     terms merges);
+//   - Merge treats a slot unbound in its first row as a conflict;
+//   - Merge keeps only its first row's slots;
+//   - Key writes no NUL before an unbound slot, or renders it non-empty;
+//   - Pattern.Matches ignores a repeated variable;
+//   - Table.Probe with outer set drops the unmatched row;
+//   - NewTable indexes a slot some build row leaves unbound.
 package solutions
 
 import (
@@ -14,6 +28,34 @@ import (
 	"repro/internal/sparql"
 )
 
+// refCompatible and refMerge are sparql.Binding's Compatible and Merge
+// as the engines ran them before rows replaced bindings.
+func refCompatible(a, b sparql.Binding) bool {
+	for k, v := range a {
+		if ov, ok := b[k]; ok && ov != v {
+			return false
+		}
+	}
+	return true
+}
+
+func refMerge(a, b sparql.Binding) sparql.Binding {
+	out := maps.Clone(a)
+	maps.Copy(out, b)
+	return out
+}
+
+// refKey is Key over a Binding, as the engines shuffled on it.
+func refKey(b sparql.Binding, vars []sparql.Var) string {
+	parts := make([]string, len(vars))
+	for i, v := range vars {
+		if t, ok := b[v]; ok {
+			parts[i] = t.String()
+		}
+	}
+	return strings.Join(parts, "\x00")
+}
+
 // nestedJoin is the loop Join, LeftJoin and Table.Probe replaced in six
 // engines; it stays here as their reference.
 func nestedJoin(left, right []sparql.Binding, outer bool) []sparql.Binding {
@@ -21,13 +63,13 @@ func nestedJoin(left, right []sparql.Binding, outer bool) []sparql.Binding {
 	for _, l := range left {
 		matched := false
 		for _, r := range right {
-			if l.Compatible(r) {
-				out = append(out, l.Merge(r))
+			if refCompatible(l, r) {
+				out = append(out, refMerge(l, r))
 				matched = true
 			}
 		}
 		if outer && !matched {
-			out = append(out, l.Clone())
+			out = append(out, maps.Clone(l))
 		}
 	}
 	return out
@@ -35,20 +77,37 @@ func nestedJoin(left, right []sparql.Binding, outer bool) []sparql.Binding {
 
 var testVars = []sparql.Var{"a", "b", "c", "d"}
 
-// randomSide draws n solutions over testVars: modes[i] says whether
-// variable i is never (0), sometimes (1) or always (2) bound on this
-// side, and terms come from a pool of `terms` values, so keys repeat,
-// rows repeat and buckets fan out.
-func randomSide(r *rand.Rand, n, terms int, modes []int) []sparql.Binding {
-	rows := make([]sparql.Binding, n)
+// schemaOf returns the schema of a BGP that mentions vars.
+func schemaOf(vars ...sparql.Var) *Schema {
+	var tps []sparql.TriplePattern
+	for _, v := range vars {
+		tps = append(tps, sparql.TriplePattern{S: sparql.VarElem(v), P: sparql.TermElem(rdf.NewIRI("http://e/p")), O: sparql.VarElem(v)})
+	}
+	return NewSchema(sparql.BGP{Patterns: tps})
+}
+
+func bindings(s *Schema, rows []Row) []sparql.Binding {
+	out := make([]sparql.Binding, len(rows))
+	for i, r := range rows {
+		out[i] = decode(r, s.Vars, s.Slots(s.Vars))
+	}
+	return out
+}
+
+// randomSide draws n rows over testVars: modes[i] says whether variable
+// i is never (0), sometimes (1) or always (2) bound on this side, and
+// terms come from a pool of `terms` values, so keys repeat, rows repeat,
+// buckets fan out and shared slots disagree.
+func randomSide(r *rand.Rand, s *Schema, n, terms int, modes []int) []Row {
+	rows := make([]Row, n)
 	for i := range rows {
-		b := sparql.Binding{}
+		row := s.Row()
 		for v, mode := range modes {
 			if mode == 2 || mode == 1 && r.Intn(2) == 0 {
-				b[testVars[v]] = rdf.NewIRI(fmt.Sprintf("http://e/%d", r.Intn(terms)))
+				row[s.Slot(testVars[v])] = rdf.NewIRI(fmt.Sprintf("http://e/%d", r.Intn(terms)))
 			}
 		}
-		rows[i] = b
+		rows[i] = row
 	}
 	return rows
 }
@@ -57,12 +116,110 @@ func sameSolutions(a, b []sparql.Binding) bool {
 	return slices.EqualFunc(a, b, func(x, y sparql.Binding) bool { return maps.Equal(x, y) })
 }
 
-func cloneSolutions(rows []sparql.Binding) []sparql.Binding {
-	out := make([]sparql.Binding, len(rows))
-	for i, b := range rows {
-		out[i] = b.Clone()
+func cloneRows(rows []Row) []Row {
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
 	}
 	return out
+}
+
+func sameRows(a, b []Row) bool {
+	return slices.EqualFunc(a, b, func(x, y Row) bool { return slices.Equal(x, y) })
+}
+
+// Random row pairs over four slots, each unbound or bound to one of a
+// few terms on either side (so slots bound on one side only, shared
+// slots that agree and shared slots that disagree): Merge accepts
+// exactly the pairs refCompatible does, and gives refMerge's solution;
+// Key over any ascending slot set renders refKey's bytes; neither
+// writes to its inputs.
+func TestMergeAndKeyMatchMapReferenceProperty(t *testing.T) {
+	s := schemaOf(testVars...)
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		modes := []int{1, 1, 1, 1}
+		rows := randomSide(r, s, 2, 1+r.Intn(3), modes)
+		a, b := rows[0], rows[1]
+		before := cloneRows(rows)
+		ba, bb := bindings(s, rows)[0], bindings(s, rows)[1]
+		m, ok := Merge(a, b)
+		if ok != refCompatible(ba, bb) {
+			t.Logf("seed %d: Merge(%v, %v) ok = %v, reference %v", seed, ba, bb, ok, !ok)
+			return false
+		}
+		if ok && !maps.Equal(bindings(s, []Row{m})[0], refMerge(ba, bb)) {
+			t.Logf("seed %d: Merge(%v, %v) = %v, reference %v", seed, ba, bb, bindings(s, []Row{m})[0], refMerge(ba, bb))
+			return false
+		}
+		var vars []sparql.Var
+		for _, v := range testVars {
+			if r.Intn(2) == 0 {
+				vars = append(vars, v)
+			}
+		}
+		if got, want := Key(a, s.Slots(vars)), refKey(ba, vars); got != want {
+			t.Logf("seed %d: Key(%v, %v) = %q, reference %q", seed, ba, vars, got, want)
+			return false
+		}
+		if !sameRows(rows, before) {
+			t.Logf("seed %d: Merge or Key wrote to its inputs", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refMatch is the per-engine binder Pattern replaced: constants equal,
+// and a variable bound once per solution.
+func refMatch(tp sparql.TriplePattern, t rdf.Triple) (sparql.Binding, bool) {
+	b := sparql.Binding{}
+	for i, el := range []sparql.TPElem{tp.S, tp.P, tp.O} {
+		term := [3]rdf.Term{t.S, t.P, t.O}[i]
+		if !el.IsVar {
+			if el.Term != term {
+				return nil, false
+			}
+			continue
+		}
+		if cur, ok := b[el.Var]; ok && cur != term {
+			return nil, false
+		}
+		b[el.Var] = term
+	}
+	return b, true
+}
+
+// Random patterns (each position a constant or one of two variables, so
+// variables repeat) against random triples over a three-term pool:
+// Pattern.Match agrees with refMatch.
+func TestPatternMatchProperty(t *testing.T) {
+	pool := []rdf.Term{rdf.NewIRI("http://e/0"), rdf.NewIRI("http://e/1"), rdf.NewLiteral("l")}
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		elem := func() sparql.TPElem {
+			if k := r.Intn(4); k < 2 {
+				return sparql.VarElem(testVars[k])
+			}
+			return sparql.TermElem(pool[r.Intn(len(pool))])
+		}
+		tp := sparql.TriplePattern{S: elem(), P: elem(), O: elem()}
+		tr := rdf.Triple{S: pool[r.Intn(3)], P: pool[r.Intn(3)], O: pool[r.Intn(3)]}
+		s := NewSchema(sparql.BGP{Patterns: []sparql.TriplePattern{tp}})
+		row, ok := s.Pattern(tp).Match(tr)
+		want, wantOK := refMatch(tp, tr)
+		if ok != wantOK || ok && !maps.Equal(bindings(s, []Row{row})[0], want) {
+			t.Logf("seed %d: %v on %v: got %v %v, want %v %v", seed, tp, tr, row, ok, want, wantOK)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Random solution sequences over at most four variables — every
@@ -74,6 +231,7 @@ func cloneSolutions(rows []sparql.Binding) []sparql.Binding {
 // loop's rows in the nested loop's order, and leave their inputs as
 // they found them.
 func TestJoinMatchesNestedLoopProperty(t *testing.T) {
+	s := schemaOf(testVars...)
 	sizes := []int{0, 1, 2, scanBelow - 1, scanBelow, scanBelow + 1, 40}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -83,28 +241,28 @@ func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 			lmodes[v], rmodes[v] = r.Intn(3), r.Intn(3)
 		}
 		terms := 1 + r.Intn(1+max(nl, nr)/2)
-		left, right := randomSide(r, nl, terms, lmodes), randomSide(r, nr, terms, rmodes)
-		leftBefore, rightBefore := cloneSolutions(left), cloneSolutions(right)
+		left, right := randomSide(r, s, nl, terms, lmodes), randomSide(r, s, nr, terms, rmodes)
+		leftBefore, rightBefore := cloneRows(left), cloneRows(right)
 		sampled := NewTable(right, left[:min(3, nl)])
 		for _, outer := range []bool{false, true} {
-			want := nestedJoin(left, right, outer)
-			var probed []sparql.Binding
+			want := nestedJoin(bindings(s, left), bindings(s, right), outer)
+			var probed []Row
 			for _, l := range left {
 				probed = sampled.Probe(l, outer, probed)
 			}
-			got := map[string][]sparql.Binding{"join": Join(left, right), "probe": probed}
+			got := map[string][]Row{"join": Join(left, right), "probe": probed}
 			if outer {
 				got["join"] = LeftJoin(left, right)
 			}
 			for name, rows := range got {
-				if !sameSolutions(rows, want) {
+				if !sameSolutions(bindings(s, rows), want) {
 					t.Logf("seed %d: %d × %d rows, modes %v × %v, %d terms, outer %v: %s gave %d rows, nested loop %d\n got  %v\n want %v",
-						seed, nl, nr, lmodes, rmodes, terms, outer, name, len(rows), len(want), rows, want)
+						seed, nl, nr, lmodes, rmodes, terms, outer, name, len(rows), len(want), bindings(s, rows), want)
 					return false
 				}
 			}
 		}
-		if !sameSolutions(left, leftBefore) || !sameSolutions(right, rightBefore) {
+		if !sameRows(left, leftBefore) || !sameRows(right, rightBefore) {
 			t.Logf("seed %d: the join wrote to its inputs", seed)
 			return false
 		}
@@ -116,27 +274,28 @@ func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 }
 
 // A Table is only read by its probes: SPARQLGX builds one on the
-// broadcast side and every task of its FlatMap probes it. Run with
+// broadcast side and every task of its partitions probes it. Run with
 // -race.
 func TestTableSharedByConcurrentProbes(t *testing.T) {
+	s := schemaOf(testVars...)
 	r := rand.New(rand.NewSource(3))
-	left := randomSide(r, 300, 40, []int{2, 1, 0, 2})
-	right := randomSide(r, 200, 40, []int{2, 2, 1, 0})
+	left := randomSide(r, s, 300, 40, []int{2, 1, 0, 2})
+	right := randomSide(r, s, 200, 40, []int{2, 2, 1, 0})
 	table := NewTable(right, left[:32])
 	if table.head == nil {
 		t.Fatal("the table under test has no index")
 	}
-	want := nestedJoin(left, right, true)
+	want := nestedJoin(bindings(s, left), bindings(s, right), true)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var got []sparql.Binding
+			var got []Row
 			for _, l := range left {
 				got = table.Probe(l, true, got)
 			}
-			if !sameSolutions(got, want) {
+			if !sameSolutions(bindings(s, got), want) {
 				t.Errorf("a concurrent probe gave %d rows, nested loop %d", len(got), len(want))
 			}
 		}()
@@ -144,22 +303,30 @@ func TestTableSharedByConcurrentProbes(t *testing.T) {
 	wg.Wait()
 }
 
-// The key is a variable bound in every build row that the probe side
-// binds — the more selective of two — and there is none for a short
-// build side or a probe side that binds nothing.
+// The key is a slot bound in every build row that the probe side binds
+// — the more selective of two — and there is none for a short build
+// side or a probe side that binds nothing.
 func TestNewTableKeyChoice(t *testing.T) {
-	iri := func(s string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://e/%s%d", s, i)) }
-	var build []sparql.Binding
+	s := schemaOf("dept", "email", "n", "st")
+	iri := func(p string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://e/%s%d", p, i)) }
+	row := func(b sparql.Binding) Row {
+		r := s.Row()
+		for v, term := range b {
+			r[s.Slot(v)] = term
+		}
+		return r
+	}
+	var build []Row
 	for i := 0; i < 20; i++ {
 		b := sparql.Binding{"dept": iri("d", i%2), "st": iri("s", i)}
 		if i%3 == 0 {
 			b["email"] = iri("e", i)
 		}
-		build = append(build, b)
+		build = append(build, row(b))
 	}
 	for _, tc := range []struct {
 		name  string
-		build []sparql.Binding
+		build []Row
 		probe sparql.Binding
 		key   sparql.Var
 	}{
@@ -169,9 +336,9 @@ func TestNewTableKeyChoice(t *testing.T) {
 		{"probe binds nothing", build, sparql.Binding{}, ""},
 		{"short build side", build[:scanBelow-1], sparql.Binding{"st": iri("s", 1)}, ""},
 	} {
-		table := NewTable(tc.build, []sparql.Binding{tc.probe})
-		if table.key != tc.key || (table.head != nil) != (tc.key != "") {
-			t.Errorf("%s: key %q (indexed %v), want %q", tc.name, table.key, table.head != nil, tc.key)
+		table := NewTable(tc.build, []Row{row(tc.probe)})
+		if want := s.Slot(tc.key); table.key != want || (table.head != nil) != (want >= 0) {
+			t.Errorf("%s: key slot %d (indexed %v), want %d (%q)", tc.name, table.key, table.head != nil, want, tc.key)
 		}
 	}
 }
@@ -179,10 +346,41 @@ func TestNewTableKeyChoice(t *testing.T) {
 // Key's bytes are shuffle keys, and spark.shuffle_bytes is sized from
 // them: they are pinned.
 func TestKeyBytes(t *testing.T) {
-	b := sparql.Binding{"x": rdf.NewIRI("http://e/x"), "n": rdf.NewLiteral("Ann")}
-	got := Key(b, []sparql.Var{"x", "unbound", "n"})
+	s := schemaOf("n", "unbound", "x")
+	r := s.Row()
+	r[s.Slot("x")], r[s.Slot("n")] = rdf.NewIRI("http://e/x"), rdf.NewLiteral("Ann")
+	got := Key(r, s.Slots([]sparql.Var{"x", "unbound", "n"}))
 	if want := "<http://e/x>\x00\x00\"Ann\""; got != want {
 		t.Fatalf("Key = %q, want %q", got, want)
+	}
+}
+
+// listingExpr is a FILTER that names the variables it reads and
+// records the Binding it is handed.
+type listingExpr struct{ seen sparql.Binding }
+
+func (e *listingExpr) EvalFilter(b sparql.Binding) bool { e.seen = b; return true }
+func (e *listingExpr) String() string                   { return "listing" }
+func (e *listingExpr) FilterVars() []sparql.Var         { return []sparql.Var{"a"} }
+
+// A FILTER sees the variables its VarLister names, and only those; the
+// answer decodes the projected variables, and every variable for a
+// CONSTRUCT.
+func TestDecodeOnlyWhatIsRead(t *testing.T) {
+	s := schemaOf(testVars...)
+	r := randomSide(rand.New(rand.NewSource(1)), s, 1, 3, []int{2, 2, 2, 2})[0]
+	cond := &listingExpr{}
+	s.Keep(cond)(r)
+	if len(cond.seen) != 1 || cond.seen["a"] != r[s.Slot("a")] {
+		t.Errorf("the filter saw %v, want ?a alone", cond.seen)
+	}
+	res := s.Results(sparql.MustParse(`SELECT ?b WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`), []Row{r})
+	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0]["b"] != r[s.Slot("b")] {
+		t.Errorf("SELECT ?b decoded %v", res.Rows)
+	}
+	graph := s.Results(sparql.MustParse(`CONSTRUCT { ?a <http://e/q> ?d } WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`), []Row{r})
+	if len(graph.Triples) != 1 || graph.Triples[0].O != r[s.Slot("d")] {
+		t.Errorf("CONSTRUCT built %v", graph.Triples)
 	}
 }
 
@@ -197,33 +395,36 @@ func TestEvalPattern(t *testing.T) {
 			S: sparql.VarElem("s"), P: sparql.TermElem(rdf.NewIRI(p)), O: sparql.VarElem(sparql.Var(p)),
 		}}}
 	}
+	s := NewSchema(sparql.Group{Parts: []sparql.GraphPattern{tp("name"), tp("mail")}})
 	// ?s name ?name for subjects 0–2; ?s mail ?mail for subject 1 only.
-	evalBGP := func(bgp sparql.BGP) ([]sparql.Binding, error) {
+	evalBGP := func(s *Schema, bgp sparql.BGP) ([]Row, error) {
 		p := bgp.Patterns[0].P.Term.Value
 		subjects := map[string][]int{"name": {0, 1, 2}, "mail": {1}}[p]
-		var rows []sparql.Binding
-		for _, s := range subjects {
-			rows = append(rows, sparql.Binding{"s": iri(s), sparql.Var(p): iri(10 + s)})
+		var rows []Row
+		for _, subj := range subjects {
+			r := s.Row()
+			r[s.Slot("s")], r[s.Slot(sparql.Var(p))] = iri(subj), iri(10+subj)
+			rows = append(rows, r)
 		}
 		return rows, nil
 	}
-	render := func(rows []sparql.Binding) string {
+	render := func(rows []Row) string {
 		var out []string
-		for _, b := range rows {
-			out = append(out, Key(b, []sparql.Var{"s", "name", "mail"}))
+		for _, r := range rows {
+			out = append(out, Key(r, s.Slots([]sparql.Var{"s", "name", "mail"})))
 		}
 		return strings.ReplaceAll(strings.Join(out, " | "), "\x00", ",")
 	}
 	isOne := sparql.MustParse(`SELECT ?s WHERE { ?s <name> ?name FILTER(?s = <http://e/1>) }`).Where.(sparql.Filter).Cond
 	hooked := 0
-	hook := func(rows []sparql.Binding, cond sparql.FilterExpr) []sparql.Binding {
+	hook := func(rows []Row, keep func(Row) bool) []Row {
 		hooked++
 		return rows[:1]
 	}
 	for _, tc := range []struct {
 		name   string
 		p      sparql.GraphPattern
-		filter func([]sparql.Binding, sparql.FilterExpr) []sparql.Binding
+		filter func([]Row, func(Row) bool) []Row
 		want   string
 	}{
 		{"group", sparql.Group{Parts: []sparql.GraphPattern{tp("name"), tp("mail")}}, nil,
@@ -237,7 +438,7 @@ func TestEvalPattern(t *testing.T) {
 		{"engine filter", sparql.Filter{Inner: tp("name"), Cond: isOne}, hook,
 			"<http://e/0>,<http://e/10>,"},
 	} {
-		rows, err := EvalPattern(tc.p, "stub", evalBGP, tc.filter)
+		rows, err := s.EvalPattern(tc.p, "stub", evalBGP, tc.filter)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -248,7 +449,7 @@ func TestEvalPattern(t *testing.T) {
 	if hooked != 1 {
 		t.Errorf("the filter hook ran %d times, want 1", hooked)
 	}
-	_, err := EvalPattern(sparql.Group{Parts: []sparql.GraphPattern{nil}}, "stub", evalBGP, nil)
+	_, err := s.EvalPattern(sparql.Group{Parts: []sparql.GraphPattern{nil}}, "stub", evalBGP, nil)
 	if err == nil || err.Error() != "stub: unsupported pattern <nil>" {
 		t.Errorf("unsupported pattern: error %v", err)
 	}

@@ -19,6 +19,7 @@ package sparkql
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -113,11 +114,8 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if !ok {
 		return nil, fmt.Errorf("sparkql: only BGP queries are supported (fragment per Table II)")
 	}
-	rows, err := e.evalBGP(bgp)
-	if err != nil {
-		return nil, err
-	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	s := solutions.NewSchema(q.Where)
+	return s.Results(q, e.evalBGP(s, bgp)), nil
 }
 
 // nodeKey identifies a query node (a subject/object position): either
@@ -131,9 +129,9 @@ func keyOfElem(el sparql.TPElem) nodeKey {
 	return nodeKey(el.Term.String())
 }
 
-func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}
 	}
 	// Split patterns: node-local (data property / rdf:type), edge
 	// patterns (object properties), and leftovers spanning both stores:
@@ -159,10 +157,10 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 
 	// Evaluate every tree component bottom-up, then join components and
 	// leftovers at the driver (Spark side).
-	rows := []sparql.Binding{{}}
+	rows := []solutions.Row{s.Row()}
 	usedNodes := map[nodeKey]bool{}
 	for _, root := range tree.roots {
-		table := e.evalSubtree(tree, root, nodeTPs, usedNodes)
+		table := e.evalSubtree(s, tree, root, nodeTPs, usedNodes)
 		rows = solutions.Join(rows, table)
 	}
 	// Node-only variables (no edges touch them).
@@ -170,14 +168,14 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 		if usedNodes[k] {
 			continue
 		}
-		table := e.nodeTable(elemOfKey(k, tps), tps)
+		table := e.nodeTable(s, elemOfKey(k, tps), tps)
 		usedNodes[k] = true
 		rows = solutions.Join(rows, flatten(table))
 	}
 	for _, tp := range leftovers {
-		rows = solutions.Join(rows, e.matchAnywhere(tp))
+		rows = solutions.Join(rows, e.matchAnywhere(s, tp))
 	}
-	return rows, nil
+	return rows
 }
 
 // isNodeProperty reports whether a constant-predicate pattern not
@@ -275,33 +273,48 @@ func buildBFSTree(tps []sparql.TriplePattern) (*queryTree, []sparql.TriplePatter
 }
 
 // nodeTable builds the local sub-result table of a query node: for
-// every graph vertex, the bindings satisfying all the node's
-// data-property constraints (plus the node variable itself).
-func (e *Engine) nodeTable(el sparql.TPElem, tps []sparql.TriplePattern) map[graphx.VertexID][]sparql.Binding {
-	out := map[graphx.VertexID][]sparql.Binding{}
-	consider := func(vid graphx.VertexID) {
-		base := sparql.Binding{}
-		if el.IsVar {
-			base[el.Var] = e.terms[vid]
+// every graph vertex, the rows satisfying all the node's data-property
+// constraints (plus the node variable itself).
+func (e *Engine) nodeTable(s *solutions.Schema, el sparql.TPElem, tps []sparql.TriplePattern) map[graphx.VertexID][]solutions.Row {
+	out := map[graphx.VertexID][]solutions.Row{}
+	slot, objSlots := -1, make([]int, len(tps))
+	if el.IsVar {
+		slot = s.Slot(el.Var)
+	}
+	for i, tp := range tps {
+		objSlots[i] = -1
+		if tp.O.IsVar {
+			objSlots[i] = s.Slot(tp.O.Var)
 		}
-		rows := []sparql.Binding{base}
-		for _, tp := range tps {
-			var next []sparql.Binding
+	}
+	consider := func(vid graphx.VertexID) {
+		if len(tps) > 0 && len(e.props[vid][tps[0].P.Term.Value]) == 0 {
+			return // no row survives the first constraint
+		}
+		base := s.Row()
+		if slot >= 0 {
+			base[slot] = e.terms[vid]
+		}
+		rows := []solutions.Row{base}
+		for i, tp := range tps {
+			var next []solutions.Row
 			vals := e.props[vid][tp.P.Term.Value]
+			o := objSlots[i]
 			for _, row := range rows {
 				for _, val := range vals {
-					if tp.O.IsVar {
-						if cur, ok := row[tp.O.Var]; ok {
-							if cur == val {
-								next = append(next, row)
-							}
-							continue
+					switch {
+					case o < 0:
+						if tp.O.Term == val {
+							next = append(next, row)
 						}
-						nb := row.Clone()
-						nb[tp.O.Var] = val
+					case solutions.Bound(row[o]):
+						if row[o] == val {
+							next = append(next, row)
+						}
+					default:
+						nb := slices.Clone(row)
+						nb[o] = val
 						next = append(next, nb)
-					} else if tp.O.Term == val {
-						next = append(next, row)
 					}
 				}
 			}
@@ -327,21 +340,19 @@ func (e *Engine) nodeTable(el sparql.TPElem, tps []sparql.TriplePattern) map[gra
 // evalSubtree evaluates the plan bottom-up from root's subtree,
 // returning the joined table. Each tree level costs one message round
 // (superstep); child tables travel along matching edges.
-func (e *Engine) evalSubtree(tree *queryTree, node nodeKey, nodeTPs map[nodeKey][]sparql.TriplePattern, used map[nodeKey]bool) []sparql.Binding {
+func (e *Engine) evalSubtree(s *solutions.Schema, tree *queryTree, node nodeKey, nodeTPs map[nodeKey][]sparql.TriplePattern, used map[nodeKey]bool) []solutions.Row {
 	used[node] = true
 	el := elemOfKey(node, nodeTPs[node])
-	table := e.nodeTable(el, nodeTPs[node])
+	table := e.nodeTable(s, el, nodeTPs[node])
 	for _, link := range tree.children[node] {
-		childTable := e.evalSubtree(tree, link.child, nodeTPs, used)
+		childTable := e.evalSubtree(s, tree, link.child, nodeTPs, used)
 		// Index child rows by the child node's vertex.
 		childEl := elemOfKeyTP(link.child, link.tp, link.down)
-		byVertex := map[graphx.VertexID][]sparql.Binding{}
+		byVertex := map[graphx.VertexID][]solutions.Row{}
 		for _, row := range childTable {
-			var t rdf.Term
+			t := childEl.Term
 			if childEl.IsVar {
-				t = row[childEl.Var]
-			} else {
-				t = childEl.Term
+				t = row[s.Slot(childEl.Var)]
 			}
 			vid := e.ids[t]
 			byVertex[vid] = append(byVertex[vid], row)
@@ -350,7 +361,7 @@ func (e *Engine) evalSubtree(tree *queryTree, node nodeKey, nodeTPs map[nodeKey]
 		// edges to the parent vertex.
 		pred := link.tp.P.Term.Value
 		msgs := graphx.AggregateMessages(e.graph,
-			func(c *graphx.EdgeContext[rdf.Term, string, []sparql.Binding]) {
+			func(c *graphx.EdgeContext[rdf.Term, string, []solutions.Row]) {
 				if c.Triplet.Attr != pred {
 					return
 				}
@@ -365,21 +376,29 @@ func (e *Engine) evalSubtree(tree *queryTree, node nodeKey, nodeTPs map[nodeKey]
 					}
 				}
 			},
-			func(a, b []sparql.Binding) []sparql.Binding { return append(a, b...) })
+			// Every message is a child vertex's table itself, so the merge
+			// copies: appending in place would write past one table's end
+			// into the same spare capacity for each parent it reaches.
+			func(a, b []solutions.Row) []solutions.Row { return append(a[:len(a):len(a)], b...) })
 		e.ctx.AddSupersteps(1)
-		// Merge arriving child rows into the parent's table per vertex.
-		next := map[graphx.VertexID][]sparql.Binding{}
+		// Merge arriving child rows into the parent's table per vertex;
+		// the parent end of the edge must be this vertex.
+		parent := -1
+		if el.IsVar {
+			parent = s.Slot(el.Var)
+		}
+		next := map[graphx.VertexID][]solutions.Row{}
 		for vid, parentRows := range table {
 			arrivals := msgs[vid]
 			if len(arrivals) == 0 {
 				continue
 			}
-			parentEl := el
 			for _, pr := range parentRows {
+				if parent >= 0 && pr[parent] != e.terms[vid] {
+					continue
+				}
 				for _, cr := range arrivals {
-					// The parent end of the edge must equal this vertex.
-					merged, ok := mergeAtVertex(pr, cr, parentEl, vid, e.terms)
-					if ok {
+					if merged, ok := solutions.Merge(pr, cr); ok {
 						next[vid] = append(next[vid], merged)
 					}
 				}
@@ -390,55 +409,23 @@ func (e *Engine) evalSubtree(tree *queryTree, node nodeKey, nodeTPs map[nodeKey]
 	return flatten(table)
 }
 
-// mergeAtVertex merges a parent row with a child row when compatible.
-func mergeAtVertex(parent, child sparql.Binding, parentEl sparql.TPElem, vid graphx.VertexID, terms map[graphx.VertexID]rdf.Term) (sparql.Binding, bool) {
-	if parentEl.IsVar {
-		if t, ok := parent[parentEl.Var]; !ok || t != terms[vid] {
-			return nil, false
-		}
-	}
-	if !parent.Compatible(child) {
-		return nil, false
-	}
-	return parent.Merge(child), true
-}
-
 // matchAnywhere evaluates a leftover pattern against both edges and
 // node properties (variable predicates span both stores).
-func (e *Engine) matchAnywhere(tp sparql.TriplePattern) []sparql.Binding {
-	var out []sparql.Binding
-	emit := func(s, p, o rdf.Term) {
-		b := sparql.Binding{}
-		if tp.S.IsVar {
-			b[tp.S.Var] = s
-		} else if tp.S.Term != s {
-			return
+func (e *Engine) matchAnywhere(s *solutions.Schema, tp sparql.TriplePattern) []solutions.Row {
+	pat := s.Pattern(tp)
+	var out []solutions.Row
+	emit := func(t rdf.Triple) {
+		if r, ok := pat.Match(t); ok {
+			out = append(out, r)
 		}
-		if tp.P.IsVar {
-			if cur, ok := b[tp.P.Var]; ok && cur != p {
-				return
-			}
-			b[tp.P.Var] = p
-		} else if tp.P.Term != p {
-			return
-		}
-		if tp.O.IsVar {
-			if cur, ok := b[tp.O.Var]; ok && cur != o {
-				return
-			}
-			b[tp.O.Var] = o
-		} else if tp.O.Term != o {
-			return
-		}
-		out = append(out, b)
 	}
 	for _, ed := range e.graph.Edges().Collect() {
-		emit(e.terms[ed.Src], rdf.NewIRI(ed.Attr), e.terms[ed.Dst])
+		emit(rdf.Triple{S: e.terms[ed.Src], P: rdf.NewIRI(ed.Attr), O: e.terms[ed.Dst]})
 	}
 	for vid, ps := range e.props {
 		for p, vals := range ps {
 			for _, val := range vals {
-				emit(e.terms[vid], rdf.NewIRI(p), val)
+				emit(rdf.Triple{S: e.terms[vid], P: rdf.NewIRI(p), O: val})
 			}
 		}
 	}
@@ -474,8 +461,8 @@ func elemFromKeyString(k nodeKey) sparql.TPElem {
 	return sparql.TermElem(t.O)
 }
 
-func flatten(m map[graphx.VertexID][]sparql.Binding) []sparql.Binding {
-	var out []sparql.Binding
+func flatten(m map[graphx.VertexID][]solutions.Row) []solutions.Row {
+	var out []solutions.Row
 	for _, rows := range m {
 		out = append(out, rows...)
 	}

@@ -136,3 +136,33 @@ func TestExecuteWithoutLoad(t *testing.T) {
 		t.Fatal("expected error before Load")
 	}
 }
+
+// A child vertex's table is the message it sends to every parent, and
+// the merge of a parent's messages must not append into it: c's three
+// rows reach a and b, each followed by another child's row, and an
+// in-place append wrote b's extra row over a's (found by
+// TestEnginesAgree: `?x <p> ?y . ?y <p> ?z` lost rows and gained
+// others).
+func TestSharedChildTableNotOverwritten(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://t/" + s) }
+	var triples []rdf.Triple
+	for _, e := range [][2]string{{"a", "c"}, {"a", "g"}, {"b", "c"}, {"b", "k"}, {"c", "d"}, {"c", "e"}, {"c", "f"}, {"g", "h"}, {"k", "m"}} {
+		triples = append(triples, rdf.Triple{S: iri(e[0]), P: iri("p"), O: iri(e[1])})
+	}
+	q := sparql.MustParse(`SELECT * WHERE { ?x <http://t/p> ?y . ?y <http://t/p> ?z }`)
+	want, err := sparql.Evaluate(q, rdf.NewGraph(triples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine()
+	if err := e.Load(triples); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("rows %v\nwant %v", got.Canonical(), want.Canonical())
+	}
+}

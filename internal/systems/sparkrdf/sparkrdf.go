@@ -143,16 +143,13 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if !ok {
 		return nil, fmt.Errorf("sparkrdf: only BGP queries are supported (fragment per Table II)")
 	}
-	rows, err := e.evalBGP(bgp)
-	if err != nil {
-		return nil, err
-	}
-	return sparql.ApplySolutionModifiers(q, rows), nil
+	s := solutions.NewSchema(q.Where)
+	return s.Results(q, e.evalBGP(s, bgp)), nil
 }
 
-func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	if len(bgp.Patterns) == 0 {
-		return []sparql.Binding{{}}, nil
+		return []solutions.Row{s.Row()}
 	}
 	// Class-message pruning: collect class constraints from rdf:type
 	// patterns with variable subject and constant class; those
@@ -190,7 +187,7 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	// from the deepest applicable index.
 	type candSet struct {
 		tp  sparql.TriplePattern
-		rdd *spark.RDD[sparql.Binding]
+		rdd *spark.RDD[solutions.Row]
 		n   int
 	}
 	sets := make([]candSet, len(joinTPs))
@@ -198,13 +195,14 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 		triples := e.candidates(tp, classOfVar)
 		e.ScannedTriples += int64(len(triples))
 		e.ctx.AddRead(len(triples))
-		var bindings []sparql.Binding
+		pat := s.Pattern(tp)
+		var rows []solutions.Row
 		for _, t := range triples {
-			if b, ok := bindTriple(tp, t); ok {
-				bindings = append(bindings, b)
+			if r, ok := pat.Match(t); ok {
+				rows = append(rows, r)
 			}
 		}
-		sets[i] = candSet{tp: tp, rdd: spark.Parallelize(e.ctx, bindings), n: len(bindings)}
+		sets[i] = candSet{tp: tp, rdd: spark.Parallelize(e.ctx, rows), n: len(rows)}
 	}
 
 	// Optimal query plan: join variables in ascending candidate size,
@@ -228,31 +226,16 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 		}
 		next := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		shared := solutions.SharedVars(curVars, next.tp.Vars())
+		shared := s.Slots(solutions.SharedVars(curVars, next.tp.Vars()))
 		if len(shared) == 0 {
-			prod := spark.Cartesian(cur, next.rdd)
-			cur = spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
-				if !t.A.Compatible(t.B) {
-					return nil
-				}
-				return []sparql.Binding{t.A.Merge(t.B)}
-			})
+			cur = solutions.MergeCross(spark.Cartesian(cur, next.rdd))
 		} else {
 			// On-demand dynamic pre-partitioning: both sides are placed
 			// by the join variable before the local join.
-			ka := spark.PartitionBy(
-				spark.KeyBy(cur, func(b sparql.Binding) string { return solutions.Key(b, shared) }),
-				spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
-			kb := spark.PartitionBy(
-				spark.KeyBy(next.rdd, func(b sparql.Binding) string { return solutions.Key(b, shared) }),
-				spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
-			joined := spark.Join(ka, kb)
-			cur = spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
-				if !p.Value.A.Compatible(p.Value.B) {
-					return nil
-				}
-				return []sparql.Binding{p.Value.A.Merge(p.Value.B)}
-			})
+			p := spark.NewHashPartitioner[string](e.ctx.DefaultParallelism())
+			ka := spark.PartitionBy(solutions.KeyBy(cur, shared), p)
+			kb := spark.PartitionBy(solutions.KeyBy(next.rdd, shared), p)
+			cur = solutions.MergeJoined(spark.Join(ka, kb))
 		}
 		for _, v := range next.tp.Vars() {
 			curVars[v] = true
@@ -265,12 +248,12 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 	// remaining obligation is variables constrained via classOfVar but
 	// whose candidate lookups could not use the class (variable in
 	// object position of a predicate the index has no class for).
-	var out []sparql.Binding
-	for _, b := range rows {
+	var out []solutions.Row
+	for _, r := range rows {
 		ok := true
 		for v, classes := range classOfVar {
-			t, bound := b[v]
-			if !bound {
+			t := r[s.Slot(v)]
+			if !solutions.Bound(t) {
 				ok = false
 				break
 			}
@@ -285,10 +268,10 @@ func (e *Engine) evalBGP(bgp sparql.BGP) ([]sparql.Binding, error) {
 			}
 		}
 		if ok {
-			out = append(out, b)
+			out = append(out, r)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // candidates selects the smallest index entry applicable to a pattern
@@ -339,36 +322,6 @@ func (e *Engine) candidates(tp sparql.TriplePattern, classOfVar map[sparql.Var][
 		}
 	}
 	return e.relation[pred]
-}
-
-// bindTriple matches one triple against a pattern.
-func bindTriple(tp sparql.TriplePattern, t rdf.Triple) (sparql.Binding, bool) {
-	if !tp.S.IsVar && tp.S.Term != t.S {
-		return nil, false
-	}
-	if !tp.P.IsVar && tp.P.Term != t.P {
-		return nil, false
-	}
-	if !tp.O.IsVar && tp.O.Term != t.O {
-		return nil, false
-	}
-	b := sparql.Binding{}
-	if tp.S.IsVar {
-		b[tp.S.Var] = t.S
-	}
-	if tp.P.IsVar {
-		if cur, ok := b[tp.P.Var]; ok && cur != t.P {
-			return nil, false
-		}
-		b[tp.P.Var] = t.P
-	}
-	if tp.O.IsVar {
-		if cur, ok := b[tp.O.Var]; ok && cur != t.O {
-			return nil, false
-		}
-		b[tp.O.Var] = t.O
-	}
-	return b, true
 }
 
 func hasClass(classes []string, c string) bool {

@@ -86,52 +86,52 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if e.vertical == nil {
 		return nil, fmt.Errorf("sparqlgx: no dataset loaded")
 	}
-	rows, err := e.evalPattern(q.Where)
+	s := solutions.NewSchema(q.Where)
+	rows, err := e.evalPattern(s, q.Where)
 	if err != nil {
 		return nil, err
 	}
-	return sparql.ApplySolutionModifiers(q, rows.Collect()), nil
+	return s.Results(q, rows.Collect()), nil
 }
 
 // evalPattern evaluates the supported algebra; BGPs go through the
 // vertical-partition join pipeline, other operators map onto Spark ops.
-func (e *Engine) evalPattern(p sparql.GraphPattern) (*spark.RDD[sparql.Binding], error) {
+func (e *Engine) evalPattern(s *solutions.Schema, p sparql.GraphPattern) (*spark.RDD[solutions.Row], error) {
 	switch n := p.(type) {
 	case sparql.BGP:
-		return e.evalBGP(n)
+		return e.evalBGP(s, n)
 	case sparql.Group:
-		cur := spark.Parallelize(e.ctx, []sparql.Binding{{}})
+		cur := spark.Parallelize(e.ctx, []solutions.Row{s.Row()})
 		for _, part := range n.Parts {
-			sub, err := e.evalPattern(part)
+			sub, err := e.evalPattern(s, part)
 			if err != nil {
 				return nil, err
 			}
-			cur = joinBindingRDDs(e.ctx, cur, sub)
+			cur = joinRowRDDs(len(s.Vars), cur, sub)
 		}
 		return cur, nil
 	case sparql.Filter:
-		inner, err := e.evalPattern(n.Inner)
+		inner, err := e.evalPattern(s, n.Inner)
 		if err != nil {
 			return nil, err
 		}
-		cond := n.Cond
-		return inner.Filter(func(b sparql.Binding) bool { return cond.EvalFilter(b) }), nil
+		return inner.Filter(s.Keep(n.Cond)), nil
 	case sparql.Optional:
-		left, err := e.evalPattern(n.Left)
+		left, err := e.evalPattern(s, n.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.evalPattern(n.Right)
+		right, err := e.evalPattern(s, n.Right)
 		if err != nil {
 			return nil, err
 		}
-		return leftOuterJoinBindingRDDs(e.ctx, left, right), nil
+		return leftOuterJoinRowRDDs(e.ctx, left, right), nil
 	case sparql.Union:
-		left, err := e.evalPattern(n.Left)
+		left, err := e.evalPattern(s, n.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.evalPattern(n.Right)
+		right, err := e.evalPattern(s, n.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -145,18 +145,18 @@ func (e *Engine) evalPattern(p sparql.GraphPattern) (*spark.RDD[sparql.Binding],
 // statistics optimization of the paper) and then folds them left to
 // right, joining each pattern's bindings with the accumulated result by
 // keyBy on the shared variables.
-func (e *Engine) evalBGP(bgp sparql.BGP) (*spark.RDD[sparql.Binding], error) {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) (*spark.RDD[solutions.Row], error) {
 	if len(bgp.Patterns) == 0 {
-		return spark.Parallelize(e.ctx, []sparql.Binding{{}}), nil
+		return spark.Parallelize(e.ctx, []solutions.Row{s.Row()}), nil
 	}
 	ordered := e.reorder(bgp.Patterns)
-	cur := e.scanPattern(ordered[0])
+	cur := e.scanPattern(s, ordered[0])
 	bound := map[sparql.Var]bool{}
 	for _, v := range ordered[0].Vars() {
 		bound[v] = true
 	}
 	for _, tp := range ordered[1:] {
-		next := e.scanPattern(tp)
+		next := e.scanPattern(s, tp)
 		var shared []sparql.Var
 		for _, v := range tp.Vars() {
 			if bound[v] {
@@ -164,9 +164,9 @@ func (e *Engine) evalBGP(bgp sparql.BGP) (*spark.RDD[sparql.Binding], error) {
 			}
 		}
 		if len(shared) == 0 {
-			cur = crossBindingRDDs(e.ctx, cur, next)
+			cur = solutions.MergeCross(spark.Cartesian(cur, next))
 		} else {
-			cur = joinOn(e.ctx, cur, next, shared)
+			cur = joinOn(cur, next, s.Slots(shared))
 		}
 		for _, v := range tp.Vars() {
 			bound[v] = true
@@ -203,94 +203,60 @@ func (e *Engine) reorder(tps []sparql.TriplePattern) []sparql.TriplePattern {
 // scanPattern reads the vertical partition(s) for one pattern and emits
 // its bindings. A bound predicate touches exactly one file — the core
 // SPARQLGX win; a variable predicate unions all files.
-func (e *Engine) scanPattern(tp sparql.TriplePattern) *spark.RDD[sparql.Binding] {
-	matchSO := func(pred rdf.Term) func(SO) []sparql.Binding {
-		return func(row SO) []sparql.Binding {
-			b := sparql.Binding{}
-			if tp.S.IsVar {
-				b[tp.S.Var] = row.S
-			} else if tp.S.Term != row.S {
-				return nil
-			}
-			if tp.O.IsVar {
-				if cur, ok := b[tp.O.Var]; ok {
-					if cur != row.O {
-						return nil
-					}
-				} else {
-					b[tp.O.Var] = row.O
-				}
-			} else if tp.O.Term != row.O {
-				return nil
-			}
-			if tp.P.IsVar {
-				if cur, ok := b[tp.P.Var]; ok {
-					if cur != pred {
-						return nil
-					}
-				} else {
-					b[tp.P.Var] = pred
+func (e *Engine) scanPattern(s *solutions.Schema, tp sparql.TriplePattern) *spark.RDD[solutions.Row] {
+	pat := s.Pattern(tp)
+	matchSO := func(pred rdf.Term) func(part []SO) []solutions.Row {
+		return func(part []SO) []solutions.Row {
+			var out []solutions.Row
+			for _, row := range part {
+				if r, ok := pat.Match(rdf.Triple{S: row.S, P: pred, O: row.O}); ok {
+					out = append(out, r)
 				}
 			}
-			// Same-variable subject/object (?x p ?x) consistency.
-			if tp.S.IsVar && tp.O.IsVar && tp.S.Var == tp.O.Var && row.S != row.O {
-				return nil
-			}
-			return []sparql.Binding{b}
+			return out
 		}
 	}
 	if !tp.P.IsVar {
 		file, ok := e.vertical[tp.P.Term.Value]
 		if !ok {
-			return spark.Parallelize(e.ctx, []sparql.Binding{})
+			return spark.Parallelize(e.ctx, []solutions.Row{})
 		}
-		return spark.FlatMap(file, matchSO(tp.P.Term))
+		return spark.MapPartitions(file, matchSO(tp.P.Term))
 	}
-	result := spark.Parallelize(e.ctx, []sparql.Binding{})
+	result := spark.Parallelize(e.ctx, []solutions.Row{})
 	for _, p := range e.preds {
-		pt := rdf.NewIRI(p)
-		result = result.Union(spark.FlatMap(e.vertical[p], matchSO(pt)))
+		result = result.Union(spark.MapPartitions(e.vertical[p], matchSO(rdf.NewIRI(p))))
 	}
 	return result
 }
 
-// --- binding RDD combinators (SPARQLGX's keyBy-based joins) ---
+// --- row RDD combinators (SPARQLGX's keyBy-based joins) ---
 
-// joinOn joins two binding RDDs on the given shared variables using the
+// joinOn joins two row RDDs on the given shared slots using the
 // partitioned keyBy join of the RDD API.
-func joinOn(ctx *spark.Context, a, b *spark.RDD[sparql.Binding], shared []sparql.Var) *spark.RDD[sparql.Binding] {
-	ka := spark.KeyBy(a, func(x sparql.Binding) string { return solutions.Key(x, shared) })
-	kb := spark.KeyBy(b, func(x sparql.Binding) string { return solutions.Key(x, shared) })
-	joined := spark.Join(ka, kb)
-	return spark.FlatMap(joined, func(p spark.Pair[string, spark.Tuple2[sparql.Binding, sparql.Binding]]) []sparql.Binding {
-		if !p.Value.A.Compatible(p.Value.B) {
-			return nil
-		}
-		return []sparql.Binding{p.Value.A.Merge(p.Value.B)}
-	})
+func joinOn(a, b *spark.RDD[solutions.Row], shared []int) *spark.RDD[solutions.Row] {
+	return solutions.MergeJoined(spark.Join(solutions.KeyBy(a, shared), solutions.KeyBy(b, shared)))
 }
 
-// joinBindingRDDs joins on all shared variables of the two sides (the
-// generic SPARQL join); with no shared variables it is a cross product.
-// Rows missing a shared variable (possible below OPTIONAL) cannot use
-// the keyed join — SPARQL compatibility lets an unbound variable join
-// anything — so they take the Cartesian-with-compatibility path.
-func joinBindingRDDs(ctx *spark.Context, a, b *spark.RDD[sparql.Binding]) *spark.RDD[sparql.Binding] {
-	av := varsOf(a)
-	bv := varsOf(b)
-	var shared []sparql.Var
-	for v := range av {
-		if bv[v] {
-			shared = append(shared, v)
+// joinRowRDDs joins on all shared slots of the two sides (the generic
+// SPARQL join); with no shared slots it is a cross product. Rows
+// missing a shared slot (possible below OPTIONAL) cannot use the keyed
+// join — SPARQL compatibility lets an unbound variable join anything —
+// so they take the Cartesian-with-compatibility path.
+func joinRowRDDs(width int, a, b *spark.RDD[solutions.Row]) *spark.RDD[solutions.Row] {
+	av, bv := boundSlots(a, width), boundSlots(b, width)
+	var shared []int
+	for i := range av {
+		if av[i] && bv[i] {
+			shared = append(shared, i)
 		}
 	}
-	sort.Slice(shared, func(i, j int) bool { return shared[i] < shared[j] })
 	if len(shared) == 0 {
-		return crossBindingRDDs(ctx, a, b)
+		return solutions.MergeCross(spark.Cartesian(a, b))
 	}
-	hasAll := func(x sparql.Binding) bool {
-		for _, v := range shared {
-			if _, ok := x[v]; !ok {
+	hasAll := func(x solutions.Row) bool {
+		for _, i := range shared {
+			if !solutions.Bound(x[i]) {
 				return false
 			}
 		}
@@ -298,46 +264,39 @@ func joinBindingRDDs(ctx *spark.Context, a, b *spark.RDD[sparql.Binding]) *spark
 	}
 	aBound := a.Filter(hasAll)
 	bBound := b.Filter(hasAll)
-	result := joinOn(ctx, aBound, bBound, shared)
-	aPartial := a.Filter(func(x sparql.Binding) bool { return !hasAll(x) })
+	result := joinOn(aBound, bBound, shared)
+	aPartial := a.Filter(func(x solutions.Row) bool { return !hasAll(x) })
 	if aPartial.Count() > 0 {
-		result = result.Union(crossBindingRDDs(ctx, aPartial, b))
+		result = result.Union(solutions.MergeCross(spark.Cartesian(aPartial, b)))
 	}
-	bPartial := b.Filter(func(x sparql.Binding) bool { return !hasAll(x) })
+	bPartial := b.Filter(func(x solutions.Row) bool { return !hasAll(x) })
 	if bPartial.Count() > 0 {
-		result = result.Union(crossBindingRDDs(ctx, aBound, bPartial))
+		result = result.Union(solutions.MergeCross(spark.Cartesian(aBound, bPartial)))
 	}
 	return result
 }
 
-// crossBindingRDDs computes the Cartesian product of two binding RDDs.
-func crossBindingRDDs(ctx *spark.Context, a, b *spark.RDD[sparql.Binding]) *spark.RDD[sparql.Binding] {
-	prod := spark.Cartesian(a, b)
-	return spark.FlatMap(prod, func(t spark.Tuple2[sparql.Binding, sparql.Binding]) []sparql.Binding {
-		if !t.A.Compatible(t.B) {
-			return nil
-		}
-		return []sparql.Binding{t.A.Merge(t.B)}
-	})
-}
-
-// leftOuterJoinBindingRDDs implements OPTIONAL: left rows survive even
+// leftOuterJoinRowRDDs implements OPTIONAL: left rows survive even
 // without a compatible right row. The right side is broadcast and
 // indexed once; every left row probes it inside its own task.
-func leftOuterJoinBindingRDDs(ctx *spark.Context, a, b *spark.RDD[sparql.Binding]) *spark.RDD[sparql.Binding] {
+func leftOuterJoinRowRDDs(ctx *spark.Context, a, b *spark.RDD[solutions.Row]) *spark.RDD[solutions.Row] {
 	bc := spark.NewBroadcast(ctx, b.Collect())
 	table := solutions.NewTable(bc.Value(), a.Take(32))
-	return spark.FlatMap(a, func(l sparql.Binding) []sparql.Binding {
-		return table.Probe(l, true, nil)
+	return spark.MapPartitions(a, func(part []solutions.Row) []solutions.Row {
+		var out []solutions.Row
+		for _, l := range part {
+			out = table.Probe(l, true, out)
+		}
+		return out
 	})
 }
 
-// varsOf samples the variables present in a binding RDD.
-func varsOf(r *spark.RDD[sparql.Binding]) map[sparql.Var]bool {
-	out := map[sparql.Var]bool{}
-	for _, b := range r.Take(32) {
-		for v := range b {
-			out[v] = true
+// boundSlots samples the slots bound in a row RDD.
+func boundSlots(r *spark.RDD[solutions.Row], width int) []bool {
+	out := make([]bool, width)
+	for _, row := range r.Take(32) {
+		for i, t := range row {
+			out[i] = out[i] || solutions.Bound(t)
 		}
 	}
 	return out

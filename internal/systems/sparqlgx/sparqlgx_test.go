@@ -8,6 +8,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/spark"
 	"repro/internal/sparql"
+	"repro/internal/systems/solutions"
 	"repro/internal/systems/systemstest"
 	"repro/internal/workload"
 )
@@ -52,11 +53,12 @@ func TestVerticalPartitioningBoundsScans(t *testing.T) {
 	}
 	advisorCount := len(rdf.NewGraph(triples).WithPredicate(workload.UnivAdvisor.Value))
 
-	rdd := e.scanPattern(sparql.TriplePattern{
+	tp := sparql.TriplePattern{
 		S: sparql.VarElem("s"),
 		P: sparql.TermElem(workload.UnivAdvisor),
 		O: sparql.VarElem("o"),
-	})
+	}
+	rdd := e.scanPattern(solutions.NewSchema(sparql.BGP{Patterns: []sparql.TriplePattern{tp}}), tp)
 	if rdd.Count() != advisorCount {
 		t.Fatalf("scan returned %d bindings, want %d", rdd.Count(), advisorCount)
 	}

@@ -115,7 +115,7 @@ func Run(t *testing.T, factory Factory) {
 			}
 			if !got.Equal(want) {
 				t.Fatalf("answers differ\nengine (%d rows): %v\nreference (%d rows): %v",
-					got.Len(), head(got.Canonical()), want.Len(), head(want.Canonical()))
+					got.Len(), Head(got.Canonical()), want.Len(), Head(want.Canonical()))
 			}
 		})
 	}
@@ -124,76 +124,111 @@ func Run(t *testing.T, factory Factory) {
 // randomSeeds is how many random datasets RunRandomized sweeps.
 const randomSeeds = 24
 
-// queriesPerSeed is how many random BGPs run on each dataset.
+// queriesPerSeed is how many random queries run on each dataset.
 const queriesPerSeed = 6
 
-// RunRandomized fuzzes the engine against the reference: for each of
-// randomSeeds seeds, a random small dataset — object properties between
-// a few nodes, literal-valued data properties (plain, typed, tagged and
-// escaped; one predicate takes both kinds of object) and rdf:type — and
-// random 2- and 3-pattern star, chain and snowflake BGPs over it. The
-// engine's answer must equal sparql.Evaluate's as a multiset, and at
-// least half the queries must have one.
-func RunRandomized(t *testing.T, factory Factory) {
-	t.Helper()
-	const ns = "http://r/"
-	objPreds := []string{"p0", "p1", "p2"}
-	dataPreds := []string{"d0", "p2"} // p2 takes IRI and literal objects
+// randomNS is the namespace of the random datasets and queries.
+const randomNS = "http://r/"
+
+var (
+	objPreds  = []string{"p0", "p1", "p2"}
+	dataPreds = []string{"d0", "p2"} // p2 takes IRI and literal objects
+)
+
+// RandomDataset returns seed's random small dataset: object properties
+// between a few nodes, literal-valued data properties (plain, typed,
+// tagged and escaped; one predicate takes both kinds of object) and
+// rdf:type.
+func RandomDataset(seed int64) []rdf.Triple {
+	rng := rand.New(rand.NewSource(seed))
+	node := func() rdf.Term { return rdf.NewIRI(fmt.Sprintf("%sn%d", randomNS, rng.Intn(10))) }
 	literals := []rdf.Term{
 		rdf.NewLiteral("v0"), rdf.NewLiteral("v1"), rdf.NewLiteral("q\"uo\tte"),
 		rdf.NewTypedLiteral("7", rdf.XSDInteger), rdf.NewLangLiteral("v0", "en"),
 	}
+	var triples []rdf.Triple
+	for i := 0; i < 40; i++ {
+		triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(randomNS+objPreds[rng.Intn(len(objPreds))]), node()))
+	}
+	for i := 0; i < 20; i++ {
+		triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(randomNS+dataPreds[rng.Intn(len(dataPreds))]), literals[rng.Intn(len(literals))]))
+	}
+	for i := 0; i < 10; i++ {
+		triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(rdf.RDFType), rdf.NewIRI(fmt.Sprintf("%sC%d", randomNS, rng.Intn(3)))))
+	}
+	return triples
+}
+
+// RandomQueries draws n random SELECT * queries over RandomDataset's
+// vocabulary: 2- and 3-pattern star, chain and snowflake BGPs and, with
+// bgpPlus, the same BGPs under OPTIONAL (an arm that may leave its
+// variable unbound, then FILTER on BOUND, or a join on that variable
+// after it), UNION and FILTER.
+func RandomQueries(rng *rand.Rand, n int, bgpPlus bool) []string {
+	// link joins ?from to ?to along an object property; leaf hangs an
+	// arm of any kind off ?from: an object or data property to a fresh
+	// variable, or rdf:type to a variable or a constant class.
+	fresh := 0
+	node := func() string { return fmt.Sprintf("<%sn%d>", randomNS, rng.Intn(10)) }
+	link := func(from, to string) string {
+		return fmt.Sprintf("?%s <%s%s> ?%s . ", from, randomNS, objPreds[rng.Intn(len(objPreds))], to)
+	}
+	leaf := func(from string) string {
+		fresh++
+		switch k := rng.Intn(4); {
+		case k == 3 && rng.Intn(2) == 0:
+			return fmt.Sprintf("?%s <%s> <%sC%d> . ", from, rdf.RDFType, randomNS, rng.Intn(3))
+		case k == 3:
+			return fmt.Sprintf("?%s <%s> ?v%d . ", from, rdf.RDFType, fresh)
+		case k == 2:
+			return fmt.Sprintf("?%s <%s%s> ?v%d . ", from, randomNS, dataPreds[rng.Intn(len(dataPreds))], fresh)
+		default:
+			return link(from, fmt.Sprintf("v%d", fresh))
+		}
+	}
+	shapes := []func() string{
+		func() string { return leaf("x") + leaf("x") },                       // star-2
+		func() string { return link("x", "y") + leaf("y") },                  // chain-2
+		func() string { return leaf("x") + leaf("x") + leaf("x") },           // star-3
+		func() string { return link("x", "y") + link("y", "z") + leaf("z") }, // chain-3
+		func() string { return link("x", "y") + leaf("x") + leaf("y") },      // snowflake-3
+	}
+	bgp := func() string { return shapes[rng.Intn(len(shapes))]() }
+	forms := []func() string{bgp}
+	if bgpPlus {
+		forms = append(forms,
+			func() string { return bgp() + "OPTIONAL { " + link("x", "o") + "} " },
+			func() string { return bgp() + "OPTIONAL { " + link("x", "o") + "} FILTER(!BOUND(?o)) " },
+			func() string { return bgp() + "OPTIONAL { " + link("x", "o") + "} " + link("o", "w") },
+			func() string { return "{ " + bgp() + "} UNION { " + bgp() + "} " },
+			func() string { return bgp() + fmt.Sprintf("FILTER(?x != %s && ?x < %s) ", node(), node()) },
+			func() string { return bgp() + fmt.Sprintf("FILTER(?x = %s || ?x = %s) ", node(), node()) },
+		)
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "SELECT * WHERE { " + forms[rng.Intn(len(forms))]() + "}"
+	}
+	return out
+}
+
+// RunRandomized fuzzes the engine against the reference: for each of
+// randomSeeds seeds, RandomDataset and queriesPerSeed RandomQueries over
+// it — BGP+ ones for an engine that declares the BGP+ fragment. The
+// engine's answer must equal sparql.Evaluate's as a multiset, and at
+// least half the queries must have one.
+func RunRandomized(t *testing.T, factory Factory) {
+	t.Helper()
 	answered := 0
 	for seed := int64(1); seed <= randomSeeds; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		node := func() rdf.Term { return rdf.NewIRI(fmt.Sprintf("%sn%d", ns, rng.Intn(10))) }
-		class := func() string { return fmt.Sprintf("%sC%d", ns, rng.Intn(3)) }
-		var triples []rdf.Triple
-		for i := 0; i < 40; i++ {
-			triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(ns+objPreds[rng.Intn(len(objPreds))]), node()))
-		}
-		for i := 0; i < 20; i++ {
-			triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(ns+dataPreds[rng.Intn(len(dataPreds))]), literals[rng.Intn(len(literals))]))
-		}
-		for i := 0; i < 10; i++ {
-			triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(rdf.RDFType), rdf.NewIRI(class())))
-		}
+		triples := RandomDataset(seed)
 		ref := rdf.NewGraph(triples)
-
 		engine := factory()
 		if err := engine.Load(triples); err != nil {
 			t.Fatalf("seed %d Load: %v", seed, err)
 		}
-
-		// link joins ?from to ?to along an object property; leaf hangs
-		// an arm of any kind off ?from: an object or data property to a
-		// fresh variable, or rdf:type to a variable or a constant class.
-		fresh := 0
-		link := func(from, to string) string {
-			return fmt.Sprintf("?%s <%s%s> ?%s . ", from, ns, objPreds[rng.Intn(len(objPreds))], to)
-		}
-		leaf := func(from string) string {
-			fresh++
-			switch k := rng.Intn(4); {
-			case k == 3 && rng.Intn(2) == 0:
-				return fmt.Sprintf("?%s <%s> <%s> . ", from, rdf.RDFType, class())
-			case k == 3:
-				return fmt.Sprintf("?%s <%s> ?v%d . ", from, rdf.RDFType, fresh)
-			case k == 2:
-				return fmt.Sprintf("?%s <%s%s> ?v%d . ", from, ns, dataPreds[rng.Intn(len(dataPreds))], fresh)
-			default:
-				return link(from, fmt.Sprintf("v%d", fresh))
-			}
-		}
-		shapes := []func() string{
-			func() string { return leaf("x") + leaf("x") },                       // star-2
-			func() string { return link("x", "y") + leaf("y") },                  // chain-2
-			func() string { return leaf("x") + leaf("x") + leaf("x") },           // star-3
-			func() string { return link("x", "y") + link("y", "z") + leaf("z") }, // chain-3
-			func() string { return link("x", "y") + leaf("x") + leaf("y") },      // snowflake-3
-		}
-		for qi := 0; qi < queriesPerSeed; qi++ {
-			text := "SELECT * WHERE { " + shapes[rng.Intn(len(shapes))]() + "}"
+		bgpPlus := engine.Info().SPARQL == core.FragmentBGPPlus
+		for _, text := range RandomQueries(rand.New(rand.NewSource(-seed)), queriesPerSeed, bgpPlus) {
 			q := sparql.MustParse(text)
 			want, err := sparql.Evaluate(q, ref)
 			if err != nil {
@@ -208,7 +243,7 @@ func RunRandomized(t *testing.T, factory Factory) {
 			}
 			if !got.Equal(want) {
 				t.Fatalf("seed %d query %s:\nengine %d rows %v\nreference %d rows %v",
-					seed, text, got.Len(), head(got.Canonical()), want.Len(), head(want.Canonical()))
+					seed, text, got.Len(), Head(got.Canonical()), want.Len(), Head(want.Canonical()))
 			}
 		}
 	}
@@ -217,7 +252,9 @@ func RunRandomized(t *testing.T, factory Factory) {
 	}
 }
 
-func head(rows []string) []string {
+// Head returns the first rows of a canonical answer, for a failure
+// message.
+func Head(rows []string) []string {
 	if len(rows) > 6 {
 		return rows[:6]
 	}
