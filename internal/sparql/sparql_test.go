@@ -422,6 +422,101 @@ func TestCompareTermsNumericVsLexical(t *testing.T) {
 	}
 }
 
+// bindingRowEnv is an evaluation env whose slots are v, w, x, y and z
+// and whose dictionary holds the terms a, b, c, d, e and other, so the
+// Binding fixtures below encode into its slot rows.
+func bindingRowEnv() *evalEnv {
+	g := rdf.NewGraph([]rdf.Triple{
+		{S: iri("a"), P: iri("b"), O: iri("c")},
+		{S: iri("d"), P: iri("e"), O: iri("other")},
+	})
+	return newEvalEnv(MustParse(`SELECT * WHERE { ?v ?w ?x . ?y ?z ?v }`), g)
+}
+
+// encodeBinding is the inverse of decodeRow over bindingRowEnv.
+func encodeBinding(t *testing.T, env *evalEnv, b Binding) slotRow {
+	t.Helper()
+	row := env.emptyRow()
+	for v, term := range b {
+		id, ok := env.view.Dict().Lookup(term)
+		if !ok {
+			t.Fatalf("%v is not in the fixture dictionary", term)
+		}
+		row[env.slots[v]] = id
+	}
+	return row
+}
+
+// The SPARQL join condition and union of two solutions, which the
+// reference evaluator runs as compatibleRows and mergeRows over slot
+// rows, keep the semantics they had on Binding maps.
+func TestBindingCompatibleMerge(t *testing.T) {
+	env := bindingRowEnv()
+	a := encodeBinding(t, env, Binding{"x": iri("a"), "y": iri("b")})
+	b := encodeBinding(t, env, Binding{"y": iri("b"), "z": iri("c")})
+	if !compatibleRows(a, b) {
+		t.Fatal("compatible bindings rejected")
+	}
+	m := env.decodeRow(env.mergeRows(a, b))
+	if len(m) != 3 || m["z"] != iri("c") {
+		t.Fatalf("merge = %v", m)
+	}
+	c := encodeBinding(t, env, Binding{"y": iri("other")})
+	if compatibleRows(a, c) {
+		t.Fatal("incompatible bindings accepted")
+	}
+}
+
+// compatibleRows and mergeRows are pinned against the Binding map bodies
+// they stand for, in both argument orders: a variable unbound on either
+// side, disjoint, equal and conflicting bindings. Merge is defined only
+// for compatible pairs, so a conflicting pair is checked for rejection.
+func TestBindingCompatibleMergeMatchReplacedBodies(t *testing.T) {
+	compatible := func(b, other Binding) bool {
+		for k, v := range b {
+			if ov, ok := other[k]; ok && ov != v {
+				return false
+			}
+		}
+		return true
+	}
+	merge := func(b, other Binding) Binding {
+		out := b.Clone()
+		for k, v := range other {
+			out[k] = v
+		}
+		return out
+	}
+	cases := []Binding{
+		{},
+		{"x": iri("a")},
+		{"x": iri("a"), "y": iri("b")},
+		{"y": iri("b"), "z": iri("c")},
+		{"y": iri("other")},
+		{"x": iri("a"), "y": iri("other"), "z": iri("c"), "w": iri("d")},
+		{"v": iri("e"), "w": iri("d")},
+	}
+	env := bindingRowEnv()
+	for _, a := range cases {
+		for _, b := range cases {
+			ra, rb := encodeBinding(t, env, a), encodeBinding(t, env, b)
+			before := append(slotRow(nil), ra...)
+			got, want := compatibleRows(ra, rb), compatible(a, b)
+			if got != want {
+				t.Errorf("compatibleRows(%v, %v) = %v, want %v", a, b, got, want)
+			}
+			if want {
+				if m, w := env.decodeRow(env.mergeRows(ra, rb)), merge(a, b); !reflect.DeepEqual(m, w) {
+					t.Errorf("mergeRows(%v, %v) = %v, want %v", a, b, m, w)
+				}
+			}
+			if !reflect.DeepEqual(ra, before) {
+				t.Errorf("%v changed to %v", before, ra)
+			}
+		}
+	}
+}
+
 func TestProjectDropsVars(t *testing.T) {
 	r := &Results{Vars: []Var{"x", "y"}, Rows: []Binding{{"x": iri("a"), "y": iri("b")}}}
 	p := r.Project([]Var{"y"})
