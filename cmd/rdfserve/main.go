@@ -22,20 +22,18 @@
 // pruning (the repo's doc.go, "Sharded execution"). Results are
 // byte-identical to unsharded serving; /stats gains a sharding block.
 //
-// With -replicas R each shard is materialized R times and per-shard
-// work fails over between replicas (circuit breakers, retry with
-// backoff) without changing results; -chaos-fail-replica I fails
+// With -replicas R each shard gets R replicas — routing identities
+// over the shard's one view, each with its own circuit breaker and
+// health score — and per-shard work fails over between them (retry
+// with backoff) without changing results; -chaos-fail-replica I fails
 // replica I of every shard through an injected fault plan, the live
 // demonstration that serving survives a downed replica (watch the
 // /stats faults block).
 //
-// Tail-latency flags: -hedge-delay launches each shard scan on a
-// second replica once the first runs past the delay (negative picks
-// an adaptive per-operation p95 delay), and -breaker-trip /
-// -breaker-cooldown tune the replica circuit breakers;
-// -chaos-slow-replica delays one replica index of every shard by
-// -chaos-slow-delay, the live straggler demonstration (watch the hedges
-// counters in /stats and /metrics).
+// Tail latency: -hedge-delay launches each shard scan on a second
+// replica once the first runs past the delay; -chaos-slow-replica
+// delays one replica index of every shard by 50ms, the live straggler
+// demonstration (watch the hedges counters in /stats and /metrics).
 //
 // The process drains gracefully: on SIGTERM/SIGINT it stops accepting
 // connections, lets in-flight queries finish within the default query
@@ -89,21 +87,17 @@ func main() {
 	scale := flag.String("scale", "small", "generated dataset scale: small | medium")
 	engineName := flag.String("engine", "reference", "engine name or 'reference'")
 	shards := flag.Int("shards", 0, "split the graph into N shards (0 = unsharded)")
-	replicas := flag.Int("replicas", 1, "copies of each shard (failover targets; needs -shards)")
+	replicas := flag.Int("replicas", 1, "replicas of each shard: failover and hedge targets over the shard's one view (needs -shards)")
 	partitionName := flag.String("partition", "hash-subject", "shard placement strategy (see internal/partition)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "queries evaluating at once")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested timeouts")
 	cacheSize := flag.Int("plan-cache", 256, "prepared-plan LRU capacity (negative disables)")
-	maxResultRows := flag.Int("max-result-rows", 0, "abort queries producing more rows than this (0 = unlimited)")
 	maxQueryBytes := flag.Int64("max-query-bytes", 0, "per-query memory budget in bytes; over-budget queries abort with 413 (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "queries that may wait for a worker before new arrivals are shed (0 = 4x max-concurrent, negative disables shedding)")
 	chaosReplica := flag.Int("chaos-fail-replica", -1, "fail this replica index of every shard (chaos demo; needs -replicas > 1)")
-	chaosSlowReplica := flag.Int("chaos-slow-replica", -1, "slow this replica index of every shard (chaos demo; needs -replicas > 1)")
-	chaosSlowDelay := flag.Duration("chaos-slow-delay", 50*time.Millisecond, "added latency for -chaos-slow-replica")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge shard operations after this delay (>0 fixed, <0 adaptive p95, 0 off; needs -replicas > 1)")
-	breakerTrip := flag.Int("breaker-trip", 0, "consecutive replica failures that trip its circuit breaker (0 = default)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped replica breaker stays open (0 = default)")
+	chaosSlowReplica := flag.Int("chaos-slow-replica", -1, "slow this replica index of every shard by 50ms (chaos demo; needs -replicas > 1)")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge shard operations after this delay (0 = off; needs -shards > 0 and -replicas > 1)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof profiling endpoints on this separate address (empty disables)")
 	slowThreshold := flag.Duration("slow-query-threshold", 0, "trace every query and log ones slower than this as JSON lines (0 disables)")
 	slowLogPath := flag.String("slow-query-log", "", "slow-query log file, appended (default stderr; needs -slow-query-threshold)")
@@ -113,20 +107,17 @@ func main() {
 	flag.Parse()
 
 	cfg := server.Config{
-		MaxConcurrent:        *maxConcurrent,
-		DefaultTimeout:       *timeout,
-		MaxTimeout:           *maxTimeout,
-		PlanCacheSize:        *cacheSize,
-		MaxResultRows:        *maxResultRows,
-		MaxQueryBytes:        *maxQueryBytes,
-		MaxQueue:             *maxQueue,
-		SlowQueryThreshold:   *slowThreshold,
-		HedgeDelay:           *hedgeDelay,
-		BreakerTripThreshold: *breakerTrip,
-		BreakerCooldown:      *breakerCooldown,
-		TraceSampleRate:      *traceSample,
-		TraceRingSize:        *traceRing,
-		MaxShapes:            *maxShapes,
+		MaxConcurrent:      *maxConcurrent,
+		DefaultTimeout:     *timeout,
+		MaxTimeout:         *maxTimeout,
+		PlanCacheSize:      *cacheSize,
+		MaxQueryBytes:      *maxQueryBytes,
+		MaxQueue:           *maxQueue,
+		SlowQueryThreshold: *slowThreshold,
+		HedgeDelay:         *hedgeDelay,
+		TraceSampleRate:    *traceSample,
+		TraceRingSize:      *traceRing,
+		MaxShapes:          *maxShapes,
 	}
 	if *slowLogPath != "" {
 		if *slowThreshold <= 0 {
@@ -142,34 +133,18 @@ func main() {
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}
-	if *chaosReplica >= 0 {
-		if *shards <= 0 || *replicas < 2 {
-			fail("-chaos-fail-replica needs -shards > 0 and -replicas > 1 (a lone replica would lose every query)")
-		}
-		if *chaosReplica >= *replicas {
-			fail(fmt.Sprintf("-chaos-fail-replica %d out of range (replicas 0..%d)", *chaosReplica, *replicas-1))
-		}
-		plan := fault.NewPlan(1)
-		for s := 0; s < *shards; s++ {
-			plan.FailAlways(fault.ReplicaPoint(s, *chaosReplica))
-		}
-		cfg.FaultPlan = plan
+	if err := checkReplicaFlags(*shards, *replicas, *chaosReplica, *chaosSlowReplica, *hedgeDelay); err != nil {
+		fail(err.Error())
 	}
-	if *chaosSlowReplica >= 0 {
-		if *shards <= 0 || *replicas < 2 {
-			fail("-chaos-slow-replica needs -shards > 0 and -replicas > 1 (with a lone replica there is nowhere to hedge)")
-		}
-		if *chaosSlowReplica >= *replicas {
-			fail(fmt.Sprintf("-chaos-slow-replica %d out of range (replicas 0..%d)", *chaosSlowReplica, *replicas-1))
-		}
-		if *chaosSlowDelay <= 0 {
-			fail("-chaos-slow-delay must be > 0")
-		}
-		if cfg.FaultPlan == nil {
-			cfg.FaultPlan = fault.NewPlan(1)
-		}
+	if *chaosReplica >= 0 || *chaosSlowReplica >= 0 {
+		cfg.FaultPlan = fault.NewPlan(1)
 		for s := 0; s < *shards; s++ {
-			cfg.FaultPlan.SlowReplica(s, *chaosSlowReplica, *chaosSlowDelay)
+			if *chaosReplica >= 0 {
+				cfg.FaultPlan.FailAlways(fault.ReplicaPoint(s, *chaosReplica))
+			}
+			if *chaosSlowReplica >= 0 {
+				cfg.FaultPlan.SlowReplica(s, *chaosSlowReplica, chaosSlowDelay)
+			}
 		}
 	}
 
@@ -213,6 +188,33 @@ func main() {
 			g.Len(), g.Encoded().Dict().Len(), time.Since(bootStart).Round(time.Millisecond), *engineName, *addr)
 	}
 	serve(*addr, srv.Handler(), cfg.DefaultTimeout, *maxTimeout)
+}
+
+// chaosSlowDelay is the latency -chaos-slow-replica adds to every
+// attempt on the slowed replica.
+const chaosSlowDelay = 50 * time.Millisecond
+
+// checkReplicaFlags rejects the replica flags that would silently do
+// nothing (or lose every query): the chaos demos and hedging need
+// -shards > 0 and -replicas > 1, a chaos replica index must exist, and
+// a hedge delay is positive or 0 (off).
+func checkReplicaFlags(shards, replicas, failReplica, slowReplica int, hedgeDelay time.Duration) error {
+	replicated := shards > 0 && replicas > 1
+	switch {
+	case failReplica >= 0 && !replicated:
+		return errors.New("-chaos-fail-replica needs -shards > 0 and -replicas > 1 (a lone replica would lose every query)")
+	case failReplica >= 0 && failReplica >= replicas:
+		return fmt.Errorf("-chaos-fail-replica %d out of range (replicas 0..%d)", failReplica, replicas-1)
+	case slowReplica >= 0 && !replicated:
+		return errors.New("-chaos-slow-replica needs -shards > 0 and -replicas > 1 (with a lone replica there is nowhere to hedge)")
+	case slowReplica >= 0 && slowReplica >= replicas:
+		return fmt.Errorf("-chaos-slow-replica %d out of range (replicas 0..%d)", slowReplica, replicas-1)
+	case hedgeDelay < 0:
+		return fmt.Errorf("-hedge-delay %v must be > 0, or 0 for no hedging", hedgeDelay)
+	case hedgeDelay > 0 && !replicated:
+		return errors.New("-hedge-delay needs -shards > 0 and -replicas > 1 (with a lone replica there is nowhere to hedge)")
+	}
+	return nil
 }
 
 // buildSharded loads the dataset and splits it into the sharded store.

@@ -150,8 +150,8 @@
 // internal/partition into a live execution substrate. A ShardedGraph
 // splits one dataset into N shards under any partition.Strategy —
 // selected by name through the partition.ByName registry — each shard
-// (and each replica) an rdf.EncodedView built straight from its bucket
-// of ids around one shared rdf.Dictionary, so TermIDs are globally
+// one rdf.EncodedView built straight from its bucket of ids around one
+// shared rdf.Dictionary, however many replicas serve it, so TermIDs are globally
 // consistent and all cross-shard work stays in id space. The distributed executor
 // (sparql.RunSharded) routes each prepared query by placement, and on
 // both routes moves bindings to the data, never relations to a join —
@@ -171,8 +171,7 @@
 // as on one graph, starting from the empty row. For each pattern the
 // whole batch of rows bound so far goes to each shard that can
 // contribute, in one shard operation — replica choice, breaker, hedge,
-// deadline slice, fault point and retry are per (pattern, shard), never
-// per row. The shard probes its own view once per input row (the
+// fault point and retry are per (pattern, shard), never per row. The shard probes its own view once per input row (the
 // single-graph scan kernel; a row whose bound subject the shard does
 // not hold costs one offset read) and answers each extension keyed by
 // (input-row index, global position of the matched triple), packed in
@@ -234,8 +233,8 @@
 // into a cold Encoded, Stats, or term-space accessor; after an Add the
 // next Encoded or Stats rebuilds from the encoded list in O(n), while
 // the term-space face only decodes what was added since it was last
-// read. Sharded stores skip rdf.Graph altogether (rdf.NewPositionedView
-// per replica). The layout's fixed widths — uint32 ids below the
+// read. Sharded stores skip rdf.Graph altogether (one
+// rdf.NewPositionedView per shard). The layout's fixed widths — uint32 ids below the
 // evaluator's unbound sentinel, int32 positions, uint32 offsets — fail
 // with a typed *rdf.CapacityError at build time, never wrap. The live
 // footprint is ≈ 150 B/triple (dictionary included), pinned at ≤ 256 by
@@ -289,13 +288,14 @@
 // recovered and failed over to another replica, and only a lost shard
 // fails the query — never the process — with a typed
 // sparql.PartialFailureError (a panic on a shard with nowhere to fail
-// over surfaces as a sparql.PanicError). Per-shard ops run against
-// replica views (shard.BuildReplicated):
-// every replica encodes the same triples in the same order through the
-// shared dictionary, so scans are byte-identical from any replica and
-// failover is invisible in the output. Replica selection steers by
-// per-replica circuit breakers (consecutive failures trip a breaker
-// open; a cooled-down breaker admits a half-open probe) but never
+// over surfaces as a sparql.PanicError). A replica
+// (shard.BuildReplicated) is a routing identity, not a copy: every
+// replica of a shard scans the shard's one view, so failover is
+// invisible in the output by construction, while faults
+// (fault.ReplicaPoint), breakers, health scores and hedges stay keyed
+// by (shard, replica). Replica selection steers by per-replica circuit
+// breakers (three consecutive failures trip a breaker open; after
+// 250ms it admits a half-open probe — constants, not knobs) but never
 // denies: an op retries across replicas with capped exponential
 // backoff charged against the context deadline, and only after
 // genuinely attempting every replica for the whole retry budget does
@@ -309,8 +309,7 @@
 // completes the fault boundary: a recovery middleware turns any
 // handler panic — a panicking evaluation on one graph included — into
 // a 500 while the process keeps serving (TestEveryExit's panic rows),
-// PartialFailureError maps to 502, the
-// Config.MaxResultRows overload guard maps to 413, /stats exposes the
+// PartialFailureError maps to 502, /stats exposes the
 // fault counters and breaker states, and rdfserve drains in-flight
 // queries gracefully on SIGTERM.
 //
@@ -327,16 +326,14 @@
 // and among closed breakers the lowest score wins, so stragglers shed
 // traffic without being declared dead. A run armed with
 // sparql.WithHedge races stubborn stragglers instead of waiting them
-// out: a shard op that outlives the hedge delay — fixed, or adaptive
-// from the op class's observed p95 (scatter scans and pushdowns keep
-// separate windows) — launches on the next-best replica, the first
-// success wins, and the loser is stopped through its private
-// cancellation flag; byte-identical replica scans make the race
-// invisible in the output. Retried and hedged passes each get a
-// bounded slice of the remaining context deadline, so one straggling
-// replica cannot consume the whole budget that later attempts would
-// have used. The chaos suite extends the fault matrix with stragglers:
-// one replica of every shard slowed ~100×, hedging armed, output
+// out: a shard op that outlives the fixed hedge delay launches on the
+// next-best replica, the first success wins, and the loser is stopped
+// through its private cancellation flag; every replica scans the same
+// view, so the race is invisible in the output. Attempts run under the
+// query's own deadline, unsliced: health steering already moves traffic
+// off a replica once it is sampled slow. The chaos suite extends the
+// fault matrix with stragglers: one replica of every shard slowed
+// ~100×, hedging armed, output
 // pinned byte-identical to a clean single-graph run across placement
 // strategies, shard counts, replica counts, and fan-out width, raced
 // and seed-swept; hedge launches and wins surface in
@@ -364,7 +361,9 @@
 // immediate 503 instead of burning their deadline in a hopeless queue,
 // and a full queue sheds everything; an admitted query runs exactly as
 // it would uncontended. Config.MaxQueryBytes maps budget aborts to
-// 413, http.MaxBytesReader caps request bodies, and the /stats
+// 413 and is the one limit on a query's size: an id-space result's
+// rows live in the charged row arena, so there is no second, post-hoc
+// row cap. http.MaxBytesReader caps request bodies, and the /stats
 // resources block reports bytes charged, the peak single-query charge,
 // budget aborts, and shed query counts.
 //

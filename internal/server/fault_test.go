@@ -23,7 +23,6 @@ type faultStatsDoc struct {
 		Failovers       uint64                `json:"failovers"`
 		RecoveredPanics uint64                `json:"recovered_panics"`
 		PartialFailures uint64                `json:"partial_failures"`
-		OversizeResults uint64                `json:"oversize_results"`
 		BreakerTrips    int64                 `json:"breaker_trips"`
 		Breakers        []sparqlBreakerFields `json:"breakers"`
 	} `json:"faults"`
@@ -67,25 +66,6 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 	if doc := getStats(t, s); doc.Faults.RecoveredPanics != 1 {
 		t.Fatalf("recovered_panics = %d, want 1", doc.Faults.RecoveredPanics)
-	}
-}
-
-// TestMaxResultRowsOverload pins the overload guard: a query whose
-// result exceeds MaxResultRows is refused with 413 and counted, while
-// a LIMIT keeping the result under the cap passes.
-func TestMaxResultRowsOverload(t *testing.T) {
-	s := New(testGraph(), Config{MaxResultRows: 5})
-	big := `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }` // 64 rows
-	if rec := getQuery(t, s, big, "", nil); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize query answered %d, want 413: %s", rec.Code, rec.Body.String())
-	}
-	small := big + ` LIMIT 3`
-	if rec := getQuery(t, s, small, "", nil); rec.Code != http.StatusOK {
-		t.Fatalf("limited query answered %d: %s", rec.Code, rec.Body.String())
-	}
-	doc := getStats(t, s)
-	if doc.Faults.OversizeResults != 1 {
-		t.Fatalf("oversize_results = %d, want 1", doc.Faults.OversizeResults)
 	}
 }
 

@@ -209,8 +209,6 @@ func TestEveryExit(t *testing.T) {
 			status: 413, shape: [3]uint64{1, 1, 0},
 			moved: with(compiled, moved{"resources.budget_aborts": 1, "failed": 1,
 				"resources.bytes_charged": some, "resources.peak_query_bytes": some})},
-		{name: "result rows over cap", server: single(testGraph(), Config{MaxResultRows: 5}), do: sparqlGet(name, ""),
-			status: 413, moved: with(compiled, moved{"faults.oversize_results": 1, "failed": 1}), shape: [3]uint64{1, 1, 0}},
 		{name: "partial failure", server: allReplicasDown, do: sparqlGet(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`, ""),
 			status: 502, shape: [3]uint64{1, 1, 0},
 			moved: with(compiled, moved{"faults.partial_failures": 1, "failed": 1, "sharding.pushdown_queries": 1, "sharding.shards_touched": 3,
@@ -302,7 +300,6 @@ var goldenSeries = []struct{ family, typ, path, only string }{
 	{"rdf_hedge_wins_total", "counter", "faults.hedge_wins", ""},
 	{"rdf_recovered_panics_total", "counter", "faults.recovered_panics", ""},
 	{"rdf_partial_failures_total", "counter", "faults.partial_failures", ""},
-	{"rdf_oversize_results_total", "counter", "faults.oversize_results", ""},
 	{"", "", "faults.breaker_trips", "sharded"},
 	{"", "", "faults.breakers", "sharded"},
 	{"rdf_shards", "gauge", "sharding.shards", "sharded"},

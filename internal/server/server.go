@@ -42,16 +42,6 @@ import (
 	"repro/internal/sparql"
 )
 
-// OverloadError reports a query aborted by the MaxResultRows guard.
-type OverloadError struct {
-	// Rows is the result size the query produced; Limit the cap.
-	Rows, Limit int
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("sparql: result of %d rows exceeds the server cap of %d", e.Rows, e.Limit)
-}
-
 // Config tunes the query service. The zero value gets sensible
 // defaults from New.
 type Config struct {
@@ -74,17 +64,13 @@ type Config struct {
 	// one graph is serial whatever the width. Results are byte-identical
 	// at every width.
 	QueryParallelism int
-	// MaxResultRows, when > 0, aborts any query whose result exceeds
-	// that many rows with a typed OverloadError (HTTP 413) instead of
-	// streaming unbounded output. Default 0 (unlimited).
-	MaxResultRows int
 	// MaxQueryBytes, when > 0, is the per-query memory budget: every
 	// query runs under sparql.WithMemoryBudget(MaxQueryBytes) and one
 	// that outgrows it aborts with a typed *sparql.BudgetError (HTTP
-	// 413) before partial rows escape. Unlike MaxResultRows — which
-	// only sees the finished result — the budget bounds intermediate
-	// join state, so a query that explodes mid-evaluation is cut off
-	// while evaluating, not after. Default 0 (unlimited).
+	// 413) before partial rows escape. The budget charges the row
+	// arena, join state and gather buffers as they grow, so a query
+	// that explodes mid-evaluation is cut off while evaluating, not
+	// after. Default 0 (unlimited).
 	MaxQueryBytes int64
 	// MaxBodyBytes caps the request body a POST may carry (enforced
 	// with http.MaxBytesReader; over-limit requests get 413). Default
@@ -103,20 +89,11 @@ type Config struct {
 	// Default (0) is 4× the dataset's triple count; negative disables
 	// cost-aware decisions (only queue depth sheds).
 	CostShedThreshold int64
-	// HedgeDelay arms hedged shard operations on sharded backends with
-	// replicas: a per-shard op that outlives the delay races a second
-	// copy on the next-best replica, first success wins. > 0 is a fixed
-	// delay; < 0 selects the adaptive delay (the observed p95 of the op
-	// class); 0 (default) disables hedging.
+	// HedgeDelay, when > 0, arms hedged shard operations on sharded
+	// backends with replicas: a per-shard op that outlives the delay
+	// races a second attempt on the next-best replica, first success
+	// wins. Default 0 (no hedging).
 	HedgeDelay time.Duration
-	// BreakerTripThreshold overrides how many consecutive failures trip
-	// a replica's circuit breaker (sharded backends with replicas).
-	// Default (0) keeps the engine default of 3.
-	BreakerTripThreshold int
-	// BreakerCooldown overrides how long an open breaker holds traffic
-	// off a replica before the half-open probe. Default (0) keeps the
-	// engine default of 250ms.
-	BreakerCooldown time.Duration
 	// FaultPlan, when set, is installed on every query's context and
 	// consulted at the engine's fault points (internal/fault) — the
 	// chaos-testing hook behind rdfserve's -chaos-fail-replica flag.
@@ -317,14 +294,6 @@ func New(g *rdf.Graph, cfg Config) *Server {
 func NewSharded(sg *shard.ShardedGraph, cfg Config) *Server {
 	s := newServer(cfg)
 	s.shards = sg
-	if h := sg.Set().Health; h != nil {
-		if s.cfg.BreakerTripThreshold > 0 {
-			h.SetTripThreshold(s.cfg.BreakerTripThreshold)
-		}
-		if s.cfg.BreakerCooldown > 0 {
-			h.SetCooldown(s.cfg.BreakerCooldown)
-		}
-	}
 	s.resolveCostThreshold()
 	s.newTermTables(sg.Dict().Len(), sg.Len())
 	s.declareMetrics()
@@ -622,7 +591,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	defer s.m.inFlight.Add(-1)
 
 	execStart := time.Now()
-	sol, info, err := s.run(ctx, prep, tr)
+	sol, info, err := s.eval(ctx, prep, tr)
 	execDur := time.Since(execStart)
 	smp.Route = info.route
 	smp.Bytes = info.bytes
@@ -650,13 +619,6 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 			s.m.budgetAborts.Add(1)
 			s.m.failed.Add(1)
 			s.httpError(w, r, be.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		var oe *OverloadError
-		if errors.As(err, &oe) {
-			s.m.oversizeAborts.Add(1)
-			s.m.failed.Add(1)
-			s.httpError(w, r, oe.Error(), http.StatusRequestEntityTooLarge)
 			return
 		}
 		s.m.failed.Add(1)
@@ -787,26 +749,6 @@ type runInfo struct {
 	bytes           int64 // bytes charged against the memory budget
 }
 
-// run evaluates one admitted query.
-func (s *Server) run(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*sparql.Solutions, runInfo, error) {
-	sol, info, err := s.eval(ctx, prep, tr)
-	if err != nil {
-		return nil, info, err
-	}
-	// Resource guard: abort oversized results before a single row is
-	// streamed, so the overload maps to a clean 413.
-	if cap := s.cfg.MaxResultRows; cap > 0 && sol != nil {
-		rows := sol.Len()
-		if sol.IsGraph() {
-			rows = len(sol.Graph())
-		}
-		if rows > cap {
-			return nil, info, &OverloadError{Rows: rows, Limit: cap}
-		}
-	}
-	return sol, info, nil
-}
-
 // estimateCost returns the planner's work estimate for prep against
 // the configured backend (memoized per Prepared).
 func (s *Server) estimateCost(prep *sparql.Prepared) int64 {
@@ -832,12 +774,8 @@ func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace)
 		opts = append(opts, sparql.WithTrace(tr))
 	}
 	if s.shards != nil {
-		if d := s.cfg.HedgeDelay; d != 0 {
-			hp := sparql.HedgePolicy{}
-			if d > 0 {
-				hp.Delay = d
-			}
-			opts = append(opts, sparql.WithHedge(hp))
+		if d := s.cfg.HedgeDelay; d > 0 {
+			opts = append(opts, sparql.WithHedge(sparql.HedgePolicy{Delay: d}))
 		}
 		var st sparql.ShardStats
 		var fs sparql.FaultStats

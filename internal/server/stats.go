@@ -17,8 +17,8 @@ type metrics struct {
 	inFlight atomic.Int64 // read on the hot path by admission
 
 	// Queries by outcome. failed also takes every refusal and abort
-	// that has a counter of its own below (budget, oversize, partial
-	// failure, recovered handler panic); rejected also takes sheds.
+	// that has a counter of its own below (budget, partial failure,
+	// recovered handler panic); rejected also takes sheds.
 	served, failed, timeouts, rejected obs.Counter
 
 	// Latency of served queries: end to end (arrival to response write
@@ -33,12 +33,11 @@ type metrics struct {
 	// Fault handling (sparql.FaultStats plus the server's own
 	// recoveries): replica attempts, retries, failovers, hedges with
 	// their wins, panics recovered in the engine and in the HTTP
-	// middleware, queries lost to total shard failure or to the
-	// result-size guard.
-	attempts, retries, failovers    obs.Counter
-	hedges, hedgeWins               obs.Counter
-	recoveredPanics                 obs.Counter
-	partialFailures, oversizeAborts obs.Counter
+	// middleware, and queries lost to total shard failure.
+	attempts, retries, failovers obs.Counter
+	hedges, hedgeWins            obs.Counter
+	recoveredPanics              obs.Counter
+	partialFailures              obs.Counter
 
 	// Resource governance: queries shed by admission control, queries
 	// aborted by their memory budget, cumulative bytes charged against
@@ -61,7 +60,7 @@ func (s *Server) declareMetrics() {
 	load := func(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
 
 	r.Counter("rdf_queries_served_total", "served", "Queries answered successfully.", &m.served)
-	r.Counter("rdf_queries_failed_total", "failed", "Queries refused or failed: malformed or oversized requests (400, 405, 413), evaluation errors, budget and result-size aborts, partial shard failures, recovered panics.", &m.failed)
+	r.Counter("rdf_queries_failed_total", "failed", "Queries refused or failed: malformed or oversized requests (400, 405, 413), evaluation errors, budget aborts, partial shard failures, recovered panics.", &m.failed)
 	r.Counter("rdf_query_timeouts_total", "timeouts", "Queries lost to deadlines or departed clients.", &m.timeouts)
 	r.Counter("rdf_queries_rejected_total", "rejected", "Queries rejected by admission control.", &m.rejected)
 	r.Gauge("rdf_in_flight_queries", "in_flight", "Queries evaluating right now.", load(&m.inFlight))
@@ -95,7 +94,6 @@ func (s *Server) declareMetrics() {
 	r.Counter("rdf_hedge_wins_total", "faults.hedge_wins", "Hedged shard operations where the hedge finished first.", &m.hedgeWins)
 	r.Counter("rdf_recovered_panics_total", "faults.recovered_panics", "Panics recovered in the engine and HTTP middleware.", &m.recoveredPanics)
 	r.Counter("rdf_partial_failures_total", "faults.partial_failures", "Queries lost to total shard failure.", &m.partialFailures)
-	r.Counter("rdf_oversize_results_total", "faults.oversize_results", "Queries aborted by the result-size guard.", &m.oversizeAborts)
 
 	if sg := s.shards; sg != nil {
 		r.Gauge("rdf_shards", "sharding.shards", "Shards in the sharded backend.", num(int64(sg.NumShards())))

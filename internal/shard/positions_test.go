@@ -12,8 +12,8 @@ import (
 )
 
 // checkPositions verifies the gather key of a built ShardedGraph
-// against the distinct dataset it was built from: on every view of
-// every replica, through every accessor, the position column is as long
+// against the distinct dataset it was built from: on every shard view,
+// through every accessor, the position column is as long
 // as the triples beside it, ascends (a key's triples keep dataset
 // order), and names the very triple it sits beside; and the shards'
 // insertion lists together hold every global position exactly once.
@@ -36,47 +36,41 @@ func checkPositions(sg *ShardedGraph, distinct []rdf.Triple) error {
 	}
 
 	set := sg.Set()
-	for s, primary := range set.Views {
-		reps := []*rdf.EncodedView{primary}
-		if set.Replicas != nil {
-			reps = set.Replicas[s]
-		}
-		for r, v := range reps {
-			check := func(accessor string, with []rdf.EncodedTriple, ts []rdf.EncodedTriple, pos []int32) error {
-				where := fmt.Sprintf("shard %d replica %d %s", s, r, accessor)
-				if !slices.Equal(ts, with) {
-					return fmt.Errorf("%s: scan triples %v, lookup %v", where, ts, with)
-				}
-				if len(pos) != len(ts) {
-					return fmt.Errorf("%s: %d positions beside %d triples", where, len(pos), len(ts))
-				}
-				for i, p := range pos {
-					if i > 0 && p <= pos[i-1] {
-						return fmt.Errorf("%s: positions %v do not ascend", where, pos)
-					}
-					if p < 0 || int(p) >= len(want) || want[p] != ts[i] {
-						return fmt.Errorf("%s: triple %d %v tagged with position %d", where, i, ts[i], p)
-					}
-				}
-				return nil
+	for s, v := range set.Views {
+		check := func(accessor string, with []rdf.EncodedTriple, ts []rdf.EncodedTriple, pos []int32) error {
+			where := fmt.Sprintf("shard %d %s", s, accessor)
+			if !slices.Equal(ts, with) {
+				return fmt.Errorf("%s: scan triples %v, lookup %v", where, ts, with)
 			}
-			ts, pos := v.ScanAll()
-			if err := check("ScanAll", v.Triples(), ts, pos); err != nil {
+			if len(pos) != len(ts) {
+				return fmt.Errorf("%s: %d positions beside %d triples", where, len(pos), len(ts))
+			}
+			for i, p := range pos {
+				if i > 0 && p <= pos[i-1] {
+					return fmt.Errorf("%s: positions %v do not ascend", where, pos)
+				}
+				if p < 0 || int(p) >= len(want) || want[p] != ts[i] {
+					return fmt.Errorf("%s: triple %d %v tagged with position %d", where, i, ts[i], p)
+				}
+			}
+			return nil
+		}
+		ts, pos := v.ScanAll()
+		if err := check("ScanAll", v.Triples(), ts, pos); err != nil {
+			return err
+		}
+		for _, id := range ids {
+			ts, pos := v.ScanSubject(id)
+			if err := check(fmt.Sprintf("ScanSubject(%d)", id), v.WithSubject(id), ts, pos); err != nil {
 				return err
 			}
-			for _, id := range ids {
-				ts, pos := v.ScanSubject(id)
-				if err := check(fmt.Sprintf("ScanSubject(%d)", id), v.WithSubject(id), ts, pos); err != nil {
-					return err
-				}
-				ts, pos = v.ScanPredicate(id)
-				if err := check(fmt.Sprintf("ScanPredicate(%d)", id), v.WithPredicate(id), ts, pos); err != nil {
-					return err
-				}
-				ts, pos = v.ScanObject(id)
-				if err := check(fmt.Sprintf("ScanObject(%d)", id), v.WithObject(id), ts, pos); err != nil {
-					return err
-				}
+			ts, pos = v.ScanPredicate(id)
+			if err := check(fmt.Sprintf("ScanPredicate(%d)", id), v.WithPredicate(id), ts, pos); err != nil {
+				return err
+			}
+			ts, pos = v.ScanObject(id)
+			if err := check(fmt.Sprintf("ScanObject(%d)", id), v.WithObject(id), ts, pos); err != nil {
+				return err
 			}
 		}
 	}

@@ -42,16 +42,14 @@ import (
 
 // ShardedGraph is one dataset split into N shards around a shared
 // dictionary, ready for distributed query execution. It lives entirely
-// in id space: each shard (and each replica of it) is an
-// rdf.EncodedView built straight from its bucket of encoded triples —
-// no term-space graph is built or kept. Build it once, then serve any
-// number of concurrent queries.
+// in id space: each shard is one rdf.EncodedView built straight from
+// its bucket of encoded triples — no term-space graph is built or
+// kept. Build it once, then serve any number of concurrent queries.
 type ShardedGraph struct {
 	strategy string
 	dict     *rdf.Dictionary
 	set      *sparql.ShardSet
 	sizes    []int
-	replicas int
 }
 
 // maxTriples is the most triples a sharded dataset holds: a triple's
@@ -72,15 +70,15 @@ func Build(triples []rdf.Triple, strat partition.Strategy, n int) (*ShardedGraph
 	return BuildReplicated(triples, strat, n, 1)
 }
 
-// BuildReplicated is Build with replicas copies of every shard: each
-// shard's encoded view is materialized R times — in-process stand-ins
-// for the copies a distributed deployment would place on R nodes — all
-// from the same bucket of ids in the same dataset order, so any
-// replica of a shard yields byte-identical scans and replica failover
-// can never change one row of query output. The distributed executor
-// routes each per-shard op to a healthy replica (circuit breakers,
-// retry with capped backoff; see internal/sparql); a query fails only
-// when every replica of a needed shard is down.
+// BuildReplicated is Build with replicas routing identities per shard:
+// in-process stand-ins for the copies a distributed deployment would
+// place on R nodes. A replica is not a copy — each shard's view is
+// built once, and every replica of it scans that view — so replica
+// failover can never change one row of query output. Faults, circuit
+// breakers, health scores and hedges are keyed by (shard, replica),
+// and the distributed executor routes each per-shard op to a healthy
+// replica (retry with capped backoff; see internal/sparql); a query
+// fails only when every replica of a needed shard is down.
 func BuildReplicated(triples []rdf.Triple, strat partition.Strategy, n, replicas int) (*ShardedGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
@@ -154,7 +152,7 @@ func encodeDistinct(triples []rdf.Triple) (*encodedDataset, error) {
 }
 
 // buildPlaced is the shared build body; replicas >= 1 is the number of
-// copies of each shard to materialize.
+// routing identities per shard.
 func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName string) (*ShardedGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
@@ -195,38 +193,23 @@ func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName 
 	}
 
 	views := make([]*rdf.EncodedView, n)
-	var reps [][]*rdf.EncodedView
-	if replicas > 1 {
-		reps = make([][]*rdf.EncodedView, n)
-	}
 	for s, bucket := range buckets {
-		// Every replica is built from the same bucket (same ids, same
-		// order, same positions) into storage of its own, so replicas
-		// are content-identical — the failover-invisibility invariant.
-		rv := make([]*rdf.EncodedView, replicas)
-		for r := range rv {
-			v, err := rdf.NewPositionedView(ds.dict, bucket, positions[s])
-			if err != nil {
-				return nil, err
-			}
-			rv[r] = v
+		v, err := rdf.NewPositionedView(ds.dict, bucket, positions[s])
+		if err != nil {
+			return nil, err
 		}
-		views[s] = rv[0]
-		if reps != nil {
-			reps[s] = rv
-		}
+		views[s] = v
 	}
 	sg := &ShardedGraph{
 		strategy: strategyName,
 		dict:     ds.dict,
 		sizes:    sizes,
-		replicas: replicas,
 		set: &sparql.ShardSet{
 			Dict:             ds.dict,
 			Views:            views,
 			Stats:            rdf.ComputeEncodedStats(ds.dict, ds.enc),
 			SubjectColocated: coloc,
-			Replicas:         reps,
+			Replicas:         replicas,
 		},
 	}
 	if replicas > 1 {
@@ -248,9 +231,9 @@ func BuildByName(triples []rdf.Triple, name string, n int, opts ...partition.Opt
 // NumShards returns the shard count.
 func (sg *ShardedGraph) NumShards() int { return len(sg.sizes) }
 
-// Replicas returns the number of copies of each shard (1 when built
+// Replicas returns the number of replicas of each shard (1 when built
 // without replication).
-func (sg *ShardedGraph) Replicas() int { return sg.replicas }
+func (sg *ShardedGraph) Replicas() int { return sg.set.Replicas }
 
 // Strategy returns the placing strategy's name.
 func (sg *ShardedGraph) Strategy() string { return sg.strategy }

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/fault"
 	"repro/internal/partition"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -470,44 +471,96 @@ func TestShardedLimitPushdown(t *testing.T) {
 	}
 }
 
-// Every replica of a shard is built from the same encoded bucket into
-// storage of its own: content-identical (failover can never change a
-// row) yet sharing no backing array (each stands in for a node).
+// A replica is a routing identity, not a copy: a shard's view is built
+// once, every replica index of the shard serves it — alone, with every
+// other replica failed, each answers the single graph's rows — and
+// faults and breakers stay keyed by replica: with replica 0 of every
+// shard failed, only replica 0's breakers open while the answers stay
+// byte-identical.
 func TestReplicaViewsContentIdentical(t *testing.T) {
+	ctx := context.Background()
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
-	sg, err := BuildReplicatedByName(triples, "hash-subject", 3, 3)
+	const shards, replicas = 3, 3
+	sg, err := BuildReplicatedByName(triples, "hash-subject", shards, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := sg.Set()
+	if set.Replicas != replicas || sg.Replicas() != replicas || len(set.Views) != shards {
+		t.Fatalf("set holds %d views × %d replicas, want %d × %d", len(set.Views), set.Replicas, shards, replicas)
+	}
 	total := 0
-	for s, reps := range set.Replicas {
-		if len(reps) != 3 || reps[0] != set.Views[s] {
-			t.Fatalf("shard %d: %d replicas, primary is Views[s]: %v", s, len(reps), reps[0] == set.Views[s])
+	for s, v := range set.Views {
+		if v.Len() != sg.ShardSizes()[s] {
+			t.Fatalf("shard %d holds %d triples, ShardSizes says %d", s, v.Len(), sg.ShardSizes()[s])
 		}
-		base := reps[0]
-		total += base.Len()
-		if base.Len() != sg.ShardSizes()[s] {
-			t.Fatalf("shard %d holds %d triples, ShardSizes says %d", s, base.Len(), sg.ShardSizes()[s])
-		}
-		for r, v := range reps[1:] {
-			if v == base || (v.Len() > 0 && &v.Triples()[0] == &base.Triples()[0]) {
-				t.Fatalf("shard %d replica %d shares storage with the primary", s, r+1)
-			}
-			if !slices.Equal(v.Triples(), base.Triples()) {
-				t.Fatalf("shard %d replica %d: Triples differ", s, r+1)
-			}
-			for id := rdf.TermID(0); int(id) < sg.Dict().Len(); id++ {
-				if !slices.Equal(v.WithSubject(id), base.WithSubject(id)) ||
-					!slices.Equal(v.WithPredicate(id), base.WithPredicate(id)) ||
-					!slices.Equal(v.WithObject(id), base.WithObject(id)) {
-					t.Fatalf("shard %d replica %d: index of id %d differs", s, r+1, id)
-				}
-			}
-		}
+		total += v.Len()
 	}
 	if total != sg.Len() {
 		t.Fatalf("shards hold %d triples, Len %d", total, sg.Len())
+	}
+
+	g := rdf.NewGraph(triples)
+	queries := []string{
+		`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`, // pushdown: one op per shard
+		fmt.Sprintf(`SELECT ?st ?prof ?d WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?d }`, workload.UnivNS),
+	}
+	want := make([]*sparql.Results, len(queries))
+	preps := make([]*Prepared, len(queries))
+	for i, text := range queries {
+		prep, err := sparql.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = prep.Run(ctx, g, sparql.WithParallelism(1)); err != nil {
+			t.Fatal(err)
+		}
+		preps[i] = sg.PrepareQuery(prep.Query())
+	}
+	run := func(plan *fault.Plan) {
+		t.Helper()
+		for i, sp := range preps {
+			got, err := sp.Run(fault.With(ctx, plan), sparql.WithParallelism(1))
+			if err != nil {
+				t.Fatalf("%s: %v", queries[i], err)
+			}
+			mustEqualResults(t, want[i], got)
+		}
+	}
+
+	for only := 0; only < replicas; only++ {
+		plan := fault.NewPlan(1)
+		for s := 0; s < shards; s++ {
+			for r := 0; r < replicas; r++ {
+				if r != only {
+					plan.FailAlways(fault.ReplicaPoint(s, r))
+				}
+			}
+		}
+		run(plan)
+	}
+
+	// A fresh set, its clock frozen so an open breaker reads open.
+	sg, err = BuildReplicatedByName(triples, "hash-subject", shards, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := time.Unix(1000, 0)
+	sg.Set().Health.SetClock(func() time.Time { return frozen })
+	for i := range preps {
+		preps[i] = sg.PrepareQuery(preps[i].Prepared().Query())
+	}
+	plan := fault.NewPlan(1)
+	for s := 0; s < shards; s++ {
+		plan.FailAlways(fault.ReplicaPoint(s, 0))
+	}
+	for i := 0; i < 4; i++ {
+		run(plan)
+	}
+	for _, b := range sg.Set().Health.Snapshot() {
+		if open := b.State != "closed"; open != (b.Replica == 0) {
+			t.Fatalf("shard %d replica %d breaker %s with only replica 0 failed", b.Shard, b.Replica, b.State)
+		}
 	}
 }
 

@@ -37,9 +37,8 @@ import (
 //     under one input row a shard's matches are already sorted by that
 //     key, and a deterministic k-way merge on (input row, position)
 //     reproduces the exact order in which a single-graph evaluation
-//     extends its rows. A replica holds its own copy of the columns,
-//     like the triples they sit beside (a replica stands in for a copy
-//     on another node): 4 B × 4 orders × R per triple.
+//     extends its rows. The columns cost 4 B × 4 orders per triple at
+//     any replica count: every replica of a shard reads the one view.
 //
 // Two routes move bindings to the data, the way the survey says real
 // systems should (doc.go, "Sharded execution", has the prose):
@@ -77,14 +76,13 @@ type ShardSet struct {
 	// triples to a single shard (the pushdown soundness condition).
 	SubjectColocated bool
 
-	// Replicas, when non-nil, holds every shard's replica views:
-	// Replicas[s][r] is replica r of shard s, with Replicas[s][0] ==
-	// Views[s]. All replicas of a shard encode the same triples in the
-	// same order, with the same positions, through the shared
-	// dictionary, so any replica yields byte-identical scans and tags —
-	// which is what makes failover invisible in query results. Nil
-	// means one replica per shard (Views).
-	Replicas [][]*rdf.EncodedView
+	// Replicas is the number of replicas of every shard (0 or 1 means
+	// one). A replica is a routing identity, not a copy: replica r of
+	// shard s is the index that its breaker, health score, hedge and
+	// fault point (fault.ReplicaPoint(s, r)) are keyed by, and every
+	// attempt on any replica scans Views[s]. Failover therefore cannot
+	// change a row of query output.
+	Replicas int
 	// Health carries the per-replica circuit breakers steering replica
 	// selection. Nil disables breaker steering (replicas are tried in
 	// index order). It is the set's only mutable field and is
@@ -259,8 +257,8 @@ type distEnv struct {
 	plan  *fault.Plan
 	retry RetryPolicy
 
-	// Tail-latency defense (health.go): non-nil arms hedged shard ops.
-	hedge *HedgePolicy
+	// Tail-latency defense (health.go): > 0 arms hedged shard ops.
+	hedgeDelay time.Duration
 }
 
 // newDistEnv builds the driver environment of one sharded run. The
@@ -288,12 +286,12 @@ func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *d
 	}
 	env.configure(ro)
 	d := &distEnv{
-		env:     env,
-		ss:      ss,
-		touched: make([]bool, len(ss.Views)),
-		plan:    env.fplan,
-		retry:   ro.retry.withDefaults(),
-		hedge:   ro.hedge,
+		env:        env,
+		ss:         ss,
+		touched:    make([]bool, len(ss.Views)),
+		plan:       env.fplan,
+		retry:      ro.retry.withDefaults(),
+		hedgeDelay: ro.hedgeDelay,
 	}
 	d.route = p.shardRoute(ss, ro.forceScatter)
 	env.bgp = d.evalBGP
@@ -492,7 +490,7 @@ func (env *evalEnv) latchStop() {
 
 // forEachShard runs fn(s, w) for every picked shard, marking it touched.
 // Each invocation gets a private worker environment; fn routes itself
-// to a replica view through runShardOp. At width 1 the shards run one
+// to a replica through runShardOp. At width 1 the shards run one
 // after another on the driver. At a wider run the driver still runs the
 // last picked shard itself and counts as one of the width, so the op
 // that pruning leaves a single shard for — every constant-subject
@@ -537,15 +535,6 @@ func (d *distEnv) forEachShard(picked []int, fn func(s int, w *evalEnv)) {
 	env.latchStop()
 }
 
-// replicaViews returns the replica views of shard s ([0] is the
-// primary, == Views[s]).
-func (d *distEnv) replicaViews(s int) []*rdf.EncodedView {
-	if d.ss.Replicas != nil {
-		return d.ss.Replicas[s]
-	}
-	return d.ss.Views[s : s+1]
-}
-
 // pickReplica selects the next replica for an op on shard s, through
 // the breakers and straggler scores when the set carries health state
 // and in index order otherwise. -1 means every replica was already
@@ -564,69 +553,20 @@ func pickReplica(h *ReplicaHealth, s int, tried []bool) int {
 
 // shardOp is one per-shard operation body — a bind join of one pattern
 // or a pushdown BGP — run against a worker environment whose view is
-// already pointed at the serving replica. It returns its rows with
+// already pointed at the shard. It returns its rows with
 // their ascending merge keys (bindKey). Returning the output buffers
 // (instead of writing shared state) is what lets hedged attempts race:
 // racing copies compute into private buffers, and only the winning
 // attempt's return value is committed by runShardOp's caller.
 type shardOp func(w *evalEnv) ([]slotRow, []uint64)
 
-// numTried counts the replicas already failed this pass.
-func numTried(tried []bool) int {
-	n := 0
-	for _, t := range tried {
-		if t {
-			n++
-		}
-	}
-	return n
-}
-
-// minAttemptSlice floors the per-attempt deadline slice.
-const minAttemptSlice = time.Millisecond
-
-// attemptSlice bounds one replica attempt's share of the remaining
-// context deadline: the remainder divided by the attempts the retry
-// budget still allows, floored at minAttemptSlice — so one hung
-// replica cannot consume the whole budget before failover is even
-// attempted. 0 disables slicing: no deadline, or this is the last
-// possible attempt (which deserves the full remainder).
-func (d *distEnv) attemptSlice(attemptsLeft int) time.Duration {
-	ctx := d.env.ctx
-	if ctx == nil || attemptsLeft <= 1 {
-		return 0
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0
-	}
-	remaining := time.Until(dl)
-	if remaining <= 0 {
-		return 0 // already expired; the attempt fails fast on its own
-	}
-	slice := remaining / time.Duration(attemptsLeft)
-	if slice < minAttemptSlice {
-		slice = minAttemptSlice
-	}
-	return slice
-}
-
 // fatalAttemptErr reports whether an attempt error is a query-level
-// verdict, never retried on another replica: cancellation, budget
-// exhaustion (retrying would charge the same bytes against the same
-// shared budget), or the run's own deadline having expired. A
-// DeadlineExceeded from a sliced attempt whose parent deadline is
-// still live is a straggler verdict, not a query one — it fails over.
-func (d *distEnv) fatalAttemptErr(err error) bool {
+// verdict, never retried on another replica: cancellation, the run's
+// own deadline, or budget exhaustion (retrying would charge the same
+// bytes against the same shared budget).
+func fatalAttemptErr(err error) bool {
 	var be *BudgetError
-	if errors.As(err, &be) || errors.Is(err, context.Canceled) {
-		return true
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		ctx := d.env.ctx
-		return ctx == nil || ctx.Err() != nil
-	}
-	return false
+	return errors.As(err, &be) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // runShardOp executes one per-shard operation (a bind join or a
@@ -635,9 +575,8 @@ func (d *distEnv) fatalAttemptErr(err error) bool {
 // straggler scores, with injected or returned failures — and recovered
 // panics — failing over immediately to the next replica; full passes
 // over the replica set are separated by capped exponential backoff
-// charged against the context's remaining deadline, and each attempt
-// is granted a bounded slice of that deadline (attemptSlice). With a
-// hedge policy armed (WithHedge) and more than one replica, an attempt
+// charged against the context's remaining deadline. With a hedge
+// policy armed (WithHedge) and more than one replica, an attempt
 // that outlives the hedge delay races a second copy on the next-best
 // replica — first success wins, the loser is cancelled through its
 // taskStop claim. The op gives up, latching a PartialFailureError
@@ -646,16 +585,16 @@ func (d *distEnv) fatalAttemptErr(err error) bool {
 // retried.
 //
 // Failover and hedging are invisible in results because every replica
-// of a shard yields byte-identical scans (ShardSet.Replicas) and
-// exactly one attempt's returned buffers are committed.
-func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, []uint64) {
-	views := d.replicaViews(s)
-	if d.plan == nil && len(views) == 1 {
+// of a shard scans the same view (ShardSet.Replicas) and exactly one
+// attempt's returned buffers are committed.
+func (d *distEnv) runShardOp(s int, w *evalEnv, op shardOp) ([]slotRow, []uint64) {
+	replicas := max(d.ss.Replicas, 1)
+	if d.plan == nil && replicas == 1 {
 		// Nothing to inject and nothing to fail over to — but panics
 		// are still isolated into the error latch: a crashing scan must
 		// kill the query, not the process serving it. This is the
 		// disarmed fast path; it allocates nothing beyond the op.
-		rows, keys, err := d.attemptShardOp(w, views[0], s, -1, op)
+		rows, keys, err := d.attemptShardOp(w, s, -1, op)
 		if err != nil {
 			w.err = err
 			return nil, nil
@@ -663,13 +602,8 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 		return rows, keys
 	}
 	h := d.ss.Health
-	hedgeWait := time.Duration(-1) // < 0: hedging off
-	if d.hedge != nil && len(views) > 1 {
-		if hedgeWait = d.hedge.Delay; hedgeWait <= 0 {
-			hedgeWait = h.hedgeAfter(class)
-		}
-	}
-	tried := make([]bool, len(views))
+	hedging := d.hedgeDelay > 0 && replicas > 1
+	tried := make([]bool, replicas)
 	lastFailed := -1
 	for cycle := 0; ; {
 		r := pickReplica(h, s, tried)
@@ -689,9 +623,8 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 			}
 			continue
 		}
-		attemptsLeft := (d.retry.Cycles-cycle)*len(views) - numTried(tried)
-		if hedgeWait >= 0 {
-			rows, keys, done := d.racedAttempt(w, views, s, r, class, attemptsLeft, tried, &lastFailed, hedgeWait, op)
+		if hedging {
+			rows, keys, done := d.racedAttempt(w, s, r, tried, &lastFailed, op)
 			if done {
 				return rows, keys
 			}
@@ -702,16 +635,14 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 			w.ftally.failovers.Add(1)
 		}
 		start := time.Now()
-		rows, keys, err := d.attemptSliced(w, views[r], s, r, attemptsLeft, op)
+		rows, keys, err := d.attemptShardOp(w, s, r, op)
 		if err == nil {
 			if h != nil {
-				dur := time.Since(start)
-				h.ok(s, r, dur)
-				h.noteOp(class, dur)
+				h.ok(s, r, time.Since(start))
 			}
 			return rows, keys
 		}
-		if d.fatalAttemptErr(err) {
+		if fatalAttemptErr(err) {
 			w.err = err
 			return nil, nil
 		}
@@ -724,25 +655,6 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 	}
 }
 
-// attemptSliced runs one replica attempt under its deadline slice.
-// Unsliced attempts (no deadline, or the final attempt) run directly
-// in w, exactly as before slicing existed; sliced ones run in a
-// derived environment carrying the sliced context and no parRun — so a
-// slice expiring mid-scan stops only this attempt instead of raising
-// the run-wide stop latch.
-func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attemptsLeft int, op shardOp) ([]slotRow, []uint64, error) {
-	slice := d.attemptSlice(attemptsLeft)
-	if slice <= 0 {
-		return d.attemptShardOp(w, view, s, r, op)
-	}
-	actx, cancel := context.WithTimeout(d.env.ctx, slice)
-	defer cancel()
-	ae := w.workerEnv()
-	ae.ctx = actx
-	ae.par = nil
-	return d.attemptShardOp(ae, view, s, r, op)
-}
-
 // racedAttempt runs one hedged pass of a shard op: the primary attempt
 // launches immediately, and if the hedge delay elapses first, a second
 // copy launches on the next-best replica not already racing or failed.
@@ -752,7 +664,7 @@ func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attempt
 // (done=true, with w.err latched). When every racing attempt fails
 // non-fatally the pass reports done=false and the caller's retry loop
 // picks the next replica.
-func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary, class, attemptsLeft int, tried []bool, lastFailed *int, hedgeWait time.Duration, op shardOp) ([]slotRow, []uint64, bool) {
+func (d *distEnv) racedAttempt(w *evalEnv, s, primary int, tried []bool, lastFailed *int, op shardOp) ([]slotRow, []uint64, bool) {
 	h := d.ss.Health
 	type attemptRes struct {
 		rows []slotRow
@@ -773,23 +685,16 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 		ae := w.workerEnv()
 		ae.par = nil
 		ae.taskStop = stop
-		var cancel context.CancelFunc
-		if slice := d.attemptSlice(attemptsLeft); slice > 0 {
-			ae.ctx, cancel = context.WithTimeout(d.env.ctx, slice)
-		}
 		go func() {
-			if cancel != nil {
-				defer cancel()
-			}
 			start := time.Now()
-			rows, keys, err := d.attemptShardOp(ae, views[r], s, r, op)
+			rows, keys, err := d.attemptShardOp(ae, s, r, op)
 			resCh <- attemptRes{rows: rows, keys: keys, err: err, r: r, dur: time.Since(start)}
 		}()
 	}
-	racing := make([]bool, len(views))
+	racing := make([]bool, len(tried))
 	racing[primary] = true
 	launch(primary)
-	timer := time.NewTimer(hedgeWait)
+	timer := time.NewTimer(d.hedgeDelay)
 	defer timer.Stop()
 	inFlight, hedged := 1, false
 	for {
@@ -799,7 +704,7 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 				continue
 			}
 			hedged = true
-			avoid := make([]bool, len(views))
+			avoid := make([]bool, len(tried))
 			for i := range avoid {
 				avoid[i] = tried[i] || racing[i]
 			}
@@ -814,7 +719,6 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 			if res.err == nil {
 				if h != nil {
 					h.ok(s, res.r, res.dur)
-					h.noteOp(class, res.dur)
 				}
 				if res.r != primary {
 					w.ftally.hedgeWins.Add(1)
@@ -824,7 +728,7 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 				}
 				return res.rows, res.keys, true
 			}
-			if d.fatalAttemptErr(res.err) {
+			if fatalAttemptErr(res.err) {
 				w.err = res.err
 				for _, st := range stops {
 					st.Store(true)
@@ -845,12 +749,12 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 	}
 }
 
-// attemptShardOp runs op once against one replica's view, converting
+// attemptShardOp runs op once on shard s as one replica, converting
 // injected faults (the scatter and replica points) and panics into
 // returned errors. A latched worker error (cancellation observed
 // mid-scan) surfaces as the attempt's error; successful attempts
 // return the op's private output buffers.
-func (d *distEnv) attemptShardOp(w *evalEnv, view *rdf.EncodedView, s, replica int, op shardOp) (rows []slotRow, keys []uint64, err error) {
+func (d *distEnv) attemptShardOp(w *evalEnv, s, replica int, op shardOp) (rows []slotRow, keys []uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if w.ftally != nil {
@@ -869,7 +773,7 @@ func (d *distEnv) attemptShardOp(w *evalEnv, view *rdf.EncodedView, s, replica i
 		}
 	}
 	w.err = nil
-	w.view = view
+	w.view = d.ss.Views[s]
 	rows, keys = op(w)
 	if w.err != nil {
 		return nil, nil, w.err
@@ -941,7 +845,7 @@ func (d *distEnv) bindPattern(cp *cPattern, in []slotRow, max int) []slotRow {
 		// deltas across this op are exactly its own retries/failovers.
 		retries0, failovers0 = env.ftally.retries.Load(), env.ftally.failovers.Load()
 	}
-	merged := d.fanOut(sp, "shards_scanned", opClassScan,
+	merged := d.fanOut(sp, "shards_scanned",
 		func(v *rdf.EncodedView) bool { return viewCandidateCount(v, cp) > 0 },
 		func(w *evalEnv) ([]slotRow, []uint64) { return bindShard(w, cp, in, max) })
 	if sp != nil && env.err == nil {
@@ -956,12 +860,10 @@ func (d *distEnv) bindPattern(cp *cPattern, in []slotRow, max int) []slotRow {
 }
 
 // fanOut runs one shard operation on every shard pick selects — the
-// pruning peek, taken at the primary view: replicas hold identical
-// triples, so it holds for whichever replica serves — and merges the
-// shards' runs. sp, the operation's span on a traced run, gets how many
+// pruning peek at the shard's view — and merges the shards' runs. sp, the operation's span on a traced run, gets how many
 // shards were picked (under pickedAttr), each contributing shard's row
 // count, and the merged count.
-func (d *distEnv) fanOut(sp *obs.Span, pickedAttr string, class int, pick func(*rdf.EncodedView) bool, op shardOp) []slotRow {
+func (d *distEnv) fanOut(sp *obs.Span, pickedAttr string, pick func(*rdf.EncodedView) bool, op shardOp) []slotRow {
 	nsh := len(d.ss.Views)
 	picked := make([]int, 0, nsh)
 	for s, view := range d.ss.Views {
@@ -971,7 +873,7 @@ func (d *distEnv) fanOut(sp *obs.Span, pickedAttr string, class int, pick func(*
 	}
 	outs := make([][]slotRow, nsh)
 	keys := make([][]uint64, nsh)
-	d.forEachShard(picked, func(s int, w *evalEnv) { outs[s], keys[s] = d.runShardOp(s, class, w, op) })
+	d.forEachShard(picked, func(s int, w *evalEnv) { outs[s], keys[s] = d.runShardOp(s, w, op) })
 	if d.env.err != nil {
 		return nil
 	}
@@ -1070,7 +972,7 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 	sp := d.env.span("pushdown")
 	defer d.env.endSpan(sp)
 	sp.SetInt("patterns", int64(len(cps)))
-	return d.fanOut(sp, "shards_covering", opClassPushdown,
+	return d.fanOut(sp, "shards_covering",
 		func(v *rdf.EncodedView) bool { return shardCovers(v, cps) },
 		func(w *evalEnv) ([]slotRow, []uint64) { return pushdownShard(w, cps, max) })
 }

@@ -1,19 +1,17 @@
 package sparql
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
-// Replica health for the sharded executor: circuit breakers (PR 6)
-// plus the tail-latency signals layered on top of them — per-replica
-// EWMA latency and error-rate scores that steer replica selection
-// toward the fastest healthy copy, and per-op-class latency windows
-// whose p95 sets the adaptive hedge delay. The analogue in the
-// surveyed systems is Spark's straggler mitigation: speculative task
-// execution re-runs slow tasks elsewhere, which only helps if the
-// scheduler also learns which executors are slow.
+// Replica health for the sharded executor: circuit breakers plus
+// per-replica EWMA latency and error-rate scores that steer replica
+// selection toward the fastest healthy replica, and the fixed-delay
+// hedge policy. The analogue in the surveyed systems is Spark's
+// straggler mitigation: speculative task execution re-runs slow tasks
+// elsewhere, which only helps if the scheduler also learns which
+// executors are slow.
 
 // replicaBreaker is the circuit-breaker state of one shard replica.
 type replicaBreaker struct {
@@ -41,8 +39,8 @@ func (sc replicaScore) value() float64 {
 }
 
 const (
-	// breakerTripThreshold is the default consecutive-failure count
-	// that opens a replica's breaker.
+	// breakerTripThreshold is the consecutive-failure count that opens
+	// a replica's breaker.
 	breakerTripThreshold = 3
 	// defaultBreakerCooldown is how long an open breaker holds traffic
 	// off a replica before admitting a half-open probe.
@@ -53,58 +51,6 @@ const (
 	// replica's steering score.
 	scoreErrPenalty = 4.0
 )
-
-// Op classes for the hedge-delay latency windows: scatter scans and
-// pushdown ops have very different cost profiles, so each class keeps
-// its own p95.
-const (
-	opClassScan = iota
-	opClassPushdown
-	numOpClasses
-)
-
-const (
-	// latWindowSize bounds each op class's sliding latency window.
-	latWindowSize = 64
-	// minHedgeSamples is how many completed ops an op class needs
-	// before its observed p95 replaces the fallback hedge delay.
-	minHedgeSamples = 8
-	// fallbackHedgeDelay is the adaptive hedge delay until enough
-	// samples exist (and the floor below which the p95 never matters —
-	// hedging µs-scale ops would only add load).
-	fallbackHedgeDelay = time.Millisecond
-)
-
-// latWindow is a fixed-size ring of recent op latencies.
-type latWindow struct {
-	samples [latWindowSize]int64
-	next    int
-	n       int
-}
-
-func (w *latWindow) add(ns int64) {
-	w.samples[w.next] = ns
-	w.next = (w.next + 1) % latWindowSize
-	if w.n < latWindowSize {
-		w.n++
-	}
-}
-
-// p95 returns the nearest-rank 95th percentile over the window, or
-// false while the window holds fewer than minHedgeSamples samples.
-func (w *latWindow) p95() (int64, bool) {
-	if w.n < minHedgeSamples {
-		return 0, false
-	}
-	sorted := make([]int64, w.n)
-	copy(sorted, w.samples[:w.n])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (95*w.n + 99) / 100 // ceil(0.95 * n)
-	if idx > w.n {
-		idx = w.n
-	}
-	return sorted[idx-1], true
-}
 
 // ReplicaHealth tracks the mutable per-replica serving state of one
 // ShardSet: circuit breakers (consecutive failures trip a replica
@@ -122,10 +68,8 @@ type ReplicaHealth struct {
 	score    [][]replicaScore
 	rr       []int // per-shard round-robin cursor (warmup ordering)
 	trips    int64
-	trip     int // consecutive failures that open a breaker
 	cooldown time.Duration
 	now      func() time.Time // injectable clock (tests)
-	lat      [numOpClasses]latWindow
 }
 
 // NewReplicaHealth returns breaker state for shards × replicas, all
@@ -135,7 +79,6 @@ func NewReplicaHealth(shards, replicas int) *ReplicaHealth {
 		b:        make([][]replicaBreaker, shards),
 		score:    make([][]replicaScore, shards),
 		rr:       make([]int, shards),
-		trip:     breakerTripThreshold,
 		cooldown: defaultBreakerCooldown,
 		now:      time.Now,
 	}
@@ -146,8 +89,8 @@ func NewReplicaHealth(shards, replicas int) *ReplicaHealth {
 	return h
 }
 
-// SetCooldown overrides the half-open probe cooldown (tests and
-// operational tuning).
+// SetCooldown overrides the half-open probe cooldown, so tests reach
+// the half-open state without waiting out the default.
 func (h *ReplicaHealth) SetCooldown(d time.Duration) {
 	if d <= 0 {
 		return
@@ -155,17 +98,6 @@ func (h *ReplicaHealth) SetCooldown(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.cooldown = d
-}
-
-// SetTripThreshold overrides how many consecutive failures open a
-// replica's breaker (minimum 1).
-func (h *ReplicaHealth) SetTripThreshold(n int) {
-	if n < 1 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.trip = n
 }
 
 // SetClock injects the time source used for breaker cooldowns, so
@@ -260,38 +192,12 @@ func (h *ReplicaHealth) fail(s, r int) {
 		b.openedAt = h.now()
 		return
 	}
-	if b.consec >= h.trip {
+	if b.consec >= breakerTripThreshold {
 		b.open = true
 		b.openedAt = h.now()
 		b.trips++
 		h.trips++
 	}
-}
-
-// noteOp records one completed shard op's end-to-end latency into its
-// op class's window — the signal behind the adaptive hedge delay.
-func (h *ReplicaHealth) noteOp(class int, d time.Duration) {
-	if h == nil || class < 0 || class >= numOpClasses {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.lat[class].add(int64(d))
-}
-
-// hedgeAfter returns the adaptive hedge delay for an op class: the
-// observed p95 over the class's recent ops, floored at the fallback
-// delay; the plain fallback while samples are scarce.
-func (h *ReplicaHealth) hedgeAfter(class int) time.Duration {
-	if h == nil || class < 0 || class >= numOpClasses {
-		return fallbackHedgeDelay
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if p, ok := h.lat[class].p95(); ok && time.Duration(p) > fallbackHedgeDelay {
-		return time.Duration(p)
-	}
-	return fallbackHedgeDelay
 }
 
 // Trips returns the cumulative breaker trips across all replicas.
@@ -355,20 +261,16 @@ func (h *ReplicaHealth) Snapshot() []BreakerInfo {
 // HedgePolicy configures hedged shard operations: after Delay without
 // an answer from the primary replica, the same op launches on the
 // next-best replica and the first success wins (the loser is
-// cancelled). Replica interchangeability makes the race invisible in
-// the output.
+// cancelled). Every replica of a shard serves the same view, so the
+// race is invisible in the output.
 type HedgePolicy struct {
-	// Delay is how long an op waits before hedging. Zero or negative
-	// means adaptive: the observed p95 of the op's class, with a 1ms
-	// fallback until enough samples exist.
+	// Delay is how long an op waits before hedging; zero or negative
+	// leaves hedging off.
 	Delay time.Duration
 }
 
 // WithHedge arms hedged shard operations for the run (effective only
 // on sharded backends with more than one replica per shard).
 func WithHedge(hp HedgePolicy) RunOption {
-	return func(o *runOpts) {
-		p := hp
-		o.hedge = &p
-	}
+	return func(o *runOpts) { o.hedgeDelay = hp.Delay }
 }

@@ -53,24 +53,6 @@ func TestBreakerTripAndCooldownInjectedClock(t *testing.T) {
 	}
 }
 
-// TestBreakerTripThresholdConfigurable pins SetTripThreshold: with a
-// threshold of 1 a single failure opens the breaker.
-func TestBreakerTripThresholdConfigurable(t *testing.T) {
-	h := NewReplicaHealth(1, 2)
-	h.SetTripThreshold(1)
-	h.fail(0, 0)
-	if got := h.Trips(); got != 1 {
-		t.Fatalf("Trips = %d after one failure with threshold 1, want 1", got)
-	}
-	// Out-of-range overrides are ignored, not applied.
-	h2 := NewReplicaHealth(1, 2)
-	h2.SetTripThreshold(0)
-	h2.fail(0, 0)
-	if got := h2.Trips(); got != 0 {
-		t.Fatalf("Trips = %d, want 0 (threshold override of 0 must be ignored)", got)
-	}
-}
-
 // TestPickWarmsUnsampledReplicas pins the warmup rule: replicas that
 // have never answered are picked (in round-robin order) before latency
 // steering takes over, so every replica's score gets a first sample.
@@ -120,37 +102,5 @@ func TestPickPenalizesErrorRate(t *testing.T) {
 	tried := make([]bool, 2)
 	if r := h.pick(0, tried); r != 1 {
 		t.Fatalf("pick = %d, want 1 (reliable beats fast-but-flaky)", r)
-	}
-}
-
-// TestHedgeAfterAdaptiveP95 pins the adaptive hedge delay: the
-// fallback until enough samples exist, then the op class's observed
-// p95, per class and nil-receiver safe.
-func TestHedgeAfterAdaptiveP95(t *testing.T) {
-	h := NewReplicaHealth(1, 2)
-	if d := h.hedgeAfter(opClassScan); d != fallbackHedgeDelay {
-		t.Fatalf("hedgeAfter unsampled = %v, want fallback %v", d, fallbackHedgeDelay)
-	}
-	// 64 samples, 7 of them 40ms stragglers: ceil(0.95·64) = 61st of
-	// the sorted window lands in the straggler tail.
-	for i := 0; i < latWindowSize; i++ {
-		d := 2 * time.Millisecond
-		if i%10 == 0 {
-			d = 40 * time.Millisecond
-		}
-		h.noteOp(opClassScan, d)
-	}
-	if d := h.hedgeAfter(opClassScan); d != 40*time.Millisecond {
-		t.Fatalf("hedgeAfter = %v, want 40ms (the window p95)", d)
-	}
-	// Classes are independent.
-	if d := h.hedgeAfter(opClassPushdown); d != fallbackHedgeDelay {
-		t.Fatalf("hedgeAfter other class = %v, want fallback", d)
-	}
-	// Nil health (unsharded runs) degrades to the fallback.
-	var hn *ReplicaHealth
-	hn.noteOp(opClassScan, time.Second)
-	if d := hn.hedgeAfter(opClassScan); d != fallbackHedgeDelay {
-		t.Fatalf("nil hedgeAfter = %v, want fallback", d)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -103,8 +104,9 @@ type runOpts struct {
 	faultStats *FaultStats
 	retry      RetryPolicy
 
-	// Tail-latency option (health.go): hedged shard operations.
-	hedge *HedgePolicy
+	// Tail-latency option (health.go): > 0 is the delay after which a
+	// shard op hedges on a second replica.
+	hedgeDelay time.Duration
 
 	// Memory-budget option (budget.go): > 0 bounds the run's charged
 	// bytes, < 0 arms tracking only, 0 disables accounting.

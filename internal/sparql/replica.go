@@ -10,10 +10,9 @@ import (
 // Fault tolerance for the sharded executor (dist.go). The surveyed
 // Spark-based systems inherit lineage-based retry from the platform;
 // the native engine reproduces that contract in-process: every shard
-// may carry R replica views (ShardSet.Replicas) that encode the same
-// triples in the same order through the shared dictionary, so any
-// replica yields byte-identical scans and a per-shard op can fail over
-// between replicas without changing one row of output. A query fails —
+// may carry R replicas (ShardSet.Replicas), routing identities that all
+// scan the shard's one view, so a per-shard op can fail over between
+// replicas without changing one row of output. A query fails —
 // with a typed PartialFailureError — only when every replica of a
 // needed shard is down for retry-budget-many consecutive passes.
 
