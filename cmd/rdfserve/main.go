@@ -72,6 +72,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/partition"
 	"repro/internal/rdf"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -88,7 +89,7 @@ func main() {
 	engineName := flag.String("engine", "reference", "engine name or 'reference'")
 	shards := flag.Int("shards", 0, "split the graph into N shards (0 = unsharded)")
 	replicas := flag.Int("replicas", 1, "replicas of each shard: failover and hedge targets over the shard's one view (needs -shards)")
-	partitionName := flag.String("partition", "hash-subject", "shard placement strategy (see internal/partition)")
+	partitionName := flag.String("partition", "hash-subject", "shard placement strategy (see internal/partition; needs -shards > 0)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "queries evaluating at once")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested timeouts")
@@ -148,9 +149,16 @@ func main() {
 		}
 	}
 
-	// Each backend is built by a function that returns only the store:
-	// main blocks in serve for the life of the process, and the parsed
-	// []rdf.Triple must not stay reachable from its frame.
+	// Both backends boot through readDataset: an N-Triples file streams
+	// from the parser into the store's id space, so the document never
+	// exists as a []rdf.Triple. The placement strategy is resolved before
+	// any data is read, so a bad -partition fails at once.
+	partitionSet := false
+	flag.Visit(func(f *flag.Flag) { partitionSet = partitionSet || f.Name == "partition" })
+	strat, err := resolvePartition(*partitionName, partitionSet, *shards)
+	if err != nil {
+		fail(err.Error())
+	}
 	bootStart := time.Now()
 	var srv *server.Server
 	switch {
@@ -158,7 +166,9 @@ func main() {
 		if *engineName != "reference" {
 			fail("-shards requires the reference engine")
 		}
-		sg, err := buildSharded(*dataPath, *dataset, *scale, *partitionName, *shards, *replicas)
+		sg, err := shard.Read(func(add func(rdf.Triple) error) error {
+			return readDataset(*dataPath, *dataset, *scale, add)
+		}, strat, *shards, *replicas)
 		if err != nil {
 			fail(err.Error())
 		}
@@ -217,41 +227,34 @@ func checkReplicaFlags(shards, replicas, failReplica, slowReplica int, hedgeDela
 	return nil
 }
 
-// buildSharded loads the dataset and splits it into the sharded store.
-func buildSharded(dataPath, dataset, scale, partitionName string, shards, replicas int) (*shard.ShardedGraph, error) {
-	triples, err := loadTriples(dataPath, dataset, scale)
-	if err != nil {
-		return nil, err
+// resolvePartition returns the -partition strategy, refusing a name
+// the registry does not hold and an explicitly set -partition that
+// would silently do nothing (no -shards).
+func resolvePartition(name string, explicit bool, shards int) (partition.Strategy, error) {
+	if explicit && shards <= 0 {
+		return nil, errors.New("-partition needs -shards > 0 (an unsharded graph has nothing to place)")
 	}
-	return shard.BuildReplicatedByName(triples, partitionName, shards, replicas)
+	strat, err := partition.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("-partition needs a registered strategy: %w", err)
+	}
+	return strat, nil
 }
 
-// buildGraph loads the dataset into a graph. An N-Triples file streams
-// from the parser straight into the store, so the document never
-// exists as a []rdf.Triple; the other sources (and a surveyed engine,
-// which loads from a slice) produce one that dies with this call.
+// buildGraph loads the dataset into a graph. A surveyed engine loads
+// from a slice, so only then are the triples also collected.
 func buildGraph(dataPath, dataset, scale string, eng core.Engine) (*rdf.Graph, error) {
 	g := rdf.NewGraph(nil)
-	add := func(t rdf.Triple) error {
+	var triples []rdf.Triple
+	err := readDataset(dataPath, dataset, scale, func(t rdf.Triple) error {
+		if eng != nil {
+			triples = append(triples, t)
+		}
 		_, err := g.TryAdd(t)
 		return err
-	}
-	if eng == nil && dataPath != "" && !strings.HasSuffix(dataPath, ".ttl") {
-		f, err := os.Open(dataPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return g, rdf.ReadNTriples(f, add)
-	}
-	triples, err := loadTriples(dataPath, dataset, scale)
+	})
 	if err != nil {
 		return nil, err
-	}
-	for _, t := range triples {
-		if err := add(t); err != nil {
-			return nil, err
-		}
 	}
 	if eng != nil {
 		if err := eng.Load(triples); err != nil {
@@ -321,35 +324,46 @@ func serveDebug(addr string) {
 	}
 }
 
-// loadTriples reads the dataset from a file or generates a synthetic
-// one (exactly the rdfgen datasets, handy for smoke tests).
-func loadTriples(dataPath, dataset, scale string) ([]rdf.Triple, error) {
+// readDataset hands every triple of the dataset to add: a file's, or
+// a generated one's (exactly the rdfgen datasets, handy for smoke
+// tests). An N-Triples file streams from the parser; a Turtle file and
+// a generated dataset are a slice first.
+func readDataset(dataPath, dataset, scale string, add func(rdf.Triple) error) error {
+	var triples []rdf.Triple
 	switch {
 	case dataPath != "":
 		f, err := os.Open(dataPath)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer f.Close()
-		if strings.HasSuffix(dataPath, ".ttl") {
-			return rdf.ParseTurtle(f)
+		if !strings.HasSuffix(dataPath, ".ttl") {
+			return rdf.ReadNTriples(f, add)
 		}
-		return rdf.ParseNTriples(f)
+		if triples, err = rdf.ParseTurtle(f); err != nil {
+			return err
+		}
 	case dataset == "university":
 		cfg := workload.SmallUniversity()
 		if scale == "medium" {
 			cfg = workload.MediumUniversity()
 		}
-		return workload.GenerateUniversity(cfg), nil
+		triples = workload.GenerateUniversity(cfg)
 	case dataset == "shop":
 		cfg := workload.SmallShop()
 		if scale == "medium" {
 			cfg = workload.MediumShop()
 		}
-		return workload.GenerateShop(cfg), nil
+		triples = workload.GenerateShop(cfg)
 	default:
-		return nil, fmt.Errorf("need -data FILE or -dataset university|shop")
+		return fmt.Errorf("need -data FILE or -dataset university|shop")
 	}
+	for _, t := range triples {
+		if err := add(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func findEngine(name string) core.Engine {

@@ -55,3 +55,39 @@ func TestCheckReplicaFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestResolvePartition pins the -partition refusals, made before any
+// data is read: a name the registry does not hold, and an explicitly
+// set -partition without -shards, which would silently do nothing.
+func TestResolvePartition(t *testing.T) {
+	cases := []struct {
+		name     string
+		strategy string
+		explicit bool
+		shards   int
+		wantErr  string // "" means accepted
+	}{
+		{name: "unsharded default", strategy: "hash-subject"},
+		{name: "sharded default", strategy: "hash-subject", shards: 4},
+		{name: "sharded explicit", strategy: "vertical", explicit: true, shards: 4},
+		{name: "unknown strategy", strategy: "no-such-strategy", explicit: true, shards: 4,
+			wantErr: "-partition needs a registered strategy"},
+		{name: "explicit without shards", strategy: "vertical", explicit: true,
+			wantErr: "-partition needs -shards > 0"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			strat, err := resolvePartition(c.strategy, c.explicit, c.shards)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case c.wantErr == "" && strat.Name() != c.strategy:
+				t.Fatalf("resolved %q, want %q", strat.Name(), c.strategy)
+			case c.wantErr != "" && err == nil:
+				t.Fatalf("accepted, want an error starting %q", c.wantErr)
+			case c.wantErr != "" && !strings.HasPrefix(err.Error(), c.wantErr):
+				t.Fatalf("error %q, want one starting %q", err, c.wantErr)
+			}
+		})
+	}
+}

@@ -152,7 +152,12 @@
 // selected by name through the partition.ByName registry — each shard
 // one rdf.EncodedView built straight from its bucket of ids around one
 // shared rdf.Dictionary, however many replicas serve it, so TermIDs are globally
-// consistent and all cross-shard work stays in id space. The distributed executor
+// consistent and all cross-shard work stays in id space. It boots the
+// way one graph does: shard.Read takes the triples as a stream (rdfserve
+// hands it an N-Triples file through rdf.ReadNTriples) and encodes and
+// deduplicates each as it arrives, and the strategy places the encoded
+// triples, hashing a term once per TermID — no []rdf.Triple of the
+// dataset is ever built. The distributed executor
 // (sparql.RunSharded) routes each prepared query by placement, and on
 // both routes moves bindings to the data, never relations to a join —
 // the survey's verdict on distributed BGP evaluation (S2RDF's ExtVP,

@@ -21,12 +21,14 @@ import (
 	"repro/internal/sparql"
 )
 
-// Strategy assigns triples to partitions.
+// Strategy assigns triples to partitions. It places in id space: the
+// triples are encoded through dict, and a strategy that hashes a term
+// hashes it once per TermID, not once per triple.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
 	// Place returns a partition index in [0, n) for every triple.
-	Place(triples []rdf.Triple, n int) []int
+	Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int
 }
 
 // Quality scores a placement.
@@ -46,19 +48,20 @@ func (q Quality) String() string {
 	return fmt.Sprintf("balance=%.2f edgeCut=%.2f starLocality=%.2f", q.Balance, q.EdgeCut, q.StarLocality)
 }
 
-// Evaluate computes placement quality for a strategy over a dataset.
+// Evaluate computes placement quality for a strategy over a dataset,
+// encoding its distinct triples once and placing them in id space.
 func Evaluate(s Strategy, triples []rdf.Triple, n int) Quality {
-	triples = rdf.Dedupe(triples)
-	return EvaluatePlacement(triples, s.Place(triples, n), n)
+	dict := rdf.NewDictionary()
+	enc := dict.EncodeAll(rdf.Dedupe(triples))
+	return EvaluatePlacement(dict, enc, s.Place(dict, enc, n), n)
 }
 
 // EvaluatePlacement scores an already-computed placement: place[i] is
-// the partition of the i-th triple of the deduplicated dataset. Scoring
-// runs in id space over dictionary-encoded triples: (subject,
-// partition) membership is keyed by 4-byte TermIDs instead of
-// string-bearing Terms, so both the star-locality and the edge-cut
-// passes stay O(triples) with integer map lookups.
-func EvaluatePlacement(triples []rdf.Triple, place []int, n int) Quality {
+// the partition of triples[i], a distinct triple encoded through dict.
+// (subject, partition) membership is keyed by 4-byte TermIDs, so both
+// the star-locality and the edge-cut passes stay O(triples) with
+// integer map lookups.
+func EvaluatePlacement(dict *rdf.Dictionary, triples []rdf.EncodedTriple, place []int, n int) Quality {
 	sizes := make([]int, n)
 	for _, p := range place {
 		sizes[p]++
@@ -75,16 +78,12 @@ func EvaluatePlacement(triples []rdf.Triple, place []int, n int) Quality {
 		balance = float64(maxSize) / ideal
 	}
 
-	// Encode once; enc[i] aligns with triples[i].
-	dict := rdf.NewDictionary()
-	enc := dict.EncodeAll(triples)
-	nTerms := dict.Len()
-
 	// (subject id, partition) membership, shared by both passes.
-	partsSeen := make(map[uint64]struct{}, len(enc))
+	nTerms := dict.Len()
+	partsSeen := make(map[uint64]struct{}, len(triples))
 	partCount := make([]int32, nTerms) // distinct partitions per subject
 	isSubject := make([]bool, nTerms)
-	for i, e := range enc {
+	for i, e := range triples {
 		isSubject[e.S] = true
 		key := uint64(e.S)<<32 | uint64(uint32(place[i]))
 		if _, ok := partsSeen[key]; !ok {
@@ -113,7 +112,7 @@ func EvaluatePlacement(triples []rdf.Triple, place []int, n int) Quality {
 	// object is some subject s2, does any t2 with subject s2 share
 	// t1's partition?
 	links, cut := 0, 0
-	for i, e := range enc {
+	for i, e := range triples {
 		if !isSubject[e.O] {
 			continue
 		}
@@ -129,6 +128,38 @@ func EvaluatePlacement(triples []rdf.Triple, place []int, n int) Quality {
 	return Quality{Balance: balance, EdgeCut: edgeCut, StarLocality: starLocality}
 }
 
+// termHash places a term by the hash of its bytes — its N-Triples
+// rendering (Term.String's bytes), or with value set its bare Value,
+// the key of the predicate and class placements — hashing each TermID
+// at most once, so id-space placement is the term-space one.
+type termHash struct {
+	terms []rdf.Term
+	n     int
+	value bool
+	memo  []int32 // partition+1 per TermID; 0 = not hashed yet
+	buf   []byte
+}
+
+func newTermHash(dict *rdf.Dictionary, n int, value bool) *termHash {
+	terms := dict.Terms()
+	return &termHash{terms: terms, n: max(n, 1), value: value, memo: make([]int32, len(terms))}
+}
+
+// partition returns the partition of term id.
+func (h *termHash) partition(id rdf.TermID) int {
+	if p := h.memo[id]; p > 0 {
+		return int(p - 1)
+	}
+	if h.value {
+		h.buf = append(h.buf[:0], h.terms[id].Value...)
+	} else {
+		h.buf = h.terms[id].AppendTo(h.buf[:0])
+	}
+	p := spark.HashBytes(h.buf) % h.n
+	h.memo[id] = int32(p + 1)
+	return p
+}
+
 // --- strategies ---
 
 // HashSubject is the Spark default applied to RDF: place by the hash
@@ -139,11 +170,11 @@ type HashSubject struct{}
 func (HashSubject) Name() string { return "hash-subject" }
 
 // Place implements Strategy.
-func (HashSubject) Place(triples []rdf.Triple, n int) []int {
-	p := spark.NewHashPartitioner[string](n)
+func (HashSubject) Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int {
+	h := newTermHash(dict, n, false)
 	out := make([]int, len(triples))
 	for i, t := range triples {
-		out[i] = p.Partition(t.S.String())
+		out[i] = h.partition(t.S)
 	}
 	return out
 }
@@ -156,40 +187,40 @@ type Vertical struct{}
 func (Vertical) Name() string { return "vertical" }
 
 // Place implements Strategy.
-func (Vertical) Place(triples []rdf.Triple, n int) []int {
-	p := spark.NewHashPartitioner[string](n)
+func (Vertical) Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int {
+	h := newTermHash(dict, n, true)
 	out := make([]int, len(triples))
 	for i, t := range triples {
-		out[i] = p.Partition(t.P.Value)
+		out[i] = h.partition(t.P)
 	}
 	return out
 }
 
-// Semantic places by the rdf:type class of the subject (untyped
-// subjects fall back to subject hash) — the class-driven scheme of
-// Troullinou et al. [27].
+// Semantic places by the rdf:type class of the subject (its first
+// type in dataset order; untyped subjects fall back to subject hash) —
+// the class-driven scheme of Troullinou et al. [27].
 type Semantic struct{}
 
 // Name implements Strategy.
 func (Semantic) Name() string { return "semantic-class" }
 
 // Place implements Strategy.
-func (Semantic) Place(triples []rdf.Triple, n int) []int {
-	classOf := map[rdf.Term]string{}
-	for _, t := range triples {
-		if t.IsTypeTriple() {
-			if _, ok := classOf[t.S]; !ok {
-				classOf[t.S] = t.O.Value
+func (Semantic) Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int {
+	classOf := make([]rdf.TermID, dict.Len()) // class id+1 per subject; 0 = untyped
+	if typ, ok := dict.Lookup(rdf.NewIRI(rdf.RDFType)); ok {
+		for _, t := range triples {
+			if t.P == typ && classOf[t.S] == 0 {
+				classOf[t.S] = t.O + 1
 			}
 		}
 	}
-	p := spark.NewHashPartitioner[string](n)
+	class, subject := newTermHash(dict, n, true), newTermHash(dict, n, false)
 	out := make([]int, len(triples))
 	for i, t := range triples {
-		if c, ok := classOf[t.S]; ok {
-			out[i] = p.Partition(c)
+		if c := classOf[t.S]; c > 0 {
+			out[i] = class.partition(c - 1)
 		} else {
-			out[i] = p.Partition(t.S.String())
+			out[i] = subject.partition(t.S)
 		}
 	}
 	return out
@@ -206,8 +237,8 @@ type WorkloadAware struct {
 func (WorkloadAware) Name() string { return "workload-aware" }
 
 // Place implements Strategy.
-func (w WorkloadAware) Place(triples []rdf.Triple, n int) []int {
-	linkPreds := map[string]bool{}
+func (w WorkloadAware) Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int {
+	linkPreds := map[rdf.TermID]bool{}
 	for _, q := range w.Queries {
 		bgp, ok := q.BGPOf()
 		if !ok {
@@ -221,34 +252,34 @@ func (w WorkloadAware) Place(triples []rdf.Triple, n int) []int {
 		}
 		for _, tp := range bgp.Patterns {
 			if !tp.P.IsVar && tp.O.IsVar && subjects[tp.O.Var] {
-				linkPreds[tp.P.Term.Value] = true
+				if id, ok := dict.Lookup(rdf.NewIRI(tp.P.Term.Value)); ok {
+					linkPreds[id] = true
+				}
 			}
 		}
 	}
 	// Union-find over link edges: subjects joined to their link targets.
-	parent := map[rdf.Term]rdf.Term{}
-	var find func(rdf.Term) rdf.Term
-	find = func(x rdf.Term) rdf.Term {
-		if p, ok := parent[x]; ok && p != x {
-			r := find(p)
-			parent[x] = r
-			return r
-		}
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
+	terms := dict.Terms()
+	parent := make([]rdf.TermID, len(terms))
+	for i := range parent {
+		parent[i] = rdf.TermID(i)
+	}
+	var find func(rdf.TermID) rdf.TermID
+	find = func(x rdf.TermID) rdf.TermID {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
 		}
 		return parent[x]
 	}
-	union := func(a, b rdf.Term) { parent[find(a)] = find(b) }
 	for _, t := range triples {
-		if linkPreds[t.P.Value] && !t.O.IsLiteral() {
-			union(t.S, t.O)
+		if linkPreds[t.P] && !terms[t.O].IsLiteral() {
+			parent[find(t.S)] = find(t.O)
 		}
 	}
-	p := spark.NewHashPartitioner[string](n)
+	h := newTermHash(dict, n, false)
 	out := make([]int, len(triples))
 	for i, t := range triples {
-		out[i] = p.Partition(find(t.S).String())
+		out[i] = h.partition(find(t.S))
 	}
 	return out
 }
@@ -270,7 +301,7 @@ type LabelPropagation struct {
 func (LabelPropagation) Name() string { return "graphx-label-propagation" }
 
 // Place implements Strategy.
-func (l LabelPropagation) Place(triples []rdf.Triple, n int) []int {
+func (l LabelPropagation) Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int {
 	ctx := l.Ctx
 	if ctx == nil {
 		ctx = spark.NewContext(spark.DefaultConfig())
@@ -280,22 +311,23 @@ func (l LabelPropagation) Place(triples []rdf.Triple, n int) []int {
 		rounds = 5
 	}
 	// Build the entity graph: vertices are subjects/objects, edges are
-	// triples between entities.
-	ids := map[rdf.Term]graphx.VertexID{}
+	// triples between entities. Vertex ids number terms in order of
+	// first appearance on an edge — the order labels update in below.
+	terms := dict.Terms()
+	h := newTermHash(dict, n, false)
+	ids := make([]graphx.VertexID, len(terms)) // 0 = not a vertex
 	var vertices []graphx.Vertex[int]
-	idOf := func(t rdf.Term) graphx.VertexID {
-		if id, ok := ids[t]; ok {
-			return id
+	idOf := func(t rdf.TermID) graphx.VertexID {
+		if ids[t] == 0 {
+			ids[t] = graphx.VertexID(len(vertices) + 1)
+			// Initial label: subject hash, so the result refines the default.
+			vertices = append(vertices, graphx.Vertex[int]{ID: ids[t], Attr: h.partition(t)})
 		}
-		id := graphx.VertexID(len(ids) + 1)
-		ids[t] = id
-		// Initial label: subject hash, so the result refines the default.
-		vertices = append(vertices, graphx.Vertex[int]{ID: id, Attr: spark.NewHashPartitioner[string](n).Partition(t.String())})
-		return id
+		return ids[t]
 	}
 	var edges []graphx.Edge[struct{}]
 	for _, t := range triples {
-		if t.O.IsLiteral() {
+		if terms[t.O].IsLiteral() {
 			continue
 		}
 		edges = append(edges, graphx.Edge[struct{}]{Src: idOf(t.S), Dst: idOf(t.O)})
@@ -356,13 +388,12 @@ func (l LabelPropagation) Place(triples []rdf.Triple, n int) []int {
 			break
 		}
 	}
-	p := spark.NewHashPartitioner[string](n)
 	out := make([]int, len(triples))
 	for i, t := range triples {
-		if id, ok := ids[t.S]; ok {
+		if id := ids[t.S]; id != 0 {
 			out[i] = labels[id]
 		} else {
-			out[i] = p.Partition(t.S.String())
+			out[i] = h.partition(t.S)
 		}
 	}
 	return out

@@ -24,6 +24,21 @@ func allStrategies() []Strategy {
 	return all
 }
 
+// encodeDistinct is the dataset as a strategy receives it: encoded
+// through one dictionary, repeats dropped, first occurrences in order.
+func encodeDistinct(triples []rdf.Triple) (*rdf.Dictionary, []rdf.EncodedTriple) {
+	dict := rdf.NewDictionary()
+	var enc []rdf.EncodedTriple
+	seen := map[rdf.EncodedTriple]bool{}
+	for _, t := range triples {
+		if e := dict.EncodeTriple(t); !seen[e] {
+			seen[e] = true
+			enc = append(enc, e)
+		}
+	}
+	return dict, enc
+}
+
 func TestRegistry(t *testing.T) {
 	names := registryOrder
 	if len(names) != 5 {
@@ -73,11 +88,11 @@ func TestRegistryCoverage(t *testing.T) {
 }
 
 func TestPlacementsAreValid(t *testing.T) {
-	triples := workload.GenerateUniversity(workload.SmallUniversity())
+	dict, enc := encodeDistinct(workload.GenerateUniversity(workload.SmallUniversity()))
 	const n = 4
 	for _, s := range allStrategies() {
-		place := s.Place(rdf.Dedupe(triples), n)
-		if len(place) != len(rdf.Dedupe(triples)) {
+		place := s.Place(dict, enc, n)
+		if len(place) != len(enc) {
 			t.Fatalf("%s: placement length %d", s.Name(), len(place))
 		}
 		for i, p := range place {
@@ -89,10 +104,10 @@ func TestPlacementsAreValid(t *testing.T) {
 }
 
 func TestPlacementsDeterministic(t *testing.T) {
-	triples := rdf.Dedupe(workload.GenerateUniversity(workload.SmallUniversity()))
+	dict, enc := encodeDistinct(workload.GenerateUniversity(workload.SmallUniversity()))
 	for _, s := range allStrategies() {
-		a := s.Place(triples, 4)
-		b := s.Place(triples, 4)
+		a := s.Place(dict, enc, 4)
+		b := s.Place(dict, enc, 4)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: non-deterministic at %d", s.Name(), i)

@@ -21,7 +21,8 @@ import (
 // triple (the HeapAlloc delta across one build, each side read after
 // two collections — the method of rdf's BenchmarkStoreBuild). A replica
 // is a routing identity, not a copy, so 4x2 reads what 4x1 does; CI
-// pins 4x2 and fails it past 4x1 + 5 %.
+// pins 4x2 and fails it past 4x1 + 5 %. allocs/op prices the boot
+// itself (encode, dedupe, placement, views), also pinned at 4x2.
 func BenchmarkShardBuild(b *testing.B) {
 	triples := workload.GenerateUniversity(workload.MediumUniversity())
 	for _, replicas := range []int{1, 2} {
@@ -34,6 +35,7 @@ func BenchmarkShardBuild(b *testing.B) {
 				return sg
 			}
 			n := build().Len()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				build()

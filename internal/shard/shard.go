@@ -10,7 +10,9 @@
 // The sharding contract:
 //
 //   - Shared dictionary: the dataset is encoded once through one
-//     rdf.Dictionary, so rdf.TermIDs are globally consistent and all
+//     rdf.Dictionary as it streams in (Read), repeats dropped and
+//     placement computed in id space, so no []rdf.Triple of the dataset
+//     is built, rdf.TermIDs are globally consistent, and all
 //     cross-shard merging, joining, and deduplication stays in id
 //     space.
 //   - Determinism: shards preserve the dataset's insertion order and
@@ -58,39 +60,56 @@ type ShardedGraph struct {
 // reach the boundary.
 var maxTriples = math.MaxInt32
 
-// Build splits triples into n shards by the strategy's placement. The
-// dataset is deduplicated first (RDF graphs are sets); each shard keeps
-// its triples in dataset order, every shard encodes through one shared
-// dictionary, and the whole-dataset statistics are computed so the
-// distributed planner reproduces the single-graph plan. Subject
-// co-location — the pushdown soundness condition — is verified from
-// the actual placement, not assumed from the strategy. A dataset beyond
-// the store's fixed widths fails with an *rdf.CapacityError.
-func Build(triples []rdf.Triple, strat partition.Strategy, n int) (*ShardedGraph, error) {
-	return BuildReplicated(triples, strat, n, 1)
-}
-
-// BuildReplicated is Build with replicas routing identities per shard:
-// in-process stand-ins for the copies a distributed deployment would
-// place on R nodes. A replica is not a copy — each shard's view is
-// built once, and every replica of it scans that view — so replica
-// failover can never change one row of query output. Faults, circuit
-// breakers, health scores and hedges are keyed by (shard, replica),
-// and the distributed executor routes each per-shard op to a healthy
-// replica (retry with capped backoff; see internal/sparql); a query
-// fails only when every replica of a needed shard is down.
-func BuildReplicated(triples []rdf.Triple, strat partition.Strategy, n, replicas int) (*ShardedGraph, error) {
+// Read builds the sharded store in one pass over a stream: read hands
+// every triple of the dataset to add (rdf.ReadNTriples fits), and each
+// triple is encoded through one shared dictionary as it arrives, a
+// repeat dropped in id space (RDF graphs are sets), so the dataset
+// never exists as a []rdf.Triple. The strategy then places the distinct
+// triples in id space, each shard keeps its triples in dataset order,
+// and the whole-dataset statistics are computed so the distributed
+// planner reproduces the single-graph plan. Subject co-location — the
+// pushdown soundness condition — is verified from the actual
+// placement, not assumed from the strategy. A dataset beyond the
+// store's fixed widths fails with an *rdf.CapacityError; an error from
+// read or add stops the build and is returned.
+//
+// Each shard gets replicas routing identities: in-process stand-ins
+// for the copies a distributed deployment would place on R nodes. A
+// replica is not a copy — each shard's view is built once, and every
+// replica of it scans that view — so replica failover can never change
+// one row of query output. Faults, circuit breakers, health scores and
+// hedges are keyed by (shard, replica), and the distributed executor
+// routes each per-shard op to a healthy replica (retry with capped
+// backoff; see internal/sparql); a query fails only when every replica
+// of a needed shard is down.
+func Read(read func(add func(rdf.Triple) error) error, strat partition.Strategy, n, replicas int) (*ShardedGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
 	if replicas < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 replica, got %d", replicas)
 	}
-	ds, err := encodeDistinct(triples)
+	dict, enc, err := encodeDistinct(read)
 	if err != nil {
 		return nil, err
 	}
-	return buildPlaced(ds, strat.Place(ds.distinct, n), n, replicas, strat.Name())
+	return buildPlaced(dict, enc, strat.Place(dict, enc, n), n, replicas, strat.Name())
+}
+
+// Build is Read over a slice, one replica per shard.
+func Build(triples []rdf.Triple, strat partition.Strategy, n int) (*ShardedGraph, error) {
+	return Read(each(triples), strat, n, 1)
+}
+
+// BuildReplicated is Read over a slice.
+func BuildReplicated(triples []rdf.Triple, strat partition.Strategy, n, replicas int) (*ShardedGraph, error) {
+	return Read(each(triples), strat, n, replicas)
+}
+
+// BuildByName is Build with the strategy resolved from the
+// partition-strategy registry.
+func BuildByName(triples []rdf.Triple, name string, n int, opts ...partition.Option) (*ShardedGraph, error) {
+	return BuildReplicatedByName(triples, name, n, 1, opts...)
 }
 
 // BuildReplicatedByName is BuildReplicated with the strategy resolved
@@ -103,72 +122,64 @@ func BuildReplicatedByName(triples []rdf.Triple, name string, n, replicas int, o
 	return BuildReplicated(triples, strat, n, replicas)
 }
 
-// encodedDataset is a deduplicated dataset in id space: the distinct triples
-// in first-occurrence order, encoded through dict, so a triple's global
-// position is its index in enc. distinct is the same sequence in term
-// space, for the placement strategy; nothing built from a dataset
-// keeps it.
-type encodedDataset struct {
-	dict     *rdf.Dictionary
-	enc      []rdf.EncodedTriple
-	distinct []rdf.Triple
+// each is the Read stream of a slice.
+func each(triples []rdf.Triple) func(func(rdf.Triple) error) error {
+	return func(add func(rdf.Triple) error) error {
+		for _, t := range triples {
+			if err := add(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
-// encodeDistinct encodes triples through a fresh dictionary and drops
-// repeats in the same pass. The dedupe set is local to the pass, so it
-// is garbage before buildPlaced allocates the first view.
-func encodeDistinct(triples []rdf.Triple) (*encodedDataset, error) {
-	ds := &encodedDataset{
-		dict:     rdf.NewDictionary(),
-		enc:      make([]rdf.EncodedTriple, 0, len(triples)),
-		distinct: triples,
-	}
-	seen := make(map[rdf.EncodedTriple]struct{}, len(triples))
-	// distinct aliases the caller's slice until the first repeat, so a
-	// dataset without repeats (the usual case) is never copied.
-	shared := true
-	for i, t := range triples {
-		e, err := ds.dict.TryEncodeTriple(t)
+// encodeDistinct encodes the triples read hands over through a fresh
+// dictionary and drops repeats in the same pass: enc holds the distinct
+// triples in first-occurrence order, so a triple's global position is
+// its index in enc. The dedupe set is local to the pass, so it is
+// garbage before buildPlaced allocates the first view.
+func encodeDistinct(read func(func(rdf.Triple) error) error) (*rdf.Dictionary, []rdf.EncodedTriple, error) {
+	dict := rdf.NewDictionary()
+	var enc []rdf.EncodedTriple
+	seen := make(map[rdf.EncodedTriple]struct{})
+	err := read(func(t rdf.Triple) error {
+		e, err := dict.TryEncodeTriple(t)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, dup := seen[e]; dup {
-			if shared {
-				ds.distinct = append(make([]rdf.Triple, 0, len(triples)-1), triples[:i]...)
-				shared = false
-			}
-			continue
+			return nil
 		}
-		if len(ds.enc) >= maxTriples {
-			return nil, &rdf.CapacityError{What: "triples", Limit: int64(maxTriples)}
+		if len(enc) >= maxTriples {
+			return &rdf.CapacityError{What: "triples", Limit: int64(maxTriples)}
 		}
 		seen[e] = struct{}{}
-		ds.enc = append(ds.enc, e)
-		if !shared {
-			ds.distinct = append(ds.distinct, t)
-		}
+		enc = append(enc, e)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return ds, nil
+	return dict, enc, nil
 }
 
-// buildPlaced is the shared build body; replicas >= 1 is the number of
-// routing identities per shard.
-func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName string) (*ShardedGraph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
-	}
-	if len(place) != len(ds.enc) {
-		return nil, fmt.Errorf("shard: strategy %s placed %d of %d triples", strategyName, len(place), len(ds.enc))
+// buildPlaced is the build body behind Read: enc is the distinct
+// dataset encoded through dict, place its placement, and replicas >= 1
+// the number of routing identities per shard.
+func buildPlaced(dict *rdf.Dictionary, enc []rdf.EncodedTriple, place []int, n, replicas int, strategyName string) (*ShardedGraph, error) {
+	if len(place) != len(enc) {
+		return nil, fmt.Errorf("shard: strategy %s placed %d of %d triples", strategyName, len(place), len(enc))
 	}
 
 	// Verify subject co-location from the placement itself.
-	subjShard := make([]int32, ds.dict.Len())
+	subjShard := make([]int32, dict.Len())
 	for i := range subjShard {
 		subjShard[i] = -1
 	}
 	coloc := true
 	sizes := make([]int, n)
-	for i, e := range ds.enc {
+	for i, e := range enc {
 		p := place[i]
 		if p < 0 || p >= n {
 			return nil, fmt.Errorf("shard: strategy %s placed triple %d on partition %d of %d", strategyName, i, p, n)
@@ -187,14 +198,14 @@ func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName 
 		buckets[s] = make([]rdf.EncodedTriple, 0, sizes[s])
 		positions[s] = make([]int32, 0, sizes[s])
 	}
-	for i, e := range ds.enc {
+	for i, e := range enc {
 		buckets[place[i]] = append(buckets[place[i]], e)
 		positions[place[i]] = append(positions[place[i]], int32(i))
 	}
 
 	views := make([]*rdf.EncodedView, n)
 	for s, bucket := range buckets {
-		v, err := rdf.NewPositionedView(ds.dict, bucket, positions[s])
+		v, err := rdf.NewPositionedView(dict, bucket, positions[s])
 		if err != nil {
 			return nil, err
 		}
@@ -202,12 +213,12 @@ func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName 
 	}
 	sg := &ShardedGraph{
 		strategy: strategyName,
-		dict:     ds.dict,
+		dict:     dict,
 		sizes:    sizes,
 		set: &sparql.ShardSet{
-			Dict:             ds.dict,
+			Dict:             dict,
 			Views:            views,
-			Stats:            rdf.ComputeEncodedStats(ds.dict, ds.enc),
+			Stats:            rdf.ComputeEncodedStats(dict, enc),
 			SubjectColocated: coloc,
 			Replicas:         replicas,
 		},
@@ -216,16 +227,6 @@ func buildPlaced(ds *encodedDataset, place []int, n, replicas int, strategyName 
 		sg.set.Health = sparql.NewReplicaHealth(n, replicas)
 	}
 	return sg, nil
-}
-
-// BuildByName is Build with the strategy resolved from the
-// partition-strategy registry.
-func BuildByName(triples []rdf.Triple, name string, n int, opts ...partition.Option) (*ShardedGraph, error) {
-	strat, err := partition.ByName(name, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return Build(triples, strat, n)
 }
 
 // NumShards returns the shard count.

@@ -36,6 +36,10 @@ func HashKey[K comparable](key K) int {
 	return hashKeySlow(key)
 }
 
+// HashBytes is HashKey(string(b)) without the conversion, so a key
+// rendered into a reused buffer is hashed where it lies.
+func HashBytes(b []byte) int { return hashString(b) }
+
 // hashKeySlow renders uncommon key types; kept out of HashKey so the
 // fmt call cannot force the fast path's key to escape.
 func hashKeySlow[K comparable](key K) int {
@@ -46,7 +50,7 @@ func hashKeySlow[K comparable](key K) int {
 // (hash/fnv's New32a heap-allocates a hasher per call, which used to
 // dominate PartitionBy's allocation profile). The values are
 // bit-identical to fnv.New32a, so data placement is unchanged.
-func hashString(s string) int {
+func hashString[S string | []byte](s S) int {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
