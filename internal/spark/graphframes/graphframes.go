@@ -8,6 +8,7 @@ package graphframes
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/spark/sql"
@@ -97,39 +98,58 @@ func parseDelim(s, open, close string) (name, rest string, ok bool) {
 	return strings.TrimSpace(s[len(open):end]), s[end+len(close):], true
 }
 
-// Find evaluates a motif and returns one row per binding. Named vertex
-// variables become columns holding vertex ids; a named edge variable e
-// becomes one column per non-src/dst edge attribute, named "e.attr".
-// Repeated vertex variables join naturally (same column name), which is
-// what makes motifs express SPARQL basic graph patterns.
-func (g *GraphFrame) Find(motif string) (*sql.DataFrame, error) {
+// Find evaluates a motif and returns one row per binding that
+// satisfies every constraint in where. Named vertex variables become
+// columns holding vertex ids; a named edge variable e becomes one
+// column per non-src/dst edge attribute, named "e.attr". Repeated
+// vertex variables join naturally (same column name), which is what
+// makes motifs express SPARQL basic graph patterns; a self-loop
+// "(x)-[]->(x)" keeps only edges whose src equals their dst.
+//
+// GraphFrames' find returns a lazy DataFrame (Dave et al., GRADES
+// 2016), and Catalyst pushes a filter that names only one join input
+// below that join (Armbrust et al., SIGMOD 2015). So a constraint whose
+// columns all belong to one edge step filters that step before any
+// join, and any other right after the first join that covers it.
+func (g *GraphFrame) Find(motif string, where ...sql.Expr) (*sql.DataFrame, error) {
 	pats, err := ParseMotif(motif)
 	if err != nil {
 		return nil, err
 	}
-	extraCols := extraEdgeCols(g.edges.Schema())
+	// The edge attribute columns other than src and dst.
+	extraCols := slices.DeleteFunc(g.edges.Schema(), func(c string) bool { return c == ColSrc || c == ColDst })
 
+	pending := where
 	var result *sql.DataFrame
 	hidden := map[string]bool{}
+	hide := func(format string, i int) string {
+		name := fmt.Sprintf(format, i)
+		hidden[name] = true
+		return name
+	}
 	for i, p := range pats {
-		cols := make([]string, 0, 2+len(extraCols))
-		srcName := p.src
+		var loop []sql.Expr
+		srcName, dstName := p.src, p.dst
 		if srcName == "" {
-			srcName = fmt.Sprintf("_anon_src_%d", i)
-			hidden[srcName] = true
+			srcName = hide("_anon_src_%d", i)
 		}
-		dstName := p.dst
-		if dstName == "" {
-			dstName = fmt.Sprintf("_anon_dst_%d", i)
-			hidden[dstName] = true
+		switch {
+		case dstName == "":
+			dstName = hide("_anon_dst_%d", i)
+		case dstName == srcName:
+			dstName = hide("_loop_dst_%d", i)
+			loop = append(loop, sql.ColEq(srcName, dstName))
 		}
-		cols = append(cols, ColSrc+" AS "+srcName, ColDst+" AS "+dstName)
+		cols := []string{ColSrc + " AS " + srcName, ColDst + " AS " + dstName}
 		if p.edge != "" {
 			for _, c := range extraCols {
 				cols = append(cols, c+" AS "+p.edge+"."+c)
 			}
 		}
 		step, err := g.edges.Select(cols...)
+		if err == nil {
+			step, err = filterCovered(step, &pending, loop...)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -137,39 +157,46 @@ func (g *GraphFrame) Find(motif string) (*sql.DataFrame, error) {
 			result = step
 			continue
 		}
-		shared := result.Schema().Shared(step.Schema())
-		if len(shared) == 0 {
+		if shared := result.Schema().Shared(step.Schema()); len(shared) == 0 {
 			result = result.CrossJoin(step)
-			continue
+		} else if result, err = result.Join(step, shared, sql.JoinAuto); err != nil {
+			return nil, err
 		}
-		result, err = result.Join(step, shared, sql.JoinAuto)
-		if err != nil {
+		if result, err = filterCovered(result, &pending); err != nil {
 			return nil, err
 		}
 	}
-
-	// Drop the anonymous helper columns.
-	var keep []string
-	for _, c := range result.Schema() {
-		if !hidden[c] {
-			keep = append(keep, c)
-		}
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("graphframes: constraint on columns %v the motif does not bind", pending[0].Columns())
 	}
+
+	keep := slices.DeleteFunc(result.Schema(), func(c string) bool { return hidden[c] })
 	if len(keep) == 0 {
 		return result, nil
 	}
 	return result.Select(keep...)
 }
 
-// extraEdgeCols lists edge attribute columns other than src/dst.
-func extraEdgeCols(s sql.Schema) []string {
-	var out []string
-	for _, c := range s {
-		if c != ColSrc && c != ColDst {
-			out = append(out, c)
+// filterCovered filters df, in one pass, by cs and by every constraint
+// in *pending whose columns df holds, and removes those from *pending.
+func filterCovered(df *sql.DataFrame, pending *[]sql.Expr, cs ...sql.Expr) (*sql.DataFrame, error) {
+	schema, rest := df.Schema(), []sql.Expr(nil)
+	for _, c := range *pending {
+		if slices.ContainsFunc(c.Columns(), func(col string) bool { return !schema.Has(col) }) {
+			rest = append(rest, c)
+		} else {
+			cs = append(cs, c)
 		}
 	}
-	return out
+	*pending = rest
+	if len(cs) == 0 {
+		return df, nil
+	}
+	pred := cs[0]
+	for _, c := range cs[1:] {
+		pred = sql.BinOp{Op: "AND", L: pred, R: c}
+	}
+	return df.Filter(pred)
 }
 
 // FilterEdges returns a GraphFrame whose edges satisfy pred; vertices

@@ -118,19 +118,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	return fromParts(r.ctx, out)
 }
 
-// FlatMap applies f and concatenates the results. Narrow transformation.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	out := make([][]U, len(r.parts))
-	r.ctx.runTasks(len(r.parts), func(i int) {
-		var exp []U
-		for _, v := range r.parts[i] {
-			exp = append(exp, f(v)...)
-		}
-		out[i] = exp
-	})
-	return fromParts(r.ctx, out)
-}
-
 // MapPartitions transforms each partition wholesale, like
 // RDD.mapPartitions. Narrow transformation.
 func MapPartitions[T, U any](r *RDD[T], f func(part []T) []U) *RDD[U] {

@@ -13,7 +13,11 @@
 //     smaller temporary graph.
 //
 // Subgraph matching itself is GraphFrames motif finding, which
-// compiles to DataFrame joins.
+// compiles to DataFrame joins. A pattern's constant subject, object and
+// predicate become constraints that graphframes.Find applies to that
+// pattern's edge step before any join, where Catalyst would push them
+// under GraphFrames' lazy DataFrame; a predicate variable repeated
+// across patterns is checked right after the join that meets both.
 //
 // Supported fragment (Table II): BGP.
 package gframes
@@ -64,23 +68,19 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 	triples = rdf.Dedupe(triples)
 	e.terms = map[string]rdf.Term{}
 	e.freq = map[string]int{}
-	render := func(t rdf.Term) string {
-		s := t.String()
-		e.terms[s] = t
-		return s
-	}
-	seen := map[string]bool{}
 	var nodeRows, edgeRows []sparksql.Row
-	for _, t := range triples {
-		s, o := render(t.S), render(t.O)
-		if !seen[s] {
-			seen[s] = true
+	// node renders t; its first sighting adds it to terms and to the
+	// nodelist.
+	node := func(t rdf.Term) string {
+		s := t.String()
+		if _, ok := e.terms[s]; !ok {
+			e.terms[s] = t
 			nodeRows = append(nodeRows, sparksql.Row{s})
 		}
-		if !seen[o] {
-			seen[o] = true
-			nodeRows = append(nodeRows, sparksql.Row{o})
-		}
+		return s
+	}
+	for _, t := range triples {
+		s, o := node(t.S), node(t.O)
 		edgeRows = append(edgeRows, sparksql.Row{s, o, t.P.Value})
 		e.freq[t.P.Value]++
 	}
@@ -156,20 +156,15 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 		}
 	}
 
-	// Build the motif and the post-filters for constants.
+	// Build the motif and its step constraints; Find applies each one
+	// at the first step or join that covers it.
 	motif, varNames, filters, err := e.buildMotif(ordered)
 	if err != nil {
 		return nil, err
 	}
-	df, err := graph.Find(motif)
+	df, err := graph.Find(motif, filters...)
 	if err != nil {
 		return nil, err
-	}
-	for _, f := range filters {
-		df, err = df.Filter(f)
-		if err != nil {
-			return nil, err
-		}
 	}
 	// Decode columns back into rows.
 	schema := df.Schema()
@@ -212,9 +207,10 @@ func (e *Engine) predFreq(tp sparql.TriplePattern) int {
 
 // buildMotif translates ordered patterns into a GraphFrames motif.
 // Variables keep one motif name per variable (repeats join naturally);
-// constants get fresh names plus an id-equality post-filter. Constant
-// predicates become edge-attribute post-filters; variable predicates
-// surface as "eN.rel" columns mapped back to the SPARQL variable.
+// constants get fresh names plus a step constraint. Constant
+// predicates become edge-attribute step constraints; variable
+// predicates surface as "eN.rel" columns mapped back to the SPARQL
+// variable, a repeated one constrained equal to its first column.
 func (e *Engine) buildMotif(tps []sparql.TriplePattern) (string, map[string]sparql.Var, []sparksql.Expr, error) {
 	motif := ""
 	varNames := map[string]sparql.Var{} // result column -> SPARQL var

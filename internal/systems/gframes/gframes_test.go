@@ -117,6 +117,38 @@ func TestQueryAnswersOnShopData(t *testing.T) {
 	}
 }
 
+// TestStarShufflesLikeATripleStore is a survey claim as an inequality
+// (ROADMAP item 10): a motif's constant constraints cost what a
+// triple-store plan costs. Under the assessment's cluster, U-star-1 on
+// MediumUniversity shuffles at most 15,000 records (SPARQLGX's plan:
+// 14,125). With its rdf:type, Student and edge-label constraints
+// applied after the whole motif join, it shuffled 70,050.
+func TestStarShufflesLikeATripleStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("medium-scale integration test")
+	}
+	triples := workload.GenerateUniversity(workload.MediumUniversity())
+	e := New(spark.NewContext(spark.Config{Parallelism: 4, Executors: 2, BroadcastThreshold: 1000, MaxConcurrency: 8}))
+	if err := e.Load(triples); err != nil {
+		t.Fatal(err)
+	}
+	nq := workload.UniversityQueries()[0]
+	if nq.Name != "U-star-1" {
+		t.Fatalf("first University query is %s, want U-star-1", nq.Name)
+	}
+	want, err := sparql.Evaluate(nq.Query, rdf.NewGraph(triples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.RunQuery(e, nq.Name, nq.Query, want)
+	if m.Err != nil || !m.Correct {
+		t.Fatalf("U-star-1: err %v, correct %v", m.Err, m.Correct)
+	}
+	if got := m.Activity.ShuffleRecords; got > 15000 {
+		t.Fatalf("U-star-1 shuffled %d records, want <= 15,000", got)
+	}
+}
+
 func TestRejectsNonBGP(t *testing.T) {
 	e := newEngine()
 	if err := e.Load(workload.GenerateShop(workload.SmallShop())); err != nil {

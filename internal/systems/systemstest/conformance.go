@@ -58,6 +58,8 @@ func battery() []Case {
 			`SELECT ?s WHERE { ?s %s %s }`, typ, p("Professor"))},
 		{Name: "no-answers", BGPOnly: true, Query: fmt.Sprintf(
 			`SELECT ?s WHERE { ?s %s <%snoSuchThing> }`, p("advisor"), workload.UnivNS)},
+		{Name: "self-loop", BGPOnly: true, Query: fmt.Sprintf(
+			`SELECT ?x WHERE { ?x %s ?x }`, p("advisor"))},
 		{Name: "var-predicate", BGPOnly: true, Query: fmt.Sprintf(
 			`SELECT ?p WHERE { <%suniv0.dept0.stud1> ?p ?o }`, workload.UnivNS)},
 		{Name: "distinct-order-limit", Query: fmt.Sprintf(
@@ -160,10 +162,10 @@ func RandomDataset(seed int64) []rdf.Triple {
 }
 
 // RandomQueries draws n random SELECT * queries over RandomDataset's
-// vocabulary: 2- and 3-pattern star, chain and snowflake BGPs and, with
-// bgpPlus, the same BGPs under OPTIONAL (an arm that may leave its
-// variable unbound, then FILTER on BOUND, or a join on that variable
-// after it), UNION and FILTER.
+// vocabulary: 2- and 3-pattern star, chain and snowflake BGPs, a
+// self-loop with an arm and, with bgpPlus, the same BGPs under
+// OPTIONAL (an arm that may leave its variable unbound, then FILTER on
+// BOUND, or a join on that variable after it), UNION and FILTER.
 func RandomQueries(rng *rand.Rand, n int, bgpPlus bool) []string {
 	// link joins ?from to ?to along an object property; leaf hangs an
 	// arm of any kind off ?from: an object or data property to a fresh
@@ -192,6 +194,7 @@ func RandomQueries(rng *rand.Rand, n int, bgpPlus bool) []string {
 		func() string { return leaf("x") + leaf("x") + leaf("x") },           // star-3
 		func() string { return link("x", "y") + link("y", "z") + leaf("z") }, // chain-3
 		func() string { return link("x", "y") + leaf("x") + leaf("y") },      // snowflake-3
+		func() string { return link("x", "x") + leaf("x") },                  // self-loop
 	}
 	bgp := func() string { return shapes[rng.Intn(len(shapes))]() }
 	forms := []func() string{bgp}
