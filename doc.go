@@ -39,8 +39,15 @@
 //     GraphX messages and match tables all carry rows, and
 //     solutions.Merge is the one SPARQL merge. A row is decoded to a
 //     sparql.Binding once, for the answer (Schema.Results: a plain
-//     SELECT decodes only what it projects), or for a FILTER, of the
-//     variables its VarLister names.
+//     SELECT decodes only what it projects); a FILTER reads slots and
+//     decodes nothing. FILTER has one evaluator for the reference, the
+//     sharded route and every engine: sparql.CompileFilter resolves a
+//     condition's variables to slots once per query, and sparql.Holds
+//     evaluates it three-valued (true, false or error, SPARQL 1.1
+//     §17.2 and §17.3; FilterExpr names the subset) over any row that
+//     gives a slot's term, keeping the row only on true. ORDER BY is
+//     another order, sparql.CompareTerms (§15.1), which MIN, MAX and the
+//     assessment's tie check share.
 //     What an engine does with whole term-space solution sequences at
 //     the driver is not part of that path and belongs to no surveyed
 //     design — the Group and OPTIONAL arms of the BGP+ walker HAQWA,

@@ -246,9 +246,7 @@ func topKMatches(keys []sparql.OrderKey, got, reference, full *sparql.Results) b
 // the order sparql.Results.SortRows sorts by (two unbound values tie).
 func tied(keys []sparql.OrderKey, a, b sparql.Binding) bool {
 	for _, k := range keys {
-		ta, aok := a[k.Var]
-		tb, bok := b[k.Var]
-		if aok != bok || (aok && sparql.CompareTerms(ta, tb) != 0) {
+		if sparql.CompareTerms(a.Term(k.Var), b.Term(k.Var)) != 0 {
 			return false
 		}
 	}

@@ -164,7 +164,11 @@ func refEval(q refQuery, ts []rdf.Triple) ([]string, bool) {
 	var rows []string
 	seen := map[string]bool{}
 	for _, s := range sols {
-		if t, bound := s[q.filterVar]; q.filterVar != "" && (!bound || (t == q.filterTerm) == q.filterNeg) {
+		// The FILTER is = or != against a constant: an error, which drops
+		// the row, on an unbound variable and between two literals that
+		// are not the same term (SPARQL 1.1 §17.3's RDFterm-equal).
+		t, bound := s[q.filterVar]
+		if q.filterVar != "" && (!bound || (t != q.filterTerm && t.IsLiteral() && q.filterTerm.IsLiteral()) || (t == q.filterTerm) == q.filterNeg) {
 			continue
 		}
 		cells := make([]string, len(q.sel))

@@ -118,6 +118,33 @@ func TestEvaluateConcurrent(t *testing.T) {
 	}
 }
 
+// FILTER reads an id-space row's slots and decodes nothing: one
+// evaluation, through every node type and both kinds of comparison,
+// allocates nothing.
+func TestFilterAllocs(t *testing.T) {
+	g := allocTestGraph()
+	q := MustParse(`SELECT * WHERE { ?s <http://ex/name> ?n OPTIONAL { ?s <http://ex/age> ?a }
+		FILTER((?a > 25 && BOUND(?n)) || !(?n = "n3")) }`)
+	env := newEvalEnv(q, g)
+	rows, err := env.evalPattern(q.Where.(Filter).Inner)
+	if err != nil || len(rows) != 64 {
+		t.Fatalf("%d rows, %v", len(rows), err)
+	}
+	cond := CompileFilter(q.Where.(Filter).Cond, env.slots)
+	kept := 0
+	n := testing.AllocsPerRun(10, func() {
+		kept = 0
+		for _, row := range rows {
+			if Holds(cond, idRow{env, row}) {
+				kept++
+			}
+		}
+	})
+	if kept != 63 || n != 0 {
+		t.Fatalf("FILTER kept %d of 64 rows (want 63) at %.1f allocs per pass, want 0", kept, n)
+	}
+}
+
 // numericValue's alloc-free fast path must still admit the xsd:double
 // special lexical forms that strconv understands.
 func TestNumericValueSpecialForms(t *testing.T) {

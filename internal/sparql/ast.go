@@ -8,7 +8,9 @@
 package sparql
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -270,20 +272,26 @@ func (q *Query) BGPOf() (BGP, bool) {
 	return BGP{Patterns: tps}, ok
 }
 
-// FilterExpr is a FILTER condition.
+// FilterExpr is a FILTER condition, sealed over its five node types:
+// Comparison, LogicalAnd, LogicalOr, LogicalNot and Bound.
+//
+// FILTER is three-valued (SPARQL 1.1 §17.2): an expression is true,
+// false or an error, and FILTER keeps a row only when it is true. &&
+// and || follow §17.2's truth table, ! of an error is an error, and
+// BOUND never is one. A comparison is an error when an operand is
+// unbound or when the implemented subset of §17.3's operator table does
+// not define it for the pair. The subset orders numerics (the XSD
+// numeric datatypes, by value) against numerics and strings (simple
+// literals and xsd:string, by code point) against strings; every other
+// pair has = and != only, as RDFterm-equal: the same term is equal, two
+// literals that are not the same term are an error, and anything else
+// is unequal. So IRIs, blank nodes, language-tagged literals and every
+// other datatype — xsd:boolean, xsd:dateTime and xsd:date among them —
+// are never ordered, and = between two of their literals that are not
+// the same term is an error.
 type FilterExpr interface {
-	// EvalFilter computes the effective boolean value under b.
-	EvalFilter(b Binding) bool
 	fmt.Stringer
-}
-
-// VarLister is optionally implemented by FilterExpr values that can
-// enumerate the variables they touch. The reference evaluator uses it
-// when it must fall back to the map-based EvalFilter for an expression
-// type it cannot run in id space: only the listed variables are decoded
-// into the Binding instead of the whole solution row.
-type VarLister interface {
-	FilterVars() []Var
+	filterExpr()
 }
 
 // Comparison compares a variable (or constant) with another operand.
@@ -292,60 +300,9 @@ type Comparison struct {
 	L, R Operand
 }
 
-// Operand is either a variable or a constant term.
-type Operand struct {
-	IsVar bool
-	Var   Var
-	Term  rdf.Term
-}
-
-func (o Operand) String() string {
-	if o.IsVar {
-		return "?" + string(o.Var)
-	}
-	return o.Term.String()
-}
-
-func (o Operand) resolve(b Binding) (rdf.Term, bool) {
-	if !o.IsVar {
-		return o.Term, true
-	}
-	t, ok := b[o.Var]
-	return t, ok
-}
-
-// EvalFilter implements FilterExpr.
-func (c Comparison) EvalFilter(b Binding) bool {
-	l, ok := c.L.resolve(b)
-	if !ok {
-		return false
-	}
-	r, ok := c.R.resolve(b)
-	if !ok {
-		return false
-	}
-	return cmpSatisfies(c.Op, CompareTerms(l, r))
-}
-
-// cmpSatisfies interprets a three-way comparison result under one of
-// the FILTER comparison operators.
-func cmpSatisfies(op string, cmp int) bool {
-	switch op {
-	case "=":
-		return cmp == 0
-	case "!=":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	}
-	return false
-}
+// Operand is a comparison operand: a variable or a constant term, as a
+// triple pattern's position is.
+type Operand = TPElem
 
 func (c Comparison) String() string {
 	return c.L.String() + " " + c.Op + " " + c.R.String()
@@ -354,55 +311,172 @@ func (c Comparison) String() string {
 // LogicalAnd is &&.
 type LogicalAnd struct{ L, R FilterExpr }
 
-// EvalFilter implements FilterExpr.
-func (a LogicalAnd) EvalFilter(b Binding) bool { return a.L.EvalFilter(b) && a.R.EvalFilter(b) }
-
 func (a LogicalAnd) String() string { return "(" + a.L.String() + " && " + a.R.String() + ")" }
 
 // LogicalOr is ||.
 type LogicalOr struct{ L, R FilterExpr }
-
-// EvalFilter implements FilterExpr.
-func (o LogicalOr) EvalFilter(b Binding) bool { return o.L.EvalFilter(b) || o.R.EvalFilter(b) }
 
 func (o LogicalOr) String() string { return "(" + o.L.String() + " || " + o.R.String() + ")" }
 
 // LogicalNot is !.
 type LogicalNot struct{ E FilterExpr }
 
-// EvalFilter implements FilterExpr.
-func (n LogicalNot) EvalFilter(b Binding) bool { return !n.E.EvalFilter(b) }
-
 func (n LogicalNot) String() string { return "!(" + n.E.String() + ")" }
 
 // Bound is BOUND(?x).
 type Bound struct{ Var Var }
 
-// EvalFilter implements FilterExpr.
-func (bd Bound) EvalFilter(b Binding) bool { _, ok := b[bd.Var]; return ok }
-
 func (bd Bound) String() string { return "BOUND(?" + string(bd.Var) + ")" }
 
-// CompareTerms orders two terms: numeric literals numerically, other
-// terms by kind then lexical value. It defines the semantics of FILTER
-// comparisons and ORDER BY for the whole reproduction.
-func CompareTerms(a, b rdf.Term) int {
-	if a.IsLiteral() && b.IsLiteral() {
-		if af, aok := numericValue(a); aok {
-			if bf, bok := numericValue(b); bok {
-				switch {
-				case af < bf:
-					return -1
-				case af > bf:
-					return 1
-				default:
-					return 0
-				}
-			}
+func (Comparison) filterExpr() {}
+func (LogicalAnd) filterExpr() {}
+func (LogicalOr) filterExpr()  {}
+func (LogicalNot) filterExpr() {}
+func (Bound) filterExpr()      {}
+
+// Unbound is the term of a variable a solution does not bind. Its kind
+// is none of rdf's, so no parser produces it; the zero Term could not
+// serve, because it is the IRI <>.
+var Unbound = rdf.Term{Kind: ^rdf.TermKind(0)}
+
+// Cond is a FilterExpr compiled once per query against the slots its
+// rows hold their terms in; Holds evaluates it per row.
+type Cond struct {
+	op   string  // a comparison operator, "&&", "||", "!" or "BOUND"
+	x, y *Cond   // the operands of && and ||; ! has x only
+	l, r operand // a comparison's operands; BOUND's variable is l
+}
+
+// operand is a comparison operand, or BOUND's variable: a slot, or at
+// slot -1 a constant (Unbound for a variable the query never binds).
+type operand struct {
+	slot int
+	term rdf.Term
+}
+
+// CompileFilter compiles e against slots, the slot of each variable
+// the query mentions.
+func CompileFilter(e FilterExpr, slots map[Var]int) *Cond {
+	operandOf := func(o Operand) operand {
+		s, ok := slots[o.Var]
+		switch {
+		case !o.IsVar:
+			return operand{slot: -1, term: o.Term}
+		case !ok:
+			return operand{slot: -1, term: Unbound}
 		}
+		return operand{slot: s}
 	}
-	if a.Kind != b.Kind {
-		return int(a.Kind) - int(b.Kind)
+	switch n := e.(type) {
+	case Comparison:
+		return &Cond{op: n.Op, l: operandOf(n.L), r: operandOf(n.R)}
+	case LogicalAnd:
+		return &Cond{op: "&&", x: CompileFilter(n.L, slots), y: CompileFilter(n.R, slots)}
+	case LogicalOr:
+		return &Cond{op: "||", x: CompileFilter(n.L, slots), y: CompileFilter(n.R, slots)}
+	case LogicalNot:
+		return &Cond{op: "!", x: CompileFilter(n.E, slots)}
+	}
+	return &Cond{op: "BOUND", l: operandOf(Operand{IsVar: true, Var: e.(Bound).Var})}
+}
+
+// Terms is a solution row as FILTER reads it: the term in each slot,
+// Unbound where the row binds none.
+type Terms interface{ Term(slot int) rdf.Term }
+
+// Holds reports whether c is true of row, the one case in which FILTER
+// keeps the row. It is the one FILTER evaluator: the reference, the
+// sharded route and every engine call it.
+func Holds[R Terms](c *Cond, row R) bool { return eval(c, row) == isTrue }
+
+// truth is a FILTER value in the order false < error < true, so that
+// §17.2's truth tables are && as min, || as max and ! as isTrue - x.
+type truth uint8
+
+const (
+	isFalse truth = iota
+	isError
+	isTrue
+)
+
+func eval[R Terms](c *Cond, row R) truth {
+	switch c.op {
+	case "&&":
+		return min(eval(c.x, row), eval(c.y, row))
+	case "||":
+		return max(eval(c.x, row), eval(c.y, row))
+	case "!":
+		return isTrue - eval(c.x, row)
+	case "BOUND":
+		return truthOf(termOf(c.l, row) != Unbound)
+	}
+	return compare(c.op, termOf(c.l, row), termOf(c.r, row))
+}
+
+func termOf[R Terms](o operand, row R) rdf.Term {
+	if o.slot < 0 {
+		return o.term
+	}
+	return row.Term(o.slot)
+}
+
+func truthOf(b bool) truth {
+	if b {
+		return isTrue
+	}
+	return isFalse
+}
+
+// compare evaluates l op r by FilterExpr's subset of §17.3's operator
+// table.
+func compare(op string, l, r rdf.Term) truth {
+	lf, lnum := numericValue(l)
+	rf, rnum := numericValue(r)
+	c := 0 // l against r: -1, 0 or 1
+	switch {
+	case l == Unbound || r == Unbound:
+		return isError
+	case lnum && rnum && (math.IsNaN(lf) || math.IsNaN(rf)):
+		return truthOf(op == "!=")
+	case lnum && rnum:
+		c = cmp.Compare(lf, rf)
+	case isString(l) && isString(r):
+		c = strings.Compare(l.Value, r.Value)
+	case op != "=" && op != "!=": // nothing else is ordered
+		return isError
+	case l != r && l.IsLiteral() && r.IsLiteral(): // RDFterm-equal cannot tell
+		return isError
+	case l != r:
+		c = 1
+	}
+	switch op { // each operator, then its negation
+	case "=", "!=":
+		return truthOf((c == 0) == (op == "="))
+	case "<", ">=":
+		return truthOf((c < 0) == (op == "<"))
+	}
+	return truthOf((c > 0) == (op == ">"))
+}
+
+// isString reports whether t is a simple literal or an xsd:string.
+func isString(t rdf.Term) bool {
+	return t.IsLiteral() && t.Lang == "" && (t.Datatype == "" || t.Datatype == rdf.XSDString)
+}
+
+// CompareTerms is ORDER BY's total order (SPARQL 1.1 §15.1), not
+// FILTER's comparison: Unbound, then blank nodes, then IRIs, then
+// literals. Two numeric literals compare by value; any other two terms
+// of a kind by lexical form, then datatype, then language tag. Every
+// ORDER BY (Results.SortRows and the evaluator's), MIN and MAX, and the
+// assessment's tie check use it.
+func CompareTerms(a, b rdf.Term) int {
+	if ra, rb := kindRank[a.Kind], kindRank[b.Kind]; ra != rb {
+		return int(ra) - int(rb)
+	}
+	if af, aok := numericValue(a); aok {
+		if bf, bok := numericValue(b); bok {
+			return cmp.Compare(af, bf)
+		}
 	}
 	if c := strings.Compare(a.Value, b.Value); c != 0 {
 		return c
@@ -413,14 +487,24 @@ func CompareTerms(a, b rdf.Term) int {
 	return strings.Compare(a.Lang, b.Lang)
 }
 
-// numericValue extracts a float from a datatyped literal. Plain
-// (untyped) literals are simple strings and never numeric, matching
-// SPARQL's operator semantics. This sits under every FILTER
-// comparison and ORDER BY key, so it must not allocate: obviously
-// non-numeric lexical forms are rejected before strconv runs (the
-// error strconv would build is a heap allocation).
+// kindRank is ORDER BY's order of the kinds; Unbound ranks 0.
+var kindRank = [256]int8{rdf.Blank: 1, rdf.IRI: 2, rdf.Literal: 3}
+
+const xsd = "http://www.w3.org/2001/XMLSchema#"
+
+// numericValue extracts the value of a literal of an XSD numeric
+// datatype whose lexical form parses; no other term is numeric. This
+// sits under every FILTER comparison and ORDER BY key, so it must not
+// allocate: obviously non-numeric lexical forms are rejected before
+// strconv runs (the error strconv would build is a heap allocation).
 func numericValue(t rdf.Term) (float64, bool) {
-	if !t.IsLiteral() || t.Datatype == "" || t.Value == "" {
+	if !t.IsLiteral() || t.Value == "" || !strings.HasPrefix(t.Datatype, xsd) {
+		return 0, false
+	}
+	switch t.Datatype[len(xsd):] {
+	case "integer", "decimal", "double", "float", "int", "long", "short", "byte", "nonNegativeInteger",
+		"nonPositiveInteger", "negativeInteger", "positiveInteger", "unsignedLong", "unsignedInt", "unsignedShort", "unsignedByte":
+	default:
 		return 0, false
 	}
 	switch c := t.Value[0]; {

@@ -102,28 +102,38 @@ func TestShapeStrings(t *testing.T) {
 	}
 }
 
+// termRow is a FILTER row that holds its terms by slot.
+type termRow []rdf.Term
+
+func (r termRow) Term(slot int) rdf.Term { return r[slot] }
+
 func TestFilterComparisonUnboundVars(t *testing.T) {
-	c := Comparison{Op: "=", L: Operand{IsVar: true, Var: "x"}, R: Operand{IsVar: true, Var: "y"}}
-	// Unbound operands make the comparison an error => false.
-	if c.EvalFilter(Binding{}) {
-		t.Fatal("comparison over unbound variables must be false")
+	c := CompileFilter(Comparison{Op: "=", L: Operand{IsVar: true, Var: "x"}, R: Operand{IsVar: true, Var: "y"}},
+		map[Var]int{"x": 0, "y": 1})
+	a := rdf.NewIRI("http://a")
+	// Unbound operands make the comparison an error, which FILTER drops.
+	if Holds(c, termRow{Unbound, Unbound}) {
+		t.Fatal("comparison over unbound variables must not hold")
 	}
-	if c.EvalFilter(Binding{"x": rdf.NewIRI("http://a")}) {
-		t.Fatal("half-bound comparison must be false")
+	if Holds(c, termRow{a, Unbound}) {
+		t.Fatal("half-bound comparison must not hold")
 	}
-	if !c.EvalFilter(Binding{"x": rdf.NewIRI("http://a"), "y": rdf.NewIRI("http://a")}) {
+	// An error, unlike false, stays an error under !.
+	if Holds(&Cond{op: "!", x: c}, termRow{a, Unbound}) {
+		t.Fatal("negated half-bound comparison must not hold")
+	}
+	if !Holds(c, termRow{a, a}) {
 		t.Fatal("equal terms must compare true")
 	}
 }
 
 func TestComparisonAllOperators(t *testing.T) {
-	five := rdf.NewTypedLiteral("5", rdf.XSDInteger)
-	six := rdf.NewTypedLiteral("6", rdf.XSDInteger)
-	b := Binding{"x": five, "y": six}
+	row := termRow{rdf.NewTypedLiteral("5", rdf.XSDInteger), rdf.NewTypedLiteral("6", rdf.XSDInteger)}
 	cases := map[string]bool{"=": false, "!=": true, "<": true, "<=": true, ">": false, ">=": false}
 	for op, want := range cases {
-		c := Comparison{Op: op, L: Operand{IsVar: true, Var: "x"}, R: Operand{IsVar: true, Var: "y"}}
-		if got := c.EvalFilter(b); got != want {
+		c := CompileFilter(Comparison{Op: op, L: Operand{IsVar: true, Var: "x"}, R: Operand{IsVar: true, Var: "y"}},
+			map[Var]int{"x": 0, "y": 1})
+		if got := Holds(c, row); got != want {
 			t.Errorf("5 %s 6 = %v, want %v", op, got, want)
 		}
 	}

@@ -166,8 +166,9 @@ func (env *evalEnv) distinctRows(rows []slotRow) []slotRow {
 	return kept
 }
 
-// keySlot is one compiled ORDER BY key: the slot it reads (-1 for a
-// variable the query never binds) and its direction.
+// keySlot is one compiled ORDER BY key: the slot it reads and its
+// direction. A key on a variable the query never binds ties every pair
+// of rows, so it compiles to none.
 type keySlot struct {
 	slot int
 	asc  bool
@@ -178,39 +179,20 @@ func (env *evalEnv) compileOrderKeys(keys []OrderKey) []keySlot {
 	for _, k := range keys {
 		if s, ok := env.slots[k.Var]; ok {
 			ks = append(ks, keySlot{s, k.Asc})
-		} else {
-			ks = append(ks, keySlot{-1, k.Asc})
 		}
 	}
 	return ks
 }
 
 // compareRowsByKeys three-way-compares two rows under the ORDER BY
-// keys, with the same unbound-first/last semantics as Results.SortRows:
-// an unbound value sorts before every bound value ascending and after
-// every bound value descending.
+// keys, in CompareTerms' order: an unbound value sorts before every
+// bound value ascending and after every bound value descending.
 func (env *evalEnv) compareRowsByKeys(a, b slotRow, ks []keySlot) int {
 	for _, k := range ks {
-		var ta, tb rdf.TermID = unboundID, unboundID
-		if k.slot >= 0 {
-			ta, tb = a[k.slot], b[k.slot]
-		}
-		if ta == unboundID && tb == unboundID {
+		if a[k.slot] == b[k.slot] {
 			continue
 		}
-		if ta == unboundID {
-			if k.asc {
-				return -1
-			}
-			return 1
-		}
-		if tb == unboundID {
-			if k.asc {
-				return 1
-			}
-			return -1
-		}
-		c := CompareTerms(env.terms[ta], env.terms[tb])
+		c := CompareTerms(idRow{env, a}.Term(k.slot), idRow{env, b}.Term(k.slot))
 		if c == 0 {
 			continue
 		}
@@ -675,12 +657,8 @@ func (env *evalEnv) evalPattern(p GraphPattern) ([]slotRow, error) {
 		// Filter in place: every evalPattern result is freshly built and
 		// referenced only by its parent, so the surviving rows can be
 		// compacted into the same slice instead of growing a new one.
-		kept := rows[:0]
-		for _, row := range rows {
-			if env.evalFilter(n.Cond, row) {
-				kept = append(kept, row)
-			}
-		}
+		cond := CompileFilter(n.Cond, env.slots)
+		kept := slices.DeleteFunc(rows, func(row slotRow) bool { return !Holds(cond, idRow{env, row}) })
 		sp.SetInt("rows", int64(len(kept)))
 		env.endSpan(sp)
 		return kept, nil
@@ -1082,70 +1060,17 @@ func (env *evalEnv) hashJoin(left, right []slotRow, key []int, outer bool) []slo
 	return out
 }
 
-// evalFilter computes the effective boolean value of a FILTER over an
-// id-space row, decoding only the terms the expression touches. An
-// expression type the compiler does not know falls back to the
-// map-based FilterExpr API on a decoded row.
-func (env *evalEnv) evalFilter(e FilterExpr, row slotRow) bool {
-	switch n := e.(type) {
-	case Comparison:
-		l, ok := env.resolveOperand(n.L, row)
-		if !ok {
-			return false
-		}
-		r, ok := env.resolveOperand(n.R, row)
-		if !ok {
-			return false
-		}
-		return cmpSatisfies(n.Op, CompareTerms(l, r))
-	case LogicalAnd:
-		return env.evalFilter(n.L, row) && env.evalFilter(n.R, row)
-	case LogicalOr:
-		return env.evalFilter(n.L, row) || env.evalFilter(n.R, row)
-	case LogicalNot:
-		return !env.evalFilter(n.E, row)
-	case Bound:
-		slot, ok := env.slots[n.Var]
-		return ok && row[slot] != unboundID
-	default:
-		// Unknown expression types fall back to the map-based
-		// FilterExpr API. When the expression can enumerate the
-		// variables it touches, only those are decoded; otherwise the
-		// whole row is.
-		if vl, ok := e.(VarLister); ok {
-			return e.EvalFilter(env.decodeVars(row, vl.FilterVars()))
-		}
-		return e.EvalFilter(env.decodeRow(row))
-	}
+// idRow is an id-space row as FILTER and ORDER BY read it (Terms).
+type idRow struct {
+	env *evalEnv
+	row slotRow
 }
 
-// decodeVars materializes just the named variables of an id-space row
-// as a Binding, for filter expressions that declare what they touch.
-func (env *evalEnv) decodeVars(row slotRow, vars []Var) Binding {
-	b := make(Binding, len(vars))
-	for _, v := range vars {
-		if s, ok := env.slots[v]; ok {
-			if id := row[s]; id != unboundID {
-				b[v] = env.terms[id]
-			}
-		}
+func (r idRow) Term(slot int) rdf.Term {
+	if id := r.row[slot]; id != unboundID {
+		return r.env.terms[id]
 	}
-	return b
-}
-
-func (env *evalEnv) resolveOperand(o Operand, row slotRow) (rdf.Term, bool) {
-	if !o.IsVar {
-		return o.Term, true
-	}
-	slot, ok := env.slots[o.Var]
-	if !ok {
-		return rdf.Term{}, false
-	}
-	id := row[slot]
-	if id == unboundID {
-		return rdf.Term{}, false
-	}
-	return env.terms[id], true
+	return Unbound
 }
 
 // cElem is one compiled triple-pattern position: either a slot index

@@ -120,23 +120,15 @@ func (st *fpState) writeGraphPattern(p GraphPattern) {
 	}
 }
 
-func (st *fpState) writeOperand(o Operand) {
-	if o.IsVar {
-		st.writeVar(o.Var)
-		return
-	}
-	st.writeKind(o.Term)
-}
-
 func (st *fpState) writeFilterExpr(e FilterExpr) {
 	switch n := e.(type) {
 	case Comparison:
 		st.buf = append(st.buf, "cmp"...)
 		st.buf = append(st.buf, n.Op...)
 		st.buf = append(st.buf, '(')
-		st.writeOperand(n.L)
+		st.writeElem(n.L, false)
 		st.buf = append(st.buf, ',')
-		st.writeOperand(n.R)
+		st.writeElem(n.R, false)
 		st.buf = append(st.buf, ')')
 	case LogicalAnd:
 		st.buf = append(st.buf, "and("...)
@@ -157,10 +149,6 @@ func (st *fpState) writeFilterExpr(e FilterExpr) {
 	case Bound:
 		st.buf = append(st.buf, "bound("...)
 		st.writeVar(n.Var)
-		st.buf = append(st.buf, ')')
-	default:
-		st.buf = append(st.buf, "expr("...)
-		st.buf = append(st.buf, e.String()...)
 		st.buf = append(st.buf, ')')
 	}
 }

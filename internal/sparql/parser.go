@@ -741,7 +741,7 @@ func (p *parser) parseFilterUnary() (FilterExpr, error) {
 }
 
 func (p *parser) parseComparison() (FilterExpr, error) {
-	l, err := p.parseOperand()
+	l, err := p.parseElem(false)
 	if err != nil {
 		return nil, err
 	}
@@ -758,20 +758,9 @@ func (p *parser) parseComparison() (FilterExpr, error) {
 	if opText == "==" {
 		opText = "="
 	}
-	r, err := p.parseOperand()
+	r, err := p.parseElem(false)
 	if err != nil {
 		return nil, err
 	}
 	return Comparison{Op: opText, L: l, R: r}, nil
-}
-
-func (p *parser) parseOperand() (Operand, error) {
-	e, err := p.parseElem(false)
-	if err != nil {
-		return Operand{}, err
-	}
-	if e.IsVar {
-		return Operand{IsVar: true, Var: e.Var}, nil
-	}
-	return Operand{Term: e.Term}, nil
 }

@@ -12,6 +12,14 @@ import (
 // variables are unbound (possible under OPTIONAL).
 type Binding map[Var]rdf.Term
 
+// Term returns v's term in b, Unbound when b does not bind v.
+func (b Binding) Term(v Var) rdf.Term {
+	if t, ok := b[v]; ok {
+		return t
+	}
+	return Unbound
+}
+
 // Clone copies the binding.
 func (b Binding) Clone() Binding {
 	out := make(Binding, len(b))
@@ -210,30 +218,14 @@ func (r *Results) String() string {
 	return b.String()
 }
 
-// SortRows orders rows by the given keys (stable), used by engines to
-// apply ORDER BY uniformly.
+// SortRows orders rows by the given keys (stable) in CompareTerms'
+// order, used by engines to apply ORDER BY uniformly.
 func (r *Results) SortRows(keys []OrderKey) {
 	sort.SliceStable(r.Rows, func(i, j int) bool {
 		for _, k := range keys {
-			ti, iok := r.Rows[i][k.Var]
-			tj, jok := r.Rows[j][k.Var]
-			if !iok && !jok {
-				continue
+			if c := CompareTerms(r.Rows[i].Term(k.Var), r.Rows[j].Term(k.Var)); c != 0 {
+				return (c < 0) == k.Asc
 			}
-			if !iok {
-				return k.Asc
-			}
-			if !jok {
-				return !k.Asc
-			}
-			c := CompareTerms(ti, tj)
-			if c == 0 {
-				continue
-			}
-			if k.Asc {
-				return c < 0
-			}
-			return c > 0
 		}
 		return false
 	})
@@ -328,8 +320,8 @@ func aggregateRows(agg *Aggregate, rows []Binding) []Binding {
 		group Binding
 		count int
 		sum   float64
-		min   *rdf.Term
-		max   *rdf.Term
+		min   rdf.Term // Unbound until a value is seen
+		max   rdf.Term
 	}
 	groups := map[string]*acc{}
 	var order []string
@@ -349,7 +341,7 @@ func aggregateRows(agg *Aggregate, rows []Binding) []Binding {
 					gb[g] = t
 				}
 			}
-			a = &acc{group: gb}
+			a = &acc{group: gb, min: Unbound, max: Unbound}
 			groups[key] = a
 			order = append(order, key)
 		}
@@ -365,12 +357,11 @@ func aggregateRows(agg *Aggregate, rows []Binding) []Binding {
 		if f, ok := numericValue(t); ok {
 			a.sum += f
 		}
-		tc := t
-		if a.min == nil || CompareTerms(tc, *a.min) < 0 {
-			a.min = &tc
+		if a.min == Unbound || CompareTerms(t, a.min) < 0 {
+			a.min = t
 		}
-		if a.max == nil || CompareTerms(tc, *a.max) > 0 {
-			a.max = &tc
+		if CompareTerms(t, a.max) > 0 { // Unbound orders first
+			a.max = t
 		}
 	}
 	numLit := func(f float64) rdf.Term {
@@ -391,12 +382,12 @@ func aggregateRows(agg *Aggregate, rows []Binding) []Binding {
 				b[agg.As] = numLit(a.sum / float64(a.count))
 			}
 		case "MIN":
-			if a.min != nil {
-				b[agg.As] = *a.min
+			if a.min != Unbound {
+				b[agg.As] = a.min
 			}
 		case "MAX":
-			if a.max != nil {
-				b[agg.As] = *a.max
+			if a.max != Unbound {
+				b[agg.As] = a.max
 			}
 		}
 		out = append(out, b)

@@ -20,18 +20,17 @@ import (
 	"repro/internal/sparql"
 )
 
-// unbound fills the slots of a row its solution does not bind. Its kind
-// is none of rdf's, so no parser produces it; the zero Term could not
-// serve, because it is the IRI <>.
-var unbound = rdf.Term{Kind: ^rdf.TermKind(0)}
-
 // Bound reports whether t is a term, not unbound.
-func Bound(t rdf.Term) bool { return t.Kind != unbound.Kind }
+func Bound(t rdf.Term) bool { return t.Kind != sparql.Unbound.Kind }
 
 // Row is one solution: the term each slot of its query's Schema is
 // bound to, unbound where it is not. A row is not written once it is
 // built, so sequences and tasks share rows freely.
 type Row []rdf.Term
+
+// Term returns slot's term, sparql.Unbound where r binds none: a Row is
+// a sparql.Terms.
+func (r Row) Term(slot int) rdf.Term { return r[slot] }
 
 // Schema maps the variables of one query to row slots. The slots follow
 // sorted variable order, so the ascending slots of a variable set are
@@ -50,7 +49,7 @@ func NewSchema(p sparql.GraphPattern) *Schema {
 	s := &Schema{Vars: vars, slot: make(map[sparql.Var]int, len(vars)), empty: make(Row, len(vars))}
 	for i, v := range vars {
 		s.slot[v] = i
-		s.empty[i] = unbound
+		s.empty[i] = sparql.Unbound
 	}
 	return s
 }
@@ -76,17 +75,6 @@ func (s *Schema) Slot(v sparql.Var) int {
 // Row returns a row that binds nothing.
 func (s *Schema) Row() Row { return slices.Clone(s.empty) }
 
-// decode materializes the slots of r named by vars as a Binding.
-func decode(r Row, vars []sparql.Var, slots []int) sparql.Binding {
-	b := make(sparql.Binding, len(vars))
-	for i, slot := range slots {
-		if slot >= 0 && Bound(r[slot]) {
-			b[vars[i]] = r[slot]
-		}
-	}
-	return b
-}
-
 // Results decodes the answer rows, once, and applies q's solution
 // modifiers. A plain SELECT or ASK decodes only the variables it
 // projects, so Project keeps each Binding as it is; an aggregate or a
@@ -99,21 +87,21 @@ func (s *Schema) Results(q *sparql.Query, rows []Row) *sparql.Results {
 	slots := s.Slots(vars)
 	out := make([]sparql.Binding, len(rows))
 	for i, r := range rows {
-		out[i] = decode(r, vars, slots)
+		out[i] = make(sparql.Binding, len(vars))
+		for j, slot := range slots {
+			if slot >= 0 && Bound(r[slot]) {
+				out[i][vars[j]] = r[slot]
+			}
+		}
 	}
 	return sparql.ApplySolutionModifiers(q, out)
 }
 
-// Keep returns cond as a test on rows. Each row is decoded into a
-// Binding of the variables cond's VarLister names, or of every variable
-// when cond does not list them.
+// Keep returns cond as a test on rows: cond compiled to the schema's
+// slots once, then sparql.Holds on each row's slots, decoding nothing.
 func (s *Schema) Keep(cond sparql.FilterExpr) func(Row) bool {
-	vars := s.Vars
-	if vl, ok := cond.(sparql.VarLister); ok {
-		vars = vl.FilterVars()
-	}
-	slots := s.Slots(vars)
-	return func(r Row) bool { return cond.EvalFilter(decode(r, vars, slots)) }
+	c := sparql.CompileFilter(cond, s.slot)
+	return func(r Row) bool { return sparql.Holds(c, r) }
 }
 
 // Pattern is a triple pattern compiled against a schema: the slot each

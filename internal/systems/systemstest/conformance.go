@@ -165,7 +165,10 @@ func RandomDataset(seed int64) []rdf.Triple {
 // vocabulary: 2- and 3-pattern star, chain and snowflake BGPs, a
 // self-loop with an arm and, with bgpPlus, the same BGPs under
 // OPTIONAL (an arm that may leave its variable unbound, then FILTER on
-// BOUND, or a join on that variable after it), UNION and FILTER.
+// BOUND or on a comparison that is an error where it is unbound, or a
+// join on that variable after it), UNION and FILTER (IRIs compared
+// with = and !=, a data-property literal ordered against an integer or
+// a simple literal, which is an error for a literal of another kind).
 func RandomQueries(rng *rand.Rand, n int, bgpPlus bool) []string {
 	// link joins ?from to ?to along an object property; leaf hangs an
 	// arm of any kind off ?from: an object or data property to a fresh
@@ -204,7 +207,11 @@ func RandomQueries(rng *rand.Rand, n int, bgpPlus bool) []string {
 			func() string { return bgp() + "OPTIONAL { " + link("x", "o") + "} FILTER(!BOUND(?o)) " },
 			func() string { return bgp() + "OPTIONAL { " + link("x", "o") + "} " + link("o", "w") },
 			func() string { return "{ " + bgp() + "} UNION { " + bgp() + "} " },
-			func() string { return bgp() + fmt.Sprintf("FILTER(?x != %s && ?x < %s) ", node(), node()) },
+			func() string {
+				return bgp() + fmt.Sprintf("?x <%s%s> ?l . FILTER(?x != %s && ?l %s %s) ", randomNS,
+					dataPreds[rng.Intn(len(dataPreds))], node(), []string{"<", "<="}[rng.Intn(2)], []string{"7", `"v0"`}[rng.Intn(2)])
+			},
+			func() string { return bgp() + "OPTIONAL { " + link("x", "o") + "} FILTER(!(?o = " + node() + ")) " },
 			func() string { return bgp() + fmt.Sprintf("FILTER(?x = %s || ?x = %s) ", node(), node()) },
 		)
 	}
