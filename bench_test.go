@@ -14,6 +14,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -133,7 +134,9 @@ func BenchmarkAssessOperators(b *testing.B) {
 // Load, then every University query with a unique answer on every
 // engine through core.RunQuery, each answer verified. As there, only
 // the query part is timed: ms/cell is its wall time per cell run, and
-// B/op and allocs/op are per pass.
+// B/op and allocs/op are per pass. live-MB is the heap still in use
+// once the nine Loads are done, after a collection, outside the timed
+// part: what the loaded engines hold between queries.
 func BenchmarkAssessPass(b *testing.B) {
 	triples := workload.GenerateUniversity(workload.MediumUniversity())
 	ref := rdf.NewGraph(triples)
@@ -151,6 +154,7 @@ func BenchmarkAssessPass(b *testing.B) {
 	}
 	b.ReportAllocs()
 	cells := 0
+	var live uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		engines := systems.AllEngines(benchConf())
@@ -159,6 +163,7 @@ func BenchmarkAssessPass(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		live += liveHeap()
 		b.StartTimer()
 		for qi, nq := range queries {
 			for _, e := range engines {
@@ -174,6 +179,15 @@ func BenchmarkAssessPass(b *testing.B) {
 		}
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1000/float64(cells), "ms/cell")
+	b.ReportMetric(float64(live)/float64(b.N)/(1<<20), "live-MB")
+}
+
+// liveHeap returns the bytes of heap in use after a collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // --- Assess-B: join-strategy ablation of the hybrid study [21] ---

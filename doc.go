@@ -32,15 +32,30 @@
 //     buckets straight into groups with no merged intermediate. CI
 //     fails on a substrate function no engine, CLI, example or bench
 //     test enters.
-//     Every engine's one solution representation is solutions.Row: a
-//     query's variables get slots once per Execute (solutions.Schema,
-//     in sorted variable order), and a solution is one rdf.Term per
-//     slot, an unbound marker where it binds none — the engines' RDDs,
-//     GraphX messages and match tables all carry rows, and
-//     solutions.Merge is the one SPARQL merge. A row is decoded to a
-//     sparql.Binding once, for the answer (Schema.Results: a plain
-//     SELECT decodes only what it projects); a FILTER reads slots and
-//     decodes nothing. FILTER has one evaluator for the reference, the
+//     The engines of one assessment (systems.AllEngines) encode the
+//     dataset once: the first Load dedupes and encodes the slice it is
+//     handed into one solutions.Dataset — one rdf.Dictionary, the
+//     distinct rdf.EncodedTriples in first-occurrence order, their
+//     rdf.Stats and each term's N-Triples rendering (the encode-and-
+//     dedupe body is rdf.EncodeDistinct, the sharded boot's too) — and
+//     every other Load handed the same slice builds its layout from
+//     that (solutions.Source; an engine built alone encodes for
+//     itself). A GraphX vertex id is a TermID, and SparkRDF's indexes
+//     and SPARQLGX's vertical files are keyed by ids; S2RDF's and
+//     GraphFrames' DataFrame cells stay rendered terms, decoded through
+//     the dataset's one rendering table. The dictionary is read-only
+//     once loaded: a query's constants are looked up, and one the data
+//     does not hold matches nothing. Every engine's one solution
+//     representation is solutions.Row: a query's variables get slots
+//     once per Execute (solutions.Schema, in sorted variable order),
+//     and a solution is one rdf.TermID per slot, the reserved top id
+//     where it binds none, so a row holds no pointer — the engines'
+//     RDDs, GraphX messages and match tables all carry rows, and
+//     solutions.Merge is the one SPARQL merge, comparing ids. A row is
+//     decoded to a sparql.Binding once, for the answer (Schema.Results,
+//     through the dictionary: a plain SELECT decodes only what it
+//     projects); a FILTER reads slots through the dictionary's term
+//     table and decodes nothing. FILTER has one evaluator for the reference, the
 //     sharded route and every engine: sparql.CompileFilter resolves a
 //     condition's variables to slots once per query, and sparql.Holds
 //     evaluates it three-valued (true, false or error, SPARQL 1.1
@@ -48,8 +63,7 @@
 //     gives a slot's term, keeping the row only on true. ORDER BY is
 //     another order, sparql.CompareTerms (§15.1), which MIN, MAX and the
 //     assessment's tie check share.
-//     What an engine does with whole term-space solution sequences at
-//     the driver is not part of that path and belongs to no surveyed
+//     What an engine does with whole solution sequences at the driver is not part of that path and belongs to no surveyed
 //     design — the Group and OPTIONAL arms of the BGP+ walker HAQWA,
 //     S2RDF and S2X share (Schema.EvalPattern over each engine's own
 //     evalBGP, S2X passing its RDD filter), SPARQLGX's OPTIONAL
@@ -57,7 +71,7 @@
 //     GX-Subgraph's disconnected-pattern join — so it goes through one
 //     helper (internal/systems/solutions: Join, LeftJoin and the Table
 //     both are made of). The build side is indexed on one slot bound
-//     in every build row (rdf.Term is the map key; nothing is
+//     in every build row (the TermID is the map key; nothing is
 //     rendered), a probe row that binds it visits its bucket and one
 //     that does not (possible below OPTIONAL) scans, every candidate is
 //     merged with Merge, a build side under eight rows is scanned, and
@@ -65,10 +79,12 @@
 //     in slice order — which stays in the tree as the property test's
 //     reference. The metered joins (KeyBy + Join, Cartesian, broadcast)
 //     are each engine's own strategy and stay in its package, keyed by
-//     the one solutions.Key, whose bytes are the ones a Binding-keyed
-//     shuffle rendered: the helper moves no integer Activity counter
-//     (TestAssessActivityPinned holds every cell of the assessment; its
-//     ShuffleBytes moved once, when rows replaced bindings).
+//     the one Schema.Key, whose bytes are the ones a Binding-keyed
+//     shuffle rendered, copied from the dataset's renderings: the
+//     helper moves no integer Activity counter (TestAssessActivityPinned
+//     holds every cell of the assessment; its ShuffleBytes moved when
+//     rows replaced bindings, and again when ids replaced terms in
+//     rows).
 //
 //   - The reference evaluator (internal/sparql over internal/rdf).
 //     Queries are slot-compiled: a Var→slot table is built once per

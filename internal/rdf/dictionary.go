@@ -184,3 +184,35 @@ func (d *Dictionary) EncodeAll(ts []Triple) []EncodedTriple {
 	}
 	return out
 }
+
+// EncodeDistinct encodes the triples read hands over through a fresh
+// dictionary and drops repeats in the same pass: enc holds the distinct
+// triples in first-occurrence order, so a triple's position in the
+// dataset is its index in enc, and ids are numbered in the order terms
+// first appear (subject, predicate, object). The dedupe set is local to
+// the pass. More than limit distinct triples fail with a
+// *CapacityError, and so does a full dictionary; an error from read or
+// add stops the pass and is returned.
+func EncodeDistinct(read func(add func(Triple) error) error, limit int) (dict *Dictionary, enc []EncodedTriple, err error) {
+	dict = NewDictionary()
+	seen := make(map[EncodedTriple]struct{})
+	err = read(func(t Triple) error {
+		e, err := dict.TryEncodeTriple(t)
+		if err != nil {
+			return err
+		}
+		if _, dup := seen[e]; dup {
+			return nil
+		}
+		if len(enc) >= limit {
+			return &CapacityError{What: "triples", Limit: int64(limit)}
+		}
+		seen[e] = struct{}{}
+		enc = append(enc, e)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return dict, enc, nil
+}

@@ -129,6 +129,7 @@ const (
 	RDFSDomain        = "http://www.w3.org/2000/01/rdf-schema#domain"
 	RDFSRange         = "http://www.w3.org/2000/01/rdf-schema#range"
 	XSDInteger        = "http://www.w3.org/2001/XMLSchema#integer"
+	XSDDecimal        = "http://www.w3.org/2001/XMLSchema#decimal"
 	XSDString         = "http://www.w3.org/2001/XMLSchema#string"
 )
 

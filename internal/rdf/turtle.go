@@ -359,7 +359,7 @@ func (p *turtleParser) parseNumber() (Term, error) {
 		return Term{}, p.errf("bad number")
 	}
 	if sawDot {
-		return NewTypedLiteral(text, "http://www.w3.org/2001/XMLSchema#decimal"), nil
+		return NewTypedLiteral(text, XSDDecimal), nil
 	}
 	return NewTypedLiteral(text, XSDInteger), nil
 }

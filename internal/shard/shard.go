@@ -89,7 +89,7 @@ func Read(read func(add func(rdf.Triple) error) error, strat partition.Strategy,
 	if replicas < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 replica, got %d", replicas)
 	}
-	dict, enc, err := encodeDistinct(read)
+	dict, enc, err := rdf.EncodeDistinct(read, maxTriples)
 	if err != nil {
 		return nil, err
 	}
@@ -132,36 +132,6 @@ func each(triples []rdf.Triple) func(func(rdf.Triple) error) error {
 		}
 		return nil
 	}
-}
-
-// encodeDistinct encodes the triples read hands over through a fresh
-// dictionary and drops repeats in the same pass: enc holds the distinct
-// triples in first-occurrence order, so a triple's global position is
-// its index in enc. The dedupe set is local to the pass, so it is
-// garbage before buildPlaced allocates the first view.
-func encodeDistinct(read func(func(rdf.Triple) error) error) (*rdf.Dictionary, []rdf.EncodedTriple, error) {
-	dict := rdf.NewDictionary()
-	var enc []rdf.EncodedTriple
-	seen := make(map[rdf.EncodedTriple]struct{})
-	err := read(func(t rdf.Triple) error {
-		e, err := dict.TryEncodeTriple(t)
-		if err != nil {
-			return err
-		}
-		if _, dup := seen[e]; dup {
-			return nil
-		}
-		if len(enc) >= maxTriples {
-			return &rdf.CapacityError{What: "triples", Limit: int64(maxTriples)}
-		}
-		seen[e] = struct{}{}
-		enc = append(enc, e)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return dict, enc, nil
 }
 
 // buildPlaced is the build body behind Read: enc is the distinct

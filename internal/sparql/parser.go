@@ -82,10 +82,7 @@ func lex(text string) ([]token, error) {
 				i++
 			}
 		case c == '?' || c == '$':
-			j := i + 1
-			for j < n && (isNameChar(rune(text[j]))) {
-				j++
-			}
+			j := nameEnd(text, i+1, false)
 			if j == i+1 {
 				return nil, fmt.Errorf("sparql: empty variable name")
 			}
@@ -115,17 +112,23 @@ func lex(text string) ([]token, error) {
 			}
 			toks = append(toks, tok)
 		case unicode.IsDigit(c) || (c == '-' && i+1 < n && unicode.IsDigit(rune(text[i+1]))):
-			j := i + 1
-			for j < n && (unicode.IsDigit(rune(text[j])) || text[j] == '.') {
+			// §19.8 INTEGER and DECIMAL: a '.' joins a number only when a
+			// digit follows it ("25." is 25 ending a triple), and a number
+			// with one is an xsd:decimal.
+			j, dt := i+1, rdf.XSDInteger
+			for j < n && (unicode.IsDigit(rune(text[j])) ||
+				text[j] == '.' && dt == rdf.XSDInteger && j+1 < n && unicode.IsDigit(rune(text[j+1]))) {
+				if text[j] == '.' {
+					dt = rdf.XSDDecimal
+				}
 				j++
 			}
-			toks = append(toks, token{kind: "number", text: text[i:j]})
+			toks = append(toks, token{kind: "number", text: text[i:j], dt: dt})
 			i = j
-		case unicode.IsLetter(c) || c == '_':
-			j := i + 1
-			for j < n && (isNameChar(rune(text[j])) || text[j] == ':') {
-				j++
-			}
+		case unicode.IsLetter(c) || c == '_' || c == ':':
+			// A keyword, or a prefixed name; the empty prefix (":local")
+			// is one too.
+			j := nameEnd(text, i+1, true)
 			toks = append(toks, token{kind: "ident", text: text[i:j]})
 			i = j
 		case strings.ContainsRune("{}().,;*", c):
@@ -147,6 +150,21 @@ func lex(text string) ([]token, error) {
 
 func isNameChar(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
+}
+
+// nameEnd returns the end of the name whose characters start at i: a
+// variable's, or with colon set a keyword's or prefixed name's. A name
+// does not end in '.' (§19.8 PN_LOCAL), so a dot right after one ends
+// the triple.
+func nameEnd(text string, i int, colon bool) int {
+	j := i
+	for j < len(text) && (isNameChar(rune(text[j])) || colon && text[j] == ':') {
+		j++
+	}
+	for j > i && text[j-1] == '.' {
+		j--
+	}
+	return j
 }
 
 func unquote(s string) (string, string, error) {
@@ -656,7 +674,7 @@ func (p *parser) parseElem(predicate bool) (TPElem, error) {
 		}
 		return TermElem(rdf.NewLiteral(t.text)), nil
 	case "number":
-		return TermElem(rdf.NewTypedLiteral(t.text, rdf.XSDInteger)), nil
+		return TermElem(rdf.NewTypedLiteral(t.text, t.dt)), nil
 	case "ident":
 		if predicate && t.text == "a" {
 			return TermElem(rdf.NewIRI(rdf.RDFType)), nil

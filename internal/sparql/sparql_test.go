@@ -60,6 +60,50 @@ func TestParsePrefixes(t *testing.T) {
 	}
 }
 
+// The lexer's terminals as SPARQL 1.1 §19.8 writes them: the empty
+// prefix (PNAME_NS ":" and PNAME_LN ":local"), DECIMAL beside INTEGER,
+// and a '.' that ends a triple right after a number or a name (a number
+// takes a dot only before a digit; PN_LOCAL and VARNAME never end in
+// one). Each row's want is the BGP the text parses to.
+func TestLexTerminals(t *testing.T) {
+	dec := func(s string) rdf.Term { return rdf.NewTypedLiteral(s, rdf.XSDDecimal) }
+	pat := func(s, p, o TPElem) TriplePattern { return TriplePattern{S: s, P: p, O: o} }
+	x, y := VarElem("x"), VarElem("y")
+	for _, tc := range []struct {
+		text string
+		want []TriplePattern
+	}{
+		{`PREFIX : <http://ex.org/> SELECT ?x WHERE { ?x :knows :bob }`,
+			[]TriplePattern{pat(x, TermElem(iri("knows")), TermElem(iri("bob")))}},
+		{`PREFIX : <http://ex.org/> SELECT ?x WHERE { ?x :knows :bob. ?x :age ?y }`,
+			[]TriplePattern{pat(x, TermElem(iri("knows")), TermElem(iri("bob"))), pat(x, TermElem(iri("age")), y)}},
+		{`SELECT ?x WHERE { ?x <http://ex.org/age> 2.5 }`,
+			[]TriplePattern{pat(x, TermElem(iri("age")), TermElem(dec("2.5")))}},
+		{`SELECT ?x WHERE { ?x <http://ex.org/age> -0.25 }`,
+			[]TriplePattern{pat(x, TermElem(iri("age")), TermElem(dec("-0.25")))}},
+		{`SELECT ?x ?y WHERE { ?x <http://ex.org/age> 25. ?x <http://ex.org/name> ?y }`,
+			[]TriplePattern{pat(x, TermElem(iri("age")), TermElem(num("25"))), pat(x, TermElem(iri("name")), y)}},
+		{`SELECT ?x ?y WHERE { ?x <http://ex.org/age> 2.5. ?x <http://ex.org/name> ?y }`,
+			[]TriplePattern{pat(x, TermElem(iri("age")), TermElem(dec("2.5"))), pat(x, TermElem(iri("name")), y)}},
+		{`SELECT ?x ?y WHERE { ?x <http://ex.org/name> ?y. }`,
+			[]TriplePattern{pat(x, TermElem(iri("name")), y)}},
+	} {
+		q, err := Parse(tc.text)
+		if err != nil {
+			t.Errorf("%s: %v", tc.text, err)
+			continue
+		}
+		if bgp, ok := q.BGPOf(); !ok || !reflect.DeepEqual(bgp.Patterns, tc.want) {
+			t.Errorf("%s:\n got  %v\n want %v", tc.text, q.Where, tc.want)
+		}
+	}
+	// A decimal compares by value in a FILTER, as the integer it equals.
+	res, err := Evaluate(MustParse(`SELECT ?x WHERE { ?x <http://ex.org/age> ?a FILTER(?a > 30.5) }`), socialGraph())
+	if err != nil || res.Len() != 2 {
+		t.Fatalf("FILTER(?a > 30.5): %v rows, err %v; want ann and cid", res, err)
+	}
+}
+
 func TestParseAKeyword(t *testing.T) {
 	q, err := Parse(`SELECT ?x WHERE { ?x a <http://ex.org/Person> }`)
 	if err != nil {

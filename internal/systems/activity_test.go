@@ -22,8 +22,10 @@ import (
 //
 // ShuffleBytes is pinned too — the join keys the engines shuffle on are
 // sized into it, and so are the solution records: its column was
-// regenerated once, when those records turned from sparql.Binding maps
-// into solutions.Row slot rows, every other column byte-identical. GX-Subgraph's joined the table once its per-vertex
+// regenerated when those records turned from sparql.Binding maps into
+// solutions.Row slot rows, and once more when a slot turned from an
+// rdf.Term into a TermID, every other column byte-identical both
+// times. GX-Subgraph's joined the table once its per-vertex
 // tables were walked in vertex-id order (mtTable.all): spark's meter
 // sizes a shuffle from the three records at the head of its first
 // partition and the tail of its last, so a Go-map walk moved four of

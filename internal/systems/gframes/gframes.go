@@ -35,12 +35,13 @@ import (
 	"repro/internal/systems/solutions"
 )
 
-// Engine is the GraphFrames system.
+// Engine is the GraphFrames system. A node's id is its term's
+// rendering; an edge's rel is its predicate's IRI.
 type Engine struct {
+	solutions.Source
 	ctx   *spark.Context
+	data  *solutions.Dataset
 	graph *graphframes.GraphFrame
-	terms map[string]rdf.Term // rendered id -> term
-	freq  map[string]int      // predicate frequency
 }
 
 // New creates an unloaded engine on ctx.
@@ -65,24 +66,22 @@ func (e *Engine) Context() *spark.Context { return e.ctx }
 
 // Load splits the dataset into the nodelist and edgelist DataFrames.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	e.terms = map[string]rdf.Term{}
-	e.freq = map[string]int{}
-	var nodeRows, edgeRows []sparksql.Row
-	// node renders t; its first sighting adds it to terms and to the
-	// nodelist.
-	node := func(t rdf.Term) string {
-		s := t.String()
-		if _, ok := e.terms[s]; !ok {
-			e.terms[s] = t
-			nodeRows = append(nodeRows, sparksql.Row{s})
-		}
-		return s
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("gframes: %w", err)
 	}
-	for _, t := range triples {
-		s, o := node(t.S), node(t.O)
-		edgeRows = append(edgeRows, sparksql.Row{s, o, t.P.Value})
-		e.freq[t.P.Value]++
+	e.data = d
+	seen := map[rdf.TermID]bool{}
+	var nodeRows []sparksql.Row
+	edgeRows := make([]sparksql.Row, len(d.Triples))
+	for i, t := range d.Triples {
+		for _, id := range [2]rdf.TermID{t.S, t.O} {
+			if !seen[id] {
+				seen[id] = true
+				nodeRows = append(nodeRows, sparksql.Row{d.Rendered(id)})
+			}
+		}
+		edgeRows[i] = sparksql.Row{d.Rendered(t.S), d.Rendered(t.O), d.Term(t.P).Value}
 	}
 	nodes, err := sparksql.NewDataFrame(e.ctx, sparksql.Schema{"id"}, nodeRows)
 	if err != nil {
@@ -98,17 +97,11 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 
 // Execute implements core.Engine. Only BGP queries are supported.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("gframes: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("gframes", q, true)
+	if err != nil {
+		return nil, err
 	}
-	if e.graph == nil {
-		return nil, fmt.Errorf("gframes: no dataset loaded")
-	}
-	bgp, ok := q.BGPOf()
-	if !ok {
-		return nil, fmt.Errorf("gframes: only BGP queries are supported (fragment per Table II)")
-	}
-	s := solutions.NewSchema(q.Where)
+	bgp, _ := q.BGPOf()
 	rows, err := e.evalBGP(s, bgp)
 	if err != nil {
 		return nil, err
@@ -179,17 +172,17 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 				break
 			}
 			val, _ := row[i].(string)
-			term, known := e.terms[val]
+			id, known := e.data.Parse(val)
 			if !known {
 				// Predicate columns hold raw IRIs.
-				term = rdf.NewIRI(val)
+				id = e.data.ID(rdf.NewIRI(val))
 			}
 			slot := s.Slot(v)
-			if solutions.Bound(r[slot]) && r[slot] != term {
+			if solutions.Bound(r[slot]) && r[slot] != id {
 				ok = false
 				break
 			}
-			r[slot] = term
+			r[slot] = id
 		}
 		if ok {
 			out = append(out, r)
@@ -202,7 +195,7 @@ func (e *Engine) predFreq(tp sparql.TriplePattern) int {
 	if tp.P.IsVar {
 		return 1 << 30
 	}
-	return e.freq[tp.P.Term.Value]
+	return e.data.Stats.PredicateCounts[tp.P.Term.Value]
 }
 
 // buildMotif translates ordered patterns into a GraphFrames motif.

@@ -61,12 +61,14 @@ func (m *mtTable) all() []solutions.Row {
 	return out
 }
 
-// Engine is the GraphX subgraph-matching system.
+// Engine is the GraphX subgraph-matching system. A vertex id is the
+// TermID of the term labeling the vertex; an edge's label is its
+// predicate's id.
 type Engine struct {
+	solutions.Source
 	ctx   *spark.Context
-	graph *graphx.Graph[rdf.Term, string]
-	ids   map[rdf.Term]graphx.VertexID
-	terms map[graphx.VertexID]rdf.Term
+	data  *solutions.Dataset
+	graph *graphx.Graph[struct{}, rdf.TermID]
 }
 
 // New creates an unloaded engine on ctx.
@@ -89,44 +91,24 @@ func (e *Engine) Info() core.SystemInfo {
 // Context implements core.Engine.
 func (e *Engine) Context() *spark.Context { return e.ctx }
 
-// Load builds the labeled graph: vertex label = term, edge label =
-// predicate IRI.
+// Load builds the labeled graph: one vertex per distinct subject or
+// object, one edge per triple labeled with its predicate.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	e.ids = map[rdf.Term]graphx.VertexID{}
-	e.terms = map[graphx.VertexID]rdf.Term{}
-	var vertices []graphx.Vertex[rdf.Term]
-	idOf := func(t rdf.Term) graphx.VertexID {
-		if id, ok := e.ids[t]; ok {
-			return id
-		}
-		id := graphx.VertexID(len(e.ids) + 1)
-		e.ids[t] = id
-		e.terms[id] = t
-		vertices = append(vertices, graphx.Vertex[rdf.Term]{ID: id, Attr: t})
-		return id
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("gxsubgraph: %w", err)
 	}
-	var edges []graphx.Edge[string]
-	for _, t := range triples {
-		edges = append(edges, graphx.Edge[string]{Src: idOf(t.S), Dst: idOf(t.O), Attr: t.P.Value})
-	}
-	e.graph = graphx.New(e.ctx, vertices, edges)
+	e.data, e.graph = d, d.Graph(e.ctx)
 	return nil
 }
 
 // Execute implements core.Engine. Only BGP queries are supported.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("gxsubgraph: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("gxsubgraph", q, true)
+	if err != nil {
+		return nil, err
 	}
-	if e.graph == nil {
-		return nil, fmt.Errorf("gxsubgraph: no dataset loaded")
-	}
-	bgp, ok := q.BGPOf()
-	if !ok {
-		return nil, fmt.Errorf("gxsubgraph: only BGP queries are supported (fragment per Table II)")
-	}
-	s := solutions.NewSchema(q.Where)
+	bgp, _ := q.BGPOf()
 	return s.Results(q, e.evalBGP(s, bgp)), nil
 }
 
@@ -136,7 +118,8 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	}
 	var mt *mtTable
 	boundVars := map[sparql.Var]bool{}
-	for i, tp := range connectedOrder(bgp.Patterns) {
+	for i, j := range solutions.ConnectedOrder(bgp.Patterns) {
+		tp := bgp.Patterns[j]
 		matches := e.matchPattern(s, tp) // one aggregateMessages round
 		if i == 0 {
 			mt = matches
@@ -157,12 +140,9 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 func (e *Engine) matchPattern(s *solutions.Schema, tp sparql.TriplePattern) *mtTable {
 	pat := s.Pattern(tp)
 	msgs := graphx.AggregateMessages(e.graph,
-		func(c *graphx.EdgeContext[rdf.Term, string, []solutions.Row]) {
+		func(c *graphx.EdgeContext[struct{}, rdf.TermID, []solutions.Row]) {
 			t := c.Triplet
-			if !tp.P.IsVar && tp.P.Term.Value != t.Attr {
-				return
-			}
-			if r, ok := pat.Match(rdf.Triple{S: t.SrcAttr, P: rdf.NewIRI(t.Attr), O: t.DstAttr}); ok {
+			if r, ok := pat.Match(rdf.EncodedTriple{S: rdf.TermID(t.Src), P: t.Attr, O: rdf.TermID(t.Dst)}); ok {
 				c.SendToDst([]solutions.Row{r})
 			}
 		},
@@ -178,7 +158,7 @@ func (e *Engine) matchPattern(s *solutions.Schema, tp sparql.TriplePattern) *mtT
 		out := newMT(s.Slot(tp.S.Var))
 		for _, dst := range vertices(msgs) {
 			for _, r := range msgs[dst] {
-				vid := e.ids[r[out.loc]]
+				vid := graphx.VertexID(r[out.loc])
 				out.at[vid] = append(out.at[vid], r)
 			}
 		}
@@ -210,7 +190,7 @@ func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.Tri
 		out := newMT(matches.loc)
 		for _, m := range solutions.Join(mt.all(), matches.all()) {
 			if out.loc >= 0 {
-				vid := e.ids[m[out.loc]]
+				vid := graphx.VertexID(m[out.loc])
 				out.at[vid] = append(out.at[vid], m)
 			} else {
 				out.global = append(out.global, m)
@@ -219,11 +199,11 @@ func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.Tri
 		return out
 	}
 	if mt.loc != connect {
-		mt = e.relocate(mt, connect)
+		mt = e.relocate(s, mt, connect)
 	}
 	// Relocate matches to the connecting variable as well.
 	if matches.loc != connect {
-		matches = e.relocate(matches, connect)
+		matches = e.relocate(s, matches, connect)
 	}
 	// Vertex-local join: tables meet at the shared vertex (the
 	// joinVertices step of the paper). After the join the track
@@ -244,7 +224,7 @@ func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.Tri
 		for _, l := range mt.at[vid] {
 			for _, r := range rs {
 				if m, ok := solutions.Merge(l, r); ok {
-					tv := e.ids[m[next]]
+					tv := graphx.VertexID(m[next])
 					out.at[tv] = append(out.at[tv], m)
 				}
 			}
@@ -256,9 +236,9 @@ func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.Tri
 // relocate moves an MT table to be keyed by a different bound slot. On
 // a cluster the rows travel to their new home vertices, so the move is
 // metered as a shuffle of the table.
-func (e *Engine) relocate(mt *mtTable, to int) *mtTable {
+func (e *Engine) relocate(s *solutions.Schema, mt *mtTable, to int) *mtTable {
 	rows := mt.all()
-	keyed := solutions.KeyBy(spark.Parallelize(e.ctx, rows), []int{to})
+	keyed := s.KeyBy(spark.Parallelize(e.ctx, rows), []int{to})
 	_ = spark.PartitionBy(keyed, spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
 	out := newMT(to)
 	for _, r := range rows {
@@ -266,52 +246,8 @@ func (e *Engine) relocate(mt *mtTable, to int) *mtTable {
 			out.global = append(out.global, r)
 			continue
 		}
-		vid := e.ids[r[to]]
+		vid := graphx.VertexID(r[to])
 		out.at[vid] = append(out.at[vid], r)
-	}
-	return out
-}
-
-// connectedOrder reorders patterns so each one (after the first)
-// shares a variable with those before it when possible.
-func connectedOrder(tps []sparql.TriplePattern) []sparql.TriplePattern {
-	n := len(tps)
-	out := make([]sparql.TriplePattern, 0, n)
-	used := make([]bool, n)
-	vars := map[sparql.Var]bool{}
-	for len(out) < n {
-		pick := -1
-		for i, tp := range tps {
-			if used[i] {
-				continue
-			}
-			if len(out) == 0 {
-				pick = i
-				break
-			}
-			for _, v := range tp.Vars() {
-				if vars[v] {
-					pick = i
-					break
-				}
-			}
-			if pick >= 0 {
-				break
-			}
-		}
-		if pick < 0 {
-			for i := range tps {
-				if !used[i] {
-					pick = i
-					break
-				}
-			}
-		}
-		used[pick] = true
-		out = append(out, tps[pick])
-		for _, v := range tps[pick].Vars() {
-			vars[v] = true
-		}
 	}
 	return out
 }

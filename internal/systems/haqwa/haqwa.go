@@ -31,11 +31,13 @@ import (
 
 // Engine is the HAQWA system.
 type Engine struct {
+	solutions.Source
 	ctx  *spark.Context
-	dict *rdf.Dictionary
+	data *solutions.Dataset
 	// parts is the subject-hash-partitioned dataset (metered load).
 	parts *spark.RDD[rdf.EncodedTriple]
-	// native[i] indexes the triples whose subject hashes to partition i.
+	// native[i] indexes the triples whose subject hashes to partition i,
+	// through the dataset's dictionary.
 	native []*rdf.Graph
 	// full[i] additionally contains replicated triples allocated to i.
 	full []*rdf.Graph
@@ -68,47 +70,40 @@ func (e *Engine) Info() core.SystemInfo {
 // Context implements core.Engine.
 func (e *Engine) Context() *spark.Context { return e.ctx }
 
-// Load encodes the dataset and hash-partitions it on the subject.
+// Load hash-partitions the encoded dataset on the subject. Its ids are
+// the dataset's, so each partition's graph encodes through the
+// dataset's dictionary and its solutions are rows as they come.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	e.dict = rdf.NewDictionary()
-	encoded := e.dict.EncodeAll(triples)
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("haqwa: %w", err)
+	}
+	e.data = d
 	e.numParts = e.ctx.DefaultParallelism()
 
-	keyed := spark.KeyBy(spark.Parallelize(e.ctx, encoded), func(t rdf.EncodedTriple) rdf.TermID { return t.S })
+	keyed := spark.KeyBy(spark.Parallelize(e.ctx, d.Triples), func(t rdf.EncodedTriple) rdf.TermID { return t.S })
 	placed := spark.PartitionBy(keyed, spark.NewHashPartitioner[rdf.TermID](e.numParts))
 	e.parts = spark.Values(placed)
 
 	e.native = make([]*rdf.Graph, e.numParts)
 	e.full = make([]*rdf.Graph, e.numParts)
 	for i := 0; i < e.numParts; i++ {
-		g := rdf.NewGraph(nil)
-		for _, enc := range e.parts.Partition(i) {
-			t, err := e.dict.DecodeTriple(enc)
-			if err != nil {
-				return fmt.Errorf("haqwa: %w", err)
-			}
-			g.Add(t)
-		}
-		e.native[i] = g
 		// full starts as a copy of native; Allocate adds replicas.
-		fg := rdf.NewGraph(nil)
-		for _, t := range g.Triples() {
-			fg.Add(t)
+		e.native[i] = rdf.NewGraphWithDictionary(nil, d.Dict)
+		e.full[i] = rdf.NewGraphWithDictionary(nil, d.Dict)
+		for _, enc := range e.parts.Partition(i) {
+			t := rdf.Triple{S: d.Term(enc.S), P: d.Term(enc.P), O: d.Term(enc.O)}
+			e.native[i].Add(t)
+			e.full[i].Add(t)
 		}
-		e.full[i] = fg
 	}
 	e.coveredLinks = map[string]bool{}
 	return nil
 }
 
 // subjectPartition returns the partition the subject's hash assigns.
-func (e *Engine) subjectPartition(s rdf.Term) int {
-	id, ok := e.dict.Lookup(s)
-	if !ok {
-		return 0
-	}
-	return spark.NewHashPartitioner[rdf.TermID](e.numParts).Partition(id)
+func (e *Engine) subjectPartition(s rdf.TermID) int {
+	return spark.NewHashPartitioner[rdf.TermID](e.numParts).Partition(s)
 }
 
 // Allocate performs the second fragmentation step for a query
@@ -125,7 +120,7 @@ func (e *Engine) Allocate(workloadQueries []*sparql.Query) {
 		if !ok {
 			continue
 		}
-		groups := groupBySubject(bgp.Patterns)
+		groups := solutions.Stars(bgp.Patterns)
 		for _, ga := range groups {
 			for _, tp := range ga {
 				if !tp.O.IsVar || tp.P.IsVar {
@@ -152,7 +147,7 @@ func (e *Engine) Allocate(workloadQueries []*sparql.Query) {
 			if !linkPreds[lt.P.Value] {
 				continue
 			}
-			targetPart := e.subjectPartition(lt.O)
+			targetPart := e.subjectPartition(e.data.ID(lt.O))
 			for _, rt := range e.native[targetPart].Triples() {
 				if rt.S == lt.O && !e.full[i].Has(rt) {
 					e.full[i].Add(rt)
@@ -171,13 +166,10 @@ func (e *Engine) Allocate(workloadQueries []*sparql.Query) {
 
 // Execute implements core.Engine.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("haqwa: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("haqwa", q, false)
+	if err != nil {
+		return nil, err
 	}
-	if e.parts == nil {
-		return nil, fmt.Errorf("haqwa: no dataset loaded")
-	}
-	s := solutions.NewSchema(q.Where)
 	rows, err := s.EvalPattern(q.Where, "haqwa", e.evalBGP, nil)
 	if err != nil {
 		return nil, err
@@ -196,9 +188,9 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 	if len(bgp.Patterns) == 0 {
 		return []solutions.Row{s.Row()}, nil
 	}
-	groups := groupBySubject(bgp.Patterns)
+	groups := solutions.Stars(bgp.Patterns)
 	if len(groups) == 1 {
-		return e.evalLocal(s, sparql.BGP{Patterns: bgp.Patterns}, true, seedOf(groups[0])), nil
+		return e.evalLocal(s, sparql.BGP{Patterns: bgp.Patterns}, true, groups[0][0].S), nil
 	}
 	if seed, ok := e.coveredSeed(groups); ok {
 		return e.evalLocal(s, bgp, false, seed), nil
@@ -207,8 +199,8 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 	var cur *spark.RDD[solutions.Row]
 	var curVars map[sparql.Var]bool
 	for _, g := range groups {
-		next := spark.Parallelize(e.ctx, e.evalLocal(s, sparql.BGP{Patterns: g}, true, seedOf(g)))
-		gv := varsOfPatterns(g)
+		next := spark.Parallelize(e.ctx, e.evalLocal(s, sparql.BGP{Patterns: g}, true, g[0].S))
+		gv := solutions.PatternVars(g)
 		if cur == nil {
 			cur, curVars = next, gv
 			continue
@@ -218,7 +210,7 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 			cur = solutions.MergeCross(spark.Cartesian(cur, next))
 		} else {
 			slots := s.Slots(shared)
-			cur = solutions.MergeJoined(spark.Join(solutions.KeyBy(cur, slots), solutions.KeyBy(next, slots)))
+			cur = solutions.MergeJoined(spark.Join(s.KeyBy(cur, slots), s.KeyBy(next, slots)))
 		}
 		for v := range gv {
 			curVars[v] = true
@@ -232,7 +224,8 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 // used (stars are complete there); otherwise the replicated fragment is
 // used and results are anchored: a solution counts only on the
 // partition that natively owns its seed subject. Each partition's
-// solutions fill rows straight from the evaluator's id-space answer.
+// solutions fill rows straight from the evaluator's id-space answer,
+// whose ids are the dataset's.
 func (e *Engine) evalLocal(s *solutions.Schema, bgp sparql.BGP, nativeOnly bool, seed sparql.TPElem) []solutions.Row {
 	idx := make([]int, e.numParts)
 	for i := range idx {
@@ -255,13 +248,13 @@ func (e *Engine) evalLocal(s *solutions.Schema, bgp sparql.BGP, nativeOnly bool,
 		}
 		slots := s.Slots(sols.Vars())
 		anchor := slices.Index(sols.Vars(), seed.Var)
+		subj := e.data.ID(seed.Term)
 		var out []solutions.Row
 		for row := 0; row < sols.Len(); row++ {
 			if !nativeOnly {
 				// Anchor at the seed subject's home partition.
-				subj := seed.Term
 				if seed.IsVar {
-					subj, _ = sols.Term(row, anchor)
+					subj, _ = sols.TermID(row, anchor)
 				}
 				if e.subjectPartition(subj) != i {
 					continue
@@ -269,8 +262,8 @@ func (e *Engine) evalLocal(s *solutions.Schema, bgp sparql.BGP, nativeOnly bool,
 			}
 			r := s.Row()
 			for col, slot := range slots {
-				if t, ok := sols.Term(row, col); ok {
-					r[slot] = t
+				if id, ok := sols.TermID(row, col); ok {
+					r[slot] = id
 				}
 			}
 			out = append(out, r)
@@ -312,43 +305,6 @@ func (e *Engine) coveredSeed(groups [][]sparql.TriplePattern) (sparql.TPElem, bo
 	return sparql.TPElem{}, false
 }
 
-// groupBySubject partitions triple patterns into star groups sharing a
-// subject element, preserving first-occurrence order.
-func groupBySubject(tps []sparql.TriplePattern) [][]sparql.TriplePattern {
-	keyOf := func(el sparql.TPElem) string {
-		if el.IsVar {
-			return "?" + string(el.Var)
-		}
-		return el.Term.String()
-	}
-	byKey := map[string][]sparql.TriplePattern{}
-	var order []string
-	for _, tp := range tps {
-		k := keyOf(tp.S)
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], tp)
-	}
-	out := make([][]sparql.TriplePattern, 0, len(order))
-	for _, k := range order {
-		out = append(out, byKey[k])
-	}
-	return out
-}
-
 func sameGroup(a, b []sparql.TriplePattern) bool {
 	return len(a) > 0 && len(b) > 0 && a[0] == b[0] && len(a) == len(b)
-}
-
-func seedOf(g []sparql.TriplePattern) sparql.TPElem { return g[0].S }
-
-func varsOfPatterns(tps []sparql.TriplePattern) map[sparql.Var]bool {
-	out := map[sparql.Var]bool{}
-	for _, tp := range tps {
-		for _, v := range tp.Vars() {
-			out[v] = true
-		}
-	}
-	return out
 }

@@ -154,8 +154,8 @@ func TestDictionaryEncodingApplied(t *testing.T) {
 	}
 	stats := rdf.ComputeStats(rdf.Dedupe(triples))
 	// Dictionary must assign ids to every distinct term.
-	if e.dict.Len() < stats.DistinctSubjects {
-		t.Fatalf("dictionary too small: %d", e.dict.Len())
+	if e.data.Dict.Len() < stats.DistinctSubjects {
+		t.Fatalf("dictionary too small: %d", e.data.Dict.Len())
 	}
 }
 

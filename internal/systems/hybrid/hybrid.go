@@ -22,6 +22,8 @@ package hybrid
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -57,13 +59,14 @@ func (s Strategy) String() string {
 
 // Engine is the hybrid-study system.
 type Engine struct {
+	solutions.Source
 	ctx *spark.Context
 	// Mode selects the join strategy; the zero value is the hybrid
 	// planner.
 	Mode Strategy
-	// data is keyed and hash-partitioned by subject rendering.
-	data  *spark.RDD[spark.Pair[string, rdf.Triple]]
-	stats rdf.Stats
+	// parts is keyed and hash-partitioned by subject rendering.
+	parts *spark.RDD[spark.Pair[string, rdf.EncodedTriple]]
+	data  *solutions.Dataset
 }
 
 // New creates an unloaded engine on ctx (hybrid mode).
@@ -94,27 +97,24 @@ func (e *Engine) Context() *spark.Context { return e.ctx }
 
 // Load hash-partitions the dataset on the subject value.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	keyed := spark.KeyBy(spark.Parallelize(e.ctx, triples), func(t rdf.Triple) string { return t.S.String() })
-	e.data = spark.PartitionBy(keyed, spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
-	e.stats = rdf.ComputeStats(triples)
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("hybrid: %w", err)
+	}
+	keyed := spark.KeyBy(spark.Parallelize(e.ctx, d.Triples), func(t rdf.EncodedTriple) string { return d.Rendered(t.S) })
+	e.parts = spark.PartitionBy(keyed, spark.NewHashPartitioner[string](e.ctx.DefaultParallelism()))
+	e.data = d
 	return nil
 }
 
 // Execute implements core.Engine. Only BGP queries are supported,
 // matching the study's scope.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("hybrid: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("hybrid", q, true)
+	if err != nil {
+		return nil, err
 	}
-	if e.data == nil {
-		return nil, fmt.Errorf("hybrid: no dataset loaded")
-	}
-	bgp, ok := q.BGPOf()
-	if !ok {
-		return nil, fmt.Errorf("hybrid: only BGP queries are supported (fragment per Table II)")
-	}
-	s := solutions.NewSchema(q.Where)
+	bgp, _ := q.BGPOf()
 	var rows []solutions.Row
 	switch e.Mode {
 	case StrategySparkSQL:
@@ -134,9 +134,9 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 // joins can run without a shuffle. Every scan reads the full dataset
 // (there is no predicate index in this system).
 func (e *Engine) scan(s *solutions.Schema, tp sparql.TriplePattern) *spark.RDD[spark.Pair[string, solutions.Row]] {
-	e.ctx.AddRead(e.stats.Triples)
+	e.ctx.AddRead(e.data.Stats.Triples)
 	pat := s.Pattern(tp)
-	return spark.MapValues(e.data.Filter(func(p spark.Pair[string, rdf.Triple]) bool {
+	return spark.MapValues(e.parts.Filter(func(p spark.Pair[string, rdf.EncodedTriple]) bool {
 		return pat.Matches(p.Value)
 	}), pat.Bind)
 }
@@ -144,17 +144,18 @@ func (e *Engine) scan(s *solutions.Schema, tp sparql.TriplePattern) *spark.RDD[s
 // estimate returns the expected match count of a pattern from the
 // per-predicate statistics.
 func (e *Engine) estimate(tp sparql.TriplePattern) int {
+	stats := &e.data.Stats
 	var card int
 	if !tp.P.IsVar {
-		card = e.stats.PredicateCounts[tp.P.Term.Value]
+		card = stats.PredicateCounts[tp.P.Term.Value]
 	} else {
-		card = e.stats.Triples
+		card = stats.Triples
 	}
-	if !tp.S.IsVar && e.stats.DistinctSubjects > 0 {
-		card = card/e.stats.DistinctSubjects + 1
+	if !tp.S.IsVar && stats.DistinctSubjects > 0 {
+		card = card/stats.DistinctSubjects + 1
 	}
-	if !tp.O.IsVar && e.stats.DistinctObjects > 0 {
-		card = card/e.stats.DistinctObjects + 1
+	if !tp.O.IsVar && stats.DistinctObjects > 0 {
+		card = card/stats.DistinctObjects + 1
 	}
 	return card
 }
@@ -179,7 +180,7 @@ func (e *Engine) evalCartesian(s *solutions.Schema, bgp sparql.BGP) []solutions.
 
 func (e *Engine) evalPartitionedOrder(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	return e.evalSequence(s, bgp.Patterns, func(left, right *spark.RDD[solutions.Row], shared []int, _, _ int) *spark.RDD[solutions.Row] {
-		return joinPartitioned(left, right, shared)
+		return joinPartitioned(s, left, right, shared)
 	})
 }
 
@@ -189,9 +190,9 @@ func (e *Engine) evalSizeBased(s *solutions.Schema, bgp sparql.BGP) []solutions.
 	threshold := e.ctx.Conf().BroadcastThreshold
 	return e.evalSequence(s, bgp.Patterns, func(left, right *spark.RDD[solutions.Row], shared []int, leftEst, rightEst int) *spark.RDD[solutions.Row] {
 		if rightEst < threshold || leftEst < threshold {
-			return joinBroadcast(left, right, shared, leftEst, rightEst)
+			return joinBroadcast(s, left, right, shared, leftEst, rightEst)
 		}
-		return joinPartitioned(left, right, shared)
+		return joinPartitioned(s, left, right, shared)
 	})
 }
 
@@ -227,7 +228,7 @@ func (e *Engine) evalHybrid(s *solutions.Schema, bgp sparql.BGP) []solutions.Row
 	if len(bgp.Patterns) == 0 {
 		return []solutions.Row{s.Row()}
 	}
-	groups := groupBySubject(bgp.Patterns)
+	groups := solutions.Stars(bgp.Patterns)
 	type evaluatedGroup struct {
 		rdd  *spark.RDD[solutions.Row]
 		vars map[sparql.Var]bool
@@ -254,7 +255,7 @@ func (e *Engine) evalHybrid(s *solutions.Schema, bgp sparql.BGP) []solutions.Row
 				est = te
 			}
 		}
-		evaluated[i] = evaluatedGroup{rdd: spark.Values(cur), vars: solutions.VarSet(varsOfGroup(g)), est: est}
+		evaluated[i] = evaluatedGroup{rdd: spark.Values(cur), vars: solutions.PatternVars(g), est: est}
 	}
 	// Greedy: start from the smallest group; repeatedly join the
 	// smallest connected group, broadcast when cheap.
@@ -265,7 +266,7 @@ func (e *Engine) evalHybrid(s *solutions.Schema, bgp sparql.BGP) []solutions.Row
 	for len(rest) > 0 {
 		pick := -1
 		for i, cand := range rest {
-			if len(sharedVarsMap(cur.vars, cand.vars)) == 0 {
+			if len(solutions.SharedVars(cur.vars, slices.Collect(maps.Keys(cand.vars)))) == 0 {
 				continue
 			}
 			if pick < 0 || cand.est < rest[pick].est {
@@ -277,23 +278,18 @@ func (e *Engine) evalHybrid(s *solutions.Schema, bgp sparql.BGP) []solutions.Row
 		}
 		next := rest[pick]
 		rest = append(rest[:pick], rest[pick+1:]...)
-		shared := s.Slots(sharedVarsMap(cur.vars, next.vars))
+		shared := s.Slots(solutions.SharedVars(cur.vars, slices.Collect(maps.Keys(next.vars))))
 		var joined *spark.RDD[solutions.Row]
 		switch {
 		case len(shared) == 0:
 			joined = solutions.MergeCross(spark.Cartesian(cur.rdd, next.rdd))
 		case next.est < threshold || cur.est < threshold:
-			joined = joinBroadcast(cur.rdd, next.rdd, shared, cur.est, next.est)
+			joined = joinBroadcast(s, cur.rdd, next.rdd, shared, cur.est, next.est)
 		default:
-			joined = joinPartitioned(cur.rdd, next.rdd, shared)
+			joined = joinPartitioned(s, cur.rdd, next.rdd, shared)
 		}
-		merged := map[sparql.Var]bool{}
-		for v := range cur.vars {
-			merged[v] = true
-		}
-		for v := range next.vars {
-			merged[v] = true
-		}
+		merged := maps.Clone(cur.vars)
+		maps.Copy(merged, next.vars)
 		est := cur.est
 		if next.est < est {
 			est = next.est
@@ -305,15 +301,15 @@ func (e *Engine) evalHybrid(s *solutions.Schema, bgp sparql.BGP) []solutions.Row
 
 // --- shared join helpers ---
 
-func joinPartitioned(left, right *spark.RDD[solutions.Row], shared []int) *spark.RDD[solutions.Row] {
+func joinPartitioned(s *solutions.Schema, left, right *spark.RDD[solutions.Row], shared []int) *spark.RDD[solutions.Row] {
 	if len(shared) == 0 {
 		return solutions.MergeCross(spark.Cartesian(left, right))
 	}
-	return solutions.MergeJoined(spark.Join(solutions.KeyBy(left, shared), solutions.KeyBy(right, shared)))
+	return solutions.MergeJoined(spark.Join(s.KeyBy(left, shared), s.KeyBy(right, shared)))
 }
 
-func joinBroadcast(left, right *spark.RDD[solutions.Row], shared []int, leftEst, rightEst int) *spark.RDD[solutions.Row] {
-	ka, kb := solutions.KeyBy(left, shared), solutions.KeyBy(right, shared)
+func joinBroadcast(s *solutions.Schema, left, right *spark.RDD[solutions.Row], shared []int, leftEst, rightEst int) *spark.RDD[solutions.Row] {
+	ka, kb := s.KeyBy(left, shared), s.KeyBy(right, shared)
 	var joined *spark.RDD[spark.Pair[string, spark.Tuple2[solutions.Row, solutions.Row]]]
 	if rightEst <= leftEst {
 		joined = spark.BroadcastJoin(ka, kb)
@@ -324,52 +320,4 @@ func joinBroadcast(left, right *spark.RDD[solutions.Row], shared []int, leftEst,
 		})
 	}
 	return solutions.MergeJoined(joined)
-}
-
-func groupBySubject(tps []sparql.TriplePattern) [][]sparql.TriplePattern {
-	keyOf := func(el sparql.TPElem) string {
-		if el.IsVar {
-			return "?" + string(el.Var)
-		}
-		return el.Term.String()
-	}
-	byKey := map[string][]sparql.TriplePattern{}
-	var order []string
-	for _, tp := range tps {
-		k := keyOf(tp.S)
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], tp)
-	}
-	out := make([][]sparql.TriplePattern, 0, len(order))
-	for _, k := range order {
-		out = append(out, byKey[k])
-	}
-	return out
-}
-
-func varsOfGroup(g []sparql.TriplePattern) []sparql.Var {
-	var out []sparql.Var
-	seen := map[sparql.Var]bool{}
-	for _, tp := range g {
-		for _, v := range tp.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-func sharedVarsMap(a, b map[sparql.Var]bool) []sparql.Var {
-	var out []sparql.Var
-	for v := range a {
-		if b[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

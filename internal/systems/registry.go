@@ -12,6 +12,7 @@ import (
 	"repro/internal/systems/hybrid"
 	"repro/internal/systems/s2rdf"
 	"repro/internal/systems/s2x"
+	"repro/internal/systems/solutions"
 	"repro/internal/systems/sparkql"
 	"repro/internal/systems/sparkrdf"
 	"repro/internal/systems/sparqlgx"
@@ -28,9 +29,11 @@ func NewRegistry(conf spark.Config) *core.Registry {
 	return r
 }
 
-// AllEngines instantiates one engine per surveyed system.
+// AllEngines instantiates one engine per surveyed system. The nine
+// share one loader: handed one slice, they build their layouts from one
+// encoding of it (solutions.Source).
 func AllEngines(conf spark.Config) []core.Engine {
-	return []core.Engine{
+	engines := []core.Engine{
 		haqwa.New(spark.NewContext(conf)),      // IV.A.1 RDD
 		sparqlgx.New(spark.NewContext(conf)),   // IV.A.1 RDD
 		s2rdf.New(spark.NewContext(conf)),      // IV.A.2 Spark SQL
@@ -41,4 +44,6 @@ func AllEngines(conf spark.Config) []core.Engine {
 		gframes.New(spark.NewContext(conf)),    // IV.B.2 GraphFrames
 		sparkrdf.New(spark.NewContext(conf)),   // IV.B.3 hybrid graph
 	}
+	solutions.Share(engines)
+	return engines
 }

@@ -51,6 +51,7 @@ type extVPTable struct {
 
 // Engine is the S2RDF system.
 type Engine struct {
+	solutions.Source
 	ctx     *spark.Context
 	session *sparksql.Session
 	// SFThreshold is the selectivity-factor cut-off for materializing
@@ -60,7 +61,7 @@ type Engine struct {
 	vpTables map[string]string // predicate IRI -> VP table name
 	vpSizes  map[string]int
 	extvp    map[string]extVPTable // "kind|p1|p2" -> table
-	terms    map[string]rdf.Term   // rendered value -> term
+	data     *solutions.Dataset    // cells are its terms' renderings
 	preds    []string
 	// StorageRows counts all materialized rows (VP + ExtVP), for the
 	// storage-overhead experiment.
@@ -93,18 +94,13 @@ func (e *Engine) Context() *spark.Context { return e.ctx }
 // Session exposes the SQL session (used by the examples to EXPLAIN).
 func (e *Engine) Session() *sparksql.Session { return e.session }
 
-// render encodes a term for a DataFrame cell and records the reverse
-// mapping.
-func (e *Engine) render(t rdf.Term) string {
-	s := t.String()
-	e.terms[s] = t
-	return s
-}
-
 // Load builds the VP tables and materializes the ExtVP tables under
 // the selectivity threshold.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("s2rdf: %w", err)
+	}
 	threshold := e.SFThreshold
 	if threshold <= 0 {
 		threshold = DefaultSelectivityThreshold
@@ -112,13 +108,14 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 	e.vpTables = map[string]string{}
 	e.vpSizes = map[string]int{}
 	e.extvp = map[string]extVPTable{}
-	e.terms = map[string]rdf.Term{}
+	e.data = d
 	e.StorageRows = 0
-	e.baseRows = len(triples)
+	e.baseRows = len(d.Triples)
 
-	byPred := map[string][][2]string{}
-	for _, t := range triples {
-		byPred[t.P.Value] = append(byPred[t.P.Value], [2]string{e.render(t.S), e.render(t.O)})
+	byPred := map[string][]vpRow{}
+	for _, t := range d.Triples {
+		p := d.Term(t.P).Value
+		byPred[p] = append(byPred[p], vpRow{t.S, t.O})
 	}
 	e.preds = e.preds[:0]
 	for p := range byPred {
@@ -129,8 +126,8 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 	// VP tables.
 	for _, p := range e.preds {
 		rows := make([]sparksql.Row, len(byPred[p]))
-		for i, so := range byPred[p] {
-			rows[i] = sparksql.Row{so[0], so[1]}
+		for i, r := range byPred[p] {
+			rows[i] = sparksql.Row{d.Rendered(r.s), d.Rendered(r.o)}
 		}
 		df, err := sparksql.NewDataFrame(e.ctx, sparksql.Schema{"s", "o"}, rows)
 		if err != nil {
@@ -144,9 +141,9 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 	}
 
 	// Full triples table for variable-predicate patterns.
-	allRows := make([]sparksql.Row, len(triples))
-	for i, t := range triples {
-		allRows[i] = sparksql.Row{e.render(t.S), e.render(t.P), e.render(t.O)}
+	allRows := make([]sparksql.Row, len(d.Triples))
+	for i, t := range d.Triples {
+		allRows[i] = sparksql.Row{d.Rendered(t.S), d.Rendered(t.P), d.Rendered(t.O)}
 	}
 	allDF, err := sparksql.NewDataFrame(e.ctx, sparksql.Schema{"s", "p", "o"}, allRows)
 	if err != nil {
@@ -155,14 +152,14 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 	e.session.RegisterTable("triples", allDF)
 
 	// ExtVP tables: semi-join reductions for every correlated pair.
-	subjectSets := map[string]map[string]bool{}
-	objectSets := map[string]map[string]bool{}
+	subjectSets := map[string]map[rdf.TermID]bool{}
+	objectSets := map[string]map[rdf.TermID]bool{}
 	for _, p := range e.preds {
-		ss := map[string]bool{}
-		os := map[string]bool{}
-		for _, so := range byPred[p] {
-			ss[so[0]] = true
-			os[so[1]] = true
+		ss := map[rdf.TermID]bool{}
+		os := map[rdf.TermID]bool{}
+		for _, r := range byPred[p] {
+			ss[r.s] = true
+			os[r.o] = true
 		}
 		subjectSets[p] = ss
 		objectSets[p] = os
@@ -172,21 +169,24 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 			if p1 == p2 {
 				continue
 			}
-			e.buildExtVP(kindSS, p1, p2, byPred[p1], func(so [2]string) bool { return subjectSets[p2][so[0]] }, threshold)
-			e.buildExtVP(kindOS, p1, p2, byPred[p1], func(so [2]string) bool { return subjectSets[p2][so[1]] }, threshold)
-			e.buildExtVP(kindSO, p1, p2, byPred[p1], func(so [2]string) bool { return objectSets[p2][so[0]] }, threshold)
+			e.buildExtVP(kindSS, p1, p2, byPred[p1], func(r vpRow) bool { return subjectSets[p2][r.s] }, threshold)
+			e.buildExtVP(kindOS, p1, p2, byPred[p1], func(r vpRow) bool { return subjectSets[p2][r.o] }, threshold)
+			e.buildExtVP(kindSO, p1, p2, byPred[p1], func(r vpRow) bool { return objectSets[p2][r.s] }, threshold)
 		}
 	}
 	return nil
 }
 
+// vpRow is one row of a VP table, in id space.
+type vpRow struct{ s, o rdf.TermID }
+
 // buildExtVP materializes one semi-join reduction when its selectivity
 // factor is useful (SF < 1) and under the threshold.
-func (e *Engine) buildExtVP(kind extVPKind, p1, p2 string, rows [][2]string, keep func([2]string) bool, threshold float64) {
+func (e *Engine) buildExtVP(kind extVPKind, p1, p2 string, rows []vpRow, keep func(vpRow) bool, threshold float64) {
 	var kept []sparksql.Row
-	for _, so := range rows {
-		if keep(so) {
-			kept = append(kept, sparksql.Row{so[0], so[1]})
+	for _, r := range rows {
+		if keep(r) {
+			kept = append(kept, sparksql.Row{e.data.Rendered(r.s), e.data.Rendered(r.o)})
 		}
 	}
 	if len(rows) == 0 {
@@ -222,13 +222,10 @@ func (e *Engine) ExtVPTableCount() int { return len(e.extvp) }
 
 // Execute implements core.Engine.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("s2rdf: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("s2rdf", q, false)
+	if err != nil {
+		return nil, err
 	}
-	if e.vpTables == nil {
-		return nil, fmt.Errorf("s2rdf: no dataset loaded")
-	}
-	s := solutions.NewSchema(q.Where)
 	rows, err := s.EvalPattern(q.Where, "s2rdf", e.evalBGP, nil)
 	if err != nil {
 		return nil, err
@@ -270,8 +267,8 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 				continue
 			}
 			val, _ := row[i].(string)
-			if term, ok := e.terms[val]; ok {
-				r[slot] = term
+			if id, ok := e.data.Parse(val); ok {
+				r[slot] = id
 			}
 		}
 		out = append(out, r)
@@ -403,7 +400,7 @@ func (e *Engine) patternSubquery(tp sparql.TriplePattern, all []sparql.TriplePat
 	if tp.S.IsVar {
 		sel = append(sel, scol+" AS "+varCol(tp.S.Var))
 	} else {
-		conds = append(conds, scol+" = '"+escape(e.render(tp.S.Term))+"'")
+		conds = append(conds, scol+" = '"+escape(tp.S.Term.String())+"'")
 	}
 	if tp.P.IsVar {
 		if pcol == "" {
@@ -411,7 +408,7 @@ func (e *Engine) patternSubquery(tp sparql.TriplePattern, all []sparql.TriplePat
 		}
 		sel = append(sel, pcol+" AS "+varCol(tp.P.Var))
 	} else if pcol != "" {
-		conds = append(conds, pcol+" = '"+escape(e.render(tp.P.Term))+"'")
+		conds = append(conds, pcol+" = '"+escape(tp.P.Term.String())+"'")
 	}
 	if tp.O.IsVar {
 		if tp.S.IsVar && tp.O.Var == tp.S.Var {
@@ -422,7 +419,7 @@ func (e *Engine) patternSubquery(tp sparql.TriplePattern, all []sparql.TriplePat
 			sel = append(sel, ocol+" AS "+varCol(tp.O.Var))
 		}
 	} else {
-		conds = append(conds, ocol+" = '"+escape(e.render(tp.O.Term))+"'")
+		conds = append(conds, ocol+" = '"+escape(tp.O.Term.String())+"'")
 	}
 	if len(sel) == 0 {
 		// All positions bound: project a constant-ish column so the

@@ -31,18 +31,13 @@ import (
 	"repro/internal/systems/solutions"
 )
 
-// vertexProp is the property of one graph vertex: its RDF term and the
-// candidate variables (filled during matching).
-type vertexProp struct {
-	term rdf.Term
-}
-
-// Engine is the S2X system.
+// Engine is the S2X system. A vertex id is the TermID of the term the
+// vertex is; an edge's property is its predicate's id.
 type Engine struct {
+	solutions.Source
 	ctx   *spark.Context
-	graph *graphx.Graph[vertexProp, string]
-	ids   map[rdf.Term]graphx.VertexID
-	terms map[graphx.VertexID]rdf.Term
+	data  *solutions.Dataset
+	graph *graphx.Graph[struct{}, rdf.TermID]
 }
 
 // New creates an unloaded engine on ctx.
@@ -67,41 +62,24 @@ func (e *Engine) Context() *spark.Context { return e.ctx }
 
 // Load builds the property graph: one vertex per distinct term in
 // subject or object position, one edge per triple labeled with the
-// predicate IRI.
+// predicate.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	e.ids = map[rdf.Term]graphx.VertexID{}
-	e.terms = map[graphx.VertexID]rdf.Term{}
-	var vertices []graphx.Vertex[vertexProp]
-	idOf := func(t rdf.Term) graphx.VertexID {
-		if id, ok := e.ids[t]; ok {
-			return id
-		}
-		id := graphx.VertexID(len(e.ids) + 1)
-		e.ids[t] = id
-		e.terms[id] = t
-		vertices = append(vertices, graphx.Vertex[vertexProp]{ID: id, Attr: vertexProp{term: t}})
-		return id
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("s2x: %w", err)
 	}
-	var edges []graphx.Edge[string]
-	for _, t := range triples {
-		edges = append(edges, graphx.Edge[string]{Src: idOf(t.S), Dst: idOf(t.O), Attr: t.P.Value})
-	}
-	e.graph = graphx.New(e.ctx, vertices, edges)
+	e.data, e.graph = d, d.Graph(e.ctx)
 	return nil
 }
 
 // Execute implements core.Engine.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("s2x: DESCRIBE is not supported (use the reference evaluator)")
-	}
-	if e.graph == nil {
-		return nil, fmt.Errorf("s2x: no dataset loaded")
-	}
 	// BGPs use the graph-parallel matcher; the other operators use the
 	// data-parallel side — FILTER as a plain Spark op.
-	s := solutions.NewSchema(q.Where)
+	s, err := e.data.Schema("s2x", q, false)
+	if err != nil {
+		return nil, err
+	}
 	rows, err := s.EvalPattern(q.Where, "s2x", e.evalBGP, e.filter)
 	if err != nil {
 		return nil, err
@@ -113,37 +91,21 @@ func (e *Engine) filter(rows []solutions.Row, keep func(solutions.Row) bool) []s
 	return spark.Parallelize(e.ctx, rows).Filter(keep).Collect()
 }
 
-// edgeCand is one candidate edge match for a triple pattern.
-type edgeCand struct {
-	s, o graphx.VertexID
-	pred string
-}
-
 // evalBGP runs match + iterative validation + composition.
 func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {
 	if len(bgp.Patterns) == 0 {
 		return []solutions.Row{s.Row()}, nil
 	}
 	// --- Phase 1: match every pattern against all edges. ---
-	cands := make([][]edgeCand, len(bgp.Patterns))
+	pats := make([]*solutions.Pattern, len(bgp.Patterns))
+	cands := make([][]rdf.EncodedTriple, len(bgp.Patterns))
 	edges := e.graph.Edges().Collect()
 	for i, tp := range bgp.Patterns {
-		// A constant absent from the data looks up id 0, which no vertex has.
-		sid, oid := e.ids[tp.S.Term], e.ids[tp.O.Term]
+		pats[i] = s.Pattern(tp)
 		for _, ed := range edges {
-			if !tp.P.IsVar && tp.P.Term.Value != ed.Attr {
-				continue
+			if t := (rdf.EncodedTriple{S: rdf.TermID(ed.Src), P: ed.Attr, O: rdf.TermID(ed.Dst)}); pats[i].Matches(t) {
+				cands[i] = append(cands[i], t)
 			}
-			if !tp.S.IsVar && sid != ed.Src {
-				continue
-			}
-			if !tp.O.IsVar && oid != ed.Dst {
-				continue
-			}
-			if tp.S.IsVar && tp.O.IsVar && tp.S.Var == tp.O.Var && ed.Src != ed.Dst {
-				continue
-			}
-			cands[i] = append(cands[i], edgeCand{s: ed.Src, o: ed.Dst, pred: ed.Attr})
 		}
 	}
 
@@ -170,16 +132,16 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 		changed = false
 		e.ctx.AddSupersteps(1)
 		// Local match sets: vertex support per (var, pattern).
-		support := map[sparql.Var]map[int]map[graphx.VertexID]bool{}
+		support := map[sparql.Var]map[int]map[rdf.TermID]bool{}
 		for v, os := range occs {
-			support[v] = map[int]map[graphx.VertexID]bool{}
+			support[v] = map[int]map[rdf.TermID]bool{}
 			for _, oc := range os {
-				set := map[graphx.VertexID]bool{}
+				set := map[rdf.TermID]bool{}
 				for _, c := range cands[oc.pattern] {
 					if oc.position == 0 {
-						set[c.s] = true
+						set[c.S] = true
 					} else {
-						set[c.o] = true
+						set[c.O] = true
 					}
 				}
 				support[v][oc.pattern] = set
@@ -187,7 +149,7 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 		}
 		removed := 0
 		for i := range cands {
-			var kept []edgeCand
+			var kept []rdf.EncodedTriple
 			for _, c := range cands[i] {
 				valid := true
 				for v, os := range occs {
@@ -196,13 +158,13 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 							continue
 						}
 						// Which vertex does v bind to in candidate c of pattern i?
-						var vid graphx.VertexID
+						var vid rdf.TermID
 						found := false
 						tp := bgp.Patterns[i]
 						if tp.S.IsVar && tp.S.Var == v {
-							vid, found = c.s, true
+							vid, found = c.S, true
 						} else if tp.O.IsVar && tp.O.Var == v {
-							vid, found = c.o, true
+							vid, found = c.O, true
 						}
 						if !found {
 							continue
@@ -234,15 +196,11 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 	// data-parallel joins (spark side). ---
 	var cur *spark.RDD[solutions.Row]
 	var curVars map[sparql.Var]bool
-	order := composeOrder(bgp)
-	for _, i := range order {
+	for _, i := range solutions.ConnectedOrder(bgp.Patterns) {
 		tp := bgp.Patterns[i]
-		pat := s.Pattern(tp)
-		rows := make([]solutions.Row, 0, len(cands[i]))
-		for _, c := range cands[i] {
-			if r, ok := pat.Match(rdf.Triple{S: e.terms[c.s], P: rdf.NewIRI(c.pred), O: e.terms[c.o]}); ok {
-				rows = append(rows, r)
-			}
+		rows := make([]solutions.Row, len(cands[i]))
+		for j, c := range cands[i] {
+			rows[j] = pats[i].Bind(c)
 		}
 		next := spark.Parallelize(e.ctx, rows)
 		if cur == nil {
@@ -254,53 +212,11 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, 
 		if len(shared) == 0 {
 			cur = solutions.MergeCross(spark.Cartesian(cur, next))
 		} else {
-			cur = solutions.MergeJoined(spark.Join(solutions.KeyBy(cur, shared), solutions.KeyBy(next, shared)))
+			cur = solutions.MergeJoined(spark.Join(s.KeyBy(cur, shared), s.KeyBy(next, shared)))
 		}
 		for _, v := range tp.Vars() {
 			curVars[v] = true
 		}
 	}
 	return cur.Collect(), nil
-}
-
-// composeOrder picks a join order that keeps consecutive patterns
-// connected where possible (greedy from the smallest candidate list).
-func composeOrder(bgp sparql.BGP) []int {
-	n := len(bgp.Patterns)
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	vars := map[sparql.Var]bool{}
-	for len(order) < n {
-		pick := -1
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			connected := false
-			for _, v := range bgp.Patterns[i].Vars() {
-				if vars[v] {
-					connected = true
-					break
-				}
-			}
-			if len(order) == 0 || connected {
-				pick = i
-				break
-			}
-		}
-		if pick < 0 {
-			for i := 0; i < n; i++ {
-				if !used[i] {
-					pick = i
-					break
-				}
-			}
-		}
-		used[pick] = true
-		order = append(order, pick)
-		for _, v := range bgp.Patterns[pick].Vars() {
-			vars[v] = true
-		}
-	}
-	return order
 }

@@ -1,13 +1,14 @@
-// Package solutions holds what the surveyed engines do with term-space
-// solution sequences at the driver, once: the row a solution is, over
-// one variable schema per query; the SPARQL join and left join of two
-// sequences; the BGP+ algebra walked over an engine's own BGP
-// evaluator; the shuffle key a row is joined on, over the variables two
-// sequences share; and the one decode to sparql.Binding, of the answer
-// rows. None of it is part of any surveyed design — the engines'
-// metered strategies (their KeyBy / Cartesian / broadcast RDD joins)
-// stay in their own packages — so it is shared, and it costs what a
-// hash join costs.
+// Package solutions holds what the surveyed engines do with solution
+// sequences at the driver, once: the dataset every engine of one
+// assessment builds its layout from, encoded once (Dataset, Source);
+// the row a solution is, pointer-free TermIDs over one variable schema
+// per query; the SPARQL join and left join of two sequences; the BGP+
+// algebra walked over an engine's own BGP evaluator; the shuffle key a
+// row is joined on, over the variables two sequences share; and the one
+// decode to sparql.Binding, of the answer rows. None of it is part of
+// any surveyed design — the engines' metered strategies (their KeyBy /
+// Cartesian / broadcast RDD joins) stay in their own packages — so it
+// is shared, and it costs what a hash join costs.
 package solutions
 
 import (
@@ -20,36 +21,38 @@ import (
 	"repro/internal/sparql"
 )
 
-// Bound reports whether t is a term, not unbound.
-func Bound(t rdf.Term) bool { return t.Kind != sparql.Unbound.Kind }
+// unbound is the id of a slot a row does not bind: the top id, which
+// a dictionary never assigns (it is sparql's unbound-slot sentinel too).
+const unbound = ^rdf.TermID(0)
 
-// Row is one solution: the term each slot of its query's Schema is
-// bound to, unbound where it is not. A row is not written once it is
-// built, so sequences and tasks share rows freely.
-type Row []rdf.Term
+// Bound reports whether id is a term, not unbound.
+func Bound(id rdf.TermID) bool { return id != unbound }
 
-// Term returns slot's term, sparql.Unbound where r binds none: a Row is
-// a sparql.Terms.
-func (r Row) Term(slot int) rdf.Term { return r[slot] }
+// Row is one solution: the id each slot of its query's Schema is bound
+// to, unbound where it is not. A row holds no pointer, so a sequence of
+// them costs the collector nothing to scan; it is not written once it
+// is built, so sequences and tasks share rows freely.
+type Row []rdf.TermID
 
-// Schema maps the variables of one query to row slots. The slots follow
-// sorted variable order, so the ascending slots of a variable set are
-// that set's sorted variables — the order a shuffle key renders them
-// in.
+// Schema maps the variables of one query to row slots over one
+// dataset's dictionary. The slots follow sorted variable order, so the
+// ascending slots of a variable set are that set's sorted variables —
+// the order a shuffle key renders them in.
 type Schema struct {
 	Vars  []sparql.Var
 	slot  map[sparql.Var]int
 	empty Row
+	data  *Dataset
 }
 
-// NewSchema returns the schema of the variables p mentions.
-func NewSchema(p sparql.GraphPattern) *Schema {
+// NewSchema returns the schema of the variables p mentions, over d.
+func NewSchema(p sparql.GraphPattern, d *Dataset) *Schema {
 	vars := p.PatternVars()
 	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	s := &Schema{Vars: vars, slot: make(map[sparql.Var]int, len(vars)), empty: make(Row, len(vars))}
+	s := &Schema{Vars: vars, slot: make(map[sparql.Var]int, len(vars)), empty: make(Row, len(vars)), data: d}
 	for i, v := range vars {
 		s.slot[v] = i
-		s.empty[i] = sparql.Unbound
+		s.empty[i] = unbound
 	}
 	return s
 }
@@ -75,22 +78,23 @@ func (s *Schema) Slot(v sparql.Var) int {
 // Row returns a row that binds nothing.
 func (s *Schema) Row() Row { return slices.Clone(s.empty) }
 
-// Results decodes the answer rows, once, and applies q's solution
-// modifiers. A plain SELECT or ASK decodes only the variables it
-// projects, so Project keeps each Binding as it is; an aggregate or a
-// CONSTRUCT decodes every variable.
+// Results decodes the answer rows, once, through the dictionary, and
+// applies q's solution modifiers. A plain SELECT or ASK decodes only
+// the variables it projects, so Project keeps each Binding as it is; an
+// aggregate or a CONSTRUCT decodes every variable.
 func (s *Schema) Results(q *sparql.Query, rows []Row) *sparql.Results {
 	vars := s.Vars
 	if (q.Form == sparql.FormSelect || q.Form == sparql.FormAsk) && q.Agg == nil {
 		vars = q.SelectedVars()
 	}
 	slots := s.Slots(vars)
+	terms := s.data.terms
 	out := make([]sparql.Binding, len(rows))
 	for i, r := range rows {
 		out[i] = make(sparql.Binding, len(vars))
 		for j, slot := range slots {
 			if slot >= 0 && Bound(r[slot]) {
-				out[i][vars[j]] = r[slot]
+				out[i][vars[j]] = terms[r[slot]]
 			}
 		}
 	}
@@ -98,45 +102,69 @@ func (s *Schema) Results(q *sparql.Query, rows []Row) *sparql.Results {
 }
 
 // Keep returns cond as a test on rows: cond compiled to the schema's
-// slots once, then sparql.Holds on each row's slots, decoding nothing.
+// slots once, then sparql.Holds on each row's slots, read through the
+// dictionary's term table in place — nothing is decoded or copied.
 func (s *Schema) Keep(cond sparql.FilterExpr) func(Row) bool {
 	c := sparql.CompileFilter(cond, s.slot)
-	return func(r Row) bool { return sparql.Holds(c, r) }
+	terms := s.data.terms
+	return func(r Row) bool { return sparql.Holds(c, termsOf{r, terms}) }
+}
+
+// termsOf is a row as FILTER reads it (a sparql.Terms): each slot's
+// term from the table, sparql.Unbound where the row binds none.
+type termsOf struct {
+	row   Row
+	terms []rdf.Term
+}
+
+func (t termsOf) Term(slot int) rdf.Term {
+	if id := t.row[slot]; Bound(id) {
+		return t.terms[id]
+	}
+	return sparql.Unbound
 }
 
 // Pattern is a triple pattern compiled against a schema: the slot each
-// of its positions binds, -1 at a constant.
+// of its positions binds, -1 at a constant, and each constant's id. A
+// constant the dataset does not hold makes the pattern match nothing.
 type Pattern struct {
-	elems  [3]sparql.TPElem
+	ids    [3]rdf.TermID
 	slots  [3]int
+	none   bool
 	schema *Schema
 }
 
 // Pattern compiles tp, whose variables s must hold.
 func (s *Schema) Pattern(tp sparql.TriplePattern) *Pattern {
-	p := &Pattern{elems: [3]sparql.TPElem{tp.S, tp.P, tp.O}, schema: s}
-	for i, el := range p.elems {
+	p := &Pattern{schema: s}
+	for i, el := range [3]sparql.TPElem{tp.S, tp.P, tp.O} {
 		p.slots[i] = -1
 		if el.IsVar {
 			p.slots[i] = s.slot[el.Var]
+			continue
 		}
+		p.ids[i] = s.data.ID(el.Term)
+		p.none = p.none || !Bound(p.ids[i])
 	}
 	return p
 }
 
 // Matches reports whether t matches the pattern: its constants, and one
 // term wherever a variable repeats.
-func (p *Pattern) Matches(t rdf.Triple) bool {
-	terms := [3]rdf.Term{t.S, t.P, t.O}
+func (p *Pattern) Matches(t rdf.EncodedTriple) bool {
+	if p.none {
+		return false
+	}
+	ids := [3]rdf.TermID{t.S, t.P, t.O}
 	for i, slot := range p.slots {
 		if slot < 0 {
-			if p.elems[i].Term != terms[i] {
+			if p.ids[i] != ids[i] {
 				return false
 			}
 			continue
 		}
 		for j := 0; j < i; j++ {
-			if p.slots[j] == slot && terms[j] != terms[i] {
+			if p.slots[j] == slot && ids[j] != ids[i] {
 				return false
 			}
 		}
@@ -145,18 +173,18 @@ func (p *Pattern) Matches(t rdf.Triple) bool {
 }
 
 // Bind returns the row t binds the pattern's variables to; t must match.
-func (p *Pattern) Bind(t rdf.Triple) Row {
+func (p *Pattern) Bind(t rdf.EncodedTriple) Row {
 	r := p.schema.Row()
-	for i, term := range [3]rdf.Term{t.S, t.P, t.O} {
+	for i, id := range [3]rdf.TermID{t.S, t.P, t.O} {
 		if p.slots[i] >= 0 {
-			r[p.slots[i]] = term
+			r[p.slots[i]] = id
 		}
 	}
 	return r
 }
 
 // Match is Bind for a t that Matches, and false for any other.
-func (p *Pattern) Match(t rdf.Triple) (Row, bool) {
+func (p *Pattern) Match(t rdf.EncodedTriple) (Row, bool) {
 	if !p.Matches(t) {
 		return nil, false
 	}
@@ -164,7 +192,7 @@ func (p *Pattern) Match(t rdf.Triple) (Row, bool) {
 }
 
 // Merge is the SPARQL merge of two rows of one schema: every slot
-// either binds. It is false when a slot is bound to a different term in
+// either binds. It is false when a slot is bound to a different id in
 // each — the rows are not compatible. A row that binds every slot the
 // other does is the merge itself, so it is returned rather than copied.
 func Merge(a, b Row) (Row, bool) {
@@ -229,11 +257,11 @@ const scanBelow = 8
 // only read it, so tasks may share one.
 type Table struct {
 	rows []Row
-	// key is the indexed slot (-1: none); head maps each term it takes
+	// key is the indexed slot (-1: none); head maps each id it takes
 	// to the first build row holding it and next chains the rest in
 	// slice order (-1 ends a chain). A nil head means every probe scans.
 	key  int
-	head map[rdf.Term]int
+	head map[rdf.TermID]int
 	next []int
 }
 
@@ -249,8 +277,8 @@ func NewTable(build, probe []Row) *Table {
 		return t
 	}
 	best := 0
-	for slot, term := range build[0] {
-		if !Bound(term) {
+	for slot, id := range build[0] {
+		if !Bound(id) {
 			continue
 		}
 		n := binding(probe, slot)
@@ -276,19 +304,19 @@ func binding(rows []Row, slot int) int {
 	return n
 }
 
-// index chains the rows by the term slot holds in them. It walks the
+// index chains the rows by the id slot holds in them. It walks the
 // rows backwards so each chain runs forwards.
-func index(rows []Row, slot int) (head map[rdf.Term]int, next []int) {
-	head = make(map[rdf.Term]int, len(rows))
+func index(rows []Row, slot int) (head map[rdf.TermID]int, next []int) {
+	head = make(map[rdf.TermID]int, len(rows))
 	next = make([]int, len(rows))
 	for i := len(rows) - 1; i >= 0; i-- {
-		term := rows[i][slot]
-		if j, ok := head[term]; ok {
+		id := rows[i][slot]
+		if j, ok := head[id]; ok {
 			next[i] = j
 		} else {
 			next[i] = -1
 		}
-		head[term] = i
+		head[id] = i
 	}
 	return head, next
 }
@@ -410,8 +438,8 @@ func (s *Schema) EvalPattern(p sparql.GraphPattern, engine string,
 
 // Key renders the terms r binds slots to, for use as a shuffle join key
 // (an unbound slot renders empty): the N-Triples terms joined by NUL
-// bytes, built in one buffer.
-func Key(r Row, slots []int) string {
+// bytes, copied from the dataset's renderings into one buffer.
+func (s *Schema) Key(r Row, slots []int) string {
 	var buf [256]byte
 	key := buf[:0]
 	for i, slot := range slots {
@@ -419,15 +447,15 @@ func Key(r Row, slots []int) string {
 			key = append(key, 0)
 		}
 		if Bound(r[slot]) {
-			key = r[slot].AppendTo(key)
+			key = append(key, s.data.rendered[r[slot]]...)
 		}
 	}
 	return string(key)
 }
 
 // KeyBy keys every row of r by its Key over slots.
-func KeyBy(r *spark.RDD[Row], slots []int) *spark.RDD[spark.Pair[string, Row]] {
-	return spark.KeyBy(r, func(x Row) string { return Key(x, slots) })
+func (s *Schema) KeyBy(r *spark.RDD[Row], slots []int) *spark.RDD[spark.Pair[string, Row]] {
+	return spark.KeyBy(r, func(x Row) string { return s.Key(x, slots) })
 }
 
 // VarSet returns vs as a set.
@@ -435,6 +463,17 @@ func VarSet(vs []sparql.Var) map[sparql.Var]bool {
 	out := map[sparql.Var]bool{}
 	for _, v := range vs {
 		out[v] = true
+	}
+	return out
+}
+
+// PatternVars returns the variables of tps as a set.
+func PatternVars(tps []sparql.TriplePattern) map[sparql.Var]bool {
+	out := map[sparql.Var]bool{}
+	for _, tp := range tps {
+		for _, v := range tp.Vars() {
+			out[v] = true
+		}
 	}
 	return out
 }
@@ -450,4 +489,50 @@ func SharedVars(have map[sparql.Var]bool, vs []sparql.Var) []sparql.Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Stars partitions tps into star groups, the patterns that share a
+// subject element, in first-occurrence order.
+func Stars(tps []sparql.TriplePattern) [][]sparql.TriplePattern {
+	var out [][]sparql.TriplePattern
+	at := map[sparql.TPElem]int{}
+	for _, tp := range tps {
+		i, ok := at[tp.S]
+		if !ok {
+			i, at[tp.S] = len(out), len(out)
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], tp)
+	}
+	return out
+}
+
+// ConnectedOrder orders tps so that each pattern after the first shares
+// a variable with those before it where one can: the first unused
+// pattern that does, else the first unused one.
+func ConnectedOrder(tps []sparql.TriplePattern) []int {
+	order := make([]int, 0, len(tps))
+	used := make([]bool, len(tps))
+	bound := map[sparql.Var]bool{}
+	for len(order) < len(tps) {
+		pick := -1
+		for i, tp := range tps {
+			if used[i] {
+				continue
+			}
+			if pick < 0 {
+				pick = i
+			}
+			if len(order) == 0 || slices.ContainsFunc(tp.Vars(), func(v sparql.Var) bool { return bound[v] }) {
+				pick = i
+				break
+			}
+		}
+		used[pick] = true
+		order = append(order, pick)
+		for _, v := range tps[pick].Vars() {
+			bound[v] = true
+		}
+	}
+	return order
 }

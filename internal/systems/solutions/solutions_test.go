@@ -77,13 +77,46 @@ func nestedJoin(left, right []sparql.Binding, outer bool) []sparql.Binding {
 
 var testVars = []sparql.Var{"a", "b", "c", "d"}
 
+// testData is a dataset that holds every term the tests bind: the IRIs
+// http://e/0 … http://e/99, http://e/x, http://e/{d,s,e,n}0 …
+// http://e/{d,s,e,n}19 and three literals.
+var testData = func() *Dataset {
+	terms := []rdf.Term{rdf.NewIRI("http://e/x"), rdf.NewLiteral("Ann"), rdf.NewLiteral("l"), rdf.NewTypedLiteral("30", rdf.XSDInteger)}
+	for i := 0; i < 100; i++ {
+		terms = append(terms, rdf.NewIRI(fmt.Sprintf("http://e/%d", i)))
+	}
+	for _, p := range []string{"d", "s", "e", "n"} {
+		for i := 0; i < 20; i++ {
+			terms = append(terms, rdf.NewIRI(fmt.Sprintf("http://e/%s%d", p, i)))
+		}
+	}
+	var triples []rdf.Triple
+	for _, t := range terms {
+		triples = append(triples, rdf.Triple{S: t, P: rdf.NewIRI("http://e/p"), O: t})
+	}
+	d, err := Encode(triples)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}()
+
+// id returns t's id in testData, which must hold t.
+func id(t rdf.Term) rdf.TermID {
+	id, ok := testData.Dict.Lookup(t)
+	if !ok {
+		panic(fmt.Sprintf("%v is not in the test dataset", t))
+	}
+	return id
+}
+
 // schemaOf returns the schema of a BGP that mentions vars.
 func schemaOf(vars ...sparql.Var) *Schema {
 	var tps []sparql.TriplePattern
 	for _, v := range vars {
 		tps = append(tps, sparql.TriplePattern{S: sparql.VarElem(v), P: sparql.TermElem(rdf.NewIRI("http://e/p")), O: sparql.VarElem(v)})
 	}
-	return NewSchema(sparql.BGP{Patterns: tps})
+	return NewSchema(sparql.BGP{Patterns: tps}, testData)
 }
 
 func bindings(s *Schema, rows []Row) []sparql.Binding {
@@ -92,7 +125,7 @@ func bindings(s *Schema, rows []Row) []sparql.Binding {
 		out[i] = sparql.Binding{}
 		for j, v := range s.Vars {
 			if Bound(r[j]) {
-				out[i][v] = r[j]
+				out[i][v] = testData.Term(r[j])
 			}
 		}
 	}
@@ -109,7 +142,7 @@ func randomSide(r *rand.Rand, s *Schema, n, terms int, modes []int) []Row {
 		row := s.Row()
 		for v, mode := range modes {
 			if mode == 2 || mode == 1 && r.Intn(2) == 0 {
-				row[s.Slot(testVars[v])] = rdf.NewIRI(fmt.Sprintf("http://e/%d", r.Intn(terms)))
+				row[s.Slot(testVars[v])] = id(rdf.NewIRI(fmt.Sprintf("http://e/%d", r.Intn(terms))))
 			}
 		}
 		rows[i] = row
@@ -163,7 +196,7 @@ func TestMergeAndKeyMatchMapReferenceProperty(t *testing.T) {
 				vars = append(vars, v)
 			}
 		}
-		if got, want := Key(a, s.Slots(vars)), refKey(ba, vars); got != want {
+		if got, want := s.Key(a, s.Slots(vars)), refKey(ba, vars); got != want {
 			t.Logf("seed %d: Key(%v, %v) = %q, reference %q", seed, ba, vars, got, want)
 			return false
 		}
@@ -200,9 +233,10 @@ func refMatch(tp sparql.TriplePattern, t rdf.Triple) (sparql.Binding, bool) {
 
 // Random patterns (each position a constant or one of two variables, so
 // variables repeat) against random triples over a three-term pool:
-// Pattern.Match agrees with refMatch.
+// Pattern.Match agrees with refMatch. A constant may be a fourth term
+// the dataset does not hold, which no triple of it can match.
 func TestPatternMatchProperty(t *testing.T) {
-	pool := []rdf.Term{rdf.NewIRI("http://e/0"), rdf.NewIRI("http://e/1"), rdf.NewLiteral("l")}
+	pool := []rdf.Term{rdf.NewIRI("http://e/0"), rdf.NewIRI("http://e/1"), rdf.NewLiteral("l"), rdf.NewIRI("http://e/absent")}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		elem := func() sparql.TPElem {
@@ -213,8 +247,8 @@ func TestPatternMatchProperty(t *testing.T) {
 		}
 		tp := sparql.TriplePattern{S: elem(), P: elem(), O: elem()}
 		tr := rdf.Triple{S: pool[r.Intn(3)], P: pool[r.Intn(3)], O: pool[r.Intn(3)]}
-		s := NewSchema(sparql.BGP{Patterns: []sparql.TriplePattern{tp}})
-		row, ok := s.Pattern(tp).Match(tr)
+		s := NewSchema(sparql.BGP{Patterns: []sparql.TriplePattern{tp}}, testData)
+		row, ok := s.Pattern(tp).Match(rdf.EncodedTriple{S: id(tr.S), P: id(tr.P), O: id(tr.O)})
 		want, wantOK := refMatch(tp, tr)
 		if ok != wantOK || ok && !maps.Equal(bindings(s, []Row{row})[0], want) {
 			t.Logf("seed %d: %v on %v: got %v %v, want %v %v", seed, tp, tr, row, ok, want, wantOK)
@@ -317,7 +351,7 @@ func TestNewTableKeyChoice(t *testing.T) {
 	row := func(b sparql.Binding) Row {
 		r := s.Row()
 		for v, term := range b {
-			r[s.Slot(v)] = term
+			r[s.Slot(v)] = id(term)
 		}
 		return r
 	}
@@ -353,8 +387,8 @@ func TestNewTableKeyChoice(t *testing.T) {
 func TestKeyBytes(t *testing.T) {
 	s := schemaOf("n", "unbound", "x")
 	r := s.Row()
-	r[s.Slot("x")], r[s.Slot("n")] = rdf.NewIRI("http://e/x"), rdf.NewLiteral("Ann")
-	got := Key(r, s.Slots([]sparql.Var{"x", "unbound", "n"}))
+	r[s.Slot("x")], r[s.Slot("n")] = id(rdf.NewIRI("http://e/x")), id(rdf.NewLiteral("Ann"))
+	got := s.Key(r, s.Slots([]sparql.Var{"x", "unbound", "n"}))
 	if want := "<http://e/x>\x00\x00\"Ann\""; got != want {
 		t.Fatalf("Key = %q, want %q", got, want)
 	}
@@ -365,7 +399,7 @@ func TestKeyBytes(t *testing.T) {
 func TestKeepAllocs(t *testing.T) {
 	s := schemaOf(testVars...)
 	r := s.Row()
-	r[s.Slot("a")], r[s.Slot("b")] = rdf.NewIRI("http://e/1"), rdf.NewTypedLiteral("30", rdf.XSDInteger)
+	r[s.Slot("a")], r[s.Slot("b")] = id(rdf.NewIRI("http://e/1")), id(rdf.NewTypedLiteral("30", rdf.XSDInteger))
 	cond := sparql.MustParse(`SELECT * WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d
 		FILTER((?b > 25 && !BOUND(?c)) || ?a = <http://e/2> || ?d < 3) }`).Where.(sparql.Filter).Cond
 	keep := s.Keep(cond)
@@ -383,11 +417,11 @@ func TestDecodeOnlyWhatIsRead(t *testing.T) {
 	s := schemaOf(testVars...)
 	r := randomSide(rand.New(rand.NewSource(1)), s, 1, 3, []int{2, 2, 2, 2})[0]
 	res := s.Results(sparql.MustParse(`SELECT ?b WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`), []Row{r})
-	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0]["b"] != r[s.Slot("b")] {
+	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0]["b"] != testData.Term(r[s.Slot("b")]) {
 		t.Errorf("SELECT ?b decoded %v", res.Rows)
 	}
 	graph := s.Results(sparql.MustParse(`CONSTRUCT { ?a <http://e/q> ?d } WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`), []Row{r})
-	if len(graph.Triples) != 1 || graph.Triples[0].O != r[s.Slot("d")] {
+	if len(graph.Triples) != 1 || graph.Triples[0].O != testData.Term(r[s.Slot("d")]) {
 		t.Errorf("CONSTRUCT built %v", graph.Triples)
 	}
 }
@@ -403,7 +437,7 @@ func TestEvalPattern(t *testing.T) {
 			S: sparql.VarElem("s"), P: sparql.TermElem(rdf.NewIRI(p)), O: sparql.VarElem(sparql.Var(p)),
 		}}}
 	}
-	s := NewSchema(sparql.Group{Parts: []sparql.GraphPattern{tp("name"), tp("mail")}})
+	s := NewSchema(sparql.Group{Parts: []sparql.GraphPattern{tp("name"), tp("mail")}}, testData)
 	// ?s name ?name for subjects 0–2; ?s mail ?mail for subject 1 only.
 	evalBGP := func(s *Schema, bgp sparql.BGP) ([]Row, error) {
 		p := bgp.Patterns[0].P.Term.Value
@@ -411,7 +445,7 @@ func TestEvalPattern(t *testing.T) {
 		var rows []Row
 		for _, subj := range subjects {
 			r := s.Row()
-			r[s.Slot("s")], r[s.Slot(sparql.Var(p))] = iri(subj), iri(10+subj)
+			r[s.Slot("s")], r[s.Slot(sparql.Var(p))] = id(iri(subj)), id(iri(10+subj))
 			rows = append(rows, r)
 		}
 		return rows, nil
@@ -419,7 +453,7 @@ func TestEvalPattern(t *testing.T) {
 	render := func(rows []Row) string {
 		var out []string
 		for _, r := range rows {
-			out = append(out, Key(r, s.Slots([]sparql.Var{"s", "name", "mail"})))
+			out = append(out, s.Key(r, s.Slots([]sparql.Var{"s", "name", "mail"})))
 		}
 		return strings.ReplaceAll(strings.Join(out, " | "), "\x00", ",")
 	}

@@ -29,19 +29,20 @@ import (
 	"repro/internal/systems/solutions"
 )
 
-// nodeProps is the property map of a vertex: predicate IRI -> values.
-type nodeProps map[string][]rdf.Term
+// nodeProps is the property map of a vertex: predicate id -> value ids.
+type nodeProps map[rdf.TermID][]rdf.TermID
 
-// Engine is the Spar(k)ql system.
+// Engine is the Spar(k)ql system. A vertex id is the TermID of the term
+// the vertex is; an edge's property is its predicate's id.
 type Engine struct {
+	solutions.Source
 	ctx   *spark.Context
-	graph *graphx.Graph[rdf.Term, string]
+	data  *solutions.Dataset
+	graph *graphx.Graph[struct{}, rdf.TermID]
 	props map[graphx.VertexID]nodeProps
-	ids   map[rdf.Term]graphx.VertexID
-	terms map[graphx.VertexID]rdf.Term
 	// propPreds and edgePreds are the predicates stored as a node
 	// property of at least one node, and as at least one edge.
-	propPreds, edgePreds map[string]bool
+	propPreds, edgePreds map[rdf.TermID]bool
 }
 
 // New creates an unloaded engine on ctx.
@@ -68,35 +69,35 @@ func (e *Engine) Context() *spark.Context { return e.ctx }
 // and rdf:type become node properties; IRI-valued triples become
 // edges.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	e.ids = map[rdf.Term]graphx.VertexID{}
-	e.terms = map[graphx.VertexID]rdf.Term{}
-	e.props = map[graphx.VertexID]nodeProps{}
-	e.propPreds, e.edgePreds = map[string]bool{}, map[string]bool{}
-	var vertices []graphx.Vertex[rdf.Term]
-	idOf := func(t rdf.Term) graphx.VertexID {
-		if id, ok := e.ids[t]; ok {
-			return id
-		}
-		id := graphx.VertexID(len(e.ids) + 1)
-		e.ids[t] = id
-		e.terms[id] = t
-		vertices = append(vertices, graphx.Vertex[rdf.Term]{ID: id, Attr: t})
-		return id
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("sparkql: %w", err)
 	}
-	var edges []graphx.Edge[string]
-	for _, t := range triples {
-		sid := idOf(t.S)
-		if t.O.IsLiteral() || t.IsTypeTriple() {
+	e.data = d
+	e.props = map[graphx.VertexID]nodeProps{}
+	e.propPreds, e.edgePreds = map[rdf.TermID]bool{}, map[rdf.TermID]bool{}
+	seen := map[rdf.TermID]bool{}
+	var vertices []graphx.Vertex[struct{}]
+	vertex := func(id rdf.TermID) graphx.VertexID {
+		if !seen[id] {
+			seen[id] = true
+			vertices = append(vertices, graphx.Vertex[struct{}]{ID: graphx.VertexID(id)})
+		}
+		return graphx.VertexID(id)
+	}
+	var edges []graphx.Edge[rdf.TermID]
+	for _, t := range d.Triples {
+		sid := vertex(t.S)
+		if d.Term(t.O).IsLiteral() || d.Term(t.P).Value == rdf.RDFType {
 			if e.props[sid] == nil {
 				e.props[sid] = nodeProps{}
 			}
-			e.props[sid][t.P.Value] = append(e.props[sid][t.P.Value], t.O)
-			e.propPreds[t.P.Value] = true
+			e.props[sid][t.P] = append(e.props[sid][t.P], t.O)
+			e.propPreds[t.P] = true
 			continue
 		}
-		edges = append(edges, graphx.Edge[string]{Src: sid, Dst: idOf(t.O), Attr: t.P.Value})
-		e.edgePreds[t.P.Value] = true
+		edges = append(edges, graphx.Edge[rdf.TermID]{Src: sid, Dst: vertex(t.O), Attr: t.P})
+		e.edgePreds[t.P] = true
 	}
 	e.graph = graphx.New(e.ctx, vertices, edges)
 	return nil
@@ -104,17 +105,11 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 
 // Execute implements core.Engine. Only BGP queries are supported.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("sparkql: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("sparkql", q, true)
+	if err != nil {
+		return nil, err
 	}
-	if e.graph == nil {
-		return nil, fmt.Errorf("sparkql: no dataset loaded")
-	}
-	bgp, ok := q.BGPOf()
-	if !ok {
-		return nil, fmt.Errorf("sparkql: only BGP queries are supported (fragment per Table II)")
-	}
-	s := solutions.NewSchema(q.Where)
+	bgp, _ := q.BGPOf()
 	return s.Results(q, e.evalBGP(s, bgp)), nil
 }
 
@@ -140,7 +135,7 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	var edgeTPs, leftovers []sparql.TriplePattern
 	nodeTPs := map[nodeKey][]sparql.TriplePattern{}
 	for _, tp := range bgp.Patterns {
-		switch p := tp.P.Term.Value; {
+		switch p := e.data.ID(tp.P.Term); {
 		case tp.P.IsVar, e.propPreds[p] && e.edgePreds[p]:
 			leftovers = append(leftovers, tp)
 		case e.isNodeProperty(tp):
@@ -188,7 +183,7 @@ func (e *Engine) isNodeProperty(tp sparql.TriplePattern) bool {
 	if !tp.O.IsVar && !tp.O.Term.IsLiteral() {
 		return false
 	}
-	return e.propPreds[tp.P.Term.Value]
+	return e.propPreds[e.data.ID(tp.P.Term)]
 }
 
 // queryTree is the BFS plan: parent -> children over edge patterns.
@@ -287,24 +282,28 @@ func (e *Engine) nodeTable(s *solutions.Schema, el sparql.TPElem, tps []sparql.T
 			objSlots[i] = s.Slot(tp.O.Var)
 		}
 	}
+	preds, objs := make([]rdf.TermID, len(tps)), make([]rdf.TermID, len(tps))
+	for i, tp := range tps {
+		preds[i], objs[i] = e.data.ID(tp.P.Term), e.data.ID(tp.O.Term)
+	}
 	consider := func(vid graphx.VertexID) {
-		if len(tps) > 0 && len(e.props[vid][tps[0].P.Term.Value]) == 0 {
+		if len(tps) > 0 && len(e.props[vid][preds[0]]) == 0 {
 			return // no row survives the first constraint
 		}
 		base := s.Row()
 		if slot >= 0 {
-			base[slot] = e.terms[vid]
+			base[slot] = rdf.TermID(vid)
 		}
 		rows := []solutions.Row{base}
-		for i, tp := range tps {
+		for i := range tps {
 			var next []solutions.Row
-			vals := e.props[vid][tp.P.Term.Value]
+			vals := e.props[vid][preds[i]]
 			o := objSlots[i]
 			for _, row := range rows {
 				for _, val := range vals {
 					switch {
 					case o < 0:
-						if tp.O.Term == val {
+						if objs[i] == val {
 							next = append(next, row)
 						}
 					case solutions.Bound(row[o]):
@@ -326,13 +325,13 @@ func (e *Engine) nodeTable(s *solutions.Schema, el sparql.TPElem, tps []sparql.T
 		out[vid] = rows
 	}
 	if !el.IsVar {
-		if vid, ok := e.ids[el.Term]; ok {
-			consider(vid)
+		if id := e.data.ID(el.Term); solutions.Bound(id) {
+			consider(graphx.VertexID(id))
 		}
 		return out
 	}
-	for vid := range e.terms {
-		consider(vid)
+	for _, v := range e.graph.Vertices().Collect() {
+		consider(v.ID)
 	}
 	return out
 }
@@ -349,19 +348,19 @@ func (e *Engine) evalSubtree(s *solutions.Schema, tree *queryTree, node nodeKey,
 		// Index child rows by the child node's vertex.
 		childEl := elemOfKeyTP(link.child, link.tp, link.down)
 		byVertex := map[graphx.VertexID][]solutions.Row{}
+		constant := e.data.ID(childEl.Term)
 		for _, row := range childTable {
-			t := childEl.Term
+			id := constant
 			if childEl.IsVar {
-				t = row[s.Slot(childEl.Var)]
+				id = row[s.Slot(childEl.Var)]
 			}
-			vid := e.ids[t]
-			byVertex[vid] = append(byVertex[vid], row)
+			byVertex[graphx.VertexID(id)] = append(byVertex[graphx.VertexID(id)], row)
 		}
 		// One aggregateMessages round: child rows flow along matching
 		// edges to the parent vertex.
-		pred := link.tp.P.Term.Value
+		pred := e.data.ID(link.tp.P.Term)
 		msgs := graphx.AggregateMessages(e.graph,
-			func(c *graphx.EdgeContext[rdf.Term, string, []solutions.Row]) {
+			func(c *graphx.EdgeContext[struct{}, rdf.TermID, []solutions.Row]) {
 				if c.Triplet.Attr != pred {
 					return
 				}
@@ -394,7 +393,7 @@ func (e *Engine) evalSubtree(s *solutions.Schema, tree *queryTree, node nodeKey,
 				continue
 			}
 			for _, pr := range parentRows {
-				if parent >= 0 && pr[parent] != e.terms[vid] {
+				if parent >= 0 && pr[parent] != rdf.TermID(vid) {
 					continue
 				}
 				for _, cr := range arrivals {
@@ -414,18 +413,18 @@ func (e *Engine) evalSubtree(s *solutions.Schema, tree *queryTree, node nodeKey,
 func (e *Engine) matchAnywhere(s *solutions.Schema, tp sparql.TriplePattern) []solutions.Row {
 	pat := s.Pattern(tp)
 	var out []solutions.Row
-	emit := func(t rdf.Triple) {
+	emit := func(t rdf.EncodedTriple) {
 		if r, ok := pat.Match(t); ok {
 			out = append(out, r)
 		}
 	}
 	for _, ed := range e.graph.Edges().Collect() {
-		emit(rdf.Triple{S: e.terms[ed.Src], P: rdf.NewIRI(ed.Attr), O: e.terms[ed.Dst]})
+		emit(rdf.EncodedTriple{S: rdf.TermID(ed.Src), P: ed.Attr, O: rdf.TermID(ed.Dst)})
 	}
 	for vid, ps := range e.props {
 		for p, vals := range ps {
 			for _, val := range vals {
-				emit(rdf.Triple{S: e.terms[vid], P: rdf.NewIRI(p), O: val})
+				emit(rdf.EncodedTriple{S: rdf.TermID(vid), P: p, O: val})
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/spark"
+	"repro/internal/spark/graphx"
 	"repro/internal/sparql"
 	"repro/internal/systems/systemstest"
 	"repro/internal/workload"
@@ -45,11 +46,11 @@ func TestNodeModelSplitsProperties(t *testing.T) {
 	if e.graph.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want only the object property", e.graph.NumEdges())
 	}
-	aProps := e.props[e.ids[iri("a")]]
-	if len(aProps["http://t/name"]) != 1 {
+	aProps := e.props[graphx.VertexID(e.data.ID(iri("a")))]
+	if len(aProps[e.data.ID(iri("name"))]) != 1 {
 		t.Fatalf("name not stored as node property: %v", aProps)
 	}
-	if len(aProps[rdf.RDFType]) != 1 {
+	if len(aProps[e.data.ID(rdf.NewIRI(rdf.RDFType))]) != 1 {
 		t.Fatal("rdf:type not stored in node properties")
 	}
 }

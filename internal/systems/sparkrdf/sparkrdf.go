@@ -44,19 +44,21 @@ const (
 	Level3 IndexLevel = 3 // + CRC
 )
 
-// Engine is the SparkRDF system.
+// Engine is the SparkRDF system. Its indexes are keyed by TermID.
 type Engine struct {
+	solutions.Source
 	ctx *spark.Context
 	// Level caps the MESG depth (default Level3).
 	Level IndexLevel
 
-	relation   map[string][]rdf.Triple            // predicate -> triples (level 1)
-	class      map[string][]rdf.Triple            // class IRI -> type triples (level 1)
-	cr         map[string]map[string][]rdf.Triple // subjClass -> predicate -> triples (level 2)
-	rc         map[string]map[string][]rdf.Triple // predicate -> objClass -> triples (level 2)
-	crc        map[string][]rdf.Triple            // subjClass|pred|objClass -> triples (level 3)
-	classesOf  map[rdf.Term][]string              // entity -> classes
-	allTriples []rdf.Triple
+	data      *solutions.Dataset
+	relation  map[rdf.TermID][]rdf.EncodedTriple                // predicate -> triples (level 1)
+	class     map[rdf.TermID][]rdf.EncodedTriple                // class -> type triples (level 1)
+	cr        map[rdf.TermID]map[rdf.TermID][]rdf.EncodedTriple // subjClass -> predicate -> triples (level 2)
+	rc        map[rdf.TermID]map[rdf.TermID][]rdf.EncodedTriple // predicate -> objClass -> triples (level 2)
+	crc       map[[3]rdf.TermID][]rdf.EncodedTriple             // subjClass, pred, objClass -> triples (level 3)
+	classesOf map[rdf.TermID][]rdf.TermID                       // entity -> classes
+	typeID    rdf.TermID                                        // rdf:type's id
 
 	// ScannedTriples accumulates the candidate-set sizes read by
 	// queries — the I/O the MESG index is designed to prune.
@@ -90,42 +92,46 @@ func (e *Engine) Context() *spark.Context { return e.ctx }
 
 // Load builds the MESG indexes.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	e.relation = map[string][]rdf.Triple{}
-	e.class = map[string][]rdf.Triple{}
-	e.cr = map[string]map[string][]rdf.Triple{}
-	e.rc = map[string]map[string][]rdf.Triple{}
-	e.crc = map[string][]rdf.Triple{}
-	e.classesOf = map[rdf.Term][]string{}
-	e.allTriples = triples
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("sparkrdf: %w", err)
+	}
+	e.data = d
+	e.relation = map[rdf.TermID][]rdf.EncodedTriple{}
+	e.class = map[rdf.TermID][]rdf.EncodedTriple{}
+	e.cr = map[rdf.TermID]map[rdf.TermID][]rdf.EncodedTriple{}
+	e.rc = map[rdf.TermID]map[rdf.TermID][]rdf.EncodedTriple{}
+	e.crc = map[[3]rdf.TermID][]rdf.EncodedTriple{}
+	e.classesOf = map[rdf.TermID][]rdf.TermID{}
+	e.typeID = d.ID(rdf.NewIRI(rdf.RDFType))
 	e.ScannedTriples = 0
 
-	for _, t := range triples {
-		if t.IsTypeTriple() {
-			e.class[t.O.Value] = append(e.class[t.O.Value], t)
-			e.classesOf[t.S] = append(e.classesOf[t.S], t.O.Value)
+	for _, t := range d.Triples {
+		if t.P == e.typeID {
+			e.class[t.O] = append(e.class[t.O], t)
+			e.classesOf[t.S] = append(e.classesOf[t.S], t.O)
 		}
 	}
-	for _, t := range triples {
-		if t.IsTypeTriple() {
+	for _, t := range d.Triples {
+		if t.P == e.typeID {
 			continue
 		}
-		e.relation[t.P.Value] = append(e.relation[t.P.Value], t)
+		e.relation[t.P] = append(e.relation[t.P], t)
 		for _, sc := range e.classesOf[t.S] {
 			if e.cr[sc] == nil {
-				e.cr[sc] = map[string][]rdf.Triple{}
+				e.cr[sc] = map[rdf.TermID][]rdf.EncodedTriple{}
 			}
-			e.cr[sc][t.P.Value] = append(e.cr[sc][t.P.Value], t)
+			e.cr[sc][t.P] = append(e.cr[sc][t.P], t)
 			for _, oc := range e.classesOf[t.O] {
-				key := sc + "|" + t.P.Value + "|" + oc
+				key := [3]rdf.TermID{sc, t.P, oc}
 				e.crc[key] = append(e.crc[key], t)
 			}
 		}
 		for _, oc := range e.classesOf[t.O] {
-			if e.rc[t.P.Value] == nil {
-				e.rc[t.P.Value] = map[string][]rdf.Triple{}
+			if e.rc[t.P] == nil {
+				e.rc[t.P] = map[rdf.TermID][]rdf.EncodedTriple{}
 			}
-			e.rc[t.P.Value][oc] = append(e.rc[t.P.Value][oc], t)
+			e.rc[t.P][oc] = append(e.rc[t.P][oc], t)
 		}
 	}
 	return nil
@@ -133,17 +139,11 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 
 // Execute implements core.Engine. Only BGP queries are supported.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("sparkrdf: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("sparkrdf", q, true)
+	if err != nil {
+		return nil, err
 	}
-	if e.allTriples == nil {
-		return nil, fmt.Errorf("sparkrdf: no dataset loaded")
-	}
-	bgp, ok := q.BGPOf()
-	if !ok {
-		return nil, fmt.Errorf("sparkrdf: only BGP queries are supported (fragment per Table II)")
-	}
-	s := solutions.NewSchema(q.Where)
+	bgp, _ := q.BGPOf()
 	return s.Results(q, e.evalBGP(s, bgp)), nil
 }
 
@@ -154,7 +154,7 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	// Class-message pruning: collect class constraints from rdf:type
 	// patterns with variable subject and constant class; those
 	// patterns leave the join set when the variable occurs elsewhere.
-	classOfVar := map[sparql.Var][]string{}
+	classOfVar := map[sparql.Var][]rdf.TermID{}
 	var joinTPs []sparql.TriplePattern
 	var typeTPs []sparql.TriplePattern
 	for _, tp := range bgp.Patterns {
@@ -176,7 +176,7 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	}
 	for _, tp := range typeTPs {
 		if occursElsewhere(tp.S.Var) && e.Level >= Level2 {
-			classOfVar[tp.S.Var] = append(classOfVar[tp.S.Var], tp.O.Term.Value)
+			classOfVar[tp.S.Var] = append(classOfVar[tp.S.Var], e.data.ID(tp.O.Term))
 			continue
 		}
 		// Keep as a join pattern over the class index.
@@ -233,8 +233,8 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 			// On-demand dynamic pre-partitioning: both sides are placed
 			// by the join variable before the local join.
 			p := spark.NewHashPartitioner[string](e.ctx.DefaultParallelism())
-			ka := spark.PartitionBy(solutions.KeyBy(cur, shared), p)
-			kb := spark.PartitionBy(solutions.KeyBy(next.rdd, shared), p)
+			ka := spark.PartitionBy(s.KeyBy(cur, shared), p)
+			kb := spark.PartitionBy(s.KeyBy(next.rdd, shared), p)
 			cur = solutions.MergeJoined(spark.Join(ka, kb))
 		}
 		for _, v := range next.tp.Vars() {
@@ -276,47 +276,43 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 
 // candidates selects the smallest index entry applicable to a pattern
 // under the engine's index level and the variables' class constraints.
-func (e *Engine) candidates(tp sparql.TriplePattern, classOfVar map[sparql.Var][]string) []rdf.Triple {
+func (e *Engine) candidates(tp sparql.TriplePattern, classOfVar map[sparql.Var][]rdf.TermID) []rdf.EncodedTriple {
 	// Variable predicate: full scan.
 	if tp.P.IsVar {
-		return e.allTriples
+		return e.data.Triples
 	}
-	pred := tp.P.Term.Value
-	if pred == rdf.RDFType {
+	pred := e.data.ID(tp.P.Term)
+	if tp.P.Term.Value == rdf.RDFType {
 		if !tp.O.IsVar {
-			return e.class[tp.O.Term.Value]
+			return e.class[e.data.ID(tp.O.Term)]
 		}
 		// All type triples.
-		var all []rdf.Triple
+		var all []rdf.EncodedTriple
 		for _, ts := range e.class {
 			all = append(all, ts...)
 		}
 		return all
 	}
-	var sClass, oClass string
+	var sClass, oClass []rdf.TermID
 	if tp.S.IsVar {
-		if cs := classOfVar[tp.S.Var]; len(cs) > 0 {
-			sClass = cs[0]
-		}
+		sClass = classOfVar[tp.S.Var]
 	}
 	if tp.O.IsVar {
-		if cs := classOfVar[tp.O.Var]; len(cs) > 0 {
-			oClass = cs[0]
-		}
+		oClass = classOfVar[tp.O.Var]
 	}
-	if e.Level >= Level3 && sClass != "" && oClass != "" {
-		return e.crc[sClass+"|"+pred+"|"+oClass]
+	if e.Level >= Level3 && len(sClass) > 0 && len(oClass) > 0 {
+		return e.crc[[3]rdf.TermID{sClass[0], pred, oClass[0]}]
 	}
 	if e.Level >= Level2 {
-		if sClass != "" {
-			if m := e.cr[sClass]; m != nil {
+		if len(sClass) > 0 {
+			if m := e.cr[sClass[0]]; m != nil {
 				return m[pred]
 			}
 			return nil
 		}
-		if oClass != "" {
+		if len(oClass) > 0 {
 			if m := e.rc[pred]; m != nil {
-				return m[oClass]
+				return m[oClass[0]]
 			}
 			return nil
 		}
@@ -324,7 +320,7 @@ func (e *Engine) candidates(tp sparql.TriplePattern, classOfVar map[sparql.Var][
 	return e.relation[pred]
 }
 
-func hasClass(classes []string, c string) bool {
+func hasClass(classes []rdf.TermID, c rdf.TermID) bool {
 	for _, x := range classes {
 		if x == c {
 			return true

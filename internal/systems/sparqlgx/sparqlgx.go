@@ -24,17 +24,20 @@ import (
 // SO is one row of a vertical-partition file: the subject and object of
 // a triple whose predicate names the file.
 type SO struct {
-	S, O rdf.Term
+	S, O rdf.TermID
 }
 
 // Engine is the SPARQLGX system.
 type Engine struct {
-	ctx *spark.Context
-	// vertical holds one RDD per predicate — the vertical partitioning.
-	vertical map[string]*spark.RDD[SO]
-	// preds keeps predicate IRIs sorted for deterministic iteration.
-	preds []string
-	stats rdf.Stats
+	solutions.Source
+	ctx  *spark.Context
+	data *solutions.Dataset
+	// vertical holds one RDD per predicate id — the vertical
+	// partitioning.
+	vertical map[rdf.TermID]*spark.RDD[SO]
+	// preds keeps the predicates in IRI order for deterministic
+	// iteration.
+	preds []rdf.TermID
 }
 
 // New creates an unloaded engine on ctx.
@@ -59,34 +62,34 @@ func (e *Engine) Info() core.SystemInfo {
 // Context implements core.Engine.
 func (e *Engine) Context() *spark.Context { return e.ctx }
 
-// Load vertically partitions the dataset: one (s,o) RDD per predicate,
-// and computes the statistics used for join reordering.
+// Load vertically partitions the dataset: one (s,o) RDD per predicate.
+// The statistics used for join reordering are the dataset's.
 func (e *Engine) Load(triples []rdf.Triple) error {
-	triples = rdf.Dedupe(triples)
-	e.vertical = make(map[string]*spark.RDD[SO])
-	byPred := make(map[string][]SO)
-	for _, t := range triples {
-		byPred[t.P.Value] = append(byPred[t.P.Value], SO{S: t.S, O: t.O})
+	d, err := e.Dataset(triples)
+	if err != nil {
+		return fmt.Errorf("sparqlgx: %w", err)
+	}
+	e.data = d
+	e.vertical = make(map[rdf.TermID]*spark.RDD[SO])
+	byPred := make(map[rdf.TermID][]SO)
+	for _, t := range d.Triples {
+		byPred[t.P] = append(byPred[t.P], SO{S: t.S, O: t.O})
 	}
 	e.preds = e.preds[:0]
 	for p, rows := range byPred {
 		e.vertical[p] = spark.Parallelize(e.ctx, rows)
 		e.preds = append(e.preds, p)
 	}
-	sort.Strings(e.preds)
-	e.stats = rdf.ComputeStats(triples)
+	sort.Slice(e.preds, func(i, j int) bool { return d.Term(e.preds[i]).Value < d.Term(e.preds[j]).Value })
 	return nil
 }
 
 // Execute implements core.Engine.
 func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.FormDescribe {
-		return nil, fmt.Errorf("sparqlgx: DESCRIBE is not supported (use the reference evaluator)")
+	s, err := e.data.Schema("sparqlgx", q, false)
+	if err != nil {
+		return nil, err
 	}
-	if e.vertical == nil {
-		return nil, fmt.Errorf("sparqlgx: no dataset loaded")
-	}
-	s := solutions.NewSchema(q.Where)
 	rows, err := e.evalPattern(s, q.Where)
 	if err != nil {
 		return nil, err
@@ -107,7 +110,7 @@ func (e *Engine) evalPattern(s *solutions.Schema, p sparql.GraphPattern) (*spark
 			if err != nil {
 				return nil, err
 			}
-			cur = joinRowRDDs(len(s.Vars), cur, sub)
+			cur = joinRowRDDs(s, cur, sub)
 		}
 		return cur, nil
 	case sparql.Filter:
@@ -166,7 +169,7 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) (*spark.RDD[soluti
 		if len(shared) == 0 {
 			cur = solutions.MergeCross(spark.Cartesian(cur, next))
 		} else {
-			cur = joinOn(cur, next, s.Slots(shared))
+			cur = joinOn(s, cur, next, s.Slots(shared))
 		}
 		for _, v := range tp.Vars() {
 			bound[v] = true
@@ -181,18 +184,19 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) (*spark.RDD[soluti
 // SPARQLGX gathers), and variable predicates scan everything.
 func (e *Engine) reorder(tps []sparql.TriplePattern) []sparql.TriplePattern {
 	out := append([]sparql.TriplePattern{}, tps...)
+	stats := &e.data.Stats
 	est := func(tp sparql.TriplePattern) float64 {
 		var card float64
 		if !tp.P.IsVar {
-			card = float64(e.stats.PredicateCounts[tp.P.Term.Value])
+			card = float64(stats.PredicateCounts[tp.P.Term.Value])
 		} else {
-			card = float64(e.stats.Triples)
+			card = float64(stats.Triples)
 		}
-		if !tp.S.IsVar && e.stats.DistinctSubjects > 0 {
-			card /= float64(e.stats.DistinctSubjects)
+		if !tp.S.IsVar && stats.DistinctSubjects > 0 {
+			card /= float64(stats.DistinctSubjects)
 		}
-		if !tp.O.IsVar && e.stats.DistinctObjects > 0 {
-			card /= float64(e.stats.DistinctObjects)
+		if !tp.O.IsVar && stats.DistinctObjects > 0 {
+			card /= float64(stats.DistinctObjects)
 		}
 		return card
 	}
@@ -205,11 +209,11 @@ func (e *Engine) reorder(tps []sparql.TriplePattern) []sparql.TriplePattern {
 // SPARQLGX win; a variable predicate unions all files.
 func (e *Engine) scanPattern(s *solutions.Schema, tp sparql.TriplePattern) *spark.RDD[solutions.Row] {
 	pat := s.Pattern(tp)
-	matchSO := func(pred rdf.Term) func(part []SO) []solutions.Row {
+	matchSO := func(pred rdf.TermID) func(part []SO) []solutions.Row {
 		return func(part []SO) []solutions.Row {
 			var out []solutions.Row
 			for _, row := range part {
-				if r, ok := pat.Match(rdf.Triple{S: row.S, P: pred, O: row.O}); ok {
+				if r, ok := pat.Match(rdf.EncodedTriple{S: row.S, P: pred, O: row.O}); ok {
 					out = append(out, r)
 				}
 			}
@@ -217,15 +221,16 @@ func (e *Engine) scanPattern(s *solutions.Schema, tp sparql.TriplePattern) *spar
 		}
 	}
 	if !tp.P.IsVar {
-		file, ok := e.vertical[tp.P.Term.Value]
+		p := e.data.ID(tp.P.Term)
+		file, ok := e.vertical[p]
 		if !ok {
 			return spark.Parallelize(e.ctx, []solutions.Row{})
 		}
-		return spark.MapPartitions(file, matchSO(tp.P.Term))
+		return spark.MapPartitions(file, matchSO(p))
 	}
 	result := spark.Parallelize(e.ctx, []solutions.Row{})
 	for _, p := range e.preds {
-		result = result.Union(spark.MapPartitions(e.vertical[p], matchSO(rdf.NewIRI(p))))
+		result = result.Union(spark.MapPartitions(e.vertical[p], matchSO(p)))
 	}
 	return result
 }
@@ -234,8 +239,8 @@ func (e *Engine) scanPattern(s *solutions.Schema, tp sparql.TriplePattern) *spar
 
 // joinOn joins two row RDDs on the given shared slots using the
 // partitioned keyBy join of the RDD API.
-func joinOn(a, b *spark.RDD[solutions.Row], shared []int) *spark.RDD[solutions.Row] {
-	return solutions.MergeJoined(spark.Join(solutions.KeyBy(a, shared), solutions.KeyBy(b, shared)))
+func joinOn(s *solutions.Schema, a, b *spark.RDD[solutions.Row], shared []int) *spark.RDD[solutions.Row] {
+	return solutions.MergeJoined(spark.Join(s.KeyBy(a, shared), s.KeyBy(b, shared)))
 }
 
 // joinRowRDDs joins on all shared slots of the two sides (the generic
@@ -243,8 +248,8 @@ func joinOn(a, b *spark.RDD[solutions.Row], shared []int) *spark.RDD[solutions.R
 // missing a shared slot (possible below OPTIONAL) cannot use the keyed
 // join — SPARQL compatibility lets an unbound variable join anything —
 // so they take the Cartesian-with-compatibility path.
-func joinRowRDDs(width int, a, b *spark.RDD[solutions.Row]) *spark.RDD[solutions.Row] {
-	av, bv := boundSlots(a, width), boundSlots(b, width)
+func joinRowRDDs(s *solutions.Schema, a, b *spark.RDD[solutions.Row]) *spark.RDD[solutions.Row] {
+	av, bv := boundSlots(a, len(s.Vars)), boundSlots(b, len(s.Vars))
 	var shared []int
 	for i := range av {
 		if av[i] && bv[i] {
@@ -264,7 +269,7 @@ func joinRowRDDs(width int, a, b *spark.RDD[solutions.Row]) *spark.RDD[solutions
 	}
 	aBound := a.Filter(hasAll)
 	bBound := b.Filter(hasAll)
-	result := joinOn(aBound, bBound, shared)
+	result := joinOn(s, aBound, bBound, shared)
 	aPartial := a.Filter(func(x solutions.Row) bool { return !hasAll(x) })
 	if aPartial.Count() > 0 {
 		result = result.Union(solutions.MergeCross(spark.Cartesian(aPartial, b)))
@@ -295,8 +300,8 @@ func leftOuterJoinRowRDDs(ctx *spark.Context, a, b *spark.RDD[solutions.Row]) *s
 func boundSlots(r *spark.RDD[solutions.Row], width int) []bool {
 	out := make([]bool, width)
 	for _, row := range r.Take(32) {
-		for i, t := range row {
-			out[i] = out[i] || solutions.Bound(t)
+		for i, id := range row {
+			out[i] = out[i] || solutions.Bound(id)
 		}
 	}
 	return out

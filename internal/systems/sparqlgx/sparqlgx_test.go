@@ -58,7 +58,7 @@ func TestVerticalPartitioningBoundsScans(t *testing.T) {
 		P: sparql.TermElem(workload.UnivAdvisor),
 		O: sparql.VarElem("o"),
 	}
-	rdd := e.scanPattern(solutions.NewSchema(sparql.BGP{Patterns: []sparql.TriplePattern{tp}}), tp)
+	rdd := e.scanPattern(solutions.NewSchema(sparql.BGP{Patterns: []sparql.TriplePattern{tp}}, e.data), tp)
 	if rdd.Count() != advisorCount {
 		t.Fatalf("scan returned %d bindings, want %d", rdd.Count(), advisorCount)
 	}
