@@ -52,39 +52,39 @@
 //     where it binds none, so a row holds no pointer — the engines'
 //     RDDs, GraphX messages and match tables all carry rows, and
 //     solutions.Merge is the one SPARQL merge, comparing ids. A row is
-//     decoded to a sparql.Binding once, for the answer (Schema.Results,
-//     through the dictionary: a plain SELECT decodes only what it
-//     projects); a FILTER reads slots through the dictionary's term
-//     table and decodes nothing. FILTER has one evaluator for the reference, the
-//     sharded route and every engine: sparql.CompileFilter resolves a
-//     condition's variables to slots once per query, and sparql.Holds
-//     evaluates it three-valued (true, false or error, SPARQL 1.1
-//     §17.2 and §17.3; FilterExpr names the subset) over any row that
-//     gives a slot's term, keeping the row only on true. ORDER BY is
-//     another order, sparql.CompareTerms (§15.1), which MIN, MAX and the
-//     assessment's tie check share.
-//     What an engine does with whole solution sequences at the driver is not part of that path and belongs to no surveyed
-//     design — the Group and OPTIONAL arms of the BGP+ walker HAQWA,
-//     S2RDF and S2X share (Schema.EvalPattern over each engine's own
-//     evalBGP, S2X passing its RDD filter), SPARQLGX's OPTIONAL
-//     against its broadcast right side, Spar(k)ql's component joins,
-//     GX-Subgraph's disconnected-pattern join — so it goes through one
-//     helper (internal/systems/solutions: Join, LeftJoin and the Table
-//     both are made of). The build side is indexed on one slot bound
-//     in every build row (the TermID is the map key; nothing is
-//     rendered), a probe row that binds it visits its bucket and one
-//     that does not (possible below OPTIONAL) scans, every candidate is
-//     merged with Merge, a build side under eight rows is scanned, and
-//     the output is row for row the nested loop's — left-major, right
-//     in slice order — which stays in the tree as the property test's
-//     reference. The metered joins (KeyBy + Join, Cartesian, broadcast)
-//     are each engine's own strategy and stay in its package, keyed by
-//     the one Schema.Key, whose bytes are the ones a Binding-keyed
-//     shuffle rendered, copied from the dataset's renderings: the
-//     helper moves no integer Activity counter (TestAssessActivityPinned
-//     holds every cell of the assessment; its ShuffleBytes moved when
-//     rows replaced bindings, and again when ids replaced terms in
-//     rows).
+//     the reference evaluator's own row type ([]rdf.TermID), so rows
+//     pass between the two uncopied, and a FILTER reads slots through
+//     the dictionary's term table and decodes nothing. FILTER has one
+//     evaluator for the reference, the sharded route and every engine:
+//     sparql.CompileFilter resolves a condition's variables to slots
+//     once per query, and sparql.Holds evaluates it three-valued (true,
+//     false or error, SPARQL 1.1 §17.2 and §17.3; FilterExpr names the
+//     subset) over any row that gives a slot's term, keeping the row
+//     only on true. ORDER BY is another order, sparql.CompareTerms
+//     (§15.1), which MIN, MAX and the assessment's tie check share.
+//     What an engine does with whole solution sequences at the driver
+//     belongs to no surveyed design, so it is the reference evaluator's
+//     code, of which there is one copy. HAQWA, S2RDF and S2X answer
+//     through sparql.EvalRows: the reference's walker calls each
+//     engine's own BGP evaluation (and S2X's RDD filter) in the order
+//     the pattern is written, and joins, left-joins, unions and
+//     filters the rows above them exactly as it does its own. SPARQLGX,
+//     which translates OPTIONAL and UNION into RDD operations itself,
+//     and the five BGP-only engines hand their rows to sparql.Answer.
+//     Both finish through the reference's id-space modifier pipeline
+//     (ORDER BY before projection, then DISTINCT and the slice, §18.2.5)
+//     and decode only the rows that survive it. Spar(k)ql's component
+//     joins, GX-Subgraph's disconnected-pattern join and each task of
+//     SPARQLGX's OPTIONAL against its broadcast right side call the
+//     reference's join kernel, sparql.JoinRows, whose output is row for
+//     row the nested loop's. The metered joins (KeyBy + Join,
+//     Cartesian, broadcast) are each engine's own strategy and stay in
+//     its package, keyed by the one Schema.Key, whose bytes are the
+//     ones a Binding-keyed shuffle rendered, copied from the dataset's
+//     renderings: the driver-side algebra moves no integer Activity
+//     counter (TestAssessActivityPinned holds every cell of the
+//     assessment; its ShuffleBytes moved when rows replaced bindings,
+//     and again when ids replaced terms in rows).
 //
 //   - The reference evaluator (internal/sparql over internal/rdf).
 //     Queries are slot-compiled: a Var→slot table is built once per
@@ -92,9 +92,10 @@
 //     graph's dictionary-encoded triples (rdf.Graph.Encoded), the
 //     HAQWA-style integer encoding. BGP patterns are reordered by
 //     estimated selectivity from the SPARQLGX-style rdf.Stats, rows
-//     are bump-allocated from arenas, and solution modifiers
-//     (projection, DISTINCT, ORDER BY, LIMIT, ASK) run in id space so
-//     only surviving rows are decoded back to terms. Graph lookups
+//     are bump-allocated from arenas, and solution modifiers (ORDER
+//     BY, projection, DISTINCT, OFFSET / LIMIT in §18.2.5's order, and
+//     ASK) run in id space so only surviving rows are decoded back to
+//     terms. Graph lookups
 //     (WithSubject/WithPredicate/WithObject) return zero-copy index
 //     views. A pattern scan writes each output row once: the candidate
 //     filter (patternScan.matches) compares every position the input

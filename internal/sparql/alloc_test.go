@@ -178,25 +178,3 @@ func TestNumericValueSpecialForms(t *testing.T) {
 		t.Fatalf("-INF = %v,%v; want -Inf", f, ok)
 	}
 }
-
-// Project's zero-copy reuse must not fire when the projection list
-// holds duplicate variables or a strict subset of the row's bindings.
-func TestProjectDuplicateVars(t *testing.T) {
-	x := rdf.NewIRI("http://ex/x")
-	y := rdf.NewLiteral("y")
-	r := &Results{
-		Vars: []Var{"x", "y"},
-		Rows: []Binding{{"x": x, "y": y}},
-	}
-	p := r.Project([]Var{"x", "x"})
-	if _, leaked := p.Rows[0]["y"]; leaked {
-		t.Fatal("duplicate-var projection leaked unprojected binding ?y")
-	}
-	if got := p.Rows[0]["x"]; got != x {
-		t.Fatalf("projected ?x = %v, want %v", got, x)
-	}
-	q := r.Project([]Var{"x"})
-	if _, leaked := q.Rows[0]["y"]; leaked {
-		t.Fatal("subset projection leaked unprojected binding ?y")
-	}
-}

@@ -29,8 +29,9 @@ const unboundID = ^rdf.TermID(0)
 
 // slotRow is one partial solution in id space: index i holds the id
 // bound to the query's i-th variable, or unboundID. Rows are immutable
-// once produced.
-type slotRow []rdf.TermID
+// once produced. An engine's solutions.Row is the same type, so its rows
+// enter EvalRows, Answer and JoinRows without a copy.
+type slotRow = []rdf.TermID
 
 // Evaluate runs q over g with the reference evaluator: a direct,
 // centralized implementation of the SPARQL algebra. Every distributed
@@ -41,19 +42,81 @@ func Evaluate(q *Query, g *rdf.Graph) (*Results, error) {
 	return evaluate(newEvalEnv(q, g), q)
 }
 
-// evaluate is the shared body of Evaluate and (*Prepared).Run.
+// EvalRows evaluates q over the rows of an engine that answers BGPs
+// itself: each BGP through bgp, in the order Evaluate meets them, and
+// each FILTER through filter where it is not nil (it returns the rows
+// keep passes). Everything else — the walker, the join kernel and the
+// solution modifiers — is Evaluate's own code. A row holds the ids over
+// dict of vars, in vars' order; an error from bgp ends the evaluation.
+func EvalRows(q *Query, vars []Var, dict *rdf.Dictionary,
+	bgp func(BGP) ([][]rdf.TermID, error),
+	filter func(rows [][]rdf.TermID, keep func([]rdf.TermID) bool) [][]rdf.TermID,
+) (*Results, error) {
+	env := rowEnv(vars, dict)
+	env.bgp = func(b BGP) []slotRow {
+		rows, err := bgp(b)
+		if err != nil {
+			env.err = err
+		}
+		return rows
+	}
+	env.filter = filter
+	return evaluate(env, q)
+}
+
+// Answer is q's answer over the rows an engine evaluated its pattern
+// to, as EvalRows gives it: the ids over dict of vars, in vars' order.
+// It may reorder rows in place.
+func Answer(q *Query, vars []Var, dict *rdf.Dictionary, rows [][]rdf.TermID) (*Results, error) {
+	return rowEnv(vars, dict).answer(q, rows)
+}
+
+// JoinRows is the evaluator's join kernel over rows of one width: the
+// SPARQL join of left and right, or their left join (OPTIONAL) when
+// outer is set, in the nested loop's order. It only reads its inputs,
+// so concurrent calls may share a side. Past the kernel's capacity it
+// fails with *rdf.CapacityError.
+func JoinRows(left, right [][]rdf.TermID, outer bool) ([][]rdf.TermID, error) {
+	if len(left) == 0 {
+		return nil, nil
+	}
+	env := &evalEnv{vars: make([]Var, len(left[0]))}
+	join := env.joinRows
+	if outer {
+		join = env.optionalRows
+	}
+	rows := join(left, right)
+	return rows, env.err
+}
+
+// rowEnv is the environment of rows an engine built: the ids over dict
+// of vars, in vars' order.
+func rowEnv(vars []Var, dict *rdf.Dictionary) *evalEnv {
+	env := &evalEnv{terms: dict.Terms(), vars: vars, slots: make(map[Var]int, len(vars))}
+	for i, v := range vars {
+		env.slots[v] = i
+	}
+	return env
+}
+
+// evaluate is the shared body of Evaluate, (*Prepared).Run and EvalRows.
 func evaluate(env *evalEnv, q *Query) (*Results, error) {
 	rows, err := env.evalPattern(q.Where)
 	if err != nil {
 		return nil, err
 	}
+	return env.answer(q, rows)
+}
+
+// answer is q's answer over the rows its pattern evaluated to.
+func (env *evalEnv) answer(q *Query, rows []slotRow) (*Results, error) {
 	if env.err != nil {
 		return nil, env.err
 	}
-	// Plain SELECT and ASK run the whole modifier pipeline in id
-	// space and decode only the surviving rows. Aggregates, CONSTRUCT,
-	// and DESCRIBE need term values for every solution, so they decode
-	// first and share the engines' modifier tail.
+	// Plain SELECT and ASK run the whole modifier pipeline in id space
+	// and decode only the surviving rows. Aggregates, CONSTRUCT, and
+	// DESCRIBE need term values for every solution, so they decode
+	// first and share the term-space tail.
 	if (q.Form == FormSelect || q.Form == FormAsk) && q.Agg == nil {
 		res := env.applyModifiers(q, rows)
 		if env.err != nil { // cancelled inside the pipeline (top-K scan)
@@ -68,12 +131,11 @@ func evaluate(env *evalEnv, q *Query) (*Results, error) {
 		}
 		return env.describeResources(q, decoded), nil
 	}
-	return ApplySolutionModifiers(q, decoded), nil
+	return applySolutionModifiers(q, decoded), nil
 }
 
-// applyModifiers applies projection / DISTINCT / ORDER BY / OFFSET /
-// LIMIT over id-space rows, mirroring ApplySolutionModifiers exactly,
-// and decodes only the rows that survive.
+// applyModifiers applies q's solution modifiers over id-space rows
+// (modifierPipeline) and decodes only the rows that survive.
 func (env *evalEnv) applyModifiers(q *Query, rows []slotRow) *Results {
 	if q.Form == FormAsk {
 		return &Results{IsAsk: true, Ask: len(rows) > 0}
@@ -83,24 +145,38 @@ func (env *evalEnv) applyModifiers(q *Query, rows []slotRow) *Results {
 	return &Results{Vars: append([]Var{}, vars...), Rows: env.decodeRows(rows)}
 }
 
-// modifierPipeline runs projection / DISTINCT / ORDER BY / OFFSET /
-// LIMIT entirely in id space and returns the surviving rows undecoded.
-// Both the Binding-materializing path (applyModifiers) and the
-// streaming path ((*Prepared).RunSolutions) share it.
+// modifierPipeline runs ORDER BY, projection, DISTINCT and OFFSET /
+// LIMIT in that order (§18.2.5) entirely in id space and returns the
+// surviving rows undecoded. Both the Binding-materializing path
+// (applyModifiers) and the streaming path ((*Prepared).RunSolutions)
+// share it. ORDER BY reads its keys before projection clears them.
+// When DISTINCT follows and projection keeps every key, the sort moves
+// after DISTINCT: a row's first occurrence, the one DISTINCT keeps, is
+// also first among its equals under a stable sort, so the sequence is
+// the same, and the sort need only select the rows the slice keeps
+// (top-K) — which it may not do ahead of a DISTINCT.
 func (env *evalEnv) modifierPipeline(q *Query, vars []Var, rows []slotRow) []slotRow {
 	sp := env.span("modifiers")
 	sp.SetInt("rows_in", int64(len(rows)))
+	topK := -1
+	if k := q.Limit + q.Offset; q.Limit >= 0 && k >= 0 { // guard vs overflow
+		topK = k
+	}
+	sortFirst := len(q.OrderBy) > 0 && (!q.Distinct || slices.ContainsFunc(q.OrderBy, func(k OrderKey) bool {
+		_, bound := env.slots[k.Var]
+		return bound && !slices.Contains(vars, k.Var)
+	}))
+	if sortFirst {
+		if q.Distinct {
+			topK = -1
+		}
+		rows = env.sortRows(rows, q.OrderBy, topK)
+	}
 	rows = env.projectRows(rows, vars)
 	if q.Distinct {
 		rows = env.distinctRows(rows)
 	}
-	if len(q.OrderBy) > 0 {
-		topK := -1
-		if q.Limit >= 0 {
-			if k := q.Limit + q.Offset; k >= 0 { // guard vs overflow
-				topK = k
-			}
-		}
+	if len(q.OrderBy) > 0 && !sortFirst {
 		rows = env.sortRows(rows, q.OrderBy, topK)
 	}
 	if q.Offset > 0 {
@@ -352,6 +428,10 @@ type evalEnv struct {
 	// hooks, which is what keeps sharded output byte-identical.
 	bgp      func(BGP) []slotRow
 	describe func(*Query, []Binding) *Results
+	// filter, when non-nil, runs a FILTER's test over its rows in place
+	// of evalPattern's own loop (EvalRows: an engine that filters on its
+	// own side).
+	filter func(rows []slotRow, keep func(slotRow) bool) []slotRow
 
 	// Fault handling (replica.go, internal/fault): fplan is the fault
 	// plan installed on the run's context (nil outside chaos tests and
@@ -487,21 +567,9 @@ func (env *evalEnv) reserveRows(n int) {
 }
 
 func newEvalEnv(q *Query, g *rdf.Graph) *evalEnv {
-	vars := q.Where.PatternVars()
-	slots := make(map[Var]int, len(vars))
-	for i, v := range vars {
-		slots[v] = i
-	}
 	view := g.Encoded()
-	env := &evalEnv{
-		g:         g,
-		view:      view,
-		terms:     view.Dict().Terms(),
-		slots:     slots,
-		vars:      vars,
-		stats:     g.Stats(),
-		limitHint: limitHintFor(q),
-	}
+	env := rowEnv(q.Where.PatternVars(), view.Dict())
+	env.g, env.view, env.stats, env.limitHint = g, view, g.Stats(), limitHintFor(q)
 	env.ftally = &env.tally
 	return env
 }
@@ -658,7 +726,12 @@ func (env *evalEnv) evalPattern(p GraphPattern) ([]slotRow, error) {
 		// referenced only by its parent, so the surviving rows can be
 		// compacted into the same slice instead of growing a new one.
 		cond := CompileFilter(n.Cond, env.slots)
-		kept := slices.DeleteFunc(rows, func(row slotRow) bool { return !Holds(cond, idRow{env, row}) })
+		var kept []slotRow
+		if env.filter != nil {
+			kept = env.filter(rows, func(row slotRow) bool { return Holds(cond, idRow{env, row}) })
+		} else {
+			kept = slices.DeleteFunc(rows, func(row slotRow) bool { return !Holds(cond, idRow{env, row}) })
+		}
 		sp.SetInt("rows", int64(len(kept)))
 		env.endSpan(sp)
 		return kept, nil

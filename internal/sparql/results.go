@@ -48,51 +48,6 @@ type Results struct {
 // Len returns the number of solutions.
 func (r *Results) Len() int { return len(r.Rows) }
 
-// Project restricts rows to the given variables (used by engines after
-// evaluating the full pattern). Rows already restricted to exactly the
-// projected variables are reused without copying.
-func (r *Results) Project(vars []Var) *Results {
-	rows := make([]Binding, len(r.Rows))
-	for i, b := range r.Rows {
-		// Reusable only when b's keys and vars are equal as sets (vars
-		// may hold duplicates, so length equality alone is not enough).
-		reuse := true
-		for v := range b {
-			found := false
-			for _, pv := range vars {
-				if pv == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				reuse = false
-				break
-			}
-		}
-		if reuse {
-			for _, v := range vars {
-				if _, ok := b[v]; !ok {
-					reuse = false
-					break
-				}
-			}
-		}
-		if reuse {
-			rows[i] = b
-			continue
-		}
-		nb := make(Binding, len(vars))
-		for _, v := range vars {
-			if t, ok := b[v]; ok {
-				nb[v] = t
-			}
-		}
-		rows[i] = nb
-	}
-	return &Results{Vars: append([]Var{}, vars...), Rows: rows}
-}
-
 // rowKey renders one binding canonically over the result variables.
 func (r *Results) rowKey(b Binding) string {
 	var buf [256]byte
@@ -231,16 +186,15 @@ func (r *Results) SortRows(keys []OrderKey) {
 	})
 }
 
-// ApplySolutionModifiers applies DISTINCT / ORDER BY / OFFSET / LIMIT /
-// projection / aggregation in the standard SPARQL order. Engines
-// evaluate the graph pattern their own way, then share this tail.
-func ApplySolutionModifiers(q *Query, rows []Binding) *Results {
+// applySolutionModifiers is the term-space tail of the aggregate and
+// CONSTRUCT forms: the aggregate, then DISTINCT / ORDER BY / OFFSET /
+// LIMIT. Neither needs a projection: an aggregate's rows bind only its
+// group variables and its alias, and CONSTRUCT selects every variable.
+func applySolutionModifiers(q *Query, rows []Binding) *Results {
 	if q.Agg != nil {
 		rows = aggregateRows(q.Agg, rows)
 	}
-	vars := q.SelectedVars()
-	res := &Results{Vars: vars, Rows: rows}
-	res = res.Project(vars)
+	res := &Results{Vars: q.SelectedVars(), Rows: rows}
 	if q.Distinct {
 		seen := map[string]bool{}
 		var kept []Binding

@@ -373,6 +373,36 @@ func TestEvaluateOrderDescending(t *testing.T) {
 	}
 }
 
+// §18.2.5 orders before it projects, then applies DISTINCT, then the
+// slice: a key the projection drops still orders the rows, and a LIMIT
+// ahead of a DISTINCT keeps the rows DISTINCT leaves, not the first
+// LIMIT rows it is handed.
+func TestEvaluateOrderBeforeProject(t *testing.T) {
+	r := iri("r")
+	g := rdf.NewGraph([]rdf.Triple{
+		{S: iri("b"), P: r, O: num("2")}, {S: iri("a"), P: r, O: num("1")},
+		{S: iri("a"), P: r, O: num("0")}, {S: iri("c"), P: r, O: num("3")},
+	})
+	for _, tc := range []struct{ query, want string }{
+		{`SELECT ?s WHERE { ?s <http://ex.org/r> ?x } ORDER BY ?x`, "a a b c"},
+		{`SELECT ?s WHERE { ?s <http://ex.org/r> ?x } ORDER BY DESC(?x) LIMIT 2 OFFSET 1`, "b a"},
+		{`SELECT DISTINCT ?s WHERE { ?s <http://ex.org/r> ?x } ORDER BY ?x LIMIT 2`, "a b"},
+		{`SELECT DISTINCT ?s ?x WHERE { ?s <http://ex.org/r> ?x } ORDER BY DESC(?x) LIMIT 2`, "c b"},
+	} {
+		res, err := Evaluate(MustParse(tc.query), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, b := range res.Rows {
+			got = append(got, strings.TrimPrefix(b["s"].Value, "http://ex.org/"))
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("%s: got %v, want %s", tc.query, got, tc.want)
+		}
+	}
+}
+
 func TestEvaluateAsk(t *testing.T) {
 	g := socialGraph()
 	yes, err := Evaluate(MustParse(`ASK { <http://ex.org/ann> <http://ex.org/knows> ?x }`), g)
@@ -558,16 +588,5 @@ func TestBindingCompatibleMergeMatchReplacedBodies(t *testing.T) {
 				t.Errorf("%v changed to %v", before, ra)
 			}
 		}
-	}
-}
-
-func TestProjectDropsVars(t *testing.T) {
-	r := &Results{Vars: []Var{"x", "y"}, Rows: []Binding{{"x": iri("a"), "y": iri("b")}}}
-	p := r.Project([]Var{"y"})
-	if len(p.Vars) != 1 || p.Rows[0]["y"] != iri("b") {
-		t.Fatalf("project = %v", p)
-	}
-	if _, ok := p.Rows[0]["x"]; ok {
-		t.Fatal("x not dropped")
 	}
 }

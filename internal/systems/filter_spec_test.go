@@ -15,14 +15,18 @@ import (
 // from SPARQL 1.1 — §17.2 (three-valued && || !, BOUND), §17.3 (the
 // operator table, RDFterm-equal) and §15.1 (ORDER BY across kinds) — not
 // derived from any evaluator. Its rows follow the kinds of case the W3C
-// data-r2 suites expr-ops, open-world and boolean-effective-value test
-// (cited by name; nothing is read from them). Each row runs through
-// sparql.Evaluate and through every engine of the BGP+ fragment.
+// data-r2 suites expr-ops, open-world, boolean-effective-value and
+// solution-seq test (cited by name; nothing is read from them). Each
+// row projects ?s alone, so an ORDER BY key is one the projection
+// drops (§18.2.5 orders first), and runs through sparql.Evaluate and
+// through every engine whose fragment holds it: the BGP+ engines run
+// every row, the BGP-only engines the rows that are one BGP.
 //
 // The data: a, b, c and _:z have a name; b's age is 30 (xsd:integer),
 // c's is "x"; s1…s10 each have one v of a different kind; a, b and c
-// each have a k of a different kind (blank node, IRI, literal); s11…s14
-// have a w, 9 and 10 as integers and as simple literals.
+// each have a k of a different kind (blank node, IRI, literal) and an r
+// (3, 1 and 2); s11…s14 have a w, 9 and 10 as integers and as simple
+// literals.
 func TestFilterSpec(t *testing.T) {
 	const xsd = "http://www.w3.org/2001/XMLSchema#"
 	e := func(local string) rdf.Term { return rdf.NewIRI("http://e/" + local) }
@@ -43,6 +47,8 @@ func TestFilterSpec(t *testing.T) {
 		tr(e("s9"), "v", rdf.NewTypedLiteral("NaN", xsd+"double")),
 		tr(e("s10"), "v", rdf.NewTypedLiteral("five", xsd+"integer")), // ill-typed
 		tr(e("a"), "k", rdf.NewBlank("k")), tr(e("b"), "k", e("k")), tr(e("c"), "k", rdf.NewLiteral("k")),
+		tr(e("a"), "r", rdf.NewTypedLiteral("3", xsd+"integer")), tr(e("b"), "r", rdf.NewTypedLiteral("1", xsd+"integer")),
+		tr(e("c"), "r", rdf.NewTypedLiteral("2", xsd+"integer")),
 		tr(e("s11"), "w", rdf.NewTypedLiteral("9", xsd+"integer")), tr(e("s12"), "w", rdf.NewTypedLiteral("10", xsd+"integer")),
 		tr(e("s13"), "w", rdf.NewLiteral("9")), tr(e("s14"), "w", rdf.NewLiteral("10")),
 	}
@@ -102,6 +108,10 @@ func TestFilterSpec(t *testing.T) {
 		{names + `OPTIONAL { ?s e:k ?x } ORDER BY DESC(?x)`, "c b a _:z"},
 		{`?s e:w ?x FILTER(?x > 0) ORDER BY ?x`, "s11 s12"},
 		{`?s e:w ?x FILTER(?x >= "") ORDER BY ?x`, "s14 s13"},
+
+		// §18.2.5: ORDER BY, then projection, then the slice.
+		{`?s e:r ?x ORDER BY ?x`, "b c a"},
+		{`?s e:r ?x ORDER BY DESC(?x) LIMIT 2`, "a c"},
 	}
 	for op, holds := range map[string]bool{"=": false, "!=": true, "<": true, "<=": true, ">": false, ">=": false} {
 		want := ""
@@ -113,33 +123,39 @@ func TestFilterSpec(t *testing.T) {
 
 	ref := rdf.NewGraph(triples)
 	type answerer struct {
-		name string
-		run  func(*sparql.Query) (*sparql.Results, error)
+		name    string
+		run     func(*sparql.Query) (*sparql.Results, error)
+		bgpOnly bool
 	}
-	answerers := []answerer{{"reference", func(q *sparql.Query) (*sparql.Results, error) { return sparql.Evaluate(q, ref) }}}
+	answerers := []answerer{{"reference", func(q *sparql.Query) (*sparql.Results, error) { return sparql.Evaluate(q, ref) }, false}}
+	bgpOnly := 0
 	for _, eng := range AllEngines(spark.Config{Parallelism: 4, Executors: 2, BroadcastThreshold: 1000, MaxConcurrency: 4}) {
-		if eng.Info().SPARQL != core.FragmentBGPPlus {
-			continue
-		}
 		if err := eng.Load(triples); err != nil {
 			t.Fatalf("%s: %v", eng.Info().Name, err)
 		}
-		answerers = append(answerers, answerer{eng.Info().Name, eng.Execute})
+		answerers = append(answerers, answerer{eng.Info().Name, eng.Execute, eng.Info().SPARQL != core.FragmentBGPPlus})
+		if eng.Info().SPARQL != core.FragmentBGPPlus {
+			bgpOnly++
+		}
 	}
-	if len(answerers) != 5 {
-		t.Fatalf("%d evaluators, want the reference and four BGP+ engines", len(answerers))
+	if len(answerers) != 10 || bgpOnly != 5 {
+		t.Fatalf("%d evaluators, %d BGP-only, want the reference and nine engines, four of them BGP+", len(answerers), bgpOnly)
 	}
 	for _, r := range rows {
 		where, order, ordered := strings.Cut(r.where, "ORDER BY")
 		if ordered {
 			order = "ORDER BY" + order
 		}
-		q := sparql.MustParse(`PREFIX e: <http://e/> SELECT * WHERE { ` + where + `} ` + order)
+		q := sparql.MustParse(`PREFIX e: <http://e/> SELECT ?s WHERE { ` + where + `} ` + order)
+		_, isBGP := q.BGPOf()
 		want := strings.Fields(r.want)
 		if !ordered {
 			slices.Sort(want)
 		}
 		for _, a := range answerers {
+			if a.bgpOnly && !isBGP {
+				continue
+			}
 			res, err := a.run(q)
 			if err != nil {
 				t.Errorf("%s: %s: %v", a.name, r.where, err)

@@ -106,7 +106,7 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Results(q, rows), nil
+	return sparql.Answer(q, s.Vars, e.data.Dict, rows)
 }
 
 func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {

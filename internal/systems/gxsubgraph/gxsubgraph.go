@@ -109,28 +109,33 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 		return nil, err
 	}
 	bgp, _ := q.BGPOf()
-	return s.Results(q, e.evalBGP(s, bgp)), nil
+	rows, err := e.evalBGP(s, bgp)
+	if err != nil {
+		return nil, err
+	}
+	return sparql.Answer(q, s.Vars, e.data.Dict, rows)
 }
 
-func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {
 	if len(bgp.Patterns) == 0 {
-		return []solutions.Row{s.Row()}
+		return []solutions.Row{s.Row()}, nil
 	}
 	var mt *mtTable
+	var err error
 	boundVars := map[sparql.Var]bool{}
 	for i, j := range solutions.ConnectedOrder(bgp.Patterns) {
 		tp := bgp.Patterns[j]
 		matches := e.matchPattern(s, tp) // one aggregateMessages round
 		if i == 0 {
 			mt = matches
-		} else {
-			mt = e.extend(s, mt, matches, tp, boundVars)
+		} else if mt, err = e.extend(s, mt, matches, tp, boundVars); err != nil {
+			return nil, err
 		}
 		for _, v := range tp.Vars() {
 			boundVars[v] = true
 		}
 	}
-	return mt.all()
+	return mt.all(), nil
 }
 
 // matchPattern matches one triple pattern with aggregateMessages: the
@@ -176,7 +181,7 @@ func (e *Engine) matchPattern(s *solutions.Schema, tp sparql.TriplePattern) *mtT
 // the pattern connects through the table's location variable the join
 // is vertex-local (the GraphX way); otherwise the table is relocated
 // first, which costs a shuffle, or joined globally as a last resort.
-func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.TriplePattern, bound map[sparql.Var]bool) *mtTable {
+func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.TriplePattern, bound map[sparql.Var]bool) (*mtTable, error) {
 	// Find a shared vertex-position variable to connect through.
 	connect := -1
 	for _, cand := range []sparql.TPElem{tp.S, tp.O} {
@@ -188,7 +193,8 @@ func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.Tri
 	if connect < 0 || matches.loc < 0 {
 		// Global driver-side join (disconnected pattern or constant-only).
 		out := newMT(matches.loc)
-		for _, m := range solutions.Join(mt.all(), matches.all()) {
+		joined, err := sparql.JoinRows(mt.all(), matches.all(), false)
+		for _, m := range joined {
 			if out.loc >= 0 {
 				vid := graphx.VertexID(m[out.loc])
 				out.at[vid] = append(out.at[vid], m)
@@ -196,7 +202,7 @@ func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.Tri
 				out.global = append(out.global, m)
 			}
 		}
-		return out
+		return out, err
 	}
 	if mt.loc != connect {
 		mt = e.relocate(s, mt, connect)
@@ -230,7 +236,7 @@ func (e *Engine) extend(s *solutions.Schema, mt, matches *mtTable, tp sparql.Tri
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // relocate moves an MT table to be keyed by a different bound slot. On

@@ -170,11 +170,8 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.EvalPattern(q.Where, "haqwa", e.evalBGP, nil)
-	if err != nil {
-		return nil, err
-	}
-	return s.Results(q, rows), nil
+	bgp := func(b sparql.BGP) ([]solutions.Row, error) { return e.evalBGP(s, b) }
+	return sparql.EvalRows(q, s.Vars, e.data.Dict, bgp, nil)
 }
 
 // evalBGP decomposes the BGP into subject star groups. A pure star (one

@@ -126,7 +126,7 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	default:
 		rows = e.evalHybrid(s, bgp)
 	}
-	return s.Results(q, rows), nil
+	return sparql.Answer(q, s.Vars, e.data.Dict, rows)
 }
 
 // scan matches one triple pattern over the partitioned dataset. The

@@ -80,11 +80,8 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.EvalPattern(q.Where, "s2x", e.evalBGP, e.filter)
-	if err != nil {
-		return nil, err
-	}
-	return s.Results(q, rows), nil
+	bgp := func(b sparql.BGP) ([]solutions.Row, error) { return e.evalBGP(s, b) }
+	return sparql.EvalRows(q, s.Vars, e.data.Dict, bgp, e.filter)
 }
 
 func (e *Engine) filter(rows []solutions.Row, keep func(solutions.Row) bool) []solutions.Row {

@@ -1,18 +1,15 @@
-// Package solutions holds what the surveyed engines do with solution
-// sequences at the driver, once: the dataset every engine of one
-// assessment builds its layout from, encoded once (Dataset, Source);
-// the row a solution is, pointer-free TermIDs over one variable schema
-// per query; the SPARQL join and left join of two sequences; the BGP+
-// algebra walked over an engine's own BGP evaluator; the shuffle key a
-// row is joined on, over the variables two sequences share; and the one
-// decode to sparql.Binding, of the answer rows. None of it is part of
-// any surveyed design — the engines' metered strategies (their KeyBy /
-// Cartesian / broadcast RDD joins) stay in their own packages — so it
-// is shared, and it costs what a hash join costs.
+// Package solutions holds what the surveyed engines share of their
+// solution sequences: the dataset every engine of one assessment builds
+// its layout from, encoded once (Dataset, Source); the row a solution
+// is, pointer-free TermIDs over one variable schema per query; the
+// compiled triple pattern and FILTER test over those rows; and the
+// merge and shuffle key a distributed join runs on inside an engine's
+// Spark plan. What an engine runs above its BGPs at the driver belongs
+// to no surveyed design: there the rows go to the reference evaluator
+// (sparql.EvalRows, Answer, JoinRows), the algebra's one copy.
 package solutions
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -31,8 +28,9 @@ func Bound(id rdf.TermID) bool { return id != unbound }
 // Row is one solution: the id each slot of its query's Schema is bound
 // to, unbound where it is not. A row holds no pointer, so a sequence of
 // them costs the collector nothing to scan; it is not written once it
-// is built, so sequences and tasks share rows freely.
-type Row []rdf.TermID
+// is built, so sequences and tasks share rows freely. It is the
+// reference evaluator's row type, so rows cross into it uncopied.
+type Row = []rdf.TermID
 
 // Schema maps the variables of one query to row slots over one
 // dataset's dictionary. The slots follow sorted variable order, so the
@@ -77,29 +75,6 @@ func (s *Schema) Slot(v sparql.Var) int {
 
 // Row returns a row that binds nothing.
 func (s *Schema) Row() Row { return slices.Clone(s.empty) }
-
-// Results decodes the answer rows, once, through the dictionary, and
-// applies q's solution modifiers. A plain SELECT or ASK decodes only
-// the variables it projects, so Project keeps each Binding as it is; an
-// aggregate or a CONSTRUCT decodes every variable.
-func (s *Schema) Results(q *sparql.Query, rows []Row) *sparql.Results {
-	vars := s.Vars
-	if (q.Form == sparql.FormSelect || q.Form == sparql.FormAsk) && q.Agg == nil {
-		vars = q.SelectedVars()
-	}
-	slots := s.Slots(vars)
-	terms := s.data.terms
-	out := make([]sparql.Binding, len(rows))
-	for i, r := range rows {
-		out[i] = make(sparql.Binding, len(vars))
-		for j, slot := range slots {
-			if slot >= 0 && Bound(r[slot]) {
-				out[i][vars[j]] = terms[r[slot]]
-			}
-		}
-	}
-	return sparql.ApplySolutionModifiers(q, out)
-}
 
 // Keep returns cond as a test on rows: cond compiled to the schema's
 // slots once, then sparql.Holds on each row's slots, read through the
@@ -246,194 +221,6 @@ func mergeEach[T any](r *spark.RDD[T], pair func(T) (Row, Row)) *spark.RDD[Row] 
 		}
 		return out
 	})
-}
-
-// scanBelow is the build-side length under which a map is not worth
-// building: every probe walks the few rows there are.
-const scanBelow = 8
-
-// Table is the build side of a join: an immutable sequence of rows
-// indexed, when it pays, on one slot bound in every one of them. Probes
-// only read it, so tasks may share one.
-type Table struct {
-	rows []Row
-	// key is the indexed slot (-1: none); head maps each id it takes
-	// to the first build row holding it and next chains the rest in
-	// slice order (-1 ends a chain). A nil head means every probe scans.
-	key  int
-	head map[rdf.TermID]int
-	next []int
-}
-
-// NewTable prepares build for probing by rows like those of probe (the
-// whole probe side, or a sample of it). The key is the slot, among
-// those bound in every build row, that the most probe rows bind; of
-// several bound equally often, the one taking the most distinct terms
-// in build, then the lowest. A short build side, or one no probe row
-// can be keyed into, gets no index.
-func NewTable(build, probe []Row) *Table {
-	t := &Table{rows: build, key: -1}
-	if len(build) < scanBelow {
-		return t
-	}
-	best := 0
-	for slot, id := range build[0] {
-		if !Bound(id) {
-			continue
-		}
-		n := binding(probe, slot)
-		if n == 0 || n < best || binding(build, slot) < len(build) {
-			continue
-		}
-		head, next := index(build, slot)
-		if n > best || len(head) > len(t.head) {
-			best, t.key, t.head, t.next = n, slot, head, next
-		}
-	}
-	return t
-}
-
-// binding counts the rows that bind slot.
-func binding(rows []Row, slot int) int {
-	n := 0
-	for _, r := range rows {
-		if Bound(r[slot]) {
-			n++
-		}
-	}
-	return n
-}
-
-// index chains the rows by the id slot holds in them. It walks the
-// rows backwards so each chain runs forwards.
-func index(rows []Row, slot int) (head map[rdf.TermID]int, next []int) {
-	head = make(map[rdf.TermID]int, len(rows))
-	next = make([]int, len(rows))
-	for i := len(rows) - 1; i >= 0; i-- {
-		id := rows[i][slot]
-		if j, ok := head[id]; ok {
-			next[i] = j
-		} else {
-			next[i] = -1
-		}
-		head[id] = i
-	}
-	return head, next
-}
-
-// Probe appends to out the merge of l with every build row compatible
-// with it, in build order — and, when outer is set and there is none, l
-// itself (OPTIONAL). A row that binds the key visits its bucket; one
-// that does not (possible below OPTIONAL) is compatible with any key
-// and visits every row. Every candidate is merged with Merge: the key
-// narrows the search, it does not decide the join.
-func (t *Table) Probe(l Row, outer bool, out []Row) []Row {
-	start := len(out)
-	candidates := t.rows
-	if t.head != nil && Bound(l[t.key]) {
-		candidates = nil
-		i, found := t.head[l[t.key]]
-		for ; found && i >= 0; i = t.next[i] {
-			if m, ok := Merge(l, t.rows[i]); ok {
-				out = append(out, m)
-			}
-		}
-	}
-	for _, r := range candidates {
-		if m, ok := Merge(l, r); ok {
-			out = append(out, m)
-		}
-	}
-	if outer && len(out) == start {
-		out = append(out, l)
-	}
-	return out
-}
-
-// Join is the SPARQL join of two row sequences: every compatible pair
-// merged, left-major with the right side in slice order — row for row
-// what the nested loop over both emits.
-func Join(left, right []Row) []Row {
-	return join(left, right, false)
-}
-
-// LeftJoin is Join that keeps a left row with no compatible right row
-// (OPTIONAL), in its place.
-func LeftJoin(left, right []Row) []Row {
-	return join(left, right, true)
-}
-
-func join(left, right []Row, outer bool) []Row {
-	t := NewTable(right, left)
-	var out []Row
-	for _, l := range left {
-		out = t.Probe(l, outer, out)
-	}
-	return out
-}
-
-// EvalPattern evaluates the BGP+ algebra at the driver for an engine
-// that answers BGPs itself: groups join, OPTIONAL left-joins, UNION
-// concatenates, and FILTER keeps the rows Keep passes — through filter
-// when the engine runs the test itself (nil runs it here). engine names
-// the engine in the error for a pattern outside the fragment.
-func (s *Schema) EvalPattern(p sparql.GraphPattern, engine string,
-	evalBGP func(*Schema, sparql.BGP) ([]Row, error),
-	filter func(rows []Row, keep func(Row) bool) []Row,
-) ([]Row, error) {
-	eval := func(p sparql.GraphPattern) ([]Row, error) {
-		return s.EvalPattern(p, engine, evalBGP, filter)
-	}
-	both := func(l, r sparql.GraphPattern) (left, right []Row, err error) {
-		if left, err = eval(l); err == nil {
-			right, err = eval(r)
-		}
-		return left, right, err
-	}
-	switch n := p.(type) {
-	case sparql.BGP:
-		return evalBGP(s, n)
-	case sparql.Group:
-		rows := []Row{s.Row()}
-		for _, part := range n.Parts {
-			sub, err := eval(part)
-			if err != nil {
-				return nil, err
-			}
-			rows = Join(rows, sub)
-		}
-		return rows, nil
-	case sparql.Filter:
-		rows, err := eval(n.Inner)
-		if err != nil {
-			return nil, err
-		}
-		keep := s.Keep(n.Cond)
-		if filter != nil {
-			return filter(rows, keep), nil
-		}
-		var kept []Row
-		for _, r := range rows {
-			if keep(r) {
-				kept = append(kept, r)
-			}
-		}
-		return kept, nil
-	case sparql.Optional:
-		left, right, err := both(n.Left, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return LeftJoin(left, right), nil
-	case sparql.Union:
-		left, right, err := both(n.Left, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
-	default:
-		return nil, fmt.Errorf("%s: unsupported pattern %T", engine, p)
-	}
 }
 
 // Key renders the terms r binds slots to, for use as a shuffle join key

@@ -1,8 +1,10 @@
 // The row operations are checked against the map semantics they
 // replaced: sparql.Binding's Compatible and Merge (refCompatible,
 // refMerge), the Binding-keyed shuffle key (refKey), the per-engine
-// triple binders (refMatch) and the nested join loop (nestedJoin). Each
-// property fails on these mutants of the code under test:
+// triple binders (refMatch) and the nested join loop (nestedJoin), which
+// also holds the join kernel the engines call, sparql.JoinRows, over
+// their rows. Each property fails on these mutants of the code under
+// test:
 //
 //   - Merge skips its compatibility check (a shared slot bound to two
 //     terms merges);
@@ -10,8 +12,8 @@
 //   - Merge keeps only its first row's slots;
 //   - Key writes no NUL before an unbound slot, or renders it non-empty;
 //   - Pattern.Matches ignores a repeated variable;
-//   - Table.Probe with outer set drops the unmatched row;
-//   - NewTable indexes a slot some build row leaves unbound.
+//   - the kernel's hash join, with outer set, drops an unmatched left row;
+//   - the kernel hashes on a slot some row of one side leaves unbound.
 package solutions
 
 import (
@@ -56,8 +58,8 @@ func refKey(b sparql.Binding, vars []sparql.Var) string {
 	return strings.Join(parts, "\x00")
 }
 
-// nestedJoin is the loop Join, LeftJoin and Table.Probe replaced in six
-// engines; it stays here as their reference.
+// nestedJoin is the loop the engines' joins replaced; it stays here as
+// the reference of the join kernel they call.
 func nestedJoin(left, right []sparql.Binding, outer bool) []sparql.Binding {
 	var out []sparql.Binding
 	for _, l := range left {
@@ -263,15 +265,14 @@ func TestPatternMatchProperty(t *testing.T) {
 
 // Random solution sequences over at most four variables — every
 // variable never, sometimes or always bound on each side independently
-// (so: no shared variable at all, a key some probe rows do not bind, a
-// variable only some build rows bind), an empty side, duplicate rows,
-// build sides either side of scanBelow: Join, LeftJoin and a Table
-// chosen from a three-row sample of the probe side all give the nested
-// loop's rows in the nested loop's order, and leave their inputs as
-// they found them.
+// (so: no shared variable at all, a key some rows do not bind, a
+// variable only some rows of one side bind), an empty side, duplicate
+// rows, either side the larger: the join kernel, inner and outer, gives
+// the nested loop's rows in the nested loop's order, and leaves its
+// inputs as it found them.
 func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 	s := schemaOf(testVars...)
-	sizes := []int{0, 1, 2, scanBelow - 1, scanBelow, scanBelow + 1, 40}
+	sizes := []int{0, 1, 2, 7, 8, 9, 40}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nl, nr := sizes[r.Intn(len(sizes))], sizes[r.Intn(len(sizes))]
@@ -282,23 +283,13 @@ func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 		terms := 1 + r.Intn(1+max(nl, nr)/2)
 		left, right := randomSide(r, s, nl, terms, lmodes), randomSide(r, s, nr, terms, rmodes)
 		leftBefore, rightBefore := cloneRows(left), cloneRows(right)
-		sampled := NewTable(right, left[:min(3, nl)])
 		for _, outer := range []bool{false, true} {
 			want := nestedJoin(bindings(s, left), bindings(s, right), outer)
-			var probed []Row
-			for _, l := range left {
-				probed = sampled.Probe(l, outer, probed)
-			}
-			got := map[string][]Row{"join": Join(left, right), "probe": probed}
-			if outer {
-				got["join"] = LeftJoin(left, right)
-			}
-			for name, rows := range got {
-				if !sameSolutions(bindings(s, rows), want) {
-					t.Logf("seed %d: %d × %d rows, modes %v × %v, %d terms, outer %v: %s gave %d rows, nested loop %d\n got  %v\n want %v",
-						seed, nl, nr, lmodes, rmodes, terms, outer, name, len(rows), len(want), bindings(s, rows), want)
-					return false
-				}
+			rows, err := sparql.JoinRows(left, right, outer)
+			if err != nil || !sameSolutions(bindings(s, rows), want) {
+				t.Logf("seed %d: %d × %d rows, modes %v × %v, %d terms, outer %v: %d rows (%v), nested loop %d\n got  %v\n want %v",
+					seed, nl, nr, lmodes, rmodes, terms, outer, len(rows), err, len(want), bindings(s, rows), want)
+				return false
 			}
 		}
 		if !sameRows(left, leftBefore) || !sameRows(right, rightBefore) {
@@ -312,74 +303,28 @@ func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 	}
 }
 
-// A Table is only read by its probes: SPARQLGX builds one on the
-// broadcast side and every task of its partitions probes it. Run with
-// -race.
-func TestTableSharedByConcurrentProbes(t *testing.T) {
+// The kernel only reads its inputs: SPARQLGX's OPTIONAL broadcasts its
+// right side, and every task left-joins its own partition with it, at
+// once. Run with -race.
+func TestJoinRowsShareARightSide(t *testing.T) {
 	s := schemaOf(testVars...)
 	r := rand.New(rand.NewSource(3))
 	left := randomSide(r, s, 300, 40, []int{2, 1, 0, 2})
 	right := randomSide(r, s, 200, 40, []int{2, 2, 1, 0})
-	table := NewTable(right, left[:32])
-	if table.head == nil {
-		t.Fatal("the table under test has no index")
-	}
-	want := nestedJoin(bindings(s, left), bindings(s, right), true)
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for task := 0; task < 4; task++ {
+		part := left[task*75 : (task+1)*75]
+		want := nestedJoin(bindings(s, part), bindings(s, right), true)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var got []Row
-			for _, l := range left {
-				got = table.Probe(l, true, got)
-			}
-			if !sameSolutions(bindings(s, got), want) {
-				t.Errorf("a concurrent probe gave %d rows, nested loop %d", len(got), len(want))
+			got, err := sparql.JoinRows(part, right, true)
+			if err != nil || !sameSolutions(bindings(s, got), want) {
+				t.Errorf("a concurrent left join gave %d rows (%v), nested loop %d", len(got), err, len(want))
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// The key is a slot bound in every build row that the probe side binds
-// — the more selective of two — and there is none for a short build
-// side or a probe side that binds nothing.
-func TestNewTableKeyChoice(t *testing.T) {
-	s := schemaOf("dept", "email", "n", "st")
-	iri := func(p string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://e/%s%d", p, i)) }
-	row := func(b sparql.Binding) Row {
-		r := s.Row()
-		for v, term := range b {
-			r[s.Slot(v)] = id(term)
-		}
-		return r
-	}
-	var build []Row
-	for i := 0; i < 20; i++ {
-		b := sparql.Binding{"dept": iri("d", i%2), "st": iri("s", i)}
-		if i%3 == 0 {
-			b["email"] = iri("e", i)
-		}
-		build = append(build, row(b))
-	}
-	for _, tc := range []struct {
-		name  string
-		build []Row
-		probe sparql.Binding
-		key   sparql.Var
-	}{
-		{"most distinct of two", build, sparql.Binding{"dept": iri("d", 0), "st": iri("s", 1)}, "st"},
-		{"only one bound by the probe", build, sparql.Binding{"dept": iri("d", 0), "n": iri("n", 1)}, "dept"},
-		{"not bound in every build row", build, sparql.Binding{"email": iri("e", 0)}, ""},
-		{"probe binds nothing", build, sparql.Binding{}, ""},
-		{"short build side", build[:scanBelow-1], sparql.Binding{"st": iri("s", 1)}, ""},
-	} {
-		table := NewTable(tc.build, []Row{row(tc.probe)})
-		if want := s.Slot(tc.key); table.key != want || (table.head != nil) != (want >= 0) {
-			t.Errorf("%s: key slot %d (indexed %v), want %d (%q)", tc.name, table.key, table.head != nil, want, tc.key)
-		}
-	}
 }
 
 // Key's bytes are shuffle keys, and spark.shuffle_bytes is sized from
@@ -416,83 +361,118 @@ func TestKeepAllocs(t *testing.T) {
 func TestDecodeOnlyWhatIsRead(t *testing.T) {
 	s := schemaOf(testVars...)
 	r := randomSide(rand.New(rand.NewSource(1)), s, 1, 3, []int{2, 2, 2, 2})[0]
-	res := s.Results(sparql.MustParse(`SELECT ?b WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`), []Row{r})
+	answer := func(text string) *sparql.Results {
+		res, err := sparql.Answer(sparql.MustParse(text), s.Vars, testData.Dict, []Row{r})
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		return res
+	}
+	res := answer(`SELECT ?b WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`)
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0]["b"] != testData.Term(r[s.Slot("b")]) {
 		t.Errorf("SELECT ?b decoded %v", res.Rows)
 	}
-	graph := s.Results(sparql.MustParse(`CONSTRUCT { ?a <http://e/q> ?d } WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`), []Row{r})
+	graph := answer(`CONSTRUCT { ?a <http://e/q> ?d } WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`)
 	if len(graph.Triples) != 1 || graph.Triples[0].O != testData.Term(r[s.Slot("d")]) {
 		t.Errorf("CONSTRUCT built %v", graph.Triples)
 	}
 }
 
-// The walker over a stub BGP evaluator: groups join, OPTIONAL keeps the
-// unmatched left row, UNION concatenates, FILTER goes through the hook
-// when there is one, and a pattern outside the fragment is refused in
-// the engine's name.
-func TestEvalPattern(t *testing.T) {
+// The reference's walker over a stub BGP evaluator, as an engine plugs
+// one in: groups join, OPTIONAL keeps the unmatched left row, UNION
+// concatenates, and FILTER goes through the hook when there is one. The
+// hooks are called in the order the pattern is written, every
+// sub-pattern of a Group, OPTIONAL and UNION even when a side answers
+// nothing — an engine's Spark counters depend on it — and an error from
+// the BGP hook ends the evaluation.
+func TestEvalRows(t *testing.T) {
 	iri := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://e/%d", i)) }
 	tp := func(p string) sparql.BGP {
 		return sparql.BGP{Patterns: []sparql.TriplePattern{{
 			S: sparql.VarElem("s"), P: sparql.TermElem(rdf.NewIRI(p)), O: sparql.VarElem(sparql.Var(p)),
 		}}}
 	}
-	s := NewSchema(sparql.Group{Parts: []sparql.GraphPattern{tp("name"), tp("mail")}}, testData)
-	// ?s name ?name for subjects 0–2; ?s mail ?mail for subject 1 only.
-	evalBGP := func(s *Schema, bgp sparql.BGP) ([]Row, error) {
+	s := NewSchema(sparql.Group{Parts: []sparql.GraphPattern{tp("name"), tp("mail"), tp("none"), tp("fail")}}, testData)
+	// ?s name ?name for subjects 0–2; ?s mail ?mail for subject 1 only;
+	// nothing for none, and an error for fail.
+	var calls []string
+	bgp := func(bgp sparql.BGP) ([]Row, error) {
 		p := bgp.Patterns[0].P.Term.Value
-		subjects := map[string][]int{"name": {0, 1, 2}, "mail": {1}}[p]
+		calls = append(calls, p)
+		if p == "fail" {
+			return nil, fmt.Errorf("stub: %s", p)
+		}
 		var rows []Row
-		for _, subj := range subjects {
+		for _, subj := range map[string][]int{"name": {0, 1, 2}, "mail": {1}}[p] {
 			r := s.Row()
 			r[s.Slot("s")], r[s.Slot(sparql.Var(p))] = id(iri(subj)), id(iri(10+subj))
 			rows = append(rows, r)
 		}
 		return rows, nil
 	}
-	render := func(rows []Row) string {
+	filter := func(rows []Row, keep func(Row) bool) []Row {
+		calls = append(calls, "filter")
+		return rows[:min(1, len(rows))]
+	}
+	render := func(res *sparql.Results) string {
 		var out []string
-		for _, r := range rows {
-			out = append(out, s.Key(r, s.Slots([]sparql.Var{"s", "name", "mail"})))
+		for _, b := range res.Rows {
+			var terms []string
+			for _, v := range []sparql.Var{"s", "name", "mail"} {
+				if term, ok := b[v]; ok {
+					terms = append(terms, term.String())
+				} else {
+					terms = append(terms, "")
+				}
+			}
+			out = append(out, strings.Join(terms, ","))
 		}
-		return strings.ReplaceAll(strings.Join(out, " | "), "\x00", ",")
+		return strings.Join(out, " | ")
 	}
 	isOne := sparql.MustParse(`SELECT ?s WHERE { ?s <name> ?name FILTER(?s = <http://e/1>) }`).Where.(sparql.Filter).Cond
-	hooked := 0
-	hook := func(rows []Row, keep func(Row) bool) []Row {
-		hooked++
-		return rows[:1]
-	}
 	for _, tc := range []struct {
 		name   string
 		p      sparql.GraphPattern
 		filter func([]Row, func(Row) bool) []Row
 		want   string
+		calls  string
 	}{
 		{"group", sparql.Group{Parts: []sparql.GraphPattern{tp("name"), tp("mail")}}, nil,
-			"<http://e/1>,<http://e/11>,<http://e/11>"},
+			"<http://e/1>,<http://e/11>,<http://e/11>", "name mail"},
 		{"optional", sparql.Optional{Left: tp("name"), Right: tp("mail")}, nil,
-			"<http://e/0>,<http://e/10>, | <http://e/1>,<http://e/11>,<http://e/11> | <http://e/2>,<http://e/12>,"},
+			"<http://e/0>,<http://e/10>, | <http://e/1>,<http://e/11>,<http://e/11> | <http://e/2>,<http://e/12>,", "name mail"},
 		{"union", sparql.Union{Left: tp("mail"), Right: tp("name")}, nil,
-			"<http://e/1>,,<http://e/11> | <http://e/0>,<http://e/10>, | <http://e/1>,<http://e/11>, | <http://e/2>,<http://e/12>,"},
+			"<http://e/1>,,<http://e/11> | <http://e/0>,<http://e/10>, | <http://e/1>,<http://e/11>, | <http://e/2>,<http://e/12>,", "mail name"},
 		{"driver filter", sparql.Filter{Inner: tp("name"), Cond: isOne}, nil,
-			"<http://e/1>,<http://e/11>,"},
-		{"engine filter", sparql.Filter{Inner: tp("name"), Cond: isOne}, hook,
-			"<http://e/0>,<http://e/10>,"},
+			"<http://e/1>,<http://e/11>,", "name"},
+		{"engine filter", sparql.Filter{Inner: tp("name"), Cond: isOne}, filter,
+			"<http://e/0>,<http://e/10>,", "name filter"},
+		{"nothing skipped", sparql.Group{Parts: []sparql.GraphPattern{
+			tp("none"),
+			sparql.Optional{Left: tp("none"), Right: sparql.Filter{Inner: tp("mail"), Cond: isOne}},
+			sparql.Union{Left: tp("none"), Right: tp("name")},
+			sparql.Filter{Inner: tp("none"), Cond: isOne},
+		}}, filter, "", "none none mail filter none name none filter"},
 	} {
-		rows, err := s.EvalPattern(tc.p, "stub", evalBGP, tc.filter)
+		calls = nil
+		res, err := sparql.EvalRows(&sparql.Query{Form: sparql.FormSelect, Where: tc.p, Limit: -1}, s.Vars, testData.Dict, bgp, tc.filter)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := render(rows); got != tc.want {
+		if got := render(res); got != tc.want {
 			t.Errorf("%s:\n got  %s\n want %s", tc.name, got, tc.want)
 		}
+		if got := strings.Join(calls, " "); got != tc.calls {
+			t.Errorf("%s: hook calls %q, want %q", tc.name, got, tc.calls)
+		}
 	}
-	if hooked != 1 {
-		t.Errorf("the filter hook ran %d times, want 1", hooked)
+	calls = nil
+	failing := sparql.Group{Parts: []sparql.GraphPattern{tp("name"), sparql.Union{Left: tp("fail"), Right: tp("mail")}, tp("name")}}
+	_, err := sparql.EvalRows(&sparql.Query{Form: sparql.FormSelect, Where: failing, Limit: -1}, s.Vars, testData.Dict, bgp, nil)
+	if err == nil || err.Error() != "stub: fail" {
+		t.Errorf("a failing BGP: error %v", err)
 	}
-	_, err := s.EvalPattern(sparql.Group{Parts: []sparql.GraphPattern{nil}}, "stub", evalBGP, nil)
-	if err == nil || err.Error() != "stub: unsupported pattern <nil>" {
-		t.Errorf("unsupported pattern: error %v", err)
+	if got := strings.Join(calls, " "); got != "name fail" {
+		t.Errorf("a failing BGP: hook calls %q, want \"name fail\"", got)
 	}
 }

@@ -110,7 +110,11 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 		return nil, err
 	}
 	bgp, _ := q.BGPOf()
-	return s.Results(q, e.evalBGP(s, bgp)), nil
+	rows, err := e.evalBGP(s, bgp)
+	if err != nil {
+		return nil, err
+	}
+	return sparql.Answer(q, s.Vars, e.data.Dict, rows)
 }
 
 // nodeKey identifies a query node (a subject/object position): either
@@ -124,9 +128,9 @@ func keyOfElem(el sparql.TPElem) nodeKey {
 	return nodeKey(el.Term.String())
 }
 
-func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
+func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) ([]solutions.Row, error) {
 	if len(bgp.Patterns) == 0 {
-		return []solutions.Row{s.Row()}
+		return []solutions.Row{s.Row()}, nil
 	}
 	// Split patterns: node-local (data property / rdf:type), edge
 	// patterns (object properties), and leftovers spanning both stores:
@@ -153,10 +157,15 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 	// Evaluate every tree component bottom-up, then join components and
 	// leftovers at the driver (Spark side).
 	rows := []solutions.Row{s.Row()}
+	var err error
+	join := func(table []solutions.Row) {
+		if err == nil {
+			rows, err = sparql.JoinRows(rows, table, false)
+		}
+	}
 	usedNodes := map[nodeKey]bool{}
 	for _, root := range tree.roots {
-		table := e.evalSubtree(s, tree, root, nodeTPs, usedNodes)
-		rows = solutions.Join(rows, table)
+		join(e.evalSubtree(s, tree, root, nodeTPs, usedNodes))
 	}
 	// Node-only variables (no edges touch them).
 	for k, tps := range nodeTPs {
@@ -165,12 +174,12 @@ func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {
 		}
 		table := e.nodeTable(s, elemOfKey(k, tps), tps)
 		usedNodes[k] = true
-		rows = solutions.Join(rows, flatten(table))
+		join(flatten(table))
 	}
 	for _, tp := range leftovers {
-		rows = solutions.Join(rows, e.matchAnywhere(s, tp))
+		join(e.matchAnywhere(s, tp))
 	}
-	return rows
+	return rows, err
 }
 
 // isNodeProperty reports whether a constant-predicate pattern not

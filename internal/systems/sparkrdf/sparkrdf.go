@@ -144,7 +144,7 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 		return nil, err
 	}
 	bgp, _ := q.BGPOf()
-	return s.Results(q, e.evalBGP(s, bgp)), nil
+	return sparql.Answer(q, s.Vars, e.data.Dict, e.evalBGP(s, bgp))
 }
 
 func (e *Engine) evalBGP(s *solutions.Schema, bgp sparql.BGP) []solutions.Row {

@@ -13,6 +13,7 @@ package sparqlgx
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -94,7 +95,7 @@ func (e *Engine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Results(q, rows.Collect()), nil
+	return sparql.Answer(q, s.Vars, e.data.Dict, rows.Collect())
 }
 
 // evalPattern evaluates the supported algebra; BGPs go through the
@@ -128,7 +129,7 @@ func (e *Engine) evalPattern(s *solutions.Schema, p sparql.GraphPattern) (*spark
 		if err != nil {
 			return nil, err
 		}
-		return leftOuterJoinRowRDDs(e.ctx, left, right), nil
+		return leftOuterJoinRowRDDs(e.ctx, left, right)
 	case sparql.Union:
 		left, err := e.evalPattern(s, n.Left)
 		if err != nil {
@@ -282,18 +283,23 @@ func joinRowRDDs(s *solutions.Schema, a, b *spark.RDD[solutions.Row]) *spark.RDD
 }
 
 // leftOuterJoinRowRDDs implements OPTIONAL: left rows survive even
-// without a compatible right row. The right side is broadcast and
-// indexed once; every left row probes it inside its own task.
-func leftOuterJoinRowRDDs(ctx *spark.Context, a, b *spark.RDD[solutions.Row]) *spark.RDD[solutions.Row] {
+// without a compatible right row. The right side is broadcast; each
+// task left-joins its partition with it through the join kernel, which
+// only reads the broadcast rows.
+func leftOuterJoinRowRDDs(ctx *spark.Context, a, b *spark.RDD[solutions.Row]) (*spark.RDD[solutions.Row], error) {
 	bc := spark.NewBroadcast(ctx, b.Collect())
-	table := solutions.NewTable(bc.Value(), a.Take(32))
-	return spark.MapPartitions(a, func(part []solutions.Row) []solutions.Row {
-		var out []solutions.Row
-		for _, l := range part {
-			out = table.Probe(l, true, out)
+	var mu sync.Mutex
+	var failed error
+	out := spark.MapPartitions(a, func(part []solutions.Row) []solutions.Row {
+		rows, err := sparql.JoinRows(part, bc.Value(), true)
+		if err != nil {
+			mu.Lock()
+			failed = err
+			mu.Unlock()
 		}
-		return out
+		return rows
 	})
+	return out, failed
 }
 
 // boundSlots samples the slots bound in a row RDD.

@@ -44,36 +44,49 @@ import (
 type answer func(*sparql.Query) (*sparql.Results, error)
 
 func TestQueryPartitioning(t *testing.T) {
-	t.Run("reference", func(t *testing.T) {
-		checkPartitioned(t, func(triples []rdf.Triple) answer {
+	for _, r := range routes() {
+		t.Run(r.name, func(t *testing.T) {
+			checkPartitioned(t, func(triples []rdf.Triple) answer { return r.load(t, triples) })
+		})
+	}
+}
+
+// route is a system under test: load builds it over a dataset.
+type route struct {
+	name string
+	load func(*testing.T, []rdf.Triple) answer
+}
+
+// routes returns the reference, the sharded route at 3 shards × 2
+// replicas and every engine of the BGP+ fragment.
+func routes() []route {
+	out := []route{
+		{"reference", func(_ *testing.T, triples []rdf.Triple) answer {
 			g := rdf.NewGraph(triples)
 			return func(q *sparql.Query) (*sparql.Results, error) { return sparql.Evaluate(q, g) }
-		})
-	})
-	t.Run("sharded", func(t *testing.T) {
-		checkPartitioned(t, func(triples []rdf.Triple) answer {
+		}},
+		{"sharded", func(t *testing.T, triples []rdf.Triple) answer {
 			sg, err := shard.BuildReplicatedByName(triples, "hash-subject", 3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return func(q *sparql.Query) (*sparql.Results, error) { return sg.PrepareQuery(q).Run(context.Background()) }
-		})
-	})
+		}},
+	}
 	conf := spark.Config{Parallelism: 4, Executors: 2, BroadcastThreshold: 1000, MaxConcurrency: 4}
 	for i, e := range systems.AllEngines(conf) {
 		if e.Info().SPARQL != core.FragmentBGPPlus {
 			continue
 		}
-		t.Run(e.Info().Name, func(t *testing.T) {
-			checkPartitioned(t, func(triples []rdf.Triple) answer {
-				e := systems.AllEngines(conf)[i]
-				if err := e.Load(triples); err != nil {
-					t.Fatal(err)
-				}
-				return e.Execute
-			})
-		})
+		out = append(out, route{e.Info().Name, func(t *testing.T, triples []rdf.Triple) answer {
+			e := systems.AllEngines(conf)[i]
+			if err := e.Load(triples); err != nil {
+				t.Fatal(err)
+			}
+			return e.Execute
+		}})
 	}
+	return out
 }
 
 // checkPartitioned checks the partition on each of quick's seeds: on
