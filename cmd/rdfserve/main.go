@@ -10,7 +10,6 @@
 //
 //	rdfserve -data data.nt -addr :8080
 //	rdfserve -dataset university -scale medium     # generated data
-//	rdfserve -data data.ttl -engine S2RDF          # surveyed engine
 //	rdfserve -dataset university -shards 4 -partition hash-subject
 //	rdfserve -dataset university -shards 4 -replicas 2
 //
@@ -70,14 +69,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/partition"
 	"repro/internal/rdf"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/spark"
-	"repro/internal/systems"
 	"repro/internal/workload"
 )
 
@@ -86,7 +82,6 @@ func main() {
 	dataPath := flag.String("data", "", "RDF input file (.nt N-Triples, .ttl Turtle)")
 	dataset := flag.String("dataset", "", "generate a dataset instead: university | shop")
 	scale := flag.String("scale", "small", "generated dataset scale: small | medium")
-	engineName := flag.String("engine", "reference", "engine name or 'reference'")
 	shards := flag.Int("shards", 0, "split the graph into N shards (0 = unsharded)")
 	replicas := flag.Int("replicas", 1, "replicas of each shard: failover and hedge targets over the shard's one view (needs -shards)")
 	partitionName := flag.String("partition", "hash-subject", "shard placement strategy (see internal/partition; needs -shards > 0)")
@@ -163,9 +158,6 @@ func main() {
 	var srv *server.Server
 	switch {
 	case *shards > 0:
-		if *engineName != "reference" {
-			fail("-shards requires the reference engine")
-		}
 		sg, err := shard.Read(func(add func(rdf.Triple) error) error {
 			return readDataset(*dataPath, *dataset, *scale, add)
 		}, strat, *shards, *replicas)
@@ -179,23 +171,13 @@ func main() {
 	case *replicas != 1:
 		fail("-replicas needs -shards > 0")
 	default:
-		var eng core.Engine
-		if *engineName != "reference" {
-			if eng = findEngine(*engineName); eng == nil {
-				fail("unknown engine " + *engineName + " (see rdfquery -engines)")
-			}
-		}
-		g, err := buildGraph(*dataPath, *dataset, *scale, eng)
+		g, err := buildGraph(*dataPath, *dataset, *scale)
 		if err != nil {
 			fail(err.Error())
 		}
-		if eng == nil {
-			srv = server.New(g, cfg)
-		} else {
-			srv = server.NewWithEngine(g, eng, cfg)
-		}
-		log.Printf("rdfserve: %d triples, %d dictionary terms, built in %v, engine=%s, serving on %s",
-			g.Len(), g.Encoded().Dict().Len(), time.Since(bootStart).Round(time.Millisecond), *engineName, *addr)
+		srv = server.New(g, cfg)
+		log.Printf("rdfserve: %d triples, %d dictionary terms, built in %v, serving on %s",
+			g.Len(), g.Encoded().Dict().Len(), time.Since(bootStart).Round(time.Millisecond), *addr)
 	}
 	serve(*addr, srv.Handler(), cfg.DefaultTimeout, *maxTimeout)
 }
@@ -241,25 +223,15 @@ func resolvePartition(name string, explicit bool, shards int) (partition.Strateg
 	return strat, nil
 }
 
-// buildGraph loads the dataset into a graph. A surveyed engine loads
-// from a slice, so only then are the triples also collected.
-func buildGraph(dataPath, dataset, scale string, eng core.Engine) (*rdf.Graph, error) {
+// buildGraph loads the dataset into a graph.
+func buildGraph(dataPath, dataset, scale string) (*rdf.Graph, error) {
 	g := rdf.NewGraph(nil)
-	var triples []rdf.Triple
 	err := readDataset(dataPath, dataset, scale, func(t rdf.Triple) error {
-		if eng != nil {
-			triples = append(triples, t)
-		}
 		_, err := g.TryAdd(t)
 		return err
 	})
 	if err != nil {
 		return nil, err
-	}
-	if eng != nil {
-		if err := eng.Load(triples); err != nil {
-			return nil, fmt.Errorf("loading engine: %w", err)
-		}
 	}
 	return g, nil
 }
@@ -361,15 +333,6 @@ func readDataset(dataPath, dataset, scale string, add func(rdf.Triple) error) er
 	for _, t := range triples {
 		if err := add(t); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-func findEngine(name string) core.Engine {
-	for _, e := range systems.AllEngines(spark.DefaultConfig()) {
-		if e.Info().Name == name {
-			return e
 		}
 	}
 	return nil

@@ -71,9 +71,9 @@
 //     filters the rows above them exactly as it does its own. SPARQLGX,
 //     which translates OPTIONAL and UNION into RDD operations itself,
 //     and the five BGP-only engines hand their rows to sparql.Answer.
-//     Both finish through the reference's id-space modifier pipeline
-//     (ORDER BY before projection, then DISTINCT and the slice, §18.2.5)
-//     and decode only the rows that survive it. Spar(k)ql's component
+//     Both finish through the reference's one id-space answer tail
+//     (the aggregate, ORDER BY before projection, then DISTINCT and the
+//     slice, §18.2.5) and decode only the rows that survive it. Spar(k)ql's component
 //     joins, GX-Subgraph's disconnected-pattern join and each task of
 //     SPARQLGX's OPTIONAL against its broadcast right side call the
 //     reference's join kernel, sparql.JoinRows, whose output is row for
@@ -92,10 +92,16 @@
 //     graph's dictionary-encoded triples (rdf.Graph.Encoded), the
 //     HAQWA-style integer encoding. BGP patterns are reordered by
 //     estimated selectivity from the SPARQLGX-style rdf.Stats, rows
-//     are bump-allocated from arenas, and solution modifiers (ORDER
-//     BY, projection, DISTINCT, OFFSET / LIMIT in §18.2.5's order, and
-//     ASK) run in id space so only surviving rows are decoded back to
-//     terms. Graph lookups
+//     are bump-allocated from arenas. Every query form has one answer
+//     tail, in id space, on one graph, on a shard set and in the nine
+//     engines: the aggregate (groups keyed on ids; a computed value the
+//     dictionary lacks takes an id past its end, one per distinct
+//     value of the run), then the solution modifiers (ORDER BY,
+//     projection, DISTINCT, OFFSET / LIMIT in §18.2.5's order), then
+//     the form's output — the surviving rows for SELECT, a template
+//     instantiated over them for CONSTRUCT, their subjects' triples for
+//     DESCRIBE (§16.4: the slice bounds the targets) — so only what
+//     survives is decoded back to terms. Graph lookups
 //     (WithSubject/WithPredicate/WithObject) return zero-copy index
 //     views. A pattern scan writes each output row once: the candidate
 //     filter (patternScan.matches) compares every position the input
@@ -298,8 +304,8 @@
 // bytes into the window; any other cell is rendered in place as before
 // and, if it has an id, published — once, under a fill mutex, the index
 // word stored only after the bytes it points at, into chunks that never
-// move, so readers never lock and never see a change. Decoded solutions
-// (aggregates, -engine results) and graph results carry no ids and are
+// move, so readers never lock and never see a change. An aggregate's
+// value past the dictionary and graph results carry no key and are
 // rendered per cell. The footprint is bounded by three constants, not
 // configured: a term is stored at most once, a rendering over 4 KiB is
 // not stored, and filling stops for good at 32 B per dataset triple.

@@ -242,8 +242,8 @@ func topKMatches(keys []sparql.OrderKey, got, reference, full *sparql.Results) b
 	return true
 }
 
-// tied reports whether a and b compare equal on every ORDER BY key, in
-// the order sparql.Results.SortRows sorts by (two unbound values tie).
+// tied reports whether a and b compare equal on every ORDER BY key
+// under ORDER BY's order, sparql.CompareTerms (two unbound values tie).
 func tied(keys []sparql.OrderKey, a, b sparql.Binding) bool {
 	for _, k := range keys {
 		if sparql.CompareTerms(a.Term(k.Var), b.Term(k.Var)) != 0 {

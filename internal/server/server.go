@@ -30,11 +30,9 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -182,13 +180,6 @@ type Server struct {
 	// then.
 	shards *shard.ShardedGraph
 
-	// engine, when set, answers queries instead of the reference
-	// evaluator. The surveyed engines are single-threaded simulations,
-	// so execution is serialized by engineMu; the plan cache still
-	// amortizes parsing.
-	engine   core.Engine
-	engineMu sync.Mutex
-
 	// admit is the cost-aware admission controller (admit.go); nil
 	// when Config.MaxQueue is negative. costThreshold is the resolved
 	// CostShedThreshold (0 disables cost-aware decisions).
@@ -297,15 +288,6 @@ func NewSharded(sg *shard.ShardedGraph, cfg Config) *Server {
 	s.resolveCostThreshold()
 	s.newTermTables(sg.Dict().Len(), sg.Len())
 	s.declareMetrics()
-	return s
-}
-
-// NewWithEngine builds a server that answers queries with one of the
-// surveyed engines (already loaded with the same data as g; g is still
-// used for /healthz reporting). Engine execution is serialized.
-func NewWithEngine(g *rdf.Graph, engine core.Engine, cfg Config) *Server {
-	s := New(g, cfg)
-	s.engine = engine
 	return s
 }
 
@@ -788,22 +770,9 @@ func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace)
 			hedges: fs.Hedges, bytes: rs.BytesCharged,
 		}, err
 	}
-	if s.engine == nil {
-		sol, err := prep.RunSolutions(ctx, s.graph, opts...)
-		s.m.observeRun(rs, sparql.ShardStats{}, sparql.FaultStats{})
-		return sol, runInfo{route: "local", bytes: rs.BytesCharged}, err
-	}
-	s.engineMu.Lock()
-	defer s.engineMu.Unlock()
-	info := runInfo{route: "engine"}
-	if err := ctx.Err(); err != nil { // deadline may have passed in the queue
-		return nil, info, err
-	}
-	res, err := s.engine.Execute(prep.Query())
-	if err != nil {
-		return nil, info, err
-	}
-	return sparql.ResultsSolutions(res), info, nil
+	sol, err := prep.RunSolutions(ctx, s.graph, opts...)
+	s.m.observeRun(rs, sparql.ShardStats{}, sparql.FaultStats{})
+	return sol, runInfo{route: "local", bytes: rs.BytesCharged}, err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -15,9 +15,10 @@ import (
 // that id is one atomic load and one copy of the finished bytes. A
 // termTable is that memory for one format. The writers have no second
 // path: a cell whose id has no entry (not stored yet, table full,
-// rendering too long, a late id) or that has no id at all (decoded
-// solutions: aggregates, -engine results) is rendered into the window as
-// before, and only the first kind is then published.
+// rendering too long, a late id) or that has no key at all (a value an
+// aggregate computed past the dictionary, the only unkeyed id) is
+// rendered into the window as before, and only the first kind is then
+// published.
 //
 // Layout: one atomic word per dictionary term over append-only 64 KiB
 // chunks. A word is 0 (absent) or chunk<<32 | offset<<16 | length, and

@@ -17,9 +17,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/shard"
-	"repro/internal/spark"
 	"repro/internal/sparql"
-	"repro/internal/systems/sparqlgx"
 )
 
 // tableFormats are the two writers that copy cells from a rendered-term
@@ -362,37 +360,30 @@ func TestTermTableHitsRoundTripEscapes(t *testing.T) {
 	}
 }
 
-// One writer serves every backend. A 4-shard × 2-replica server answers
-// the single-graph server's bytes from its own table; an aggregate
-// (decoded solutions) and a surveyed engine's results carry no ids and
-// pass through the tables without touching them; and each server's second
-// answer is its first.
+// One writer serves both backends. A 4-shard × 2-replica server answers
+// the single-graph server's bytes from its own table; an aggregate's
+// count, a value the dictionary lacks, carries no key and passes through
+// the tables without touching them; and each server's second answer is
+// its first.
 func TestServeBackendsShareTheWriter(t *testing.T) {
 	g := testGraph()
 	sg, err := shard.BuildReplicatedByName(g.Triples(), "hash-subject", 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sparqlgx.New(spark.NewContext(spark.DefaultConfig()))
-	if err := eng.Load(g.Triples()); err != nil {
-		t.Fatal(err)
-	}
-	single, sharded, engine := New(g, Config{}), NewSharded(sg, Config{}), NewWithEngine(g, eng, Config{})
+	single, sharded := New(g, Config{}), NewSharded(sg, Config{})
 	queries := []string{
 		`SELECT ?s ?n ?a WHERE { ?s <http://ex/name> ?n . ?s <http://ex/age> ?a } ORDER BY ?n`,
 		`SELECT ?s ?n WHERE { ?s <http://ex/name> ?n OPTIONAL { ?s <http://ex/nope> ?z } }`,
 		`SELECT (COUNT(?s) AS ?c) WHERE { ?s <http://ex/age> ?a }`,
 	}
 	for _, format := range []string{"json", "tsv"} {
-		for qi, q := range queries {
+		for _, q := range queries {
 			want := getQuery(t, single, q, "&format="+format, nil)
 			if want.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", q, want.Code, want.Body)
 			}
-			for name, s := range map[string]*Server{"single": single, "sharded": sharded, "engine": engine} {
-				if name == "engine" && qi == 1 {
-					continue // SPARQLGX is a BGP engine: no OPTIONAL
-				}
+			for name, s := range map[string]*Server{"single": single, "sharded": sharded} {
 				for pass := 0; pass < 2; pass++ {
 					got := getQuery(t, s, q, "&format="+format, nil)
 					if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
@@ -413,9 +404,6 @@ func TestServeBackendsShareTheWriter(t *testing.T) {
 	}
 	if n, m := single.jsonTerms.stored.Load(), sharded.jsonTerms.stored.Load(); n == 0 || n >= 136 || n != m {
 		t.Fatalf("single server stored %d JSON terms, sharded %d: want the same share of 136", n, m)
-	}
-	if j, v := engine.jsonTerms.stored.Load(), engine.tsvTerms.stored.Load(); j != 0 || v != 0 {
-		t.Fatalf("engine server stored %d JSON and %d TSV terms: its results carry no ids", j, v)
 	}
 }
 

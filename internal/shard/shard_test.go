@@ -120,7 +120,7 @@ func TestShardedRunMatchesSingleGraph(t *testing.T) {
 	}
 }
 
-// DESCRIBE is the third reader of the gather key (describeSharded):
+// DESCRIBE is the third reader of the gather key (subjectTriples):
 // under vertical placement one subject's triples sit on several shards,
 // so a description is right only if they come back merged by global
 // position — byte-equal to the single-graph run, whose description is
@@ -172,6 +172,42 @@ func TestShardedDescribeMatchesSingleGraph(t *testing.T) {
 				mustEqualResults(t, want, got)
 			}
 		}
+	}
+
+	// §16.4: DESCRIBE takes a solution modifier, so the slice bounds the
+	// targets. Of a, b and c, the subject with the largest k is c alone,
+	// and its description is its three triples in dataset order — under
+	// vertical placement its name sits on another shard than its ks.
+	x := func(local string) rdf.Term { return rdf.NewIRI("http://x/" + local) }
+	k := func(s, v string) rdf.Triple {
+		return rdf.NewTriple(x(s), x("k"), rdf.NewTypedLiteral(v, rdf.XSDInteger))
+	}
+	small := []rdf.Triple{k("a", "1"), k("b", "2"), k("c", "3"), rdf.NewTriple(x("c"), x("name"), rdf.NewLiteral("C")), k("c", "4")}
+	const sliced = `DESCRIBE ?s WHERE { ?s <http://x/k> ?x } ORDER BY DESC(?x) LIMIT 1`
+	want := &sparql.Results{IsGraph: true, Triples: small[2:]}
+	single, err := sparql.Prepare(sliced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := single.Run(ctx, rdf.NewGraph(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, want, got)
+	for _, strategy := range []string{"vertical", "hash-subject"} {
+		sg, err := BuildReplicatedByName(small, strategy, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := sg.Prepare(sliced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := prep.Run(ctx, sparql.WithParallelism(4))
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		mustEqualResults(t, want, got)
 	}
 }
 

@@ -231,11 +231,13 @@ type Query struct {
 }
 
 // SelectedVars returns the variables the query projects (all pattern
-// variables for SELECT *), in projection order.
+// variables for SELECT *), in projection order. An aggregate query
+// projects the variables its SELECT list names, then the alias: a group
+// variable the list leaves out is not projected (§18.2.4.1).
 func (q *Query) SelectedVars() []Var {
 	if q.Agg != nil {
-		out := append([]Var{}, q.Agg.Group...)
-		return append(out, q.Agg.As)
+		n := len(q.Projection)
+		return append(q.Projection[:n:n], q.Agg.As)
 	}
 	if len(q.Projection) > 0 {
 		return q.Projection
@@ -466,9 +468,8 @@ func isString(t rdf.Term) bool {
 // CompareTerms is ORDER BY's total order (SPARQL 1.1 §15.1), not
 // FILTER's comparison: Unbound, then blank nodes, then IRIs, then
 // literals. Two numeric literals compare by value; any other two terms
-// of a kind by lexical form, then datatype, then language tag. Every
-// ORDER BY (Results.SortRows and the evaluator's), MIN and MAX, and the
-// assessment's tie check use it.
+// of a kind by lexical form, then datatype, then language tag. ORDER BY,
+// MIN and MAX, and the assessment's tie check use it.
 func CompareTerms(a, b rdf.Term) int {
 	if ra, rb := kindRank[a.Kind], kindRank[b.Kind]; ra != rb {
 		return int(ra) - int(rb)

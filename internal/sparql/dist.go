@@ -147,43 +147,22 @@ func WithScatterOnly() RunOption {
 // RunOptions behave as in Run; WithParallelism bounds how many shards
 // one shard operation runs on concurrently.
 func (p *Prepared) RunSharded(ctx context.Context, ss *ShardSet, opts ...RunOption) (*Results, error) {
-	ro := resolveRunOpts(opts)
-	return p.runShardedWith(ctx, ss, &ro)
+	return materialize(p.RunShardedSolutions(ctx, ss, opts...))
 }
 
-func (p *Prepared) runShardedWith(ctx context.Context, ss *ShardSet, ro *runOpts) (*Results, error) {
+// RunShardedSolutions is RunSharded positioned for streaming, mirroring
+// (*Prepared).RunSolutions: SELECT rows stay in id space with terms
+// decoded on access.
+func (p *Prepared) RunShardedSolutions(ctx context.Context, ss *ShardSet, opts ...RunOption) (*Solutions, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	d := p.newDistEnv(ctx, ss, ro)
-	res, err := evaluate(d.env, p.q)
-	ro.capture(d.env)
-	ro.captureShard(d)
-	return res, err
-}
-
-// RunShardedSolutions is RunSharded positioned for streaming, mirroring
-// (*Prepared).RunSolutions: plain SELECT/ASK rows stay in id space with
-// terms decoded on access.
-func (p *Prepared) RunShardedSolutions(ctx context.Context, ss *ShardSet, opts ...RunOption) (*Solutions, error) {
 	ro := resolveRunOpts(opts)
-	if p.streamable() {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		d := p.newDistEnv(ctx, ss, &ro)
-		defer ro.captureShard(d)
-		return p.solutionsFromEnv(d.env, &ro)
-	}
-	res, err := p.runShardedWith(ctx, ss, &ro)
-	if err != nil {
-		return nil, err
-	}
-	return ResultsSolutions(res), nil
+	d := p.newDistEnv(ctx, ss, &ro)
+	defer ro.captureShard(d)
+	return p.solutionsFromEnv(d.env, &ro)
 }
 
 // ExplainSharded reports, without executing, which route the query
@@ -264,12 +243,13 @@ type distEnv struct {
 // newDistEnv builds the driver environment of one sharded run. The
 // global env carries no view — every index scan happens on a shard —
 // but shares the query's slot table and the full dictionary snapshot,
-// and routes BGP evaluation (and DESCRIBE resolution) through the
-// shard hooks, so joins, filters, the modifier pipeline, and the whole
-// evaluate/solutions machinery run the single-graph code unchanged.
+// and routes BGP evaluation through the shard hook, so joins, filters
+// and the whole answer tail run the single-graph code unchanged (a
+// DESCRIBE reads its subjects' triples off every shard: subjectTriples).
 func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *distEnv {
 	env := &evalEnv{
 		ss:        ss,
+		dict:      ss.Dict,
 		terms:     ss.Dict.Terms(),
 		slots:     p.slots,
 		vars:      p.vars,
@@ -295,7 +275,6 @@ func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *d
 	}
 	d.route = p.shardRoute(ss, ro.forceScatter)
 	env.bgp = d.evalBGP
-	env.describe = d.describeSharded
 	return d
 }
 
@@ -1078,68 +1057,6 @@ func gather(env *evalEnv, outs [][]slotRow, keys [][]uint64) []slotRow {
 		}
 	}
 	return merged
-}
-
-// describeSharded mirrors describeResources over the shard graphs: the
-// target resources' triples gather from every shard and merge by
-// global position, reproducing the single-graph description order.
-func (d *distEnv) describeSharded(q *Query, rows []Binding) *Results {
-	targets := map[rdf.Term]bool{}
-	var order []rdf.Term
-	add := func(t rdf.Term) {
-		if t.IsLiteral() || targets[t] {
-			return
-		}
-		targets[t] = true
-		order = append(order, t)
-	}
-	for _, el := range q.Describe {
-		if !el.IsVar {
-			add(el.Term)
-			continue
-		}
-		for _, b := range rows {
-			if t, ok := b[el.Var]; ok {
-				add(t)
-			}
-		}
-	}
-	res := &Results{IsGraph: true}
-	seen := map[rdf.Triple]bool{}
-	for _, t := range order {
-		id, ok := d.ss.Dict.Lookup(t)
-		if !ok {
-			continue
-		}
-		type posTriple struct {
-			pos int32
-			tr  rdf.Triple
-		}
-		var found []posTriple
-		for _, view := range d.ss.Views {
-			ts, positions := view.ScanSubject(id)
-			for i, e := range ts {
-				tr, err := d.ss.Dict.DecodeTriple(e)
-				if err != nil {
-					continue
-				}
-				found = append(found, posTriple{pos: positions[i], tr: tr})
-			}
-		}
-		// Insertion-sort by global position (descriptions are small).
-		for i := 1; i < len(found); i++ {
-			for j := i; j > 0 && found[j].pos < found[j-1].pos; j-- {
-				found[j], found[j-1] = found[j-1], found[j]
-			}
-		}
-		for _, ft := range found {
-			if !seen[ft.tr] {
-				seen[ft.tr] = true
-				res.Triples = append(res.Triples, ft.tr)
-			}
-		}
-	}
-	return res
 }
 
 // collectPatternSlots fills cp.slots with the distinct variable slots

@@ -68,7 +68,7 @@ func EvalRows(q *Query, vars []Var, dict *rdf.Dictionary,
 // to, as EvalRows gives it: the ids over dict of vars, in vars' order.
 // It may reorder rows in place.
 func Answer(q *Query, vars []Var, dict *rdf.Dictionary, rows [][]rdf.TermID) (*Results, error) {
-	return rowEnv(vars, dict).answer(q, rows)
+	return materialize(rowEnv(vars, dict).solutions(q, rows))
 }
 
 // JoinRows is the evaluator's join kernel over rows of one width: the
@@ -92,64 +92,63 @@ func JoinRows(left, right [][]rdf.TermID, outer bool) ([][]rdf.TermID, error) {
 // rowEnv is the environment of rows an engine built: the ids over dict
 // of vars, in vars' order.
 func rowEnv(vars []Var, dict *rdf.Dictionary) *evalEnv {
-	env := &evalEnv{terms: dict.Terms(), vars: vars, slots: make(map[Var]int, len(vars))}
+	env := &evalEnv{dict: dict, terms: dict.Terms(), vars: vars, slots: make(map[Var]int, len(vars))}
 	for i, v := range vars {
 		env.slots[v] = i
 	}
 	return env
 }
 
-// evaluate is the shared body of Evaluate, (*Prepared).Run and EvalRows.
+// evaluate is the shared body of Evaluate and EvalRows.
 func evaluate(env *evalEnv, q *Query) (*Results, error) {
 	rows, err := env.evalPattern(q.Where)
 	if err != nil {
 		return nil, err
 	}
-	return env.answer(q, rows)
+	return materialize(env.solutions(q, rows))
 }
 
-// answer is q's answer over the rows its pattern evaluated to.
-func (env *evalEnv) answer(q *Query, rows []slotRow) (*Results, error) {
+// solutions is the one answer tail of every query form, over the rows
+// q's pattern evaluated to: the aggregate, the modifier pipeline, then
+// the form's output — the surviving rows for SELECT, the graph their
+// template or targets give for CONSTRUCT and DESCRIBE. It stays in id
+// space throughout; only a graph answer is decoded here.
+func (env *evalEnv) solutions(q *Query, rows []slotRow) (*Solutions, error) {
 	if env.err != nil {
 		return nil, env.err
 	}
-	// Plain SELECT and ASK run the whole modifier pipeline in id space
-	// and decode only the surviving rows. Aggregates, CONSTRUCT, and
-	// DESCRIBE need term values for every solution, so they decode
-	// first and share the term-space tail.
-	if (q.Form == FormSelect || q.Form == FormAsk) && q.Agg == nil {
-		res := env.applyModifiers(q, rows)
-		if env.err != nil { // cancelled inside the pipeline (top-K scan)
-			return nil, env.err
-		}
-		return res, nil
-	}
-	decoded := env.decodeRows(rows)
-	if q.Form == FormDescribe {
-		if env.describe != nil {
-			return env.describe(q, decoded), nil
-		}
-		return env.describeResources(q, decoded), nil
-	}
-	return applySolutionModifiers(q, decoded), nil
-}
-
-// applyModifiers applies q's solution modifiers over id-space rows
-// (modifierPipeline) and decodes only the rows that survive.
-func (env *evalEnv) applyModifiers(q *Query, rows []slotRow) *Results {
 	if q.Form == FormAsk {
-		return &Results{IsAsk: true, Ask: len(rows) > 0}
+		return &Solutions{isAsk: true, ask: len(rows) > 0}, nil
+	}
+	if q.Agg != nil {
+		rows = env.aggregate(q.Agg, rows)
 	}
 	vars := q.SelectedVars()
 	rows = env.modifierPipeline(q, vars, rows)
-	return &Results{Vars: append([]Var{}, vars...), Rows: env.decodeRows(rows)}
+	if env.err != nil { // cancelled inside the pipeline (top-K scan)
+		return nil, env.err
+	}
+	switch q.Form {
+	case FormConstruct:
+		return &Solutions{isGraph: true, triples: env.construct(q.Template, rows)}, nil
+	case FormDescribe:
+		return &Solutions{isGraph: true, triples: env.describe(q.Describe, rows)}, nil
+	}
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		if s, ok := env.slots[v]; ok {
+			cols[i] = s
+		} else {
+			cols[i] = -1
+		}
+	}
+	return &Solutions{vars: vars, env: env, rows: rows, cols: cols}, nil
 }
 
 // modifierPipeline runs ORDER BY, projection, DISTINCT and OFFSET /
 // LIMIT in that order (§18.2.5) entirely in id space and returns the
-// surviving rows undecoded. Both the Binding-materializing path
-// (applyModifiers) and the streaming path ((*Prepared).RunSolutions)
-// share it. ORDER BY reads its keys before projection clears them.
+// surviving rows undecoded; every query form's answer passes through
+// it (solutions). ORDER BY reads its keys before projection clears them.
 // When DISTINCT follows and projection keeps every key, the sort moves
 // after DISTINCT: a row's first occurrence, the one DISTINCT keeps, is
 // also first among its equals under a stable sort, so the sequence is
@@ -280,10 +279,10 @@ func (env *evalEnv) compareRowsByKeys(a, b slotRow, ks []keySlot) int {
 	return 0
 }
 
-// sortRows orders rows by the ORDER BY keys, with the same
-// unbound-first/last and stability semantics as Results.SortRows, and
-// returns the surviving prefix. topK < 0 (or >= len(rows)) requests
-// the full stable sort in place. 0 <= topK < len(rows) — ORDER BY with
+// sortRows orders rows stably by the ORDER BY keys, unbound first
+// ascending and last descending (compareRowsByKeys), and returns the
+// surviving prefix. topK < 0 (or >= len(rows)) requests the full
+// stable sort in place. 0 <= topK < len(rows) — ORDER BY with
 // a LIMIT (+ OFFSET) that keeps only the first topK rows — selects and
 // orders those rows with a bounded max-heap instead of sorting the
 // whole sequence: O(n log k) comparisons and one k-entry scratch
@@ -383,11 +382,18 @@ type evalEnv struct {
 	// ss, on the driver of a sharded run (dist.go), is the shard set the
 	// run plans against in place of view; nil on a single graph.
 	ss    *ShardSet
-	terms []rdf.Term // id→term snapshot for lock-free decoding
+	dict  *rdf.Dictionary // terms' source, for lookups by term (intern, describe)
+	terms []rdf.Term      // id→term snapshot for lock-free decoding
 	slots map[Var]int
 	vars  []Var // slot→var
 	stats rdf.Stats
 	arena []rdf.TermID // bump allocator for slot rows
+
+	// overflow holds the values an aggregate computed that the term
+	// snapshot lacks: id len(terms)+i is overflow[i], and overflowIDs
+	// maps each back to its id (intern).
+	overflow    []rdf.Term
+	overflowIDs map[rdf.Term]rdf.TermID
 
 	// Cancellation state ((*Prepared).Run): ctx is nil for
 	// uncancellable evaluations (Evaluate, or a context that can never
@@ -419,15 +425,13 @@ type evalEnv struct {
 	prep   *Prepared
 	bgpSeq int
 
-	// Distributed evaluation hooks (dist.go). bgp, when non-nil,
+	// Distributed evaluation hook (dist.go). bgp, when non-nil,
 	// overrides BGP evaluation — the sharded executor routes BGPs
-	// through per-shard pushdown or the per-pattern bind join;
-	// describe, when non-nil, resolves DESCRIBE targets across shards
-	// instead of env.g. Everything else — joins, filters, UNION, the
-	// modifier pipeline — runs the exact single-graph code above the
-	// hooks, which is what keeps sharded output byte-identical.
-	bgp      func(BGP) []slotRow
-	describe func(*Query, []Binding) *Results
+	// through per-shard pushdown or the per-pattern bind join.
+	// Everything else — joins, filters, UNION, the answer tail — runs
+	// the exact single-graph code above the hook, which is what keeps
+	// sharded output byte-identical.
+	bgp func(BGP) []slotRow
 	// filter, when non-nil, runs a FILTER's test over its rows in place
 	// of evalPattern's own loop (EvalRows: an engine that filters on its
 	// own side).
@@ -626,7 +630,7 @@ func (env *evalEnv) decodeRow(row slotRow) Binding {
 	b := make(Binding, len(row))
 	for i, id := range row {
 		if id != unboundID {
-			b[env.vars[i]] = env.terms[id]
+			b[env.vars[i]] = env.term(id)
 		}
 	}
 	return b
@@ -638,52 +642,6 @@ func (env *evalEnv) decodeRows(rows []slotRow) []Binding {
 		out[i] = env.decodeRow(row)
 	}
 	return out
-}
-
-// describeResources returns the description graph of a DESCRIBE query:
-// for every target resource (constant, or each binding of a target
-// variable), all triples with that resource as subject — a simplified
-// concise bounded description. The lookup stays in id space (dictionary
-// → encoded view → decode), so describing a resource of a served graph
-// never materializes the graph's term-space indexes.
-func (env *evalEnv) describeResources(q *Query, rows []Binding) *Results {
-	targets := map[rdf.Term]bool{}
-	var order []rdf.Term
-	add := func(t rdf.Term) {
-		if t.IsLiteral() || targets[t] {
-			return
-		}
-		targets[t] = true
-		order = append(order, t)
-	}
-	for _, el := range q.Describe {
-		if !el.IsVar {
-			add(el.Term)
-			continue
-		}
-		for _, b := range rows {
-			if t, ok := b[el.Var]; ok {
-				add(t)
-			}
-		}
-	}
-	res := &Results{IsGraph: true}
-	seen := map[rdf.Triple]bool{}
-	dict := env.view.Dict()
-	for _, t := range order {
-		id, ok := dict.Lookup(t)
-		if !ok {
-			continue
-		}
-		for _, e := range env.view.WithSubject(id) {
-			tr := rdf.Triple{S: env.terms[e.S], P: env.terms[e.P], O: env.terms[e.O]}
-			if !seen[tr] {
-				seen[tr] = true
-				res.Triples = append(res.Triples, tr)
-			}
-		}
-	}
-	return res
 }
 
 func (env *evalEnv) evalPattern(p GraphPattern) ([]slotRow, error) {
@@ -1141,9 +1099,18 @@ type idRow struct {
 
 func (r idRow) Term(slot int) rdf.Term {
 	if id := r.row[slot]; id != unboundID {
-		return r.env.terms[id]
+		return r.env.term(id)
 	}
 	return Unbound
+}
+
+// term decodes a bound id: a dictionary id of the run's term snapshot,
+// or a value an aggregate computed past its end (intern).
+func (env *evalEnv) term(id rdf.TermID) rdf.Term {
+	if int(id) < len(env.terms) {
+		return env.terms[id]
+	}
+	return env.overflow[int(id)-len(env.terms)]
 }
 
 // cElem is one compiled triple-pattern position: either a slot index

@@ -201,6 +201,7 @@ func (p *Prepared) newEnv(ctx context.Context, g *rdf.Graph) *evalEnv {
 	env := &evalEnv{
 		g:         g,
 		view:      view,
+		dict:      view.Dict(),
 		terms:     view.Dict().Terms(),
 		slots:     p.slots,
 		vars:      p.vars,
@@ -224,21 +225,15 @@ func (p *Prepared) newEnv(ctx context.Context, g *rdf.Graph) *evalEnv {
 // check every cancelCheckEvery rows) and Run returns ctx.Err(). A run
 // on one graph is serial: it evaluates on the calling goroutine.
 func (p *Prepared) Run(ctx context.Context, g *rdf.Graph, opts ...RunOption) (*Results, error) {
-	ro := resolveRunOpts(opts)
-	return p.runWith(ctx, g, &ro)
+	return materialize(p.RunSolutions(ctx, g, opts...))
 }
 
-func (p *Prepared) runWith(ctx context.Context, g *rdf.Graph, ro *runOpts) (*Results, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+// materialize is a Solutions-returning run's Results.
+func materialize(s *Solutions, err error) (*Results, error) {
+	if err != nil {
+		return nil, err
 	}
-	env := p.newEnv(ctx, g)
-	env.configure(ro)
-	res, err := evaluate(env, p.q)
-	ro.capture(env)
-	return res, err
+	return s.Results(), nil
 }
 
 // cachedPlan returns the cached plan of the seq-th BGP for the given
@@ -267,13 +262,13 @@ func (p *Prepared) storePlan(snap snapshot, seq int, cps []cPattern) {
 	p.plans[seq] = cps
 }
 
-// Solutions is a result sequence positioned for streaming: for plain
-// SELECT (and ASK) queries the rows stay in id space with all solution
-// modifiers already applied, and each term is decoded on access — a
+// Solutions is a result sequence positioned for streaming: the rows of
+// a SELECT stay in id space with every solution modifier (and the
+// aggregate) already applied, and each term is decoded on access — a
 // serializer can write row after row straight into a response without
-// ever materializing a []Binding. Aggregates, CONSTRUCT, and DESCRIBE
-// need term values for every solution, so those forms carry decoded
-// rows (or the result graph) behind the same accessors.
+// ever materializing a []Binding. ASK carries its answer and CONSTRUCT
+// and DESCRIBE their result graph behind the same accessors; the
+// decoded backing holds rows an engine materialized (ResultsSolutions).
 //
 // A Solutions value is read-only and safe for concurrent readers; it
 // pins the evaluation environment (and through it the graph's term
@@ -281,12 +276,12 @@ func (p *Prepared) storePlan(snap snapshot, seq int, cps []cPattern) {
 type Solutions struct {
 	vars []Var
 
-	// id-space backing (plain SELECT).
+	// id-space backing (SELECT).
 	env  *evalEnv
 	rows []slotRow
 	cols []int // vars[i] → slot, -1 when the variable never binds
 
-	// decoded backing (aggregates and other forms).
+	// decoded backing (ResultsSolutions).
 	decoded []Binding
 
 	isAsk   bool
@@ -300,63 +295,27 @@ type Solutions struct {
 // materialized Results. Cancellation and the RunOptions behave exactly
 // as in Run.
 func (p *Prepared) RunSolutions(ctx context.Context, g *rdf.Graph, opts ...RunOption) (*Solutions, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 	ro := resolveRunOpts(opts)
-	if p.streamable() {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		env := p.newEnv(ctx, g)
-		env.configure(&ro)
-		return p.solutionsFromEnv(env, &ro)
-	}
-	res, err := p.runWith(ctx, g, &ro)
-	if err != nil {
-		return nil, err
-	}
-	return ResultsSolutions(res), nil
+	env := p.newEnv(ctx, g)
+	env.configure(&ro)
+	return p.solutionsFromEnv(env, &ro)
 }
 
-// streamable reports whether the query's solutions can stay in id
-// space for streaming: plain SELECT and ASK. Aggregates, CONSTRUCT,
-// and DESCRIBE need term values for every solution.
-func (p *Prepared) streamable() bool {
-	q := p.q
-	return (q.Form == FormSelect || q.Form == FormAsk) && q.Agg == nil
-}
-
-// solutionsFromEnv runs the streamable tail shared by RunSolutions and
-// RunShardedSolutions over an armed environment: evaluate the WHERE
-// pattern, apply the id-space modifier pipeline, and position the
-// surviving rows for on-access term decoding.
+// solutionsFromEnv is the body RunSolutions and RunShardedSolutions
+// share over an armed environment: evaluate the WHERE pattern, then the
+// answer tail (solutions).
 func (p *Prepared) solutionsFromEnv(env *evalEnv, ro *runOpts) (*Solutions, error) {
-	q := p.q
 	defer ro.capture(env)
-	rows, err := env.evalPattern(q.Where)
+	rows, err := env.evalPattern(p.q.Where)
 	if err != nil {
 		return nil, err
 	}
-	if env.err != nil {
-		return nil, env.err
-	}
-	if q.Form == FormAsk {
-		return &Solutions{isAsk: true, ask: len(rows) > 0}, nil
-	}
-	vars := q.SelectedVars()
-	rows = env.modifierPipeline(q, vars, rows)
-	if env.err != nil { // cancelled inside the pipeline (top-K scan)
-		return nil, env.err
-	}
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		if s, ok := env.slots[v]; ok {
-			cols[i] = s
-		} else {
-			cols[i] = -1
-		}
-	}
-	return &Solutions{vars: vars, env: env, rows: rows, cols: cols}, nil
+	return env.solutions(p.q, rows)
 }
 
 // ResultsSolutions wraps an already-materialized Results behind the
@@ -402,24 +361,31 @@ func (s *Solutions) Graph() []rdf.Triple { return s.triples }
 // allocates nothing and may be called from concurrent readers.
 func (s *Solutions) Term(row, col int) (rdf.Term, bool) {
 	if s.env != nil {
-		id, ok := s.TermID(row, col)
+		id, ok := s.id(row, col)
 		if !ok {
 			return rdf.Term{}, false
 		}
-		return s.env.terms[id], true
+		return s.env.term(id), true
 	}
 	t, ok := s.decoded[row][s.vars[col]]
 	return t, ok
 }
 
 // TermID returns the dictionary id bound to column col of row while the
-// solutions are still in id space (a plain SELECT over the graph or
-// shard set that was evaluated); ok is false for an unbound position
-// and for decoded solutions, whose terms only Term returns.
+// solutions are still in id space (a SELECT over the graph or shard set
+// that was evaluated); ok is false for an unbound position, for a value
+// an aggregate computed that the dictionary lacks, and for decoded
+// solutions — their terms only Term returns.
 func (s *Solutions) TermID(row, col int) (rdf.TermID, bool) {
 	if s.env == nil {
 		return 0, false
 	}
+	id, ok := s.id(row, col)
+	return id, ok && int(id) < len(s.env.terms)
+}
+
+// id is the id bound to column col of row of id-space solutions.
+func (s *Solutions) id(row, col int) (rdf.TermID, bool) {
 	slot := s.cols[col]
 	if slot < 0 {
 		return 0, false

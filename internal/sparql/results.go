@@ -1,8 +1,13 @@
 package sparql
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/rdf"
@@ -18,15 +23,6 @@ func (b Binding) Term(v Var) rdf.Term {
 		return t
 	}
 	return Unbound
-}
-
-// Clone copies the binding.
-func (b Binding) Clone() Binding {
-	out := make(Binding, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
 }
 
 // Results is a solution sequence: an ordered list of bindings projected
@@ -173,87 +169,161 @@ func (r *Results) String() string {
 	return b.String()
 }
 
-// SortRows orders rows by the given keys (stable) in CompareTerms'
-// order, used by engines to apply ORDER BY uniformly.
-func (r *Results) SortRows(keys []OrderKey) {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		for _, k := range keys {
-			if c := CompareTerms(r.Rows[i].Term(k.Var), r.Rows[j].Term(k.Var)); c != 0 {
-				return (c < 0) == k.Asc
-			}
+// aggregate evaluates the query's one aggregate over rows in id space:
+// one output row per group, in order of first appearance. Groups are
+// keyed on their group variables' ids. An output row is an ordinary
+// slot row of the env: the group variables keep their slots and the
+// alias takes one past the pattern's, so the modifier pipeline, decoding
+// and Solutions read it unchanged. Without GROUP BY the whole sequence
+// is one group, an empty one too (SPARQL 1.1 §18.2.4.1).
+func (env *evalEnv) aggregate(agg *Aggregate, rows []slotRow) []slotRow {
+	var group []int
+	for _, v := range agg.Group {
+		if s, ok := env.slots[v]; ok {
+			group = append(group, s)
 		}
-		return false
-	})
+	}
+	arg, argBound := env.slots[agg.Var]
+	as, ok := env.slots[agg.As]
+	if !ok {
+		as = len(env.vars)
+		env.vars = append(env.vars[:as:as], agg.As)
+		env.slots = maps.Clone(env.slots)
+		env.slots[agg.As] = as
+	}
+	type acc struct {
+		first    slotRow // the group's first row: its group variables' ids
+		count    int
+		sum      float64
+		integral bool // every value an xsd:integer so far
+		min, max rdf.TermID
+	}
+	newAcc := func(first slotRow) acc { return acc{first: first, integral: true, min: unboundID, max: unboundID} }
+	index := map[string]int{}
+	var accs []acc
+	var key []byte
+	for _, row := range rows {
+		key = key[:0]
+		for _, s := range group {
+			key = binary.LittleEndian.AppendUint32(key, uint32(row[s]))
+		}
+		i, ok := index[string(key)]
+		if !ok {
+			i = len(accs)
+			index[string(key)] = i
+			accs = append(accs, newAcc(row))
+		}
+		a := &accs[i]
+		if agg.Var == "" { // COUNT(*)
+			a.count++
+			continue
+		}
+		if !argBound || row[arg] == unboundID {
+			continue
+		}
+		id := row[arg]
+		t := env.term(id)
+		a.count++
+		if f, ok := numericValue(t); ok {
+			a.sum += f
+		}
+		a.integral = a.integral && t.Datatype == rdf.XSDInteger
+		if a.min == unboundID || CompareTerms(t, env.term(a.min)) < 0 {
+			a.min = id
+		}
+		if a.max == unboundID || CompareTerms(t, env.term(a.max)) > 0 {
+			a.max = id
+		}
+	}
+	if len(accs) == 0 && len(agg.Group) == 0 {
+		accs = append(accs, newAcc(nil))
+	}
+	num := func(f float64, datatype string) rdf.TermID {
+		return env.intern(rdf.NewTypedLiteral(strconv.FormatFloat(f, 'f', -1, 64), datatype))
+	}
+	out := make([]slotRow, len(accs))
+	for i, a := range accs {
+		row := env.newRow(nil)
+		for _, s := range group {
+			row[s] = a.first[s]
+		}
+		value := unboundID
+		switch agg.Fn {
+		case "COUNT":
+			value = num(float64(a.count), rdf.XSDInteger)
+		case "SUM":
+			if a.integral {
+				value = num(a.sum, rdf.XSDInteger)
+			} else {
+				value = num(a.sum, rdf.XSDDecimal)
+			}
+		case "AVG": // §18.5.1: the average of nothing is the integer 0
+			if a.count == 0 {
+				value = num(0, rdf.XSDInteger)
+			} else {
+				value = num(a.sum/float64(a.count), rdf.XSDDecimal)
+			}
+		case "MIN":
+			value = a.min
+		case "MAX":
+			value = a.max
+		}
+		if value != unboundID {
+			row[as] = value
+		}
+		out[i] = row
+	}
+	return out
 }
 
-// applySolutionModifiers is the term-space tail of the aggregate and
-// CONSTRUCT forms: the aggregate, then DISTINCT / ORDER BY / OFFSET /
-// LIMIT. Neither needs a projection: an aggregate's rows bind only its
-// group variables and its alias, and CONSTRUCT selects every variable.
-func applySolutionModifiers(q *Query, rows []Binding) *Results {
-	if q.Agg != nil {
-		rows = aggregateRows(q.Agg, rows)
+// intern returns t's id in this run: the dictionary's when the run's
+// term snapshot holds t, otherwise an id past the snapshot's end, held
+// in the run's overflow slice and shared by every equal value, so ids
+// stay injective over terms and DISTINCT on ids stays exact.
+func (env *evalEnv) intern(t rdf.Term) rdf.TermID {
+	if id, ok := env.dict.Lookup(t); ok && int(id) < len(env.terms) {
+		return id
 	}
-	res := &Results{Vars: q.SelectedVars(), Rows: rows}
-	if q.Distinct {
-		seen := map[string]bool{}
-		var kept []Binding
-		for _, b := range res.Rows {
-			k := res.rowKey(b)
-			if !seen[k] {
-				seen[k] = true
-				kept = append(kept, b)
-			}
-		}
-		res.Rows = kept
+	if id, ok := env.overflowIDs[t]; ok {
+		return id
 	}
-	if len(q.OrderBy) > 0 {
-		res.SortRows(q.OrderBy)
+	if env.overflowIDs == nil {
+		env.overflowIDs = map[rdf.Term]rdf.TermID{}
 	}
-	if q.Offset > 0 {
-		if q.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	if q.Form == FormAsk {
-		return &Results{IsAsk: true, Ask: len(rows) > 0}
-	}
-	if q.Form == FormConstruct {
-		return &Results{IsGraph: true, Triples: InstantiateTemplate(q.Template, res.Rows)}
-	}
-	return res
+	id := rdf.TermID(len(env.terms) + len(env.overflow))
+	env.overflow = append(env.overflow, t)
+	env.overflowIDs[t] = id
+	return id
 }
 
-// InstantiateTemplate builds the CONSTRUCT output graph: the template
-// patterns instantiated under every solution, dropping instantiations
-// with unbound variables or invalid positions, deduplicated (a SPARQL
-// CONSTRUCT result is a graph, i.e. a set).
-func InstantiateTemplate(template []TriplePattern, rows []Binding) []rdf.Triple {
-	var out []rdf.Triple
-	seen := map[rdf.Triple]bool{}
-	resolve := func(el TPElem, b Binding) (rdf.Term, bool) {
+// construct builds the CONSTRUCT output graph: the template
+// instantiated under every row, dropping instances with an unbound
+// variable or a term in a position it may not take, deduplicated (a
+// CONSTRUCT answer is a graph, i.e. a set).
+func (env *evalEnv) construct(template []TriplePattern, rows []slotRow) []rdf.Triple {
+	resolve := func(el TPElem, row slotRow) (rdf.Term, bool) {
 		if !el.IsVar {
 			return el.Term, true
 		}
-		t, ok := b[el.Var]
-		return t, ok
+		s, ok := env.slots[el.Var]
+		if !ok || row[s] == unboundID {
+			return rdf.Term{}, false
+		}
+		return env.term(row[s]), true
 	}
-	for _, b := range rows {
+	var out []rdf.Triple
+	seen := map[rdf.Triple]bool{}
+	for _, row := range rows {
 		for _, tp := range template {
-			s, ok := resolve(tp.S, b)
+			s, ok := resolve(tp.S, row)
 			if !ok {
 				continue
 			}
-			p, ok := resolve(tp.P, b)
+			p, ok := resolve(tp.P, row)
 			if !ok {
 				continue
 			}
-			o, ok := resolve(tp.O, b)
+			o, ok := resolve(tp.O, row)
 			if !ok {
 				continue
 			}
@@ -268,83 +338,64 @@ func InstantiateTemplate(template []TriplePattern, rows []Binding) []rdf.Triple 
 	return out
 }
 
-// aggregateRows evaluates the single supported aggregate over rows.
-func aggregateRows(agg *Aggregate, rows []Binding) []Binding {
-	type acc struct {
-		group Binding
-		count int
-		sum   float64
-		min   rdf.Term // Unbound until a value is seen
-		max   rdf.Term
-	}
-	groups := map[string]*acc{}
-	var order []string
-	for _, b := range rows {
-		parts := make([]string, len(agg.Group))
-		for i, g := range agg.Group {
-			if t, ok := b[g]; ok {
-				parts[i] = t.String()
-			}
+// describe builds the DESCRIBE output graph: for each element of
+// targets in order — a constant, or the bindings of a variable in row
+// order — every triple with that resource as subject, in dataset order
+// (a simplified concise bounded description). No triple has a literal
+// subject, so a literal target describes nothing; distinct targets share
+// no triple, so nothing is deduplicated past the targets.
+func (env *evalEnv) describe(targets []TPElem, rows []slotRow) []rdf.Triple {
+	seen := map[rdf.TermID]bool{}
+	var out []rdf.Triple
+	add := func(id rdf.TermID) {
+		if seen[id] {
+			return
 		}
-		key := strings.Join(parts, "\t")
-		a, ok := groups[key]
-		if !ok {
-			gb := Binding{}
-			for _, g := range agg.Group {
-				if t, has := b[g]; has {
-					gb[g] = t
+		seen[id] = true
+		for _, e := range env.subjectTriples(id) {
+			out = append(out, rdf.Triple{S: env.terms[e.S], P: env.terms[e.P], O: env.terms[e.O]})
+		}
+	}
+	for _, el := range targets {
+		if !el.IsVar {
+			if id, ok := env.dict.Lookup(el.Term); ok && int(id) < len(env.terms) {
+				add(id)
+			}
+			continue
+		}
+		if s, ok := env.slots[el.Var]; ok {
+			for _, row := range rows {
+				if row[s] != unboundID {
+					add(row[s])
 				}
 			}
-			a = &acc{group: gb, min: Unbound, max: Unbound}
-			groups[key] = a
-			order = append(order, key)
-		}
-		if agg.Var == "" { // COUNT(*)
-			a.count++
-			continue
-		}
-		t, bound := b[agg.Var]
-		if !bound {
-			continue
-		}
-		a.count++
-		if f, ok := numericValue(t); ok {
-			a.sum += f
-		}
-		if a.min == Unbound || CompareTerms(t, a.min) < 0 {
-			a.min = t
-		}
-		if CompareTerms(t, a.max) > 0 { // Unbound orders first
-			a.max = t
 		}
 	}
-	numLit := func(f float64) rdf.Term {
-		s := strings.TrimSuffix(strings.TrimRight(fmt.Sprintf("%f", f), "0"), ".")
-		return rdf.NewTypedLiteral(s, rdf.XSDInteger)
+	return out
+}
+
+// subjectTriples returns the triples with subject id in dataset order:
+// the view's subject index on one graph, every shard's merged by global
+// position on a shard set.
+func (env *evalEnv) subjectTriples(id rdf.TermID) []rdf.EncodedTriple {
+	if env.ss == nil {
+		return env.view.WithSubject(id)
 	}
-	var out []Binding
-	for _, key := range order {
-		a := groups[key]
-		b := a.group.Clone()
-		switch agg.Fn {
-		case "COUNT":
-			b[agg.As] = rdf.NewTypedLiteral(fmt.Sprint(a.count), rdf.XSDInteger)
-		case "SUM":
-			b[agg.As] = numLit(a.sum)
-		case "AVG":
-			if a.count > 0 {
-				b[agg.As] = numLit(a.sum / float64(a.count))
-			}
-		case "MIN":
-			if a.min != Unbound {
-				b[agg.As] = a.min
-			}
-		case "MAX":
-			if a.max != Unbound {
-				b[agg.As] = a.max
-			}
+	type posTriple struct {
+		pos int32
+		t   rdf.EncodedTriple
+	}
+	var found []posTriple
+	for _, view := range env.ss.Views {
+		ts, positions := view.ScanSubject(id)
+		for i, t := range ts {
+			found = append(found, posTriple{positions[i], t})
 		}
-		out = append(out, b)
+	}
+	slices.SortFunc(found, func(a, b posTriple) int { return cmp.Compare(a.pos, b.pos) })
+	out := make([]rdf.EncodedTriple, len(found))
+	for i, f := range found {
+		out[i] = f.t
 	}
 	return out
 }

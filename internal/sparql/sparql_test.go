@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -555,7 +556,7 @@ func TestBindingCompatibleMergeMatchReplacedBodies(t *testing.T) {
 		return true
 	}
 	merge := func(b, other Binding) Binding {
-		out := b.Clone()
+		out := maps.Clone(b)
 		for k, v := range other {
 			out[k] = v
 		}
