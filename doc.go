@@ -73,7 +73,8 @@
 //     and the five BGP-only engines hand their rows to sparql.Answer.
 //     Both finish through the reference's one id-space answer tail
 //     (the aggregate, ORDER BY before projection, then DISTINCT and the
-//     slice, §18.2.5) and decode only the rows that survive it. Spar(k)ql's component
+//     slice, §18.2.5) and answer its surviving id rows, undecoded
+//     (sparql.Results, below). Spar(k)ql's component
 //     joins, GX-Subgraph's disconnected-pattern join and each task of
 //     SPARQLGX's OPTIONAL against its broadcast right side call the
 //     reference's join kernel, sparql.JoinRows, whose output is row for
@@ -100,8 +101,18 @@
 //     projection, DISTINCT, OFFSET / LIMIT in §18.2.5's order), then
 //     the form's output — the surviving rows for SELECT, a template
 //     instantiated over them for CONSTRUCT, their subjects' triples for
-//     DESCRIBE (§16.4: the slice bounds the targets) — so only what
-//     survives is decoded back to terms. Graph lookups
+//     DESCRIBE (§16.4: the slice bounds the targets). An answer is its
+//     id rows: sparql.Results and Solutions share the surviving rows,
+//     the run's environment (its dictionary snapshot and the values an
+//     aggregate computed past it) and each column's slot, and a caller
+//     reads a cell by position (Term), decoding that one term; nothing
+//     decodes an answer into maps. Results.Equal compares two answers in
+//     id space even when each holds ids over a dictionary of its own —
+//     an engine's solutions.Dataset against the oracle's rdf.Graph: it
+//     packs one side's rows into keys of its ids and translates each
+//     distinct id of the other side once, through its term, into that
+//     space (a term the first side lacks makes the answers unequal).
+//     Graph lookups
 //     (WithSubject/WithPredicate/WithObject) return zero-copy index
 //     views. A pattern scan writes each output row once: the candidate
 //     filter (patternScan.matches) compares every position the input
@@ -282,7 +293,7 @@
 // worker pool whose admission queue charges waiting time against the
 // query's deadline, and streaming SPARQL JSON / TSV / N-Triples writers
 // that decode each surviving row straight into a response window, never
-// materializing []Binding. The window is a pooled 64 KiB []byte
+// materializing a decoded row. The window is a pooled 64 KiB []byte
 // (internal/server/stream.go): rows are appended to it in place and
 // each full window is handed to the http.ResponseWriter in one Write,
 // which net/http passes through as one chunk — one user-space copy per

@@ -37,7 +37,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-42s version=%d students=%s\n", label, v, res.Rows[0]["n"].Value)
+		n, _ := res.Term(0, 0)
+		fmt.Printf("%-42s version=%d students=%s\n", label, v, n.Value)
 	}
 
 	show("initial load")

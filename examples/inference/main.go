@@ -50,6 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-70s => %s\n", text, res.Rows[0]["n"].Value)
+		n, _ := res.Term(0, 0)
+		fmt.Printf("%-70s => %s\n", text, n.Value)
 	}
 }

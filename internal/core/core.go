@@ -202,30 +202,27 @@ func runQuery(e Engine, name string, q *sparql.Query, reference, full *sparql.Re
 // inside it are drawn from that whole group in full. A cut that OFFSET
 // makes through the first group is still compared exactly.
 func topKMatches(keys []sparql.OrderKey, got, reference, full *sparql.Results) bool {
-	if got.IsAsk || got.IsGraph || len(got.Rows) != len(reference.Rows) {
+	if got.IsAsk || got.IsGraph || got.Len() != reference.Len() {
 		return false
 	}
-	if len(reference.Rows) == 0 {
+	if reference.Len() == 0 {
 		return true
 	}
-	last := reference.Rows[len(reference.Rows)-1]
-	split := func(rows []sparql.Binding) (before, group []string) {
-		var b, g []sparql.Binding
-		for _, row := range rows {
-			if tied(keys, row, last) {
-				g = append(g, row)
+	last := reference.Len() - 1
+	split := func(res *sparql.Results) (before, group []string) {
+		for i := range res.Len() {
+			if tied(keys, res, i, reference, last) {
+				group = append(group, res.CanonicalRow(i))
 			} else {
-				b = append(b, row)
+				before = append(before, res.CanonicalRow(i))
 			}
 		}
-		canon := func(rows []sparql.Binding) []string {
-			return (&sparql.Results{Vars: reference.Vars, Rows: rows}).Canonical()
-		}
-		return canon(b), canon(g)
+		slices.Sort(before)
+		return before, group
 	}
-	gotBefore, gotGroup := split(got.Rows)
-	refBefore, _ := split(reference.Rows)
-	_, fullGroup := split(full.Rows)
+	gotBefore, gotGroup := split(got)
+	refBefore, _ := split(reference)
+	_, fullGroup := split(full)
 	if !slices.Equal(gotBefore, refBefore) {
 		return false
 	}
@@ -242,11 +239,20 @@ func topKMatches(keys []sparql.OrderKey, got, reference, full *sparql.Results) b
 	return true
 }
 
-// tied reports whether a and b compare equal on every ORDER BY key
-// under ORDER BY's order, sparql.CompareTerms (two unbound values tie).
-func tied(keys []sparql.OrderKey, a, b sparql.Binding) bool {
+// tied reports whether row i of a and row j of b compare equal on every
+// ORDER BY key under ORDER BY's order, sparql.CompareTerms (two unbound
+// values tie, and so does a key neither answer projects).
+func tied(keys []sparql.OrderKey, a *sparql.Results, i int, b *sparql.Results, j int) bool {
+	term := func(res *sparql.Results, row int, v sparql.Var) rdf.Term {
+		if c := slices.Index(res.Vars, v); c >= 0 {
+			if t, ok := res.Term(row, c); ok {
+				return t
+			}
+		}
+		return sparql.Unbound
+	}
 	for _, k := range keys {
-		if sparql.CompareTerms(a.Term(k.Var), b.Term(k.Var)) != 0 {
+		if sparql.CompareTerms(term(a, i, k.Var), term(b, j, k.Var)) != 0 {
 			return false
 		}
 	}

@@ -44,7 +44,7 @@ func (f *fakeEngine) Execute(q *sparql.Query) (*sparql.Results, error) {
 	}
 	if f.fail {
 		// Corrupt the answer to exercise correctness checking.
-		res.Rows = nil
+		res = &sparql.Results{Vars: res.Vars}
 	}
 	return res, nil
 }
@@ -226,9 +226,14 @@ func TestRunAssessmentTopKTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := func(ids ...int) *sparql.Results {
-		res := &sparql.Results{Vars: []sparql.Var{"s", "a"}}
+		dict := rdf.NewDictionary()
+		var table [][]rdf.TermID
 		for _, i := range ids {
-			res.Rows = append(res.Rows, sparql.Binding{"s": iri(fmt.Sprint("s", i)), "a": rdf.NewLiteral(ages[i])})
+			table = append(table, []rdf.TermID{dict.Encode(iri(fmt.Sprint("s", i))), dict.Encode(rdf.NewLiteral(ages[i]))})
+		}
+		res, err := sparql.Answer(sparql.MustParse(`SELECT ?s ?a WHERE { ?s <http://t/age> ?a }`), []sparql.Var{"s", "a"}, dict, table)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return res
 	}

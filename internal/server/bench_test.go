@@ -83,8 +83,8 @@ func (c *countingResponse) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// benchServeStream serves a 32,768-row SELECT (id-space rows, no
-// []Binding materialization) through the full handler, warm — one
+// benchServeStream serves a 32,768-row SELECT (id-space rows, each
+// cell decoded only as it is written) through the full handler, warm — one
 // response before the timer has filled the format's rendered-term table
 // — and reports, next to MB/s and allocs/op, how many Writes and bytes
 // one response hands the ResponseWriter (CI pins writes/op to bytes/op

@@ -14,7 +14,7 @@ import (
 // its finished bytes copied from the format's rendered-term table
 // (terms.go) when its id is there, rendered in place otherwise — and
 // each full window reaches the ResponseWriter in one Write: a
-// million-row result never exists as []Binding, every byte is copied
+// million-row result never exists decoded, every byte is copied
 // once on its way to net/http, and no request allocates a buffer. A
 // disconnected client costs at most one window in flight and
 // streamFlushEvery rows of rendering before the context poll ends the

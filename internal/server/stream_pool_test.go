@@ -26,19 +26,18 @@ import (
 // bytes (fixed-width values, each carrying pad): a graph for the graph
 // writer, a two-column bindings table for the other two.
 func fixedRows(graph bool, n int, pad string) *sparql.Solutions {
-	res := &sparql.Results{IsGraph: graph, Vars: []sparql.Var{"s", "v"}}
-	for i := 0; i < n; i++ {
-		s, v := rdf.NewIRI(fmt.Sprintf("http://ex/subject/%06d", i)), rdf.NewLiteral(fmt.Sprintf("value %06d %s", i, pad))
-		if graph {
-			res.Triples = append(res.Triples, rdf.Triple{S: s, P: rdf.NewIRI("http://ex/p"), O: v})
-		} else {
-			res.Rows = append(res.Rows, sparql.Binding{"s": s, "v": v})
+	ts := make([]rdf.Triple, n)
+	for i := range ts {
+		ts[i] = rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("http://ex/subject/%06d", i)),
+			P: rdf.NewIRI("http://ex/p"),
+			O: rdf.NewLiteral(fmt.Sprintf("value %06d %s", i, pad)),
 		}
 	}
 	if graph {
-		res.Vars = nil
+		return solve(rdf.NewGraph(ts), `CONSTRUCT { ?s <http://ex/p> ?v } WHERE { ?s <http://ex/p> ?v }`)
 	}
-	return sparql.ResultsSolutions(res)
+	return solve(rdf.NewGraph(ts), `SELECT ?s ?v WHERE { ?s <http://ex/p> ?v }`)
 }
 
 // onePool runs the test on a single P, where a sync.Pool is one private
@@ -223,15 +222,14 @@ func TestStreamConcurrentWindowsIsolated(t *testing.T) {
 func TestStreamGiantRowNotPooled(t *testing.T) {
 	onePool(t)
 	giant := strings.Repeat("0123456789abcdef", 1<<16) // 1 MiB
-	rows := []sparql.Binding{
-		{"s": rdf.NewIRI("http://ex/small"), "v": rdf.NewLiteral("before")},
-		{"s": rdf.NewIRI("http://ex/giant"), "v": rdf.NewLiteral(giant)},
-		{"s": rdf.NewIRI("http://ex/small"), "v": rdf.NewLiteral("after")},
-	}
-	tables := sparql.ResultsSolutions(&sparql.Results{Vars: []sparql.Var{"s", "v"}, Rows: rows})
-	graph := sparql.ResultsSolutions(&sparql.Results{IsGraph: true, Triples: []rdf.Triple{
-		{S: rdf.NewIRI("http://ex/giant"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral(giant)},
-	}})
+	p := rdf.NewIRI("http://ex/p")
+	g := rdf.NewGraph([]rdf.Triple{
+		{S: rdf.NewIRI("http://ex/small"), P: p, O: rdf.NewLiteral("before")},
+		{S: rdf.NewIRI("http://ex/giant"), P: p, O: rdf.NewLiteral(giant)},
+		{S: rdf.NewIRI("http://ex/small"), P: p, O: rdf.NewLiteral("after")},
+	})
+	tables := solve(g, `SELECT ?s ?v WHERE { ?s <http://ex/p> ?v }`)
+	graph := solve(g, `DESCRIBE <http://ex/giant>`)
 	for _, f := range streamFormats {
 		sol := tables
 		if f.graph {

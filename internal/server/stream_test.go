@@ -520,49 +520,75 @@ func randomRowCount(r *rand.Rand) int {
 	return 2 + r.Intn(40)
 }
 
-// randomResults draws a term-space result: a bindings table whose last
-// projected variable is never bound, whose rows leave columns unbound at
-// random (now and then all of them: the row renders as {}), and whose
-// variable names include ones a JSON key must escape; or an ASK answer;
-// or a graph.
-func randomResults(r *rand.Rand) *sparql.Results {
+// solve answers query over g.
+func solve(g *rdf.Graph, query string) *sparql.Solutions {
+	prep, err := sparql.Prepare(query)
+	if err != nil {
+		panic(fmt.Sprintf("%s: %v", query, err))
+	}
+	sol, err := prep.RunSolutions(context.Background(), g)
+	if err != nil {
+		panic(fmt.Sprintf("%s: %v", query, err))
+	}
+	return sol
+}
+
+// randomSolutions draws an answer over a graph built for it: a bindings
+// table whose last projected variable is never bound and whose rows
+// leave columns unbound at random (now and then all of them: the row
+// renders as {}); or an ASK answer; or a graph.
+func randomSolutions(r *rand.Rand) *sparql.Solutions {
+	p := rdf.NewIRI("http://ex/p")
 	switch r.Intn(8) {
 	case 0:
-		return &sparql.Results{IsAsk: true, Ask: r.Intn(2) == 0}
+		var ts []rdf.Triple
+		if r.Intn(2) == 0 {
+			ts = append(ts, rdf.Triple{S: rdf.NewIRI("http://ex/s"), P: p, O: randomTerm(r)})
+		}
+		return solve(rdf.NewGraph(ts), `ASK { ?s <http://ex/p> ?o }`)
 	case 1:
-		res := &sparql.Results{IsGraph: true}
+		var ts []rdf.Triple
 		for n := randomRowCount(r); n > 0; n-- {
 			s := randomTerm(r)
 			for !s.IsIRI() && !s.IsBlank() {
 				s = randomTerm(r)
 			}
-			res.Triples = append(res.Triples, rdf.Triple{S: s, P: rdf.NewIRI("http://ex/p"), O: randomTerm(r)})
+			ts = append(ts, rdf.Triple{S: s, P: p, O: randomTerm(r)})
 		}
-		return res
+		return solve(rdf.NewGraph(ts), `CONSTRUCT { ?s <http://ex/p> ?o } WHERE { ?s <http://ex/p> ?o }`)
 	}
-	names := []sparql.Var{"s", "name", "ünï", `q"uo\te`, "tab\there", "x1"}
+	// Row i is the subject http://ex/row/i; column c binds its one
+	// http://ex/c value, if it has one, under OPTIONAL.
+	names := []string{"s", "name", "x1", "o_2", "Long_Name"}
 	r.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-	res := &sparql.Results{Vars: append(names[:1+r.Intn(4)], "never")}
-	bound := res.Vars[:len(res.Vars)-1]
-	for n := randomRowCount(r); n > 0; n-- {
-		row := sparql.Binding{}
-		if r.Intn(8) > 0 {
-			for _, v := range bound {
-				if r.Intn(4) > 0 {
-					row[v] = randomTerm(r)
-				}
+	names = names[:1+r.Intn(4)]
+	var ts []rdf.Triple
+	for i, n := 0, randomRowCount(r); i < n; i++ {
+		row := rdf.NewIRI(fmt.Sprintf("http://ex/row/%d", i))
+		ts = append(ts, rdf.Triple{S: row, P: rdf.NewIRI("http://ex/row"), O: rdf.NewLiteral("")})
+		if r.Intn(8) == 0 {
+			continue
+		}
+		for c := range names {
+			if r.Intn(4) > 0 {
+				ts = append(ts, rdf.Triple{S: row, P: rdf.NewIRI(fmt.Sprintf("http://ex/c%d", c)), O: randomTerm(r)})
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
-	return res
+	var sel, where strings.Builder
+	for c, name := range names {
+		fmt.Fprintf(&sel, "?%s ", name)
+		fmt.Fprintf(&where, "OPTIONAL { ?row <http://ex/c%d> ?%s } ", c, name)
+	}
+	return solve(rdf.NewGraph(ts), fmt.Sprintf(`SELECT %s?never WHERE { ?row <http://ex/row> ?i %s}`, sel.String(), where.String()))
 }
 
 // idSpaceSolutions evaluates queries over a random graph so that the
 // Solutions under test decode id-space rows: a plain scan, OPTIONAL
 // columns that stay unbound, a projection of only the optional column
 // (all-unbound rows), a projected variable no pattern mentions, LIMIT 0
-// and 1, both ASK answers, and a CONSTRUCT.
+// and 1, counts an aggregate computed (most of them past the
+// dictionary), both ASK answers, and a CONSTRUCT.
 func idSpaceSolutions(t *testing.T, r *rand.Rand) []*sparql.Solutions {
 	t.Helper()
 	return solutionsOver(t, idSpaceGraph(r))
@@ -595,6 +621,7 @@ func solutionsOver(t *testing.T, g *rdf.Graph) []*sparql.Solutions {
 		`SELECT ?s ?never WHERE { ?s <http://ex/p> ?o }`,
 		`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o } LIMIT 0`,
 		`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o } LIMIT 1`,
+		`SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s`,
 		`ASK WHERE { ?s <http://ex/p> ?o }`,
 		`ASK WHERE { ?s <http://ex/absent> ?o }`,
 		`CONSTRUCT { ?s <http://ex/made> ?o } WHERE { ?s <http://ex/p> ?o }`,
@@ -619,7 +646,7 @@ func TestStreamWritersMatchReference(t *testing.T) {
 	ss := newSocketStreamer(t)
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		ok := sameBytes(t, ss, sparql.ResultsSolutions(randomResults(r)))
+		ok := sameBytes(t, ss, randomSolutions(r))
 		for _, sol := range idSpaceSolutions(t, r) {
 			ok = sameBytes(t, ss, sol) && ok
 		}
@@ -637,13 +664,12 @@ func TestStreamWritersMatchReference(t *testing.T) {
 // windows.
 func TestStreamWindowBoundary(t *testing.T) {
 	ss := newSocketStreamer(t)
-	vars := []sparql.Var{"s", "v"}
-	rows := make([]sparql.Binding, 0, 4096)
-	for i := 0; i < cap(rows); i++ {
-		rows = append(rows, sparql.Binding{
-			"s": rdf.NewIRI(fmt.Sprintf("http://ex/subject/%d", i)),
-			"v": rdf.NewLiteral(fmt.Sprintf("value %d", i)),
-		})
+	rows := make([]rdf.Triple, 4096)
+	for i := range rows {
+		rows[i] = rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://ex/subject/%d", i)), P: rdf.NewIRI("http://ex/v"), O: rdf.NewLiteral(fmt.Sprintf("value %d", i))}
+	}
+	table := func(k int) *sparql.Solutions {
+		return solve(rdf.NewGraph(rows[:k]), `SELECT ?s ?v WHERE { ?s <http://ex/v> ?v }`)
 	}
 	for _, f := range streamFormats[:2] {
 		// prefix(k) is how many bytes the head and the first k rows
@@ -654,7 +680,7 @@ func TestStreamWindowBoundary(t *testing.T) {
 		}
 		prefix := func(k int) int {
 			var buf bytes.Buffer
-			if err := f.want(context.Background(), &buf, sparql.ResultsSolutions(&sparql.Results{Vars: vars, Rows: rows[:k]})); err != nil {
+			if err := f.want(context.Background(), &buf, table(k)); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Len() - tail
@@ -664,14 +690,14 @@ func TestStreamWindowBoundary(t *testing.T) {
 		for _, d := range []int{-1, 0, 1} {
 			t.Run(fmt.Sprintf("%s/%+d", f.name, d), func(t *testing.T) {
 				// Stretch row k-1 so the first k rows end at windowSize+d.
-				saved := rows[k-1]["v"]
-				defer func() { rows[k-1]["v"] = saved }()
-				rows[k-1]["v"] = rdf.NewLiteral("")
-				rows[k-1]["v"] = rdf.NewLiteral(strings.Repeat("x", windowSize+d-prefix(k))) // prefix(k) of the emptied row
+				saved := rows[k-1].O
+				defer func() { rows[k-1].O = saved }()
+				rows[k-1].O = rdf.NewLiteral("")
+				rows[k-1].O = rdf.NewLiteral(strings.Repeat("x", windowSize+d-prefix(k))) // prefix(k) of the emptied row
 				if got := prefix(k); got != windowSize+d {
 					t.Fatalf("row %d ends at byte %d, want %d", k-1, got, windowSize+d)
 				}
-				sol := sparql.ResultsSolutions(&sparql.Results{Vars: vars, Rows: rows})
+				sol := table(len(rows))
 				var log writeLog
 				if err := f.got(context.Background(), &log, sol); err != nil {
 					t.Fatal(err)

@@ -114,12 +114,11 @@ func checkTable(t *testing.T, tt *termTable, terms map[rdf.TermID]rdf.Term) {
 // twice and through a new one once, and all three equal the reference.
 // The graphs are a few dozen triples, so 32 B per triple runs out while
 // they stream: the passes cover hits, first renders and a table at its
-// ceiling in one document. Decoded documents ride through the same
-// tables and leave them as they were.
+// ceiling in one document. Counts an aggregate computed past the
+// dictionary have no key: they are rendered per cell and never stored.
 func TestTermTableColdWarmFresh(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		decoded := sparql.ResultsSolutions(randomResults(r))
 		g := idSpaceGraph(r)
 		sols := solutionsOver(t, g)
 		terms := idTerms(sols)
@@ -127,7 +126,7 @@ func TestTermTableColdWarmFresh(t *testing.T) {
 		for _, f := range tableFormats {
 			shared := tableFor(f.ntriples, g)
 			for pass, tt := range []*termTable{shared, shared, tableFor(f.ntriples, g)} {
-				for i, sol := range append(sols, decoded) {
+				for i, sol := range sols {
 					if sol.IsGraph() {
 						continue
 					}
@@ -138,8 +137,8 @@ func TestTermTableColdWarmFresh(t *testing.T) {
 							f.name, pass, i, len(got), len(want), firstDiff(got, want))
 						ok = false
 					}
-					if after := tt.stored.Load(); after != before && (pass == 1 || sol == decoded) {
-						t.Logf("%s pass %d document %d stored %d terms: a warm or decoded document stores none", f.name, pass, i, after-before)
+					if after := tt.stored.Load(); after != before && pass == 1 {
+						t.Logf("%s pass %d document %d stored %d terms: a warm document stores none", f.name, pass, i, after-before)
 						ok = false
 					}
 				}

@@ -376,12 +376,12 @@ func genQuery(r *rand.Rand) refQuery {
 // --- the property -----------------------------------------------------
 
 func canonicalRows(res *sparql.Results) []string {
-	rows := make([]string, len(res.Rows))
-	for i, b := range res.Rows {
+	rows := make([]string, res.Len())
+	for i := range rows {
 		cells := make([]string, len(res.Vars))
-		for j, v := range res.Vars {
+		for j := range res.Vars {
 			cells[j] = "UNDEF"
-			if t, ok := b[v]; ok {
+			if t, ok := res.Term(i, j); ok {
 				cells[j] = t.String()
 			}
 		}

@@ -21,7 +21,8 @@ import (
 // takes them — held on seeded random graphs, on one graph and on shard
 // sets of 3 shards × 2 replicas (vertical and hash-subject placement), to
 // the term-space tail the evaluator's id-space one replaced. That tail
-// is kept below as the reference, with §18.5.1's aggregate datatypes,
+// is kept below as the reference, with §18.5.1's aggregate datatypes
+// and errors (SUM or AVG over a value that is not numeric is unbound),
 // §18.2.4.1's empty implicit group and projection (a group variable the
 // SELECT list leaves out is dropped, so DISTINCT can merge two groups),
 // §18.2.5's order of the modifiers and §16.4's modifiers on DESCRIBE
@@ -49,9 +50,10 @@ import (
 // --- the reference: the term-space answer tail ------------------------
 
 // refTail answers q over rows, the decoded solutions of its WHERE
-// clause in evaluation order; data is the dataset's distinct triples in
-// insertion order, which a DESCRIBE reads.
-func refTail(q *sparql.Query, rows []sparql.Binding, data []rdf.Triple) *sparql.Results {
+// clause in evaluation order, rendered as renderAnswer renders an
+// answer; data is the dataset's distinct triples in insertion order,
+// which a DESCRIBE reads.
+func refTail(q *sparql.Query, rows []binding, data []rdf.Triple) []string {
 	if q.Agg != nil {
 		rows = refAggregate(q.Agg, rows)
 	}
@@ -59,15 +61,51 @@ func refTail(q *sparql.Query, rows []sparql.Binding, data []rdf.Triple) *sparql.
 	rows = refModifiers(q, vars, rows)
 	switch q.Form {
 	case sparql.FormConstruct:
-		return &sparql.Results{IsGraph: true, Triples: refInstantiate(q.Template, rows)}
+		return renderAnswer(&sparql.Results{IsGraph: true, Triples: refInstantiate(q.Template, rows)})
 	case sparql.FormDescribe:
-		return &sparql.Results{IsGraph: true, Triples: refDescribe(q.Describe, rows, data)}
+		return renderAnswer(&sparql.Results{IsGraph: true, Triples: refDescribe(q.Describe, rows, data)})
 	}
-	return &sparql.Results{Vars: vars, Rows: rows}
+	out := []string{fmt.Sprint(vars)}
+	for _, b := range rows {
+		cells := make([]string, len(vars))
+		for i, v := range vars {
+			cells[i] = "UNDEF"
+			if t, ok := b[v]; ok {
+				cells[i] = t.String()
+			}
+		}
+		out = append(out, strings.Join(cells, "\t"))
+	}
+	return out
+}
+
+// binding is a solution decoded into a map, as the reference reads it.
+type binding map[sparql.Var]rdf.Term
+
+// Term returns v's term in b, Unbound when b does not bind v.
+func (b binding) Term(v sparql.Var) rdf.Term {
+	if t, ok := b[v]; ok {
+		return t
+	}
+	return sparql.Unbound
+}
+
+// bindings decodes res's rows into maps.
+func bindings(res *sparql.Results) []binding {
+	out := make([]binding, res.Len())
+	for i := range out {
+		out[i] = binding{}
+		for c, v := range res.Vars {
+			if t, ok := res.Term(i, c); ok {
+				out[i][v] = t
+			}
+		}
+	}
+	return out
 }
 
 // refRowKey renders b canonically over vars.
-func refRowKey(vars []sparql.Var, b sparql.Binding) string {
+func refRowKey(vars []sparql.Var, b binding) string {
 	parts := make([]string, len(vars))
 	for i, v := range vars {
 		parts[i] = "UNBOUND"
@@ -80,7 +118,7 @@ func refRowKey(vars []sparql.Var, b sparql.Binding) string {
 
 // refModifiers applies ORDER BY (stable, in CompareTerms' order), the
 // projection, DISTINCT, OFFSET and LIMIT, in §18.2.5's order.
-func refModifiers(q *sparql.Query, vars []sparql.Var, rows []sparql.Binding) []sparql.Binding {
+func refModifiers(q *sparql.Query, vars []sparql.Var, rows []binding) []binding {
 	sort.SliceStable(rows, func(i, j int) bool {
 		for _, k := range q.OrderBy {
 			if c := sparql.CompareTerms(rows[i].Term(k.Var), rows[j].Term(k.Var)); c != 0 {
@@ -89,10 +127,10 @@ func refModifiers(q *sparql.Query, vars []sparql.Var, rows []sparql.Binding) []s
 		}
 		return false
 	})
-	var kept []sparql.Binding
+	var kept []binding
 	seen := map[string]bool{}
 	for _, b := range rows {
-		p := sparql.Binding{}
+		p := binding{}
 		for _, v := range vars {
 			if t, ok := b[v]; ok {
 				p[v] = t
@@ -126,12 +164,13 @@ func refNumeric(t rdf.Term) (float64, bool) {
 // refAggregate evaluates the query's one aggregate over rows: one row
 // per group, in order of first appearance, keyed on the group
 // variables' terms.
-func refAggregate(agg *sparql.Aggregate, rows []sparql.Binding) []sparql.Binding {
+func refAggregate(agg *sparql.Aggregate, rows []binding) []binding {
 	type acc struct {
-		group    sparql.Binding
+		group    binding
 		count    int
 		sum      float64
 		integral bool
+		numErr   bool     // a value op:numeric-add is not defined on
 		min, max rdf.Term // Unbound until a value is seen
 	}
 	groups := map[string]*acc{}
@@ -146,7 +185,7 @@ func refAggregate(agg *sparql.Aggregate, rows []sparql.Binding) []sparql.Binding
 		key := strings.Join(parts, "\t")
 		a, ok := groups[key]
 		if !ok {
-			gb := sparql.Binding{}
+			gb := binding{}
 			for _, g := range agg.Group {
 				if t, has := b[g]; has {
 					gb[g] = t
@@ -167,6 +206,8 @@ func refAggregate(agg *sparql.Aggregate, rows []sparql.Binding) []sparql.Binding
 		a.count++
 		if f, ok := refNumeric(t); ok {
 			a.sum += f
+		} else {
+			a.numErr = true
 		}
 		if t.Datatype != rdf.XSDInteger {
 			a.integral = false
@@ -179,29 +220,35 @@ func refAggregate(agg *sparql.Aggregate, rows []sparql.Binding) []sparql.Binding
 		}
 	}
 	if len(order) == 0 && len(agg.Group) == 0 { // §18.2.4.1: one group, empty
-		groups[""] = &acc{group: sparql.Binding{}, integral: true, min: sparql.Unbound, max: sparql.Unbound}
+		groups[""] = &acc{group: binding{}, integral: true, min: sparql.Unbound, max: sparql.Unbound}
 		order = []string{""}
 	}
 	lit := func(f float64, datatype string) rdf.Term {
 		return rdf.NewTypedLiteral(strconv.FormatFloat(f, 'f', -1, 64), datatype)
 	}
-	var out []sparql.Binding
+	var out []binding
 	for _, key := range order {
 		a := groups[key]
-		b := sparql.Binding{}
+		b := binding{}
 		for v, t := range a.group {
 			b[v] = t
 		}
 		switch agg.Fn {
 		case "COUNT":
 			b[agg.As] = rdf.NewTypedLiteral(strconv.Itoa(a.count), rdf.XSDInteger)
-		case "SUM":
+		case "SUM": // §18.5.1: an error leaves the alias unbound
+			if a.numErr {
+				break
+			}
 			if a.integral {
 				b[agg.As] = lit(a.sum, rdf.XSDInteger)
 			} else {
 				b[agg.As] = lit(a.sum, rdf.XSDDecimal)
 			}
 		case "AVG":
+			if a.numErr {
+				break
+			}
 			if a.count == 0 {
 				b[agg.As] = rdf.NewTypedLiteral("0", rdf.XSDInteger)
 			} else {
@@ -224,10 +271,10 @@ func refAggregate(agg *sparql.Aggregate, rows []sparql.Binding) []sparql.Binding
 // refInstantiate builds the CONSTRUCT graph: the template under every
 // row, dropping instances with an unbound variable or an invalid
 // position, deduplicated.
-func refInstantiate(template []sparql.TriplePattern, rows []sparql.Binding) []rdf.Triple {
+func refInstantiate(template []sparql.TriplePattern, rows []binding) []rdf.Triple {
 	var out []rdf.Triple
 	seen := map[rdf.Triple]bool{}
-	resolve := func(el sparql.TPElem, b sparql.Binding) (rdf.Term, bool) {
+	resolve := func(el sparql.TPElem, b binding) (rdf.Term, bool) {
 		if !el.IsVar {
 			return el.Term, true
 		}
@@ -256,7 +303,7 @@ func refInstantiate(template []sparql.TriplePattern, rows []sparql.Binding) []rd
 // refDescribe describes every target — a constant, or each binding of a
 // variable in row order — by the triples with it as subject, in dataset
 // order.
-func refDescribe(targets []sparql.TPElem, rows []sparql.Binding, data []rdf.Triple) []rdf.Triple {
+func refDescribe(targets []sparql.TPElem, rows []binding, data []rdf.Triple) []rdf.Triple {
 	described := map[rdf.Term]bool{}
 	var order []rdf.Term
 	add := func(t rdf.Term) {
@@ -418,7 +465,7 @@ func checkForms(g *rdf.Graph, data []rdf.Triple, sets []*ShardedGraph, where, te
 	if err != nil {
 		return false, err
 	}
-	want := renderAnswer(refTail(q, star.Rows, data))
+	want := refTail(q, bindings(star), data)
 	got, err := sparql.PrepareQuery(q).Run(ctx, g)
 	if err != nil {
 		return false, fmt.Errorf("%s: %v", text, err)

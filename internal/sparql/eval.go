@@ -21,8 +21,8 @@ import (
 // string-bearing Terms, and extending a solution copies one small
 // slice instead of cloning a map per candidate triple. BGPs are
 // reordered by estimated selectivity from rdf.Stats (the SPARQLGX
-// statistics) before evaluation. Ids are decoded back to Terms only
-// when the final solution sequence is materialized as Bindings.
+// statistics) before evaluation. An answer stays in id space: a term is
+// decoded only when a caller reads a cell.
 
 // unboundID marks an empty slot in a compiled solution row.
 const unboundID = ^rdf.TermID(0)
@@ -142,7 +142,7 @@ func (env *evalEnv) solutions(q *Query, rows []slotRow) (*Solutions, error) {
 			cols[i] = -1
 		}
 	}
-	return &Solutions{vars: vars, env: env, rows: rows, cols: cols}, nil
+	return &Solutions{vars: vars, idRows: idRows{env: env, rows: rows, cols: cols}}, nil
 }
 
 // modifierPipeline runs ORDER BY, projection, DISTINCT and OFFSET /
@@ -624,25 +624,6 @@ func isSoleBGP(p GraphPattern) bool {
 }
 
 func (env *evalEnv) emptyRow() slotRow { return env.newRow(nil) }
-
-// decodeRow materializes one id-space row as a Binding.
-func (env *evalEnv) decodeRow(row slotRow) Binding {
-	b := make(Binding, len(row))
-	for i, id := range row {
-		if id != unboundID {
-			b[env.vars[i]] = env.term(id)
-		}
-	}
-	return b
-}
-
-func (env *evalEnv) decodeRows(rows []slotRow) []Binding {
-	out := make([]Binding, len(rows))
-	for i, row := range rows {
-		out[i] = env.decodeRow(row)
-	}
-	return out
-}
 
 func (env *evalEnv) evalPattern(p GraphPattern) ([]slotRow, error) {
 	if env.err != nil {

@@ -96,10 +96,10 @@ func TestCartesianJoinNoSharedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("cartesian join returned %d rows, want 2", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("cartesian join returned %d rows, want 2", res.Len())
 	}
-	for _, b := range res.Rows {
+	for _, b := range res.bindings() {
 		if b["a"] != rdf.NewIRI("http://ex/s1") || b["x"] != rdf.NewLiteral("x1") {
 			t.Fatalf("cartesian row lost left bindings: %v", b)
 		}
@@ -139,11 +139,11 @@ func TestOptionalJoinVarUnboundOnLeft(t *testing.T) {
 	}
 	// s1 knows s2 → one extended row. s2 and s3 have ?k unbound, so the
 	// second OPTIONAL joins them with every (?k, ?kn) name row: 3 each.
-	if len(res.Rows) != 7 {
-		t.Fatalf("got %d rows, want 7: %v", len(res.Rows), res.Rows)
+	if res.Len() != 7 {
+		t.Fatalf("got %d rows, want 7: %v", res.Len(), res.bindings())
 	}
 	boundK := 0
-	for _, b := range res.Rows {
+	for _, b := range res.bindings() {
 		if b["s"] == s1 {
 			if b["k"] != s2 || b["kn"] != rdf.NewLiteral("B") {
 				t.Fatalf("s1 row mis-joined: %v", b)
@@ -173,10 +173,10 @@ func TestUnionFilterInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 14 {
-		t.Fatalf("union+filter returned %d rows, want 14", len(res.Rows))
+	if res.Len() != 14 {
+		t.Fatalf("union+filter returned %d rows, want 14", res.Len())
 	}
-	for _, b := range res.Rows {
+	for _, b := range res.bindings() {
 		if b["v"] == rdf.NewLiteral("n3") || b["v"] == rdf.NewTypedLiteral("23", rdf.XSDInteger) {
 			t.Fatalf("filtered row survived: %v", b)
 		}

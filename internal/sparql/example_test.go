@@ -16,7 +16,8 @@ func ExampleEvaluate() {
 	})
 	q := sparql.MustParse(`SELECT ?n WHERE { ?s <http://ex/name> ?n . ?s <http://ex/age> ?a }`)
 	res, _ := sparql.Evaluate(q, g)
-	fmt.Println(res.Rows[0]["n"].Value)
+	n, _ := res.Term(0, 0)
+	fmt.Println(n.Value)
 	// Output: Ann
 }
 

@@ -25,6 +25,8 @@ func FuzzParseQuery(f *testing.F) {
 		`DESCRIBE <http://ex/a>`,
 		`CONSTRUCT { ?s <http://ex/q> ?o } WHERE { ?s <http://ex/p> ?o FILTER(BOUND(?o) && !(?o = "x")) }`,
 		`SELECT * WHERE { { ?a ?b ?c } { ?c ?a ?b } }`,
+		`SELECT (COUNT(*) AS ?s) { ?s <http://ex/k> ?x } GROUP BY ?s`,
+		`SELECT ?s { ?s ?p ?o }`,
 	} {
 		f.Add(text)
 	}

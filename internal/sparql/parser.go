@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -12,13 +13,15 @@ import (
 // Parse parses a SPARQL query in the supported fragment:
 //
 //	[PREFIX pfx: <iri>]*
-//	SELECT [DISTINCT] (?v... | * | AGG(?v) AS ?alias) WHERE { pattern }
+//	SELECT [DISTINCT] (?v... | * | AGG(?v) AS ?alias) [WHERE] { pattern }
 //	  [GROUP BY ?v...] [ORDER BY [ASC|DESC](?v) | ?v ...]
 //	  [LIMIT n] [OFFSET n]
-//	ASK WHERE { pattern }
+//	ASK [WHERE] { pattern }
 //
 // pattern supports triple blocks, FILTER(expr), OPTIONAL { ... },
-// { ... } UNION { ... }, and nested groups.
+// { ... } UNION { ... }, and nested groups. An aggregate's alias must
+// not be in scope already: a *ScopeError when the pattern or the GROUP
+// BY binds it (§18.2.1).
 func Parse(text string) (*Query, error) {
 	toks, err := lex(text)
 	if err != nil {
@@ -359,9 +362,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			}
 		}
 	default:
-		if err := p.expectKeyword("WHERE"); err != nil {
-			return nil, err
-		}
+		p.acceptKeyword("WHERE") // optional (§19.8 WhereClause)
 	}
 	where, err := p.parseGroupGraphPattern()
 	if err != nil {
@@ -382,6 +383,9 @@ func (p *parser) parseQuery() (*Query, error) {
 		if len(q.Agg.Group) == 0 {
 			return nil, fmt.Errorf("sparql: empty GROUP BY")
 		}
+	}
+	if q.Agg != nil && (slices.Contains(q.Where.PatternVars(), q.Agg.As) || slices.Contains(q.Agg.Group, q.Agg.As)) {
+		return nil, &ScopeError{Var: q.Agg.As}
 	}
 
 	if p.acceptKeyword("ORDER") {
@@ -433,6 +437,15 @@ func (p *parser) parseQuery() (*Query, error) {
 		q.Offset = n
 	}
 	return q, nil
+}
+
+// ScopeError is the query error of an aggregate alias that is already
+// in scope: a variable of the WHERE pattern or of the GROUP BY
+// (SPARQL 1.1 §18.2.1).
+type ScopeError struct{ Var Var }
+
+func (e *ScopeError) Error() string {
+	return "sparql: alias ?" + string(e.Var) + " is already in scope"
 }
 
 // parseCount parses the non-negative integer argument of LIMIT/OFFSET.

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -264,25 +265,17 @@ func (p *Prepared) storePlan(snap snapshot, seq int, cps []cPattern) {
 
 // Solutions is a result sequence positioned for streaming: the rows of
 // a SELECT stay in id space with every solution modifier (and the
-// aggregate) already applied, and each term is decoded on access — a
-// serializer can write row after row straight into a response without
-// ever materializing a []Binding. ASK carries its answer and CONSTRUCT
-// and DESCRIBE their result graph behind the same accessors; the
-// decoded backing holds rows an engine materialized (ResultsSolutions).
+// aggregate) already applied, and each term is decoded on access (Term)
+// — a serializer can write row after row straight into a response. ASK
+// carries its answer and CONSTRUCT and DESCRIBE their result graph
+// behind the same accessors.
 //
 // A Solutions value is read-only and safe for concurrent readers; it
 // pins the evaluation environment (and through it the graph's term
 // dictionary snapshot) until released to the GC.
 type Solutions struct {
 	vars []Var
-
-	// id-space backing (SELECT).
-	env  *evalEnv
-	rows []slotRow
-	cols []int // vars[i] → slot, -1 when the variable never binds
-
-	// decoded backing (ResultsSolutions).
-	decoded []Binding
+	idRows
 
 	isAsk   bool
 	ask     bool
@@ -318,30 +311,8 @@ func (p *Prepared) solutionsFromEnv(env *evalEnv, ro *runOpts) (*Solutions, erro
 	return env.solutions(p.q, rows)
 }
 
-// ResultsSolutions wraps an already-materialized Results behind the
-// Solutions accessors, so serializers written against the streaming
-// API also accept results from engines that only produce Bindings.
-func ResultsSolutions(res *Results) *Solutions {
-	return &Solutions{
-		vars:    res.Vars,
-		decoded: res.Rows,
-		isAsk:   res.IsAsk,
-		ask:     res.Ask,
-		isGraph: res.IsGraph,
-		triples: res.Triples,
-	}
-}
-
 // Vars returns the result variables in projection order (read-only).
 func (s *Solutions) Vars() []Var { return s.vars }
-
-// Len returns the number of solution rows.
-func (s *Solutions) Len() int {
-	if s.env != nil {
-		return len(s.rows)
-	}
-	return len(s.decoded)
-}
 
 // IsAsk reports whether this is an ASK answer (see Ask).
 func (s *Solutions) IsAsk() bool { return s.isAsk }
@@ -356,55 +327,16 @@ func (s *Solutions) IsGraph() bool { return s.isGraph }
 // Graph returns the triples of a graph result (read-only).
 func (s *Solutions) Graph() []rdf.Triple { return s.triples }
 
-// Term returns the term bound to column col of row, decoding it from
-// the id-space row on the fly; ok is false for unbound positions. It
-// allocates nothing and may be called from concurrent readers.
-func (s *Solutions) Term(row, col int) (rdf.Term, bool) {
-	if s.env != nil {
-		id, ok := s.id(row, col)
-		if !ok {
-			return rdf.Term{}, false
-		}
-		return s.env.term(id), true
-	}
-	t, ok := s.decoded[row][s.vars[col]]
-	return t, ok
-}
-
-// TermID returns the dictionary id bound to column col of row while the
-// solutions are still in id space (a SELECT over the graph or shard set
-// that was evaluated); ok is false for an unbound position, for a value
-// an aggregate computed that the dictionary lacks, and for decoded
-// solutions — their terms only Term returns.
+// TermID returns the dictionary id bound to column col of row; ok is
+// false for an unbound position and for a value an aggregate computed
+// that the dictionary lacks.
 func (s *Solutions) TermID(row, col int) (rdf.TermID, bool) {
-	if s.env == nil {
-		return 0, false
-	}
 	id, ok := s.id(row, col)
 	return id, ok && int(id) < len(s.env.terms)
 }
 
-// id is the id bound to column col of row of id-space solutions.
-func (s *Solutions) id(row, col int) (rdf.TermID, bool) {
-	slot := s.cols[col]
-	if slot < 0 {
-		return 0, false
-	}
-	id := s.rows[row][slot]
-	return id, id != unboundID
-}
-
-// Results materializes the solutions as a Results value (decoding every
-// row). It is the bridge back to the non-streaming API.
+// Results is the solutions as a Results value: it shares their id rows,
+// copying none.
 func (s *Solutions) Results() *Results {
-	if s.isAsk {
-		return &Results{IsAsk: true, Ask: s.ask}
-	}
-	if s.isGraph {
-		return &Results{IsGraph: true, Triples: s.triples}
-	}
-	if s.env == nil {
-		return &Results{Vars: s.vars, Rows: s.decoded}
-	}
-	return &Results{Vars: append([]Var{}, s.vars...), Rows: s.env.decodeRows(s.rows)}
+	return &Results{Vars: slices.Clone(s.vars), Ask: s.ask, IsAsk: s.isAsk, Triples: s.triples, IsGraph: s.isGraph, idRows: s.idRows}
 }

@@ -222,9 +222,9 @@ func TestRunSolutionsMatchesRun(t *testing.T) {
 			t.Fatalf("Solutions.Len(%q) = %d, want %d", text, sol.Len(), want.Len())
 		}
 		for i := 0; i < sol.Len(); i++ {
-			for j, v := range sol.Vars() {
+			for j := range sol.Vars() {
 				term, bound := sol.Term(i, j)
-				wt, wok := want.Rows[i][v]
+				wt, wok := want.Term(i, j)
 				if bound != wok || (bound && term != wt) {
 					t.Fatalf("Term(%d,%d) of %q = (%v,%v), want (%v,%v)", i, j, text, term, bound, wt, wok)
 				}

@@ -13,25 +13,15 @@ import (
 	"repro/internal/rdf"
 )
 
-// Binding maps variables to the terms they are bound to; absent
-// variables are unbound (possible under OPTIONAL).
-type Binding map[Var]rdf.Term
-
-// Term returns v's term in b, Unbound when b does not bind v.
-func (b Binding) Term(v Var) rdf.Term {
-	if t, ok := b[v]; ok {
-		return t
-	}
-	return Unbound
-}
-
-// Results is a solution sequence: an ordered list of bindings projected
-// over Vars. All engines return this type, so results are directly
-// comparable across systems.
+// Results is a query's answer. A SELECT answer is its id rows over Vars,
+// as the run left them: every cell an id of the run's environment — its
+// dictionary snapshot, or a value an aggregate computed past it — read
+// by position (Term) and never decoded into a map. All engines return
+// this type, so answers compare across systems (Equal) even when each
+// holds its ids over a dictionary of its own.
 type Results struct {
 	Vars []Var
-	Rows []Binding
-	// Ask holds the answer of an ASK query; Rows is empty then.
+	// Ask holds the answer of an ASK query; there are no rows then.
 	Ask bool
 	// IsAsk marks ASK results.
 	IsAsk bool
@@ -39,41 +29,68 @@ type Results struct {
 	// IsGraph marks such results.
 	Triples []rdf.Triple
 	IsGraph bool
+
+	idRows
 }
 
-// Len returns the number of solutions.
-func (r *Results) Len() int { return len(r.Rows) }
-
-// rowKey renders one binding canonically over the result variables.
-func (r *Results) rowKey(b Binding) string {
-	var buf [256]byte
-	return string(r.appendRowKey(buf[:0], b))
+// idRows is a SELECT answer in id space, shared by Results and
+// Solutions: the rows, the environment whose ids they hold, and each
+// column's slot. It is read-only and safe for concurrent readers.
+type idRows struct {
+	env  *evalEnv
+	rows []slotRow
+	cols []int // column → slot, -1 when the column's variable never binds
 }
 
-// appendRowKey appends b's canonical rendering to buf: its terms over
-// the result variables, tab-separated, UNBOUND where b binds none.
-func (r *Results) appendRowKey(buf []byte, b Binding) []byte {
-	for i, v := range r.Vars {
-		if i > 0 {
+// Len returns the number of solution rows.
+func (a *idRows) Len() int { return len(a.rows) }
+
+// Term returns the term bound to column col of row, decoding it from
+// the id-space row on the fly; ok is false for unbound positions. It
+// allocates nothing and may be called from concurrent readers.
+func (a *idRows) Term(row, col int) (rdf.Term, bool) {
+	id, ok := a.id(row, col)
+	if !ok {
+		return rdf.Term{}, false
+	}
+	return a.env.term(id), true
+}
+
+// id is the id bound to column col of row.
+func (a *idRows) id(row, col int) (rdf.TermID, bool) {
+	slot := a.cols[col]
+	if slot < 0 {
+		return 0, false
+	}
+	id := a.rows[row][slot]
+	return id, id != unboundID
+}
+
+// CanonicalRow renders row i canonically: its terms over Vars in
+// N-Triples syntax, tab-separated, UNBOUND where the row binds none.
+// Two answers' renderings compare equal exactly when their rows do,
+// whatever dictionaries they were encoded over.
+func (r *Results) CanonicalRow(i int) string {
+	var stack [256]byte
+	buf := stack[:0]
+	for c := range r.Vars {
+		if c > 0 {
 			buf = append(buf, '\t')
 		}
-		if t, ok := b[v]; ok {
+		if t, ok := r.Term(i, c); ok {
 			buf = t.AppendTo(buf)
 		} else {
 			buf = append(buf, "UNBOUND"...)
 		}
 	}
-	return buf
+	return string(buf)
 }
 
 // Canonical returns the solutions as sorted canonical strings — a
 // multiset fingerprint used to compare engines against the reference
 // evaluator.
 func (r *Results) Canonical() []string {
-	out := make([]string, len(r.Rows))
-	for i, b := range r.Rows {
-		out[i] = r.rowKey(b)
-	}
+	out := r.OrderedCanonical()
 	sort.Strings(out)
 	return out
 }
@@ -81,16 +98,21 @@ func (r *Results) Canonical() []string {
 // OrderedCanonical returns the solutions in result order (for ORDER BY
 // comparisons).
 func (r *Results) OrderedCanonical() []string {
-	out := make([]string, len(r.Rows))
-	for i, b := range r.Rows {
-		out[i] = r.rowKey(b)
+	out := make([]string, r.Len())
+	for i := range out {
+		out[i] = r.CanonicalRow(i)
 	}
 	return out
 }
 
 // Equal reports whether two result sets hold the same multiset of
-// solutions over the same variables (or, for ASK/CONSTRUCT, the same
-// answer / the same graph).
+// solutions, column by column (or, for ASK/CONSTRUCT, the same answer /
+// the same graph).
+//
+// Rows are compared as their ids packed into keys, in other's id space:
+// each distinct id of r is translated once, through its term, into the
+// id other's environment holds that term under. A term other's
+// environment lacks is in no row of other, so the answers differ.
 func (r *Results) Equal(other *Results) bool {
 	if r.IsAsk != other.IsAsk || r.IsGraph != other.IsGraph {
 		return false
@@ -110,33 +132,67 @@ func (r *Results) Equal(other *Results) bool {
 		}
 		return true
 	}
-	// Counting r's row keys and taking other's off them compares the two
-	// multisets exactly in one pass each; the keys share one buffer, and
-	// a lookup by string(buf) copies nothing, so a row costs an
-	// allocation only as the first of its key in r.
-	if len(r.Rows) != len(other.Rows) {
+	if r.Len() != other.Len() || r.Len() > 0 && len(r.Vars) != len(other.Vars) {
 		return false
 	}
-	index := make(map[string]int, len(r.Rows))
+	// memo[id] is 0 until r's id is translated, then 1<<32 | other's id,
+	// unboundID standing for a term other's environment lacks.
+	var memo []uint64
+	if r.Len() > 0 {
+		memo = make([]uint64, len(r.env.terms)+len(r.env.overflow))
+	}
+	translate := func(id rdf.TermID) rdf.TermID {
+		if memo[id] == 0 {
+			to, ok := other.env.lookup(r.env.term(id))
+			if !ok {
+				to = unboundID
+			}
+			memo[id] = 1<<32 | uint64(to)
+		}
+		return rdf.TermID(memo[id])
+	}
+	// Counting other's row keys and taking r's off them compares the two
+	// multisets exactly in one pass each; the keys share one buffer, and
+	// a lookup by string(key) copies nothing, so a row costs an
+	// allocation only as the first of its key in other.
+	var key []byte
+	keyOf := func(res *Results, i int, tr func(rdf.TermID) rdf.TermID) bool {
+		key = key[:0]
+		for c := range res.Vars {
+			id, ok := res.id(i, c)
+			switch {
+			case !ok:
+				id = unboundID
+			case tr != nil:
+				if id = tr(id); id == unboundID {
+					return false
+				}
+			}
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+		}
+		return true
+	}
+	index := make(map[string]int, other.Len())
 	var counts []int
-	var buf []byte
-	for _, b := range r.Rows {
-		buf = r.appendRowKey(buf[:0], b)
-		i, ok := index[string(buf)]
+	for i := range other.rows {
+		keyOf(other, i, nil)
+		k, ok := index[string(key)]
 		if !ok {
-			i = len(counts)
-			index[string(buf)] = i
+			k = len(counts)
+			index[string(key)] = k
 			counts = append(counts, 0)
 		}
-		counts[i]++
+		counts[k]++
 	}
-	for _, b := range other.Rows {
-		buf = other.appendRowKey(buf[:0], b)
-		i, ok := index[string(buf)]
-		if !ok || counts[i] == 0 {
+	for i := range r.rows {
+		if !keyOf(r, i, translate) {
 			return false
 		}
-		counts[i]--
+		k, ok := index[string(key)]
+		if !ok || counts[k] == 0 {
+			return false
+		}
+		counts[k]--
 	}
 	return true
 }
@@ -162,8 +218,8 @@ func (r *Results) String() string {
 		b.WriteString("?" + string(v))
 	}
 	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		b.WriteString(r.rowKey(row))
+	for i := range r.rows {
+		b.WriteString(r.CanonicalRow(i))
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -196,6 +252,7 @@ func (env *evalEnv) aggregate(agg *Aggregate, rows []slotRow) []slotRow {
 		count    int
 		sum      float64
 		integral bool // every value an xsd:integer so far
+		err      bool // a value op:numeric-add is not defined on (§18.5.1)
 		min, max rdf.TermID
 	}
 	newAcc := func(first slotRow) acc { return acc{first: first, integral: true, min: unboundID, max: unboundID} }
@@ -226,6 +283,8 @@ func (env *evalEnv) aggregate(agg *Aggregate, rows []slotRow) []slotRow {
 		a.count++
 		if f, ok := numericValue(t); ok {
 			a.sum += f
+		} else {
+			a.err = true
 		}
 		a.integral = a.integral && t.Datatype == rdf.XSDInteger
 		if a.min == unboundID || CompareTerms(t, env.term(a.min)) < 0 {
@@ -251,16 +310,20 @@ func (env *evalEnv) aggregate(agg *Aggregate, rows []slotRow) []slotRow {
 		switch agg.Fn {
 		case "COUNT":
 			value = num(float64(a.count), rdf.XSDInteger)
-		case "SUM":
-			if a.integral {
+		case "SUM": // §18.5.1: a value that is not numeric is an error, left unbound
+			switch {
+			case a.err:
+			case a.integral:
 				value = num(a.sum, rdf.XSDInteger)
-			} else {
+			default:
 				value = num(a.sum, rdf.XSDDecimal)
 			}
-		case "AVG": // §18.5.1: the average of nothing is the integer 0
-			if a.count == 0 {
+		case "AVG": // the same, and the average of nothing is the integer 0
+			switch {
+			case a.err:
+			case a.count == 0:
 				value = num(0, rdf.XSDInteger)
-			} else {
+			default:
 				value = num(a.sum/float64(a.count), rdf.XSDDecimal)
 			}
 		case "MIN":
@@ -281,10 +344,7 @@ func (env *evalEnv) aggregate(agg *Aggregate, rows []slotRow) []slotRow {
 // in the run's overflow slice and shared by every equal value, so ids
 // stay injective over terms and DISTINCT on ids stays exact.
 func (env *evalEnv) intern(t rdf.Term) rdf.TermID {
-	if id, ok := env.dict.Lookup(t); ok && int(id) < len(env.terms) {
-		return id
-	}
-	if id, ok := env.overflowIDs[t]; ok {
+	if id, ok := env.lookup(t); ok {
 		return id
 	}
 	if env.overflowIDs == nil {
@@ -294,6 +354,16 @@ func (env *evalEnv) intern(t rdf.Term) rdf.TermID {
 	env.overflow = append(env.overflow, t)
 	env.overflowIDs[t] = id
 	return id
+}
+
+// lookup returns t's id in this run as intern gives it, without
+// interning: ok is false when no row of the run can hold t.
+func (env *evalEnv) lookup(t rdf.Term) (rdf.TermID, bool) {
+	if id, ok := env.dict.Lookup(t); ok && int(id) < len(env.terms) {
+		return id, true
+	}
+	id, ok := env.overflowIDs[t]
+	return id, ok
 }
 
 // construct builds the CONSTRUCT output graph: the template

@@ -127,8 +127,8 @@ func TestLimitPushdownShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Finish()
-	if len(res.Rows) != 2000 {
-		t.Fatalf("limited run returned %d rows, want 2000", len(res.Rows))
+	if res.Len() != 2000 {
+		t.Fatalf("limited run returned %d rows, want 2000", res.Len())
 	}
 	seed := tr.Root().Find("seed_scan")
 	if rows, _ := seed.Int("rows"); rows != 2000 {

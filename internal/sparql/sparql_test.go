@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"errors"
 	"maps"
 	"reflect"
 	"strings"
@@ -195,7 +196,6 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"SELECT WHERE { }",
-		"SELECT ?x { ?x ?p ?o }", // missing WHERE
 		"SELECT ?x WHERE { ?x ?p }",
 		"SELECT ?x WHERE { ?x ?p ?o",
 		"SELECT ?x WHERE { ?x ?p ?o } LIMIT x",
@@ -208,6 +208,37 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded", bad)
+		}
+	}
+}
+
+// An aggregate's alias may not be in scope already (§18.2.1): the parse
+// fails with a *ScopeError. WHERE is optional before a SELECT's or a
+// CONSTRUCT's pattern (§19.8 WhereClause).
+func TestParseSelectScopeAndWhere(t *testing.T) {
+	for _, bad := range []string{
+		`SELECT (COUNT(*) AS ?s) WHERE { ?s <http://e/k> ?x } GROUP BY ?s`,
+		`SELECT (COUNT(*) AS ?x) WHERE { ?s <http://e/k> ?x }`,
+		`SELECT (SUM(?x) AS ?g) WHERE { ?s <http://e/k> ?x } GROUP BY ?g`,
+		`SELECT ?s (MAX(?x) AS ?o) WHERE { ?s <http://e/k> ?x OPTIONAL { ?s <http://e/q> ?o } } GROUP BY ?s`,
+	} {
+		var se *ScopeError
+		if _, err := Parse(bad); !errors.As(err, &se) {
+			t.Errorf("Parse(%q) = %v, want a *ScopeError", bad, err)
+		}
+	}
+	for _, text := range []string{
+		`SELECT ?s { ?s ?p ?o }`,
+		`SELECT (COUNT(*) AS ?n) { ?s <http://e/k> ?x FILTER(?x > 1) } GROUP BY ?s`,
+		`CONSTRUCT { ?s <http://e/q> ?o } { ?s <http://e/p> ?o }`,
+	} {
+		q, err := Parse(text)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", text, err)
+			continue
+		}
+		if len(q.Where.PatternVars()) == 0 {
+			t.Errorf("Parse(%q) read no pattern", text)
 		}
 	}
 }
@@ -247,7 +278,7 @@ func TestEvaluateLinearJoin(t *testing.T) {
 	if res.Len() != 1 {
 		t.Fatalf("rows = %v", res.Canonical())
 	}
-	row := res.Rows[0]
+	row := res.bindings()[0]
 	if row["a"] != iri("ann") || row["c"] != iri("cid") {
 		t.Fatalf("row = %v", row)
 	}
@@ -273,7 +304,7 @@ func TestEvaluateFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]bool{}
-	for _, b := range res.Rows {
+	for _, b := range res.bindings() {
 		got[b["x"].Value] = true
 	}
 	if len(got) != 2 || !got["http://ex.org/ann"] || !got["http://ex.org/cid"] {
@@ -288,7 +319,7 @@ func TestEvaluateFilterLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["x"] != iri("ann") {
+	if res.Len() != 1 || res.bindings()[0]["x"] != iri("ann") {
 		t.Fatalf("rows = %v", res.Canonical())
 	}
 	res2, err := Evaluate(MustParse(`SELECT ?x WHERE {
@@ -313,7 +344,7 @@ func TestEvaluateOptional(t *testing.T) {
 		t.Fatalf("rows = %v", res.Canonical())
 	}
 	unbound := 0
-	for _, b := range res.Rows {
+	for _, b := range res.bindings() {
 		if _, ok := b["n"]; !ok {
 			unbound++
 		}
@@ -332,7 +363,7 @@ func TestEvaluateBoundFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["x"] != iri("cid") {
+	if res.Len() != 1 || res.bindings()[0]["x"] != iri("cid") {
 		t.Fatalf("rows = %v", res.Canonical())
 	}
 }
@@ -369,8 +400,8 @@ func TestEvaluateOrderDescending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0]["x"] != iri("cid") {
-		t.Fatalf("head = %v", res.Rows[0])
+	if res.bindings()[0]["x"] != iri("cid") {
+		t.Fatalf("head = %v", res.bindings()[0])
 	}
 }
 
@@ -395,7 +426,7 @@ func TestEvaluateOrderBeforeProject(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
-		for _, b := range res.Rows {
+		for _, b := range res.bindings() {
 			got = append(got, strings.TrimPrefix(b["s"].Value, "http://ex.org/"))
 		}
 		if strings.Join(got, " ") != tc.want {
@@ -431,7 +462,7 @@ func TestEvaluateCountAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["n"].Value != "3" {
+	if res.Len() != 1 || res.bindings()[0]["n"].Value != "3" {
 		t.Fatalf("count = %v", res.Canonical())
 	}
 }
@@ -448,18 +479,18 @@ func TestEvaluateGroupedAvg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["avg"].Value != "35" {
+	if res.Len() != 1 || res.bindings()[0]["avg"].Value != "35" {
 		t.Fatalf("avg = %v", res.Canonical())
 	}
 }
 
 func TestResultsEqualIsOrderInsensitive(t *testing.T) {
-	a := &Results{Vars: []Var{"x"}, Rows: []Binding{{"x": iri("a")}, {"x": iri("b")}}}
-	b := &Results{Vars: []Var{"x"}, Rows: []Binding{{"x": iri("b")}, {"x": iri("a")}}}
+	a := newResults([]Var{"x"}, [][]rdf.Term{{iri("a")}, {iri("b")}})
+	b := newResults([]Var{"x"}, [][]rdf.Term{{iri("b")}, {iri("a")}})
 	if !a.Equal(b) {
 		t.Fatal("multiset equality failed")
 	}
-	c := &Results{Vars: []Var{"x"}, Rows: []Binding{{"x": iri("a")}, {"x": iri("a")}}}
+	c := newResults([]Var{"x"}, [][]rdf.Term{{iri("a")}, {iri("a")}})
 	if a.Equal(c) {
 		t.Fatal("different multisets compare equal")
 	}
@@ -499,7 +530,7 @@ func TestCompareTermsNumericVsLexical(t *testing.T) {
 
 // bindingRowEnv is an evaluation env whose slots are v, w, x, y and z
 // and whose dictionary holds the terms a, b, c, d, e and other, so the
-// Binding fixtures below encode into its slot rows.
+// binding fixtures below encode into its slot rows.
 func bindingRowEnv() *evalEnv {
 	g := rdf.NewGraph([]rdf.Triple{
 		{S: iri("a"), P: iri("b"), O: iri("c")},
@@ -508,8 +539,8 @@ func bindingRowEnv() *evalEnv {
 	return newEvalEnv(MustParse(`SELECT * WHERE { ?v ?w ?x . ?y ?z ?v }`), g)
 }
 
-// encodeBinding is the inverse of decodeRow over bindingRowEnv.
-func encodeBinding(t *testing.T, env *evalEnv, b Binding) slotRow {
+// encodeBinding is the inverse of bindingOf over bindingRowEnv.
+func encodeBinding(t *testing.T, env *evalEnv, b binding) slotRow {
 	t.Helper()
 	row := env.emptyRow()
 	for v, term := range b {
@@ -524,30 +555,30 @@ func encodeBinding(t *testing.T, env *evalEnv, b Binding) slotRow {
 
 // The SPARQL join condition and union of two solutions, which the
 // reference evaluator runs as compatibleRows and mergeRows over slot
-// rows, keep the semantics they had on Binding maps.
+// rows, keep the semantics they had on binding maps.
 func TestBindingCompatibleMerge(t *testing.T) {
 	env := bindingRowEnv()
-	a := encodeBinding(t, env, Binding{"x": iri("a"), "y": iri("b")})
-	b := encodeBinding(t, env, Binding{"y": iri("b"), "z": iri("c")})
+	a := encodeBinding(t, env, binding{"x": iri("a"), "y": iri("b")})
+	b := encodeBinding(t, env, binding{"y": iri("b"), "z": iri("c")})
 	if !compatibleRows(a, b) {
 		t.Fatal("compatible bindings rejected")
 	}
-	m := env.decodeRow(env.mergeRows(a, b))
+	m := env.bindingOf(env.mergeRows(a, b))
 	if len(m) != 3 || m["z"] != iri("c") {
 		t.Fatalf("merge = %v", m)
 	}
-	c := encodeBinding(t, env, Binding{"y": iri("other")})
+	c := encodeBinding(t, env, binding{"y": iri("other")})
 	if compatibleRows(a, c) {
 		t.Fatal("incompatible bindings accepted")
 	}
 }
 
-// compatibleRows and mergeRows are pinned against the Binding map bodies
+// compatibleRows and mergeRows are pinned against the binding map bodies
 // they stand for, in both argument orders: a variable unbound on either
 // side, disjoint, equal and conflicting bindings. Merge is defined only
 // for compatible pairs, so a conflicting pair is checked for rejection.
 func TestBindingCompatibleMergeMatchReplacedBodies(t *testing.T) {
-	compatible := func(b, other Binding) bool {
+	compatible := func(b, other binding) bool {
 		for k, v := range b {
 			if ov, ok := other[k]; ok && ov != v {
 				return false
@@ -555,14 +586,14 @@ func TestBindingCompatibleMergeMatchReplacedBodies(t *testing.T) {
 		}
 		return true
 	}
-	merge := func(b, other Binding) Binding {
+	merge := func(b, other binding) binding {
 		out := maps.Clone(b)
 		for k, v := range other {
 			out[k] = v
 		}
 		return out
 	}
-	cases := []Binding{
+	cases := []binding{
 		{},
 		{"x": iri("a")},
 		{"x": iri("a"), "y": iri("b")},
@@ -581,7 +612,7 @@ func TestBindingCompatibleMergeMatchReplacedBodies(t *testing.T) {
 				t.Errorf("compatibleRows(%v, %v) = %v, want %v", a, b, got, want)
 			}
 			if want {
-				if m, w := env.decodeRow(env.mergeRows(ra, rb)), merge(a, b); !reflect.DeepEqual(m, w) {
+				if m, w := env.bindingOf(env.mergeRows(ra, rb)), merge(a, b); !reflect.DeepEqual(m, w) {
 					t.Errorf("mergeRows(%v, %v) = %v, want %v", a, b, m, w)
 				}
 			}

@@ -71,8 +71,8 @@ func TestTraceSpanCardinalities(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Finish()
-	if len(res.Rows) != knows {
-		t.Fatalf("query returned %d rows, want %d", len(res.Rows), knows)
+	if res.Len() != knows {
+		t.Fatalf("query returned %d rows, want %d", res.Len(), knows)
 	}
 	root := tr.Root()
 	bgp := root.Find("bgp")
@@ -109,8 +109,8 @@ func TestTraceSpanCardinalities(t *testing.T) {
 	if mod == nil {
 		t.Fatal("no modifiers span")
 	}
-	if v, _ := mod.Int("rows"); v != int64(len(res.Rows)) {
-		t.Fatalf("modifiers rows = %d, want %d", v, len(res.Rows))
+	if v, _ := mod.Int("rows"); v != int64(res.Len()) {
+		t.Fatalf("modifiers rows = %d, want %d", v, res.Len())
 	}
 
 	// Group join: two single-pattern BGPs folded by joinRows.
@@ -128,9 +128,9 @@ func TestTraceSpanCardinalities(t *testing.T) {
 	l, _ := join.Int("left")
 	r, _ := join.Int("right")
 	out, _ := join.Int("rows")
-	if l != int64(knows) || r != int64(n) || out != int64(len(res.Rows)) {
+	if l != int64(knows) || r != int64(n) || out != int64(res.Len()) {
 		t.Fatalf("join left/right/rows = %d/%d/%d, want %d/%d/%d",
-			l, r, out, knows, n, len(res.Rows))
+			l, r, out, knows, n, res.Len())
 	}
 	if m, ok := join.Str("method"); !ok || m != "hash_build_left" {
 		t.Fatalf("join method = %q, want hash_build_left (left side smaller)", m)

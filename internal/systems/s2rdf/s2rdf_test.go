@@ -183,7 +183,7 @@ func TestVariablePredicateFallsBackToTriples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["p"].Value != "http://t/advisor" {
+	if p, _ := res.Term(0, 0); res.Len() != 1 || p.Value != "http://t/advisor" {
 		t.Fatalf("rows = %v", res.Canonical())
 	}
 }

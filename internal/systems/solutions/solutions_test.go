@@ -1,5 +1,5 @@
 // The row operations are checked against the map semantics they
-// replaced: sparql.Binding's Compatible and Merge (refCompatible,
+// replaced: binding's Compatible and Merge (refCompatible,
 // refMerge), the Binding-keyed shuffle key (refKey), the per-engine
 // triple binders (refMatch) and the nested join loop (nestedJoin), which
 // also holds the join kernel the engines call, sparql.JoinRows, over
@@ -30,9 +30,12 @@ import (
 	"repro/internal/sparql"
 )
 
+// binding is a solution as a map, the form the engines' rows replaced.
+type binding map[sparql.Var]rdf.Term
+
 // refCompatible and refMerge are sparql.Binding's Compatible and Merge
 // as the engines ran them before rows replaced bindings.
-func refCompatible(a, b sparql.Binding) bool {
+func refCompatible(a, b binding) bool {
 	for k, v := range a {
 		if ov, ok := b[k]; ok && ov != v {
 			return false
@@ -41,14 +44,14 @@ func refCompatible(a, b sparql.Binding) bool {
 	return true
 }
 
-func refMerge(a, b sparql.Binding) sparql.Binding {
+func refMerge(a, b binding) binding {
 	out := maps.Clone(a)
 	maps.Copy(out, b)
 	return out
 }
 
 // refKey is Key over a Binding, as the engines shuffled on it.
-func refKey(b sparql.Binding, vars []sparql.Var) string {
+func refKey(b binding, vars []sparql.Var) string {
 	parts := make([]string, len(vars))
 	for i, v := range vars {
 		if t, ok := b[v]; ok {
@@ -60,8 +63,8 @@ func refKey(b sparql.Binding, vars []sparql.Var) string {
 
 // nestedJoin is the loop the engines' joins replaced; it stays here as
 // the reference of the join kernel they call.
-func nestedJoin(left, right []sparql.Binding, outer bool) []sparql.Binding {
-	var out []sparql.Binding
+func nestedJoin(left, right []binding, outer bool) []binding {
+	var out []binding
 	for _, l := range left {
 		matched := false
 		for _, r := range right {
@@ -121,10 +124,10 @@ func schemaOf(vars ...sparql.Var) *Schema {
 	return NewSchema(sparql.BGP{Patterns: tps}, testData)
 }
 
-func bindings(s *Schema, rows []Row) []sparql.Binding {
-	out := make([]sparql.Binding, len(rows))
+func bindings(s *Schema, rows []Row) []binding {
+	out := make([]binding, len(rows))
 	for i, r := range rows {
-		out[i] = sparql.Binding{}
+		out[i] = binding{}
 		for j, v := range s.Vars {
 			if Bound(r[j]) {
 				out[i][v] = testData.Term(r[j])
@@ -152,8 +155,8 @@ func randomSide(r *rand.Rand, s *Schema, n, terms int, modes []int) []Row {
 	return rows
 }
 
-func sameSolutions(a, b []sparql.Binding) bool {
-	return slices.EqualFunc(a, b, func(x, y sparql.Binding) bool { return maps.Equal(x, y) })
+func sameSolutions(a, b []binding) bool {
+	return slices.EqualFunc(a, b, func(x, y binding) bool { return maps.Equal(x, y) })
 }
 
 func cloneRows(rows []Row) []Row {
@@ -215,8 +218,8 @@ func TestMergeAndKeyMatchMapReferenceProperty(t *testing.T) {
 
 // refMatch is the per-engine binder Pattern replaced: constants equal,
 // and a variable bound once per solution.
-func refMatch(tp sparql.TriplePattern, t rdf.Triple) (sparql.Binding, bool) {
-	b := sparql.Binding{}
+func refMatch(tp sparql.TriplePattern, t rdf.Triple) (binding, bool) {
+	b := binding{}
 	for i, el := range []sparql.TPElem{tp.S, tp.P, tp.O} {
 		term := [3]rdf.Term{t.S, t.P, t.O}[i]
 		if !el.IsVar {
@@ -369,8 +372,8 @@ func TestDecodeOnlyWhatIsRead(t *testing.T) {
 		return res
 	}
 	res := answer(`SELECT ?b WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`)
-	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0]["b"] != testData.Term(r[s.Slot("b")]) {
-		t.Errorf("SELECT ?b decoded %v", res.Rows)
+	if b, _ := res.Term(0, 0); res.Len() != 1 || len(res.Vars) != 1 || b != testData.Term(r[s.Slot("b")]) {
+		t.Errorf("SELECT ?b answered %v", res.Canonical())
 	}
 	graph := answer(`CONSTRUCT { ?a <http://e/q> ?d } WHERE { ?a <http://e/p> ?b . ?c <http://e/p> ?d }`)
 	if len(graph.Triples) != 1 || graph.Triples[0].O != testData.Term(r[s.Slot("d")]) {
@@ -416,14 +419,16 @@ func TestEvalRows(t *testing.T) {
 	}
 	render := func(res *sparql.Results) string {
 		var out []string
-		for _, b := range res.Rows {
+		for i := range res.Len() {
 			var terms []string
 			for _, v := range []sparql.Var{"s", "name", "mail"} {
-				if term, ok := b[v]; ok {
-					terms = append(terms, term.String())
-				} else {
-					terms = append(terms, "")
+				cell := ""
+				if c := slices.Index(res.Vars, v); c >= 0 {
+					if term, ok := res.Term(i, c); ok {
+						cell = term.String()
+					}
 				}
+				terms = append(terms, cell)
 			}
 			out = append(out, strings.Join(terms, ","))
 		}

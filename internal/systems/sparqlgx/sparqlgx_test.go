@@ -96,7 +96,7 @@ func TestSameVariableSubjectObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["x"] != self {
+	if x, _ := res.Term(0, 0); res.Len() != 1 || x != self {
 		t.Fatalf("self-loop rows = %v", res.Canonical())
 	}
 }
@@ -115,7 +115,7 @@ func TestReloadReplacesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["s"] != b {
+	if s, _ := res.Term(0, 0); res.Len() != 1 || s != b {
 		t.Fatalf("rows = %v", res.Canonical())
 	}
 }
