@@ -112,9 +112,9 @@
 //     packs one side's rows into keys of its ids and translates each
 //     distinct id of the other side once, through its term, into that
 //     space (a term the first side lacks makes the answers unequal).
-//     Graph lookups
-//     (WithSubject/WithPredicate/WithObject) return zero-copy index
-//     views. A pattern scan writes each output row once: the candidate
+//     The encoded view's lookups
+//     (WithSubject/WithPredicate/WithObject, by TermID) return
+//     zero-copy index views. A pattern scan writes each output row once: the candidate
 //     filter (patternScan.matches) compares every position the input
 //     row binds and every variable the pattern repeats, so the row is
 //     a copy of its input with the unbound positions stored straight
@@ -265,21 +265,21 @@
 // EncodedTriples in insertion order, and a set of them; Add builds
 // nothing else, and rdfserve streams an N-Triples file from the parser
 // straight into it (rdf.ReadNTriples), the dictionary cloning each
-// term's strings once so no entry pins its input line. Everything else
-// is derived on first use and cached under one mutex (encMu): the flat
-// EncodedView every query runs on — per position one contiguous copy of
-// the triples grouped by id with a stable counting sort (insertion
-// order within a key, which every byte-identical contract rides on)
-// plus a dense uint32 offset table, so a lookup is two array reads, the
-// view holds no Go map and no pointer, and the collector never scans it
-// — the statistics, and the term-space face (Triples, WithSubject, …)
-// that only the RDFS closure, the surveyed engines' harness, and tests
-// read; nothing on the serving path, DESCRIBE included, touches it. A
-// Graph is single-writer/many-reader: any number of goroutines may race
-// into a cold Encoded, Stats, or term-space accessor; after an Add the
-// next Encoded or Stats rebuilds from the encoded list in O(n), while
-// the term-space face only decodes what was added since it was last
-// read. Sharded stores skip rdf.Graph altogether (one
+// term's strings once so no entry pins its input line. Two things are
+// derived on first use and cached under one mutex (encMu): the flat
+// EncodedView every query and the RDFS closure run on — per position
+// one contiguous copy of the triples grouped by id with a stable
+// counting sort (insertion order within a key, which every
+// byte-identical contract rides on) plus a dense uint32 offset table,
+// so a lookup is two array reads, the view holds no Go map and no
+// pointer, and the collector never scans it — and the statistics, whose
+// per-predicate counts are keyed by TermID. Graph.Triples decodes the
+// whole list on each call and caches nothing; the closure's output,
+// evolve's base snapshot, HAQWA's Allocate, tests and the bench call
+// it, never the serving path. A Graph is
+// single-writer/many-reader: any number of goroutines may race into a
+// cold Encoded or Stats; after an Add the next one rebuilds from the
+// encoded list in O(n). Sharded stores skip rdf.Graph altogether (one
 // rdf.NewPositionedView per shard). The layout's fixed widths — uint32 ids below the
 // evaluator's unbound sentinel, int32 positions, uint32 offsets — fail
 // with a typed *rdf.CapacityError at build time, never wrap. The live

@@ -21,7 +21,7 @@ func main() {
 	// 2. A LUBM-style university dataset (deterministic).
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
 	fmt.Printf("dataset: %d triples, %d predicates\n",
-		len(triples), rdf.ComputeStats(triples).DistinctPredicates)
+		len(triples), rdf.NewGraph(triples).Stats().DistinctPredicates)
 
 	// 3. Load it into S2RDF — this builds the VP and ExtVP tables.
 	engine := s2rdf.New(ctx)

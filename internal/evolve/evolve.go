@@ -44,7 +44,7 @@ type Store struct {
 
 // NewStore creates a store whose version 0 holds base (deduplicated).
 func NewStore(base []rdf.Triple) *Store {
-	return &Store{base: rdf.Dedupe(base)}
+	return &Store{base: rdf.NewGraph(base).Triples()}
 }
 
 // Head returns the newest version.

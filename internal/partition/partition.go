@@ -51,8 +51,8 @@ func (q Quality) String() string {
 // Evaluate computes placement quality for a strategy over a dataset,
 // encoding its distinct triples once and placing them in id space.
 func Evaluate(s Strategy, triples []rdf.Triple, n int) Quality {
-	dict := rdf.NewDictionary()
-	enc := dict.EncodeAll(rdf.Dedupe(triples))
+	v := rdf.NewGraph(triples).Encoded()
+	dict, enc := v.Dict(), v.Triples()
 	return EvaluatePlacement(dict, enc, s.Place(dict, enc, n), n)
 }
 

@@ -41,7 +41,7 @@ import (
 // strategy's id-space placement to its term-space reference, on
 // University and Shop at small and medium scale, with repeated triples
 // in the input (the strategy sees the distinct triples, the reference
-// rdf.Dedupe's), at 1, 3 and 4 partitions — and on a random graph,
+// rdf.Graph's decoded ones), at 1, 3 and 4 partitions — and on a random graph,
 // whose subjects carry several types and first appear off an entity
 // edge, which the generators' never do.
 func TestPlacementMatchesTermSpaceReference(t *testing.T) {
@@ -62,7 +62,7 @@ func TestPlacementMatchesTermSpaceReference(t *testing.T) {
 			noisy = append(noisy, in.triples[i])
 		}
 		dict, enc := encodeDistinct(noisy)
-		distinct := rdf.Dedupe(noisy)
+		distinct := rdf.NewGraph(noisy).Triples()
 		if len(distinct) != len(enc) {
 			t.Fatalf("%s: %d distinct triples, %d encoded", in.name, len(distinct), len(enc))
 		}

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -21,22 +22,24 @@ func allocGraph(n int) *Graph {
 // copying would silently reintroduce an allocation per candidate scan
 // in the evaluator's hottest loop.
 func TestGraphLookupsDoNotAllocate(t *testing.T) {
-	g := allocGraph(100)
-	s := NewIRI("http://ex/s7")
-	o := NewLiteral("n7")
+	v := allocGraph(100).Encoded()
+	dict := v.Dict()
+	s := dict.Encode(NewIRI("http://ex/s7"))
+	p := dict.Encode(NewIRI("http://ex/name"))
+	o := dict.Encode(NewLiteral("n7"))
 	var got int
 	if n := testing.AllocsPerRun(100, func() {
-		got += len(g.WithSubject(s))
+		got += len(v.WithSubject(s))
 	}); n != 0 {
 		t.Fatalf("WithSubject allocates %.1f times per lookup, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		got += len(g.WithPredicate("http://ex/name"))
+		got += len(v.WithPredicate(p))
 	}); n != 0 {
 		t.Fatalf("WithPredicate allocates %.1f times per lookup, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		got += len(g.WithObject(o))
+		got += len(v.WithObject(o))
 	}); n != 0 {
 		t.Fatalf("WithObject allocates %.1f times per lookup, want 0", n)
 	}
@@ -61,14 +64,15 @@ func TestEncodedViewMatchesGraph(t *testing.T) {
 			t.Fatalf("decoded triple %v not in graph", tr)
 		}
 	}
-	// Per-id indexes agree with the term-space indexes.
+	// Per-id indexes agree with a filter over the decoded triples.
 	s := NewIRI("http://ex/s3")
 	id, ok := dict.Lookup(s)
 	if !ok {
 		t.Fatal("subject missing from dictionary")
 	}
-	if got, want := len(v.WithSubject(id)), len(g.WithSubject(s)); got != want {
-		t.Fatalf("encoded WithSubject = %d triples, want %d", got, want)
+	want := filter(g.Triples(), func(tr Triple) bool { return tr.S == s })
+	if got := len(v.WithSubject(id)); got != len(want) || got == 0 {
+		t.Fatalf("encoded WithSubject = %d triples, want %d", got, len(want))
 	}
 }
 
@@ -88,23 +92,16 @@ func TestEncodedViewExtendsAfterAdd(t *testing.T) {
 func TestGraphStatsCachedAndInvalidated(t *testing.T) {
 	g := allocGraph(25)
 	st := g.Stats()
-	want := ComputeStats(g.Triples())
-	if st.Triples != want.Triples ||
-		st.DistinctSubjects != want.DistinctSubjects ||
-		st.DistinctPredicates != want.DistinctPredicates ||
-		st.DistinctObjects != want.DistinctObjects {
-		t.Fatalf("Stats() = %+v, ComputeStats = %+v", st, want)
-	}
-	for p, c := range want.PredicateCounts {
-		if st.PredicateCounts[p] != c {
-			t.Fatalf("predicate %q count = %d, want %d", p, st.PredicateCounts[p], c)
-		}
+	if want := termStats(g.Encoded().Dict(), g.Triples()); !reflect.DeepEqual(st, want) {
+		t.Fatalf("Stats() = %+v, term-space count = %+v", st, want)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = g.Stats() }); n != 0 {
 		t.Fatalf("cached Stats allocates %.1f times per call, want 0", n)
 	}
-	g.Add(Triple{S: NewIRI("http://ex/z"), P: NewIRI("http://ex/zp"), O: NewLiteral("z")})
-	if got := g.Stats(); got.Triples != st.Triples+1 || got.PredicateCounts["http://ex/zp"] != 1 {
+	zp := NewIRI("http://ex/zp")
+	g.Add(Triple{S: NewIRI("http://ex/z"), P: zp, O: NewLiteral("z")})
+	id, _ := g.Encoded().Dict().Lookup(zp)
+	if got := g.Stats(); got.Triples != st.Triples+1 || got.PredicateCounts[id] != 1 {
 		t.Fatalf("Stats not invalidated after Add: %+v", got)
 	}
 }

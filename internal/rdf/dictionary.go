@@ -108,16 +108,6 @@ func (d *Dictionary) Decode(id TermID) (Term, error) {
 	return d.terms[id], nil
 }
 
-// MustDecode is Decode for ids known to be valid; it panics otherwise
-// (programmer error, not data error).
-func (d *Dictionary) MustDecode(id TermID) Term {
-	t, err := d.Decode(id)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Terms returns a read-only snapshot of the id→term table: index i
 // holds the term for TermID(i). Hot decode loops index this slice
 // directly instead of taking the lock per Decode call; ids assigned
@@ -174,15 +164,6 @@ func (d *Dictionary) DecodeTriple(e EncodedTriple) (Triple, error) {
 		return Triple{}, err
 	}
 	return Triple{S: s, P: p, O: o}, nil
-}
-
-// EncodeAll encodes a dataset.
-func (d *Dictionary) EncodeAll(ts []Triple) []EncodedTriple {
-	out := make([]EncodedTriple, len(ts))
-	for i, t := range ts {
-		out[i] = d.EncodeTriple(t)
-	}
-	return out
 }
 
 // EncodeDistinct encodes the triples read hands over through a fresh

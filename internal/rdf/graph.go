@@ -1,41 +1,29 @@
 package rdf
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Graph is an in-memory RDF graph — a set of triples — held in id
-// space: a dictionary, the distinct triples as 12-byte EncodedTriples
-// in insertion order, and a set of them for deduplication. That is the
-// only copy Add builds. Everything else is derived from it on first
-// use and cached: the flat positional indexes the evaluator runs on
-// (Encoded), the statistics (Stats), and the term-space face (Triples,
-// WithSubject, WithPredicate, WithObject) that the RDFS closure, the
-// engines' harness, and tests read. A graph that only serves queries
-// never materializes a single term-space triple.
+// Graph is an in-memory RDF graph — a set of triples — held as one
+// id-space store: a dictionary, the distinct triples as 12-byte
+// EncodedTriples in insertion order, and a set of them for
+// deduplication. That is the only copy Add builds. Two things are
+// derived from it on first use and cached until the next Add: the flat
+// positional indexes every query and the RDFS closure run on (Encoded),
+// and the statistics (Stats). Triples decodes the whole list on each
+// call and keeps nothing.
 //
 // Engines do not use Graph — they manage their own distributed
 // layouts — but tests verify every engine against it.
 //
-// The term-space accessors return views without copying, in insertion
-// order (within a key, for the positional lookups). Callers must treat
-// the returned slices as read-only.
-//
 // Concurrency contract: a Graph is single-writer, many-reader. Add is
 // not safe concurrently with anything; once loading is done, every
-// read path — Encoded, Stats, the term-space accessors, and the views
-// they return — is safe for unlimited concurrent readers. All derived
-// state is filled under encMu, so N goroutines racing into a cold
-// Encoded, Stats, Triples, or WithSubject is safe; this is the
-// contract the query service (internal/server) and concurrent
-// (*sparql.Prepared).Run depend on, and TestGraphConcurrentLazyInit
-// pins it under the race detector. After an Add the next Encoded or
-// Stats rebuilds from the encoded list (O(n)), while the term-space
-// face only decodes the triples added since it was last read — so a
-// caller that adds while it iterates a view (Materialize) or reads
-// Triples in a loop between Adds (HAQWA's Allocate) pays O(1) per read
-// once warm.
+// read path — Encoded, Stats, Triples, and the views they return — is
+// safe for unlimited concurrent readers. The derived state is filled
+// under encMu, so N goroutines racing into a cold Encoded or Stats is
+// safe; this is the contract the query service (internal/server) and
+// concurrent (*sparql.Prepared).Run depend on, and
+// TestGraphConcurrentLazyInit pins it under the race detector. After
+// an Add the next Encoded or Stats rebuilds from the encoded list
+// (O(n)).
 type Graph struct {
 	dict *Dictionary
 	enc  []EncodedTriple
@@ -44,17 +32,6 @@ type Graph struct {
 	encMu sync.Mutex
 	view  *EncodedView // flat indexes over enc; nil after mutation
 	stats *Stats       // cached ComputeEncodedStats; nil after mutation
-	terms termSpace
-}
-
-// termSpace is the decoded face of a Graph: enc[:len(triples)] as
-// Triples, and — once a positional lookup has asked for them — the
-// same triples grouped by subject, predicate, and object id. It trails
-// enc and is caught up, under encMu, by whichever accessor runs next.
-type termSpace struct {
-	triples       []Triple
-	byS, byP, byO map[TermID][]Triple // nil until first positional lookup
-	indexed       int                 // triples[:indexed] are in the maps
 }
 
 // NewGraph builds a graph, deduplicating triples (RDF graphs are sets).
@@ -93,6 +70,12 @@ func (g *Graph) TryAdd(t Triple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return g.addEncoded(e)
+}
+
+// addEncoded inserts e, already encoded through g's dictionary, if not
+// already present; it reports whether e was new.
+func (g *Graph) addEncoded(e EncodedTriple) (bool, error) {
 	if _, dup := g.set[e]; dup {
 		return false, nil
 	}
@@ -126,112 +109,12 @@ func (g *Graph) Has(t Triple) bool {
 // Len returns the number of distinct triples.
 func (g *Graph) Len() int { return len(g.enc) }
 
-// decoded catches the term-space list up with enc and returns it.
-// Callers hold encMu.
-func (g *Graph) decoded() []Triple {
-	ts := &g.terms
-	if len(ts.triples) == len(g.enc) {
-		return ts.triples
-	}
-	if ts.triples == nil {
-		ts.triples = make([]Triple, 0, len(g.enc))
-	}
-	terms := g.dict.Terms()
-	for _, e := range g.enc[len(ts.triples):] {
-		ts.triples = append(ts.triples, Triple{S: terms[e.S], P: terms[e.P], O: terms[e.O]})
-	}
-	return ts.triples
-}
-
-// indexed catches the term-space positional indexes up with enc.
-// Callers hold encMu.
-func (g *Graph) indexed() *termSpace {
-	ts := &g.terms
-	if ts.indexed == len(g.enc) {
-		return ts
-	}
-	if ts.byS == nil {
-		ts.byS = make(map[TermID][]Triple)
-		ts.byP = make(map[TermID][]Triple)
-		ts.byO = make(map[TermID][]Triple)
-	}
-	triples := g.decoded()
-	for i := ts.indexed; i < len(triples); i++ {
-		e, t := g.enc[i], triples[i]
-		ts.byS[e.S] = append(ts.byS[e.S], t)
-		ts.byP[e.P] = append(ts.byP[e.P], t)
-		ts.byO[e.O] = append(ts.byO[e.O], t)
-	}
-	ts.indexed = len(triples)
-	return ts
-}
-
-// Triples returns all triples in insertion order, decoding on first
-// use (callers must not modify the slice).
+// Triples decodes all triples in insertion order into a new slice.
 func (g *Graph) Triples() []Triple {
-	g.encMu.Lock()
-	defer g.encMu.Unlock()
-	return g.decoded()
-}
-
-// WithPredicate returns the triples with the given predicate IRI. The
-// returned slice is a view into the index: no copy is made and callers
-// must not modify it.
-func (g *Graph) WithPredicate(p string) []Triple {
-	id, ok := g.dict.Lookup(NewIRI(p))
-	if !ok {
-		return nil
-	}
-	g.encMu.Lock()
-	defer g.encMu.Unlock()
-	return g.indexed().byP[id]
-}
-
-// WithSubject returns the triples with the given subject, as a
-// read-only view (no copy).
-func (g *Graph) WithSubject(s Term) []Triple {
-	id, ok := g.dict.Lookup(s)
-	if !ok {
-		return nil
-	}
-	g.encMu.Lock()
-	defer g.encMu.Unlock()
-	return g.indexed().byS[id]
-}
-
-// WithObject returns the triples with the given object, as a
-// read-only view (no copy).
-func (g *Graph) WithObject(o Term) []Triple {
-	id, ok := g.dict.Lookup(o)
-	if !ok {
-		return nil
-	}
-	g.encMu.Lock()
-	defer g.encMu.Unlock()
-	return g.indexed().byO[id]
-}
-
-// Predicates returns the distinct predicate IRIs, sorted.
-func (g *Graph) Predicates() []string {
-	counts := g.Stats().PredicateCounts
-	out := make([]string, 0, len(counts))
-	for p := range counts {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Subjects returns the distinct subject terms (unsorted).
-func (g *Graph) Subjects() []Term {
 	terms := g.dict.Terms()
-	seen := make([]bool, len(terms))
-	var out []Term
-	for _, e := range g.enc {
-		if !seen[e.S] {
-			seen[e.S] = true
-			out = append(out, terms[e.S])
-		}
+	out := make([]Triple, len(g.enc))
+	for i, e := range g.enc {
+		out[i] = Triple{S: terms[e.S], P: terms[e.P], O: terms[e.O]}
 	}
 	return out
 }
@@ -255,8 +138,7 @@ func (g *Graph) Encoded() *EncodedView {
 // the lazy fill is locked so concurrent readers (parallel Evaluate
 // calls on a shared graph) are safe. The PredicateCounts map is the
 // cache itself, shared across calls like every other view this type
-// returns: callers must treat it as read-only (use ComputeStats for an
-// independent copy).
+// returns: callers must treat it as read-only.
 func (g *Graph) Stats() Stats {
 	g.encMu.Lock()
 	defer g.encMu.Unlock()
@@ -275,37 +157,17 @@ type Stats struct {
 	DistinctSubjects   int
 	DistinctPredicates int
 	DistinctObjects    int
-	PredicateCounts    map[string]int
+	PredicateCounts    map[TermID]int // triples per predicate id
 }
 
-// ComputeStats scans the dataset once and builds Stats.
-func ComputeStats(triples []Triple) Stats {
-	subj := make(map[Term]bool)
-	pred := make(map[string]int)
-	obj := make(map[Term]bool)
-	for _, t := range triples {
-		subj[t.S] = true
-		pred[t.P.Value]++
-		obj[t.O] = true
-	}
-	return Stats{
-		Triples:            len(triples),
-		DistinctSubjects:   len(subj),
-		DistinctPredicates: len(pred),
-		DistinctObjects:    len(obj),
-		PredicateCounts:    pred,
-	}
-}
-
-// ComputeEncodedStats is ComputeStats for a dataset of distinct triples
-// already encoded through dict: the same Stats, field for field, as
-// ComputeStats over the decoded triples, without decoding any.
+// ComputeEncodedStats scans a dataset of distinct triples encoded
+// through dict once and builds its Stats.
 func ComputeEncodedStats(dict *Dictionary, triples []EncodedTriple) Stats {
-	terms := dict.Terms()
-	subj := make([]bool, len(terms))
-	obj := make([]bool, len(terms))
-	predCount := make([]int, len(terms))
-	st := Stats{Triples: len(triples), PredicateCounts: make(map[string]int)}
+	n := dict.Len()
+	subj := make([]bool, n)
+	obj := make([]bool, n)
+	predCount := make([]int, n)
+	st := Stats{Triples: len(triples), PredicateCounts: make(map[TermID]int)}
 	for _, e := range triples {
 		if !subj[e.S] {
 			subj[e.S] = true
@@ -317,26 +179,11 @@ func ComputeEncodedStats(dict *Dictionary, triples []EncodedTriple) Stats {
 		}
 		predCount[e.P]++
 	}
-	for id, n := range predCount {
-		if n > 0 {
-			st.PredicateCounts[terms[id].Value] += n
+	for id, c := range predCount {
+		if c > 0 {
+			st.PredicateCounts[TermID(id)] = c
 		}
 	}
 	st.DistinctPredicates = len(st.PredicateCounts)
 	return st
-}
-
-// Dedupe returns the distinct triples of ts in first-occurrence order.
-// RDF graphs are sets; engines call this when loading raw streams that
-// may repeat statements.
-func Dedupe(ts []Triple) []Triple {
-	seen := make(map[Triple]bool, len(ts))
-	out := make([]Triple, 0, len(ts))
-	for _, t := range ts {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
 }

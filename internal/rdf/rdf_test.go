@@ -238,23 +238,25 @@ func TestGraphIndexes(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d (duplicate not removed)", g.Len())
 	}
-	if got := len(g.WithPredicate("http://ex.org/knows")); got != 2 {
+	v := g.Encoded()
+	id := func(term Term) TermID {
+		id, ok := v.Dict().Lookup(term)
+		if !ok {
+			t.Fatalf("%v not in the dictionary", term)
+		}
+		return id
+	}
+	if got := len(v.WithPredicate(id(iri("knows")))); got != 2 {
 		t.Fatalf("knows = %d", got)
 	}
-	if got := len(g.WithSubject(iri("a"))); got != 2 {
+	if got := len(v.WithSubject(id(iri("a")))); got != 2 {
 		t.Fatalf("subject a = %d", got)
 	}
-	if got := len(g.WithObject(iri("b"))); got != 1 {
+	if got := len(v.WithObject(id(iri("b")))); got != 1 {
 		t.Fatalf("object b = %d", got)
 	}
 	if !g.Has(ts[0]) {
 		t.Fatal("Has missing triple")
-	}
-	if got := g.Predicates(); len(got) != 2 || got[0] > got[1] {
-		t.Fatalf("Predicates = %v", got)
-	}
-	if got := len(g.Subjects()); got != 2 {
-		t.Fatalf("Subjects = %d", got)
 	}
 }
 
@@ -264,11 +266,12 @@ func TestComputeStats(t *testing.T) {
 		NewTriple(iri("a"), iri("q"), iri("y")),
 		NewTriple(iri("b"), iri("p"), iri("x")),
 	}
-	s := ComputeStats(ts)
+	dict := NewDictionary()
+	s := ComputeEncodedStats(dict, encodeAll(dict, ts))
 	if s.Triples != 3 || s.DistinctSubjects != 2 || s.DistinctPredicates != 2 || s.DistinctObjects != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.PredicateCounts["http://ex.org/p"] != 2 {
+	if p, _ := dict.Lookup(iri("p")); s.PredicateCounts[p] != 2 {
 		t.Fatalf("predicate counts = %v", s.PredicateCounts)
 	}
 }

@@ -15,84 +15,82 @@ package rdf
 // Materialization runs to fixpoint, so chained schemas close fully.
 
 // Materialize returns the input plus all triples entailed by the RDFS
-// rules above, deduplicated. The input slice is not modified.
+// rules above, deduplicated. The input slice is not modified. Each
+// round applies every rule to the round's encoded view and adds in id
+// space; what a round adds, the next round reads.
 func Materialize(triples []Triple) []Triple {
 	g := NewGraph(triples)
-	typeIRI := NewIRI(RDFType)
-	subClass := NewIRI(RDFSSubClassOf)
-	subProp := NewIRI(RDFSSubPropertyOf)
+	dict := g.dict
+	typ := dict.Encode(NewIRI(RDFType))
+	subClass := dict.Encode(NewIRI(RDFSSubClassOf))
+	subProp := dict.Encode(NewIRI(RDFSSubPropertyOf))
+	domain := dict.Encode(NewIRI(RDFSDomain))
+	rng := dict.Encode(NewIRI(RDFSRange))
+	terms := dict.Terms()
 
 	changed := true
+	add := func(s, p, o TermID) {
+		added, err := g.addEncoded(EncodedTriple{S: s, P: p, O: o})
+		if err != nil {
+			panic(err)
+		}
+		changed = changed || added
+	}
 	for changed {
 		changed = false
+		v := g.Encoded()
 
-		// Schema closure first (rdfs5, rdfs11) so instance rules see the
-		// transitive schema.
-		for _, rule := range []Term{subClass, subProp} {
-			links := g.WithPredicate(rule.Value)
-			for _, a := range links {
-				for _, b := range g.WithSubject(a.O) {
-					if b.P.Value == rule.Value {
-						if g.Add(Triple{S: a.S, P: rule, O: b.O}) {
-							changed = true
-						}
+		// rdfs5, rdfs11: transitive schema.
+		for _, rule := range []TermID{subClass, subProp} {
+			for _, a := range v.WithPredicate(rule) {
+				for _, b := range v.WithSubject(a.O) {
+					if b.P == rule {
+						add(a.S, rule, b.O)
 					}
 				}
 			}
 		}
 
 		// rdfs7: subproperty entailment.
-		for _, sp := range g.WithPredicate(RDFSSubPropertyOf) {
-			if !sp.S.IsIRI() || !sp.O.IsIRI() {
+		for _, sp := range v.WithPredicate(subProp) {
+			if !terms[sp.S].IsIRI() || !terms[sp.O].IsIRI() {
 				continue
 			}
-			for _, t := range g.WithPredicate(sp.S.Value) {
-				if g.Add(Triple{S: t.S, P: NewIRI(sp.O.Value), O: t.O}) {
-					changed = true
-				}
+			for _, t := range v.WithPredicate(sp.S) {
+				add(t.S, sp.O, t.O)
 			}
 		}
 
 		// rdfs2: domain typing.
-		for _, dom := range g.WithPredicate(RDFSDomain) {
-			if !dom.S.IsIRI() {
+		for _, dom := range v.WithPredicate(domain) {
+			if !terms[dom.S].IsIRI() {
 				continue
 			}
-			for _, t := range g.WithPredicate(dom.S.Value) {
-				if g.Add(Triple{S: t.S, P: typeIRI, O: dom.O}) {
-					changed = true
-				}
+			for _, t := range v.WithPredicate(dom.S) {
+				add(t.S, typ, dom.O)
 			}
 		}
 
 		// rdfs3: range typing (object must be a resource).
-		for _, rng := range g.WithPredicate(RDFSRange) {
-			if !rng.S.IsIRI() {
+		for _, r := range v.WithPredicate(rng) {
+			if !terms[r.S].IsIRI() {
 				continue
 			}
-			for _, t := range g.WithPredicate(rng.S.Value) {
-				if t.O.IsLiteral() {
-					continue
-				}
-				if g.Add(Triple{S: t.O, P: typeIRI, O: rng.O}) {
-					changed = true
+			for _, t := range v.WithPredicate(r.S) {
+				if !terms[t.O].IsLiteral() {
+					add(t.O, typ, r.O)
 				}
 			}
 		}
 
 		// rdfs9: subclass typing.
-		for _, sc := range g.WithPredicate(RDFSSubClassOf) {
-			for _, t := range g.WithObject(sc.S) {
-				if t.P.Value != RDFType {
-					continue
-				}
-				if g.Add(Triple{S: t.S, P: typeIRI, O: sc.O}) {
-					changed = true
+		for _, sc := range v.WithPredicate(subClass) {
+			for _, t := range v.WithObject(sc.S) {
+				if t.P == typ {
+					add(t.S, typ, sc.O)
 				}
 			}
 		}
 	}
-	out := make([]Triple, g.Len())
-	copy(out, g.Triples())
-	return out
+	return g.Triples()
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,7 +13,7 @@ import (
 )
 
 // The id-space store against brute force: everything a Graph derives —
-// the flat encoded view, the term-space face, the statistics — must
+// the flat encoded view, the decoded triples, the statistics — must
 // equal the obvious filter over the insertion-ordered distinct triples.
 
 // storeVocab is a deliberately small vocabulary, so random triples
@@ -60,6 +59,46 @@ func filter[T any](ts []T, keep func(T) bool) []T {
 	return out
 }
 
+// distinct returns ts without repeats, in first-occurrence order.
+func distinct(ts []Triple) []Triple {
+	seen := make(map[Triple]bool, len(ts))
+	var out []Triple
+	for _, t := range ts {
+		if !seen[t] {
+			seen[t] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// encodeAll encodes ts through dict, in order.
+func encodeAll(dict *Dictionary, ts []Triple) []EncodedTriple {
+	out := make([]EncodedTriple, len(ts))
+	for i, t := range ts {
+		out[i] = dict.EncodeTriple(t)
+	}
+	return out
+}
+
+// termStats counts distinct triples ts in term space, keying the
+// per-predicate counts by the predicate's id in dict.
+func termStats(dict *Dictionary, ts []Triple) Stats {
+	subj, obj := map[Term]bool{}, map[Term]bool{}
+	st := Stats{Triples: len(ts), PredicateCounts: map[TermID]int{}}
+	for _, t := range ts {
+		subj[t.S], obj[t.O] = true, true
+		id, ok := dict.Lookup(t.P)
+		if !ok {
+			panic(fmt.Sprintf("predicate %v not in the dictionary", t.P))
+		}
+		st.PredicateCounts[id]++
+	}
+	st.DistinctSubjects, st.DistinctObjects = len(subj), len(obj)
+	st.DistinctPredicates = len(st.PredicateCounts)
+	return st
+}
+
 func checkEncodedView(v *EncodedView, want []Triple) error {
 	dict := v.Dict()
 	if v.Len() != len(want) {
@@ -90,41 +129,19 @@ func checkEncodedView(v *EncodedView, want []Triple) error {
 	return nil
 }
 
-func checkTermSpace(g *Graph, vocab storeVocab, want []Triple) error {
-	if got := g.Triples(); !slices.Equal(got, want) {
-		return fmt.Errorf("Triples() = %v, want %v", got, want)
-	}
-	terms := append(append([]Term(nil), vocab.objects...), vocab.predicates...)
-	terms = append(terms, absentTerms...)
-	for _, term := range terms {
-		term := term
-		if got, want := g.WithSubject(term), filter(want, func(t Triple) bool { return t.S == term }); !slices.Equal(got, want) {
-			return fmt.Errorf("WithSubject(%v) = %v, want %v", term, got, want)
-		}
-		if got, want := g.WithObject(term), filter(want, func(t Triple) bool { return t.O == term }); !slices.Equal(got, want) {
-			return fmt.Errorf("WithObject(%v) = %v, want %v", term, got, want)
-		}
-		if got, want := g.WithPredicate(term.Value), filter(want, func(t Triple) bool { return t.P == NewIRI(term.Value) }); !slices.Equal(got, want) {
-			return fmt.Errorf("WithPredicate(%q) = %v, want %v", term.Value, got, want)
-		}
-	}
-	return nil
-}
-
 func checkSummaries(g *Graph, vocab storeVocab, r *rand.Rand, want []Triple) error {
 	if g.Len() != len(want) {
 		return fmt.Errorf("Len() = %d, want %d", g.Len(), len(want))
 	}
-	if got, want := g.Stats(), ComputeStats(want); !reflect.DeepEqual(got, want) {
+	if got := g.Triples(); !slices.Equal(got, want) {
+		return fmt.Errorf("Triples() = %v, want %v", got, want)
+	}
+	if got, want := g.Stats(), termStats(g.dict, want); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("Stats() = %+v, want %+v", got, want)
 	}
 	member := make(map[Triple]bool, len(want))
-	subjects := map[Term]bool{}
-	predicates := map[string]bool{}
 	for _, t := range want {
 		member[t] = true
-		subjects[t.S] = true
-		predicates[t.P.Value] = true
 	}
 	for i := 0; i < 64; i++ {
 		t := vocab.triple(r)
@@ -135,30 +152,14 @@ func checkSummaries(g *Graph, vocab storeVocab, r *rand.Rand, want []Triple) err
 			return fmt.Errorf("Has(%v) = %v, want %v", t, g.Has(t), member[t])
 		}
 	}
-	var wantPreds []string
-	for p := range predicates {
-		wantPreds = append(wantPreds, p)
-	}
-	sort.Strings(wantPreds)
-	if got := g.Predicates(); !slices.Equal(got, wantPreds) {
-		return fmt.Errorf("Predicates() = %v, want %v", got, wantPreds)
-	}
-	gotSubj := g.Subjects()
-	if len(gotSubj) != len(subjects) {
-		return fmt.Errorf("Subjects() has %d terms, want %d", len(gotSubj), len(subjects))
-	}
-	for _, s := range gotSubj {
-		if !subjects[s] {
-			return fmt.Errorf("Subjects() contains %v, not a subject", s)
-		}
-	}
 	return nil
 }
 
 // Interleaved Add → read → Add → read over random multisets. Which
 // faces are read in the middle rounds is itself random, so each face is
-// exercised both built cold over everything and caught up after Adds;
-// the last round reads them all.
+// exercised both built cold over everything and rebuilt after Adds;
+// the last round reads them all. The expected triples come from the
+// test's own dedupe (distinct), not the store's.
 func TestStoreMatchesBruteForce(t *testing.T) {
 	vocab := newStoreVocab()
 	check := func(seed int64) bool {
@@ -184,11 +185,10 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 				}
 				added = append(added, tr)
 			}
-			want := Dedupe(added)
+			want := distinct(added)
 			last := round == rounds-1
 			for _, face := range []func() error{
 				func() error { return checkEncodedView(g.Encoded(), want) },
-				func() error { return checkTermSpace(g, vocab, want) },
 				func() error { return checkSummaries(g, vocab, r, want) },
 			} {
 				if !last && r.Intn(2) == 0 {
@@ -216,9 +216,9 @@ func TestNewEncodedViewAndLateIDs(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		ts = append(ts, vocab.triple(r))
 	}
-	ts = Dedupe(ts)
+	ts = distinct(ts)
 	dict := NewDictionary()
-	enc := dict.EncodeAll(ts)
+	enc := encodeAll(dict, ts)
 	v, err := NewEncodedView(dict, enc)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,10 @@ func TestDictionaryOwnsItsStrings(t *testing.T) {
 	dict := NewDictionary()
 	e := dict.EncodeTriple(tr)
 	for _, id := range []TermID{e.S, e.P, e.O} {
-		term := dict.MustDecode(id)
+		term, err := dict.Decode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if within(term.Value, line) || (term.Datatype != "" && within(term.Datatype, line)) {
 			t.Fatalf("dictionary term %v still points into the parsed line", term)
 		}
@@ -357,7 +360,7 @@ func TestCapacityErrors(t *testing.T) {
 		if g.Len() != 2 || g.Encoded().Len() != 2 {
 			t.Fatalf("failed add changed the graph: Len %d", g.Len())
 		}
-		enc := g.Encoded().Dict().EncodeAll([]Triple{mk(0), mk(1), mk(2)})
+		enc := encodeAll(g.Encoded().Dict(), []Triple{mk(0), mk(1), mk(2)})
 		if _, err := NewEncodedView(g.Encoded().Dict(), enc); !errors.As(err, &ce) {
 			t.Fatalf("NewEncodedView past the limit: err = %v", err)
 		}

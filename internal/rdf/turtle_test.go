@@ -38,11 +38,13 @@ ex:ann ex:knows ex:bob , ex:cid ;
 	if len(ts) != 4 {
 		t.Fatalf("triples = %d: %v", len(ts), ts)
 	}
-	g := NewGraph(ts)
-	if len(g.WithPredicate("http://ex.org/knows")) != 2 {
+	withP := func(p string) int {
+		return len(filter(ts, func(t Triple) bool { return t.P == NewIRI(p) }))
+	}
+	if withP("http://ex.org/knows") != 2 {
 		t.Fatal("object list expansion wrong")
 	}
-	if len(g.WithPredicate(RDFType)) != 1 {
+	if withP(RDFType) != 1 {
 		t.Fatal("'a' keyword not expanded")
 	}
 }

@@ -9,12 +9,12 @@
 // Concurrency model: the graph is loaded (and its encoded view and
 // statistics warmed) before the server starts accepting queries, and is
 // never mutated afterwards — every evaluator structure the requests
-// share (term-space indexes, dictionary-encoded view, cached stats,
-// cached plans) is then safe for unlimited concurrent readers. Each
-// request runs on its own goroutine with its own evaluation arena; the
-// only cross-request synchronization is the plan-cache mutex, the
-// admission semaphore and the shape registry's mutex (one fold per
-// request that compiled). The counters are atomics moved in place.
+// share (dictionary-encoded view, cached stats, cached plans) is then
+// safe for unlimited concurrent readers. Each request runs on its own
+// goroutine with its own evaluation arena; the only cross-request
+// synchronization is the plan-cache mutex, the admission semaphore and
+// the shape registry's mutex (one fold per request that compiled). The
+// counters are atomics moved in place.
 package server
 
 import (

@@ -165,11 +165,10 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
-// DESCRIBE answers from the id-space store: the bytes are the term-space
-// description (what Graph.WithSubject serves, N-Triples rendered), and
-// a request allocates a small fraction of what materializing the
-// graph's term-space index would — which is what a DESCRIBE cost before
-// the lookup moved to dictionary → encoded view → decode.
+// DESCRIBE answers from the id-space store: the bytes are the
+// target's triples, N-Triples rendered, and a request allocates a small
+// fraction of what decoding the whole graph once (Graph.Triples) does —
+// a DESCRIBE must stay a dictionary → encoded view → decode lookup.
 func TestServeDescribeStaysInIDSpace(t *testing.T) {
 	triples := workload.GenerateUniversity(workload.MediumUniversity())
 	var target rdf.Term
@@ -188,8 +187,14 @@ func TestServeDescribeStaysInIDSpace(t *testing.T) {
 	}
 
 	ref := rdf.NewGraph(triples)
+	var all []rdf.Triple
+	decodeBytes := allocated(func() { all = ref.Triples() })
 	var description []rdf.Triple
-	indexBytes := allocated(func() { description = ref.WithSubject(target) })
+	for _, tr := range all {
+		if tr.S == target {
+			description = append(description, tr)
+		}
+	}
 	if len(description) == 0 {
 		t.Fatalf("no triples describe %v", target)
 	}
@@ -208,9 +213,9 @@ func TestServeDescribeStaysInIDSpace(t *testing.T) {
 	if got := rec.Body.String(); got != want.String() {
 		t.Fatalf("DESCRIBE body:\n%s\nwant:\n%s", got, want.String())
 	}
-	if requestBytes*20 > indexBytes {
-		t.Fatalf("cold DESCRIBE allocated %d B; a term-space index build is %d B — the request must stay far below it",
-			requestBytes, indexBytes)
+	if requestBytes*20 > decodeBytes {
+		t.Fatalf("cold DESCRIBE allocated %d B; decoding the whole graph is %d B — the request must stay far below it",
+			requestBytes, decodeBytes)
 	}
 }
 

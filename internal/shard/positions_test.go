@@ -115,7 +115,7 @@ func TestPositionColumnsMatchDataset(t *testing.T) {
 				O: objects[r.Intn(len(objects))],
 			})
 		}
-		distinct := rdf.Dedupe(triples)
+		distinct := rdf.NewGraph(triples).Triples()
 		for _, strat := range partition.All() {
 			for _, shards := range []int{1, 3, 4} {
 				for _, replicas := range []int{1, 2} {

@@ -52,7 +52,7 @@ func TestReadMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distinct := rdf.Dedupe(parsed)
+	distinct := rdf.NewGraph(parsed).Triples()
 	if len(distinct) == len(parsed) {
 		t.Fatal("the document repeats no statement")
 	}

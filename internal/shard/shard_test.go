@@ -449,8 +449,8 @@ func TestBuildValidation(t *testing.T) {
 	for _, n := range sg.ShardSizes() {
 		total += n
 	}
-	if total != sg.Len() || total != len(rdf.Dedupe(triples)) {
-		t.Fatalf("shard sizes sum %d, Len %d, dataset %d", total, sg.Len(), len(rdf.Dedupe(triples)))
+	if distinct := rdf.NewGraph(triples).Len(); total != sg.Len() || total != distinct {
+		t.Fatalf("shard sizes sum %d, Len %d, dataset %d", total, sg.Len(), distinct)
 	}
 }
 
@@ -605,7 +605,7 @@ func TestReplicaViewsContentIdentical(t *testing.T) {
 // the distinct triples — same sizes, same placement verdict, same
 // statistics, same global positions.
 func TestBuildDedupesInIDSpace(t *testing.T) {
-	distinct := rdf.Dedupe(workload.GenerateUniversity(workload.SmallUniversity()))
+	distinct := rdf.NewGraph(workload.GenerateUniversity(workload.SmallUniversity())).Triples()
 	var noisy []rdf.Triple
 	for i, tr := range distinct {
 		noisy = append(noisy, tr)
@@ -631,7 +631,7 @@ func TestBuildDedupesInIDSpace(t *testing.T) {
 		if !reflect.DeepEqual(got.ShardSizes(), clean.ShardSizes()) {
 			t.Fatalf("%s: shard sizes %v with duplicates, %v without", strategy, got.ShardSizes(), clean.ShardSizes())
 		}
-		if want := rdf.ComputeStats(distinct); !reflect.DeepEqual(got.Set().Stats, want) {
+		if want := rdf.NewGraph(distinct).Stats(); !reflect.DeepEqual(got.Set().Stats, want) {
 			t.Fatalf("%s: stats %+v, want %+v", strategy, got.Set().Stats, want)
 		}
 		if err := checkPositions(got, distinct); err != nil {

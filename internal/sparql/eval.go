@@ -1178,7 +1178,7 @@ func (env *evalEnv) compilePattern(tp TriplePattern) cPattern {
 			est = min(est, n)
 		}
 		if !cp.p.isVar {
-			est = min(est, env.stats.PredicateCounts[tp.P.Term.Value])
+			est = min(est, env.stats.PredicateCounts[cp.p.id])
 		}
 	}
 	cp.est = est

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -59,10 +60,10 @@ func lex(text string) ([]token, error) {
 	i := 0
 	n := len(text)
 	for i < n {
-		c := rune(text[i])
+		c, size := utf8.DecodeRuneInString(text[i:])
 		switch {
 		case unicode.IsSpace(c):
-			i++
+			i += size
 		case c == '#':
 			for i < n && text[i] != '\n' {
 				i++
@@ -100,7 +101,7 @@ func lex(text string) ([]token, error) {
 			tok := token{kind: "literal", text: val}
 			if i < n && text[i] == '@' {
 				j := i + 1
-				for j < n && (unicode.IsLetter(rune(text[j])) || text[j] == '-') {
+				for j < n && (text[j] < utf8.RuneSelf && unicode.IsLetter(rune(text[j])) || text[j] == '-') {
 					j++
 				}
 				tok.lang = text[i+1 : j]
@@ -114,7 +115,7 @@ func lex(text string) ([]token, error) {
 				i += 3 + j + 1
 			}
 			toks = append(toks, tok)
-		case unicode.IsDigit(c) || (c == '-' && i+1 < n && unicode.IsDigit(rune(text[i+1]))):
+		case '0' <= c && c <= '9' || (c == '-' && i+1 < n && unicode.IsDigit(rune(text[i+1]))):
 			// §19.8 INTEGER and DECIMAL: a '.' joins a number only when a
 			// digit follows it ("25." is 25 ending a triple), and a number
 			// with one is an xsd:decimal.
@@ -131,7 +132,7 @@ func lex(text string) ([]token, error) {
 		case unicode.IsLetter(c) || c == '_' || c == ':':
 			// A keyword, or a prefixed name; the empty prefix (":local")
 			// is one too.
-			j := nameEnd(text, i+1, true)
+			j := nameEnd(text, i+size, true)
 			toks = append(toks, token{kind: "ident", text: text[i:j]})
 			i = j
 		case strings.ContainsRune("{}().,;*", c):
@@ -151,8 +152,32 @@ func lex(text string) ([]token, error) {
 	return toks, nil
 }
 
+// pnChars holds the characters past ASCII that §19.8's PN_CHARS (and so
+// VARNAME) allows: PN_CHARS_BASE, U+00B7, the combining marks
+// U+0300–U+036F and U+203F–U+2040.
+var pnChars = &unicode.RangeTable{
+	R16: []unicode.Range16{
+		{Lo: 0x00B7, Hi: 0x00B7, Stride: 1},
+		{Lo: 0x00C0, Hi: 0x00D6, Stride: 1},
+		{Lo: 0x00D8, Hi: 0x00F6, Stride: 1},
+		{Lo: 0x00F8, Hi: 0x037D, Stride: 1},
+		{Lo: 0x037F, Hi: 0x1FFF, Stride: 1},
+		{Lo: 0x200C, Hi: 0x200D, Stride: 1},
+		{Lo: 0x203F, Hi: 0x2040, Stride: 1},
+		{Lo: 0x2070, Hi: 0x218F, Stride: 1},
+		{Lo: 0x2C00, Hi: 0x2FEF, Stride: 1},
+		{Lo: 0x3001, Hi: 0xD7FF, Stride: 1},
+		{Lo: 0xF900, Hi: 0xFDCF, Stride: 1},
+		{Lo: 0xFDF0, Hi: 0xFFFD, Stride: 1},
+	},
+	R32: []unicode.Range32{{Lo: 0x10000, Hi: 0xEFFFF, Stride: 1}},
+}
+
 func isNameChar(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
+	if r < utf8.RuneSelf {
+		return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
+	}
+	return unicode.Is(pnChars, r)
 }
 
 // nameEnd returns the end of the name whose characters start at i: a
@@ -161,8 +186,12 @@ func isNameChar(r rune) bool {
 // the triple.
 func nameEnd(text string, i int, colon bool) int {
 	j := i
-	for j < len(text) && (isNameChar(rune(text[j])) || colon && text[j] == ':') {
-		j++
+	for j < len(text) {
+		r, size := utf8.DecodeRuneInString(text[j:])
+		if !isNameChar(r) && !(colon && r == ':') {
+			break
+		}
+		j += size
 	}
 	for j > i && text[j-1] == '.' {
 		j--

@@ -66,7 +66,8 @@ func TestParsePrefixes(t *testing.T) {
 // prefix (PNAME_NS ":" and PNAME_LN ":local"), DECIMAL beside INTEGER,
 // and a '.' that ends a triple right after a number or a name (a number
 // takes a dot only before a digit; PN_LOCAL and VARNAME never end in
-// one). Each row's want is the BGP the text parses to.
+// one), and VARNAME's characters past ASCII (PN_CHARS_U, U+00B7 and
+// the combining marks). Each row's want is the BGP the text parses to.
 func TestLexTerminals(t *testing.T) {
 	dec := func(s string) rdf.Term { return rdf.NewTypedLiteral(s, rdf.XSDDecimal) }
 	pat := func(s, p, o TPElem) TriplePattern { return TriplePattern{S: s, P: p, O: o} }
@@ -89,6 +90,11 @@ func TestLexTerminals(t *testing.T) {
 			[]TriplePattern{pat(x, TermElem(iri("age")), TermElem(dec("2.5"))), pat(x, TermElem(iri("name")), y)}},
 		{`SELECT ?x ?y WHERE { ?x <http://ex.org/name> ?y. }`,
 			[]TriplePattern{pat(x, TermElem(iri("name")), y)}},
+		{`SELECT ?ünï WHERE { ?ünï <http://ex.org/knows> ?名前. ?名前 <http://ex.org/name> ?a·b́ }`,
+			[]TriplePattern{
+				pat(VarElem("ünï"), TermElem(iri("knows")), VarElem("名前")),
+				pat(VarElem("名前"), TermElem(iri("name")), VarElem("a·b́")),
+			}},
 	} {
 		q, err := Parse(tc.text)
 		if err != nil {
@@ -205,6 +211,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT ?x WHERE { FILTER() ?x ?p ?o }",
 		"SELECT ?x WHERE { ?x ?p ?o } GROUP BY ?x",
 		"ASK { ?x ?p ?o } ORDER BY",
+		"SELECT ?x WHERE { ?x ?p ?× }", // U+00D7 is no PN_CHARS_BASE
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded", bad)

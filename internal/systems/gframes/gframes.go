@@ -195,7 +195,7 @@ func (e *Engine) predFreq(tp sparql.TriplePattern) int {
 	if tp.P.IsVar {
 		return 1 << 30
 	}
-	return e.data.Stats.PredicateCounts[tp.P.Term.Value]
+	return e.data.Stats.PredicateCounts[e.data.ID(tp.P.Term)]
 }
 
 // buildMotif translates ordered patterns into a GraphFrames motif.

@@ -39,7 +39,8 @@ type Engine struct {
 	// native[i] indexes the triples whose subject hashes to partition i,
 	// through the dataset's dictionary.
 	native []*rdf.Graph
-	// full[i] additionally contains replicated triples allocated to i.
+	// full[i] additionally contains replicated triples allocated to i;
+	// Allocate builds it, and it is nil until then.
 	full []*rdf.Graph
 	// coveredLinks records the link predicates the workload-aware
 	// allocation has replicated for (object-subject joins over them are
@@ -86,18 +87,13 @@ func (e *Engine) Load(triples []rdf.Triple) error {
 	e.parts = spark.Values(placed)
 
 	e.native = make([]*rdf.Graph, e.numParts)
-	e.full = make([]*rdf.Graph, e.numParts)
-	for i := 0; i < e.numParts; i++ {
-		// full starts as a copy of native; Allocate adds replicas.
+	for i := range e.native {
 		e.native[i] = rdf.NewGraphWithDictionary(nil, d.Dict)
-		e.full[i] = rdf.NewGraphWithDictionary(nil, d.Dict)
-		for _, enc := range e.parts.Partition(i) {
-			t := rdf.Triple{S: d.Term(enc.S), P: d.Term(enc.P), O: d.Term(enc.O)}
-			e.native[i].Add(t)
-			e.full[i].Add(t)
+		for _, t := range e.parts.Partition(i) {
+			e.native[i].Add(rdf.Triple{S: d.Term(t.S), P: d.Term(t.P), O: d.Term(t.O)})
 		}
 	}
-	e.coveredLinks = map[string]bool{}
+	e.full, e.coveredLinks = nil, map[string]bool{}
 	return nil
 }
 
@@ -141,19 +137,23 @@ func (e *Engine) Allocate(workloadQueries []*sparql.Query) {
 	// Replicate: for each link triple (s p o) with p covered, copy every
 	// triple with subject o into s's partition. The copies travel over
 	// the network once, which is metered as a shuffle-sized transfer.
+	d := e.data
+	if e.full == nil {
+		e.full = make([]*rdf.Graph, e.numParts)
+		for i, g := range e.native {
+			e.full[i] = rdf.NewGraphWithDictionary(g.Triples(), d.Dict)
+		}
+	}
 	replicas := 0
 	for i := 0; i < e.numParts; i++ {
-		for _, lt := range e.native[i].Triples() {
-			if !linkPreds[lt.P.Value] {
+		for _, lt := range e.parts.Partition(i) {
+			if !linkPreds[d.Term(lt.P).Value] {
 				continue
 			}
-			targetPart := e.subjectPartition(e.data.ID(lt.O))
-			for _, rt := range e.native[targetPart].Triples() {
-				if rt.S == lt.O && !e.full[i].Has(rt) {
-					e.full[i].Add(rt)
-					if targetPart != i {
-						replicas++
-					}
+			targetPart := e.subjectPartition(lt.O)
+			for _, rt := range e.native[targetPart].Encoded().WithSubject(lt.O) {
+				if e.full[i].Add(rdf.Triple{S: d.Term(rt.S), P: d.Term(rt.P), O: d.Term(rt.O)}) && targetPart != i {
+					replicas++
 				}
 			}
 		}
@@ -235,9 +235,9 @@ func (e *Engine) evalLocal(s *solutions.Schema, bgp sparql.BGP, nativeOnly bool,
 			return nil
 		}
 		i := part[0]
-		g := e.full[i]
-		if nativeOnly {
-			g = e.native[i]
+		g := e.native[i]
+		if !nativeOnly {
+			g = e.full[i]
 		}
 		sols, err := prep.RunSolutions(context.TODO(), g)
 		if err != nil {

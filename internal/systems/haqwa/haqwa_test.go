@@ -152,7 +152,7 @@ func TestDictionaryEncodingApplied(t *testing.T) {
 	if err := e.Load(triples); err != nil {
 		t.Fatal(err)
 	}
-	stats := rdf.ComputeStats(rdf.Dedupe(triples))
+	stats := rdf.NewGraph(triples).Stats()
 	// Dictionary must assign ids to every distinct term.
 	if e.data.Dict.Len() < stats.DistinctSubjects {
 		t.Fatalf("dictionary too small: %d", e.data.Dict.Len())

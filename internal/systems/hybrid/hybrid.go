@@ -147,7 +147,7 @@ func (e *Engine) estimate(tp sparql.TriplePattern) int {
 	stats := &e.data.Stats
 	var card int
 	if !tp.P.IsVar {
-		card = stats.PredicateCounts[tp.P.Term.Value]
+		card = stats.PredicateCounts[e.data.ID(tp.P.Term)]
 	} else {
 		card = stats.Triples
 	}

@@ -24,14 +24,14 @@ func sampleTriples() []rdf.Triple {
 
 // Encode keeps the distinct triples in first-occurrence order, numbers
 // terms in the order they first appear, renders each term once, and
-// computes the statistics term-space ComputeStats does.
+// computes the statistics a term-space count gives.
 func TestEncode(t *testing.T) {
 	ts := sampleTriples()
 	d, err := Encode(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	distinct := rdf.Dedupe(ts)
+	distinct := rdf.NewGraph(ts).Triples()
 	if len(d.Triples) != len(distinct) {
 		t.Fatalf("%d triples, want %d", len(d.Triples), len(distinct))
 	}
@@ -41,7 +41,14 @@ func TestEncode(t *testing.T) {
 			t.Fatalf("triple %d decodes to %v, want %v", i, got, distinct[i])
 		}
 	}
-	if want := rdf.ComputeStats(distinct); !reflect.DeepEqual(d.Stats, want) {
+	subjects, objects := map[rdf.Term]bool{}, map[rdf.Term]bool{}
+	want := rdf.Stats{Triples: len(distinct), PredicateCounts: map[rdf.TermID]int{}}
+	for _, tr := range distinct {
+		subjects[tr.S], objects[tr.O] = true, true
+		want.PredicateCounts[d.ID(tr.P)]++
+	}
+	want.DistinctSubjects, want.DistinctPredicates, want.DistinctObjects = len(subjects), len(want.PredicateCounts), len(objects)
+	if !reflect.DeepEqual(d.Stats, want) {
 		t.Fatalf("stats %+v, want %+v", d.Stats, want)
 	}
 	if id := d.ID(ts[0].S); id != 0 {

@@ -189,7 +189,7 @@ func (e *Engine) reorder(tps []sparql.TriplePattern) []sparql.TriplePattern {
 	est := func(tp sparql.TriplePattern) float64 {
 		var card float64
 		if !tp.P.IsVar {
-			card = float64(stats.PredicateCounts[tp.P.Term.Value])
+			card = float64(stats.PredicateCounts[e.data.ID(tp.P.Term)])
 		} else {
 			card = float64(stats.Triples)
 		}

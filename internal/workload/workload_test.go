@@ -26,15 +26,14 @@ func TestGenerateUniversityWellFormed(t *testing.T) {
 			t.Fatalf("invalid triple %v: %v", tr, err)
 		}
 	}
-	stats := rdf.ComputeStats(ts)
-	if stats.DistinctPredicates < 8 {
+	g := rdf.NewGraph(ts)
+	if stats := g.Stats(); stats.DistinctPredicates < 8 {
 		t.Fatalf("too few predicates: %d", stats.DistinctPredicates)
 	}
 	// Every student must have a type triple.
-	g := rdf.NewGraph(ts)
 	students := 0
-	for _, tr := range g.WithPredicate(rdf.RDFType) {
-		if tr.O == ClassStudent {
+	for _, tr := range g.Triples() {
+		if tr.P == rdf.NewIRI(rdf.RDFType) && tr.O == ClassStudent {
 			students++
 		}
 	}
@@ -64,12 +63,15 @@ func TestGenerateShopDeterministicAndValid(t *testing.T) {
 			t.Fatalf("invalid triple %v: %v", tr, err)
 		}
 	}
-	g := rdf.NewGraph(a)
-	if len(g.WithPredicate(ShopFollows.Value)) == 0 {
+	perPredicate := map[rdf.Term]int{}
+	for _, tr := range rdf.NewGraph(a).Triples() {
+		perPredicate[tr.P]++
+	}
+	if perPredicate[ShopFollows] == 0 {
 		t.Fatal("no follows edges")
 	}
-	if len(g.WithPredicate(ShopPrice.Value)) != SmallShop().Products {
-		t.Fatalf("price triples = %d", len(g.WithPredicate(ShopPrice.Value)))
+	if perPredicate[ShopPrice] != SmallShop().Products {
+		t.Fatalf("price triples = %d", perPredicate[ShopPrice])
 	}
 }
 
