@@ -130,7 +130,10 @@
 //     result rows), then emitting in left-major order. OPTIONAL is the
 //     same body keeping the left rows nothing matched. The table's
 //     int32 links and cursors fail with a typed *rdf.CapacityError past
-//     2³¹−1 build or output rows instead of wrapping. Sides sharing no
+//     2³¹−1 build or output rows instead of wrapping; so does a BGP's
+//     row batch, whose index is the upper half of the bind join's merge
+//     key (maxBindRows) — on one graph too, which runs that bind join
+//     over its one view. Sides sharing no
 //     slots (cartesian) or only partially bound on the key fall back to
 //     the nested loop, which stays the semantic baseline.
 //     Allocation-regression tests pin all of these invariants.
@@ -152,8 +155,9 @@
 //     that can never be cancelled costs the hot loops one nil check.
 //   - Prepared memoizes, per BGP, the compiled patterns (constants
 //     resolved to dictionary ids, selectivity-ordered) for one
-//     snapshot, identified by (EncodedView pointer, triple count) or
-//     by the shard set:
+//     snapshot, identified by the set's first EncodedView pointer and
+//     its triple count (a graph is wrapped anew on every run, its view
+//     is not):
 //     re-running on an unchanged graph skips constant encoding,
 //     estimation, and join ordering; an Add invalidates by changing
 //     the count. Published plans are immutable and shared lock-free by
@@ -162,9 +166,9 @@
 //
 // # Parallelism
 //
-// A Run on one graph is serial: it evaluates on the calling goroutine,
-// and the server gets its concurrency from running queries side by
-// side. Parallelism inside a query means shard fan-out — the surveyed
+// A Run on one graph is serial: it evaluates on the calling goroutine
+// (route local: the bind join over the graph's one view, below), and
+// the server gets its concurrency from running queries side by side. Parallelism inside a query means shard fan-out — the surveyed
 // systems get theirs from Spark's partitions — and that is all
 // sparql.WithParallelism (server.Config.QueryParallelism) sets: how
 // many shards one shard operation runs on at once (Sharded execution,
@@ -198,8 +202,12 @@
 // hands it an N-Triples file through rdf.ReadNTriples) and encodes and
 // deduplicates each as it arrives, and the strategy places the encoded
 // triples, hashing a term once per TermID — no []rdf.Triple of the
-// dataset is ever built. The distributed executor
-// (sparql.RunSharded) routes each prepared query by placement, and on
+// dataset is ever built. The executor (sparql.RunSharded) is the one
+// BGP evaluator: one graph is its one-shard case — Run wraps the
+// graph's view as sparql.GraphSet, whose route "local" is the bind
+// join below over one view, serial, with no fault points, no shard
+// report and the single-graph span names (bgp, seed_scan, match). It
+// routes each prepared query by placement, and on
 // both routes moves bindings to the data, never relations to a join —
 // the survey's verdict on distributed BGP evaluation (S2RDF's ExtVP,
 // SPARQLGX's and the hybrid engine's broadcast-vs-partitioned choice,
@@ -224,7 +232,7 @@
 // one uint64, ascending. The driver k-way merges the shards' runs on
 // that key. A triple lives on exactly one shard and positions ascend
 // within any index range of a view, so the merged sequence is, row for
-// row, what the single-graph loop "for each row, match the pattern"
+// row, what one view's pass "for each row, match the pattern"
 // emits: determinism by construction. No pattern's match set is ever
 // materialized and no join runs inside a BGP; the id-space hash join
 // remains above it, for OPTIONAL, groups and UNION, with FILTER and
@@ -232,16 +240,18 @@
 // ASK) reaches the last pattern of a sole BGP as on one graph: each
 // shard's run is a subsequence of the merged order, so a shard stops
 // at its own max-th row. A batch past the key's 31-bit row index fails
-// with a typed *rdf.CapacityError. At WithParallelism > 1 the shards of
-// one operation run concurrently, the driver itself taking the last, so
-// an operation that pruning leaves one shard for starts no goroutine.
+// with a typed *rdf.CapacityError, on one graph as on a shard set. An
+// operation pruning leaves one shard for — and every operation on one
+// graph — runs on the driver, builds no merge keys and merges nothing:
+// its run is the answer. At WithParallelism > 1 the shards of a wider
+// operation run concurrently, the driver itself taking the last.
 // What this stage does not do: a shard still receives every row of the
 // batch, including rows whose subject lives elsewhere; routing rows by
 // the placement function is ROADMAP item 3's next stage.
 //
 // Shards whose indexes cannot contribute a candidate to a pattern are
 // pruned unscanned (the vertical/semantic payoff), reported through
-// ExplainShards and the /stats sharding block. Determinism contract:
+// ShardStats and the /stats sharding block. Determinism contract:
 // shards preserve dataset insertion order, every triple's global
 // position is the low half of the merge key — an int32 column each
 // shard view stores beside its triples in every order it keeps them,
@@ -250,7 +260,7 @@
 // invariant) — and the plan compiles from the summed global statistics
 // — so sharded output is byte-identical (rows and order) to the serial
 // single-graph run at any shard count, replica count and fan-out width
-// (the WithParallelism axis: it exists on sharded runs only), pinned by
+// (the WithParallelism axis: it exists on shard sets only), pinned by
 // the cross-strategy determinism suite under the race detector and by
 // TestShardedMatchesReferenceProperty (internal/shard), which holds
 // generated queries on generated graphs to the single graph as a
@@ -286,8 +296,10 @@
 // footprint is ≈ 150 B/triple (dictionary included), pinned at ≤ 256 by
 // TestStoreFootprintPin and BenchmarkStoreBuild in CI.
 //
-// The server itself holds one such read-only rdf.Graph (or one
-// shard.ShardedGraph), an LRU plan cache keyed by exact query
+// The server itself holds one read-only sparql.ShardSet — one graph's
+// GraphSet, or a shard.ShardedGraph's set (whose graph it keeps only
+// for the /stats sharding block) — behind one constructor body that
+// server.New and server.NewSharded wrap, an LRU plan cache keyed by exact query
 // text (a hit returns the shared Prepared and skips parse + compile
 // entirely — BenchmarkServeCachedQuery measures the gap), a bounded
 // worker pool whose admission queue charges waiting time against the

@@ -16,9 +16,7 @@ import (
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw := &obs.MetricsWriter{}
 	s.reg.WriteMetrics(mw)
-	if s.shards != nil {
-		s.writeReplicaMetrics(mw)
-	}
+	s.writeReplicaMetrics(mw)
 	s.writeShapeMetrics(mw)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(mw.Bytes())
@@ -30,7 +28,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // {shard,replica}. Until this PR replica health was visible only in
 // /stats JSON — a metrics scraper could not alert on a stuck breaker.
 func (s *Server) writeReplicaMetrics(mw *obs.MetricsWriter) {
-	h := s.shards.Set().Health
+	h := s.set.Health
 	if h == nil {
 		return
 	}

@@ -162,7 +162,9 @@ func (c Config) withDefaults() Config {
 // Handler (or the Server itself) on an http.Server, and keep the graph
 // read-only for the server's lifetime.
 type Server struct {
-	graph *rdf.Graph
+	// set is the backend every query runs over: one graph's GraphSet, or
+	// a sharded graph's set (pushdown or scatter-gather).
+	set   *sparql.ShardSet
 	cfg   Config
 	cache *planCache
 	sem   chan struct{}
@@ -174,10 +176,8 @@ type Server struct {
 	m   metrics
 	reg obs.Registry
 
-	// shards, when set, is the sharded backend: queries execute over
-	// the shard set through the distributed evaluator (pushdown or
-	// scatter-gather), and /stats gains a sharding block. graph is nil
-	// then.
+	// shards, on a sharded backend, is the graph set came from; /stats
+	// and /metrics render its sharding block.
 	shards *shard.ShardedGraph
 
 	// admit is the cost-aware admission controller (admit.go); nil
@@ -206,9 +206,27 @@ type Server struct {
 	started time.Time
 }
 
-func newServer(cfg Config) *Server {
+// New builds a server answering queries over g with the reference
+// evaluator. The graph's encoded view and statistics are warmed
+// eagerly (GraphSet) so the first request pays no lazy-initialization
+// cost and the shared structures are immutable from here on.
+func New(g *rdf.Graph, cfg Config) *Server { return newServer(sparql.GraphSet(g), nil, cfg) }
+
+// NewSharded builds a server answering queries over a sharded graph
+// with the distributed evaluator: subject-star queries push down whole
+// to subject-co-located shards, everything else runs scatter-gather
+// with shard pruning, and results are byte-identical to single-graph
+// serving. The ShardedGraph is warmed at build time and must stay
+// read-only for the server's lifetime.
+func NewSharded(sg *shard.ShardedGraph, cfg Config) *Server { return newServer(sg.Set(), sg, cfg) }
+
+// newServer is the one constructor body: the server over set, with sg
+// the sharded graph set came from (nil for one graph).
+func newServer(set *sparql.ShardSet, sg *shard.ShardedGraph, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
+		set:     set,
+		shards:  sg,
 		cfg:     cfg,
 		cache:   newPlanCache(cfg.PlanCacheSize),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
@@ -235,58 +253,18 @@ func newServer(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/queries/", s.handleDebugQueries)
 	s.mux.HandleFunc("/debug/shapes", s.handleDebugShapes)
 	s.mux.HandleFunc("/debug/dash", s.handleDebugDash)
-	return s
-}
-
-// resolveCostThreshold fixes the expensive-query bound once the
-// backend (and with it the dataset size) is known: an explicit
-// configuration wins, the default is 4× the triple count — a connected
-// query's estimate is bounded by its scans' candidate sums, so only
-// cartesian-shaped plans clear it — and a negative setting disables
-// cost-aware admission.
-func (s *Server) resolveCostThreshold() {
+	// The expensive-query bound: an explicit configuration wins, the
+	// default is 4× the triple count — a connected query's estimate is
+	// bounded by its scans' candidate sums, so only cartesian-shaped
+	// plans clear it — and a negative setting disables cost-aware
+	// admission.
 	switch {
-	case s.cfg.CostShedThreshold > 0:
-		s.costThreshold = s.cfg.CostShedThreshold
-	case s.cfg.CostShedThreshold < 0:
-		s.costThreshold = 0
-	default:
-		n := 0
-		if s.shards != nil {
-			n = s.shards.Len()
-		} else if s.graph != nil {
-			n = s.graph.Len()
-		}
-		s.costThreshold = 4 * int64(n)
+	case cfg.CostShedThreshold > 0:
+		s.costThreshold = cfg.CostShedThreshold
+	case cfg.CostShedThreshold == 0:
+		s.costThreshold = 4 * int64(set.Stats.Triples)
 	}
-}
-
-// New builds a server answering queries over g with the reference
-// evaluator. The graph's encoded view and statistics are warmed
-// eagerly so the first request pays no lazy-initialization cost and
-// the shared structures are immutable from here on.
-func New(g *rdf.Graph, cfg Config) *Server {
-	g.Encoded()
-	g.Stats()
-	s := newServer(cfg)
-	s.graph = g
-	s.resolveCostThreshold()
-	s.newTermTables(g.Encoded().Dict().Len(), g.Len())
-	s.declareMetrics()
-	return s
-}
-
-// NewSharded builds a server answering queries over a sharded graph
-// with the distributed evaluator: subject-star queries push down whole
-// to subject-co-located shards, everything else runs scatter-gather
-// with shard pruning, and results are byte-identical to single-graph
-// serving. The ShardedGraph is warmed at build time and must stay
-// read-only for the server's lifetime.
-func NewSharded(sg *shard.ShardedGraph, cfg Config) *Server {
-	s := newServer(cfg)
-	s.shards = sg
-	s.resolveCostThreshold()
-	s.newTermTables(sg.Dict().Len(), sg.Len())
+	s.newTermTables(set.Dict.Len(), set.Stats.Triples)
 	s.declareMetrics()
 	return s
 }
@@ -540,7 +518,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if s.admit != nil {
 		expensive := false
 		if s.costThreshold > 0 {
-			expensive = s.estimateCost(prep) >= s.costThreshold
+			expensive = prep.EstimateCostSharded(s.set) >= s.costThreshold
 		}
 		if s.admit.shed(int(s.admit.waiting.Add(1)), expensive) {
 			s.admit.waiting.Add(-1)
@@ -731,61 +709,41 @@ type runInfo struct {
 	bytes           int64 // bytes charged against the memory budget
 }
 
-// estimateCost returns the planner's work estimate for prep against
-// the configured backend (memoized per Prepared).
-func (s *Server) estimateCost(prep *sparql.Prepared) int64 {
-	if s.shards != nil {
-		return prep.EstimateCostSharded(s.shards.Set())
-	}
-	if s.graph != nil {
-		return prep.EstimateCost(s.graph)
-	}
-	return 0
-}
-
-// eval dispatches one query to the configured backend, armed with the
-// server's per-query memory budget and, when tr is non-nil, execution
-// tracing; a sharded backend also gets its fan-out width and hedging.
+// eval runs one query over the backend, armed with the server's
+// per-query memory budget, fan-out width and hedging (both inert on one
+// graph) and, when tr is non-nil, execution tracing. One graph reports
+// route "local".
 func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*sparql.Solutions, runInfo, error) {
-	var rs sparql.RunStats
-	opts := []sparql.RunOption{sparql.WithRunStats(&rs)}
+	var rep struct { // the run's reports, one allocation for the three
+		rs sparql.RunStats
+		st sparql.ShardStats
+		fs sparql.FaultStats
+	}
+	rs, st, fs := &rep.rs, &rep.st, &rep.fs
+	opts := []sparql.RunOption{sparql.WithRunStats(rs), sparql.WithParallelism(s.cfg.QueryParallelism),
+		sparql.WithShardStats(st), sparql.WithFaultStats(fs)}
 	if s.cfg.MaxQueryBytes != 0 {
 		opts = append(opts, sparql.WithMemoryBudget(s.cfg.MaxQueryBytes))
 	}
 	if tr != nil {
 		opts = append(opts, sparql.WithTrace(tr))
 	}
-	if s.shards != nil {
-		if d := s.cfg.HedgeDelay; d > 0 {
-			opts = append(opts, sparql.WithHedge(sparql.HedgePolicy{Delay: d}))
-		}
-		var st sparql.ShardStats
-		var fs sparql.FaultStats
-		opts = append(opts, sparql.WithParallelism(s.cfg.QueryParallelism),
-			sparql.WithShardStats(&st), sparql.WithFaultStats(&fs))
-		sol, err := prep.RunShardedSolutions(ctx, s.shards.Set(), opts...)
-		s.m.observeRun(rs, st, fs)
-		return sol, runInfo{
-			route: string(st.Route), shards: st.Shards, touched: st.ShardsTouched,
-			hedges: fs.Hedges, bytes: rs.BytesCharged,
-		}, err
+	if d := s.cfg.HedgeDelay; d > 0 {
+		opts = append(opts, sparql.WithHedge(sparql.HedgePolicy{Delay: d}))
 	}
-	sol, err := prep.RunSolutions(ctx, s.graph, opts...)
-	s.m.observeRun(rs, sparql.ShardStats{}, sparql.FaultStats{})
-	return sol, runInfo{route: "local", bytes: rs.BytesCharged}, err
+	sol, err := prep.RunShardedSolutions(ctx, s.set, opts...)
+	s.m.observeRun(*rs, *st, *fs)
+	return sol, runInfo{
+		route: string(st.Route), shards: st.Shards, touched: st.ShardsTouched,
+		hedges: fs.Hedges, bytes: rs.BytesCharged,
+	}, err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	triples := 0
-	if s.shards != nil {
-		triples = s.shards.Len()
-	} else if s.graph != nil {
-		triples = s.graph.Len()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"status":         "ok",
-		"triples":        triples,
+		"triples":        s.set.Stats.Triples,
 		"uptime_seconds": int(time.Since(s.started).Seconds()),
 	})
 }
@@ -797,7 +755,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if sg := s.shards; sg != nil {
 		obs.SetPath(body, "sharding.partition", sg.Strategy())
 		obs.SetPath(body, "sharding.subject_colocated", sg.SubjectColocated())
-		if h := sg.Set().Health; h != nil {
+		if h := s.set.Health; h != nil {
 			obs.SetPath(body, "faults.breaker_trips", h.Trips())
 			obs.SetPath(body, "faults.breakers", h.Snapshot())
 		}

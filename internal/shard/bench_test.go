@@ -75,10 +75,11 @@ func BenchmarkShardedStar(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if route := sp.ExplainShards().Route; route != sparql.RoutePushdown {
-		b.Fatalf("star query routed %s, want pushdown", route)
-	}
 	ctx := context.Background()
+	var st sparql.ShardStats
+	if _, err := sp.Run(ctx, sparql.WithShardStats(&st)); err != nil || st.Route != sparql.RoutePushdown {
+		b.Fatalf("star query routed %s (%v), want pushdown", st.Route, err)
+	}
 	b.Run("pushdown", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -129,8 +130,9 @@ func BenchmarkShardedLinear(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if route := sp.ExplainShards().Route; route != sparql.RouteScatter {
-			b.Fatalf("%s routed %s, want scatter-gather", text, route)
+		var st sparql.ShardStats
+		if _, err := sp.Run(ctx, sparql.WithShardStats(&st)); err != nil || st.Route != sparql.RouteScatter {
+			b.Fatalf("%s routed %s (%v), want scatter-gather", text, st.Route, err)
 		}
 		prep, err := sparql.Prepare(text)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
@@ -13,17 +14,21 @@ import (
 	"repro/internal/fault"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/systems/systemstest"
+	"repro/internal/workload"
 )
 
 // TestChaosDeterminism is the fault-tolerance acceptance suite: for
-// every workload query, across placement strategies, shard counts, and
+// every workload query, and for eight BGP+ queries of the engines'
+// N-version sweep over its random dataset (systemstest; CHAOS_SEED
+// picks the seed), across placement strategies, shard counts, and
 // replica counts, a run with one replica of every shard failed and
 // latency injected on every scatter attempt must return byte-identical
 // results to a clean single-graph run. Failover must be invisible in
 // the output and visible in the fault counters.
 func TestChaosDeterminism(t *testing.T) {
 	ctx := context.Background()
-	for _, ds := range datasets() {
+	for _, ds := range append(datasets(), randomDataset(chaosSeed(t))) {
 		g := rdf.NewGraph(ds.triples)
 		want := make(map[string]*sparql.Results, len(ds.queries))
 		for _, nq := range ds.queries {
@@ -84,14 +89,7 @@ func TestChaosDeterminism(t *testing.T) {
 // still produce byte-identical results. Sixteen attempts per shard op
 // put the all-fail probability around 1e-10 per op.
 func TestChaosTransientSeeds(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
-		}
-		seed = v
-	}
+	seed := chaosSeed(t)
 	ctx := context.Background()
 	ds := datasets()[0]
 	g := rdf.NewGraph(ds.triples)
@@ -122,6 +120,16 @@ func TestChaosTransientSeeds(t *testing.T) {
 		}
 		mustEqualResults(t, want, got)
 	}
+}
+
+// randomDataset is seed's random dataset of the engines' N-version
+// sweep (systemstest.RandomDataset) with eight of its BGP+ queries.
+func randomDataset(seed int64) dataset {
+	ds := dataset{name: fmt.Sprintf("random-%d", seed), triples: systemstest.RandomDataset(seed)}
+	for i, text := range systemstest.RandomQueries(rand.New(rand.NewSource(seed)), 8, true) {
+		ds.queries = append(ds.queries, workload.NamedQuery{Name: fmt.Sprintf("random-%d", i), Text: text})
+	}
+	return ds
 }
 
 // chaosSeed returns the seed for seeded chaos plans, overridable via

@@ -271,10 +271,3 @@ func (p *Prepared) Run(ctx context.Context, opts ...sparql.RunOption) (*sparql.R
 func (p *Prepared) RunSolutions(ctx context.Context, opts ...sparql.RunOption) (*sparql.Solutions, error) {
 	return p.prep.RunShardedSolutions(ctx, p.sg.set, opts...)
 }
-
-// ExplainShards reports, without executing, which route the query
-// takes (pushdown vs scatter-gather) and how many shards its constants
-// can touch — the placement payoff made visible.
-func (p *Prepared) ExplainShards() sparql.ShardExplain {
-	return p.prep.ExplainSharded(p.sg.set)
-}

@@ -168,22 +168,15 @@ func satMul(a, b int64) int64 {
 // nested-loop cartesian fallback) scores as the product it would
 // produce, while a connected query scores as the sum of its scans.
 // Groups fold the same way: parts sharing no variables multiply.
-// The estimate is cached per graph snapshot alongside the plan memo.
-func (p *Prepared) EstimateCost(g *rdf.Graph) int64 { return p.estimateCost(g, nil) }
+// The estimate is cached per snapshot alongside the plan memo.
+func (p *Prepared) EstimateCost(g *rdf.Graph) int64 { return p.EstimateCostSharded(GraphSet(g)) }
 
 // EstimateCostSharded is EstimateCost against a shard set: constants
 // resolve through the shared dictionary and cardinalities sum across
 // shards, so the estimate equals the single-graph estimate over the
 // equivalent unsharded dataset.
-func (p *Prepared) EstimateCostSharded(ss *ShardSet) int64 { return p.estimateCost(nil, ss) }
-
-// estimateCost estimates against g, or against ss when it is non-nil.
-func (p *Prepared) estimateCost(g *rdf.Graph, ss *ShardSet) int64 {
-	var view *rdf.EncodedView
-	if ss == nil {
-		view = g.Encoded()
-	}
-	snap := snapshotOf(view, ss)
+func (p *Prepared) EstimateCostSharded(ss *ShardSet) int64 {
+	snap := snapshotOf(ss)
 	p.mu.Lock()
 	if p.costSnap == snap {
 		c := p.costVal
@@ -191,12 +184,7 @@ func (p *Prepared) estimateCost(g *rdf.Graph, ss *ShardSet) int64 {
 		return c
 	}
 	p.mu.Unlock()
-	env := &evalEnv{view: view, ss: ss, slots: p.slots, vars: p.vars}
-	if ss != nil {
-		env.stats = ss.Stats
-	} else {
-		env.stats = g.Stats()
-	}
+	env := &evalEnv{ss: ss, slots: p.slots, vars: p.vars, stats: ss.Stats}
 	c := costOfPattern(p.q.Where, len(p.vars), env.compilePattern)
 	p.mu.Lock()
 	p.costSnap, p.costVal = snap, c

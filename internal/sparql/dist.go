@@ -16,11 +16,12 @@ import (
 	"repro/internal/rdf"
 )
 
-// Distributed (sharded) evaluation. A dataset split into N shard views
-// around one shared dictionary (rdf.NewPositionedView) executes
-// prepared queries through (*Prepared).RunSharded exactly as a single
-// graph would — byte-identical rows and order — because every merge
-// happens in id space under two invariants:
+// The executor. Every run evaluates over a ShardSet: a dataset split
+// into N shard views around one shared dictionary
+// (rdf.NewPositionedView), or one graph as the set of its one view
+// (GraphSet). A sharded run returns exactly what the run over the
+// equivalent single graph returns — byte-identical rows and order —
+// because every merge happens in id space under two invariants:
 //
 //   - Shared dictionary: a TermID means the same term on every shard,
 //     so rows from different shards merge, join, deduplicate, and sort
@@ -39,6 +40,9 @@ import (
 //     reproduces the exact order in which a single-graph evaluation
 //     extends its rows. The columns cost 4 B × 4 orders per triple at
 //     any replica count: every replica of a shard reads the one view.
+//     A shard operation builds keys only when more than one shard takes
+//     part in it: one shard's run is already in order, so a graph's
+//     view carries no column at all.
 //
 // Two routes move bindings to the data, the way the survey says real
 // systems should (doc.go, "Sharded execution", has the prose):
@@ -53,20 +57,23 @@ import (
 //     probing its own view for the whole batch in one operation; no
 //     match set is gathered, nothing is joined inside a BGP, and
 //     OPTIONAL / UNION / FILTER and the modifiers run unchanged above.
+//     A graph (RouteLocal) is the one-shard case of it: the batch goes
+//     to its one view on the calling goroutine.
 //
 // Both prune shards that cannot contribute: a shard whose indexes hold
 // no candidates for a pattern (the vertical / semantic payoff) is
-// skipped unscanned and reported through ShardStats / ShardExplain.
+// skipped unscanned and reported through ShardStats.
 
-// ShardSet describes a sharded dataset to the distributed executor. It
-// is immutable once built (shard graphs must not be mutated), and safe
-// for unlimited concurrent RunSharded calls.
+// ShardSet describes a dataset to the executor: a sharded one, or one
+// graph (GraphSet). It is immutable once built (shard graphs must not
+// be mutated), and safe for unlimited concurrent runs.
 type ShardSet struct {
 	// Dict is the dictionary every shard encodes through.
 	Dict *rdf.Dictionary
-	// Views are the per-shard encoded views. Each carries its triples'
-	// global positions (rdf.NewPositionedView) — the merge key for
-	// deterministic gathers, read beside the triples a scan walks.
+	// Views are the per-shard encoded views. On more than one shard each
+	// carries its triples' global positions (rdf.NewPositionedView) —
+	// the merge key for deterministic gathers, read beside the triples a
+	// scan walks.
 	Views []*rdf.EncodedView
 	// Stats are the whole dataset's statistics: with them the
 	// distributed planner reproduces the single-graph plan exactly
@@ -88,23 +95,38 @@ type ShardSet struct {
 	// index order). It is the set's only mutable field and is
 	// internally synchronized.
 	Health *ReplicaHealth
+
+	// local marks a graph's own set (GraphSet): its runs take
+	// RouteLocal.
+	local bool
 }
 
-// ShardRoute identifies how the distributed executor ran a query.
+// GraphSet is g as the set its runs evaluate over: g's encoded view as
+// the one shard, under g's dictionary and statistics. Its runs take
+// RouteLocal — the bind join on the calling goroutine, with no fault
+// points, no shard report and the single-graph trace. Build it after
+// g's last Add.
+func GraphSet(g *rdf.Graph) *ShardSet {
+	view := g.Encoded()
+	return &ShardSet{Dict: view.Dict(), Views: []*rdf.EncodedView{view}, Stats: g.Stats(), local: true}
+}
+
+// ShardRoute identifies how the executor ran a query.
 type ShardRoute string
 
-// The two execution routes.
+// The three execution routes.
 const (
+	RouteLocal    ShardRoute = "local"
 	RoutePushdown ShardRoute = "pushdown"
 	RouteScatter  ShardRoute = "scatter-gather"
 )
 
-// ShardStats reports how one sharded run executed. Request it with
+// ShardStats reports how one run executed. Request it with
 // WithShardStats.
 type ShardStats struct {
 	// Route is the route the query took.
 	Route ShardRoute
-	// Shards is the number of shards in the set.
+	// Shards is the number of shards in the set (0 on a graph).
 	Shards int
 	// ShardsTouched counts the shards the run actually scanned.
 	ShardsTouched int
@@ -112,23 +134,12 @@ type ShardStats struct {
 	// could not contribute a candidate (Shards - ShardsTouched).
 	ShardsPruned int
 	// ScatterPatterns counts the triple patterns whose row batches were
-	// shipped to the shards (0 on the pushdown route).
+	// shipped to the shards (0 on the pushdown route and on a graph).
 	ScatterPatterns int
 }
 
-// ShardExplain reports, without executing, how a prepared query would
-// run over a shard set.
-type ShardExplain struct {
-	Route         ShardRoute
-	Shards        int
-	ShardsTouched int
-	ShardsPruned  int
-	// Patterns is the number of triple patterns in the query.
-	Patterns int
-}
-
-// WithShardStats makes a sharded run fill st with its execution report
-// just before returning. Ignored by non-sharded runs.
+// WithShardStats makes a run fill st with its execution report just
+// before returning. A run on a graph reports RouteLocal and no shards.
 func WithShardStats(st *ShardStats) RunOption {
 	return func(o *runOpts) { o.shardStats = st }
 }
@@ -152,7 +163,8 @@ func (p *Prepared) RunSharded(ctx context.Context, ss *ShardSet, opts ...RunOpti
 
 // RunShardedSolutions is RunSharded positioned for streaming, mirroring
 // (*Prepared).RunSolutions: SELECT rows stay in id space with terms
-// decoded on access.
+// decoded on access. It is the one body every run shares: evaluate the
+// WHERE pattern, then the answer tail (solutions).
 func (p *Prepared) RunShardedSolutions(ctx context.Context, ss *ShardSet, opts ...RunOption) (*Solutions, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -160,102 +172,40 @@ func (p *Prepared) RunShardedSolutions(ctx context.Context, ss *ShardSet, opts .
 		}
 	}
 	ro := resolveRunOpts(opts)
-	d := p.newDistEnv(ctx, ss, &ro)
-	defer ro.captureShard(d)
-	return p.solutionsFromEnv(d.env, &ro)
-}
-
-// ExplainSharded reports, without executing, which route the query
-// would take over the shard set and how many shards its pattern
-// constants can touch. The same candidate peeks drive the report and
-// the executor's pruning, so the prediction is an upper bound on a
-// subsequent run's touched shards: a run touches exactly these shards
-// unless an intermediate result empties early, in which case it stops
-// scattering and touches fewer.
-func (p *Prepared) ExplainSharded(ss *ShardSet) ShardExplain {
-	d := p.newDistEnv(nil, ss, &runOpts{parallelism: 1})
-	ex := ShardExplain{Route: d.route, Shards: len(ss.Views)}
-	touched := make([]bool, len(ss.Views))
-	var walk func(GraphPattern)
-	walk = func(gp GraphPattern) {
-		switch n := gp.(type) {
-		case BGP:
-			cps := d.env.planFor(n)
-			ex.Patterns += len(cps)
-			for s, view := range ss.Views {
-				if d.route == RoutePushdown {
-					if shardCovers(view, cps) {
-						touched[s] = true
-					}
-					continue
-				}
-				for i := range cps {
-					if viewCandidateCount(view, &cps[i]) > 0 {
-						touched[s] = true
-						break
-					}
-				}
-			}
-		case Group:
-			for _, part := range n.Parts {
-				walk(part)
-			}
-		case Filter:
-			walk(n.Inner)
-		case Optional:
-			walk(n.Left)
-			walk(n.Right)
-		case Union:
-			walk(n.Left)
-			walk(n.Right)
-		}
+	env := p.newEnv(ctx, ss, &ro)
+	defer ro.capture(env)
+	rows, err := env.evalPattern(p.q.Where)
+	if err != nil {
+		return nil, err
 	}
-	walk(p.q.Where)
-	for _, t := range touched {
-		if t {
-			ex.ShardsTouched++
-		}
-	}
-	ex.ShardsPruned = ex.Shards - ex.ShardsTouched
-	return ex
+	return env.solutions(p.q, rows)
 }
 
-// distEnv is the driver state of one sharded run: the global evaluation
-// environment (slot table, shared-dictionary term snapshot, global
-// statistics, join arena) plus the shard set and the routing/pruning
-// bookkeeping.
-type distEnv struct {
-	env     *evalEnv
-	ss      *ShardSet
-	route   ShardRoute
-	touched []bool // shard s contributed at least one candidate scan
-	scatter int    // patterns scattered across shards
-
-	// Fault handling (replica.go): the run's injection plan (nil
-	// outside chaos runs) and the shard-op retry policy.
-	plan  *fault.Plan
-	retry RetryPolicy
-
-	// Tail-latency defense (health.go): > 0 arms hedged shard ops.
-	hedgeDelay time.Duration
-}
-
-// newDistEnv builds the driver environment of one sharded run. The
-// global env carries no view — every index scan happens on a shard —
-// but shares the query's slot table and the full dictionary snapshot,
-// and routes BGP evaluation through the shard hook, so joins, filters
-// and the whole answer tail run the single-graph code unchanged (a
-// DESCRIBE reads its subjects' triples off every shard: subjectTriples).
-func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *distEnv {
+// newEnv builds the environment of one run over ss: the query's slot
+// table, the set's dictionary snapshot and statistics, its route, and
+// the run's options. Every index scan happens on a shard view; the
+// joins, filters and the whole answer tail run above the BGPs on the
+// calling goroutine (a DESCRIBE reads its subjects' triples off every
+// shard: subjectTriples). A context that can never be cancelled
+// (Done() == nil, e.g. context.Background()) costs the hot loops
+// nothing.
+func (p *Prepared) newEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *evalEnv {
 	env := &evalEnv{
-		ss:        ss,
-		dict:      ss.Dict,
-		terms:     ss.Dict.Terms(),
-		slots:     p.slots,
-		vars:      p.vars,
-		stats:     ss.Stats,
-		limitHint: p.limitHint,
-		prep:      p,
+		ss:         ss,
+		view:       ss.Views[0],
+		dict:       ss.Dict,
+		terms:      ss.Dict.Terms(),
+		slots:      p.slots,
+		vars:       p.vars,
+		stats:      ss.Stats,
+		limitHint:  p.limitHint,
+		prep:       p,
+		route:      p.shardRoute(ss, ro.forceScatter),
+		retry:      ro.retry.withDefaults(),
+		hedgeDelay: ro.hedgeDelay,
+	}
+	if env.route != RouteLocal {
+		env.touched = make([]bool, len(ss.Views))
 	}
 	env.ftally = &env.tally
 	// Read the fault plan off the raw context: chaos plans also ride
@@ -265,24 +215,18 @@ func (p *Prepared) newDistEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *d
 		env.ctx = ctx
 	}
 	env.configure(ro)
-	d := &distEnv{
-		env:        env,
-		ss:         ss,
-		touched:    make([]bool, len(ss.Views)),
-		plan:       env.fplan,
-		retry:      ro.retry.withDefaults(),
-		hedgeDelay: ro.hedgeDelay,
-	}
-	d.route = p.shardRoute(ss, ro.forceScatter)
-	env.bgp = d.evalBGP
-	return d
+	return env
 }
 
-// shardRoute picks the execution route: pushdown when the WHERE clause
-// is a single subject-star BGP and the placement co-locates subjects,
-// the per-pattern bind join (scatter-gather) otherwise.
+// shardRoute picks the execution route: local on a graph, pushdown when
+// the WHERE clause is a single subject-star BGP and the placement
+// co-locates subjects, the per-pattern bind join (scatter-gather)
+// otherwise.
 func (p *Prepared) shardRoute(ss *ShardSet, forceScatter bool) ShardRoute {
-	if forceScatter || !ss.SubjectColocated || !p.subjectStar() {
+	switch {
+	case ss.local:
+		return RouteLocal
+	case forceScatter || !ss.SubjectColocated || !p.subjectStar():
 		return RouteScatter
 	}
 	return RoutePushdown
@@ -306,51 +250,56 @@ func (p *Prepared) subjectStar() bool {
 	return len(bgp.Patterns) > 0
 }
 
-// captureShard fills the caller's ShardStats after a sharded run and,
-// on a traced run, stamps the routing report onto the trace root.
-func (o *runOpts) captureShard(d *distEnv) {
-	if o.shardStats == nil && d.env.trace == nil {
-		return
+// shardReport is the run's ShardStats: the route, and on a shard set
+// the shards it touched and pruned.
+func (env *evalEnv) shardReport() ShardStats {
+	st := ShardStats{Route: env.route}
+	if env.route == RouteLocal {
+		return st
 	}
-	st := ShardStats{Route: d.route, Shards: len(d.ss.Views), ScatterPatterns: d.scatter}
-	for _, t := range d.touched {
+	st.Shards, st.ScatterPatterns = len(env.ss.Views), env.scatter
+	for _, t := range env.touched {
 		if t {
 			st.ShardsTouched++
 		}
 	}
 	st.ShardsPruned = st.Shards - st.ShardsTouched
-	if o.shardStats != nil {
-		*o.shardStats = st
-	}
-	if d.env.trace != nil {
-		root := d.env.trace.Root()
-		root.SetStr("route", string(st.Route))
-		root.SetInt("shards", int64(st.Shards))
-		root.SetInt("shards_touched", int64(st.ShardsTouched))
-		root.SetInt("shards_pruned", int64(st.ShardsPruned))
-	}
+	return st
 }
 
-// evalBGP evaluates one BGP over the shards: the pushdown route when
-// the run qualified, otherwise a bind join — pattern by pattern, the
-// whole batch of rows bound so far goes to the shards and comes back
-// extended (bindPattern), as evalEnv.evalBGP extends it on one graph.
-// The plan is compiled from the global statistics, so pattern order —
-// and with it row order — is exactly the single-graph plan's.
-func (d *distEnv) evalBGP(b BGP) []slotRow {
-	cps := d.env.planFor(b)
-	if d.route == RoutePushdown && len(cps) > 0 {
-		return d.pushdownBGP(cps, d.env.limitHint)
+// evalBGP is the one BGP evaluator: the pushdown route when the run
+// qualified, otherwise a bind join — pattern by pattern, the whole
+// batch of rows bound so far goes to the shards and comes back extended
+// (bindPattern). The first pattern's batch is the empty row alone: the
+// seed scan. The plan is compiled from the set's statistics, so pattern
+// order — and with it row order — is exactly the single-graph plan's.
+// When the query's limitHint applies, the last pattern stops producing
+// once enough leading rows exist (LIMIT pushdown below the modifier
+// pipeline).
+func (env *evalEnv) evalBGP(b BGP) []slotRow {
+	cps := env.planFor(b)
+	if env.route == RoutePushdown && len(cps) > 0 {
+		return env.pushdownBGP(cps, env.limitHint)
 	}
-	rows := []slotRow{d.env.emptyRow()}
+	if env.route == RouteLocal {
+		// endSpan also closes a pattern span left open by an error
+		// return; a nil span (the disarmed default) is a no-op.
+		bsp := env.span("bgp")
+		defer env.endSpan(bsp)
+		if bsp != nil {
+			bsp.SetInt("patterns", int64(len(cps)))
+			bsp.SetStr("join_order", planOrder(cps))
+		}
+	}
+	rows := []slotRow{env.emptyRow()}
 	for i := range cps {
 		max := 0
 		if i == len(cps)-1 {
 			// limitHint is only set when this BGP is the whole WHERE
 			// clause, so its last pattern emits the final row sequence.
-			max = d.env.limitHint
+			max = env.limitHint
 		}
-		rows = d.bindPattern(&cps[i], rows, max)
+		rows = env.bindPattern(&cps[i], i == 0, rows, max)
 		if len(rows) == 0 { // nothing left to extend, or the run failed
 			break
 		}
@@ -434,22 +383,10 @@ func (env *evalEnv) width() int {
 }
 
 // workerEnv derives a shard worker's private environment: fresh arena,
-// tick, and error latch over the shared immutable run state.
+// tick, and error latch over the shared run state a shard op reads (its
+// view is set per attempt: attemptShardOp).
 func (env *evalEnv) workerEnv() *evalEnv {
-	return &evalEnv{
-		g:     env.g,
-		view:  env.view,
-		terms: env.terms,
-		slots: env.slots,
-		vars:  env.vars,
-		stats: env.stats,
-		ctx:   env.ctx,
-		par:   env.par,
-		mem:   env.mem, // one shared budget across every worker
-
-		fplan:  env.fplan,
-		ftally: env.ftally,
-	}
+	return &evalEnv{vars: env.vars, ctx: env.ctx, par: env.par, mem: env.mem, fplan: env.fplan, ftally: env.ftally}
 }
 
 // latchStop surfaces into env.err whatever raised the run's stop latch.
@@ -467,17 +404,18 @@ func (env *evalEnv) latchStop() {
 	}
 }
 
-// forEachShard runs fn(s, w) for every picked shard, marking it touched.
-// Each invocation gets a private worker environment; fn routes itself
-// to a replica through runShardOp. At width 1 the shards run one
-// after another on the driver. At a wider run the driver still runs the
-// last picked shard itself and counts as one of the width, so the op
-// that pruning leaves a single shard for — every constant-subject
-// pattern, most selective bind joins — starts no goroutine. Worker
-// errors latch into the global env, with PartialFailureErrors from
-// different shards merged into one naming every lost shard.
-func (d *distEnv) forEachShard(picked []int, fn func(s int, w *evalEnv)) {
-	env := d.env
+// forEachShard runs the keyed op on every picked shard, marking it
+// touched, and returns each shard's run and keys by shard index. Each
+// shard gets a private worker environment and routes itself to a
+// replica through runShardOp. At width 1 the shards run one after
+// another on the driver. At a wider run the driver still runs the last
+// picked shard itself and counts as one of the width. Worker errors
+// latch into the driver env, with PartialFailureErrors from different
+// shards merged into one naming every lost shard.
+func (env *evalEnv) forEachShard(picked []int, op shardOp) (outs [][]slotRow, keys [][]uint64) {
+	outs = make([][]slotRow, len(env.ss.Views))
+	keys = make([][]uint64, len(env.ss.Views))
+	fn := func(s int, w *evalEnv) { outs[s], keys[s] = env.runShardOp(s, w, true, op) }
 	width := env.width()
 	var sem chan struct{}
 	var wg sync.WaitGroup
@@ -486,7 +424,7 @@ func (d *distEnv) forEachShard(picked []int, fn func(s int, w *evalEnv)) {
 		if env.err != nil || (env.par != nil && env.par.stop.Load()) {
 			break
 		}
-		d.touched[s] = true
+		env.touched[s] = true
 		w := env.workerEnv()
 		workers = append(workers, w)
 		if width == 1 || i == len(picked)-1 {
@@ -512,6 +450,7 @@ func (d *distEnv) forEachShard(picked []int, fn func(s int, w *evalEnv)) {
 		env.err = merr
 	}
 	env.latchStop()
+	return outs, keys
 }
 
 // pickReplica selects the next replica for an op on shard s, through
@@ -530,14 +469,40 @@ func pickReplica(h *ReplicaHealth, s int, tried []bool) int {
 	return -1
 }
 
-// shardOp is one per-shard operation body — a bind join of one pattern
-// or a pushdown BGP — run against a worker environment whose view is
-// already pointed at the shard. It returns its rows with
-// their ascending merge keys (bindKey). Returning the output buffers
-// (instead of writing shared state) is what lets hedged attempts race:
-// racing copies compute into private buffers, and only the winning
-// attempt's return value is committed by runShardOp's caller.
-type shardOp func(w *evalEnv) ([]slotRow, []uint64)
+// shardOp is one per-shard operation: the bind join of pattern cp over
+// the batch in, or, with cps set, a whole pushdown BGP; max > 0 caps
+// each shard's run (LIMIT pushdown). It is a value, not a closure, so
+// an op that runs on the driver alone — every op on a graph — costs no
+// allocation for itself.
+type shardOp struct {
+	cp  *cPattern
+	in  []slotRow
+	cps []cPattern
+	max int
+}
+
+// picks is the pruning peek: whether a shard's view holds candidates
+// for the op's pattern, or for every pattern of its pushdown BGP.
+func (op shardOp) picks(view *rdf.EncodedView) bool {
+	if op.cps != nil {
+		return shardCovers(view, op.cps)
+	}
+	return viewCandidateCount(view, op.cp) > 0
+}
+
+// run runs the op against a worker environment whose view is already
+// pointed at the shard. It returns its rows and, when keyed (more than
+// one shard takes part in the operation), their ascending merge keys
+// (bindKey). Returning the output buffers (instead of writing shared
+// state) is what lets hedged attempts race: racing copies compute into
+// private buffers, and only the winning attempt's return value is
+// committed by runShardOp's caller.
+func (op shardOp) run(w *evalEnv, keyed bool) ([]slotRow, []uint64) {
+	if op.cps != nil {
+		return pushdownShard(w, op.cps, op.max, keyed)
+	}
+	return bindShard(w, op.cp, op.in, op.max, keyed)
+}
 
 // fatalAttemptErr reports whether an attempt error is a query-level
 // verdict, never retried on another replica: cancellation, the run's
@@ -546,6 +511,15 @@ type shardOp func(w *evalEnv) ([]slotRow, []uint64)
 func fatalAttemptErr(err error) bool {
 	var be *BudgetError
 	return errors.As(err, &be) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// shardPlan is the fault plan the shard operations consult: the run's,
+// except on a graph, whose one view has no replica to fail over to.
+func (env *evalEnv) shardPlan() *fault.Plan {
+	if env.route == RouteLocal {
+		return nil
+	}
+	return env.fplan
 }
 
 // runShardOp executes one per-shard operation (a bind join or a
@@ -561,27 +535,27 @@ func fatalAttemptErr(err error) bool {
 // taskStop claim. The op gives up, latching a PartialFailureError
 // naming the shard into the worker's error, only after every replica
 // failed in retry.Cycles consecutive passes. Cancellation is never
-// retried.
+// retried. env is the run's driver environment; w may be env itself.
 //
 // Failover and hedging are invisible in results because every replica
 // of a shard scans the same view (ShardSet.Replicas) and exactly one
 // attempt's returned buffers are committed.
-func (d *distEnv) runShardOp(s int, w *evalEnv, op shardOp) ([]slotRow, []uint64) {
-	replicas := max(d.ss.Replicas, 1)
-	if d.plan == nil && replicas == 1 {
+func (env *evalEnv) runShardOp(s int, w *evalEnv, keyed bool, op shardOp) ([]slotRow, []uint64) {
+	replicas := max(env.ss.Replicas, 1)
+	if env.shardPlan() == nil && replicas == 1 {
 		// Nothing to inject and nothing to fail over to — but panics
 		// are still isolated into the error latch: a crashing scan must
 		// kill the query, not the process serving it. This is the
 		// disarmed fast path; it allocates nothing beyond the op.
-		rows, keys, err := d.attemptShardOp(w, s, -1, op)
+		rows, keys, err := env.attemptShardOp(w, s, -1, keyed, op)
 		if err != nil {
 			w.err = err
 			return nil, nil
 		}
 		return rows, keys
 	}
-	h := d.ss.Health
-	hedging := d.hedgeDelay > 0 && replicas > 1
+	h := env.ss.Health
+	hedging := env.hedgeDelay > 0 && replicas > 1
 	tried := make([]bool, replicas)
 	lastFailed := -1
 	for cycle := 0; ; {
@@ -589,11 +563,11 @@ func (d *distEnv) runShardOp(s int, w *evalEnv, op shardOp) ([]slotRow, []uint64
 		if r < 0 {
 			// Every replica failed this pass.
 			cycle++
-			if cycle >= d.retry.Cycles {
+			if cycle >= env.retry.Cycles {
 				w.err = &PartialFailureError{Shards: []int{s}}
 				return nil, nil
 			}
-			if err := d.backoff(cycle); err != nil {
+			if err := env.backoff(cycle); err != nil {
 				w.err = err
 				return nil, nil
 			}
@@ -603,7 +577,7 @@ func (d *distEnv) runShardOp(s int, w *evalEnv, op shardOp) ([]slotRow, []uint64
 			continue
 		}
 		if hedging {
-			rows, keys, done := d.racedAttempt(w, s, r, tried, &lastFailed, op)
+			rows, keys, done := env.racedAttempt(w, s, r, tried, &lastFailed, keyed, op)
 			if done {
 				return rows, keys
 			}
@@ -614,7 +588,7 @@ func (d *distEnv) runShardOp(s int, w *evalEnv, op shardOp) ([]slotRow, []uint64
 			w.ftally.failovers.Add(1)
 		}
 		start := time.Now()
-		rows, keys, err := d.attemptShardOp(w, s, r, op)
+		rows, keys, err := env.attemptShardOp(w, s, r, keyed, op)
 		if err == nil {
 			if h != nil {
 				h.ok(s, r, time.Since(start))
@@ -643,8 +617,8 @@ func (d *distEnv) runShardOp(s int, w *evalEnv, op shardOp) ([]slotRow, []uint64
 // (done=true, with w.err latched). When every racing attempt fails
 // non-fatally the pass reports done=false and the caller's retry loop
 // picks the next replica.
-func (d *distEnv) racedAttempt(w *evalEnv, s, primary int, tried []bool, lastFailed *int, op shardOp) ([]slotRow, []uint64, bool) {
-	h := d.ss.Health
+func (env *evalEnv) racedAttempt(w *evalEnv, s, primary int, tried []bool, lastFailed *int, keyed bool, op shardOp) ([]slotRow, []uint64, bool) {
+	h := env.ss.Health
 	type attemptRes struct {
 		rows []slotRow
 		keys []uint64
@@ -666,14 +640,14 @@ func (d *distEnv) racedAttempt(w *evalEnv, s, primary int, tried []bool, lastFai
 		ae.taskStop = stop
 		go func() {
 			start := time.Now()
-			rows, keys, err := d.attemptShardOp(ae, s, r, op)
+			rows, keys, err := env.attemptShardOp(ae, s, r, keyed, op)
 			resCh <- attemptRes{rows: rows, keys: keys, err: err, r: r, dur: time.Since(start)}
 		}()
 	}
 	racing := make([]bool, len(tried))
 	racing[primary] = true
 	launch(primary)
-	timer := time.NewTimer(d.hedgeDelay)
+	timer := time.NewTimer(env.hedgeDelay)
 	defer timer.Stop()
 	inFlight, hedged := 1, false
 	for {
@@ -733,7 +707,7 @@ func (d *distEnv) racedAttempt(w *evalEnv, s, primary int, tried []bool, lastFai
 // returned errors. A latched worker error (cancellation observed
 // mid-scan) surfaces as the attempt's error; successful attempts
 // return the op's private output buffers.
-func (d *distEnv) attemptShardOp(w *evalEnv, s, replica int, op shardOp) (rows []slotRow, keys []uint64, err error) {
+func (env *evalEnv) attemptShardOp(w *evalEnv, s, replica int, keyed bool, op shardOp) (rows []slotRow, keys []uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if w.ftally != nil {
@@ -743,17 +717,17 @@ func (d *distEnv) attemptShardOp(w *evalEnv, s, replica int, op shardOp) (rows [
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if d.plan != nil && replica >= 0 {
-		if e := d.plan.Hit(fault.PointScatter); e != nil {
+	if plan := env.shardPlan(); plan != nil && replica >= 0 {
+		if e := plan.Hit(fault.PointScatter); e != nil {
 			return nil, nil, e
 		}
-		if e := d.plan.Hit(fault.ReplicaPoint(s, replica)); e != nil {
+		if e := plan.Hit(fault.ReplicaPoint(s, replica)); e != nil {
 			return nil, nil, e
 		}
 	}
 	w.err = nil
-	w.view = d.ss.Views[s]
-	rows, keys = op(w)
+	w.view = env.ss.Views[s]
+	rows, keys = op.run(w, keyed)
 	if w.err != nil {
 		return nil, nil, w.err
 	}
@@ -764,9 +738,9 @@ func (d *distEnv) attemptShardOp(w *evalEnv, s, replica int, op shardOp) (rows [
 // cycle+1, charged against the context's remaining deadline: when the
 // budget cannot cover the delay the op stops waiting and reports the
 // deadline instead of sleeping through it.
-func (d *distEnv) backoff(cycle int) error {
-	dur := d.retry.backoffFor(cycle)
-	ctx := d.env.ctx
+func (env *evalEnv) backoff(cycle int) error {
+	dur := env.retry.backoffFor(cycle)
+	ctx := env.ctx
 	if ctx == nil {
 		time.Sleep(dur)
 		return nil
@@ -784,9 +758,10 @@ func (d *distEnv) backoff(cycle int) error {
 	}
 }
 
-// maxBindRows is the largest batch bindPattern ships: a merge key holds
-// the input row's index in its upper half (bindKey), signed like the
-// position beside it. A variable so tests can lower it.
+// maxBindRows is the largest batch bindPattern ships — on a graph too,
+// where it bounds a BGP's row batch: a merge key holds the input row's
+// index in its upper half (bindKey), signed like the position beside
+// it. A variable so tests can lower it.
 var maxBindRows = math.MaxInt32
 
 // bindKey packs a shard op's merge key: the index of the input row an
@@ -795,22 +770,22 @@ var maxBindRows = math.MaxInt32
 // sequence, and under each its matches in dataset order.
 func bindKey(i int, pos int32) uint64 { return uint64(i)<<32 | uint64(uint32(pos)) }
 
-// bindPattern is one step of the sharded bind join: it extends every
-// row of in by the triples matching cp, returning exactly the rows, in
-// exactly the order, evalEnv.evalBGP's pass over the same rows emits on
-// the single graph. Each shard that can contribute receives the whole
-// batch in one shard operation, probes its own view per input row
-// (bindShard) and answers a run ascending in bindKey; a triple lives on
-// exactly one shard and a view's positions ascend within any index
-// range, so the k-way merge of the runs is the single-graph order by
-// construction. The first pattern's batch is the empty row alone — a
-// plain scatter. max > 0 caps each shard's run (LIMIT pushdown): a run
-// is a subsequence of the merged order, so the merged leading max rows
-// draw only from per-shard prefixes of at most max rows.
-func (d *distEnv) bindPattern(cp *cPattern, in []slotRow, max int) []slotRow {
-	d.scatter++
-	env := d.env
-	sp := env.span("scatter")
+// bindPattern is one step of the bind join: it extends every row of in
+// by the triples matching cp, returning exactly the rows, in exactly
+// the order, a single graph's pass over the same rows emits. Each shard
+// that can contribute receives the whole batch in one shard operation,
+// probes its own view per input row (bindShard) and answers a run
+// ascending in bindKey; a triple lives on exactly one shard and a
+// view's positions ascend within any index range, so the k-way merge of
+// the runs is the single-graph order by construction. first marks the
+// BGP's first pattern, whose batch is the empty row alone — a plain
+// scatter, or a graph's seed scan. max > 0 caps each shard's run (LIMIT
+// pushdown): a run is a subsequence of the merged order, so the merged
+// leading max rows draw only from per-shard prefixes of at most max
+// rows.
+func (env *evalEnv) bindPattern(cp *cPattern, first bool, in []slotRow, max int) []slotRow {
+	env.scatter++
+	sp := env.patternSpan(cp, first, in)
 	defer env.endSpan(sp)
 	if len(in) > maxBindRows {
 		env.err = &rdf.CapacityError{What: "bind-join rows", Limit: int64(maxBindRows)}
@@ -818,15 +793,11 @@ func (d *distEnv) bindPattern(cp *cPattern, in []slotRow, max int) []slotRow {
 	}
 	var retries0, failovers0 int64
 	if sp != nil {
-		sp.SetInt("pattern", int64(cp.src))
-		sp.SetInt("est", int64(cp.est))
 		// Scatters run one at a time on the driver, so the run-tally
 		// deltas across this op are exactly its own retries/failovers.
 		retries0, failovers0 = env.ftally.retries.Load(), env.ftally.failovers.Load()
 	}
-	merged := d.fanOut(sp, "shards_scanned",
-		func(v *rdf.EncodedView) bool { return viewCandidateCount(v, cp) > 0 },
-		func(w *evalEnv) ([]slotRow, []uint64) { return bindShard(w, cp, in, max) })
+	merged := env.fanOut(sp, shardOp{cp: cp, in: in, max: max})
 	if sp != nil && env.err == nil {
 		if n := env.ftally.retries.Load() - retries0; n > 0 {
 			sp.SetInt("retries", n)
@@ -838,43 +809,96 @@ func (d *distEnv) bindPattern(cp *cPattern, in []slotRow, max int) []slotRow {
 	return merged
 }
 
-// fanOut runs one shard operation on every shard pick selects — the
-// pruning peek at the shard's view — and merges the shards' runs. sp, the operation's span on a traced run, gets how many
-// shards were picked (under pickedAttr), each contributing shard's row
-// count, and the merged count.
-func (d *distEnv) fanOut(sp *obs.Span, pickedAttr string, pick func(*rdf.EncodedView) bool, op shardOp) []slotRow {
-	nsh := len(d.ss.Views)
-	picked := make([]int, 0, nsh)
-	for s, view := range d.ss.Views {
-		if pick(view) {
+// patternSpan opens the span of one bind-join step on a traced run: a
+// scatter on a shard set; on a graph the single-graph names, seed_scan
+// for the first pattern (with its candidate count) and match after it
+// (with its input rows).
+func (env *evalEnv) patternSpan(cp *cPattern, first bool, in []slotRow) *obs.Span {
+	if env.trace == nil {
+		return nil
+	}
+	local := env.route == RouteLocal
+	var sp *obs.Span
+	switch {
+	case !local:
+		sp = env.trace.Begin("scatter")
+	case first:
+		sp = env.trace.Begin("seed_scan")
+	default:
+		sp = env.trace.Begin("match")
+		sp.SetInt("rows_in", int64(len(in)))
+	}
+	sp.SetInt("pattern", int64(cp.src))
+	sp.SetInt("est", int64(cp.est))
+	if local && first {
+		sp.SetInt("candidates", int64(viewCandidateCount(env.view, cp)))
+	}
+	return sp
+}
+
+// fanOut runs one shard operation on every shard it picks and merges
+// the shards' runs. An operation one shard is picked for runs on the
+// driver environment itself and builds no merge keys: its run is the
+// answer. sp, the operation's span on a traced run, gets the merged row
+// count and, on a shard set, how many shards were picked
+// (shards_scanned, or shards_covering on pushdown) and each
+// contributing shard's row count.
+func (env *evalEnv) fanOut(sp *obs.Span, op shardOp) []slotRow {
+	if env.err != nil { // the batch's own rows blew the budget
+		return nil
+	}
+	var buf [8]int
+	picked := buf[:0]
+	for s, view := range env.ss.Views {
+		if op.picks(view) {
 			picked = append(picked, s)
 		}
 	}
-	outs := make([][]slotRow, nsh)
-	keys := make([][]uint64, nsh)
-	d.forEachShard(picked, func(s int, w *evalEnv) { outs[s], keys[s] = d.runShardOp(s, w, op) })
-	if d.env.err != nil {
+	var merged []slotRow
+	var outs [][]slotRow
+	switch len(picked) {
+	case 0:
+	case 1:
+		if env.touched != nil { // nil on a graph, which reports no shards
+			env.touched[picked[0]] = true
+		}
+		merged, _ = env.runShardOp(picked[0], env, false, op)
+	default:
+		var keys [][]uint64
+		outs, keys = env.forEachShard(picked, op)
+		if env.err == nil {
+			merged = gather(env, outs, keys)
+		}
+	}
+	if env.err != nil {
 		return nil
 	}
-	if sp != nil {
-		sp.SetInt(pickedAttr, int64(len(picked)))
-		for s := range outs {
-			if len(outs[s]) > 0 {
-				sp.SetInt("shard_"+strconv.Itoa(s)+"_rows", int64(len(outs[s])))
+	if sp != nil && env.route != RouteLocal {
+		attr := "shards_scanned"
+		if op.cps != nil {
+			attr = "shards_covering"
+		}
+		sp.SetInt(attr, int64(len(picked)))
+		if outs == nil && len(merged) > 0 {
+			sp.SetInt("shard_"+strconv.Itoa(picked[0])+"_rows", int64(len(merged)))
+		}
+		for s, o := range outs {
+			if len(o) > 0 {
+				sp.SetInt("shard_"+strconv.Itoa(s)+"_rows", int64(len(o)))
 			}
 		}
 	}
-	merged := gather(d.env, outs, keys)
 	sp.SetInt("rows", int64(len(merged)))
 	return merged
 }
 
 // bindShard is one shard's side of bindPattern: for each input row in
 // turn it resolves cp under the row, scans the smallest index range of
-// this shard's view and emits every extension keyed by (input index,
-// global position), the position read from the view's column beside the
-// candidate. max > 0 stops the op once that many rows exist.
-func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int) ([]slotRow, []uint64) {
+// this shard's view and emits every extension, keyed when the op is by
+// (input index, global position), the position read from the view's
+// column beside the candidate. max > 0 stops the op once that many rows
+// exist.
+func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int, keyed bool) ([]slotRow, []uint64) {
 	var rows []slotRow
 	var keys []uint64
 	for i, row := range in {
@@ -889,42 +913,56 @@ func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int) ([]slotRow, []ui
 		if ps.miss {
 			return nil, nil
 		}
-		cands, positions := ps.candidates, ps.positions
-		for len(cands) > 0 {
-			n := w.block(len(cands))
+		cands := ps.candidates
+		for off := 0; off < len(cands); {
+			n := w.block(len(cands) - off)
 			if n == 0 {
 				return nil, nil
 			}
-			for j, t := range cands[:n] {
+			for j, t := range cands[off : off+n] {
 				if !ps.matches(t) {
 					continue
 				}
 				if rows == nil {
 					// One row per candidate left under this input row and
-					// a start on the rows to come, which may each match on
-					// another shard; the rule below takes it from there.
-					c := outputCap(len(cands)-j+min(len(in)-i-1, 64), max)
-					rows, keys = make([]slotRow, 0, c), make([]uint64, 0, c)
-					if c < 256 { // a small op's arena is its rows, not newRow's chunk
-						w.reserveRows(c)
+					// one per input row to come; on a keyed op, where those
+					// rows may each match on another shard, a start on them
+					// only — the rule below takes it from there.
+					rest := len(in) - i - 1
+					if keyed {
+						rest = min(rest, 64)
+					}
+					c := outputCap(len(cands)-off-j+rest, max)
+					rows = make([]slotRow, 0, c)
+					if keyed {
+						keys = make([]uint64, 0, c)
+						if c < 256 { // a small op's arena is its rows, not newRow's chunk
+							w.reserveRows(c)
+						}
 					}
 				}
 				rows = append(rows, ps.extend(w, row, t))
-				keys = append(keys, bindKey(i, positions[j]))
+				if keyed {
+					keys = append(keys, bindKey(i, ps.positions[off+j]))
+				}
 				if max > 0 && len(rows) >= max {
 					return rows, keys
 				}
 			}
-			cands, positions = cands[n:], positions[n:]
+			off += n
 		}
 		// A pattern that fans out outgrows one slot per input row. Once
 		// the output is half full, make room for what the rows still to
-		// come will add at the fan-out seen so far, at most fourfold a
-		// step (evalEnv.evalBGP's rule), not append's many small steps.
+		// come will add at the fan-out seen so far — at most fourfold a
+		// step, so a cartesian product still grows with its rows and not
+		// ahead of them — instead of leaving it to append's many small
+		// steps.
 		if c := cap(rows); len(rows) > c/2 {
 			if want := outputCap(min(len(rows)*len(in)/(i+1), 4*c), max); want > c {
 				rows = slices.Grow(rows, want-len(rows))
-				keys = slices.Grow(keys, want-len(keys))
+				if keyed {
+					keys = slices.Grow(keys, want-len(keys))
+				}
 			}
 		}
 	}
@@ -947,25 +985,23 @@ func outputCap(candidates, max int) int {
 // global position. Shards missing candidates for any pattern are
 // pruned without scanning. max > 0 caps each shard's output, as in
 // bindPattern.
-func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
-	sp := d.env.span("pushdown")
-	defer d.env.endSpan(sp)
+func (env *evalEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
+	sp := env.span("pushdown")
+	defer env.endSpan(sp)
 	sp.SetInt("patterns", int64(len(cps)))
-	return d.fanOut(sp, "shards_covering",
-		func(v *rdf.EncodedView) bool { return shardCovers(v, cps) },
-		func(w *evalEnv) ([]slotRow, []uint64) { return pushdownShard(w, cps, max) })
+	return env.fanOut(sp, shardOp{cps: cps, max: max})
 }
 
 // pushdownShard runs the full pattern-at-a-time BGP loop against one
-// shard's view, keying every result row by the global position of its
-// seed candidate (the view's position column, as in bindShard; the one
-// input row is the empty row, index 0). Within one seed the extension
-// order is the shard's insertion order — the same relative order the
-// single graph's indexes hold — so rows under one key are already in
-// single-graph order, and keys ascend across the list. max > 0 stops
-// the loop once that many rows exist (the last seed may overshoot;
-// callers truncate).
-func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []uint64) {
+// shard's view, keying every result row, when the op is keyed, by the
+// global position of its seed candidate (the view's position column, as
+// in bindShard; the one input row is the empty row, index 0). Within
+// one seed the extension order is the shard's insertion order — the
+// same relative order the single graph's indexes hold — so rows under
+// one key are already in single-graph order, and keys ascend across the
+// list. max > 0 stops the loop once that many rows exist (the last seed
+// may overshoot; callers truncate).
+func pushdownShard(w *evalEnv, cps []cPattern, max int, keyed bool) ([]slotRow, []uint64) {
 	empty := w.emptyRow()
 	ps := w.preparePatternScan(&cps[0], empty)
 	if ps.miss {
@@ -973,7 +1009,10 @@ func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []uint64) {
 	}
 	n := outputCap(len(ps.candidates), max)
 	rows := make([]slotRow, 0, n)
-	keys := make([]uint64, 0, n)
+	var keys []uint64
+	if keyed {
+		keys = make([]uint64, 0, n)
+	}
 	var cur, next []slotRow
 	for i, t := range ps.candidates {
 		if w.interrupted() {
@@ -995,7 +1034,9 @@ func pushdownShard(w *evalEnv, cps []cPattern, max int) ([]slotRow, []uint64) {
 		}
 		rows = append(rows, cur...)
 		for range cur {
-			keys = append(keys, bindKey(0, ps.positions[i]))
+			if keyed {
+				keys = append(keys, bindKey(0, ps.positions[i]))
+			}
 		}
 		if max > 0 && len(rows) >= max {
 			break
@@ -1060,8 +1101,7 @@ func gather(env *evalEnv, outs [][]slotRow, keys [][]uint64) []slotRow {
 }
 
 // collectPatternSlots fills cp.slots with the distinct variable slots
-// of the compiled pattern and masks the position pairs that share one
-// (shared by the single-graph and sharded compilers).
+// of the compiled pattern and masks the position pairs that share one.
 func collectPatternSlots(cp *cPattern) {
 	for _, e := range [3]cElem{cp.s, cp.p, cp.o} {
 		if !e.isVar {

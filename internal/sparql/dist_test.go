@@ -27,6 +27,12 @@ func oneShardSet(t testing.TB, triples []rdf.Triple) *ShardSet {
 	return &ShardSet{Dict: dict, Views: []*rdf.EncodedView{view}, Stats: rdf.ComputeEncodedStats(dict, enc)}
 }
 
+// newEvalEnv is the environment of one run of q over g with default
+// options, for tests that drive the evaluator's parts directly.
+func newEvalEnv(q *Query, g *rdf.Graph) *evalEnv {
+	return PrepareQuery(q).newEnv(context.Background(), GraphSet(g), &runOpts{parallelism: 1})
+}
+
 // A bind-join batch past the merge key's index range fails typed
 // instead of wrapping; the limit is lowered here to reach the boundary.
 func TestBindJoinCapacityError(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -35,11 +36,11 @@ type slotRow = []rdf.TermID
 
 // Evaluate runs q over g with the reference evaluator: a direct,
 // centralized implementation of the SPARQL algebra. Every distributed
-// engine in internal/systems is tested against it. For repeated or
-// cancellable evaluation use Prepare / (*Prepared).Run, which share
-// this exact code path.
+// engine in internal/systems is tested against it. It is one
+// (*Prepared).Run; for repeated or cancellable evaluation use Prepare
+// and Run, which keep the compiled plan between runs.
 func Evaluate(q *Query, g *rdf.Graph) (*Results, error) {
-	return evaluate(newEvalEnv(q, g), q)
+	return PrepareQuery(q).Run(context.Background(), g)
 }
 
 // EvalRows evaluates q over the rows of an engine that answers BGPs
@@ -99,7 +100,7 @@ func rowEnv(vars []Var, dict *rdf.Dictionary) *evalEnv {
 	return env
 }
 
-// evaluate is the shared body of Evaluate and EvalRows.
+// evaluate is EvalRows' body over its environment.
 func evaluate(env *evalEnv, q *Query) (*Results, error) {
 	rows, err := env.evalPattern(q.Where)
 	if err != nil {
@@ -373,15 +374,14 @@ func (env *evalEnv) topKRows(rows []slotRow, ks []keySlot, k int) []slotRow {
 }
 
 // evalEnv is the per-query compilation environment: the slot table,
-// the encoded graph view, and the dataset statistics driving join
-// ordering. Rows are bump-allocated from chunked arenas, so producing
-// a solution costs a copy, not a heap allocation.
+// the set the run plans against, and the dataset statistics driving
+// join ordering. Rows are bump-allocated from chunked arenas, so
+// producing a solution costs a copy, not a heap allocation.
 type evalEnv struct {
-	g    *rdf.Graph
-	view *rdf.EncodedView
-	// ss, on the driver of a sharded run (dist.go), is the shard set the
-	// run plans against in place of view; nil on a single graph.
+	// ss is the set the run plans against (dist.go); view is the view a
+	// scan reads, set to a shard's by each attempt of a shard op.
 	ss    *ShardSet
+	view  *rdf.EncodedView
 	dict  *rdf.Dictionary // terms' source, for lookups by term (intern, describe)
 	terms []rdf.Term      // id→term snapshot for lock-free decoding
 	slots map[Var]int
@@ -407,9 +407,18 @@ type evalEnv struct {
 
 	// par is the shard fan-out state of a sharded run at width > 1
 	// (dist.go): the width and the run-wide stop and failure latch its
-	// shard goroutines share. Nil on a single graph, which evaluates
-	// serially on the calling goroutine.
+	// shard goroutines share. Nil on a graph, which evaluates serially on
+	// the calling goroutine.
 	par *parRun
+
+	// Shard execution (dist.go): the run's route, the shards it touched,
+	// the patterns it scattered, the shard-op retry policy (replica.go)
+	// and, when > 0, the delay that arms hedged shard ops (health.go).
+	route      ShardRoute
+	touched    []bool
+	scatter    int
+	retry      RetryPolicy
+	hedgeDelay time.Duration
 
 	// limitHint, when > 0, is the number of leading rows the modifier
 	// pipeline will keep (LIMIT + OFFSET, or 1 for ASK) for queries
@@ -425,12 +434,10 @@ type evalEnv struct {
 	prep   *Prepared
 	bgpSeq int
 
-	// Distributed evaluation hook (dist.go). bgp, when non-nil,
-	// overrides BGP evaluation — the sharded executor routes BGPs
-	// through per-shard pushdown or the per-pattern bind join.
-	// Everything else — joins, filters, UNION, the answer tail — runs
-	// the exact single-graph code above the hook, which is what keeps
-	// sharded output byte-identical.
+	// bgp, when non-nil, answers BGPs in place of evalBGP (EvalRows: an
+	// engine that evaluates BGPs itself). Everything else — joins,
+	// filters, UNION, the answer tail — runs the evaluator's own code
+	// above the hook.
 	bgp func(BGP) []slotRow
 	// filter, when non-nil, runs a FILTER's test over its rows in place
 	// of evalPattern's own loop (EvalRows: an engine that filters on its
@@ -568,14 +575,6 @@ func (env *evalEnv) reserveRows(n int) {
 	}
 	env.charge(int64(n*w)*termIDBytes, stageArena)
 	env.arena = make([]rdf.TermID, 0, n*w)
-}
-
-func newEvalEnv(q *Query, g *rdf.Graph) *evalEnv {
-	view := g.Encoded()
-	env := rowEnv(q.Where.PatternVars(), view.Dict())
-	env.g, env.view, env.stats, env.limitHint = g, view, g.Stats(), limitHintFor(q)
-	env.ftally = &env.tally
-	return env
 }
 
 // limitHintFor computes the LIMIT-pushdown hint of a query: the number
@@ -1120,40 +1119,31 @@ type cPattern struct {
 }
 
 // snapshot identifies the data a plan was compiled against — what the
-// plan and cost memos of a Prepared are keyed by: a graph's encoded view
-// and its length (a graph grows), or a shard set (immutable once built).
+// plan and cost memos of a Prepared are keyed by: a set's first view
+// and its length (a graph grows; GraphSet wraps it anew on every run).
 type snapshot struct {
-	src any // *rdf.EncodedView or *ShardSet
-	n   int
+	view *rdf.EncodedView
+	n    int
 }
 
-func snapshotOf(view *rdf.EncodedView, ss *ShardSet) snapshot {
-	if ss != nil {
-		return snapshot{src: ss}
-	}
-	return snapshot{src: view, n: view.Len()}
+func snapshotOf(ss *ShardSet) snapshot {
+	return snapshot{view: ss.Views[0], n: ss.Views[0].Len()}
 }
 
 // compilePattern encodes the pattern's constants and estimates its
 // result cardinality from the dataset statistics: the tightest bound
 // among the per-subject, per-object, and per-predicate (SPARQLGX
 // PredicateCounts) index cardinalities, or the triple count when fully
-// unbound. Against a shard set, constants resolve through the shared
-// dictionary and the index cardinalities sum across the shards, so the
-// estimate — and with it the join order — is the single graph's.
+// unbound. Constants resolve through the set's shared dictionary and
+// the index cardinalities sum across its shards, so the estimate — and
+// with it the join order — is the single graph's.
 func (env *evalEnv) compilePattern(tp TriplePattern) cPattern {
-	var dict *rdf.Dictionary
-	var views []*rdf.EncodedView
-	if env.ss != nil {
-		dict, views = env.ss.Dict, env.ss.Views
-	} else {
-		dict, views = env.view.Dict(), []*rdf.EncodedView{env.view}
-	}
+	views := env.ss.Views
 	compile := func(e TPElem) cElem {
 		if e.IsVar {
 			return cElem{isVar: true, slot: env.slots[e.Var]}
 		}
-		id, ok := dict.Lookup(e.Term)
+		id, ok := env.ss.Dict.Lookup(e.Term)
 		return cElem{id: id, ok: ok}
 	}
 	cp := cPattern{s: compile(tp.S), p: compile(tp.P), o: compile(tp.O)}
@@ -1227,97 +1217,6 @@ func orderPatterns(cps []cPattern, nslots int) []cPattern {
 	return out
 }
 
-// evalBGP evaluates a conjunction of triple patterns by iterated
-// selection and join over the encoded indexes, visiting patterns in
-// selectivity order. Prepared runs reuse the compiled-and-ordered
-// pattern list across calls via planFor. The first (most selective)
-// pattern — the seed scan — runs over a single empty row; when the
-// query's limitHint applies, the last pattern stops producing once
-// enough leading rows exist (LIMIT pushdown below the modifier
-// pipeline).
-func (env *evalEnv) evalBGP(b BGP) []slotRow {
-	cps := env.planFor(b)
-	bsp := env.span("bgp")
-	// endSpan also closes per-pattern spans left open by the error
-	// returns below; nil span (the disarmed default) is a no-op.
-	defer env.endSpan(bsp)
-	if bsp != nil {
-		bsp.SetInt("patterns", int64(len(cps)))
-		bsp.SetStr("join_order", planOrder(cps))
-	}
-	rows := []slotRow{env.emptyRow()}
-	for i := range cps {
-		cp := &cps[i]
-		max := 0
-		if i == len(cps)-1 {
-			// limitHint is only set when this BGP is the whole WHERE
-			// clause, so its last pattern emits the final row sequence.
-			max = env.limitHint
-		}
-		var psp *obs.Span
-		if env.trace != nil {
-			if i == 0 {
-				psp = env.trace.Begin("seed_scan")
-			} else {
-				psp = env.trace.Begin("match")
-				psp.SetInt("rows_in", int64(len(rows)))
-			}
-			psp.SetInt("pattern", int64(cp.src))
-			psp.SetInt("est", int64(cp.est))
-		}
-		if i == 0 {
-			rows = env.seedScan(cp, rows[0], max)
-		} else {
-			next := make([]slotRow, 0, len(rows))
-			for done, row := range rows {
-				next = env.matchPattern(cp, row, next)
-				if env.err != nil {
-					return nil
-				}
-				if max > 0 && len(next) >= max {
-					break
-				}
-				// A pattern that fans out outgrows one slot per input row.
-				// Once the output is half full, make room for what the rows
-				// still to come will add at the fan-out seen so far — at
-				// most fourfold a step, so a cartesian product still grows
-				// with its rows and not ahead of them — instead of leaving
-				// it to append's many small steps.
-				if len(next) > cap(next)/2 {
-					want := min(int64(len(next))*int64(len(rows))/int64(done+1), 4*int64(cap(next)))
-					if want > int64(cap(next)) {
-						next = slices.Grow(next, int(want)-len(next))
-					}
-				}
-			}
-			rows = next
-		}
-		if env.err != nil {
-			return nil
-		}
-		if psp != nil {
-			psp.SetInt("rows", int64(len(rows)))
-			env.trace.End(psp)
-		}
-		if len(rows) == 0 {
-			break
-		}
-	}
-	return rows
-}
-
-// seedScan evaluates the BGP's first pattern against the empty row into
-// an output sized from the candidate count. max > 0 bounds how many
-// rows are needed (LIMIT pushdown): the scan stops exactly at max rows.
-func (env *evalEnv) seedScan(cp *cPattern, row slotRow, max int) []slotRow {
-	ps := env.preparePatternScan(cp, row)
-	if ps.miss {
-		return nil
-	}
-	env.noteInt("candidates", int64(len(ps.candidates)))
-	return env.scanPattern(&ps, row, max, make([]slotRow, 0, outputCap(len(ps.candidates), max)))
-}
-
 // planFor returns the compiled, selectivity-ordered patterns of the
 // run's next BGP (BGPs are numbered in evaluation order, which is
 // deterministic). Plain Evaluate compiles on every call; a Prepared run
@@ -1330,7 +1229,7 @@ func (env *evalEnv) planFor(b BGP) []cPattern {
 	env.bgpSeq++
 	var snap snapshot
 	if env.prep != nil {
-		snap = snapshotOf(env.view, env.ss)
+		snap = snapshotOf(env.ss)
 		if cps := env.prep.cachedPlan(snap, seq); cps != nil {
 			return cps
 		}
@@ -1365,7 +1264,7 @@ func elemID(e cElem, row slotRow) (id rdf.TermID, bound, miss bool) {
 // input row copies no pattern. positions is the view's position column
 // over the same range as candidates (positions[i] is candidates[i]'s
 // place in the whole dataset — the sharded gather key); it is nil on a
-// single-graph view.
+// graph's view.
 type patternScan struct {
 	cp                     *cPattern
 	sID, pID, oID          rdf.TermID

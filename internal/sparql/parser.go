@@ -173,22 +173,24 @@ var pnChars = &unicode.RangeTable{
 	R32: []unicode.Range32{{Lo: 0x10000, Hi: 0xEFFFF, Stride: 1}},
 }
 
+// isNameChar reports whether r may continue a variable name (§19.8
+// VARNAME: PN_CHARS_U, digits and pnChars; no '-' and no '.').
 func isNameChar(r rune) bool {
 	if r < utf8.RuneSelf {
-		return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
+		return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 	}
 	return unicode.Is(pnChars, r)
 }
 
 // nameEnd returns the end of the name whose characters start at i: a
-// variable's, or with colon set a keyword's or prefixed name's. A name
-// does not end in '.' (§19.8 PN_LOCAL), so a dot right after one ends
-// the triple.
-func nameEnd(text string, i int, colon bool) int {
+// variable's, or with prefixed set a keyword's or prefixed name's,
+// which may also hold ':', '-' and '.'. A name does not end in '.'
+// (§19.8 PN_LOCAL), so a dot right after one ends the triple.
+func nameEnd(text string, i int, prefixed bool) int {
 	j := i
 	for j < len(text) {
 		r, size := utf8.DecodeRuneInString(text[j:])
-		if !isNameChar(r) && !(colon && r == ':') {
+		if !isNameChar(r) && !(prefixed && strings.ContainsRune(":-.", r)) {
 			break
 		}
 		j += size

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 )
@@ -22,9 +21,9 @@ import (
 //
 // The plan cache memoizes, per BGP of the query, the compiled triple
 // patterns (constants resolved to dictionary ids) in selectivity order
-// for one snapshot of the data: a graph's EncodedView pointer and its
-// triple count, or a ShardSet pointer (shard sets are immutable once
-// built). Re-running against the same snapshot skips
+// for one snapshot of the data: the set's first EncodedView pointer and
+// its triple count (GraphSet wraps a graph anew on every run; a graph's
+// view keeps its pointer). Re-running against the same snapshot skips
 // parsing, slot-table construction, constant encoding, selectivity
 // estimation, and join ordering; a run against a different graph — or
 // the same graph after an Add — recompiles and replaces the cache.
@@ -38,7 +37,7 @@ type Prepared struct {
 	fingerprint string // normalized shape hash (fingerprint.go)
 
 	// Plan memo: the compiled plan of each BGP, in evaluation order, for
-	// one snapshot of the data (a graph's encoded view, or a shard set).
+	// one snapshot of the data (snapshotOf).
 	mu       sync.Mutex
 	planSnap snapshot
 	plans    [][]cPattern
@@ -81,8 +80,9 @@ func (p *Prepared) Query() *Query { return p.q }
 
 // RunStats reports how one Run executed. Request it with WithRunStats.
 type RunStats struct {
-	// Parallelism is the resolved shard fan-out width of a sharded run,
-	// and 1 for a run on a single graph.
+	// Parallelism is the resolved shard fan-out width of a run on a
+	// shard set, and 1 for a run on a graph (RouteLocal), which is
+	// serial.
 	Parallelism int
 	// BytesCharged is the evaluator-owned memory the run charged
 	// against its budget (arena chunks, join state, gather buffers);
@@ -95,8 +95,8 @@ type runOpts struct {
 	parallelism int
 	stats       *RunStats
 
-	// Sharded-run options (dist.go): the execution report sink and the
-	// route override. Both are ignored by single-graph runs.
+	// Shard-execution options (dist.go): the execution report sink and
+	// the route override (ignored on a graph).
 	shardStats   *ShardStats
 	forceScatter bool
 
@@ -121,11 +121,13 @@ type runOpts struct {
 // RunOption tunes one (*Prepared).Run / RunSolutions call.
 type RunOption func(*runOpts)
 
-// WithParallelism sets a sharded run's fan-out width: how many shards
-// one shard operation (a pattern's bind join, a pushdown BGP) runs on
-// at once. n <= 0 means GOMAXPROCS (the default); 1 runs the shards one
-// after another on the calling goroutine. A run on a single graph is
-// serial whatever n is, and its output is byte-identical either way.
+// WithParallelism sets a run's shard fan-out width: how many shards one
+// shard operation (a pattern's bind join, a pushdown BGP) runs on at
+// once. n <= 0 means GOMAXPROCS (the default); 1 runs the shards one
+// after another on the calling goroutine. A run on a graph — the
+// one-shard set of RouteLocal — is serial whatever n is; an operation
+// pruning leaves one shard for runs on the calling goroutine too. The
+// output is byte-identical at every width.
 func WithParallelism(n int) RunOption {
 	return func(o *runOpts) { o.parallelism = n }
 }
@@ -151,11 +153,11 @@ func resolveRunOpts(opts []RunOption) runOpts {
 
 // configure arms the environment for the run's options: the fan-out
 // latch of a sharded run wider than one shard at a time, memory
-// accounting and execution tracing. A single graph gets no parRun, no
-// budget leaves env.mem nil and no trace leaves env.trace nil: every
-// charge and span site costs one nil check.
+// accounting and execution tracing. A graph gets no parRun, no budget
+// leaves env.mem nil and no trace leaves env.trace nil: every charge
+// and span site costs one nil check.
 func (env *evalEnv) configure(o *runOpts) {
-	if env.ss != nil && o.parallelism > 1 {
+	if env.route != RouteLocal && o.parallelism > 1 {
 		env.par = &parRun{n: o.parallelism}
 	}
 	if o.memBudget != 0 {
@@ -168,10 +170,15 @@ func (env *evalEnv) configure(o *runOpts) {
 	env.trace = o.trace
 }
 
-// capture fills the caller's RunStats and FaultStats after the run.
+// capture fills the caller's RunStats, FaultStats and ShardStats after
+// the run and, on a traced run, stamps the run-wide counters and a
+// shard set's routing report onto the trace root.
 func (o *runOpts) capture(env *evalEnv) {
 	if env.trace != nil {
 		env.finishRoot()
+	}
+	if o.shardStats != nil {
+		*o.shardStats = env.shardReport()
 	}
 	if o.faultStats != nil && env.ftally != nil {
 		t := env.ftally
@@ -193,40 +200,14 @@ func (o *runOpts) capture(env *evalEnv) {
 	}
 }
 
-// newEnv builds a fresh evaluation environment for one run, reusing
-// the prepared slot table and wiring in the cancellation context. A
-// context that can never be cancelled (Done() == nil, e.g.
-// context.Background()) costs the hot loops nothing.
-func (p *Prepared) newEnv(ctx context.Context, g *rdf.Graph) *evalEnv {
-	view := g.Encoded()
-	env := &evalEnv{
-		g:         g,
-		view:      view,
-		dict:      view.Dict(),
-		terms:     view.Dict().Terms(),
-		slots:     p.slots,
-		vars:      p.vars,
-		stats:     g.Stats(),
-		limitHint: p.limitHint,
-		prep:      p,
-	}
-	env.ftally = &env.tally
-	// The fault plan is read off the raw context: chaos plans also ride
-	// uncancellable contexts, which env.ctx deliberately drops.
-	env.fplan = fault.From(ctx)
-	if ctx != nil && ctx.Done() != nil {
-		env.ctx = ctx
-	}
-	return env
-}
-
 // Run evaluates the prepared query over g, honoring ctx: when the
 // context is cancelled or its deadline passes, the evaluation aborts
 // promptly (the join and scan loops poll the context with an amortized
 // check every cancelCheckEvery rows) and Run returns ctx.Err(). A run
-// on one graph is serial: it evaluates on the calling goroutine.
+// on one graph is the one-shard run of its GraphSet, serial on the
+// calling goroutine.
 func (p *Prepared) Run(ctx context.Context, g *rdf.Graph, opts ...RunOption) (*Results, error) {
-	return materialize(p.RunSolutions(ctx, g, opts...))
+	return p.RunSharded(ctx, GraphSet(g), opts...)
 }
 
 // materialize is a Solutions-returning run's Results.
@@ -288,27 +269,7 @@ type Solutions struct {
 // materialized Results. Cancellation and the RunOptions behave exactly
 // as in Run.
 func (p *Prepared) RunSolutions(ctx context.Context, g *rdf.Graph, opts ...RunOption) (*Solutions, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	ro := resolveRunOpts(opts)
-	env := p.newEnv(ctx, g)
-	env.configure(&ro)
-	return p.solutionsFromEnv(env, &ro)
-}
-
-// solutionsFromEnv is the body RunSolutions and RunShardedSolutions
-// share over an armed environment: evaluate the WHERE pattern, then the
-// answer tail (solutions).
-func (p *Prepared) solutionsFromEnv(env *evalEnv, ro *runOpts) (*Solutions, error) {
-	defer ro.capture(env)
-	rows, err := env.evalPattern(p.q.Where)
-	if err != nil {
-		return nil, err
-	}
-	return env.solutions(p.q, rows)
+	return p.RunShardedSolutions(ctx, GraphSet(g), opts...)
 }
 
 // Vars returns the result variables in projection order (read-only).

@@ -293,7 +293,7 @@ func TestCancelMidScatterLeaksNoHoles(t *testing.T) {
 	// pattern walk, not as partial rows handed to FILTER.
 	env2 := PrepareQuery(MustParse(
 		`SELECT * WHERE { ?s <http://ex/name> ?n OPTIONAL { ?s <http://ex/age> ?a } FILTER(BOUND(?a)) }`)).
-		newEnv(cancelled, g)
+		newEnv(cancelled, GraphSet(g), &runOpts{})
 	if _, err := evaluate(env2, env2.prep.q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("evaluate under cancelled ctx = %v, want context.Canceled", err)
 	}

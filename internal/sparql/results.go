@@ -445,11 +445,11 @@ func (env *evalEnv) describe(targets []TPElem, rows []slotRow) []rdf.Triple {
 }
 
 // subjectTriples returns the triples with subject id in dataset order:
-// the view's subject index on one graph, every shard's merged by global
-// position on a shard set.
+// the view's subject index on a one-shard set, every shard's merged by
+// global position on more.
 func (env *evalEnv) subjectTriples(id rdf.TermID) []rdf.EncodedTriple {
-	if env.ss == nil {
-		return env.view.WithSubject(id)
+	if len(env.ss.Views) == 1 {
+		return env.ss.Views[0].WithSubject(id)
 	}
 	type posTriple struct {
 		pos int32

@@ -172,7 +172,7 @@ func TestScanPatternPollsPerBlock(t *testing.T) {
 		env.ctx = ctx
 		cp := env.compilePattern(bgp.Patterns[0])
 		// Every candidate of ?s ?p ?o yields a row: rows out = candidates visited.
-		out := env.seedScan(&cp, env.emptyRow(), 0)
+		out := env.matchPattern(&cp, env.emptyRow(), nil)
 		if len(out) > cancelCheckEvery {
 			t.Fatalf("a cancelled scan of %d candidates visited %d, want at most %d", len(ts), len(out), cancelCheckEvery)
 		}

@@ -212,6 +212,10 @@ func TestParseErrors(t *testing.T) {
 		"SELECT ?x WHERE { ?x ?p ?o } GROUP BY ?x",
 		"ASK { ?x ?p ?o } ORDER BY",
 		"SELECT ?x WHERE { ?x ?p ?× }", // U+00D7 is no PN_CHARS_BASE
+		// §19.8 VARNAME holds no '-' and no '.': ?x-1 is ?x then -1.
+		"SELECT ?x WHERE { ?x <http://ex/p> ?y FILTER(?x-1 > 1) }",
+		"SELECT ?a-b WHERE { ?s <http://ex/p> ?a }",
+		"SELECT ?a.b WHERE { ?s <http://ex/p> ?a }",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded", bad)

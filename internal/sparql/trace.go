@@ -49,14 +49,6 @@ func (env *evalEnv) endSpan(sp *obs.Span) {
 	}
 }
 
-// noteInt sets an integer attribute on the trace's current span.
-// Driver-goroutine only.
-func (env *evalEnv) noteInt(key string, v int64) {
-	if env.trace != nil {
-		env.trace.Current().SetInt(key, v)
-	}
-}
-
 // noteStr sets a string attribute on the trace's current span.
 // Driver-goroutine only.
 func (env *evalEnv) noteStr(key, v string) {
@@ -81,7 +73,7 @@ func planOrder(cps []cPattern) string {
 
 // finishRoot stamps the run-wide counters onto the trace's root span
 // after the run quiesced: the resolved fan-out width, fault-handling
-// counters, and charged bytes.
+// counters, charged bytes and, on a shard set, the routing report.
 func (env *evalEnv) finishRoot() {
 	root := env.trace.Root()
 	root.SetInt("parallelism", int64(env.width()))
@@ -102,5 +94,11 @@ func (env *evalEnv) finishRoot() {
 	}
 	if env.mem != nil {
 		root.SetInt("bytes_charged", env.mem.used.Load())
+	}
+	if st := env.shardReport(); st.Route != RouteLocal {
+		root.SetStr("route", string(st.Route))
+		root.SetInt("shards", int64(st.Shards))
+		root.SetInt("shards_touched", int64(st.ShardsTouched))
+		root.SetInt("shards_pruned", int64(st.ShardsPruned))
 	}
 }
