@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/rdf"
@@ -129,25 +128,6 @@ func (r *Registry) Register(e Engine) { r.engines = append(r.engines, e) }
 
 // Engines returns the registered engines in order.
 func (r *Registry) Engines() []Engine { return r.engines }
-
-// Get returns the engine with the given system name.
-func (r *Registry) Get(name string) (Engine, bool) {
-	for _, e := range r.engines {
-		if e.Info().Name == name {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
-// Names lists registered system names in order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.engines))
-	for i, e := range r.engines {
-		out[i] = e.Info().Name
-	}
-	return out
-}
 
 // Measurement is one (engine, query) cell of the assessment: wall time,
 // the cluster activity diff, result size, and whether the answer
@@ -313,51 +293,4 @@ func RunAssessment(engines []Engine, w Workload) (*Assessment, error) {
 		}
 	}
 	return a, nil
-}
-
-// BySystem groups measurements per system name, preserving query order.
-func (a *Assessment) BySystem() map[string][]Measurement {
-	out := map[string][]Measurement{}
-	for _, m := range a.Measurements {
-		out[m.System] = append(out[m.System], m)
-	}
-	return out
-}
-
-// ByShape groups measurements per query shape.
-func (a *Assessment) ByShape() map[sparql.Shape][]Measurement {
-	out := map[sparql.Shape][]Measurement{}
-	for _, m := range a.Measurements {
-		out[m.Shape] = append(out[m.Shape], m)
-	}
-	return out
-}
-
-// Shapes returns the shapes present, in taxonomy order.
-func (a *Assessment) Shapes() []sparql.Shape {
-	seen := map[sparql.Shape]bool{}
-	for _, m := range a.Measurements {
-		seen[m.Shape] = true
-	}
-	var out []sparql.Shape
-	for _, s := range []sparql.Shape{sparql.ShapeStar, sparql.ShapeLinear, sparql.ShapeSnowflake, sparql.ShapeComplex} {
-		if seen[s] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// SortedSystems returns system names present in the assessment, sorted.
-func (a *Assessment) SortedSystems() []string {
-	seen := map[string]bool{}
-	for _, m := range a.Measurements {
-		seen[m.System] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

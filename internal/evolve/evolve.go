@@ -88,16 +88,6 @@ func (s *Store) Commit(added, removed []rdf.Triple) (Version, error) {
 	return Version(len(s.deltas)), nil
 }
 
-// DeltaOf returns the delta that produced version v (v >= 1).
-func (s *Store) DeltaOf(v Version) (Delta, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if v < 1 || int(v) > len(s.deltas) {
-		return Delta{}, fmt.Errorf("evolve: no delta for version %d", v)
-	}
-	return s.deltas[v-1], nil
-}
-
 // Snapshot reconstructs the full triple set of version v.
 func (s *Store) Snapshot(v Version) ([]rdf.Triple, error) {
 	s.mu.RLock()
@@ -200,13 +190,6 @@ func NewLive(store *Store, factory func() core.Engine) (*Live, error) {
 		return nil, err
 	}
 	return l, nil
-}
-
-// Version returns the version currently being served.
-func (l *Live) Version() Version {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.version
 }
 
 // Refresh loads the store's head into a fresh engine and swaps it in.

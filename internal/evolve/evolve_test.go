@@ -66,9 +66,6 @@ func TestSnapshotUnknownVersion(t *testing.T) {
 	if _, err := s.Snapshot(-1); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := s.DeltaOf(0); err == nil {
-		t.Fatal("version 0 has no delta")
-	}
 }
 
 func TestCommitNormalizesDeltas(t *testing.T) {
@@ -78,16 +75,11 @@ func TestCommitNormalizesDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.DeltaOf(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Added) != 0 || len(d.Removed) != 0 {
+	if d := s.deltas[v-1]; len(d.Added) != 0 || len(d.Removed) != 0 {
 		t.Fatalf("delta not normalized: %+v", d)
 	}
 	v2, _ := s.Commit([]rdf.Triple{tr("n", "knows", "m"), tr("n", "knows", "m")}, nil)
-	d2, _ := s.DeltaOf(v2)
-	if len(d2.Added) != 1 {
+	if d2 := s.deltas[v2-1]; len(d2.Added) != 1 {
 		t.Fatalf("duplicate adds kept: %+v", d2)
 	}
 }
@@ -209,7 +201,7 @@ func TestLiveUninterruptedUnderConcurrency(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if live.Version() != 5 {
-		t.Fatalf("final version = %d", live.Version())
+	if live.version != 5 {
+		t.Fatalf("final version = %d", live.version)
 	}
 }

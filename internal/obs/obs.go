@@ -63,20 +63,6 @@ func (s *Span) SetInt(key string, v int64) {
 	s.Attrs = append(s.Attrs, Attr{Key: key, Int: v})
 }
 
-// AddInt adds v to an integer attribute, creating it at v.
-func (s *Span) AddInt(key string, v int64) {
-	if s == nil {
-		return
-	}
-	for i := range s.Attrs {
-		if s.Attrs[i].Key == key {
-			s.Attrs[i].Int += v
-			return
-		}
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Int: v})
-}
-
 // SetStr sets (or overwrites) a string attribute.
 func (s *Span) SetStr(key, v string) {
 	if s == nil {

@@ -19,8 +19,7 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 	bgp.SetStr("join_order", "1,0")
 	seed := tr.Begin("seed_scan")
 	seed.SetInt("rows", 100)
-	seed.AddInt("morsels", 3)
-	seed.AddInt("morsels", 2)
+	seed.SetInt("morsels", 5)
 	tr.End(seed)
 	tr.End(bgp)
 	mod := tr.Begin("modifiers")

@@ -1,4 +1,4 @@
-// Package partition implements and evaluates the data-partitioning
+// Package partition implements the data-partitioning
 // strategies the survey's discussion (Sec. V) identifies as the key
 // open lever for RDF-on-Spark systems: simple hash and vertical
 // schemes, the semantic (class-based) partitioning of Troullinou et
@@ -6,13 +6,12 @@
 // GraphX-based balanced label-propagation partitioner — the survey
 // notes "GraphX has not been exploited yet towards this direction".
 //
-// Every strategy maps each triple to a partition; Evaluate scores a
-// placement on the two axes the paper discusses: load balance and the
-// edge-cut of subject-object links (the joins linear queries need).
+// Every strategy maps each triple to a partition, in id space;
+// internal/shard serves a placement and verifies its subject
+// co-location, the property the router's pushdown relies on.
 package partition
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/rdf"
@@ -29,103 +28,6 @@ type Strategy interface {
 	Name() string
 	// Place returns a partition index in [0, n) for every triple.
 	Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int
-}
-
-// Quality scores a placement.
-type Quality struct {
-	// Balance is max partition size / ideal size (1.0 = perfect).
-	Balance float64
-	// EdgeCut is the fraction of subject-object links whose two
-	// triples live on different partitions (0 = all linear joins are
-	// local).
-	EdgeCut float64
-	// StarLocality is the fraction of subjects whose triples share one
-	// partition (1 = every star query is local).
-	StarLocality float64
-}
-
-func (q Quality) String() string {
-	return fmt.Sprintf("balance=%.2f edgeCut=%.2f starLocality=%.2f", q.Balance, q.EdgeCut, q.StarLocality)
-}
-
-// Evaluate computes placement quality for a strategy over a dataset,
-// encoding its distinct triples once and placing them in id space.
-func Evaluate(s Strategy, triples []rdf.Triple, n int) Quality {
-	v := rdf.NewGraph(triples).Encoded()
-	dict, enc := v.Dict(), v.Triples()
-	return EvaluatePlacement(dict, enc, s.Place(dict, enc, n), n)
-}
-
-// EvaluatePlacement scores an already-computed placement: place[i] is
-// the partition of triples[i], a distinct triple encoded through dict.
-// (subject, partition) membership is keyed by 4-byte TermIDs, so both
-// the star-locality and the edge-cut passes stay O(triples) with
-// integer map lookups.
-func EvaluatePlacement(dict *rdf.Dictionary, triples []rdf.EncodedTriple, place []int, n int) Quality {
-	sizes := make([]int, n)
-	for _, p := range place {
-		sizes[p]++
-	}
-	maxSize := 0
-	for _, sz := range sizes {
-		if sz > maxSize {
-			maxSize = sz
-		}
-	}
-	ideal := float64(len(triples)) / float64(n)
-	balance := 1.0
-	if ideal > 0 {
-		balance = float64(maxSize) / ideal
-	}
-
-	// (subject id, partition) membership, shared by both passes.
-	nTerms := dict.Len()
-	partsSeen := make(map[uint64]struct{}, len(triples))
-	partCount := make([]int32, nTerms) // distinct partitions per subject
-	isSubject := make([]bool, nTerms)
-	for i, e := range triples {
-		isSubject[e.S] = true
-		key := uint64(e.S)<<32 | uint64(uint32(place[i]))
-		if _, ok := partsSeen[key]; !ok {
-			partsSeen[key] = struct{}{}
-			partCount[e.S]++
-		}
-	}
-
-	// Star locality: subjects whose triples all share a partition.
-	subjects, local := 0, 0
-	for id, is := range isSubject {
-		if !is {
-			continue
-		}
-		subjects++
-		if partCount[id] == 1 {
-			local++
-		}
-	}
-	starLocality := 1.0
-	if subjects > 0 {
-		starLocality = float64(local) / float64(subjects)
-	}
-
-	// Edge cut over subject-object links: for each triple t1 whose
-	// object is some subject s2, does any t2 with subject s2 share
-	// t1's partition?
-	links, cut := 0, 0
-	for i, e := range triples {
-		if !isSubject[e.O] {
-			continue
-		}
-		links++
-		if _, ok := partsSeen[uint64(e.O)<<32|uint64(uint32(place[i]))]; !ok {
-			cut++
-		}
-	}
-	edgeCut := 0.0
-	if links > 0 {
-		edgeCut = float64(cut) / float64(links)
-	}
-	return Quality{Balance: balance, EdgeCut: edgeCut, StarLocality: starLocality}
 }
 
 // termHash places a term by the hash of its bytes — its N-Triples
@@ -292,9 +194,6 @@ func (w WorkloadAware) Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, 
 type LabelPropagation struct {
 	// Rounds bounds the propagation iterations (default 5).
 	Rounds int
-	// Ctx supplies the GraphX substrate; a private context is created
-	// when nil.
-	Ctx *spark.Context
 }
 
 // Name implements Strategy.
@@ -302,10 +201,7 @@ func (LabelPropagation) Name() string { return "graphx-label-propagation" }
 
 // Place implements Strategy.
 func (l LabelPropagation) Place(dict *rdf.Dictionary, triples []rdf.EncodedTriple, n int) []int {
-	ctx := l.Ctx
-	if ctx == nil {
-		ctx = spark.NewContext(spark.DefaultConfig())
-	}
+	ctx := spark.NewContext(spark.DefaultConfig())
 	rounds := l.Rounds
 	if rounds <= 0 {
 		rounds = 5

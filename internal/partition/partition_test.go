@@ -15,10 +15,13 @@ func allStrategies() []Strategy {
 	linear := sparql.MustParse(fmt.Sprintf(
 		`SELECT ?st ?dept WHERE { ?st <%sadvisor> ?prof . ?prof <%sworksFor> ?dept }`,
 		workload.UnivNS, workload.UnivNS))
-	all := All(WithRounds(4))
+	all := append([]Strategy(nil), registered...)
 	for i, s := range all {
-		if _, ok := s.(WorkloadAware); ok {
+		switch s.(type) {
+		case WorkloadAware:
 			all[i] = WorkloadAware{Queries: []*sparql.Query{linear}}
+		case LabelPropagation:
+			all[i] = LabelPropagation{Rounds: 4}
 		}
 	}
 	return all
@@ -31,7 +34,7 @@ func encodeDistinct(triples []rdf.Triple) (*rdf.Dictionary, []rdf.EncodedTriple)
 	var enc []rdf.EncodedTriple
 	seen := map[rdf.EncodedTriple]bool{}
 	for _, t := range triples {
-		if e := dict.EncodeTriple(t); !seen[e] {
+		if e, _ := dict.TryEncodeTriple(t); !seen[e] {
 			seen[e] = true
 			enc = append(enc, e)
 		}
@@ -39,12 +42,52 @@ func encodeDistinct(triples []rdf.Triple) (*rdf.Dictionary, []rdf.EncodedTriple)
 	return dict, enc
 }
 
-func TestRegistry(t *testing.T) {
-	names := registryOrder
-	if len(names) != 5 {
-		t.Fatalf("registry holds %d strategies: %v", len(names), names)
+// quality scores s's placement of the distinct triples into n
+// partitions on the two axes the survey discusses (Sec. V): the
+// fraction of subjects whose triples share one partition (1 = every
+// star is local, which the router's pushdown relies on), and the
+// fraction of subject-object links whose object's triples share no
+// partition with the link (0 = every linear join is local).
+func quality(s Strategy, triples []rdf.Triple, n int) (starLocality, edgeCut float64) {
+	dict, enc := encodeDistinct(triples)
+	place := s.Place(dict, enc, n)
+	parts := map[rdf.TermID]map[int]bool{} // subject → its partitions
+	for i, e := range enc {
+		if parts[e.S] == nil {
+			parts[e.S] = map[int]bool{}
+		}
+		parts[e.S][place[i]] = true
 	}
-	for _, name := range names {
+	local, links, cut := 0, 0, 0
+	for _, ps := range parts {
+		if len(ps) == 1 {
+			local++
+		}
+	}
+	for i, e := range enc {
+		if ps, ok := parts[e.O]; ok {
+			links++
+			if !ps[place[i]] {
+				cut++
+			}
+		}
+	}
+	starLocality = 1
+	if len(parts) > 0 {
+		starLocality = float64(local) / float64(len(parts))
+	}
+	if links > 0 {
+		edgeCut = float64(cut) / float64(links)
+	}
+	return starLocality, edgeCut
+}
+
+func TestRegistry(t *testing.T) {
+	if len(registered) != 5 {
+		t.Fatalf("registry holds %d strategies: %v", len(registered), registered)
+	}
+	for _, r := range registered {
+		name := r.Name()
 		s, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -56,34 +99,17 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("no-such-strategy"); err == nil {
 		t.Fatal("unknown name must error")
 	}
-	if lp, _ := ByName(LabelPropagation{}.Name(), WithRounds(7)); lp.(LabelPropagation).Rounds != 7 {
-		t.Fatalf("rounds not threaded: %#v", lp)
-	}
 }
 
-// TestRegistryCoverage pins the invariant All relies on instead of a
-// runtime panic: every name in registration order has a builder, and
-// All returns them all, in order, with options threaded through.
+// TestRegistryCoverage pins that registered names are distinct, so
+// ByName reaches every registered strategy.
 func TestRegistryCoverage(t *testing.T) {
-	for _, name := range registryOrder {
-		if builders[name] == nil {
-			t.Fatalf("registered name %q has no builder", name)
+	seen := map[string]bool{}
+	for _, s := range registered {
+		if seen[s.Name()] {
+			t.Fatalf("%q registered twice", s.Name())
 		}
-	}
-	if len(builders) != len(registryOrder) {
-		t.Fatalf("builders holds %d entries, registryOrder %d", len(builders), len(registryOrder))
-	}
-	all := All(WithRounds(3))
-	if len(all) != len(registryOrder) {
-		t.Fatalf("All returned %d strategies, want %d", len(all), len(registryOrder))
-	}
-	for i, s := range all {
-		if s.Name() != registryOrder[i] {
-			t.Fatalf("All[%d] = %q, want %q", i, s.Name(), registryOrder[i])
-		}
-		if lp, ok := s.(LabelPropagation); ok && lp.Rounds != 3 {
-			t.Fatalf("All did not thread options: %#v", s)
-		}
+		seen[s.Name()] = true
 	}
 }
 
@@ -119,60 +145,52 @@ func TestPlacementsDeterministic(t *testing.T) {
 func TestSubjectBasedStrategiesKeepStarsLocal(t *testing.T) {
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
 	for _, s := range []Strategy{HashSubject{}, Semantic{}} {
-		q := Evaluate(s, triples, 4)
-		if q.StarLocality != 1.0 {
-			t.Fatalf("%s: star locality %.2f, want 1.0", s.Name(), q.StarLocality)
+		if locality, _ := quality(s, triples, 4); locality != 1.0 {
+			t.Fatalf("%s: star locality %.2f, want 1.0", s.Name(), locality)
 		}
 	}
 }
 
 func TestVerticalBreaksStars(t *testing.T) {
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
-	q := Evaluate(Vertical{}, triples, 4)
-	if q.StarLocality >= 0.9 {
-		t.Fatalf("vertical star locality %.2f should be low", q.StarLocality)
+	if locality, _ := quality(Vertical{}, triples, 4); locality >= 0.9 {
+		t.Fatalf("vertical star locality %.2f should be low", locality)
 	}
 }
 
 func TestWorkloadAwareCutsLinkEdges(t *testing.T) {
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
-	hash := Evaluate(HashSubject{}, triples, 4)
+	_, hashCut := quality(HashSubject{}, triples, 4)
 	linear := sparql.MustParse(fmt.Sprintf(
 		`SELECT ?st ?dept WHERE { ?st <%sadvisor> ?prof . ?prof <%sworksFor> ?dept }`,
 		workload.UnivNS, workload.UnivNS))
-	aware := Evaluate(WorkloadAware{Queries: []*sparql.Query{linear}}, triples, 4)
-	if aware.EdgeCut >= hash.EdgeCut {
-		t.Fatalf("workload-aware edge cut %.2f not below hash %.2f", aware.EdgeCut, hash.EdgeCut)
+	locality, cut := quality(WorkloadAware{Queries: []*sparql.Query{linear}}, triples, 4)
+	if cut >= hashCut {
+		t.Fatalf("workload-aware edge cut %.2f not below hash %.2f", cut, hashCut)
 	}
-	if aware.StarLocality != 1.0 {
-		t.Fatalf("workload-aware must keep stars local, got %.2f", aware.StarLocality)
+	if locality != 1.0 {
+		t.Fatalf("workload-aware must keep stars local, got %.2f", locality)
 	}
 }
 
 func TestLabelPropagationReducesEdgeCut(t *testing.T) {
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
-	hash := Evaluate(HashSubject{}, triples, 4)
-	lp := Evaluate(LabelPropagation{Rounds: 5}, triples, 4)
-	if lp.EdgeCut >= hash.EdgeCut {
-		t.Fatalf("label propagation edge cut %.2f not below hash %.2f", lp.EdgeCut, hash.EdgeCut)
+	_, hashCut := quality(HashSubject{}, triples, 4)
+	_, lpCut := quality(LabelPropagation{Rounds: 5}, triples, 4)
+	if lpCut >= hashCut {
+		t.Fatalf("label propagation edge cut %.2f not below hash %.2f", lpCut, hashCut)
 	}
 }
 
-func TestEvaluateEdgeCases(t *testing.T) {
-	q := Evaluate(HashSubject{}, nil, 4)
-	if q.Balance != 1.0 || q.EdgeCut != 0 || q.StarLocality != 1.0 {
-		t.Fatalf("empty dataset quality = %+v", q)
-	}
+func TestPlacementEdgeCases(t *testing.T) {
 	one := []rdf.Triple{{S: rdf.NewIRI("http://a"), P: rdf.NewIRI("http://p"), O: rdf.NewIRI("http://b")}}
-	q = Evaluate(HashSubject{}, one, 2)
-	if q.StarLocality != 1.0 {
-		t.Fatalf("single triple quality = %+v", q)
-	}
-}
-
-func TestQualityString(t *testing.T) {
-	s := Quality{Balance: 1.5, EdgeCut: 0.25, StarLocality: 1}.String()
-	if s == "" {
-		t.Fatal("empty string")
+	for _, s := range allStrategies() {
+		dict, enc := encodeDistinct(nil)
+		if place := s.Place(dict, enc, 4); len(place) != 0 {
+			t.Fatalf("%s placed %d triples of an empty dataset", s.Name(), len(place))
+		}
+		if locality, cut := quality(s, one, 2); locality != 1.0 || cut != 0 {
+			t.Fatalf("%s: single triple star locality %.2f, edge cut %.2f", s.Name(), locality, cut)
+		}
 	}
 }

@@ -157,7 +157,7 @@ func refVertical(triples []rdf.Triple, n int) []int {
 func refSemantic(triples []rdf.Triple, n int) []int {
 	classOf := map[rdf.Term]string{}
 	for _, t := range triples {
-		if t.IsTypeTriple() {
+		if t.P.Value == rdf.RDFType {
 			if _, ok := classOf[t.S]; !ok {
 				classOf[t.S] = t.O.Value
 			}
@@ -222,10 +222,7 @@ func refWorkloadAware(w WorkloadAware, triples []rdf.Triple, n int) []int {
 }
 
 func refLabelPropagation(l LabelPropagation, triples []rdf.Triple, n int) []int {
-	ctx := l.Ctx
-	if ctx == nil {
-		ctx = spark.NewContext(spark.DefaultConfig())
-	}
+	ctx := spark.NewContext(spark.DefaultConfig())
 	rounds := l.Rounds
 	if rounds <= 0 {
 		rounds = 5

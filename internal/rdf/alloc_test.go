@@ -55,12 +55,12 @@ func TestEncodedViewMatchesGraph(t *testing.T) {
 		t.Fatalf("encoded len = %d, graph len = %d", v.Len(), g.Len())
 	}
 	dict := v.Dict()
-	for _, e := range v.Triples() {
-		tr, err := dict.DecodeTriple(e)
+	for _, e := range v.triples {
+		tr, err := decodeTriple(dict, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !g.Has(tr) {
+		if !has(g, tr) {
 			t.Fatalf("decoded triple %v not in graph", tr)
 		}
 	}

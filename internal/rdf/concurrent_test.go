@@ -44,7 +44,7 @@ func TestGraphConcurrentLazyInit(t *testing.T) {
 			// Exercise the read paths that share the lazily built
 			// structures: index lookups, dictionary decoding.
 			for _, e := range views[i].WithPredicate(views[i].Dict().Encode(NewIRI("http://ex/p0"))) {
-				if _, err := views[i].Dict().Decode(e.O); err != nil {
+				if _, err := decode(views[i].Dict(), e.O); err != nil {
 					t.Error(err)
 					return
 				}

@@ -98,19 +98,9 @@ func (d *Dictionary) Lookup(t Term) (TermID, bool) {
 	return id, ok
 }
 
-// Decode returns the term for id.
-func (d *Dictionary) Decode(id TermID) (Term, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(id) >= len(d.terms) {
-		return Term{}, fmt.Errorf("rdf: unknown term id %d", id)
-	}
-	return d.terms[id], nil
-}
-
 // Terms returns a read-only snapshot of the id→term table: index i
 // holds the term for TermID(i). Hot decode loops index this slice
-// directly instead of taking the lock per Decode call; ids assigned
+// directly instead of taking the lock per lookup; ids assigned
 // after the snapshot are not visible in it.
 func (d *Dictionary) Terms() []Term {
 	d.mu.RLock()
@@ -125,14 +115,8 @@ func (d *Dictionary) Len() int {
 	return len(d.terms)
 }
 
-// EncodeTriple encodes all three positions (panicking like Encode when
-// the dictionary is full).
-func (d *Dictionary) EncodeTriple(t Triple) EncodedTriple {
-	return EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
-}
-
-// TryEncodeTriple is EncodeTriple returning a *CapacityError instead of
-// panicking.
+// TryEncodeTriple encodes all three positions, failing with a
+// *CapacityError when the dictionary is full.
 func (d *Dictionary) TryEncodeTriple(t Triple) (EncodedTriple, error) {
 	s, err := d.TryEncode(t.S)
 	if err != nil {
@@ -147,23 +131,6 @@ func (d *Dictionary) TryEncodeTriple(t Triple) (EncodedTriple, error) {
 		return EncodedTriple{}, err
 	}
 	return EncodedTriple{S: s, P: p, O: o}, nil
-}
-
-// DecodeTriple reverses EncodeTriple.
-func (d *Dictionary) DecodeTriple(e EncodedTriple) (Triple, error) {
-	s, err := d.Decode(e.S)
-	if err != nil {
-		return Triple{}, err
-	}
-	p, err := d.Decode(e.P)
-	if err != nil {
-		return Triple{}, err
-	}
-	o, err := d.Decode(e.O)
-	if err != nil {
-		return Triple{}, err
-	}
-	return Triple{S: s, P: p, O: o}, nil
 }
 
 // EncodeDistinct encodes the triples read hands over through a fresh

@@ -39,7 +39,7 @@ var maxTriples = math.MaxInt32
 // already walking. A single-graph view has no columns (they read nil).
 //
 // A view is immutable. Obtain one with Graph.Encoded(), or build one
-// directly from encoded triples with NewEncodedView. All returned
+// directly from encoded triples with NewPositionedView. All returned
 // slices are views into the index and must be treated as read-only.
 type EncodedView struct {
 	dict    *Dictionary
@@ -139,22 +139,17 @@ func newEncodedView(dict *Dictionary, ts []EncodedTriple, positions []int32) *En
 	}
 }
 
-// NewEncodedView builds a view over a copy of triples, which must be
-// distinct and already encoded through dict. It fails with a
-// *CapacityError beyond the store's triple limit.
-func NewEncodedView(dict *Dictionary, triples []EncodedTriple) (*EncodedView, error) {
-	return NewPositionedView(dict, triples, nil)
-}
-
-// NewPositionedView is NewEncodedView for one shard of a larger
-// dataset: positions[i] is the place triples[i] holds in the whole
-// dataset's insertion order, ascending, and the view keeps a copy of it
-// aligned with every order it stores the triples in (the Scan*
-// accessors). Shards are built this way straight from their encoded
-// buckets around one shared dictionary: a TermID means the same term on
-// every shard, so cross-shard merging, joining, and deduplication stay
-// in id space, and no term-space graph is ever materialized. Nil
-// positions build a plain view without columns.
+// NewPositionedView builds a view over a copy of triples, which must
+// be distinct and already encoded through dict; it fails with a
+// *CapacityError beyond the store's triple limit. It serves one shard
+// of a larger dataset: positions[i] is the place triples[i] holds in
+// the whole dataset's insertion order, ascending, and the view keeps
+// a copy of it aligned with every order it stores the triples in (the
+// Scan* accessors). Shards are built this way straight from their
+// encoded buckets around one shared dictionary: a TermID means the
+// same term on every shard, so cross-shard merging, joining, and
+// deduplication stay in id space, and no term-space graph is ever
+// materialized. Nil positions build a plain view without columns.
 func NewPositionedView(dict *Dictionary, triples []EncodedTriple, positions []int32) (*EncodedView, error) {
 	if len(triples) > maxTriples {
 		return nil, &CapacityError{What: "triples", Limit: int64(maxTriples)}
@@ -173,9 +168,6 @@ func (v *EncodedView) Dict() *Dictionary { return v.dict }
 
 // Len returns the number of encoded triples.
 func (v *EncodedView) Len() int { return len(v.triples) }
-
-// Triples returns all encoded triples in insertion order (read-only).
-func (v *EncodedView) Triples() []EncodedTriple { return v.triples }
 
 // WithSubject returns the encoded triples whose subject is id, in
 // insertion order (read-only, no copy).

@@ -20,7 +20,7 @@ func ExampleParseNTriples() {
 func ExampleDictionary() {
 	d := rdf.NewDictionary()
 	id := d.Encode(rdf.NewIRI("http://ex/ann"))
-	back, _ := d.Decode(id)
+	back := d.Terms()[id]
 	fmt.Println(id, back.Value)
 	// Output: 0 http://ex/ann
 }

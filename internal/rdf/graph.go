@@ -88,24 +88,6 @@ func (g *Graph) addEncoded(e EncodedTriple) (bool, error) {
 	return true, nil
 }
 
-// Has reports membership.
-func (g *Graph) Has(t Triple) bool {
-	s, ok := g.dict.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	p, ok := g.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	o, ok := g.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	_, ok = g.set[EncodedTriple{S: s, P: p, O: o}]
-	return ok
-}
-
 // Len returns the number of distinct triples.
 func (g *Graph) Len() int { return len(g.enc) }
 

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,14 +31,14 @@ func TestTermString(t *testing.T) {
 }
 
 func TestTripleValidate(t *testing.T) {
-	good := NewTriple(iri("s"), iri("p"), NewLiteral("o"))
+	good := Triple{S: iri("s"), P: iri("p"), O: NewLiteral("o")}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewTriple(NewLiteral("x"), iri("p"), iri("o")).Validate(); err == nil {
+	if err := (Triple{S: NewLiteral("x"), P: iri("p"), O: iri("o")}).Validate(); err == nil {
 		t.Fatal("literal subject must be rejected")
 	}
-	if err := NewTriple(iri("s"), NewBlank("b"), iri("o")).Validate(); err == nil {
+	if err := (Triple{S: iri("s"), P: NewBlank("b"), O: iri("o")}).Validate(); err == nil {
 		t.Fatal("blank predicate must be rejected")
 	}
 }
@@ -101,11 +102,11 @@ func TestParseNTriplesErrors(t *testing.T) {
 
 func TestNTriplesRoundTrip(t *testing.T) {
 	ts := []Triple{
-		NewTriple(iri("s"), iri("p"), iri("o")),
-		NewTriple(NewBlank("x"), iri("p"), NewLiteral("hello world")),
-		NewTriple(iri("s"), iri("q"), NewLangLiteral("salut", "fr")),
-		NewTriple(iri("s"), iri("r"), NewTypedLiteral("42", XSDInteger)),
-		NewTriple(iri("s"), iri("r"), NewLiteral("tab\tnewline\nquote\"")),
+		Triple{S: iri("s"), P: iri("p"), O: iri("o")},
+		Triple{S: NewBlank("x"), P: iri("p"), O: NewLiteral("hello world")},
+		Triple{S: iri("s"), P: iri("q"), O: NewLangLiteral("salut", "fr")},
+		Triple{S: iri("s"), P: iri("r"), O: NewTypedLiteral("42", XSDInteger)},
+		Triple{S: iri("s"), P: iri("r"), O: NewLiteral("tab\tnewline\nquote\"")},
 	}
 	var buf bytes.Buffer
 	if err := WriteNTriples(&buf, ts); err != nil {
@@ -130,7 +131,7 @@ func TestNTriplesRoundTripProperty(t *testing.T) {
 			}
 			return r
 		}, value)
-		tr := NewTriple(iri("s"), iri("p"), NewLiteral(clean))
+		tr := Triple{S: iri("s"), P: iri("p"), O: NewLiteral(clean)}
 		back, err := ParseTripleLine(tr.String())
 		if err != nil {
 			return false
@@ -152,11 +153,11 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	if got := d.Encode(iri("a")); got != a {
 		t.Fatal("re-encoding changed the id")
 	}
-	term, err := d.Decode(a)
+	term, err := decode(d, a)
 	if err != nil || term != iri("a") {
 		t.Fatalf("Decode = %v, %v", term, err)
 	}
-	if _, err := d.Decode(999); err == nil {
+	if _, err := decode(d, 999); err == nil {
 		t.Fatal("expected error for unknown id")
 	}
 	if d.Len() != 2 {
@@ -169,9 +170,9 @@ func TestDictionaryRoundTrip(t *testing.T) {
 
 func TestDictionaryTripleRoundTrip(t *testing.T) {
 	d := NewDictionary()
-	tr := NewTriple(iri("s"), iri("p"), NewLiteral("v"))
-	enc := d.EncodeTriple(tr)
-	back, err := d.DecodeTriple(enc)
+	tr := Triple{S: iri("s"), P: iri("p"), O: NewLiteral("v")}
+	enc := encodeTriple(d, tr)
+	back, err := decodeTriple(d, enc)
 	if err != nil || back != tr {
 		t.Fatalf("round trip = %v, %v", back, err)
 	}
@@ -216,7 +217,7 @@ func TestDictionaryPropertyDenseIDs(t *testing.T) {
 		}
 		// Ids must be dense: 0..Len-1 all decodable.
 		for i := 0; i < d.Len(); i++ {
-			if _, err := d.Decode(TermID(i)); err != nil {
+			if _, err := decode(d, TermID(i)); err != nil {
 				return false
 			}
 		}
@@ -229,10 +230,10 @@ func TestDictionaryPropertyDenseIDs(t *testing.T) {
 
 func TestGraphIndexes(t *testing.T) {
 	ts := []Triple{
-		NewTriple(iri("a"), iri("knows"), iri("b")),
-		NewTriple(iri("b"), iri("knows"), iri("c")),
-		NewTriple(iri("a"), iri("name"), NewLiteral("Ann")),
-		NewTriple(iri("a"), iri("knows"), iri("b")), // duplicate
+		Triple{S: iri("a"), P: iri("knows"), O: iri("b")},
+		Triple{S: iri("b"), P: iri("knows"), O: iri("c")},
+		Triple{S: iri("a"), P: iri("name"), O: NewLiteral("Ann")},
+		Triple{S: iri("a"), P: iri("knows"), O: iri("b")}, // duplicate
 	}
 	g := NewGraph(ts)
 	if g.Len() != 3 {
@@ -255,16 +256,16 @@ func TestGraphIndexes(t *testing.T) {
 	if got := len(v.WithObject(id(iri("b")))); got != 1 {
 		t.Fatalf("object b = %d", got)
 	}
-	if !g.Has(ts[0]) {
+	if !has(g, ts[0]) {
 		t.Fatal("Has missing triple")
 	}
 }
 
 func TestComputeStats(t *testing.T) {
 	ts := []Triple{
-		NewTriple(iri("a"), iri("p"), iri("x")),
-		NewTriple(iri("a"), iri("q"), iri("y")),
-		NewTriple(iri("b"), iri("p"), iri("x")),
+		Triple{S: iri("a"), P: iri("p"), O: iri("x")},
+		Triple{S: iri("a"), P: iri("q"), O: iri("y")},
+		Triple{S: iri("b"), P: iri("p"), O: iri("x")},
 	}
 	dict := NewDictionary()
 	s := ComputeEncodedStats(dict, encodeAll(dict, ts))
@@ -278,46 +279,46 @@ func TestComputeStats(t *testing.T) {
 
 func TestMaterializeSubClass(t *testing.T) {
 	ts := []Triple{
-		NewTriple(iri("Student"), NewIRI(RDFSSubClassOf), iri("Person")),
-		NewTriple(iri("Person"), NewIRI(RDFSSubClassOf), iri("Agent")),
-		NewTriple(iri("ann"), NewIRI(RDFType), iri("Student")),
+		Triple{S: iri("Student"), P: NewIRI(RDFSSubClassOf), O: iri("Person")},
+		Triple{S: iri("Person"), P: NewIRI(RDFSSubClassOf), O: iri("Agent")},
+		Triple{S: iri("ann"), P: NewIRI(RDFType), O: iri("Student")},
 	}
 	out := NewGraph(Materialize(ts))
 	// rdfs9 through the rdfs11 closure: ann is a Person and an Agent.
-	if !out.Has(NewTriple(iri("ann"), NewIRI(RDFType), iri("Person"))) {
+	if !has(out, Triple{S: iri("ann"), P: NewIRI(RDFType), O: iri("Person")}) {
 		t.Fatal("missing ann type Person")
 	}
-	if !out.Has(NewTriple(iri("ann"), NewIRI(RDFType), iri("Agent"))) {
+	if !has(out, Triple{S: iri("ann"), P: NewIRI(RDFType), O: iri("Agent")}) {
 		t.Fatal("missing ann type Agent (transitive)")
 	}
-	if !out.Has(NewTriple(iri("Student"), NewIRI(RDFSSubClassOf), iri("Agent"))) {
+	if !has(out, Triple{S: iri("Student"), P: NewIRI(RDFSSubClassOf), O: iri("Agent")}) {
 		t.Fatal("missing subClassOf closure")
 	}
 }
 
 func TestMaterializeSubPropertyDomainRange(t *testing.T) {
 	ts := []Triple{
-		NewTriple(iri("teaches"), NewIRI(RDFSSubPropertyOf), iri("worksWith")),
-		NewTriple(iri("teaches"), NewIRI(RDFSDomain), iri("Teacher")),
-		NewTriple(iri("teaches"), NewIRI(RDFSRange), iri("Course")),
-		NewTriple(iri("bob"), iri("teaches"), iri("math101")),
+		Triple{S: iri("teaches"), P: NewIRI(RDFSSubPropertyOf), O: iri("worksWith")},
+		Triple{S: iri("teaches"), P: NewIRI(RDFSDomain), O: iri("Teacher")},
+		Triple{S: iri("teaches"), P: NewIRI(RDFSRange), O: iri("Course")},
+		Triple{S: iri("bob"), P: iri("teaches"), O: iri("math101")},
 	}
 	out := NewGraph(Materialize(ts))
-	if !out.Has(NewTriple(iri("bob"), iri("worksWith"), iri("math101"))) {
+	if !has(out, Triple{S: iri("bob"), P: iri("worksWith"), O: iri("math101")}) {
 		t.Fatal("rdfs7 missing")
 	}
-	if !out.Has(NewTriple(iri("bob"), NewIRI(RDFType), iri("Teacher"))) {
+	if !has(out, Triple{S: iri("bob"), P: NewIRI(RDFType), O: iri("Teacher")}) {
 		t.Fatal("rdfs2 missing")
 	}
-	if !out.Has(NewTriple(iri("math101"), NewIRI(RDFType), iri("Course"))) {
+	if !has(out, Triple{S: iri("math101"), P: NewIRI(RDFType), O: iri("Course")}) {
 		t.Fatal("rdfs3 missing")
 	}
 }
 
 func TestMaterializeRangeSkipsLiterals(t *testing.T) {
 	ts := []Triple{
-		NewTriple(iri("name"), NewIRI(RDFSRange), iri("Name")),
-		NewTriple(iri("bob"), iri("name"), NewLiteral("Bob")),
+		Triple{S: iri("name"), P: NewIRI(RDFSRange), O: iri("Name")},
+		Triple{S: iri("bob"), P: iri("name"), O: NewLiteral("Bob")},
 	}
 	out := Materialize(ts)
 	for _, tr := range out {
@@ -332,8 +333,8 @@ func TestMaterializeRangeSkipsLiterals(t *testing.T) {
 
 func TestMaterializeIdempotent(t *testing.T) {
 	ts := []Triple{
-		NewTriple(iri("A"), NewIRI(RDFSSubClassOf), iri("B")),
-		NewTriple(iri("x"), NewIRI(RDFType), iri("A")),
+		Triple{S: iri("A"), P: NewIRI(RDFSSubClassOf), O: iri("B")},
+		Triple{S: iri("x"), P: NewIRI(RDFType), O: iri("A")},
 	}
 	once := Materialize(ts)
 	twice := Materialize(once)
@@ -342,11 +343,36 @@ func TestMaterializeIdempotent(t *testing.T) {
 	}
 }
 
-func TestIsTypeTriple(t *testing.T) {
-	if !NewTriple(iri("x"), NewIRI(RDFType), iri("C")).IsTypeTriple() {
-		t.Fatal("type triple not detected")
+// encodeTriple encodes t through d.
+func encodeTriple(d *Dictionary, t Triple) EncodedTriple {
+	e, err := d.TryEncodeTriple(t)
+	if err != nil {
+		panic(err)
 	}
-	if NewTriple(iri("x"), iri("p"), iri("C")).IsTypeTriple() {
-		t.Fatal("non-type triple misdetected")
+	return e
+}
+
+// decode returns the term d holds under id.
+func decode(d *Dictionary, id TermID) (Term, error) {
+	if terms := d.Terms(); int(id) < len(terms) {
+		return terms[id], nil
 	}
+	return Term{}, errors.New("rdf: unknown term id")
+}
+
+// decodeTriple reverses encodeTriple.
+func decodeTriple(d *Dictionary, e EncodedTriple) (Triple, error) {
+	s, errS := decode(d, e.S)
+	p, errP := decode(d, e.P)
+	o, errO := decode(d, e.O)
+	return Triple{S: s, P: p, O: o}, errors.Join(errS, errP, errO)
+}
+
+// has reports whether g holds t.
+func has(g *Graph, t Triple) bool {
+	s, okS := g.dict.Lookup(t.S)
+	p, okP := g.dict.Lookup(t.P)
+	o, okO := g.dict.Lookup(t.O)
+	_, ok := g.set[EncodedTriple{S: s, P: p, O: o}]
+	return okS && okP && okO && ok
 }

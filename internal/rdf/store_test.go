@@ -76,7 +76,7 @@ func distinct(ts []Triple) []Triple {
 func encodeAll(dict *Dictionary, ts []Triple) []EncodedTriple {
 	out := make([]EncodedTriple, len(ts))
 	for i, t := range ts {
-		out[i] = dict.EncodeTriple(t)
+		out[i] = encodeTriple(dict, t)
 	}
 	return out
 }
@@ -104,9 +104,9 @@ func checkEncodedView(v *EncodedView, want []Triple) error {
 	if v.Len() != len(want) {
 		return fmt.Errorf("view holds %d triples, want %d", v.Len(), len(want))
 	}
-	all := v.Triples()
+	all := v.triples
 	for i, e := range all {
-		if tr, err := dict.DecodeTriple(e); err != nil || tr != want[i] {
+		if tr, err := decodeTriple(dict, e); err != nil || tr != want[i] {
 			return fmt.Errorf("view triple %d decodes to %v (%v), want %v", i, tr, err, want[i])
 		}
 	}
@@ -148,8 +148,8 @@ func checkSummaries(g *Graph, vocab storeVocab, r *rand.Rand, want []Triple) err
 		if i%8 == 0 {
 			t.O = absentTerms[r.Intn(len(absentTerms))]
 		}
-		if g.Has(t) != member[t] {
-			return fmt.Errorf("Has(%v) = %v, want %v", t, g.Has(t), member[t])
+		if has(g, t) != member[t] {
+			return fmt.Errorf("Has(%v) = %v, want %v", t, has(g, t), member[t])
 		}
 	}
 	return nil
@@ -178,7 +178,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			for n := r.Intn(40); n > 0; n-- {
 				tr := vocab.triple(r)
-				fresh := !g.Has(tr)
+				fresh := !has(g, tr)
 				if g.Add(tr) != fresh {
 					t.Logf("seed %d: Add(%v) disagreed with Has", seed, tr)
 					return false
@@ -219,7 +219,7 @@ func TestNewEncodedViewAndLateIDs(t *testing.T) {
 	ts = distinct(ts)
 	dict := NewDictionary()
 	enc := encodeAll(dict, ts)
-	v, err := NewEncodedView(dict, enc)
+	v, err := NewPositionedView(dict, enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestNewEncodedViewAndLateIDs(t *testing.T) {
 	if s, p, o := v.WithSubject(late), v.WithPredicate(late), v.WithObject(late); s != nil || p != nil || o != nil {
 		t.Fatalf("late id %d reads %v / %v / %v, want nil", late, s, p, o)
 	}
-	empty, err := NewEncodedView(dict, nil)
+	empty, err := NewPositionedView(dict, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +260,9 @@ func TestDictionaryOwnsItsStrings(t *testing.T) {
 		t.Skip("parser no longer returns substrings of the line")
 	}
 	dict := NewDictionary()
-	e := dict.EncodeTriple(tr)
+	e := encodeTriple(dict, tr)
 	for _, id := range []TermID{e.S, e.P, e.O} {
-		term, err := dict.Decode(id)
+		term, err := decode(dict, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestDictionaryOwnsItsStrings(t *testing.T) {
 			t.Fatalf("dictionary term %v still points into the parsed line", term)
 		}
 	}
-	if got, _ := dict.DecodeTriple(e); got != tr {
+	if got, _ := decodeTriple(dict, e); got != tr {
 		t.Fatalf("decoded %v, want %v", got, tr)
 	}
 }
@@ -361,11 +361,11 @@ func TestCapacityErrors(t *testing.T) {
 			t.Fatalf("failed add changed the graph: Len %d", g.Len())
 		}
 		enc := encodeAll(g.Encoded().Dict(), []Triple{mk(0), mk(1), mk(2)})
-		if _, err := NewEncodedView(g.Encoded().Dict(), enc); !errors.As(err, &ce) {
-			t.Fatalf("NewEncodedView past the limit: err = %v", err)
+		if _, err := NewPositionedView(g.Encoded().Dict(), enc, nil); !errors.As(err, &ce) {
+			t.Fatalf("NewPositionedView past the limit: err = %v", err)
 		}
-		if _, err := NewEncodedView(g.Encoded().Dict(), enc[:2]); err != nil {
-			t.Fatalf("NewEncodedView at the limit: %v", err)
+		if _, err := NewPositionedView(g.Encoded().Dict(), enc[:2], nil); err != nil {
+			t.Fatalf("NewPositionedView at the limit: %v", err)
 		}
 	})
 }

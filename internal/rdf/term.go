@@ -139,9 +139,6 @@ type Triple struct {
 	S, P, O Term
 }
 
-// NewTriple builds a triple.
-func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
-
 // Validate checks the positional constraints of the RDF data model.
 func (t Triple) Validate() error {
 	if t.S.IsLiteral() {
@@ -157,7 +154,3 @@ func (t Triple) Validate() error {
 func (t Triple) String() string {
 	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
 }
-
-// IsTypeTriple reports whether the predicate is rdf:type, the property
-// SparkRDF's class index and Spar(k)ql's node model treat specially.
-func (t Triple) IsTypeTriple() bool { return t.P.Value == RDFType }

@@ -185,7 +185,7 @@ e:a e:p e:b ; e:name "Ann"@en ; a e:T .`
 		t.Fatalf("sizes differ: %d vs %d", ga.Len(), gb.Len())
 	}
 	for _, tr := range a {
-		if !gb.Has(tr) {
+		if !has(gb, tr) {
 			t.Fatalf("turtle missing %v", tr)
 		}
 	}

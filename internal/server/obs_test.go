@@ -145,7 +145,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMetricsEndpointSharded(t *testing.T) {
-	sg, err := shard.BuildByName(testGraph().Triples(), "hash-subject", 3)
+	sg, err := shard.BuildReplicatedByName(testGraph().Triples(), "hash-subject", 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -518,7 +518,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if s.admit != nil {
 		expensive := false
 		if s.costThreshold > 0 {
-			expensive = prep.EstimateCostSharded(s.set) >= s.costThreshold
+			expensive = prep.EstimateCost(s.set) >= s.costThreshold
 		}
 		if s.admit.shed(int(s.admit.waiting.Add(1)), expensive) {
 			s.admit.waiting.Add(-1)

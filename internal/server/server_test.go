@@ -445,7 +445,7 @@ func TestServePostBadForm(t *testing.T) {
 // same dataset testGraph serves.
 func shardedTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	sg, err := shard.BuildByName(testGraph().Triples(), "hash-subject", 4)
+	sg, err := shard.BuildReplicatedByName(testGraph().Triples(), "hash-subject", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

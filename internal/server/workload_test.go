@@ -41,11 +41,11 @@ func TestSampledResponseByteIdentical(t *testing.T) {
 					plain = New(testGraph(), base)
 					traced = New(testGraph(), sampled)
 				} else {
-					sg, err := shard.BuildByName(testGraph().Triples(), "hash-subject", shards)
+					sg, err := shard.BuildReplicatedByName(testGraph().Triples(), "hash-subject", shards, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sg2, err := shard.BuildByName(testGraph().Triples(), "hash-subject", shards)
+					sg2, err := shard.BuildReplicatedByName(testGraph().Triples(), "hash-subject", shards, 1)
 					if err != nil {
 						t.Fatal(err)
 					}

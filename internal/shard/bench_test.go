@@ -65,25 +65,25 @@ func BenchmarkShardBuild(b *testing.B) {
 // hash joins). Pushdown must win.
 func BenchmarkShardedStar(b *testing.B) {
 	triples := workload.GenerateUniversity(workload.MediumUniversity())
-	sg, err := BuildByName(triples, "hash-subject", 4)
+	sg, err := BuildReplicatedByName(triples, "hash-subject", 4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	text := fmt.Sprintf(`SELECT ?s ?d ?e WHERE { ?s <%sworksFor> ?d . ?s <%semailAddress> ?e . ?s <%sname> ?n }`,
 		workload.UnivNS, workload.UnivNS, workload.UnivNS)
-	sp, err := sg.Prepare(text)
+	sp, err := sparql.Prepare(text)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
 	var st sparql.ShardStats
-	if _, err := sp.Run(ctx, sparql.WithShardStats(&st)); err != nil || st.Route != sparql.RoutePushdown {
+	if _, err := sp.RunSharded(ctx, sg.Set(), sparql.WithShardStats(&st)); err != nil || st.Route != sparql.RoutePushdown {
 		b.Fatalf("star query routed %s (%v), want pushdown", st.Route, err)
 	}
 	b.Run("pushdown", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sp.Run(ctx); err != nil {
+			if _, err := sp.RunSharded(ctx, sg.Set()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -91,7 +91,7 @@ func BenchmarkShardedStar(b *testing.B) {
 	b.Run("scatter", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sp.Run(ctx, sparql.WithScatterOnly()); err != nil {
+			if _, err := sp.RunSharded(ctx, sg.Set(), sparql.WithScatterOnly()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -126,12 +126,12 @@ func BenchmarkShardedLinear(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sp, err := sg.Prepare(text)
+		sp, err := sparql.Prepare(text)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var st sparql.ShardStats
-		if _, err := sp.Run(ctx, sparql.WithShardStats(&st)); err != nil || st.Route != sparql.RouteScatter {
+		if _, err := sp.RunSharded(ctx, sg.Set(), sparql.WithShardStats(&st)); err != nil || st.Route != sparql.RouteScatter {
 			b.Fatalf("%s routed %s (%v), want scatter-gather", text, st.Route, err)
 		}
 		prep, err := sparql.Prepare(text)
@@ -143,9 +143,9 @@ func BenchmarkShardedLinear(b *testing.B) {
 				var err error
 				switch {
 				case sharded && solutions:
-					_, err = sp.RunSolutions(ctx)
+					_, err = sp.RunShardedSolutions(ctx, sg.Set())
 				case sharded:
-					_, err = sp.Run(ctx)
+					_, err = sp.RunSharded(ctx, sg.Set())
 				case solutions:
 					_, err = prep.RunSolutions(ctx, g)
 				default:
@@ -201,7 +201,7 @@ func BenchmarkShardedTailLatency(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sp, err := sg.Prepare(text)
+		sp, err := sparql.Prepare(text)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func BenchmarkShardedTailLatency(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ctx := fault.With(context.Background(), plans[i%reps])
 			start := time.Now()
-			if _, err := sp.Run(ctx, opts...); err != nil {
+			if _, err := sp.RunSharded(ctx, sg.Set(), opts...); err != nil {
 				b.Fatal(err)
 			}
 			durs = append(durs, time.Since(start))

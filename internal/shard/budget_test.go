@@ -34,19 +34,19 @@ func TestShardedBudgetOverloadDeterminism(t *testing.T) {
 		}
 		for _, nShards := range []int{3, 8} {
 			t.Run(fmt.Sprintf("%s/shards=%d", ds.name, nShards), func(t *testing.T) {
-				sg, err := BuildByName(ds.triples, "hash-subject", nShards)
+				sg, err := BuildReplicatedByName(ds.triples, "hash-subject", nShards, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				aborted, completed := 0, 0
 				for _, nq := range ds.queries {
-					sp, err := sg.Prepare(nq.Text)
+					sp, err := sparql.Prepare(nq.Text)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, par := range []int{1, 4} {
 						for _, budget := range []int64{2 << 10, 1 << 30} {
-							got, err := sp.Run(ctx,
+							got, err := sp.RunSharded(ctx, sg.Set(),
 								sparql.WithParallelism(par), sparql.WithMemoryBudget(budget))
 							if err != nil {
 								var be *sparql.BudgetError

@@ -60,12 +60,12 @@ func TestChaosDeterminism(t *testing.T) {
 							for s := 0; s < nShards; s++ {
 								plan.FailAlways(fault.ReplicaPoint(s, kill))
 							}
-							sp, err := sg.Prepare(nq.Text)
+							sp, err := sparql.Prepare(nq.Text)
 							if err != nil {
 								t.Fatal(err)
 							}
 							var fs sparql.FaultStats
-							got, err := sp.Run(fault.With(ctx, plan),
+							got, err := sp.RunSharded(fault.With(ctx, plan), sg.Set(),
 								sparql.WithParallelism(4), sparql.WithFaultStats(&fs))
 							if err != nil {
 								t.Fatalf("%s (replica %d down): %v", nq.Name, kill, err)
@@ -109,11 +109,11 @@ func TestChaosTransientSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := fault.NewPlan(seed+int64(qi)).FailRate(fault.PointScatter, 0.25)
-		sp, err := sg.Prepare(nq.Text)
+		sp, err := sparql.Prepare(nq.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sp.Run(fault.With(ctx, plan),
+		got, err := sp.RunSharded(fault.With(ctx, plan), sg.Set(),
 			sparql.WithParallelism(4), sparql.WithRetryPolicy(retry))
 		if err != nil {
 			t.Fatalf("%s (seed %d): %v", nq.Name, seed, err)
@@ -191,12 +191,12 @@ func TestChaosTailDeterminism(t *testing.T) {
 							for s := 0; s < nShards; s++ {
 								plan.SlowReplica(s, slow, 2*time.Millisecond)
 							}
-							sp, err := sg.Prepare(nq.Text)
+							sp, err := sparql.Prepare(nq.Text)
 							if err != nil {
 								t.Fatal(err)
 							}
 							var fs sparql.FaultStats
-							got, err := sp.Run(fault.With(ctx, plan),
+							got, err := sp.RunSharded(fault.With(ctx, plan), sg.Set(),
 								sparql.WithParallelism(par),
 								sparql.WithHedge(hedge),
 								sparql.WithFaultStats(&fs))
@@ -233,12 +233,12 @@ func TestAllReplicasDownPartialFailure(t *testing.T) {
 		FailAlways(fault.ReplicaPoint(lost, 0)).
 		FailAlways(fault.ReplicaPoint(lost, 1))
 	// A full scan needs every shard, so the lost one cannot be pruned.
-	sp, err := sg.Prepare(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
+	sp, err := sparql.Prepare(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	retry := sparql.RetryPolicy{Cycles: 2, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
-	_, err = sp.Run(fault.With(context.Background(), plan),
+	_, err = sp.RunSharded(fault.With(context.Background(), plan), sg.Set(),
 		sparql.WithParallelism(4), sparql.WithRetryPolicy(retry))
 	var pf *sparql.PartialFailureError
 	if !errors.As(err, &pf) {
@@ -249,7 +249,7 @@ func TestAllReplicasDownPartialFailure(t *testing.T) {
 	}
 	// The set is not poisoned: with the fault plan gone the same
 	// prepared query answers cleanly again.
-	res, err := sp.Run(context.Background(), sparql.WithParallelism(4))
+	res, err := sp.RunSharded(context.Background(), sg.Set(), sparql.WithParallelism(4))
 	if err != nil {
 		t.Fatalf("recovery run: %v", err)
 	}
@@ -273,11 +273,11 @@ func TestScatterCancelNoGoroutineLeak(t *testing.T) {
 			rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://ex/b%d", i)), P: rdf.NewIRI("http://ex/q"), O: rdf.NewLiteral(fmt.Sprintf("y%d", i))},
 		)
 	}
-	sg, err := BuildByName(ts, "hash-subject", 4)
+	sg, err := BuildReplicatedByName(ts, "hash-subject", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sg.Prepare(`SELECT * WHERE { ?a <http://ex/p> ?x . ?b <http://ex/q> ?y }`)
+	sp, err := sparql.Prepare(`SELECT * WHERE { ?a <http://ex/p> ?x . ?b <http://ex/q> ?y }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestScatterCancelNoGoroutineLeak(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = sp.Run(ctx, sparql.WithParallelism(4))
+	_, err = sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
@@ -334,11 +334,11 @@ func TestChaosHedgeNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	hedge := sparql.HedgePolicy{Delay: 100 * time.Microsecond}
 	for _, nq := range ds.queries {
-		sp, err := sg.Prepare(nq.Text)
+		sp, err := sparql.Prepare(nq.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sp.Run(fault.With(context.Background(), plan),
+		if _, err := sp.RunSharded(fault.With(context.Background(), plan), sg.Set(),
 			sparql.WithParallelism(4), sparql.WithHedge(hedge)); err != nil {
 			t.Fatalf("%s: %v", nq.Name, err)
 		}

@@ -543,7 +543,7 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 	}
 	ask := "ASK " + text[strings.Index(text, "WHERE"):strings.LastIndex(text, "}")+1]
 	for _, sg := range st.sharded {
-		sp, err := sg.Prepare(text)
+		sp, err := sparql.Prepare(text)
 		if err != nil {
 			return false, err
 		}
@@ -551,7 +551,7 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 			// No shard hands the last pattern more than the hint: its run
 			// stops at the op's max-th row, whichever input row that is in.
 			tr := obs.New("query")
-			if _, err := sp.Run(ctx, sparql.WithParallelism(1), sparql.WithScatterOnly(), sparql.WithTrace(tr)); err != nil {
+			if _, err := sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(1), sparql.WithScatterOnly(), sparql.WithTrace(tr)); err != nil {
 				return false, fmt.Errorf("%s: traced: %v", text, err)
 			}
 			tr.Finish()
@@ -569,7 +569,7 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 			for s := 0; s < sg.NumShards(); s++ {
 				plan.FailAlways(fault.ReplicaPoint(s, dead))
 			}
-			got, err := sp.Run(fault.With(ctx, plan), sparql.WithParallelism(4), sparql.WithRetryPolicy(diffRetry))
+			got, err := sp.RunSharded(fault.With(ctx, plan), sg.Set(), sparql.WithParallelism(4), sparql.WithRetryPolicy(diffRetry))
 			where := fmt.Sprintf("%s\n%d shards × 2 %s, replica %d down, 1 in 4 scatter attempts failing", text, sg.NumShards(), sg.Strategy(), dead)
 			if err != nil {
 				return false, fmt.Errorf("%s: %v", where, err)
@@ -578,7 +578,7 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 				return false, fmt.Errorf("%s: %v", where, err)
 			}
 		}
-		askPrep, err := sg.Prepare(ask)
+		askPrep, err := sparql.Prepare(ask)
 		if err != nil {
 			return false, fmt.Errorf("%s: %v", ask, err)
 		}
@@ -590,7 +590,7 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 				if scatterOnly {
 					opts = append(opts, sparql.WithScatterOnly())
 				}
-				got, err := sp.Run(ctx, opts...)
+				got, err := sp.RunSharded(ctx, sg.Set(), opts...)
 				if err != nil {
 					return false, fmt.Errorf("%s: %v", where, err)
 				}
@@ -602,7 +602,7 @@ func checkQuery(st *diffStore, q refQuery, r *rand.Rand) (skipped bool, err erro
 				if absentInMain && q.other == nil && stats.ShardsTouched != 0 {
 					return false, fmt.Errorf("%s: touched %d shards for a constant the dictionary never saw", where, stats.ShardsTouched)
 				}
-				yes, err := askPrep.Run(ctx, opts...)
+				yes, err := askPrep.RunSharded(ctx, sg.Set(), opts...)
 				if err != nil {
 					return false, fmt.Errorf("%s: %s: %v", where, ask, err)
 				}

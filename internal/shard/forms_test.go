@@ -474,7 +474,7 @@ func checkForms(g *rdf.Graph, data []rdf.Triple, sets []*ShardedGraph, where, te
 		return false, fmt.Errorf("single graph, %s: %v", text, err)
 	}
 	for _, sg := range sets {
-		got, err := sg.PrepareQuery(q).Run(ctx, sparql.WithParallelism(2))
+		got, err := sparql.PrepareQuery(q).RunSharded(ctx, sg.Set(), sparql.WithParallelism(2))
 		if err != nil {
 			return false, fmt.Errorf("%s: %v", text, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/partition"
 	"repro/internal/rdf"
 )
 
@@ -56,7 +55,7 @@ func checkPositions(sg *ShardedGraph, distinct []rdf.Triple) error {
 			return nil
 		}
 		ts, pos := v.ScanAll()
-		if err := check("ScanAll", v.Triples(), ts, pos); err != nil {
+		if err := check("ScanAll", ts, ts, pos); err != nil {
 			return err
 		}
 		for _, id := range ids {
@@ -116,7 +115,7 @@ func TestPositionColumnsMatchDataset(t *testing.T) {
 			})
 		}
 		distinct := rdf.NewGraph(triples).Triples()
-		for _, strat := range partition.All() {
+		for _, strat := range strategies() {
 			for _, shards := range []int{1, 3, 4} {
 				for _, replicas := range []int{1, 2} {
 					sg, err := BuildReplicated(triples, strat, shards, replicas)

@@ -57,7 +57,7 @@ func TestReadMatchesBuild(t *testing.T) {
 		t.Fatal("the document repeats no statement")
 	}
 	ctx := context.Background()
-	for _, strat := range partition.All(partition.WithRounds(3)) {
+	for _, strat := range strategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			streamed, err := Read(func(add func(rdf.Triple) error) error {
 				return rdf.ReadNTriples(strings.NewReader(doc), add)
@@ -128,9 +128,16 @@ func TestReadStopsOnError(t *testing.T) {
 
 // runText prepares and runs one query on a sharded graph.
 func runText(ctx context.Context, sg *ShardedGraph, text string) (*sparql.Results, error) {
-	sp, err := sg.Prepare(text)
+	sp, err := sparql.Prepare(text)
 	if err != nil {
 		return nil, err
 	}
-	return sp.Run(ctx, sparql.WithParallelism(1))
+	return sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(1))
+}
+
+// strategies lists every registered placement, label propagation at
+// three rounds.
+func strategies() []partition.Strategy {
+	return []partition.Strategy{partition.HashSubject{}, partition.Vertical{}, partition.Semantic{},
+		partition.WorkloadAware{}, partition.LabelPropagation{Rounds: 3}}
 }

@@ -17,10 +17,10 @@
 //     space.
 //   - Determinism: shards preserve the dataset's insertion order and
 //     every shard view stores each triple's global position beside it,
-//     so scatter-gather merges are deterministic and (*Prepared).Run
-//     output is byte-identical — rows and order — to a single-graph
-//     sparql.Prepared.Run over the same data, at any shard count and
-//     any parallelism.
+//     so scatter-gather merges are deterministic and
+//     sparql.Prepared.RunSharded over Set() is byte-identical — rows
+//     and order — to sparql.Prepared.Run over the same data, at any
+//     shard count and any parallelism.
 //   - Pushdown soundness: a single-BGP query whose patterns all share
 //     one subject variable pushes down whole to each shard exactly
 //     when the placement co-located every subject's triples
@@ -96,26 +96,15 @@ func Read(read func(add func(rdf.Triple) error) error, strat partition.Strategy,
 	return buildPlaced(dict, enc, strat.Place(dict, enc, n), n, replicas, strat.Name())
 }
 
-// Build is Read over a slice, one replica per shard.
-func Build(triples []rdf.Triple, strat partition.Strategy, n int) (*ShardedGraph, error) {
-	return Read(each(triples), strat, n, 1)
-}
-
 // BuildReplicated is Read over a slice.
 func BuildReplicated(triples []rdf.Triple, strat partition.Strategy, n, replicas int) (*ShardedGraph, error) {
 	return Read(each(triples), strat, n, replicas)
 }
 
-// BuildByName is Build with the strategy resolved from the
-// partition-strategy registry.
-func BuildByName(triples []rdf.Triple, name string, n int, opts ...partition.Option) (*ShardedGraph, error) {
-	return BuildReplicatedByName(triples, name, n, 1, opts...)
-}
-
 // BuildReplicatedByName is BuildReplicated with the strategy resolved
 // from the partition-strategy registry.
-func BuildReplicatedByName(triples []rdf.Triple, name string, n, replicas int, opts ...partition.Option) (*ShardedGraph, error) {
-	strat, err := partition.ByName(name, opts...)
+func BuildReplicatedByName(triples []rdf.Triple, name string, n, replicas int) (*ShardedGraph, error) {
+	strat, err := partition.ByName(name)
 	if err != nil {
 		return nil, err
 	}
@@ -232,21 +221,10 @@ func (sg *ShardedGraph) Set() *sparql.ShardSet { return sg.set }
 func (sg *ShardedGraph) SubjectColocated() bool { return sg.set.SubjectColocated }
 
 // Prepared is a query compiled for repeated distributed execution over
-// one ShardedGraph. Like sparql.Prepared it is goroutine-safe: any
-// number of Run / RunSolutions calls may execute concurrently.
+// one ShardedGraph. Like sparql.Prepared it is goroutine-safe.
 type Prepared struct {
 	prep *sparql.Prepared
 	sg   *ShardedGraph
-}
-
-// Prepare parses text and compiles it for repeated execution over the
-// sharded graph.
-func (sg *ShardedGraph) Prepare(text string) (*Prepared, error) {
-	prep, err := sparql.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{prep: prep, sg: sg}, nil
 }
 
 // PrepareQuery compiles an already-parsed query (which must not be
@@ -255,19 +233,9 @@ func (sg *ShardedGraph) PrepareQuery(q *sparql.Query) *Prepared {
 	return &Prepared{prep: sparql.PrepareQuery(q), sg: sg}
 }
 
-// Prepared returns the underlying single-graph preparation (for
-// callers that also run the query unsharded).
-func (p *Prepared) Prepared() *sparql.Prepared { return p.prep }
-
-// Run evaluates the query across the shards, honoring ctx exactly like
-// sparql's (*Prepared).Run. The result is byte-identical — rows and
-// order — to a single-graph run over the same dataset.
+// Run evaluates the query across the shards: sparql's RunSharded over
+// Set(), byte-identical — rows and order — to a single-graph run over
+// the same dataset.
 func (p *Prepared) Run(ctx context.Context, opts ...sparql.RunOption) (*sparql.Results, error) {
 	return p.prep.RunSharded(ctx, p.sg.set, opts...)
-}
-
-// RunSolutions is Run positioned for streaming (see
-// sparql.RunShardedSolutions).
-func (p *Prepared) RunSolutions(ctx context.Context, opts ...sparql.RunOption) (*sparql.Solutions, error) {
-	return p.prep.RunShardedSolutions(ctx, p.sg.set, opts...)
 }

@@ -96,18 +96,18 @@ func TestShardedRunMatchesSingleGraph(t *testing.T) {
 		}
 		for _, strat := range strategies {
 			for _, nShards := range []int{1, 3, 8} {
-				sg, err := BuildByName(ds.triples, strat, nShards)
+				sg, err := BuildReplicatedByName(ds.triples, strat, nShards, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, par := range []int{1, 4} {
 					t.Run(fmt.Sprintf("%s/%s/shards=%d/par=%d", ds.name, strat, nShards, par), func(t *testing.T) {
 						for _, nq := range ds.queries {
-							sp, err := sg.Prepare(nq.Text)
+							sp, err := sparql.Prepare(nq.Text)
 							if err != nil {
 								t.Fatal(err)
 							}
-							got, err := sp.Run(ctx, sparql.WithParallelism(par))
+							got, err := sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(par))
 							if err != nil {
 								t.Fatalf("%s: %v", nq.Name, err)
 							}
@@ -137,7 +137,7 @@ func TestShardedDescribeMatchesSingleGraph(t *testing.T) {
 	}
 	g := rdf.NewGraph(ds.triples)
 	for _, nShards := range []int{1, 3, 8} {
-		sg, err := BuildByName(ds.triples, "vertical", nShards)
+		sg, err := BuildReplicatedByName(ds.triples, "vertical", nShards, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,18 +154,18 @@ func TestShardedDescribeMatchesSingleGraph(t *testing.T) {
 		}
 		for _, par := range []int{1, 4} {
 			for _, text := range queries {
-				prep, err := sg.Prepare(text)
+				prep, err := sparql.Prepare(text)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := prep.Prepared().Run(ctx, g, sparql.WithParallelism(1))
+				want, err := prep.Run(ctx, g, sparql.WithParallelism(1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(want.Triples) < 3 {
 					t.Fatalf("%s: single graph describes only %d triples", text, len(want.Triples))
 				}
-				got, err := prep.Run(ctx, sparql.WithParallelism(par))
+				got, err := prep.RunSharded(ctx, sg.Set(), sparql.WithParallelism(par))
 				if err != nil {
 					t.Fatalf("shards=%d par=%d %s: %v", nShards, par, text, err)
 				}
@@ -180,9 +180,9 @@ func TestShardedDescribeMatchesSingleGraph(t *testing.T) {
 	// vertical placement its name sits on another shard than its ks.
 	x := func(local string) rdf.Term { return rdf.NewIRI("http://x/" + local) }
 	k := func(s, v string) rdf.Triple {
-		return rdf.NewTriple(x(s), x("k"), rdf.NewTypedLiteral(v, rdf.XSDInteger))
+		return rdf.Triple{S: x(s), P: x("k"), O: rdf.NewTypedLiteral(v, rdf.XSDInteger)}
 	}
-	small := []rdf.Triple{k("a", "1"), k("b", "2"), k("c", "3"), rdf.NewTriple(x("c"), x("name"), rdf.NewLiteral("C")), k("c", "4")}
+	small := []rdf.Triple{k("a", "1"), k("b", "2"), k("c", "3"), rdf.Triple{S: x("c"), P: x("name"), O: rdf.NewLiteral("C")}, k("c", "4")}
 	const sliced = `DESCRIBE ?s WHERE { ?s <http://x/k> ?x } ORDER BY DESC(?x) LIMIT 1`
 	want := &sparql.Results{IsGraph: true, Triples: small[2:]}
 	single, err := sparql.Prepare(sliced)
@@ -199,11 +199,11 @@ func TestShardedDescribeMatchesSingleGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := sg.Prepare(sliced)
+		prep, err := sparql.Prepare(sliced)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := prep.Run(ctx, sparql.WithParallelism(4))
+		got, err := prep.RunSharded(ctx, sg.Set(), sparql.WithParallelism(4))
 		if err != nil {
 			t.Fatalf("%s: %v", strategy, err)
 		}
@@ -224,22 +224,22 @@ var pointStar = fmt.Sprintf(`SELECT ?n ?a ?adv WHERE { <%[1]suniv0.dept0.stud0> 
 func TestScatterOnlyMatchesPushdown(t *testing.T) {
 	ctx := context.Background()
 	ds := datasets()[0]
-	sg, err := BuildByName(ds.triples, "hash-subject", 4)
+	sg, err := BuildReplicatedByName(ds.triples, "hash-subject", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := append(ds.queries[:len(ds.queries):len(ds.queries)], workload.NamedQuery{Name: "point-star", Text: pointStar})
 	for _, nq := range queries {
-		sp, err := sg.Prepare(nq.Text)
+		sp, err := sparql.Prepare(nq.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var pushStats, scatStats sparql.ShardStats
-		push, err := sp.Run(ctx, sparql.WithShardStats(&pushStats))
+		push, err := sp.RunSharded(ctx, sg.Set(), sparql.WithShardStats(&pushStats))
 		if err != nil {
 			t.Fatal(err)
 		}
-		scat, err := sp.Run(ctx, sparql.WithScatterOnly(), sparql.WithShardStats(&scatStats))
+		scat, err := sp.RunSharded(ctx, sg.Set(), sparql.WithScatterOnly(), sparql.WithShardStats(&scatStats))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,14 +264,14 @@ func TestRoutes(t *testing.T) {
 	linear := fmt.Sprintf(`SELECT ?st ?dept WHERE { ?st <%sadvisor> ?prof . ?prof <%sworksFor> ?dept }`,
 		workload.UnivNS, workload.UnivNS)
 
-	hash, err := BuildByName(triples, "hash-subject", 4)
+	hash, err := BuildReplicatedByName(triples, "hash-subject", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hash.SubjectColocated() {
 		t.Fatal("hash-subject placement must co-locate subjects")
 	}
-	vert, err := BuildByName(triples, "vertical", 4)
+	vert, err := BuildReplicatedByName(triples, "vertical", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,12 +292,12 @@ func TestRoutes(t *testing.T) {
 		{vert, linear, sparql.RouteScatter},
 	}
 	for i, c := range cases {
-		sp, err := c.sg.Prepare(c.text)
+		sp, err := sparql.Prepare(c.text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var st sparql.ShardStats
-		if _, err := sp.Run(ctx, sparql.WithShardStats(&st)); err != nil {
+		if _, err := sp.RunSharded(ctx, c.sg.Set(), sparql.WithShardStats(&st)); err != nil {
 			t.Fatal(err)
 		}
 		if st.Route != c.route {
@@ -318,16 +318,16 @@ func TestRoutes(t *testing.T) {
 func TestVerticalPruning(t *testing.T) {
 	ctx := context.Background()
 	triples := workload.GenerateShop(workload.SmallShop())
-	sg, err := BuildByName(triples, "vertical", 8)
+	sg, err := BuildReplicatedByName(triples, "vertical", 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sg.Prepare(fmt.Sprintf(`SELECT ?p ?price WHERE { ?p <%sprice> ?price }`, workload.ShopNS))
+	sp, err := sparql.Prepare(fmt.Sprintf(`SELECT ?p ?price WHERE { ?p <%sprice> ?price }`, workload.ShopNS))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st sparql.ShardStats
-	res, err := sp.Run(ctx, sparql.WithShardStats(&st))
+	res, err := sp.RunSharded(ctx, sg.Set(), sparql.WithShardStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,22 +347,22 @@ func TestVerticalPruning(t *testing.T) {
 func TestPreparedConcurrentShardedRuns(t *testing.T) {
 	ctx := context.Background()
 	ds := datasets()[0]
-	sg, err := BuildByName(ds.triples, "hash-subject", 4)
+	sg, err := BuildReplicatedByName(ds.triples, "hash-subject", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sg.Prepare(ds.queries[0].Text)
+	sp, err := sparql.Prepare(ds.queries[0].Text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sp.Run(ctx)
+	ref, err := sp.RunSharded(ctx, sg.Set())
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func(par int) {
-			res, err := sp.Run(ctx, sparql.WithParallelism(par))
+			res, err := sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(par))
 			if err == nil && res.Len() != ref.Len() {
 				err = fmt.Errorf("row count %d, want %d", res.Len(), ref.Len())
 			}
@@ -380,17 +380,17 @@ func TestPreparedConcurrentShardedRuns(t *testing.T) {
 // sharded run with ctx.Err.
 func TestShardedRunCancellation(t *testing.T) {
 	ds := datasets()[0]
-	sg, err := BuildByName(ds.triples, "hash-subject", 4)
+	sg, err := BuildReplicatedByName(ds.triples, "hash-subject", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sg.Prepare(ds.queries[0].Text)
+	sp, err := sparql.Prepare(ds.queries[0].Text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sp.Run(ctx); err != context.Canceled {
+	if _, err := sp.RunSharded(ctx, sg.Set()); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -399,17 +399,17 @@ func TestShardedRunCancellation(t *testing.T) {
 func TestRunSolutionsStreams(t *testing.T) {
 	ctx := context.Background()
 	ds := datasets()[0]
-	sg, err := BuildByName(ds.triples, "hash-subject", 3)
+	sg, err := BuildReplicatedByName(ds.triples, "hash-subject", 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := rdf.NewGraph(ds.triples)
 	for _, nq := range ds.queries {
-		sp, err := sg.Prepare(nq.Text)
+		sp, err := sparql.Prepare(nq.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := sp.RunSolutions(ctx)
+		sol, err := sp.RunShardedSolutions(ctx, sg.Set())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,13 +427,13 @@ func TestRunSolutionsStreams(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
-	if _, err := Build(triples, partition.HashSubject{}, 0); err == nil {
+	if _, err := BuildReplicated(triples, partition.HashSubject{}, 0, 1); err == nil {
 		t.Fatal("0 shards must error")
 	}
-	if _, err := BuildByName(triples, "no-such-strategy", 4); err == nil {
+	if _, err := BuildReplicatedByName(triples, "no-such-strategy", 4, 1); err == nil {
 		t.Fatal("unknown strategy must error")
 	}
-	sg, err := BuildByName(triples, "hash-subject", 4)
+	sg, err := BuildReplicatedByName(triples, "hash-subject", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestShardedLimitPushdown(t *testing.T) {
 		fmt.Sprintf(`SELECT ?d ?s WHERE { ?d <%[1]ssubOrganizationOf> <%[1]suniv0> . ?s <%[1]smemberOf> ?d } LIMIT 3 OFFSET 1`, workload.UnivNS),
 	}
 	for _, strat := range []string{"hash-subject", "vertical"} {
-		sg, err := BuildByName(triples, strat, 4)
+		sg, err := BuildReplicatedByName(triples, strat, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,11 +489,11 @@ func TestShardedLimitPushdown(t *testing.T) {
 			if want.Len() == 0 && !want.Ask {
 				t.Fatalf("%s: the single graph answers nothing; the truncation is not exercised", text)
 			}
-			sp, err := sg.Prepare(text)
+			sp, err := sparql.Prepare(text)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sp.Run(ctx)
+			got, err := sp.RunSharded(ctx, sg.Set())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -537,7 +537,7 @@ func TestReplicaViewsContentIdentical(t *testing.T) {
 		fmt.Sprintf(`SELECT ?st ?prof ?d WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?d }`, workload.UnivNS),
 	}
 	want := make([]*sparql.Results, len(queries))
-	preps := make([]*Prepared, len(queries))
+	preps := make([]*sparql.Prepared, len(queries))
 	for i, text := range queries {
 		prep, err := sparql.Prepare(text)
 		if err != nil {
@@ -546,12 +546,12 @@ func TestReplicaViewsContentIdentical(t *testing.T) {
 		if want[i], err = prep.Run(ctx, g, sparql.WithParallelism(1)); err != nil {
 			t.Fatal(err)
 		}
-		preps[i] = sg.PrepareQuery(prep.Query())
+		preps[i] = prep
 	}
 	run := func(plan *fault.Plan) {
 		t.Helper()
 		for i, sp := range preps {
-			got, err := sp.Run(fault.With(ctx, plan), sparql.WithParallelism(1))
+			got, err := sp.RunSharded(fault.With(ctx, plan), sg.Set(), sparql.WithParallelism(1))
 			if err != nil {
 				t.Fatalf("%s: %v", queries[i], err)
 			}
@@ -578,9 +578,6 @@ func TestReplicaViewsContentIdentical(t *testing.T) {
 	}
 	frozen := time.Unix(1000, 0)
 	sg.Set().Health.SetClock(func() time.Time { return frozen })
-	for i := range preps {
-		preps[i] = sg.PrepareQuery(preps[i].Prepared().Query())
-	}
 	plan := fault.NewPlan(1)
 	for s := 0; s < shards; s++ {
 		plan.FailAlways(fault.ReplicaPoint(s, 0))
@@ -609,11 +606,11 @@ func TestBuildDedupesInIDSpace(t *testing.T) {
 		}
 	}
 	for _, strategy := range []string{"hash-subject", "vertical"} {
-		clean, err := BuildByName(distinct, strategy, 4)
+		clean, err := BuildReplicatedByName(distinct, strategy, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := BuildByName(noisy, strategy, 4)
+		got, err := BuildReplicatedByName(noisy, strategy, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

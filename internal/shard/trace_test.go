@@ -33,19 +33,19 @@ func TestTracedShardedRunDeterminism(t *testing.T) {
 			want[nq.Name] = res
 		}
 		for _, nShards := range []int{1, 3} {
-			sg, err := BuildByName(ds.triples, "hash-subject", nShards)
+			sg, err := BuildReplicatedByName(ds.triples, "hash-subject", nShards, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/shards=%d/par=%d", ds.name, nShards, par), func(t *testing.T) {
 					for _, nq := range ds.queries {
-						sp, err := sg.Prepare(nq.Text)
+						sp, err := sparql.Prepare(nq.Text)
 						if err != nil {
 							t.Fatal(err)
 						}
 						tr := obs.New("query")
-						got, err := sp.Run(ctx, sparql.WithParallelism(par), sparql.WithTrace(tr))
+						got, err := sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(par), sparql.WithTrace(tr))
 						tr.Finish()
 						if err != nil {
 							t.Fatalf("%s: %v", nq.Name, err)
@@ -89,16 +89,16 @@ func TestTracedShardedRunDeterminism(t *testing.T) {
 // spans sum to the span's merged row count.
 func TestTraceScatterShardRows(t *testing.T) {
 	ds := datasets()[0]
-	sg, err := BuildByName(ds.triples, "hash-subject", 3)
+	sg, err := BuildReplicatedByName(ds.triples, "hash-subject", 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sg.Prepare(ds.queries[0].Text)
+	sp, err := sparql.Prepare(ds.queries[0].Text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.New("query")
-	if _, err := sp.Run(context.Background(),
+	if _, err := sp.RunSharded(context.Background(), sg.Set(),
 		sparql.WithParallelism(1), sparql.WithTrace(tr), sparql.WithScatterOnly()); err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,6 @@ func New(vertices, edges *sql.DataFrame) (*GraphFrame, error) {
 	return &GraphFrame{vertices: vertices, edges: edges}, nil
 }
 
-// Edges returns the edge DataFrame.
-func (g *GraphFrame) Edges() *sql.DataFrame { return g.edges }
-
 // edgePattern is one "(a)-[e]->(b)" term of a motif.
 type edgePattern struct {
 	src, edge, dst string // empty for anonymous

@@ -70,12 +70,6 @@ func (g *Graph[VD, ED]) Vertices() *spark.RDD[Vertex[VD]] { return g.vertices }
 // Edges returns the edge RDD.
 func (g *Graph[VD, ED]) Edges() *spark.RDD[Edge[ED]] { return g.edges }
 
-// NumVertices returns the vertex count.
-func (g *Graph[VD, ED]) NumVertices() int { return g.vertices.Count() }
-
-// NumEdges returns the edge count.
-func (g *Graph[VD, ED]) NumEdges() int { return g.edges.Count() }
-
 // vertexIndex returns id → attr for local joins during supersteps. It
 // is read-only once built, so concurrent supersteps share it.
 func (g *Graph[VD, ED]) vertexIndex() map[VertexID]VD {

@@ -65,21 +65,6 @@ func (tp TriplePattern) Vars() []Var {
 	return out
 }
 
-// Matches reports whether a concrete triple matches the pattern
-// ignoring variable consistency (callers handle shared variables).
-func (tp TriplePattern) Matches(t rdf.Triple) bool {
-	if !tp.S.IsVar && tp.S.Term != t.S {
-		return false
-	}
-	if !tp.P.IsVar && tp.P.Term != t.P {
-		return false
-	}
-	if !tp.O.IsVar && tp.O.Term != t.O {
-		return false
-	}
-	return true
-}
-
 // GraphPattern is a node of the SPARQL algebra.
 type GraphPattern interface {
 	// PatternVars lists every variable mentioned in the pattern.
@@ -217,7 +202,7 @@ type Aggregate struct {
 type Query struct {
 	Form       QueryForm
 	Distinct   bool
-	Projection []Var // empty means SELECT *
+	Projection []Var // empty means SELECT *; holds an aggregate's alias where the list writes it
 	Agg        *Aggregate
 	// Template holds the CONSTRUCT template patterns (FormConstruct).
 	Template []TriplePattern
@@ -231,14 +216,10 @@ type Query struct {
 }
 
 // SelectedVars returns the variables the query projects (all pattern
-// variables for SELECT *), in projection order. An aggregate query
-// projects the variables its SELECT list names, then the alias: a group
+// variables for SELECT *), in the order the SELECT list writes them. An
+// aggregate's alias is projected where the list writes it; a group
 // variable the list leaves out is not projected (§18.2.4.1).
 func (q *Query) SelectedVars() []Var {
-	if q.Agg != nil {
-		n := len(q.Projection)
-		return append(q.Projection[:n:n], q.Agg.As)
-	}
 	if len(q.Projection) > 0 {
 		return q.Projection
 	}

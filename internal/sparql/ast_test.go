@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,25 +137,6 @@ func TestComparisonAllOperators(t *testing.T) {
 	}
 }
 
-func TestTriplePatternMatches(t *testing.T) {
-	p := rdf.NewIRI("http://p")
-	a, b := rdf.NewIRI("http://a"), rdf.NewIRI("http://b")
-	tp := TriplePattern{S: TermElem(a), P: TermElem(p), O: VarElem("o")}
-	if !tp.Matches(rdf.Triple{S: a, P: p, O: b}) {
-		t.Fatal("should match")
-	}
-	if tp.Matches(rdf.Triple{S: b, P: p, O: b}) {
-		t.Fatal("wrong subject should not match")
-	}
-	if tp.Matches(rdf.Triple{S: a, P: rdf.NewIRI("http://q"), O: b}) {
-		t.Fatal("wrong predicate should not match")
-	}
-	tp2 := TriplePattern{S: VarElem("s"), P: VarElem("p"), O: TermElem(b)}
-	if tp2.Matches(rdf.Triple{S: a, P: p, O: a}) {
-		t.Fatal("wrong object should not match")
-	}
-}
-
 func TestSelectedVarsOrdering(t *testing.T) {
 	q := MustParse(`SELECT ?b ?a WHERE { ?a <http://e/p> ?b }`)
 	vars := q.SelectedVars()
@@ -243,8 +225,7 @@ func TestConstructQuery(t *testing.T) {
 	if len(res.Triples) != 3 {
 		t.Fatalf("triples = %v", res.Triples)
 	}
-	out := rdf.NewGraph(res.Triples)
-	if !out.Has(rdf.Triple{S: rdf.NewIRI("http://e/p1"), P: rdf.NewIRI("http://e/advises"), O: rdf.NewIRI("http://e/a")}) {
+	if !slices.Contains(res.Triples, rdf.Triple{S: rdf.NewIRI("http://e/p1"), P: rdf.NewIRI("http://e/advises"), O: rdf.NewIRI("http://e/a")}) {
 		t.Fatal("missing constructed triple")
 	}
 	if !strings.Contains(res.String(), "advises") {

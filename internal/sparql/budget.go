@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
-	"repro/internal/rdf"
 )
 
 // Per-query memory accounting. The surveyed Spark systems inherit
@@ -161,21 +160,18 @@ func satMul(a, b int64) int64 {
 }
 
 // EstimateCost returns the planner's work estimate for running p over
-// g: per BGP, triple patterns group into connected components by
-// shared variables, each component contributes the sum of its
-// patterns' estimated candidate counts, and the component sums
-// multiply — so a BGP whose patterns share no variables (the
-// nested-loop cartesian fallback) scores as the product it would
-// produce, while a connected query scores as the sum of its scans.
-// Groups fold the same way: parts sharing no variables multiply.
-// The estimate is cached per snapshot alongside the plan memo.
-func (p *Prepared) EstimateCost(g *rdf.Graph) int64 { return p.EstimateCostSharded(GraphSet(g)) }
-
-// EstimateCostSharded is EstimateCost against a shard set: constants
-// resolve through the shared dictionary and cardinalities sum across
-// shards, so the estimate equals the single-graph estimate over the
-// equivalent unsharded dataset.
-func (p *Prepared) EstimateCostSharded(ss *ShardSet) int64 {
+// ss (a graph is GraphSet(g)): per BGP, triple patterns group into
+// connected components by shared variables, each component
+// contributes the sum of its patterns' estimated candidate counts,
+// and the component sums multiply — so a BGP whose patterns share no
+// variables (the nested-loop cartesian fallback) scores as the
+// product it would produce, while a connected query scores as the sum
+// of its scans. Groups fold the same way: parts sharing no variables
+// multiply. Constants resolve through the set's shared dictionary and
+// cardinalities sum across shards, so a sharded estimate equals the
+// single-graph estimate over the equivalent unsharded dataset. The
+// estimate is cached per snapshot alongside the plan memo.
+func (p *Prepared) EstimateCost(ss *ShardSet) int64 {
 	snap := snapshotOf(ss)
 	p.mu.Lock()
 	if p.costSnap == snap {

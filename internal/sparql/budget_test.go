@@ -151,15 +151,15 @@ func TestEstimateCost(t *testing.T) {
 	g := parTestGraph(4096)
 	connected := MustPrepare(t, `SELECT * WHERE { ?s <http://ex/name> ?n . ?s <http://ex/age> ?a }`)
 	cartesian := MustPrepare(t, `SELECT * WHERE { ?s <http://ex/name> ?n . ?t <http://ex/age> ?a }`)
-	cc := connected.EstimateCost(g)
-	xc := cartesian.EstimateCost(g)
+	cc := connected.EstimateCost(GraphSet(g))
+	xc := cartesian.EstimateCost(GraphSet(g))
 	if cc <= 0 || xc <= 0 {
 		t.Fatalf("estimates = %d, %d, want positive", cc, xc)
 	}
 	if xc < 100*cc {
 		t.Fatalf("cartesian estimate %d not far above connected %d", xc, cc)
 	}
-	if again := cartesian.EstimateCost(g); again != xc {
+	if again := cartesian.EstimateCost(GraphSet(g)); again != xc {
 		t.Fatalf("memoized estimate changed: %d then %d", xc, again)
 	}
 }

@@ -18,7 +18,8 @@ func oneShardSet(t testing.TB, triples []rdf.Triple) *ShardSet {
 	enc := make([]rdf.EncodedTriple, len(triples))
 	positions := make([]int32, len(triples))
 	for i, tr := range triples {
-		enc[i], positions[i] = dict.EncodeTriple(tr), int32(i)
+		enc[i], _ = dict.TryEncodeTriple(tr)
+		positions[i] = int32(i)
 	}
 	view, err := rdf.NewPositionedView(dict, enc, positions)
 	if err != nil {

@@ -1,9 +1,22 @@
 package sparql
 
+// The fingerprint properties run random query shapes under a fixed
+// seed: renaming variables and substituting subject, object and FILTER
+// constants leave the fingerprint fixed; cutting one shared variable
+// occurrence loose (a different join graph) moves it. Each of these
+// mutations of fingerprint.go, made in a scratch copy, fails them:
+//   - writeVar hashing the variable's name beside its ordinal fails
+//     TestFingerprintLiteralInvariance;
+//   - writePattern dropping the object position fails
+//     TestFingerprintStructureSensitivity.
+
 import (
 	"fmt"
+	"math/rand"
 	"regexp"
+	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func fpOf(t *testing.T, text string) string {
@@ -17,57 +30,159 @@ func fpOf(t *testing.T, text string) string {
 
 var fpHex = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
-// TestFingerprintLiteralInvariance pins the core normalization: two
-// queries that differ only in the data they mention — literal values,
-// subject/object entity constants, variable spellings, LIMIT/OFFSET
-// arguments — share a fingerprint.
-func TestFingerprintLiteralInvariance(t *testing.T) {
-	same := [][2]string{
-		{ // literal object values
-			`SELECT ?s WHERE { ?s <http://ex/name> "alice" }`,
-			`SELECT ?s WHERE { ?s <http://ex/name> "bob" }`,
-		},
-		{ // FILTER comparison constants
-			`SELECT ?s ?a WHERE { ?s <http://ex/age> ?a . FILTER(?a > 10) }`,
-			`SELECT ?s ?a WHERE { ?s <http://ex/age> ?a . FILTER(?a > 99) }`,
-		},
-		{ // subject entity constants
-			`SELECT ?n WHERE { <http://ex/alice> <http://ex/name> ?n }`,
-			`SELECT ?n WHERE { <http://ex/bob> <http://ex/name> ?n }`,
-		},
-		{ // variable spellings
-			`SELECT ?s ?n WHERE { ?s <http://ex/name> ?n . ?s <http://ex/age> ?a }`,
-			`SELECT ?person ?name WHERE { ?person <http://ex/name> ?name . ?person <http://ex/age> ?years }`,
-		},
-		{ // LIMIT argument
-			`SELECT ?s WHERE { ?s <http://ex/name> ?n } LIMIT 10`,
-			`SELECT ?s WHERE { ?s <http://ex/name> ?n } LIMIT 500`,
-		},
+// fpShape is a random query shape: its patterns' subjects and objects
+// are variable indexes (>= 0), IRI constants (-1) or literal constants
+// (-2, objects only); predicates are one of three IRIs. filter, when
+// >= 0, is the variable a numeric FILTER compares.
+type fpShape struct {
+	patterns [][3]int
+	vars     int
+	filter   int
+	limit    bool
+}
+
+func randomShape(rng *rand.Rand) fpShape {
+	sh := fpShape{vars: 1 + rng.Intn(4), filter: -1, limit: rng.Intn(2) == 0}
+	term := func(object bool) int {
+		switch r := rng.Intn(10); {
+		case r < 6:
+			return rng.Intn(sh.vars)
+		case object && r < 8:
+			return -2
+		}
+		return -1
 	}
-	for i, pair := range same {
-		a, b := fpOf(t, pair[0]), fpOf(t, pair[1])
-		if !fpHex.MatchString(a) {
-			t.Fatalf("case %d: fingerprint %q is not 16 hex digits", i, a)
+	for range 2 + rng.Intn(4) {
+		sh.patterns = append(sh.patterns, [3]int{term(false), rng.Intn(3), term(true)})
+	}
+	// At least one variable is shared, so the join graph has an edge.
+	sh.patterns[0][0], sh.patterns[1][0] = 0, 0
+	if rng.Intn(2) == 0 {
+		sh.filter = 0
+	}
+	return sh
+}
+
+// text renders the shape with the variables named by names and every
+// constant drawn from rng, so two renderings differ in spelling and
+// data only.
+func (sh fpShape) text(names []string, rng *rand.Rand) string {
+	var b strings.Builder
+	b.WriteString("SELECT * WHERE { ")
+	pos := func(e int) {
+		switch {
+		case e >= 0:
+			b.WriteString("?" + names[e])
+		case e == -1:
+			fmt.Fprintf(&b, "<http://ex/e%d>", rng.Intn(1000))
+		default:
+			fmt.Fprintf(&b, `"v%d"`, rng.Intn(1000))
 		}
-		if a != b {
-			t.Errorf("case %d: same shape hashed differently:\n  %s -> %s\n  %s -> %s",
-				i, pair[0], a, pair[1], b)
+	}
+	for _, p := range sh.patterns {
+		pos(p[0])
+		fmt.Fprintf(&b, " <http://ex/p%d> ", p[1])
+		pos(p[2])
+		b.WriteString(" . ")
+	}
+	if sh.filter >= 0 {
+		fmt.Fprintf(&b, "FILTER(?%s > %d) ", names[sh.filter], rng.Intn(100))
+	}
+	b.WriteString("}")
+	if sh.limit {
+		fmt.Fprintf(&b, " LIMIT %d", 1+rng.Intn(500))
+	}
+	return b.String()
+}
+
+// randomNames spells n distinct variable names.
+func randomNames(rng *rand.Rand, n int) []string {
+	seen := map[string]bool{}
+	var out []string
+	for len(out) < n {
+		name := fmt.Sprintf("%c%d", 'a'+rng.Intn(26), rng.Intn(100))
+		if !seen[name] {
+			seen[name] = true
+			out = append(out, name)
 		}
+	}
+	return out
+}
+
+var fpQuick = &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
+
+// TestFingerprintLiteralInvariance pins the core normalization as a
+// property: two renderings of one shape that differ only in variable
+// spellings, subject/object constants, FILTER constants and the LIMIT
+// argument share a fingerprint.
+func TestFingerprintLiteralInvariance(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sh := randomShape(rng)
+		a := sh.text(randomNames(rng, sh.vars), rng)
+		b := sh.text(randomNames(rng, sh.vars), rng)
+		fa, fb := fpOf(t, a), fpOf(t, b)
+		if !fpHex.MatchString(fa) {
+			t.Errorf("fingerprint %q is not 16 hex digits", fa)
+			return false
+		}
+		if fa != fb {
+			t.Errorf("same shape hashed differently:\n  %s -> %s\n  %s -> %s", a, fa, b, fb)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, fpQuick); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestFingerprintStructureSensitivity pins the other direction:
-// structural differences — predicate identity, the join graph,
-// modifiers — change the fingerprint.
+// TestFingerprintStructureSensitivity pins the other direction: cutting
+// one occurrence of a shared variable loose changes the join graph and
+// moves the fingerprint (a property), and so do the other structural
+// differences below — predicate identity, modifiers, term kinds, form.
 func TestFingerprintStructureSensitivity(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sh := randomShape(rng)
+		uses := make([]int, sh.vars)
+		var shared [][2]int // (pattern, position) of each shared occurrence
+		for _, p := range sh.patterns {
+			for _, e := range []int{p[0], p[2]} {
+				if e >= 0 {
+					uses[e]++
+				}
+			}
+		}
+		for i, p := range sh.patterns {
+			for _, at := range []int{0, 2} {
+				if p[at] >= 0 && uses[p[at]] > 1 {
+					shared = append(shared, [2]int{i, at})
+				}
+			}
+		}
+		cut := sh
+		cut.patterns = append([][3]int(nil), sh.patterns...)
+		o := shared[rng.Intn(len(shared))]
+		cut.patterns[o[0]][o[1]] = sh.vars // a fresh variable
+		cut.vars++
+		names := randomNames(rng, cut.vars)
+		a := sh.text(names, rand.New(rand.NewSource(seed)))
+		b := cut.text(names, rand.New(rand.NewSource(seed)))
+		if fpOf(t, a) == fpOf(t, b) {
+			t.Errorf("different join graphs collided:\n  %s\n  %s", a, b)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, fpQuick); err != nil {
+		t.Fatal(err)
+	}
+
 	diff := [][2]string{
 		{ // predicate identity is structure
 			`SELECT ?s WHERE { ?s <http://ex/name> ?n }`,
 			`SELECT ?s WHERE { ?s <http://ex/age> ?n }`,
-		},
-		{ // join graph: chain vs star over the same predicates
-			`SELECT ?s WHERE { ?s <http://ex/p> ?o . ?o <http://ex/q> ?x }`,
-			`SELECT ?s WHERE { ?s <http://ex/p> ?o . ?s <http://ex/q> ?x }`,
 		},
 		{ // pattern count
 			`SELECT ?s WHERE { ?s <http://ex/p> ?o }`,

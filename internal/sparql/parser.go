@@ -325,6 +325,7 @@ func (p *parser) parseQuery() (*Query, error) {
 						return nil, fmt.Errorf("sparql: only one aggregate supported")
 					}
 					q.Agg = agg
+					q.Projection = append(q.Projection, agg.As)
 					continue
 				}
 				if t.kind == "punct" && t.text == "(" {
@@ -341,11 +342,12 @@ func (p *parser) parseQuery() (*Query, error) {
 						return nil, fmt.Errorf("sparql: only one aggregate supported")
 					}
 					q.Agg = agg
+					q.Projection = append(q.Projection, agg.As)
 					continue
 				}
 				break
 			}
-			if len(q.Projection) == 0 && q.Agg == nil {
+			if len(q.Projection) == 0 {
 				return nil, fmt.Errorf("sparql: empty SELECT list")
 			}
 		}

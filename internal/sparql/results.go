@@ -124,9 +124,12 @@ func (r *Results) Equal(other *Results) bool {
 		if len(r.Triples) != len(other.Triples) {
 			return false
 		}
-		g := rdf.NewGraph(other.Triples)
+		in := make(map[rdf.Triple]bool, len(other.Triples))
+		for _, t := range other.Triples {
+			in[t] = true
+		}
 		for _, t := range r.Triples {
-			if !g.Has(t) {
+			if !in[t] {
 				return false
 			}
 		}
@@ -200,7 +203,7 @@ func (r *Results) Equal(other *Results) bool {
 // String renders a small results table for CLIs and examples.
 func (r *Results) String() string {
 	if r.IsAsk {
-		return fmt.Sprintf("ASK => %v", r.Ask)
+		return fmt.Sprintf("ASK => %v\n", r.Ask)
 	}
 	if r.IsGraph {
 		var b strings.Builder

@@ -30,7 +30,7 @@ import (
 func TestFilterSpec(t *testing.T) {
 	const xsd = "http://www.w3.org/2001/XMLSchema#"
 	e := func(local string) rdf.Term { return rdf.NewIRI("http://e/" + local) }
-	tr := func(s rdf.Term, p string, o rdf.Term) rdf.Triple { return rdf.NewTriple(s, e(p), o) }
+	tr := func(s rdf.Term, p string, o rdf.Term) rdf.Triple { return rdf.Triple{S: s, P: e(p), O: o} }
 	z := rdf.NewBlank("z")
 	triples := []rdf.Triple{
 		tr(e("a"), "name", rdf.NewLiteral("A")), tr(e("b"), "name", rdf.NewLiteral("B")),
@@ -207,14 +207,14 @@ func TestAggregateSpec(t *testing.T) {
 	e := func(local string) rdf.Term { return rdf.NewIRI("http://e/" + local) }
 	integer := func(v string) rdf.Term { return rdf.NewTypedLiteral(v, xsd+"integer") }
 	triples := []rdf.Triple{
-		rdf.NewTriple(e("a"), e("k"), integer("1")), rdf.NewTriple(e("b"), e("k"), integer("2")),
-		rdf.NewTriple(e("c"), e("k"), integer("3")), rdf.NewTriple(e("c"), e("k"), integer("4")),
-		rdf.NewTriple(e("d"), e("v"), rdf.NewTypedLiteral("1.5", xsd+"decimal")), rdf.NewTriple(e("d"), e("v"), integer("2")),
-		rdf.NewTriple(e("p"), e("t"), integer("1")), rdf.NewTriple(e("q"), e("t"), integer("1")),
-		rdf.NewTriple(e("r"), e("t"), integer("2")),
-		rdf.NewTriple(e("a"), e("name"), rdf.NewLiteral("Ann")),
-		rdf.NewTriple(e("m"), e("w"), rdf.NewLiteral("Ann")), rdf.NewTriple(e("m"), e("w"), integer("3")),
-		rdf.NewTriple(e("n"), e("w"), integer("5")),
+		rdf.Triple{S: e("a"), P: e("k"), O: integer("1")}, rdf.Triple{S: e("b"), P: e("k"), O: integer("2")},
+		rdf.Triple{S: e("c"), P: e("k"), O: integer("3")}, rdf.Triple{S: e("c"), P: e("k"), O: integer("4")},
+		rdf.Triple{S: e("d"), P: e("v"), O: rdf.NewTypedLiteral("1.5", xsd+"decimal")}, rdf.Triple{S: e("d"), P: e("v"), O: integer("2")},
+		rdf.Triple{S: e("p"), P: e("t"), O: integer("1")}, rdf.Triple{S: e("q"), P: e("t"), O: integer("1")},
+		rdf.Triple{S: e("r"), P: e("t"), O: integer("2")},
+		rdf.Triple{S: e("a"), P: e("name"), O: rdf.NewLiteral("Ann")},
+		rdf.Triple{S: e("m"), P: e("w"), O: rdf.NewLiteral("Ann")}, rdf.Triple{S: e("m"), P: e("w"), O: integer("3")},
+		rdf.Triple{S: e("n"), P: e("w"), O: integer("5")},
 	}
 	const (
 		xdec  = `^^<` + xsd + `decimal>`
@@ -237,6 +237,9 @@ func TestAggregateSpec(t *testing.T) {
 		// it leaves out is not answered, so DISTINCT merges equal counts.
 		{`SELECT (COUNT(*) AS ?m) WHERE { ?s e:t ?x } GROUP BY ?x`, []string{`"1"` + xint, `"2"` + xint}},
 		{`SELECT DISTINCT (COUNT(*) AS ?m) ` + k + group, []string{`"1"` + xint, `"2"` + xint}},
+		// §18.2.5: the columns are the SELECT list in its written order,
+		// the alias where it is written.
+		{`SELECT (COUNT(*) AS ?n) ?s ` + k + group, []string{`"1"` + xint + ` <http://e/a>`, `"1"` + xint + ` <http://e/b>`, `"2"` + xint + ` <http://e/c>`}},
 
 		// §18.2.4.1: the implicit group of an empty sequence is one row.
 		{`SELECT (COUNT(*) AS ?n) ` + none, []string{`"0"` + xint}},

@@ -16,8 +16,8 @@ func TestRegistryHasAllNineSystems(t *testing.T) {
 		t.Fatalf("engines = %d, want 9", len(r.Engines()))
 	}
 	wantNames := []string{"HAQWA", "SPARQLGX", "S2RDF", "Hybrid", "S2X", "GX-Subgraph", "Spar(k)ql", "GraphFrames", "SparkRDF"}
-	for i, n := range r.Names() {
-		if n != wantNames[i] {
+	for i, e := range r.Engines() {
+		if n := e.Info().Name; n != wantNames[i] {
 			t.Fatalf("names[%d] = %s, want %s", i, n, wantNames[i])
 		}
 	}

@@ -91,9 +91,6 @@ func (e *Engine) Info() core.SystemInfo {
 // Context implements core.Engine.
 func (e *Engine) Context() *spark.Context { return e.ctx }
 
-// Session exposes the SQL session (used by the examples to EXPLAIN).
-func (e *Engine) Session() *sparksql.Session { return e.session }
-
 // Load builds the VP tables and materializes the ExtVP tables under
 // the selectivity threshold.
 func (e *Engine) Load(triples []rdf.Triple) error {

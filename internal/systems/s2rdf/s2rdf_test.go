@@ -144,7 +144,7 @@ func TestTranslateBGPProducesRunnableSQL(t *testing.T) {
 	if !strings.Contains(text, "JOIN") || !strings.Contains(text, "SELECT") {
 		t.Fatalf("sql = %s", text)
 	}
-	df, err := e.Session().Query(text)
+	df, err := e.session.Query(text)
 	if err != nil {
 		t.Fatalf("generated SQL does not run: %v\n%s", err, text)
 	}

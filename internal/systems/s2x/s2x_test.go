@@ -45,11 +45,11 @@ func TestPropertyGraphConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Vertices: a, b, c, "x" — literals become vertices too.
-	if e.graph.NumVertices() != 4 {
-		t.Fatalf("vertices = %d", e.graph.NumVertices())
+	if e.graph.Vertices().Count() != 4 {
+		t.Fatalf("vertices = %d", e.graph.Vertices().Count())
 	}
-	if e.graph.NumEdges() != 3 {
-		t.Fatalf("edges = %d", e.graph.NumEdges())
+	if e.graph.Edges().Count() != 3 {
+		t.Fatalf("edges = %d", e.graph.Edges().Count())
 	}
 }
 

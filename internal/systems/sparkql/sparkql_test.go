@@ -43,8 +43,8 @@ func TestNodeModelSplitsProperties(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if e.graph.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want only the object property", e.graph.NumEdges())
+	if e.graph.Edges().Count() != 1 {
+		t.Fatalf("edges = %d, want only the object property", e.graph.Edges().Count())
 	}
 	aProps := e.props[graphx.VertexID(e.data.ID(iri("a")))]
 	if len(aProps[e.data.ID(iri("name"))]) != 1 {

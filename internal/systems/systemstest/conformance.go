@@ -150,13 +150,13 @@ func RandomDataset(seed int64) []rdf.Triple {
 	}
 	var triples []rdf.Triple
 	for i := 0; i < 40; i++ {
-		triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(randomNS+objPreds[rng.Intn(len(objPreds))]), node()))
+		triples = append(triples, rdf.Triple{S: node(), P: rdf.NewIRI(randomNS + objPreds[rng.Intn(len(objPreds))]), O: node()})
 	}
 	for i := 0; i < 20; i++ {
-		triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(randomNS+dataPreds[rng.Intn(len(dataPreds))]), literals[rng.Intn(len(literals))]))
+		triples = append(triples, rdf.Triple{S: node(), P: rdf.NewIRI(randomNS + dataPreds[rng.Intn(len(dataPreds))]), O: literals[rng.Intn(len(literals))]})
 	}
 	for i := 0; i < 10; i++ {
-		triples = append(triples, rdf.NewTriple(node(), rdf.NewIRI(rdf.RDFType), rdf.NewIRI(fmt.Sprintf("%sC%d", randomNS, rng.Intn(3)))))
+		triples = append(triples, rdf.Triple{S: node(), P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI(fmt.Sprintf("%sC%d", randomNS, rng.Intn(3)))})
 	}
 	return triples
 }

@@ -94,8 +94,3 @@ func QueriesByShape(qs []NamedQuery, shape sparql.Shape) []NamedQuery {
 	}
 	return out
 }
-
-// AllQueries returns the union of both workloads.
-func AllQueries() []NamedQuery {
-	return append(UniversityQueries(), ShopQueries()...)
-}

@@ -76,7 +76,7 @@ func TestGenerateShopDeterministicAndValid(t *testing.T) {
 }
 
 func TestWorkloadQueriesParseAndClassify(t *testing.T) {
-	for _, nq := range AllQueries() {
+	for _, nq := range append(UniversityQueries(), ShopQueries()...) {
 		if nq.Query == nil {
 			t.Fatalf("%s: nil query", nq.Name)
 		}
