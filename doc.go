@@ -272,14 +272,26 @@
 //
 // Storage and concurrency. There is one store, and it is in id space.
 // An rdf.Graph owns a dictionary, its distinct triples as 12-byte
-// EncodedTriples in insertion order, and a set of them; Add builds
-// nothing else, and rdfserve streams an N-Triples file from the parser
-// straight into it (rdf.ReadNTriples), the dictionary cloning each
-// term's strings once so no entry pins its input line. Two things are
-// derived on first use and cached under one mutex (encMu): the flat
-// EncodedView every query and the RDFS closure run on — per position
-// one contiguous copy of the triples grouped by id with a stable
-// counting sort (insertion order within a key, which every
+// EncodedTriples in insertion order, and a dedupe set of their
+// positions; Add builds nothing else. Both lookup structures are
+// pointer-free open-addressing []uint32 tables kept at most half full
+// — the dictionary's of id+1 hashed over the whole term (hash/maphash,
+// a per-dictionary seed), the set's of position+1 hashed over
+// (S, P, O) — so the collector scans neither, and the dictionary's
+// []Term with its cloned strings is the only pointerful layer left.
+// The dictionary's table is probed under its read lock and grown under
+// its write lock; TryEncodeTriple probes all three terms under one read
+// lock and takes the write lock only for a new term. rdfserve streams
+// an N-Triples file straight into the graph (rdf.ReadNTriples): one
+// goroutine scans and parses the lines and hands batches of 512
+// triples to the caller's, which adds them serially in document order,
+// so parsing runs on the second core; the parser has exited before
+// ReadNTriples returns, and a parse error keeps its line number. The
+// dictionary clones each new term's strings once, so no entry pins its
+// input line. Two things are derived on first use and cached under one
+// mutex (encMu): the flat EncodedView every query and the RDFS closure
+// run on — per position one contiguous copy of the triples grouped by
+// id with a stable counting sort (insertion order within a key, which every
 // byte-identical contract rides on) plus a dense uint32 offset table,
 // so a lookup is two array reads, the view holds no Go map and no
 // pointer, and the collector never scans it — and the statistics, whose
@@ -293,8 +305,9 @@
 // rdf.NewPositionedView per shard). The layout's fixed widths — uint32 ids below the
 // evaluator's unbound sentinel, int32 positions, uint32 offsets — fail
 // with a typed *rdf.CapacityError at build time, never wrap. The live
-// footprint is ≈ 150 B/triple (dictionary included), pinned at ≤ 256 by
-// TestStoreFootprintPin and BenchmarkStoreBuild in CI.
+// footprint is ≈ 100 B/triple (dictionary included; ≈ 153 while the
+// two tables were Go maps), pinned at ≤ 110 by TestStoreFootprintPin
+// and BenchmarkStoreBuild in CI.
 //
 // The server itself holds one read-only sparql.ShardSet — one graph's
 // GraphSet, or a shard.ShardedGraph's set (whose graph it keeps only

@@ -62,12 +62,10 @@ func (p InjectedPanic) String() string {
 // site is the armed state of one fault point. Counts > 0 consume one
 // injection per hit; < 0 inject on every hit.
 type site struct {
-	failN     int
-	panicN    int
-	failRate  float64
-	delay     time.Duration
-	delayRate float64       // probability of a jittered delay per hit
-	delayMax  time.Duration // upper bound of the jittered delay
+	failN    int
+	panicN   int
+	failRate float64
+	delay    time.Duration
 }
 
 // Counters reports what a plan injected so far.
@@ -79,8 +77,7 @@ type Counters struct {
 }
 
 // Plan is one deterministic fault schedule. Arm points with the
-// chainable FailNext/FailAlways/FailRate/PanicNext/Delay/DelayRate,
-// install it on
+// chainable FailNext/FailAlways/FailRate/PanicNext/Delay, install it on
 // a context with With, and the engine consults it through Hit. All
 // methods are safe for concurrent use; the only randomness (FailRate)
 // draws from the seeded source, so a plan's behavior is a function of
@@ -146,21 +143,6 @@ func (p *Plan) Delay(pt Point, d time.Duration) *Plan {
 	return p
 }
 
-// DelayRate arms pt to sleep a jittered latency — uniform in (0, d] —
-// on each hit independently with probability rate. Both the decision
-// and the jitter draw from the plan's seeded source, so a run's
-// injected latencies are a deterministic function of the seed and the
-// sequence of hits. Composes with Delay: a fixed delay and a jittered
-// one add up.
-func (p *Plan) DelayRate(pt Point, rate float64, d time.Duration) *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.at(pt)
-	s.delayRate = rate
-	s.delayMax = d
-	return p
-}
-
 // SlowReplica arms the replica's fault point to sleep d on every hit —
 // the straggler injection: the replica stays up and answers correctly,
 // just slowly. This is the fault hedged shard operations defend
@@ -186,9 +168,6 @@ func (p *Plan) Hit(pt Point) error {
 	}
 	p.c.Hits++
 	delay := s.delay
-	if s.delayRate > 0 && s.delayMax > 0 && p.rng.Float64() < s.delayRate {
-		delay += time.Duration(p.rng.Int63n(int64(s.delayMax))) + 1
-	}
 	panicNow, failNow := false, false
 	switch {
 	case s.panicN != 0:

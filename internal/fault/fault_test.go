@@ -112,46 +112,6 @@ func TestDelayInjectsLatency(t *testing.T) {
 	}
 }
 
-func TestDelayRateIsSeedDeterministic(t *testing.T) {
-	draw := func(seed int64) []bool {
-		p := NewPlan(seed).DelayRate(PointScatter, 0.5, 100*time.Microsecond)
-		out := make([]bool, 64)
-		var prev int64
-		for i := range out {
-			if err := p.Hit(PointScatter); err != nil {
-				t.Fatalf("delay-only point failed: %v", err)
-			}
-			c := p.Counters()
-			out[i] = c.Delays > prev
-			prev = c.Delays
-		}
-		return out
-	}
-	a, b := draw(42), draw(42)
-	delayed := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at hit %d", i)
-		}
-		if a[i] {
-			delayed++
-		}
-	}
-	if delayed == 0 || delayed == len(a) {
-		t.Fatalf("delayed %d of %d hits at rate 0.5, want a proper subset", delayed, len(a))
-	}
-	diverged := false
-	for i, c := range draw(7) {
-		if c != a[i] {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Fatal("different seeds produced identical 64-hit delay schedules")
-	}
-}
-
 func TestSlowReplicaDelaysOnlyTarget(t *testing.T) {
 	p := NewPlan(1).SlowReplica(2, 1, 30*time.Millisecond)
 	start := time.Now()

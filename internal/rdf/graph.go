@@ -4,12 +4,12 @@ import "sync"
 
 // Graph is an in-memory RDF graph — a set of triples — held as one
 // id-space store: a dictionary, the distinct triples as 12-byte
-// EncodedTriples in insertion order, and a set of them for
-// deduplication. That is the only copy Add builds. Two things are
-// derived from it on first use and cached until the next Add: the flat
-// positional indexes every query and the RDFS closure run on (Encoded),
-// and the statistics (Stats). Triples decodes the whole list on each
-// call and keeps nothing.
+// EncodedTriples in insertion order, and a pointer-free set of their
+// positions for deduplication (tripleSet). That is the only copy Add
+// builds. Two things are derived from it on first use and cached until
+// the next Add: the flat positional indexes every query and the RDFS
+// closure run on (Encoded), and the statistics (Stats). Triples decodes
+// the whole list on each call and keeps nothing.
 //
 // Engines do not use Graph — they manage their own distributed
 // layouts — but tests verify every engine against it.
@@ -27,7 +27,7 @@ import "sync"
 type Graph struct {
 	dict *Dictionary
 	enc  []EncodedTriple
-	set  map[EncodedTriple]struct{}
+	set  tripleSet
 
 	encMu sync.Mutex
 	view  *EncodedView // flat indexes over enc; nil after mutation
@@ -45,7 +45,7 @@ func NewGraph(triples []Triple) *Graph {
 // and additionally the shared dictionary must not be mutated by other
 // writers while this graph is being added to.
 func NewGraphWithDictionary(triples []Triple, dict *Dictionary) *Graph {
-	g := &Graph{dict: dict, set: make(map[EncodedTriple]struct{}, len(triples))}
+	g := &Graph{dict: dict, set: make(tripleSet, 16)}
 	for _, t := range triples {
 		g.Add(t)
 	}
@@ -76,16 +76,42 @@ func (g *Graph) TryAdd(t Triple) (bool, error) {
 // addEncoded inserts e, already encoded through g's dictionary, if not
 // already present; it reports whether e was new.
 func (g *Graph) addEncoded(e EncodedTriple) (bool, error) {
-	if _, dup := g.set[e]; dup {
+	i, dup := g.set.find(g.enc, e)
+	if dup {
 		return false, nil
 	}
 	if len(g.enc) >= maxTriples {
 		return false, &CapacityError{What: "triples", Limit: int64(maxTriples)}
 	}
-	g.set[e] = struct{}{}
 	g.enc = append(g.enc, e)
+	if g.set[i] = uint32(len(g.enc)); 2*len(g.enc) > len(g.set) {
+		g.set = rehash(2*len(g.set), len(g.enc), func(p int) uint64 { return hashTriple(g.enc[p]) })
+	}
 	g.view, g.stats = nil, nil
 	return true, nil
+}
+
+// tripleSet is a graph's dedupe index, and holds no pointer: a rehash
+// table of positions+1 into the graph's encoded list, hashed over
+// (S, P, O).
+type tripleSet []uint32
+
+// hashTriple mixes the three ids of e.
+func hashTriple(e EncodedTriple) uint64 {
+	h := (uint64(e.S)<<32 | uint64(e.O)) ^ uint64(e.P)*0x9e3779b97f4a7c15
+	h = (h ^ h>>32) * 0xd6e8feb86659fd93
+	return h ^ h>>32
+}
+
+// find returns the slot holding e's position in enc, or the empty slot
+// where e goes.
+func (s tripleSet) find(enc []EncodedTriple, e EncodedTriple) (int, bool) {
+	mask := len(s) - 1
+	for i := int(hashTriple(e)) & mask; ; i = (i + 1) & mask {
+		if p := s[i]; p == 0 || enc[p-1] == e {
+			return i, p != 0
+		}
+	}
 }
 
 // Len returns the number of distinct triples.

@@ -16,11 +16,51 @@ import (
 // stops the read and is returned as is. The strings of a triple handed
 // to fn may share memory with its input line; a consumer that keeps
 // terms beyond the call should own them (Dictionary does).
+//
+// The document is scanned and parsed on a goroutine of its own, which
+// hands readBatch triples at a time to the caller's goroutine; fn is
+// called there, serially and in document order. That goroutine has
+// exited, and reads r no more, by the time ReadNTriples returns.
 func ReadNTriples(r io.Reader, fn func(Triple) error) error {
+	full, empty, stop := make(chan []Triple, 1), make(chan []Triple, 3), make(chan struct{})
+	var perr error
+	go func() {
+		defer close(full)
+		perr = parseBatches(r, full, empty, stop)
+	}()
+	defer func() {
+		close(stop)
+		for range full {
+		}
+	}()
+	for batch := range full {
+		for _, t := range batch {
+			if err := fn(t); err != nil {
+				return err
+			}
+		}
+		empty <- batch[:0]
+	}
+	return perr
+}
+
+// readBatch is how many triples the parser hands over at once.
+const readBatch = 512
+
+// parseBatches sends the triples on full in batches until the document
+// ends, a line fails, or stop is closed (then the caller drains full).
+// At most three batches exist, so handing one back on empty never blocks.
+func parseBatches(r io.Reader, full chan<- []Triple, empty <-chan []Triple, stop <-chan struct{}) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	batch := make([]Triple, 0, readBatch)
 	lineNo := 0
 	for sc.Scan() {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -28,12 +68,20 @@ func ReadNTriples(r io.Reader, fn func(Triple) error) error {
 		}
 		t, err := ParseTripleLine(line)
 		if err != nil {
+			full <- batch
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		if err := fn(t); err != nil {
-			return err
+		if batch = append(batch, t); len(batch) < readBatch {
+			continue
+		}
+		full <- batch
+		select {
+		case batch = <-empty:
+		default:
+			batch = make([]Triple, 0, readBatch)
 		}
 	}
+	full <- batch
 	return sc.Err()
 }
 
@@ -152,10 +200,14 @@ func (p *ntParser) term() (Term, error) {
 }
 
 // unescapeQuoted consumes a double-quoted string with \-escapes and
-// returns the value and the remaining input.
+// returns the value and the remaining input. A value without escapes
+// is a substring of s.
 func unescapeQuoted(s string) (string, string, error) {
 	if len(s) == 0 || s[0] != '"' {
 		return "", "", fmt.Errorf("expected quote")
+	}
+	if end := strings.IndexAny(s[1:], `"\`) + 1; end > 0 && s[end] == '"' {
+		return s[1:end], s[end+1:], nil
 	}
 	var b strings.Builder
 	i := 1

@@ -373,6 +373,6 @@ func has(g *Graph, t Triple) bool {
 	s, okS := g.dict.Lookup(t.S)
 	p, okP := g.dict.Lookup(t.P)
 	o, okO := g.dict.Lookup(t.O)
-	_, ok := g.set[EncodedTriple{S: s, P: p, O: o}]
+	_, ok := g.set.find(g.enc, EncodedTriple{S: s, P: p, O: o})
 	return okS && okP && okO && ok
 }
