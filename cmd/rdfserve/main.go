@@ -22,17 +22,17 @@
 // byte-identical to unsharded serving; /stats gains a sharding block.
 //
 // With -replicas R each shard gets R replicas — routing identities
-// over the shard's one view, each with its own circuit breaker and
-// health score — and per-shard work fails over between them (retry
-// with backoff) without changing results; -chaos-fail-replica I fails
-// replica I of every shard through an injected fault plan, the live
-// demonstration that serving survives a downed replica (watch the
-// /stats faults block).
+// over the shard's one view, each with its own health score — and
+// per-shard work goes to the replica with the best score and fails
+// over between them (retry with backoff) without changing results;
+// -chaos-fail-replica I fails replica I of every shard through an
+// injected fault plan, the live demonstration that serving survives a
+// downed replica (watch the /stats faults block).
 //
-// Tail latency: -hedge-delay launches each shard scan on a second
-// replica once the first runs past the delay; -chaos-slow-replica
-// delays one replica index of every shard by 50ms, the live straggler
-// demonstration (watch the hedges counters in /stats and /metrics).
+// Tail latency: -chaos-slow-replica delays one replica index of every
+// shard by 50ms, the live straggler demonstration — once each replica
+// has answered, the health scores steer shard work off the slow one
+// (watch rdf_replica_latency_ewma_ms on /metrics).
 //
 // The process drains gracefully: on SIGTERM/SIGINT it stops accepting
 // connections, lets in-flight queries finish within the default query
@@ -83,7 +83,7 @@ func main() {
 	dataset := flag.String("dataset", "", "generate a dataset instead: university | shop")
 	scale := flag.String("scale", "small", "generated dataset scale: small | medium")
 	shards := flag.Int("shards", 0, "split the graph into N shards (0 = unsharded)")
-	replicas := flag.Int("replicas", 1, "replicas of each shard: failover and hedge targets over the shard's one view (needs -shards)")
+	replicas := flag.Int("replicas", 1, "replicas of each shard: failover targets over the shard's one view, ordered by health (needs -shards)")
 	partitionName := flag.String("partition", "hash-subject", "shard placement strategy (see internal/partition; needs -shards > 0)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "queries evaluating at once")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline")
@@ -93,7 +93,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "queries that may wait for a worker before new arrivals are shed (0 = 4x max-concurrent, negative disables shedding)")
 	chaosReplica := flag.Int("chaos-fail-replica", -1, "fail this replica index of every shard (chaos demo; needs -replicas > 1)")
 	chaosSlowReplica := flag.Int("chaos-slow-replica", -1, "slow this replica index of every shard by 50ms (chaos demo; needs -replicas > 1)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge shard operations after this delay (0 = off; needs -shards > 0 and -replicas > 1)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof profiling endpoints on this separate address (empty disables)")
 	slowThreshold := flag.Duration("slow-query-threshold", 0, "trace every query and log ones slower than this as JSON lines (0 disables)")
 	slowLogPath := flag.String("slow-query-log", "", "slow-query log file, appended (default stderr; needs -slow-query-threshold)")
@@ -110,7 +109,6 @@ func main() {
 		MaxQueryBytes:      *maxQueryBytes,
 		MaxQueue:           *maxQueue,
 		SlowQueryThreshold: *slowThreshold,
-		HedgeDelay:         *hedgeDelay,
 		TraceSampleRate:    *traceSample,
 		TraceRingSize:      *traceRing,
 		MaxShapes:          *maxShapes,
@@ -129,7 +127,7 @@ func main() {
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}
-	if err := checkReplicaFlags(*shards, *replicas, *chaosReplica, *chaosSlowReplica, *hedgeDelay); err != nil {
+	if err := checkReplicaFlags(*shards, *replicas, *chaosReplica, *chaosSlowReplica); err != nil {
 		fail(err.Error())
 	}
 	if *chaosReplica >= 0 || *chaosSlowReplica >= 0 {
@@ -187,10 +185,9 @@ func main() {
 const chaosSlowDelay = 50 * time.Millisecond
 
 // checkReplicaFlags rejects the replica flags that would silently do
-// nothing (or lose every query): the chaos demos and hedging need
-// -shards > 0 and -replicas > 1, a chaos replica index must exist, and
-// a hedge delay is positive or 0 (off).
-func checkReplicaFlags(shards, replicas, failReplica, slowReplica int, hedgeDelay time.Duration) error {
+// nothing (or lose every query): the chaos demos need -shards > 0 and
+// -replicas > 1, and a chaos replica index must exist.
+func checkReplicaFlags(shards, replicas, failReplica, slowReplica int) error {
 	replicated := shards > 0 && replicas > 1
 	switch {
 	case failReplica >= 0 && !replicated:
@@ -198,13 +195,9 @@ func checkReplicaFlags(shards, replicas, failReplica, slowReplica int, hedgeDela
 	case failReplica >= 0 && failReplica >= replicas:
 		return fmt.Errorf("-chaos-fail-replica %d out of range (replicas 0..%d)", failReplica, replicas-1)
 	case slowReplica >= 0 && !replicated:
-		return errors.New("-chaos-slow-replica needs -shards > 0 and -replicas > 1 (with a lone replica there is nowhere to hedge)")
+		return errors.New("-chaos-slow-replica needs -shards > 0 and -replicas > 1 (with a lone replica there is nowhere to steer)")
 	case slowReplica >= 0 && slowReplica >= replicas:
 		return fmt.Errorf("-chaos-slow-replica %d out of range (replicas 0..%d)", slowReplica, replicas-1)
-	case hedgeDelay < 0:
-		return fmt.Errorf("-hedge-delay %v must be > 0, or 0 for no hedging", hedgeDelay)
-	case hedgeDelay > 0 && !replicated:
-		return errors.New("-hedge-delay needs -shards > 0 and -replicas > 1 (with a lone replica there is nowhere to hedge)")
 	}
 	return nil
 }

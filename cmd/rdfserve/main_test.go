@@ -3,35 +3,24 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestCheckReplicaFlags pins the startup refusals of the flags that
-// need replicas: a chaos demo or a hedge delay without -shards and
-// -replicas > 1 would silently do nothing (or lose every query), so
-// each is an error naming the flag, as is a negative hedge delay.
+// need replicas: a chaos demo without -shards and -replicas > 1 would
+// silently do nothing (or lose every query), so each is an error
+// naming the flag, as is a replica index out of range.
 func TestCheckReplicaFlags(t *testing.T) {
 	const off = -1
 	cases := []struct {
 		name                  string
 		shards, replicas      int
 		failReplica, slowRepl int
-		hedge                 time.Duration
 		wantErr               string // "" means accepted
 	}{
 		{name: "unsharded defaults", replicas: 1, failReplica: off, slowRepl: off},
 		{name: "replicated defaults", shards: 4, replicas: 2, failReplica: off, slowRepl: off},
-		{name: "hedged", shards: 4, replicas: 2, failReplica: off, slowRepl: off, hedge: 5 * time.Millisecond},
-		{name: "hedged chaos", shards: 3, replicas: 2, failReplica: off, slowRepl: 0, hedge: 5 * time.Millisecond},
+		{name: "slow replica", shards: 3, replicas: 2, failReplica: off, slowRepl: 0},
 		{name: "failed replica", shards: 3, replicas: 2, failReplica: 1, slowRepl: off},
-		{name: "hedge without shards", replicas: 1, failReplica: off, slowRepl: off, hedge: 5 * time.Millisecond,
-			wantErr: "-hedge-delay needs -shards > 0 and -replicas > 1"},
-		{name: "hedge with one replica", shards: 4, replicas: 1, failReplica: off, slowRepl: off, hedge: 5 * time.Millisecond,
-			wantErr: "-hedge-delay needs -shards > 0 and -replicas > 1"},
-		{name: "negative hedge", shards: 4, replicas: 2, failReplica: off, slowRepl: off, hedge: -time.Millisecond,
-			wantErr: "-hedge-delay -1ms must be > 0"},
-		{name: "negative hedge unsharded", replicas: 1, failReplica: off, slowRepl: off, hedge: -time.Millisecond,
-			wantErr: "-hedge-delay -1ms must be > 0"},
 		{name: "failed replica without replicas", shards: 4, replicas: 1, failReplica: 0, slowRepl: off,
 			wantErr: "-chaos-fail-replica needs -shards > 0 and -replicas > 1"},
 		{name: "failed replica out of range", shards: 4, replicas: 2, failReplica: 2, slowRepl: off,
@@ -43,7 +32,7 @@ func TestCheckReplicaFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := checkReplicaFlags(c.shards, c.replicas, c.failReplica, c.slowRepl, c.hedge)
+			err := checkReplicaFlags(c.shards, c.replicas, c.failReplica, c.slowRepl)
 			switch {
 			case c.wantErr == "" && err != nil:
 				t.Fatalf("refused: %v", err)

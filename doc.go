@@ -224,8 +224,8 @@
 // every other BGP runs pattern by pattern in the global plan's order,
 // as on one graph, starting from the empty row. For each pattern the
 // whole batch of rows bound so far goes to each shard that can
-// contribute, in one shard operation — replica choice, breaker, hedge,
-// fault point and retry are per (pattern, shard), never per row. The shard probes its own view once per input row (the
+// contribute, in one shard operation — replica choice, fault point
+// and retry are per (pattern, shard), never per row. The shard probes its own view once per input row (the
 // single-graph scan kernel; a row whose bound subject the shard does
 // not hold costs one offset read) and answers each extension keyed by
 // (input-row index, global position of the matched triple), packed in
@@ -363,15 +363,15 @@
 // (shard.BuildReplicated) is a routing identity, not a copy: every
 // replica of a shard scans the shard's one view, so failover is
 // invisible in the output by construction, while faults
-// (fault.ReplicaPoint), breakers, health scores and hedges stay keyed
-// by (shard, replica). Replica selection steers by per-replica circuit
-// breakers (three consecutive failures trip a breaker open; after
-// 250ms it admits a half-open probe — constants, not knobs) but never
-// denies: an op retries across replicas with capped exponential
-// backoff charged against the context deadline, and only after
-// genuinely attempting every replica for the whole retry budget does
-// the query fail, with a sparql.PartialFailureError naming the lost
-// shards. Cancellation is never retried. Determinism under faults is
+// (fault.ReplicaPoint) and health scores stay keyed by (shard,
+// replica). Replica selection steers by the health scores of the
+// Straggler model — a replica that has only ever failed ranks after
+// every replica that has answered — but never denies: an op fails
+// over at once to the next replica and retries across replicas with
+// capped exponential backoff charged against the context deadline,
+// and only after genuinely attempting every replica for the whole
+// retry budget does the query fail, with a sparql.PartialFailureError
+// naming the lost shards. Cancellation is never retried. Determinism under faults is
 // the pinned contract: the chaos suite runs every workload query with
 // one replica of each shard failed and latency injected on every
 // scatter attempt, and requires output byte-identical to a clean
@@ -380,35 +380,39 @@
 // completes the fault boundary: a recovery middleware turns any
 // handler panic — a panicking evaluation on one graph included — into
 // a 500 while the process keeps serving (TestEveryExit's panic rows),
-// PartialFailureError maps to 502, /stats exposes the
-// fault counters and breaker states, and rdfserve drains in-flight
+// PartialFailureError maps to 502, /stats exposes the fault counters
+// and every replica's health, and rdfserve drains in-flight
 // queries gracefully on SIGTERM.
 //
 // # Straggler model
 //
 // Failures are not the only tail risk the surveyed platform defends
 // against: Spark's speculative execution re-runs tasks that merely run
-// slow. The native engine reproduces that straggler defense per shard
-// operation, under the fault model's contract — recovery actions never
-// change output. Replica selection
-// steers by health: each replica carries an EWMA of its
-// successful-attempt latency and a decayed error rate
-// (sparql.ReplicaHealth), unsampled replicas are warmed round-robin,
-// and among closed breakers the lowest score wins, so stragglers shed
-// traffic without being declared dead. A run armed with
-// sparql.WithHedge races stubborn stragglers instead of waiting them
-// out: a shard op that outlives the fixed hedge delay launches on the
-// next-best replica, the first success wins, and the loser is stopped
-// through its private cancellation flag; every replica scans the same
-// view, so the race is invisible in the output. Attempts run under the
-// query's own deadline, unsliced: health steering already moves traffic
-// off a replica once it is sampled slow. The chaos suite extends the
-// fault matrix with stragglers: one replica of every shard slowed
-// ~100×, hedging armed, output
-// pinned byte-identical to a clean single-graph run across placement
+// slow. The native engine defends per shard operation by steering,
+// under the fault model's contract — recovery actions never change
+// output. Each replica carries an EWMA of its successful-attempt
+// latency and a decayed error rate (sparql.ReplicaHealth); replicas
+// never attempted are warmed round-robin, then the lowest score wins,
+// so a straggler sheds traffic once it is sampled slow, without being
+// declared dead. That is the one replica policy: no breaker, no
+// hedge. A replica here is a routing identity over its shard's one
+// view in one process, so only an injected fault plan makes one
+// replica slower than another, and a fixed straggler
+// (rdfserve -chaos-slow-replica) costs only the warm-up attempts that
+// sample it. Racing a second attempt pays off when replicas fail
+// independently (Dean & Barroso, "The Tail at Scale", CACM 2013);
+// here it won only against a straggler that moves every query, which
+// no flag injects, and cost every op its delay against a fixed one,
+// so no op races. Attempts run under the query's own deadline,
+// unsliced. The chaos
+// suite extends the fault matrix with stragglers: one replica of every
+// shard slowed ~100×, its index moving per query, output pinned
+// byte-identical to a clean single-graph run across placement
 // strategies, shard counts, replica counts, and fan-out width, raced
-// and seed-swept; hedge launches and wins surface in
-// sparql.FaultStats, /stats, /metrics, and the slow-query log.
+// and seed-swept; TestHealthSteersOffSlowReplica pins by count that a
+// fixed straggler stops being attempted once sampled, and each
+// replica's scores surface in /stats (faults.replica_health) and on
+// /metrics.
 //
 // # Resource model
 //
@@ -481,8 +485,8 @@
 // constants, and LIMIT/OFFSET arguments erased, so ten thousand
 // instantiations of one template are one workload entry. The server
 // folds every request into a per-fingerprint aggregate
-// (obs.ShapeRegistry: count, latency/rows/bytes histograms, route
-// mix, cache hits, errors, sheds, hedges),
+// (obs.ShapeRegistry: count, a latency histogram, rows and bytes
+// totals, route mix, cache hits, errors, sheds),
 // LRU-bounded at Config.MaxShapes distinct shapes and served at
 // GET /debug/shapes and in the /stats workload block.
 // Config.TraceSampleRate arms always-on sampled tracing — one in N
@@ -492,8 +496,8 @@
 // behind GET /debug/queries and /debug/queries/<request-id>. Sampling
 // inherits the observe-don't-steer contract: sampled responses are
 // byte-identical and unsampled requests keep the one-nil-check fast
-// path. /metrics adds labeled series — per-replica breaker state,
-// latency EWMA, and error rate keyed {shard,replica}; per-shape query/
+// path. /metrics adds labeled series — per-replica latency EWMA and
+// error rate keyed {shard,replica}; per-shape query/
 // error/cache-hit counters and p95 keyed {fingerprint,class} — and
 // slow-query log lines carry plan_fingerprint so a slow line joins
 // against its shape's history. GET /debug/dash serves a

@@ -145,9 +145,9 @@ func (p *Plan) Delay(pt Point, d time.Duration) *Plan {
 
 // SlowReplica arms the replica's fault point to sleep d on every hit —
 // the straggler injection: the replica stays up and answers correctly,
-// just slowly. This is the fault hedged shard operations defend
-// against, as opposed to FailAlways(ReplicaPoint(...)), which models
-// the replica being down.
+// just slowly. This is the fault replica health steering answers, as
+// opposed to FailAlways(ReplicaPoint(...)), which models the replica
+// being down.
 func (p *Plan) SlowReplica(shard, replica int, d time.Duration) *Plan {
 	return p.Delay(ReplicaPoint(shard, replica), d)
 }

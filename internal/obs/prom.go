@@ -76,7 +76,7 @@ func (w *MetricsWriter) CounterVec(name, help string, samples []Sample) {
 }
 
 // GaugeVec emits one gauge family with a sample per label set (e.g.
-// per-replica breaker state and health score).
+// per-replica health scores).
 func (w *MetricsWriter) GaugeVec(name, help string, samples []Sample) {
 	w.header(name, help, "gauge")
 	for _, s := range samples {

@@ -25,9 +25,6 @@ type ShapeRegistry struct {
 	entries   map[string]*shapeEntry
 	order     *list.List // front = most recently seen
 	evictions Counter    // moved under mu, read without it
-
-	rowsBounds  []float64
-	bytesBounds []float64
 }
 
 // ShapeSample is one request's contribution to its shape entry.
@@ -42,40 +39,34 @@ type ShapeSample struct {
 	CacheHit    bool
 	Err         bool
 	Shed        bool
-	Hedges      int
 	Sampled     bool // request carried a sampled trace
 }
 
 // shapeEntry is one shape's aggregates, counted in place in the
-// ShapeStat a snapshot copies; the quantiles and the mean are filled in
-// at snapshot time from the histograms beside it.
+// ShapeStat a snapshot copies; the latency quantiles and the mean are
+// filled in at snapshot time from the histogram and totals beside it.
 type shapeEntry struct {
 	ShapeStat
-	latency, rows, bytesUsage hist
+	latency hist
 
 	elem *list.Element // position in the LRU order
 }
 
-// hist is a cumulative-bucket histogram over fixed upper bounds, plus
-// sum and max, sized for per-shape retention (a few dozen uint64s).
+// hist is a bucket histogram of latencies over LatencyBoundsMs plus
+// their max, sized for per-shape retention.
 type hist struct {
-	counts []uint64
-	sum    float64
+	counts [len(LatencyBoundsMs)]uint64
 	max    float64
 	n      uint64
 }
 
-func (h *hist) observe(bounds []float64, v float64) {
-	if h.counts == nil {
-		h.counts = make([]uint64, len(bounds))
-	}
-	for i, b := range bounds {
+func (h *hist) observe(v float64) {
+	for i, b := range LatencyBoundsMs {
 		if v <= b {
 			h.counts[i]++
 			break
 		}
 	}
-	h.sum += v
 	h.n++
 	if v > h.max {
 		h.max = v
@@ -85,7 +76,7 @@ func (h *hist) observe(bounds []float64, v float64) {
 // quantile estimates the q-quantile (0..1) from the bucket counts,
 // attributing each bucket's mass to its upper bound; overflow mass
 // reports the observed max.
-func (h *hist) quantile(bounds []float64, q float64) float64 {
+func (h *hist) quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0
 	}
@@ -97,18 +88,11 @@ func (h *hist) quantile(bounds []float64, q float64) float64 {
 	for i, c := range h.counts {
 		cum += c
 		if rank < cum {
-			return bounds[i]
+			return LatencyBoundsMs[i]
 		}
 	}
 	return h.max
 }
-
-// Default histogram bounds: latency is LatencyBoundsMs, rows and bytes
-// cover point lookups through full scans.
-var (
-	defaultRowsBounds  = []float64{1, 10, 100, 1000, 10000, 100000, 1000000}
-	defaultBytesBounds = []float64{1 << 10, 16 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20}
-)
 
 // NewShapeRegistry builds a registry bounded to capacity shapes
 // (minimum 1; a non-positive capacity defaults to 256).
@@ -117,11 +101,9 @@ func NewShapeRegistry(capacity int) *ShapeRegistry {
 		capacity = 256
 	}
 	return &ShapeRegistry{
-		capacity:    capacity,
-		entries:     make(map[string]*shapeEntry, capacity),
-		order:       list.New(),
-		rowsBounds:  defaultRowsBounds,
-		bytesBounds: defaultBytesBounds,
+		capacity: capacity,
+		entries:  make(map[string]*shapeEntry, capacity),
+		order:    list.New(),
 	}
 }
 
@@ -181,7 +163,6 @@ func (r *ShapeRegistry) Observe(s ShapeSample) {
 	if s.Sampled {
 		e.Sampled++
 	}
-	e.Hedges += uint64(s.Hedges)
 	if s.Rows > 0 {
 		e.RowsTotal += uint64(s.Rows)
 	}
@@ -191,9 +172,7 @@ func (r *ShapeRegistry) Observe(s ShapeSample) {
 	if s.Route != "" {
 		e.Routes[s.Route]++
 	}
-	e.latency.observe(LatencyBoundsMs[:], s.DurationMs)
-	e.rows.observe(r.rowsBounds, float64(s.Rows))
-	e.bytesUsage.observe(r.bytesBounds, float64(s.Bytes))
+	e.latency.observe(s.DurationMs)
 }
 
 // ShapeStat is a point-in-time snapshot of one shape entry.
@@ -205,7 +184,6 @@ type ShapeStat struct {
 	Errors       uint64            `json:"errors"`
 	CacheHits    uint64            `json:"cache_hits"`
 	Sheds        uint64            `json:"sheds"`
-	Hedges       uint64            `json:"hedges"`
 	Sampled      uint64            `json:"sampled_traces"`
 	RowsTotal    uint64            `json:"rows_total"`
 	BytesTotal   uint64            `json:"bytes_total"`
@@ -224,9 +202,9 @@ type ShapeStat struct {
 func snapshotEntry(e *shapeEntry) ShapeStat {
 	st := e.ShapeStat
 	st.Routes = maps.Clone(e.Routes)
-	st.LatencyP50Ms = e.latency.quantile(LatencyBoundsMs[:], 0.50)
-	st.LatencyP95Ms = e.latency.quantile(LatencyBoundsMs[:], 0.95)
-	st.LatencyP99Ms = e.latency.quantile(LatencyBoundsMs[:], 0.99)
+	st.LatencyP50Ms = e.latency.quantile(0.50)
+	st.LatencyP95Ms = e.latency.quantile(0.95)
+	st.LatencyP99Ms = e.latency.quantile(0.99)
 	st.LatencyMaxMs = e.latency.max
 	if e.Count > 0 {
 		st.MeanRows = float64(e.RowsTotal) / float64(e.Count)

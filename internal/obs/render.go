@@ -23,7 +23,7 @@ func (t *Trace) JSON() []byte {
 
 func appendSpanJSON(buf []byte, s *Span) []byte {
 	buf = append(buf, `{"name":`...)
-	buf = appendJSONString(buf, s.Name)
+	buf = AppendJSONString(buf, s.Name)
 	buf = append(buf, `,"start_us":`...)
 	buf = strconv.AppendInt(buf, s.Start.Microseconds(), 10)
 	buf = append(buf, `,"duration_us":`...)
@@ -36,10 +36,10 @@ func appendSpanJSON(buf []byte, s *Span) []byte {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendJSONString(buf, a.Key)
+			buf = AppendJSONString(buf, a.Key)
 			buf = append(buf, ':')
 			if a.IsStr {
-				buf = appendJSONString(buf, a.Str)
+				buf = AppendJSONString(buf, a.Str)
 			} else {
 				buf = strconv.AppendInt(buf, a.Int, 10)
 			}
@@ -59,29 +59,48 @@ func appendSpanJSON(buf []byte, s *Span) []byte {
 	return append(buf, '}')
 }
 
-// appendJSONString appends s as a JSON string literal. UTF-8 passes
-// through unescaped, which JSON allows.
-func appendJSONString(buf []byte, s string) []byte {
+// jsonClean[c] reports that byte c passes through a JSON string literal
+// unescaped: everything but the control bytes, '"' and '\\'.
+var jsonClean = func() (t [256]bool) {
+	for c := 0x20; c < 256; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// AppendJSONString appends s as a JSON string literal (quoted and
+// escaped) to buf: '"' and '\\' backslashed, '\n', '\r' and '\t' named,
+// other control bytes as \u00XX. UTF-8 passes through unescaped, which
+// JSON allows. Runs of bytes that need no escaping are appended whole:
+// result terms are almost entirely such runs, and streaming them is
+// the hottest use.
+func AppendJSONString(buf []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	buf = append(buf, '"')
+	start := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
+		c := s[i]
+		if jsonClean[c] {
+			continue
+		}
+		buf = append(buf, s[start:i]...)
+		start = i + 1
+		switch c {
+		case '"':
 			buf = append(buf, '\\', '"')
-		case c == '\\':
+		case '\\':
 			buf = append(buf, '\\', '\\')
-		case c == '\n':
+		case '\n':
 			buf = append(buf, '\\', 'n')
-		case c == '\r':
+		case '\r':
 			buf = append(buf, '\\', 'r')
-		case c == '\t':
+		case '\t':
 			buf = append(buf, '\\', 't')
-		case c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		default:
-			buf = append(buf, c)
+			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		}
 	}
+	buf = append(buf, s[start:]...)
 	return append(buf, '"')
 }
 

@@ -24,11 +24,7 @@ type SlowQueryEntry struct {
 	Shards          int
 	ShardsTouched   int
 	DurationMs      float64
-	// Hedges counts the hedged shard operations launched while serving
-	// this query; a nonzero value flags a straggler replica as the
-	// likely cause of the slow entry.
-	Hedges   int64
-	TopSpans []SpanSelf
+	TopSpans        []SpanSelf
 }
 
 // SlowQueryLogger writes slow-query records as JSON lines to one
@@ -63,30 +59,28 @@ func QueryHash(text string) string {
 func (l *SlowQueryLogger) Log(e SlowQueryEntry) error {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, `{"ts":`...)
-	buf = appendJSONString(buf, time.Now().UTC().Format(time.RFC3339Nano))
+	buf = AppendJSONString(buf, time.Now().UTC().Format(time.RFC3339Nano))
 	buf = append(buf, `,"request_id":`...)
-	buf = appendJSONString(buf, e.RequestID)
+	buf = AppendJSONString(buf, e.RequestID)
 	buf = append(buf, `,"query_hash":`...)
-	buf = appendJSONString(buf, e.QueryHash)
+	buf = AppendJSONString(buf, e.QueryHash)
 	buf = append(buf, `,"plan_fingerprint":`...)
-	buf = appendJSONString(buf, e.PlanFingerprint)
+	buf = AppendJSONString(buf, e.PlanFingerprint)
 	buf = append(buf, `,"route":`...)
-	buf = appendJSONString(buf, e.Route)
+	buf = AppendJSONString(buf, e.Route)
 	buf = append(buf, `,"shards":`...)
 	buf = strconv.AppendInt(buf, int64(e.Shards), 10)
 	buf = append(buf, `,"shards_touched":`...)
 	buf = strconv.AppendInt(buf, int64(e.ShardsTouched), 10)
 	buf = append(buf, `,"duration_ms":`...)
 	buf = strconv.AppendFloat(buf, e.DurationMs, 'f', 3, 64)
-	buf = append(buf, `,"hedges":`...)
-	buf = strconv.AppendInt(buf, e.Hedges, 10)
 	buf = append(buf, `,"top_spans":[`...)
 	for i, sp := range e.TopSpans {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, `{"name":`...)
-		buf = appendJSONString(buf, sp.Name)
+		buf = AppendJSONString(buf, sp.Name)
 		buf = append(buf, `,"self_ms":`...)
 		buf = strconv.AppendFloat(buf, sp.SelfMs, 'f', 3, 64)
 		buf = append(buf, '}')

@@ -18,13 +18,12 @@ import (
 // bits the fault tests assert on).
 type faultStatsDoc struct {
 	Faults struct {
-		Attempts        uint64                `json:"attempts"`
-		Retries         uint64                `json:"retries"`
-		Failovers       uint64                `json:"failovers"`
-		RecoveredPanics uint64                `json:"recovered_panics"`
-		PartialFailures uint64                `json:"partial_failures"`
-		BreakerTrips    int64                 `json:"breaker_trips"`
-		Breakers        []sparqlBreakerFields `json:"breakers"`
+		Attempts        uint64              `json:"attempts"`
+		Retries         uint64              `json:"retries"`
+		Failovers       uint64              `json:"failovers"`
+		RecoveredPanics uint64              `json:"recovered_panics"`
+		PartialFailures uint64              `json:"partial_failures"`
+		ReplicaHealth   []replicaInfoFields `json:"replica_health"`
 	} `json:"faults"`
 	Sharding struct {
 		Shards   int `json:"shards"`
@@ -32,10 +31,10 @@ type faultStatsDoc struct {
 	} `json:"sharding"`
 }
 
-type sparqlBreakerFields struct {
-	Shard   int    `json:"shard"`
-	Replica int    `json:"replica"`
-	State   string `json:"state"`
+type replicaInfoFields struct {
+	Shard     int     `json:"shard"`
+	Replica   int     `json:"replica"`
+	ErrorRate float64 `json:"error_rate"`
 }
 
 func getStats(t *testing.T, s *Server) faultStatsDoc {
@@ -72,7 +71,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 // TestShardedFailoverServing pins fault-tolerant serving end to end:
 // with replica 0 of every shard failed through the chaos plan, queries
 // still answer 200 with full results, and /stats reports the
-// failovers, the replica count, and the breaker states.
+// failovers, the replica count, and every replica's health.
 func TestShardedFailoverServing(t *testing.T) {
 	triples := testGraph().Triples()
 	const shards, replicas = 3, 2
@@ -104,8 +103,20 @@ func TestShardedFailoverServing(t *testing.T) {
 	if doc.Sharding.Replicas != replicas {
 		t.Fatalf("sharding.replicas = %d, want %d", doc.Sharding.Replicas, replicas)
 	}
-	if len(doc.Faults.Breakers) != shards*replicas {
-		t.Fatalf("breakers lists %d entries, want %d", len(doc.Faults.Breakers), shards*replicas)
+	if len(doc.Faults.ReplicaHealth) != shards*replicas {
+		t.Fatalf("replica_health lists %d entries, want %d", len(doc.Faults.ReplicaHealth), shards*replicas)
+	}
+	failed := 0
+	for _, ri := range doc.Faults.ReplicaHealth {
+		if ri.ErrorRate > 0 {
+			if ri.Replica != 0 {
+				t.Fatalf("shard %d replica %d reads error rate %v; only replica 0 failed", ri.Shard, ri.Replica, ri.ErrorRate)
+			}
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no replica 0 reads an error rate")
 	}
 }
 

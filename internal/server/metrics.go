@@ -23,46 +23,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeReplicaMetrics renders per-replica health as labeled series:
-// breaker state (0 closed, 1 half-open, 2 open), consecutive failures,
-// trips, latency EWMA, and decayed error rate, each labeled
-// {shard,replica}. Until this PR replica health was visible only in
-// /stats JSON — a metrics scraper could not alert on a stuck breaker.
+// latency EWMA and decayed error rate, each labeled {shard,replica}.
 func (s *Server) writeReplicaMetrics(mw *obs.MetricsWriter) {
-	h := s.set.Health
-	if h == nil {
-		return
-	}
-	infos := h.Snapshot()
+	infos := s.set.Health.Snapshot()
 	if len(infos) == 0 {
 		return
 	}
-	state := make([]obs.Sample, 0, len(infos))
-	consec := make([]obs.Sample, 0, len(infos))
-	trips := make([]obs.Sample, 0, len(infos))
 	ewma := make([]obs.Sample, 0, len(infos))
 	errRate := make([]obs.Sample, 0, len(infos))
-	for _, bi := range infos {
+	for _, ri := range infos {
 		labels := []obs.Label{
-			{Name: "shard", Value: strconv.Itoa(bi.Shard)},
-			{Name: "replica", Value: strconv.Itoa(bi.Replica)},
+			{Name: "shard", Value: strconv.Itoa(ri.Shard)},
+			{Name: "replica", Value: strconv.Itoa(ri.Replica)},
 		}
-		sv := 0.0
-		switch bi.State {
-		case "half-open":
-			sv = 1
-		case "open":
-			sv = 2
-		}
-		state = append(state, obs.Sample{Labels: labels, Value: sv})
-		consec = append(consec, obs.Sample{Labels: labels, Value: float64(bi.ConsecutiveFailures)})
-		trips = append(trips, obs.Sample{Labels: labels, Value: float64(bi.Trips)})
-		ewma = append(ewma, obs.Sample{Labels: labels, Value: bi.LatencyEwmaMs})
-		errRate = append(errRate, obs.Sample{Labels: labels, Value: bi.ErrorRate})
+		ewma = append(ewma, obs.Sample{Labels: labels, Value: ri.LatencyEwmaMs})
+		errRate = append(errRate, obs.Sample{Labels: labels, Value: ri.ErrorRate})
 	}
-	mw.GaugeVec("rdf_replica_breaker_state", "Replica circuit-breaker state: 0 closed, 1 half-open, 2 open.", state)
-	mw.GaugeVec("rdf_replica_consecutive_failures", "Consecutive failures recorded against the replica.", consec)
-	mw.CounterVec("rdf_replica_breaker_trips_total", "Times the replica's breaker tripped open.", trips)
-	mw.GaugeVec("rdf_replica_latency_ewma_ms", "Replica successful-attempt latency EWMA, milliseconds (0 unsampled).", ewma)
+	mw.GaugeVec("rdf_replica_latency_ewma_ms", "Replica successful-attempt latency EWMA, milliseconds (0 never answered).", ewma)
 	mw.GaugeVec("rdf_replica_error_rate", "Replica decayed failure rate in [0, 1].", errRate)
 }
 

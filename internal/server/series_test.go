@@ -212,7 +212,7 @@ func TestEveryExit(t *testing.T) {
 		{name: "partial failure", server: allReplicasDown, do: sparqlGet(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`, ""),
 			status: 502, shape: [3]uint64{1, 1, 0},
 			moved: with(compiled, moved{"faults.partial_failures": 1, "failed": 1, "sharding.pushdown_queries": 1, "sharding.shards_touched": 3,
-				"faults.attempts": some, "faults.retries": some, "faults.failovers": some, "faults.breaker_trips": some})},
+				"faults.attempts": some, "faults.retries": some, "faults.failovers": some})},
 		{name: "server fault", do: sparqlGet(small, ""),
 			server: single(testGraph(), Config{FaultPlan: fault.NewPlan(1).FailNext(fault.PointServer, 1)}),
 			status: 500, moved: with(compiled, moved{"failed": 1}), shape: [3]uint64{1, 1, 0}},
@@ -296,12 +296,9 @@ var goldenSeries = []struct{ family, typ, path, only string }{
 	{"rdf_replica_attempts_total", "counter", "faults.attempts", ""},
 	{"rdf_replica_retries_total", "counter", "faults.retries", ""},
 	{"rdf_replica_failovers_total", "counter", "faults.failovers", ""},
-	{"rdf_hedges_total", "counter", "faults.hedges", ""},
-	{"rdf_hedge_wins_total", "counter", "faults.hedge_wins", ""},
 	{"rdf_recovered_panics_total", "counter", "faults.recovered_panics", ""},
 	{"rdf_partial_failures_total", "counter", "faults.partial_failures", ""},
-	{"", "", "faults.breaker_trips", "sharded"},
-	{"", "", "faults.breakers", "sharded"},
+	{"", "", "faults.replica_health", "sharded"},
 	{"rdf_shards", "gauge", "sharding.shards", "sharded"},
 	{"rdf_shard_replicas", "gauge", "sharding.replicas", "sharded"},
 	{"", "", "sharding.partition", "sharded"},
@@ -310,9 +307,6 @@ var goldenSeries = []struct{ family, typ, path, only string }{
 	{"rdf_scatter_queries_total", "counter", "sharding.scatter_queries", "sharded"},
 	{"rdf_shards_touched_total", "counter", "sharding.shards_touched", "sharded"},
 	{"rdf_shards_pruned_total", "counter", "sharding.shards_pruned", "sharded"},
-	{"rdf_replica_breaker_state", "gauge", "", "sharded"},
-	{"rdf_replica_consecutive_failures", "gauge", "", "sharded"},
-	{"rdf_replica_breaker_trips_total", "counter", "", "sharded"},
 	{"rdf_replica_latency_ewma_ms", "gauge", "", "sharded"},
 	{"rdf_replica_error_rate", "gauge", "", "sharded"},
 	{"rdf_rendered_terms", "gauge", "rendered_terms.json", ""},

@@ -87,11 +87,6 @@ type Config struct {
 	// Default (0) is 4× the dataset's triple count; negative disables
 	// cost-aware decisions (only queue depth sheds).
 	CostShedThreshold int64
-	// HedgeDelay, when > 0, arms hedged shard operations on sharded
-	// backends with replicas: a per-shard op that outlives the delay
-	// races a second attempt on the next-best replica, first success
-	// wins. Default 0 (no hedging).
-	HedgeDelay time.Duration
 	// FaultPlan, when set, is installed on every query's context and
 	// consulted at the engine's fault points (internal/fault) — the
 	// chaos-testing hook behind rdfserve's -chaos-fail-replica flag.
@@ -555,7 +550,6 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	execDur := time.Since(execStart)
 	smp.Route = info.route
 	smp.Bytes = info.bytes
-	smp.Hedges = int(info.hedges)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.m.timeouts.Add(1)
@@ -694,7 +688,6 @@ func (s *Server) logSlowQuery(r *http.Request, text, fingerprint string, tr *obs
 		Route:           info.route,
 		Shards:          info.shards,
 		ShardsTouched:   info.touched,
-		Hedges:          info.hedges,
 		DurationMs:      float64(total) / float64(time.Millisecond),
 		TopSpans:        tr.TopSelf(3),
 	})
@@ -705,14 +698,13 @@ func (s *Server) logSlowQuery(r *http.Request, text, fingerprint string, tr *obs
 type runInfo struct {
 	route           string
 	shards, touched int
-	hedges          int64
 	bytes           int64 // bytes charged against the memory budget
 }
 
 // eval runs one query over the backend, armed with the server's
-// per-query memory budget, fan-out width and hedging (both inert on one
-// graph) and, when tr is non-nil, execution tracing. One graph reports
-// route "local".
+// per-query memory budget and fan-out width (inert on one graph) and,
+// when tr is non-nil, execution tracing. One graph reports route
+// "local".
 func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*sparql.Solutions, runInfo, error) {
 	var rep struct { // the run's reports, one allocation for the three
 		rs sparql.RunStats
@@ -728,14 +720,11 @@ func (s *Server) eval(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace)
 	if tr != nil {
 		opts = append(opts, sparql.WithTrace(tr))
 	}
-	if d := s.cfg.HedgeDelay; d > 0 {
-		opts = append(opts, sparql.WithHedge(sparql.HedgePolicy{Delay: d}))
-	}
 	sol, err := prep.RunShardedSolutions(ctx, s.set, opts...)
 	s.m.observeRun(*rs, *st, *fs)
 	return sol, runInfo{
 		route: string(st.Route), shards: st.Shards, touched: st.ShardsTouched,
-		hedges: fs.Hedges, bytes: rs.BytesCharged,
+		bytes: rs.BytesCharged,
 	}, err
 }
 
@@ -756,8 +745,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		obs.SetPath(body, "sharding.partition", sg.Strategy())
 		obs.SetPath(body, "sharding.subject_colocated", sg.SubjectColocated())
 		if h := s.set.Health; h != nil {
-			obs.SetPath(body, "faults.breaker_trips", h.Trips())
-			obs.SetPath(body, "faults.breakers", h.Snapshot())
+			obs.SetPath(body, "faults.replica_health", h.Snapshot())
 		}
 	}
 	obs.SetPath(body, "workload.top_shapes", s.shapes.TopK(10))

@@ -31,11 +31,10 @@ type metrics struct {
 	pushdownQueries, scatterQueries, shardsTouched, shardsPruned obs.Counter
 
 	// Fault handling (sparql.FaultStats plus the server's own
-	// recoveries): replica attempts, retries, failovers, hedges with
-	// their wins, panics recovered in the engine and in the HTTP
-	// middleware, and queries lost to total shard failure.
+	// recoveries): replica attempts, retries, failovers, panics
+	// recovered in the engine and in the HTTP middleware, and queries
+	// lost to total shard failure.
 	attempts, retries, failovers obs.Counter
-	hedges, hedgeWins            obs.Counter
 	recoveredPanics              obs.Counter
 	partialFailures              obs.Counter
 
@@ -90,8 +89,6 @@ func (s *Server) declareMetrics() {
 	r.Counter("rdf_replica_attempts_total", "faults.attempts", "Shard replica execution attempts.", &m.attempts)
 	r.Counter("rdf_replica_retries_total", "faults.retries", "Retried replica attempts.", &m.retries)
 	r.Counter("rdf_replica_failovers_total", "faults.failovers", "Failovers to another replica.", &m.failovers)
-	r.Counter("rdf_hedges_total", "faults.hedges", "Hedged shard operations launched against a second replica.", &m.hedges)
-	r.Counter("rdf_hedge_wins_total", "faults.hedge_wins", "Hedged shard operations where the hedge finished first.", &m.hedgeWins)
 	r.Counter("rdf_recovered_panics_total", "faults.recovered_panics", "Panics recovered in the engine and HTTP middleware.", &m.recoveredPanics)
 	r.Counter("rdf_partial_failures_total", "faults.partial_failures", "Queries lost to total shard failure.", &m.partialFailures)
 
@@ -154,12 +151,10 @@ func (m *metrics) observeRun(rs sparql.RunStats, st sparql.ShardStats, fs sparql
 		m.shardsTouched.Add(uint64(st.ShardsTouched))
 		m.shardsPruned.Add(uint64(st.ShardsPruned))
 	}
-	if fs.Attempts != 0 || fs.Retries != 0 || fs.RecoveredPanics != 0 || fs.Hedges != 0 {
+	if fs.Attempts != 0 || fs.Retries != 0 || fs.RecoveredPanics != 0 {
 		m.attempts.Add(uint64(fs.Attempts))
 		m.retries.Add(uint64(fs.Retries))
 		m.failovers.Add(uint64(fs.Failovers))
 		m.recoveredPanics.Add(uint64(fs.RecoveredPanics))
-		m.hedges.Add(uint64(fs.Hedges))
-		m.hedgeWins.Add(uint64(fs.HedgeWins))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -81,50 +82,6 @@ func writeAsk(w io.Writer, ask bool, yes, no string) error {
 	return err
 }
 
-// jsonClean[c] reports that byte c passes through a JSON string literal
-// unescaped: everything but the control bytes, '"' and '\\'.
-var jsonClean = func() (t [256]bool) {
-	for c := 0x20; c < 256; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// appendJSONString appends s as a JSON string literal (quoted and
-// escaped) to buf. UTF-8 passes through unescaped, which JSON allows.
-// Runs of bytes that need no escaping are appended whole: term values
-// are almost entirely such runs, and this is the hottest function of
-// result streaming.
-func appendJSONString(buf []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if jsonClean[c] {
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		start = i + 1
-		switch c {
-		case '"':
-			buf = append(buf, '\\', '"')
-		case '\\':
-			buf = append(buf, '\\', '\\')
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
-}
-
 // appendJSONTerm appends one RDF term in SPARQL 1.1 Query Results JSON
 // form: {"type":...,"value":...[,"xml:lang":...][,"datatype":...]}.
 func appendJSONTerm(buf []byte, t rdf.Term) []byte {
@@ -138,14 +95,14 @@ func appendJSONTerm(buf []byte, t rdf.Term) []byte {
 		buf = append(buf, `"literal"`...)
 	}
 	buf = append(buf, `,"value":`...)
-	buf = appendJSONString(buf, t.Value)
+	buf = obs.AppendJSONString(buf, t.Value)
 	if t.Lang != "" {
 		buf = append(buf, `,"xml:lang":`...)
-		buf = appendJSONString(buf, t.Lang)
+		buf = obs.AppendJSONString(buf, t.Lang)
 	}
 	if t.Datatype != "" {
 		buf = append(buf, `,"datatype":`...)
-		buf = appendJSONString(buf, t.Datatype)
+		buf = obs.AppendJSONString(buf, t.Datatype)
 	}
 	return append(buf, '}')
 }
@@ -163,7 +120,7 @@ func writeJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions, t
 	last, keys := make([]byte, 0, 64), make([][]byte, len(vars))
 	head := append(make([]byte, 0, 128), `{"head":{"vars":[`...)
 	for i, v := range vars {
-		last = append(appendJSONString(append(last[len(last):], ','), string(v)), ':')
+		last = append(obs.AppendJSONString(append(last[len(last):], ','), string(v)), ':')
 		keys[i] = last
 		name := last[:len(last)-1] // `,"name"`: the vars list has no comma before its first
 		if i == 0 {

@@ -18,6 +18,7 @@ import (
 	"testing/quick"
 	"unicode/utf8"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/shard"
 	"repro/internal/sparql"
@@ -25,7 +26,7 @@ import (
 )
 
 // refAppendJSONString is the byte-at-a-time escaper the bulk-append
-// appendJSONString replaced, kept as the reference it must match.
+// obs.AppendJSONString replaced, kept as the reference it must match.
 func refAppendJSONString(buf []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	buf = append(buf, '"')
@@ -96,10 +97,10 @@ func TestAppendJSONStringMatchesReference(t *testing.T) {
 	prefix := []byte("prefix:")
 	check := func(seed int64) bool {
 		s := escapeHeavy(rand.New(rand.NewSource(seed)))
-		got := appendJSONString(append([]byte(nil), prefix...), s)
+		got := obs.AppendJSONString(append([]byte(nil), prefix...), s)
 		want := refAppendJSONString(append([]byte(nil), prefix...), s)
 		if !bytes.Equal(got, want) {
-			t.Logf("appendJSONString(%q) = %q, reference %q", s, got, want)
+			t.Logf("obs.AppendJSONString(%q) = %q, reference %q", s, got, want)
 			return false
 		}
 		if !utf8.ValidString(s) {
@@ -117,7 +118,7 @@ func TestAppendJSONStringMatchesReference(t *testing.T) {
 	}
 	// Arbitrary strings from testing/quick's own generator too.
 	if err := quick.Check(func(s string) bool {
-		return bytes.Equal(appendJSONString(nil, s), refAppendJSONString(nil, s))
+		return bytes.Equal(obs.AppendJSONString(nil, s), refAppendJSONString(nil, s))
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +156,12 @@ func FuzzAppendJSONString(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		got := appendJSONString(nil, s)
+		got := obs.AppendJSONString(nil, s)
 		if want := refAppendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("appendJSONString(%q) = %q, reference %q", s, got, want)
+			t.Fatalf("obs.AppendJSONString(%q) = %q, reference %q", s, got, want)
 		}
 		if !json.Valid(got) {
-			t.Fatalf("appendJSONString(%q) = %q is not valid JSON", s, got)
+			t.Fatalf("obs.AppendJSONString(%q) = %q is not valid JSON", s, got)
 		}
 	})
 }
@@ -286,7 +287,7 @@ func refWriteJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONString(buf, string(v))
+		buf = obs.AppendJSONString(buf, string(v))
 	}
 	buf = append(buf, `]},"results":{"bindings":[`...)
 	bw.Write(buf)
@@ -309,7 +310,7 @@ func refWriteJSONResults(ctx context.Context, w io.Writer, sol *sparql.Solutions
 				buf = append(buf, ',')
 			}
 			first = false
-			buf = appendJSONString(buf, string(v))
+			buf = obs.AppendJSONString(buf, string(v))
 			buf = append(buf, ':')
 			buf = appendJSONTerm(buf, t)
 		}

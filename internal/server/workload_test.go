@@ -230,7 +230,7 @@ func TestShapeRegistryBoundedHTTP(t *testing.T) {
 }
 
 // TestWorkloadMetricsLabeled pins the labeled series on /metrics: a
-// replicated sharded server exposes per-replica breaker gauges and
+// replicated sharded server exposes per-replica health gauges and
 // per-shape counters, and the whole body still passes the exposition
 // validator.
 func TestWorkloadMetricsLabeled(t *testing.T) {
@@ -254,11 +254,9 @@ func TestWorkloadMetricsLabeled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"# TYPE rdf_replica_breaker_state gauge",
-		`rdf_replica_breaker_state{shard="0",replica="0"} 0`,
-		`rdf_replica_breaker_state{shard="2",replica="1"} 0`,
-		"# TYPE rdf_replica_breaker_trips_total counter",
 		"# TYPE rdf_replica_latency_ewma_ms gauge",
+		`rdf_replica_error_rate{shard="0",replica="0"} 0`,
+		`rdf_replica_error_rate{shard="2",replica="1"} 0`,
 		"# TYPE rdf_replica_error_rate gauge",
 		"# TYPE rdf_shape_queries_total counter",
 		fmt.Sprintf(`rdf_shape_queries_total{fingerprint="%s",class="%s"} 1`,

@@ -97,7 +97,6 @@ func TestChaosTransientSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg.Set().Health.SetCooldown(time.Millisecond)
 	retry := sparql.RetryPolicy{Cycles: 8, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
 	for qi, nq := range ds.queries {
 		prep, err := sparql.Prepare(nq.Text)
@@ -149,11 +148,10 @@ func chaosSeed(t *testing.T) int64 {
 
 // TestChaosTailDeterminism is the straggler acceptance suite: with one
 // replica of every shard slowed ~100× (a 2ms stall against µs-scale
-// scans) and hedged shard operations armed, every workload query must
-// return byte-identical results to a clean single-graph run — across
-// placement strategies, shard counts, replica counts, and fan-out
-// width. The slowed replica index rotates per query, so health
-// steering keeps getting surprised and every cell records hedges.
+// scans), every workload query must return byte-identical results to a
+// clean single-graph run — across placement strategies, shard counts,
+// replica counts, and fan-out width. The slowed replica index rotates
+// per query, so health steering keeps getting surprised.
 func TestChaosTailDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 16-cell matrix with injected 2ms stragglers")
@@ -174,7 +172,6 @@ func TestChaosTailDeterminism(t *testing.T) {
 		}
 		want[nq.Name] = res
 	}
-	hedge := sparql.HedgePolicy{Delay: 200 * time.Microsecond}
 	for _, strat := range []string{"hash-subject", "vertical"} {
 		for _, nShards := range []int{3, 8} {
 			for _, reps := range []int{2, 3} {
@@ -184,7 +181,6 @@ func TestChaosTailDeterminism(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						var hedges, wins int64
 						for qi, nq := range ds.queries {
 							slow := qi % reps
 							plan := fault.NewPlan(seed + int64(qi))
@@ -195,22 +191,13 @@ func TestChaosTailDeterminism(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							var fs sparql.FaultStats
 							got, err := sp.RunSharded(fault.With(ctx, plan), sg.Set(),
-								sparql.WithParallelism(par),
-								sparql.WithHedge(hedge),
-								sparql.WithFaultStats(&fs))
+								sparql.WithParallelism(par))
 							if err != nil {
 								t.Fatalf("%s (replica %d slow): %v", nq.Name, slow, err)
 							}
 							mustEqualResults(t, want[nq.Name], got)
-							hedges += fs.Hedges
-							wins += fs.HedgeWins
 						}
-						if hedges == 0 {
-							t.Fatal("no hedges recorded with a straggler replica in every shard")
-						}
-						_ = wins // the slow primary can still win a race; counted, not required
 					})
 				}
 			}
@@ -301,8 +288,8 @@ func TestScatterCancelNoGoroutineLeak(t *testing.T) {
 }
 
 // waitGoroutines polls until the goroutine count returns to near the
-// baseline, failing after three seconds — shared by the leak tests,
-// since losers of hedge races unwind asynchronously.
+// baseline, failing after three seconds: shard workers unwind
+// asynchronously after a cancelled run returns.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -317,31 +304,43 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestChaosHedgeNoGoroutineLeak pins hedge-loser hygiene: after runs
-// where every shard op races a slow primary against a hedge, the
-// losing attempts must unwind on their own — no goroutines left behind
-// once their injected stalls elapse.
-func TestChaosHedgeNoGoroutineLeak(t *testing.T) {
-	ds := datasets()[0]
-	sg, err := BuildReplicatedByName(ds.triples, "hash-subject", 4, 2)
+// TestHealthSteersOffSlowReplica pins straggler steering by count,
+// not by clock: with replica 0 of every shard slowed 50ms, once two
+// warm-up queries have given every replica a latency sample, the
+// health scores keep every later shard op off the slow replica, so ten
+// more queries take no injected delay at all.
+//
+// Mutant this test kills: pickReplica ignoring the scores (replicas in
+// index order), which sends every op to the slow replica first.
+func TestHealthSteersOffSlowReplica(t *testing.T) {
+	const shards = 4
+	sg, err := BuildReplicatedByName(workload.GenerateUniversity(workload.SmallUniversity()), "hash-subject", shards, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(1)
-	for s := 0; s < 4; s++ {
-		plan.SlowReplica(s, 0, 20*time.Millisecond)
+	for s := 0; s < shards; s++ {
+		plan.SlowReplica(s, 0, 50*time.Millisecond)
 	}
-	before := runtime.NumGoroutine()
-	hedge := sparql.HedgePolicy{Delay: 100 * time.Microsecond}
-	for _, nq := range ds.queries {
-		sp, err := sparql.Prepare(nq.Text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sp.RunSharded(fault.With(context.Background(), plan), sg.Set(),
-			sparql.WithParallelism(4), sparql.WithHedge(hedge)); err != nil {
-			t.Fatalf("%s: %v", nq.Name, err)
+	sp, err := sparql.Prepare(fmt.Sprintf(`SELECT ?st ?prof ?dept WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?dept }`, workload.UnivNS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := fault.With(context.Background(), plan)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(1)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	waitGoroutines(t, before)
+	run(2)
+	warm := plan.Counters().Delays
+	if warm == 0 {
+		t.Fatal("warm-up never sampled the slow replica")
+	}
+	run(10)
+	if d := plan.Counters().Delays - warm; d != 0 {
+		t.Fatalf("ten steered queries took %d injected delays, want 0", d)
+	}
 }

@@ -77,11 +77,11 @@ var maxTriples = math.MaxInt32
 // for the copies a distributed deployment would place on R nodes. A
 // replica is not a copy — each shard's view is built once, and every
 // replica of it scans that view — so replica failover can never change
-// one row of query output. Faults, circuit breakers, health scores and
-// hedges are keyed by (shard, replica), and the distributed executor
-// routes each per-shard op to a healthy replica (retry with capped
-// backoff; see internal/sparql); a query fails only when every replica
-// of a needed shard is down.
+// one row of query output. Faults and health scores are keyed by
+// (shard, replica), and the distributed executor routes each per-shard
+// op to the replica with the best score (retry with capped backoff;
+// see internal/sparql); a query fails only when every replica of a
+// needed shard is down.
 func Read(read func(add func(rdf.Triple) error) error, strat partition.Strategy, n, replicas int) (*ShardedGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)

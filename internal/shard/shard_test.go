@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/partition"
@@ -505,9 +504,9 @@ func TestShardedLimitPushdown(t *testing.T) {
 // A replica is a routing identity, not a copy: a shard's view is built
 // once, every replica index of the shard serves it — alone, with every
 // other replica failed, each answers the single graph's rows — and
-// faults and breakers stay keyed by replica: with replica 0 of every
-// shard failed, only replica 0's breakers open while the answers stay
-// byte-identical.
+// faults and health scores stay keyed by replica: with replica 0 of
+// every shard failed, only replica 0 reads an error rate while the
+// answers stay byte-identical.
 func TestReplicaViewsContentIdentical(t *testing.T) {
 	ctx := context.Background()
 	triples := workload.GenerateUniversity(workload.SmallUniversity())
@@ -571,13 +570,11 @@ func TestReplicaViewsContentIdentical(t *testing.T) {
 		run(plan)
 	}
 
-	// A fresh set, its clock frozen so an open breaker reads open.
+	// A fresh set, so no replica carries an earlier error.
 	sg, err = BuildReplicatedByName(triples, "hash-subject", shards, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := time.Unix(1000, 0)
-	sg.Set().Health.SetClock(func() time.Time { return frozen })
 	plan := fault.NewPlan(1)
 	for s := 0; s < shards; s++ {
 		plan.FailAlways(fault.ReplicaPoint(s, 0))
@@ -585,9 +582,9 @@ func TestReplicaViewsContentIdentical(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run(plan)
 	}
-	for _, b := range sg.Set().Health.Snapshot() {
-		if open := b.State != "closed"; open != (b.Replica == 0) {
-			t.Fatalf("shard %d replica %d breaker %s with only replica 0 failed", b.Shard, b.Replica, b.State)
+	for _, ri := range sg.Set().Health.Snapshot() {
+		if failed := ri.ErrorRate > 0; failed != (ri.Replica == 0) {
+			t.Fatalf("shard %d replica %d error rate %v with only replica 0 failed", ri.Shard, ri.Replica, ri.ErrorRate)
 		}
 	}
 }

@@ -85,15 +85,15 @@ type ShardSet struct {
 
 	// Replicas is the number of replicas of every shard (0 or 1 means
 	// one). A replica is a routing identity, not a copy: replica r of
-	// shard s is the index that its breaker, health score, hedge and
-	// fault point (fault.ReplicaPoint(s, r)) are keyed by, and every
+	// shard s is the index that its health score and fault point
+	// (fault.ReplicaPoint(s, r)) are keyed by, and every
 	// attempt on any replica scans Views[s]. Failover therefore cannot
 	// change a row of query output.
 	Replicas int
-	// Health carries the per-replica circuit breakers steering replica
-	// selection. Nil disables breaker steering (replicas are tried in
-	// index order). It is the set's only mutable field and is
-	// internally synchronized.
+	// Health carries the per-replica health scores steering replica
+	// selection. Nil disables steering (replicas are tried in index
+	// order). It is the set's only mutable field and is internally
+	// synchronized.
 	Health *ReplicaHealth
 
 	// local marks a graph's own set (GraphSet): its runs take
@@ -191,18 +191,17 @@ func (p *Prepared) RunShardedSolutions(ctx context.Context, ss *ShardSet, opts .
 // nothing.
 func (p *Prepared) newEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *evalEnv {
 	env := &evalEnv{
-		ss:         ss,
-		view:       ss.Views[0],
-		dict:       ss.Dict,
-		terms:      ss.Dict.Terms(),
-		slots:      p.slots,
-		vars:       p.vars,
-		stats:      ss.Stats,
-		limitHint:  p.limitHint,
-		prep:       p,
-		route:      p.shardRoute(ss, ro.forceScatter),
-		retry:      ro.retry.withDefaults(),
-		hedgeDelay: ro.hedgeDelay,
+		ss:        ss,
+		view:      ss.Views[0],
+		dict:      ss.Dict,
+		terms:     ss.Dict.Terms(),
+		slots:     p.slots,
+		vars:      p.vars,
+		stats:     ss.Stats,
+		limitHint: p.limitHint,
+		prep:      p,
+		route:     p.shardRoute(ss, ro.forceScatter),
+		retry:     ro.retry.withDefaults(),
 	}
 	if env.route != RouteLocal {
 		env.touched = make([]bool, len(ss.Views))
@@ -453,9 +452,9 @@ func (env *evalEnv) forEachShard(picked []int, op shardOp) (outs [][]slotRow, ke
 	return outs, keys
 }
 
-// pickReplica selects the next replica for an op on shard s, through
-// the breakers and straggler scores when the set carries health state
-// and in index order otherwise. -1 means every replica was already
+// pickReplica selects the next replica for an op on shard s, by the
+// straggler scores when the set carries health state and in index
+// order otherwise. -1 means every replica was already
 // tried this pass.
 func pickReplica(h *ReplicaHealth, s int, tried []bool) int {
 	if h != nil {
@@ -494,9 +493,9 @@ func (op shardOp) picks(view *rdf.EncodedView) bool {
 // pointed at the shard. It returns its rows and, when keyed (more than
 // one shard takes part in the operation), their ascending merge keys
 // (bindKey). Returning the output buffers (instead of writing shared
-// state) is what lets hedged attempts race: racing copies compute into
-// private buffers, and only the winning attempt's return value is
-// committed by runShardOp's caller.
+// state) is what keeps a failed attempt out of the output: only the
+// successful attempt's return value is committed by runShardOp's
+// caller.
 func (op shardOp) run(w *evalEnv, keyed bool) ([]slotRow, []uint64) {
 	if op.cps != nil {
 		return pushdownShard(w, op.cps, op.max, keyed)
@@ -524,22 +523,19 @@ func (env *evalEnv) shardPlan() *fault.Plan {
 
 // runShardOp executes one per-shard operation (a bind join or a
 // pushdown BGP) fault-tolerantly and returns its output: the op runs
-// against a replica of shard s chosen by the circuit breakers and
-// straggler scores, with injected or returned failures — and recovered
-// panics — failing over immediately to the next replica; full passes
-// over the replica set are separated by capped exponential backoff
-// charged against the context's remaining deadline. With a hedge
-// policy armed (WithHedge) and more than one replica, an attempt
-// that outlives the hedge delay races a second copy on the next-best
-// replica — first success wins, the loser is cancelled through its
-// taskStop claim. The op gives up, latching a PartialFailureError
-// naming the shard into the worker's error, only after every replica
-// failed in retry.Cycles consecutive passes. Cancellation is never
-// retried. env is the run's driver environment; w may be env itself.
+// against a replica of shard s chosen by the straggler scores, with
+// injected or returned failures — and recovered panics — failing over
+// immediately to the next replica; full passes over the replica set
+// are separated by capped exponential backoff charged against the
+// context's remaining deadline. The op gives up, latching a
+// PartialFailureError naming the shard into the worker's error, only
+// after every replica failed in retry.Cycles consecutive passes.
+// Cancellation is never retried. env is the run's driver environment;
+// w may be env itself.
 //
-// Failover and hedging are invisible in results because every replica
-// of a shard scans the same view (ShardSet.Replicas) and exactly one
-// attempt's returned buffers are committed.
+// Failover is invisible in results because every replica of a shard
+// scans the same view (ShardSet.Replicas) and exactly one attempt's
+// returned buffers are committed.
 func (env *evalEnv) runShardOp(s int, w *evalEnv, keyed bool, op shardOp) ([]slotRow, []uint64) {
 	replicas := max(env.ss.Replicas, 1)
 	if env.shardPlan() == nil && replicas == 1 {
@@ -555,7 +551,6 @@ func (env *evalEnv) runShardOp(s int, w *evalEnv, keyed bool, op shardOp) ([]slo
 		return rows, keys
 	}
 	h := env.ss.Health
-	hedging := env.hedgeDelay > 0 && replicas > 1
 	tried := make([]bool, replicas)
 	lastFailed := -1
 	for cycle := 0; ; {
@@ -573,13 +568,6 @@ func (env *evalEnv) runShardOp(s int, w *evalEnv, keyed bool, op shardOp) ([]slo
 			}
 			for i := range tried {
 				tried[i] = false
-			}
-			continue
-		}
-		if hedging {
-			rows, keys, done := env.racedAttempt(w, s, r, tried, &lastFailed, keyed, op)
-			if done {
-				return rows, keys
 			}
 			continue
 		}
@@ -605,100 +593,6 @@ func (env *evalEnv) runShardOp(s int, w *evalEnv, keyed bool, op shardOp) ([]slo
 		w.ftally.retries.Add(1)
 		tried[r] = true
 		lastFailed = r
-	}
-}
-
-// racedAttempt runs one hedged pass of a shard op: the primary attempt
-// launches immediately, and if the hedge delay elapses first, a second
-// copy launches on the next-best replica not already racing or failed.
-// The first success wins and is returned (done=true); the loser is
-// cancelled through its taskStop claim and drains into the buffered
-// channel without being read. A fatal error also ends the op
-// (done=true, with w.err latched). When every racing attempt fails
-// non-fatally the pass reports done=false and the caller's retry loop
-// picks the next replica.
-func (env *evalEnv) racedAttempt(w *evalEnv, s, primary int, tried []bool, lastFailed *int, keyed bool, op shardOp) ([]slotRow, []uint64, bool) {
-	h := env.ss.Health
-	type attemptRes struct {
-		rows []slotRow
-		keys []uint64
-		err  error
-		r    int
-		dur  time.Duration
-	}
-	resCh := make(chan attemptRes, 2) // buffered: a loser's send never blocks
-	var stops []*atomic.Bool
-	launch := func(r int) {
-		w.ftally.attempts.Add(1)
-		if *lastFailed >= 0 && r != *lastFailed {
-			w.ftally.failovers.Add(1)
-		}
-		stop := &atomic.Bool{}
-		stops = append(stops, stop)
-		ae := w.workerEnv()
-		ae.par = nil
-		ae.taskStop = stop
-		go func() {
-			start := time.Now()
-			rows, keys, err := env.attemptShardOp(ae, s, r, keyed, op)
-			resCh <- attemptRes{rows: rows, keys: keys, err: err, r: r, dur: time.Since(start)}
-		}()
-	}
-	racing := make([]bool, len(tried))
-	racing[primary] = true
-	launch(primary)
-	timer := time.NewTimer(env.hedgeDelay)
-	defer timer.Stop()
-	inFlight, hedged := 1, false
-	for {
-		select {
-		case <-timer.C:
-			if hedged {
-				continue
-			}
-			hedged = true
-			avoid := make([]bool, len(tried))
-			for i := range avoid {
-				avoid[i] = tried[i] || racing[i]
-			}
-			if r2 := pickReplica(h, s, avoid); r2 >= 0 {
-				racing[r2] = true
-				w.ftally.hedges.Add(1)
-				launch(r2)
-				inFlight++
-			}
-		case res := <-resCh:
-			inFlight--
-			if res.err == nil {
-				if h != nil {
-					h.ok(s, res.r, res.dur)
-				}
-				if res.r != primary {
-					w.ftally.hedgeWins.Add(1)
-				}
-				for _, st := range stops {
-					st.Store(true)
-				}
-				return res.rows, res.keys, true
-			}
-			if fatalAttemptErr(res.err) {
-				w.err = res.err
-				for _, st := range stops {
-					st.Store(true)
-				}
-				return nil, nil, true
-			}
-			if h != nil {
-				h.fail(s, res.r)
-			}
-			w.ftally.retries.Add(1)
-			tried[res.r] = true
-			*lastFailed = res.r
-			if inFlight > 0 {
-				continue // the other copy may still win this pass
-			}
-			return nil, nil, false
-		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -412,13 +410,12 @@ type evalEnv struct {
 	par *parRun
 
 	// Shard execution (dist.go): the run's route, the shards it touched,
-	// the patterns it scattered, the shard-op retry policy (replica.go)
-	// and, when > 0, the delay that arms hedged shard ops (health.go).
-	route      ShardRoute
-	touched    []bool
-	scatter    int
-	retry      RetryPolicy
-	hedgeDelay time.Duration
+	// the patterns it scattered and the shard-op retry policy
+	// (replica.go).
+	route   ShardRoute
+	touched []bool
+	scatter int
+	retry   RetryPolicy
 
 	// limitHint, when > 0, is the number of leading rows the modifier
 	// pipeline will keep (LIMIT + OFFSET, or 1 for ASK) for queries
@@ -466,13 +463,6 @@ type evalEnv struct {
 	// driver goroutine. Nil — the default — costs each span site one nil
 	// check.
 	trace *obs.Trace
-
-	// taskStop, when non-nil, is the first-completion-wins claim of the
-	// racing copies of a hedged shard attempt (dist.go). Once another
-	// copy commits, interrupted() reports true WITHOUT latching an
-	// error, so the losing copy quietly abandons its private work. Nil
-	// everywhere outside a race.
-	taskStop *atomic.Bool
 }
 
 // cancelCheckEvery is the amortization interval of the cancellation
@@ -499,7 +489,7 @@ func (env *evalEnv) block(n int) int {
 	if env.err != nil {
 		return 0
 	}
-	if env.ctx == nil && env.taskStop == nil {
+	if env.ctx == nil {
 		return n
 	}
 	if left := cancelCheckEvery - int(env.tick&(cancelCheckEvery-1)); n > left {
@@ -511,18 +501,9 @@ func (env *evalEnv) block(n int) int {
 	return n
 }
 
-// poll is the slow half of block: the actual look at the race claim,
-// the cross-worker latch and the context.
+// poll is the slow half of block: the actual look at the cross-worker
+// latch and the context.
 func (env *evalEnv) poll() bool {
-	if env.taskStop != nil && env.taskStop.Load() {
-		// This copy of the shard attempt lost its hedge race: stop
-		// computing, but latch no error — the winner's result is already
-		// committed and the run is healthy.
-		return true
-	}
-	if env.ctx == nil {
-		return false
-	}
 	if env.par != nil && env.par.stop.Load() {
 		env.err = env.ctx.Err()
 		return true

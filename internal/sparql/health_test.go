@@ -5,56 +5,59 @@ import (
 	"time"
 )
 
-// TestBreakerTripAndCooldownInjectedClock pins the breaker lifecycle
-// against an injected clock: trip after the threshold, steer picks
-// away while open, admit the half-open probe once the cooldown
-// elapses, and close again on success — no sleeping.
-func TestBreakerTripAndCooldownInjectedClock(t *testing.T) {
-	h := NewReplicaHealth(1, 2)
-	now := time.Unix(1000, 0)
-	h.SetClock(func() time.Time { return now })
-	h.SetCooldown(100 * time.Millisecond)
+// The replica-order pins. Mutants these tests kill (each applied to a
+// copy of health.go):
+//   - value() returning 0 for a replica that has only failed
+//     (TestPickFailedReplicaLast: it would rank first);
+//   - unsampled() testing the EWMA alone, so a replica that has only
+//     failed is warmed again (TestPickFailedReplicaLast);
+//   - pick returning -1 instead of a failure-only replica once every
+//     answered replica is tried (TestPickFailedReplicaLast);
+//   - the warm-up loop skipped (TestPickWarmsUnsampledReplicas);
+//   - the error penalty dropped from value() (TestPickPenalizesErrorRate).
 
-	for i := 0; i < breakerTripThreshold; i++ {
-		h.fail(0, 0)
+// TestPickFailedReplicaLast pins where a replica that has only ever
+// failed ranks: after every replica that has answered, however slowly,
+// yet still picked once those are tried — scores steer, they never
+// deny. A replica never attempted is warmed before either.
+func TestPickFailedReplicaLast(t *testing.T) {
+	h := NewReplicaHealth(1, 3)
+	h.fail(0, 0)
+	h.fail(0, 0)
+	h.ok(0, 1, time.Second)
+	tried := make([]bool, 3)
+	if r := h.pick(0, tried); r != 2 {
+		t.Fatalf("pick with replica 2 never attempted = %d, want 2", r)
 	}
-	if got := h.Trips(); got != 1 {
-		t.Fatalf("Trips = %d after %d failures, want 1", got, breakerTripThreshold)
-	}
-
-	tried := make([]bool, 2)
-	if r := h.pick(0, tried); r != 1 {
-		t.Fatalf("pick with replica 0 open = %d, want 1", r)
-	}
-
-	// With the only closed replica tried and the cooldown not yet
-	// elapsed, the open replica is still returned — a forced probe, so
-	// an op never gives up without attempting every replica.
-	tried[1] = true
-	if r := h.pick(0, tried); r != 0 {
-		t.Fatalf("forced probe = %d, want 0", r)
-	}
-
-	now = now.Add(150 * time.Millisecond)
-	for _, bi := range h.Snapshot() {
-		if bi.Shard == 0 && bi.Replica == 0 && bi.State != "half-open" {
-			t.Fatalf("replica 0 state after cooldown = %q, want half-open", bi.State)
+	h.ok(0, 2, 2*time.Second)
+	// Every round-robin start: the failure-only replica 0 never comes
+	// first while an answered replica is untried.
+	for i := 0; i < 3; i++ {
+		if r := h.pick(0, tried); r != 1 {
+			t.Fatalf("pick %d = %d, want 1 (answered beats failed only)", i, r)
 		}
 	}
-	if r := h.pick(0, tried); r != 0 {
-		t.Fatalf("half-open probe = %d, want 0", r)
+	tried[1] = true
+	if r := h.pick(0, tried); r != 2 {
+		t.Fatalf("pick with replica 1 tried = %d, want 2", r)
 	}
-
-	h.ok(0, 0, time.Millisecond)
-	for _, bi := range h.Snapshot() {
-		if bi.Shard == 0 && bi.Replica == 0 && bi.State != "closed" {
-			t.Fatalf("replica 0 state after success = %q, want closed", bi.State)
+	tried[2] = true
+	if r := h.pick(0, tried); r != 0 {
+		t.Fatalf("pick with every answered replica tried = %d, want 0", r)
+	}
+	tried[0] = true
+	if r := h.pick(0, tried); r != -1 {
+		t.Fatalf("pick with every replica tried = %d, want -1", r)
+	}
+	for _, ri := range h.Snapshot() {
+		if failed := ri.ErrorRate > 0; failed != (ri.Replica == 0) || (ri.LatencyEwmaMs == 0) != (ri.Replica == 0) {
+			t.Fatalf("snapshot %+v: want only replica 0 failed and never answered", ri)
 		}
 	}
 }
 
 // TestPickWarmsUnsampledReplicas pins the warmup rule: replicas that
-// have never answered are picked (in round-robin order) before latency
+// were never attempted are picked (in round-robin order) before latency
 // steering takes over, so every replica's score gets a first sample.
 func TestPickWarmsUnsampledReplicas(t *testing.T) {
 	h := NewReplicaHealth(1, 3)
@@ -71,7 +74,7 @@ func TestPickWarmsUnsampledReplicas(t *testing.T) {
 }
 
 // TestPickSteersByLatencyScore pins latency steering: among sampled
-// closed replicas, pick prefers the lowest EWMA, and excluding it
+// replicas, pick prefers the lowest EWMA, and excluding it
 // falls through to the next best.
 func TestPickSteersByLatencyScore(t *testing.T) {
 	h := NewReplicaHealth(1, 3)
@@ -96,7 +99,7 @@ func TestPickPenalizesErrorRate(t *testing.T) {
 	h.ok(0, 0, 1*time.Millisecond)
 	h.ok(0, 1, 2*time.Millisecond)
 	// Two failures: errRate = 1-(1-α)² = 0.51, score = 1ms·(1+4·0.51) ≈
-	// 3ms > 2ms; the breaker (threshold 3) stays closed.
+	// 3ms > 2ms.
 	h.fail(0, 0)
 	h.fail(0, 0)
 	tried := make([]bool, 2)

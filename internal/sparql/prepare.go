@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -105,10 +104,6 @@ type runOpts struct {
 	faultStats *FaultStats
 	retry      RetryPolicy
 
-	// Tail-latency option (health.go): > 0 is the delay after which a
-	// shard op hedges on a second replica.
-	hedgeDelay time.Duration
-
 	// Memory-budget option (budget.go): > 0 bounds the run's charged
 	// bytes, < 0 arms tracking only, 0 disables accounting.
 	memBudget int64
@@ -187,8 +182,6 @@ func (o *runOpts) capture(env *evalEnv) {
 			Retries:         t.retries.Load(),
 			Failovers:       t.failovers.Load(),
 			RecoveredPanics: t.panics.Load(),
-			Hedges:          t.hedges.Load(),
-			HedgeWins:       t.hedgeWins.Load(),
 		}
 	}
 	if o.stats == nil {

@@ -100,12 +100,6 @@ type FaultStats struct {
 	Failovers int64
 	// RecoveredPanics counts panics recovered inside the engine.
 	RecoveredPanics int64
-	// Hedges counts hedged replica attempts launched after the hedge
-	// delay elapsed without the primary answering (WithHedge).
-	Hedges int64
-	// HedgeWins counts hedged attempts whose result was committed —
-	// the hedge beat the primary.
-	HedgeWins int64
 }
 
 // WithFaultStats makes the run fill fs with its fault counters just
@@ -122,8 +116,6 @@ type faultTally struct {
 	retries   atomic.Int64
 	failovers atomic.Int64
 	panics    atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
 }
 
 // mergeShardErrors folds per-worker shard-op errors into the run error:
