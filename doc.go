@@ -59,9 +59,13 @@
 //     sparql.CompileFilter resolves a condition's variables to slots
 //     once per query, and sparql.Holds evaluates it three-valued (true,
 //     false or error, SPARQL 1.1 §17.2 and §17.3; FilterExpr names the
-//     subset) over any row that gives a slot's term, keeping the row
-//     only on true. ORDER BY is another order, sparql.CompareTerms
-//     (§15.1), which MIN, MAX and the assessment's tie check share.
+//     subset) over any row that gives a slot's term and its numeric
+//     value, keeping the row only on true; two numeric operands compare
+//     by value, with no term read. ORDER BY is another order,
+//     sparql.CompareTerms (§15.1), which MIN, MAX and the assessment's
+//     tie check share: one order over all terms, numeric literals
+//     first among literals, by value, then lexical form, datatype and
+//     language — so a sort's result does not depend on its input's.
 //     What an engine does with whole solution sequences at the driver
 //     belongs to no surveyed design, so it is the reference evaluator's
 //     code, of which there is one copy. HAQWA, S2RDF and S2X answer
@@ -98,7 +102,10 @@
 //     engines: the aggregate (groups keyed on ids; a computed value the
 //     dictionary lacks takes an id past its end, one per distinct
 //     value of the run), then the solution modifiers (ORDER BY,
-//     projection, DISTINCT, OFFSET / LIMIT in §18.2.5's order), then
+//     projection, DISTINCT, OFFSET / LIMIT in §18.2.5's order; the
+//     projection copies no row: it is the answer's column map, each
+//     selected variable's slot, which DISTINCT keys on and every
+//     reader goes through), then
 //     the form's output — the surviving rows for SELECT, a template
 //     instantiated over them for CONSTRUCT, their subjects' triples for
 //     DESCRIBE (§16.4: the slice bounds the targets). An answer is its
@@ -114,7 +121,13 @@
 //     space (a term the first side lacks makes the answers unequal).
 //     The encoded view's lookups
 //     (WithSubject/WithPredicate/WithObject, by TermID) return
-//     zero-copy index views. A pattern scan writes each output row once: the candidate
+//     zero-copy index views. A pattern scan resolves in two steps: once
+//     per shard operation, the pattern's constants (their ids, a
+//     constant the dictionary lacks, the smallest range they select);
+//     then per input row only the positions that row binds, each
+//     narrowing the range, a row binding a term with an empty range
+//     skipping its scan. Every range lists its triples in insertion
+//     order, so the range chosen changes no row and no order. The scan writes each output row once: the candidate
 //     filter (patternScan.matches) compares every position the input
 //     row binds and every variable the pattern repeats, so the row is
 //     a copy of its input with the unbound positions stored straight
@@ -225,9 +238,11 @@
 // as on one graph, starting from the empty row. For each pattern the
 // whole batch of rows bound so far goes to each shard that can
 // contribute, in one shard operation — replica choice, fault point
-// and retry are per (pattern, shard), never per row. The shard probes its own view once per input row (the
-// single-graph scan kernel; a row whose bound subject the shard does
-// not hold costs one offset read) and answers each extension keyed by
+// and retry are per (pattern, shard), never per row. The shard resolves
+// the pattern's constants on its view once per operation and probes
+// the view once per input row (the single-graph scan kernel; a row
+// binding a term the shard does not hold at that position costs one
+// offset read) and answers each extension keyed by
 // (input-row index, global position of the matched triple), packed in
 // one uint64, ascending. The driver k-way merges the shards' runs on
 // that key. A triple lives on exactly one shard and positions ascend
@@ -301,7 +316,13 @@
 // it, never the serving path. A Graph is
 // single-writer/many-reader: any number of goroutines may race into a
 // cold Encoded or Stats; after an Add the next one rebuilds from the
-// encoded list in O(n). Sharded stores skip rdf.Graph altogether (one
+// encoded list in O(n). The dictionary also keeps a numeric column
+// (rdf.Numbers, after HDT's per-id dictionary columns): each term's
+// value when it is a numeric literal, parsed once as its id is
+// assigned, pointer-free at 8 B a term (a NaN no parse returns marks a
+// term that is not numeric). A run snapshots it beside the term table,
+// so FILTER comparisons and ORDER BY keys read a float per id instead
+// of parsing the lexical form per row. Sharded stores skip rdf.Graph altogether (one
 // rdf.NewPositionedView per shard). The layout's fixed widths — uint32 ids below the
 // evaluator's unbound sentinel, int32 positions, uint32 offsets — fail
 // with a typed *rdf.CapacityError at build time, never wrap. The live

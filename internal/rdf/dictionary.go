@@ -45,13 +45,31 @@ func (e *CapacityError) Error() string {
 // their input line). Its term→id index holds no pointer, so the
 // collector never scans it: a rehash table of id+1, hashed over the
 // whole term under a per-dictionary seed, probed under the read lock
-// and grown under the write lock.
+// and grown under the write lock. Beside the terms it keeps their
+// numeric column (Numbers), filled as each id is assigned.
 type Dictionary struct {
 	mu    sync.RWMutex
 	seed  maphash.Seed
 	index []uint32
 	terms []Term
+	nums  Numbers
 	limit int64 // ids are < limit; lowered only by tests
+}
+
+// Numbers is the dictionary's numeric column: entry i is TermID(i)'s
+// value when its term is a numeric literal (NumericValue), valued once
+// as the id is assigned, so a comparison reads a float instead of
+// parsing the lexical form. It holds no pointer, 8 B a term; a term
+// that is not numeric holds notNumeric, a NaN whose payload no parse
+// returns (strconv's NaN is math.NaN's).
+type Numbers []float64
+
+const notNumeric = 0x7ff8_0000_0000_0bad
+
+// At returns id's value and whether its term is numeric.
+func (n Numbers) At(id TermID) (float64, bool) {
+	f := n[id]
+	return f, math.Float64bits(f) != notNumeric
 }
 
 // NewDictionary returns an empty dictionary.
@@ -90,6 +108,11 @@ func (d *Dictionary) insert(t Term) (TermID, error) {
 		return 0, &CapacityError{What: "terms", Limit: d.limit}
 	}
 	d.terms = append(d.terms, Term{t.Kind, strings.Clone(t.Value), strings.Clone(t.Datatype), strings.Clone(t.Lang)})
+	f, ok := NumericValue(t)
+	if !ok {
+		f = math.Float64frombits(notNumeric)
+	}
+	d.nums = append(d.nums, f)
 	d.index[i] = uint32(len(d.terms))
 	if 2*len(d.terms) > len(d.index) {
 		d.index = rehash(2*len(d.index), len(d.terms), func(id int) uint64 { return d.hash(d.terms[id]) })
@@ -154,6 +177,15 @@ func (d *Dictionary) Terms() []Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.terms[:len(d.terms):len(d.terms)]
+}
+
+// Numbers returns a read-only snapshot of the numeric column, as Terms
+// does of the terms. Taken after Terms, it covers every id of that
+// snapshot.
+func (d *Dictionary) Numbers() Numbers {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.nums[:len(d.nums):len(d.nums)]
 }
 
 // Len returns the number of distinct terms seen.

@@ -5,7 +5,11 @@
 // RDFS inference (the survey's Sec. II background).
 package rdf
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // TermKind discriminates the three disjoint sets of RDF resources:
 // URIs (U), literals (L) and blank nodes (B).
@@ -132,6 +136,37 @@ const (
 	XSDDecimal        = "http://www.w3.org/2001/XMLSchema#decimal"
 	XSDString         = "http://www.w3.org/2001/XMLSchema#string"
 )
+
+const xsd = "http://www.w3.org/2001/XMLSchema#"
+
+// NumericValue extracts the value of a literal of an XSD numeric
+// datatype whose lexical form parses; no other term is numeric. The
+// dictionary runs it once per term as it assigns the id (Numbers); a
+// term outside a dictionary is valued by calling it, so it must not
+// allocate: obviously non-numeric lexical forms are rejected before
+// strconv runs (the error strconv would build is a heap allocation).
+func NumericValue(t Term) (float64, bool) {
+	if !t.IsLiteral() || t.Value == "" || !strings.HasPrefix(t.Datatype, xsd) {
+		return 0, false
+	}
+	switch t.Datatype[len(xsd):] {
+	case "integer", "decimal", "double", "float", "int", "long", "short", "byte", "nonNegativeInteger",
+		"nonPositiveInteger", "negativeInteger", "positiveInteger", "unsignedLong", "unsignedInt", "unsignedShort", "unsignedByte":
+	default:
+		return 0, false
+	}
+	switch c := t.Value[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+	case c == 'I', c == 'i', c == 'N', c == 'n': // INF / NaN spellings
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(t.Value, 64)
+	if err != nil {
+		return 0, false
+	}
+	return f, true
+}
 
 // Triple is one RDF statement: (subject predicate object) from
 // (U ∪ B) × U × (U ∪ L ∪ B).

@@ -344,3 +344,41 @@ func TestHealthSteersOffSlowReplica(t *testing.T) {
 		t.Fatalf("ten steered queries took %d injected delays, want 0", d)
 	}
 }
+
+// A replica whose first attempt failed has no latency, so its score
+// ranks it after every replica that answers, and no success of its own
+// can decay its error rate. Its shard's successes do: once the rate
+// falls below the re-probe floor the replica is warmed again, and with
+// the one injected failure spent it answers. Mutants killed (each
+// applied to a copy of internal/sparql/health.go): ok decaying only the
+// answering replica's error rate, and unsampled asking for an error
+// rate of exactly 0 — either way replica 0 never answers again.
+func TestFailedReplicaReprobed(t *testing.T) {
+	const shards = 4
+	sg, err := BuildReplicatedByName(workload.GenerateUniversity(workload.SmallUniversity()), "hash-subject", shards, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := fault.NewPlan(1)
+	for s := 0; s < shards; s++ {
+		plan.FailNext(fault.ReplicaPoint(s, 0), 1)
+	}
+	sp, err := sparql.Prepare(fmt.Sprintf(`SELECT ?st ?prof ?dept WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?dept }`, workload.UnivNS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := fault.With(context.Background(), plan)
+	for i := 0; i < 100; i++ {
+		if _, err := sp.RunSharded(ctx, sg.Set(), sparql.WithParallelism(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := plan.Counters().Failures; f != shards {
+		t.Fatalf("%d injected failures, want one per shard (%d)", f, shards)
+	}
+	for _, ri := range sg.Set().Health.Snapshot() {
+		if ri.Replica == 0 && ri.LatencyEwmaMs == 0 {
+			t.Errorf("shard %d: replica 0 never answered after its one failure (%+v)", ri.Shard, ri)
+		}
+	}
+}

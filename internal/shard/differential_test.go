@@ -57,13 +57,12 @@ import (
 //   - bindShard counts max per input row instead of per op — "shard 0
 //     answered the last pattern with 50 rows past a hint of 5" (the
 //     answer is still right, so this one shows only on the traced run);
-//   - viewCandidateCount skips its "constant absent" case — "touched 1
-//     shards for a constant the dictionary never saw";
 //   - evalBGP hands the hint to every pattern, not the last — "ASK …
 //     answered false over 7 reference rows";
 //   - subjectStar accepts any BGP — "26 rows, want 96" (a linear chain
 //     pushed down whole);
-//   - bindShard's subject peek inverted — "0 rows, want 1"; forEachShard
+//   - the per-row step (patternScan.resolve, eval.go) reading a bound
+//     slot as unbound — a row sequence unlike the reference's; forEachShard
 //     skips the shard the driver should run itself — "0 rows, want 1";
 //     the driver does not wait for its goroutines — "par 4 …: 0 rows,
 //     want 5"; gather takes the larger head — index out of range.

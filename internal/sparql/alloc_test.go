@@ -143,11 +143,51 @@ func TestFilterAllocs(t *testing.T) {
 	if kept != 63 || n != 0 {
 		t.Fatalf("FILTER kept %d of 64 rows (want 63) at %.1f allocs per pass, want 0", kept, n)
 	}
+
+	// Two numeric operands, a variable and a constant or two variables,
+	// compare by value: the row's numeric column and the constant valued
+	// at compile time, with no rdf.Term read. Mutant killed: eval
+	// comparing every pair through compare's terms.
+	ageRows, err := env.evalPattern(BGP{Patterns: []TriplePattern{{S: VarElem("s"), P: TermElem(rdf.NewIRI("http://ex/age")), O: VarElem("a")}}})
+	if err != nil || len(ageRows) != 64 {
+		t.Fatalf("%d age rows, %v", len(ageRows), err)
+	}
+	a := Operand{IsVar: true, Var: "a"}
+	for _, c := range []struct {
+		cond FilterExpr
+		kept int
+	}{
+		{Comparison{Op: ">", L: a, R: TermElem(rdf.NewTypedLiteral("25", rdf.XSDInteger))}, 16},
+		{Comparison{Op: "<=", L: a, R: a}, 64},
+	} {
+		cond := CompileFilter(c.cond, env.slots)
+		terms, kept := 0, 0
+		for _, row := range ageRows {
+			if Holds(cond, termCounter{idRow{env, row}, &terms}) {
+				kept++
+			}
+		}
+		if kept != c.kept || terms != 0 {
+			t.Fatalf("FILTER(%v) kept %d of 64 rows (want %d) and read %d terms, want 0", c.cond, kept, c.kept, terms)
+		}
+	}
 }
 
-// numericValue's alloc-free fast path must still admit the xsd:double
+// termCounter is an id row that counts the terms FILTER reads of it.
+type termCounter struct {
+	idRow
+	terms *int
+}
+
+func (r termCounter) Term(slot int) rdf.Term {
+	*r.terms++
+	return r.idRow.Term(slot)
+}
+
+// rdf.NumericValue's alloc-free fast path must still admit the xsd:double
 // special lexical forms that strconv understands.
 func TestNumericValueSpecialForms(t *testing.T) {
+	numericValue := rdf.NumericValue
 	for _, c := range []struct {
 		val  string
 		want float64

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/rdf"
@@ -331,10 +330,13 @@ type Cond struct {
 }
 
 // operand is a comparison operand, or BOUND's variable: a slot, or at
-// slot -1 a constant (Unbound for a variable the query never binds).
+// slot -1 a constant (Unbound for a variable the query never binds),
+// valued once when it is numeric.
 type operand struct {
-	slot int
-	term rdf.Term
+	slot  int
+	term  rdf.Term
+	num   float64
+	isNum bool
 }
 
 // CompileFilter compiles e against slots, the slot of each variable
@@ -344,7 +346,8 @@ func CompileFilter(e FilterExpr, slots map[Var]int) *Cond {
 		s, ok := slots[o.Var]
 		switch {
 		case !o.IsVar:
-			return operand{slot: -1, term: o.Term}
+			f, isNum := rdf.NumericValue(o.Term)
+			return operand{slot: -1, term: o.Term, num: f, isNum: isNum}
 		case !ok:
 			return operand{slot: -1, term: Unbound}
 		}
@@ -364,8 +367,12 @@ func CompileFilter(e FilterExpr, slots map[Var]int) *Cond {
 }
 
 // Terms is a solution row as FILTER reads it: the term in each slot,
-// Unbound where the row binds none.
-type Terms interface{ Term(slot int) rdf.Term }
+// Unbound where the row binds none, and its value when the term is a
+// numeric literal (rdf.NumericValue): two numbers compare by value.
+type Terms interface {
+	Term(slot int) rdf.Term
+	Numeric(slot int) (float64, bool)
+}
 
 // Holds reports whether c is true of row, the one case in which FILTER
 // keeps the row. It is the one FILTER evaluator: the reference, the
@@ -393,6 +400,14 @@ func eval[R Terms](c *Cond, row R) truth {
 	case "BOUND":
 		return truthOf(termOf(c.l, row) != Unbound)
 	}
+	if lf, ok := numOf(c.l, row); ok {
+		if rf, ok := numOf(c.r, row); ok {
+			if math.IsNaN(lf) || math.IsNaN(rf) {
+				return truthOf(c.op == "!=")
+			}
+			return order(c.op, cmp.Compare(lf, rf))
+		}
+	}
 	return compare(c.op, termOf(c.l, row), termOf(c.r, row))
 }
 
@@ -403,6 +418,13 @@ func termOf[R Terms](o operand, row R) rdf.Term {
 	return row.Term(o.slot)
 }
 
+func numOf[R Terms](o operand, row R) (float64, bool) {
+	if o.slot < 0 {
+		return o.num, o.isNum
+	}
+	return row.Numeric(o.slot)
+}
+
 func truthOf(b bool) truth {
 	if b {
 		return isTrue
@@ -410,19 +432,13 @@ func truthOf(b bool) truth {
 	return isFalse
 }
 
-// compare evaluates l op r by FilterExpr's subset of §17.3's operator
-// table.
+// compare evaluates l op r, two terms not both numeric (eval compares
+// those), by FilterExpr's subset of §17.3's operator table.
 func compare(op string, l, r rdf.Term) truth {
-	lf, lnum := numericValue(l)
-	rf, rnum := numericValue(r)
 	c := 0 // l against r: -1, 0 or 1
 	switch {
 	case l == Unbound || r == Unbound:
 		return isError
-	case lnum && rnum && (math.IsNaN(lf) || math.IsNaN(rf)):
-		return truthOf(op == "!=")
-	case lnum && rnum:
-		c = cmp.Compare(lf, rf)
 	case isString(l) && isString(r):
 		c = strings.Compare(l.Value, r.Value)
 	case op != "=" && op != "!=": // nothing else is ordered
@@ -432,6 +448,11 @@ func compare(op string, l, r rdf.Term) truth {
 	case l != r:
 		c = 1
 	}
+	return order(op, c)
+}
+
+// order is op's truth for a comparison whose operands compared c.
+func order(op string, c int) truth {
 	switch op { // each operator, then its negation
 	case "=", "!=":
 		return truthOf((c == 0) == (op == "="))
@@ -448,16 +469,32 @@ func isString(t rdf.Term) bool {
 
 // CompareTerms is ORDER BY's total order (SPARQL 1.1 §15.1), not
 // FILTER's comparison: Unbound, then blank nodes, then IRIs, then
-// literals. Two numeric literals compare by value; any other two terms
-// of a kind by lexical form, then datatype, then language tag. ORDER BY,
-// MIN and MAX, and the assessment's tie check use it.
+// literals. Among literals the numeric ones (rdf.NumericValue) come
+// first, by value; the rest, and numerics of one value, order by
+// lexical form, then datatype, then language tag — as do two terms of
+// any other kind. It is one order over every pair of terms: a sort's
+// result does not depend on its input's order. ORDER BY, MIN and MAX,
+// and the assessment's tie check use it.
 func CompareTerms(a, b rdf.Term) int {
+	af, aok := rdf.NumericValue(a)
+	bf, bok := rdf.NumericValue(b)
+	return compareTerms(a, b, af, aok, bf, bok)
+}
+
+// compareTerms is CompareTerms over terms already valued.
+func compareTerms(a, b rdf.Term, af float64, aok bool, bf float64, bok bool) int {
 	if ra, rb := kindRank[a.Kind], kindRank[b.Kind]; ra != rb {
 		return int(ra) - int(rb)
 	}
-	if af, aok := numericValue(a); aok {
-		if bf, bok := numericValue(b); bok {
-			return cmp.Compare(af, bf)
+	switch {
+	case aok != bok:
+		if aok {
+			return -1
+		}
+		return 1
+	case aok:
+		if c := cmp.Compare(af, bf); c != 0 {
+			return c
 		}
 	}
 	if c := strings.Compare(a.Value, b.Value); c != 0 {
@@ -471,33 +508,3 @@ func CompareTerms(a, b rdf.Term) int {
 
 // kindRank is ORDER BY's order of the kinds; Unbound ranks 0.
 var kindRank = [256]int8{rdf.Blank: 1, rdf.IRI: 2, rdf.Literal: 3}
-
-const xsd = "http://www.w3.org/2001/XMLSchema#"
-
-// numericValue extracts the value of a literal of an XSD numeric
-// datatype whose lexical form parses; no other term is numeric. This
-// sits under every FILTER comparison and ORDER BY key, so it must not
-// allocate: obviously non-numeric lexical forms are rejected before
-// strconv runs (the error strconv would build is a heap allocation).
-func numericValue(t rdf.Term) (float64, bool) {
-	if !t.IsLiteral() || t.Value == "" || !strings.HasPrefix(t.Datatype, xsd) {
-		return 0, false
-	}
-	switch t.Datatype[len(xsd):] {
-	case "integer", "decimal", "double", "float", "int", "long", "short", "byte", "nonNegativeInteger",
-		"nonPositiveInteger", "negativeInteger", "positiveInteger", "unsignedLong", "unsignedInt", "unsignedShort", "unsignedByte":
-	default:
-		return 0, false
-	}
-	switch c := t.Value[0]; {
-	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
-	case c == 'I', c == 'i', c == 'N', c == 'n': // INF / NaN spellings
-	default:
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(t.Value, 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
-}

@@ -105,6 +105,8 @@ type termRow []rdf.Term
 
 func (r termRow) Term(slot int) rdf.Term { return r[slot] }
 
+func (r termRow) Numeric(slot int) (float64, bool) { return rdf.NumericValue(r[slot]) }
+
 func TestFilterComparisonUnboundVars(t *testing.T) {
 	c := CompileFilter(Comparison{Op: "=", L: Operand{IsVar: true, Var: "x"}, R: Operand{IsVar: true, Var: "y"}},
 		map[Var]int{"x": 0, "y": 1})

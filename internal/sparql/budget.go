@@ -14,9 +14,9 @@ import (
 // governance in-process: a run armed with WithMemoryBudget charges a
 // shared byte counter at every allocation site the evaluator owns —
 // arena chunk growth (newRow/reserveRows), hash-join tables, probe
-// cursors and output batches, and the sharded gather's merge buffer —
-// and aborts with a typed BudgetError
-// the moment the charges exceed the budget.
+// cursors and output batches, the bind join's and pushdown's output
+// batches, and the sharded gather's merge buffer — and aborts with a
+// typed BudgetError the moment the charges exceed the budget.
 //
 // The contract mirrors cancellation exactly: a budget abort rides the
 // same latched-error machinery (evalEnv.err, parRun.latchFailure), so
@@ -45,7 +45,7 @@ const rowHeaderBytes = 24
 // Charge-site stage labels, reported in BudgetError.Stage.
 const (
 	stageArena  = "arena"  // row-arena chunk growth
-	stageJoin   = "join"   // hash-join tables, cursors, output batches
+	stageJoin   = "join"   // hash-join tables, cursors; every join's output batches
 	stageGather = "gather" // sharded scatter-gather merge buffers
 )
 

@@ -163,3 +163,21 @@ func TestEstimateCost(t *testing.T) {
 		t.Fatalf("memoized estimate changed: %d then %d", xc, again)
 	}
 }
+
+// TestBudgetChargesScanBatch pins the charge on a scan's output batch:
+// a one-pattern scan is all bind join, and its rows' headers (24 B
+// each) are charged where the batch is sized, beside the arena's 4 B a
+// slot. Mutant killed: bindShard sizing its batch uncharged (the arena
+// alone charges 8 B a row here).
+func TestBudgetChargesScanBatch(t *testing.T) {
+	g := parTestGraph(8192)
+	prep := MustPrepare(t, `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }`)
+	var rs RunStats
+	res, err := prep.Run(context.Background(), g, WithMemoryBudget(-1), WithRunStats(&rs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() == 0 || rs.BytesCharged < int64(rowHeaderBytes*res.Len()) {
+		t.Fatalf("a scan of %d rows charged %d B, want at least %d B a row", res.Len(), rs.BytesCharged, rowHeaderBytes)
+	}
+}

@@ -194,7 +194,6 @@ func (p *Prepared) newEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *evalE
 		ss:        ss,
 		view:      ss.Views[0],
 		dict:      ss.Dict,
-		terms:     ss.Dict.Terms(),
 		slots:     p.slots,
 		vars:      p.vars,
 		stats:     ss.Stats,
@@ -203,6 +202,7 @@ func (p *Prepared) newEnv(ctx context.Context, ss *ShardSet, ro *runOpts) *evalE
 		route:     p.shardRoute(ss, ro.forceScatter),
 		retry:     ro.retry.withDefaults(),
 	}
+	env.snapshotTerms()
 	if env.route != RouteLocal {
 		env.touched = make([]bool, len(ss.Views))
 	}
@@ -304,42 +304,6 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 		}
 	}
 	return rows
-}
-
-// viewCandidateCount returns the size of the smallest index view a
-// pattern's constants select on one shard — the executor's pruning
-// peek: zero means the shard cannot contribute a single candidate.
-func viewCandidateCount(view *rdf.EncodedView, cp *cPattern) int {
-	if (!cp.s.isVar && !cp.s.ok) || (!cp.p.isVar && !cp.p.ok) || (!cp.o.isVar && !cp.o.ok) {
-		return 0
-	}
-	n := view.Len()
-	if !cp.s.isVar {
-		n = len(view.WithSubject(cp.s.id))
-	}
-	if !cp.o.isVar {
-		if m := len(view.WithObject(cp.o.id)); m < n {
-			n = m
-		}
-	}
-	if !cp.p.isVar {
-		if m := len(view.WithPredicate(cp.p.id)); m < n {
-			n = m
-		}
-	}
-	return n
-}
-
-// shardCovers reports whether a shard holds candidates for every
-// pattern of a conjunctive plan — the pushdown prune: a BGP is a
-// conjunction, so one empty pattern empties the shard's contribution.
-func shardCovers(view *rdf.EncodedView, cps []cPattern) bool {
-	for i := range cps {
-		if viewCandidateCount(view, &cps[i]) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // parRun is the state the shard goroutines of one sharded run at width
@@ -481,12 +445,15 @@ type shardOp struct {
 }
 
 // picks is the pruning peek: whether a shard's view holds candidates
-// for the op's pattern, or for every pattern of its pushdown BGP.
+// for the op's pattern, or for every pattern of its pushdown BGP (a
+// conjunction: one empty pattern empties the shard's contribution).
 func (op shardOp) picks(view *rdf.EncodedView) bool {
-	if op.cps != nil {
-		return shardCovers(view, op.cps)
+	for i := range op.cps {
+		if len(scanOn(view, &op.cps[i]).candidates) == 0 {
+			return false
+		}
 	}
-	return viewCandidateCount(view, op.cp) > 0
+	return op.cps != nil || len(scanOn(view, op.cp).candidates) > 0
 }
 
 // run runs the op against a worker environment whose view is already
@@ -725,7 +692,7 @@ func (env *evalEnv) patternSpan(cp *cPattern, first bool, in []slotRow) *obs.Spa
 	sp.SetInt("pattern", int64(cp.src))
 	sp.SetInt("est", int64(cp.est))
 	if local && first {
-		sp.SetInt("candidates", int64(viewCandidateCount(env.view, cp)))
+		sp.SetInt("candidates", int64(len(scanOn(env.view, cp).candidates)))
 	}
 	return sp
 }
@@ -786,27 +753,25 @@ func (env *evalEnv) fanOut(sp *obs.Span, op shardOp) []slotRow {
 	return merged
 }
 
-// bindShard is one shard's side of bindPattern: for each input row in
-// turn it resolves cp under the row, scans the smallest index range of
-// this shard's view and emits every extension, keyed when the op is by
-// (input index, global position), the position read from the view's
-// column beside the candidate. max > 0 stops the op once that many rows
-// exist.
+// bindShard is one shard's side of bindPattern: it resolves cp's
+// constants on this shard's view once, then for each input row in turn
+// the positions the row binds, scans the smallest index range and emits
+// every extension, keyed when the op is by (input index, global
+// position), the position read from the view's column beside the
+// candidate. A row binding a term this shard does not hold there —
+// under subject placement, every row of a star arm on every shard but
+// one — has no range to scan. The output batch is charged where it is
+// sized and grown. max > 0 stops the op once that many rows exist.
 func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int, keyed bool) ([]slotRow, []uint64) {
+	op := scanOn(w.view, cp)
+	if len(op.candidates) == 0 { // a miss, or nothing here
+		return nil, nil
+	}
 	var rows []slotRow
 	var keys []uint64
 	for i, row := range in {
-		// A row that binds the pattern's subject to a term this shard
-		// does not hold extends to nothing here — under subject placement,
-		// every row of a star arm on every shard but one — and one offset
-		// read says so before a scan is prepared.
-		if cp.s.isVar && row[cp.s.slot] != unboundID && len(w.view.WithSubject(row[cp.s.slot])) == 0 {
-			continue
-		}
-		ps := w.preparePatternScan(cp, row)
-		if ps.miss {
-			return nil, nil
-		}
+		ps := op
+		ps.resolve(row)
 		cands := ps.candidates
 		for off := 0; off < len(cands); {
 			n := w.block(len(cands) - off)
@@ -827,6 +792,7 @@ func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int, keyed bool) ([]s
 						rest = min(rest, 64)
 					}
 					c := outputCap(len(cands)-off-j+rest, max)
+					w.chargeRowBatch(c, stageJoin)
 					rows = make([]slotRow, 0, c)
 					if keyed {
 						keys = make([]uint64, 0, c)
@@ -853,6 +819,7 @@ func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int, keyed bool) ([]s
 		// steps.
 		if c := cap(rows); len(rows) > c/2 {
 			if want := outputCap(min(len(rows)*len(in)/(i+1), 4*c), max); want > c {
+				w.chargeRowBatch(want, stageJoin)
 				rows = slices.Grow(rows, want-len(rows))
 				if keyed {
 					keys = slices.Grow(keys, want-len(keys))
@@ -898,10 +865,8 @@ func (env *evalEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 func pushdownShard(w *evalEnv, cps []cPattern, max int, keyed bool) ([]slotRow, []uint64) {
 	empty := w.emptyRow()
 	ps := w.preparePatternScan(&cps[0], empty)
-	if ps.miss {
-		return nil, nil
-	}
 	n := outputCap(len(ps.candidates), max)
+	w.chargeRowBatch(n, stageJoin)
 	rows := make([]slotRow, 0, n)
 	var keys []uint64
 	if keyed {

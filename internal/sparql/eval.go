@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -91,7 +92,8 @@ func JoinRows(left, right [][]rdf.TermID, outer bool) ([][]rdf.TermID, error) {
 // rowEnv is the environment of rows an engine built: the ids over dict
 // of vars, in vars' order.
 func rowEnv(vars []Var, dict *rdf.Dictionary) *evalEnv {
-	env := &evalEnv{dict: dict, terms: dict.Terms(), vars: vars, slots: make(map[Var]int, len(vars))}
+	env := &evalEnv{dict: dict, vars: vars, slots: make(map[Var]int, len(vars))}
+	env.snapshotTerms()
 	for i, v := range vars {
 		env.slots[v] = i
 	}
@@ -123,7 +125,14 @@ func (env *evalEnv) solutions(q *Query, rows []slotRow) (*Solutions, error) {
 		rows = env.aggregate(q.Agg, rows)
 	}
 	vars := q.SelectedVars()
-	rows = env.modifierPipeline(q, vars, rows)
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		cols[i] = -1
+		if s, ok := env.slots[v]; ok {
+			cols[i] = s
+		}
+	}
+	rows = env.modifierPipeline(q, cols, rows)
 	if env.err != nil { // cancelled inside the pipeline (top-K scan)
 		return nil, env.err
 	}
@@ -133,27 +142,21 @@ func (env *evalEnv) solutions(q *Query, rows []slotRow) (*Solutions, error) {
 	case FormDescribe:
 		return &Solutions{isGraph: true, triples: env.describe(q.Describe, rows)}, nil
 	}
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		if s, ok := env.slots[v]; ok {
-			cols[i] = s
-		} else {
-			cols[i] = -1
-		}
-	}
 	return &Solutions{vars: vars, idRows: idRows{env: env, rows: rows, cols: cols}}, nil
 }
 
 // modifierPipeline runs ORDER BY, projection, DISTINCT and OFFSET /
 // LIMIT in that order (§18.2.5) entirely in id space and returns the
 // surviving rows undecoded; every query form's answer passes through
-// it (solutions). ORDER BY reads its keys before projection clears them.
-// When DISTINCT follows and projection keeps every key, the sort moves
-// after DISTINCT: a row's first occurrence, the one DISTINCT keeps, is
-// also first among its equals under a stable sort, so the sequence is
-// the same, and the sort need only select the rows the slice keeps
-// (top-K) — which it may not do ahead of a DISTINCT.
-func (env *evalEnv) modifierPipeline(q *Query, vars []Var, rows []slotRow) []slotRow {
+// it (solutions). Projection is the column map cols (each selected
+// variable's slot, or -1): rows keep every slot, and the answer
+// (idRows.cols) and DISTINCT read only the mapped ones. When DISTINCT
+// follows and projection keeps every key, the sort moves after
+// DISTINCT: a row's first occurrence, the one DISTINCT keeps, is also
+// first among its equals under a stable sort, so the sequence is the
+// same, and the sort need only select the rows the slice keeps (top-K)
+// — which it may not do ahead of a DISTINCT.
+func (env *evalEnv) modifierPipeline(q *Query, cols []int, rows []slotRow) []slotRow {
 	sp := env.span("modifiers")
 	sp.SetInt("rows_in", int64(len(rows)))
 	topK := -1
@@ -161,8 +164,8 @@ func (env *evalEnv) modifierPipeline(q *Query, vars []Var, rows []slotRow) []slo
 		topK = k
 	}
 	sortFirst := len(q.OrderBy) > 0 && (!q.Distinct || slices.ContainsFunc(q.OrderBy, func(k OrderKey) bool {
-		_, bound := env.slots[k.Var]
-		return bound && !slices.Contains(vars, k.Var)
+		s, bound := env.slots[k.Var]
+		return bound && !slices.Contains(cols, s)
 	}))
 	if sortFirst {
 		if q.Distinct {
@@ -170,9 +173,8 @@ func (env *evalEnv) modifierPipeline(q *Query, vars []Var, rows []slotRow) []slo
 		}
 		rows = env.sortRows(rows, q.OrderBy, topK)
 	}
-	rows = env.projectRows(rows, vars)
 	if q.Distinct {
-		rows = env.distinctRows(rows)
+		rows = distinctRows(rows, cols)
 	}
 	if len(q.OrderBy) > 0 && !sortFirst {
 		rows = env.sortRows(rows, q.OrderBy, topK)
@@ -192,45 +194,19 @@ func (env *evalEnv) modifierPipeline(q *Query, vars []Var, rows []slotRow) []slo
 	return rows
 }
 
-// projectRows restricts rows to the selected variables by clearing
-// every other slot. When the projection keeps every compiled slot the
-// rows are returned as-is (no copy).
-func (env *evalEnv) projectRows(rows []slotRow, vars []Var) []slotRow {
-	keep := make([]bool, len(env.vars))
-	kept := 0
-	for _, v := range vars {
-		if s, ok := env.slots[v]; ok && !keep[s] {
-			keep[s] = true
-			kept++
-		}
-	}
-	if kept == len(env.vars) {
-		return rows
-	}
-	out := make([]slotRow, len(rows))
-	for i, row := range rows {
-		nr := env.newRow(row)
-		for s := range nr {
-			if !keep[s] {
-				nr[s] = unboundID
-			}
-		}
-		out[i] = nr
-	}
-	return out
-}
-
-// distinctRows deduplicates rows on their full slot vector. Ids are
-// injective over terms, so id equality is exactly the term equality
-// the map-based DISTINCT uses.
-func (env *evalEnv) distinctRows(rows []slotRow) []slotRow {
+// distinctRows deduplicates rows on the slots of the projection's
+// column map, the only ones the answer reads. Ids are injective over
+// terms, so id equality is exactly term equality.
+func distinctRows(rows []slotRow, cols []int) []slotRow {
 	seen := make(map[string]bool, len(rows))
 	var kept []slotRow
-	buf := make([]byte, 0, 4*len(env.vars))
+	buf := make([]byte, 0, 4*len(cols))
 	for _, row := range rows {
 		buf = buf[:0]
-		for _, id := range row {
-			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		for _, s := range cols {
+			if s >= 0 {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(row[s]))
+			}
 		}
 		if !seen[string(buf)] {
 			seen[string(buf)] = true
@@ -260,13 +236,17 @@ func (env *evalEnv) compileOrderKeys(keys []OrderKey) []keySlot {
 
 // compareRowsByKeys three-way-compares two rows under the ORDER BY
 // keys, in CompareTerms' order: an unbound value sorts before every
-// bound value ascending and after every bound value descending.
+// bound value ascending and after every bound value descending. A
+// numeric key is valued from the snapshot's numeric column, not parsed.
 func (env *evalEnv) compareRowsByKeys(a, b slotRow, ks []keySlot) int {
 	for _, k := range ks {
 		if a[k.slot] == b[k.slot] {
 			continue
 		}
-		c := CompareTerms(idRow{env, a}.Term(k.slot), idRow{env, b}.Term(k.slot))
+		x, y := idRow{env, a}, idRow{env, b}
+		xf, xok := x.Numeric(k.slot)
+		yf, yok := y.Numeric(k.slot)
+		c := compareTerms(x.Term(k.slot), y.Term(k.slot), xf, xok, yf, yok)
 		if c == 0 {
 			continue
 		}
@@ -382,6 +362,7 @@ type evalEnv struct {
 	view  *rdf.EncodedView
 	dict  *rdf.Dictionary // terms' source, for lookups by term (intern, describe)
 	terms []rdf.Term      // id→term snapshot for lock-free decoding
+	nums  rdf.Numbers     // the terms' numeric column, as far as terms
 	slots map[Var]int
 	vars  []Var // slot→var
 	stats rdf.Stats
@@ -1065,6 +1046,26 @@ func (r idRow) Term(slot int) rdf.Term {
 	return Unbound
 }
 
+func (r idRow) Numeric(slot int) (float64, bool) { return r.env.numeric(r.row[slot]) }
+
+// numeric values an id: the snapshot's numeric column, or the value of
+// a term an aggregate computed; unboundID is no number.
+func (env *evalEnv) numeric(id rdf.TermID) (float64, bool) {
+	switch {
+	case id == unboundID:
+		return 0, false
+	case int(id) < len(env.terms):
+		return env.nums.At(id)
+	}
+	return rdf.NumericValue(env.term(id))
+}
+
+// snapshotTerms snapshots the dictionary's terms and their numeric column.
+func (env *evalEnv) snapshotTerms() {
+	env.terms = env.dict.Terms()
+	env.nums = env.dict.Numbers()[:len(env.terms)]
+}
+
 // term decodes a bound id: a dictionary id of the run's term snapshot,
 // or a value an aggregate computed past its end (intern).
 func (env *evalEnv) term(id rdf.TermID) rdf.Term {
@@ -1227,27 +1228,19 @@ func (env *evalEnv) planFor(b BGP) []cPattern {
 	return cps
 }
 
-// elemID resolves a compiled element under a row: constants yield
-// their id, variables their current binding (bound=false when the slot
-// is empty). miss is true for constants absent from the dictionary.
-func elemID(e cElem, row slotRow) (id rdf.TermID, bound, miss bool) {
-	if !e.isVar {
-		return e.id, true, !e.ok
-	}
-	id = row[e.slot]
-	return id, id != unboundID, false
-}
-
 // patternScan is one pattern's resolved scan: the ids each position
-// must match under the current row, and the smallest applicable index
-// view to scan. cp points into the plan's []cPattern
-// (plans are immutable after publication), so preparing a scan per
-// input row copies no pattern. positions is the view's position column
-// over the same range as candidates (positions[i] is candidates[i]'s
-// place in the whole dataset — the sharded gather key); it is nil on a
-// graph's view.
+// must match, and the smallest index range of view they select. A shard
+// op resolves the constants once (scanOn); each input row resolves, on
+// a copy, the positions it binds (resolve). cp points into the plan
+// (immutable after publication). positions is the view's position
+// column over the range candidates holds (positions[i] is
+// candidates[i]'s place in the whole dataset — the sharded gather key);
+// it is nil on a graph's view. Every index range lists its triples in
+// insertion order and matches is the whole filter, so the range scanned
+// changes no row and no order.
 type patternScan struct {
 	cp                     *cPattern
+	view                   *rdf.EncodedView
 	sID, pID, oID          rdf.TermID
 	sBound, pBound, oBound bool
 	miss                   bool
@@ -1292,33 +1285,58 @@ func (ps *patternScan) extend(env *evalEnv, row slotRow, t rdf.EncodedTriple) sl
 	return r
 }
 
-// preparePatternScan resolves cp's positions under row and picks the
-// smallest applicable index as the candidate view.
+// scanOn is a scan's per-op step: cp's constants resolved on view —
+// miss when the dictionary lacks one — and the smallest index range
+// they select, the whole view when none does.
+func scanOn(view *rdf.EncodedView, cp *cPattern) patternScan {
+	ps := patternScan{cp: cp, view: view}
+	if ps.miss = !cp.s.isVar && !cp.s.ok || !cp.p.isVar && !cp.p.ok || !cp.o.isVar && !cp.o.ok; !ps.miss {
+		ps.candidates, ps.positions = view.ScanAll()
+		ps.resolve(nil)
+	}
+	return ps
+}
+
+// resolve binds the constant positions (row nil: the per-op step) or the
+// positions row binds (the per-row step), each narrowing the range to
+// its own index's when that is smaller. A bound position's empty range
+// empties the scan: the row extends to nothing on this view.
+func (ps *patternScan) resolve(row slotRow) {
+	cp := ps.cp
+	if id, ok := cp.s.at(row); ok {
+		ps.sID, ps.sBound = id, true
+		ps.narrow(ps.view.ScanSubject(id))
+	}
+	if id, ok := cp.p.at(row); ok {
+		ps.pID, ps.pBound = id, true
+		ps.narrow(ps.view.ScanPredicate(id))
+	}
+	if id, ok := cp.o.at(row); ok {
+		ps.oID, ps.oBound = id, true
+		ps.narrow(ps.view.ScanObject(id))
+	}
+}
+
+// at is the id e resolves to: a constant's with no row, a variable's
+// binding under row.
+func (e cElem) at(row slotRow) (rdf.TermID, bool) {
+	if row == nil || !e.isVar {
+		return e.id, row == nil && !e.isVar
+	}
+	return row[e.slot], row[e.slot] != unboundID
+}
+
+func (ps *patternScan) narrow(cands []rdf.EncodedTriple, positions []int32) {
+	if len(cands) < len(ps.candidates) {
+		ps.candidates, ps.positions = cands, positions
+	}
+}
+
+// preparePatternScan resolves cp's positions under row: the per-op
+// step, then the per-row step (a miss has no candidates to narrow).
 func (env *evalEnv) preparePatternScan(cp *cPattern, row slotRow) patternScan {
-	ps := patternScan{cp: cp}
-	var sMiss, pMiss, oMiss bool
-	ps.sID, ps.sBound, sMiss = elemID(cp.s, row)
-	ps.pID, ps.pBound, pMiss = elemID(cp.p, row)
-	ps.oID, ps.oBound, oMiss = elemID(cp.o, row)
-	if sMiss || pMiss || oMiss {
-		ps.miss = true
-		return ps
-	}
-	// Scan the smallest applicable index.
-	ps.candidates, ps.positions = env.view.ScanAll()
-	if ps.sBound {
-		ps.candidates, ps.positions = env.view.ScanSubject(ps.sID)
-	}
-	if ps.oBound {
-		if byO, pos := env.view.ScanObject(ps.oID); len(byO) < len(ps.candidates) {
-			ps.candidates, ps.positions = byO, pos
-		}
-	}
-	if ps.pBound {
-		if byP, pos := env.view.ScanPredicate(ps.pID); len(byP) < len(ps.candidates) {
-			ps.candidates, ps.positions = byP, pos
-		}
-	}
+	ps := scanOn(env.view, cp)
+	ps.resolve(row)
 	return ps
 }
 
@@ -1326,9 +1344,6 @@ func (env *evalEnv) preparePatternScan(cp *cPattern, row slotRow) patternScan {
 // matching cp.
 func (env *evalEnv) matchPattern(cp *cPattern, row slotRow, out []slotRow) []slotRow {
 	ps := env.preparePatternScan(cp, row)
-	if ps.miss {
-		return out
-	}
 	return env.scanPattern(&ps, row, 0, out)
 }
 

@@ -14,16 +14,17 @@ import (
 
 // replicaScore is the straggler signal of one shard replica: an
 // exponentially weighted moving average of its successful-attempt
-// latency and a decayed error rate. Both zero means unsampled — the
-// replica was never attempted, so selection warms it before steering
-// takes over.
+// latency and a decayed error rate. No latency and an error rate below
+// scoreReprobe means unsampled — the replica was never attempted, or it
+// has only failed and long enough ago (ok) — so selection warms it
+// before steering takes over.
 type replicaScore struct {
 	ewmaNs  float64
 	errRate float64
 }
 
-// unsampled reports that the replica was never attempted.
-func (sc replicaScore) unsampled() bool { return sc.ewmaNs == 0 && sc.errRate == 0 }
+// unsampled reports that the replica is due a warming attempt.
+func (sc replicaScore) unsampled() bool { return sc.ewmaNs == 0 && sc.errRate < scoreReprobe }
 
 // value folds latency and error rate into one steering score (lower is
 // better): errors inflate the effective latency so a fast-but-flaky
@@ -43,6 +44,10 @@ const (
 	// scoreErrPenalty scales how strongly the error rate inflates a
 	// replica's steering score.
 	scoreErrPenalty = 4.0
+	// scoreReprobe is the error rate below which a replica that has
+	// only failed is warmed again: six successes of its shard after one
+	// failure.
+	scoreReprobe = 0.05
 )
 
 // ReplicaHealth tracks the mutable per-replica serving state of one
@@ -99,10 +104,18 @@ func (h *ReplicaHealth) pick(s int, tried []bool) int {
 }
 
 // ok records a successful attempt and its latency: the replica's
-// latency EWMA absorbs the sample and its error rate decays.
+// latency EWMA absorbs the sample and its error rate decays. So does
+// the error rate of each replica of the shard that has only failed,
+// which no success of its own can decay: below scoreReprobe the next
+// pick tries it again.
 func (h *ReplicaHealth) ok(s, r int, d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	for q := range h.score[s] {
+		if sc := &h.score[s][q]; sc.ewmaNs == 0 || q == r {
+			sc.errRate *= 1 - scoreAlpha
+		}
+	}
 	sc := &h.score[s][r]
 	ns := max(float64(d), 1) // keep 0 as "never answered"
 	if sc.ewmaNs == 0 {
@@ -110,7 +123,6 @@ func (h *ReplicaHealth) ok(s, r int, d time.Duration) {
 	} else {
 		sc.ewmaNs += scoreAlpha * (ns - sc.ewmaNs)
 	}
-	sc.errRate *= 1 - scoreAlpha
 }
 
 // fail records a failed attempt: the error rate rises toward 1.

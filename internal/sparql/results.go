@@ -284,7 +284,7 @@ func (env *evalEnv) aggregate(agg *Aggregate, rows []slotRow) []slotRow {
 		id := row[arg]
 		t := env.term(id)
 		a.count++
-		if f, ok := numericValue(t); ok {
+		if f, ok := env.numeric(id); ok {
 			a.sum += f
 		} else {
 			a.err = true

@@ -3,9 +3,12 @@ package sparql
 import (
 	"errors"
 	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/rdf"
 )
@@ -536,6 +539,52 @@ func TestCompareTermsNumericVsLexical(t *testing.T) {
 	}
 	if CompareTerms(iri("a"), lit("a")) == 0 {
 		t.Fatal("IRI and literal must differ")
+	}
+}
+
+// CompareTerms is one order: every permutation of a set of distinct
+// terms sorts to the same sequence. The pool mixes the kinds and, among
+// literals, numerics of several datatypes — two of one value among them
+// — with strings, a language tag and other datatypes;
+// "10"^^xsd:integer, "9" and "9"^^xsd:integer are the cycle an order
+// taken class by class has (9 < 10 by value, "10" < "9" by lexical
+// form, "9" < "9"^^xsd:integer by datatype). Mutants killed (each
+// applied to a copy of ast.go):
+//   - compareTerms without the numerics-first case: the cycle is back;
+//   - compareTerms returning 0 on two numerics of one value: "1" and
+//     "1.0" keep their input order.
+func TestCompareTermsOneOrderProperty(t *testing.T) {
+	const xsd = "http://www.w3.org/2001/XMLSchema#"
+	pool := []rdf.Term{
+		num("10"), lit("9"), num("9"), lit("10"), rdf.NewTypedLiteral("1.0", xsd+"decimal"), num("1"),
+		rdf.NewTypedLiteral("NaN", xsd+"double"), rdf.NewTypedLiteral("-INF", xsd+"double"),
+		rdf.NewLangLiteral("9", "en"), rdf.NewTypedLiteral("9", xsd+"string"), rdf.NewTypedLiteral("x", xsd+"integer"),
+		rdf.NewTypedLiteral("true", xsd+"boolean"), iri("9"), iri("a"), rdf.NewBlank("b"), Unbound,
+	}
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var set []rdf.Term
+		for _, term := range pool {
+			if r.Intn(3) > 0 {
+				set = append(set, term)
+			}
+		}
+		var first []rdf.Term
+		for range 4 {
+			perm := slices.Clone(set)
+			r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			slices.SortStableFunc(perm, CompareTerms)
+			if first == nil {
+				first = perm
+			} else if !slices.Equal(perm, first) {
+				t.Logf("seed %d: %v and %v", seed, first, perm)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -103,11 +103,15 @@ func TestFilterSpec(t *testing.T) {
 		{values + `FILTER(!(<http://e/a> = "a"))`, allV},
 
 		// §15.1: unbound, blank nodes, IRIs, literals; numerics by value,
-		// strings by code point.
+		// strings by code point. §15.1 leaves the order of two literals
+		// of different classes open; this one puts the numerics first.
 		{names + `OPTIONAL { ?s e:k ?x } ORDER BY ?x`, "_:z a b c"},
 		{names + `OPTIONAL { ?s e:k ?x } ORDER BY DESC(?x)`, "c b a _:z"},
 		{`?s e:w ?x FILTER(?x > 0) ORDER BY ?x`, "s11 s12"},
 		{`?s e:w ?x FILTER(?x >= "") ORDER BY ?x`, "s14 s13"},
+		{`?s e:w ?x FILTER(?s != <http://e/s14>) ORDER BY ?x`, "s11 s12 s13"},
+		{`?s e:w ?x ORDER BY ?x`, "s11 s12 s14 s13"},
+		{`?s e:w ?x ORDER BY DESC(?x)`, "s13 s14 s12 s11"},
 
 		// §18.2.5: ORDER BY, then projection, then the slice.
 		{`?s e:r ?x ORDER BY ?x`, "b c a"},

@@ -99,6 +99,8 @@ func (t termsOf) Term(slot int) rdf.Term {
 	return sparql.Unbound
 }
 
+func (t termsOf) Numeric(slot int) (float64, bool) { return rdf.NumericValue(t.Term(slot)) }
+
 // Pattern is a triple pattern compiled against a schema: the slot each
 // of its positions binds, -1 at a constant, and each constant's id. A
 // constant the dataset does not hold makes the pattern match nothing.
