@@ -104,7 +104,8 @@
 //     value of the run), then the solution modifiers (ORDER BY,
 //     projection, DISTINCT, OFFSET / LIMIT in §18.2.5's order; the
 //     projection copies no row: it is the answer's column map, each
-//     selected variable's slot, which DISTINCT keys on and every
+//     selected variable's slot, which DISTINCT keys on — through the
+//     join kernel's chained table, charged to the budget — and every
 //     reader goes through), then
 //     the form's output — the surviving rows for SELECT, a template
 //     instantiated over them for CONSTRUCT, their subjects' triples for
@@ -127,7 +128,9 @@
 //     then per input row only the positions that row binds, each
 //     narrowing the range, a row binding a term with an empty range
 //     skipping its scan. Every range lists its triples in insertion
-//     order, so the range chosen changes no row and no order. The scan writes each output row once: the candidate
+//     order, so the range chosen changes no row and no order. The one
+//     scan loop (bindShard, on a graph as on every shard route) writes
+//     each output row once: the candidate
 //     filter (patternScan.matches) compares every position the input
 //     row binds and every variable the pattern repeats, so the row is
 //     a copy of its input with the unbound positions stored straight
@@ -229,9 +232,13 @@
 // Pushdown: a WHERE clause that is one BGP whose patterns share one
 // subject — a variable, or a constant (a point lookup) — evaluates
 // whole on each shard when the placement co-located subjects (verified
-// at build time, not assumed), with no cross-shard step; only the
-// shards holding candidates for every pattern are asked, which for a
-// constant subject is the one shard that holds it.
+// at build time, not assumed), with no cross-shard step: the shard
+// operation is the bind join below run whole, every pattern in plan
+// order from the empty row, each later row keeping the merge key of
+// the seed row it extends. Only the shards holding candidates for
+// every pattern are asked, which for a constant subject is the one
+// shard that holds it. There is one scan loop (sparql/dist.go
+// bindShard) on every route: local, scatter and pushdown.
 //
 // Bind join (the "scatter-gather" route of /stats and ShardStats):
 // every other BGP runs pattern by pattern in the global plan's order,
@@ -316,7 +323,10 @@
 // it, never the serving path. A Graph is
 // single-writer/many-reader: any number of goroutines may race into a
 // cold Encoded or Stats; after an Add the next one rebuilds from the
-// encoded list in O(n). The dictionary also keeps a numeric column
+// encoded list in O(n). Building a view ends loading, so it drops the
+// append slack of the encoded list and of the dictionary's term table
+// and numeric column (up to a growth step each, live for the process's
+// life otherwise). The dictionary also keeps a numeric column
 // (rdf.Numbers, after HDT's per-id dictionary columns): each term's
 // value when it is a numeric literal, parsed once as its id is
 // assigned, pointer-free at 8 B a term (a NaN no parse returns marks a
@@ -442,8 +452,9 @@
 // reproduces that governance at query granularity. A run armed with
 // sparql.WithMemoryBudget charges one shared atomic byte counter at
 // every evaluator-owned allocation site — row-arena chunk growth,
-// hash-join tables, probe cursors and output batches, the sharded
-// gather's merge buffers — and aborts
+// hash-join tables, probe cursors and output batches, the bind join's
+// output batches, DISTINCT's key table, the sharded gather's merge
+// buffers — and aborts
 // with a typed sparql.BudgetError the moment the charges exceed the
 // budget. The abort rides the same latched-error machinery as
 // cancellation, so a budgeted query either returns output

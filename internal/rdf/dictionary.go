@@ -150,10 +150,7 @@ func (d *Dictionary) Encode(t Term) TermID {
 // TryEncode is Encode returning a *CapacityError instead of panicking
 // when the dictionary is full.
 func (d *Dictionary) TryEncode(t Term) (TermID, error) {
-	d.mu.RLock()
-	id, _, ok := d.find(t)
-	d.mu.RUnlock()
-	if ok {
+	if id, ok := d.Lookup(t); ok {
 		return id, nil
 	}
 	d.mu.Lock()
@@ -186,6 +183,17 @@ func (d *Dictionary) Numbers() Numbers {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.nums[:len(d.nums):len(d.nums)]
+}
+
+// clip drops the append slack of the terms and their numeric column, up
+// to a growth step each; a view build calls it once loading is done.
+func (d *Dictionary) clip() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if cap(d.terms) > len(d.terms) || cap(d.nums) > len(d.nums) {
+		d.terms = append(make([]Term, 0, len(d.terms)), d.terms...)
+		d.nums = append(make(Numbers, 0, len(d.nums)), d.nums...)
+	}
 }
 
 // Len returns the number of distinct terms seen.
@@ -228,7 +236,7 @@ func EncodeDistinct(read func(add func(Triple) error) error, limit int) (dict *D
 	g := NewGraph(nil)
 	err = read(func(t Triple) error {
 		added, err := g.TryAdd(t)
-		if added && g.Len() > limit {
+		if added && len(g.enc) > limit {
 			return &CapacityError{What: "triples", Limit: int64(limit)}
 		}
 		return err

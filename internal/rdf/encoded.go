@@ -127,8 +127,9 @@ func (p *permutation) get(id TermID) ([]EncodedTriple, []int32) {
 
 // newEncodedView indexes ts and positions (nil, or aligned with ts),
 // which the view keeps (no copy) and which must never change
-// afterwards.
+// afterwards. Loading is done, so it clips the dictionary.
 func newEncodedView(dict *Dictionary, ts []EncodedTriple, positions []int32) *EncodedView {
+	dict.clip()
 	return &EncodedView{
 		dict:    dict,
 		triples: ts,

@@ -114,14 +114,21 @@ func (s tripleSet) find(enc []EncodedTriple, e EncodedTriple) (int, bool) {
 	}
 }
 
+// list is the encoded list, read under encMu: Encoded replaces it.
+func (g *Graph) list() []EncodedTriple {
+	g.encMu.Lock()
+	defer g.encMu.Unlock()
+	return g.enc
+}
+
 // Len returns the number of distinct triples.
-func (g *Graph) Len() int { return len(g.enc) }
+func (g *Graph) Len() int { return len(g.list()) }
 
 // Triples decodes all triples in insertion order into a new slice.
 func (g *Graph) Triples() []Triple {
-	terms := g.dict.Terms()
-	out := make([]Triple, len(g.enc))
-	for i, e := range g.enc {
+	terms, enc := g.dict.Terms(), g.list()
+	out := make([]Triple, len(enc))
+	for i, e := range enc {
 		out[i] = Triple{S: terms[e.S], P: terms[e.P], O: terms[e.O]}
 	}
 	return out
@@ -136,7 +143,8 @@ func (g *Graph) Encoded() *EncodedView {
 	g.encMu.Lock()
 	defer g.encMu.Unlock()
 	if g.view == nil {
-		g.view = newEncodedView(g.dict, g.enc[:len(g.enc):len(g.enc)], nil)
+		g.enc = append(make([]EncodedTriple, 0, len(g.enc)), g.enc...) // the view keeps it: no slack
+		g.view = newEncodedView(g.dict, g.enc, nil)
 	}
 	return g.view
 }
@@ -172,8 +180,7 @@ type Stats struct {
 // through dict once and builds its Stats.
 func ComputeEncodedStats(dict *Dictionary, triples []EncodedTriple) Stats {
 	n := dict.Len()
-	subj := make([]bool, n)
-	obj := make([]bool, n)
+	subj, obj := make([]bool, n), make([]bool, n)
 	predCount := make([]int, n)
 	st := Stats{Triples: len(triples), PredicateCounts: make(map[TermID]int)}
 	for _, e := range triples {

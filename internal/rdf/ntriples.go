@@ -88,11 +88,10 @@ func parseBatches(r io.Reader, full chan<- []Triple, empty <-chan []Triple, stop
 // ParseNTriples is ReadNTriples collecting the document into a slice.
 func ParseNTriples(r io.Reader) ([]Triple, error) {
 	var out []Triple
-	err := ReadNTriples(r, func(t Triple) error {
+	if err := ReadNTriples(r, func(t Triple) error {
 		out = append(out, t)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -44,21 +44,22 @@ import (
 //     part in it: one shard's run is already in order, so a graph's
 //     view carries no column at all.
 //
-// Two routes move bindings to the data, the way the survey says real
-// systems should (doc.go, "Sharded execution", has the prose):
+// Both routes move bindings to the data through one scan loop,
+// bindShard, the way the survey says real systems should (doc.go,
+// "Sharded execution", has the prose):
 //
-//   - Pushdown (pushdownBGP): a WHERE clause that is one subject-star
-//     BGP, on a placement that co-locates every subject's triples
-//     (ShardSet.SubjectColocated), evaluates whole on each covering
-//     shard. Soundness: every triple of a result star shares the star's
-//     subject, so the star's shard holds all of them and no other any.
-//   - Bind join (evalBGP → bindPattern → bindShard → gather): any other
-//     BGP extends its batch of rows pattern by pattern, each shard
+//   - Bind join (evalBGP → bindPattern → fanOut → bindShard → gather):
+//     a BGP extends its batch of rows pattern by pattern, each shard
 //     probing its own view for the whole batch in one operation; no
 //     match set is gathered, nothing is joined inside a BGP, and
 //     OPTIONAL / UNION / FILTER and the modifiers run unchanged above.
 //     A graph (RouteLocal) is the one-shard case of it: the batch goes
 //     to its one view on the calling goroutine.
+//   - Pushdown: a WHERE clause that is one subject-star BGP, on a
+//     placement that co-locates every subject's triples
+//     (ShardSet.SubjectColocated), runs the whole bind join as one
+//     operation on each covering shard. Soundness: every triple of a result star shares the star's
+//     subject, so the star's shard holds all of them and no other any.
 //
 // Both prune shards that cannot contribute: a shard whose indexes hold
 // no candidates for a pattern (the vertical / semantic payoff) is
@@ -266,19 +267,22 @@ func (env *evalEnv) shardReport() ShardStats {
 	return st
 }
 
-// evalBGP is the one BGP evaluator: the pushdown route when the run
-// qualified, otherwise a bind join — pattern by pattern, the whole
-// batch of rows bound so far goes to the shards and comes back extended
-// (bindPattern). The first pattern's batch is the empty row alone: the
-// seed scan. The plan is compiled from the set's statistics, so pattern
-// order — and with it row order — is exactly the single-graph plan's.
-// When the query's limitHint applies, the last pattern stops producing
-// once enough leading rows exist (LIMIT pushdown below the modifier
-// pipeline).
+// evalBGP is the one BGP evaluator, a bind join: pattern by pattern,
+// the whole batch of rows bound so far goes to the shards and comes
+// back extended (bindPattern), from the empty row alone (the seed
+// scan); on the pushdown route the whole join is one shard op. The plan
+// is compiled from the set's statistics, so pattern order — and with it
+// row order — is exactly the single-graph plan's. When the query's
+// limitHint applies, the last pattern stops producing once enough
+// leading rows exist (LIMIT pushdown below the modifier pipeline).
 func (env *evalEnv) evalBGP(b BGP) []slotRow {
 	cps := env.planFor(b)
+	rows := []slotRow{env.emptyRow()}
 	if env.route == RoutePushdown && len(cps) > 0 {
-		return env.pushdownBGP(cps, env.limitHint)
+		sp := env.span("pushdown")
+		defer env.endSpan(sp)
+		sp.SetInt("patterns", int64(len(cps)))
+		return env.fanOut(sp, shardOp{cps: cps, in: rows, max: env.limitHint})
 	}
 	if env.route == RouteLocal {
 		// endSpan also closes a pattern span left open by an error
@@ -290,7 +294,6 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 			bsp.SetStr("join_order", planOrder(cps))
 		}
 	}
-	rows := []slotRow{env.emptyRow()}
 	for i := range cps {
 		max := 0
 		if i == len(cps)-1 {
@@ -298,7 +301,7 @@ func (env *evalEnv) evalBGP(b BGP) []slotRow {
 			// clause, so its last pattern emits the final row sequence.
 			max = env.limitHint
 		}
-		rows = env.bindPattern(&cps[i], i == 0, rows, max)
+		rows = env.bindPattern(cps[i:i+1], i == 0, rows, max)
 		if len(rows) == 0 { // nothing left to extend, or the run failed
 			break
 		}
@@ -432,42 +435,58 @@ func pickReplica(h *ReplicaHealth, s int, tried []bool) int {
 	return -1
 }
 
-// shardOp is one per-shard operation: the bind join of pattern cp over
-// the batch in, or, with cps set, a whole pushdown BGP; max > 0 caps
-// each shard's run (LIMIT pushdown). It is a value, not a closure, so
-// an op that runs on the driver alone — every op on a graph — costs no
-// allocation for itself.
+// shardOp is one per-shard operation: the bind join of cps over the
+// batch in — one pattern of a bind-join step, or a whole pushdown BGP;
+// max > 0 caps each shard's run of the last pattern (LIMIT pushdown).
+// It is a value, not a closure, so an op that runs on the driver alone
+// — every op on a graph — costs no allocation for itself.
 type shardOp struct {
-	cp  *cPattern
-	in  []slotRow
 	cps []cPattern
+	in  []slotRow
 	max int
 }
 
 // picks is the pruning peek: whether a shard's view holds candidates
-// for the op's pattern, or for every pattern of its pushdown BGP (a
-// conjunction: one empty pattern empties the shard's contribution).
+// for every pattern of the op (a conjunction: one empty pattern empties
+// the shard's contribution).
 func (op shardOp) picks(view *rdf.EncodedView) bool {
 	for i := range op.cps {
 		if len(scanOn(view, &op.cps[i]).candidates) == 0 {
 			return false
 		}
 	}
-	return op.cps != nil || len(scanOn(view, op.cp).candidates) > 0
+	return true
 }
 
-// run runs the op against a worker environment whose view is already
-// pointed at the shard. It returns its rows and, when keyed (more than
-// one shard takes part in the operation), their ascending merge keys
-// (bindKey). Returning the output buffers (instead of writing shared
-// state) is what keeps a failed attempt out of the output: only the
-// successful attempt's return value is committed by runShardOp's
-// caller.
+// run folds bindShard over the patterns against a worker environment
+// whose view is already pointed at the shard. It returns its rows and,
+// when keyed (more than one shard takes part in the operation), their
+// ascending merge keys (bindKey): a later pattern's row inherits the
+// key of the row it extends, so a pushdown row merges on its seed
+// triple's global position. Returning the output buffers (instead of
+// writing shared state) is what keeps a failed attempt out of the
+// output: only the successful attempt's return value is committed by
+// runShardOp's caller.
 func (op shardOp) run(w *evalEnv, keyed bool) ([]slotRow, []uint64) {
-	if op.cps != nil {
-		return pushdownShard(w, op.cps, op.max, keyed)
+	rows := op.in
+	var keys []uint64
+	for k := range op.cps {
+		max := 0
+		if k == len(op.cps)-1 {
+			max = op.max
+		}
+		prev := keys
+		rows, keys = bindShard(w, &op.cps[k], rows, max, keyed)
+		if len(rows) == 0 { // nothing left to extend, or the attempt failed
+			return nil, nil
+		}
+		if k > 0 && keyed {
+			for j, key := range keys {
+				keys[j] = prev[key>>32]
+			}
+		}
 	}
-	return bindShard(w, op.cp, op.in, op.max, keyed)
+	return rows, keys
 }
 
 // fatalAttemptErr reports whether an attempt error is a query-level
@@ -632,7 +651,7 @@ var maxBindRows = math.MaxInt32
 func bindKey(i int, pos int32) uint64 { return uint64(i)<<32 | uint64(uint32(pos)) }
 
 // bindPattern is one step of the bind join: it extends every row of in
-// by the triples matching cp, returning exactly the rows, in exactly
+// by the triples matching cps' one pattern, returning exactly the rows, in exactly
 // the order, a single graph's pass over the same rows emits. Each shard
 // that can contribute receives the whole batch in one shard operation,
 // probes its own view per input row (bindShard) and answers a run
@@ -644,9 +663,9 @@ func bindKey(i int, pos int32) uint64 { return uint64(i)<<32 | uint64(uint32(pos
 // pushdown): a run is a subsequence of the merged order, so the merged
 // leading max rows draw only from per-shard prefixes of at most max
 // rows.
-func (env *evalEnv) bindPattern(cp *cPattern, first bool, in []slotRow, max int) []slotRow {
+func (env *evalEnv) bindPattern(cps []cPattern, first bool, in []slotRow, max int) []slotRow {
 	env.scatter++
-	sp := env.patternSpan(cp, first, in)
+	sp := env.patternSpan(&cps[0], first, in)
 	defer env.endSpan(sp)
 	if len(in) > maxBindRows {
 		env.err = &rdf.CapacityError{What: "bind-join rows", Limit: int64(maxBindRows)}
@@ -658,7 +677,7 @@ func (env *evalEnv) bindPattern(cp *cPattern, first bool, in []slotRow, max int)
 		// deltas across this op are exactly its own retries/failovers.
 		retries0, failovers0 = env.ftally.retries.Load(), env.ftally.failovers.Load()
 	}
-	merged := env.fanOut(sp, shardOp{cp: cp, in: in, max: max})
+	merged := env.fanOut(sp, shardOp{cps: cps, in: in, max: max})
 	if sp != nil && env.err == nil {
 		if n := env.ftally.retries.Load() - retries0; n > 0 {
 			sp.SetInt("retries", n)
@@ -736,7 +755,7 @@ func (env *evalEnv) fanOut(sp *obs.Span, op shardOp) []slotRow {
 	}
 	if sp != nil && env.route != RouteLocal {
 		attr := "shards_scanned"
-		if op.cps != nil {
+		if env.route == RoutePushdown {
 			attr = "shards_covering"
 		}
 		sp.SetInt(attr, int64(len(picked)))
@@ -753,15 +772,16 @@ func (env *evalEnv) fanOut(sp *obs.Span, op shardOp) []slotRow {
 	return merged
 }
 
-// bindShard is one shard's side of bindPattern: it resolves cp's
-// constants on this shard's view once, then for each input row in turn
-// the positions the row binds, scans the smallest index range and emits
-// every extension, keyed when the op is by (input index, global
-// position), the position read from the view's column beside the
-// candidate. A row binding a term this shard does not hold there —
-// under subject placement, every row of a star arm on every shard but
-// one — has no range to scan. The output batch is charged where it is
-// sized and grown. max > 0 stops the op once that many rows exist.
+// bindShard is the scan loop of every route, one step of a shard op
+// (shardOp.run): it resolves cp's constants on this shard's view once,
+// then for each input row in turn the positions the row binds, scans
+// the smallest index range and emits every extension, keyed when the
+// op is by (input index, global position), the position read from the
+// view's column beside the candidate. A row binding a term this shard
+// does not hold there — under subject placement, every row of a star
+// arm on every shard but one — has no range to scan. The output batch
+// is charged where it is sized and grown. max > 0 stops the step once
+// that many rows exist.
 func bindShard(w *evalEnv, cp *cPattern, in []slotRow, max int, keyed bool) ([]slotRow, []uint64) {
 	op := scanOn(w.view, cp)
 	if len(op.candidates) == 0 { // a miss, or nothing here
@@ -839,69 +859,6 @@ func outputCap(candidates, max int) int {
 		return max
 	}
 	return candidates
-}
-
-// pushdownBGP evaluates the whole (subject-star) BGP on each covering
-// shard independently and merges shard results by the seed triple's
-// global position. Shards missing candidates for any pattern are
-// pruned without scanning. max > 0 caps each shard's output, as in
-// bindPattern.
-func (env *evalEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
-	sp := env.span("pushdown")
-	defer env.endSpan(sp)
-	sp.SetInt("patterns", int64(len(cps)))
-	return env.fanOut(sp, shardOp{cps: cps, max: max})
-}
-
-// pushdownShard runs the full pattern-at-a-time BGP loop against one
-// shard's view, keying every result row, when the op is keyed, by the
-// global position of its seed candidate (the view's position column, as
-// in bindShard; the one input row is the empty row, index 0). Within
-// one seed the extension order is the shard's insertion order — the
-// same relative order the single graph's indexes hold — so rows under
-// one key are already in single-graph order, and keys ascend across the
-// list. max > 0 stops the loop once that many rows exist (the last seed
-// may overshoot; callers truncate).
-func pushdownShard(w *evalEnv, cps []cPattern, max int, keyed bool) ([]slotRow, []uint64) {
-	empty := w.emptyRow()
-	ps := w.preparePatternScan(&cps[0], empty)
-	n := outputCap(len(ps.candidates), max)
-	w.chargeRowBatch(n, stageJoin)
-	rows := make([]slotRow, 0, n)
-	var keys []uint64
-	if keyed {
-		keys = make([]uint64, 0, n)
-	}
-	var cur, next []slotRow
-	for i, t := range ps.candidates {
-		if w.interrupted() {
-			return nil, nil
-		}
-		cur = cur[:0]
-		if ps.matches(t) {
-			cur = append(cur, ps.extend(w, empty, t))
-		}
-		for j := 1; j < len(cps) && len(cur) > 0; j++ {
-			next = next[:0]
-			for _, r := range cur {
-				next = w.matchPattern(&cps[j], r, next)
-				if w.err != nil {
-					return nil, nil
-				}
-			}
-			cur, next = next, cur
-		}
-		rows = append(rows, cur...)
-		for range cur {
-			if keyed {
-				keys = append(keys, bindKey(0, ps.positions[i]))
-			}
-		}
-		if max > 0 && len(rows) >= max {
-			break
-		}
-	}
-	return rows, keys
 }
 
 // gather k-way merges per-shard runs by their ascending keys, charging

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -174,7 +173,7 @@ func (env *evalEnv) modifierPipeline(q *Query, cols []int, rows []slotRow) []slo
 		rows = env.sortRows(rows, q.OrderBy, topK)
 	}
 	if q.Distinct {
-		rows = distinctRows(rows, cols)
+		rows = env.distinctRows(rows, cols)
 	}
 	if len(q.OrderBy) > 0 && !sortFirst {
 		rows = env.sortRows(rows, q.OrderBy, topK)
@@ -194,26 +193,50 @@ func (env *evalEnv) modifierPipeline(q *Query, cols []int, rows []slotRow) []slo
 	return rows
 }
 
-// distinctRows deduplicates rows on the slots of the projection's
-// column map, the only ones the answer reads. Ids are injective over
-// terms, so id equality is exactly term equality.
-func distinctRows(rows []slotRow, cols []int) []slotRow {
-	seen := make(map[string]bool, len(rows))
-	var kept []slotRow
-	buf := make([]byte, 0, 4*len(cols))
-	for _, row := range rows {
-		buf = buf[:0]
-		for _, s := range cols {
-			if s >= 0 {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(row[s]))
-			}
-		}
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
-			kept = append(kept, row)
+// distinctRows keeps each row whose ids at the projection's mapped
+// slots no earlier row holds. The key set is the join kernel's table
+// (buildJoinTable, buckets in ascending row order), charged and capped
+// as a join's; ids are injective over terms, so id equality is exactly
+// term equality.
+func (env *evalEnv) distinctRows(rows []slotRow, cols []int) []slotRow {
+	if len(rows) > maxJoinRows {
+		env.err = &rdf.CapacityError{What: "join rows", Limit: int64(maxJoinRows)}
+		return nil
+	}
+	key := make([]int, 0, len(cols))
+	for _, s := range cols {
+		if s >= 0 {
+			key = append(key, s)
 		}
 	}
+	head, next, mask := buildJoinTable(rows, key)
+	env.chargeJoinTable(head, next)
+	env.chargeRowBatch(len(rows), stageJoin)
+	if env.err != nil { // over budget: skip the output allocation
+		return nil
+	}
+	kept := make([]slotRow, 0, len(rows))
+scan:
+	for i, row := range rows {
+		// Row i is in its own bucket, so the walk ends on it at the latest.
+		for j := head[rowKeyHash(row, key)&mask]; int(j) < i; j = next[j] {
+			if sameKey(rows[j], row, key) {
+				continue scan
+			}
+		}
+		kept = append(kept, row)
+	}
 	return kept
+}
+
+// sameKey reports whether a and b hold the same ids at the key slots.
+func sameKey(a, b slotRow, key []int) bool {
+	for _, s := range key {
+		if a[s] != b[s] {
+			return false
+		}
+	}
+	return true
 }
 
 // keySlot is one compiled ORDER BY key: the slot it reads and its
@@ -1243,15 +1266,13 @@ type patternScan struct {
 	view                   *rdf.EncodedView
 	sID, pID, oID          rdf.TermID
 	sBound, pBound, oBound bool
-	miss                   bool
 	candidates             []rdf.EncodedTriple
 	positions              []int32
 }
 
 // matches reports whether a candidate triple satisfies the scan's
 // resolved positions and gives a repeated variable one value — the
-// filter every candidate loop (the scan, the per-shard bind and
-// pushdown scans) applies before extending the row.
+// filter the scan loop (bindShard) applies before extending the row.
 func (ps *patternScan) matches(t rdf.EncodedTriple) bool {
 	if ps.sBound && t.S != ps.sID {
 		return false
@@ -1286,11 +1307,11 @@ func (ps *patternScan) extend(env *evalEnv, row slotRow, t rdf.EncodedTriple) sl
 }
 
 // scanOn is a scan's per-op step: cp's constants resolved on view —
-// miss when the dictionary lacks one — and the smallest index range
-// they select, the whole view when none does.
+// no candidates when the dictionary lacks one — and the smallest index
+// range they select, the whole view when none does.
 func scanOn(view *rdf.EncodedView, cp *cPattern) patternScan {
 	ps := patternScan{cp: cp, view: view}
-	if ps.miss = !cp.s.isVar && !cp.s.ok || !cp.p.isVar && !cp.p.ok || !cp.o.isVar && !cp.o.ok; !ps.miss {
+	if miss := !cp.s.isVar && !cp.s.ok || !cp.p.isVar && !cp.p.ok || !cp.o.isVar && !cp.o.ok; !miss {
 		ps.candidates, ps.positions = view.ScanAll()
 		ps.resolve(nil)
 	}
@@ -1330,44 +1351,4 @@ func (ps *patternScan) narrow(cands []rdf.EncodedTriple, positions []int32) {
 	if len(cands) < len(ps.candidates) {
 		ps.candidates, ps.positions = cands, positions
 	}
-}
-
-// preparePatternScan resolves cp's positions under row: the per-op
-// step, then the per-row step (a miss has no candidates to narrow).
-func (env *evalEnv) preparePatternScan(cp *cPattern, row slotRow) patternScan {
-	ps := scanOn(env.view, cp)
-	ps.resolve(row)
-	return ps
-}
-
-// matchPattern appends to out every extension of row by a triple
-// matching cp.
-func (env *evalEnv) matchPattern(cp *cPattern, row slotRow, out []slotRow) []slotRow {
-	ps := env.preparePatternScan(cp, row)
-	return env.scanPattern(&ps, row, 0, out)
-}
-
-// scanPattern appends to out every extension of row by a candidate
-// triple matching the prepared scan; max > 0 stops the scan once out
-// holds max rows (LIMIT pushdown). Cancellation is polled per run of
-// candidates (block), not per candidate.
-func (env *evalEnv) scanPattern(ps *patternScan, row slotRow, max int, out []slotRow) []slotRow {
-	cands := ps.candidates
-	for len(cands) > 0 {
-		n := env.block(len(cands))
-		if n == 0 {
-			return out
-		}
-		for _, t := range cands[:n] {
-			if !ps.matches(t) {
-				continue
-			}
-			out = append(out, ps.extend(env, row, t))
-			if max > 0 && len(out) >= max {
-				return out
-			}
-		}
-		cands = cands[n:]
-	}
-	return out
 }

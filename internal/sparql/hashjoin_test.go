@@ -261,3 +261,64 @@ func TestHashJoinMatchesNestedLoopProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// DISTINCT's key set is the join kernel's table (distinctRows); the map
+// of row keys it replaced is the reference. Random batches of up to 60
+// rows over the ids 0, 1, 128 and 129 (ids 128 apart share a bucket of
+// a table this small) and the unbound one, under random column maps — slots repeated,
+// left out, or -1 for a variable the query never binds — must keep the
+// same rows, each key's first, in input order. Mutants killed (each
+// applied to a copy of eval.go): the chain walk stopping at its first
+// row (a key whose bucket another key heads is kept twice); sameKey
+// ignoring the last key slot; the walk continuing past row i (a row
+// dropped for a later copy of itself).
+func TestDistinctRowsMatchesMapProperty(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		const width = 3
+		rows := make([]slotRow, r.Intn(60))
+		for i := range rows {
+			rows[i] = make(slotRow, width)
+			for s := range rows[i] {
+				rows[i][s] = rdf.TermID(r.Intn(2) + 128*r.Intn(2))
+				if r.Intn(5) == 0 {
+					rows[i][s] = unboundID
+				}
+			}
+		}
+		cols := make([]int, r.Intn(4))
+		for i := range cols {
+			cols[i] = r.Intn(width+1) - 1
+		}
+		seen := map[string]bool{}
+		var want []slotRow
+		for _, row := range rows {
+			k := ""
+			for _, s := range cols {
+				if s >= 0 {
+					k += fmt.Sprint(row[s], ",")
+				}
+			}
+			if !seen[k] {
+				seen[k] = true
+				want = append(want, row)
+			}
+		}
+		env := &evalEnv{vars: make([]Var, width)}
+		got := env.distinctRows(rows, cols)
+		if len(got) != len(want) {
+			t.Logf("seed %d: %d rows, cols %v: kept %d, reference %d", seed, len(rows), cols, len(got), len(want))
+			return false
+		}
+		for i := range got {
+			if &got[i][0] != &want[i][0] {
+				t.Logf("seed %d: cols %v: kept row %d is %v, reference %v", seed, cols, i, got[i], want[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

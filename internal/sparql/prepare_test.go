@@ -135,7 +135,7 @@ func cancelTestGraph(n int) *rdf.Graph {
 
 // Cancelling mid-join must abort an 8192×8192 cartesian well before
 // its ~67M-row completion and surface ctx.Err(). Both cartesian paths
-// are exercised: the BGP-internal row extension (matchPattern) and the
+// are exercised: the BGP-internal row extension (bindShard) and the
 // Group join fallback (nestedJoinRows).
 func TestRunCancelMidJoin(t *testing.T) {
 	if testing.Short() {
