@@ -65,7 +65,16 @@ import (
 //     slot as unbound — a row sequence unlike the reference's; forEachShard
 //     skips the shard the driver should run itself — "0 rows, want 1";
 //     the driver does not wait for its goroutines — "par 4 …: 0 rows,
-//     want 5"; gather takes the larger head — index out of range.
+//     want 5"; gather takes the larger head — index out of range;
+//   - shardOp.run drops the key inheritance, so a later pattern's row
+//     keeps its own (input index, position) key — a pushdown's rows
+//     merge out of seed order: "4 shards × 1 hash-subject … row 0
+//     differs" here, and in
+//     TestShardedBudgetOverloadDeterminism and TestChaosDeterminism;
+//   - shardOp.run passes max to every pattern, not the last — the seed
+//     step stops at max seeds: "ASK answer differs: want true, got
+//     false" in TestShardedLimitPushdown (the star whose first seeds do
+//     not extend); this property catches it in about half the runs.
 
 // --- the reference: nested loops over []rdf.Triple --------------------
 

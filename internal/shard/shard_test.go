@@ -462,6 +462,10 @@ func TestShardedLimitPushdown(t *testing.T) {
 		fmt.Sprintf(`SELECT ?s ?n ?a WHERE { ?s <%sname> ?n . ?s <%sage> ?a } LIMIT 7 OFFSET 3`,
 			workload.UnivNS, workload.UnivNS),
 		fmt.Sprintf(`ASK { ?s <%sage> ?a }`, workload.UnivNS),
+		// A star whose first seeds do not extend: the first age triples
+		// are professors', who take no course, so the hint may reach the
+		// last pattern of the shard op only.
+		fmt.Sprintf(`ASK { ?s <%[1]sage> ?a . ?s <%[1]stakesCourse> ?c }`, workload.UnivNS),
 		// Scatter route, several patterns: the hint reaches the last
 		// pattern of the bind join, each shard stopping at its own prefix.
 		fmt.Sprintf(`SELECT ?st ?prof ?d WHERE { ?st <%[1]sadvisor> ?prof . ?prof <%[1]sworksFor> ?d } LIMIT 5`, workload.UnivNS),
